@@ -12,7 +12,7 @@ import (
 	"repro/internal/placement"
 	"repro/internal/query"
 	"repro/internal/simnet"
-	"repro/internal/xrand"
+	"repro/internal/traverse"
 )
 
 // cached is a processor-cache entry: the decoded record plus its encoded
@@ -27,7 +27,9 @@ type proc struct {
 	id       int
 	useCache bool
 	cache    *cache.LRU[cached]
-	sc       scratch
+	sc       scratch          // fetchRecords' result and miss buffers
+	kernel   traverse.Scratch // the traversal's visited sets and frontiers
+	fx       fetcher
 	// near is the processor's affinity storage slot (System.nearStorageSlot
 	// at provisioning time; -1 when none) — the slot whose fetches escape
 	// the StorageAffinity penalty.
@@ -35,6 +37,24 @@ type proc struct {
 	// heat, when non-nil, accumulates per-record storage-read counts for
 	// the owning session's placement planner. Cache hits never reach it.
 	heat *placement.Heat
+}
+
+// scratch is one processor's reusable fetchRecords buffers. Everything
+// here is overwritten per fetch, so records that must outlive a level
+// (cache entries) are copied out by value, never referenced.
+type scratch struct {
+	fetch   []gstore.FetchResult
+	missBuf []gstore.FetchResult
+	missIDs []graph.NodeID
+	missPos []int32
+}
+
+// resized returns *buf at length n, reallocating only when it has to.
+func resized(buf *[]gstore.FetchResult, n int) []gstore.FetchResult {
+	if cap(*buf) < n {
+		*buf = make([]gstore.FetchResult, n)
+	}
+	return (*buf)[:n]
 }
 
 // execStats accounts one query's data movement, following Eq 8/9: hits is
@@ -86,7 +106,7 @@ func (s *System) fetchRecords(p *proc, ids []graph.NodeID, now time.Duration, tl
 	var cost time.Duration
 	var st execStats
 	sc := &p.sc
-	recs := sc.fetchBuf(len(ids))
+	recs := resized(&sc.fetch, len(ids))
 	sc.missIDs = sc.missIDs[:0]
 	sc.missPos = sc.missPos[:0]
 	var missIDs []graph.NodeID
@@ -105,7 +125,7 @@ func (s *System) fetchRecords(p *proc, ids []graph.NodeID, now time.Duration, tl
 			}
 		}
 		missIDs = sc.missIDs
-		missDst = sc.missResults(len(missIDs))
+		missDst = resized(&sc.missBuf, len(missIDs))
 	} else {
 		missIDs = ids
 		missDst = recs // no scatter needed: FetchBatchInto fills every slot
@@ -202,213 +222,48 @@ func (s *System) fetchRecords(p *proc, ids []graph.NodeID, now time.Duration, tl
 	return recs, cost, st, nil
 }
 
-// execute runs one query on processor p starting at virtual time start and
-// returns the result, the service time, and the data-movement stats.
+// fetcher is a processor's traverse.Fetcher for one execution: every batch
+// goes through fetchRecords, and the virtual clock and the data-movement
+// stats accumulate here. It lives in the proc so an execution allocates
+// nothing.
+type fetcher struct {
+	s   *System
+	p   *proc
+	tl  *simnet.Timeline
+	now time.Duration
+	st  execStats
+}
+
+// fetcher arms p's fetcher for an execution starting at virtual time start.
+func (s *System) fetcher(p *proc, start time.Duration, tl *simnet.Timeline) *fetcher {
+	p.fx = fetcher{s: s, p: p, tl: tl, now: start}
+	return &p.fx
+}
+
+// Fetch bills the batch whether or not it succeeds: a failed fetch still
+// burned the round trips that discovered the failure.
+func (f *fetcher) Fetch(ids []graph.NodeID) ([]gstore.FetchResult, error) {
+	recs, dt, st, err := f.s.fetchRecords(f.p, ids, f.now, f.tl)
+	f.now += dt
+	f.st.add(st)
+	return recs, err
+}
+
+// Expanded bills n units of traversal compute.
+func (f *fetcher) Expanded(n int) {
+	f.now += time.Duration(n) * f.s.cfg.Network.ComputePerNode
+}
+
+// execute runs one point query on processor p starting at virtual time
+// start and returns the result, the service time, and the data-movement
+// stats.
 func (s *System) execute(p *proc, q query.Query, start time.Duration, tl *simnet.Timeline) (query.Result, time.Duration, execStats, error) {
-	switch q.Type {
-	case query.NeighborAgg:
-		return s.execNeighborAgg(p, q, start, tl)
-	case query.RandomWalk:
-		return s.execRandomWalk(p, q, start, tl)
-	case query.Reachability:
-		return s.execReachability(p, q, start, tl)
+	var lf traverse.LabelFilter
+	if q.CountLabel != "" {
+		lf.On = true
+		lf.Label, lf.Known = s.g.LabelID(q.CountLabel)
 	}
-	return query.Result{}, 0, execStats{}, fmt.Errorf("core: unknown query type %v", q.Type)
-}
-
-// appendUnvisited extends next with every edge endpoint of rec in
-// direction dir not yet in vis, marking each as visited. Open-coded (no
-// closure) so the level expansion stays allocation-free.
-func appendUnvisited(next []graph.NodeID, rec *gstore.Record, dir graph.Direction, vis *visitSet) []graph.NodeID {
-	if dir == graph.Out || dir == graph.Both {
-		for _, e := range rec.Out {
-			if vis.visit(e.To) {
-				next = append(next, e.To)
-			}
-		}
-	}
-	if dir == graph.In || dir == graph.Both {
-		for _, e := range rec.In {
-			if vis.visit(e.To) {
-				next = append(next, e.To)
-			}
-		}
-	}
-	return next
-}
-
-// execNeighborAgg implements the h-hop neighbour aggregation by levelwise
-// BFS with batched frontier fetches. Every node within h hops has its
-// record retrieved (labels live in the records), matching the paper's
-// accounting where a query touches its whole h-hop neighbourhood.
-func (s *System) execNeighborAgg(p *proc, q query.Query, start time.Duration, tl *simnet.Timeline) (query.Result, time.Duration, execStats, error) {
-	prof := s.cfg.Network
-	now := start
-	var st execStats
-
-	wantLabel := graph.NoLabel
-	filter := q.CountLabel != ""
-	filterKnown := false
-	if filter {
-		wantLabel, filterKnown = s.g.LabelID(q.CountLabel)
-	}
-
-	sc := &p.sc
-	sc.visited.reset(s.g.MaxNodeID())
-	sc.visited.visit(q.Node)
-	frontier := append(sc.frontier[:0], q.Node)
-	next := sc.next[:0]
-	count := 0
-	for level := 0; level <= q.Hops && len(frontier) > 0; level++ {
-		recs, dt, fst, err := s.fetchRecords(p, frontier, now, tl)
-		if err != nil {
-			st.add(fst)
-			return query.Result{}, now + dt - start, st, err
-		}
-		now += dt
-		st.add(fst)
-		if level > 0 {
-			for i := range frontier {
-				if !filter {
-					count++
-					continue
-				}
-				if fr := &recs[i]; fr.OK && filterKnown && fr.Record.NodeLabel == wantLabel {
-					count++
-				}
-			}
-		}
-		if level == q.Hops {
-			break
-		}
-		next = next[:0]
-		for i := range frontier {
-			if fr := &recs[i]; fr.OK {
-				next = appendUnvisited(next, &fr.Record, q.Dir, &sc.visited)
-			}
-		}
-		now += time.Duration(len(next)) * prof.ComputePerNode
-		frontier, next = next, frontier
-	}
-	sc.frontier, sc.next = frontier, next
-	return query.Result{Type: q.Type, Count: count}, now - start, st, nil
-}
-
-// execRandomWalk replays the oracle's exact random sequence against
-// storage-backed adjacency: one record fetch per step (random walks cannot
-// be batched — each step depends on the previous).
-func (s *System) execRandomWalk(p *proc, q query.Query, start time.Duration, tl *simnet.Timeline) (query.Result, time.Duration, execStats, error) {
-	prof := s.cfg.Network
-	now := start
-	var st execStats
-	rng := xrand.New(q.Seed)
-	sc := &p.sc
-	cur := q.Node
-	for step := 0; step < q.Hops; step++ {
-		if q.RestartProb > 0 && rng.Float64() < q.RestartProb {
-			cur = q.Node
-			continue
-		}
-		sc.one[0] = cur
-		recs, dt, fst, err := s.fetchRecords(p, sc.one[:1], now, tl)
-		if err != nil {
-			st.add(fst)
-			return query.Result{}, now + dt - start, st, err
-		}
-		now += dt
-		st.add(fst)
-		var rec gstore.Record // zero record when dangling: dead end
-		if recs[0].OK {
-			rec = recs[0].Record
-		}
-		next, ok := query.WalkStep(rec.Out, rec.In, q.Dir, rng)
-		if !ok {
-			cur = q.Node
-			continue
-		}
-		cur = next
-		now += prof.ComputePerNode
-	}
-	return query.Result{Type: q.Type, EndNode: cur}, now - start, st, nil
-}
-
-// expandReach extends next with rec's endpoints along edges, marking them
-// in mine and flagging reachability when one is already in other.
-func expandReach(next []graph.NodeID, edges []graph.Edge, mine, other *visitSet, reachable *bool) []graph.NodeID {
-	for _, e := range edges {
-		if other.seen(e.To) {
-			*reachable = true
-		}
-		if mine.visit(e.To) {
-			next = append(next, e.To)
-		}
-	}
-	return next
-}
-
-// execReachability runs the bidirectional BFS of Section 2.2: forward over
-// out-edges from the source, backward over in-edges from the target
-// (possible because records carry both directions), expanding the smaller
-// frontier first, with at most q.Hops total level expansions.
-func (s *System) execReachability(p *proc, q query.Query, start time.Duration, tl *simnet.Timeline) (query.Result, time.Duration, execStats, error) {
-	prof := s.cfg.Network
-	now := start
-	var st execStats
-	if q.Node == q.Target {
-		return query.Result{Type: q.Type, Reachable: true}, 0, st, nil
-	}
-	if q.Hops <= 0 {
-		return query.Result{Type: q.Type, Reachable: false}, 0, st, nil
-	}
-
-	sc := &p.sc
-	maxID := s.g.MaxNodeID()
-	sc.visited.reset(maxID)
-	sc.visitedB.reset(maxID)
-	sc.visited.visit(q.Node)
-	sc.visitedB.visit(q.Target)
-	fFront := append(sc.frontier[:0], q.Node)
-	bFront := append(sc.next[:0], q.Target)
-	spare := sc.spare
-	reachable := false
-
-	for levels := 0; levels < q.Hops && !reachable && len(fFront) > 0 && len(bFront) > 0; levels++ {
-		forward := len(fFront) <= len(bFront)
-		front := fFront
-		if !forward {
-			front = bFront
-		}
-		recs, dt, fst, err := s.fetchRecords(p, front, now, tl)
-		if err != nil {
-			st.add(fst)
-			return query.Result{}, now + dt - start, st, err
-		}
-		now += dt
-		st.add(fst)
-
-		next := spare[:0]
-		mine, other := &sc.visited, &sc.visitedB
-		if !forward {
-			mine, other = other, mine
-		}
-		for i := range front {
-			fr := &recs[i]
-			if !fr.OK {
-				continue
-			}
-			if forward {
-				next = expandReach(next, fr.Record.Out, mine, other, &reachable)
-			} else {
-				next = expandReach(next, fr.Record.In, mine, other, &reachable)
-			}
-		}
-		now += time.Duration(len(next)) * prof.ComputePerNode
-		if forward {
-			spare, fFront = fFront, next
-		} else {
-			spare, bFront = bFront, next
-		}
-	}
-	sc.frontier, sc.next, sc.spare = fFront, bFront, spare
-	return query.Result{Type: q.Type, Reachable: reachable}, now - start, st, nil
+	f := s.fetcher(p, start, tl)
+	res, err := p.kernel.Run(f, q, lf)
+	return res, f.now - start, f.st, err
 }

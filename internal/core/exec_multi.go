@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/gstore"
 	"repro/internal/mquery"
 	"repro/internal/query"
 	"repro/internal/router"
@@ -121,28 +120,14 @@ func (ses *Session) executeMulti(q query.Query) (query.Result, time.Duration, er
 // (cache charges, storage contention on the timeline, affinity penalties),
 // and the traversal work is billed at ComputePerNode per unit.
 func (s *System) runSubtask(p *proc, st mquery.Subtask, start time.Duration, tl *simnet.Timeline, agg *execStats) (mquery.Partial, time.Duration, error) {
-	now := start
-	fetch := func(ids []graph.NodeID) (map[graph.NodeID]gstore.Record, error) {
-		recs, cost, fst, err := s.fetchRecords(p, ids, now, tl)
-		now += cost
-		agg.add(fst)
-		if err != nil {
-			return nil, err
-		}
-		out := make(map[graph.NodeID]gstore.Record, len(ids))
-		for i, fr := range recs {
-			if fr.OK {
-				out[ids[i]] = fr.Record
-			}
-		}
-		return out, nil
-	}
-	part, units, err := mquery.Run(st, fetch)
+	f := s.fetcher(p, start, tl)
+	part, units, err := mquery.Run(st, mquery.FetchOver(f))
+	agg.add(f.st)
 	if err != nil {
-		return mquery.Partial{}, now - start, err
+		return mquery.Partial{}, f.now - start, err
 	}
-	now += time.Duration(units) * s.cfg.Network.ComputePerNode
-	return part, now - start, nil
+	f.Expanded(units)
+	return part, f.now - start, nil
 }
 
 // MultiStats reports the session's multi-anchor execution counters: total

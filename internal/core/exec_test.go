@@ -44,32 +44,6 @@ func TestQueryOnRemovedNode(t *testing.T) {
 	}
 }
 
-func TestZeroHopQueries(t *testing.T) {
-	g := testGraph()
-	ses := newTestSession(t, g, PolicyHash)
-	res, _, err := ses.Execute(query.Query{Type: query.NeighborAgg, Node: 3, Hops: 0, Dir: graph.Out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count != 0 {
-		t.Fatalf("0-hop aggregation = %d", res.Count)
-	}
-	res, _, err = ses.Execute(query.Query{Type: query.RandomWalk, Node: 3, Hops: 0, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EndNode != 3 {
-		t.Fatalf("0-step walk ended at %d", res.EndNode)
-	}
-	res, _, err = ses.Execute(query.Query{Type: query.Reachability, Node: 3, Target: 3, Hops: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Reachable {
-		t.Fatal("self-reachability at 0 hops should hold")
-	}
-}
-
 func TestLabelFilteredAggregation(t *testing.T) {
 	g := graph.New()
 	for i := 0; i < 30; i++ {
@@ -109,32 +83,6 @@ func TestLabelFilteredAggregation(t *testing.T) {
 		if oracle := query.Answer(g, q); res != oracle {
 			t.Fatalf("label %q disagrees with oracle", c.label)
 		}
-	}
-}
-
-func TestReachabilityUnreachableComponents(t *testing.T) {
-	g := graph.New()
-	g.AddNodes(20)
-	for i := 0; i < 9; i++ {
-		g.AddEdgeFast(graph.NodeID(i), graph.NodeID(i+1))
-		g.AddEdgeFast(graph.NodeID(10+i), graph.NodeID(11+i))
-	}
-	cfg := testConfig(PolicyNextReady)
-	sys, err := NewSystem(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ses, err := sys.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := query.Query{Type: query.Reachability, Node: 0, Target: 15, Hops: 19}
-	res, _, err := ses.Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reachable {
-		t.Fatal("cross-component reachability reported true")
 	}
 }
 
@@ -222,28 +170,6 @@ func TestEvictionUnderTinyCache(t *testing.T) {
 		if rep.Results[q.ID] != query.Answer(g, q) {
 			t.Fatalf("query %d wrong under eviction pressure", q.ID)
 		}
-	}
-}
-
-func TestWalkDeterministicAcrossPolicies(t *testing.T) {
-	g := testGraph()
-	q := query.Query{Type: query.RandomWalk, Node: 7, Hops: 10, RestartProb: 0.2, Dir: graph.Both, Seed: 77}
-	var ends []graph.NodeID
-	for _, policy := range []Policy{PolicyNoCache, PolicyHash, PolicyEmbed} {
-		ses := newTestSession(t, g, policy)
-		res, _, err := ses.Execute(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ends = append(ends, res.EndNode)
-	}
-	for i := 1; i < len(ends); i++ {
-		if ends[i] != ends[0] {
-			t.Fatalf("walk end differs across policies: %v", ends)
-		}
-	}
-	if oracle := query.Answer(g, q); oracle.EndNode != ends[0] {
-		t.Fatalf("walk end %d != oracle %d", ends[0], oracle.EndNode)
 	}
 }
 

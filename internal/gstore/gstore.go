@@ -268,21 +268,6 @@ type FetchResult struct {
 	OK     bool
 }
 
-// FetchBatch retrieves and decodes many node records grouped by owning
-// server. For every input id, results[id] is populated. The onBatch hook
-// (optional) observes each per-server batch with its total bytes — the
-// engine uses it to charge server timelines. Failover and availability
-// semantics match FetchBatchInto, which implements it.
-func (t *Tier) FetchBatch(ids []graph.NodeID, onBatch func(b kvstore.Batch, bytes int64)) (map[graph.NodeID]FetchResult, error) {
-	dst := make([]FetchResult, len(ids))
-	err := t.FetchBatchInto(ids, dst, onBatch)
-	results := make(map[graph.NodeID]FetchResult, len(ids))
-	for i, id := range ids {
-		results[id] = dst[i]
-	}
-	return results, err
-}
-
 // fetchScratch holds the reusable planning and read buffers behind
 // FetchBatchInto. Pooled so concurrent callers (one per experiment cell)
 // never contend or share state.
@@ -306,10 +291,10 @@ var scratchPool = sync.Pool{New: func() any { return new(fetchScratch) }}
 const fetchAttempts = 4
 
 // FetchBatchInto retrieves and decodes many node records grouped by owning
-// replica, writing dst[i] for ids[i] (dst must have len >= len(ids)). It is
-// the allocation-lean counterpart of FetchBatch: batch planning and raw
-// reads run through pooled buffers, and only the decoded edge lists are
-// freshly allocated (records outlive the call — the engine caches them).
+// replica, writing dst[i] for ids[i] (dst must have len >= len(ids)). Batch
+// planning and raw reads run through pooled buffers; only the decoded edge
+// lists are freshly allocated (records outlive the call — the engine
+// caches them).
 //
 // Reads fail over transparently: a batch bounced off a server that a
 // concurrent membership transition made unreadable is re-planned against

@@ -204,70 +204,43 @@ func TestFetchMissing(t *testing.T) {
 	}
 }
 
-func TestFetchBatch(t *testing.T) {
-	tier, g := newLoadedTier(t)
-	ids := []graph.NodeID{0, 1, 2, 3, 4, 5, 77777}
+// TestFetchBatchInto checks the batched fetch on a mix of present and
+// dangling ids in no particular order: positional results agree with
+// single fetches, bytes are accounted and every batch is observed.
+func TestFetchBatchInto(t *testing.T) {
+	tier, _ := newLoadedTier(t)
+	ids := []graph.NodeID{5, 99999, 0, 250, 77777, 1, 131, 2}
 	var batches int
 	var totalBytes int64
-	results, err := tier.FetchBatch(ids, func(b kvstore.Batch, bytes int64) {
+	dst := make([]FetchResult, len(ids))
+	err := tier.FetchBatchInto(ids, dst, func(b kvstore.Batch, bytes int64) {
 		batches++
 		totalBytes += bytes
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(ids) {
-		t.Fatalf("results cover %d ids, want %d", len(results), len(ids))
+	check := func(ids []graph.NodeID) {
+		t.Helper()
+		for i, id := range ids {
+			want, ok, err := tier.Fetch(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dst[i].OK != ok || (ok && dst[i].Bytes <= 0) {
+				t.Fatalf("id %d: got OK=%v bytes=%d, want OK=%v", id, dst[i].OK, dst[i].Bytes, ok)
+			}
+			if !reflect.DeepEqual(dst[i].Record, want) {
+				t.Fatalf("id %d: batched record differs from the single fetch", id)
+			}
+		}
 	}
-	if !results[0].OK || results[77777].OK {
-		t.Fatalf("presence flags wrong: %+v, %+v", results[0], results[77777])
-	}
-	if results[2].Bytes <= 0 {
-		t.Fatal("byte accounting missing")
+	check(ids)
+	if dst[0].OK == dst[1].OK {
+		t.Fatalf("presence flags wrong: %+v, %+v", dst[0], dst[1])
 	}
 	if batches == 0 || totalBytes <= 0 {
 		t.Fatalf("onBatch not invoked: batches=%d bytes=%d", batches, totalBytes)
-	}
-	if len(results[1].Record.Out) != g.OutDegree(1) {
-		t.Fatal("batched record content wrong")
-	}
-}
-
-// TestFetchBatchIntoAgreesWithFetchBatch checks the slice-backed fetch
-// path against the map-based one on a mix of present and dangling ids:
-// positional results, byte accounting and batch observations must match.
-func TestFetchBatchIntoAgreesWithFetchBatch(t *testing.T) {
-	tier, _ := newLoadedTier(t)
-	ids := []graph.NodeID{5, 99999, 0, 250, 77777, 1, 131, 2}
-	var mapBatches, sliceBatches int
-	var mapBytes, sliceBytes int64
-	want, err := tier.FetchBatch(ids, func(b kvstore.Batch, bytes int64) {
-		mapBatches++
-		mapBytes += bytes
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]FetchResult, len(ids))
-	err = tier.FetchBatchInto(ids, dst, func(b kvstore.Batch, bytes int64) {
-		sliceBatches++
-		sliceBytes += bytes
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, id := range ids {
-		w := want[id]
-		if dst[i].OK != w.OK || dst[i].Bytes != w.Bytes {
-			t.Fatalf("id %d: got OK=%v bytes=%d, want OK=%v bytes=%d", id, dst[i].OK, dst[i].Bytes, w.OK, w.Bytes)
-		}
-		if !reflect.DeepEqual(dst[i].Record, w.Record) {
-			t.Fatalf("id %d: record differs between fetch paths", id)
-		}
-	}
-	if mapBatches != sliceBatches || mapBytes != sliceBytes {
-		t.Fatalf("batch accounting differs: %d/%d batches, %d/%d bytes",
-			mapBatches, sliceBatches, mapBytes, sliceBytes)
 	}
 	// Reusing the same destination (and the pooled scratch) must not leak
 	// state between calls.
@@ -275,24 +248,13 @@ func TestFetchBatchIntoAgreesWithFetchBatch(t *testing.T) {
 	if err := tier.FetchBatchInto(sub, dst, nil); err != nil {
 		t.Fatal(err)
 	}
-	for i, id := range sub {
-		if !reflect.DeepEqual(dst[i].Record, want[id].Record) {
-			t.Fatalf("id %d: record differs on scratch reuse", id)
-		}
-	}
+	check(sub)
 }
 
 func TestFetchBatchIntoShortDst(t *testing.T) {
 	tier, _ := newLoadedTier(t)
 	if err := tier.FetchBatchInto([]graph.NodeID{1, 2, 3}, make([]FetchResult, 2), nil); err == nil {
 		t.Fatal("short destination accepted")
-	}
-}
-
-func TestFetchBatchNilHook(t *testing.T) {
-	tier, _ := newLoadedTier(t)
-	if _, err := tier.FetchBatch([]graph.NodeID{1, 2}, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/gstore"
 	"repro/internal/query"
+	"repro/internal/traverse"
 )
 
 // Run executes one subtask against the storage tier. It returns the
@@ -26,6 +27,67 @@ func Run(st Subtask, fetch Fetch) (Partial, int, error) {
 	return Partial{}, 0, fmt.Errorf("%w: unknown subtask kind %d", query.ErrBadQuery, st.Kind)
 }
 
+// FetchOver adapts a transport's positional traverse.Fetcher to the
+// map-returning Fetch that Run executes against: ids without a record are
+// absent from the map.
+func FetchOver(f traverse.Fetcher) Fetch {
+	return func(ids []graph.NodeID) (map[graph.NodeID]gstore.Record, error) {
+		recs, err := f.Fetch(ids)
+		if err != nil {
+			return nil, err
+		}
+		out := make(map[graph.NodeID]gstore.Record, len(ids))
+		for i := range recs {
+			if recs[i].OK {
+				out[ids[i]] = recs[i].Record
+			}
+		}
+		return out, nil
+	}
+}
+
+// ball runs the levelwise BFS over the Radius-bounded undirected ball
+// around st.Anchor that the pattern and k-NN subtasks share. Each level's
+// frontier is sorted before it is fetched; visit sees every ball node that
+// has a record (a dangling id has no record, no edges and no matches), in
+// fetch order. It returns the compute units consumed: one per node fetched
+// plus one per edge scanned.
+func ball(st Subtask, fetch Fetch, visit func(u graph.NodeID, rec gstore.Record)) (int, error) {
+	frontier := []graph.NodeID{st.Anchor}
+	seen := map[graph.NodeID]bool{st.Anchor: true}
+	units := 0
+	for depth := 0; depth <= st.Radius && len(frontier) > 0; depth++ {
+		got, err := fetch(frontier)
+		if err != nil {
+			return units, err
+		}
+		units += len(frontier)
+		var next []graph.NodeID
+		for _, u := range frontier {
+			rec, ok := got[u]
+			if !ok {
+				continue
+			}
+			visit(u, rec)
+			if depth == st.Radius {
+				continue
+			}
+			for _, edges := range [2][]graph.Edge{rec.Out, rec.In} {
+				for _, e := range edges {
+					units++
+					if !seen[e.To] {
+						seen[e.To] = true
+						next = append(next, e.To)
+					}
+				}
+			}
+		}
+		slices.Sort(next)
+		frontier = next
+	}
+	return units, nil
+}
+
 // runPattern materialises the radius-bounded undirected ball around the
 // anchor, then extracts each owned pattern edge's relation from it. Every
 // node a match could bind near this anchor lies within the ball (the
@@ -33,50 +95,19 @@ func Run(st Subtask, fetch Fetch) (Partial, int, error) {
 // length), so the extracted relations are complete for the join.
 func runPattern(st Subtask, fetch Fetch) (Partial, int, error) {
 	recs := make(map[graph.NodeID]gstore.Record)
-	ball := make([]graph.NodeID, 0, 16) // fetch order: sorted per level
-	frontier := []graph.NodeID{st.Anchor}
-	seen := map[graph.NodeID]bool{st.Anchor: true}
-	units := 0
-	for depth := 0; depth <= st.Radius && len(frontier) > 0; depth++ {
-		got, err := fetch(frontier)
-		if err != nil {
-			return Partial{}, units, err
-		}
-		units += len(frontier)
-		var next []graph.NodeID
-		for _, u := range frontier {
-			rec, ok := got[u]
-			if !ok {
-				continue // dangling id: no record, no edges, no matches
-			}
-			recs[u] = rec
-			ball = append(ball, u)
-			if depth == st.Radius {
-				continue
-			}
-			for _, e := range rec.Out {
-				units++
-				if !seen[e.To] {
-					seen[e.To] = true
-					next = append(next, e.To)
-				}
-			}
-			for _, e := range rec.In {
-				units++
-				if !seen[e.To] {
-					seen[e.To] = true
-					next = append(next, e.To)
-				}
-			}
-		}
-		slices.Sort(next)
-		frontier = next
+	nodes := make([]graph.NodeID, 0, 16) // fetch order: sorted per level
+	units, err := ball(st, fetch, func(u graph.NodeID, rec gstore.Record) {
+		recs[u] = rec
+		nodes = append(nodes, u)
+	})
+	if err != nil {
+		return Partial{}, units, err
 	}
 
 	rels := make([]EdgeRel, 0, len(st.Edges))
 	for _, et := range st.Edges {
 		var pairs []Pair
-		for _, u := range ball {
+		for _, u := range nodes {
 			if et.FromAnchor != 0 && u != et.FromAnchor {
 				continue
 			}
@@ -115,56 +146,24 @@ func runPattern(st Subtask, fetch Fetch) (Partial, int, error) {
 		pairs = slices.Compact(pairs)
 		rels = append(rels, EdgeRel{Edge: et.Edge, Pairs: pairs})
 	}
-	return Partial{Kind: KindPattern, Anchor: st.Anchor, Rels: rels, Visited: len(ball)}, units, nil
+	return Partial{Kind: KindPattern, Anchor: st.Anchor, Rels: rels, Visited: len(nodes)}, units, nil
 }
 
-// runKNN materialises the Radius-bounded undirected ball around the
-// anchor — the same levelwise BFS as runPattern — and reports its node
-// ids (anchor excluded, sorted) as KNearest candidates. No distances are
-// computed here: the coordinator holds the embedding and re-ranks
-// exactly, so the partial stays transport-independent.
+// runKNN materialises the same ball and reports its node ids (anchor
+// excluded, sorted) as KNearest candidates. No distances are computed
+// here: the coordinator holds the embedding and re-ranks exactly, so the
+// partial stays transport-independent.
 func runKNN(st Subtask, fetch Fetch) (Partial, int, error) {
 	var cands []graph.NodeID
-	frontier := []graph.NodeID{st.Anchor}
-	seen := map[graph.NodeID]bool{st.Anchor: true}
-	units := 0
 	visited := 0
-	for depth := 0; depth <= st.Radius && len(frontier) > 0; depth++ {
-		got, err := fetch(frontier)
-		if err != nil {
-			return Partial{}, units, err
+	units, err := ball(st, fetch, func(u graph.NodeID, _ gstore.Record) {
+		visited++
+		if u != st.Anchor {
+			cands = append(cands, u)
 		}
-		units += len(frontier)
-		var next []graph.NodeID
-		for _, u := range frontier {
-			rec, ok := got[u]
-			if !ok {
-				continue // dangling id: no record, not a candidate
-			}
-			visited++
-			if u != st.Anchor {
-				cands = append(cands, u)
-			}
-			if depth == st.Radius {
-				continue
-			}
-			for _, e := range rec.Out {
-				units++
-				if !seen[e.To] {
-					seen[e.To] = true
-					next = append(next, e.To)
-				}
-			}
-			for _, e := range rec.In {
-				units++
-				if !seen[e.To] {
-					seen[e.To] = true
-					next = append(next, e.To)
-				}
-			}
-		}
-		slices.Sort(next)
-		frontier = next
+	})
+	if err != nil {
+		return Partial{}, units, err
 	}
 	slices.Sort(cands)
 	return Partial{Kind: KindKNN, Anchor: st.Anchor, Candidates: cands, Visited: visited}, units, nil

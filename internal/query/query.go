@@ -413,7 +413,7 @@ func Answer(g *graph.Graph, q Query) Result {
 			}
 			// Adjacency is sorted into storage order so the walk agrees
 			// bit-for-bit with the storage-backed engines.
-			next, ok := walkStep(graph.SortedEdges(g.OutEdges(cur)), graph.SortedEdges(g.InEdges(cur)), q.Dir, rng)
+			next, ok := WalkStep(graph.SortedEdges(g.OutEdges(cur)), graph.SortedEdges(g.InEdges(cur)), q.Dir, rng)
 			if !ok {
 				cur = q.Node // dead end: restart
 				continue
@@ -535,10 +535,10 @@ func nanOrNil(row []float32) bool {
 	return len(row) == 0 || math.IsNaN(float64(row[0]))
 }
 
-// walkStep picks a uniform neighbour in direction dir from the two
+// WalkStep picks a uniform neighbour in direction dir from the two
 // adjacency lists; ok is false when there is none. The same helper drives
-// both the oracle and the distributed processors so walks agree bit-for-bit.
-func walkStep(out, in []graph.Edge, dir graph.Direction, rng *xrand.Source) (graph.NodeID, bool) {
+// both the oracle and the execution kernel so walks agree bit-for-bit.
+func WalkStep(out, in []graph.Edge, dir graph.Direction, rng *xrand.Source) (graph.NodeID, bool) {
 	nOut, nIn := len(out), len(in)
 	switch dir {
 	case graph.Out:
@@ -555,9 +555,4 @@ func walkStep(out, in []graph.Edge, dir graph.Direction, rng *xrand.Source) (gra
 		return out[i].To, true
 	}
 	return in[i-nOut].To, true
-}
-
-// WalkStep is the exported form used by the execution engines.
-func WalkStep(out, in []graph.Edge, dir graph.Direction, rng *xrand.Source) (graph.NodeID, bool) {
-	return walkStep(out, in, dir, rng)
 }

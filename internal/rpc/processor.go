@@ -1,19 +1,21 @@
 package rpc
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/graph"
 	"repro/internal/gstore"
+	"repro/internal/metrics"
 	"repro/internal/mquery"
 	"repro/internal/query"
-	"repro/internal/xrand"
+	"repro/internal/traverse"
 )
 
 // ProcessorServer is one query processor of the processing tier: it
@@ -164,9 +166,7 @@ func (p *ProcessorServer) Close() error {
 // Stats returns the processor's counters, including the full cache
 // accounting (hits, misses, evictions, resident bytes).
 func (p *ProcessorServer) Stats() Stats {
-	p.mu.Lock()
-	cc := p.cache.Stats().Counters()
-	p.mu.Unlock()
+	cc := p.cacheCounters()
 	return Stats{
 		Role:     "processor",
 		Hits:     p.hits.Load(),
@@ -174,6 +174,13 @@ func (p *ProcessorServer) Stats() Stats {
 		Executed: p.executed.Load(),
 		Cache:    &cc,
 	}
+}
+
+// cacheCounters snapshots the cache accounting under the cache lock.
+func (p *ProcessorServer) cacheCounters() metrics.CacheCounters {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.cache.Stats().Counters()
 }
 
 func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {
@@ -201,83 +208,98 @@ func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {
 		if req.Exec == nil || (len(req.Exec.Queries) == 0 && len(req.Exec.Subtasks) == 0) {
 			return errorResponse(fmt.Errorf("%w: execute request carries no queries", query.ErrBadQuery))
 		}
+		ex := getExec(ctx, p)
+		defer putExec(ex)
 		if len(req.Exec.Subtasks) > 0 {
 			if len(req.Exec.Queries) > 0 {
 				return errorResponse(fmt.Errorf("%w: execute request mixes queries and subtasks", query.ErrBadQuery))
 			}
 			partials := make([]mquery.Partial, len(req.Exec.Subtasks))
+			fetch := mquery.FetchOver(&ex.fetch)
 			for i, st := range req.Exec.Subtasks {
 				if err := ctx.Err(); err != nil {
 					return errorResponse(err)
 				}
-				part, _, err := mquery.Run(st, func(ids []graph.NodeID) (map[graph.NodeID]gstore.Record, error) {
-					return p.fetch(ctx, ids)
-				})
+				part, _, err := mquery.Run(st, fetch)
 				if err != nil {
 					return errorResponse(err)
 				}
 				p.executed.Add(1)
 				partials[i] = part
 			}
-			p.mu.Lock()
-			cc := p.cache.Stats().Counters()
-			p.mu.Unlock()
+			cc := p.cacheCounters()
 			return Response{OK: true, Partials: partials, ProcCache: &cc}
 		}
 		results := make([]query.Result, len(req.Exec.Queries))
 		for i, q := range req.Exec.Queries {
-			res, err := p.execute(ctx, q)
+			// A cancelled or expired batch stops at the next query boundary
+			// even when every record is a cache hit.
+			if err := ctx.Err(); err != nil {
+				return errorResponse(err)
+			}
+			res, err := p.execute(ex, q)
 			if err != nil {
 				return errorResponse(err)
 			}
 			p.executed.Add(1)
 			results[i] = res
 		}
-		p.mu.Lock()
-		cc := p.cache.Stats().Counters()
-		p.mu.Unlock()
+		cc := p.cacheCounters()
 		return Response{OK: true, Results: results, ProcCache: &cc}
 	}
 	return errorResponse(fmt.Errorf("processor: unknown op %q", req.Op))
 }
 
-// fetch obtains records through the cache, batching misses to storage.
-func (p *ProcessorServer) fetch(ctx context.Context, ids []graph.NodeID) (map[graph.NodeID]gstore.Record, error) {
-	out := make(map[graph.NodeID]gstore.Record, len(ids))
-	var miss []graph.NodeID
-	if err := p.fetchInto(ctx, ids, out, &miss); err != nil {
-		return nil, err
-	}
-	return out, nil
+// netFetcher is the processor's traverse.Fetcher for one request: cache
+// first, then one StorageClient.MultiGet for the misses under the
+// request's ctx, scattered into a reusable positional buffer.
+type netFetcher struct {
+	p    *ProcessorServer
+	ctx  context.Context
+	recs []gstore.FetchResult
+	miss []graph.NodeID
+	pos  []int32 // pos[j] is miss[j]'s index in recs
 }
 
-// fetchInto is fetch filling a caller-owned map (not cleared here) and
-// reusing a caller-owned miss buffer, so a cache-hitting fetch allocates
-// nothing — the traversal loops run it once per BFS level.
-func (p *ProcessorServer) fetchInto(ctx context.Context, ids []graph.NodeID, out map[graph.NodeID]gstore.Record, missBuf *[]graph.NodeID) error {
-	miss := (*missBuf)[:0]
+func (f *netFetcher) Fetch(ids []graph.NodeID) ([]gstore.FetchResult, error) {
+	// Checked on every batch, not only on a miss: an all-hit traversal
+	// must still stop when its caller has given up.
+	if err := f.ctx.Err(); err != nil {
+		return nil, err
+	}
+	p := f.p
+	if cap(f.recs) < len(ids) {
+		f.recs = make([]gstore.FetchResult, len(ids))
+	}
+	recs := f.recs[:len(ids)]
+	miss, pos := f.miss[:0], f.pos[:0]
 	p.mu.Lock()
-	for _, id := range ids {
-		if rec, ok := p.cache.Get(uint64(id)); ok {
-			out[id] = rec
-		} else {
+	for i, id := range ids {
+		rec, ok := p.cache.Get(uint64(id))
+		recs[i] = gstore.FetchResult{Record: rec, OK: ok}
+		if !ok {
 			miss = append(miss, id)
+			pos = append(pos, int32(i))
 		}
 	}
 	p.mu.Unlock()
-	*missBuf = miss
+	f.miss, f.pos = miss, pos
 	p.hits.Add(int64(len(ids) - len(miss)))
 	p.misses.Add(int64(len(miss)))
 	if len(miss) == 0 {
-		return nil
+		return recs, nil
 	}
-	fetched, err := p.storage.MultiGet(ctx, miss)
+	fetched, err := p.storage.MultiGet(f.ctx, miss)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	p.mu.Lock()
-	for id, rec := range fetched {
-		out[id] = rec
+	for j, id := range miss {
+		rec, ok := fetched[id]
+		if !ok {
+			continue // dangling id: nothing stored, nothing cached
+		}
+		recs[pos[j]] = gstore.FetchResult{Record: rec, OK: true}
 		// Approximate the record's resident size for capacity accounting.
 		size := int64(16 + 8*(len(rec.Out)+len(rec.In)))
 		p.cache.Put(uint64(id), rec, size)
@@ -286,47 +308,37 @@ func (p *ProcessorServer) fetchInto(ctx context.Context, ids []graph.NodeID, out
 		}
 	}
 	p.mu.Unlock()
-	return nil
+	return recs, nil
 }
 
-// execScratch is the per-query traversal state (record map, visited sets,
-// frontier buffers) one execution reuses across BFS levels. Pooled so a
+// Expanded is a no-op: real time bills itself.
+func (f *netFetcher) Expanded(int) {}
+
+// execState is what one execute request reuses across its queries and BFS
+// levels: the kernel's scratch and the fetcher's buffers. Pooled so a
 // steady-state cache-hitting query allocates nothing beyond what its
 // frontier outgrows.
-type execScratch struct {
-	recs   map[graph.NodeID]gstore.Record
-	miss   []graph.NodeID
-	visA   map[graph.NodeID]struct{}
-	visB   map[graph.NodeID]struct{}
-	front  []graph.NodeID
-	front2 []graph.NodeID
-	spare  []graph.NodeID
+type execState struct {
+	kernel traverse.Scratch
+	fetch  netFetcher
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	return &execScratch{
-		recs: make(map[graph.NodeID]gstore.Record),
-		visA: make(map[graph.NodeID]struct{}),
-		visB: make(map[graph.NodeID]struct{}),
-	}
-}}
+var execPool = sync.Pool{New: func() any { return new(execState) }}
 
-func getScratch() *execScratch {
-	sc := scratchPool.Get().(*execScratch)
-	clear(sc.recs)
-	clear(sc.visA)
-	clear(sc.visB)
-	return sc
+func getExec(ctx context.Context, p *ProcessorServer) *execState {
+	ex := execPool.Get().(*execState)
+	ex.fetch.p, ex.fetch.ctx = p, ctx
+	return ex
 }
 
-// putScratch recycles sc unless a giant traversal grew its tables past the
-// point where pinning them beats reallocating (cleared maps keep their
-// buckets forever).
-func putScratch(sc *execScratch) {
-	if len(sc.recs) > 1<<15 || len(sc.visA) > 1<<15 || len(sc.visB) > 1<<15 {
+// putExec recycles ex unless a giant traversal grew its tables past the
+// point where pinning them beats reallocating.
+func putExec(ex *execState) {
+	if ex.kernel.Retained() > 1<<15 || cap(ex.fetch.recs) > 1<<15 {
 		return
 	}
-	scratchPool.Put(sc)
+	ex.fetch.p, ex.fetch.ctx = nil, nil // the pool must not pin the request
+	execPool.Put(ex)
 }
 
 // Heat bounds: at most heatCap distinct records are tracked between
@@ -347,11 +359,11 @@ func (p *ProcessorServer) drainHeat() []HotKey {
 	}
 	p.heat = make(map[uint64]int64)
 	p.mu.Unlock()
-	sort.Slice(hot, func(i, j int) bool {
-		if hot[i].Reads != hot[j].Reads {
-			return hot[i].Reads > hot[j].Reads
+	slices.SortFunc(hot, func(a, b HotKey) int {
+		if a.Reads != b.Reads {
+			return cmp.Compare(b.Reads, a.Reads)
 		}
-		return hot[i].Key < hot[j].Key
+		return cmp.Compare(a.Key, b.Key)
 	})
 	if len(hot) > heatTopK {
 		hot = hot[:heatTopK]
@@ -359,164 +371,29 @@ func (p *ProcessorServer) drainHeat() []HotKey {
 	return hot
 }
 
-// execute validates and runs one query with the same algorithms the
-// virtual-time engine uses (levelwise batched BFS, seeded walk,
-// bidirectional BFS), so results agree exactly with query.Answer. A query
-// whose Node has no record in the storage tier fails with
+// execute validates and runs one point query through the shared kernel, so
+// results agree exactly with query.Answer and with the virtual-time
+// engine. A query whose Node has no record in the storage tier fails with
 // query.ErrUnknownNode, matching the virtual-time client.
-func (p *ProcessorServer) execute(ctx context.Context, q query.Query) (query.Result, error) {
+func (p *ProcessorServer) execute(ex *execState, q query.Query) (query.Result, error) {
 	if err := q.Validate(); err != nil {
 		return query.Result{}, err
 	}
-	sc := getScratch()
-	defer putScratch(sc)
 	// Existence probe: one cached lookup of the query node's record. The
 	// fetch warms the cache, so the traversal's own level-0 fetch hits.
-	sc.front = append(sc.front[:0], q.Node)
-	if err := p.fetchInto(ctx, sc.front, sc.recs, &sc.miss); err != nil {
+	probe := [1]graph.NodeID{q.Node}
+	recs, err := ex.fetch.Fetch(probe[:])
+	if err != nil {
 		return query.Result{}, err
 	}
-	if _, ok := sc.recs[q.Node]; !ok {
+	if !recs[0].OK {
 		return query.Result{}, fmt.Errorf("%w: node %d has no record in the storage tier", query.ErrUnknownNode, q.Node)
 	}
-	switch q.Type {
-	case query.NeighborAgg:
-		return p.execAgg(ctx, q, sc)
-	case query.RandomWalk:
-		return p.execWalk(ctx, q, sc)
-	case query.Reachability:
-		return p.execReach(ctx, q, sc)
-	}
-	return query.Result{}, fmt.Errorf("%w: unknown query type %v", query.ErrBadQuery, q.Type)
-}
-
-func (p *ProcessorServer) execAgg(ctx context.Context, q query.Query, sc *execScratch) (query.Result, error) {
 	// Label filtering needs the graph's label table, which only the
 	// storage-side loader has; the networked processor serves unfiltered
 	// aggregation.
-	if q.CountLabel != "" {
+	if q.Type == query.NeighborAgg && q.CountLabel != "" {
 		return query.Result{}, fmt.Errorf("%w: label-filtered aggregation is not supported over rpc", query.ErrBadQuery)
 	}
-	visited := sc.visA
-	visited[q.Node] = struct{}{}
-	frontier := append(sc.front[:0], q.Node)
-	spare := sc.front2
-	count := 0
-	for level := 0; level <= q.Hops && len(frontier) > 0; level++ {
-		clear(sc.recs)
-		if err := p.fetchInto(ctx, frontier, sc.recs, &sc.miss); err != nil {
-			return query.Result{}, err
-		}
-		if level > 0 {
-			count += len(frontier)
-		}
-		if level == q.Hops {
-			break
-		}
-		next := spare[:0]
-		for _, u := range frontier {
-			rec, ok := sc.recs[u]
-			if !ok {
-				continue
-			}
-			forEdge(rec, q.Dir, func(v graph.NodeID) {
-				if _, seen := visited[v]; !seen {
-					visited[v] = struct{}{}
-					next = append(next, v)
-				}
-			})
-		}
-		spare, frontier = frontier, next
-	}
-	sc.front, sc.front2 = frontier, spare
-	return query.Result{Type: q.Type, Count: count}, nil
-}
-
-func (p *ProcessorServer) execWalk(ctx context.Context, q query.Query, sc *execScratch) (query.Result, error) {
-	rng := xrand.New(q.Seed)
-	cur := q.Node
-	for step := 0; step < q.Hops; step++ {
-		if q.RestartProb > 0 && rng.Float64() < q.RestartProb {
-			cur = q.Node
-			continue
-		}
-		clear(sc.recs)
-		sc.front = append(sc.front[:0], cur)
-		if err := p.fetchInto(ctx, sc.front, sc.recs, &sc.miss); err != nil {
-			return query.Result{}, err
-		}
-		rec := sc.recs[cur]
-		next, ok := query.WalkStep(rec.Out, rec.In, q.Dir, rng)
-		if !ok {
-			cur = q.Node
-			continue
-		}
-		cur = next
-	}
-	return query.Result{Type: q.Type, EndNode: cur}, nil
-}
-
-func (p *ProcessorServer) execReach(ctx context.Context, q query.Query, sc *execScratch) (query.Result, error) {
-	if q.Node == q.Target {
-		return query.Result{Type: q.Type, Reachable: true}, nil
-	}
-	if q.Hops <= 0 {
-		return query.Result{Type: q.Type, Reachable: false}, nil
-	}
-	fVis, bVis := sc.visA, sc.visB
-	fVis[q.Node] = struct{}{}
-	bVis[q.Target] = struct{}{}
-	fFront := append(sc.front[:0], q.Node)
-	bFront := append(sc.front2[:0], q.Target)
-	spare := sc.spare
-	reachable := false
-	for levels := 0; levels < q.Hops && !reachable && len(fFront) > 0 && len(bFront) > 0; levels++ {
-		forward := len(fFront) <= len(bFront)
-		front, dir := fFront, graph.Out
-		mine, other := fVis, bVis
-		if !forward {
-			front, dir = bFront, graph.In
-			mine, other = bVis, fVis
-		}
-		clear(sc.recs)
-		if err := p.fetchInto(ctx, front, sc.recs, &sc.miss); err != nil {
-			return query.Result{}, err
-		}
-		next := spare[:0]
-		for _, u := range front {
-			rec, ok := sc.recs[u]
-			if !ok {
-				continue
-			}
-			forEdge(rec, dir, func(v graph.NodeID) {
-				if _, hit := other[v]; hit {
-					reachable = true
-				}
-				if _, seen := mine[v]; !seen {
-					mine[v] = struct{}{}
-					next = append(next, v)
-				}
-			})
-		}
-		if forward {
-			spare, fFront = fFront, next
-		} else {
-			spare, bFront = bFront, next
-		}
-	}
-	sc.front, sc.front2, sc.spare = fFront, bFront, spare
-	return query.Result{Type: q.Type, Reachable: reachable}, nil
-}
-
-func forEdge(rec gstore.Record, dir graph.Direction, fn func(graph.NodeID)) {
-	if dir == graph.Out || dir == graph.Both {
-		for _, e := range rec.Out {
-			fn(e.To)
-		}
-	}
-	if dir == graph.In || dir == graph.Both {
-		for _, e := range rec.In {
-			fn(e.To)
-		}
-	}
+	return ex.kernel.Run(&ex.fetch, q, traverse.LabelFilter{})
 }

@@ -281,14 +281,16 @@ func TestCallCancellation(t *testing.T) {
 	}
 }
 
-func TestProcessorCacheWarms(t *testing.T) {
-	g := gen.Ring(100)
+// startProcessor starts one storage shard loaded with g and one processor
+// in front of it, and returns the processor with a connection to it.
+func startProcessor(t *testing.T, g *graph.Graph, cacheBytes int64) (*ProcessorServer, *Conn) {
+	t.Helper()
 	ctx := context.Background()
 	ss, err := NewStorageServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ss.Close()
+	t.Cleanup(func() { ss.Close() })
 	sc, err := DialStorage([]string{ss.Addr()})
 	if err != nil {
 		t.Fatal(err)
@@ -297,16 +299,22 @@ func TestProcessorCacheWarms(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.Close()
-	ps, err := NewProcessorServer("127.0.0.1:0", []string{ss.Addr()}, 1<<20)
+	ps, err := NewProcessorServer("127.0.0.1:0", []string{ss.Addr()}, cacheBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ps.Close()
+	t.Cleanup(func() { ps.Close() })
 	cn, err := Dial(ps.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cn.Close()
+	t.Cleanup(func() { cn.Close() })
+	return ps, cn
+}
+
+func TestProcessorCacheWarms(t *testing.T) {
+	ctx := context.Background()
+	_, cn := startProcessor(t, gen.Ring(100), 1<<20)
 	q := query.Query{Type: query.NeighborAgg, Node: 5, Hops: 3, Dir: graph.Out}
 	for i := 0; i < 2; i++ {
 		if _, err := cn.Call(ctx, execRequest(ctx, []query.Query{q})); err != nil {
@@ -322,6 +330,45 @@ func TestProcessorCacheWarms(t *testing.T) {
 	}
 	if resp.Stats.Executed != 2 {
 		t.Fatalf("executed = %d", resp.Stats.Executed)
+	}
+}
+
+// TestCancelledBatchStopsOnWarmProcessor: a batch whose caller has given
+// up must stop even when every record it needs is a cache hit, so no
+// storage call is left to notice the dead context.
+func TestCancelledBatchStopsOnWarmProcessor(t *testing.T) {
+	ctx := context.Background()
+	ps, cn := startProcessor(t, gen.Ring(100), 1<<20)
+	qs := make([]query.Query, 64)
+	for i := range qs {
+		qs[i] = query.Query{Type: query.NeighborAgg, Node: graph.NodeID(i), Hops: 3, Dir: graph.Out}
+	}
+	pass := func() Stats {
+		if _, err := cn.Call(ctx, execRequest(ctx, qs)); err != nil {
+			t.Fatal(err)
+		}
+		return ps.Stats()
+	}
+	cold, warm := pass(), pass()
+	if warm.Misses != cold.Misses || warm.Executed != int64(2*len(qs)) {
+		t.Fatalf("second pass not a full all-hit batch: %+v after %+v", warm, cold)
+	}
+
+	// A propagated deadline that has already passed, over the wire.
+	req := execRequest(ctx, qs)
+	req.Exec.Deadline = time.Now().Add(-time.Second).UnixNano()
+	if _, err := cn.Call(ctx, req); !errors.Is(err, query.ErrUnavailable) {
+		t.Fatalf("expired batch: err = %v, want ErrUnavailable", err)
+	}
+	// An already-cancelled context, handed straight to the handler.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if resp := ps.handle(cancelled, execRequest(ctx, qs)); resp.OK || resp.Code != CodeUnavailable {
+		t.Fatalf("cancelled batch: response %+v, want CodeUnavailable", resp)
+	}
+	after := ps.Stats()
+	if after.Executed != warm.Executed {
+		t.Fatalf("dead batches still executed %d queries", after.Executed-warm.Executed)
 	}
 }
 

@@ -31,15 +31,21 @@ func splitmix64(x *uint64) uint64 {
 // produce identical streams.
 func New(seed int64) *Source {
 	var src Source
+	src.Seed(seed)
+	return &src
+}
+
+// Seed restarts s on the stream New(seed) produces, so a long-lived Source
+// can be reused without allocating.
+func (s *Source) Seed(seed int64) {
 	x := uint64(seed)
-	for i := range src.s {
-		src.s[i] = splitmix64(&x)
+	for i := range s.s {
+		s.s[i] = splitmix64(&x)
 	}
 	// A state of all zeros is the one forbidden state for xoshiro.
-	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
-		src.s[0] = 0x9e3779b97f4a7c15
+	if s.s[0]|s.s[1]|s.s[2]|s.s[3] == 0 {
+		s.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &src
 }
 
 // Split derives an independent child Source from s. The child's stream is

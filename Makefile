@@ -44,12 +44,13 @@ race:
 	$(GO) test -race ./internal/rpc ./internal/router ./internal/topology ./internal/kvstore ./internal/gstore ./internal/chaos ./internal/placement ./internal/mquery ./internal/embed ./internal/traverse .
 
 # Coverage ratchet for the storage stack the replication work lives in
-# plus the binary wire protocol and the embedding-provider subsystem:
-# each package must stay at or above its floor (set just under the
-# current coverage — raise the floors as coverage grows, never lower
-# them). Current: gstore 96%, kvstore 89%, topology 79%, chaos 84%,
-# placement 100%, rpc 76%, embed 88%, traverse 100%.
-COVER_FLOORS = ./internal/gstore:90 ./internal/kvstore:85 ./internal/topology:75 ./internal/chaos:70 ./internal/placement:95 ./internal/mquery:85 ./internal/rpc:72 ./internal/embed:85 ./internal/traverse:90
+# plus the binary wire protocol, the embedding-provider subsystem and the
+# router both transports decide through: each package must stay at or
+# above its floor (set just under the current coverage — raise the floors
+# as coverage grows, never lower them). Current: gstore 96%, kvstore 89%,
+# topology 79%, chaos 84%, placement 100%, rpc 77%, embed 88%,
+# traverse 100%, router 86%.
+COVER_FLOORS = ./internal/gstore:90 ./internal/kvstore:85 ./internal/topology:75 ./internal/chaos:70 ./internal/placement:95 ./internal/mquery:85 ./internal/rpc:72 ./internal/embed:85 ./internal/traverse:90 ./internal/router:80
 
 cover:
 	@set -e; for spec in $(COVER_FLOORS); do \

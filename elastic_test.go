@@ -3,6 +3,7 @@ package grouting_test
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -119,6 +120,7 @@ func TestElasticityCrossTransport(t *testing.T) {
 	clients := map[string]grouting.Client{"virtual-time": local, "tcp": tcp.client}
 
 	results := map[string][]grouting.Result{}
+	assigned := map[string][]int64{}
 	for name, cl := range clients {
 		res := make([]grouting.Result, len(qs))
 		for _, q := range qs[:half] {
@@ -159,6 +161,15 @@ func TestElasticityCrossTransport(t *testing.T) {
 			}
 		}
 		results[name] = res
+		assigned[name] = make([]int64, len(snap.PerProc))
+		for i, pc := range snap.PerProc {
+			assigned[name][i] = pc.Assigned
+		}
+	}
+	// Same decision code on both transports: stablehash ignores load, so
+	// every query landed on the same slot in virtual time and over TCP.
+	if vt, tcp := assigned["virtual-time"], assigned["tcp"]; !slices.Equal(vt, tcp) {
+		t.Fatalf("per-slot Assigned differs between transports: virtual-time %v, tcp %v", vt, tcp)
 	}
 
 	// Both transports agree with the oracle — and therefore each other —

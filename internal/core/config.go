@@ -298,14 +298,14 @@ func (c Config) validate() error {
 	if c.Policy.NeedsLandmarks() && c.Landmarks < 2 {
 		return fmt.Errorf("core: policy %v needs >= 2 landmarks, have %d", c.Policy, c.Landmarks)
 	}
-	alive := c.Processors
+	failed := make(map[int]bool, len(c.FailedProcessors))
 	for _, p := range c.FailedProcessors {
 		if p < 0 || p >= c.Processors {
 			return fmt.Errorf("core: failed processor %d out of range [0,%d)", p, c.Processors)
 		}
-		alive--
+		failed[p] = true // a slot listed twice is still one failed processor
 	}
-	if alive < 1 {
+	if len(failed) >= c.Processors {
 		return fmt.Errorf("core: all %d processors marked failed", c.Processors)
 	}
 	return nil

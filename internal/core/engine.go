@@ -349,8 +349,17 @@ func (ses *Session) Execute(q query.Query) (query.Result, time.Duration, error) 
 	if err != nil {
 		return query.Result{}, service, err
 	}
+	ses.queryDone()
+	return res, service, nil
+}
+
+// queryDone is how every successfully executed query ends, single-seed or
+// multi-anchor: it counts, the strategy's optional StatsObserver hook sees
+// the processors' aggregate cache counters, and every PlacementEvery
+// queries an adaptive-placement cycle runs.
+func (ses *Session) queryDone() {
 	ses.count++
-	if so, ok := strat.(router.StatsObserver); ok {
+	if so, ok := ses.rt.Strategy().(router.StatsObserver); ok {
 		so.ObserveStats(aggregateCache(ses.procs))
 	}
 	if every := ses.sys.cfg.PlacementEvery; every > 0 && ses.planner != nil {
@@ -360,7 +369,6 @@ func (ses *Session) Execute(q query.Query) (query.Result, time.Duration, error) 
 			ses.PlacementTick()
 		}
 	}
-	return res, service, nil
 }
 
 // aggregateCache sums the processors' cache counters — the StatsObserver

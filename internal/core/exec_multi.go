@@ -7,7 +7,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mquery"
 	"repro/internal/query"
-	"repro/internal/router"
 	"repro/internal/simnet"
 )
 
@@ -92,20 +91,10 @@ func (ses *Session) executeMulti(q query.Query) (query.Result, time.Duration, er
 		wave = m.NextWave()
 	}
 	ses.now = now
-	ses.count++
 	if _, maxV := m.Stats(); pl.Kind == mquery.KindReach && maxV > ses.multiMaxVisited {
 		ses.multiMaxVisited = maxV
 	}
-	if so, ok := strat.(router.StatsObserver); ok {
-		so.ObserveStats(aggregateCache(ses.procs))
-	}
-	if every := sys.cfg.PlacementEvery; every > 0 && ses.planner != nil {
-		ses.sinceTick++
-		if ses.sinceTick >= every {
-			ses.sinceTick = 0
-			ses.PlacementTick()
-		}
-	}
+	ses.queryDone()
 	res := m.Result()
 	if pl.Kind == mquery.KindKNN {
 		// Exact re-rank at the coordinator: the processors only generated

@@ -84,4 +84,10 @@ func TestFailureValidation(t *testing.T) {
 	if _, err := NewSystem(g, cfg); err == nil {
 		t.Fatal("all-processors-failed accepted")
 	}
+	// A slot listed twice is one failed processor: the other three serve.
+	cfg = testConfig(PolicyHash)
+	cfg.FailedProcessors = []int{0, 0, 1, 1}
+	if _, err := NewSystem(g, cfg); err != nil {
+		t.Fatalf("duplicate failed-processor entries counted twice: %v", err)
+	}
 }

@@ -354,15 +354,8 @@ func (s *System) Store() *kvstore.Store { return s.store }
 // mutation — that ordering keeps concurrent membership calls from
 // diffing against each other's views out of order.
 func (s *System) logStorageTransitionLocked(v topology.View) {
-	d := topology.DiffViews(s.lastStorageView, v)
+	s.storageEvents = router.AppendEpoch(s.storageEvents, topology.TierStorage, s.lastStorageView, v, 0)
 	s.lastStorageView = v
-	s.storageEvents = append(s.storageEvents, metrics.EpochEvent{
-		Tier: "storage", Epoch: v.Epoch,
-		Joined: d.Joined, Left: d.Left, Failed: d.Failed, Revived: d.Revived,
-	})
-	if len(s.storageEvents) > topology.EpochLogCap {
-		s.storageEvents = s.storageEvents[len(s.storageEvents)-topology.EpochLogCap:]
-	}
 }
 
 // storageEventLog returns a copy of the bounded storage transition log.

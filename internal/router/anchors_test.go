@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/query"
+	"repro/internal/topology"
 )
 
 // recordingAnchors is a strategy with its own multi-anchor hook, to prove
@@ -82,8 +83,9 @@ func TestRouteAnchorsAccounting(t *testing.T) {
 }
 
 func TestRouteAnchorsDivertsFromDead(t *testing.T) {
-	r, _ := New(NewHash(), 3, true)
-	r.SetAlive(0, false)
+	tr := topology.NewTracker(3, nil)
+	r, _ := NewFromView(NewHash(), tr.View(), true)
+	setAlive(t, r, tr, 0, false)
 	picks := r.RouteAnchors(mq(3, 6), []graph.NodeID{3, 6}) // both hash to 0
 	for i, p := range picks {
 		if p == 0 {

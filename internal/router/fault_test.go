@@ -4,17 +4,33 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/topology"
 )
+
+// setAlive fails or revives slot through the tracker and moves the router
+// to the resulting view — how every member transition reaches a router.
+func setAlive(t *testing.T, r *Router, tr *topology.Tracker, slot int, alive bool) {
+	t.Helper()
+	v, err := tr.Fail(slot)
+	if alive {
+		v, err = tr.Revive(slot)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.ApplyView(v)
+}
 
 // TestDeadProcessorGetsNoWork: a dead processor must not pop its own queue
 // nor steal — Next always reports no work for it until it is revived.
 func TestDeadProcessorGetsNoWork(t *testing.T) {
-	r, _ := New(NewHash(), 3, true)
+	tr := topology.NewTracker(3, nil)
+	r, _ := NewFromView(NewHash(), tr.View(), true)
 	// Queue work everywhere (nodes 0..8 spread over the 3 queues).
 	for i := 0; i < 9; i++ {
 		r.Route(q(i, graph.NodeID(i)))
 	}
-	r.SetAlive(1, false)
+	setAlive(t, r, tr, 1, false)
 	if _, ok := r.Next(1); ok {
 		t.Fatal("dead processor was handed work")
 	}
@@ -26,7 +42,7 @@ func TestDeadProcessorGetsNoWork(t *testing.T) {
 		t.Fatalf("dead queue drained to %d", r.QueueLen(1))
 	}
 	// Revival restores normal dispatch.
-	r.SetAlive(1, true)
+	setAlive(t, r, tr, 1, true)
 	if qq, ok := r.Next(1); !ok || int(qq.Node)%3 != 1 {
 		t.Fatalf("revived processor Next = %v/%v", qq, ok)
 	}
@@ -44,12 +60,13 @@ func TestDeadProcessorGetsNoWork(t *testing.T) {
 // fault-tolerance property of Section 1), with per-processor steal
 // accounting.
 func TestDeadQueueRecoveredByStealing(t *testing.T) {
-	r, _ := New(NewHash(), 3, true)
+	tr := topology.NewTracker(3, nil)
+	r, _ := NewFromView(NewHash(), tr.View(), true)
 	// All six queries hash to processor 0.
 	for i := 0; i < 6; i++ {
 		r.Route(q(i, graph.NodeID(i*3)))
 	}
-	r.SetAlive(0, false)
+	setAlive(t, r, tr, 0, false)
 	seen := map[int]bool{}
 	for {
 		q1, ok1 := r.Next(1)
@@ -84,8 +101,9 @@ func TestDeadQueueRecoveredByStealing(t *testing.T) {
 // processor divert (counted globally and per-processor); after revival the
 // strategy's choice is honoured again with no further diversions.
 func TestDivertedAccountingAcrossKillRevive(t *testing.T) {
-	r, _ := New(NewHash(), 2, true)
-	r.SetAlive(0, false)
+	tr := topology.NewTracker(2, nil)
+	r, _ := NewFromView(NewHash(), tr.View(), true)
+	setAlive(t, r, tr, 0, false)
 	// Even nodes hash to processor 0, which is down.
 	for i := 0; i < 4; i++ {
 		if p := r.Route(q(i, graph.NodeID(i*2))); p != 1 {
@@ -103,7 +121,7 @@ func TestDivertedAccountingAcrossKillRevive(t *testing.T) {
 		t.Fatalf("Assigned = %v", a)
 	}
 
-	r.SetAlive(0, true)
+	setAlive(t, r, tr, 0, true)
 	if p := r.Route(q(4, 8)); p != 0 {
 		t.Fatalf("revived processor not used: routed to %d", p)
 	}

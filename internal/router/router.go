@@ -31,7 +31,6 @@ type Router struct {
 	heads         []int // pop index per queue (amortised O(1) pops)
 	loads         []int // scratch for Route: per-queue lengths, reused per call
 	stealing      bool
-	status        []topology.Status
 	assigned      []int // total queries routed per processor (pre-steal)
 	executed      []int // total queries handed out per processor (post-steal)
 	stolenBy      []int // dispatches processor p satisfied by stealing
@@ -63,9 +62,6 @@ func NewFromView(strategy Strategy, v topology.View, stealing bool) (*Router, er
 	r.topoAware, _ = strategy.(TopologyAware)
 	r.grow(v.Slots())
 	r.view = v
-	for _, m := range v.Members {
-		r.status[m.Slot] = m.Status
-	}
 	if r.topoAware != nil {
 		r.topoAware.SetTopology(v)
 	}
@@ -78,7 +74,6 @@ func (r *Router) grow(n int) {
 		r.queues = append(r.queues, nil)
 		r.heads = append(r.heads, 0)
 		r.loads = append(r.loads, 0)
-		r.status = append(r.status, topology.Active)
 		r.assigned = append(r.assigned, 0)
 		r.executed = append(r.executed, 0)
 		r.stolenBy = append(r.stolenBy, 0)
@@ -98,11 +93,7 @@ func (r *Router) ApplyView(v topology.View) int {
 		return 0
 	}
 	r.grow(v.Slots())
-	d := topology.DiffViews(r.view, v)
-	ev := metrics.EpochEvent{Tier: "proc", Epoch: v.Epoch, Joined: d.Joined, Left: d.Left, Failed: d.Failed, Revived: d.Revived}
-	for _, m := range v.Members {
-		r.status[m.Slot] = m.Status
-	}
+	prev := r.view
 	r.view = v
 	if r.topoAware != nil {
 		r.topoAware.SetTopology(v)
@@ -114,7 +105,7 @@ func (r *Router) ApplyView(v topology.View) int {
 	// re-dispatched now.
 	var strays []query.Query
 	for p := range r.queues {
-		if r.status[p] != topology.Left {
+		if v.Status(p) != topology.Left {
 			continue
 		}
 		for {
@@ -130,13 +121,26 @@ func (r *Router) ApplyView(v topology.View) int {
 	for _, q := range strays {
 		r.Route(q)
 	}
-	ev.Reassigned = int64(len(strays))
-	r.reassigned += ev.Reassigned
-	r.events = append(r.events, ev)
-	if len(r.events) > topology.EpochLogCap {
-		r.events = r.events[len(r.events)-topology.EpochLogCap:]
-	}
+	r.reassigned += int64(len(strays))
+	r.events = AppendEpoch(r.events, topology.TierProcessor, prev, v, int64(len(strays)))
 	return len(strays)
+}
+
+// AppendEpoch appends the prev → next transition of one tier to a bounded
+// epoch log and returns the log: the oldest entries drop once it exceeds
+// topology.EpochLogCap. Every transition log the stats snapshots carry —
+// the router's, and both transports' storage-tier logs — is built here.
+func AppendEpoch(log []metrics.EpochEvent, tier topology.Tier, prev, next topology.View, reassigned int64) []metrics.EpochEvent {
+	d := topology.DiffViews(prev, next)
+	log = append(log, metrics.EpochEvent{
+		Tier: tier.String(), Epoch: next.Epoch,
+		Joined: d.Joined, Left: d.Left, Failed: d.Failed, Revived: d.Revived,
+		Reassigned: reassigned,
+	})
+	if len(log) > topology.EpochLogCap {
+		log = log[len(log)-topology.EpochLogCap:]
+	}
+	return log
 }
 
 // View returns the topology view the router currently operates under.
@@ -154,36 +158,9 @@ func (r *Router) Events() []metrics.EpochEvent {
 	return append([]metrics.EpochEvent(nil), r.events...)
 }
 
-// SetAlive marks processor p up or down. Queries already queued for a dead
-// processor are recovered through stealing; new queries are diverted to
-// the next-best live processor ("a query processor that is down can be
-// replaced without affecting the routing strategy", Section 1; the
-// distance metric "can also be used for ... fault tolerance", §3.4.1).
-// This is the whole-run failure switch; epoch-versioned transitions go
-// through ApplyView.
-func (r *Router) SetAlive(p int, alive bool) {
-	if p < 0 || p >= len(r.status) || r.status[p] == topology.Left {
-		return
-	}
-	if alive {
-		r.status[p] = topology.Active
-	} else {
-		r.status[p] = topology.Down
-	}
-}
-
-// Alive reports whether processor p receives new work.
-func (r *Router) Alive(p int) bool {
-	return p >= 0 && p < len(r.status) && r.status[p] == topology.Active
-}
-
-// Status returns slot p's topology state.
-func (r *Router) Status(p int) topology.Status {
-	if p < 0 || p >= len(r.status) {
-		return topology.Left
-	}
-	return r.status[p]
-}
+// Status returns slot p's topology state (Left for slots that never
+// existed).
+func (r *Router) Status(p int) topology.Status { return r.view.Status(p) }
 
 // Diverted returns how many queries were re-routed away from dead
 // processors.
@@ -227,83 +204,106 @@ func (r *Router) Assigned() []int { return append([]int(nil), r.assigned...) }
 // query actually ran, after stealing).
 func (r *Router) Executed() []int { return append([]int(nil), r.executed...) }
 
-// Route asks the strategy for a destination and enqueues q there. It
-// returns the chosen processor.
+// Route decides q's destination under the queue lengths — the virtual-time
+// load signal — and enqueues q there. It returns the chosen processor.
 func (r *Router) Route(q query.Query) int {
-	loads := r.loads
-	for p := range r.queues {
-		if r.status[p] == topology.Left {
-			// Departed slots look maximally loaded, so load-driven
-			// strategies that are not topology-aware steer clear without
-			// inflating the diversion counters.
-			loads[p] = 1 << 30
-			continue
-		}
-		loads[p] = r.QueueLen(p)
-	}
-	p := r.strategy.Pick(q, loads)
-	if p < 0 || p >= len(r.queues) {
-		p = 0
-	}
-	if r.status[p] != topology.Active {
-		r.diverted[p]++
-		r.divertedTotal++
-		p = r.divert(q, loads)
-	}
+	p := r.Decide(q, r.queueLoads())
 	r.queues[p] = append(r.queues[p], q)
-	r.assigned[p]++
+	return p
+}
+
+// RouteAnchors routes a multi-anchor query's per-anchor subtasks under the
+// queue lengths: one destination per anchor. Unlike Route, nothing is
+// enqueued: subtask execution is driven by the caller's wave machinery, not
+// the FIFO queues, so each subtask counts as executed on its processor
+// right away.
+func (r *Router) RouteAnchors(q query.Query, anchors []graph.NodeID) []int {
+	picks := r.DecideAnchors(q, anchors, r.queueLoads())
+	for _, p := range picks {
+		r.executed[p]++
+	}
+	return picks
+}
+
+// queueLoads fills the router's scratch with every slot's queue length.
+func (r *Router) queueLoads() []int {
+	for p := range r.queues {
+		r.loads[p] = r.QueueLen(p)
+	}
+	return r.loads
+}
+
+// Decide is the routing decision, the one both transports run: the strategy
+// picks a destination for q under loads (Eq 3/7's live load term — queue
+// lengths in virtual time, ack-driven in-flight counts over TCP), a pick
+// that is not Active is diverted, the strategy observes the final
+// destination and the per-slot counters advance. loads holds one entry per
+// slot and is the caller's scratch: entries of departed slots are
+// overwritten. Decide touches no queue and allocates nothing. It panics if
+// no processor is alive — an unservable deployment is a caller bug.
+func (r *Router) Decide(q query.Query, loads []int) int {
+	r.maskLeft(loads)
+	p := r.assign(q, r.strategy.Pick(q, loads), loads)
 	r.strategy.Observe(q, p)
 	return p
 }
 
-// RouteAnchors routes a multi-anchor query's per-anchor subtasks: one
-// destination per anchor, chosen through the strategy's multi-anchor hook
-// (PickAnchors — per-anchor routing for the built-ins). Unlike Route,
-// nothing is enqueued: subtask execution is driven by the caller's wave
-// machinery, not the FIFO queues. Each subtask still counts as assigned
-// and executed work on its processor, dead picks are diverted, and the
-// strategy observes every final destination (so cache-model strategies
-// learn where the anchors' neighbourhoods now live).
-func (r *Router) RouteAnchors(q query.Query, anchors []graph.NodeID) []int {
-	loads := r.loads
-	for p := range r.queues {
-		if r.status[p] == topology.Left {
-			loads[p] = 1 << 30
-			continue
-		}
-		loads[p] = r.QueueLen(p)
-	}
+// DecideAnchors is Decide for a multi-anchor query's per-anchor subtasks:
+// one destination per anchor, chosen through the strategy's multi-anchor
+// hook (PickAnchors — per-anchor routing for the built-ins). Dead picks are
+// diverted, and the strategy observes every final destination (so
+// cache-model strategies learn where the anchors' neighbourhoods now live).
+func (r *Router) DecideAnchors(q query.Query, anchors []graph.NodeID, loads []int) []int {
+	r.maskLeft(loads)
 	picks := PickAnchors(r.strategy, q, anchors, loads)
 	for i, p := range picks {
 		q2 := q
 		if i < len(anchors) {
 			q2.Node = anchors[i]
 		}
-		if p < 0 || p >= len(r.queues) {
-			p = 0
-		}
-		if r.status[p] != topology.Active {
-			r.diverted[p]++
-			r.divertedTotal++
-			p = r.divert(q2, loads)
-		}
-		picks[i] = p
-		r.assigned[p]++
-		r.executed[p]++
-		r.strategy.Observe(q2, p)
+		picks[i] = r.assign(q2, p, loads)
+		r.strategy.Observe(q2, picks[i])
 	}
 	return picks
 }
 
+// maskLeft makes departed slots look maximally loaded, so load-driven
+// strategies that are not topology-aware steer clear of them without
+// inflating the diversion counters.
+func (r *Router) maskLeft(loads []int) {
+	for p := range loads {
+		if r.view.Status(p) == topology.Left {
+			loads[p] = 1 << 30
+		}
+	}
+}
+
+// assign turns the strategy's pick for q into its final destination — an
+// out-of-range pick is clamped, a pick that is not Active is diverted — and
+// counts the assignment.
+func (r *Router) assign(q query.Query, p int, loads []int) int {
+	if p < 0 || p >= len(r.queues) {
+		p = 0
+	}
+	if !r.view.IsActive(p) {
+		r.diverted[p]++
+		r.divertedTotal++
+		p = r.divert(q, loads)
+	}
+	r.assigned[p]++
+	return p
+}
+
 // divert picks the best live processor for q: the closest one when the
 // strategy is distance-aware (the paper's "second, third, or so on closest
-// processor"), the least loaded otherwise. It panics if no processor is
-// alive — an unservable deployment is a caller bug.
+// processor", §3.4.1 — "a query processor that is down can be replaced
+// without affecting the routing strategy", Section 1), the least loaded
+// otherwise.
 func (r *Router) divert(q query.Query, loads []int) int {
 	da, aware := r.strategy.(DistanceAware)
 	best, bestScore := -1, 0.0
 	for p := range r.queues {
-		if r.status[p] != topology.Active {
+		if !r.view.IsActive(p) {
 			continue
 		}
 		var score float64
@@ -340,7 +340,7 @@ func (r *Router) RouteAll(qs []query.Query) {
 // so ok is always false for down/draining/departed slots; queries queued
 // before a failure are recovered by the live processors through stealing.
 func (r *Router) Next(p int) (query.Query, bool) {
-	if p < 0 || p >= len(r.status) || r.status[p] != topology.Active {
+	if !r.view.IsActive(p) {
 		return query.Query{}, false
 	}
 	if q, ok := r.pop(p); ok {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/landmark"
 	"repro/internal/query"
+	"repro/internal/topology"
 )
 
 func q(id int, node graph.NodeID) query.Query {
@@ -125,8 +126,9 @@ func TestStealingDrainsEverything(t *testing.T) {
 }
 
 func TestDeadProcessorDiversion(t *testing.T) {
-	r, _ := New(NewHash(), 3, true)
-	r.SetAlive(0, false)
+	tr := topology.NewTracker(3, nil)
+	r, _ := NewFromView(NewHash(), tr.View(), true)
+	setAlive(t, r, tr, 0, false)
 	// Node 0 hashes to processor 0, which is down: the query must land on
 	// a live processor.
 	p := r.Route(q(0, 0))
@@ -136,11 +138,11 @@ func TestDeadProcessorDiversion(t *testing.T) {
 	if r.Diverted() != 1 {
 		t.Fatalf("Diverted = %d, want 1", r.Diverted())
 	}
-	if r.Alive(0) || !r.Alive(1) {
-		t.Fatal("alive bookkeeping wrong")
+	if r.Status(0) != topology.Down || r.Status(1) != topology.Active {
+		t.Fatal("status bookkeeping wrong")
 	}
 	// Recovery: bring it back up and the hash target is honoured again.
-	r.SetAlive(0, true)
+	setAlive(t, r, tr, 0, true)
 	if p := r.Route(q(1, 0)); p != 0 {
 		t.Fatalf("recovered processor not used: routed to %d", p)
 	}
@@ -148,13 +150,14 @@ func TestDeadProcessorDiversion(t *testing.T) {
 
 func TestDeadProcessorDistanceAwareDiversion(t *testing.T) {
 	s, _ := buildLandmarkStrategy(t, 2, 0)
-	r, err := New(s, 2, true)
+	tr := topology.NewTracker(2, nil)
+	r, err := NewFromView(s, tr.View(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	loads := []int{0, 0}
 	left := s.Pick(q(0, 1), loads)
-	r.SetAlive(left, false)
+	setAlive(t, r, tr, left, false)
 	// A query belonging to the dead processor's region diverts to the
 	// other one (the "second closest processor", Section 3.4.1).
 	if p := r.Route(q(0, 1)); p == left {
@@ -164,8 +167,10 @@ func TestDeadProcessorDistanceAwareDiversion(t *testing.T) {
 
 func TestAllDeadPanics(t *testing.T) {
 	r, _ := New(NewHash(), 2, true)
-	r.SetAlive(0, false)
-	r.SetAlive(1, false)
+	// Hand-built: the tracker refuses to take a tier's last member down.
+	r.ApplyView(topology.View{Epoch: 2, Members: []topology.Member{
+		{Slot: 0, Status: topology.Down}, {Slot: 1, Status: topology.Down},
+	}})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("routing with no live processors did not panic")

@@ -39,8 +39,8 @@ func TestApplyViewGrowsSlots(t *testing.T) {
 	if moved := r.ApplyView(v); moved != 0 {
 		t.Fatalf("join reassigned %d queries", moved)
 	}
-	if r.Procs() != 3 || r.Epoch() != 2 || !r.Alive(slot) {
-		t.Fatalf("after join: procs=%d epoch=%d alive=%v", r.Procs(), r.Epoch(), r.Alive(slot))
+	if r.Procs() != 3 || r.Epoch() != 2 || r.Status(slot) != topology.Active {
+		t.Fatalf("after join: procs=%d epoch=%d status=%v", r.Procs(), r.Epoch(), r.Status(slot))
 	}
 	// New member receives work.
 	routeN(r, 300)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/gstore"
-	"repro/internal/hash"
 	"repro/internal/placement"
 	"repro/internal/query"
 	"repro/internal/topology"
@@ -165,24 +164,15 @@ func (r *RouterServer) loadEndpoints(ctx context.Context, m *Mutation) (*gstore.
 }
 
 // placementFor appends key's replica slots (primary first) to dst: the
-// migration pin when one exists, rendezvous placement over the seeded
-// shard slots otherwise — the identical function the processors' storage
-// clients compute, so router writes and processor reads always name the
-// same shards.
+// migration pin when one exists, baseline placement over the seeded shard
+// slots otherwise — through placeKey, like the processors' storage
+// clients, so router writes and processor reads always name the same
+// shards.
 func (r *RouterServer) placementFor(key uint64, dst []int) []int {
 	r.mu.Lock()
-	ov := r.overrides[key]
+	pin := r.overrides[key]
 	r.mu.Unlock()
-	if len(ov) > 0 {
-		return append(dst[:0], ov...)
-	}
-	if r.storageBase == 0 {
-		return dst[:0]
-	}
-	if r.storageReplicas <= 1 {
-		return append(dst[:0], int(hash.Key64(key, 0)%uint64(r.storageBase)))
-	}
-	return topology.RendezvousN(key, r.storageSlots, r.storageReplicas, dst)
+	return placeKey(key, pin, r.storageSlots, r.storageReplicas, dst)
 }
 
 // storagePoolFor returns the pool for one storage slot (nil when the slot
@@ -329,7 +319,7 @@ func (r *RouterServer) liveProcs() []procTarget {
 	defer r.mu.Unlock()
 	var out []procTarget
 	for slot, p := range r.pools {
-		if p != nil && r.view.Status(slot) != topology.Left {
+		if p != nil && r.rt.Status(slot) != topology.Left {
 			out = append(out, procTarget{slot: slot, pool: p})
 		}
 	}

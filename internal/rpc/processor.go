@@ -38,10 +38,7 @@ type ProcessorServer struct {
 	// empties it).
 	heat map[uint64]int64
 
-	regMu      sync.Mutex // guards the registration below
-	routerAddr string     // router this processor registered with ("" = none)
-	advertise  string     // address announced to the router
-	slot       int        // slot the router assigned
+	registration // announces the processor to a router (scale-out, clean leave)
 
 	hits, misses atomic.Int64
 	executed     atomic.Int64
@@ -81,79 +78,14 @@ func NewProcessorServerWith(addr string, cfg ProcessorConfig) (*ProcessorServer,
 		sc.Close()
 		return nil, fmt.Errorf("rpc: processor listen: %w", err)
 	}
-	p := &ProcessorServer{ln: ln, storage: sc, cache: cache.New[gstore.Record](cfg.CacheBytes), heat: make(map[uint64]int64), slot: -1}
+	p := &ProcessorServer{ln: ln, storage: sc, cache: cache.New[gstore.Record](cfg.CacheBytes), heat: make(map[uint64]int64)}
+	p.registration = registration{listen: p.Addr()}
 	go serve(ln, p.handle, &p.ct)
 	return p, nil
 }
 
-// RegisteredSlot returns the slot the router assigned at Register, or -1
-// when the processor never registered (or has deregistered).
-func (p *ProcessorServer) RegisteredSlot() int {
-	p.regMu.Lock()
-	defer p.regMu.Unlock()
-	if p.routerAddr == "" {
-		return -1
-	}
-	return p.slot
-}
-
 // Addr returns the processor's listen address.
 func (p *ProcessorServer) Addr() string { return p.ln.Addr().String() }
-
-// Register announces this processor to a running router (OpJoin): the
-// router dials back to verify it, admits it into the topology at a new
-// epoch and starts routing to it immediately — scale-out without
-// restarting anything. advertise is the address announced to the router
-// ("" uses the listen address, right whenever router and processor share
-// a network). The returned slot is the processor's stable id; Deregister
-// uses the remembered registration for the clean-leave path.
-func (p *ProcessorServer) Register(ctx context.Context, routerAddr, advertise string) (int, error) {
-	if advertise == "" {
-		advertise = p.Addr()
-	}
-	cn, err := DialContext(ctx, routerAddr)
-	if err != nil {
-		return 0, err
-	}
-	defer cn.Close()
-	resp, err := cn.Call(ctx, &Request{Op: OpJoin, Addr: advertise})
-	if err != nil {
-		return 0, err
-	}
-	p.regMu.Lock()
-	p.routerAddr, p.advertise, p.slot = routerAddr, advertise, resp.Proc
-	p.regMu.Unlock()
-	return resp.Proc, nil
-}
-
-// Deregister leaves the router cleanly (OpDrain): the router stops
-// sending new work and removes the member once its in-flight queries
-// finish, so shutting this processor down afterwards is invisible to
-// clients. No-op when the processor never registered.
-func (p *ProcessorServer) Deregister(ctx context.Context) error {
-	p.regMu.Lock()
-	routerAddr, advertise := p.routerAddr, p.advertise
-	p.regMu.Unlock()
-	if routerAddr == "" {
-		return nil
-	}
-	cn, err := DialContext(ctx, routerAddr)
-	if err != nil {
-		return err
-	}
-	defer cn.Close()
-	if _, err := cn.Call(ctx, &Request{Op: OpDrain, Addr: advertise}); err != nil {
-		// Keep the registration: the drain did not land, so a retry must
-		// still know who to deregister from.
-		return err
-	}
-	p.regMu.Lock()
-	if p.routerAddr == routerAddr {
-		p.routerAddr = ""
-	}
-	p.regMu.Unlock()
-	return nil
-}
 
 // Close stops the processor, severing live connections.
 func (p *ProcessorServer) Close() error {

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/embed"
 	"repro/internal/graph"
-	"repro/internal/landmark"
 	"repro/internal/metrics"
 	"repro/internal/mquery"
 	"repro/internal/placement"
@@ -20,10 +19,12 @@ import (
 )
 
 // RouterServer is the networked query router: it accepts client query
-// batches, asks its routing strategy for a destination per query, forwards
-// each sub-batch to its processor over a pooled connection (carrying the
-// client's deadline) and relays the answers. Per-processor in-flight
-// counts are the live load signal for the load-balanced distance (Eq 3/7).
+// batches, asks the router — the same internal/router.Router the
+// virtual-time engine decides through — for a destination per query,
+// forwards each sub-batch to its processor over a pooled connection
+// (carrying the client's deadline) and relays the answers. Per-processor
+// in-flight counts are the load it hands the decision: the TCP analogue of
+// queue length for the load-balanced distance (Eq 3/7).
 //
 // Membership is elastic: processors self-register at runtime with OpJoin
 // (the router dials back and verifies them before admitting), leave
@@ -50,22 +51,19 @@ type RouterServer struct {
 	emb    *embed.Embedding
 	embErr error
 
-	mu         sync.Mutex // guards the topology, pools and counters below
-	topo       *topology.Tracker
-	view       topology.View
-	pools      []*Pool // slot-indexed; nil once a member has left
-	strategy   router.Strategy
-	statsObs   router.StatsObserver // strategy's optional feedback hook, nil if absent
-	topoAware  router.TopologyAware // strategy's optional topology hook, nil if absent
-	inflight   []int
-	assigned   []int64                 // queries the strategy sent to each slot
-	completed  []int64                 // queries each slot answered successfully
-	diverted   []int64                 // queries re-routed away from a non-active slot
-	lastCache  []metrics.CacheCounters // latest cache counters piggybacked per slot
-	routing    metrics.Histogram       // wall-clock routing decision time (ns)
-	depth      metrics.Histogram       // destination in-flight depth at each decision
-	reassigned int64
-	events     []metrics.EpochEvent
+	mu   sync.Mutex // guards the topology, router, pools and counters below
+	topo *topology.Tracker
+	// rt makes every routing decision and owns what follows from one: the
+	// current view, the per-slot assigned/diverted counters and the epoch
+	// log. Its queues stay empty — forwarding is the pools' job.
+	rt        *router.Router
+	statsObs  router.StatsObserver    // strategy's optional feedback hook, nil if absent
+	pools     []*Pool                 // slot-indexed; nil once a member has left
+	inflight  []int                   // forwarded, not yet acked — the load handed to rt
+	completed []int64                 // queries each slot answered successfully
+	lastCache []metrics.CacheCounters // latest cache counters piggybacked per slot
+	routing   metrics.Histogram       // wall-clock routing decision time (ns)
+	depth     metrics.Histogram       // destination in-flight depth at each decision
 
 	// The storage tier's membership, tracked for observability: storage
 	// shards self-register (OpJoin, Tier "storage") and deregister, each
@@ -182,14 +180,15 @@ func NewRouterServer(addr string, cfg RouterConfig) (*RouterServer, error) {
 		emb:        cfg.Embedding,
 		embErr:     cfg.EmbedErr,
 		topo:       topology.NewTrackerAddrs(cfg.ProcessorAddrs),
-		strategy:   cfg.Strategy,
 		inflight:   make([]int, n),
-		assigned:   make([]int64, n),
 		completed:  make([]int64, n),
-		diverted:   make([]int64, n),
 		lastCache:  make([]metrics.CacheCounters, n),
 	}
-	r.view = r.topo.View()
+	rt, err := router.NewFromView(cfg.Strategy, r.topo.View(), false)
+	if err != nil {
+		return nil, err
+	}
+	r.rt = rt
 	r.storageReplicas = cfg.StorageReplicas
 	if r.storageReplicas == 0 {
 		r.storageReplicas = 1
@@ -212,10 +211,6 @@ func NewRouterServer(addr string, cfg RouterConfig) (*RouterServer, error) {
 		r.placementEvery = cfg.PlacementEvery
 	}
 	r.statsObs, _ = cfg.Strategy.(router.StatsObserver)
-	r.topoAware, _ = cfg.Strategy.(router.TopologyAware)
-	if r.topoAware != nil {
-		r.topoAware.SetTopology(r.view)
-	}
 	for _, a := range cfg.ProcessorAddrs {
 		p := NewPool(a, cfg.PoolSize)
 		if err := p.Ping(context.Background()); err != nil {
@@ -249,27 +244,17 @@ func (r *RouterServer) Addr() string { return r.ln.Addr().String() }
 
 // Close stops the router.
 func (r *RouterServer) Close() error {
-	r.mu.Lock()
-	pools := append([]*Pool(nil), r.pools...)
-	pools = append(pools, r.storagePools...)
-	r.mu.Unlock()
-	for _, p := range pools {
-		if p != nil {
-			p.Close()
-		}
-	}
+	r.closePools()
 	err := r.ln.Close()
 	r.ct.closeAll()
 	return err
 }
 
 func (r *RouterServer) closePools() {
-	for _, p := range r.pools {
-		if p != nil {
-			p.Close()
-		}
-	}
-	for _, p := range r.storagePools {
+	r.mu.Lock()
+	pools := append(append([]*Pool(nil), r.pools...), r.storagePools...)
+	r.mu.Unlock()
+	for _, p := range pools {
 		if p != nil {
 			p.Close()
 		}
@@ -280,53 +265,34 @@ func (r *RouterServer) closePools() {
 func (r *RouterServer) Epoch() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.view.Epoch
+	return r.rt.Epoch()
 }
 
 // View returns the router's current topology view.
 func (r *RouterServer) View() topology.View {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return topology.View{Epoch: r.view.Epoch, Members: append([]topology.Member(nil), r.view.Members...)}
+	v := r.rt.View()
+	return topology.View{Epoch: v.Epoch, Members: append([]topology.Member(nil), v.Members...)}
 }
 
-// applyViewLocked moves the router to a newer view: slot arrays grow for
-// joiners, the strategy's topology hook fires, the transition is logged,
-// and departed members with no in-flight work have their pools closed.
-// Caller holds r.mu.
+// applyViewLocked moves the router to a newer view — the strategy's
+// topology hook fires and the transition is logged there — then grows the
+// networked slot arrays for joiners and closes the pools of departed
+// members (a slot only leaves with nothing in flight). Caller holds r.mu.
 func (r *RouterServer) applyViewLocked(v topology.View) {
-	if v.Epoch <= r.view.Epoch {
-		return
-	}
+	r.rt.ApplyView(v)
 	for len(r.inflight) < v.Slots() {
 		r.inflight = append(r.inflight, 0)
-		r.assigned = append(r.assigned, 0)
 		r.completed = append(r.completed, 0)
-		r.diverted = append(r.diverted, 0)
 		r.lastCache = append(r.lastCache, metrics.CacheCounters{})
 		r.pools = append(r.pools, nil)
 	}
-	d := topology.DiffViews(r.view, v)
-	ev := metrics.EpochEvent{Tier: "proc", Epoch: v.Epoch, Joined: d.Joined, Left: d.Left, Failed: d.Failed, Revived: d.Revived}
-	for _, slot := range d.LeftSlots {
-		// In-flight queries drain on the old view; they are the networked
-		// analogue of the virtual-time router's requeued backlog.
-		ev.Reassigned += int64(r.inflight[slot])
-	}
-	r.view = v
-	if r.topoAware != nil {
-		r.topoAware.SetTopology(v)
-	}
-	for slot := range r.pools {
-		if v.Status(slot) == topology.Left && r.pools[slot] != nil && r.inflight[slot] == 0 {
-			go r.pools[slot].Close()
+	for slot, p := range r.pools {
+		if p != nil && v.Status(slot) == topology.Left {
+			go p.Close()
 			r.pools[slot] = nil
 		}
-	}
-	r.reassigned += ev.Reassigned
-	r.events = append(r.events, ev)
-	if len(r.events) > topology.EpochLogCap {
-		r.events = r.events[len(r.events)-topology.EpochLogCap:]
 	}
 }
 
@@ -362,185 +328,6 @@ func (r *RouterServer) handle(ctx context.Context, req *Request) Response {
 		return r.migrate(ctx)
 	}
 	return errorResponse(fmt.Errorf("router: unknown op %q", req.Op))
-}
-
-// join admits a processor into the running deployment: the router dials
-// back to the advertised address and verifies it answers before bumping
-// the epoch, so a bad address never becomes a member. Joins are
-// idempotent per address.
-func (r *RouterServer) join(ctx context.Context, addr string) Response {
-	if addr == "" {
-		return errorResponse(fmt.Errorf("%w: join request carries no address", query.ErrBadQuery))
-	}
-	if slot := r.topo.Lookup(addr); slot >= 0 {
-		r.mu.Lock()
-		epoch := r.view.Epoch
-		r.mu.Unlock()
-		return Response{OK: true, Proc: slot, Epoch: epoch}
-	}
-	p := NewPool(addr, r.poolSize)
-	if err := p.Ping(ctx); err != nil {
-		p.Close()
-		return errorResponse(fmt.Errorf("join %s: %w", addr, err))
-	}
-	// Hand the joiner the current placement pins before it can be routed
-	// to: a migrated key must never be read at its baseline location. (A
-	// migration racing this join may still add a pin between the push and
-	// the admit below; its own post-move push fans out to every admitted
-	// member, so the window is the admit itself — and the migration holds
-	// the drop back until every push acked.)
-	if err := r.pushOverridesTo(ctx, p); err != nil {
-		p.Close()
-		return errorResponse(fmt.Errorf("join %s: placement push: %w", addr, err))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	// Re-check under the lock: a concurrent join of the same address wins.
-	// Only an Active member counts — a Draining/Down slot at this address
-	// is on its way out, and the (re)joining processor must get a fresh
-	// slot rather than one about to become Left.
-	for _, m := range r.view.Members {
-		if m.Addr == addr && m.Status == topology.Active {
-			go p.Close()
-			return Response{OK: true, Proc: m.Slot, Epoch: r.view.Epoch}
-		}
-	}
-	slot, v := r.topo.Join(addr)
-	r.applyViewLocked(v)
-	r.pools[slot] = p
-	return Response{OK: true, Proc: slot, Epoch: v.Epoch}
-}
-
-// logStorageLocked records a storage-tier transition in the bounded
-// tier-tagged event log. Caller holds r.mu.
-func (r *RouterServer) logStorageLocked(v topology.View) {
-	d := topology.DiffViews(r.storageView, v)
-	r.storageView = v
-	r.storageEvents = append(r.storageEvents, metrics.EpochEvent{
-		Tier: "storage", Epoch: v.Epoch,
-		Joined: d.Joined, Left: d.Left, Failed: d.Failed, Revived: d.Revived,
-	})
-	if len(r.storageEvents) > topology.EpochLogCap {
-		r.storageEvents = r.storageEvents[len(r.storageEvents)-topology.EpochLogCap:]
-	}
-}
-
-// joinStorage admits a storage shard into the router's storage view after
-// dialling back to verify it answers. Idempotent per address; a rejoin at
-// a known address refreshes the shard's announced durable version (the
-// rejoin-warm handshake — a shard that crashed and restarted over its
-// local WAL re-announces how warm it came back).
-func (r *RouterServer) joinStorage(ctx context.Context, addr string, version uint64) Response {
-	if addr == "" {
-		return errorResponse(fmt.Errorf("%w: storage join request carries no address", query.ErrBadQuery))
-	}
-	if slot := r.storageTopo.Lookup(addr); slot >= 0 {
-		r.mu.Lock()
-		r.setStorageJoinVerLocked(slot, version)
-		epoch := r.storageView.Epoch
-		r.mu.Unlock()
-		return Response{OK: true, Proc: slot, Epoch: epoch}
-	}
-	p := NewPool(addr, r.poolSize)
-	if err := p.Ping(ctx); err != nil {
-		p.Close()
-		return errorResponse(fmt.Errorf("storage join %s: %w", addr, err))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, m := range r.storageView.Members {
-		if m.Addr == addr && m.Status == topology.Active {
-			go p.Close()
-			r.setStorageJoinVerLocked(m.Slot, version)
-			return Response{OK: true, Proc: m.Slot, Epoch: r.storageView.Epoch}
-		}
-	}
-	slot, v := r.storageTopo.Join(addr)
-	r.logStorageLocked(v)
-	for len(r.storagePools) < v.Slots() {
-		r.storagePools = append(r.storagePools, nil)
-	}
-	r.storagePools[slot] = p
-	r.setStorageJoinVerLocked(slot, version)
-	return Response{OK: true, Proc: slot, Epoch: v.Epoch}
-}
-
-// setStorageJoinVerLocked records the durable version a storage shard
-// announced when joining slot. Caller holds r.mu.
-func (r *RouterServer) setStorageJoinVerLocked(slot int, version uint64) {
-	for len(r.storageJoinVer) <= slot {
-		r.storageJoinVer = append(r.storageJoinVer, 0)
-	}
-	r.storageJoinVer[slot] = version
-}
-
-// drainStorage removes a storage shard from the view (membership only —
-// over TCP the shard's replicas are not copied off; reads fail over to
-// the keys' surviving replicas).
-func (r *RouterServer) drainStorage(req *Request) Response {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	slot := req.Proc
-	if req.Addr != "" {
-		slot = -1
-		for _, m := range r.storageView.Members {
-			if m.Addr != req.Addr || m.Status == topology.Left {
-				continue
-			}
-			if slot < 0 || m.Status == topology.Active {
-				slot = m.Slot
-			}
-		}
-		if slot < 0 {
-			return errorResponse(fmt.Errorf("%w: no storage member at %s", query.ErrBadQuery, req.Addr))
-		}
-	}
-	v, err := r.storageTopo.Leave(slot)
-	if err != nil {
-		return errorResponse(fmt.Errorf("%w: %v", query.ErrBadQuery, err))
-	}
-	r.logStorageLocked(v)
-	if slot < len(r.storagePools) && r.storagePools[slot] != nil {
-		go r.storagePools[slot].Close()
-		r.storagePools[slot] = nil
-	}
-	return Response{OK: true, Proc: slot, Epoch: v.Epoch}
-}
-
-// drain begins a member's clean departure: Active→Draining immediately
-// (no new work), then Draining→Left once its in-flight queries finish —
-// right away when it is already idle, otherwise from finish().
-func (r *RouterServer) drain(req *Request) Response {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	slot := req.Proc
-	if req.Addr != "" {
-		// Prefer the Active member at this address; an old Draining/Down
-		// slot may share it while on its way out.
-		slot = -1
-		for _, m := range r.view.Members {
-			if m.Addr != req.Addr || m.Status == topology.Left {
-				continue
-			}
-			if slot < 0 || m.Status == topology.Active {
-				slot = m.Slot
-			}
-		}
-		if slot < 0 {
-			return errorResponse(fmt.Errorf("%w: no member at %s", query.ErrBadQuery, req.Addr))
-		}
-	}
-	v, err := r.topo.Drain(slot)
-	if err != nil {
-		return errorResponse(fmt.Errorf("%w: %v", query.ErrBadQuery, err))
-	}
-	r.applyViewLocked(v)
-	if r.inflight[slot] == 0 {
-		if v2, err := r.topo.Leave(slot); err == nil {
-			r.applyViewLocked(v2)
-		}
-	}
-	return Response{OK: true, Proc: slot, Epoch: r.view.Epoch}
 }
 
 // execute routes every query of the batch, groups them by destination
@@ -624,36 +411,21 @@ func (r *RouterServer) executeClassic(ctx context.Context, ex *ExecRequest) Resp
 	}
 	dest := sc.dest[:len(ex.Queries)]
 	r.mu.Lock()
-	if r.view.NumActive() == 0 {
+	if r.rt.View().NumActive() == 0 {
 		r.mu.Unlock()
 		return errorResponse(fmt.Errorf("%w: no active processors", query.ErrUnavailable))
 	}
-	epoch := r.view.Epoch
+	epoch := r.rt.Epoch()
 	if cap(sc.loads) < len(r.inflight) {
 		sc.loads = make([]int, len(r.inflight))
 	}
 	loads := sc.loads[:len(r.inflight)]
 	for i, q := range ex.Queries {
-		for p := range r.inflight {
-			if r.view.Status(p) == topology.Left {
-				loads[p] = 1 << 30
-			} else {
-				loads[p] = r.inflight[p]
-			}
-		}
+		copy(loads, r.inflight)
 		t0 := time.Now()
-		p := r.strategy.Pick(q, loads)
-		if p < 0 || p >= len(r.pools) {
-			p = 0
-		}
-		if !r.view.IsActive(p) || r.pools[p] == nil {
-			r.diverted[p]++
-			p = r.divertLocked(q)
-		}
-		r.strategy.Observe(q, p)
+		p := r.rt.Decide(q, loads)
 		r.routing.Observe(time.Since(t0).Nanoseconds())
 		r.depth.Observe(int64(r.inflight[p]))
-		r.assigned[p]++
 		r.inflight[p]++
 		dest[i] = p
 	}
@@ -728,32 +500,6 @@ func (r *RouterServer) executeClassic(ctx context.Context, ex *ExecRequest) Resp
 	return out
 }
 
-// divertLocked picks the best active slot for q: the closest one when the
-// strategy is distance-aware, the least in-flight otherwise. Caller holds
-// r.mu and has checked at least one member is active.
-func (r *RouterServer) divertLocked(q query.Query) int {
-	da, aware := r.strategy.(router.DistanceAware)
-	best, bestScore := -1, 0.0
-	for p := range r.pools {
-		if !r.view.IsActive(p) || r.pools[p] == nil {
-			continue
-		}
-		var score float64
-		if aware {
-			score = da.DistanceTo(q, p)
-		} else {
-			score = float64(r.inflight[p])
-		}
-		if best < 0 || score < bestScore {
-			best, bestScore = p, score
-		}
-	}
-	if best < 0 {
-		best = 0
-	}
-	return best
-}
-
 // executeMultiQuery runs one multi-anchor query as waves of per-anchor
 // subtasks fanned out to the processors. Partial results stream back and
 // are merged as each processor answers; for BoundedReach, a hit on the
@@ -788,7 +534,7 @@ func (r *RouterServer) executeMultiQuery(ctx context.Context, q query.Query, dea
 		wave = m.NextWave()
 	}
 	// One client-visible query completed (subtasks were internal work
-	// units — finishSubtasks leaves these counters alone).
+	// units — runWave settles them without touching these counters).
 	r.queries.Add(1)
 	r.maybeTick(1)
 	res := m.Result()
@@ -825,38 +571,17 @@ func (r *RouterServer) runWave(ctx context.Context, q query.Query, wave []mquery
 	}
 
 	r.mu.Lock()
-	if r.view.NumActive() == 0 {
+	if r.rt.View().NumActive() == 0 {
 		r.mu.Unlock()
 		return 0, fmt.Errorf("%w: no active processors", query.ErrUnavailable)
 	}
-	epoch := r.view.Epoch
-	loads := make([]int, len(r.inflight))
-	for p := range r.inflight {
-		if r.view.Status(p) == topology.Left {
-			loads[p] = 1 << 30
-		} else {
-			loads[p] = r.inflight[p]
-		}
-	}
+	epoch := r.rt.Epoch()
 	t0 := time.Now()
-	picks := router.PickAnchors(r.strategy, q, anchors, loads)
+	picks := r.rt.DecideAnchors(q, anchors, append([]int(nil), r.inflight...))
 	perPick := time.Since(t0).Nanoseconds() / int64(len(picks))
-	for i := range picks {
-		q2 := q
-		q2.Node = anchors[i]
-		p := picks[i]
-		if p < 0 || p >= len(r.pools) {
-			p = 0
-		}
-		if !r.view.IsActive(p) || r.pools[p] == nil {
-			r.diverted[p]++
-			p = r.divertLocked(q2)
-		}
-		picks[i] = p
-		r.strategy.Observe(q2, p)
+	for _, p := range picks {
 		r.routing.Observe(perPick)
 		r.depth.Observe(int64(r.inflight[p]))
-		r.assigned[p]++
 		r.inflight[p]++
 	}
 	pools := append([]*Pool(nil), r.pools...)
@@ -893,7 +618,9 @@ func (r *RouterServer) runWave(ctx context.Context, q query.Query, wave []mquery
 	var firstErr error
 	for range groups {
 		pr := <-results
-		r.finishSubtasks(pr.proc, len(pr.indices), &pr.resp, pr.err)
+		// Subtasks are routed work units inside one query, not queries: they
+		// settle the per-slot accounting but not the client-visible counters.
+		r.settle(pr.proc, len(pr.indices), &pr.resp, pr.err)
 		if m.Found() {
 			// Answer already known: late partials are redundant, and late
 			// errors are expected — we cancelled those calls ourselves.
@@ -931,43 +658,15 @@ func (r *RouterServer) runWave(ctx context.Context, q query.Query, wave []mquery
 	return epoch, firstErr
 }
 
-// finishSubtasks settles the accounting for n completed subtasks on
-// processor p. It mirrors finish — in-flight load drops, cache counters
-// feed the StatsObserver, a draining member may complete its departure —
-// but does not advance the client-visible query counters: subtasks are
-// routed work units inside one query, not queries.
-func (r *RouterServer) finishSubtasks(p, n int, resp *Response, err error) {
-	r.mu.Lock()
-	r.inflight[p] -= n
-	if err == nil {
-		r.completed[p] += int64(n)
-		if resp.ProcCache != nil {
-			r.lastCache[p] = *resp.ProcCache
-			if r.statsObs != nil {
-				var agg metrics.CacheCounters
-				for i := range r.lastCache {
-					agg.Add(r.lastCache[i])
-				}
-				r.statsObs.ObserveStats(agg)
-			}
-		}
-	}
-	if r.inflight[p] == 0 && r.view.Status(p) == topology.Draining {
-		if v, lerr := r.topo.Leave(p); lerr == nil {
-			r.applyViewLocked(v)
-		}
-	}
-	r.mu.Unlock()
-}
-
-// finish settles the accounting for a completed sub-batch of n queries on
+// settle closes the per-slot accounting for n answered units of work on
 // processor p: the in-flight load drops, successful completions advance
 // the per-processor counters, the processor's piggybacked cache counters
 // feed the strategy's optional StatsObserver hook — the live signal
 // adaptive strategies hot-swap on — and a draining member whose last
-// in-flight query just finished completes its departure.
-func (r *RouterServer) finish(p, n int, resp *Response, err error) {
+// in-flight work just finished completes its departure.
+func (r *RouterServer) settle(p, n int, resp *Response, err error) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.inflight[p] -= n
 	if err == nil {
 		r.completed[p] += int64(n)
@@ -982,12 +681,18 @@ func (r *RouterServer) finish(p, n int, resp *Response, err error) {
 			}
 		}
 	}
-	if r.inflight[p] == 0 && r.view.Status(p) == topology.Draining {
+	if r.inflight[p] == 0 && r.rt.Status(p) == topology.Draining {
 		if v, lerr := r.topo.Leave(p); lerr == nil {
 			r.applyViewLocked(v)
 		}
 	}
-	r.mu.Unlock()
+}
+
+// finish settles a completed sub-batch of n client queries on processor p
+// and, when it succeeded, counts them toward the client-visible total and
+// the background migration tick.
+func (r *RouterServer) finish(p, n int, resp *Response, err error) {
+	r.settle(p, n, resp, err)
 	if err == nil {
 		r.queries.Add(int64(n))
 		r.maybeTick(n)
@@ -1024,57 +729,10 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 	storagePools := append([]*Pool(nil), r.storagePools...)
 	r.mu.Unlock()
 
-	type procStats struct {
-		i  int
-		cc *metrics.CacheCounters
-	}
-	results := make(chan procStats, len(pools))
-	polled := 0
-	for i := range pools {
-		if pools[i] == nil {
-			continue
-		}
-		polled++
-		go func(i int, pool *Pool) {
-			var cc *metrics.CacheCounters
-			if resp, err := pool.Call(ctx, &Request{Op: OpStats}); err == nil && resp.Stats != nil {
-				cc = resp.Stats.Cache
-			}
-			results <- procStats{i, cc}
-		}(i, pools[i])
-	}
-	fresh := make([]*metrics.CacheCounters, len(pools))
-	for k := 0; k < polled; k++ {
-		ps := <-results
-		fresh[ps.i] = ps.cc
-	}
-
-	// Poll the storage members' shard counters the same way (members that
-	// do not answer keep zero counters but still report their status).
-	type shardStats struct {
-		i  int
-		st *Stats
-	}
-	sresults := make(chan shardStats, len(storagePools))
-	spolled := 0
-	for i := range storagePools {
-		if storagePools[i] == nil {
-			continue
-		}
-		spolled++
-		go func(i int, pool *Pool) {
-			var st *Stats
-			if resp, err := pool.Call(ctx, &Request{Op: OpStats}); err == nil && resp.Stats != nil {
-				st = resp.Stats
-			}
-			sresults <- shardStats{i, st}
-		}(i, storagePools[i])
-	}
-	shardFresh := make([]*Stats, len(storagePools))
-	for k := 0; k < spolled; k++ {
-		ss := <-sresults
-		shardFresh[ss.i] = ss.st
-	}
+	// Members that do not answer keep their last piggybacked cache counters
+	// (processors) or zero counters (shards), and still report their status.
+	fresh := pollStats(ctx, pools)
+	shardFresh := pollStats(ctx, storagePools)
 
 	// Planner state is guarded by mutMu, which the mutate path takes
 	// before mu — so read it before taking mu, never while holding it.
@@ -1089,15 +747,17 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	view := r.rt.View()
 	snap := &metrics.Snapshot{
 		Transport:    "tcp",
 		Policy:       r.policyName,
-		Strategy:     r.strategy.Name(),
-		Processors:   r.view.NumActive(),
-		Epoch:        r.view.Epoch,
+		Strategy:     r.rt.Strategy().Name(),
+		Processors:   view.NumActive(),
+		Epoch:        view.Epoch,
 		Queries:      r.queries.Load(),
-		Reassigned:   r.reassigned,
-		Epochs:       append([]metrics.EpochEvent(nil), r.events...),
+		Diverted:     int64(r.rt.Diverted()),
+		Reassigned:   r.rt.Reassigned(),
+		Epochs:       r.rt.Events(),
 		RoutingNanos: r.routing.Summary(),
 		QueueDepth:   r.depth.Summary(),
 	}
@@ -1107,31 +767,23 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 		snap.Placement = placementCounters
 		snap.PlacementLog = placementLog
 	}
-	for i := range r.inflight {
-		if i < len(fresh) && fresh[i] != nil {
-			r.lastCache[i] = *fresh[i]
+	assigned, diverted := r.rt.Assigned(), r.rt.DivertedFrom()
+	for i, m := range view.Members {
+		if i < len(fresh) && fresh[i] != nil && fresh[i].Cache != nil {
+			r.lastCache[i] = *fresh[i].Cache
 		}
 		cc := r.lastCache[i]
-		var addr string
-		if i < len(r.view.Members) {
-			addr = r.view.Members[i].Addr
-		}
-		pc := metrics.ProcCounters{
+		snap.PerProc = append(snap.PerProc, metrics.ProcCounters{
 			Proc:       i,
-			Status:     r.view.Status(i).String(),
-			Addr:       addr,
-			Assigned:   r.assigned[i],
+			Status:     m.Status.String(),
+			Addr:       m.Addr,
+			Assigned:   int64(assigned[i]),
 			Executed:   r.completed[i],
-			Diverted:   r.diverted[i],
+			Diverted:   int64(diverted[i]),
 			QueueDepth: int64(r.inflight[i]),
 			Cache:      cc,
-		}
-		snap.PerProc = append(snap.PerProc, pc)
+		})
 		snap.Cache.Add(cc)
-	}
-	snap.Diverted = 0
-	for _, d := range r.diverted {
-		snap.Diverted += d
 	}
 	snap.StorageEpoch = r.storageView.Epoch
 	snap.StorageReplicas = r.storageReplicas
@@ -1159,176 +811,23 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 	return snap, nil
 }
 
-// BuildStrategy constructs a routing strategy for the networked router
-// through the strategy registry, running whatever smart-routing
-// preprocessing the registration declares (landmark selection + BFS, and
-// the graph embedding when required) locally over the graph. Registered
-// user strategies resolve exactly like the built-ins.
-func BuildStrategy(policy string, g *graph.Graph, procs int, seed int64) (router.Strategy, error) {
-	strat, _, err := BuildStrategyEmbed(policy, g, procs, seed, nil)
-	return strat, err
-}
-
-// BuildStrategyEmbed is BuildStrategy with the embedding surfaced: it
-// returns the coordinate table the strategy routes by, for the router to
-// re-rank KNearest queries against (RouterConfig.Embedding). A non-nil
-// emb overrides the learned embedding wholesale — the provider path —
-// and is returned as-is even for policies that route without
-// coordinates, so KNearest works under every policy.
-func BuildStrategyEmbed(policy string, g *graph.Graph, procs int, seed int64, emb *embed.Embedding) (router.Strategy, *embed.Embedding, error) {
-	if policy == "" {
-		policy = "nextready"
-	}
-	reg, ok := router.LookupName(policy)
-	if !ok {
-		return nil, nil, fmt.Errorf("rpc: unknown policy %q", policy)
-	}
-	res := router.Resources{Procs: procs, Seed: seed, LoadFactor: 20, Alpha: 0.5, Graph: g, Embedding: emb}
-	if reg.Prep >= router.PrepLandmarks {
-		if g == nil {
-			return nil, nil, fmt.Errorf("rpc: policy %q needs a graph for preprocessing", policy)
+// pollStats asks every member with a pool for its OpStats concurrently. The
+// result is slot-indexed; members that have left or do not answer stay nil.
+func pollStats(ctx context.Context, pools []*Pool) []*Stats {
+	out := make([]*Stats, len(pools))
+	var wg sync.WaitGroup
+	for i, pool := range pools {
+		if pool == nil {
+			continue
 		}
-		lms := landmark.Select(g, 32, 2)
-		if len(lms) < 2 {
-			return nil, nil, fmt.Errorf("rpc: graph too small for landmark selection")
-		}
-		idx := landmark.BuildIndex(g, lms, 0)
-		res.Index = idx
-		res.Assignment = landmark.Assign(idx, procs)
-		if reg.Prep >= router.PrepEmbedding && res.Embedding == nil {
-			built, err := embed.Build(g, idx, embed.Options{Dimensions: 8, Seed: seed})
-			if err != nil {
-				return nil, nil, err
+		wg.Add(1)
+		go func(i int, pool *Pool) {
+			defer wg.Done()
+			if resp, err := pool.Call(ctx, &Request{Op: OpStats}); err == nil {
+				out[i] = resp.Stats
 			}
-			res.Embedding = built
-		}
+		}(i, pool)
 	}
-	strat, err := reg.New(res)
-	if err != nil {
-		return nil, nil, err
-	}
-	return strat, res.Embedding, nil
-}
-
-// RouterClient is a gRouting client talking to a router daemon over a
-// connection pool, so concurrent and pipelined submissions proceed in
-// parallel.
-type RouterClient struct {
-	pool *Pool
-}
-
-// DialRouter connects a client to the router and verifies it responds.
-func DialRouter(ctx context.Context, addr string) (*RouterClient, error) {
-	p := NewPool(addr, 0)
-	if err := p.Ping(ctx); err != nil {
-		p.Close()
-		return nil, err
-	}
-	return &RouterClient{pool: p}, nil
-}
-
-// clientCall recycles the single-query Execute envelopes. Recycling the
-// Response (and its Results backing array) is safe because each decoded
-// Result's internal slices are freshly allocated, and an abandoned call's
-// tag is dropped from the demux before CallInto returns — nothing writes
-// into resp after the call completes.
-type clientCall struct {
-	req  Request
-	ex   ExecRequest
-	qs   [1]query.Query
-	resp Response
-}
-
-var clientCallPool = sync.Pool{New: func() any { return new(clientCall) }}
-
-// Execute runs one query through the deployment.
-func (c *RouterClient) Execute(ctx context.Context, q query.Query) (query.Result, error) {
-	if err := q.Validate(); err != nil {
-		return query.Result{}, err
-	}
-	cc := clientCallPool.Get().(*clientCall)
-	defer clientCallPool.Put(cc)
-	cc.qs[0] = q
-	cc.ex = ExecRequest{Queries: cc.qs[:1]}
-	if dl, ok := ctx.Deadline(); ok {
-		cc.ex.Deadline = dl.UnixNano()
-	}
-	cc.req = Request{Op: OpExecute, Exec: &cc.ex}
-	if err := c.pool.CallInto(ctx, &cc.req, &cc.resp); err != nil {
-		return query.Result{}, err
-	}
-	if len(cc.resp.Results) != 1 {
-		return query.Result{}, &remoteError{addr: c.pool.Addr(), msg: fmt.Sprintf("got %d results for 1 query", len(cc.resp.Results)), kind: query.ErrUnavailable}
-	}
-	return cc.resp.Results[0], nil
-}
-
-// ExecuteBatch runs a batch of queries in one round trip to the router,
-// which fans the sub-batches out to the processors in parallel. Results
-// align positionally with qs; one failing query fails the batch.
-func (c *RouterClient) ExecuteBatch(ctx context.Context, qs []query.Query) ([]query.Result, error) {
-	if len(qs) == 0 {
-		return nil, nil
-	}
-	for _, q := range qs {
-		if err := q.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	resp, err := c.pool.Call(ctx, execRequest(ctx, qs))
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != len(qs) {
-		return nil, &remoteError{addr: c.pool.Addr(), msg: fmt.Sprintf("got %d results for %d queries", len(resp.Results), len(qs)), kind: query.ErrUnavailable}
-	}
-	return resp.Results, nil
-}
-
-// Mutate applies a batch of graph mutations through the router in one
-// round trip. It returns how many were applied: the applied prefix stays
-// applied on failure (each mutation acks individually), and every mutation
-// is idempotent, so retrying a failed batch from the reported index is
-// always safe.
-func (c *RouterClient) Mutate(ctx context.Context, muts []Mutation) (int, error) {
-	if len(muts) == 0 {
-		return 0, nil
-	}
-	req := &Request{Op: OpMutate, Muts: muts}
-	if dl, ok := ctx.Deadline(); ok {
-		req.Deadline = dl.UnixNano()
-	}
-	resp, err := c.pool.Call(ctx, req)
-	return resp.Applied, err
-}
-
-// Migrate asks the router to run one adaptive-placement planning cycle now
-// and returns how many records moved. Routers without the subsystem
-// enabled reject it with query.ErrBadQuery.
-func (c *RouterClient) Migrate(ctx context.Context) (int, error) {
-	req := &Request{Op: OpMigrate}
-	if dl, ok := ctx.Deadline(); ok {
-		req.Deadline = dl.UnixNano()
-	}
-	resp, err := c.pool.Call(ctx, req)
-	return resp.Applied, err
-}
-
-// Stats fetches the deployment's observability snapshot from the router
-// in one OpStats round trip.
-func (c *RouterClient) Stats(ctx context.Context) (*metrics.Snapshot, error) {
-	resp, err := c.pool.Call(ctx, &Request{Op: OpStats})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Stats == nil || resp.Stats.Snapshot == nil {
-		return nil, &remoteError{addr: c.pool.Addr(), msg: "stats response carries no snapshot", kind: query.ErrUnavailable}
-	}
-	return resp.Stats.Snapshot, nil
-}
-
-// Close disconnects the client.
-func (c *RouterClient) Close() error {
-	c.pool.Close()
-	return nil
+	wg.Wait()
+	return out
 }

@@ -25,7 +25,11 @@ import (
 // the shard list with R replicas otherwise — as RAMCloud's coordinator
 // would), so servers are completely independent. A shard can announce
 // itself to a running router's storage view with Register (groutingd
-// -join for the storage role) and leave it cleanly with Deregister.
+// -join for the storage role; the router admits it at a new storage epoch
+// and reports it under -topology / Stats) and leave it with Deregister.
+// Over TCP that is membership-only: the shard's replicas are not copied
+// off — reads of keys it held fail over to their other replicas, so drain
+// a shard only when the replication factor covers it.
 type StorageServer struct {
 	ln       net.Listener
 	ct       connTracker
@@ -50,10 +54,7 @@ type StorageServer struct {
 	replayedBytes   int64
 	durVer          atomic.Uint64 // monotonic durable record counter
 
-	regMu      sync.Mutex // guards the registration below
-	routerAddr string     // router this shard registered with ("" = none)
-	advertise  string     // address announced to the router
-	slot       int        // slot the router assigned
+	registration // announces the shard to a router's storage view
 }
 
 // NewStorageServer starts a storage shard on addr (use "127.0.0.1:0" for
@@ -63,7 +64,8 @@ func NewStorageServer(addr string) (*StorageServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rpc: storage listen: %w", err)
 	}
-	s := &StorageServer{ln: ln, data: make(map[uint64][]byte), slot: -1}
+	s := &StorageServer{ln: ln, data: make(map[uint64][]byte)}
+	s.registration = registration{tier: "storage", listen: s.Addr(), version: &s.durVer}
 	go serve(ln, s.handle, &s.ct)
 	return s, nil
 }
@@ -84,7 +86,6 @@ func NewStorageServerDurable(addr, dir string, fsync bool) (*StorageServer, erro
 	}
 	s := &StorageServer{
 		data:      make(map[uint64][]byte),
-		slot:      -1,
 		walPath:   filepath.Join(dir, "shard.wal"),
 		snapPath:  filepath.Join(dir, "shard.snap"),
 		snapEvery: kvstore.DefaultSnapshotEvery,
@@ -129,6 +130,7 @@ func NewStorageServerDurable(addr, dir string, fsync bool) (*StorageServer, erro
 		return nil, fmt.Errorf("rpc: storage listen: %w", err)
 	}
 	s.ln = ln
+	s.registration = registration{tier: "storage", listen: s.Addr(), version: &s.durVer}
 	go serve(ln, s.handle, &s.ct)
 	return s, nil
 }
@@ -174,69 +176,6 @@ func (s *StorageServer) SyncWAL() error {
 		return nil
 	}
 	return s.wal.Sync()
-}
-
-// Register announces this shard to a running router's storage view
-// (OpJoin with the storage tier): the router dials back to verify it,
-// admits it at a new storage epoch, and reports it under -topology /
-// Stats. advertise defaults to the listen address. The returned slot is
-// the shard's stable storage-slot id.
-func (s *StorageServer) Register(ctx context.Context, routerAddr, advertise string) (int, error) {
-	if advertise == "" {
-		advertise = s.Addr()
-	}
-	cn, err := DialContext(ctx, routerAddr)
-	if err != nil {
-		return 0, err
-	}
-	defer cn.Close()
-	resp, err := cn.Call(ctx, &Request{Op: OpJoin, Addr: advertise, Tier: "storage", Version: s.durVer.Load()})
-	if err != nil {
-		return 0, err
-	}
-	s.regMu.Lock()
-	s.routerAddr, s.advertise, s.slot = routerAddr, advertise, resp.Proc
-	s.regMu.Unlock()
-	return resp.Proc, nil
-}
-
-// Deregister removes this shard from the router's storage view (OpDrain,
-// storage tier). Over TCP this is membership-only: the shard's replicas
-// are not copied off — reads of keys it held fail over to their other
-// replicas, so drain a shard only when the replication factor covers it.
-// No-op when the shard never registered.
-func (s *StorageServer) Deregister(ctx context.Context) error {
-	s.regMu.Lock()
-	routerAddr, advertise := s.routerAddr, s.advertise
-	s.regMu.Unlock()
-	if routerAddr == "" {
-		return nil
-	}
-	cn, err := DialContext(ctx, routerAddr)
-	if err != nil {
-		return err
-	}
-	defer cn.Close()
-	if _, err := cn.Call(ctx, &Request{Op: OpDrain, Addr: advertise, Tier: "storage"}); err != nil {
-		return err
-	}
-	s.regMu.Lock()
-	if s.routerAddr == routerAddr {
-		s.routerAddr = ""
-	}
-	s.regMu.Unlock()
-	return nil
-}
-
-// RegisteredSlot returns the storage slot the router assigned at
-// Register, or -1 when the shard never registered (or has deregistered).
-func (s *StorageServer) RegisteredSlot() int {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	if s.routerAddr == "" {
-		return -1
-	}
-	return s.slot
 }
 
 func (s *StorageServer) handle(_ context.Context, req *Request) Response {
@@ -552,16 +491,28 @@ func (sc *StorageClient) overrideFor(key uint64) []int {
 }
 
 // placement appends key's replica shards (primary first) to dst: the
-// override pin when migration moved the key, rendezvous placement
-// otherwise.
+// override pin when migration moved the key, baseline placement otherwise.
 func (sc *StorageClient) placement(key uint64, dst []int) []int {
-	if ov := sc.overrideFor(key); len(ov) > 0 {
-		return append(dst[:0], ov...)
+	return placeKey(key, sc.overrideFor(key), sc.slots, sc.replicas, dst)
+}
+
+// placeKey is the deployment's one placement function: it appends key's
+// replica slots (primary first) to dst — the pin when there is one, else
+// the murmur shard when unreplicated, else the replicas highest-scoring
+// rendezvous slots. slots is the placement domain, frozen at the seeded
+// shard count; an empty domain places nothing. Client-side placement only
+// works because every reader and the writing router compute exactly this.
+func placeKey(key uint64, pin, slots []int, replicas int, dst []int) []int {
+	if len(pin) > 0 {
+		return append(dst[:0], pin...)
 	}
-	if sc.replicas <= 1 {
-		return append(dst[:0], int(hash.Key64(key, 0)%uint64(len(sc.pools))))
+	if len(slots) == 0 {
+		return dst[:0]
 	}
-	return topology.RendezvousN(key, sc.slots, sc.replicas, dst)
+	if replicas <= 1 {
+		return append(dst[:0], int(hash.Key64(key, 0)%uint64(len(slots))))
+	}
+	return topology.RendezvousN(key, slots, replicas, dst)
 }
 
 // shardFor returns the shard a read of key prefers.

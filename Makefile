@@ -1,9 +1,9 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: ci fmt-check vet lint build test bench-test race cover examples bench-smoke bench suite chaos chaos-smoke loadgen-smoke
+.PHONY: ci fmt-check vet lint build test bench-test race cover examples bench-smoke bench suite chaos chaos-smoke loadgen-smoke loc
 
-ci: fmt-check lint build test bench-test race cover examples bench-smoke loadgen-smoke
+ci: fmt-check lint build test bench-test race cover examples bench-smoke loadgen-smoke loc
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -47,10 +47,10 @@ race:
 # plus the binary wire protocol, the embedding-provider subsystem and the
 # router both transports decide through: each package must stay at or
 # above its floor (set just under the current coverage — raise the floors
-# as coverage grows, never lower them). Current: gstore 96%, kvstore 89%,
-# topology 79%, chaos 84%, placement 100%, rpc 77%, embed 88%,
+# as coverage grows, never lower them). Current: gstore 96%, kvstore 91%,
+# topology 79%, chaos 84%, placement 100%, mquery 90%, rpc 77%, embed 88%,
 # traverse 100%, router 86%.
-COVER_FLOORS = ./internal/gstore:90 ./internal/kvstore:85 ./internal/topology:75 ./internal/chaos:70 ./internal/placement:95 ./internal/mquery:85 ./internal/rpc:72 ./internal/embed:85 ./internal/traverse:90 ./internal/router:80
+COVER_FLOORS = ./internal/gstore:90 ./internal/kvstore:87 ./internal/topology:75 ./internal/chaos:70 ./internal/placement:95 ./internal/mquery:85 ./internal/rpc:72 ./internal/embed:85 ./internal/traverse:90 ./internal/router:80
 
 cover:
 	@set -e; for spec in $(COVER_FLOORS); do \
@@ -87,6 +87,12 @@ bench:
 # end to end; BENCH_loadgen.json captures the latency/alloc numbers.
 loadgen-smoke:
 	$(GO) run ./cmd/grouting-loadgen -qps 500 -duration 30s -benchdir .
+
+# The two numbers every simplicity PR quotes: Go lines outside bench/
+# (the benchmark module is frozen), non-test and test.
+loc:
+	@echo "non-test Go lines: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
+	@echo "test Go lines:     $$(find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
 
 # Regenerate every figure/table at quick scale on all cores.
 suite:

@@ -365,6 +365,20 @@ func (s *System) storageEventLog() []metrics.EpochEvent {
 	return append([]metrics.EpochEvent(nil), s.storageEvents...)
 }
 
+// storageTransition runs one membership transition of the storage tier
+// under stMu and appends the view it produced to the transition log; what
+// names the failed transition in the wrapped error.
+func (s *System) storageTransition(what string, do func() (topology.View, error)) error {
+	s.stMu.Lock()
+	defer s.stMu.Unlock()
+	v, err := do()
+	if err != nil {
+		return fmt.Errorf("core: %s: %w", what, err)
+	}
+	s.logStorageTransitionLocked(v)
+	return nil
+}
+
 // AddStorage grows the storage tier by one replica-bearing member and
 // returns its slot. The records whose placement now includes the new
 // member (~1/(N+1) of the key space, the rendezvous remap bound) are
@@ -372,28 +386,21 @@ func (s *System) storageEventLog() []metrics.EpochEvent {
 // concurrently keep reading their old replicas until the new placement is
 // fully populated. Requires StorageReplicas >= 2 (the elastic mode).
 func (s *System) AddStorage() (int, error) {
-	s.stMu.Lock()
-	defer s.stMu.Unlock()
-	slot, v, err := s.store.AddServer()
-	if err != nil {
-		return 0, fmt.Errorf("core: add storage: %w", err)
-	}
-	s.logStorageTransitionLocked(v)
-	return slot, nil
+	var slot int
+	err := s.storageTransition("add storage", func() (v topology.View, err error) {
+		slot, v, err = s.store.AddServer()
+		return v, err
+	})
+	return slot, err
 }
 
 // DrainStorage removes a storage member cleanly: every record it holds is
 // re-replicated onto the survivors before the member leaves and its
 // memory is released. The slot is never reused.
 func (s *System) DrainStorage(slot int) error {
-	s.stMu.Lock()
-	defer s.stMu.Unlock()
-	v, err := s.store.DrainServer(slot)
-	if err != nil {
-		return fmt.Errorf("core: drain storage %d: %w", slot, err)
-	}
-	s.logStorageTransitionLocked(v)
-	return nil
+	return s.storageTransition(fmt.Sprintf("drain storage %d", slot), func() (topology.View, error) {
+		return s.store.DrainServer(slot)
+	})
 }
 
 // FailStorage marks a storage member as down: its data becomes
@@ -403,14 +410,9 @@ func (s *System) DrainStorage(slot int) error {
 // member still loses nothing; with 1 replica the member's keys are
 // unavailable (typed query.ErrUnavailable) until ReviveStorage.
 func (s *System) FailStorage(slot int) error {
-	s.stMu.Lock()
-	defer s.stMu.Unlock()
-	v, err := s.store.FailServer(slot)
-	if err != nil {
-		return fmt.Errorf("core: fail storage %d: %w", slot, err)
-	}
-	s.logStorageTransitionLocked(v)
-	return nil
+	return s.storageTransition(fmt.Sprintf("fail storage %d", slot), func() (topology.View, error) {
+		return s.store.FailServer(slot)
+	})
 }
 
 // ReviveStorage returns a down storage member to service, synchronising
@@ -418,14 +420,9 @@ func (s *System) FailStorage(slot int) error {
 // tombstones) and garbage-collecting the stand-in copies created during
 // the outage.
 func (s *System) ReviveStorage(slot int) error {
-	s.stMu.Lock()
-	defer s.stMu.Unlock()
-	v, err := s.store.ReviveServer(slot)
-	if err != nil {
-		return fmt.Errorf("core: revive storage %d: %w", slot, err)
-	}
-	s.logStorageTransitionLocked(v)
-	return nil
+	return s.storageTransition(fmt.Sprintf("revive storage %d", slot), func() (topology.View, error) {
+		return s.store.ReviveServer(slot)
+	})
 }
 
 // CrashStorage kills a storage member with process-death semantics: its
@@ -433,14 +430,9 @@ func (s *System) ReviveStorage(slot int) error {
 // without a sync — only what the log already handed the OS survives. The
 // tier repairs around it like a failure; RestartStorage brings it back.
 func (s *System) CrashStorage(slot int) error {
-	s.stMu.Lock()
-	defer s.stMu.Unlock()
-	v, err := s.store.CrashServer(slot)
-	if err != nil {
-		return fmt.Errorf("core: crash storage %d: %w", slot, err)
-	}
-	s.logStorageTransitionLocked(v)
-	return nil
+	return s.storageTransition(fmt.Sprintf("crash storage %d", slot), func() (topology.View, error) {
+		return s.store.CrashServer(slot)
+	})
 }
 
 // RestartStorage brings a crashed (or failed) storage member back the way
@@ -449,14 +441,9 @@ func (s *System) CrashStorage(slot int) error {
 // up only the writes newer than its durable version. Without durability
 // the member rejoins empty and re-replication copies the full shard.
 func (s *System) RestartStorage(slot int) error {
-	s.stMu.Lock()
-	defer s.stMu.Unlock()
-	v, err := s.store.RestartServer(slot)
-	if err != nil {
-		return fmt.Errorf("core: restart storage %d: %w", slot, err)
-	}
-	s.logStorageTransitionLocked(v)
-	return nil
+	return s.storageTransition(fmt.Sprintf("restart storage %d", slot), func() (topology.View, error) {
+		return s.store.RestartServer(slot)
+	})
 }
 
 // PartitionStorage cuts a storage member off from the tier — a netsplit,

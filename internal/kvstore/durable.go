@@ -5,14 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/topology"
 )
-
-// DefaultSnapshotEvery is how many WAL records a shard accumulates before
-// compacting them into a snapshot and truncating the log.
-const DefaultSnapshotEvery = 4096
 
 // Durability configures WAL + snapshot persistence for a store's shards.
 // Each shard gets its own pair of files under Dir (shard-<slot>.wal,
@@ -29,190 +24,24 @@ type Durability struct {
 	Fsync bool
 }
 
-// shardLog is one shard's durable state: its WAL, its latest snapshot,
-// and the recovery bookkeeping the observability surface reports. Fields
-// are guarded like the owning server's data: the shard lock, or the
-// store-wide write lock during membership transitions.
-type shardLog struct {
-	wal      *WAL
-	walPath  string
-	snapPath string
-	every    int
-	fsync    bool
-
-	sinceSnap int
-	snapshots uint64
-	snapVer   uint64 // version watermark of the latest snapshot
-	snapBytes int64
-
-	replayedRecords int64
-	replayedBytes   int64
-	recoverNanos    int64
-	state           string // "warm", "crashed"
-	err             error  // first append/snapshot failure, surfaced in stats
+// openLogLocked recovers slot's durable state under cfg.Dir into its shard
+// and returns the highest version replayed. Caller holds s.mu (write).
+func (s *Store) openLogLocked(cfg Durability, slot int) (uint64, error) {
+	wal := filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d.wal", slot))
+	snap := filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d.snap", slot))
+	return s.servers[slot].open(wal, snap, cfg.SnapshotEvery, cfg.Fsync)
 }
 
-// DurabilityStats reports one shard's durable state.
-type DurabilityStats struct {
-	// Enabled is false when the store has no durability layer (every
-	// other field is then zero).
-	Enabled bool
-	// State is "warm" (recovered and serving) or "crashed" (killed, not
-	// yet restarted); empty when disabled.
-	State string
-	// WALBytes and WALRecords measure the live log (since last snapshot).
-	WALBytes   int64
-	WALRecords int64
-	// Snapshots counts snapshot compactions; SnapshotBytes is the latest
-	// snapshot's size.
-	Snapshots     uint64
-	SnapshotBytes int64
-	// DurableVersion is the highest write version this shard has made
-	// durable — what the rejoin-warm handshake advertises.
-	DurableVersion uint64
-	// ReplayedRecords / ReplayedBytes / RecoverNanos describe the most
-	// recent local recovery (open or restart).
-	ReplayedRecords int64
-	ReplayedBytes   int64
-	RecoverNanos    int64
-	// Err carries the first durability failure, if any ("" when healthy).
-	Err string
-}
-
-func shardPaths(cfg Durability, slot int) (wal, snap string) {
-	return filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d.wal", slot)),
-		filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d.snap", slot))
-}
-
-// openShardLog recovers slot's durable state into sv (snapshot first, then
-// the WAL) and returns the open log plus the highest version replayed.
-// Caller holds the store-wide write lock (or owns sv exclusively).
-func openShardLog(cfg Durability, slot int, sv *server) (*shardLog, uint64, error) {
-	every := cfg.SnapshotEvery
-	if every <= 0 {
-		every = DefaultSnapshotEvery
-	}
-	l := &shardLog{every: every, fsync: cfg.Fsync, state: "warm"}
-	l.walPath, l.snapPath = shardPaths(cfg, slot)
-
-	start := time.Now()
-	var maxVer uint64
-	apply := func(op WALOp, key, ver uint64, val []byte) {
-		sv.applyReplay(op, key, ver, val)
-		l.replayedRecords++
-		if ver > maxVer {
-			maxVer = ver
+// raiseVersion lifts the store's version counter to at least ver: new
+// writes must version above everything replayed, or they would lose the
+// version compare against recovered entries.
+func (s *Store) raiseVersion(ver uint64) {
+	for {
+		cur := s.version.Load()
+		if cur >= ver || s.version.CompareAndSwap(cur, ver) {
+			return
 		}
 	}
-	snapVer, snapBytes, err := LoadSnapshot(l.snapPath, apply)
-	if err != nil {
-		return nil, 0, err
-	}
-	l.snapVer, l.snapBytes = snapVer, snapBytes
-	if snapBytes > 0 {
-		l.snapshots = 1
-		l.replayedBytes += snapBytes
-	}
-	if snapVer > maxVer {
-		maxVer = snapVer
-	}
-	wal, err := OpenWAL(l.walPath, cfg.Fsync, apply)
-	if err != nil {
-		return nil, 0, err
-	}
-	walBytes, walRecords, walVer := wal.Stats()
-	l.replayedBytes += walBytes
-	l.sinceSnap = int(walRecords)
-	if walVer > maxVer {
-		maxVer = walVer
-	}
-	l.wal = wal
-	l.recoverNanos = time.Since(start).Nanoseconds()
-	return l, maxVer, nil
-}
-
-// applyReplay installs one replayed record. Replay order is append order,
-// and put's version compare makes it idempotent, so replaying snapshot
-// then WAL (which may overlap) converges on the durable state.
-func (sv *server) applyReplay(op WALOp, key, ver uint64, val []byte) {
-	switch op {
-	case WALPut:
-		cp := make([]byte, len(val))
-		copy(cp, val)
-		sv.put(key, entry{val: cp, ver: ver}, putReplay)
-	case WALTomb:
-		sv.put(key, entry{ver: ver, dead: true}, putReplay)
-	case WALDrop:
-		sv.drop(key, putReplay)
-	}
-}
-
-// logMutation appends one record to the shard's WAL (when durability is
-// on) and compacts the log into a snapshot once it has grown past the
-// configured threshold. Caller holds sv.mu or the store-wide write lock —
-// the same exclusion put relies on, which also makes the snapshot's map
-// iteration safe.
-func (sv *server) logMutation(op WALOp, key, ver uint64, val []byte) {
-	l := sv.log
-	if l == nil {
-		return
-	}
-	if err := l.wal.Append(op, key, ver, val); err != nil {
-		if l.err == nil {
-			l.err = err
-		}
-		return
-	}
-	l.sinceSnap++
-	if l.sinceSnap >= l.every {
-		sv.snapshot()
-	}
-}
-
-// snapshot writes the shard's full image and truncates the WAL. Caller
-// holds sv.mu or the store-wide write lock.
-func (sv *server) snapshot() {
-	l := sv.log
-	_, _, walVer := l.wal.Stats()
-	ver := l.snapVer
-	if walVer > ver {
-		ver = walVer
-	}
-	n, err := WriteSnapshot(l.snapPath, ver, func(emit func(op WALOp, key, ver uint64, val []byte)) {
-		for k, e := range sv.data {
-			if e.dead {
-				// Tombstones persist: a restart must not resurrect a
-				// deletion off a stale replica.
-				emit(WALTomb, k, e.ver, nil)
-			} else {
-				emit(WALPut, k, e.ver, e.val)
-			}
-		}
-	})
-	if err != nil {
-		if l.err == nil {
-			l.err = err
-		}
-		return
-	}
-	if err := l.wal.Reset(); err != nil {
-		if l.err == nil {
-			l.err = err
-		}
-		return
-	}
-	l.snapshots++
-	l.snapVer = ver
-	l.snapBytes = n
-	l.sinceSnap = 0
-}
-
-// discard closes the log and removes its files — the shard has left the
-// tier for good. Caller holds sv.mu or the store-wide write lock.
-func (l *shardLog) discard() {
-	l.wal.Close()
-	os.Remove(l.walPath)
-	os.Remove(l.snapPath)
 }
 
 // EnableDurability attaches a WAL + snapshot pair to every shard,
@@ -234,11 +63,11 @@ func (s *Store) EnableDurability(cfg Durability) error {
 		return errors.New("kvstore: durability already enabled")
 	}
 	var maxVer uint64
-	for slot, sv := range s.servers {
+	for slot := range s.servers {
 		if s.view.Status(slot) == topology.Left {
 			continue
 		}
-		l, ver, err := openShardLog(cfg, slot, sv)
+		ver, err := s.openLogLocked(cfg, slot)
 		if err != nil {
 			for _, prev := range s.servers[:slot] {
 				if prev.log != nil {
@@ -248,20 +77,10 @@ func (s *Store) EnableDurability(cfg Durability) error {
 			}
 			return err
 		}
-		sv.log = l
-		if ver > maxVer {
-			maxVer = ver
-		}
+		maxVer = max(maxVer, ver)
 	}
 	s.dur = &cfg
-	// New writes must version above everything replayed, or they would
-	// lose the version compare against recovered entries.
-	for {
-		cur := s.version.Load()
-		if cur >= maxVer || s.version.CompareAndSwap(cur, maxVer) {
-			break
-		}
-	}
+	s.raiseVersion(maxVer)
 	if s.replicated() {
 		s.repairLocked()
 	}
@@ -281,13 +100,7 @@ func (s *Store) SyncDurability() error {
 	defer s.mu.RUnlock()
 	var first error
 	for _, sv := range s.servers {
-		sv.mu.RLock()
-		l := sv.log
-		sv.mu.RUnlock()
-		if l == nil {
-			continue
-		}
-		if err := l.wal.Sync(); err != nil && first == nil {
+		if err := sv.Sync(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -301,33 +114,7 @@ func (s *Store) Durability(slot int) DurabilityStats {
 	if slot < 0 || slot >= len(s.servers) {
 		return DurabilityStats{}
 	}
-	sv := s.servers[slot]
-	sv.mu.RLock()
-	defer sv.mu.RUnlock()
-	l := sv.log
-	if l == nil {
-		return DurabilityStats{}
-	}
-	walBytes, walRecords, walVer := l.wal.Stats()
-	ds := DurabilityStats{
-		Enabled:         true,
-		State:           l.state,
-		WALBytes:        walBytes,
-		WALRecords:      walRecords,
-		Snapshots:       l.snapshots,
-		SnapshotBytes:   l.snapBytes,
-		DurableVersion:  walVer,
-		ReplayedRecords: l.replayedRecords,
-		ReplayedBytes:   l.replayedBytes,
-		RecoverNanos:    l.recoverNanos,
-	}
-	if l.snapVer > ds.DurableVersion {
-		ds.DurableVersion = l.snapVer
-	}
-	if l.err != nil {
-		ds.Err = l.err.Error()
-	}
-	return ds
+	return s.servers[slot].Durability()
 }
 
 // CrashServer kills a shard with process-death semantics: its in-memory
@@ -344,13 +131,9 @@ func (s *Store) CrashServer(slot int) (topology.View, error) {
 	}
 	s.installViewLocked(v)
 	sv := s.servers[slot]
+	sv.Abandon()
 	sv.mu.Lock()
-	sv.data = make(map[uint64]entry)
-	sv.stats.Keys, sv.stats.Bytes = 0, 0
-	if sv.log != nil {
-		sv.log.wal.Abandon()
-		sv.log.state = "crashed"
-	}
+	sv.reset()
 	sv.mu.Unlock()
 	if s.replicated() {
 		s.repairLocked()
@@ -372,23 +155,15 @@ func (s *Store) RestartServer(slot int) (topology.View, error) {
 	if st := s.view.Status(slot); st != topology.Down {
 		return topology.View{}, fmt.Errorf("kvstore: slot %d is %s, not down", slot, st)
 	}
-	sv := s.servers[slot]
 	if s.dur != nil {
-		sv.data = make(map[uint64]entry)
-		sv.stats.Keys, sv.stats.Bytes = 0, 0
-		l, ver, err := openShardLog(*s.dur, slot, sv)
+		s.servers[slot].reset()
+		ver, err := s.openLogLocked(*s.dur, slot)
 		if err != nil {
 			return topology.View{}, err
 		}
-		sv.log = l
 		// Replayed versions are already below the store counter unless the
 		// whole store restarted too; keep the invariant either way.
-		for {
-			cur := s.version.Load()
-			if cur >= ver || s.version.CompareAndSwap(cur, ver) {
-				break
-			}
-		}
+		s.raiseVersion(ver)
 	}
 	v, err := s.topo.Revive(slot)
 	if err != nil {

@@ -17,8 +17,8 @@ func countReadable(t *testing.T, s *Store, n int) int {
 		keys[i] = uint64(i)
 	}
 	found := 0
-	for _, b := range s.PlanBatches(keys) {
-		_, err := s.GetBatch(b, func(k uint64, v []byte, ok bool) {
+	for _, b := range planBatches(s, keys) {
+		_, err := getBatch(s, b, func(k uint64, v []byte, ok bool) {
 			if ok {
 				found++
 			}
@@ -58,7 +58,7 @@ func TestEnableDurabilityValidation(t *testing.T) {
 		t.Fatal("DurabilityEnabled false after enable")
 	}
 	ds := s.Durability(0)
-	if !ds.Enabled || ds.State != "warm" {
+	if !ds.Enabled || ds.State != "fresh" {
 		t.Fatalf("Durability(0) = %+v", ds)
 	}
 	if s.Durability(99).Enabled {
@@ -240,7 +240,7 @@ func TestAddServerGetsDurableLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := s.Durability(slot)
-	if !ds.Enabled || ds.State != "warm" {
+	if !ds.Enabled || ds.State != "fresh" {
 		t.Fatalf("new shard durability: %+v", ds)
 	}
 	// The repair pass that filled the new shard must have hit its WAL.
@@ -305,7 +305,7 @@ func TestPartitionRoutesAroundAndHeals(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint64(i)
 	}
-	for _, b := range s.PlanBatches(keys) {
+	for _, b := range planBatches(s, keys) {
 		if b.Server == 1 {
 			t.Fatal("plan routed a batch to the parted shard")
 		}
@@ -355,7 +355,7 @@ func TestPartitionSoleReplicaIsUnavailable(t *testing.T) {
 		keys[i] = uint64(i)
 	}
 	sawUnavailable := false
-	for _, b := range s.PlanBatches(keys) {
+	for _, b := range planBatches(s, keys) {
 		vals := make([][]byte, len(b.Keys))
 		oks := make([]bool, len(b.Keys))
 		_, err := s.GetBatchInto(b, vals, oks)

@@ -87,101 +87,6 @@ func (t TablePlacer) Place(key uint64, numServers int) int {
 	return t.Fallback.Place(key, numServers)
 }
 
-// ServerStats counts the operations served by one storage server.
-type ServerStats struct {
-	Gets, Puts, Deletes uint64
-	Misses              uint64
-	// Failovers counts reads that had to be served elsewhere (or failed)
-	// because this server was unreachable when it was the preferred
-	// replica — the per-replica health signal.
-	Failovers uint64
-	Keys      int
-	Bytes     int64
-	// RepairBytes counts the value bytes copied onto this shard by
-	// re-replication passes — the network cost a membership transition
-	// would incur on a real deployment. A warm (WAL-recovered) restart
-	// shows a small delta here; a cold restart shows a full shard copy.
-	RepairBytes int64
-}
-
-// entry is one stored value plus its write version. Versions are
-// monotonic across the store, so re-replication after a failure or revive
-// always converges on the newest write; dead entries are tombstones that
-// keep a deletion from being resurrected off a stale replica.
-type entry struct {
-	val  []byte
-	ver  uint64
-	dead bool
-}
-
-// server is one storage shard.
-type server struct {
-	mu    sync.RWMutex
-	data  map[uint64]entry
-	stats ServerStats
-	// log is the shard's WAL + snapshot pair, nil until EnableDurability.
-	// Its fields are guarded by the same regime as data: sv.mu, or the
-	// store-wide write lock during membership transitions.
-	log *shardLog
-}
-
-// put flags.
-const (
-	// putRepair marks a re-replication copy: the install counts toward
-	// RepairBytes, the transition-cost signal the chaos invariants bound.
-	putRepair = 1 << iota
-	// putReplay marks a WAL/snapshot replay install: it must not be
-	// appended back to the log it came from.
-	putReplay
-)
-
-// put installs e under key if it is newer than what the shard holds,
-// maintaining the live-key accounting and the shard's WAL, and reports
-// whether the entry was installed. Caller holds sv.mu (or the store-wide
-// write lock, which excludes every shard reader).
-func (sv *server) put(key uint64, e entry, flags int) bool {
-	old, ok := sv.data[key]
-	if ok && old.ver >= e.ver {
-		return false
-	}
-	if ok && !old.dead {
-		sv.stats.Keys--
-		sv.stats.Bytes -= int64(len(old.val))
-	}
-	sv.data[key] = e
-	if !e.dead {
-		sv.stats.Keys++
-		sv.stats.Bytes += int64(len(e.val))
-	}
-	if flags&putRepair != 0 {
-		sv.stats.RepairBytes += int64(len(e.val))
-	}
-	if flags&putReplay == 0 {
-		op := WALPut
-		if e.dead {
-			op = WALTomb
-		}
-		sv.logMutation(op, key, e.ver, e.val)
-	}
-	return true
-}
-
-// drop removes key entirely (garbage collection off a shard that is no
-// longer in the key's placement set). Caller holds sv.mu (or the
-// store-wide write lock).
-func (sv *server) drop(key uint64, flags int) {
-	if old, ok := sv.data[key]; ok {
-		if !old.dead {
-			sv.stats.Keys--
-			sv.stats.Bytes -= int64(len(old.val))
-		}
-		delete(sv.data, key)
-		if flags&putReplay == 0 {
-			sv.logMutation(WALDrop, key, old.ver, nil)
-		}
-	}
-}
-
 // Store is the distributed key-value store: a slot-indexed set of
 // in-memory server shards plus a placement rule and the storage tier's
 // epoch-versioned membership.
@@ -197,7 +102,7 @@ type Store struct {
 	// (read side), so a reader never observes a placement whose data has
 	// not been moved yet.
 	mu      sync.RWMutex
-	servers []*server
+	servers []*Shard
 	view    topology.View
 	active  []int // Active slots, ascending — the placement domain
 	// parted marks slots cut off by an injected network partition: the
@@ -238,9 +143,9 @@ func New(numServers int, placer Placer) (*Store, error) {
 		placer = MurmurPlacer{}
 	}
 	s := &Store{placer: placer, replicas: 1, topo: topology.NewTierTracker(topology.TierStorage, numServers)}
-	s.servers = make([]*server, numServers)
+	s.servers = make([]*Shard, numServers)
 	for i := range s.servers {
-		s.servers[i] = &server{data: make(map[uint64]entry)}
+		s.servers[i] = NewShard()
 	}
 	s.parted = make([]bool, numServers)
 	s.installViewLocked(s.topo.View())
@@ -261,9 +166,9 @@ func NewReplicated(numServers, replicas int) (*Store, error) {
 		return nil, fmt.Errorf("kvstore: %d replicas need at least that many servers, have %d", replicas, numServers)
 	}
 	s := &Store{replicas: replicas, topo: topology.NewTierTracker(topology.TierStorage, numServers)}
-	s.servers = make([]*server, numServers)
+	s.servers = make([]*Shard, numServers)
 	for i := range s.servers {
-		s.servers[i] = &server{data: make(map[uint64]entry)}
+		s.servers[i] = NewShard()
 	}
 	s.parted = make([]bool, numServers)
 	s.installViewLocked(s.topo.View())
@@ -400,45 +305,40 @@ func (s *Store) ReplicasFor(key uint64, dst []int) []int {
 func (s *Store) Put(key uint64, val []byte) uint64 {
 	cp := make([]byte, len(val))
 	copy(cp, val)
-	e := entry{val: cp, ver: s.version.Add(1)}
+	ver := s.version.Add(1)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	// Put has no error return: a failed append stays in the shard's
+	// Durability().Err.
+	s.writeLocked(key, func(sh *Shard) { _ = sh.Put(key, cp, ver) })
+	return ver
+}
+
+// writeLocked applies write to the shards a write of key lands on: the
+// legacy owner, or every reachable replica of the placement set. A parted
+// replica cannot receive the write; the reachable replicas take it and
+// repair catches the parted one up on heal. Only when the whole placement
+// set is unreachable does the write land everywhere — the degenerate case
+// a real client would retry until heal. Caller holds s.mu (read).
+func (s *Store) writeLocked(key uint64, write func(*Shard)) {
 	if !s.replicated() {
-		sv := s.servers[s.placer.Place(key, len(s.servers))]
-		sv.mu.Lock()
-		sv.put(key, e, 0)
-		sv.stats.Puts++
-		sv.mu.Unlock()
-		return e.ver
+		write(s.servers[s.placer.Place(key, len(s.servers))])
+		return
 	}
 	var arr [topology.MaxReplicas]int
 	pl := s.placementLocked(key, arr[:0])
-	// A parted replica cannot receive the write; the reachable replicas
-	// take it and repair catches the parted one up on heal. Only when the
-	// whole placement set is unreachable does the write land everywhere —
-	// the degenerate case a real client would retry until heal.
 	wrote := false
 	for _, slot := range pl {
-		if s.partedLocked(slot) {
-			continue
+		if !s.partedLocked(slot) {
+			write(s.servers[slot])
+			wrote = true
 		}
-		sv := s.servers[slot]
-		sv.mu.Lock()
-		sv.put(key, e, 0)
-		sv.stats.Puts++
-		sv.mu.Unlock()
-		wrote = true
 	}
 	if !wrote {
 		for _, slot := range pl {
-			sv := s.servers[slot]
-			sv.mu.Lock()
-			sv.put(key, e, 0)
-			sv.stats.Puts++
-			sv.mu.Unlock()
+			write(s.servers[slot])
 		}
 	}
-	return e.ver
 }
 
 // Get returns the value stored under key. The returned slice is owned by
@@ -454,38 +354,23 @@ func (s *Store) Get(key uint64) ([]byte, bool) {
 		return nil, false
 	}
 	sv := s.servers[slot]
-	down := s.view.Status(slot) != topology.Active || s.partedLocked(slot)
-	var (
-		e  entry
-		ok bool
-	)
-	if !down {
-		sv.mu.RLock()
-		e, ok = sv.data[key]
-		sv.mu.RUnlock()
-	}
-	sv.mu.Lock()
-	sv.stats.Gets++
-	if down {
-		sv.stats.Failovers++
-	}
-	sv.mu.Unlock()
-	if ok && !e.dead {
-		return e.val, true
-	}
 	var (
 		v     []byte
 		found bool
 	)
+	if s.view.Status(slot) != topology.Active || s.partedLocked(slot) {
+		sv.gets.Add(1)
+		sv.failovers.Add(1)
+	} else if v, found = sv.Get(key); found {
+		return v, true
+	}
 	if s.replicated() {
 		v, found, _ = s.lookupSlowLocked(key, slot)
 	}
 	// A read served by another replica is not a miss: Misses counts reads
 	// of keys nobody could serve.
 	if !found {
-		sv.mu.Lock()
-		sv.stats.Misses++
-		sv.mu.Unlock()
+		sv.misses.Add(1)
 	}
 	return v, found
 }
@@ -500,23 +385,13 @@ func (s *Store) Get(key uint64) ([]byte, bool) {
 func (s *Store) lookupSlowLocked(key uint64, tried int) ([]byte, bool, error) {
 	var arr [topology.MaxReplicas]int
 	pl := s.placementLocked(key, arr[:0])
-	countFailover := func() {
-		sv := s.servers[tried]
-		sv.mu.Lock()
-		sv.stats.Failovers++
-		sv.mu.Unlock()
-	}
 	for _, slot := range pl {
 		if slot == tried || s.partedLocked(slot) {
 			continue
 		}
-		sv := s.servers[slot]
-		sv.mu.RLock()
-		e, ok := sv.data[key]
-		sv.mu.RUnlock()
-		if ok && !e.dead {
-			countFailover()
-			return e.val, true, nil
+		if v, ok := s.servers[slot].peek(key); ok {
+			s.servers[tried].failovers.Add(1)
+			return v, true, nil
 		}
 	}
 	// Nothing reachable holds it. If a down or parted shard does, the key
@@ -526,12 +401,8 @@ func (s *Store) lookupSlowLocked(key uint64, tried int) ([]byte, bool, error) {
 		if m.Status != topology.Down && !(m.Status == topology.Active && s.partedLocked(m.Slot)) {
 			continue
 		}
-		sv := s.servers[m.Slot]
-		sv.mu.RLock()
-		e, ok := sv.data[key]
-		sv.mu.RUnlock()
-		if ok && !e.dead {
-			countFailover()
+		if _, ok := s.servers[m.Slot].peek(key); ok {
+			s.servers[tried].failovers.Add(1)
 			return nil, false, fmt.Errorf("key %d only on unreachable server %d: %w", key, m.Slot, ErrNoLiveReplica)
 		}
 	}
@@ -545,42 +416,20 @@ func (s *Store) Delete(key uint64) bool {
 	ver := s.version.Add(1)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if !s.replicated() {
-		sv := s.servers[s.placer.Place(key, len(s.servers))]
-		sv.mu.Lock()
-		defer sv.mu.Unlock()
-		old, ok := sv.data[key]
-		present := ok && !old.dead
-		sv.drop(key, 0)
-		sv.stats.Deletes++
-		return present
-	}
 	present := false
-	var arr [topology.MaxReplicas]int
-	pl := s.placementLocked(key, arr[:0])
-	tombstone := func(slot int) {
-		sv := s.servers[slot]
-		sv.mu.Lock()
-		if old, ok := sv.data[key]; ok && !old.dead {
+	s.writeLocked(key, func(sh *Shard) {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		sh.stats.Deletes++
+		if !s.replicated() {
+			present, _ = sh.drop(key, 0)
+			return
+		}
+		if old, ok := sh.data[key]; ok && !old.dead {
 			present = true
 		}
-		sv.put(key, entry{ver: ver, dead: true}, 0)
-		sv.stats.Deletes++
-		sv.mu.Unlock()
-	}
-	wrote := false
-	for _, slot := range pl {
-		if s.partedLocked(slot) {
-			continue
-		}
-		tombstone(slot)
-		wrote = true
-	}
-	if !wrote {
-		for _, slot := range pl {
-			tombstone(slot)
-		}
-	}
+		sh.put(key, entry{ver: ver, dead: true}, 0)
+	})
 	return present
 }
 
@@ -591,10 +440,7 @@ func (s *Store) Delete(key uint64) bool {
 func (s *Store) Stats(i int) ServerStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	sv := s.servers[i]
-	sv.mu.RLock()
-	defer sv.mu.RUnlock()
-	return sv.stats
+	return s.servers[i].Stats()
 }
 
 // TotalBytes returns the bytes stored across all shards (each replica
@@ -627,15 +473,12 @@ func (s *Store) AddServer() (int, topology.View, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	slot, v := s.topo.Join("")
-	sv := &server{data: make(map[uint64]entry)}
-	s.servers = append(s.servers, sv)
+	s.servers = append(s.servers, NewShard())
 	s.parted = append(s.parted, false)
 	if s.dur != nil {
-		l, _, err := openShardLog(*s.dur, slot, sv)
-		if err != nil {
+		if _, err := s.openLogLocked(*s.dur, slot); err != nil {
 			return 0, topology.View{}, err
 		}
-		sv.log = l
 	}
 	s.installViewLocked(v)
 	s.repairLocked()
@@ -664,8 +507,7 @@ func (s *Store) DrainServer(slot int) (topology.View, error) {
 	s.installViewLocked(v)
 	sv := s.servers[slot]
 	sv.mu.Lock()
-	sv.data = make(map[uint64]entry)
-	sv.stats.Keys, sv.stats.Bytes = 0, 0
+	sv.reset()
 	if sv.log != nil {
 		// The shard left for good: its durable state is garbage now.
 		sv.log.discard()
@@ -853,14 +695,8 @@ func (s *Store) SizeOf(key uint64) int {
 	if slot < 0 || s.partedLocked(slot) || s.view.Status(slot) != topology.Active {
 		return 0
 	}
-	sv := s.servers[slot]
-	sv.mu.RLock()
-	e, ok := sv.data[key]
-	sv.mu.RUnlock()
-	if !ok || e.dead {
-		return 0
-	}
-	return len(e.val)
+	v, _ := s.servers[slot].peek(key)
+	return len(v)
 }
 
 // repairLocked is the re-replication pass. Caller holds s.mu (write), so
@@ -971,36 +807,11 @@ func (s *Store) UnderReplicated() int {
 // Batch is the portion of a multi-get directed at a single server: the
 // unit the engine charges to that server's timeline. Pos, when non-nil,
 // holds each key's position in the original input slice so callers can
-// scatter results back positionally (PlanBatches leaves it nil).
+// scatter results back positionally.
 type Batch struct {
 	Server int
 	Keys   []uint64
 	Pos    []int32
-}
-
-// PlanBatches groups keys by read destination (legacy owner or primary
-// replica), preserving the input order within each group. The result
-// references fresh slices.
-func (s *Store) PlanBatches(keys []uint64) []Batch {
-	if len(keys) == 0 {
-		return nil
-	}
-	groups := make(map[int][]uint64)
-	order := make([]int, 0, 8)
-	s.mu.RLock()
-	for _, k := range keys {
-		sv := s.readSlotLocked(k)
-		if _, seen := groups[sv]; !seen {
-			order = append(order, sv)
-		}
-		groups[sv] = append(groups[sv], k)
-	}
-	s.mu.RUnlock()
-	out := make([]Batch, 0, len(order))
-	for _, sv := range order {
-		out = append(out, Batch{Server: sv, Keys: groups[sv]})
-	}
-	return out
 }
 
 // BatchPlan holds the reusable buffers behind PlanBatchesIn so the hot
@@ -1016,10 +827,10 @@ type BatchPlan struct {
 	order   []int32  // scratch: servers in first-seen order
 }
 
-// PlanBatchesIn groups keys by read destination exactly like PlanBatches
-// (batches in first-seen server order, input order preserved within each
-// batch) but reuses plan's buffers and records each key's input position
-// in Batch.Pos. The returned slice is valid until the next call on plan.
+// PlanBatchesIn groups keys by read destination (legacy owner or primary
+// replica; batches in first-seen server order, input order preserved
+// within each batch), reusing plan's buffers and recording each key's input
+// position in Batch.Pos. The returned slice is valid until the next call on plan.
 func (s *Store) PlanBatchesIn(plan *BatchPlan, keys []uint64) []Batch {
 	if len(keys) == 0 {
 		return nil
@@ -1081,23 +892,10 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// GetBatch fetches every key in b, invoking fn for each (in order) with
-// the stored value (nil, false when absent). It returns the total bytes
-// read and the first availability error (see GetBatchInto).
-func (s *Store) GetBatch(b Batch, fn func(key uint64, val []byte, ok bool)) (int64, error) {
-	vals := make([][]byte, len(b.Keys))
-	oks := make([]bool, len(b.Keys))
-	bytes, err := s.GetBatchInto(b, vals, oks)
-	for i, k := range b.Keys {
-		fn(k, vals[i], oks[i])
-	}
-	return bytes, err
-}
-
 // GetBatchInto fetches every key in b into the caller-owned vals/oks
 // slices (len(b.Keys) each, positionally aligned with b.Keys) and returns
 // the total bytes read. The values are owned by the store and must not be
-// modified. This is the allocation-free variant of GetBatch.
+// modified.
 //
 // Errors classify availability, not absence: ErrServerDown means the
 // planned server stopped being readable (re-plan and retry — the keys
@@ -1113,9 +911,7 @@ func (s *Store) GetBatchInto(b Batch, vals [][]byte, oks []bool) (int64, error) 
 	}
 	sv := s.servers[b.Server]
 	if s.view.Status(b.Server) != topology.Active || s.partedLocked(b.Server) {
-		sv.mu.Lock()
-		sv.stats.Failovers += uint64(len(b.Keys))
-		sv.mu.Unlock()
+		sv.failovers.Add(uint64(len(b.Keys)))
 		if s.replicated() {
 			if s.partedLocked(b.Server) {
 				// ErrServerDown promises a replan will find a reachable
@@ -1131,23 +927,7 @@ func (s *Store) GetBatchInto(b Batch, vals [][]byte, oks []bool) (int64, error) 
 		}
 		return 0, fmt.Errorf("server %d (sole replica of %d keys): %w", b.Server, len(b.Keys), ErrNoLiveReplica)
 	}
-	var bytes int64
-	misses := 0
-	sv.mu.RLock()
-	for i, k := range b.Keys {
-		e, ok := sv.data[k]
-		if ok && !e.dead {
-			vals[i], oks[i] = e.val, true
-			bytes += int64(len(e.val))
-		} else {
-			vals[i], oks[i] = nil, false
-			misses++
-		}
-	}
-	sv.mu.RUnlock()
-	sv.mu.Lock()
-	sv.stats.Gets += uint64(len(b.Keys))
-	sv.mu.Unlock()
+	bytes, misses := sv.GetInto(b.Keys, vals, oks)
 	var err error
 	if misses > 0 && s.replicated() {
 		// Replicated slow path: a miss on the primary is either a genuinely
@@ -1169,10 +949,6 @@ func (s *Store) GetBatchInto(b Batch, vals [][]byte, oks []bool) (int64, error) 
 	}
 	// Reads served by another replica are not misses: Misses counts reads
 	// nobody could serve.
-	if misses > 0 {
-		sv.mu.Lock()
-		sv.stats.Misses += uint64(misses)
-		sv.mu.Unlock()
-	}
+	sv.misses.Add(uint64(misses))
 	return bytes, err
 }

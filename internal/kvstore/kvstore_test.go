@@ -16,6 +16,24 @@ func mustNew(t *testing.T, n int, p Placer) *Store {
 	return s
 }
 
+// planBatches plans keys through PlanBatchesIn on a plan of its own, so the
+// batches stay valid however long the test holds them.
+func planBatches(s *Store, keys []uint64) []Batch {
+	return s.PlanBatchesIn(new(BatchPlan), keys)
+}
+
+// getBatch fetches b through GetBatchInto and hands fn every key in order
+// with its value (nil, false when absent).
+func getBatch(s *Store, b Batch, fn func(key uint64, val []byte, ok bool)) (int64, error) {
+	vals := make([][]byte, len(b.Keys))
+	oks := make([]bool, len(b.Keys))
+	n, err := s.GetBatchInto(b, vals, oks)
+	for i, k := range b.Keys {
+		fn(k, vals[i], oks[i])
+	}
+	return n, err
+}
+
 func TestNewRejectsZeroServers(t *testing.T) {
 	if _, err := New(0, nil); err == nil {
 		t.Fatal("New(0) accepted")
@@ -139,7 +157,7 @@ func TestPlanBatchesGroupsByServer(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint64(i)
 	}
-	batches := s.PlanBatches(keys)
+	batches := planBatches(s, keys)
 	total := 0
 	seen := map[int]bool{}
 	for _, b := range batches {
@@ -157,8 +175,8 @@ func TestPlanBatchesGroupsByServer(t *testing.T) {
 	if total != len(keys) {
 		t.Fatalf("batches cover %d keys, want %d", total, len(keys))
 	}
-	if s.PlanBatches(nil) != nil {
-		t.Fatal("PlanBatches(nil) != nil")
+	if planBatches(s, nil) != nil {
+		t.Fatal("PlanBatchesIn(nil) != nil")
 	}
 }
 
@@ -170,8 +188,8 @@ func TestGetBatch(t *testing.T) {
 	keys := []uint64{0, 1, 2, 3, 4, 100}
 	var got, missing int
 	var bytes int64
-	for _, b := range s.PlanBatches(keys) {
-		n, err := s.GetBatch(b, func(k uint64, v []byte, ok bool) {
+	for _, b := range planBatches(s, keys) {
+		n, err := getBatch(s, b, func(k uint64, v []byte, ok bool) {
 			if ok {
 				got++
 				if len(v) != 2 || v[0] != byte(k) {
@@ -241,7 +259,7 @@ func TestQuickPlanPartition(t *testing.T) {
 		for _, k := range keys {
 			count[k]++
 		}
-		for _, b := range s.PlanBatches(keys) {
+		for _, b := range planBatches(s, keys) {
 			for _, k := range b.Keys {
 				count[k]--
 			}
@@ -259,8 +277,9 @@ func TestQuickPlanPartition(t *testing.T) {
 }
 
 // TestPlanBatchesInMatchesPlanBatches checks the buffer-reusing planner
-// against the map-based one: same batch order, same key grouping, plus
-// position indices that map every grouped key back to its input slot.
+// against per-key ServerFor: batches in first-seen server order, input
+// order kept within each batch, plus position indices that map every
+// grouped key back to its input slot.
 func TestPlanBatchesInMatchesPlanBatches(t *testing.T) {
 	s, _ := New(5, nil)
 	var plan BatchPlan
@@ -272,22 +291,30 @@ func TestPlanBatchesInMatchesPlanBatches(t *testing.T) {
 			rng = rng*6364136223846793005 + 1442695040888963407
 			keys[i] = rng >> 33
 		}
-		want := s.PlanBatches(keys)
-		got := s.PlanBatchesIn(&plan, keys)
-		if len(got) != len(want) {
-			t.Fatalf("round %d: %d batches, want %d", round, len(got), len(want))
+		var order []int
+		want := map[int][]uint64{}
+		for _, k := range keys {
+			sv := s.ServerFor(k)
+			if _, seen := want[sv]; !seen {
+				order = append(order, sv)
+			}
+			want[sv] = append(want[sv], k)
 		}
-		for i, wb := range want {
-			gb := got[i]
-			if gb.Server != wb.Server {
-				t.Fatalf("round %d batch %d: server %d, want %d", round, i, gb.Server, wb.Server)
+		got := s.PlanBatchesIn(&plan, keys)
+		if len(got) != len(order) {
+			t.Fatalf("round %d: %d batches, want %d", round, len(got), len(order))
+		}
+		for i, sv := range order {
+			gb, wk := got[i], want[sv]
+			if gb.Server != sv {
+				t.Fatalf("round %d batch %d: server %d, want %d", round, i, gb.Server, sv)
 			}
-			if len(gb.Keys) != len(wb.Keys) || len(gb.Pos) != len(wb.Keys) {
-				t.Fatalf("round %d batch %d: %d keys / %d pos, want %d", round, i, len(gb.Keys), len(gb.Pos), len(wb.Keys))
+			if len(gb.Keys) != len(wk) || len(gb.Pos) != len(wk) {
+				t.Fatalf("round %d batch %d: %d keys / %d pos, want %d", round, i, len(gb.Keys), len(gb.Pos), len(wk))
 			}
-			for j := range wb.Keys {
-				if gb.Keys[j] != wb.Keys[j] {
-					t.Fatalf("round %d batch %d key %d: %d, want %d", round, i, j, gb.Keys[j], wb.Keys[j])
+			for j := range wk {
+				if gb.Keys[j] != wk[j] {
+					t.Fatalf("round %d batch %d key %d: %d, want %d", round, i, j, gb.Keys[j], wk[j])
 				}
 				if keys[gb.Pos[j]] != gb.Keys[j] {
 					t.Fatalf("round %d batch %d: pos %d does not map back to key %d", round, i, gb.Pos[j], gb.Keys[j])
@@ -297,25 +324,28 @@ func TestPlanBatchesInMatchesPlanBatches(t *testing.T) {
 	}
 }
 
+// TestGetBatchIntoMatchesGetBatch checks the batched read against single
+// Gets: same founds, same values, byte total the sum of the found values.
 func TestGetBatchIntoMatchesGetBatch(t *testing.T) {
 	s, _ := New(3, nil)
 	for k := uint64(0); k < 50; k++ {
 		s.Put(k, []byte{byte(k), byte(k + 1)})
 	}
 	keys := []uint64{3, 999, 7, 1000, 11}
-	for _, b := range s.PlanBatches(keys) {
+	for _, b := range planBatches(s, keys) {
 		vals := make([][]byte, len(b.Keys))
 		oks := make([]bool, len(b.Keys))
 		gotBytes, gotErr := s.GetBatchInto(b, vals, oks)
-		i := 0
-		wantBytes, wantErr := s.GetBatch(b, func(key uint64, val []byte, ok bool) {
+		if gotErr != nil {
+			t.Fatalf("unexpected error: %v", gotErr)
+		}
+		var wantBytes int64
+		for i, key := range b.Keys {
+			val, ok := s.Get(key)
 			if oks[i] != ok || string(vals[i]) != string(val) {
-				t.Fatalf("key %d: GetBatchInto (%v, %q) != GetBatch (%v, %q)", key, oks[i], vals[i], ok, val)
+				t.Fatalf("key %d: GetBatchInto (%v, %q) != Get (%v, %q)", key, oks[i], vals[i], ok, val)
 			}
-			i++
-		})
-		if gotErr != nil || wantErr != nil {
-			t.Fatalf("unexpected errors: %v / %v", gotErr, wantErr)
+			wantBytes += int64(len(val))
 		}
 		if gotBytes != wantBytes {
 			t.Fatalf("byte totals differ: %d vs %d", gotBytes, wantBytes)

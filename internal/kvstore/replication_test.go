@@ -34,8 +34,8 @@ func readAll(t *testing.T, s *Store, n int) int {
 		keys[i] = uint64(i)
 	}
 	found := 0
-	for _, b := range s.PlanBatches(keys) {
-		_, err := s.GetBatch(b, func(k uint64, v []byte, ok bool) {
+	for _, b := range planBatches(s, keys) {
+		_, err := getBatch(s, b, func(k uint64, v []byte, ok bool) {
 			if ok {
 				if len(v) != 3 || v[0] != byte(k) {
 					t.Fatalf("key %d: wrong value %v", k, v)
@@ -114,7 +114,7 @@ func TestReplicatedStaleBatchBouncesRetryably(t *testing.T) {
 	s := mustReplicated(t, 3, 2)
 	loadKeys(s, 100)
 	keys := []uint64{1, 2, 3, 4, 5}
-	batches := s.PlanBatches(keys)
+	batches := planBatches(s, keys)
 	if _, err := s.FailServer(batches[0].Server); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestLegacyFailIsNoLiveReplica(t *testing.T) {
 		keys[i] = uint64(i)
 	}
 	sawUnavailable := false
-	for _, b := range s.PlanBatches(keys) {
+	for _, b := range planBatches(s, keys) {
 		vals := make([][]byte, len(b.Keys))
 		oks := make([]bool, len(b.Keys))
 		_, err := s.GetBatchInto(b, vals, oks)
@@ -510,7 +510,7 @@ func TestReplicatedGetBatchDistinguishesAbsent(t *testing.T) {
 	s := mustReplicated(t, 3, 2)
 	loadKeys(s, 50)
 	// A genuinely absent key reads ok=false with a nil error.
-	for _, b := range s.PlanBatches([]uint64{7, 9999}) {
+	for _, b := range planBatches(s, []uint64{7, 9999}) {
 		vals := make([][]byte, len(b.Keys))
 		oks := make([]bool, len(b.Keys))
 		if _, err := s.GetBatchInto(b, vals, oks); err != nil {

@@ -1,0 +1,450 @@
+package kvstore
+
+import (
+	"os"
+	"sync"
+	"sync/atomic"
+	"time"
+)
+
+// DefaultSnapshotEvery is how many WAL records a shard accumulates before
+// compacting them into a snapshot and truncating the log.
+const DefaultSnapshotEvery = 4096
+
+// ServerStats counts the operations served by one storage server.
+type ServerStats struct {
+	Gets, Puts, Deletes uint64
+	Misses              uint64
+	// Failovers counts reads that had to be served elsewhere (or failed)
+	// because this server was unreachable when it was the preferred
+	// replica — the per-replica health signal.
+	Failovers uint64
+	Keys      int
+	Bytes     int64
+	// RepairBytes counts the value bytes copied onto this shard by
+	// re-replication passes — the network cost a membership transition
+	// would incur on a real deployment. A warm (WAL-recovered) restart
+	// shows a small delta here; a cold restart shows a full shard copy.
+	RepairBytes int64
+}
+
+// entry is one stored value plus its write version. Versions are
+// monotonic per writer (store-wide in a Store, per shard over TCP), so
+// re-replication after a failure or revive always converges on the newest
+// write; dead entries are tombstones that keep a deletion from being
+// resurrected off a stale replica.
+type entry struct {
+	val  []byte
+	ver  uint64
+	dead bool
+}
+
+// Shard is one storage shard: a versioned key→value map, its counters
+// and — once opened over a WAL + snapshot pair — the durability protocol
+// (replay order snapshot → WAL, durable-version watermark, compaction
+// trigger, persisted tombstones and drops). A Store drives a slot-indexed
+// set of shards in-package through the lock-held put/drop; an owner outside
+// the package (rpc.StorageServer, one shard behind a listener) uses the
+// exported methods, each of which takes the shard lock itself.
+type Shard struct {
+	mu   sync.RWMutex
+	data map[uint64]entry
+	// stats holds the write-side counters and the live-key accounting,
+	// guarded by mu. The read counters are atomics so no read path ever
+	// takes the write lock; Stats folds them in.
+	stats                   ServerStats
+	gets, misses, failovers atomic.Uint64
+	// log is the shard's WAL + snapshot pair, nil while in-memory only. Its
+	// fields are guarded by the same regime as data: sh.mu, or the owning
+	// store's write lock during membership transitions.
+	log *shardLog
+}
+
+// shardLog is one shard's durable state: its WAL, its latest snapshot,
+// and the recovery bookkeeping the observability surface reports.
+type shardLog struct {
+	wal      *WAL
+	walPath  string
+	snapPath string
+	every    int
+
+	sinceSnap int
+	snapshots uint64
+	snapVer   uint64 // version watermark of the latest snapshot
+	snapBytes int64
+
+	replayedRecords int64
+	replayedBytes   int64
+	recoverNanos    int64
+	crashed         bool  // Abandon ran: killed, not yet reopened
+	err             error // first append/snapshot failure, surfaced in stats
+}
+
+// DurabilityStats reports one shard's durable state.
+type DurabilityStats struct {
+	// Enabled is false when the shard has no durability layer (every
+	// other field is then zero).
+	Enabled bool
+	// State is "fresh" (log open, nothing replayed), "warm" (recovered at
+	// least one record from its snapshot + WAL) or "crashed" (killed, not
+	// yet restarted); empty when disabled.
+	State string
+	// WALBytes and WALRecords measure the live log (since last snapshot).
+	WALBytes   int64
+	WALRecords int64
+	// Snapshots counts snapshot compactions; SnapshotBytes is the latest
+	// snapshot's size.
+	Snapshots     uint64
+	SnapshotBytes int64
+	// DurableVersion is the highest write version this shard has made
+	// durable — what the rejoin-warm handshake advertises.
+	DurableVersion uint64
+	// ReplayedRecords / ReplayedBytes / RecoverNanos describe the most
+	// recent local recovery (open or restart).
+	ReplayedRecords int64
+	ReplayedBytes   int64
+	RecoverNanos    int64
+	// Err carries the first durability failure, if any ("" when healthy).
+	Err string
+}
+
+// NewShard returns an empty in-memory shard.
+func NewShard() *Shard { return &Shard{data: make(map[uint64]entry)} }
+
+// OpenShard returns a durable shard recovered from walPath and snapPath
+// (either may be absent: a fresh shard). Every later mutation is appended
+// to the WAL before it returns, and every snapshotEvery records (<= 0 means
+// DefaultSnapshotEvery) the shard compacts into a snapshot; fsync forces an
+// fsync per append.
+func OpenShard(walPath, snapPath string, snapshotEvery int, fsync bool) (*Shard, error) {
+	sh := NewShard()
+	if _, err := sh.open(walPath, snapPath, snapshotEvery, fsync); err != nil {
+		return nil, err
+	}
+	return sh, nil
+}
+
+// open recovers the durable state at the two paths into sh (snapshot
+// first, then the WAL), attaches the open log and returns the highest
+// version replayed. Replayed WAL records count toward the compaction
+// threshold, so a shard that keeps restarting still compacts. Caller holds
+// the store-wide write lock (or owns sh exclusively).
+func (sh *Shard) open(walPath, snapPath string, every int, fsync bool) (uint64, error) {
+	l := &shardLog{walPath: walPath, snapPath: snapPath}
+	l.setEvery(every)
+
+	start := time.Now()
+	var maxVer uint64
+	apply := func(op WALOp, key, ver uint64, val []byte) {
+		sh.applyReplay(op, key, ver, val)
+		l.replayedRecords++
+		maxVer = max(maxVer, ver)
+	}
+	snapVer, snapBytes, err := loadSnapshot(snapPath, apply)
+	if err != nil {
+		return 0, err
+	}
+	l.snapVer, l.snapBytes = snapVer, snapBytes
+	if snapBytes > 0 {
+		l.snapshots = 1
+		l.replayedBytes += snapBytes
+	}
+	wal, err := OpenWAL(walPath, fsync, apply)
+	if err != nil {
+		return 0, err
+	}
+	walBytes, walRecords, walVer := wal.Stats()
+	l.replayedBytes += walBytes
+	l.sinceSnap = int(walRecords)
+	l.wal = wal
+	l.recoverNanos = time.Since(start).Nanoseconds()
+	sh.log = l
+	return max(maxVer, snapVer, walVer), nil
+}
+
+// setEvery sets the compaction threshold (n <= 0 means the default).
+func (l *shardLog) setEvery(n int) {
+	if n <= 0 {
+		n = DefaultSnapshotEvery
+	}
+	l.every = n
+}
+
+// put flags.
+const (
+	// putRepair marks a re-replication copy: the install counts toward
+	// RepairBytes, the transition-cost signal the chaos invariants bound.
+	putRepair = 1 << iota
+	// putReplay marks a WAL/snapshot replay install: it must not be
+	// appended back to the log it came from.
+	putReplay
+)
+
+// put installs e under key if it is newer than what the shard holds,
+// maintaining the live-key accounting and the shard's WAL; an entry that
+// is not newer is refused and nothing is logged. The error is the WAL's
+// (the entry is installed in memory regardless). Caller holds sh.mu (or
+// the store-wide write lock, which excludes every shard reader).
+func (sh *Shard) put(key uint64, e entry, flags int) error {
+	old, ok := sh.data[key]
+	if ok && old.ver >= e.ver {
+		return nil
+	}
+	if ok && !old.dead {
+		sh.stats.Keys--
+		sh.stats.Bytes -= int64(len(old.val))
+	}
+	sh.data[key] = e
+	if !e.dead {
+		sh.stats.Keys++
+		sh.stats.Bytes += int64(len(e.val))
+	}
+	if flags&putRepair != 0 {
+		sh.stats.RepairBytes += int64(len(e.val))
+	}
+	if flags&putReplay != 0 {
+		return nil
+	}
+	op := WALPut
+	if e.dead {
+		op = WALTomb
+	}
+	return sh.logMutation(op, key, e.ver, e.val)
+}
+
+// drop removes key entirely (garbage collection off a shard that is no
+// longer in the key's placement set) and reports whether a live value
+// went. Only a key that was present is logged. Caller holds sh.mu (or the
+// store-wide write lock).
+func (sh *Shard) drop(key uint64, flags int) (bool, error) {
+	old, ok := sh.data[key]
+	if !ok {
+		return false, nil
+	}
+	if !old.dead {
+		sh.stats.Keys--
+		sh.stats.Bytes -= int64(len(old.val))
+	}
+	delete(sh.data, key)
+	var err error
+	if flags&putReplay == 0 {
+		err = sh.logMutation(WALDrop, key, old.ver, nil)
+	}
+	return !old.dead, err
+}
+
+// reset empties the shard's memory the way process death (or leaving the
+// tier) does; the counters and the log are the caller's business. Caller
+// holds sh.mu or the store-wide write lock.
+func (sh *Shard) reset() {
+	sh.data = make(map[uint64]entry)
+	sh.stats.Keys, sh.stats.Bytes = 0, 0
+}
+
+// applyReplay installs one replayed record. Replay order is append order,
+// and put's version compare makes it idempotent, so replaying snapshot
+// then WAL (which may overlap) converges on the durable state.
+func (sh *Shard) applyReplay(op WALOp, key, ver uint64, val []byte) {
+	switch op {
+	case WALPut:
+		cp := make([]byte, len(val))
+		copy(cp, val)
+		sh.put(key, entry{val: cp, ver: ver}, putReplay)
+	case WALTomb:
+		sh.put(key, entry{ver: ver, dead: true}, putReplay)
+	case WALDrop:
+		sh.drop(key, putReplay)
+	}
+}
+
+// logMutation appends one record to the shard's WAL (when it has one) and
+// compacts the log into a snapshot once it has grown past the configured
+// threshold. A failure is returned — a networked owner fails the write
+// unacked — and the first one is kept for Durability().Err. Caller holds
+// sh.mu or the store-wide write lock — the same exclusion put relies on,
+// which also makes the snapshot's map iteration safe.
+func (sh *Shard) logMutation(op WALOp, key, ver uint64, val []byte) error {
+	l := sh.log
+	if l == nil {
+		return nil
+	}
+	err := l.wal.Append(op, key, ver, val)
+	if err == nil {
+		if l.sinceSnap++; l.sinceSnap >= l.every {
+			err = sh.snapshot()
+		}
+	}
+	if err != nil && l.err == nil {
+		l.err = err
+	}
+	return err
+}
+
+// snapshot writes the shard's full image and truncates the WAL. Caller
+// holds sh.mu or the store-wide write lock.
+func (sh *Shard) snapshot() error {
+	l := sh.log
+	_, _, walVer := l.wal.Stats()
+	ver := max(l.snapVer, walVer)
+	n, err := writeSnapshot(l.snapPath, ver, func(emit func(op WALOp, key, ver uint64, val []byte)) {
+		for k, e := range sh.data {
+			if e.dead {
+				// Tombstones persist: a restart must not resurrect a
+				// deletion off a stale replica.
+				emit(WALTomb, k, e.ver, nil)
+			} else {
+				emit(WALPut, k, e.ver, e.val)
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if err := l.wal.Reset(); err != nil {
+		return err
+	}
+	l.snapshots++
+	l.snapVer = ver
+	l.snapBytes = n
+	l.sinceSnap = 0
+	return nil
+}
+
+// discard closes the log and removes its files — the shard has left the
+// tier for good. Caller holds sh.mu or the store-wide write lock.
+func (l *shardLog) discard() {
+	l.wal.Close()
+	os.Remove(l.walPath)
+	os.Remove(l.snapPath)
+}
+
+// peek reads key's live value without touching the read counters; a
+// tombstone reads as absent.
+func (sh *Shard) peek(key uint64) ([]byte, bool) {
+	sh.mu.RLock()
+	e, ok := sh.data[key]
+	sh.mu.RUnlock()
+	return e.val, ok && !e.dead
+}
+
+// Get returns the live value stored under key and counts one read. The
+// slice is owned by the shard and must not be modified.
+func (sh *Shard) Get(key uint64) ([]byte, bool) {
+	sh.gets.Add(1)
+	return sh.peek(key)
+}
+
+// GetInto reads keys positionally into the caller-owned vals/oks
+// (len(keys) each), counts them as reads and returns the value bytes read
+// and how many keys were absent.
+func (sh *Shard) GetInto(keys []uint64, vals [][]byte, oks []bool) (bytes int64, misses int) {
+	sh.mu.RLock()
+	for i, k := range keys {
+		if e, ok := sh.data[k]; ok && !e.dead {
+			vals[i], oks[i] = e.val, true
+			bytes += int64(len(e.val))
+		} else {
+			vals[i], oks[i] = nil, false
+			misses++
+		}
+	}
+	sh.mu.RUnlock()
+	sh.gets.Add(uint64(len(keys)))
+	return bytes, misses
+}
+
+// Put installs val under key at version ver — newest version wins, so an
+// owner that hands out a monotonic counter always installs — and logs it
+// before returning. The shard keeps val: the caller must not reuse it. A
+// non-nil error means the write is in memory but not durable.
+func (sh *Shard) Put(key uint64, val []byte, ver uint64) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.stats.Puts++
+	return sh.put(key, entry{val: val, ver: ver}, 0)
+}
+
+// Drop removes key — the drop half of a copy-then-drop migration, logged
+// so a restart cannot resurrect the migrated-away copy — and reports
+// whether a live value was there.
+func (sh *Shard) Drop(key uint64) (bool, error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.drop(key, 0)
+}
+
+// Stats returns a snapshot of the shard's counters.
+func (sh *Shard) Stats() ServerStats {
+	sh.mu.RLock()
+	st := sh.stats
+	sh.mu.RUnlock()
+	st.Gets, st.Misses, st.Failovers = sh.gets.Load(), sh.misses.Load(), sh.failovers.Load()
+	return st
+}
+
+// Durability returns the shard's durable-state snapshot (the zero value
+// for an in-memory shard).
+func (sh *Shard) Durability() DurabilityStats {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	l := sh.log
+	if l == nil {
+		return DurabilityStats{}
+	}
+	walBytes, walRecords, walVer := l.wal.Stats()
+	ds := DurabilityStats{
+		Enabled:         true,
+		State:           "fresh",
+		WALBytes:        walBytes,
+		WALRecords:      walRecords,
+		Snapshots:       l.snapshots,
+		SnapshotBytes:   l.snapBytes,
+		DurableVersion:  max(walVer, l.snapVer),
+		ReplayedRecords: l.replayedRecords,
+		ReplayedBytes:   l.replayedBytes,
+		RecoverNanos:    l.recoverNanos,
+	}
+	if l.crashed {
+		ds.State = "crashed"
+	} else if l.replayedRecords > 0 {
+		ds.State = "warm"
+	}
+	if l.err != nil {
+		ds.Err = l.err.Error()
+	}
+	return ds
+}
+
+// SetSnapshotEvery overrides how many WAL records the shard accumulates
+// before compacting (n <= 0 restores the default). No-op without a log.
+func (sh *Shard) SetSnapshotEvery(n int) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.log != nil {
+		sh.log.setEvery(n)
+	}
+}
+
+// Sync fsyncs the shard's WAL, regardless of the per-append setting — the
+// graceful-shutdown flush. No-op without a log.
+func (sh *Shard) Sync() error {
+	sh.mu.RLock()
+	l := sh.log
+	sh.mu.RUnlock()
+	if l == nil {
+		return nil
+	}
+	return l.wal.Sync()
+}
+
+// Abandon closes the WAL's file descriptor without a sync — process
+// death: whatever Append already handed the OS survives, nothing else —
+// and marks the shard crashed. Later writes fail until it is reopened.
+func (sh *Shard) Abandon() {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.log != nil {
+		sh.log.wal.Abandon()
+		sh.log.crashed = true
+	}
+}

@@ -20,10 +20,10 @@ import (
 // a snapshot is either whole or absent, never torn.
 var snapMagic = []byte("grsnap1\n")
 
-// WriteSnapshot atomically writes a snapshot at path. iter must call emit
+// writeSnapshot atomically writes a snapshot at path. iter must call emit
 // once per record; version is the shard's durable-version watermark.
 // Returns the file's size.
-func WriteSnapshot(path string, version uint64, iter func(emit func(op WALOp, key, ver uint64, val []byte))) (int64, error) {
+func writeSnapshot(path string, version uint64, iter func(emit func(op WALOp, key, ver uint64, val []byte))) (int64, error) {
 	dir, base := filepath.Split(path)
 	tmp, err := os.CreateTemp(dir, base+".tmp*")
 	if err != nil {
@@ -86,12 +86,12 @@ func writeFrame(w io.Writer, buf, payload []byte) []byte {
 	return buf[:0]
 }
 
-// LoadSnapshot reads the snapshot at path, invoking fn per record. It
+// loadSnapshot reads the snapshot at path, invoking fn per record. It
 // returns the version watermark and the file size. A missing file loads
 // as empty (version 0); a damaged file — unlike a torn WAL tail — is an
 // error, because snapshots are written atomically and can only be damaged
 // by real corruption.
-func LoadSnapshot(path string, fn func(op WALOp, key, ver uint64, val []byte)) (version uint64, size int64, err error) {
+func loadSnapshot(path string, fn func(op WALOp, key, ver uint64, val []byte)) (version uint64, size int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {

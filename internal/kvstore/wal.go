@@ -207,12 +207,12 @@ func (w *WAL) Stats() (bytes, records int64, durableVersion uint64) {
 	return w.bytes, w.records, w.durVer
 }
 
-// ReplayWAL scans the log at path, invoking fn for each intact record in
+// replayWAL scans the log at path, invoking fn for each intact record in
 // append order, and reports how many records were recovered and the byte
 // offset of the good prefix. A torn or corrupt tail ends the replay
 // without error — that is the crash contract, not a failure. A missing
 // file replays as empty.
-func ReplayWAL(path string, fn func(op WALOp, key, ver uint64, val []byte)) (records, goodBytes int64, err error) {
+func replayWAL(path string, fn func(op WALOp, key, ver uint64, val []byte)) (records, goodBytes int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {

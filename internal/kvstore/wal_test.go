@@ -34,7 +34,7 @@ func appendRecs(t *testing.T, path string, recs []walRec) *WAL {
 func replayRecs(t *testing.T, path string) []walRec {
 	t.Helper()
 	var got []walRec
-	if _, _, err := ReplayWAL(path, func(op WALOp, key, ver uint64, val []byte) {
+	if _, _, err := replayWAL(path, func(op WALOp, key, ver uint64, val []byte) {
 		got = append(got, walRec{op, key, ver, append([]byte(nil), val...)})
 	}); err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestWALReopenAppends(t *testing.T) {
 }
 
 func TestWALMissingFileReplaysEmpty(t *testing.T) {
-	records, good, err := ReplayWAL(filepath.Join(t.TempDir(), "absent.wal"), nil)
+	records, good, err := replayWAL(filepath.Join(t.TempDir(), "absent.wal"), nil)
 	if err != nil || records != 0 || good != 0 {
 		t.Fatalf("missing file: records=%d good=%d err=%v", records, good, err)
 	}
@@ -135,7 +135,7 @@ func damageAndReplay(t *testing.T, recs []walRec, f func([]byte) []byte) int {
 			t.Fatalf("record %d corrupted by recovery: %+v vs %+v", i, got[i], recs[i])
 		}
 	}
-	// OpenWAL must agree with ReplayWAL, truncate the bad tail, and accept
+	// OpenWAL must agree with replayWAL, truncate the bad tail, and accept
 	// appends that then replay cleanly.
 	n := 0
 	w, err := OpenWAL(path, false, func(WALOp, uint64, uint64, []byte) { n++ })
@@ -143,7 +143,7 @@ func damageAndReplay(t *testing.T, recs []walRec, f func([]byte) []byte) int {
 		t.Fatal(err)
 	}
 	if n != len(got) {
-		t.Fatalf("OpenWAL replayed %d records, ReplayWAL %d", n, len(got))
+		t.Fatalf("OpenWAL replayed %d records, replayWAL %d", n, len(got))
 	}
 	if err := w.Append(WALPut, 99999, 99999, []byte("post-recovery")); err != nil {
 		t.Fatal(err)
@@ -261,23 +261,23 @@ func TestWALAbandonKeepsWrittenRecords(t *testing.T) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.snap")
 	recs := sampleRecs(100, rand.New(rand.NewSource(10)))
-	n, err := WriteSnapshot(path, 4242, func(emit func(op WALOp, key, ver uint64, val []byte)) {
+	n, err := writeSnapshot(path, 4242, func(emit func(op WALOp, key, ver uint64, val []byte)) {
 		for _, r := range recs {
 			emit(r.op, r.key, r.ver, r.val)
 		}
 	})
 	if err != nil || n <= 0 {
-		t.Fatalf("WriteSnapshot: n=%d err=%v", n, err)
+		t.Fatalf("writeSnapshot: n=%d err=%v", n, err)
 	}
 	var got []walRec
-	ver, size, err := LoadSnapshot(path, func(op WALOp, key, ver uint64, val []byte) {
+	ver, size, err := loadSnapshot(path, func(op WALOp, key, ver uint64, val []byte) {
 		got = append(got, walRec{op, key, ver, append([]byte(nil), val...)})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ver != 4242 || size != n {
-		t.Fatalf("LoadSnapshot: ver=%d size=%d want 4242/%d", ver, size, n)
+		t.Fatalf("loadSnapshot: ver=%d size=%d want 4242/%d", ver, size, n)
 	}
 	if !recsEqual(got, recs) {
 		t.Fatalf("snapshot mismatch: %d vs %d records", len(got), len(recs))
@@ -285,7 +285,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotMissingLoadsEmpty(t *testing.T) {
-	ver, size, err := LoadSnapshot(filepath.Join(t.TempDir(), "absent.snap"), nil)
+	ver, size, err := loadSnapshot(filepath.Join(t.TempDir(), "absent.snap"), nil)
 	if err != nil || ver != 0 || size != 0 {
 		t.Fatalf("missing snapshot: ver=%d size=%d err=%v", ver, size, err)
 	}
@@ -294,7 +294,7 @@ func TestSnapshotMissingLoadsEmpty(t *testing.T) {
 func TestSnapshotCorruptionIsAnError(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.snap")
-	if _, err := WriteSnapshot(path, 7, func(emit func(op WALOp, key, ver uint64, val []byte)) {
+	if _, err := writeSnapshot(path, 7, func(emit func(op WALOp, key, ver uint64, val []byte)) {
 		emit(WALPut, 1, 1, []byte("abc"))
 		emit(WALPut, 2, 2, []byte("def"))
 	}); err != nil {
@@ -309,14 +309,14 @@ func TestSnapshotCorruptionIsAnError(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)-2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadSnapshot(path, nil); err == nil {
+	if _, _, err := loadSnapshot(path, nil); err == nil {
 		t.Fatal("truncated snapshot loaded without error")
 	}
 	// Not-a-snapshot magic.
 	if err := os.WriteFile(path, []byte("not a snapshot at all, definitely"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadSnapshot(path, nil); err == nil {
+	if _, _, err := loadSnapshot(path, nil); err == nil {
 		t.Fatal("garbage file loaded as snapshot")
 	}
 }
@@ -325,13 +325,13 @@ func TestSnapshotOverwriteIsAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.snap")
 	for gen := uint64(1); gen <= 3; gen++ {
-		if _, err := WriteSnapshot(path, gen, func(emit func(op WALOp, key, ver uint64, val []byte)) {
+		if _, err := writeSnapshot(path, gen, func(emit func(op WALOp, key, ver uint64, val []byte)) {
 			emit(WALPut, gen, gen, []byte{byte(gen)})
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ver, _, err := LoadSnapshot(path, nil)
+	ver, _, err := loadSnapshot(path, nil)
 	if err != nil || ver != 3 {
 		t.Fatalf("latest snapshot: ver=%d err=%v", ver, err)
 	}

@@ -181,10 +181,10 @@ type StorageCounters struct {
 	// re-replication — the transition cost a warm (WAL-recovered) restart
 	// keeps small and a cold restart pays in full.
 	RepairBytes int64
-	// Durable is the member's durability state: "warm" (recovered and
-	// serving), "crashed" (killed, not yet restarted), or "" when the
-	// deployment has no durability layer (the remaining fields are then
-	// zero).
+	// Durable is the member's durability state: "fresh" (log open,
+	// nothing replayed), "warm" (recovered state from its snapshot + WAL),
+	// "crashed" (killed, not yet restarted), or "" when the deployment has
+	// no durability layer (the remaining fields are then zero).
 	Durable string
 	// WALBytes / WALRecords measure the live write-ahead log (records
 	// since the last snapshot compaction).

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -37,6 +38,13 @@ type ProcessorServer struct {
 	// heatCap keys (new keys are dropped when full; the periodic drain
 	// empties it).
 	heat map[uint64]int64
+
+	// execs is the processor's fixed set of executors (traversal scratch +
+	// fetch buffers). A request holds one for its whole batch and the next
+	// waits its turn, so what a burst of in-flight requests pins — and with
+	// it the GC's heap goal and the resident set — does not depend on how
+	// many arrived at once.
+	execs chan *execState
 
 	registration // announces the processor to a router (scale-out, clean leave)
 
@@ -79,6 +87,10 @@ func NewProcessorServerWith(addr string, cfg ProcessorConfig) (*ProcessorServer,
 		return nil, fmt.Errorf("rpc: processor listen: %w", err)
 	}
 	p := &ProcessorServer{ln: ln, storage: sc, cache: cache.New[gstore.Record](cfg.CacheBytes), heat: make(map[uint64]int64)}
+	p.execs = make(chan *execState, max(4, 2*runtime.GOMAXPROCS(0)))
+	for range cap(p.execs) {
+		p.execs <- &execState{fetch: netFetcher{p: p}}
+	}
 	p.registration = registration{listen: p.Addr()}
 	go serve(ln, p.handle, &p.ct)
 	return p, nil
@@ -140,8 +152,11 @@ func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {
 		if req.Exec == nil || (len(req.Exec.Queries) == 0 && len(req.Exec.Subtasks) == 0) {
 			return errorResponse(fmt.Errorf("%w: execute request carries no queries", query.ErrBadQuery))
 		}
-		ex := getExec(ctx, p)
-		defer putExec(ex)
+		ex, err := p.getExec(ctx)
+		if err != nil {
+			return errorResponse(err)
+		}
+		defer p.putExec(ex)
 		if len(req.Exec.Subtasks) > 0 {
 			if len(req.Exec.Queries) > 0 {
 				return errorResponse(fmt.Errorf("%w: execute request mixes queries and subtasks", query.ErrBadQuery))
@@ -247,30 +262,34 @@ func (f *netFetcher) Fetch(ids []graph.NodeID) ([]gstore.FetchResult, error) {
 func (f *netFetcher) Expanded(int) {}
 
 // execState is what one execute request reuses across its queries and BFS
-// levels: the kernel's scratch and the fetcher's buffers. Pooled so a
-// steady-state cache-hitting query allocates nothing beyond what its
-// frontier outgrows.
+// levels: the kernel's scratch and the fetcher's buffers. The processor
+// owns a fixed set of them, so a steady-state cache-hitting query allocates
+// nothing beyond what its frontier outgrows.
 type execState struct {
 	kernel traverse.Scratch
 	fetch  netFetcher
 }
 
-var execPool = sync.Pool{New: func() any { return new(execState) }}
-
-func getExec(ctx context.Context, p *ProcessorServer) *execState {
-	ex := execPool.Get().(*execState)
-	ex.fetch.p, ex.fetch.ctx = p, ctx
-	return ex
+// getExec waits for a free executor, or for the request to be given up.
+func (p *ProcessorServer) getExec(ctx context.Context) (*execState, error) {
+	select {
+	case ex := <-p.execs:
+		ex.fetch.ctx = ctx
+		return ex, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 }
 
-// putExec recycles ex unless a giant traversal grew its tables past the
-// point where pinning them beats reallocating.
-func putExec(ex *execState) {
+// putExec frees ex for the next request — a fresh one in its place when a
+// giant traversal grew its tables past the point where pinning them beats
+// reallocating.
+func (p *ProcessorServer) putExec(ex *execState) {
 	if ex.kernel.Retained() > 1<<15 || cap(ex.fetch.recs) > 1<<15 {
-		return
+		ex = &execState{fetch: netFetcher{p: p}}
 	}
-	ex.fetch.p, ex.fetch.ctx = nil, nil // the pool must not pin the request
-	execPool.Put(ex)
+	ex.fetch.ctx = nil // an idle executor must not pin the request
+	p.execs <- ex
 }
 
 // Heat bounds: at most heatCap distinct records are tracked between

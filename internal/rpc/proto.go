@@ -280,8 +280,8 @@ type Stats struct {
 	Cache *metrics.CacheCounters
 	// Durable reports a storage shard's durability state ("fresh" for a
 	// durable shard that started empty, "warm" for one that recovered
-	// state from its local snapshot + WAL; empty for shards running
-	// without a WAL). The fields below are the shard's durability
+	// state from its local snapshot + WAL, "crashed" for one whose WAL was
+	// abandoned; empty for shards running without a WAL). The fields below are the shard's durability
 	// counters; varints keep them to a byte each when zero, so
 	// non-durable deployments pay almost no wire cost.
 	Durable        string

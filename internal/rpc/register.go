@@ -3,7 +3,6 @@ package rpc
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 )
 
 // registration is a daemon's membership with a running router, embedded by
@@ -11,9 +10,9 @@ import (
 // same two RPCs, differing only in the tier they name and in the durable
 // version a storage shard announces.
 type registration struct {
-	tier    string         // Request.Tier announced ("" = the processing tier)
-	listen  string         // the daemon's listen address, the default advertise
-	version *atomic.Uint64 // durable version announced on join (nil = none)
+	tier    string        // Request.Tier announced ("" = the processing tier)
+	listen  string        // the daemon's listen address, the default advertise
+	version func() uint64 // durable version announced on join (nil = none)
 
 	regMu      sync.Mutex // guards the fields below
 	routerAddr string     // router this daemon registered with ("" = none)
@@ -40,7 +39,7 @@ func (reg *registration) Register(ctx context.Context, routerAddr, advertise str
 	defer cn.Close()
 	req := &Request{Op: OpJoin, Addr: advertise, Tier: reg.tier}
 	if reg.version != nil {
-		req.Version = reg.version.Load()
+		req.Version = reg.version()
 	}
 	resp, err := cn.Call(ctx, req)
 	if err != nil {

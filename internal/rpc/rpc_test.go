@@ -372,6 +372,54 @@ func TestCancelledBatchStopsOnWarmProcessor(t *testing.T) {
 	}
 }
 
+// TestProcessorExecutorsBounded: a burst larger than the executor set is
+// all answered (requests queue for an executor, none is dropped) and every
+// executor comes back; a request that cannot get one gives up with its
+// deadline instead of waiting forever.
+func TestProcessorExecutorsBounded(t *testing.T) {
+	ctx := context.Background()
+	g := gen.Ring(100)
+	ps, cn := startProcessor(t, g, 1<<20)
+	n := cap(ps.execs)
+	var wg sync.WaitGroup
+	for i := 0; i < 8*n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			q := query.Query{Type: query.NeighborAgg, Node: graph.NodeID(i % 100), Hops: 3, Dir: graph.Out}
+			resp, err := cn.Call(ctx, execRequest(ctx, []query.Query{q}))
+			if err != nil {
+				t.Errorf("burst query %d: %v", i, err)
+				return
+			}
+			if want := query.Answer(g, q); resp.Results[0] != want {
+				t.Errorf("burst query %d: %+v, want %+v", i, resp.Results[0], want)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if len(ps.execs) != n {
+		t.Fatalf("%d of %d executors free after the burst", len(ps.execs), n)
+	}
+
+	held := make([]*execState, n)
+	for i := range held {
+		held[i] = <-ps.execs
+	}
+	q := query.Query{Type: query.NeighborAgg, Node: 5, Hops: 3, Dir: graph.Out}
+	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancel()
+	if resp := ps.handle(short, execRequest(ctx, []query.Query{q})); resp.OK || resp.Code != CodeUnavailable {
+		t.Fatalf("request with no free executor: response %+v, want CodeUnavailable", resp)
+	}
+	for _, ex := range held {
+		ps.execs <- ex
+	}
+	if _, err := cn.Call(ctx, execRequest(ctx, []query.Query{q})); err != nil {
+		t.Fatalf("after the executors came back: %v", err)
+	}
+}
+
 func TestRouterValidation(t *testing.T) {
 	if _, err := NewRouterServer("127.0.0.1:0", RouterConfig{}); err == nil {
 		t.Fatal("router with no processors accepted")

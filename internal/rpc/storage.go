@@ -19,8 +19,9 @@ import (
 	"repro/internal/topology"
 )
 
-// StorageServer is one shard of the networked storage tier: an in-memory
-// key→value map served over TCP. Which servers own which key is decided
+// StorageServer is one shard of the networked storage tier: a
+// kvstore.Shard — the same map, WAL, snapshot and recovery the in-process
+// tier runs — served over TCP. Which servers own which key is decided
 // by the clients (murmur hash when unreplicated, rendezvous hashing over
 // the shard list with R replicas otherwise — as RAMCloud's coordinator
 // would), so servers are completely independent. A shard can announce
@@ -33,41 +34,21 @@ import (
 type StorageServer struct {
 	ln       net.Listener
 	ct       connTracker
-	mu       sync.RWMutex
-	data     map[uint64][]byte
+	shard    *kvstore.Shard
 	requests atomic.Int64
-	keys     atomic.Int64
-
-	// Durability (nil wal = in-memory only). The WAL and snapshot use the
-	// same on-disk format as the in-process tier (internal/kvstore): every
-	// put is logged before it is acked, and every snapEvery records the
-	// shard compacts map + log into an atomic snapshot and truncates the
-	// WAL. All fields below mu are guarded by it (writes take the write
-	// lock); durVer is atomic so Register and Stats can read it cheaply.
-	wal             *kvstore.WAL
-	walPath         string
-	snapPath        string
-	snapEvery       int
-	sinceSnap       int
-	snapshots       int64
-	replayedRecords int64
-	replayedBytes   int64
-	durVer          atomic.Uint64 // monotonic durable record counter
+	// writes is the shard's monotonic write counter: every put is stamped
+	// with the next value, so the shard's newest-wins compare always
+	// installs it. It resumes from the recovered durable version.
+	writes atomic.Uint64
 
 	registration // announces the shard to a router's storage view
 }
 
-// NewStorageServer starts a storage shard on addr (use "127.0.0.1:0" for
-// an ephemeral port) and begins serving in the background.
+// NewStorageServer starts an in-memory storage shard on addr (use
+// "127.0.0.1:0" for an ephemeral port) and begins serving in the
+// background.
 func NewStorageServer(addr string) (*StorageServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: storage listen: %w", err)
-	}
-	s := &StorageServer{ln: ln, data: make(map[uint64][]byte)}
-	s.registration = registration{tier: "storage", listen: s.Addr(), version: &s.durVer}
-	go serve(ln, s.handle, &s.ct)
-	return s, nil
+	return serveShard(addr, kvstore.NewShard())
 }
 
 // NewStorageServerDurable starts a storage shard whose writes survive a
@@ -84,53 +65,26 @@ func NewStorageServerDurable(addr, dir string, fsync bool) (*StorageServer, erro
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("rpc: storage wal dir: %w", err)
 	}
-	s := &StorageServer{
-		data:      make(map[uint64][]byte),
-		walPath:   filepath.Join(dir, "shard.wal"),
-		snapPath:  filepath.Join(dir, "shard.snap"),
-		snapEvery: kvstore.DefaultSnapshotEvery,
-	}
-	var maxVer uint64
-	apply := func(op kvstore.WALOp, key, ver uint64, val []byte) {
-		switch op {
-		case kvstore.WALPut:
-			cp := make([]byte, len(val))
-			copy(cp, val)
-			s.data[key] = cp
-		case kvstore.WALTomb, kvstore.WALDrop:
-			delete(s.data, key)
-		}
-		if ver > maxVer {
-			maxVer = ver
-		}
-		s.replayedRecords++
-	}
-	snapVer, snapBytes, err := kvstore.LoadSnapshot(s.snapPath, apply)
+	shard, err := kvstore.OpenShard(filepath.Join(dir, "shard.wal"), filepath.Join(dir, "shard.snap"), 0, fsync)
 	if err != nil {
-		return nil, fmt.Errorf("rpc: storage snapshot: %w", err)
+		return nil, fmt.Errorf("rpc: storage recovery: %w", err)
 	}
-	if snapVer > maxVer {
-		maxVer = snapVer
-	}
-	if snapBytes > 0 {
-		s.snapshots = 1
-		s.replayedBytes += snapBytes
-	}
-	wal, err := kvstore.OpenWAL(s.walPath, fsync, apply)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: storage wal: %w", err)
-	}
-	walBytes, _, _ := wal.Stats()
-	s.replayedBytes += walBytes
-	s.wal = wal
-	s.durVer.Store(maxVer)
+	return serveShard(addr, shard)
+}
+
+// serveShard puts shard behind a listener on addr.
+func serveShard(addr string, shard *kvstore.Shard) (*StorageServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		wal.Close()
+		shard.Abandon()
 		return nil, fmt.Errorf("rpc: storage listen: %w", err)
 	}
-	s.ln = ln
-	s.registration = registration{tier: "storage", listen: s.Addr(), version: &s.durVer}
+	s := &StorageServer{ln: ln, shard: shard}
+	// The version announced on join is the shard's durable version, not the
+	// write counter: an in-memory shard announces 0.
+	durable := func() uint64 { return shard.Durability().DurableVersion }
+	s.writes.Store(durable())
+	s.registration = registration{tier: "storage", listen: s.Addr(), version: durable}
 	go serve(ln, s.handle, &s.ct)
 	return s, nil
 }
@@ -146,37 +100,18 @@ func (s *StorageServer) Addr() string { return s.ln.Addr().String() }
 func (s *StorageServer) Close() error {
 	err := s.ln.Close()
 	s.ct.closeAll()
-	s.mu.Lock()
-	if s.wal != nil {
-		s.wal.Abandon()
-		s.wal = nil
-	}
-	s.mu.Unlock()
+	s.shard.Abandon()
 	return err
 }
 
 // SetSnapshotEvery overrides how many WAL records the shard accumulates
 // before compacting into a snapshot (n <= 0 restores the default). No-op
 // without durability.
-func (s *StorageServer) SetSnapshotEvery(n int) {
-	if n <= 0 {
-		n = kvstore.DefaultSnapshotEvery
-	}
-	s.mu.Lock()
-	s.snapEvery = n
-	s.mu.Unlock()
-}
+func (s *StorageServer) SetSnapshotEvery(n int) { s.shard.SetSnapshotEvery(n) }
 
 // SyncWAL fsyncs the shard's WAL so every acked write is durable against
 // machine crash, not just process death. No-op without durability.
-func (s *StorageServer) SyncWAL() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.wal == nil {
-		return nil
-	}
-	return s.wal.Sync()
-}
+func (s *StorageServer) SyncWAL() error { return s.shard.Sync() }
 
 func (s *StorageServer) handle(_ context.Context, req *Request) Response {
 	s.requests.Add(1)
@@ -184,31 +119,16 @@ func (s *StorageServer) handle(_ context.Context, req *Request) Response {
 	case OpPing:
 		return Response{OK: true}
 	case OpGet:
-		s.mu.RLock()
-		v, ok := s.data[req.Key]
-		s.mu.RUnlock()
-		s.keys.Add(1)
+		v, ok := s.shard.Get(req.Key)
 		return Response{OK: true, Value: v, Found: ok}
 	case OpMultiGet:
 		resp := Response{OK: true, Values: make([][]byte, len(req.Keys)), Founds: make([]bool, len(req.Keys))}
-		s.mu.RLock()
-		for i, k := range req.Keys {
-			resp.Values[i], resp.Founds[i] = s.data[k]
-		}
-		s.mu.RUnlock()
-		s.keys.Add(int64(len(req.Keys)))
+		s.shard.GetInto(req.Keys, resp.Values, resp.Founds)
 		return resp
 	case OpPut:
 		cp := make([]byte, len(req.Value))
 		copy(cp, req.Value)
-		s.mu.Lock()
-		s.data[req.Key] = cp
-		var err error
-		if s.wal != nil {
-			err = s.logLocked(kvstore.WALPut, req.Key, req.Value)
-		}
-		s.mu.Unlock()
-		if err != nil {
+		if err := s.shard.Put(req.Key, cp, s.writes.Add(1)); err != nil {
 			return errorResponse(fmt.Errorf("storage wal: %w", err))
 		}
 		return Response{OK: true}
@@ -216,14 +136,7 @@ func (s *StorageServer) handle(_ context.Context, req *Request) Response {
 		// The tombstone half of a copy-then-drop migration: the key leaves
 		// the shard, and on a durable shard the drop is WAL-logged so a
 		// restart replays it and cannot resurrect the migrated-away copy.
-		s.mu.Lock()
-		_, found := s.data[req.Key]
-		delete(s.data, req.Key)
-		var err error
-		if found && s.wal != nil {
-			err = s.logLocked(kvstore.WALDrop, req.Key, nil)
-		}
-		s.mu.Unlock()
+		found, err := s.shard.Drop(req.Key)
 		if err != nil {
 			return errorResponse(fmt.Errorf("storage wal: %w", err))
 		}
@@ -235,61 +148,22 @@ func (s *StorageServer) handle(_ context.Context, req *Request) Response {
 	return errorResponse(fmt.Errorf("storage: unknown op %q", req.Op))
 }
 
-// logLocked appends one write (put or drop) to the WAL and compacts into a
-// snapshot once enough records accumulate. Caller holds s.mu (write).
-func (s *StorageServer) logLocked(op kvstore.WALOp, key uint64, val []byte) error {
-	ver := s.durVer.Add(1)
-	if err := s.wal.Append(op, key, ver, val); err != nil {
-		return err
-	}
-	s.sinceSnap++
-	if s.sinceSnap < s.snapEvery {
-		return nil
-	}
-	if _, err := kvstore.WriteSnapshot(s.snapPath, s.durVer.Load(), func(emit func(op kvstore.WALOp, key, ver uint64, val []byte)) {
-		for k, v := range s.data {
-			emit(kvstore.WALPut, k, 0, v)
-		}
-	}); err != nil {
-		return err
-	}
-	if err := s.wal.Reset(); err != nil {
-		return err
-	}
-	s.sinceSnap = 0
-	s.snapshots++
-	return nil
-}
-
 // Stats returns the shard's counters (request total, key reads served,
 // resident keys) plus its durability counters when it runs a WAL.
 func (s *StorageServer) Stats() Stats {
-	s.mu.RLock()
-	n := len(s.data)
-	wal := s.wal
-	snapshots := s.snapshots
-	replayedRecords := s.replayedRecords
-	replayedBytes := s.replayedBytes
-	s.mu.RUnlock()
-	st := Stats{
-		Role:     "storage",
-		Requests: s.requests.Load(),
-		Reads:    s.keys.Load(),
-		Keys:     int64(n),
+	ss, ds := s.shard.Stats(), s.shard.Durability()
+	return Stats{
+		Role:           "storage",
+		Requests:       s.requests.Load(),
+		Reads:          int64(ss.Gets),
+		Keys:           int64(ss.Keys),
+		Durable:        ds.State,
+		WALBytes:       ds.WALBytes,
+		WALRecords:     ds.WALRecords,
+		Snapshots:      int64(ds.Snapshots),
+		DurableVersion: ds.DurableVersion,
+		ReplayedBytes:  ds.ReplayedBytes,
 	}
-	if wal != nil {
-		walBytes, walRecords, _ := wal.Stats()
-		st.Durable = "fresh"
-		if replayedRecords > 0 {
-			st.Durable = "warm"
-		}
-		st.WALBytes = walBytes
-		st.WALRecords = walRecords
-		st.Snapshots = snapshots
-		st.DurableVersion = s.durVer.Load()
-		st.ReplayedBytes = replayedBytes
-	}
-	return st
 }
 
 // Down-shard probe schedule: the first re-ping comes probeBase after a

@@ -83,9 +83,7 @@ func TestStorageServerDurableSnapshotCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.mu.Lock()
-	srv.snapEvery = 50
-	srv.mu.Unlock()
+	srv.SetSnapshotEvery(50)
 	const n = 130
 	putKeys(t, srv.Addr(), n)
 	st := srv.Stats()
@@ -108,6 +106,44 @@ func TestStorageServerDurableSnapshotCompaction(t *testing.T) {
 	defer restarted.Close()
 	if st := restarted.Stats(); st.Keys != n || st.Durable != "warm" {
 		t.Fatalf("restart after compaction: keys %d state %q", st.Keys, st.Durable)
+	}
+}
+
+// TestStorageServerDurableCrashLoopCompacts restarts a durable shard again
+// and again before any single life reaches the snapshot threshold: the
+// replayed WAL records must count toward it, or the log grows (and every
+// restart replays all of it) for ever.
+func TestStorageServerDurableCrashLoopCompacts(t *testing.T) {
+	dir := t.TempDir()
+	addr := "127.0.0.1:0"
+	const n = 40
+	for life := 0; ; life++ {
+		srv, err := NewStorageServerDurable(addr, dir, false)
+		if err != nil {
+			t.Fatalf("life %d: %v", life, err)
+		}
+		srv.SetSnapshotEvery(50)
+		addr = srv.Addr()
+		if life == 5 {
+			defer srv.Close()
+			st := srv.Stats()
+			if st.WALRecords >= 50 || st.Snapshots == 0 {
+				t.Fatalf("after 5 short lives: %d WAL records, %d snapshots", st.WALRecords, st.Snapshots)
+			}
+			cn, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cn.Close()
+			for k := uint64(0); k < n; k++ {
+				if resp, err := cn.Call(context.Background(), &Request{Op: OpGet, Key: k}); err != nil || !resp.Found {
+					t.Fatalf("key %d after the crash loop: found=%v err=%v", k, resp.Found, err)
+				}
+			}
+			return
+		}
+		putKeys(t, addr, n)
+		srv.Close()
 	}
 }
 

@@ -50,7 +50,7 @@ type Scratch struct {
 }
 
 // Retained returns the entry count of the largest table a past traversal
-// grew in sc, so a pool can drop a Scratch a giant query bloated. The dense
+// grew in sc, so an owner can drop a Scratch a giant query bloated. The dense
 // visit windows do not count: they follow the graph's id range, not the
 // traversal's size, and are capped by denseVisitedLimit.
 func (sc *Scratch) Retained() int {

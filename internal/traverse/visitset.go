@@ -16,8 +16,8 @@ const minDenseVisited = 1 << 10
 // single counter bump. The dense window grows on demand to cover the ids
 // it is asked to mark, up to denseVisitedLimit; ids at or beyond the limit
 // fall back to a generation-stamped map. Marks are one byte because the
-// networked processor pools a set pair per concurrent batch and the window
-// is what the pool pins; the price is a wipe every 255 queries.
+// networked processor keeps a set pair per executor and the window is what
+// each one pins; the price is a wipe every 255 queries.
 type visitSet struct {
 	gen    uint8
 	dense  []uint8

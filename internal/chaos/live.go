@@ -144,7 +144,7 @@ func (h *LiveHarness) Execute(q query.Query) (query.Result, error) {
 func (h *LiveHarness) Mutate(m core.Mutation) error {
 	ctx, cancel := context.WithTimeout(context.Background(), liveTimeout)
 	defer cancel()
-	_, err := h.client.Mutate(ctx, []rpc.Mutation{{Op: uint8(m.Op), Node: m.Node, To: m.To}})
+	_, err := h.client.Mutate(ctx, []rpc.Mutation{{Op: m.Op, Node: m.Node, To: m.To}})
 	return err
 }
 

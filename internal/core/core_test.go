@@ -332,14 +332,17 @@ func TestAddNodeIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Attach a new node to two existing ones and push the update.
-	u := g.AddNode("newbie")
-	g.AddEdgeFast(5, u)
-	g.AddEdgeFast(u, 6)
-	sys.AddNode(u)
-
 	ses, err := sys.NewSession()
 	if err != nil {
+		t.Fatal(err)
+	}
+	// Attach a new node to two existing ones through the write path.
+	u := g.MaxNodeID()
+	if _, err := ses.Mutate(
+		Mutation{Op: MutUpsertNode, Node: u, Label: g.InternLabel("newbie")},
+		Mutation{Op: MutAddEdge, Node: 5, To: u},
+		Mutation{Op: MutAddEdge, Node: u, To: 6},
+	); err != nil {
 		t.Fatal(err)
 	}
 	q := query.Query{Type: query.NeighborAgg, Node: u, Hops: 2, Dir: graph.Both}
@@ -362,10 +365,11 @@ func TestUpdateEdgeRefreshesStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.AddEdgeFast(10, 20)
-	sys.UpdateEdge(10, 20)
 	ses, err := sys.NewSession()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ses.Mutate(Mutation{Op: MutAddEdge, Node: 10, To: 20}); err != nil {
 		t.Fatal(err)
 	}
 	q := query.Query{Type: query.Reachability, Node: 10, Target: 20, Hops: 1}
@@ -374,7 +378,7 @@ func TestUpdateEdgeRefreshesStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Reachable {
-		t.Fatal("storage missed the new edge after UpdateEdge")
+		t.Fatal("storage missed the new edge after the mutation")
 	}
 }
 

@@ -10,33 +10,14 @@ import (
 )
 
 // MutOp enumerates the online graph mutations every transport accepts.
-type MutOp uint8
+type MutOp = query.MutOp
 
+// Mutation operations (documented on the query package's constants).
 const (
-	// MutUpsertNode creates Node with Label, or relabels it when it
-	// already exists. Idempotent: upserting the same (node, label) twice
-	// is a no-op the second time.
-	MutUpsertNode MutOp = iota + 1
-	// MutAddEdge ensures the edge Node->To with Label exists. Adding an
-	// edge that is already present succeeds without duplicating it; a
-	// missing endpoint is a conflict.
-	MutAddEdge
-	// MutRemoveEdge removes the edge Node->To (any label). Removing an
-	// edge that does not exist is a conflict.
-	MutRemoveEdge
+	MutUpsertNode = query.MutUpsertNode
+	MutAddEdge    = query.MutAddEdge
+	MutRemoveEdge = query.MutRemoveEdge
 )
-
-func (op MutOp) String() string {
-	switch op {
-	case MutUpsertNode:
-		return "upsert-node"
-	case MutAddEdge:
-		return "add-edge"
-	case MutRemoveEdge:
-		return "remove-edge"
-	}
-	return fmt.Sprintf("MutOp(%d)", uint8(op))
-}
 
 // Mutation is one online graph write. Node is the subject (the upserted
 // node, or an edge's source); To is the edge destination; Label is the
@@ -51,21 +32,7 @@ type Mutation struct {
 // Validate checks the mutation's shape without consulting a graph, the
 // same contract query.Query.Validate gives reads: malformed mutations are
 // rejected with the typed query.ErrBadQuery before anything executes.
-func (m Mutation) Validate() error {
-	switch m.Op {
-	case MutUpsertNode:
-		if m.To != 0 {
-			return fmt.Errorf("%w: upsert-node carries an edge destination", query.ErrBadQuery)
-		}
-	case MutAddEdge, MutRemoveEdge:
-		if m.Node == m.To {
-			return fmt.Errorf("%w: self-loop %d->%d", query.ErrBadQuery, m.Node, m.To)
-		}
-	default:
-		return fmt.Errorf("%w: unknown mutation op %d", query.ErrBadQuery, uint8(m.Op))
-	}
-	return nil
-}
+func (m Mutation) Validate() error { return query.ValidateMutation(m.Op, m.Node, m.To) }
 
 // Mutate applies muts in order against the running system: the graph, the
 // storage tier (versioned, WAL-logged when durability is on), the

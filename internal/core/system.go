@@ -466,24 +466,10 @@ func (s *System) HealStorage(slot int) error {
 	return nil
 }
 
-// AddNode extends the running system with a new graph node: storage record,
-// landmark distances, processor distances and embedding coordinates are all
-// updated through the incremental paths (Section 3.4, graph updates).
-// The caller has already added the node and its edges to the graph.
-func (s *System) AddNode(u graph.NodeID) {
-	s.tier.UpdateNode(s.g, u)
-	for _, e := range s.g.OutEdges(u) {
-		s.tier.UpdateNode(s.g, e.To)
-	}
-	for _, e := range s.g.InEdges(u) {
-		s.tier.UpdateNode(s.g, e.To)
-	}
-	s.incorporateNode(u)
-}
-
 // incorporateNode runs the routing-side incremental update for a new node
-// u (landmark distances, processor assignment, embedding coordinates) —
-// the non-storage half of AddNode, shared with the session write path.
+// u (landmark distances, processor assignment, embedding coordinates —
+// Section 3.4, graph updates); the session write path rewrites the storage
+// records itself, to account their virtual-time cost.
 func (s *System) incorporateNode(u graph.NodeID) {
 	if s.idx != nil {
 		s.idx.IncorporateNode(s.g, u)
@@ -506,19 +492,10 @@ func (s *System) incorporateNode(u graph.NodeID) {
 	}
 }
 
-// UpdateEdge refreshes the system after an edge insertion or deletion
-// between existing nodes u and v: both storage records are rewritten and
-// landmark distances around the endpoints re-relaxed up to 2 hops.
-func (s *System) UpdateEdge(u, v graph.NodeID) {
-	s.tier.UpdateNode(s.g, u)
-	s.tier.UpdateNode(s.g, v)
-	s.refreshEdge(u, v)
-}
-
-// refreshEdge is the routing-side incremental update after an edge change
-// between u and v — the non-storage half of UpdateEdge, shared with the
-// session write path (which does its own tier writes to account their
-// virtual-time cost).
+// refreshEdge is the routing-side incremental update after an edge
+// insertion or deletion between existing nodes u and v: landmark distances
+// around the endpoints are re-relaxed up to 2 hops. The session write path
+// rewrites both storage records itself.
 func (s *System) refreshEdge(u, v graph.NodeID) {
 	if s.idx == nil {
 		return

@@ -87,8 +87,8 @@ func (h *Histogram) Summary() Summary {
 // Summary is a compact percentile digest of a Histogram: fixed size, so a
 // stats poll carrying several of them stays small on the wire. The
 // p50/p99/p999 triple is the one latency definition the whole
-// observability surface shares: Snapshot, /statsz, grouting-cli -stats
-// and grouting-loadgen all report this struct.
+// observability surface shares: Snapshot, /statsz and grouting-cli -stats
+// all report this struct.
 type Summary struct {
 	Count int64
 	Mean  int64

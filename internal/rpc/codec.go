@@ -163,7 +163,7 @@ func encodeRequestFrame(buf []byte, tag uint64, req *Request, deadline int64, sc
 		buf = binary.AppendUvarint(buf, uint64(len(req.Muts)))
 		for i := range req.Muts {
 			m := &req.Muts[i]
-			buf = append(buf, m.Op)
+			buf = append(buf, byte(m.Op))
 			buf = binary.AppendUvarint(buf, uint64(m.Node))
 			buf = binary.AppendUvarint(buf, uint64(m.To))
 			buf = appendStr(buf, m.Label)
@@ -232,7 +232,7 @@ func decodeRequestInto(payload []byte, req *Request) error {
 		muts = muts[:0]
 		for i := 0; i < n; i++ {
 			var m Mutation
-			m.Op = d.u8()
+			m.Op = query.MutOp(d.u8())
 			m.Node = graph.NodeID(d.uvarint())
 			m.To = graph.NodeID(d.uvarint())
 			m.Label = d.str()

@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -22,8 +23,13 @@ import (
 // reach every replica (or every cache) fails without acking; since every
 // mutation is idempotent, the client retries it safely.
 
-// migrateTimeout bounds an automatic background migration cycle.
-const migrateTimeout = 30 * time.Second
+// migrateTimeout bounds an automatic background migration cycle;
+// rollbackTimeout the restore of an unacked mutation's pre-images, which
+// runs detached from the request whose context may be what failed it.
+const (
+	migrateTimeout  = 30 * time.Second
+	rollbackTimeout = 2 * time.Second
+)
 
 // mutate applies a batch of mutations in order, stopping at the first
 // failure. Response.Applied counts the applied prefix, which stays
@@ -47,7 +53,7 @@ func (r *RouterServer) mutate(ctx context.Context, muts []Mutation) Response {
 
 // applyMutation executes one mutation end to end. Caller holds mutMu.
 func (r *RouterServer) applyMutation(ctx context.Context, m *Mutation) error {
-	if err := validateMutation(m); err != nil {
+	if err := query.ValidateMutation(m.Op, m.Node, m.To); err != nil {
 		return err
 	}
 	lab, err := r.internLabel(m.Label)
@@ -55,7 +61,7 @@ func (r *RouterServer) applyMutation(ctx context.Context, m *Mutation) error {
 		return err
 	}
 	switch m.Op {
-	case MutOpUpsertNode:
+	case query.MutUpsertNode:
 		rec, pre, err := r.loadRecord(ctx, uint64(m.Node))
 		if err != nil {
 			return err
@@ -65,7 +71,7 @@ func (r *RouterServer) applyMutation(ctx context.Context, m *Mutation) error {
 		}
 		rec.NodeLabel = lab
 		return r.commit(ctx, write{&rec, pre})
-	case MutOpAddEdge:
+	case query.MutAddEdge:
 		ru, rv, preU, preV, err := r.loadEndpoints(ctx, m)
 		if err != nil {
 			return err
@@ -86,7 +92,7 @@ func (r *RouterServer) applyMutation(ctx context.Context, m *Mutation) error {
 		// if an earlier attempt wrote the records and failed only its
 		// eviction fan-out, this retry is what restores read-your-writes.
 		return r.evictEverywhere(ctx, []uint64{uint64(m.Node), uint64(m.To)})
-	case MutOpRemoveEdge:
+	case query.MutRemoveEdge:
 		ru, rv, preU, preV, err := r.loadEndpoints(ctx, m)
 		if err != nil {
 			return err
@@ -163,66 +169,10 @@ func (r *RouterServer) loadEndpoints(ctx context.Context, m *Mutation) (*gstore.
 	return &ru, &rv, preU, preV, nil
 }
 
-// placementFor appends key's replica slots (primary first) to dst: the
-// migration pin when one exists, baseline placement over the seeded shard
-// slots otherwise — through placeKey, like the processors' storage
-// clients, so router writes and processor reads always name the same
-// shards.
-func (r *RouterServer) placementFor(key uint64, dst []int) []int {
-	r.mu.Lock()
-	pin := r.overrides[key]
-	r.mu.Unlock()
-	return placeKey(key, pin, r.storageSlots, r.storageReplicas, dst)
-}
-
-// storagePoolFor returns the pool for one storage slot (nil when the slot
-// left or never existed).
-func (r *RouterServer) storagePoolFor(slot int) *Pool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if slot < 0 || slot >= len(r.storagePools) {
-		return nil
-	}
-	return r.storagePools[slot]
-}
-
-// loadRecordBytes reads key's raw stored value from the first answering
-// replica of its placement. A replica that answers "absent" settles it:
-// under the router's serialisation plus commit's roll-back, an unacked
-// write leaves no partial state behind, so replicas only diverge when a
-// roll-back was itself interrupted — and the next successful mutation of
-// the record rewrites it on every replica, re-converging them.
-func (r *RouterServer) loadRecordBytes(ctx context.Context, key uint64) ([]byte, bool, error) {
-	var buf [topology.MaxReplicas]int
-	pl := r.placementFor(key, buf[:0])
-	if len(pl) == 0 {
-		return nil, false, fmt.Errorf("%w: router has no storage view to mutate through (seed it with -storage)", query.ErrUnavailable)
-	}
-	var firstErr error
-	for _, slot := range pl {
-		pool := r.storagePoolFor(slot)
-		if pool == nil {
-			continue
-		}
-		resp, err := pool.Call(ctx, &Request{Op: OpGet, Key: key})
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		return resp.Value, resp.Found, nil
-	}
-	if firstErr == nil {
-		firstErr = fmt.Errorf("%w: key %d: no replica answered", query.ErrUnavailable, key)
-	}
-	return nil, false, firstErr
-}
-
 // loadRecord reads and decodes key's record, returning the raw stored
 // bytes alongside as the write path's roll-back pre-image.
 func (r *RouterServer) loadRecord(ctx context.Context, key uint64) (gstore.Record, preimage, error) {
-	val, found, err := r.loadRecordBytes(ctx, key)
+	val, found, err := r.storage.Get(ctx, key)
 	pre := preimage{key: key, val: val, found: found}
 	if err != nil || !found {
 		return gstore.Record{}, pre, err
@@ -232,28 +182,6 @@ func (r *RouterServer) loadRecord(ctx context.Context, key uint64) (gstore.Recor
 		return gstore.Record{}, pre, err
 	}
 	return rec, pre, nil
-}
-
-// writeAll stores val on every replica of key's placement. Write-all, not
-// quorum: one unreachable replica fails the write unacked, so an acked
-// write survives any single restart of a durable tier — the invariant the
-// mutate-rolling-restart chaos scenario holds the deployment to.
-func (r *RouterServer) writeAll(ctx context.Context, key uint64, val []byte) error {
-	var buf [topology.MaxReplicas]int
-	pl := r.placementFor(key, buf[:0])
-	if len(pl) == 0 {
-		return fmt.Errorf("%w: router has no storage view to mutate through (seed it with -storage)", query.ErrUnavailable)
-	}
-	for _, slot := range pl {
-		pool := r.storagePoolFor(slot)
-		if pool == nil {
-			return fmt.Errorf("%w: key %d: storage slot %d has left the tier", query.ErrUnavailable, key, slot)
-		}
-		if _, err := pool.Call(ctx, &Request{Op: OpPut, Key: key, Value: val}); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // commit writes the rewritten records to every replica, then evicts them
@@ -273,7 +201,7 @@ func (r *RouterServer) commit(ctx context.Context, ws ...write) error {
 	var buf []byte
 	for i, w := range ws {
 		buf = gstore.Encode(buf[:0], w.rec)
-		if err := r.writeAll(ctx, uint64(w.rec.Node), buf); err != nil {
+		if err := r.storage.Put(ctx, uint64(w.rec.Node), buf); err != nil {
 			r.rollback(ctx, ws[:i+1])
 			return err
 		}
@@ -285,24 +213,24 @@ func (r *RouterServer) commit(ctx context.Context, ws ...write) error {
 // rollback restores the pre-images of the given writes on every reachable
 // replica and re-evicts the keys, all best effort — the mutation is
 // already failing unacked; this pass only narrows the divergence window.
+// It runs detached from the request's ctx: an expired or cancelled request
+// is the commonest reason to be here, and on that ctx no call would leave.
 func (r *RouterServer) rollback(ctx context.Context, ws []write) {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), rollbackTimeout)
+	defer cancel()
 	keys := make([]uint64, 0, len(ws))
 	var arr [topology.MaxReplicas]int
 	for _, w := range ws {
 		keys = append(keys, w.pre.key)
-		for _, slot := range r.placementFor(w.pre.key, arr[:0]) {
-			pool := r.storagePoolFor(slot)
-			if pool == nil {
-				continue
-			}
+		for _, slot := range r.storage.placement(w.pre.key, arr[:0]) {
 			if w.pre.found {
-				pool.Call(ctx, &Request{Op: OpPut, Key: w.pre.key, Value: w.pre.val})
+				_ = r.storage.putAt(ctx, slot, w.pre.key, w.pre.val)
 			} else {
-				pool.Call(ctx, &Request{Op: OpDrop, Key: w.pre.key})
+				_ = r.storage.dropAt(ctx, slot, w.pre.key)
 			}
 		}
 	}
-	r.evictEverywhere(ctx, keys)
+	_ = r.evictEverywhere(ctx, keys)
 }
 
 // procTarget pairs a processor slot with its pool.
@@ -354,7 +282,7 @@ func (r *RouterServer) evictEverywhere(ctx context.Context, keys []uint64) error
 // Empty tables are not pushed — the processor's default (no pins) already
 // matches.
 func (r *RouterServer) pushOverridesTo(ctx context.Context, pool *Pool) error {
-	ov := r.copyOverrides()
+	ov := r.storage.pins()
 	if len(ov) == 0 {
 		return nil
 	}
@@ -362,39 +290,27 @@ func (r *RouterServer) pushOverridesTo(ctx context.Context, pool *Pool) error {
 	return err
 }
 
-func (r *RouterServer) copyOverrides() map[uint64][]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ov := make(map[uint64][]int, len(r.overrides))
-	for k, v := range r.overrides {
-		ov[k] = v
-	}
-	return ov
-}
-
-// routerEnv adapts the router's deployment to the placement planner's Env.
-// Locality mirrors the virtual-time engine's nearStorageSlot: processor
-// slot i's near shard is i mod the seeded shard count.
+// routerEnv adapts the router's storage client to the placement planner's
+// Env. Locality mirrors the virtual-time engine's nearStorageSlot:
+// processor slot i's near shard is i mod the seeded shard count.
 type routerEnv struct {
-	r   *RouterServer
+	sc  *StorageClient
 	ctx context.Context
 }
 
 func (e routerEnv) Primary(key uint64) int {
 	var buf [topology.MaxReplicas]int
-	pl := e.r.placementFor(key, buf[:0])
+	pl := e.sc.placement(key, buf[:0])
 	if len(pl) == 0 {
 		return -1
 	}
 	return pl[0]
 }
 
-func (e routerEnv) Replicas(key uint64, dst []int) []int {
-	return e.r.placementFor(key, dst)
-}
+func (e routerEnv) Replicas(key uint64, dst []int) []int { return e.sc.placement(key, dst) }
 
 func (e routerEnv) SizeOf(key uint64) int {
-	val, found, err := e.r.loadRecordBytes(e.ctx, key)
+	val, found, err := e.sc.Get(e.ctx, key)
 	if err != nil || !found {
 		return 0
 	}
@@ -402,13 +318,13 @@ func (e routerEnv) SizeOf(key uint64) int {
 }
 
 func (e routerEnv) NearSlot(proc int) int {
-	if e.r.storageBase == 0 || proc < 0 {
+	if len(e.sc.slots) == 0 || proc < 0 {
 		return -1
 	}
-	return proc % e.r.storageBase
+	return proc % len(e.sc.slots)
 }
 
-func (e routerEnv) ReplicaTarget() int { return e.r.storageReplicas }
+func (e routerEnv) ReplicaTarget() int { return e.sc.Replicas() }
 
 // migrate runs one adaptive-placement cycle: drain heat from the
 // processors, plan bounded moves, and execute each as a versioned
@@ -440,16 +356,20 @@ func (r *RouterServer) migrate(ctx context.Context) Response {
 		old  []int
 	}
 	var copied []executed
-	for _, m := range r.planner.Plan(r.heat, routerEnv{r: r, ctx: ctx}) {
-		old := r.placementFor(m.Key, nil)
-		ok := r.copyTo(ctx, m.Key, m.To)
+	for _, m := range r.planner.Plan(r.heat, routerEnv{sc: r.storage, ctx: ctx}) {
+		// Copy the record onto every destination slot, then pin it there;
+		// the move only counts when every destination acked.
+		old := r.storage.placement(m.Key, nil)
+		val, found, err := r.storage.Get(ctx, m.Key)
+		ok := err == nil && found
+		for i := 0; ok && i < len(m.To); i++ {
+			ok = r.storage.putAt(ctx, m.To[i], m.Key, val) == nil
+		}
 		r.planner.Executed(m, ok)
 		if !ok {
 			continue
 		}
-		r.mu.Lock()
-		r.overrides[m.Key] = append([]int(nil), m.To...)
-		r.mu.Unlock()
+		r.storage.pin(m.Key, slices.Clone(m.To))
 		copied = append(copied, executed{move: m, old: old})
 	}
 
@@ -462,51 +382,19 @@ func (r *RouterServer) migrate(ctx context.Context) Response {
 				allPushed = false
 			}
 		}
+		// Then tombstone each key on the old slots its new placement does
+		// not reuse. Best effort: a shard that misses the drop keeps a stale
+		// copy (replayed on restart) the pins already hide from every reader.
 		if allPushed {
 			for _, d := range copied {
-				r.dropOld(ctx, d.move.Key, d.old, d.move.To)
+				for _, slot := range d.old {
+					if !slices.Contains(d.move.To, slot) {
+						_ = r.storage.dropAt(ctx, slot, d.move.Key)
+					}
+				}
 			}
 		}
 	}
 	r.heat.Decay()
 	return Response{OK: true, Applied: len(copied)}
-}
-
-// copyTo reads key's record from its current placement and writes it to
-// every destination slot; the move only counts when every destination
-// acked.
-func (r *RouterServer) copyTo(ctx context.Context, key uint64, to []int) bool {
-	val, found, err := r.loadRecordBytes(ctx, key)
-	if err != nil || !found {
-		return false
-	}
-	for _, slot := range to {
-		pool := r.storagePoolFor(slot)
-		if pool == nil {
-			return false
-		}
-		if _, err := pool.Call(ctx, &Request{Op: OpPut, Key: key, Value: val}); err != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// dropOld tombstones key on every slot of its previous placement that the
-// new one does not reuse. Best effort: a shard that misses the drop keeps
-// an unreachable (and on restart, replayed-but-unreachable) stale copy,
-// which the override table already hides from every reader.
-func (r *RouterServer) dropOld(ctx context.Context, key uint64, old, to []int) {
-	keep := make(map[int]bool, len(to))
-	for _, slot := range to {
-		keep[slot] = true
-	}
-	for _, slot := range old {
-		if keep[slot] {
-			continue
-		}
-		if pool := r.storagePoolFor(slot); pool != nil {
-			pool.Call(ctx, &Request{Op: OpDrop, Key: key})
-		}
-	}
 }

@@ -1,0 +1,505 @@
+package rpc
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/gstore"
+	"repro/internal/query"
+	"repro/internal/topology"
+)
+
+// storedAt reads key's raw bytes straight off one shard, bypassing every
+// client-side placement: what that replica holds, not what a reader would
+// resolve to.
+func storedAt(t *testing.T, addr string, key uint64) ([]byte, bool) {
+	t.Helper()
+	cn, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cn.Close()
+	resp, err := cn.Call(context.Background(), &Request{Op: OpGet, Key: key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.Value, resp.Found
+}
+
+// checkOracle runs qs through the router and compares every answer with
+// the in-memory oracle.
+func checkOracle(t *testing.T, cl *RouterClient, oracle *graph.Graph, qs []query.Query, phase string) {
+	t.Helper()
+	for _, q := range qs {
+		got, err := cl.Execute(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s: query %d: %v", phase, q.ID, err)
+		}
+		if want := query.Answer(oracle, q); got != want {
+			t.Fatalf("%s: query %d (%v on %d): got %+v, want %+v", phase, q.ID, q.Type, q.Node, got, want)
+		}
+	}
+}
+
+// adaptiveCluster is a loopback deployment with the placement planner
+// armed: three shards at R=2, two processors whose caches are far below
+// the working set (hot records keep missing, which is what accrues heat),
+// hash routing.
+type adaptiveCluster struct {
+	g            *graph.Graph
+	storageAddrs []string
+	procCfg      ProcessorConfig
+	rs           *RouterServer
+	cl           *RouterClient
+}
+
+const adaptiveShards, adaptiveReplicas = 3, 2
+
+// adaptiveGraph generates the cluster's dataset; a second call is an
+// independent copy for a test to keep as its oracle.
+func adaptiveGraph() *graph.Graph { return gen.LocalWeb(900, 8, 50, 0.01, 13) }
+
+func startAdaptiveCluster(t *testing.T) *adaptiveCluster {
+	t.Helper()
+	ctx := context.Background()
+	c := &adaptiveCluster{g: adaptiveGraph()}
+	_, c.storageAddrs = startStorageShards(t, adaptiveShards)
+	loader, err := DialStorageReplicated(c.storageAddrs, adaptiveReplicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loader.LoadGraph(ctx, c.g); err != nil {
+		t.Fatal(err)
+	}
+	loader.Close()
+
+	c.procCfg = ProcessorConfig{Storage: c.storageAddrs, StorageReplicas: adaptiveReplicas, CacheBytes: 2 << 10}
+	var procAddrs []string
+	for i := 0; i < 2; i++ {
+		ps, err := NewProcessorServerWith("127.0.0.1:0", c.procCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ps.Close() })
+		procAddrs = append(procAddrs, ps.Addr())
+	}
+	strat, err := BuildStrategy("hash", c.g, len(procAddrs), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.rs, err = NewRouterServer("127.0.0.1:0", RouterConfig{
+		ProcessorAddrs:    procAddrs,
+		Strategy:          strat,
+		StorageAddrs:      c.storageAddrs,
+		StorageReplicas:   adaptiveReplicas,
+		AdaptivePlacement: true,
+		PlacementMinReads: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.rs.Close() })
+	c.cl, err = DialRouter(ctx, c.rs.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.cl.Close() })
+	return c
+}
+
+// TestMigrateTCP drives the networked adaptive-placement path end to end:
+// skewed reads heat records on two processors, one OpMigrate moves the hot
+// ones next to their readers, and afterwards every replica holds exactly
+// what the new placement says, every reader (including a processor that
+// joins later) resolves the moved keys to it, and a mutation of a moved
+// key rewrites the pinned replicas.
+func TestMigrateTCP(t *testing.T) {
+	const shards, replicas = adaptiveShards, adaptiveReplicas
+	c := startAdaptiveCluster(t)
+	g, storageAddrs, procCfg, rs, cl := c.g, c.storageAddrs, c.procCfg, c.rs, c.cl
+	oracle := adaptiveGraph()
+	ctx := context.Background()
+
+	qs := query.Hotspot(g, query.WorkloadSpec{NumHotspots: 4, QueriesPerHotspot: 12, R: 1, H: 2, Seed: 3})
+	checkOracle(t, cl, oracle, qs, "before migration")
+
+	moved, err := cl.Migrate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved < 1 {
+		t.Fatalf("migration moved %d records, want >= 1", moved)
+	}
+	snap, err := rs.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Placement.Moved != int64(moved) || snap.Placement.Overrides != int64(moved) {
+		t.Fatalf("placement counters %+v after %d moves", snap.Placement, moved)
+	}
+	if len(snap.PlacementLog) == 0 {
+		t.Fatal("no move in the decision log")
+	}
+
+	// What each move must have left behind, derived from the baseline
+	// placement rule rather than from the router: the reader's near shard
+	// leads, the old replicas fill up to the replication factor, and every
+	// old slot the move did not reuse no longer holds the key.
+	domain := make([]int, shards)
+	for i := range domain {
+		domain[i] = i
+	}
+	pins := make(map[uint64][]int)
+	for _, ev := range snap.PlacementLog {
+		old := topology.RendezvousN(ev.Key, domain, replicas, nil)
+		if ev.From != old[0] || ev.To == old[0] {
+			t.Fatalf("move %+v does not start at the baseline primary %d", ev, old[0])
+		}
+		pin := []int{ev.To}
+		for _, slot := range old {
+			if slot != ev.To && len(pin) < replicas {
+				pin = append(pin, slot)
+			}
+		}
+		pins[ev.Key] = pin
+		want := gstore.Encode(nil, gstore.RecordOf(g, graph.NodeID(ev.Key)))
+		for slot := range domain {
+			val, found := storedAt(t, storageAddrs[slot], ev.Key)
+			if pinned := slices.Contains(pin, slot); found != pinned {
+				t.Fatalf("key %d on slot %d: found=%v, pinned placement %v (baseline %v)", ev.Key, slot, found, pin, old)
+			}
+			if found && !bytes.Equal(val, want) {
+				t.Fatalf("key %d on slot %d: copy differs from the loaded record", ev.Key, slot)
+			}
+		}
+	}
+	checkOracle(t, cl, oracle, qs, "after migration")
+
+	// A processor that joins now is handed the pins before it is admitted.
+	late, err := NewProcessorServerWith("127.0.0.1:0", procCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { late.Close() })
+	if _, err := late.Register(ctx, rs.Addr(), ""); err != nil {
+		t.Fatal(err)
+	}
+	for key, pin := range pins {
+		if got := late.storage.overrideFor(key); !slices.Equal(got, pin) {
+			t.Fatalf("late joiner resolves key %d to %v, want pin %v", key, got, pin)
+		}
+	}
+	checkOracle(t, cl, oracle, qs, "after late join")
+
+	// A mutation of a moved key rewrites the pinned replicas, not the
+	// baseline ones.
+	ev := snap.PlacementLog[0]
+	u, v := graph.NodeID(ev.Key), graph.NodeID(0)
+	for oracle.HasEdge(u, v) || u == v {
+		v++
+	}
+	if _, err := cl.Mutate(ctx, []Mutation{{Op: query.MutAddEdge, Node: u, To: v}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := oracle.EnsureEdge(u, v, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := gstore.Encode(nil, gstore.RecordOf(oracle, u))
+	for slot := range domain {
+		val, found := storedAt(t, storageAddrs[slot], ev.Key)
+		if pinned := slices.Contains(pins[ev.Key], slot); found != pinned {
+			t.Fatalf("after mutate: key %d on slot %d: found=%v, pin %v", ev.Key, slot, found, pins[ev.Key])
+		}
+		if found && !bytes.Equal(val, want) {
+			t.Fatalf("after mutate: key %d on slot %d does not carry the new edge", ev.Key, slot)
+		}
+	}
+	checkOracle(t, cl, oracle, append(qs, query.Query{ID: len(qs), Type: query.NeighborAgg, Node: u, Hops: 1, Dir: graph.Out}), "after mutate")
+}
+
+// TestMigrateConcurrent runs migration cycles while clients read, stats
+// are polled and a processor joins: the pin table the cycles write is the
+// one every one of those paths resolves placement through.
+func TestMigrateConcurrent(t *testing.T) {
+	c := startAdaptiveCluster(t)
+	ctx := context.Background()
+	qs := query.Hotspot(c.g, query.WorkloadSpec{NumHotspots: 6, QueriesPerHotspot: 8, R: 1, H: 2, Seed: 5})
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; ; i = (i + 3) % len(qs) {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				got, err := c.cl.Execute(ctx, qs[i])
+				if err != nil {
+					t.Errorf("query %d during migration: %v", qs[i].ID, err)
+					return
+				}
+				if want := query.Answer(c.g, qs[i]); got != want {
+					t.Errorf("query %d during migration: got %+v, want %+v", qs[i].ID, got, want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := c.rs.Snapshot(ctx); err != nil {
+				t.Errorf("snapshot during migration: %v", err)
+				return
+			}
+		}
+	}()
+
+	moved := 0
+	for cycle := 0; cycle < 8; cycle++ {
+		if cycle == 4 {
+			late, err := NewProcessorServerWith("127.0.0.1:0", c.procCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { late.Close() })
+			if _, err := late.Register(ctx, c.rs.Addr(), ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n, err := c.cl.Migrate(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved += n
+		time.Sleep(20 * time.Millisecond) // let the readers accrue heat for the next cycle
+	}
+	close(stop)
+	wg.Wait()
+	if moved == 0 {
+		t.Fatal("no record moved under concurrent reads")
+	}
+}
+
+// stallProxy is a loopback TCP forwarder whose client→backend direction
+// can be stalled: while paused, bytes a client sends are held, and resume
+// drops them together with the connection they were on — a replica behind
+// a partition that heals by resetting what stalled. (Delivering the held
+// frames late would prove nothing: a storage shard serves the frames of
+// one connection concurrently, so a late write and its roll-back could land
+// in either order.)
+type stallProxy struct {
+	ln      net.Listener
+	backend string
+
+	mu     sync.Mutex
+	resume chan struct{} // non-nil while paused; closed by Resume
+}
+
+func newStallProxy(t *testing.T, backend string) *stallProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &stallProxy{ln: ln, backend: backend}
+	t.Cleanup(func() { p.Resume(); ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			b, err := net.Dial("tcp", backend)
+			if err != nil {
+				c.Close()
+				continue
+			}
+			go p.pipe(b, c, true)
+			go p.pipe(c, b, false)
+		}
+	}()
+	return p
+}
+
+func (p *stallProxy) Addr() string { return p.ln.Addr().String() }
+
+func (p *stallProxy) Pause() {
+	p.mu.Lock()
+	if p.resume == nil {
+		p.resume = make(chan struct{})
+	}
+	p.mu.Unlock()
+}
+
+func (p *stallProxy) Resume() {
+	p.mu.Lock()
+	if p.resume != nil {
+		close(p.resume)
+		p.resume = nil
+	}
+	p.mu.Unlock()
+}
+
+func (p *stallProxy) pipe(dst, src net.Conn, gated bool) {
+	defer dst.Close()
+	buf := make([]byte, 32<<10)
+	for {
+		n, err := src.Read(buf)
+		if gated {
+			p.mu.Lock()
+			gate := p.resume
+			p.mu.Unlock()
+			if gate != nil {
+				<-gate
+				src.Close()
+				return
+			}
+		}
+		if n > 0 {
+			if _, werr := dst.Write(buf[:n]); werr != nil {
+				return
+			}
+		}
+		if err != nil {
+			if err != io.EOF {
+				src.Close()
+			}
+			return
+		}
+	}
+}
+
+// TestMutateRollbackOnExpiredContext stalls a key's second replica so the
+// write-all of a mutation runs into its deadline after the first replica
+// already took the new record. The unacked mutation must leave both
+// replicas as it found them — the roll-back cannot run on the context
+// whose expiry caused it.
+func TestMutateRollbackOnExpiredContext(t *testing.T) {
+	g := gen.LocalWeb(300, 6, 40, 0.01, 5)
+	ctx := context.Background()
+	_, shardAddrs := startStorageShards(t, 2)
+	proxy := newStallProxy(t, shardAddrs[1])
+	storageAddrs := []string{shardAddrs[0], proxy.Addr()}
+
+	loader, err := DialStorageReplicated(storageAddrs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loader.LoadGraph(ctx, g); err != nil {
+		t.Fatal(err)
+	}
+	loader.Close()
+	ps, err := NewProcessorServerWith("127.0.0.1:0", ProcessorConfig{Storage: storageAddrs, StorageReplicas: 2, CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ps.Close() })
+	rs, err := NewRouterServer("127.0.0.1:0", RouterConfig{
+		ProcessorAddrs:  []string{ps.Addr()},
+		StorageAddrs:    storageAddrs,
+		StorageReplicas: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	cl, err := DialRouter(ctx, rs.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+
+	// An edge between two records that are read from, and written first to,
+	// the healthy shard: the write-all reaches the stalled shard second.
+	healthyFirst := func(from graph.NodeID) graph.NodeID {
+		for ; ; from++ {
+			if topology.RendezvousN(uint64(from), []int{0, 1}, 2, nil)[0] == 0 {
+				return from
+			}
+		}
+	}
+	u := healthyFirst(0)
+	v := healthyFirst(u + 1)
+	for g.HasEdge(u, v) {
+		v = healthyFirst(v + 1)
+	}
+	pre := map[graph.NodeID][]byte{
+		u: gstore.Encode(nil, gstore.RecordOf(g, u)),
+		v: gstore.Encode(nil, gstore.RecordOf(g, v)),
+	}
+
+	proxy.Pause()
+	short, cancel := context.WithTimeout(ctx, 150*time.Millisecond)
+	_, err = cl.Mutate(short, []Mutation{{Op: query.MutAddEdge, Node: u, To: v}})
+	cancel()
+	if err == nil {
+		t.Fatal("mutation acked across a stalled replica")
+	}
+	proxy.Resume()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		diverged := ""
+		for id, want := range pre {
+			for slot, addr := range shardAddrs {
+				if val, found := storedAt(t, addr, uint64(id)); !found || !bytes.Equal(val, want) {
+					diverged = fmt.Sprintf("record %d on slot %d", id, slot)
+				}
+			}
+		}
+		if diverged == "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("unacked mutation left %s rewritten: the roll-back never restored the pre-image", diverged)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestStoragePutNeedsEveryReplica pins the client's one write semantic: a
+// record whose placement includes a dead replica is not acked, for single
+// puts and for the bulk loader alike.
+func TestStoragePutNeedsEveryReplica(t *testing.T) {
+	g := gen.ErdosRenyi(200, 800, 3)
+	servers, addrs := startStorageShards(t, 3)
+	sc, err := DialStorageReplicated(addrs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	ctx := context.Background()
+	servers[2].Close()
+
+	var onDead uint64
+	for ; !slices.Contains(sc.placement(onDead, nil), 2); onDead++ {
+	}
+	err = sc.Put(ctx, onDead, gstore.Encode(nil, &gstore.Record{Node: graph.NodeID(onDead)}))
+	if !errors.Is(err, query.ErrUnavailable) {
+		t.Fatalf("Put with a dead replica: err = %v, want ErrUnavailable", err)
+	}
+	if err := sc.LoadGraph(ctx, g); !errors.Is(err, query.ErrUnavailable) {
+		t.Fatalf("LoadGraph with a dead replica: err = %v, want ErrUnavailable", err)
+	}
+}

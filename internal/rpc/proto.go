@@ -122,43 +122,14 @@ func (op Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
 
-// Mutation op codes on the wire; the values match internal/core's MutOp so
-// both transports speak one enumeration.
-const (
-	// MutOpUpsertNode creates Node carrying Label, or relabels it.
-	MutOpUpsertNode uint8 = 1
-	// MutOpAddEdge ensures the edge Node->To with Label exists.
-	MutOpAddEdge uint8 = 2
-	// MutOpRemoveEdge removes the edge Node->To (any label).
-	MutOpRemoveEdge uint8 = 3
-)
-
 // Mutation is one graph write as it travels to the router. Label rides as
 // a string (the router interns it against the loaded graph's label table),
 // exactly like Query.CountLabel.
 type Mutation struct {
-	Op    uint8
+	Op    query.MutOp
 	Node  graph.NodeID
 	To    graph.NodeID
 	Label string
-}
-
-// validateMutation mirrors core.Mutation.Validate: malformed mutations are
-// rejected with the typed query.ErrBadQuery before anything executes.
-func validateMutation(m *Mutation) error {
-	switch m.Op {
-	case MutOpUpsertNode:
-		if m.To != 0 {
-			return fmt.Errorf("%w: upsert-node carries an edge destination", query.ErrBadQuery)
-		}
-	case MutOpAddEdge, MutOpRemoveEdge:
-		if m.Node == m.To {
-			return fmt.Errorf("%w: self-loop %d->%d", query.ErrBadQuery, m.Node, m.To)
-		}
-	default:
-		return fmt.Errorf("%w: unknown mutation op %d", query.ErrBadQuery, m.Op)
-	}
-	return nil
 }
 
 // HotKey is one entry of a processor's drained heat: a record and how many

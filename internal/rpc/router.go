@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,11 +72,10 @@ type RouterServer struct {
 	// shard counters. The router never routes storage reads — placement is
 	// client-side in the processors — so this view is descriptive, which
 	// is exactly what -topology and /statsz need.
-	storageTopo     *topology.Tracker
-	storageView     topology.View
-	storagePools    []*Pool // storage-slot-indexed; nil once a member left
-	storageEvents   []metrics.EpochEvent
-	storageReplicas int
+	storageTopo   *topology.Tracker
+	storageView   topology.View
+	storagePools  []*Pool // storage-slot-indexed; nil once a member left
+	storageEvents []metrics.EpochEvent
 	// storageJoinVer holds the durable version watermark each storage
 	// shard announced on its latest (re)join — the rejoin-warm handshake:
 	// 0 means the shard joined cold (or runs without a WAL), anything
@@ -89,21 +89,20 @@ type RouterServer struct {
 	// record rewrite is a clean read-modify-write and migration never
 	// races a write. g is the loaded dataset, used only to intern mutation
 	// labels against the same table the loader encoded records with (nil =
-	// only unlabelled mutations are accepted). overrides is the
-	// authoritative placement-pin table (guarded by mu; complete copies
-	// are pushed to the processors' storage clients on every change).
-	// storageBase and storageSlots freeze the rendezvous placement domain
-	// at the seeded shard count — exactly the domain the processors'
-	// storage clients hash over, which late-joining shards are not part
-	// of. planner and heat (guarded by mutMu) exist only when
-	// RouterConfig.AdaptivePlacement is set; placementEvery > 0 runs a
-	// cycle automatically after that many completed queries.
+	// only unlabelled mutations are accepted). storage is the same client
+	// the processors read through, built over the seeded shards' pools
+	// (shared with storagePools, not dialled again): its placement domain
+	// is frozen at the seeded shard count — exactly what the processors'
+	// clients hash over, which late-joining shards are not part of — and
+	// its pin table is the authoritative one, complete copies of which are
+	// pushed to the processors on every change. planner and heat (guarded
+	// by mutMu) exist only when RouterConfig.AdaptivePlacement is set;
+	// placementEvery > 0 runs a cycle automatically after that many
+	// completed queries.
 	g              *graph.Graph
 	mutMu          sync.Mutex
 	mutations      atomic.Int64
-	overrides      map[uint64][]int
-	storageBase    int
-	storageSlots   []int
+	storage        *StorageClient
 	planner        *placement.Planner
 	heat           *placement.Heat
 	placementEvery int
@@ -126,12 +125,13 @@ type RouterConfig struct {
 	PolicyName string
 	// PoolSize bounds connections per processor (0 = DefaultPoolSize).
 	PoolSize int
-	// StorageAddrs optionally seeds the router's storage view (for
-	// observability); more shards can join at runtime with OpJoin. Seeded
-	// shards are ping-verified like processors.
+	// StorageAddrs optionally seeds the router's storage view; more shards
+	// can join at runtime with OpJoin. Seeded shards are ping-verified like
+	// processors, and they are the shards the router's storage client —
+	// the write path of mutations and migrations — places keys over.
 	StorageAddrs []string
-	// StorageReplicas is the deployment's storage replication factor,
-	// reported in stats snapshots (0 reads as 1).
+	// StorageReplicas is the deployment's storage replication factor: the
+	// one the loader and the processors use (0 reads as 1).
 	StorageReplicas int
 	// Graph is the loaded dataset, used to intern mutation labels against
 	// the same label table the loader encoded records with. Routers
@@ -189,21 +189,11 @@ func NewRouterServer(addr string, cfg RouterConfig) (*RouterServer, error) {
 		return nil, err
 	}
 	r.rt = rt
-	r.storageReplicas = cfg.StorageReplicas
-	if r.storageReplicas == 0 {
-		r.storageReplicas = 1
-	}
 	r.storageTopo = topology.NewTierTrackerAddrs(topology.TierStorage, cfg.StorageAddrs)
 	r.storageView = r.storageTopo.View()
 	r.g = cfg.Graph
-	r.overrides = make(map[uint64][]int)
-	r.storageBase = len(cfg.StorageAddrs)
-	r.storageSlots = make([]int, r.storageBase)
-	for i := range r.storageSlots {
-		r.storageSlots[i] = i
-	}
 	if cfg.AdaptivePlacement {
-		if r.storageBase == 0 {
+		if len(cfg.StorageAddrs) == 0 {
 			return nil, fmt.Errorf("rpc: adaptive placement needs the router's storage view seeded (StorageAddrs)")
 		}
 		r.planner = placement.New(placement.Config{BudgetBytes: cfg.PlacementBudget, MinReads: cfg.PlacementMinReads})
@@ -211,29 +201,22 @@ func NewRouterServer(addr string, cfg RouterConfig) (*RouterServer, error) {
 		r.placementEvery = cfg.PlacementEvery
 	}
 	r.statsObs, _ = cfg.Strategy.(router.StatsObserver)
-	for _, a := range cfg.ProcessorAddrs {
-		p := NewPool(a, cfg.PoolSize)
-		if err := p.Ping(context.Background()); err != nil {
-			p.Close()
-			r.closePools()
-			return nil, err
-		}
-		r.pools = append(r.pools, p)
+	if r.pools, err = dialPools(cfg.ProcessorAddrs, cfg.PoolSize); err != nil {
+		return nil, err
 	}
-	for _, a := range cfg.StorageAddrs {
-		p := NewPool(a, cfg.PoolSize)
-		if err := p.Ping(context.Background()); err != nil {
-			p.Close()
-			r.closePools()
-			return nil, err
-		}
-		r.storagePools = append(r.storagePools, p)
+	if r.storagePools, err = dialPools(cfg.StorageAddrs, cfg.PoolSize); err != nil {
+		r.closePools()
+		return nil, err
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		r.closePools()
 		return nil, fmt.Errorf("rpc: router listen: %w", err)
 	}
+	// The client keeps its own slice of the seeded pools: a drained shard's
+	// entry in storagePools goes nil, the client's stays a closed pool whose
+	// calls fail typed.
+	r.storage = newStorageClient(slices.Clone(r.storagePools), max(cfg.StorageReplicas, 1))
 	r.ln = ln
 	go serve(ln, r.handle, &r.ct)
 	return r, nil
@@ -244,6 +227,7 @@ func (r *RouterServer) Addr() string { return r.ln.Addr().String() }
 
 // Close stops the router.
 func (r *RouterServer) Close() error {
+	r.storage.Close()
 	r.closePools()
 	err := r.ln.Close()
 	r.ct.closeAll()
@@ -254,11 +238,7 @@ func (r *RouterServer) closePools() {
 	r.mu.Lock()
 	pools := append(append([]*Pool(nil), r.pools...), r.storagePools...)
 	r.mu.Unlock()
-	for _, p := range pools {
-		if p != nil {
-			p.Close()
-		}
-	}
+	closeAll(pools)
 }
 
 // Epoch returns the router's current topology epoch.
@@ -743,6 +723,7 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 		placementCounters = r.planner.Counters()
 		placementLog = r.planner.Log()
 		r.mutMu.Unlock()
+		placementCounters.Overrides = int64(len(r.storage.pins()))
 	}
 
 	r.mu.Lock()
@@ -762,7 +743,6 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 		QueueDepth:   r.depth.Summary(),
 	}
 	snap.Mutations = r.mutations.Load()
-	placementCounters.Overrides = int64(len(r.overrides))
 	if r.planner != nil {
 		snap.Placement = placementCounters
 		snap.PlacementLog = placementLog
@@ -786,7 +766,7 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 		snap.Cache.Add(cc)
 	}
 	snap.StorageEpoch = r.storageView.Epoch
-	snap.StorageReplicas = r.storageReplicas
+	snap.StorageReplicas = r.storage.Replicas()
 	for _, m := range r.storageView.Members {
 		sc := metrics.StorageCounters{Slot: m.Slot, Status: m.Status.String(), Addr: m.Addr}
 		if m.Slot < len(shardFresh) && shardFresh[m.Slot] != nil {

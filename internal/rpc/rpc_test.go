@@ -498,7 +498,7 @@ func TestEnvelopeEncodedSize(t *testing.T) {
 	}
 	// Mutations: a single-op batch stays a small constant envelope, and an
 	// unlabelled op never drags a label string along.
-	mut := &Request{Op: OpMutate, Muts: []Mutation{{Op: MutOpAddEdge, Node: 42, To: 99}}}
+	mut := &Request{Op: OpMutate, Muts: []Mutation{{Op: query.MutAddEdge, Node: 42, To: 99}}}
 	if n := reqFrameSize(t, mut); n > 24 {
 		t.Errorf("1-op mutate frame encodes to %d bytes, want <= 24", n)
 	}

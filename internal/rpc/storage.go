@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net"
 	"os"
@@ -183,15 +184,18 @@ type probeState struct {
 	next     time.Time     // earliest next probe
 }
 
-// StorageClient shards keys over a set of storage servers, over one
-// connection pool per shard. Unreplicated (replicas == 1) placement is
-// the same murmur hash the legacy in-process tier uses; with replicas
-// >= 2 every key lives on R shards placed by rendezvous hashing over the
-// shard list, writes go to every replica, and reads prefer the
-// highest-scored healthy replica with transparent failover: a shard that
-// fails a call is marked down (per-replica health), its keys retry on
-// their next replica, and a background probe revives it when it answers
-// pings again.
+// StorageClient is the one way a process reaches the storage tier: it
+// shards keys over a set of storage servers, one connection pool per shard,
+// and resolves "where does key k live" in exactly one place (placement).
+// Unreplicated (replicas == 1) placement is the same murmur hash the legacy
+// in-process tier uses; with replicas >= 2 every key lives on R shards
+// placed by rendezvous hashing over the shard list, and a key a migration
+// moved lives where its pin says. Writes go to every replica or fail
+// unacked; reads prefer the highest-scored healthy replica with transparent
+// failover: a shard that fails a call is marked down (per-replica health),
+// its keys retry on their next replica, and a background probe revives it
+// when it answers pings again. Processors read through one, the loader
+// writes through one, and the router mutates and migrates through one.
 type StorageClient struct {
 	pools    []*Pool
 	replicas int
@@ -201,13 +205,15 @@ type StorageClient struct {
 	failovers atomic.Int64
 
 	// overrides pins keys migrated away from their rendezvous placement to
-	// their new replica set (primary first). The router owns the
-	// authoritative table and pushes complete replacements (OpPlacement);
-	// entries naming slots this client does not know are ignored, so an
-	// older client degrades to baseline placement instead of misreading.
+	// their new replica set (primary first). The router's client holds the
+	// authoritative table (pin) and pushes complete copies (OpPlacement →
+	// SetOverrides) to the processors'; entries naming slots a client does
+	// not know are ignored, so an older client degrades to baseline
+	// placement instead of misreading.
 	ovMu      sync.RWMutex
 	overrides map[uint64][]int
 
+	probeWake chan struct{} // markDown → probeLoop: a shard just went down
 	probeStop chan struct{}
 	closeOnce sync.Once
 }
@@ -219,9 +225,9 @@ func DialStorage(addrs []string) (*StorageClient, error) {
 }
 
 // DialStorageReplicated connects to every storage shard with the given
-// replication factor, verifying each shard is reachable. The loader and
-// every processor of a deployment must agree on the factor — placement is
-// client-side, exactly like the hash placement it generalises.
+// replication factor, verifying each shard is reachable. The loader, the
+// router and every processor of a deployment must agree on the factor —
+// placement is client-side, exactly like the hash placement it generalises.
 func DialStorageReplicated(addrs []string, replicas int) (*StorageClient, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("rpc: no storage servers")
@@ -232,33 +238,65 @@ func DialStorageReplicated(addrs []string, replicas int) (*StorageClient, error)
 	if replicas > len(addrs) {
 		return nil, fmt.Errorf("rpc: %d storage replicas need at least that many shards, have %d", replicas, len(addrs))
 	}
-	sc := &StorageClient{replicas: replicas, probeStop: make(chan struct{})}
-	for i, a := range addrs {
-		p := NewPool(a, 0)
+	pools, err := dialPools(addrs, 0)
+	if err != nil {
+		return nil, err
+	}
+	return newStorageClient(pools, replicas), nil
+}
+
+// dialPools opens one pool of at most size connections per address and
+// verifies each daemon answers; on a failure the pools opened so far are
+// closed again.
+func dialPools(addrs []string, size int) ([]*Pool, error) {
+	pools := make([]*Pool, 0, len(addrs))
+	for _, a := range addrs {
+		p := NewPool(a, size)
+		pools = append(pools, p)
 		if err := p.Ping(context.Background()); err != nil {
-			sc.Close()
-			p.Close()
+			closeAll(pools)
 			return nil, err
 		}
-		sc.pools = append(sc.pools, p)
-		sc.slots = append(sc.slots, i)
 	}
-	sc.down = make([]atomic.Bool, len(sc.pools))
+	return pools, nil
+}
+
+// closeAll closes every pool of a slot-indexed list, where nil marks a
+// slot whose member left.
+func closeAll(pools []*Pool) {
+	for _, p := range pools {
+		if p != nil {
+			p.Close()
+		}
+	}
+}
+
+// newStorageClient builds a client over verified shard pools (slot i is
+// pools[i]), which Close then closes with it. Fewer shards than replicas
+// places every key on all of them — a router seeded with part of the tier.
+func newStorageClient(pools []*Pool, replicas int) *StorageClient {
+	sc := &StorageClient{
+		pools:     pools,
+		replicas:  replicas,
+		slots:     make([]int, len(pools)),
+		down:      make([]atomic.Bool, len(pools)),
+		probeWake: make(chan struct{}, 1),
+		probeStop: make(chan struct{}),
+	}
+	for i := range sc.slots {
+		sc.slots[i] = i
+	}
 	// The probe runs in every mode: even unreplicated clients mark a
 	// shard down after a failure, and only the probe clears the flag when
 	// the shard answers again.
 	go sc.probeLoop()
-	return sc, nil
+	return sc
 }
 
 // Close closes every shard pool and stops the health probe.
 func (sc *StorageClient) Close() {
 	sc.closeOnce.Do(func() { close(sc.probeStop) })
-	for _, p := range sc.pools {
-		if p != nil {
-			p.Close()
-		}
-	}
+	closeAll(sc.pools)
 }
 
 // Replicas returns the client's replication factor.
@@ -283,23 +321,40 @@ func (sc *StorageClient) probeLoop() {
 	}()
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	state := make([]probeState, len(sc.pools))
+	// The timer is armed only while some shard is down; with every shard
+	// healthy the loop waits for markDown's signal alone. A periodic wake-up
+	// is not free in an otherwise event-driven daemon: each time a thread
+	// goes idle with a timer pending it breaks the netpoller out of its wait
+	// — an eventfd write and read, ≈ 0.15 I/O system calls per query on a
+	// busy router.
 	t := time.NewTimer(probeBase)
-	defer t.Stop()
+	t.Stop()
+	armed := false
 	for {
 		select {
 		case <-sc.probeStop:
 			return
+		case <-sc.probeWake:
+			// A call just failed: the first re-ping comes probeBase later,
+			// unless a probe of another shard is already due sooner.
+			if !armed {
+				t.Reset(probeBase)
+				armed = true
+			}
+			continue
 		case <-t.C:
+			armed = false
 		}
 		now := time.Now()
-		// Wake at least every probeBase to notice newly-down shards (a
-		// failed call flips the flag without signalling this loop).
+		// While anything is down, wake at least every probeBase.
 		wake := now.Add(probeBase)
+		anyDown := false
 		for i := range sc.down {
 			if !sc.down[i].Load() {
 				state[i] = probeState{}
 				continue
 			}
+			anyDown = true
 			if state[i].interval == 0 {
 				state[i] = probeState{interval: probeBase, next: now}
 			}
@@ -328,18 +383,26 @@ func (sc *StorageClient) probeLoop() {
 				wake = state[i].next
 			}
 		}
+		if !anyDown {
+			continue
+		}
 		d := time.Until(wake)
 		if d < probeBase/4 {
 			d = probeBase / 4
 		}
 		t.Reset(d)
+		armed = true
 	}
 }
 
-// markDown records a failed shard call.
+// markDown records a failed shard call and wakes the probe.
 func (sc *StorageClient) markDown(shard int) {
 	sc.failovers.Add(1)
 	sc.down[shard].Store(true)
+	select {
+	case sc.probeWake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
 }
 
 // SetOverrides replaces the client's placement-override table. The slices
@@ -348,6 +411,25 @@ func (sc *StorageClient) SetOverrides(ov map[uint64][]int) {
 	sc.ovMu.Lock()
 	sc.overrides = ov
 	sc.ovMu.Unlock()
+}
+
+// pin sets one key's placement override, taking slots over: the migrating
+// router's single-key form of SetOverrides.
+func (sc *StorageClient) pin(key uint64, slots []int) {
+	sc.ovMu.Lock()
+	if sc.overrides == nil {
+		sc.overrides = make(map[uint64][]int)
+	}
+	sc.overrides[key] = slots
+	sc.ovMu.Unlock()
+}
+
+// pins returns a copy of the override table, safe to encode or hand to
+// another client's SetOverrides (the slot slices are never mutated).
+func (sc *StorageClient) pins() map[uint64][]int {
+	sc.ovMu.RLock()
+	defer sc.ovMu.RUnlock()
+	return maps.Clone(sc.overrides)
 }
 
 // overrideFor returns key's pinned placement, or nil. A pin naming a slot
@@ -364,29 +446,21 @@ func (sc *StorageClient) overrideFor(key uint64) []int {
 	return pl
 }
 
-// placement appends key's replica shards (primary first) to dst: the
-// override pin when migration moved the key, baseline placement otherwise.
+// placement is the deployment's one placement function: it appends key's
+// replica shards (primary first) to dst — the pin when migration moved the
+// key, else the murmur shard when unreplicated, else the replicas
+// highest-scoring rendezvous slots. The domain is frozen at the shard list
+// the client was built over; an empty one places nothing. Client-side
+// placement only works because every reader and every writer of a
+// deployment computes exactly this.
 func (sc *StorageClient) placement(key uint64, dst []int) []int {
-	return placeKey(key, sc.overrideFor(key), sc.slots, sc.replicas, dst)
-}
-
-// placeKey is the deployment's one placement function: it appends key's
-// replica slots (primary first) to dst — the pin when there is one, else
-// the murmur shard when unreplicated, else the replicas highest-scoring
-// rendezvous slots. slots is the placement domain, frozen at the seeded
-// shard count; an empty domain places nothing. Client-side placement only
-// works because every reader and the writing router compute exactly this.
-func placeKey(key uint64, pin, slots []int, replicas int, dst []int) []int {
-	if len(pin) > 0 {
+	if pin := sc.overrideFor(key); len(pin) > 0 {
 		return append(dst[:0], pin...)
 	}
-	if len(slots) == 0 {
-		return dst[:0]
+	if sc.replicas <= 1 && len(sc.slots) > 0 {
+		return append(dst[:0], int(hash.Key64(key, 0)%uint64(len(sc.slots))))
 	}
-	if replicas <= 1 {
-		return append(dst[:0], int(hash.Key64(key, 0)%uint64(len(slots))))
-	}
-	return topology.RendezvousN(key, slots, replicas, dst)
+	return topology.RendezvousN(key, sc.slots, sc.replicas, dst)
 }
 
 // shardFor returns the shard a read of key prefers.
@@ -395,52 +469,90 @@ func (sc *StorageClient) shardFor(key uint64) int {
 	return sc.placement(key, buf[:0])[0]
 }
 
-// Put stores one encoded record on every replica of its placement set.
-// Shards marked down are skipped on the first pass (their copy is
-// repaired by reloading) — but the flag is advisory, so if no replica
-// looked up, every placement shard is tried anyway. The write fails only
-// when no replica accepted it.
+// call sends one request to one shard, marking the shard down when the
+// call fails for any reason but the caller's own cancellation.
+func (sc *StorageClient) call(ctx context.Context, shard int, req *Request) (Response, error) {
+	if shard < 0 || shard >= len(sc.pools) {
+		return Response{}, &remoteError{addr: "storage", msg: fmt.Sprintf("no shard in slot %d", shard), kind: query.ErrUnavailable}
+	}
+	resp, err := sc.pools[shard].Call(ctx, req)
+	if err != nil && ctx.Err() == nil {
+		sc.markDown(shard)
+	}
+	return resp, err
+}
+
+// errUnplaced is what a key-addressed call answers on a client without
+// shards, such as the one a router started without a storage view holds.
+func errUnplaced(key uint64) error {
+	return &remoteError{addr: "storage", msg: fmt.Sprintf("key %d: no storage shards to place it on (a router needs -storage to mutate)", key), kind: query.ErrUnavailable}
+}
+
+// Get returns key's raw stored bytes from the first replica of its
+// placement that answers, healthy replicas first (the flags are advisory:
+// a down replica is still asked, last). A replica that answers "absent"
+// settles it: every write is write-all and the router rolls an unacked one
+// back, so replicas only diverge when a roll-back was itself interrupted —
+// and the next successful write of the record re-converges them.
+func (sc *StorageClient) Get(ctx context.Context, key uint64) ([]byte, bool, error) {
+	var buf, late [topology.MaxReplicas]int
+	pl := sc.placement(key, buf[:0])
+	order, down := pl[:0], late[:0]
+	for _, shard := range pl {
+		if sc.down[shard].Load() {
+			down = append(down, shard)
+		} else {
+			order = append(order, shard)
+		}
+	}
+	var firstErr error
+	for _, shard := range append(order, down...) {
+		resp, err := sc.call(ctx, shard, &Request{Op: OpGet, Key: key})
+		if err == nil {
+			return resp.Value, resp.Found, nil
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	if firstErr == nil {
+		firstErr = errUnplaced(key)
+	}
+	return nil, false, firstErr
+}
+
+// Put stores one encoded record on every replica of its placement, in
+// placement order. Write-all, not quorum: one unreachable replica fails the
+// write unacked (down flags are advisory and skip nothing), so an acked
+// write survives any single restart of a durable tier — the invariant the
+// mutate-rolling-restart chaos scenario holds the deployment to — and a
+// loader can never silently under-replicate a key.
 func (sc *StorageClient) Put(ctx context.Context, key uint64, value []byte) error {
 	var buf [topology.MaxReplicas]int
 	pl := sc.placement(key, buf[:0])
-	var firstErr error
-	wrote := 0
-	tryPut := func(shard int) {
-		if _, err := sc.pools[shard].Call(ctx, &Request{Op: OpPut, Key: key, Value: value}); err != nil {
-			// Don't poison the health flags with our own cancellation.
-			if ctx.Err() == nil {
-				sc.markDown(shard)
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
-		wrote++
+	if len(pl) == 0 {
+		return errUnplaced(key)
 	}
-	var tried uint8
-	for i, shard := range pl {
-		if sc.down[shard].Load() {
-			continue
+	for _, shard := range pl {
+		if err := sc.putAt(ctx, shard, key, value); err != nil {
+			return err
 		}
-		tried |= 1 << i
-		tryPut(shard)
-	}
-	if wrote == 0 {
-		for i, shard := range pl {
-			if tried&(1<<i) != 0 {
-				continue
-			}
-			tryPut(shard)
-		}
-	}
-	if wrote == 0 {
-		if firstErr != nil {
-			return firstErr
-		}
-		return &remoteError{addr: "storage", msg: fmt.Sprintf("no live replica accepted key %d", key), kind: query.ErrUnavailable}
 	}
 	return nil
+}
+
+// putAt stores value under key on one shard, whatever key's placement: the
+// migration copy and the pre-image restore.
+func (sc *StorageClient) putAt(ctx context.Context, shard int, key uint64, value []byte) error {
+	_, err := sc.call(ctx, shard, &Request{Op: OpPut, Key: key, Value: value})
+	return err
+}
+
+// dropAt tombstones key on one shard: a migration's old copy, or the
+// restore of a record that did not exist before a rolled-back write.
+func (sc *StorageClient) dropAt(ctx context.Context, shard int, key uint64) error {
+	_, err := sc.call(ctx, shard, &Request{Op: OpDrop, Key: key})
+	return err
 }
 
 // MultiGet fetches the records for ids, grouping keys by their preferred

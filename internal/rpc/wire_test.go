@@ -83,7 +83,7 @@ func fullRequest() *Request {
 		Proc:      5,
 		Tier:      "storage",
 		Version:   12,
-		Muts:      []Mutation{{Op: MutOpAddEdge, Node: 1, To: 2, Label: "knows"}, {Op: MutOpRemoveEdge, Node: 9, To: 1}},
+		Muts:      []Mutation{{Op: query.MutAddEdge, Node: 1, To: 2, Label: "knows"}, {Op: query.MutRemoveEdge, Node: 9, To: 1}},
 		Overrides: map[uint64][]int{42: {1, 0}, 99: {2}},
 	}
 }
@@ -158,7 +158,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpGet, Key: 123456789},
 		{Op: OpMultiGet, Keys: []uint64{0, 1, 1<<64 - 1}},
 		{Op: OpPut, Key: 1, Value: []byte{0, 255, 1}},
-		{Op: OpMutate, Muts: []Mutation{{Op: MutOpAddEdge, Node: 42, To: 99}}},
+		{Op: OpMutate, Muts: []Mutation{{Op: query.MutAddEdge, Node: 42, To: 99}}},
 		{Op: OpJoin, Addr: "127.0.0.1:7001", Tier: "storage", Version: 3},
 		{Op: OpPlacement, Overrides: map[uint64][]int{7: {0, 2}}},
 		fullRequest(),

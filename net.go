@@ -86,11 +86,14 @@ type RouterSpec struct {
 	// shards appear in Stats()/grouting-cli -topology with their status
 	// and shard counters, and more can join at runtime with
 	// StorageServer.Register (groutingd -role storage -join). It is also
-	// the write path's placement domain: mutations (Client.Mutate through
-	// Dial) and adaptive placement need it.
+	// the write path: the router applies mutations (Client.Mutate through
+	// Dial) and adaptive-placement moves through the same storage client
+	// the processors read through, over exactly these shards — so list
+	// the shards, in the order, the loader and the processors were given.
 	Storage []string
-	// StorageReplicas is the deployment's storage replication factor,
-	// reported in Stats() (0 reads as 1).
+	// StorageReplicas is the deployment's storage replication factor —
+	// the one the loader and the processors use; the router's writes go
+	// to that many replicas and Stats() reports it (0 reads as 1).
 	StorageReplicas int
 	// AdaptivePlacement enables the workload-adaptive placement subsystem
 	// on the router: it periodically drains per-record read heat from the
@@ -165,9 +168,10 @@ func LoadStorage(ctx context.Context, g *Graph, storageAddrs []string) error {
 
 // LoadStorageReplicated bulk-loads every live node of g across the
 // storage shards with the given replication factor: each record is
-// written to every replica of its rendezvous placement set. Processors
-// reading the data must be started with the same factor
-// (ProcessorSpec.StorageReplicas / groutingd -storage-replicas).
+// written to every replica of its rendezvous placement set, and a replica
+// that cannot be written fails the load rather than leaving the record
+// under-replicated. Processors reading the data must be started with the
+// same factor (ProcessorSpec.StorageReplicas / groutingd -storage-replicas).
 func LoadStorageReplicated(ctx context.Context, g *Graph, storageAddrs []string, replicas int) error {
 	sc, err := rpc.DialStorageReplicated(storageAddrs, replicas)
 	if err != nil {
@@ -243,7 +247,7 @@ func (c *netClient) ExecuteStream(ctx context.Context, in <-chan Query) <-chan O
 func (c *netClient) Mutate(ctx context.Context, muts []Mutation) (int, error) {
 	wire := make([]rpc.Mutation, len(muts))
 	for i, m := range muts {
-		wire[i] = rpc.Mutation{Op: uint8(m.Op), Node: m.Node, To: m.To, Label: m.Label}
+		wire[i] = rpc.Mutation{Op: m.Op, Node: m.Node, To: m.To, Label: m.Label}
 	}
 	return c.rc.Mutate(ctx, wire)
 }

@@ -1,9 +1,9 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: ci fmt-check vet lint build test bench-test race cover examples bench-smoke bench suite chaos chaos-smoke loc
+.PHONY: ci fmt-check vet lint build cross test bench-test race cover examples bench-smoke bench suite chaos chaos-smoke loc
 
-ci: fmt-check lint build test bench-test race cover examples bench-smoke loc
+ci: fmt-check lint build cross test bench-test race cover examples bench-smoke loc
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -22,6 +22,14 @@ lint: vet
 
 build:
 	$(GO) build ./...
+
+# internal/rpc reads a conn through the raw descriptor on unix and through
+# bufio everywhere else (frames_unix.go / frames_other.go): build the tree
+# for a non-unix target so the portable half keeps compiling, and vet the
+# unix half for a second unix. Both need only GOROOT.
+cross:
+	GOOS=windows $(GO) build ./...
+	GOOS=darwin $(GO) vet ./internal/rpc
 
 test:
 	$(GO) test ./...

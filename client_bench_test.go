@@ -2,6 +2,9 @@ package grouting_test
 
 import (
 	"context"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	grouting "repro"
@@ -128,12 +131,14 @@ func BenchmarkClientExecuteTCP(b *testing.B) {
 // in this process. The warmed virtual-time path runs alloc-free (its engine
 // reuses every buffer and there is no wire), so "within 2x of virtual time"
 // is vacuous; the budget is the operative bound. Measured steady state is
-// ~17 allocs/query (down from ~51 under gob framing) — the residue is
-// per-request goroutine spawns, pool misses under connection concurrency,
-// and the freshly-allocated Result internals that make envelope recycling
-// safe. Tighten the budget if the codec improves; never loosen it without a
-// pprof diff showing where the new allocations come from.
-const tcpAllocBudget = 24
+// 9 allocs/query (51 under gob framing; 17 while each of the four received
+// frames was copied into a pooled slab whose release escaped) — the residue
+// is per-request goroutine spawns, pool misses under connection
+// concurrency, and the freshly-allocated Result internals that make
+// envelope recycling safe. Tighten the budget if the codec improves; never
+// loosen it without a pprof diff showing where the new allocations come
+// from.
+const tcpAllocBudget = 16
 
 // TestTCPAllocBudget pins the wire protocol's allocation overhead: a
 // steady-state query over loopback TCP must stay within 2x the virtual-time
@@ -170,5 +175,66 @@ func TestTCPAllocBudget(t *testing.T) {
 	if tcpAllocs > limit {
 		t.Errorf("TCP path allocates %.1f/query, above the budget of %.1f (virtual-time path: %.1f)",
 			tcpAllocs, limit, localAllocs)
+	}
+}
+
+// ioCrossings reads this process's read(2)+write(2) family call count from
+// /proc/self/io — what strace -c would total, without strace.
+func ioCrossings(t *testing.T) int64 {
+	t.Helper()
+	data, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		t.Skipf("no per-process I/O accounting here: %v", err)
+	}
+	var total int64
+	found := 0
+	for _, line := range strings.Split(string(data), "\n") {
+		name, val, ok := strings.Cut(line, ": ")
+		if !ok || (name != "syscr" && name != "syscw") {
+			continue
+		}
+		n, err := strconv.ParseInt(strings.TrimSpace(val), 10, 64)
+		if err != nil {
+			t.Skipf("unreadable /proc/self/io line %q", line)
+		}
+		total += n
+		found++
+	}
+	if found != 2 {
+		t.Skip("/proc/self/io has no syscr/syscw")
+	}
+	return total
+}
+
+// tcpCrossingsBudget bounds the read/write calls one warmed point query
+// costs across the whole loopback deployment, which lives in this process:
+// the query crosses four frames (client → router → processor and back),
+// each written once and read once, so 8 — 6 on the daemons' side, 2 on the
+// client's. The margin is for the rare wake-up that finds its bytes already
+// taken. It was 12 while every idle wake-up paid a second read for EAGAIN.
+const tcpCrossingsBudget = 8.5
+
+// TestTCPCrossingsBudget pins the kernel crossings per query next to the
+// allocations per query: the ledger in README's performance log, measured
+// instead of pasted. Must not run in parallel with anything.
+func TestTCPCrossingsBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crossings measurement")
+	}
+	_, remote, qs := allocBenchSetup(t)
+	ctx := context.Background()
+	const passes = 10
+	before := ioCrossings(t)
+	for i := 0; i < passes; i++ {
+		for _, q := range qs {
+			if _, err := remote.Execute(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	perQuery := float64(ioCrossings(t)-before) / float64(passes*len(qs))
+	t.Logf("%.2f read/write calls per query", perQuery)
+	if perQuery > tcpCrossingsBudget {
+		t.Errorf("a hot point query costs %.2f read/write calls, above the budget of %.1f", perQuery, tcpCrossingsBudget)
 	}
 }

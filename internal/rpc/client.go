@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"repro/internal/metrics"
@@ -56,8 +55,8 @@ func (c *RouterClient) Execute(ctx context.Context, q query.Query) (query.Result
 	if err := c.pool.CallInto(ctx, &cc.req, &cc.resp); err != nil {
 		return query.Result{}, err
 	}
-	if len(cc.resp.Results) != 1 {
-		return query.Result{}, &remoteError{addr: c.pool.Addr(), msg: fmt.Sprintf("got %d results for 1 query", len(cc.resp.Results)), kind: query.ErrUnavailable}
+	if err := checkResults(c.pool.Addr(), &cc.resp, 1); err != nil {
+		return query.Result{}, err
 	}
 	return cc.resp.Results[0], nil
 }
@@ -78,8 +77,8 @@ func (c *RouterClient) ExecuteBatch(ctx context.Context, qs []query.Query) ([]qu
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Results) != len(qs) {
-		return nil, &remoteError{addr: c.pool.Addr(), msg: fmt.Sprintf("got %d results for %d queries", len(resp.Results), len(qs)), kind: query.ErrUnavailable}
+	if err := checkResults(c.pool.Addr(), &resp, len(qs)); err != nil {
+		return nil, err
 	}
 	return resp.Results, nil
 }

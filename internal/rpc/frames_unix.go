@@ -1,0 +1,121 @@
+//go:build unix
+
+package rpc
+
+import (
+	"encoding/binary"
+	"io"
+	"net"
+	"os"
+	"syscall"
+)
+
+// readFrames reads c until it fails or onFrame returns false, handing
+// onFrame every frame payload in arrival order. A payload is only valid
+// during the call: it aliases the read window (a frame larger than the
+// window gets a buffer of its own for its lifetime), so onFrame decodes
+// before it returns. The result is nil when onFrame stopped the loop, else
+// what ended the stream: io.EOF between frames, io.ErrUnexpectedEOF inside
+// one, errFrameTooBig, or the socket's error.
+//
+// On a conn that exposes its descriptor the loop costs one read(2) per
+// wake-up instead of net.Conn.Read's two (read → EAGAIN → park → read): a
+// read that returns fewer bytes than it asked for has drained a stream
+// socket's receive queue (epoll(7)), so the goroutine parks on the
+// netpoller without asking again. Three constraints shape it:
+//
+//   - The whole loop runs inside ONE RawConn.Read callback. Every new call
+//     starts with prepareRead → runtime_pollReset, which clears a readiness
+//     edge that arrived after the short read; parking first in a fresh call
+//     would sleep through it. Inside one call the edge stays latched until
+//     waitRead consumes it.
+//   - Neither the callback nor onFrame may close c: poll.FD.Close waits for
+//     the read lock the callback holds. Callers record why they stopped,
+//     return false, and close after readFrames has returned.
+//   - A short read proves there is no more data, not that the peer is still
+//     there: a FIN that lands before the goroutine has read the bytes ahead
+//     of it shares their wake-up, and the netpoller does not say which of
+//     the two woke it. Parking then sleeps on a closed stream until this
+//     end writes (the peer resets, which is a new edge). So the short read
+//     is only trusted between frames and while owed (optional) reports that
+//     this end waits for nothing; otherwise the loop reads once more, as
+//     net.Conn.Read would, and parks on EAGAIN. A client passes "calls are
+//     pending". A server passes nil: every request it reads gets a reply,
+//     whose write finds the dead peer.
+//
+// Other conns (and non-unix builds) take readFramesBuffered.
+func readFrames(c net.Conn, onFrame func(payload []byte) bool, owed func() bool) error {
+	sc, ok := c.(syscall.Conn)
+	if !ok {
+		return readFramesBuffered(c, onFrame)
+	}
+	rc, err := sc.SyscallConn()
+	if err != nil {
+		return err
+	}
+	var (
+		win  = make([]byte, frameWindow)
+		buf  = win // read target: win, or an oversized frame's own buffer
+		r, w int   // buf[r:w] is read and not yet delivered
+		rerr error
+	)
+	err = rc.Read(func(fd uintptr) (done bool) {
+		for {
+			n, err := syscall.Read(int(fd), buf[w:])
+			switch {
+			case err == syscall.EINTR:
+				continue
+			case err == syscall.EAGAIN:
+				return false
+			case err != nil:
+				rerr = &net.OpError{Op: "read", Net: "tcp", Source: c.LocalAddr(), Addr: c.RemoteAddr(), Err: os.NewSyscallError("read", err)}
+				return true
+			case n == 0:
+				rerr = io.EOF
+				if w > r {
+					rerr = io.ErrUnexpectedEOF
+				}
+				return true
+			}
+			drained := n < len(buf)-w
+			w += n
+
+			need := frameHeader // bytes the frame at r spans, once its header is in
+			for w-r >= frameHeader {
+				size := binary.LittleEndian.Uint32(buf[r:])
+				if size > maxFrame {
+					rerr = errFrameTooBig
+					return true
+				}
+				need = frameHeader + int(size)
+				if w-r < need {
+					break
+				}
+				if !onFrame(buf[r+frameHeader : r+need]) {
+					return true
+				}
+				r += need
+				need = frameHeader
+			}
+			// Leave room at buf[w:] for the rest of a partial frame.
+			switch {
+			case r == w:
+				buf, r, w = win, 0, 0
+			case need > len(buf):
+				big := make([]byte, need)
+				w = copy(big, buf[r:w])
+				buf, r = big, 0
+			case r > 0:
+				w = copy(buf, buf[r:w])
+				r = 0
+			}
+			if drained && w == 0 && (owed == nil || !owed()) {
+				return false
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	return rerr
+}

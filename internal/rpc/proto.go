@@ -17,10 +17,18 @@
 // carries a tag, and each connection multiplexes many in-flight calls — a
 // per-connection demux goroutine matches response tags to waiting callers,
 // so a cancelled or slow call never blocks (or poisons) the shared socket.
+//
+// Both ends of a connection read it through readFrames (frames_unix.go):
+// one goroutine per conn, one 32 KiB window, frames decoded in place, and
+// on unix one read(2) per wake-up — a frame costs its writer one crossing
+// and its reader one, so a query costs what its hop count says. Elsewhere,
+// and on a conn that hides its descriptor, the same loop runs over bufio
+// (readFramesBuffered, wire.go); the build tag and a syscall.Conn assertion
+// are the only switch between the two. Writes are one Write per frame under
+// a per-conn mutex.
 package rpc
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -336,6 +344,16 @@ func respError(addr string, resp *Response) error {
 	return &remoteError{addr: addr, msg: resp.Err, kind: sentinelFor(resp.Code)}
 }
 
+// checkResults refuses an OK execute reply that does not carry one result
+// per query (the codec omits an empty Results): every caller indexes it
+// positionally.
+func checkResults(addr string, resp *Response, queries int) error {
+	if len(resp.Results) == queries {
+		return nil
+	}
+	return &remoteError{addr: addr, msg: fmt.Sprintf("got %d results for %d queries", len(resp.Results), queries), kind: query.ErrUnavailable}
+}
+
 // execRequest assembles an OpExecute request, capturing ctx's deadline so
 // daemons downstream can honour it.
 func execRequest(ctx context.Context, qs []query.Query) *Request {
@@ -386,6 +404,7 @@ func putCall(ca *pcall) {
 type Conn struct {
 	c    net.Conn
 	addr string
+	done chan struct{} // closed when the demux goroutine has exited
 
 	wmu sync.Mutex // serialises frame writes
 
@@ -411,9 +430,14 @@ func DialContext(ctx context.Context, addr string) (*Conn, error) {
 		}
 		return nil, &remoteError{addr: addr, msg: "dial: " + err.Error(), kind: query.ErrUnavailable}
 	}
-	cn := &Conn{c: c, addr: addr, pending: make(map[uint64]*pcall)}
+	return newConn(c, addr), nil
+}
+
+// newConn starts the demux over an established connection.
+func newConn(c net.Conn, addr string) *Conn {
+	cn := &Conn{c: c, addr: addr, done: make(chan struct{}), pending: make(map[uint64]*pcall)}
 	go cn.readLoop()
-	return cn, nil
+	return cn
 }
 
 // Addr returns the remote address.
@@ -530,22 +554,19 @@ func (cn *Conn) fail(cause error) {
 	cn.c.Close()
 }
 
-// readLoop is the demux: it reads frames off the socket and delivers each
-// to the call that owns its tag. Responses to abandoned (cancelled) tags
-// are discarded. Any read or decode failure poisons the connection.
+// readLoop is the demux: it delivers each frame readFrames hands it to the
+// call that owns its tag. Responses to abandoned (cancelled) tags are
+// discarded. Any read or decode failure poisons the connection — after
+// readFrames has returned, since fail closes the socket and the frame
+// callback must not (see readFrames).
 func (cn *Conn) readLoop() {
-	br := bufio.NewReaderSize(cn.c, 32<<10)
-	for {
-		payload, err := readFrame(br)
-		if err != nil {
-			cn.fail(&remoteError{addr: cn.addr, msg: "recv: " + err.Error(), kind: query.ErrUnavailable})
-			return
-		}
+	defer close(cn.done)
+	var cause error
+	err := readFrames(cn.c, func(payload []byte) bool {
 		tag, rest, ok := peelTag(payload)
 		if !ok {
-			releaseFrame(payload)
-			cn.fail(&remoteError{addr: cn.addr, msg: "recv: malformed frame", kind: query.ErrUnavailable})
-			return
+			cause = &remoteError{addr: cn.addr, msg: "recv: malformed frame", kind: query.ErrUnavailable}
+			return false
 		}
 		cn.mu.Lock()
 		ca := cn.pending[tag]
@@ -553,34 +574,50 @@ func (cn *Conn) readLoop() {
 		cn.mu.Unlock()
 		if ca == nil {
 			// Abandoned call (cancelled or timed out): drop the response.
-			releaseFrame(payload)
-			continue
+			return true
 		}
-		derr := decodeResponseInto(rest, ca.resp)
-		releaseFrame(payload)
-		if derr != nil {
+		if derr := decodeResponseInto(rest, ca.resp); derr != nil {
 			// Protocol desync: deliver to this call, then poison the rest.
-			ca.err = &remoteError{addr: cn.addr, msg: derr.Error(), kind: query.ErrUnavailable}
-			ca.done <- struct{}{}
-			cn.fail(ca.err)
-			return
+			cause = &remoteError{addr: cn.addr, msg: derr.Error(), kind: query.ErrUnavailable}
+			ca.err = cause
 		}
 		ca.done <- struct{}{}
+		return cause == nil
+	}, cn.callsPending)
+	if cause == nil {
+		cause = &remoteError{addr: cn.addr, msg: "recv: " + err.Error(), kind: query.ErrUnavailable}
 	}
+	cn.fail(cause)
 }
 
-// Close shuts the connection down; in-flight calls fail with
-// query.ErrUnavailable.
-func (cn *Conn) Close() error { return cn.c.Close() }
+// callsPending tells the reader whether the peer owes this end a response:
+// while it does, a peer that closes must be noticed without this end
+// writing first, or those calls would wait on a dead stream. A call that
+// registers after the check writes after it, and that write provokes the
+// reset the parked reader wakes on.
+func (cn *Conn) callsPending() bool {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	return len(cn.pending) > 0
+}
+
+// Close shuts the connection down and waits for its demux goroutine;
+// in-flight calls fail with query.ErrUnavailable.
+func (cn *Conn) Close() error {
+	err := cn.c.Close()
+	<-cn.done
+	return err
+}
 
 // connTracker records a daemon's live connections so Close can sever
 // them: closing only the listener would leave pooled client connections
 // answering, which is not how a killed server behaves — and the replica
 // failover machinery exists precisely for servers that stop answering.
 type connTracker struct {
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
+	mu      sync.Mutex
+	conns   map[net.Conn]struct{}
+	closed  bool
+	serving sync.WaitGroup // one per registered conn, until its serveConn returns
 }
 
 // add registers c, reporting false when the tracker is already closed.
@@ -594,6 +631,7 @@ func (ct *connTracker) add(c net.Conn) bool {
 		ct.conns = make(map[net.Conn]struct{})
 	}
 	ct.conns[c] = struct{}{}
+	ct.serving.Add(1)
 	return true
 }
 
@@ -601,9 +639,12 @@ func (ct *connTracker) remove(c net.Conn) {
 	ct.mu.Lock()
 	delete(ct.conns, c)
 	ct.mu.Unlock()
+	ct.serving.Done()
 }
 
-// closeAll severs every live connection and refuses new ones.
+// closeAll severs every live connection, refuses new ones and waits for
+// the connections' read loops to return (handlers still running for them
+// see their context cancelled and finish on their own).
 func (ct *connTracker) closeAll() {
 	ct.mu.Lock()
 	ct.closed = true
@@ -616,6 +657,7 @@ func (ct *connTracker) closeAll() {
 	for _, c := range conns {
 		c.Close()
 	}
+	ct.serving.Wait()
 }
 
 // serve runs the accept loop for a daemon, dispatching each connection to
@@ -651,25 +693,18 @@ func serveConn(c net.Conn, handle func(context.Context, *Request) Response, ct *
 		c.Close()
 	}()
 	var wmu sync.Mutex
-	br := bufio.NewReaderSize(c, 32<<10)
-	for {
-		payload, err := readFrame(br)
-		if err != nil {
-			return
-		}
+	// A read failure, a malformed frame or a request that does not decode
+	// (protocol desync) all end the same way: drop the connection, and the
+	// client's demux fails its in-flight calls with unavailable.
+	_ = readFrames(c, func(payload []byte) bool {
 		tag, rest, ok := peelTag(payload)
 		if !ok {
-			releaseFrame(payload)
-			return
+			return false
 		}
 		req := reqPool.Get().(*Request)
-		derr := decodeRequestInto(rest, req)
-		releaseFrame(payload)
-		if derr != nil {
-			// Protocol desync: drop the connection (the client's demux will
-			// fail its in-flight calls with unavailable).
+		if derr := decodeRequestInto(rest, req); derr != nil {
 			reqPool.Put(req)
-			return
+			return false
 		}
 		go func(tag uint64, req *Request) {
 			ctx := connCtx
@@ -699,5 +734,6 @@ func serveConn(c net.Conn, handle func(context.Context, *Request) Response, ct *
 				c.Close() // wake the read loop; the conn is done
 			}
 		}(tag, req)
-	}
+		return true
+	}, nil)
 }

@@ -427,6 +427,9 @@ func (r *RouterServer) executeClassic(ctx context.Context, ex *ExecRequest) Resp
 		sc.req = Request{Op: OpExecute, Exec: ex}
 		resp, err := pools[p].Call(ctx, &sc.req)
 		r.finish(p, len(dest), &resp, err)
+		if err == nil {
+			err = checkResults(pools[p].Addr(), &resp, len(dest))
+		}
 		if err != nil {
 			return errorResponse(err)
 		}
@@ -464,6 +467,9 @@ func (r *RouterServer) executeClassic(ctx context.Context, ex *ExecRequest) Resp
 	for range groups {
 		pr := <-results
 		r.finish(pr.proc, len(pr.indices), &pr.resp, pr.err)
+		if pr.err == nil {
+			pr.err = checkResults(pools[pr.proc].Addr(), &pr.resp, len(pr.indices))
+		}
 		if pr.err != nil {
 			if firstErr == nil {
 				firstErr = pr.err

@@ -612,6 +612,11 @@ func (sc *StorageClient) MultiGet(ctx context.Context, ids []graph.NodeID) (map[
 					keys[i] = uint64(id)
 				}
 				resp, err := sc.pools[shard].Call(ctx, &Request{Op: OpMultiGet, Keys: keys})
+				if err == nil && (len(resp.Founds) != len(keys) || len(resp.Values) != len(keys)) {
+					// A reply that does not cover the keys is a failed shard,
+					// not an index to trust.
+					err = &remoteError{addr: sc.pools[shard].Addr(), msg: fmt.Sprintf("got %d values for %d keys", len(resp.Values), len(keys)), kind: query.ErrUnavailable}
+				}
 				results <- shardResult{shard: shard, ids: gids, resp: resp, err: err}
 			}(shard, gids)
 		}

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -31,6 +32,10 @@ const (
 	maxFrame = 64 << 20
 	// frameHeader is the length prefix size.
 	frameHeader = 4
+	// frameWindow is the read buffer each connection end holds: one read(2)
+	// takes in at most this much, and a frame that does not fit in it gets
+	// a buffer of its own.
+	frameWindow = 32 << 10
 	// maxWireStr bounds decoded envelope strings (addresses, labels, error
 	// messages, stats roles).
 	maxWireStr = 1 << 16
@@ -39,7 +44,8 @@ const (
 var errFrameTooBig = errors.New("rpc: frame exceeds size limit")
 
 // slabPool recycles frame buffers across calls and connections — the
-// "one []byte slab per frame" the zero-alloc encode path is built on.
+// "one []byte slab per frame" the zero-alloc encode path is built on (and
+// what the buffered read path copies each received frame into).
 var slabPool = sync.Pool{New: func() any { s := make([]byte, 0, 1024); return &s }}
 
 func getSlab() *[]byte { return slabPool.Get().(*[]byte) }
@@ -91,6 +97,25 @@ func readFrame(r io.Reader) ([]byte, error) {
 // releaseFrame returns a payload obtained from readFrame to the slab pool.
 func releaseFrame(payload []byte) {
 	putSlab(&payload)
+}
+
+// readFramesBuffered is the portable frame-delivery loop behind readFrames:
+// readFrame over a bufio.Reader, one pooled slab per frame. It costs a
+// second read(2) per idle wake-up (net.Conn.Read always tries the socket
+// before it parks), which is why unix TCP conns do not take it.
+func readFramesBuffered(r io.Reader, onFrame func(payload []byte) bool) error {
+	br := bufio.NewReaderSize(r, frameWindow)
+	for {
+		payload, err := readFrame(br)
+		if err != nil {
+			return err
+		}
+		more := onFrame(payload)
+		releaseFrame(payload)
+		if !more {
+			return nil
+		}
+	}
 }
 
 // Append helpers (the encode half of the codec). All integers are varints:
@@ -177,8 +202,9 @@ func (d *wireReader) f64() float64 {
 	return math.Float64frombits(v)
 }
 
-// str decodes a length-prefixed string, copying out of the slab (the slab
-// is recycled after decode, so nothing may alias it).
+// str decodes a length-prefixed string, copying out of the frame (the
+// reader reuses the bytes under it once decode returns, so nothing may
+// alias them).
 func (d *wireReader) str() string {
 	n := d.uvarint()
 	if d.err || n > maxWireStr || n > uint64(len(d.buf)) {
@@ -206,8 +232,8 @@ func (d *wireReader) bytes(dst []byte) []byte {
 }
 
 // raw decodes a length-prefixed sub-encoding WITHOUT copying: the returned
-// slice aliases the frame slab and must be fully consumed (e.g. by an
-// UnmarshalBinary that retains nothing) before the slab is released.
+// slice aliases the frame and must be fully consumed (e.g. by an
+// UnmarshalBinary that retains nothing) before decode returns.
 func (d *wireReader) raw() []byte {
 	n := d.uvarint()
 	if d.err || n > uint64(len(d.buf)) {

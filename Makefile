@@ -99,17 +99,22 @@ loc:
 suite:
 	$(GO) run ./cmd/grouting-bench -run all -parallel 0
 
-# Every built-in chaos scenario on the virtual-time engine, plus the
-# rolling-restart acceptance scenario against real TCP daemons.
+# Every built-in chaos scenario on the virtual-time engine, plus the two
+# rolling-restart acceptance scenarios (reads only, and under a write
+# stream) against real TCP daemons.
 chaos:
 	$(GO) run ./cmd/grouting-chaos -list
 	$(GO) run ./cmd/grouting-chaos -scenario rolling-restart -harness both
+	$(GO) run ./cmd/grouting-chaos -scenario mutate-rolling-restart -harness both
 	$(GO) run ./cmd/grouting-chaos -scenario netsplit -harness sim
 	$(GO) run ./cmd/grouting-chaos -scenario kill9 -harness sim
 	$(GO) run ./cmd/grouting-chaos -scenario slowlink -harness sim
 	$(GO) run ./cmd/grouting-chaos -scenario scaleout -harness sim
 
-# The CI subset: rolling-restart and netsplit on the deterministic simnet
-# harness under the race detector (fast, no wall-clock flake surface).
+# The CI subset under the race detector: rolling-restart and netsplit on
+# the deterministic simnet harness, and the write path where it is exercised
+# — mutations through rolling restarts on simnet and against real TCP
+# daemons (the live run checks correctness and acked writes only; the runner
+# does not hold a wall clock to a goodput floor).
 chaos-smoke:
-	$(GO) test -race -run 'TestRollingRestartSim|TestNetsplitSim' -count=1 ./internal/chaos
+	$(GO) test -race -run 'TestRollingRestartSim|TestNetsplitSim|TestMutateRollingRestartSim|TestMutateRollingRestartLive' -count=1 ./internal/chaos

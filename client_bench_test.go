@@ -238,3 +238,118 @@ func TestTCPCrossingsBudget(t *testing.T) {
 		t.Errorf("a hot point query costs %.2f read/write calls, above the budget of %.1f", perQuery, tcpCrossingsBudget)
 	}
 }
+
+// durableShards starts two in-process durable storage shards (WAL on, fsync
+// off — the benchmark's read_write shape) and returns their addresses.
+func durableShards(t *testing.T) []string {
+	t.Helper()
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		ss, err := grouting.ServeStorageDurable("127.0.0.1:0", t.TempDir(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ss.Close() })
+		addrs = append(addrs, ss.Addr())
+	}
+	return addrs
+}
+
+// loadCrossingsBudget bounds the read/write calls the bulk loader costs per
+// graph record on two durable shards at R=2, dial and pings included. The
+// records travel ≈ 300 to an OpMultiPut frame, and a frame costs a shard its
+// four crossings plus one WAL write however many records it carries: measured
+// 0.04. It was 10.0 while every record was its own OpPut round trip and its
+// own WAL write on each of its two replicas — 2 × (4 + 1).
+const loadCrossingsBudget = 0.5
+
+// TestLoadCrossingsBudget regenerates the loader's row of README's crossings
+// ledger. Must not run in parallel with anything.
+func TestLoadCrossingsBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crossings measurement")
+	}
+	g := grouting.GenerateDataset(grouting.WebGraph, 0.04, 7)
+	storageAddrs := durableShards(t)
+	before := ioCrossings(t)
+	if err := grouting.LoadStorageReplicated(context.Background(), g, storageAddrs, 2); err != nil {
+		t.Fatal(err)
+	}
+	perRecord := float64(ioCrossings(t)-before) / float64(g.NumNodes())
+	t.Logf("%.3f read/write calls per record (%d records, R=2, two durable shards)", perRecord, g.NumNodes())
+	if perRecord > loadCrossingsBudget {
+		t.Errorf("loading costs %.2f read/write calls per record, above the budget of %.1f", perRecord, loadCrossingsBudget)
+	}
+}
+
+// mutateCrossingsBudget bounds the read/write calls one warmed edge mutation
+// costs across an in-process R=2 durable deployment with three processors:
+// client → router and back (4), two pre-image OpGets (8), one OpMultiPut
+// frame per shard carrying both rewritten records (2 × (4 + 1 WAL write)),
+// and the eviction fan-out (3 × 4) — 34, plus the same margin as the query
+// budget. It was 44 while each record went to each replica as its own OpPut:
+// 4 × (4 + 1) where there are now 2 × (4 + 1).
+const mutateCrossingsBudget = 34.5
+
+// TestMutateCrossingsBudget regenerates the mutation's row of the ledger by
+// toggling edges that do not exist in the loaded graph. Must not run in
+// parallel with anything.
+func TestMutateCrossingsBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crossings measurement")
+	}
+	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
+	ctx := context.Background()
+	storageAddrs := durableShards(t)
+	if err := grouting.LoadStorageReplicated(ctx, g, storageAddrs, 2); err != nil {
+		t.Fatal(err)
+	}
+	var procAddrs []string
+	for i := 0; i < 3; i++ {
+		ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{Storage: storageAddrs, StorageReplicas: 2, CacheBytes: 64 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ps.Close() })
+		procAddrs = append(procAddrs, ps.Addr())
+	}
+	rs, err := grouting.ServeRouter("127.0.0.1:0", grouting.RouterSpec{
+		Processors: procAddrs, Policy: grouting.PolicyHash, Storage: storageAddrs, StorageReplicas: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	cl, err := grouting.Dial(ctx, rs.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	var pairs [][2]grouting.NodeID
+	for u := grouting.NodeID(0); len(pairs) < 16; u += 2 {
+		if g.Exists(u) && g.Exists(u+1) && !g.HasEdge(u, u+1) {
+			pairs = append(pairs, [2]grouting.NodeID{u, u + 1})
+		}
+	}
+	toggle := func() {
+		for _, p := range pairs {
+			if err := cl.AddEdge(ctx, p[0], p[1], ""); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.RemoveEdge(ctx, p[0], p[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	toggle() // dial every pooled connection the write path uses
+	const passes = 10
+	before := ioCrossings(t)
+	for i := 0; i < passes; i++ {
+		toggle()
+	}
+	perMutation := float64(ioCrossings(t)-before) / float64(passes*len(pairs)*2)
+	t.Logf("%.2f read/write calls per mutation", perMutation)
+	if perMutation > mutateCrossingsBudget {
+		t.Errorf("an edge mutation costs %.2f read/write calls, above the budget of %.1f", perMutation, mutateCrossingsBudget)
+	}
+}

@@ -136,10 +136,6 @@ func TestRollingRestartSim(t *testing.T) {
 // and zero lost queries.
 func TestRollingRestartLive(t *testing.T) {
 	sc := Builtin("rolling-restart")
-	// Wall-clock goodput on a loaded CI machine is noisy; the sim
-	// harness pins the 0.70 floor deterministically, the live run pins
-	// correctness and availability across real crashes.
-	sc.Invariants.GoodputFloor = 0
 	sc.Invariants.MaxRejoinFraction = 0
 	res, err := Run(sc, func() Harness { return NewLiveHarness() })
 	if err != nil {
@@ -184,11 +180,7 @@ func TestMutateRollingRestartSim(t *testing.T) {
 // that land on a killed shard fail unacked and must heal by retry; the
 // read-back probes then hold the zero-lost-acked-writes line.
 func TestMutateRollingRestartLive(t *testing.T) {
-	sc := Builtin("mutate-rolling-restart")
-	// Wall-clock goodput is noisy on shared machines; the sim run pins the
-	// floor deterministically.
-	sc.Invariants.GoodputFloor = 0
-	res, err := Run(sc, func() Harness { return NewLiveHarness() })
+	res, err := Run(Builtin("mutate-rolling-restart"), func() Harness { return NewLiveHarness() })
 	if err != nil {
 		t.Fatalf("mutate-rolling-restart on live: %v", err)
 	}
@@ -326,6 +318,23 @@ func TestInvariantViolationDetected(t *testing.T) {
 	out := res.String()
 	if !strings.Contains(out, "FAIL") || !strings.Contains(out, "VIOLATION") {
 		t.Fatalf("violation not rendered:\n%s", out)
+	}
+}
+
+// TestGoodputFloorNeedsVirtualClock pins where the wall-clock decision
+// lives: the same below-floor ratio is a violation on a virtual clock and a
+// reported figure on the wall clock.
+func TestGoodputFloorNeedsVirtualClock(t *testing.T) {
+	sc := Builtin("rolling-restart")
+	for _, wall := range []bool{false, true} {
+		r := &Result{Total: 10, Answered: 10, GoodputRatio: 0.65, wallClock: wall, MaxRecovery: -1, RejoinFraction: -1}
+		r.Violations = checkInvariants(sc, r, nil)
+		if r.Passed() != wall {
+			t.Errorf("wall clock %v: ratio 0.65 under floor %.2f gave violations %v", wall, sc.Invariants.GoodputFloor, r.Violations)
+		}
+		if strings.Contains(r.String(), "not enforced") != wall {
+			t.Errorf("wall clock %v rendered as:\n%s", wall, r.String())
+		}
 	}
 }
 

@@ -35,6 +35,11 @@ type Harness interface {
 	// wall time for the live one. The runner reads it around the
 	// workload to compute goodput.
 	Elapsed() time.Duration
+	// wallClock reports whether Elapsed is wall time. Goodput measured over
+	// two ≈ 100-ms wall-clock passes reads ratios 0.65–1.51 on an idle host
+	// with no code at fault, so the runner reports the ratio on such a
+	// harness and holds only a virtual clock to Invariants.GoodputFloor.
+	wallClock() bool
 	// RepairBytes is the cumulative re-replication byte count across the
 	// tier, or -1 when the harness cannot observe it.
 	RepairBytes() int64
@@ -126,6 +131,8 @@ func (h *SimHarness) Apply(st Step) error {
 }
 
 func (h *SimHarness) Elapsed() time.Duration { return h.ses.Now() }
+
+func (h *SimHarness) wallClock() bool { return false }
 
 // RepairBytes sums re-replication bytes over every shard that ever
 // existed — repairs write to the surviving/restarted shards, so the sum

@@ -178,6 +178,8 @@ func (h *LiveHarness) Apply(st Step) error {
 
 func (h *LiveHarness) Elapsed() time.Duration { return time.Since(h.started) }
 
+func (h *LiveHarness) wallClock() bool { return true }
+
 // RepairBytes: over TCP there is no re-replication machinery to observe
 // (placement is client-side) — the warm-rejoin bound is checked on the
 // simnet harness instead.

@@ -72,7 +72,9 @@ func (st Step) Delay() time.Duration { return time.Duration(st.DelayMicros) * ti
 type Invariants struct {
 	// GoodputFloor is the minimum answered-queries-per-second of the
 	// fault run relative to the fault-free control run (0.7 = the fault
-	// run must sustain at least 70% of control goodput). 0 skips.
+	// run must sustain at least 70% of control goodput). 0 skips, and so
+	// does a harness whose clock is the wall clock (Harness.wallClock):
+	// there the ratio is reported, not enforced.
 	GoodputFloor float64 `json:"goodput_floor,omitempty"`
 	// MaxUnavailable bounds the fraction of queries allowed to fail with
 	// the typed unavailable error. Replicated scenarios typically demand

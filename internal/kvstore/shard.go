@@ -180,15 +180,15 @@ const (
 	putReplay
 )
 
-// put installs e under key if it is newer than what the shard holds,
-// maintaining the live-key accounting and the shard's WAL; an entry that
-// is not newer is refused and nothing is logged. The error is the WAL's
-// (the entry is installed in memory regardless). Caller holds sh.mu (or
-// the store-wide write lock, which excludes every shard reader).
-func (sh *Shard) put(key uint64, e entry, flags int) error {
+// install puts e under key in memory if it is newer than what the shard
+// holds, maintaining the live-key accounting, and reports whether it did: an
+// entry that is not newer is refused and must not be logged either. Caller
+// holds sh.mu (or the store-wide write lock, which excludes every shard
+// reader).
+func (sh *Shard) install(key uint64, e entry, flags int) bool {
 	old, ok := sh.data[key]
 	if ok && old.ver >= e.ver {
-		return nil
+		return false
 	}
 	if ok && !old.dead {
 		sh.stats.Keys--
@@ -202,7 +202,15 @@ func (sh *Shard) put(key uint64, e entry, flags int) error {
 	if flags&putRepair != 0 {
 		sh.stats.RepairBytes += int64(len(e.val))
 	}
-	if flags&putReplay != 0 {
+	return true
+}
+
+// put installs e under key and, unless it was refused or is a replay,
+// appends it to the shard's WAL. The error is the WAL's (the entry is
+// installed in memory regardless). Caller holds sh.mu or the store-wide
+// write lock.
+func (sh *Shard) put(key uint64, e entry, flags int) error {
+	if !sh.install(key, e, flags) || flags&putReplay != 0 {
 		return nil
 	}
 	op := WALPut
@@ -257,20 +265,26 @@ func (sh *Shard) applyReplay(op WALOp, key, ver uint64, val []byte) {
 	}
 }
 
-// logMutation appends one record to the shard's WAL (when it has one) and
-// compacts the log into a snapshot once it has grown past the configured
-// threshold. A failure is returned — a networked owner fails the write
-// unacked — and the first one is kept for Durability().Err. Caller holds
-// sh.mu or the store-wide write lock — the same exclusion put relies on,
-// which also makes the snapshot's map iteration safe.
+// logMutation appends one record to the shard's WAL, when it has one.
+// Caller holds sh.mu or the store-wide write lock.
 func (sh *Shard) logMutation(op WALOp, key, ver uint64, val []byte) error {
-	l := sh.log
-	if l == nil {
+	if sh.log == nil {
 		return nil
 	}
-	err := l.wal.Append(op, key, ver, val)
+	return sh.logged(1, sh.log.wal.Append(op, key, ver, val))
+}
+
+// logged closes out a WAL append of n records that returned err: the
+// records count toward the compaction threshold and the log compacts into a
+// snapshot once past it — after the whole group, never inside one. A failure
+// is returned — a networked owner fails the write unacked — and the first
+// one is kept for Durability().Err. Caller holds sh.mu or the store-wide
+// write lock — the same exclusion put relies on, which also makes the
+// snapshot's map iteration safe.
+func (sh *Shard) logged(n int, err error) error {
+	l := sh.log
 	if err == nil {
-		if l.sinceSnap++; l.sinceSnap >= l.every {
+		if l.sinceSnap += n; l.sinceSnap >= l.every {
 			err = sh.snapshot()
 		}
 	}
@@ -353,15 +367,46 @@ func (sh *Shard) GetInto(keys []uint64, vals [][]byte, oks []bool) (bytes int64,
 	return bytes, misses
 }
 
-// Put installs val under key at version ver — newest version wins, so an
-// owner that hands out a monotonic counter always installs — and logs it
-// before returning. The shard keeps val: the caller must not reuse it. A
-// non-nil error means the write is in memory but not durable.
+// Put installs val under key at version ver: PutBatch of one record.
 func (sh *Shard) Put(key uint64, val []byte, ver uint64) error {
+	return sh.PutBatch([]uint64{key}, [][]byte{val}, ver)
+}
+
+// PutBatch installs vals[i] under keys[i] at version firstVer+i, all under
+// one acquisition of the shard lock — newest version wins per key, so an
+// owner that hands out a monotonic counter always installs, and a key named
+// twice ends at its last value — and logs the installed records as one group
+// before returning: one WAL write for the batch, and a record the compare
+// refused is not in it. The shard keeps every val: the caller must not reuse
+// them. A non-nil error means the batch is in memory but none of it is
+// durable.
+func (sh *Shard) PutBatch(keys []uint64, vals [][]byte, firstVer uint64) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.stats.Puts++
-	return sh.put(key, entry{val: val, ver: ver}, 0)
+	sh.stats.Puts += uint64(len(keys))
+	if sh.log == nil {
+		for i, key := range keys {
+			sh.install(key, entry{val: vals[i], ver: firstVer + uint64(i)}, 0)
+		}
+		return nil
+	}
+	bp := walBufPool.Get().(*[]byte)
+	frames := (*bp)[:0]
+	n, maxVer := 0, uint64(0)
+	for i, key := range keys {
+		ver := firstVer + uint64(i)
+		if sh.install(key, entry{val: vals[i], ver: ver}, 0) {
+			frames = appendRecord(frames, WALPut, key, ver, vals[i])
+			n, maxVer = n+1, ver
+		}
+	}
+	var err error
+	if n > 0 {
+		err = sh.logged(n, sh.log.wal.appendFrames(frames, n, maxVer))
+	}
+	*bp = frames[:0]
+	walBufPool.Put(bp)
+	return err
 }
 
 // Drop removes key — the drop half of a copy-then-drop migration, logged

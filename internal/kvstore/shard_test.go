@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -33,12 +34,23 @@ func shardImage(sh *Shard, n int) map[uint64]string {
 // TestShardLogsOnlyWhatChanged pins what reaches the WAL: an installed put
 // and the drop of a present key are one record each; a put that loses the
 // newest-wins compare and the drop of an absent key are refused silently
-// and leave the log alone.
+// and leave the log alone — inside a batch too, where the refused record's
+// neighbours still install, and a key named twice is two records ending at
+// its last value.
 func TestShardLogsOnlyWhatChanged(t *testing.T) {
 	sh := openTestShard(t, t.TempDir(), 0)
 	defer sh.Abandon()
 	put := func(val string, ver uint64) func() (bool, error) {
 		return func() (bool, error) { return false, sh.Put(1, []byte(val), ver) }
+	}
+	batch := func(firstVer uint64, keys []uint64, vals ...string) func() (bool, error) {
+		return func() (bool, error) {
+			bs := make([][]byte, len(vals))
+			for i, v := range vals {
+				bs[i] = []byte(v)
+			}
+			return false, sh.PutBatch(keys, bs, firstVer)
+		}
 	}
 	drop := func(key uint64) func() (bool, error) {
 		return func() (bool, error) { return sh.Drop(key) }
@@ -55,8 +67,12 @@ func TestShardLogsOnlyWhatChanged(t *testing.T) {
 		{"equal version refused", put("again", 5), false, 1, "v5"},
 		{"newer put", put("v6", 6), false, 2, "v6"},
 		{"drop of absent key", drop(2), false, 2, "v6"},
-		{"drop of present key", drop(1), true, 3, ""},
-		{"second drop", drop(1), false, 3, ""},
+		// Versions 5, 6, 7: key 1 already holds 6, keys 3 and 4 are new.
+		{"batch around a refused record", batch(5, []uint64{3, 1, 4}, "k3", "stale", "k4"), false, 4, "v6"},
+		{"batch of refused records only", batch(1, []uint64{3, 4}, "old3", "old4"), false, 4, "v6"},
+		{"drop of present key", drop(1), true, 5, ""},
+		{"second drop", drop(1), false, 5, ""},
+		{"batch naming a key twice", batch(8, []uint64{1, 1}, "first", "last"), false, 7, "last"},
 	}
 	for _, st := range steps {
 		found, err := st.do()
@@ -70,10 +86,13 @@ func TestShardLogsOnlyWhatChanged(t *testing.T) {
 			t.Fatalf("%s: key 1 = %q, want %q", st.name, v, st.val)
 		}
 	}
-	if ds := sh.Durability(); ds.DurableVersion != 6 || ds.State != "fresh" {
+	if ds := sh.Durability(); ds.DurableVersion != 9 || ds.State != "fresh" {
 		t.Fatalf("durability after the steps: %+v", ds)
 	}
-	if st := sh.Stats(); st.Puts != 4 || st.Keys != 0 || st.Bytes != 0 || st.Gets != uint64(len(steps)) {
+	if got, want := fmt.Sprint(shardImage(sh, 5)), fmt.Sprint(map[uint64]string{1: "last", 3: "k3", 4: "k4"}); got != want {
+		t.Fatalf("image after the steps %v, want %v", got, want)
+	}
+	if st := sh.Stats(); st.Puts != 11 || st.Keys != 3 || st.Bytes != 8 || st.Gets != uint64(len(steps)+5) {
 		t.Fatalf("stats after the steps: %+v", st)
 	}
 }
@@ -169,7 +188,6 @@ func TestShardOpensParentFormatDirectory(t *testing.T) {
 	w.Close()
 
 	sh := openTestShard(t, dir, 0)
-	defer sh.Abandon()
 	want := map[uint64]string{3: "tail3", 10: "tail10"}
 	for k := uint64(0); k < 10; k++ {
 		if k != 3 && k != 4 {
@@ -189,27 +207,44 @@ func TestShardOpensParentFormatDirectory(t *testing.T) {
 	if v, _ := sh.Get(5); string(v) != "new" {
 		t.Fatalf("write above the watermark lost to a version-0 record: %q", v)
 	}
+	// A group appended behind the parent's one-record frames shares their
+	// log: both generations replay, in order.
+	if err := sh.PutBatch([]uint64{6, 3}, [][]byte{[]byte("group6"), []byte("group3")}, ds.DurableVersion+2); err != nil {
+		t.Fatal(err)
+	}
+	want[5], want[6], want[3] = "new", "group6", "group3"
+	sh.Abandon()
+	re := openTestShard(t, dir, 0)
+	defer re.Abandon()
+	if got := shardImage(re, 12); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("image after a group behind the parent's frames %v, want %v", got, want)
+	}
 }
 
 // TestShardAppendFailureIsReturnedAndKept closes the WAL under a shard: a
-// put and the drop of a present key both come back with the error (a
-// networked owner leaves them unacked), and the first failure stays in
-// Durability().Err for owners — Store.Put — that have no error to return.
+// put, a whole batch and the drop of a present key all come back with the
+// error (a networked owner leaves them unacked), and the first failure
+// stays in Durability().Err for owners — Store.Put — that have no error to
+// return.
 func TestShardAppendFailureIsReturnedAndKept(t *testing.T) {
 	sh := openTestShard(t, t.TempDir(), 0)
 	if err := sh.Put(1, []byte("durable"), 1); err != nil {
 		t.Fatal(err)
 	}
 	sh.Abandon()
-	if err := sh.Put(2, []byte("lost"), 2); err == nil {
+	first := sh.Put(2, []byte("lost"), 2)
+	if first == nil {
 		t.Fatal("put on a closed WAL returned no error")
+	}
+	if err := sh.PutBatch([]uint64{3, 4}, [][]byte{[]byte("lost"), []byte("too")}, 3); err == nil {
+		t.Fatal("batch on a closed WAL returned no error")
 	}
 	if _, err := sh.Drop(1); err == nil {
 		t.Fatal("drop on a closed WAL returned no error")
 	}
 	ds := sh.Durability()
-	if ds.Err == "" || ds.State != "crashed" || ds.DurableVersion != 1 {
-		t.Fatalf("durability after the failed appends: %+v", ds)
+	if ds.Err != first.Error() || ds.State != "crashed" || ds.DurableVersion != 1 || ds.WALRecords != 1 {
+		t.Fatalf("durability after the failed appends: %+v (first error %q)", ds, first)
 	}
 	if mem := NewShard(); mem.Put(1, nil, 1) != nil || mem.Sync() != nil || mem.Durability().Enabled {
 		t.Fatal("an in-memory shard has no log to fail")
@@ -217,9 +252,9 @@ func TestShardAppendFailureIsReturnedAndKept(t *testing.T) {
 }
 
 // TestShardConcurrentReadsVsWrites races single and multi-key reads
-// against puts, drops and the compactions they trigger on one shard (run
-// under -race): a read sees a key absent or at one of its written values,
-// never torn.
+// against puts, batches, drops and the compactions they trigger on one
+// shard (run under -race): a read sees a key absent or at one of its
+// written values, never torn.
 func TestShardConcurrentReadsVsWrites(t *testing.T) {
 	sh := openTestShard(t, t.TempDir(), 16)
 	defer sh.Abandon()
@@ -262,11 +297,17 @@ func TestShardConcurrentReadsVsWrites(t *testing.T) {
 			}
 			continue
 		}
-		val := make([]byte, 8)
-		for i := range val {
-			val[i] = byte(w)
+		vals := make([][]byte, 3)
+		for i := range vals {
+			vals[i] = bytes.Repeat([]byte{byte(w)}, 8)
 		}
-		if err := sh.Put(k, val, w); err != nil {
+		var err error
+		if w%5 == 0 {
+			err = sh.PutBatch([]uint64{k, (k + 1) % keys, (k + 2) % keys}, vals, 4*w)
+		} else {
+			err = sh.Put(k, vals[0], 4*w)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -274,5 +315,157 @@ func TestShardConcurrentReadsVsWrites(t *testing.T) {
 	readers.Wait()
 	if ds := sh.Durability(); ds.Snapshots == 0 || ds.WALRecords >= 16 || ds.Err != "" {
 		t.Fatalf("compaction under load: %+v", ds)
+	}
+}
+
+// groupFixture is a five-record batch with values of different lengths and
+// where each record's WAL frame ends, in bytes from the start of the group.
+func groupFixture() (keys []uint64, vals [][]byte, ends []int) {
+	var frames []byte
+	for i := 0; i < 5; i++ {
+		keys = append(keys, uint64(10+i))
+		vals = append(vals, []byte(fmt.Sprintf("value-%0*d", 3*i, i)))
+		frames = appendRecord(frames, WALPut, keys[i], uint64(1+i), vals[i])
+		ends = append(ends, len(frames))
+	}
+	return keys, vals, ends
+}
+
+// TestShardGroupIsItsRecords pins that a group is nothing on disk but its
+// records: the log PutBatch writes equals, byte for byte, the log the
+// parent's one-record Append writes for the same records, so either side
+// replays the other's files.
+func TestShardGroupIsItsRecords(t *testing.T) {
+	keys, vals, ends := groupFixture()
+	oneByOne, grouped := t.TempDir(), t.TempDir()
+	w, err := OpenWAL(filepath.Join(oneByOne, "shard.wal"), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		if err := w.Append(WALPut, k, uint64(1+i), vals[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	sh := openTestShard(t, grouped, 0)
+	if err := sh.PutBatch(keys, vals, 1); err != nil {
+		t.Fatal(err)
+	}
+	if ds := sh.Durability(); ds.WALRecords != 5 || ds.WALBytes != int64(ends[4]) || ds.DurableVersion != 5 {
+		t.Fatalf("durability after one group: %+v", ds)
+	}
+	sh.Abandon()
+	a, err := os.ReadFile(filepath.Join(oneByOne, "shard.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(grouped, "shard.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Fatalf("a group of five is %d bytes, five appends %d: not the same log", len(b), len(a))
+	}
+	fromAppends, fromGroup := openTestShard(t, oneByOne, 0), openTestShard(t, grouped, 0)
+	defer fromAppends.Abandon()
+	defer fromGroup.Abandon()
+	if x, y := shardImage(fromAppends, 20), shardImage(fromGroup, 20); len(x) != 5 || fmt.Sprint(x) != fmt.Sprint(y) {
+		t.Fatalf("replayed images differ: appends %v, group %v", x, y)
+	}
+}
+
+// TestShardGroupTornAtEveryOffset cuts the log at every byte offset inside a
+// five-record group: the shard reopens to exactly the records whose frames
+// are whole — a crash mid-group loses a suffix of the group, never a record
+// ahead of one it kept — and goes on appending behind them.
+func TestShardGroupTornAtEveryOffset(t *testing.T) {
+	keys, vals, ends := groupFixture()
+	src := t.TempDir()
+	sh := openTestShard(t, src, 0)
+	if err := sh.PutBatch(keys, vals, 1); err != nil {
+		t.Fatal(err)
+	}
+	sh.Abandon()
+	raw, err := os.ReadFile(filepath.Join(src, "shard.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut <= len(raw); cut++ {
+		whole := 0
+		for whole < len(ends) && ends[whole] <= cut {
+			whole++
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "shard.wal"), raw[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re := openTestShard(t, dir, 0)
+		want := map[uint64]string{}
+		for i := 0; i < whole; i++ {
+			want[keys[i]] = string(vals[i])
+		}
+		if got := shardImage(re, 20); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("cut at %d of %d: reopened to %v, want the first %d records %v", cut, len(raw), got, whole, want)
+		}
+		if ds := re.Durability(); ds.WALRecords != int64(whole) || ds.DurableVersion != uint64(whole) {
+			t.Fatalf("cut at %d: durability %+v, want %d records", cut, ds, whole)
+		}
+		if err := re.Put(99, []byte("after"), 100); err != nil {
+			t.Fatal(err)
+		}
+		re.Abandon()
+		again := openTestShard(t, dir, 0)
+		want[99] = "after"
+		if got := shardImage(again, 100); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("cut at %d: a put behind the torn group reopened to %v, want %v", cut, got, want)
+		}
+		again.Abandon()
+	}
+}
+
+// TestShardGroupCompactsOnce drives groups across the snapshot threshold:
+// the shard compacts after the group, once however far past the threshold
+// the group went, the log restarts from zero records, and snapshot plus log
+// reopen to everything.
+func TestShardGroupCompactsOnce(t *testing.T) {
+	dir := t.TempDir()
+	sh := openTestShard(t, dir, 8)
+	ver := uint64(1)
+	batch := func(n int) {
+		t.Helper()
+		keys, vals := make([]uint64, n), make([][]byte, n)
+		for i := range keys {
+			keys[i], vals[i] = ver+uint64(i), []byte(fmt.Sprintf("v%d", ver+uint64(i)))
+		}
+		if err := sh.PutBatch(keys, vals, ver); err != nil {
+			t.Fatal(err)
+		}
+		ver += uint64(n)
+	}
+	for _, st := range []struct {
+		n                  int
+		snapshots, records int64
+	}{
+		{5, 0, 5},  // under the threshold
+		{5, 1, 0},  // 10 >= 8: one compaction, after the group
+		{3, 1, 3},  // counting restarts from the group's end
+		{20, 2, 0}, // two and a half thresholds in one group: still one
+	} {
+		batch(st.n)
+		if ds := sh.Durability(); int64(ds.Snapshots) != st.snapshots || ds.WALRecords != st.records || ds.Err != "" {
+			t.Fatalf("after a group of %d: %d snapshots, %d WAL records (%+v), want %d and %d", st.n, ds.Snapshots, ds.WALRecords, ds, st.snapshots, st.records)
+		}
+	}
+	batch(2)
+	want := shardImage(sh, int(ver))
+	sh.Abandon()
+	re := openTestShard(t, dir, 8)
+	defer re.Abandon()
+	if got := shardImage(re, int(ver)); len(got) != int(ver)-1 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("snapshot + log reopened to %d keys, want %d", len(got), ver-1)
+	}
+	if ds := re.Durability(); ds.DurableVersion != ver-1 || ds.WALRecords != 2 {
+		t.Fatalf("recovered durability: %+v", ds)
 	}
 }

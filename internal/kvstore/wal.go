@@ -46,9 +46,9 @@ var walCRC = crc32.MakeTable(crc32.Castagnoli)
 var walBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
 
 // WAL is one shard's append-only write-ahead log. Appends are written to
-// the OS with a single write syscall per record, so a killed *process*
-// never loses an acknowledged write; Fsync extends that to machine
-// crashes. Safe for concurrent use.
+// the OS with a single write syscall per record or group of records, so a
+// killed *process* never loses an acknowledged write; Fsync extends that to
+// machine crashes. Safe for concurrent use.
 type WAL struct {
 	mu      sync.Mutex
 	f       *os.File
@@ -116,30 +116,58 @@ func appendRecord(buf []byte, op WALOp, key, ver uint64, val []byte) []byte {
 // when Append returns.
 func (w *WAL) Append(op WALOp, key, ver uint64, val []byte) error {
 	bp := walBufPool.Get().(*[]byte)
-	buf := appendRecord((*bp)[:0], op, key, ver, val)
+	frame := appendRecord((*bp)[:0], op, key, ver, val)
+	err := w.appendFrames(frame, 1, ver)
+	*bp = frame[:0]
+	walBufPool.Put(bp)
+	return err
+}
+
+// appendFrames is the log's one append path: frames holds n records as
+// appendRecord laid them out, back to back, the highest version among them
+// maxVer, and the whole group goes to the OS in a single write. A group is
+// nothing on disk but its records — a crash mid-write replays to a record
+// prefix like any torn tail. Nothing of a failed append stays in the file
+// (see repair), so an error means none of the group is logged.
+func (w *WAL) appendFrames(frames []byte, n int, maxVer uint64) error {
 	w.mu.Lock()
-	defer func() {
-		*bp = buf[:0]
-		walBufPool.Put(bp)
-		w.mu.Unlock()
-	}()
+	defer w.mu.Unlock()
 	if w.f == nil {
 		return fmt.Errorf("kvstore: wal %s is closed", w.path)
 	}
-	if _, err := w.f.Write(buf); err != nil {
-		return fmt.Errorf("kvstore: wal append: %w", err)
+	if _, err := w.f.Write(frames); err != nil {
+		return w.repair(fmt.Errorf("kvstore: wal append: %w", err))
 	}
 	if w.fsync {
 		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("kvstore: wal fsync: %w", err)
+			return w.repair(fmt.Errorf("kvstore: wal fsync: %w", err))
 		}
 	}
-	w.bytes += int64(len(buf))
-	w.records++
-	if ver > w.durVer {
-		w.durVer = ver
+	w.bytes += int64(len(frames))
+	w.records += int64(n)
+	if maxVer > w.durVer {
+		w.durVer = maxVer
 	}
 	return nil
+}
+
+// repair cuts the file back to its last good length after a failed append
+// and returns cause. A short write leaves a torn frame behind and the offset
+// past it; the next append would succeed, be acked, and sit where replay —
+// which stops at the first damaged frame — never reaches it. When the file
+// cannot be cut back either, the log closes: every later append then fails
+// unacked instead of acking into the void. Caller holds w.mu.
+func (w *WAL) repair(cause error) error {
+	err := w.f.Truncate(w.bytes)
+	if err == nil {
+		_, err = w.f.Seek(w.bytes, io.SeekStart)
+	}
+	if err != nil {
+		w.f.Close()
+		w.f = nil
+		return fmt.Errorf("%w (log closed: %v)", cause, err)
+	}
+	return cause
 }
 
 // Sync flushes the log to stable storage (fsync), regardless of the

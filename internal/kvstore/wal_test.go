@@ -245,6 +245,31 @@ func TestWALResetAfterSnapshot(t *testing.T) {
 	}
 }
 
+// TestWALUnrepairableAppendClosesLog takes the file away under the log: the
+// append fails, the file cannot be cut back to its good length either, and
+// from then on the log is closed — every later append fails instead of
+// being acked behind whatever the failed one left.
+func TestWALUnrepairableAppendClosesLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.wal")
+	recs := sampleRecs(3, rand.New(rand.NewSource(10)))
+	w := appendRecs(t, path, recs)
+	w.f.Close() // the descriptor goes bad behind the log's back
+	for i := 0; i < 2; i++ {
+		if err := w.Append(WALPut, 7, 7, []byte("x")); err == nil {
+			t.Fatalf("append %d on a dead descriptor returned no error", i)
+		}
+	}
+	if w.f != nil {
+		t.Fatal("the log stayed open after an append it could not repair")
+	}
+	if b, r, v := w.Stats(); r != 3 || v != 3 || b == 0 {
+		t.Fatalf("stats moved by failed appends: bytes=%d records=%d version=%d", b, r, v)
+	}
+	if got := replayRecs(t, path); !recsEqual(got, recs) {
+		t.Fatalf("replay after the failure: %d records, want %d", len(got), len(recs))
+	}
+}
+
 func TestWALAbandonKeepsWrittenRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
 	recs := sampleRecs(15, rand.New(rand.NewSource(9)))

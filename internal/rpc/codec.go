@@ -24,6 +24,7 @@ const (
 	reqVersion
 	reqMuts
 	reqOverrides
+	reqValues
 )
 
 const (
@@ -130,6 +131,9 @@ func encodeRequestFrame(buf []byte, tag uint64, req *Request, deadline int64, sc
 	if len(req.Overrides) > 0 {
 		bits |= reqOverrides
 	}
+	if len(req.Values) > 0 {
+		bits |= reqValues
+	}
 	buf = binary.AppendUvarint(buf, bits)
 
 	if bits&reqKey != 0 {
@@ -179,17 +183,27 @@ func encodeRequestFrame(buf []byte, tag uint64, req *Request, deadline int64, sc
 			}
 		}
 	}
+	if bits&reqValues != 0 {
+		buf = binary.AppendUvarint(buf, uint64(len(req.Values)))
+		for _, v := range req.Values {
+			buf = appendBytes(buf, v)
+		}
+	}
 	return finishFrame(buf)
 }
 
 // decodeRequestInto decodes a request frame payload (tag already peeled)
 // into req, overwriting every field but reusing req's slice capacity — the
 // server side recycles Requests, so a steady-state decode allocates
-// nothing. Overrides is the one exception: it is always a fresh map,
-// because the placement handler retains it after the request completes.
+// nothing. Overrides and the elements of Values are the exceptions: always a
+// fresh map and fresh byte slices, one allocation per value, because the
+// placement handler and the storage shard keep them after the request
+// completes (and a shard that replaces one record must be able to free it
+// alone).
 func decodeRequestInto(payload []byte, req *Request) error {
 	value := req.Value
 	keys := req.Keys
+	values := req.Values
 	muts := req.Muts
 	exec := req.Exec
 	*req = Request{}
@@ -256,6 +270,14 @@ func decodeRequestInto(payload []byte, req *Request) error {
 				}
 			}
 		}
+	}
+	if bits&reqValues != 0 {
+		n := d.count(maxFrame)
+		values = values[:0]
+		for i := 0; i < n; i++ {
+			values = append(values, d.bytes(nil))
+		}
+		req.Values = values
 	}
 	return d.finish("request")
 }

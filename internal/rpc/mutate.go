@@ -188,24 +188,24 @@ func (r *RouterServer) loadRecord(ctx context.Context, key uint64) (gstore.Recor
 // from every live processor's cache. Only after both does the mutation
 // ack — a reader can never be served a pre-write cache entry afterwards.
 //
-// A write-all that fails partway is rolled back: every record fully or
-// partially written gets its pre-image restored on every reachable
-// replica, so an unacked mutation leaves the tier as it found it instead
-// of with divergent replicas (the read-modify-write of a later retry
-// reads one replica and would otherwise conclude a half-written side
-// needs nothing, leaving the stale copies stale forever). The roll-back
+// The records travel as one PutBatch — one frame and one WAL write per
+// shard for the whole mutation. A write-all that fails on any shard is
+// rolled back: every record of the mutation gets its pre-image restored on
+// every reachable replica, so an unacked mutation leaves the tier as it
+// found it instead of with divergent replicas (the read-modify-write of a
+// later retry reads one replica and would otherwise conclude a half-written
+// side needs nothing, leaving the stale copies stale forever). The roll-back
 // is itself best effort — a replica that dies inside the window keeps a
 // stale copy until the next successful mutation rewrites the record.
 func (r *RouterServer) commit(ctx context.Context, ws ...write) error {
-	keys := make([]uint64, 0, len(ws))
-	var buf []byte
+	keys := make([]uint64, len(ws))
+	vals := make([][]byte, len(ws))
 	for i, w := range ws {
-		buf = gstore.Encode(buf[:0], w.rec)
-		if err := r.storage.Put(ctx, uint64(w.rec.Node), buf); err != nil {
-			r.rollback(ctx, ws[:i+1])
-			return err
-		}
-		keys = append(keys, uint64(w.rec.Node))
+		keys[i], vals[i] = uint64(w.rec.Node), gstore.Encode(nil, w.rec)
+	}
+	if err := r.storage.PutBatch(ctx, keys, vals); err != nil {
+		r.rollback(ctx, ws)
+		return err
 	}
 	return r.evictEverywhere(ctx, keys)
 }

@@ -390,15 +390,18 @@ func (p *stallProxy) pipe(dst, src net.Conn, gated bool) {
 	}
 }
 
-// TestMutateRollbackOnExpiredContext stalls a key's second replica so the
-// write-all of a mutation runs into its deadline after the first replica
-// already took the new record. The unacked mutation must leave both
-// replicas as it found them — the roll-back cannot run on the context
-// whose expiry caused it.
+// TestMutateRollbackOnExpiredContext stalls the second replica of a
+// mutation's two records so its write-all runs into the deadline after the
+// first replica already took both new records — one frame per shard, in
+// flight together. The unacked mutation must leave both replicas as it found
+// them — the roll-back cannot run on the context whose expiry caused it.
+// Then the stalled replica dies outright: the same mutation fails with the
+// typed error, and the survivor is back at both pre-images by the time the
+// failure is reported.
 func TestMutateRollbackOnExpiredContext(t *testing.T) {
 	g := gen.LocalWeb(300, 6, 40, 0.01, 5)
 	ctx := context.Background()
-	_, shardAddrs := startStorageShards(t, 2)
+	shards, shardAddrs := startStorageShards(t, 2)
 	proxy := newStallProxy(t, shardAddrs[1])
 	storageAddrs := []string{shardAddrs[0], proxy.Addr()}
 
@@ -430,8 +433,7 @@ func TestMutateRollbackOnExpiredContext(t *testing.T) {
 	}
 	t.Cleanup(func() { cl.Close() })
 
-	// An edge between two records that are read from, and written first to,
-	// the healthy shard: the write-all reaches the stalled shard second.
+	// An edge between two records that are read from the healthy shard.
 	healthyFirst := func(from graph.NodeID) graph.NodeID {
 		for ; ; from++ {
 			if topology.RendezvousN(uint64(from), []int{0, 1}, 2, nil)[0] == 0 {
@@ -448,6 +450,17 @@ func TestMutateRollbackOnExpiredContext(t *testing.T) {
 		u: gstore.Encode(nil, gstore.RecordOf(g, u)),
 		v: gstore.Encode(nil, gstore.RecordOf(g, v)),
 	}
+	// diverged names a record that is not at its pre-image on one of slots.
+	diverged := func(slots ...int) string {
+		for id, want := range pre {
+			for _, slot := range slots {
+				if val, found := storedAt(t, shardAddrs[slot], uint64(id)); !found || !bytes.Equal(val, want) {
+					return fmt.Sprintf("record %d on slot %d", id, slot)
+				}
+			}
+		}
+		return ""
+	}
 
 	proxy.Pause()
 	short, cancel := context.WithTimeout(ctx, 150*time.Millisecond)
@@ -459,28 +472,27 @@ func TestMutateRollbackOnExpiredContext(t *testing.T) {
 	proxy.Resume()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		diverged := ""
-		for id, want := range pre {
-			for slot, addr := range shardAddrs {
-				if val, found := storedAt(t, addr, uint64(id)); !found || !bytes.Equal(val, want) {
-					diverged = fmt.Sprintf("record %d on slot %d", id, slot)
-				}
-			}
-		}
-		if diverged == "" {
-			break
-		}
+	for diverged(0, 1) != "" {
 		if time.Now().After(deadline) {
-			t.Fatalf("unacked mutation left %s rewritten: the roll-back never restored the pre-image", diverged)
+			t.Fatalf("unacked mutation left %s rewritten: the roll-back never restored the pre-image", diverged(0, 1))
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+
+	shards[1].Close()
+	_, err = cl.Mutate(ctx, []Mutation{{Op: query.MutAddEdge, Node: u, To: v}})
+	if !errors.Is(err, query.ErrUnavailable) {
+		t.Fatalf("mutation across a dead replica: err = %v, want ErrUnavailable", err)
+	}
+	if d := diverged(0); d != "" {
+		t.Fatalf("unacked mutation left %s rewritten on the surviving replica", d)
 	}
 }
 
 // TestStoragePutNeedsEveryReplica pins the client's one write semantic: a
-// record whose placement includes a dead replica is not acked, for single
-// puts and for the bulk loader alike.
+// record whose placement includes a dead replica is not acked — for a single
+// put, a batch and the bulk loader alike — the error is the typed one, and
+// the shard that failed the frame is marked down.
 func TestStoragePutNeedsEveryReplica(t *testing.T) {
 	g := gen.ErdosRenyi(200, 800, 3)
 	servers, addrs := startStorageShards(t, 3)
@@ -492,14 +504,31 @@ func TestStoragePutNeedsEveryReplica(t *testing.T) {
 	ctx := context.Background()
 	servers[2].Close()
 
-	var onDead uint64
+	var onDead, offDead uint64
 	for ; !slices.Contains(sc.placement(onDead, nil), 2); onDead++ {
 	}
-	err = sc.Put(ctx, onDead, gstore.Encode(nil, &gstore.Record{Node: graph.NodeID(onDead)}))
+	for ; slices.Contains(sc.placement(offDead, nil), 2); offDead++ {
+	}
+	rec := func(key uint64) []byte { return gstore.Encode(nil, &gstore.Record{Node: graph.NodeID(key)}) }
+	if err := sc.Put(ctx, offDead, rec(offDead)); err != nil || sc.down[2].Load() {
+		t.Fatalf("Put clear of the dead replica: err = %v, shard 2 down = %v", err, sc.down[2].Load())
+	}
+	err = sc.Put(ctx, onDead, rec(onDead))
 	if !errors.Is(err, query.ErrUnavailable) {
 		t.Fatalf("Put with a dead replica: err = %v, want ErrUnavailable", err)
 	}
+	if !sc.down[2].Load() || sc.down[0].Load() || sc.down[1].Load() || sc.Failovers() != 1 {
+		t.Fatalf("after the failed Put: down = %v %v %v, %d failovers; want only shard 2 down, once",
+			sc.down[0].Load(), sc.down[1].Load(), sc.down[2].Load(), sc.Failovers())
+	}
+	err = sc.PutBatch(ctx, []uint64{offDead, onDead}, [][]byte{rec(offDead), rec(onDead)})
+	if !errors.Is(err, query.ErrUnavailable) {
+		t.Fatalf("PutBatch with a dead replica: err = %v, want ErrUnavailable", err)
+	}
 	if err := sc.LoadGraph(ctx, g); !errors.Is(err, query.ErrUnavailable) {
 		t.Fatalf("LoadGraph with a dead replica: err = %v, want ErrUnavailable", err)
+	}
+	if err := sc.PutBatch(ctx, nil, nil); err != nil {
+		t.Fatalf("empty PutBatch: %v", err)
 	}
 }

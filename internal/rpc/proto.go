@@ -53,7 +53,9 @@ const (
 	OpGet
 	// OpMultiGet fetches many values from a storage server.
 	OpMultiGet
-	// OpPut stores one value on a storage server.
+	// OpPut stores one value on one storage server, whatever the key's
+	// placement — the slot-addressed write of a migration copy or a
+	// pre-image restore. Every placement-addressed write is an OpMultiPut.
 	OpPut
 	// OpExecute runs a batch of one or more queries on a processor (or, via
 	// the router, on whichever processors the routing strategy picks).
@@ -94,6 +96,13 @@ const (
 	// a copy-then-drop migration. Durable shards log it, so a restart
 	// cannot resurrect the migrated-away copy (storage role).
 	OpDrop
+	// OpMultiPut stores Values[i] under Keys[i] on a storage server: one
+	// lock acquisition and, on a durable shard, one WAL write for the whole
+	// frame. It is the one client write path — the loader's chunks, a
+	// mutation's rewritten records and a single Put all travel as one
+	// OpMultiPut per shard. The reply is OK or a typed error for the whole
+	// batch: a failed log append leaves all of it unacked.
+	OpMultiPut
 )
 
 func (op Op) String() string {
@@ -126,6 +135,8 @@ func (op Op) String() string {
 		return "placement"
 	case OpDrop:
 		return "drop"
+	case OpMultiPut:
+		return "multiput"
 	}
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
@@ -156,8 +167,10 @@ type Request struct {
 	// Key and Value serve OpGet / OpPut / OpDrop.
 	Key   uint64
 	Value []byte
-	// Keys serves OpMultiGet and OpEvict.
+	// Keys serves OpMultiGet, OpEvict and OpMultiPut.
 	Keys []uint64
+	// Values serves OpMultiPut, positionally aligned with Keys.
+	Values [][]byte
 	// Exec serves OpExecute; nil for every other op.
 	Exec *ExecRequest
 	// Addr serves OpJoin (the joining member's advertised address) and
@@ -376,8 +389,9 @@ var callPool = sync.Pool{New: func() any { return &pcall{done: make(chan struct{
 
 // reqPool recycles server-side request envelopes (and, via
 // decodeRequestInto, their Keys/Muts/Exec buffers) across frames. Handlers
-// copy anything they keep, so a request is free for reuse once its response
-// is encoded.
+// copy anything they keep — or, for the freshly allocated OpMultiPut values,
+// clear the request's references to them — so a request is free for reuse
+// once its response is encoded.
 var reqPool = sync.Pool{New: func() any { return new(Request) }}
 
 func getCall(resp *Response) *pcall {
@@ -722,8 +736,9 @@ func serveConn(c net.Conn, handle func(context.Context, *Request) Response, ct *
 			scratch := getSlab()
 			buf := encodeResponseFrame((*slab)[:0], tag, &resp, scratch)
 			putSlab(scratch)
-			// Handlers copy anything they keep (values, overrides are fresh
-			// per decode), so the request and its buffers recycle here.
+			// Handlers copy anything they keep (overrides and multiput values
+			// are fresh per decode), so the request and its buffers recycle
+			// here.
 			reqPool.Put(req)
 			wmu.Lock()
 			_, werr := c.Write(buf)

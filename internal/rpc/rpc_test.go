@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -106,11 +107,34 @@ func TestStorageGetPut(t *testing.T) {
 	if resp.Found {
 		t.Fatal("missing key found")
 	}
+	// A batch overwrites and creates in one frame; a batch whose values do
+	// not line up with its keys, or that names none, is refused whole with
+	// the typed error — never indexed — and the connection carries on.
+	if _, err := cn.Call(ctx, &Request{Op: OpMultiPut, Keys: []uint64{7, 9}, Values: [][]byte{[]byte("v7b"), []byte("v9")}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []*Request{
+		{Op: OpMultiPut},
+		{Op: OpMultiPut, Keys: []uint64{7, 10}, Values: [][]byte{[]byte("short")}},
+		{Op: OpMultiPut, Keys: []uint64{10}, Values: [][]byte{[]byte("a"), []byte("b")}},
+		{Op: OpMultiPut, Values: [][]byte{[]byte("keyless")}},
+	} {
+		if _, err := cn.Call(ctx, bad); !errors.Is(err, query.ErrBadQuery) {
+			t.Fatalf("multiput of %d keys, %d values: err = %v, want ErrBadQuery", len(bad.Keys), len(bad.Values), err)
+		}
+	}
+	resp, err = cn.Call(ctx, &Request{Op: OpMultiGet, Keys: []uint64{7, 9, 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%q %v", resp.Values, resp.Founds); got != `["v7b" "v9" ""] [true true false]` {
+		t.Fatalf("multiget after the batches = %s", got)
+	}
 	resp, err = cn.Call(ctx, &Request{Op: OpStats})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Stats == nil || resp.Stats.Role != "storage" || resp.Stats.Keys != 1 {
+	if resp.Stats == nil || resp.Stats.Role != "storage" || resp.Stats.Keys != 2 {
 		t.Fatalf("stats = %+v", resp.Stats)
 	}
 }

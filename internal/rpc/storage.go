@@ -38,8 +38,9 @@ type StorageServer struct {
 	shard    *kvstore.Shard
 	requests atomic.Int64
 	// writes is the shard's monotonic write counter: every put is stamped
-	// with the next value, so the shard's newest-wins compare always
-	// installs it. It resumes from the recovered durable version.
+	// with the next value (a batch takes a range of them), so the shard's
+	// newest-wins compare always installs it. It resumes from the recovered
+	// durable version.
 	writes atomic.Uint64
 
 	registration // announces the shard to a router's storage view
@@ -58,7 +59,7 @@ func NewStorageServer(addr string) (*StorageServer, error) {
 // directory left by a previous (even killed) process replays snapshot +
 // WAL first, so the shard comes back warm with every acked write. With
 // fsync true each append is fsynced (machine-crash durable); false keeps
-// a single write syscall per put (process-death durable).
+// a single write syscall per put frame (process-death durable).
 func NewStorageServerDurable(addr, dir string, fsync bool) (*StorageServer, error) {
 	if dir == "" {
 		return NewStorageServer(addr)
@@ -133,6 +134,19 @@ func (s *StorageServer) handle(_ context.Context, req *Request) Response {
 			return errorResponse(fmt.Errorf("storage wal: %w", err))
 		}
 		return Response{OK: true}
+	case OpMultiPut:
+		n := uint64(len(req.Keys))
+		if n == 0 || uint64(len(req.Values)) != n {
+			return errorResponse(fmt.Errorf("%w: multiput carries %d values for %d keys", query.ErrBadQuery, len(req.Values), n))
+		}
+		// The decoder allocated every value for this frame alone, so the shard
+		// takes them as they are; the request, which is recycled, lets go.
+		err := s.shard.PutBatch(req.Keys, req.Values, s.writes.Add(n)-n+1)
+		clear(req.Values)
+		if err != nil {
+			return errorResponse(fmt.Errorf("storage wal: %w", err))
+		}
+		return Response{OK: true}
 	case OpDrop:
 		// The tombstone half of a copy-then-drop migration: the key leaves
 		// the shard, and on a durable shard the drop is WAL-logged so a
@@ -190,12 +204,14 @@ type probeState struct {
 // Unreplicated (replicas == 1) placement is the same murmur hash the legacy
 // in-process tier uses; with replicas >= 2 every key lives on R shards
 // placed by rendezvous hashing over the shard list, and a key a migration
-// moved lives where its pin says. Writes go to every replica or fail
-// unacked; reads prefer the highest-scored healthy replica with transparent
-// failover: a shard that fails a call is marked down (per-replica health),
-// its keys retry on their next replica, and a background probe revives it
-// when it answers pings again. Processors read through one, the loader
-// writes through one, and the router mutates and migrates through one.
+// moved lives where its pin says. There is one write path, PutBatch — one
+// OpMultiPut frame per shard, every replica or fail unacked — under the
+// loader's chunks, a mutation's records and a single Put alike; reads prefer
+// the highest-scored healthy replica with transparent failover: a shard that
+// fails a call is marked down (per-replica health), its keys retry on their
+// next replica, and a background probe revives it when it answers pings
+// again. Processors read through one, the loader writes through one, and the
+// router mutates and migrates through one.
 type StorageClient struct {
 	pools    []*Pool
 	replicas int
@@ -521,24 +537,55 @@ func (sc *StorageClient) Get(ctx context.Context, key uint64) ([]byte, bool, err
 	return nil, false, firstErr
 }
 
-// Put stores one encoded record on every replica of its placement, in
-// placement order. Write-all, not quorum: one unreachable replica fails the
-// write unacked (down flags are advisory and skip nothing), so an acked
-// write survives any single restart of a durable tier — the invariant the
-// mutate-rolling-restart chaos scenario holds the deployment to — and a
-// loader can never silently under-replicate a key.
+// Put stores one encoded record on every replica of its placement:
+// PutBatch of one.
 func (sc *StorageClient) Put(ctx context.Context, key uint64, value []byte) error {
+	return sc.PutBatch(ctx, []uint64{key}, [][]byte{value})
+}
+
+// PutBatch stores vals[i] under keys[i] on every replica of each key's
+// placement: the records are grouped by shard, as MultiGet groups its keys,
+// and every shard gets its group as one OpMultiPut frame, the frames in
+// flight together. Write-all, not quorum: one unreachable replica fails the
+// batch unacked with the first error (down flags are advisory and skip
+// nothing; the other shards' frames may have landed — the router rolls a
+// mutation's back), so an acked write survives any single restart of a
+// durable tier — the invariant the mutate-rolling-restart chaos scenario
+// holds the deployment to — and a loader can never silently under-replicate
+// a key. The values are encoded before PutBatch returns; the caller may
+// reuse them.
+func (sc *StorageClient) PutBatch(ctx context.Context, keys []uint64, vals [][]byte) error {
+	groups := make(map[int]*Request)
 	var buf [topology.MaxReplicas]int
-	pl := sc.placement(key, buf[:0])
-	if len(pl) == 0 {
-		return errUnplaced(key)
-	}
-	for _, shard := range pl {
-		if err := sc.putAt(ctx, shard, key, value); err != nil {
-			return err
+	for i, key := range keys {
+		pl := sc.placement(key, buf[:0])
+		if len(pl) == 0 {
+			return errUnplaced(key)
+		}
+		for _, shard := range pl {
+			req := groups[shard]
+			if req == nil {
+				req = &Request{Op: OpMultiPut}
+				groups[shard] = req
+			}
+			req.Keys = append(req.Keys, key)
+			req.Values = append(req.Values, vals[i])
 		}
 	}
-	return nil
+	errs := make(chan error, len(groups))
+	for shard, req := range groups {
+		go func(shard int, req *Request) {
+			_, err := sc.call(ctx, shard, req)
+			errs <- err
+		}(shard, req)
+	}
+	var firstErr error
+	for range groups {
+		if err := <-errs; err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }
 
 // putAt stores value under key on one shard, whatever key's placement: the
@@ -658,18 +705,38 @@ func (sc *StorageClient) MultiGet(ctx context.Context, ids []graph.NodeID) (map[
 	return out, firstErr
 }
 
+// loadChunk is how many bytes of encoded records LoadGraph hands PutBatch at
+// a time: half the read window, so even the frame of a shard that holds
+// every record of a chunk (R = number of shards) still decodes in place in
+// the peer's window, keys and lengths included.
+const loadChunk = frameWindow / 2
+
 // LoadGraph bulk-loads every live node of g across the shards (all
-// replicas of each key).
+// replicas of each key), a chunk of records per PutBatch. The chunks go one
+// after another: once ≈ 300 records share a frame the round trips are
+// already gone, and a window of chunks in flight measured 0.05–0.2 s faster
+// on a 60 k-record load for its goroutines, semaphores and error collection.
 func (sc *StorageClient) LoadGraph(ctx context.Context, g *graph.Graph) error {
-	buf := make([]byte, 0, 1024)
+	var keys []uint64
+	var vals [][]byte
+	var buf []byte
+	flush := func() error {
+		err := sc.PutBatch(ctx, keys, vals)
+		keys, vals, buf = keys[:0], vals[:0], buf[:0]
+		return err
+	}
 	for id := graph.NodeID(0); id < g.MaxNodeID(); id++ {
 		if !g.Exists(id) {
 			continue
 		}
-		buf = gstore.Encode(buf[:0], gstore.RecordOf(g, id))
-		if err := sc.Put(ctx, uint64(id), buf); err != nil {
-			return err
+		start := len(buf)
+		buf = gstore.Encode(buf, gstore.RecordOf(g, id))
+		keys, vals = append(keys, uint64(id)), append(vals, buf[start:])
+		if len(buf) >= loadChunk {
+			if err := flush(); err != nil {
+				return err
+			}
 		}
 	}
-	return nil
+	return flush()
 }

@@ -1,9 +1,12 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,8 +15,13 @@ import (
 )
 
 // putKeys writes n distinct records through a direct connection to one
-// durable shard and returns the encoded record used.
-func putKeys(t *testing.T, addr string, n int) []byte {
+// durable shard, one OpPut each, and returns the encoded record used.
+func putKeys(t *testing.T, addr string, n int) []byte { return putFrames(t, addr, n, 1) }
+
+// putFrames writes keys [0,n) under one encoded record, which it returns,
+// through a direct connection to one shard: per records to a frame, as
+// OpMultiPut — or, with per == 1, as the single-record OpPut.
+func putFrames(t *testing.T, addr string, n, per int) []byte {
 	t.Helper()
 	cn, err := Dial(addr)
 	if err != nil {
@@ -21,9 +29,16 @@ func putKeys(t *testing.T, addr string, n int) []byte {
 	}
 	defer cn.Close()
 	rec := gstore.Encode(nil, &gstore.Record{Node: 1, NodeLabel: 9})
-	for k := 0; k < n; k++ {
-		if _, err := cn.Call(context.Background(), &Request{Op: OpPut, Key: uint64(k), Value: rec}); err != nil {
-			t.Fatalf("put %d: %v", k, err)
+	for k := 0; k < n; k += per {
+		req := &Request{Op: OpPut, Key: uint64(k), Value: rec}
+		if per > 1 {
+			req = &Request{Op: OpMultiPut}
+			for j := k; j < min(k+per, n); j++ {
+				req.Keys, req.Values = append(req.Keys, uint64(j)), append(req.Values, rec)
+			}
+		}
+		if _, err := cn.Call(context.Background(), req); err != nil {
+			t.Fatalf("%v from key %d: %v", req.Op, k, err)
 		}
 	}
 	return rec
@@ -31,45 +46,111 @@ func putKeys(t *testing.T, addr string, n int) []byte {
 
 // TestStorageServerDurableCrashRestart kills a durable shard without any
 // graceful shutdown and restarts it over the same directory: every acked
-// put must come back, and the shard must report itself warm.
+// put must come back, and the shard must report itself warm — whether the
+// records arrived one to a frame or in groups.
 func TestStorageServerDurableCrashRestart(t *testing.T) {
-	dir := t.TempDir()
-	srv, err := NewStorageServerDurable("127.0.0.1:0", dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := srv.Addr()
-	const n = 300
-	putKeys(t, addr, n)
-	st := srv.Stats()
-	if st.Durable != "fresh" || st.DurableVersion != n || st.WALRecords != n {
-		t.Fatalf("pre-crash stats: %+v", st)
-	}
-	srv.Close() // abandons the WAL fd — the crash path, no final sync
+	for _, writer := range []struct {
+		name string
+		per  int // records to a frame
+	}{{"put", 1}, {"multiput", 64}} {
+		t.Run(writer.name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv, err := NewStorageServerDurable("127.0.0.1:0", dir, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := srv.Addr()
+			const n = 300
+			rec := putFrames(t, addr, n, writer.per)
+			st := srv.Stats()
+			if st.Durable != "fresh" || st.DurableVersion != n || st.WALRecords != n {
+				t.Fatalf("pre-crash stats: %+v", st)
+			}
+			srv.Close() // abandons the WAL fd — the crash path, no final sync
 
-	restarted, err := NewStorageServerDurable(addr, dir, false)
-	if err != nil {
-		t.Fatalf("restart over %s: %v", dir, err)
+			restarted, err := NewStorageServerDurable(addr, dir, false)
+			if err != nil {
+				t.Fatalf("restart over %s: %v", dir, err)
+			}
+			defer restarted.Close()
+			st = restarted.Stats()
+			if st.Durable != "warm" {
+				t.Fatalf("restarted shard state = %q, want warm", st.Durable)
+			}
+			if st.Keys != n || st.DurableVersion != n {
+				t.Fatalf("restarted shard: keys %d dur-ver %d, want %d", st.Keys, st.DurableVersion, n)
+			}
+			if st.ReplayedBytes == 0 {
+				t.Fatal("restarted shard reports no replayed bytes")
+			}
+			cn, err := Dial(restarted.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cn.Close()
+			for _, key := range []uint64{0, 7, 63, 64, n - 1} {
+				resp, err := cn.Call(context.Background(), &Request{Op: OpGet, Key: key})
+				if err != nil || !resp.Found || !bytes.Equal(resp.Value, rec) {
+					t.Fatalf("get %d after restart: found=%v err=%v value=%x", key, resp.Found, err, resp.Value)
+				}
+			}
+		})
 	}
-	defer restarted.Close()
-	st = restarted.Stats()
-	if st.Durable != "warm" {
-		t.Fatalf("restarted shard state = %q, want warm", st.Durable)
+}
+
+// TestStoragePutBatchConcurrent has several writers push batches of their
+// own keys through one client onto two durable shards at R=2 (run under
+// -race): frames of different writers interleave on each shard, every frame
+// takes its own version range and its own WAL group, and both replicas end
+// holding — and having logged — every record exactly once.
+func TestStoragePutBatchConcurrent(t *testing.T) {
+	var servers []*StorageServer
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		srv, err := NewStorageServerDurable("127.0.0.1:0", t.TempDir(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		servers, addrs = append(servers, srv), append(addrs, srv.Addr())
 	}
-	if st.Keys != n || st.DurableVersion != n {
-		t.Fatalf("restarted shard: keys %d dur-ver %d, want %d", st.Keys, st.DurableVersion, n)
-	}
-	if st.ReplayedBytes == 0 {
-		t.Fatal("restarted shard reports no replayed bytes")
-	}
-	cn, err := Dial(restarted.Addr())
+	sc, err := DialStorageReplicated(addrs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cn.Close()
-	resp, err := cn.Call(context.Background(), &Request{Op: OpGet, Key: 7})
-	if err != nil || !resp.Found {
-		t.Fatalf("get after restart: found=%v err=%v", resp.Found, err)
+	defer sc.Close()
+	const writers, batches, perBatch = 6, 20, 16
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				keys, vals := make([]uint64, perBatch), make([][]byte, perBatch)
+				for i := range keys {
+					keys[i] = uint64((w*batches+b)*perBatch + i)
+					vals[i] = binary.LittleEndian.AppendUint64(nil, keys[i])
+				}
+				if err := sc.PutBatch(context.Background(), keys, vals); err != nil {
+					t.Errorf("writer %d batch %d: %v", w, b, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	const total = writers * batches * perBatch
+	for i, srv := range servers {
+		if st := srv.Stats(); st.Keys != total || st.WALRecords != total || st.DurableVersion != total {
+			t.Fatalf("shard %d: %d keys, %d WAL records, version %d; want %d of each", i, st.Keys, st.WALRecords, st.DurableVersion, total)
+		}
+	}
+	for key := uint64(0); key < total; key += 97 {
+		for _, addr := range addrs {
+			if val, found := storedAt(t, addr, key); !found || binary.LittleEndian.Uint64(val) != key {
+				t.Fatalf("key %d on %s: found=%v value=%x", key, addr, found, val)
+			}
+		}
 	}
 }
 

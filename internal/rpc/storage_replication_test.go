@@ -312,4 +312,24 @@ func TestEnvelopeEncodedSizeWithStorage(t *testing.T) {
 	if n := respFrameSize(t, statsResp); n > 1024 {
 		t.Errorf("7-proc + 4-storage stats response frame encodes to %d bytes, want <= 1024", n)
 	}
+
+	// The write path's frames. A loader chunk — 300 records of 55 bytes, the
+	// benchmark graph's mean, under keys of a 60 k-node graph — is its
+	// payload plus a key and a length per record: within 8 % of the bytes it
+	// stores, and inside the peer's read window. A one-record OpMultiPut,
+	// which every single Put now is, costs the two counts and the wider field
+	// bitmap over the OpPut it replaced.
+	chunk := &Request{Op: OpMultiPut}
+	rec := make([]byte, 55)
+	for i := 0; i < 300; i++ {
+		chunk.Keys = append(chunk.Keys, uint64(59000+i))
+		chunk.Values = append(chunk.Values, rec)
+	}
+	if n, payload := reqFrameSize(t, chunk), 300*len(rec); n > payload+payload*8/100 || n > frameWindow {
+		t.Errorf("300-record multiput frame encodes to %d bytes for %d bytes of records, want <= +8%% and <= the %d-byte read window", n, payload, frameWindow)
+	}
+	put := reqFrameSize(t, &Request{Op: OpPut, Key: 59000, Value: rec})
+	if n := reqFrameSize(t, &Request{Op: OpMultiPut, Keys: []uint64{59000}, Values: [][]byte{rec}}); n > put+3 {
+		t.Errorf("1-record multiput frame encodes to %d bytes, want <= %d (the put frame + 3)", n, put+3)
+	}
 }

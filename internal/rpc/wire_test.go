@@ -88,6 +88,12 @@ func fullRequest() *Request {
 	}
 }
 
+// multiPutRequest is an OpMultiPut frame: positional keys and values, the
+// one envelope field fullRequest predates.
+func multiPutRequest() *Request {
+	return &Request{Op: OpMultiPut, Keys: []uint64{3, 1 << 40, 3}, Values: [][]byte{[]byte("a"), {0, 255, 1}, []byte("record-bytes")}}
+}
+
 // fullResponse exercises every response envelope field, including the
 // storage-bearing stats snapshot.
 func fullResponse() *Response {
@@ -161,6 +167,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpMutate, Muts: []Mutation{{Op: query.MutAddEdge, Node: 42, To: 99}}},
 		{Op: OpJoin, Addr: "127.0.0.1:7001", Tier: "storage", Version: 3},
 		{Op: OpPlacement, Overrides: map[uint64][]int{7: {0, 2}}},
+		multiPutRequest(),
 		fullRequest(),
 	}
 	for _, req := range reqs {
@@ -218,19 +225,19 @@ func TestResponseRoundTrip(t *testing.T) {
 // final reads run off the end), and none may panic.
 func TestFrameDecodeTruncation(t *testing.T) {
 	var scratch []byte
-	reqFrame := encodeRequestFrame(nil, 1, fullRequest(), 12345, &scratch)
 	respFrame := encodeResponseFrame(nil, 1, fullResponse(), &scratch)
 
-	reqPayload := reqFrame[frameHeader:]
-	for i := 0; i < len(reqPayload); i++ {
-		tag, rest, ok := peelTag(reqPayload[:i])
-		if !ok {
-			continue // tag itself truncated: detected before decode
-		}
-		_ = tag
-		var req Request
-		if err := decodeRequestInto(rest, &req); err == nil {
-			t.Fatalf("request truncated at %d/%d decoded cleanly", i, len(reqPayload))
+	for _, full := range []*Request{fullRequest(), multiPutRequest()} {
+		reqPayload := encodeRequestFrame(nil, 1, full, 12345, &scratch)[frameHeader:]
+		for i := 0; i < len(reqPayload); i++ {
+			_, rest, ok := peelTag(reqPayload[:i])
+			if !ok {
+				continue // tag itself truncated: detected before decode
+			}
+			var req Request
+			if err := decodeRequestInto(rest, &req); err == nil {
+				t.Fatalf("%v request truncated at %d/%d decoded cleanly", full.Op, i, len(reqPayload))
+			}
 		}
 	}
 
@@ -286,6 +293,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(encodeRequestFrame(nil, 1, fullRequest(), 12345, &scratch)[frameHeader:])
 	f.Add(encodeResponseFrame(nil, 1, fullResponse(), &scratch)[frameHeader:])
 	f.Add(encodeRequestFrame(nil, 0, &Request{Op: OpPing}, 0, &scratch)[frameHeader:])
+	f.Add(encodeRequestFrame(nil, 2, multiPutRequest(), 0, &scratch)[frameHeader:])
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 

@@ -1,9 +1,9 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: ci fmt-check vet lint build cross test bench-test race cover examples bench-smoke bench suite chaos chaos-smoke loc
+.PHONY: ci fmt-check vet lint build cross test ledger bench-test race cover examples bench-smoke bench suite chaos chaos-smoke loc
 
-ci: fmt-check lint build cross test bench-test race cover examples bench-smoke loc
+ci: fmt-check lint build cross test ledger bench-test race cover examples bench-smoke loc
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -33,6 +33,14 @@ cross:
 
 test:
 	$(GO) test ./...
+
+# The kernel-crossings ledger of README's "Performance log", measured from
+# /proc/self/io by the four budget tests and printed one line per row — the
+# table is pasted from this, not from memory. A budget that fails prints the
+# whole test output instead.
+ledger:
+	@out=$$($(GO) test -count=1 -v -run 'TestPingCrossings|TestTCPCrossingsBudget|TestLoadCrossingsBudget|TestMutateCrossingsBudget' ./internal/rpc . 2>&1) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -o '[0-9.]* read/write calls per .*'
 
 # bench/ is a Go module of its own, so `go test ./...` above does not
 # reach the repository benchmark's unit tests (-short skips its traced

@@ -89,8 +89,12 @@ type Client interface {
 	// failure. It returns how many were applied — the applied prefix
 	// stays applied (each mutation acks individually), so a conflict
 	// mid-batch does not roll back the writes before it. Both transports
-	// guarantee read-your-writes: a query issued through this client
-	// after Mutate returns observes the mutation.
+	// guarantee read-your-writes: a query issued through this client — or
+	// any client of the same router — after Mutate returns observes the
+	// mutation. (Over TCP the processors' caches learn of a write from the
+	// next query the router sends them, not at the ack: a tool that asks a
+	// processor directly, around the router, may still be served the
+	// pre-write record.)
 	Mutate(ctx context.Context, muts []Mutation) (int, error)
 	// Stats returns a snapshot of the system's runtime counters:
 	// per-processor assigned/executed/stolen/diverted counts, cache

@@ -284,16 +284,27 @@ func TestLoadCrossingsBudget(t *testing.T) {
 
 // mutateCrossingsBudget bounds the read/write calls one warmed edge mutation
 // costs across an in-process R=2 durable deployment with three processors:
-// client → router and back (4), two pre-image OpGets (8), one OpMultiPut
-// frame per shard carrying both rewritten records (2 × (4 + 1 WAL write)),
-// and the eviction fan-out (3 × 4) — 34, plus the same margin as the query
-// budget. It was 44 while each record went to each replica as its own OpPut:
-// 4 × (4 + 1) where there are now 2 × (4 + 1).
-const mutateCrossingsBudget = 34.5
+// client → router and back (4), one pre-image read round (one OpMultiGet per
+// preferred shard: 4 when both endpoints prefer the same shard, 8 when they
+// split — 5.5 over the pairs below) and one OpMultiPut frame per shard
+// carrying both rewritten records (2 × (4 + 1 WAL write)). Invalidations cost
+// no frame of their own: they ride the next query to each processor, and this
+// test sends none, so every 128th mutation finds the three backlogs past their
+// bound and delivers them itself (3 × 4, ≈ 0.1 per mutation). Measured 19.6,
+// plus the same margin as the query budget. It was 34.0 while the pre-images
+// were two serial OpGets (8) and every mutation fanned an OpEvict out to
+// every processor (3 × 4), and 44.0 while each record also went to each
+// replica as its own OpPut.
+const mutateCrossingsBudget = 20.1
 
-// TestMutateCrossingsBudget regenerates the mutation's row of the ledger by
-// toggling edges that do not exist in the loaded graph. Must not run in
-// parallel with anything.
+// upsertCrossingsBudget is the same ledger for a node upsert: one record, so
+// one pre-image frame (4) and the same two OpMultiPut frames (10) behind the
+// client and router's 4 — 18, and a backlog flush every 256th upsert.
+const upsertCrossingsBudget = 18.6
+
+// TestMutateCrossingsBudget regenerates the mutation rows of the ledger by
+// toggling edges that do not exist in the loaded graph, then re-upserting
+// their endpoints. Must not run in parallel with anything.
 func TestMutateCrossingsBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crossings measurement")
@@ -341,15 +352,33 @@ func TestMutateCrossingsBudget(t *testing.T) {
 			}
 		}
 	}
-	toggle() // dial every pooled connection the write path uses
-	const passes = 10
-	before := ioCrossings(t)
-	for i := 0; i < passes; i++ {
-		toggle()
+	upsert := func() {
+		for _, p := range pairs {
+			for _, u := range p {
+				if err := cl.UpsertNode(ctx, u, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
-	perMutation := float64(ioCrossings(t)-before) / float64(passes*len(pairs)*2)
-	t.Logf("%.2f read/write calls per mutation", perMutation)
-	if perMutation > mutateCrossingsBudget {
-		t.Errorf("an edge mutation costs %.2f read/write calls, above the budget of %.1f", perMutation, mutateCrossingsBudget)
+	const passes = 10
+	for _, row := range []struct {
+		what   string
+		pass   func()
+		budget float64
+	}{
+		{"mutation", toggle, mutateCrossingsBudget},
+		{"upsert", upsert, upsertCrossingsBudget},
+	} {
+		row.pass() // dial every pooled connection the write path uses
+		before := ioCrossings(t)
+		for i := 0; i < passes; i++ {
+			row.pass()
+		}
+		per := float64(ioCrossings(t)-before) / float64(passes*len(pairs)*2)
+		t.Logf("%.2f read/write calls per %s", per, row.what)
+		if per > row.budget {
+			t.Errorf("one %s costs %.2f read/write calls, above the budget of %.1f", row.what, per, row.budget)
+		}
 	}
 }

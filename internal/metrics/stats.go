@@ -269,6 +269,15 @@ type ProcCounters struct {
 	QueueDepth int64
 	// Cache is this processor's cache activity.
 	Cache CacheCounters
+	// PendingInvalidations is how many rewritten-record keys the networked
+	// router still holds for this processor — queued by mutations, riding
+	// every query frame sent to it until one is answered — and
+	// InvalidationsDelivered how many it has seen confirmed so far. A depth
+	// that keeps growing names the processor that is behind: nothing is
+	// routed to it, or it stopped answering. Both stay 0 on the virtual-time
+	// engine, whose mutations invalidate in place.
+	PendingInvalidations   int64
+	InvalidationsDelivered int64
 }
 
 // Snapshot is the system-wide observability surface: the quantities the
@@ -342,14 +351,15 @@ func (s *Snapshot) String() string {
 		s.RoutingNanos.P50, s.RoutingNanos.P99, s.RoutingNanos.P999, s.RoutingNanos.Max, s.RoutingNanos.Count)
 	fmt.Fprintf(&b, "queue depth: p50=%d p99=%d p999=%d max=%d\n",
 		s.QueueDepth.P50, s.QueueDepth.P99, s.QueueDepth.P999, s.QueueDepth.Max)
-	t := NewTable("proc", "status", "assigned", "executed", "stolen", "diverted", "queue", "hits", "misses", "hit%", "evict")
+	t := NewTable("proc", "status", "assigned", "executed", "stolen", "diverted", "queue", "hits", "misses", "hit%", "evict", "inval-pend", "inval-done")
 	for _, p := range s.PerProc {
 		status := p.Status
 		if status == "" {
 			status = "active"
 		}
 		t.AddRow(p.Proc, status, p.Assigned, p.Executed, p.Stolen, p.Diverted, p.QueueDepth,
-			p.Cache.Hits, p.Cache.Misses, 100*p.Cache.HitRate(), p.Cache.Evictions)
+			p.Cache.Hits, p.Cache.Misses, 100*p.Cache.HitRate(), p.Cache.Evictions,
+			p.PendingInvalidations, p.InvalidationsDelivered)
 	}
 	b.WriteString(t.String())
 	if len(s.PerStorage) > 0 {

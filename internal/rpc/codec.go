@@ -755,6 +755,8 @@ func appendSnapshot(buf []byte, sn *metrics.Snapshot) []byte {
 		buf = binary.AppendVarint(buf, p.Diverted)
 		buf = binary.AppendVarint(buf, p.QueueDepth)
 		buf = appendCache(buf, &p.Cache)
+		buf = binary.AppendVarint(buf, p.PendingInvalidations)
+		buf = binary.AppendVarint(buf, p.InvalidationsDelivered)
 	}
 	buf = binary.AppendUvarint(buf, sn.StorageEpoch)
 	buf = binary.AppendVarint(buf, int64(sn.StorageReplicas))
@@ -840,6 +842,8 @@ func decSnapshot(d *wireReader) *metrics.Snapshot {
 			p.Diverted = d.varint()
 			p.QueueDepth = d.varint()
 			decCache(d, &p.Cache)
+			p.PendingInvalidations = d.varint()
+			p.InvalidationsDelivered = d.varint()
 		}
 	}
 	sn.StorageEpoch = d.uvarint()

@@ -16,12 +16,33 @@ import (
 // The router is the networked deployment's single writer: OpMutate and
 // OpMigrate both serialise on mutMu, so every record rewrite is a clean
 // read-modify-write against the storage tier and a migration can never
-// race a mutation. Acked means everywhere: a mutation's record rewrites
-// land on every replica of the key's placement before the ack, and the
-// rewritten keys are evicted from every live processor's cache first —
-// read-your-writes for any client of the deployment. A write that cannot
-// reach every replica (or every cache) fails without acking; since every
-// mutation is idempotent, the client retries it safely.
+// race a mutation. A mutation is two storage round trips: the pre-images of
+// its records come back in one batched read, and the rewrites land on every
+// replica of each key's placement as one PutBatch. A write that cannot reach
+// every replica fails without acking; since every mutation is idempotent, the
+// client retries it safely.
+//
+// Acked means every replica took the write and every query the router
+// routes from then on is preceded, at its processor, by the invalidation of
+// the rewritten records. No frame is sent for that: between the storage write
+// and the ack the keys are queued on every processor slot that has not Left
+// (invalidate), and every OpExecute frame the router forwards to a slot takes
+// the slot's whole queue along as Request.Keys (forward) — the processor
+// drops them from its cache before it looks at the frame's queries. A queue
+// is retired by sequence number when a frame that carried it is answered OK:
+// pooled connections reorder frames, so a backlog keeps riding every frame to
+// its slot until then, and a failed or cancelled call retires nothing. What
+// this gives up against an eviction fan-out is "every cache is clean at ack
+// time" for a reader that bypasses the router and asks a processor directly;
+// nothing the router serves can tell the difference. The queues are router
+// memory: a router that restarts begins, like a joining processor, with
+// nothing queued, so restart the processors (and their caches) with it.
+//
+// A processor that is handed no frames — none routed to it, or it stopped
+// answering — accumulates a backlog. Past maxBacklog keys the next mutation
+// sends that slot its backlog as one explicit OpEvict before touching
+// storage, and fails unacked when the processor cannot confirm it: the
+// fan-out's rule, now the exception.
 
 // migrateTimeout bounds an automatic background migration cycle;
 // rollbackTimeout the restore of an unacked mutation's pre-images, which
@@ -30,6 +51,12 @@ const (
 	migrateTimeout  = 30 * time.Second
 	rollbackTimeout = 2 * time.Second
 )
+
+// maxBacklog is how many invalidations may wait on one processor slot before
+// a mutation stops to deliver them itself. Any routed traffic keeps a queue
+// far below it: under hash routing at the benchmark's 1,250 op/s every
+// processor is handed a frame within a few milliseconds, a handful of keys.
+const maxBacklog = 256
 
 // mutate applies a batch of mutations in order, stopping at the first
 // failure. Response.Applied counts the applied prefix, which stays
@@ -60,17 +87,17 @@ func (r *RouterServer) applyMutation(ctx context.Context, m *Mutation) error {
 	if err != nil {
 		return err
 	}
+	if err := r.flushBacklogs(ctx); err != nil {
+		return err
+	}
 	switch m.Op {
 	case query.MutUpsertNode:
-		rec, pre, err := r.loadRecord(ctx, uint64(m.Node))
+		recs, pres, err := r.loadRecords(ctx, uint64(m.Node))
 		if err != nil {
 			return err
 		}
-		if !pre.found {
-			rec = gstore.Record{Node: m.Node}
-		}
-		rec.NodeLabel = lab
-		return r.commit(ctx, write{&rec, pre})
+		recs[0].NodeLabel = lab
+		return r.commit(ctx, write{&recs[0], pres[0]})
 	case query.MutAddEdge:
 		ru, rv, preU, preV, err := r.loadEndpoints(ctx, m)
 		if err != nil {
@@ -88,10 +115,11 @@ func (r *RouterServer) applyMutation(ctx context.Context, m *Mutation) error {
 		case addedIn:
 			return r.commit(ctx, write{rv, preV})
 		}
-		// Fully present already: idempotent success, but still re-evict —
-		// if an earlier attempt wrote the records and failed only its
-		// eviction fan-out, this retry is what restores read-your-writes.
-		return r.evictEverywhere(ctx, []uint64{uint64(m.Node), uint64(m.To)})
+		// Fully present already: idempotent success, but still invalidate —
+		// if the write landed under a router that died before delivering its
+		// invalidations, this retry is what restores read-your-writes.
+		r.invalidate([]uint64{uint64(m.Node), uint64(m.To)})
+		return nil
 	case query.MutRemoveEdge:
 		ru, rv, preU, preV, err := r.loadEndpoints(ctx, m)
 		if err != nil {
@@ -107,12 +135,8 @@ func (r *RouterServer) applyMutation(ctx context.Context, m *Mutation) error {
 		case removedIn:
 			return r.commit(ctx, write{rv, preV})
 		}
-		// No such edge — but re-evict first, for the same retry-after-
-		// failed-eviction reason as above; an eviction that cannot ack
-		// keeps the mutation retriable instead of misreporting conflict.
-		if err := r.evictEverywhere(ctx, []uint64{uint64(m.Node), uint64(m.To)}); err != nil {
-			return err
-		}
+		// No such edge — invalidated all the same, for the retry reason above.
+		r.invalidate([]uint64{uint64(m.Node), uint64(m.To)})
 		return fmt.Errorf("%w: remove edge %d->%d: no such edge", query.ErrConflict, m.Node, m.To)
 	}
 	return nil
@@ -148,45 +172,55 @@ type write struct {
 }
 
 // loadEndpoints fetches both endpoint records of an edge mutation (with
-// their pre-images); either one missing is a conflict.
+// their pre-images) in one read round; either one missing is a conflict.
 func (r *RouterServer) loadEndpoints(ctx context.Context, m *Mutation) (*gstore.Record, *gstore.Record, preimage, preimage, error) {
 	var none preimage
-	ru, preU, err := r.loadRecord(ctx, uint64(m.Node))
+	recs, pres, err := r.loadRecords(ctx, uint64(m.Node), uint64(m.To))
 	if err != nil {
 		return nil, nil, none, none, err
 	}
-	rv, preV, err := r.loadRecord(ctx, uint64(m.To))
-	if err != nil {
-		return nil, nil, none, none, err
-	}
-	if !preU.found || !preV.found {
+	if !pres[0].found || !pres[1].found {
 		missing := m.Node
-		if preU.found {
+		if pres[0].found {
 			missing = m.To
 		}
 		return nil, nil, none, none, fmt.Errorf("%w: edge %d->%d: endpoint %d has no record", query.ErrConflict, m.Node, m.To, missing)
 	}
-	return &ru, &rv, preU, preV, nil
+	return &recs[0], &recs[1], pres[0], pres[1], nil
 }
 
-// loadRecord reads and decodes key's record, returning the raw stored
-// bytes alongside as the write path's roll-back pre-image.
-func (r *RouterServer) loadRecord(ctx context.Context, key uint64) (gstore.Record, preimage, error) {
-	val, found, err := r.storage.Get(ctx, key)
-	pre := preimage{key: key, val: val, found: found}
-	if err != nil || !found {
-		return gstore.Record{}, pre, err
+// loadRecords reads and decodes the records under keys in one batched round
+// — one OpMultiGet per preferred shard, with the read path's replica
+// fail-over — returning each one's raw stored bytes alongside as the write
+// path's roll-back pre-image. A key nothing is stored under comes back as
+// that node's empty Record with found unset.
+func (r *RouterServer) loadRecords(ctx context.Context, keys ...uint64) ([]gstore.Record, []preimage, error) {
+	recs, pres := make([]gstore.Record, len(keys)), make([]preimage, len(keys))
+	var decodeErr error
+	err := r.storage.getBatch(ctx, keys, func(i int, val []byte, found bool) {
+		pres[i] = preimage{key: keys[i], val: val, found: found}
+		recs[i] = gstore.Record{Node: graph.NodeID(keys[i])}
+		if !found {
+			return
+		}
+		rec, err := gstore.Decode(recs[i].Node, val)
+		if err != nil && decodeErr == nil {
+			decodeErr = err
+		}
+		recs[i] = rec
+	})
+	if err == nil {
+		err = decodeErr
 	}
-	rec, err := gstore.Decode(graph.NodeID(key), val)
 	if err != nil {
-		return gstore.Record{}, pre, err
+		return nil, nil, err
 	}
-	return rec, pre, nil
+	return recs, pres, nil
 }
 
-// commit writes the rewritten records to every replica, then evicts them
-// from every live processor's cache. Only after both does the mutation
-// ack — a reader can never be served a pre-write cache entry afterwards.
+// commit writes the rewritten records to every replica, then queues their
+// invalidation for every processor. Only after both does the mutation ack —
+// no query routed afterwards can be served a pre-write cache entry.
 //
 // The records travel as one PutBatch — one frame and one WAL write per
 // shard for the whole mutation. A write-all that fails on any shard is
@@ -207,12 +241,14 @@ func (r *RouterServer) commit(ctx context.Context, ws ...write) error {
 		r.rollback(ctx, ws)
 		return err
 	}
-	return r.evictEverywhere(ctx, keys)
+	r.invalidate(keys)
+	return nil
 }
 
 // rollback restores the pre-images of the given writes on every reachable
-// replica and re-evicts the keys, all best effort — the mutation is
-// already failing unacked; this pass only narrows the divergence window.
+// replica, best effort — the mutation is already failing unacked; this pass
+// only narrows the divergence window — and invalidates the keys: a query
+// may have cached the record the failed write left behind for a moment.
 // It runs detached from the request's ctx: an expired or cancelled request
 // is the commonest reason to be here, and on that ctx no call would leave.
 func (r *RouterServer) rollback(ctx context.Context, ws []write) {
@@ -230,7 +266,88 @@ func (r *RouterServer) rollback(ctx context.Context, ws []write) {
 			}
 		}
 	}
-	_ = r.evictEverywhere(ctx, keys)
+	r.invalidate(keys)
+}
+
+// invalidations is one processor slot's queue of rewritten record keys the
+// processor is not yet known to have dropped from its cache. Keys are
+// numbered in arrival order — keys[i] has sequence number base+i — so a
+// frame's answer can retire exactly what that frame carried, whatever order
+// the answers come back in.
+type invalidations struct {
+	keys      []uint64
+	base      uint64
+	delivered int64 // keys retired by an answered frame, for Stats
+}
+
+// carried is what one frame takes along of its slot's queue: the keys, and
+// the sequence number just past the last of them.
+type carried struct {
+	keys []uint64
+	upTo uint64
+}
+
+// carry snapshots the queue for one outgoing frame. The keys alias the queue's
+// array: appends land past them and retiring only re-slices, so the frame's
+// encoder reads them without the lock.
+func (q *invalidations) carry() carried {
+	return carried{keys: q.keys, upTo: q.base + uint64(len(q.keys))}
+}
+
+// retire drops the keys numbered below upTo — an OK answer to a frame that
+// carried them proves the processor applied them — and is a no-op when an
+// earlier answer already did.
+func (q *invalidations) retire(upTo uint64) {
+	if upTo <= q.base {
+		return
+	}
+	n := upTo - q.base
+	q.keys, q.base = q.keys[n:], upTo
+	q.delivered += int64(n)
+}
+
+// invalidate queues keys for every processor that may still answer queries:
+// anything that has not Left — a draining member finishes in-flight work on
+// the old view, so its cache matters too. It cannot fail, which is why a
+// mutation can ack on it.
+func (r *RouterServer) invalidate(keys []uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for slot, p := range r.pools {
+		if p != nil {
+			r.inval[slot].keys = append(r.inval[slot].keys, keys...)
+		}
+	}
+}
+
+// flushBacklogs is the bounded-backlog carrier: every slot whose queue has
+// grown past maxBacklog — nothing was routed to it for that long, or it
+// stopped answering — is sent the queue as one explicit OpEvict, and an
+// answer retires it. A processor that cannot confirm fails the mutation
+// before it has written anything. Caller holds mutMu.
+func (r *RouterServer) flushBacklogs(ctx context.Context) error {
+	type backlog struct {
+		slot int
+		pool *Pool
+		carried
+	}
+	var over []backlog
+	r.mu.Lock()
+	for slot := range r.inval {
+		if q := &r.inval[slot]; len(q.keys) > maxBacklog {
+			over = append(over, backlog{slot, r.pools[slot], q.carry()})
+		}
+	}
+	r.mu.Unlock()
+	for _, b := range over {
+		if _, err := b.pool.Call(ctx, &Request{Op: OpEvict, Keys: b.keys}); err != nil {
+			return fmt.Errorf("cache eviction: %w", err)
+		}
+		r.mu.Lock()
+		r.inval[b.slot].retire(b.upTo)
+		r.mu.Unlock()
+	}
+	return nil
 }
 
 // procTarget pairs a processor slot with its pool.
@@ -252,30 +369,6 @@ func (r *RouterServer) liveProcs() []procTarget {
 		}
 	}
 	return out
-}
-
-// evictEverywhere fans OpEvict out to every live processor and requires
-// every ack: a processor that cannot confirm the eviction could serve the
-// pre-write record, so the mutation must not ack either.
-func (r *RouterServer) evictEverywhere(ctx context.Context, keys []uint64) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	procs := r.liveProcs()
-	errs := make(chan error, len(procs))
-	for _, t := range procs {
-		go func(t procTarget) {
-			_, err := t.pool.Call(ctx, &Request{Op: OpEvict, Keys: keys})
-			errs <- err
-		}(t)
-	}
-	var firstErr error
-	for range procs {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cache eviction: %w", err)
-		}
-	}
-	return firstErr
 }
 
 // pushOverridesTo hands one pool the complete current override table.

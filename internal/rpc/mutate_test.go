@@ -394,10 +394,11 @@ func (p *stallProxy) pipe(dst, src net.Conn, gated bool) {
 // mutation's two records so its write-all runs into the deadline after the
 // first replica already took both new records — one frame per shard, in
 // flight together. The unacked mutation must leave both replicas as it found
-// them — the roll-back cannot run on the context whose expiry caused it.
-// Then the stalled replica dies outright: the same mutation fails with the
-// typed error, and the survivor is back at both pre-images by the time the
-// failure is reported.
+// them — the roll-back cannot run on the context whose expiry caused it —
+// and a reader that cached the half-written record meanwhile must be back on
+// the pre-image too. Then the stalled replica dies outright: the same
+// mutation fails with the typed error, and the survivor is back at both
+// pre-images by the time the failure is reported.
 func TestMutateRollbackOnExpiredContext(t *testing.T) {
 	g := gen.LocalWeb(300, 6, 40, 0.01, 5)
 	ctx := context.Background()
@@ -462,22 +463,42 @@ func TestMutateRollbackOnExpiredContext(t *testing.T) {
 		return ""
 	}
 
+	// While the write-all is stalled a reader caches the record the healthy
+	// replica already took: the roll-back has to invalidate it as well.
+	onU := []query.Query{{Type: query.NeighborAgg, Node: u, Hops: 1, Dir: graph.Out}}
 	proxy.Pause()
-	short, cancel := context.WithTimeout(ctx, 150*time.Millisecond)
-	_, err = cl.Mutate(short, []Mutation{{Op: query.MutAddEdge, Node: u, To: v}})
-	cancel()
-	if err == nil {
+	failed := make(chan error, 1)
+	go func() {
+		short, cancel := context.WithTimeout(ctx, 150*time.Millisecond)
+		defer cancel()
+		_, err := cl.Mutate(short, []Mutation{{Op: query.MutAddEdge, Node: u, To: v}})
+		failed <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for diverged(0) == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("the healthy replica never took the stalled mutation's records")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := cl.Execute(ctx, onU[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-failed; err == nil {
 		t.Fatal("mutation acked across a stalled replica")
 	}
 	proxy.Resume()
 
-	deadline := time.Now().Add(5 * time.Second)
+	deadline = time.Now().Add(5 * time.Second)
 	for diverged(0, 1) != "" {
 		if time.Now().After(deadline) {
 			t.Fatalf("unacked mutation left %s rewritten: the roll-back never restored the pre-image", diverged(0, 1))
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	rs.mutMu.Lock() // held until the roll-back has queued its invalidations
+	rs.mutMu.Unlock()
+	checkOracle(t, cl, g, onU, "after the roll-back")
 
 	shards[1].Close()
 	_, err = cl.Mutate(ctx, []Mutation{{Op: query.MutAddEdge, Node: u, To: v}})

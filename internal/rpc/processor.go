@@ -30,8 +30,16 @@ type ProcessorServer struct {
 	ct      connTracker
 	storage *StorageClient
 
-	mu    sync.Mutex // guards cache and heat
+	mu    sync.Mutex // guards cache, evicted, evictSeq and heat
 	cache *cache.LRU[gstore.Record]
+	// evicted is a ring of the keys most recently evicted from the cache and
+	// evictSeq how many ever were: evicted[(evictSeq-1)%len] is the newest. A
+	// storage fetch that straddles the eviction of one of its keys may have
+	// been answered before the write the eviction announced, so that record
+	// still answers the query that asked for it but is not cached (see
+	// netFetcher.Fetch, evictedSince).
+	evicted  [64]uint64
+	evictSeq uint64
 	// heat counts storage misses per record since the last OpHeat drain —
 	// the adaptive-placement planner's read signal. Cache hits contribute
 	// nothing: a record the cache absorbs needs no migration. Bounded at
@@ -48,6 +56,7 @@ type ProcessorServer struct {
 
 	registration // announces the processor to a router (scale-out, clean leave)
 
+	requests     atomic.Int64
 	hits, misses atomic.Int64
 	executed     atomic.Int64
 }
@@ -113,6 +122,7 @@ func (p *ProcessorServer) Stats() Stats {
 	cc := p.cacheCounters()
 	return Stats{
 		Role:     "processor",
+		Requests: p.requests.Load(),
 		Hits:     p.hits.Load(),
 		Misses:   p.misses.Load(),
 		Executed: p.executed.Load(),
@@ -127,7 +137,40 @@ func (p *ProcessorServer) cacheCounters() metrics.CacheCounters {
 	return p.cache.Stats().Counters()
 }
 
+// evict drops every named record from the cache, so the next read refetches
+// the rewritten version from storage, and remembers the keys for the fetches
+// in flight.
+func (p *ProcessorServer) evict(keys []uint64) {
+	if len(keys) == 0 {
+		return
+	}
+	p.mu.Lock()
+	for _, k := range keys {
+		p.cache.Remove(k)
+		p.evicted[p.evictSeq%uint64(len(p.evicted))] = k
+		p.evictSeq++
+	}
+	p.mu.Unlock()
+}
+
+// evictedSince reports whether key was evicted after the eviction count read
+// seq — or may have been: past what the ring remembers every key counts as
+// evicted. Caller holds p.mu.
+func (p *ProcessorServer) evictedSince(seq, key uint64) bool {
+	n := p.evictSeq - seq
+	if n > uint64(len(p.evicted)) {
+		return true
+	}
+	for i := uint64(1); i <= n; i++ {
+		if p.evicted[(p.evictSeq-i)%uint64(len(p.evicted))] == key {
+			return true
+		}
+	}
+	return false
+}
+
 func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {
+	p.requests.Add(1)
 	switch req.Op {
 	case OpPing:
 		return Response{OK: true}
@@ -135,13 +178,7 @@ func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {
 		st := p.Stats()
 		return Response{OK: true, Stats: &st}
 	case OpEvict:
-		// Post-mutation cache eviction: drop every named record so the next
-		// read refetches the rewritten version from storage.
-		p.mu.Lock()
-		for _, k := range req.Keys {
-			p.cache.Remove(k)
-		}
-		p.mu.Unlock()
+		p.evict(req.Keys)
 		return Response{OK: true}
 	case OpHeat:
 		return Response{OK: true, Hot: p.drainHeat()}
@@ -149,6 +186,11 @@ func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {
 		p.storage.SetOverrides(req.Overrides)
 		return Response{OK: true}
 	case OpExecute:
+		// The invalidations that rode this frame come first — before the
+		// request is validated, let alone waits for an executor: whatever the
+		// frame's queries read, they read after them, and the reply that
+		// retires them at the router is proof they were applied.
+		p.evict(req.Keys)
 		if req.Exec == nil || (len(req.Exec.Queries) == 0 && len(req.Exec.Subtasks) == 0) {
 			return errorResponse(fmt.Errorf("%w: execute request carries no queries", query.ErrBadQuery))
 		}
@@ -221,6 +263,7 @@ func (f *netFetcher) Fetch(ids []graph.NodeID) ([]gstore.FetchResult, error) {
 	recs := f.recs[:len(ids)]
 	miss, pos := f.miss[:0], f.pos[:0]
 	p.mu.Lock()
+	seq := p.evictSeq
 	for i, id := range ids {
 		rec, ok := p.cache.Get(uint64(id))
 		recs[i] = gstore.FetchResult{Record: rec, OK: ok}
@@ -247,9 +290,16 @@ func (f *netFetcher) Fetch(ids []graph.NodeID) ([]gstore.FetchResult, error) {
 			continue // dangling id: nothing stored, nothing cached
 		}
 		recs[pos[j]] = gstore.FetchResult{Record: rec, OK: true}
-		// Approximate the record's resident size for capacity accounting.
-		size := int64(16 + 8*(len(rec.Out)+len(rec.In)))
-		p.cache.Put(uint64(id), rec, size)
+		// An eviction applied while the fetch was out may announce a write the
+		// shard had not taken yet when it answered: caching that record would
+		// serve the pre-write version to every read after the write's ack.
+		// It answers this query — which raced the write — and the next miss
+		// refetches it.
+		if !p.evictedSince(seq, uint64(id)) {
+			// Approximate the record's resident size for capacity accounting.
+			size := int64(16 + 8*(len(rec.Out)+len(rec.In)))
+			p.cache.Put(uint64(id), rec, size)
+		}
 		if _, hot := p.heat[uint64(id)]; hot || len(p.heat) < heatCap {
 			p.heat[uint64(id)]++
 		}

@@ -73,13 +73,16 @@ const (
 	OpDrain
 	// OpMutate applies a batch of graph mutations through the router: the
 	// router serialises writers, rewrites the affected records on every
-	// replica of their placement, and evicts them from every active
-	// processor's cache before acking — read-your-writes for any client of
-	// the deployment (router role only).
+	// replica of their placement, and before acking queues their
+	// invalidation for every processor, to ride the next OpExecute frame it
+	// forwards there — read-your-writes for any client of the router (router
+	// role only).
 	OpMutate
 	// OpEvict removes keys from a processor's record cache (processor
-	// role): the router fans it out after a mutation so no cache serves a
-	// pre-write record.
+	// role). A mutation's invalidations normally reach a processor as the
+	// Keys of an OpExecute frame; the router sends an explicit OpEvict only
+	// to a processor whose backlog of them outgrew its bound because no
+	// query was routed there, and a tool may send one to cool a cache.
 	OpEvict
 	// OpHeat drains a processor's per-record storage-miss heat since the
 	// previous OpHeat (processor role): the planner's read signal.
@@ -167,7 +170,11 @@ type Request struct {
 	// Key and Value serve OpGet / OpPut / OpDrop.
 	Key   uint64
 	Value []byte
-	// Keys serves OpMultiGet, OpEvict and OpMultiPut.
+	// Keys serves OpMultiGet, OpEvict and OpMultiPut — and OpExecute on the
+	// router → processor leg, where it names the records a processor must
+	// drop from its cache before it runs the frame's queries (the
+	// invalidations of mutations acked since the processor last answered a
+	// frame). Absent when empty, like every field.
 	Keys []uint64
 	// Values serves OpMultiPut, positionally aligned with Keys.
 	Values [][]byte

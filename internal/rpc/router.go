@@ -63,6 +63,7 @@ type RouterServer struct {
 	inflight  []int                   // forwarded, not yet acked — the load handed to rt
 	completed []int64                 // queries each slot answered successfully
 	lastCache []metrics.CacheCounters // latest cache counters piggybacked per slot
+	inval     []invalidations         // rewritten keys each slot has yet to drop from its cache (mutate.go)
 	routing   metrics.Histogram       // wall-clock routing decision time (ns)
 	depth     metrics.Histogram       // destination in-flight depth at each decision
 
@@ -183,6 +184,7 @@ func NewRouterServer(addr string, cfg RouterConfig) (*RouterServer, error) {
 		inflight:   make([]int, n),
 		completed:  make([]int64, n),
 		lastCache:  make([]metrics.CacheCounters, n),
+		inval:      make([]invalidations, n),
 	}
 	rt, err := router.NewFromView(cfg.Strategy, r.topo.View(), false)
 	if err != nil {
@@ -258,20 +260,26 @@ func (r *RouterServer) View() topology.View {
 
 // applyViewLocked moves the router to a newer view — the strategy's
 // topology hook fires and the transition is logged there — then grows the
-// networked slot arrays for joiners and closes the pools of departed
-// members (a slot only leaves with nothing in flight). Caller holds r.mu.
+// networked slot arrays for joiners (a joiner's invalidation queue starts
+// empty, like its cache) and closes the pools of departed members, whose
+// queues go with them (a slot only leaves with nothing in flight). Caller
+// holds r.mu.
 func (r *RouterServer) applyViewLocked(v topology.View) {
 	r.rt.ApplyView(v)
 	for len(r.inflight) < v.Slots() {
 		r.inflight = append(r.inflight, 0)
 		r.completed = append(r.completed, 0)
 		r.lastCache = append(r.lastCache, metrics.CacheCounters{})
+		r.inval = append(r.inval, invalidations{})
 		r.pools = append(r.pools, nil)
 	}
 	for slot, p := range r.pools {
 		if p != nil && v.Status(slot) == topology.Left {
 			go p.Close()
 			r.pools[slot] = nil
+			// Keep the numbering: an answer still on its way retires nothing.
+			q := &r.inval[slot]
+			q.keys, q.base = nil, q.base+uint64(len(q.keys))
 		}
 	}
 }
@@ -376,6 +384,7 @@ type routeScratch struct {
 	dest  []int
 	loads []int
 	pools []*Pool
+	inv   []carried
 	req   Request
 }
 
@@ -410,7 +419,8 @@ func (r *RouterServer) executeClassic(ctx context.Context, ex *ExecRequest) Resp
 		dest[i] = p
 	}
 	pools := append(sc.pools[:0], r.pools...)
-	sc.pools = pools
+	inv := r.carryLocked(sc.inv[:0])
+	sc.pools, sc.inv = pools, inv
 	r.mu.Unlock()
 
 	// Fast path — the whole batch (typically a single query) lands on one
@@ -424,9 +434,9 @@ func (r *RouterServer) executeClassic(ctx context.Context, ex *ExecRequest) Resp
 	}
 	if single {
 		p := dest[0]
-		sc.req = Request{Op: OpExecute, Exec: ex}
-		resp, err := pools[p].Call(ctx, &sc.req)
-		r.finish(p, len(dest), &resp, err)
+		sc.req = Request{Exec: ex}
+		resp, err := r.forward(ctx, pools[p], p, len(dest), &sc.req, inv[p])
+		r.finish(len(dest), err)
 		if err == nil {
 			err = checkResults(pools[p].Addr(), &resp, len(dest))
 		}
@@ -457,7 +467,7 @@ func (r *RouterServer) executeClassic(ctx context.Context, ex *ExecRequest) Resp
 			for j, i := range indices {
 				sub.Queries[j] = ex.Queries[i]
 			}
-			resp, err := pools[p].Call(ctx, &Request{Op: OpExecute, Exec: sub})
+			resp, err := r.forward(ctx, pools[p], p, len(indices), &Request{Exec: sub}, inv[p])
 			results <- procResult{proc: p, indices: indices, resp: resp, err: err}
 		}(p, indices)
 	}
@@ -466,7 +476,7 @@ func (r *RouterServer) executeClassic(ctx context.Context, ex *ExecRequest) Resp
 	var firstErr error
 	for range groups {
 		pr := <-results
-		r.finish(pr.proc, len(pr.indices), &pr.resp, pr.err)
+		r.finish(len(pr.indices), pr.err)
 		if pr.err == nil {
 			pr.err = checkResults(pools[pr.proc].Addr(), &pr.resp, len(pr.indices))
 		}
@@ -571,6 +581,7 @@ func (r *RouterServer) runWave(ctx context.Context, q query.Query, wave []mquery
 		r.inflight[p]++
 	}
 	pools := append([]*Pool(nil), r.pools...)
+	inv := r.carryLocked(nil)
 	r.mu.Unlock()
 
 	groups := make(map[int][]int, len(pools))
@@ -596,7 +607,10 @@ func (r *RouterServer) runWave(ctx context.Context, q query.Query, wave []mquery
 			for j, i := range indices {
 				sub.Subtasks[j] = wave[i]
 			}
-			resp, err := pools[p].Call(wctx, &Request{Op: OpExecute, Exec: sub})
+			// Subtasks are routed work units inside one query, not queries:
+			// forward settles the per-slot accounting, and the client-visible
+			// counters move once, when the whole query completes.
+			resp, err := r.forward(wctx, pools[p], p, len(indices), &Request{Exec: sub}, inv[p])
 			results <- procResult{proc: p, indices: indices, resp: resp, err: err}
 		}(p, indices)
 	}
@@ -604,9 +618,6 @@ func (r *RouterServer) runWave(ctx context.Context, q query.Query, wave []mquery
 	var firstErr error
 	for range groups {
 		pr := <-results
-		// Subtasks are routed work units inside one query, not queries: they
-		// settle the per-slot accounting but not the client-visible counters.
-		r.settle(pr.proc, len(pr.indices), &pr.resp, pr.err)
 		if m.Found() {
 			// Answer already known: late partials are redundant, and late
 			// errors are expected — we cancelled those calls ourselves.
@@ -644,18 +655,44 @@ func (r *RouterServer) runWave(ctx context.Context, q query.Query, wave []mquery
 	return epoch, firstErr
 }
 
+// carryLocked snapshots every slot's invalidation queue for the frames of the
+// batch being routed, slot-indexed into dst. With nothing queued — every
+// batch of a read-only workload — that is one empty entry per slot and the
+// frames are byte for byte what they were. Caller holds r.mu.
+func (r *RouterServer) carryLocked(dst []carried) []carried {
+	for i := range r.inval {
+		dst = append(dst, r.inval[i].carry())
+	}
+	return dst
+}
+
+// forward is the one place an OpExecute frame leaves for a processor: req's
+// payload, n units of work, to slot p over pool. The frame takes along what
+// the slot's invalidation queue held when its batch was routed (c) — the
+// processor applies it before anything else — and the slot's accounting
+// settles when the call returns; only an OK reply retires what the frame
+// carried.
+func (r *RouterServer) forward(ctx context.Context, pool *Pool, p, n int, req *Request, c carried) (Response, error) {
+	req.Op, req.Keys = OpExecute, c.keys
+	resp, err := pool.Call(ctx, req)
+	r.settle(p, n, c.upTo, &resp, err)
+	return resp, err
+}
+
 // settle closes the per-slot accounting for n answered units of work on
 // processor p: the in-flight load drops, successful completions advance
-// the per-processor counters, the processor's piggybacked cache counters
-// feed the strategy's optional StatsObserver hook — the live signal
+// the per-processor counters and retire the invalidations their frame
+// carried (those numbered below upTo), the processor's piggybacked cache
+// counters feed the strategy's optional StatsObserver hook — the live signal
 // adaptive strategies hot-swap on — and a draining member whose last
 // in-flight work just finished completes its departure.
-func (r *RouterServer) settle(p, n int, resp *Response, err error) {
+func (r *RouterServer) settle(p, n int, upTo uint64, resp *Response, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.inflight[p] -= n
 	if err == nil {
 		r.completed[p] += int64(n)
+		r.inval[p].retire(upTo)
 		if resp.ProcCache != nil {
 			r.lastCache[p] = *resp.ProcCache
 			if r.statsObs != nil {
@@ -674,11 +711,10 @@ func (r *RouterServer) settle(p, n int, resp *Response, err error) {
 	}
 }
 
-// finish settles a completed sub-batch of n client queries on processor p
-// and, when it succeeded, counts them toward the client-visible total and
-// the background migration tick.
-func (r *RouterServer) finish(p, n int, resp *Response, err error) {
-	r.settle(p, n, resp, err)
+// finish counts a forwarded sub-batch of n client queries, when it
+// succeeded, toward the client-visible total and the background migration
+// tick.
+func (r *RouterServer) finish(n int, err error) {
 	if err == nil {
 		r.queries.Add(int64(n))
 		r.maybeTick(n)
@@ -760,14 +796,16 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 		}
 		cc := r.lastCache[i]
 		snap.PerProc = append(snap.PerProc, metrics.ProcCounters{
-			Proc:       i,
-			Status:     m.Status.String(),
-			Addr:       m.Addr,
-			Assigned:   int64(assigned[i]),
-			Executed:   r.completed[i],
-			Diverted:   int64(diverted[i]),
-			QueueDepth: int64(r.inflight[i]),
-			Cache:      cc,
+			Proc:                   i,
+			Status:                 m.Status.String(),
+			Addr:                   m.Addr,
+			Assigned:               int64(assigned[i]),
+			Executed:               r.completed[i],
+			Diverted:               int64(diverted[i]),
+			QueueDepth:             int64(r.inflight[i]),
+			Cache:                  cc,
+			PendingInvalidations:   int64(len(r.inval[i].keys)),
+			InvalidationsDelivered: r.inval[i].delivered,
 		})
 		snap.Cache.Add(cc)
 	}

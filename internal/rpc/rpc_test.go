@@ -1,7 +1,9 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -60,7 +62,7 @@ func startClusterCfg(t *testing.T, g *graph.Graph, nStorage, nProcs int, policy 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := RouterConfig{ProcessorAddrs: procAddrs, Strategy: strat}
+	cfg := RouterConfig{ProcessorAddrs: procAddrs, Strategy: strat, StorageAddrs: storageAddrs}
 	if withGraph {
 		cfg.Graph = g
 	}
@@ -547,6 +549,24 @@ func TestEnvelopeEncodedSize(t *testing.T) {
 	if n := reqFrameSize(t, exec); n > 48 {
 		t.Errorf("1-query execute frame encodes to %d bytes, want <= 48", n)
 	}
+	// The frame the router forwards to a processor is that same frame, byte
+	// for byte what it was before invalidations rode it, while none is queued
+	// for its slot — a nil and an empty Keys leave no trace — and with two
+	// keys riding it grows by their count byte and their varints (1 and 3
+	// bytes here), nothing else.
+	var scratch []byte
+	bare := encodeRequestFrame(nil, 1, exec, 0, &scratch)
+	if got := hex.EncodeToString(bare); got != "1b000000010500080102002a00040000000000000000000000000000000000" {
+		t.Errorf("bare execute frame = %s, not the frame the protocol has always sent", got)
+	}
+	exec.Keys = []uint64{}
+	if empty := encodeRequestFrame(nil, 1, exec, 0, &scratch); !bytes.Equal(empty, bare) {
+		t.Errorf("execute frame with an empty backlog = %x, want the bare frame %x", empty, bare)
+	}
+	exec.Keys = []uint64{42, 40000}
+	if n := reqFrameSize(t, exec); n != len(bare)+1+1+3 {
+		t.Errorf("execute frame carrying two invalidations encodes to %d bytes, want %d", n, len(bare)+1+1+3)
+	}
 	// A one-subtask wave dispatch: the varint-packed subtask plus envelope.
 	subExec := &Request{Op: OpExecute, Exec: &ExecRequest{Subtasks: []mquery.Subtask{
 		{Kind: mquery.KindReach, Anchor: 42, Target: 99, Hops: 2, Budget: 64},
@@ -693,5 +713,29 @@ func TestClusterStatsSnapshot(t *testing.T) {
 	}
 	if snap.RoutingNanos.Count != int64(len(qs)) {
 		t.Fatalf("routing decisions = %d, want %d", snap.RoutingNanos.Count, len(qs))
+	}
+
+	// One acked edge mutation queues two invalidations per processor; they
+	// show as pending until a query is routed there, then as delivered.
+	u, v := qs[0].Node, graph.NodeID(0)
+	for g.HasEdge(u, v) || u == v {
+		v++
+	}
+	if _, err := cl.Mutate(ctx, []Mutation{{Op: query.MutAddEdge, Node: u, To: v}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Execute(ctx, qs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if snap, err = cl.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var pending, delivered int64
+	for _, p := range snap.PerProc {
+		pending += p.PendingInvalidations
+		delivered += p.InvalidationsDelivered
+	}
+	if pending != 4 || delivered != 2 {
+		t.Fatalf("invalidations pending/delivered = %d/%d over %+v, want 4/2", pending, delivered, snap.PerProc)
 	}
 }

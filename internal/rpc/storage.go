@@ -504,37 +504,10 @@ func errUnplaced(key uint64) error {
 	return &remoteError{addr: "storage", msg: fmt.Sprintf("key %d: no storage shards to place it on (a router needs -storage to mutate)", key), kind: query.ErrUnavailable}
 }
 
-// Get returns key's raw stored bytes from the first replica of its
-// placement that answers, healthy replicas first (the flags are advisory:
-// a down replica is still asked, last). A replica that answers "absent"
-// settles it: every write is write-all and the router rolls an unacked one
-// back, so replicas only diverge when a roll-back was itself interrupted —
-// and the next successful write of the record re-converges them.
-func (sc *StorageClient) Get(ctx context.Context, key uint64) ([]byte, bool, error) {
-	var buf, late [topology.MaxReplicas]int
-	pl := sc.placement(key, buf[:0])
-	order, down := pl[:0], late[:0]
-	for _, shard := range pl {
-		if sc.down[shard].Load() {
-			down = append(down, shard)
-		} else {
-			order = append(order, shard)
-		}
-	}
-	var firstErr error
-	for _, shard := range append(order, down...) {
-		resp, err := sc.call(ctx, shard, &Request{Op: OpGet, Key: key})
-		if err == nil {
-			return resp.Value, resp.Found, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr == nil {
-		firstErr = errUnplaced(key)
-	}
-	return nil, false, firstErr
+// Get returns key's raw stored bytes: getBatch of one.
+func (sc *StorageClient) Get(ctx context.Context, key uint64) (val []byte, found bool, err error) {
+	err = sc.getBatch(ctx, []uint64{key}, func(_ int, v []byte, ok bool) { val, found = v, ok })
+	return val, found, err
 }
 
 // Put stores one encoded record on every replica of its placement:
@@ -602,30 +575,41 @@ func (sc *StorageClient) dropAt(ctx context.Context, shard int, key uint64) erro
 	return err
 }
 
-// MultiGet fetches the records for ids, grouping keys by their preferred
-// replica and issuing the per-shard multigets concurrently (the networked
-// analogue of the engine's batched frontier fetches). A shard that fails
-// mid-call is marked down and its keys transparently retry on their next
-// replica; only a key with no answering replica left fails the call.
-func (sc *StorageClient) MultiGet(ctx context.Context, ids []graph.NodeID) (map[graph.NodeID]gstore.Record, error) {
-	out := make(map[graph.NodeID]gstore.Record, len(ids))
-	// tried is a bitmask over each key's placement indices: a key is
-	// exhausted only once every replica has actually been contacted —
-	// down flags are advisory and must never skip a replica for good.
-	tried := make(map[graph.NodeID]uint8, len(ids))
-	pending := ids
+// getBatch is the client's one read: the raw stored bytes under keys, handed
+// to got by position (got(i, …) answers keys[i]; found false means no record
+// is stored there) on the caller's goroutine as each shard's reply arrives —
+// so decoding one shard's records overlaps the wait for the next. A key no
+// replica answered is never handed over. Keys are grouped by
+// their preferred replica — the first healthy one of their placement — and
+// every shard gets its group as one OpMultiGet frame, the frames in flight
+// together (the networked analogue of the engine's batched frontier
+// fetches). A shard that fails its frame, or answers it short, is marked
+// down and its keys transparently retry on their next replica; the flags are
+// advisory, so a down replica is still asked, last, and only a key with no
+// answering replica left fails the call. A replica that answers "absent"
+// settles it: every write is write-all and the router rolls an unacked one
+// back, so replicas only diverge when a roll-back was itself interrupted —
+// and the next successful write of the record re-converges them.
+func (sc *StorageClient) getBatch(ctx context.Context, keys []uint64, got func(i int, val []byte, found bool)) error {
+	// tried[i] is a bitmask over keys[i]'s placement indices, set as a replica
+	// is asked: a key is exhausted only once every replica has actually been
+	// contacted — down flags must never skip a replica for good.
+	tried := make([]uint8, len(keys))
+	pending := make([]int, len(keys))
+	for i := range pending {
+		pending[i] = i
+	}
 	var firstErr error
 	for round := 0; len(pending) > 0 && round <= sc.replicas; round++ {
-		groups := make(map[int][]graph.NodeID)
-		chosen := make(map[graph.NodeID]int, len(pending))
+		groups := make(map[int][]int) // shard → positions in keys
 		var buf [topology.MaxReplicas]int
-		for _, id := range pending {
-			pl := sc.placement(uint64(id), buf[:0])
+		for _, i := range pending {
+			pl := sc.placement(keys[i], buf[:0])
 			// Prefer the first untried healthy replica, falling back to
 			// the first untried one of any health.
 			pick := -1
 			for j := range pl {
-				if tried[id]&(1<<j) != 0 {
+				if tried[i]&(1<<j) != 0 {
 					continue
 				}
 				if pick < 0 {
@@ -636,38 +620,40 @@ func (sc *StorageClient) MultiGet(ctx context.Context, ids []graph.NodeID) (map[
 					break
 				}
 			}
-			if pick < 0 {
-				if firstErr == nil {
-					firstErr = &remoteError{addr: "storage", msg: fmt.Sprintf("key %d: every replica failed", id), kind: query.ErrUnavailable}
-				}
-				continue
+			switch {
+			case pick >= 0:
+				tried[i] |= 1 << pick
+				groups[pl[pick]] = append(groups[pl[pick]], i)
+			case firstErr != nil:
+			case len(pl) == 0:
+				firstErr = errUnplaced(keys[i])
+			default:
+				firstErr = &remoteError{addr: "storage", msg: fmt.Sprintf("key %d: every replica failed", keys[i]), kind: query.ErrUnavailable}
 			}
-			chosen[id] = pick
-			groups[pl[pick]] = append(groups[pl[pick]], id)
 		}
 		type shardResult struct {
 			shard int
-			ids   []graph.NodeID
+			at    []int
 			resp  Response
 			err   error
 		}
 		results := make(chan shardResult, len(groups))
-		for shard, gids := range groups {
-			go func(shard int, gids []graph.NodeID) {
-				keys := make([]uint64, len(gids))
-				for i, id := range gids {
-					keys[i] = uint64(id)
+		for shard, at := range groups {
+			go func(shard int, at []int) {
+				sub := make([]uint64, len(at))
+				for j, i := range at {
+					sub[j] = keys[i]
 				}
-				resp, err := sc.pools[shard].Call(ctx, &Request{Op: OpMultiGet, Keys: keys})
-				if err == nil && (len(resp.Founds) != len(keys) || len(resp.Values) != len(keys)) {
+				resp, err := sc.pools[shard].Call(ctx, &Request{Op: OpMultiGet, Keys: sub})
+				if err == nil && (len(resp.Founds) != len(sub) || len(resp.Values) != len(sub)) {
 					// A reply that does not cover the keys is a failed shard,
 					// not an index to trust.
-					err = &remoteError{addr: sc.pools[shard].Addr(), msg: fmt.Sprintf("got %d values for %d keys", len(resp.Values), len(keys)), kind: query.ErrUnavailable}
+					err = &remoteError{addr: sc.pools[shard].Addr(), msg: fmt.Sprintf("got %d values for %d keys", len(resp.Values), len(sub)), kind: query.ErrUnavailable}
 				}
-				results <- shardResult{shard: shard, ids: gids, resp: resp, err: err}
-			}(shard, gids)
+				results <- shardResult{shard: shard, at: at, resp: resp, err: err}
+			}(shard, at)
 		}
-		var retry []graph.NodeID
+		var retry []int
 		for range groups {
 			r := <-results
 			if r.err != nil {
@@ -680,29 +666,45 @@ func (sc *StorageClient) MultiGet(ctx context.Context, ids []graph.NodeID) (map[
 					continue
 				}
 				sc.markDown(r.shard)
-				for _, id := range r.ids {
-					tried[id] |= 1 << chosen[id]
-				}
-				retry = append(retry, r.ids...)
+				retry = append(retry, r.at...)
 				continue
 			}
-			for i, id := range r.ids {
-				if !r.resp.Founds[i] {
-					continue
-				}
-				rec, err := gstore.Decode(graph.NodeID(id), r.resp.Values[i])
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					continue
-				}
-				out[id] = rec
+			for j, i := range r.at {
+				got(i, r.resp.Values[j], r.resp.Founds[j])
 			}
 		}
 		pending = retry
 	}
-	return out, firstErr
+	return firstErr
+}
+
+// MultiGet fetches the records for ids — getBatch plus gstore.Decode — as a
+// map; ids nothing is stored under are absent from it, and what was read
+// before a failure is returned with the error.
+func (sc *StorageClient) MultiGet(ctx context.Context, ids []graph.NodeID) (map[graph.NodeID]gstore.Record, error) {
+	keys := make([]uint64, len(ids))
+	for i, id := range ids {
+		keys[i] = uint64(id)
+	}
+	out := make(map[graph.NodeID]gstore.Record, len(ids))
+	var decodeErr error
+	err := sc.getBatch(ctx, keys, func(i int, val []byte, found bool) {
+		if !found {
+			return
+		}
+		rec, err := gstore.Decode(ids[i], val)
+		if err != nil {
+			if decodeErr == nil {
+				decodeErr = err
+			}
+			return
+		}
+		out[ids[i]] = rec
+	})
+	if err == nil {
+		err = decodeErr
+	}
+	return out, err
 }
 
 // loadChunk is how many bytes of encoded records LoadGraph hands PutBatch at

@@ -196,8 +196,11 @@ func TestMutateTwoTransports(t *testing.T) {
 
 // TestMutateConcurrentReadYourWrites hammers both transports with
 // concurrent writers touching disjoint records, each immediately reading
-// back its own write. Run under -race this exercises the concurrent
-// client paths and the router's single-writer mutation lock.
+// back its own write — through the record it created, and through the
+// anchor's record, which it read (so a processor cached it) just before the
+// write. Run under -race this exercises the concurrent client paths, the
+// router's single-writer mutation lock and the invalidations that ride the
+// read-back's own frame.
 func TestMutateConcurrentReadYourWrites(t *testing.T) {
 	const scale, seed = 0.02, 7
 	const workers, perWorker = 6, 4
@@ -212,9 +215,13 @@ func TestMutateConcurrentReadYourWrites(t *testing.T) {
 	linkLabel := oracle.InternLabel("link")
 	first := oracle.MaxNodeID()
 	type job struct {
-		node   grouting.NodeID
-		anchor grouting.NodeID
-		want   grouting.Result
+		node       grouting.NodeID
+		anchor     grouting.NodeID
+		want       grouting.Result
+		wantAnchor grouting.Result
+	}
+	intoAnchor := func(j job) grouting.Query {
+		return grouting.Query{Type: grouting.NeighborAgg, Node: j.anchor, Hops: 1, Dir: grouting.In}
 	}
 	jobs := make([][]job, workers)
 	for w := 0; w < workers; w++ {
@@ -235,6 +242,7 @@ func TestMutateConcurrentReadYourWrites(t *testing.T) {
 		for k := range jobs[w] {
 			q := grouting.Query{Type: grouting.NeighborAgg, Node: jobs[w][k].node, Hops: 1, Dir: grouting.Out}
 			jobs[w][k].want = grouting.Answer(oracle, q)
+			jobs[w][k].wantAnchor = grouting.Answer(oracle, intoAnchor(jobs[w][k]))
 		}
 	}
 
@@ -266,6 +274,10 @@ func TestMutateConcurrentReadYourWrites(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for _, j := range jobs[w] {
+						if _, err := tc.c.Execute(ctx, intoAnchor(j)); err != nil {
+							errs <- fmt.Errorf("worker %d: warming anchor %d: %w", w, j.anchor, err)
+							return
+						}
 						if err := tc.c.UpsertNode(ctx, j.node, "page"); err != nil {
 							errs <- fmt.Errorf("worker %d: upsert %d: %w", w, j.node, err)
 							return
@@ -283,6 +295,11 @@ func TestMutateConcurrentReadYourWrites(t *testing.T) {
 						if res != j.want {
 							errs <- fmt.Errorf("worker %d: node %d read its own write wrong: got %+v, want %+v",
 								w, j.node, res, j.want)
+							return
+						}
+						if res, err = tc.c.Execute(ctx, intoAnchor(j)); err != nil || res != j.wantAnchor {
+							errs <- fmt.Errorf("worker %d: anchor %d, cached before the write, read back %+v (%v), want %+v",
+								w, j.anchor, res, err, j.wantAnchor)
 							return
 						}
 					}

@@ -171,6 +171,147 @@ func TestClientTwoTransports(t *testing.T) {
 			t.Fatalf("%s: cancelled execute error = %v, want context.Canceled", tc.name, err)
 		}
 	}
+
+	// A multi-anchor query anchored at a node that has no record is the same
+	// ErrUnknownNode, alone or beside an anchor that exists. (The target is
+	// out of the known anchor's reach: a fragment that finds its target ends
+	// the query before the other fragments are looked at.)
+	const missing = grouting.NodeID(1 << 30)
+	known := g.Nodes()[1]
+	reach := grouting.Query{Type: grouting.BoundedReach, Node: known, Hops: 1, VisitBudget: 4, Dir: grouting.Out}
+	for _, cand := range g.Nodes() {
+		reach.Anchors, reach.Target = []grouting.NodeID{known}, cand
+		if !grouting.Answer(g, reach).Reachable {
+			break
+		}
+	}
+	for _, tc := range clients {
+		for _, q := range unknownAnchorQueries(missing, known, reach) {
+			if res, err := tc.c.Execute(ctx, q); !errors.Is(err, grouting.ErrUnknownNode) {
+				t.Errorf("%s: %v anchored at %v = %+v, %v; want ErrUnknownNode", tc.name, q.Type, q.AnchorNodes(), res, err)
+			}
+		}
+	}
+}
+
+// unknownAnchorQueries anchors a pattern match and two bounded-reach queries
+// (shaped like reach) at the node missing, the second beside the anchor known.
+func unknownAnchorQueries(missing, known grouting.NodeID, reach grouting.Query) []grouting.Query {
+	pattern := grouting.Query{
+		Type: grouting.PatternMatch, Node: missing, Dir: grouting.Out,
+		Pattern: &grouting.Pattern{
+			Nodes: []grouting.PatternNode{{Anchor: missing}, {}},
+			Edges: []grouting.PatternEdge{{From: 0, To: 1}},
+		},
+	}
+	alone, beside := reach, reach
+	alone.Node, alone.Anchors = missing, []grouting.NodeID{missing}
+	beside.Anchors = []grouting.NodeID{missing, known}
+	return []grouting.Query{pattern, alone, beside}
+}
+
+// TestShardCountersTwoTransports: the per-shard section of Stats() carries
+// what the shard counts on both transports — the same graph at the same
+// replication factor puts the same keys and the same bytes on each slot
+// whether the slot is a kvstore.Shard in this process or one behind a
+// listener, and a read of an absent key and a warm restart's recovery time
+// make it through the router's poll of its shards.
+func TestShardCountersTwoTransports(t *testing.T) {
+	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
+	ctx := context.Background()
+	sys, err := grouting.New(g,
+		grouting.WithProcessors(2),
+		grouting.WithStorageServers(2),
+		grouting.WithPolicy(grouting.PolicyHash),
+		grouting.WithSeed(1),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := grouting.NewLocalClient(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := startWritableTCPCluster(t, g, 2, 2, grouting.PolicyHash)
+
+	q := grouting.Query{Type: grouting.NeighborAgg, Node: g.Nodes()[1], Hops: 2, Dir: grouting.Out}
+	var perClient [2]grouting.Stats
+	for i, c := range []grouting.Client{local, remote} {
+		if _, err := c.Execute(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+		if perClient[i], err = c.Stats(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loc, tcp := perClient[0].PerStorage, perClient[1].PerStorage
+	if len(loc) != 2 || len(tcp) != 2 {
+		t.Fatalf("storage members: %d local, %d tcp; want 2 and 2", len(loc), len(tcp))
+	}
+	for slot := range loc {
+		if loc[slot].Keys != tcp[slot].Keys || loc[slot].Bytes != tcp[slot].Bytes || tcp[slot].Bytes <= 0 {
+			t.Errorf("slot %d: local keys=%d bytes=%d, tcp keys=%d bytes=%d; want equal and bytes > 0",
+				slot, loc[slot].Keys, loc[slot].Bytes, tcp[slot].Keys, tcp[slot].Bytes)
+		}
+	}
+
+	// The networked processor finds out that a node is unknown by asking
+	// storage: that read is a miss on the shard the id hashes to.
+	unknown := grouting.Query{Type: grouting.NeighborAgg, Node: 1 << 30, Hops: 1, Dir: grouting.Out}
+	if _, err := remote.Execute(ctx, unknown); !errors.Is(err, grouting.ErrUnknownNode) {
+		t.Fatalf("unknown node error = %v, want ErrUnknownNode", err)
+	}
+	st, err := remote.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if misses := st.PerStorage[0].Misses + st.PerStorage[1].Misses; misses < 1 {
+		t.Errorf("shard misses over tcp = %d after a read of an absent key, want >= 1", misses)
+	}
+}
+
+// TestRecoveryTimeOverTCP restarts a durable shard over its directory: the
+// replay it ran shows in Client.Stats as a warm shard with a recovery time.
+func TestRecoveryTimeOverTCP(t *testing.T) {
+	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
+	ctx := context.Background()
+	dir := t.TempDir()
+	ss, err := grouting.ServeStorageDurable("127.0.0.1:0", dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := grouting.LoadStorage(ctx, g, []string{ss.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	ss.Close()
+	if ss, err = grouting.ServeStorageDurable("127.0.0.1:0", dir, false); err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	ps, err := grouting.ServeProcessor("127.0.0.1:0", []string{ss.Addr()}, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	rs, err := grouting.ServeRouter("127.0.0.1:0", grouting.RouterSpec{
+		Processors: []string{ps.Addr()}, Policy: grouting.PolicyHash, Storage: []string{ss.Addr()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	cl, err := grouting.Dial(ctx, rs.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	st, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := st.PerStorage[0]; m.Durable != "warm" || m.ReplayedBytes <= 0 || m.RecoverNanos <= 0 || m.Keys != int64(len(g.Nodes())) {
+		t.Errorf("restarted shard reports %+v; want warm, every key, and its replay's bytes and time", m)
+	}
 }
 
 // TestClientStreamCancellation drives ExecuteStream on both transports

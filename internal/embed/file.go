@@ -9,6 +9,7 @@ import (
 	"os"
 
 	"repro/internal/graph"
+	"repro/internal/wire"
 )
 
 // Precomputed-embedding file codec. A file is one versioned binary blob:
@@ -72,73 +73,38 @@ func DecodeEmbedding(data []byte) (*Embedding, error) {
 	if v := body[len(fileMagic)]; v != fileVersion {
 		return nil, fmt.Errorf("embed: unsupported file version %d", v)
 	}
-	d := fileDec{buf: body[len(fileMagic)+1:]}
-	dims := d.uvarint()
+	d := wire.NewReader(body[len(fileMagic)+1:])
+	dims := d.Uvarint()
 	if dims == 0 || dims > maxFileDims {
 		return nil, fmt.Errorf("embed: file dimensionality %d out of range", dims)
 	}
-	count := d.uvarint()
+	count := d.Uvarint()
 	// Every row costs at least 1 + 4*dims bytes, so a corrupt count cannot
 	// force a huge allocation.
-	if count > uint64(len(d.buf))/(1+4*dims) {
+	if count > uint64(d.Len())/(1+4*dims) {
 		return nil, fmt.Errorf("embed: file row count %d exceeds payload", count)
 	}
 	e := &Embedding{D: int(dims)}
 	row := make([]float32, dims)
 	last := -1
 	for i := uint64(0); i < count; i++ {
-		u := d.uvarint()
-		if u > math.MaxUint32 || int(u) <= last {
-			d.err = true
-			break
+		u := d.U32()
+		if int(u) <= last {
+			d.Fail() // rows ascend strictly
 		}
 		last = int(u)
 		for j := range row {
-			row[j] = d.f32()
+			row[j] = d.F32()
 		}
-		if d.err {
+		if d.Failed() {
 			break
 		}
 		e.setRow(graph.NodeID(u), row)
 	}
-	if d.err {
-		return nil, fmt.Errorf("embed: malformed embedding file")
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("embed: embedding file has %d trailing bytes", len(d.buf))
+	if err := d.Finish("embed: embedding file"); err != nil {
+		return nil, err
 	}
 	return e, nil
-}
-
-// fileDec is the bounds-checked reader for the file payload (the same
-// idiom as mquery's wireDec): malformed input flips err and every later
-// read returns zero.
-type fileDec struct {
-	buf []byte
-	err bool
-}
-
-func (d *fileDec) uvarint() uint64 {
-	if d.err {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = true
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *fileDec) f32() float32 {
-	if d.err || len(d.buf) < 4 {
-		d.err = true
-		return 0
-	}
-	v := math.Float32frombits(binary.LittleEndian.Uint32(d.buf))
-	d.buf = d.buf[4:]
-	return v
 }
 
 // WriteEmbeddingFile writes e to path in the versioned file format — the

@@ -50,7 +50,8 @@ func FetchOver(f traverse.Fetcher) Fetch {
 // around st.Anchor that the pattern and k-NN subtasks share. Each level's
 // frontier is sorted before it is fetched; visit sees every ball node that
 // has a record (a dangling id has no record, no edges and no matches), in
-// fetch order. It returns the compute units consumed: one per node fetched
+// fetch order — so it sees nothing at all exactly when the anchor itself has
+// no record. It returns the compute units consumed: one per node fetched
 // plus one per edge scanned.
 func ball(st Subtask, fetch Fetch, visit func(u graph.NodeID, rec gstore.Record)) (int, error) {
 	frontier := []graph.NodeID{st.Anchor}
@@ -146,7 +147,7 @@ func runPattern(st Subtask, fetch Fetch) (Partial, int, error) {
 		pairs = slices.Compact(pairs)
 		rels = append(rels, EdgeRel{Edge: et.Edge, Pairs: pairs})
 	}
-	return Partial{Kind: KindPattern, Anchor: st.Anchor, Rels: rels, Visited: len(nodes)}, units, nil
+	return Partial{Kind: KindPattern, Anchor: st.Anchor, Rels: rels, NoAnchor: len(nodes) == 0, Visited: len(nodes)}, units, nil
 }
 
 // runKNN materialises the same ball and reports its node ids (anchor
@@ -166,7 +167,7 @@ func runKNN(st Subtask, fetch Fetch) (Partial, int, error) {
 		return Partial{}, units, err
 	}
 	slices.Sort(cands)
-	return Partial{Kind: KindKNN, Anchor: st.Anchor, Candidates: cands, Visited: visited}, units, nil
+	return Partial{Kind: KindKNN, Anchor: st.Anchor, Candidates: cands, NoAnchor: visited == 0, Visited: visited}, units, nil
 }
 
 // runReach runs one budgeted BFS fragment: levelwise out-edge BFS from the
@@ -185,6 +186,7 @@ func runReach(st Subtask, fetch Fetch) (Partial, int, error) {
 	}
 	units := 0
 	visited := 0
+	noAnchor := false
 	var boundary []Boundary
 	seen := map[graph.NodeID]bool{st.Anchor: true}
 	cur := []graph.NodeID{st.Anchor}
@@ -209,6 +211,9 @@ func runReach(st Subtask, fetch Fetch) (Partial, int, error) {
 		for _, u := range expand {
 			rec, ok := got[u]
 			if !ok {
+				if u == st.Anchor {
+					noAnchor = true
+				}
 				continue
 			}
 			for _, e := range rec.Out {
@@ -240,5 +245,5 @@ func runReach(st Subtask, fetch Fetch) (Partial, int, error) {
 		}
 		return b.Hops - a.Hops
 	})
-	return Partial{Kind: KindReach, Anchor: st.Anchor, Frontier: boundary, Visited: visited}, units, nil
+	return Partial{Kind: KindReach, Anchor: st.Anchor, Frontier: boundary, NoAnchor: noAnchor, Visited: visited}, units, nil
 }

@@ -58,10 +58,21 @@ func NewMerger(pl *Plan) *Merger {
 // Absorb folds one partial in. It rejects a partial of the wrong kind, a
 // relation for a pattern edge the plan does not have, and — the budget
 // guarantee — any KindReach partial that expanded more nodes than the
-// per-partition budget allows.
+// per-partition budget allows. A partial whose subtask found no record for
+// one of the query's own anchors fails the query with query.ErrUnknownNode:
+// every partial of either transport passes through here, so both answer an
+// unknown anchor alike. (A relaunched boundary node without a record is a
+// dangling edge, not an error.)
 func (m *Merger) Absorb(p Partial) error {
 	if p.Kind != m.plan.Kind {
 		return fmt.Errorf("mquery: absorbed a kind-%d partial into a kind-%d plan", p.Kind, m.plan.Kind)
+	}
+	if p.NoAnchor {
+		for _, st := range m.plan.Subtasks {
+			if st.Anchor == p.Anchor {
+				return fmt.Errorf("%w: node %d has no record in the storage tier", query.ErrUnknownNode, p.Anchor)
+			}
+		}
 	}
 	// Validate fully before committing anything, so a rejected partial
 	// leaves the merger (and its stats) untouched.

@@ -102,6 +102,11 @@ type Partial struct {
 	Rels []EdgeRel
 	// Found reports the target was reached (KindReach).
 	Found bool
+	// NoAnchor reports that the subtask fetched Anchor and the storage tier
+	// holds no record for it. The Merger turns that into
+	// query.ErrUnknownNode when Anchor is one of the query's own anchors; a
+	// relaunched boundary node may be a dangling id and is allowed to be.
+	NoAnchor bool
 	// Frontier is the truncated frontier to relaunch (KindReach, when the
 	// budget ran out before the search did).
 	Frontier []Boundary

@@ -426,3 +426,55 @@ func TestFetchErrorPropagates(t *testing.T) {
 		t.Fatalf("pattern fetch error: %v", err)
 	}
 }
+
+// TestUnknownAnchor: a subtask whose anchor has no record says so, and the
+// merger fails the query with query.ErrUnknownNode when that anchor is one of
+// the query's own — for every kind, leaving the merger untouched — while the
+// same report from a relaunched boundary node (a dangling edge) is absorbed.
+func TestUnknownAnchor(t *testing.T) {
+	g := graph.New()
+	g.AddNodes(4)
+	g.AddEdgeFast(1, 2)
+	fetch := fetchFromGraph(g)
+	const missing = graph.NodeID(1 << 30)
+	for _, q := range []query.Query{
+		{Type: query.BoundedReach, Node: 1, Anchors: []graph.NodeID{1, missing}, Target: 3, Hops: 2, VisitBudget: 4, Dir: graph.Out},
+		{Type: query.KNearest, Node: missing, Hops: 2, K: 3, Dir: graph.Both},
+		{Type: query.PatternMatch, Node: missing, Dir: graph.Out, Pattern: &query.Pattern{
+			Nodes: []query.PatternNode{{Anchor: missing}, {}},
+			Edges: []query.PatternEdge{{From: 0, To: 1}},
+		}},
+	} {
+		pl, err := NewPlan(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewMerger(pl)
+		rejected := 0
+		for _, st := range pl.Subtasks {
+			part, _, err := Run(st, fetch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if part.NoAnchor != (st.Anchor == missing) {
+				t.Fatalf("%v subtask at %d: NoAnchor = %v", q.Type, st.Anchor, part.NoAnchor)
+			}
+			if err := m.Absorb(part); st.Anchor == missing {
+				if !errors.Is(err, query.ErrUnknownNode) {
+					t.Fatalf("%v anchored at a node without a record: Absorb = %v, want ErrUnknownNode", q.Type, err)
+				}
+				rejected++
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if absorbed, _ := m.Stats(); rejected != 1 || absorbed != len(pl.Subtasks)-1 {
+			t.Fatalf("%v: %d partials rejected, %d of %d absorbed", q.Type, rejected, absorbed, len(pl.Subtasks))
+		}
+		if q.Type == query.BoundedReach {
+			if err := m.Absorb(Partial{Kind: KindReach, Anchor: 2, NoAnchor: true}); err != nil {
+				t.Fatalf("a relaunched boundary node without a record: Absorb = %v", err)
+			}
+		}
+	}
+}

@@ -6,22 +6,16 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/query"
+	"repro/internal/wire"
 )
 
-// The wire codecs keep gob envelopes compact: gob honours
-// encoding.BinaryMarshaler, so Subtask and Partial travel as varint streams
-// instead of per-field type descriptors (the first-message descriptor cost
-// the rpc encode-size tests bound). Decoding bounds every count so corrupt
-// input fails instead of panicking or over-allocating.
-
-// MarshalBinary encodes the subtask as a compact varint stream.
-func (st Subtask) MarshalBinary() ([]byte, error) {
-	return st.AppendBinary(nil), nil
-}
+// Subtask and Partial travel inside the rpc envelopes as compact varint
+// streams. Decoding bounds every count so corrupt input fails instead of
+// panicking or over-allocating.
 
 // AppendBinary appends the subtask's wire form to buf and returns the
 // extended slice — the allocation-free entry point the binary rpc framing
-// encodes through (MarshalBinary wraps it for gob compatibility).
+// encodes through.
 func (st Subtask) AppendBinary(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(st.Kind))
 	buf = binary.AppendUvarint(buf, uint64(st.Anchor))
@@ -41,28 +35,28 @@ func (st Subtask) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// UnmarshalBinary decodes MarshalBinary's form.
+// UnmarshalBinary decodes AppendBinary's form.
 func (st *Subtask) UnmarshalBinary(data []byte) error {
-	d := wireDec{buf: data}
-	kind := Kind(d.u32())
-	anchor := graph.NodeID(d.u32())
-	radius := int(d.u32())
-	nEdges := d.count(query.MaxPatternEdges)
+	d := wire.NewReader(data)
+	kind := Kind(d.U32())
+	anchor := graph.NodeID(d.U32())
+	radius := int(d.U32())
+	nEdges := d.Count(query.MaxPatternEdges)
 	var edges []EdgeTask
 	for i := 0; i < nEdges; i++ {
 		edges = append(edges, EdgeTask{
-			Edge:       int(d.u32()),
-			FromLabel:  d.label(),
-			ToLabel:    d.label(),
-			EdgeLabel:  d.label(),
-			FromAnchor: graph.NodeID(d.u32()),
-			ToAnchor:   graph.NodeID(d.u32()),
+			Edge:       int(d.U32()),
+			FromLabel:  readLabel(&d),
+			ToLabel:    readLabel(&d),
+			EdgeLabel:  readLabel(&d),
+			FromAnchor: graph.NodeID(d.U32()),
+			ToAnchor:   graph.NodeID(d.U32()),
 		})
 	}
-	target := graph.NodeID(d.u32())
-	hops := int(d.u32())
-	budget := int(d.u32())
-	if err := d.finish("subtask"); err != nil {
+	target := graph.NodeID(d.U32())
+	hops := int(d.U32())
+	budget := int(d.U32())
+	if err := d.Finish("subtask"); err != nil {
 		return err
 	}
 	if kind != KindPattern && kind != KindReach && kind != KindKNN {
@@ -73,21 +67,21 @@ func (st *Subtask) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MarshalBinary encodes the partial as a compact varint stream.
-func (p Partial) MarshalBinary() ([]byte, error) {
-	return p.AppendBinary(nil), nil
-}
-
 // AppendBinary appends the partial's wire form to buf and returns the
 // extended slice; see Subtask.AppendBinary.
 func (p Partial) AppendBinary(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(p.Kind))
 	buf = binary.AppendUvarint(buf, uint64(p.Anchor))
-	found := uint64(0)
+	// One flags varint: bit 0 is Found — the whole value, on every frame
+	// sent before NoAnchor existed — and bit 1 NoAnchor.
+	flags := uint64(0)
 	if p.Found {
-		found = 1
+		flags |= 1
 	}
-	buf = binary.AppendUvarint(buf, found)
+	if p.NoAnchor {
+		flags |= 2
+	}
+	buf = binary.AppendUvarint(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(p.Visited))
 	buf = binary.AppendUvarint(buf, uint64(len(p.Rels)))
 	for _, er := range p.Rels {
@@ -110,48 +104,48 @@ func (p Partial) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// UnmarshalBinary decodes MarshalBinary's form.
+// UnmarshalBinary decodes AppendBinary's form.
 func (p *Partial) UnmarshalBinary(data []byte) error {
-	d := wireDec{buf: data}
-	kind := Kind(d.u32())
-	anchor := graph.NodeID(d.u32())
-	found := d.u32()
-	visited := int(d.u32())
-	nRels := d.count(query.MaxPatternEdges)
+	d := wire.NewReader(data)
+	kind := Kind(d.U32())
+	anchor := graph.NodeID(d.U32())
+	flags := d.U32()
+	visited := int(d.U32())
+	nRels := d.Count(query.MaxPatternEdges)
 	var rels []EdgeRel
 	for i := 0; i < nRels; i++ {
-		edge := int(d.u32())
-		nPairs := d.count(len(d.buf)) // each pair costs >= 2 bytes
+		edge := int(d.U32())
+		nPairs := d.Count(d.Len()) // each pair costs >= 2 bytes
 		var pairs []Pair
 		for j := 0; j < nPairs; j++ {
-			from := graph.NodeID(d.u32())
-			to := graph.NodeID(d.u32())
+			from := graph.NodeID(d.U32())
+			to := graph.NodeID(d.U32())
 			pairs = append(pairs, Pair{From: from, To: to})
 		}
 		rels = append(rels, EdgeRel{Edge: edge, Pairs: pairs})
 	}
-	nFront := d.count(len(d.buf))
+	nFront := d.Count(d.Len())
 	var front []Boundary
 	for i := 0; i < nFront; i++ {
-		node := graph.NodeID(d.u32())
-		hops := int(d.u32())
+		node := graph.NodeID(d.U32())
+		hops := int(d.U32())
 		front = append(front, Boundary{Node: node, Hops: hops})
 	}
-	nCands := d.count(len(d.buf))
+	nCands := d.Count(d.Len())
 	var cands []graph.NodeID
 	for i := 0; i < nCands; i++ {
-		cands = append(cands, graph.NodeID(d.u32()))
+		cands = append(cands, graph.NodeID(d.U32()))
 	}
-	if err := d.finish("partial"); err != nil {
+	if err := d.Finish("partial"); err != nil {
 		return err
 	}
 	if kind != KindPattern && kind != KindReach && kind != KindKNN {
 		return fmt.Errorf("partial: unknown kind %d", kind)
 	}
-	if found > 1 {
-		return fmt.Errorf("partial: found flag %d", found)
+	if flags > 3 {
+		return fmt.Errorf("partial: unknown flag bits %#x", flags)
 	}
-	*p = Partial{Kind: kind, Anchor: anchor, Rels: rels, Found: found == 1,
+	*p = Partial{Kind: kind, Anchor: anchor, Rels: rels, Found: flags&1 != 0, NoAnchor: flags&2 != 0,
 		Frontier: front, Visited: visited, Candidates: cands}
 	return nil
 }
@@ -161,65 +155,12 @@ func appendLabel(buf []byte, l int32) []byte {
 	return binary.AppendUvarint(buf, uint64(l+1))
 }
 
-// wireDec is the same tiny bounds-checked varint reader the query package
-// uses for Pattern (unexported there): malformed input flips err, every
-// later read returns zero, finish reports the failure once.
-type wireDec struct {
-	buf []byte
-	err bool
-}
-
-func (d *wireDec) uvarint() uint64 {
-	if d.err {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = true
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-// u32 reads a value that must fit 32 bits (node ids, small ints).
-func (d *wireDec) u32() uint64 {
-	v := d.uvarint()
-	if v > 1<<32-1 {
-		d.err = true
-		return 0
-	}
-	return v
-}
-
-// count reads a length capped at max AND at the remaining bytes (each
-// element costs at least one byte), so corrupt input cannot force a huge
-// allocation.
-func (d *wireDec) count(max int) int {
-	v := d.uvarint()
-	if v > uint64(max) || v > uint64(len(d.buf)) {
-		d.err = true
-		return 0
-	}
-	return int(v)
-}
-
-// label reads a resolved label constraint encoded as l+1 (0 = any).
-func (d *wireDec) label() int32 {
-	v := d.uvarint()
+// readLabel reads a resolved label constraint encoded as l+1 (0 = any).
+func readLabel(d *wire.Reader) int32 {
+	v := d.Uvarint()
 	if v > 1<<16 {
-		d.err = true
+		d.Fail()
 		return -1
 	}
 	return int32(v) - 1
-}
-
-func (d *wireDec) finish(what string) error {
-	if d.err {
-		return fmt.Errorf("%s: malformed wire encoding", what)
-	}
-	if len(d.buf) != 0 {
-		return fmt.Errorf("%s: %d trailing bytes", what, len(d.buf))
-	}
-	return nil
 }

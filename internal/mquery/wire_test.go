@@ -44,10 +44,7 @@ func wirePartials() []Partial {
 
 func TestSubtaskWireRoundTrip(t *testing.T) {
 	for _, st := range wireSubtasks() {
-		data, err := st.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := st.AppendBinary(nil)
 		var back Subtask
 		if err := back.UnmarshalBinary(data); err != nil {
 			t.Fatalf("decode %+v: %v", st, err)
@@ -60,10 +57,7 @@ func TestSubtaskWireRoundTrip(t *testing.T) {
 
 func TestPartialWireRoundTrip(t *testing.T) {
 	for _, p := range wirePartials() {
-		data, err := p.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := p.AppendBinary(nil)
 		var back Partial
 		if err := back.UnmarshalBinary(data); err != nil {
 			t.Fatalf("decode %+v: %v", p, err)
@@ -76,7 +70,7 @@ func TestPartialWireRoundTrip(t *testing.T) {
 
 func TestWireDecodeRejects(t *testing.T) {
 	for i, st := range wireSubtasks() {
-		data, _ := st.MarshalBinary()
+		data := st.AppendBinary(nil)
 		for cut := 0; cut < len(data); cut++ {
 			var back Subtask
 			if err := back.UnmarshalBinary(data[:cut]); err == nil {
@@ -94,7 +88,7 @@ func TestWireDecodeRejects(t *testing.T) {
 	}
 
 	for i, p := range wirePartials() {
-		pdata, _ := p.MarshalBinary()
+		pdata := p.AppendBinary(nil)
 		for cut := 0; cut < len(pdata); cut++ {
 			var pb Partial
 			if err := pb.UnmarshalBinary(pdata[:cut]); err == nil {
@@ -112,7 +106,7 @@ func TestWireDecodeRejects(t *testing.T) {
 // accepts re-encodes to an equivalent subtask.
 func FuzzSubtaskWire(f *testing.F) {
 	for _, st := range wireSubtasks() {
-		data, _ := st.MarshalBinary()
+		data := st.AppendBinary(nil)
 		f.Add(data)
 	}
 	f.Add([]byte{})
@@ -121,10 +115,7 @@ func FuzzSubtaskWire(f *testing.F) {
 		if err := st.UnmarshalBinary(data); err != nil {
 			return
 		}
-		out, err := st.MarshalBinary()
-		if err != nil {
-			t.Fatalf("accepted subtask failed to encode: %v", err)
-		}
+		out := st.AppendBinary(nil)
 		var back Subtask
 		if err := back.UnmarshalBinary(out); err != nil {
 			t.Fatalf("re-encoded subtask failed to decode: %v", err)
@@ -138,7 +129,7 @@ func FuzzSubtaskWire(f *testing.F) {
 // FuzzPartialWire is the Partial counterpart.
 func FuzzPartialWire(f *testing.F) {
 	for _, p := range wirePartials() {
-		data, _ := p.MarshalBinary()
+		data := p.AppendBinary(nil)
 		f.Add(data)
 	}
 	f.Add([]byte{})
@@ -147,10 +138,7 @@ func FuzzPartialWire(f *testing.F) {
 		if err := p.UnmarshalBinary(data); err != nil {
 			return
 		}
-		out, err := p.MarshalBinary()
-		if err != nil {
-			t.Fatalf("accepted partial failed to encode: %v", err)
-		}
+		out := p.AppendBinary(nil)
 		var back Partial
 		if err := back.UnmarshalBinary(out); err != nil {
 			t.Fatalf("re-encoded partial failed to decode: %v", err)
@@ -159,4 +147,25 @@ func FuzzPartialWire(f *testing.F) {
 			t.Fatalf("re-encode changed the partial:\n%+v\n%+v", p, back)
 		}
 	})
+}
+
+// TestPartialFlagBits: NoAnchor shares Found's varint — a partial that sets
+// it is as long as one that does not, and one that does not is byte for byte
+// what it was before the bit existed — and bits nobody defined are refused.
+func TestPartialFlagBits(t *testing.T) {
+	plain := Partial{Kind: KindKNN, Anchor: 42, Visited: 0}
+	flagged := plain
+	flagged.NoAnchor = true
+	a, b := plain.AppendBinary(nil), flagged.AppendBinary(nil)
+	if len(a) != len(b) || a[2] != 0 || b[2] != 2 {
+		t.Fatalf("plain %x, with NoAnchor %x: want the same length and flags 0 / 2", a, b)
+	}
+	var back Partial
+	if err := back.UnmarshalBinary(b); err != nil || !reflect.DeepEqual(back, flagged) {
+		t.Fatalf("round trip = %+v, %v", back, err)
+	}
+	b[2] = 4
+	if err := back.UnmarshalBinary(b); err == nil {
+		t.Fatal("an undefined flag bit decoded")
+	}
 }

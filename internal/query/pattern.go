@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/wire"
 )
 
 // Pattern size bounds. A pattern is a small template by construction — the
@@ -324,51 +325,44 @@ func (p *Pattern) matchCount(g *graph.Graph) int {
 	return count(0)
 }
 
-// MarshalBinary encodes the pattern as a compact varint stream. gob honours
-// it, so the template travels inside Query without gob's per-field type
-// descriptors (keeping first-message envelope sizes small).
-func (p Pattern) MarshalBinary() ([]byte, error) {
-	return p.AppendBinary(nil), nil
-}
-
-// AppendBinary appends the pattern's wire form to buf and returns the
-// extended slice — the allocation-free entry point the binary rpc framing
-// encodes through.
+// AppendBinary appends the pattern's wire form — a compact varint stream —
+// to buf and returns the extended slice: the allocation-free entry point the
+// binary rpc framing encodes through.
 func (p Pattern) AppendBinary(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(p.Nodes)))
 	for _, n := range p.Nodes {
-		buf = appendString(buf, n.Label)
+		buf = wire.AppendStr(buf, n.Label)
 		buf = binary.AppendUvarint(buf, uint64(n.Anchor))
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(p.Edges)))
 	for _, e := range p.Edges {
 		buf = binary.AppendUvarint(buf, uint64(e.From))
 		buf = binary.AppendUvarint(buf, uint64(e.To))
-		buf = appendString(buf, e.Label)
+		buf = wire.AppendStr(buf, e.Label)
 	}
 	return buf
 }
 
-// UnmarshalBinary decodes MarshalBinary's form, bounds-checking every
+// UnmarshalBinary decodes AppendBinary's form, bounds-checking every
 // count so corrupt input fails instead of panicking or over-allocating.
 func (p *Pattern) UnmarshalBinary(data []byte) error {
-	d := wireDecoder{buf: data}
-	nNodes := d.count(MaxPatternNodes)
+	d := wire.NewReader(data)
+	nNodes := d.Count(MaxPatternNodes)
 	nodes := make([]PatternNode, 0, nNodes)
 	for i := 0; i < nNodes; i++ {
-		lab := d.str()
-		anchor := graph.NodeID(d.u32())
+		lab := d.Str(maxWireString)
+		anchor := graph.NodeID(d.U32())
 		nodes = append(nodes, PatternNode{Label: lab, Anchor: anchor})
 	}
-	nEdges := d.count(MaxPatternEdges)
+	nEdges := d.Count(MaxPatternEdges)
 	edges := make([]PatternEdge, 0, nEdges)
 	for i := 0; i < nEdges; i++ {
-		from := int(d.u32())
-		to := int(d.u32())
-		lab := d.str()
+		from := int(d.U32())
+		to := int(d.U32())
+		lab := d.Str(maxWireString)
 		edges = append(edges, PatternEdge{From: from, To: to, Label: lab})
 	}
-	if err := d.finish("pattern"); err != nil {
+	if err := d.Finish("pattern"); err != nil {
 		return err
 	}
 	p.Nodes, p.Edges = nodes, edges
@@ -377,73 +371,3 @@ func (p *Pattern) UnmarshalBinary(data []byte) error {
 
 // maxWireString bounds decoded label lengths (labels are short tokens).
 const maxWireString = 1 << 10
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// wireDecoder is a tiny bounds-checked varint reader shared by the
-// multi-anchor wire codecs: any malformed input flips err, every
-// subsequent read returns zero, and finish reports the failure (or
-// trailing garbage) once.
-type wireDecoder struct {
-	buf []byte
-	err bool
-}
-
-func (d *wireDecoder) uvarint() uint64 {
-	if d.err {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = true
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-// u32 reads a value that must fit 32 bits (node ids, small ints).
-func (d *wireDecoder) u32() uint64 {
-	v := d.uvarint()
-	if v > 1<<32-1 {
-		d.err = true
-		return 0
-	}
-	return v
-}
-
-// count reads a length capped at max AND at the remaining bytes (each
-// element costs at least one byte), so corrupt input cannot force a huge
-// allocation.
-func (d *wireDecoder) count(max int) int {
-	v := d.uvarint()
-	if v > uint64(max) || v > uint64(len(d.buf)) {
-		d.err = true
-		return 0
-	}
-	return int(v)
-}
-
-func (d *wireDecoder) str() string {
-	n := d.uvarint()
-	if d.err || n > maxWireString || n > uint64(len(d.buf)) {
-		d.err = true
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
-}
-
-func (d *wireDecoder) finish(what string) error {
-	if d.err {
-		return fmt.Errorf("%s: malformed wire encoding", what)
-	}
-	if len(d.buf) != 0 {
-		return fmt.Errorf("%s: %d trailing bytes", what, len(d.buf))
-	}
-	return nil
-}

@@ -2,11 +2,13 @@ package rpc
 
 import (
 	"encoding/binary"
+	"reflect"
 
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/mquery"
 	"repro/internal/query"
+	"repro/internal/wire"
 )
 
 // Envelope field bitmaps. Each envelope encodes a presence bitmap followed
@@ -140,7 +142,7 @@ func encodeRequestFrame(buf []byte, tag uint64, req *Request, deadline int64, sc
 		buf = binary.AppendUvarint(buf, req.Key)
 	}
 	if bits&reqValue != 0 {
-		buf = appendBytes(buf, req.Value)
+		buf = wire.AppendBytes(buf, req.Value)
 	}
 	if bits&reqKeys != 0 {
 		buf = binary.AppendUvarint(buf, uint64(len(req.Keys)))
@@ -152,13 +154,13 @@ func encodeRequestFrame(buf []byte, tag uint64, req *Request, deadline int64, sc
 		buf = appendExec(buf, req.Exec, scratch)
 	}
 	if bits&reqAddr != 0 {
-		buf = appendStr(buf, req.Addr)
+		buf = wire.AppendStr(buf, req.Addr)
 	}
 	if bits&reqProc != 0 {
 		buf = binary.AppendVarint(buf, int64(req.Proc))
 	}
 	if bits&reqTier != 0 {
-		buf = appendStr(buf, req.Tier)
+		buf = wire.AppendStr(buf, req.Tier)
 	}
 	if bits&reqVersion != 0 {
 		buf = binary.AppendUvarint(buf, req.Version)
@@ -170,7 +172,7 @@ func encodeRequestFrame(buf []byte, tag uint64, req *Request, deadline int64, sc
 			buf = append(buf, byte(m.Op))
 			buf = binary.AppendUvarint(buf, uint64(m.Node))
 			buf = binary.AppendUvarint(buf, uint64(m.To))
-			buf = appendStr(buf, m.Label)
+			buf = wire.AppendStr(buf, m.Label)
 		}
 	}
 	if bits&reqOverrides != 0 {
@@ -186,7 +188,7 @@ func encodeRequestFrame(buf []byte, tag uint64, req *Request, deadline int64, sc
 	if bits&reqValues != 0 {
 		buf = binary.AppendUvarint(buf, uint64(len(req.Values)))
 		for _, v := range req.Values {
-			buf = appendBytes(buf, v)
+			buf = wire.AppendBytes(buf, v)
 		}
 	}
 	return finishFrame(buf)
@@ -207,22 +209,22 @@ func decodeRequestInto(payload []byte, req *Request) error {
 	muts := req.Muts
 	exec := req.Exec
 	*req = Request{}
-	d := wireReader{buf: payload}
-	req.Op = Op(d.u8())
-	req.Deadline = int64(d.uvarint())
-	bits := d.uvarint()
+	d := wire.NewReader(payload)
+	req.Op = Op(d.U8())
+	req.Deadline = int64(d.Uvarint())
+	bits := d.Uvarint()
 
 	if bits&reqKey != 0 {
-		req.Key = d.uvarint()
+		req.Key = d.Uvarint()
 	}
 	if bits&reqValue != 0 {
-		req.Value = d.bytes(value)
+		req.Value = d.Bytes(value)
 	}
 	if bits&reqKeys != 0 {
-		n := d.count(maxFrame)
+		n := d.Count(maxFrame)
 		keys = keys[:0]
 		for i := 0; i < n; i++ {
-			keys = append(keys, d.uvarint())
+			keys = append(keys, d.Uvarint())
 		}
 		req.Keys = keys
 	}
@@ -230,56 +232,56 @@ func decodeRequestInto(payload []byte, req *Request) error {
 		req.Exec = decExec(&d, exec, req.Deadline)
 	}
 	if bits&reqAddr != 0 {
-		req.Addr = d.str()
+		req.Addr = d.Str(maxWireStr)
 	}
 	if bits&reqProc != 0 {
-		req.Proc = int(d.varint())
+		req.Proc = int(d.Varint())
 	}
 	if bits&reqTier != 0 {
-		req.Tier = d.str()
+		req.Tier = d.Str(maxWireStr)
 	}
 	if bits&reqVersion != 0 {
-		req.Version = d.uvarint()
+		req.Version = d.Uvarint()
 	}
 	if bits&reqMuts != 0 {
-		n := d.count(maxFrame)
+		n := d.Count(maxFrame)
 		muts = muts[:0]
 		for i := 0; i < n; i++ {
 			var m Mutation
-			m.Op = query.MutOp(d.u8())
-			m.Node = graph.NodeID(d.uvarint())
-			m.To = graph.NodeID(d.uvarint())
-			m.Label = d.str()
+			m.Op = query.MutOp(d.U8())
+			m.Node = graph.NodeID(d.Uvarint())
+			m.To = graph.NodeID(d.Uvarint())
+			m.Label = d.Str(maxWireStr)
 			muts = append(muts, m)
 		}
 		req.Muts = muts
 	}
 	if bits&reqOverrides != 0 {
-		n := d.count(maxFrame)
+		n := d.Count(maxFrame)
 		if n > 0 {
 			req.Overrides = make(map[uint64][]int, n)
 			for i := 0; i < n; i++ {
-				k := d.uvarint()
-				ns := d.count(maxFrame)
+				k := d.Uvarint()
+				ns := d.Count(maxFrame)
 				slots := make([]int, ns)
 				for j := range slots {
-					slots[j] = int(d.varint())
+					slots[j] = int(d.Varint())
 				}
-				if !d.err {
+				if !d.Failed() {
 					req.Overrides[k] = slots
 				}
 			}
 		}
 	}
 	if bits&reqValues != 0 {
-		n := d.count(maxFrame)
+		n := d.Count(maxFrame)
 		values = values[:0]
 		for i := 0; i < n; i++ {
-			values = append(values, d.bytes(nil))
+			values = append(values, d.Bytes(nil))
 		}
 		req.Values = values
 	}
-	return d.finish("request")
+	return d.Finish("rpc: request")
 }
 
 // appendExec encodes the OpExecute payload. The deadline lives in the frame
@@ -292,7 +294,7 @@ func appendExec(buf []byte, ex *ExecRequest, scratch *[]byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ex.Subtasks)))
 	for i := range ex.Subtasks {
 		tmp := ex.Subtasks[i].AppendBinary((*scratch)[:0])
-		buf = appendBytes(buf, tmp)
+		buf = wire.AppendBytes(buf, tmp)
 		*scratch = tmp
 	}
 	return buf
@@ -300,29 +302,29 @@ func appendExec(buf []byte, ex *ExecRequest, scratch *[]byte) []byte {
 
 // decExec decodes the OpExecute payload, reusing a recycled ExecRequest's
 // struct and slice capacity when the caller hands one in (ex may be nil).
-func decExec(d *wireReader, ex *ExecRequest, deadline int64) *ExecRequest {
+func decExec(d *wire.Reader, ex *ExecRequest, deadline int64) *ExecRequest {
 	if ex == nil {
 		ex = &ExecRequest{}
 	}
 	qs := ex.Queries[:0]
 	sts := ex.Subtasks[:0]
 	*ex = ExecRequest{Deadline: deadline}
-	nq := d.count(maxFrame)
+	nq := d.Count(maxFrame)
 	for i := 0; i < nq; i++ {
 		var q query.Query
 		decQuery(d, &q)
 		qs = append(qs, q)
 	}
 	ex.Queries = qs
-	ns := d.count(maxFrame)
+	ns := d.Count(maxFrame)
 	for i := 0; i < ns; i++ {
-		raw := d.raw()
-		if d.err {
+		raw := d.Raw()
+		if d.Failed() {
 			break
 		}
 		var st mquery.Subtask
 		if err := st.UnmarshalBinary(raw); err != nil {
-			d.fail()
+			d.Fail()
 			break
 		}
 		sts = append(sts, st)
@@ -337,8 +339,8 @@ func appendQuery(buf []byte, q *query.Query, scratch *[]byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(q.Node))
 	buf = binary.AppendUvarint(buf, uint64(q.Target))
 	buf = binary.AppendVarint(buf, int64(q.Hops))
-	buf = appendF64(buf, q.RestartProb)
-	buf = appendStr(buf, q.CountLabel)
+	buf = wire.AppendF64(buf, q.RestartProb)
+	buf = wire.AppendStr(buf, q.CountLabel)
 	buf = append(buf, byte(q.Dir))
 	buf = binary.AppendVarint(buf, q.Seed)
 	buf = binary.AppendVarint(buf, int64(q.Hotspot))
@@ -349,7 +351,7 @@ func appendQuery(buf []byte, q *query.Query, scratch *[]byte) []byte {
 	if q.Pattern != nil {
 		buf = append(buf, 1)
 		tmp := q.Pattern.AppendBinary((*scratch)[:0])
-		buf = appendBytes(buf, tmp)
+		buf = wire.AppendBytes(buf, tmp)
 		*scratch = tmp
 	} else {
 		buf = append(buf, 0)
@@ -359,44 +361,44 @@ func appendQuery(buf []byte, q *query.Query, scratch *[]byte) []byte {
 	return buf
 }
 
-func decQuery(d *wireReader, q *query.Query) {
-	q.ID = int(d.varint())
-	q.Type = query.Type(d.u8())
-	q.Node = graph.NodeID(d.uvarint())
-	q.Target = graph.NodeID(d.uvarint())
-	q.Hops = int(d.varint())
-	q.RestartProb = d.f64()
-	q.CountLabel = d.str()
-	q.Dir = graph.Direction(d.u8())
-	q.Seed = d.varint()
-	q.Hotspot = int(d.varint())
-	na := d.count(maxFrame)
+func decQuery(d *wire.Reader, q *query.Query) {
+	q.ID = int(d.Varint())
+	q.Type = query.Type(d.U8())
+	q.Node = graph.NodeID(d.Uvarint())
+	q.Target = graph.NodeID(d.Uvarint())
+	q.Hops = int(d.Varint())
+	q.RestartProb = d.F64()
+	q.CountLabel = d.Str(maxWireStr)
+	q.Dir = graph.Direction(d.U8())
+	q.Seed = d.Varint()
+	q.Hotspot = int(d.Varint())
+	na := d.Count(maxFrame)
 	if na > 0 {
 		q.Anchors = make([]graph.NodeID, na)
 		for i := range q.Anchors {
-			q.Anchors[i] = graph.NodeID(d.uvarint())
+			q.Anchors[i] = graph.NodeID(d.Uvarint())
 		}
 	}
-	if d.bool() {
-		raw := d.raw()
-		if !d.err {
+	if d.Bool() {
+		raw := d.Raw()
+		if !d.Failed() {
 			var p query.Pattern
 			if err := p.UnmarshalBinary(raw); err != nil {
-				d.fail()
+				d.Fail()
 			} else {
 				q.Pattern = &p
 			}
 		}
 	}
-	q.VisitBudget = int(d.varint())
-	q.K = int(d.varint())
+	q.VisitBudget = int(d.Varint())
+	q.K = int(d.Varint())
 }
 
 func appendResult(buf []byte, r *query.Result) []byte {
 	buf = append(buf, byte(r.Type))
 	buf = binary.AppendVarint(buf, int64(r.Count))
 	buf = binary.AppendUvarint(buf, uint64(r.EndNode))
-	buf = appendBool(buf, r.Reachable)
+	buf = wire.AppendBool(buf, r.Reachable)
 	buf = binary.AppendVarint(buf, int64(r.Matches))
 	// Nearest travels only for KNearest results (Count doubles as its
 	// length there); other kinds pay a single zero byte.
@@ -411,19 +413,19 @@ func appendResult(buf []byte, r *query.Result) []byte {
 	return buf
 }
 
-func decResult(d *wireReader, r *query.Result) {
-	r.Type = query.Type(d.u8())
-	r.Count = int(d.varint())
-	r.EndNode = graph.NodeID(d.uvarint())
-	r.Reachable = d.bool()
-	r.Matches = int(d.varint())
-	nn := int(d.u8())
+func decResult(d *wire.Reader, r *query.Result) {
+	r.Type = query.Type(d.U8())
+	r.Count = int(d.Varint())
+	r.EndNode = graph.NodeID(d.Uvarint())
+	r.Reachable = d.Bool()
+	r.Matches = int(d.Varint())
+	nn := int(d.U8())
 	if nn > query.MaxKNearest {
-		d.fail()
+		d.Fail()
 		return
 	}
 	for i := 0; i < nn; i++ {
-		r.Nearest[i] = graph.NodeID(d.uvarint())
+		r.Nearest[i] = graph.NodeID(d.Uvarint())
 	}
 }
 
@@ -434,7 +436,7 @@ func encodeResponseFrame(buf []byte, tag uint64, resp *Response, scratch *[]byte
 	status := statusFor(resp)
 	buf = append(buf, status)
 	if status >= statusErr {
-		buf = appendStr(buf, resp.Err)
+		buf = wire.AppendStr(buf, resp.Err)
 	}
 
 	var bits uint64
@@ -474,14 +476,14 @@ func encodeResponseFrame(buf []byte, tag uint64, resp *Response, scratch *[]byte
 	buf = binary.AppendUvarint(buf, bits)
 
 	if bits&respValue != 0 {
-		buf = appendBytes(buf, resp.Value)
+		buf = wire.AppendBytes(buf, resp.Value)
 	}
 	if bits&respValues != 0 {
 		buf = binary.AppendUvarint(buf, uint64(len(resp.Values)))
 		for i, v := range resp.Values {
 			found := i < len(resp.Founds) && resp.Founds[i]
-			buf = appendBool(buf, found)
-			buf = appendBytes(buf, v)
+			buf = wire.AppendBool(buf, found)
+			buf = wire.AppendBytes(buf, v)
 		}
 	}
 	if bits&respResults != 0 {
@@ -494,7 +496,7 @@ func encodeResponseFrame(buf []byte, tag uint64, resp *Response, scratch *[]byte
 		buf = binary.AppendUvarint(buf, uint64(len(resp.Partials)))
 		for i := range resp.Partials {
 			tmp := resp.Partials[i].AppendBinary((*scratch)[:0])
-			buf = appendBytes(buf, tmp)
+			buf = wire.AppendBytes(buf, tmp)
 			*scratch = tmp
 		}
 	}
@@ -508,7 +510,7 @@ func encodeResponseFrame(buf []byte, tag uint64, resp *Response, scratch *[]byte
 		buf = appendCache(buf, resp.ProcCache)
 	}
 	if bits&respStats != 0 {
-		buf = appendStats(buf, resp.Stats)
+		buf = appendFields(buf, reflect.ValueOf(resp.Stats).Elem())
 	}
 	if bits&respApplied != 0 {
 		buf = binary.AppendVarint(buf, int64(resp.Applied))
@@ -536,40 +538,40 @@ func decodeResponseInto(payload []byte, resp *Response) error {
 	procCache := resp.ProcCache
 	*resp = Response{}
 
-	d := wireReader{buf: payload}
-	status := d.u8()
+	d := wire.NewReader(payload)
+	status := d.U8()
 	switch status {
 	case statusOK:
 		resp.OK = true
 	case statusNotOK:
 	default:
-		resp.Err = d.str()
+		resp.Err = d.Str(maxWireStr)
 		resp.Code = codeForStatus(status)
 	}
-	bits := d.uvarint()
+	bits := d.Uvarint()
 
 	if bits&respValue != 0 {
-		resp.Value = d.bytes(value)
+		resp.Value = d.Bytes(value)
 	}
 	resp.Found = bits&respFound != 0
 	if bits&respValues != 0 {
-		n := d.count(maxFrame)
+		n := d.Count(maxFrame)
 		if values == nil {
 			values = make([][]byte, 0, n)
 		}
 		values, founds = values[:0], founds[:0]
 		for i := 0; i < n; i++ {
-			founds = append(founds, d.bool())
+			founds = append(founds, d.Bool())
 			var dst []byte
 			if i < cap(values) {
 				dst = values[:i+1][i] // reuse the previous buffer in this slot
 			}
-			values = append(values, d.bytes(dst))
+			values = append(values, d.Bytes(dst))
 		}
 		resp.Values, resp.Founds = values, founds
 	}
 	if bits&respResults != 0 {
-		n := d.count(maxFrame)
+		n := d.Count(maxFrame)
 		results = results[:0]
 		for i := 0; i < n; i++ {
 			var r query.Result
@@ -579,16 +581,16 @@ func decodeResponseInto(payload []byte, resp *Response) error {
 		resp.Results = results
 	}
 	if bits&respPartials != 0 {
-		n := d.count(maxFrame)
+		n := d.Count(maxFrame)
 		partials = partials[:0]
 		for i := 0; i < n; i++ {
-			raw := d.raw()
-			if d.err {
+			raw := d.Raw()
+			if d.Failed() {
 				break
 			}
 			var p mquery.Partial
 			if err := p.UnmarshalBinary(raw); err != nil {
-				d.fail()
+				d.Fail()
 				break
 			}
 			partials = append(partials, p)
@@ -596,10 +598,10 @@ func decodeResponseInto(payload []byte, resp *Response) error {
 		resp.Partials = partials
 	}
 	if bits&respEpoch != 0 {
-		resp.Epoch = d.uvarint()
+		resp.Epoch = d.Uvarint()
 	}
 	if bits&respProc != 0 {
-		resp.Proc = int(d.varint())
+		resp.Proc = int(d.Varint())
 	}
 	if bits&respProcCache != 0 {
 		if procCache == nil {
@@ -609,22 +611,23 @@ func decodeResponseInto(payload []byte, resp *Response) error {
 		resp.ProcCache = procCache
 	}
 	if bits&respStats != 0 {
-		resp.Stats = decStats(&d)
+		resp.Stats = &Stats{}
+		decFields(&d, reflect.ValueOf(resp.Stats).Elem())
 	}
 	if bits&respApplied != 0 {
-		resp.Applied = int(d.varint())
+		resp.Applied = int(d.Varint())
 	}
 	if bits&respHot != 0 {
-		n := d.count(maxFrame)
+		n := d.Count(maxFrame)
 		hot = hot[:0]
 		for i := 0; i < n; i++ {
-			k := d.uvarint()
-			r := d.varint()
+			k := d.Uvarint()
+			r := d.Varint()
 			hot = append(hot, HotKey{Key: k, Reads: r})
 		}
 		resp.Hot = hot
 	}
-	return d.finish("response")
+	return d.Finish("rpc: response")
 }
 
 func appendCache(buf []byte, c *metrics.CacheCounters) []byte {
@@ -638,259 +641,87 @@ func appendCache(buf []byte, c *metrics.CacheCounters) []byte {
 	return buf
 }
 
-func decCache(d *wireReader, c *metrics.CacheCounters) {
-	c.Hits = d.varint()
-	c.Misses = d.varint()
-	c.Inserts = d.varint()
-	c.Evictions = d.varint()
-	c.Rejected = d.varint()
-	c.CurrentBytes = d.varint()
-	c.CapacityBytes = d.varint()
+func decCache(d *wire.Reader, c *metrics.CacheCounters) {
+	c.Hits = d.Varint()
+	c.Misses = d.Varint()
+	c.Inserts = d.Varint()
+	c.Evictions = d.Varint()
+	c.Rejected = d.Varint()
+	c.CurrentBytes = d.Varint()
+	c.CapacityBytes = d.Varint()
 }
 
-func appendSummary(buf []byte, s *metrics.Summary) []byte {
-	buf = binary.AppendVarint(buf, s.Count)
-	buf = binary.AppendVarint(buf, s.Mean)
-	buf = binary.AppendVarint(buf, s.P50)
-	buf = binary.AppendVarint(buf, s.P95)
-	buf = binary.AppendVarint(buf, s.P99)
-	buf = binary.AppendVarint(buf, s.P999)
-	buf = binary.AppendVarint(buf, s.Max)
-	return buf
-}
-
-func decSummary(d *wireReader, s *metrics.Summary) {
-	s.Count = d.varint()
-	s.Mean = d.varint()
-	s.P50 = d.varint()
-	s.P95 = d.varint()
-	s.P99 = d.varint()
-	s.P999 = d.varint()
-	s.Max = d.varint()
-}
-
-func appendStats(buf []byte, s *Stats) []byte {
-	buf = appendStr(buf, s.Role)
-	buf = binary.AppendVarint(buf, s.Requests)
-	buf = binary.AppendVarint(buf, s.Keys)
-	buf = binary.AppendVarint(buf, s.Reads)
-	buf = binary.AppendVarint(buf, s.Hits)
-	buf = binary.AppendVarint(buf, s.Misses)
-	buf = binary.AppendVarint(buf, s.Executed)
-	buf = appendBool(buf, s.Cache != nil)
-	if s.Cache != nil {
-		buf = appendCache(buf, s.Cache)
-	}
-	buf = appendStr(buf, s.Durable)
-	buf = binary.AppendVarint(buf, s.WALBytes)
-	buf = binary.AppendVarint(buf, s.WALRecords)
-	buf = binary.AppendVarint(buf, s.Snapshots)
-	buf = binary.AppendUvarint(buf, s.DurableVersion)
-	buf = binary.AppendVarint(buf, s.ReplayedBytes)
-	buf = appendBool(buf, s.Snapshot != nil)
-	if s.Snapshot != nil {
-		buf = appendSnapshot(buf, s.Snapshot)
-	}
-	return buf
-}
-
-func decStats(d *wireReader) *Stats {
-	s := &Stats{}
-	s.Role = d.str()
-	s.Requests = d.varint()
-	s.Keys = d.varint()
-	s.Reads = d.varint()
-	s.Hits = d.varint()
-	s.Misses = d.varint()
-	s.Executed = d.varint()
-	if d.bool() {
-		var cc metrics.CacheCounters
-		decCache(d, &cc)
-		s.Cache = &cc
-	}
-	s.Durable = d.str()
-	s.WALBytes = d.varint()
-	s.WALRecords = d.varint()
-	s.Snapshots = d.varint()
-	s.DurableVersion = d.uvarint()
-	s.ReplayedBytes = d.varint()
-	if d.bool() {
-		s.Snapshot = decSnapshot(d)
-	}
-	return s
-}
-
-func appendSnapshot(buf []byte, sn *metrics.Snapshot) []byte {
-	buf = appendStr(buf, sn.Transport)
-	buf = appendStr(buf, sn.Policy)
-	buf = appendStr(buf, sn.Strategy)
-	buf = binary.AppendVarint(buf, int64(sn.Processors))
-	buf = binary.AppendUvarint(buf, sn.Epoch)
-	buf = binary.AppendVarint(buf, sn.Queries)
-	buf = binary.AppendVarint(buf, sn.Mutations)
-	buf = binary.AppendVarint(buf, sn.Stolen)
-	buf = binary.AppendVarint(buf, sn.Diverted)
-	buf = binary.AppendVarint(buf, sn.Reassigned)
-	buf = binary.AppendUvarint(buf, uint64(len(sn.Epochs)))
-	for i := range sn.Epochs {
-		e := &sn.Epochs[i]
-		buf = appendStr(buf, e.Tier)
-		buf = binary.AppendUvarint(buf, e.Epoch)
-		buf = binary.AppendVarint(buf, int64(e.Joined))
-		buf = binary.AppendVarint(buf, int64(e.Left))
-		buf = binary.AppendVarint(buf, int64(e.Failed))
-		buf = binary.AppendVarint(buf, int64(e.Revived))
-		buf = binary.AppendVarint(buf, e.Reassigned)
-	}
-	buf = appendCache(buf, &sn.Cache)
-	buf = binary.AppendUvarint(buf, uint64(len(sn.PerProc)))
-	for i := range sn.PerProc {
-		p := &sn.PerProc[i]
-		buf = binary.AppendVarint(buf, int64(p.Proc))
-		buf = appendStr(buf, p.Status)
-		buf = appendStr(buf, p.Addr)
-		buf = binary.AppendVarint(buf, p.Assigned)
-		buf = binary.AppendVarint(buf, p.Executed)
-		buf = binary.AppendVarint(buf, p.Stolen)
-		buf = binary.AppendVarint(buf, p.Diverted)
-		buf = binary.AppendVarint(buf, p.QueueDepth)
-		buf = appendCache(buf, &p.Cache)
-		buf = binary.AppendVarint(buf, p.PendingInvalidations)
-		buf = binary.AppendVarint(buf, p.InvalidationsDelivered)
-	}
-	buf = binary.AppendUvarint(buf, sn.StorageEpoch)
-	buf = binary.AppendVarint(buf, int64(sn.StorageReplicas))
-	buf = binary.AppendUvarint(buf, uint64(len(sn.PerStorage)))
-	for i := range sn.PerStorage {
-		m := &sn.PerStorage[i]
-		buf = binary.AppendVarint(buf, int64(m.Slot))
-		buf = appendStr(buf, m.Status)
-		buf = appendStr(buf, m.Addr)
-		buf = binary.AppendVarint(buf, m.Keys)
-		buf = binary.AppendVarint(buf, m.Bytes)
-		buf = binary.AppendVarint(buf, m.Gets)
-		buf = binary.AppendVarint(buf, m.Misses)
-		buf = binary.AppendVarint(buf, m.Failovers)
-		buf = binary.AppendVarint(buf, m.RepairBytes)
-		buf = appendStr(buf, m.Durable)
-		buf = binary.AppendVarint(buf, m.WALBytes)
-		buf = binary.AppendVarint(buf, m.WALRecords)
-		buf = binary.AppendVarint(buf, m.Snapshots)
-		buf = binary.AppendUvarint(buf, m.DurableVersion)
-		buf = binary.AppendVarint(buf, m.ReplayedBytes)
-		buf = binary.AppendVarint(buf, m.RecoverNanos)
-	}
-	buf = binary.AppendVarint(buf, sn.Placement.Cycles)
-	buf = binary.AppendVarint(buf, sn.Placement.Planned)
-	buf = binary.AppendVarint(buf, sn.Placement.Moved)
-	buf = binary.AppendVarint(buf, sn.Placement.MovedBytes)
-	buf = binary.AppendVarint(buf, sn.Placement.BudgetBytes)
-	buf = binary.AppendVarint(buf, sn.Placement.SkippedBudget)
-	buf = binary.AppendVarint(buf, sn.Placement.SkippedCold)
-	buf = binary.AppendVarint(buf, sn.Placement.Overrides)
-	buf = binary.AppendUvarint(buf, uint64(len(sn.PlacementLog)))
-	for i := range sn.PlacementLog {
-		m := &sn.PlacementLog[i]
-		buf = binary.AppendUvarint(buf, m.Key)
-		buf = binary.AppendVarint(buf, int64(m.From))
-		buf = binary.AppendVarint(buf, int64(m.To))
-		buf = binary.AppendVarint(buf, int64(m.Reader))
-		buf = binary.AppendVarint(buf, m.Reads)
-		buf = binary.AppendVarint(buf, m.Bytes)
-	}
-	buf = appendSummary(buf, &sn.RoutingNanos)
-	buf = appendSummary(buf, &sn.QueueDepth)
-	return buf
-}
-
-func decSnapshot(d *wireReader) *metrics.Snapshot {
-	sn := &metrics.Snapshot{}
-	sn.Transport = d.str()
-	sn.Policy = d.str()
-	sn.Strategy = d.str()
-	sn.Processors = int(d.varint())
-	sn.Epoch = d.uvarint()
-	sn.Queries = d.varint()
-	sn.Mutations = d.varint()
-	sn.Stolen = d.varint()
-	sn.Diverted = d.varint()
-	sn.Reassigned = d.varint()
-	if n := d.count(maxFrame); n > 0 {
-		sn.Epochs = make([]metrics.EpochEvent, n)
-		for i := range sn.Epochs {
-			e := &sn.Epochs[i]
-			e.Tier = d.str()
-			e.Epoch = d.uvarint()
-			e.Joined = int(d.varint())
-			e.Left = int(d.varint())
-			e.Failed = int(d.varint())
-			e.Revived = int(d.varint())
-			e.Reassigned = d.varint()
+// appendFields and decFields are the codec of the stats payload — Stats and
+// the metrics.Snapshot it carries — and of nothing else: an OpStats reply is
+// off every query path, so it can afford reflection, and its structs are
+// their own schema. A value travels as its fields in declaration order:
+// signed integers as varints, uint64 as a uvarint, a slice as its count plus
+// its elements, a pointer as a presence bool plus its target, a struct as its
+// fields. So a new counter is one struct field, on both transports at once —
+// appended after the existing fields of its struct, because the order is the
+// wire form. A kind outside that list has no wire form:
+// TestStatsSchemaIsEncodable refuses it before a daemon could meet it.
+func appendFields(buf []byte, v reflect.Value) []byte {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return binary.AppendVarint(buf, v.Int())
+	case reflect.Uint64:
+		return binary.AppendUvarint(buf, v.Uint())
+	case reflect.String:
+		return wire.AppendStr(buf, v.String())
+	case reflect.Bool:
+		return wire.AppendBool(buf, v.Bool())
+	case reflect.Slice:
+		buf = binary.AppendUvarint(buf, uint64(v.Len()))
+		for i := 0; i < v.Len(); i++ {
+			buf = appendFields(buf, v.Index(i))
 		}
-	}
-	decCache(d, &sn.Cache)
-	if n := d.count(maxFrame); n > 0 {
-		sn.PerProc = make([]metrics.ProcCounters, n)
-		for i := range sn.PerProc {
-			p := &sn.PerProc[i]
-			p.Proc = int(d.varint())
-			p.Status = d.str()
-			p.Addr = d.str()
-			p.Assigned = d.varint()
-			p.Executed = d.varint()
-			p.Stolen = d.varint()
-			p.Diverted = d.varint()
-			p.QueueDepth = d.varint()
-			decCache(d, &p.Cache)
-			p.PendingInvalidations = d.varint()
-			p.InvalidationsDelivered = d.varint()
+		return buf
+	case reflect.Pointer:
+		buf = wire.AppendBool(buf, !v.IsNil())
+		if v.IsNil() {
+			return buf
 		}
-	}
-	sn.StorageEpoch = d.uvarint()
-	sn.StorageReplicas = int(d.varint())
-	if n := d.count(maxFrame); n > 0 {
-		sn.PerStorage = make([]metrics.StorageCounters, n)
-		for i := range sn.PerStorage {
-			m := &sn.PerStorage[i]
-			m.Slot = int(d.varint())
-			m.Status = d.str()
-			m.Addr = d.str()
-			m.Keys = d.varint()
-			m.Bytes = d.varint()
-			m.Gets = d.varint()
-			m.Misses = d.varint()
-			m.Failovers = d.varint()
-			m.RepairBytes = d.varint()
-			m.Durable = d.str()
-			m.WALBytes = d.varint()
-			m.WALRecords = d.varint()
-			m.Snapshots = d.varint()
-			m.DurableVersion = d.uvarint()
-			m.ReplayedBytes = d.varint()
-			m.RecoverNanos = d.varint()
+		return appendFields(buf, v.Elem())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			buf = appendFields(buf, v.Field(i))
 		}
+		return buf
 	}
-	sn.Placement.Cycles = d.varint()
-	sn.Placement.Planned = d.varint()
-	sn.Placement.Moved = d.varint()
-	sn.Placement.MovedBytes = d.varint()
-	sn.Placement.BudgetBytes = d.varint()
-	sn.Placement.SkippedBudget = d.varint()
-	sn.Placement.SkippedCold = d.varint()
-	sn.Placement.Overrides = d.varint()
-	if n := d.count(maxFrame); n > 0 {
-		sn.PlacementLog = make([]metrics.MoveEvent, n)
-		for i := range sn.PlacementLog {
-			m := &sn.PlacementLog[i]
-			m.Key = d.uvarint()
-			m.From = int(d.varint())
-			m.To = int(d.varint())
-			m.Reader = int(d.varint())
-			m.Reads = d.varint()
-			m.Bytes = d.varint()
+	panic("rpc: stats payload has no wire form for a " + v.Kind().String())
+}
+
+// decFields decodes what appendFields wrote into the settable v. An empty
+// slice and an absent pointer stay nil; a count is bounded like every other
+// count in a frame, by maxFrame and by the bytes left.
+func decFields(d *wire.Reader, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(d.Varint())
+	case reflect.Uint64:
+		v.SetUint(d.Uvarint())
+	case reflect.String:
+		v.SetString(d.Str(maxWireStr))
+	case reflect.Bool:
+		v.SetBool(d.Bool())
+	case reflect.Slice:
+		if n := d.Count(maxFrame); n > 0 {
+			v.Set(reflect.MakeSlice(v.Type(), n, n))
+			for i := 0; i < n; i++ {
+				decFields(d, v.Index(i))
+			}
 		}
+	case reflect.Pointer:
+		if d.Bool() {
+			v.Set(reflect.New(v.Type().Elem()))
+			decFields(d, v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			decFields(d, v.Field(i))
+		}
+	default:
+		d.Fail()
 	}
-	decSummary(d, &sn.RoutingNanos)
-	decSummary(d, &sn.QueueDepth)
-	return sn
 }

@@ -424,6 +424,7 @@ func TestBrokenStreamFailsPendingCalls(t *testing.T) {
 		}{
 			{"length past maxFrame", tooBig[:], 0, errFrameTooBig.Error()},
 			{"empty payload", rawFrame(nil), 0, "malformed frame"},
+			{"corrupt stats payload", corruptStatsFrame(), 0, "response: malformed wire encoding"},
 			{"EOF inside a frame", reply[:len(reply)/2], 0, io.ErrUnexpectedEOF.Error()},
 			{"EOF behind a whole reply", reply, 1, io.EOF.Error()},
 		} {

@@ -20,7 +20,7 @@ func (r *RouterServer) join(ctx context.Context, addr string) Response {
 	if slot := r.topo.Lookup(addr); slot >= 0 {
 		return Response{OK: true, Proc: slot, Epoch: r.Epoch()}
 	}
-	p := NewPool(addr, r.poolSize)
+	p := NewPool(addr, 0)
 	if err := p.Ping(ctx); err != nil {
 		p.Close()
 		return errorResponse(fmt.Errorf("join %s: %w", addr, err))
@@ -76,7 +76,7 @@ func (r *RouterServer) joinStorage(ctx context.Context, addr string, version uin
 		r.mu.Unlock()
 		return Response{OK: true, Proc: slot, Epoch: epoch}
 	}
-	p := NewPool(addr, r.poolSize)
+	p := NewPool(addr, 0)
 	if err := p.Ping(ctx); err != nil {
 		p.Close()
 		return errorResponse(fmt.Errorf("storage join %s: %w", addr, err))

@@ -293,6 +293,15 @@ type Stats struct {
 	// (nil for other roles): the same structure the virtual-time engine
 	// reports, so local and networked clients read identical stats.
 	Snapshot *metrics.Snapshot
+	// Bytes, ReadMisses and RecoverNanos complete a storage shard's share of
+	// the router's snapshot (metrics.StorageCounters' Bytes, Misses and
+	// RecoverNanos): resident value bytes, reads of absent keys, and how
+	// long the most recent local recovery took. The stats payload's wire
+	// form is this struct's declaration order (see appendFields), so they —
+	// and every later field — come after the older ones.
+	Bytes        int64
+	ReadMisses   int64
+	RecoverNanos int64
 }
 
 // ErrCode classifies a remote failure so the client can reconstruct the

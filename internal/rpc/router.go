@@ -42,7 +42,6 @@ type RouterServer struct {
 	ln         net.Listener
 	ct         connTracker
 	policyName string
-	poolSize   int
 
 	// emb is the coordinate table KNearest re-ranks against (and the
 	// embedding the strategy routes by, when it is embedding-based). Nil
@@ -124,8 +123,6 @@ type RouterConfig struct {
 	// PolicyName is the configured policy's registered name, reported in
 	// stats snapshots (defaults to the strategy's self-reported name).
 	PolicyName string
-	// PoolSize bounds connections per processor (0 = DefaultPoolSize).
-	PoolSize int
 	// StorageAddrs optionally seeds the router's storage view; more shards
 	// can join at runtime with OpJoin. Seeded shards are ping-verified like
 	// processors, and they are the shards the router's storage client —
@@ -177,7 +174,6 @@ func NewRouterServer(addr string, cfg RouterConfig) (*RouterServer, error) {
 	n := len(cfg.ProcessorAddrs)
 	r := &RouterServer{
 		policyName: cfg.PolicyName,
-		poolSize:   cfg.PoolSize,
 		emb:        cfg.Embedding,
 		embErr:     cfg.EmbedErr,
 		topo:       topology.NewTrackerAddrs(cfg.ProcessorAddrs),
@@ -203,10 +199,10 @@ func NewRouterServer(addr string, cfg RouterConfig) (*RouterServer, error) {
 		r.placementEvery = cfg.PlacementEvery
 	}
 	r.statsObs, _ = cfg.Strategy.(router.StatsObserver)
-	if r.pools, err = dialPools(cfg.ProcessorAddrs, cfg.PoolSize); err != nil {
+	if r.pools, err = dialPools(cfg.ProcessorAddrs); err != nil {
 		return nil, err
 	}
-	if r.storagePools, err = dialPools(cfg.StorageAddrs, cfg.PoolSize); err != nil {
+	if r.storagePools, err = dialPools(cfg.StorageAddrs); err != nil {
 		r.closePools()
 		return nil, err
 	}
@@ -630,9 +626,10 @@ func (r *RouterServer) runWave(ctx context.Context, q query.Query, wave []mquery
 			continue
 		}
 		if len(pr.resp.Partials) != len(pr.indices) {
+			// A failed peer, like a short Results (checkResults): unavailable.
 			if firstErr == nil {
-				firstErr = fmt.Errorf("rpc: processor %d answered %d partials for %d subtasks",
-					pr.proc, len(pr.resp.Partials), len(pr.indices))
+				firstErr = &remoteError{addr: pools[pr.proc].Addr(), kind: query.ErrUnavailable,
+					msg: fmt.Sprintf("got %d partials for %d subtasks", len(pr.resp.Partials), len(pr.indices))}
 			}
 			continue
 		}
@@ -816,13 +813,16 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 		if m.Slot < len(shardFresh) && shardFresh[m.Slot] != nil {
 			sf := shardFresh[m.Slot]
 			sc.Keys = sf.Keys
+			sc.Bytes = sf.Bytes
 			sc.Gets = sf.Reads
+			sc.Misses = sf.ReadMisses
 			sc.Durable = sf.Durable
 			sc.WALBytes = sf.WALBytes
 			sc.WALRecords = sf.WALRecords
 			sc.Snapshots = sf.Snapshots
 			sc.DurableVersion = sf.DurableVersion
 			sc.ReplayedBytes = sf.ReplayedBytes
+			sc.RecoverNanos = sf.RecoverNanos
 		}
 		if sc.DurableVersion == 0 && m.Slot < len(r.storageJoinVer) {
 			// Fall back to the version the shard announced at join time

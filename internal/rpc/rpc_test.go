@@ -507,6 +507,44 @@ func respFrameSize(t *testing.T, resp *Response) int {
 	return len(buf)
 }
 
+// sevenProcStatsResponse is the OpStats reply of a router at the paper's
+// 7-processor scale, every counter populated: the frame whose size
+// TestEnvelopeEncodedSize bounds and whose bytes TestGoldenFrames pins.
+func sevenProcStatsResponse() *Response {
+	snap := &metrics.Snapshot{
+		Transport:  "tcp",
+		Policy:     "embed",
+		Strategy:   "embed",
+		Processors: 7,
+		Epoch:      9,
+		Queries:    123456,
+		Stolen:     321,
+		Diverted:   12,
+		Reassigned: 17,
+		Epochs: []metrics.EpochEvent{
+			{Epoch: 8, Joined: 2},
+			{Epoch: 9, Left: 1, Reassigned: 17},
+		},
+		RoutingNanos: metrics.Summary{
+			Count: 123456, Mean: 850, P50: 800, P95: 2047, P99: 4095, Max: 90000,
+		},
+		QueueDepth: metrics.Summary{Count: 123456, Mean: 2, P50: 1, P95: 7, P99: 15, Max: 31},
+	}
+	for i := 0; i < 7; i++ {
+		cc := metrics.CacheCounters{
+			Hits: 900000 + int64(i), Misses: 100000, Inserts: 100000,
+			Evictions: 55000, CurrentBytes: 4 << 30, CapacityBytes: 4 << 30,
+		}
+		snap.PerProc = append(snap.PerProc, metrics.ProcCounters{
+			Proc: i, Status: "active", Addr: "10.0.0.71:7101",
+			Assigned: 17636, Executed: 17640, Stolen: 40, Diverted: 2,
+			QueueDepth: 3, Cache: cc,
+		})
+		snap.Cache.Add(cc)
+	}
+	return &Response{OK: true, Stats: &Stats{Role: "router", Requests: 999999, Snapshot: snap}}
+}
+
 // TestEnvelopeEncodedSize is the wire-waste regression test: ops must not
 // carry the payloads of other ops, and the binary framing must beat the
 // gob ceilings it replaced (ping 16, get 32, mutate 64, migrate 16, evict
@@ -637,39 +675,7 @@ func TestEnvelopeEncodedSize(t *testing.T) {
 	// ...and its response — a full system snapshot at the paper's 7-processor
 	// scale, every counter populated — must stay a small, fixed-size payload
 	// so a monitoring loop can poll it continuously.
-	snap := &metrics.Snapshot{
-		Transport:  "tcp",
-		Policy:     "embed",
-		Strategy:   "embed",
-		Processors: 7,
-		Epoch:      9,
-		Queries:    123456,
-		Stolen:     321,
-		Diverted:   12,
-		Reassigned: 17,
-		Epochs: []metrics.EpochEvent{
-			{Epoch: 8, Joined: 2},
-			{Epoch: 9, Left: 1, Reassigned: 17},
-		},
-		RoutingNanos: metrics.Summary{
-			Count: 123456, Mean: 850, P50: 800, P95: 2047, P99: 4095, Max: 90000,
-		},
-		QueueDepth: metrics.Summary{Count: 123456, Mean: 2, P50: 1, P95: 7, P99: 15, Max: 31},
-	}
-	for i := 0; i < 7; i++ {
-		cc := metrics.CacheCounters{
-			Hits: 900000 + int64(i), Misses: 100000, Inserts: 100000,
-			Evictions: 55000, CurrentBytes: 4 << 30, CapacityBytes: 4 << 30,
-		}
-		snap.PerProc = append(snap.PerProc, metrics.ProcCounters{
-			Proc: i, Status: "active", Addr: "10.0.0.71:7101",
-			Assigned: 17636, Executed: 17640, Stolen: 40, Diverted: 2,
-			QueueDepth: 3, Cache: cc,
-		})
-		snap.Cache.Add(cc)
-	}
-	statsResp := &Response{OK: true, Stats: &Stats{Role: "router", Requests: 999999, Snapshot: snap}}
-	if n := respFrameSize(t, statsResp); n > 768 {
+	if n := respFrameSize(t, sevenProcStatsResponse()); n > 768 {
 		t.Errorf("7-proc stats response frame encodes to %d bytes, want <= 768", n)
 	}
 }

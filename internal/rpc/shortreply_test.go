@@ -90,5 +90,10 @@ func TestShortReplyFailsTheCall(t *testing.T) {
 		if _, err := cl.Execute(ctx, qs[0]); !errors.Is(err, query.ErrUnavailable) {
 			t.Errorf("single query: err = %v, want unavailable", err)
 		}
+		// The same for a wave of subtasks answered with too few partials.
+		reach := query.Query{Type: query.BoundedReach, Node: ids[1], Anchors: ids[1:5], Target: ids[5], Hops: 2, VisitBudget: 4, Dir: graph.Out}
+		if _, err := cl.Execute(ctx, reach); !errors.Is(err, query.ErrUnavailable) {
+			t.Errorf("multi-anchor query: err = %v, want unavailable", err)
+		}
 	})
 }

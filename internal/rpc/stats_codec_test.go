@@ -1,0 +1,200 @@
+package rpc
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/wire"
+)
+
+// The stats payload is encoded by a reflect walk over its structs
+// (appendFields/decFields). These tests prove the walk instead of assuming it:
+// it writes the bytes the hand-written field lists wrote, it can drop no
+// field, the schema holds nothing it would refuse, and the one hand-written
+// encoder left beside it agrees with it.
+
+func readGolden(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return frame
+}
+
+// TestGoldenFrames pins the response frames byte for byte. The files under
+// testdata were written by the commit before the walker existed — its
+// appendStats/appendSnapshot/appendSummary field lists — from these same two
+// fixtures. One thing has changed since, and the test spells it out rather
+// than regenerating the files: Stats grew three counters (Bytes, ReadMisses,
+// RecoverNanos), appended after Snapshot and zero in both fixtures, so each
+// frame holds three more 0x00 bytes where its stats payload ends and a length
+// prefix that counts them. Every other byte is the old codec's.
+func TestGoldenFrames(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		resp *Response
+		tail int // bytes that follow the stats payload in the frame
+	}{
+		{"full_response.hex", fullResponse(), 7}, // Applied (1 byte), Hot (6)
+		{"stats7_response.hex", sevenProcStatsResponse(), 0},
+	} {
+		golden := readGolden(t, tc.file)
+		end := len(golden) - tc.tail
+		want := slices.Concat(golden[:end], []byte{0, 0, 0}, golden[end:])
+		binary.LittleEndian.PutUint32(want, uint32(len(want)-frameHeader))
+
+		var scratch []byte
+		if got := encodeResponseFrame(nil, 7, tc.resp, &scratch); !bytes.Equal(got, want) {
+			t.Errorf("%s: frame differs from the hand codec's\n got  %x\n want %x", tc.file, got, want)
+		}
+		_, rest, _ := peelTag(want[frameHeader:])
+		var back Response
+		if err := decodeResponseInto(rest, &back); err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		if !reflect.DeepEqual(&back, tc.resp) {
+			t.Errorf("%s decodes to\n %+v\nwant\n %+v", tc.file, &back, tc.resp)
+		}
+	}
+}
+
+// fillLeaves sets every leaf reachable from v to a distinct non-zero value:
+// two elements in every slice, a target behind every pointer.
+func fillLeaves(v reflect.Value, next *int64) {
+	switch v.Kind() {
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fillLeaves(v.Index(i), next)
+		}
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillLeaves(v.Elem(), next)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillLeaves(v.Field(i), next)
+		}
+	case reflect.String:
+		*next++
+		v.SetString(fmt.Sprint("s", *next))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Uint64:
+		*next++
+		v.SetUint(uint64(*next))
+	default:
+		*next++
+		v.SetInt(*next)
+	}
+}
+
+// TestStatsRoundTripDropsNoField fills a Stats by reflection, so a field
+// added tomorrow is covered the day it is added, and requires the frame to
+// bring every one of them back.
+func TestStatsRoundTripDropsNoField(t *testing.T) {
+	var st Stats
+	var n int64
+	fillLeaves(reflect.ValueOf(&st).Elem(), &n)
+	if n < 100 || st.Cache == nil || st.Snapshot == nil || len(st.Snapshot.PerStorage) != 2 {
+		t.Fatalf("fixture filled %d leaves: %+v", n, st)
+	}
+	want := &Response{OK: true, Stats: &st}
+	if got := roundTripResponse(t, want); !reflect.DeepEqual(got, want) {
+		t.Errorf("stats round trip mismatch:\n got  %+v\n want %+v", got.Stats, want.Stats)
+	}
+}
+
+// TestStatsSchemaIsEncodable walks the types behind Stats and fails, here and
+// not on a running daemon, if any reachable field is unexported (the walker
+// could not set it) or of a kind the walker has no wire form for — a float64
+// or a map added to metrics.Snapshot tomorrow.
+func TestStatsSchemaIsEncodable(t *testing.T) {
+	var check func(typ reflect.Type, path string)
+	check = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint64, reflect.String, reflect.Bool:
+		case reflect.Slice, reflect.Pointer:
+			check(typ.Elem(), path)
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				if !f.IsExported() {
+					t.Errorf("%s.%s is unexported: the stats codec cannot carry it", path, f.Name)
+					continue
+				}
+				check(f.Type, path+"."+f.Name)
+			}
+		default:
+			t.Errorf("%s is a %s: the stats codec has no wire form for it", path, typ.Kind())
+		}
+	}
+	check(reflect.TypeOf(Stats{}), "Stats")
+
+	// The walker itself refuses what the schema must not hold.
+	type bad struct{ F float64 }
+	d := wire.NewReader([]byte{0, 0, 0, 0, 0, 0, 0, 0})
+	decFields(&d, reflect.ValueOf(&bad{}).Elem())
+	if !d.Failed() {
+		t.Error("decFields accepted a float64 field")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("appendFields accepted a float64 field")
+		}
+	}()
+	appendFields(nil, reflect.ValueOf(bad{}))
+}
+
+// TestCacheCodecMatchesItsStruct holds the hand-written appendCache/decCache
+// — kept because a ProcCache rides every OpExecute reply — to the struct's
+// declaration order: same bytes as the walker, same value back.
+func TestCacheCodecMatchesItsStruct(t *testing.T) {
+	var cc metrics.CacheCounters
+	var n int64
+	fillLeaves(reflect.ValueOf(&cc).Elem(), &n)
+	hand := appendCache(nil, &cc)
+	if walked := appendFields(nil, reflect.ValueOf(cc)); !bytes.Equal(hand, walked) {
+		t.Fatalf("appendCache wrote %x, the struct says %x", hand, walked)
+	}
+	var back metrics.CacheCounters
+	d := wire.NewReader(hand)
+	decCache(&d, &back)
+	if err := d.Finish("cache counters"); err != nil || back != cc {
+		t.Fatalf("decCache = %+v, %v; want %+v", back, err, cc)
+	}
+}
+
+// TestCorruptStatsPayloadFailsDecode corrupts a slice count inside the stats
+// payload: the decode must fail — the count is checked against the bytes
+// left before anything is allocated — and not panic.
+func TestCorruptStatsPayloadFailsDecode(t *testing.T) {
+	if err := decodeResponseInto(corruptStatsFrame()[frameHeader+1:], &Response{}); err == nil {
+		t.Fatal("a stats payload with a slice count past its frame decoded cleanly")
+	}
+}
+
+// corruptStatsFrame is a tag-1 OpStats reply whose only non-zero, non-bool
+// byte — the count of Snapshot.Epochs — claims more elements than the frame
+// has bytes.
+func corruptStatsFrame() []byte {
+	var scratch []byte
+	resp := &Response{OK: true, Stats: &Stats{Snapshot: &metrics.Snapshot{Epochs: make([]metrics.EpochEvent, 3)}}}
+	frame := encodeResponseFrame(nil, 1, resp, &scratch)
+	frame[bytes.LastIndexByte(frame, 3)] = 0x7f
+	return frame
+}

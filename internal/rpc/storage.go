@@ -37,6 +37,10 @@ type StorageServer struct {
 	ct       connTracker
 	shard    *kvstore.Shard
 	requests atomic.Int64
+	// misses counts reads of keys this shard does not hold. (The shard's own
+	// Misses is kept by the virtual-time Store, after replica fail-over; a
+	// shard behind a listener sees only the reads sent to it.)
+	misses atomic.Int64
 	// writes is the shard's monotonic write counter: every put is stamped
 	// with the next value (a batch takes a range of them), so the shard's
 	// newest-wins compare always installs it. It resumes from the recovered
@@ -122,10 +126,14 @@ func (s *StorageServer) handle(_ context.Context, req *Request) Response {
 		return Response{OK: true}
 	case OpGet:
 		v, ok := s.shard.Get(req.Key)
+		if !ok {
+			s.misses.Add(1)
+		}
 		return Response{OK: true, Value: v, Found: ok}
 	case OpMultiGet:
 		resp := Response{OK: true, Values: make([][]byte, len(req.Keys)), Founds: make([]bool, len(req.Keys))}
-		s.shard.GetInto(req.Keys, resp.Values, resp.Founds)
+		_, misses := s.shard.GetInto(req.Keys, resp.Values, resp.Founds)
+		s.misses.Add(int64(misses))
 		return resp
 	case OpPut:
 		cp := make([]byte, len(req.Value))
@@ -163,8 +171,9 @@ func (s *StorageServer) handle(_ context.Context, req *Request) Response {
 	return errorResponse(fmt.Errorf("storage: unknown op %q", req.Op))
 }
 
-// Stats returns the shard's counters (request total, key reads served,
-// resident keys) plus its durability counters when it runs a WAL.
+// Stats returns the shard's counters (request total, key reads served and
+// missed, resident keys and bytes) plus its durability counters when it runs
+// a WAL.
 func (s *StorageServer) Stats() Stats {
 	ss, ds := s.shard.Stats(), s.shard.Durability()
 	return Stats{
@@ -178,6 +187,9 @@ func (s *StorageServer) Stats() Stats {
 		Snapshots:      int64(ds.Snapshots),
 		DurableVersion: ds.DurableVersion,
 		ReplayedBytes:  ds.ReplayedBytes,
+		Bytes:          ss.Bytes,
+		ReadMisses:     s.misses.Load(),
+		RecoverNanos:   ds.RecoverNanos,
 	}
 }
 
@@ -254,20 +266,19 @@ func DialStorageReplicated(addrs []string, replicas int) (*StorageClient, error)
 	if replicas > len(addrs) {
 		return nil, fmt.Errorf("rpc: %d storage replicas need at least that many shards, have %d", replicas, len(addrs))
 	}
-	pools, err := dialPools(addrs, 0)
+	pools, err := dialPools(addrs)
 	if err != nil {
 		return nil, err
 	}
 	return newStorageClient(pools, replicas), nil
 }
 
-// dialPools opens one pool of at most size connections per address and
-// verifies each daemon answers; on a failure the pools opened so far are
-// closed again.
-func dialPools(addrs []string, size int) ([]*Pool, error) {
+// dialPools opens one pool per address and verifies each daemon answers; on
+// a failure the pools opened so far are closed again.
+func dialPools(addrs []string) ([]*Pool, error) {
 	pools := make([]*Pool, 0, len(addrs))
 	for _, a := range addrs {
-		p := NewPool(a, size)
+		p := NewPool(a, 0)
 		pools = append(pools, p)
 		if err := p.Ping(context.Background()); err != nil {
 			closeAll(pools)

@@ -4,9 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
-	"math"
 	"sync"
 )
 
@@ -116,153 +114,4 @@ func readFramesBuffered(r io.Reader, onFrame func(payload []byte) bool) error {
 			return nil
 		}
 	}
-}
-
-// Append helpers (the encode half of the codec). All integers are varints:
-// unsigned values and IDs as uvarints, signed counters zigzag-coded, so
-// small values — the common case everywhere in the protocol — cost one byte.
-
-func appendStr(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
-
-func appendBool(buf []byte, v bool) []byte {
-	if v {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
-}
-
-func appendF64(buf []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-}
-
-// wireReader is the bounds-checked decode half: malformed input flips err,
-// every later read returns a zero value, and finish reports the failure (or
-// trailing garbage) exactly once. The same idiom as internal/mquery's
-// wireDec, extended with the primitive set the envelope codec needs.
-type wireReader struct {
-	buf []byte
-	err bool
-}
-
-func (d *wireReader) fail() { d.err = true }
-
-func (d *wireReader) uvarint() uint64 {
-	if d.err {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = true
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *wireReader) varint() int64 {
-	if d.err {
-		return 0
-	}
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		d.err = true
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *wireReader) u8() byte {
-	if d.err || len(d.buf) == 0 {
-		d.err = true
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
-func (d *wireReader) bool() bool { return d.u8() == 1 }
-
-func (d *wireReader) f64() float64 {
-	if d.err || len(d.buf) < 8 {
-		d.err = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf)
-	d.buf = d.buf[8:]
-	return math.Float64frombits(v)
-}
-
-// str decodes a length-prefixed string, copying out of the frame (the
-// reader reuses the bytes under it once decode returns, so nothing may
-// alias them).
-func (d *wireReader) str() string {
-	n := d.uvarint()
-	if d.err || n > maxWireStr || n > uint64(len(d.buf)) {
-		d.err = true
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
-}
-
-// bytes decodes a length-prefixed byte string into dst (reusing its
-// capacity), so callers that recycle their envelopes skip the allocation.
-// A nil wire value stays distinguishable: zero length yields dst[:0] — the
-// protocol never needs nil-vs-empty.
-func (d *wireReader) bytes(dst []byte) []byte {
-	n := d.uvarint()
-	if d.err || n > uint64(len(d.buf)) {
-		d.err = true
-		return nil
-	}
-	dst = append(dst[:0], d.buf[:n]...)
-	d.buf = d.buf[n:]
-	return dst
-}
-
-// raw decodes a length-prefixed sub-encoding WITHOUT copying: the returned
-// slice aliases the frame and must be fully consumed (e.g. by an
-// UnmarshalBinary that retains nothing) before decode returns.
-func (d *wireReader) raw() []byte {
-	n := d.uvarint()
-	if d.err || n > uint64(len(d.buf)) {
-		d.err = true
-		return nil
-	}
-	b := d.buf[:n]
-	d.buf = d.buf[n:]
-	return b
-}
-
-// count decodes a collection length bounded by max AND by the bytes left
-// (every element costs at least one byte), so a corrupt count cannot force
-// a huge allocation.
-func (d *wireReader) count(max int) int {
-	v := d.uvarint()
-	if v > uint64(max) || v > uint64(len(d.buf)) {
-		d.err = true
-		return 0
-	}
-	return int(v)
-}
-
-func (d *wireReader) finish(what string) error {
-	if d.err {
-		return fmt.Errorf("rpc: %s: malformed wire encoding", what)
-	}
-	if len(d.buf) != 0 {
-		return fmt.Errorf("rpc: %s: %d trailing bytes", what, len(d.buf))
-	}
-	return nil
 }

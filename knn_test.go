@@ -166,6 +166,15 @@ func TestClientTwoTransportsKNN(t *testing.T) {
 						id, perClient[0][id], perClient[1][id])
 				}
 			}
+
+			// A query node that has no record is ErrUnknownNode on both,
+			// not an empty neighbourhood on one of them.
+			unknown := grouting.Query{Type: grouting.KNearest, Node: 1 << 30, Hops: 2, K: 3, Dir: grouting.Both}
+			for _, c := range []grouting.Client{local, remote} {
+				if res, err := c.Execute(ctx, unknown); !errors.Is(err, grouting.ErrUnknownNode) {
+					t.Errorf("k-nearest at an unknown node = %+v, %v; want ErrUnknownNode", res, err)
+				}
+			}
 		})
 	}
 }

@@ -80,8 +80,6 @@ type RouterSpec struct {
 	Graph *Graph
 	// Seed drives the preprocessing's stochastic choices.
 	Seed int64
-	// PoolSize bounds the router's connections per processor (0 = default).
-	PoolSize int
 	// Storage optionally seeds the router's storage view: the listed
 	// shards appear in Stats()/grouting-cli -topology with their status
 	// and shard counters, and more can join at runtime with
@@ -147,7 +145,6 @@ func ServeRouter(addr string, spec RouterSpec) (*RouterServer, error) {
 		ProcessorAddrs:    spec.Processors,
 		Strategy:          strat,
 		PolicyName:        spec.Policy.String(),
-		PoolSize:          spec.PoolSize,
 		StorageAddrs:      spec.Storage,
 		StorageReplicas:   spec.StorageReplicas,
 		Graph:             spec.Graph,

@@ -1,9 +1,9 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: ci fmt-check vet lint build cross test ledger bench-test race cover fuzz-smoke examples bench-smoke bench suite chaos chaos-smoke loc
+.PHONY: ci fmt-check vet lint build cross test ledger membudget bench-test race cover fuzz-smoke examples bench-smoke bench suite chaos chaos-smoke loc
 
-ci: fmt-check lint build cross test ledger bench-test race cover fuzz-smoke examples bench-smoke loc
+ci: fmt-check lint build cross test ledger membudget bench-test race cover fuzz-smoke examples bench-smoke loc
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -41,6 +41,16 @@ test:
 ledger:
 	@out=$$($(GO) test -count=1 -v -run 'TestPingCrossings|TestTCPCrossingsBudget|TestLoadCrossingsBudget|TestMutateCrossingsBudget' ./internal/rpc . 2>&1) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -o '[0-9.]* read/write calls per .*'
+
+# The per-role memory budget of README's "Memory budget" table: what two
+# shards, three processors and a router under each policy keep live over the
+# 60 k-node preset, and what the router's construction allocates, measured
+# by TestMemoryBudget and printed one line per role — pasted from this like
+# the ledger. A router above its budget (2 x its routing tables + 4 MiB)
+# prints the whole test output instead.
+membudget:
+	@out=$$($(GO) test -count=1 -v -run 'TestMemoryBudget' . 2>&1) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -o 'membudget: .*'
 
 # bench/ is a Go module of its own, so `go test ./...` above does not
 # reach the repository benchmark's unit tests (-short skips its traced

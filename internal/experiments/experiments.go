@@ -5,7 +5,7 @@
 //
 // Runners are registered by experiment id (fig7, fig8a, ..., table1, ...)
 // and parameterised by a Scale so the same code serves quick benchmark
-// runs and the full recorded runs in EXPERIMENTS.md.
+// runs and the paper-parameter ones (grouting-bench -scale full).
 package experiments
 
 import (
@@ -48,8 +48,7 @@ type Scale struct {
 	Seed int64
 }
 
-// Full is the paper-parameter scale used for the recorded runs in
-// EXPERIMENTS.md.
+// Full is the paper-parameter scale (grouting-bench -scale full).
 var Full = Scale{
 	GraphScale: 1.0, Hotspots: 100, PerHotspot: 10,
 	Landmarks: 96, MinSep: 3, Dims: 10, NMIter: 120, Seed: 42,

@@ -13,7 +13,7 @@ import (
 
 func init() {
 	register(Experiment{
-		ID: "patterns", Paper: "beyond the paper (ROADMAP item 3)",
+		ID: "patterns", Paper: "beyond the paper (multi-anchor queries)",
 		Desc: "mixed multi-anchor workload (PatternMatch + BoundedReach + the classic three): per-policy goodput and subtask fan-out, per-partition visit budget asserted",
 		Run:  runPatterns,
 	})

@@ -1,12 +1,211 @@
 package gen
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
 )
+
+// replayAdjacency is the reader ReadAdjacency replaced — one AddNode per
+// id, one AddEdgeFast per token, every slice grown by append — kept as the
+// oracle: the bulk reader must accept what it accepts, build the graph it
+// builds (adjacency order included) and fail where and how it fails.
+func replayAdjacency(r io.Reader) (*graph.Graph, error) {
+	g := graph.New()
+	ensure := func(id uint64) (graph.NodeID, error) {
+		if id > uint64(^graph.NodeID(0)) {
+			return 0, fmt.Errorf("gen: node id %d overflows NodeID", id)
+		}
+		for uint64(g.MaxNodeID()) <= id {
+			g.AddNode("")
+		}
+		return graph.NodeID(id), nil
+	}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		head, rest, ok := strings.Cut(line, ":")
+		if !ok {
+			return nil, fmt.Errorf("gen: line %d: missing ':'", lineNo)
+		}
+		src64, err := strconv.ParseUint(strings.TrimSpace(head), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("gen: line %d: bad node id: %w", lineNo, err)
+		}
+		src, err := ensure(src64)
+		if err != nil {
+			return nil, err
+		}
+		for _, tok := range strings.Fields(rest) {
+			dst64, err := strconv.ParseUint(tok, 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("gen: line %d: bad edge target %q: %w", lineNo, tok, err)
+			}
+			dst, err := ensure(dst64)
+			if err != nil {
+				return nil, err
+			}
+			g.AddEdgeFast(src, dst)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("gen: read: %w", err)
+	}
+	return g, nil
+}
+
+func sameGraph(t *testing.T, got, want *graph.Graph) {
+	t.Helper()
+	if got.MaxNodeID() != want.MaxNodeID() || got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("got %d ids / %d nodes / %d edges, want %d / %d / %d", got.MaxNodeID(), got.NumNodes(),
+			got.NumEdges(), want.MaxNodeID(), want.NumNodes(), want.NumEdges())
+	}
+	for u := graph.NodeID(0); u < want.MaxNodeID(); u++ {
+		if !slices.Equal(got.OutEdges(u), want.OutEdges(u)) {
+			t.Fatalf("node %d: out %v, want %v", u, got.OutEdges(u), want.OutEdges(u))
+		}
+		if !slices.Equal(got.InEdges(u), want.InEdges(u)) {
+			t.Fatalf("node %d: in %v, want %v", u, got.InEdges(u), want.InEdges(u))
+		}
+	}
+}
+
+// randomAdjacencyText writes a file no generator would: sources out of
+// order and repeated, ids seen only as targets, self-loops, parallel edges,
+// comments, blank lines, tabs, runs of spaces, a non-ASCII space.
+func randomAdjacencyText(rng *rand.Rand) string {
+	seps := []string{" ", "  ", "\t", " \t ", "\u00a0", "   "}
+	sep := func() string { return seps[rng.Intn(len(seps))] }
+	ids := 1 + rng.Intn(200)
+	var sb strings.Builder
+	for line := rng.Intn(300); line > 0; line-- {
+		switch rng.Intn(12) {
+		case 0:
+			sb.WriteString("# 3: 4 5\n")
+			continue
+		case 1:
+			sb.WriteString(sep() + "\n")
+			continue
+		}
+		src := rng.Intn(ids)
+		if rng.Intn(3) == 0 {
+			sb.WriteString(sep())
+		}
+		fmt.Fprintf(&sb, "%d", src)
+		if rng.Intn(4) == 0 {
+			sb.WriteString(sep())
+		}
+		sb.WriteByte(':')
+		last := src
+		for d := rng.Intn(10); d > 0; d-- {
+			switch rng.Intn(8) {
+			case 0: // self-loop
+				last = src
+			case 1: // parallel edge (or a self-loop when first)
+			default:
+				last = rng.Intn(ids + ids/4)
+			}
+			sb.WriteString(sep())
+			fmt.Fprintf(&sb, "%d", last)
+		}
+		if rng.Intn(3) == 0 {
+			sb.WriteString(sep())
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+func TestReadAdjacencyMatchesReplay(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		text := randomAdjacencyText(rand.New(rand.NewSource(seed)))
+		want, err := replayAdjacency(strings.NewReader(text))
+		if err != nil {
+			t.Fatalf("seed %d: oracle rejects its own input: %v", seed, err)
+		}
+		got, err := ReadAdjacency(strings.NewReader(text))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		sameGraph(t, got, want)
+	}
+}
+
+func TestReadAdjacencyFailsLikeReplay(t *testing.T) {
+	for _, in := range []string{
+		"no colon here\n",
+		"0: 1\n\n# c\n1 2\n",
+		"x: 1\n",
+		": 1\n",
+		"0: 1\n-3: 1\n",
+		"0: abc\n",
+		"0: 1 2 3x 4\n",
+		"0: 1:2\n",
+		"4294967296: 1\n",
+		"0: 4294967296\n",
+		"0: 99999999999999999999\n",
+		"0: " + strings.Repeat("7", 1<<24) + "\n",
+	} {
+		_, want := replayAdjacency(strings.NewReader(in))
+		_, got := ReadAdjacency(strings.NewReader(in))
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("input %.20q: error %v, want %v", in, got, want)
+		}
+	}
+}
+
+// The load's whole point is its footprint: what ReadAdjacency allocates in
+// total must stay within a quarter of what the graph it returns keeps (the
+// append-per-edge reader allocated 3.4 x).
+func TestReadAdjacencyByteBudget(t *testing.T) {
+	g, err := Preset(WebGraph, 1.0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := WriteAdjacency(&file, g); err != nil {
+		t.Fatal(err)
+	}
+	nodes, edges := g.NumNodes(), g.NumEdges()
+	g = nil
+	var before, after, kept runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	got, err := ReadAdjacency(bytes.NewReader(file.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.GC()
+	runtime.ReadMemStats(&kept)
+	if got.NumNodes() != nodes || got.NumEdges() != edges {
+		t.Fatalf("loaded %d nodes / %d edges, want %d / %d", got.NumNodes(), got.NumEdges(), nodes, edges)
+	}
+	allocated := float64(after.TotalAlloc - before.TotalAlloc)
+	retained := float64(kept.HeapAlloc) - float64(before.HeapAlloc)
+	t.Logf("ReadAdjacency of %d nodes / %d edges: %.1f MiB allocated for %.1f MiB retained (%.2f x)",
+		nodes, edges, allocated/(1<<20), retained/(1<<20), allocated/retained)
+	if allocated > 1.25*retained {
+		t.Errorf("allocated %.0f bytes for %.0f retained: over the 1.25 x budget", allocated, retained)
+	}
+	runtime.KeepAlive(got)
+	runtime.KeepAlive(&file) // or the file's bytes would be counted as freed by the load
+}
 
 func TestAdjacencyRoundTrip(t *testing.T) {
 	g := RMAT(RMATOptions{Nodes: 200, Edges: 900, Seed: 5})

@@ -12,18 +12,28 @@ const Unreachable int32 = -1
 // bi-directed view of the graph.
 func (g *Graph) BFS(src NodeID, dir Direction) []int32 {
 	dist := make([]int32, g.MaxNodeID())
+	g.BFSInto(src, dir, dist, nil)
+	return dist
+}
+
+// BFSInto is BFS on buffers the caller owns, for callers that run many
+// searches: dist, of length MaxNodeID(), is overwritten with the result;
+// queue is scratch whose contents do not matter, returned (grown if it had
+// to be) for the next call. With a queue of capacity MaxNodeID() a search
+// allocates nothing.
+func (g *Graph) BFSInto(src NodeID, dir Direction, dist []int32, queue []NodeID) []NodeID {
 	for i := range dist {
 		dist[i] = Unreachable
 	}
 	if !g.Exists(src) {
-		return dist
+		return queue
 	}
 	dist[src] = 0
-	queue := make([]NodeID, 0, 256)
-	queue = append(queue, src)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue = append(queue[:0], src)
+	// The head is an index, not a re-slice: queue[1:] gives up the front of
+	// the backing array, and every append past its shrunken end reallocates.
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		du := dist[u]
 		g.visitNeighbors(u, dir, func(v NodeID) {
 			if dist[v] == Unreachable {
@@ -32,7 +42,7 @@ func (g *Graph) BFS(src NodeID, dir Direction) []int32 {
 			}
 		})
 	}
-	return dist
+	return queue
 }
 
 // BFSBounded is BFS truncated at maxHops. It returns a map from reached

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // NodeID identifies a node. IDs are dense, starting at 0, and remain stable
@@ -73,7 +74,7 @@ type Graph struct {
 	removed   []bool
 	numEdges  int
 	liveNodes int
-	labels    labelTable
+	labels    *Labels
 }
 
 // New returns an empty graph.
@@ -89,8 +90,8 @@ func NewWithCapacity(n int) *Graph {
 		in:        make([][]Edge, 0, n),
 		nodeLabel: make([]Label, 0, n),
 		removed:   make([]bool, 0, n),
+		labels:    newLabels(),
 	}
-	g.labels.intern("") // Label 0 is the empty label.
 	return g
 }
 
@@ -114,7 +115,7 @@ func (g *Graph) AddNode(label string) NodeID {
 	id := NodeID(len(g.out))
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
-	g.nodeLabel = append(g.nodeLabel, g.labels.intern(label))
+	g.nodeLabel = append(g.nodeLabel, g.labels.Intern(label))
 	g.removed = append(g.removed, false)
 	g.liveNodes++
 	return id
@@ -155,7 +156,14 @@ func (g *Graph) UpsertNode(id NodeID, label Label) bool {
 
 // InternLabel interns label and returns its id — the form mutations carry
 // (records and queries store interned ids, never strings).
-func (g *Graph) InternLabel(label string) Label { return g.labels.intern(label) }
+func (g *Graph) InternLabel(label string) Label { return g.labels.Intern(label) }
+
+// Labels returns the graph's label table itself, not a copy: a holder that
+// outlives the graph (the networked router keeps the table and lets the
+// graph go) resolves against and interns into the very ids the graph's
+// records were encoded with, and whoever still holds the graph sees the
+// labels interned through the table.
+func (g *Graph) Labels() *Labels { return g.labels }
 
 // EnsureEdge inserts the directed edge u->v carrying label unless an
 // identical (u, v, label) edge already exists, and reports whether it
@@ -185,7 +193,7 @@ func (g *Graph) AddEdge(u, v NodeID, label string) error {
 	if !g.Exists(u) || !g.Exists(v) {
 		return ErrNoSuchNode
 	}
-	l := g.labels.intern(label)
+	l := g.labels.Intern(label)
 	g.out[u] = append(g.out[u], Edge{To: v, Label: l})
 	g.in[v] = append(g.in[v], Edge{To: u, Label: l})
 	g.numEdges++
@@ -318,7 +326,7 @@ func (g *Graph) NodeLabel(u NodeID) string {
 	if !g.Exists(u) {
 		return ""
 	}
-	return g.labels.str(g.nodeLabel[u])
+	return g.labels.String(g.nodeLabel[u])
 }
 
 // NodeLabelID returns the interned label id of u.
@@ -334,19 +342,19 @@ func (g *Graph) SetNodeLabel(u NodeID, label string) error {
 	if !g.Exists(u) {
 		return ErrNoSuchNode
 	}
-	g.nodeLabel[u] = g.labels.intern(label)
+	g.nodeLabel[u] = g.labels.Intern(label)
 	return nil
 }
 
 // LabelString resolves an interned label id to its string.
-func (g *Graph) LabelString(l Label) string { return g.labels.str(l) }
+func (g *Graph) LabelString(l Label) string { return g.labels.String(l) }
 
 // LabelID returns the interned id for label and whether it is known.
-func (g *Graph) LabelID(label string) (Label, bool) { return g.labels.lookup(label) }
+func (g *Graph) LabelID(label string) (Label, bool) { return g.labels.ID(label) }
 
 // NumLabels returns the number of distinct interned labels, including the
 // empty label.
-func (g *Graph) NumLabels() int { return len(g.labels.strs) }
+func (g *Graph) NumLabels() int { return g.labels.Len() }
 
 // Nodes returns all live node ids in ascending order. It allocates; hot
 // paths should iterate [0, MaxNodeID) with Exists instead.
@@ -395,16 +403,27 @@ func SortedEdges(es []Edge) []Edge {
 	return out
 }
 
-// labelTable interns label strings to dense Label ids.
-type labelTable struct {
+// Labels interns label strings to dense Label ids. It is safe for
+// concurrent use: the networked router resolves pattern labels on each
+// request's own goroutine while a labelled mutation interns a new one.
+type Labels struct {
+	mu   sync.RWMutex
 	strs []string
 	ids  map[string]Label
 }
 
-func (t *labelTable) intern(s string) Label {
-	if t.ids == nil {
-		t.ids = make(map[string]Label)
+// newLabels returns a table holding only the empty label, id 0.
+func newLabels() *Labels {
+	return &Labels{strs: []string{""}, ids: map[string]Label{"": NoLabel}}
+}
+
+// Intern returns the id of s, assigning the next one when s is new.
+func (t *Labels) Intern(s string) Label {
+	if id, ok := t.ID(s); ok {
+		return id
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if id, ok := t.ids[s]; ok {
 		return id
 	}
@@ -417,14 +436,27 @@ func (t *labelTable) intern(s string) Label {
 	return id
 }
 
-func (t *labelTable) lookup(s string) (Label, bool) {
+// ID returns the interned id for s and whether it is known.
+func (t *Labels) ID(s string) (Label, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	id, ok := t.ids[s]
 	return id, ok
 }
 
-func (t *labelTable) str(l Label) string {
+// String resolves an interned id to its string ("" when unknown).
+func (t *Labels) String(l Label) string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	if int(l) >= len(t.strs) {
 		return ""
 	}
 	return t.strs[l]
+}
+
+// Len returns the number of distinct labels, the empty one included.
+func (t *Labels) Len() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.strs)
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 )
@@ -95,7 +96,9 @@ func withinHops(g *graph.Graph, src graph.NodeID, maxHops int, targets map[graph
 
 // BuildIndex runs one BFS per landmark (parallel across workers; 0 means
 // GOMAXPROCS) and returns the distance index. This is the O(|L|·e)
-// preprocessing step of Table 2.
+// preprocessing step of Table 2. Each worker owns one dist/queue pair for
+// all the searches it runs, so the build allocates its distance fields and
+// little else.
 func BuildIndex(g *graph.Graph, landmarks []graph.NodeID, workers int) *Index {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -104,16 +107,20 @@ func BuildIndex(g *graph.Graph, landmarks []graph.NodeID, workers int) *Index {
 		Landmarks: append([]graph.NodeID(nil), landmarks...),
 		dist:      make([][]uint16, len(landmarks)),
 	}
+	n := int(g.MaxNodeID())
+	var next atomic.Int64 // the next landmark nobody has taken
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, l := range idx.Landmarks {
+	for w := min(workers, len(landmarks)); w > 0; w-- {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, l graph.NodeID) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			idx.dist[i] = compressBFS(g.BFS(l, graph.Both))
-		}(i, l)
+			dist := make([]int32, n)
+			queue := make([]graph.NodeID, 0, n)
+			for i := int(next.Add(1)) - 1; i < len(idx.Landmarks); i = int(next.Add(1)) - 1 {
+				queue = g.BFSInto(idx.Landmarks[i], graph.Both, dist, queue)
+				idx.dist[i] = compressBFS(dist)
+			}
+		}()
 	}
 	wg.Wait()
 	return idx

@@ -299,3 +299,18 @@ func BenchmarkBuildIndex(b *testing.B) {
 		BuildIndex(g, ls, 0)
 	}
 }
+
+// BuildIndex allocates the distance fields it returns and one dist/queue
+// pair per worker — not two buffers and a goroutine per landmark.
+func TestBuildIndexAllocBudget(t *testing.T) {
+	g := gen.LocalWeb(3000, 12, 160, 0.04, 7)
+	lms := Select(g, 24, 2)
+	for _, workers := range []int{1, 4} {
+		allocs := testing.AllocsPerRun(1, func() { BuildIndex(g, lms, workers) })
+		budget := float64(len(lms) + 4*workers + 8)
+		t.Logf("BuildIndex, %d landmarks, %d workers: %.0f allocations (budget %.0f)", len(lms), workers, allocs, budget)
+		if allocs > budget {
+			t.Errorf("%d workers: %.0f allocations, budget %.0f", workers, allocs, budget)
+		}
+	}
+}

@@ -337,6 +337,12 @@ type Snapshot struct {
 	// is legitimately 0 there; under concurrent networked load it reports
 	// real backpressure.
 	QueueDepth Summary
+	// RoutingTableBytes is the memory of what the router routes by: the
+	// landmark index and the d(u,p) table under landmark routing, the node
+	// coordinates wherever an embedding is held — the paper's
+	// preprocessing-storage row (Table 3), and what a router's resident
+	// size should be a small multiple of. Zero for the baseline policies.
+	RoutingTableBytes int64
 }
 
 // String renders the snapshot as aligned tables (the same renderer the
@@ -351,6 +357,7 @@ func (s *Snapshot) String() string {
 		s.RoutingNanos.P50, s.RoutingNanos.P99, s.RoutingNanos.P999, s.RoutingNanos.Max, s.RoutingNanos.Count)
 	fmt.Fprintf(&b, "queue depth: p50=%d p99=%d p999=%d max=%d\n",
 		s.QueueDepth.P50, s.QueueDepth.P99, s.QueueDepth.P999, s.QueueDepth.Max)
+	fmt.Fprintf(&b, "routing tables: %d bytes\n", s.RoutingTableBytes)
 	t := NewTable("proc", "status", "assigned", "executed", "stolen", "diverted", "queue", "hits", "misses", "hit%", "evict", "inval-pend", "inval-done")
 	for _, p := range s.PerProc {
 		status := p.Status

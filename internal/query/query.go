@@ -16,7 +16,8 @@ import (
 )
 
 // Type enumerates the online query kinds: the paper's three single-seed
-// traversals, plus the two multi-anchor classes of ROADMAP item 3.
+// traversals, plus the multi-anchor classes beyond it — pattern matching,
+// bounded reachability, embedding k-nearest.
 type Type int
 
 const (
@@ -44,12 +45,11 @@ const (
 	// per-partition budget.
 	BoundedReach
 	// KNearest returns the K nodes within Hops (undirected) of Node that
-	// are nearest to it under the system's graph embedding (ROADMAP item
-	// 4). Distributed execution generates the candidate ball on the
-	// processor owning the anchor's neighbourhood, then re-ranks exactly
-	// at the coordinator with the router's embedding: distance ties break
-	// toward the smaller node id, so results are deterministic across
-	// transports.
+	// are nearest to it under the system's graph embedding. Distributed
+	// execution generates the candidate ball on the processor owning the
+	// anchor's neighbourhood, then re-ranks exactly at the coordinator
+	// with the router's embedding: distance ties break toward the smaller
+	// node id, so results are deterministic across transports.
 	KNearest
 )
 

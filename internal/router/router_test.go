@@ -387,3 +387,31 @@ func TestTopologyLocalityEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+func TestTableBytes(t *testing.T) {
+	lm, _ := buildLandmarkStrategy(t, 2, 0) // 10 nodes: d(u,p) 10 x 2, no index kept
+	em, _ := buildEmbedStrategy(t, 2, 0.5, 0)
+	coords := em.emb.StorageBytes()
+	if coords != 12*3*4 {
+		t.Fatalf("12 nodes in 3 dimensions take %d bytes", coords)
+	}
+	elastic := NewLandmarkElastic(landmark.BuildIndex(gen.Grid(10, 1), []graph.NodeID{0, 9}, 0), lm.assign, 0)
+	for _, c := range []struct {
+		name string
+		s    Strategy
+		emb  *embed.Embedding
+		want int64
+	}{
+		{"hash", NewHash(), nil, 0},
+		{"hash beside a k-NN embedding", NewHash(), em.emb, coords},
+		{"landmark", lm, nil, 40},
+		{"landmark with its index", elastic, nil, 40 + 40},
+		{"landmark beside a k-NN embedding", lm, em.emb, 40 + coords},
+		{"embed, the router holding its table", em, em.emb, coords},
+		{"embed, the router holding none", em, nil, coords},
+	} {
+		if got := TableBytes(c.s, c.emb); got != c.want {
+			t.Errorf("%s: TableBytes = %d, want %d", c.name, got, c.want)
+		}
+	}
+}

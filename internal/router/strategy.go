@@ -251,6 +251,29 @@ func NewLandmarkElastic(idx *landmark.Index, assign *landmark.Assignment, loadFa
 	return s
 }
 
+// TableBytes reports the memory of the precomputed tables a router holding
+// strategy s and the coordinate table emb (nil when it holds none) routes
+// by: the landmark index and d(u,p) table of a Landmark strategy, and the
+// coordinates — emb, which under embed routing is the strategy's own table.
+// This is Table 3's preprocessing storage; both transports report it as
+// Stats().RoutingTableBytes.
+func TableBytes(s Strategy, emb *embed.Embedding) int64 {
+	var n int64
+	switch s := s.(type) {
+	case *Landmark:
+		n = s.assign.StorageBytes()
+		if s.idx != nil {
+			n += s.idx.StorageBytes()
+		}
+	case *Embed:
+		emb = s.emb
+	}
+	if emb != nil {
+		n += emb.StorageBytes()
+	}
+	return n
+}
+
 func identitySlots(n int) []int {
 	out := make([]int, n)
 	for i := range out {

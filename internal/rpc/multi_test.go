@@ -3,8 +3,12 @@ package rpc
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -104,6 +108,99 @@ func TestClusterLabelledPattern(t *testing.T) {
 	if _, err := bare.Execute(ctx, q); !errors.Is(err, query.ErrBadQuery) {
 		t.Fatalf("labelled pattern on graph-less router: err = %v, want ErrBadQuery", err)
 	}
+}
+
+// startLabelledClusterOverOwnGraph starts a cluster whose router was given a
+// graph nobody else holds, and hands back a weak pointer to that graph, one
+// labelled pattern over it and the oracle's answer.
+//
+//go:noinline
+func startLabelledClusterOverOwnGraph(t *testing.T) (*RouterClient, weak.Pointer[graph.Graph], query.Query, query.Result) {
+	g := gen.KnowledgeGraph(600, 2400, 4, 3, 9)
+	anchor := g.Nodes()[1]
+	q := query.Query{
+		Type: query.PatternMatch,
+		Node: anchor,
+		Pattern: &query.Pattern{
+			Nodes: []query.PatternNode{{Anchor: anchor}, {Label: "type1"}},
+			Edges: []query.PatternEdge{{From: 0, To: 1}},
+		},
+		Dir: graph.Out,
+	}
+	return startClusterCfg(t, g, 2, 3, "hash", true), weak.Make(g), q, query.Answer(g, q)
+}
+
+// TestRouterServerKeepsOnlyTheLabelTable: RouterConfig.Graph is read during
+// construction and not retained — the graph is collectable as soon as the
+// caller lets go — yet labelled patterns and labelled mutations resolve.
+func TestRouterServerKeepsOnlyTheLabelTable(t *testing.T) {
+	cl, wp, q, want := startLabelledClusterOverOwnGraph(t)
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("the graph handed to NewRouterServer is still reachable after construction")
+	}
+	ctx := context.Background()
+	if got, err := cl.Execute(ctx, q); err != nil || got != want {
+		t.Fatalf("labelled pattern: got %+v, %v; want %+v", got, err, want)
+	}
+	if _, err := cl.Mutate(ctx, []Mutation{{Op: query.MutUpsertNode, Node: 5000, Label: "never-seen"}}); err != nil {
+		t.Fatalf("labelled mutation: %v", err)
+	}
+}
+
+// TestLabelledPatternRacesLabelledMutate: planning a labelled pattern reads
+// the router's label table on the request's own goroutine while a labelled
+// mutation interns into it under mutMu, which queries never take. Before the
+// table carried its own lock that was a concurrent map read and map write —
+// a report under -race, a fatal error without it.
+func TestLabelledPatternRacesLabelledMutate(t *testing.T) {
+	g := gen.KnowledgeGraph(600, 2400, 4, 3, 9)
+	cl := startClusterCfg(t, g, 2, 3, "hash", true)
+	ctx := context.Background()
+
+	anchors := g.Nodes()[1:9]
+	qs := make([]query.Query, len(anchors))
+	want := make([]query.Result, len(anchors))
+	for i, a := range anchors {
+		qs[i] = query.Query{
+			Type: query.PatternMatch,
+			Node: a,
+			Pattern: &query.Pattern{
+				Nodes: []query.PatternNode{{Anchor: a}, {Label: fmt.Sprintf("type%d", i%4)}},
+				Edges: []query.PatternEdge{{From: 0, To: 1}},
+			},
+			Dir: graph.Out,
+		}
+		want[i] = query.Answer(g, qs[i])
+	}
+
+	const rounds = 300
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			got, err := cl.Execute(ctx, qs[i%len(qs)])
+			if err != nil || got != want[i%len(qs)] {
+				t.Errorf("pattern %d: got %+v, %v; want %+v", i, got, err, want[i%len(qs)])
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		// Fresh ids past the graph, each under a label nobody has seen: every
+		// one interns, none changes a pattern's answer.
+		first := g.MaxNodeID()
+		for i := 0; i < rounds; i++ {
+			m := Mutation{Op: query.MutUpsertNode, Node: first + graph.NodeID(i), Label: fmt.Sprintf("fresh-%d", i)}
+			if _, err := cl.Mutate(ctx, []Mutation{m}); err != nil {
+				t.Errorf("mutation %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
 }
 
 // TestMultiAnchorCancellation cancels multi-anchor executions mid-stream

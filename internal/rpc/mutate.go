@@ -150,10 +150,10 @@ func (r *RouterServer) internLabel(s string) (graph.Label, error) {
 	if s == "" {
 		return 0, nil
 	}
-	if r.g == nil {
+	if r.labels == nil {
 		return 0, fmt.Errorf("%w: labelled mutations need the router started with the graph (groutingd -graph)", query.ErrBadQuery)
 	}
-	return r.g.InternLabel(s), nil
+	return r.labels.Intern(s), nil
 }
 
 // preimage is a record's stored bytes as they were before the mutation,

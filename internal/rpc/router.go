@@ -87,9 +87,11 @@ type RouterServer struct {
 	// Online mutations + adaptive placement. The router is the single
 	// writer: mutMu serialises mutations and migration cycles, so every
 	// record rewrite is a clean read-modify-write and migration never
-	// races a write. g is the loaded dataset, used only to intern mutation
-	// labels against the same table the loader encoded records with (nil =
-	// only unlabelled mutations are accepted). storage is the same client
+	// races a write. labels is the loaded dataset's label table — the table,
+	// not the dataset: the router resolves pattern labels and interns
+	// mutation labels against the ids the loader encoded records with, and
+	// holds nothing else of the graph (nil = only unlabelled patterns and
+	// mutations are accepted). storage is the same client
 	// the processors read through, built over the seeded shards' pools
 	// (shared with storagePools, not dialled again): its placement domain
 	// is frozen at the seeded shard count — exactly what the processors'
@@ -99,7 +101,7 @@ type RouterServer struct {
 	// by mutMu) exist only when RouterConfig.AdaptivePlacement is set;
 	// placementEvery > 0 runs a cycle automatically after that many
 	// completed queries.
-	g              *graph.Graph
+	labels         *graph.Labels
 	mutMu          sync.Mutex
 	mutations      atomic.Int64
 	storage        *StorageClient
@@ -131,9 +133,12 @@ type RouterConfig struct {
 	// StorageReplicas is the deployment's storage replication factor: the
 	// one the loader and the processors use (0 reads as 1).
 	StorageReplicas int
-	// Graph is the loaded dataset, used to intern mutation labels against
-	// the same label table the loader encoded records with. Routers
-	// started without it reject mutations that carry a non-empty label.
+	// Graph is the loaded dataset. It is read during construction and not
+	// retained: the router keeps its label table only (shared with the
+	// graph, so whoever still holds the graph sees the labels the router
+	// interns), to resolve pattern labels and intern mutation labels
+	// against the ids the loader encoded records with. Routers started
+	// without it reject patterns and mutations that carry a label.
 	Graph *graph.Graph
 	// AdaptivePlacement enables the workload-adaptive placement subsystem:
 	// the router periodically drains per-record heat from the processors,
@@ -189,7 +194,9 @@ func NewRouterServer(addr string, cfg RouterConfig) (*RouterServer, error) {
 	r.rt = rt
 	r.storageTopo = topology.NewTierTrackerAddrs(topology.TierStorage, cfg.StorageAddrs)
 	r.storageView = r.storageTopo.View()
-	r.g = cfg.Graph
+	if cfg.Graph != nil {
+		r.labels = cfg.Graph.Labels()
+	}
 	if cfg.AdaptivePlacement {
 		if len(cfg.StorageAddrs) == 0 {
 			return nil, fmt.Errorf("rpc: adaptive placement needs the router's storage view seeded (StorageAddrs)")
@@ -505,8 +512,8 @@ func (r *RouterServer) executeMultiQuery(ctx context.Context, q query.Query, dea
 		}
 	}
 	var resolve mquery.LabelResolver
-	if r.g != nil {
-		resolve = r.g.LabelID
+	if r.labels != nil {
+		resolve = r.labels.ID
 	}
 	pl, err := mquery.NewPlan(q, resolve)
 	if err != nil {
@@ -780,6 +787,8 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 		Epochs:       r.rt.Events(),
 		RoutingNanos: r.routing.Summary(),
 		QueueDepth:   r.depth.Summary(),
+
+		RoutingTableBytes: router.TableBytes(r.rt.Strategy(), r.emb),
 	}
 	snap.Mutations = r.mutations.Load()
 	if r.planner != nil {

@@ -529,6 +529,8 @@ func sevenProcStatsResponse() *Response {
 			Count: 123456, Mean: 850, P50: 800, P95: 2047, P99: 4095, Max: 90000,
 		},
 		QueueDepth: metrics.Summary{Count: 123456, Mean: 2, P50: 1, P95: 7, P99: 15, Max: 31},
+
+		RoutingTableBytes: 60000 * 8 * 4,
 	}
 	for i := 0; i < 7; i++ {
 		cc := metrics.CacheCounters{

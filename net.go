@@ -3,6 +3,7 @@ package grouting
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"repro/internal/embed"
 	"repro/internal/rpc"
@@ -75,8 +76,15 @@ type RouterSpec struct {
 	// Policy selects the routing scheme. Smart policies (PolicyLandmark,
 	// PolicyEmbed) need Graph for preprocessing.
 	Policy Policy
-	// Graph is the dataset the smart-routing preprocessing runs over
-	// (ignored by the baseline policies).
+	// Graph is the loaded dataset. ServeRouter reads it during
+	// construction — the smart policies' preprocessing runs over it — and
+	// does not retain it: the router keeps the routing tables built from it
+	// and its label table (shared with the graph, not copied), which
+	// labelled patterns and labelled mutations resolve against. A caller
+	// that wants the router's memory to be those tables drops its own
+	// reference too; one that keeps the graph (an oracle, a second client)
+	// simply keeps it. Without a graph the baseline policies still route,
+	// and labelled patterns and mutations are rejected with ErrBadQuery.
 	Graph *Graph
 	// Seed drives the preprocessing's stochastic choices.
 	Seed int64
@@ -141,7 +149,7 @@ func ServeRouter(addr string, spec RouterSpec) (*RouterServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rpc.NewRouterServer(addr, rpc.RouterConfig{
+	rs, err := rpc.NewRouterServer(addr, rpc.RouterConfig{
 		ProcessorAddrs:    spec.Processors,
 		Strategy:          strat,
 		PolicyName:        spec.Policy.String(),
@@ -155,6 +163,18 @@ func ServeRouter(addr string, spec RouterSpec) (*RouterServer, error) {
 		Embedding:         emb,
 		EmbedErr:          embErr,
 	})
+	if err != nil {
+		return nil, err
+	}
+	// The one collection at the boundary between preprocessing and serving,
+	// after the last use of spec.Graph. The heap's next goal is twice what
+	// the last cycle found live: without this the graph — dead but never
+	// collected — and the preprocessing's garbage are still in that figure,
+	// and per-query garbage may grow the heap to twice the graph before the
+	// first collection of the serving phase. Measured on the benchmark's
+	// router (60 k nodes, hash): peak resident 35 MiB without it, 22 with.
+	runtime.GC()
+	return rs, nil
 }
 
 // LoadStorage bulk-loads every live node of g across the storage shards —

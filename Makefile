@@ -1,9 +1,9 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: ci fmt-check vet lint build cross test ledger membudget bench-test race cover fuzz-smoke examples bench-smoke bench suite chaos chaos-smoke loc
+.PHONY: ci fmt-check vet lint build cross test ledger membudget prepbudget bench-test race cover fuzz-smoke examples bench-smoke bench suite chaos chaos-smoke loc
 
-ci: fmt-check lint build cross test ledger membudget bench-test race cover fuzz-smoke examples bench-smoke loc
+ci: fmt-check lint build cross test ledger membudget prepbudget bench-test race cover fuzz-smoke examples bench-smoke loc
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -52,6 +52,16 @@ membudget:
 	@out=$$($(GO) test -count=1 -v -run 'TestMemoryBudget' . 2>&1) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -o 'membudget: .*'
 
+# The preprocessing budget of README's "Preprocessing" row: what embed.Build
+# spends placing a node, in counts that hold on any host — objective
+# evaluations and iterations per placed node and the share of searches that
+# ran into the iteration cap — measured by TestBuildEvaluationBudget and
+# printed as one line. Above 0.6 x the figure before the searches stopped on
+# convergence, or above 5 % capped, prints the whole test output instead.
+prepbudget:
+	@out=$$($(GO) test -count=1 -v -run 'TestBuildEvaluationBudget' ./internal/embed 2>&1) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -o 'prepbudget: .*'
+
 # bench/ is a Go module of its own, so `go test ./...` above does not
 # reach the repository benchmark's unit tests (-short skips its traced
 # smoke run).
@@ -64,10 +74,11 @@ bench-test:
 # the router (strategy registry, stealing/diversion accounting), the
 # topology tracker, the replicated storage tier (membership transitions
 # vs concurrent reads), the placement planner feeding the router's
-# background migration loop, and the traversal kernel whose scratch the
-# processors pool across concurrent batches.
+# background migration loop, the traversal kernel whose scratch the
+# processors pool across concurrent batches, and the virtual-time engine,
+# whose mutation path incorporates nodes into a live index and embedding.
 race:
-	$(GO) test -race ./internal/rpc ./internal/router ./internal/topology ./internal/kvstore ./internal/gstore ./internal/chaos ./internal/placement ./internal/mquery ./internal/embed ./internal/traverse .
+	$(GO) test -race ./internal/core ./internal/rpc ./internal/router ./internal/topology ./internal/kvstore ./internal/gstore ./internal/chaos ./internal/placement ./internal/mquery ./internal/embed ./internal/traverse .
 
 # Coverage ratchet for the storage stack the replication work lives in
 # plus the binary wire protocol, the embedding-provider subsystem and the

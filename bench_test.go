@@ -15,9 +15,11 @@ import (
 	"testing"
 
 	grouting "repro"
+	"repro/internal/embed"
 	"repro/internal/experiments"
 	"repro/internal/gstore"
 	"repro/internal/kvstore"
+	"repro/internal/landmark"
 )
 
 // benchExperiment runs the registered experiment once per iteration.
@@ -200,6 +202,27 @@ func BenchmarkRunWorkload(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkEmbedBuild is the networked router's embedding recipe (32
+// landmarks at least 2 hops apart, 8 dimensions) over a 6,000-node WebGraph:
+// one iteration is one embed.Build. evals/node is a count — the same on
+// every host — and ns/node is what it costs here.
+func BenchmarkEmbedBuild(b *testing.B) {
+	g := grouting.GenerateDataset(grouting.WebGraph, 0.1, 7)
+	idx := landmark.BuildIndex(g, landmark.Select(g, 32, 2), 0)
+	var st embed.BuildStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, err := embed.Build(g, idx, embed.Options{Dimensions: 8, Seed: 7})
+		if err != nil {
+			b.Fatal(err)
+		}
+		st = e.BuildStats()
+	}
+	b.ReportMetric(st.EvalsPerNode(), "evals/node")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumNodes()), "ns/node")
 }
 
 func BenchmarkQueryNoCache(b *testing.B)  { benchQueryPath(b, grouting.PolicyNoCache) }

@@ -200,7 +200,9 @@ type Config struct {
 	FailedProcessors []int
 	// PrepWorkers bounds preprocessing parallelism (0 = GOMAXPROCS).
 	PrepWorkers int
-	// EmbedNM tunes the embedding optimiser (tests shrink it for speed).
+	// EmbedNM tunes the embedding's searches; the zero value takes
+	// embed.Options' defaults. MaxIter is a cap few searches reach, so
+	// lowering it changes the output of those few and saves little time.
 	EmbedNM embed.NMOptions
 	// EmbedProvider supplies node coordinates from a pluggable source
 	// (embed.FileProvider, embed.Service, or any user Embedder) instead of

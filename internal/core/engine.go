@@ -413,6 +413,7 @@ func (ses *Session) SetStorageDelay(slot int, d time.Duration) {
 func (ses *Session) Snapshot() *metrics.Snapshot {
 	ses.applyTopology()
 	strat := ses.rt.Strategy()
+	build := ses.sys.emb.BuildStats()
 	snap := &metrics.Snapshot{
 		Transport:    "local",
 		Policy:       ses.sys.cfg.Policy.String(),
@@ -429,6 +430,8 @@ func (ses *Session) Snapshot() *metrics.Snapshot {
 		QueueDepth:   ses.depth.Summary(),
 
 		RoutingTableBytes: router.TableBytes(strat, ses.sys.emb),
+		EmbedEvalsPerNode: int64(math.Round(build.EvalsPerNode())),
+		EmbedCapped:       build.Capped,
 	}
 	assigned, executed := ses.rt.Assigned(), ses.rt.Executed()
 	stolenBy, divertedFrom := ses.rt.StolenBy(), ses.rt.DivertedFrom()

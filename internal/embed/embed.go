@@ -16,7 +16,9 @@ import (
 type Options struct {
 	// Dimensions of the Euclidean space (paper default: 10).
 	Dimensions int
-	// Seed drives the random initial placements.
+	// Seed drives the landmarks' random restarts and where a node no
+	// landmark reaches is put; a reachable node's row does not depend on it
+	// beyond the anchors.
 	Seed int64
 	// Workers parallelises the per-node phase (0 = GOMAXPROCS); the paper
 	// notes this step "is completely parallelizable per node".
@@ -32,15 +34,55 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	// The simplex needs iterations proportional to the search dimension:
-	// callers set a base budget and the optimiser scales it so higher-
-	// dimensional embeddings do not underfit (they have D+1 vertices to
-	// move, so a flat budget would make added dimensions look worse).
+	// MaxIter is a cap, not the budget: a search ends when Tol says it has
+	// converged, and up to the paper's ten dimensions under 2 % of them get
+	// this far. The cap grows with the dimension (a base plus 12·D — the
+	// simplex has D+1 vertices to move), which keeps that share from
+	// climbing faster than it does (10–15 % at 15–20 dimensions).
 	if o.NM.MaxIter <= 0 {
 		o.NM.MaxIter = 100
 	}
 	o.NM.MaxIter += 12 * o.Dimensions
+	// The objective is a mean relative error (Eq 4) of integer hop
+	// distances, and the coordinates are stored as float32: a simplex whose
+	// vertices agree to a tenth of a percentage point has converged. The
+	// bare optimiser's 1e-6 never fired on it (96 % of searches ran to the
+	// cap while the value moved in the third decimal).
+	if o.NM.Tol <= 0 {
+		o.NM.Tol = 1e-3
+	}
+	// The first simplex spans 2.5 hops a side: the start is the nearest
+	// landmark, typically a few hops off, and of the edges swept (0.5–4 on
+	// the 60 k-node WebGraph preset, five seeds) 2.5 and 3 need the fewest
+	// evaluations per placed node — 151 and 150, against 158 at 2 and 162
+	// at 1 — with the landmark fit held; 2.5 has the lower pair error.
+	if o.NM.Step == 0 {
+		o.NM.Step = 2.5
+	}
 	return o
+}
+
+// BuildStats is what Build's per-node searches cost, in counts that do not
+// depend on the host: nodes placed by a search, simplex iterations,
+// objective evaluations, and searches that ended at NMOptions.MaxIter
+// instead of converging. The landmarks' own placement is not included.
+type BuildStats struct {
+	Placed, Iterations, Evaluations, Capped int64
+}
+
+// EvalsPerNode is the objective evaluations a placed node cost.
+func (b BuildStats) EvalsPerNode() float64 {
+	if b.Placed == 0 {
+		return 0
+	}
+	return float64(b.Evaluations) / float64(b.Placed)
+}
+
+func (b *BuildStats) add(o BuildStats) {
+	b.Placed += o.Placed
+	b.Iterations += o.Iterations
+	b.Evaluations += o.Evaluations
+	b.Capped += o.Capped
 }
 
 // Embedding holds D coordinates per node id — O(n·D) router storage,
@@ -48,6 +90,16 @@ func (o Options) withDefaults() Options {
 type Embedding struct {
 	D      int
 	coords []float32 // flat, row-major [node][dim]
+	stats  BuildStats
+}
+
+// BuildStats reports what building e cost; zero for an embedding that was
+// decoded from a file or materialised from a provider, and for nil.
+func (e *Embedding) BuildStats() BuildStats {
+	if e == nil {
+		return BuildStats{}
+	}
+	return e.stats
 }
 
 // NumNodes returns the node-id capacity of the embedding.
@@ -133,6 +185,13 @@ func Build(g *graph.Graph, idx *landmark.Index, opts Options) (*Embedding, error
 	rng := xrand.New(opts.Seed)
 
 	anchors := embedLandmarks(idx, opts, rng)
+	// Nodes are placed against the anchors as the table will store them, so
+	// that IncorporateNode, which has only the table, reproduces the row.
+	for _, a := range anchors {
+		for k, v := range a {
+			a[k] = float64(float32(v))
+		}
+	}
 
 	// Per-node placement, parallel with deterministic per-node seeds.
 	n := idx.NumNodes()
@@ -148,11 +207,13 @@ func Build(g *graph.Graph, idx *landmark.Index, opts Options) (*Embedding, error
 
 	var wg sync.WaitGroup
 	ids := make(chan int)
+	perWorker := make([]BuildStats, opts.Workers)
 	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var s scratch
+			defer func() { perWorker[w] = s.stats }()
 			for u := range ids {
 				node := graph.NodeID(u)
 				var p []float64
@@ -180,6 +241,9 @@ func Build(g *graph.Graph, idx *landmark.Index, opts Options) (*Embedding, error
 	}
 	close(ids)
 	wg.Wait()
+	for _, st := range perWorker {
+		e.stats.add(st)
+	}
 	return e, nil
 }
 
@@ -249,10 +313,13 @@ func embedLandmarks(idx *landmark.Index, opts Options, rng *xrand.Source) [][]fl
 }
 
 // placeNode embeds one node against the anchors, minimising the aggregate
-// relative error to every landmark that reaches it. The random choices come
-// from s.rng, which the caller seeds per node; the point returned is an
-// anchor's or the scratch's own, to be copied before the scratch is used
-// again.
+// relative error to every landmark that reaches it. The search starts at the
+// nearest landmark's own coordinates, so the row is a function of the
+// anchors and the node's distances alone — two neighbours with near-equal
+// distance vectors walk to the same minimum of a non-convex objective — and
+// s.rng, which the caller seeds per node, is drawn from only for a node no
+// landmark reaches. The point returned is an anchor's or the scratch's own,
+// to be copied before the scratch is used again.
 func (s *scratch) placeNode(idx *landmark.Index, anchors [][]float64, u graph.NodeID, opts Options) []float64 {
 	s.fit(opts.Dimensions)
 	terms := s.terms[:0]
@@ -294,11 +361,8 @@ func (s *scratch) placeNode(idx *landmark.Index, anchors [][]float64, u graph.No
 		}
 		return sum / float64(len(terms))
 	}
-	// Initialise near the closest landmark, jittered by its hop distance.
-	for k := range s.x0 {
-		s.x0[k] = nearest[k] + s.rng.NormFloat64()*nearestD/2
-	}
-	x, _ := s.nelderMead(obj, s.x0, opts.NM)
+	s.stats.Placed++
+	x, _ := s.nelderMead(obj, nearest, opts.NM)
 	return x
 }
 
@@ -327,10 +391,10 @@ func (e *Embedding) IncorporateNode(idx *landmark.Index, u graph.NodeID, opts Op
 }
 
 // MeasureLandmarkFit returns the mean relative error (Eq 4) between true
-// node→landmark hop distances and their embedded Euclidean distances,
-// over sampled nodes — the quantity the Simplex Downhill search actually
-// minimises, and the paper's measure of how faithfully an embedding of a
-// given dimensionality preserves distances (Figure 12a).
+// node→landmark hop distances and their embedded Euclidean distances, over
+// sampled nodes. This is the objective the Simplex Downhill searches
+// minimise — how well the optimiser did its job — and Figure 12(a)'s first
+// column here; it is NOT what the paper plots (see MeasureRelativeError).
 func MeasureLandmarkFit(idx *landmark.Index, e *Embedding, samples int, seed int64) float64 {
 	rng := xrand.New(seed)
 	n := e.NumNodes()
@@ -365,9 +429,12 @@ func MeasureLandmarkFit(idx *landmark.Index, e *Embedding, samples int, seed int
 }
 
 // MeasureRelativeError samples node pairs within maxHops of each other and
-// returns the mean relative distance error (Eq 4) of the embedding — the
-// quantity plotted in Figure 12(a). Pairs are drawn deterministically from
-// seed; pairs whose true distance is 0 or unreachable are skipped.
+// returns the mean relative distance error (Eq 4) of the embedding between
+// them — the paper's own measure of an embedding, the quantity plotted in
+// Figure 12(a), and what routing depends on: no search minimises it, it is
+// what fitting every node to the landmarks is hoped to buy. Pairs are drawn
+// deterministically from seed; pairs whose true distance is 0 or
+// unreachable are skipped.
 func MeasureRelativeError(g *graph.Graph, e *Embedding, samples, maxHops int, seed int64) float64 {
 	rng := xrand.New(seed)
 	nodes := g.Nodes()

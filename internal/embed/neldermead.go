@@ -13,12 +13,17 @@ import (
 
 // NMOptions tunes the Nelder–Mead search.
 type NMOptions struct {
-	// MaxIter bounds the number of simplex iterations (default 200).
+	// MaxIter caps the number of simplex iterations (default 200).
 	MaxIter int
-	// Tol stops the search when the absolute spread between the best and
-	// worst simplex vertex values falls below it (default 1e-6).
+	// Tol is the stop rule: the search has converged when the best and the
+	// worst simplex vertex values are closer than Tol, an absolute spread
+	// in the objective's own units — so the right value depends on what f
+	// measures. The default, 1e-6, suits a caller of the bare optimiser who
+	// says nothing about f; Options.withDefaults picks the one for the
+	// embedding's objective.
 	Tol float64
-	// Step is the initial simplex edge length (default 1.0).
+	// Step is the initial simplex edge length (default 1.0), in the units
+	// of x.
 	Step float64
 }
 
@@ -46,14 +51,16 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts NMOptions) ([]floa
 
 // scratch is the working set of one placement at a time: the simplex and
 // its trial points, the start point, the list of anchors a node is fitted
-// against, and the node's random stream. The preprocessing places every
-// node of the graph, so whoever places many (a Build worker) keeps one and
-// the searches allocate nothing; the float windows are cut from one slab.
+// against, the node's random stream, and the running cost of the searches
+// made on it. The preprocessing places every node of the graph, so whoever
+// places many (a Build worker) keeps one and the searches allocate nothing;
+// the float windows are cut from one slab.
 type scratch struct {
 	pts                               [][]float64 // the n+1 simplex vertices
 	vals, centroid, trial, trial2, x0 []float64
 	terms                             []term
 	rng                               xrand.Source
+	stats                             BuildStats
 }
 
 // term is one anchor a node is fitted against and its hop distance to it.
@@ -106,29 +113,21 @@ func (s *scratch) nelderMead(f func([]float64) float64, x0 []float64, opts NMOpt
 		}
 		vals[i] = f(p)
 	}
+	evals := n + 1
 
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	iter := 0
+	for ; iter < opts.MaxIter; iter++ {
 		// Order: locate best, worst, second-worst.
-		best, worst, second := 0, 0, 0
+		best, worst, second := 0, 0, -1
 		for i := 1; i <= n; i++ {
 			if vals[i] < vals[best] {
 				best = i
 			}
-			if vals[i] > vals[worst] {
-				worst = i
-			}
-		}
-		for i := 0; i <= n; i++ {
-			if i != worst && vals[i] > vals[second] {
+			switch {
+			case vals[i] > vals[worst]:
+				worst, second = i, worst
+			case second < 0 || vals[i] > vals[second]:
 				second = i
-			}
-		}
-		if second == worst { // degenerate (n==0 handled above; n==1 duplicates)
-			for i := 0; i <= n; i++ {
-				if i != worst {
-					second = i
-					break
-				}
 			}
 		}
 		if vals[worst]-vals[best] < opts.Tol {
@@ -156,6 +155,7 @@ func (s *scratch) nelderMead(f func([]float64) float64, x0 []float64, opts NMOpt
 			trial[j] = centroid[j] + (centroid[j] - pts[worst][j])
 		}
 		fr := f(trial)
+		evals++
 		switch {
 		case fr < vals[best]:
 			// Expansion.
@@ -163,6 +163,7 @@ func (s *scratch) nelderMead(f func([]float64) float64, x0 []float64, opts NMOpt
 				trial2[j] = centroid[j] + 2*(centroid[j]-pts[worst][j])
 			}
 			fe := f(trial2)
+			evals++
 			if fe < fr {
 				copy(pts[worst], trial2)
 				vals[worst] = fe
@@ -186,6 +187,7 @@ func (s *scratch) nelderMead(f func([]float64) float64, x0 []float64, opts NMOpt
 				}
 			}
 			fc := f(trial2)
+			evals++
 			if fc < vals[worst] && fc <= fr {
 				copy(pts[worst], trial2)
 				vals[worst] = fc
@@ -200,8 +202,15 @@ func (s *scratch) nelderMead(f func([]float64) float64, x0 []float64, opts NMOpt
 					}
 					vals[i] = f(pts[i])
 				}
+				evals += n
 			}
 		}
+	}
+
+	s.stats.Iterations += int64(iter)
+	s.stats.Evaluations += int64(evals)
+	if iter == opts.MaxIter {
+		s.stats.Capped++
 	}
 
 	best := 0

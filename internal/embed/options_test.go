@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// TestOptionsWithDefaults pins the withDefaults contract, in particular
-// the NM.MaxIter mutation: the simplex budget is scaled by the search
-// dimensionality UNCONDITIONALLY — an explicit MaxIter is a base budget,
-// not a cap, and gets the same +12·D top-up the default does. Routing
-// quality silently regresses if this drifts, so it is pinned here.
+// TestOptionsWithDefaults pins the withDefaults contract: the placement
+// searches' own tolerance (1e-3, in the objective's units) and first simplex
+// edge (2.5 hops) unless the caller names others, and the NM.MaxIter mutation —
+// the cap is scaled by the search dimensionality UNCONDITIONALLY, so an
+// explicit MaxIter gets the same +12·D top-up the default does. The
+// embedding's output changes if any of these drifts, so they are pinned here.
 func TestOptionsWithDefaults(t *testing.T) {
 	cases := []struct {
 		name string
@@ -20,19 +21,19 @@ func TestOptionsWithDefaults(t *testing.T) {
 			name: "zero value takes paper defaults",
 			in:   Options{},
 			want: Options{Dimensions: 10, Workers: runtime.GOMAXPROCS(0),
-				NM: NMOptions{MaxIter: 100 + 12*10}},
+				NM: NMOptions{MaxIter: 100 + 12*10, Tol: 1e-3, Step: 2.5}},
 		},
 		{
 			name: "explicit MaxIter still gains the dimensional top-up",
 			in:   Options{Dimensions: 4, NM: NMOptions{MaxIter: 60}},
 			want: Options{Dimensions: 4, Workers: runtime.GOMAXPROCS(0),
-				NM: NMOptions{MaxIter: 60 + 12*4}},
+				NM: NMOptions{MaxIter: 60 + 12*4, Tol: 1e-3, Step: 2.5}},
 		},
 		{
 			name: "negative knobs normalise like zero",
 			in:   Options{Dimensions: -3, Workers: -1, NM: NMOptions{MaxIter: -5}},
 			want: Options{Dimensions: 10, Workers: runtime.GOMAXPROCS(0),
-				NM: NMOptions{MaxIter: 100 + 12*10}},
+				NM: NMOptions{MaxIter: 100 + 12*10, Tol: 1e-3, Step: 2.5}},
 		},
 		{
 			name: "seed and NM tolerances pass through untouched",

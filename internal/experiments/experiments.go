@@ -42,7 +42,9 @@ type Scale struct {
 	Landmarks int
 	MinSep    int
 	Dims      int
-	// NMIter bounds the embedding optimiser.
+	// NMIter is the base of the embedding searches' iteration cap
+	// (embed.Options adds 12 per dimension); they stop on convergence long
+	// before it except at fig12's 15+ dimensions.
 	NMIter int
 	// Seed drives everything.
 	Seed int64

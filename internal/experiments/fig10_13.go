@@ -175,7 +175,7 @@ func runFig12a(w io.Writer, sc Scale) error {
 	lms := landmark.Select(g, sc.Landmarks, sc.MinSep)
 	idx := landmark.BuildIndex(g, lms, 0)
 	dims := []int{2, 5, 10, 15, 20}
-	type fitRow struct{ fit, pairErr float64 }
+	type fitRow struct{ fit, pairErr, iters float64 }
 	rows := make([]fitRow, len(dims))
 	cells := make([]func() error, len(dims))
 	for i, d := range dims {
@@ -185,9 +185,11 @@ func runFig12a(w io.Writer, sc Scale) error {
 			if err != nil {
 				return err
 			}
+			st := emb.BuildStats()
 			rows[i] = fitRow{
 				fit:     embed.MeasureLandmarkFit(idx, emb, 400, sc.Seed+9),
 				pairErr: embed.MeasureRelativeError(g, emb, 300, 2, sc.Seed+9),
+				iters:   float64(st.Iterations) / float64(max(st.Placed, 1)),
 			}
 			return nil
 		}
@@ -195,9 +197,9 @@ func runFig12a(w io.Writer, sc Scale) error {
 	if err := runCells(cells); err != nil {
 		return err
 	}
-	t := metrics.NewTable("dimensions", "distance-fit-error(Eq4)", "2-hop-pair-error")
+	t := metrics.NewTable("dimensions", "distance-fit-error(Eq4)", "2-hop-pair-error", "iterations-per-node")
 	for i, d := range dims {
-		t.AddRow(d, fmt.Sprintf("%.3f", rows[i].fit), fmt.Sprintf("%.3f", rows[i].pairErr))
+		t.AddRow(d, fmt.Sprintf("%.3f", rows[i].fit), fmt.Sprintf("%.3f", rows[i].pairErr), fmt.Sprintf("%.1f", rows[i].iters))
 	}
 	fmt.Fprintln(w, "paper: error decreases with dimensions, saturating around 10")
 	_, err = fmt.Fprint(w, t.String())

@@ -92,6 +92,10 @@ func runTable2(w io.Writer, sc Scale) error {
 	t.AddRow("BFS total ("+fmt.Sprint(p.Landmarks)+" landmarks)", p.BFSTime, "-")
 	t.AddRow("embedding total", p.EmbedNodeTime, "-")
 	t.AddRow("embedding per node", perNodeEmbed, "1 s")
+	if st := sys.Embedding().BuildStats(); st.Placed > 0 {
+		t.AddRow("  objective evaluations per node", fmt.Sprintf("%.1f", st.EvalsPerNode()), "-")
+		t.AddRow("  searches ended by the iteration cap", fmt.Sprintf("%.1f%%", 100*float64(st.Capped)/float64(st.Placed)), "-")
+	}
 	_, err = fmt.Fprint(w, t.String())
 	return err
 }

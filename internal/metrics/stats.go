@@ -343,6 +343,14 @@ type Snapshot struct {
 	// preprocessing-storage row (Table 3), and what a router's resident
 	// size should be a small multiple of. Zero for the baseline policies.
 	RoutingTableBytes int64
+	// EmbedEvalsPerNode and EmbedCapped are what building the embedding
+	// cost this router (embed.BuildStats): objective evaluations per node
+	// placed, rounded, and how many of those searches ran into the
+	// iteration cap instead of converging. Counts, so equal wherever the
+	// graph, seed and parameters are; zero when no embedding was built
+	// here (another policy, or coordinates served from a file or provider).
+	EmbedEvalsPerNode int64
+	EmbedCapped       int64
 }
 
 // String renders the snapshot as aligned tables (the same renderer the
@@ -358,6 +366,9 @@ func (s *Snapshot) String() string {
 	fmt.Fprintf(&b, "queue depth: p50=%d p99=%d p999=%d max=%d\n",
 		s.QueueDepth.P50, s.QueueDepth.P99, s.QueueDepth.P999, s.QueueDepth.Max)
 	fmt.Fprintf(&b, "routing tables: %d bytes\n", s.RoutingTableBytes)
+	if s.EmbedEvalsPerNode > 0 {
+		fmt.Fprintf(&b, "embedding build: %d evaluations per node, %d searches capped\n", s.EmbedEvalsPerNode, s.EmbedCapped)
+	}
 	t := NewTable("proc", "status", "assigned", "executed", "stolen", "diverted", "queue", "hits", "misses", "hit%", "evict", "inval-pend", "inval-done")
 	for _, p := range s.PerProc {
 		status := p.Status

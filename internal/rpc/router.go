@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"slices"
 	"sync"
@@ -775,6 +776,7 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	view := r.rt.View()
+	build := r.emb.BuildStats()
 	snap := &metrics.Snapshot{
 		Transport:    "tcp",
 		Policy:       r.policyName,
@@ -789,6 +791,8 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 		QueueDepth:   r.depth.Summary(),
 
 		RoutingTableBytes: router.TableBytes(r.rt.Strategy(), r.emb),
+		EmbedEvalsPerNode: int64(math.Round(build.EvalsPerNode())),
+		EmbedCapped:       build.Capped,
 	}
 	snap.Mutations = r.mutations.Load()
 	if r.planner != nil {

@@ -531,6 +531,8 @@ func sevenProcStatsResponse() *Response {
 		QueueDepth: metrics.Summary{Count: 123456, Mean: 2, P50: 1, P95: 7, P99: 15, Max: 31},
 
 		RoutingTableBytes: 60000 * 8 * 4,
+		EmbedEvalsPerNode: 151,
+		EmbedCapped:       260,
 	}
 	for i := 0; i < 7; i++ {
 		cc := metrics.CacheCounters{

@@ -2,7 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"io"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -202,8 +206,8 @@ func TestKNNMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestEveryExperimentRuns smoke-tests each runner at tiny scale: it must
-// complete without error and produce a non-trivial table.
+// TestEveryExperimentRuns runs each experiment on its own at tiny scale, in
+// parallel; what it prints is TestSuiteGolden's business.
 func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke tests take a few seconds")
@@ -212,17 +216,84 @@ func TestEveryExperimentRuns(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			var buf bytes.Buffer
-			if err := e.Run(&buf, tiny); err != nil {
+			if err := e.Run(io.Discard, tiny); err != nil {
 				t.Fatalf("%s failed: %v", e.ID, err)
-			}
-			out := buf.String()
-			if !strings.Contains(out, e.ID) {
-				t.Errorf("%s output missing banner:\n%s", e.ID, out)
-			}
-			if len(strings.Split(out, "\n")) < 4 {
-				t.Errorf("%s output suspiciously short:\n%s", e.ID, out)
 			}
 		})
 	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/suite_tiny.golden from what the suite prints now")
+
+// maskGolden removes from the suite's output what is not the experiments'
+// to decide: table2's measured column is wall time (the durations go, and
+// with them the padding their width sets), and the notices about artifact
+// files are the caller's.
+func maskGolden(out string) string {
+	durations := regexp.MustCompile(`[0-9.]+(ns|µs|ms|s)\b`)
+	padding := regexp.MustCompile(`  +|--+`)
+	var b strings.Builder
+	inTable2 := false
+	for _, line := range strings.SplitAfter(out, "\n") {
+		if strings.HasPrefix(line, "== ") {
+			inTable2 = strings.HasPrefix(line, "== table2 ")
+		} else if inTable2 {
+			line = padding.ReplaceAllString(durations.ReplaceAllString(line, "<wall>"), " ")
+		}
+		if strings.HasPrefix(line, "BENCH_") && strings.Contains(line, ": skipped") {
+			continue
+		}
+		b.WriteString(line)
+	}
+	return b.String()
+}
+
+// TestSuiteGolden pins what every registered experiment prints at tiny
+// scale, byte for byte, to the output of the hand-written runners this
+// package had before the figures became a sweep table.
+func TestSuiteGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole suite at tiny scale")
+	}
+	var buf bytes.Buffer
+	for _, e := range All() {
+		if err := e.Run(&buf, tiny); err != nil {
+			t.Fatalf("%s failed: %v", e.ID, err)
+		}
+		buf.WriteByte('\n')
+	}
+	got := maskGolden(buf.String())
+	const path = "testdata/suite_tiny.golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("suite output differs from %s:\n%s", path, lineDiff(string(want), got))
+	}
+}
+
+// lineDiff lists the lines at which two texts differ.
+func lineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var b strings.Builder
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			fmt.Fprintf(&b, "line %d:\n  want %q\n  got  %q\n", i+1, wl, gl)
+		}
+	}
+	return b.String()
 }

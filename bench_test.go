@@ -11,7 +11,6 @@
 package grouting_test
 
 import (
-	"io"
 	"testing"
 
 	grouting "repro"
@@ -31,7 +30,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := e.Run(io.Discard, experiments.Quick); err != nil {
+		if _, err := e.Run(experiments.Quick); err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
 	}

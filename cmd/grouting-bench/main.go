@@ -14,13 +14,17 @@
 // to a serial run at any worker count.
 //
 // Output is a paper-style text table per experiment, with the expected
-// qualitative shape quoted from the paper next to the measured rows.
+// qualitative shape quoted from the paper next to the measured rows. With
+// -benchdir set, each experiment's Result — the same tables with the cells
+// still numbers — is also written there as BENCH_<id>.json.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/experiments"
@@ -35,11 +39,10 @@ func main() {
 		hotspots   = flag.Int("hotspots", 0, "override the number of workload hotspots")
 		seed       = flag.Int64("seed", 0, "override the experiment seed")
 		parallel   = flag.Int("parallel", 1, "worker pool size for independent experiment cells; 0 = GOMAXPROCS, 1 = serial (results are identical at any setting)")
-		benchDir   = flag.String("benchdir", ".", "directory for machine-readable BENCH_*.json artifacts ('' disables them)")
+		benchDir   = flag.String("benchdir", "", "directory to write each experiment's result to as BENCH_<id>.json ('' writes no files)")
 	)
 	flag.Parse()
 	experiments.SetParallelism(*parallel)
-	experiments.SetBenchDir(*benchDir)
 
 	if *list {
 		for _, e := range experiments.All() {
@@ -83,12 +86,33 @@ func main() {
 		toRun = []experiments.Experiment{e}
 	}
 
-	for _, e := range toRun {
-		start := time.Now()
-		if err := e.Run(os.Stdout, sc); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
+	err := experiments.RunAll(toRun, sc, func(res experiments.Result, took time.Duration) {
+		if err := show(res, *benchDir); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s completed in %v)\n\n", res.ID, took.Round(time.Millisecond))
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
+}
+
+// show prints a result and, given a bench directory, writes it there as
+// BENCH_<id>.json.
+func show(res experiments.Result, benchDir string) error {
+	if err := experiments.Render(os.Stdout, res); err != nil || benchDir == "" {
+		return err
+	}
+	path := filepath.Join(benchDir, "BENCH_"+res.ID+".json")
+	data, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		return fmt.Errorf("encode %s: %w", path, err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return nil
 }

@@ -42,8 +42,10 @@ func NewLiveHarness() *LiveHarness { return &LiveHarness{} }
 
 func (h *LiveHarness) Name() string { return "live" }
 
-// Supports: kill and restart are real over TCP; everything else is not
-// expressible with client-side placement and static shard lists.
+// Supports: kill and restart are real over TCP. Drain, add, netsplit, heal
+// and slow-link are not implemented on this harness and come back Skipped —
+// the rpc tier itself has join, drain and membership; driving them (and
+// link faults) from here is ROADMAP item 4.
 func (h *LiveHarness) Supports(a Action) bool {
 	return a == ActionKill || a == ActionRestart
 }

@@ -2,64 +2,55 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/chaos"
-	"repro/internal/metrics"
 )
 
 func init() {
-	register(Experiment{
-		ID: "chaos", Paper: "design (§1)",
-		Desc: "run the built-in chaos scenarios on the virtual-time engine: scripted kills, splits, slow links and scale events against the invariants",
-		Run:  runChaos,
-	})
+	register("chaos", "design (§1)", "run the built-in chaos scenarios on the virtual-time engine: scripted kills, splits, slow links and scale events against the invariants", runChaos)
 }
 
-// runChaos executes every built-in chaos scenario on the simnet harness
-// and renders one row per run. Unlike the other experiments this one is
-// pass/fail rather than a measurement sweep: the scenarios carry their own
+// runChaos executes every built-in chaos scenario on the simnet harness,
+// one row per run. Unlike the other experiments this one is pass/fail
+// rather than a measurement sweep: the scenarios carry their own
 // invariants (zero wrong answers, goodput floors, recovery deadlines,
 // bounded re-replication), and any violation fails the experiment. Scale
 // is ignored — each scenario fixes its own topology and workload so the
 // invariant thresholds stay meaningful.
-func runChaos(w io.Writer, _ Scale) error {
-	e, _ := Get("chaos")
-	header(w, e)
-	t := metrics.NewTable("scenario", "verdict", "answered", "wrong", "unavail", "goodput-ratio", "max-recovery", "rejoin%")
+func runChaos(Scale) (Result, error) {
+	t := Table{Columns: columns("scenario", "verdict", "answered", "wrong", "unavail", "goodput-ratio", "max-recovery", "rejoin%|%.1f")}
+	res := Result{Foot: []string{
+		"each scenario scripts faults at workload-progress points and checks its own",
+		"invariants; rejoin% is a warm restart's re-replication relative to a full",
+		"shard copy (the WAL+snapshot recovery keeps it to the crash-window delta)",
+	}}
 	violations := 0
 	for _, name := range chaos.BuiltinNames() {
-		sc := chaos.Builtin(name)
-		res, err := chaos.Run(sc, func() chaos.Harness { return chaos.NewSimHarness() })
+		run, err := chaos.Run(chaos.Builtin(name), func() chaos.Harness { return chaos.NewSimHarness() })
 		if err != nil {
-			return fmt.Errorf("chaos %s: %w", name, err)
+			return Result{}, fmt.Errorf("chaos %s: %w", name, err)
 		}
 		verdict := "PASS"
-		if !res.Passed() {
+		if !run.Passed() {
 			verdict = "FAIL"
-			violations += len(res.Violations)
+			violations += len(run.Violations)
 		}
-		rec, rejoin := "-", "-"
-		if res.MaxRecovery >= 0 {
-			rec = fmt.Sprintf("%d", res.MaxRecovery)
+		var rec, rejoin any = "-", "-"
+		if run.MaxRecovery >= 0 {
+			rec = run.MaxRecovery
 		}
-		if res.RejoinFraction >= 0 {
-			rejoin = fmt.Sprintf("%.1f", 100*res.RejoinFraction)
+		if run.RejoinFraction >= 0 {
+			rejoin = 100 * run.RejoinFraction
 		}
-		t.AddRow(name, verdict,
-			fmt.Sprintf("%d/%d", res.Answered, res.Total),
-			res.Wrong, res.Unavailable,
-			fmt.Sprintf("%.2f", res.GoodputRatio), rec, rejoin)
-		for _, v := range res.Violations {
-			fmt.Fprintf(w, "  %s VIOLATION: %s\n", name, v)
+		t.Rows = append(t.Rows, []any{name, verdict, fmt.Sprintf("%d/%d", run.Answered, run.Total),
+			run.Wrong, run.Unavailable, run.GoodputRatio, rec, rejoin})
+		for _, v := range run.Violations {
+			res.Head = append(res.Head, fmt.Sprintf("  %s VIOLATION: %s", name, v))
 		}
 	}
-	fmt.Fprint(w, t.String())
-	fmt.Fprintln(w, "each scenario scripts faults at workload-progress points and checks its own")
-	fmt.Fprintln(w, "invariants; rejoin% is a warm restart's re-replication relative to a full")
-	fmt.Fprintln(w, "shard copy (the WAL+snapshot recovery keeps it to the crash-window delta)")
+	res.Tables = []Table{t}
 	if violations > 0 {
-		return fmt.Errorf("%d invariant violation(s) across the chaos scenarios", violations)
+		return res, fmt.Errorf("%d invariant violation(s) across the chaos scenarios", violations)
 	}
-	return nil
+	return res, nil
 }

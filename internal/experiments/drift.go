@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/core"
@@ -15,11 +14,7 @@ import (
 )
 
 func init() {
-	register(Experiment{
-		ID: "drift", Paper: "design (§1)",
-		Desc: "hotspot workload whose center moves mid-run: adaptive placement vs static vs full re-load, windowed goodput after the drift",
-		Run:  runDrift,
-	})
+	register("drift", "design (§1)", "hotspot workload whose center moves mid-run: adaptive placement vs static vs full re-load, windowed goodput after the drift", runDrift)
 }
 
 // The drift cells share one locality-sensitive deployment: a small cache
@@ -71,23 +66,12 @@ type driftCell struct {
 	oracle bool
 }
 
-// driftMeasure is one cell's outcome.
+// driftMeasure is one cell's outcome: goodput per phase-B window, the
+// mean of the last driftTail of them, and what placement moved.
 type driftMeasure struct {
-	Windows []float64                 `json:"windows_goodput_qps"`
-	Tail    float64                   `json:"tail_goodput_qps"`
-	Moved   metrics.PlacementCounters `json:"placement"`
-}
-
-// driftReport is the machine-readable artifact (BENCH_drift.json).
-type driftReport struct {
-	Experiment      string                  `json:"experiment"`
-	Nodes           int                     `json:"nodes"`
-	Queries         int                     `json:"queries_per_phase"`
-	Affinity        float64                 `json:"storage_affinity"`
-	BudgetBytes     int64                   `json:"budget_bytes_per_cycle"`
-	Cells           map[string]driftMeasure `json:"cells"`
-	Recovery        float64                 `json:"recovery_fraction"`
-	BudgetRespected bool                    `json:"budget_respected"`
+	windows []float64
+	tail    float64
+	moved   metrics.PlacementCounters
 }
 
 // runDrift measures what the adaptive-placement subsystem is for. Phase A
@@ -101,22 +85,10 @@ type driftReport struct {
 // virtual second) is measured per window across phase B; the headline is
 // the recovery fraction — how much of the static→re-load goodput gap the
 // bounded online planner closes by the final windows.
-func runDrift(w io.Writer, sc Scale) error {
-	rep, err := driftRun(w, sc)
-	if err != nil {
-		return err
-	}
-	return writeBenchJSON(w, "drift", rep)
-}
-
-// driftRun executes the three cells and returns the machine-readable
-// report (the runner wraps it; the acceptance test asserts on it).
-func driftRun(w io.Writer, sc Scale) (driftReport, error) {
-	e, _ := Get("drift")
-	header(w, e)
+func runDrift(sc Scale) (Result, error) {
 	g, err := loadPreset(gen.WebGraph, sc)
 	if err != nil {
-		return driftReport{}, err
+		return Result{}, err
 	}
 	// The drifting workload: repeated 1-hop reads pinned at hotspot
 	// vertices. Pinning (rather than sampling a region) is what makes a
@@ -134,7 +106,6 @@ func driftRun(w io.Writer, sc Scale) (driftReport, error) {
 	results := make([]driftMeasure, len(cells))
 	work := make([]func() error, len(cells))
 	for i, cell := range cells {
-		i, cell := i, cell
 		work[i] = func() error {
 			m, err := runDriftCell(g, sc, cell, qsA, qsB)
 			if err != nil {
@@ -145,52 +116,34 @@ func driftRun(w io.Writer, sc Scale) (driftReport, error) {
 		}
 	}
 	if err := runCells(work); err != nil {
-		return driftReport{}, err
+		return Result{}, err
 	}
 
-	t := metrics.NewTable("cell", "first-win q/s", "last-win q/s", "tail q/s", "moved", "moved-KiB", "cycles")
+	t := Table{Columns: columns("cell", "first-win q/s|%.0f", "last-win q/s|%.0f", "tail q/s|%.0f", "moved", "moved-KiB|%.1f", "cycles")}
 	for i, cell := range cells {
 		m := results[i]
-		t.AddRow(cell.name,
-			fmt.Sprintf("%.0f", m.Windows[0]),
-			fmt.Sprintf("%.0f", m.Windows[len(m.Windows)-1]),
-			fmt.Sprintf("%.0f", m.Tail),
-			m.Moved.Moved,
-			fmt.Sprintf("%.1f", float64(m.Moved.MovedBytes)/1024),
-			m.Moved.Cycles)
+		t.Rows = append(t.Rows, []any{cell.name, m.windows[0], m.windows[len(m.windows)-1], m.tail,
+			m.moved.Moved, float64(m.moved.MovedBytes) / 1024, m.moved.Cycles})
 	}
-	fmt.Fprint(w, t.String())
 
 	static, adaptive, reload := results[0], results[1], results[2]
 	recovery := 1.0
-	if gap := reload.Tail - static.Tail; gap > 0 {
-		recovery = (adaptive.Tail - static.Tail) / gap
+	if gap := reload.tail - static.tail; gap > 0 {
+		recovery = (adaptive.tail - static.tail) / gap
 	}
+	pc := adaptive.moved
+	res := Result{Tables: []Table{t}, Foot: []string{
+		fmt.Sprintf("recovery fraction: %.2f of the static→re-load goodput gap closed by the", recovery),
+		fmt.Sprintf("bounded online planner (target >= 0.90); adaptive migrated %d KiB over %d", pc.MovedBytes/1024, pc.Cycles),
+		fmt.Sprintf("cycles against a %d KiB/cycle budget", int64(driftBudget)/1024),
+	}}
 	// The budget bound is structural: the planner may never move more than
 	// budget bytes per cycle, so the aggregate must obey cycles × budget.
 	// A violation is a bug, not a measurement.
-	pc := adaptive.Moved
-	budgetOK := pc.MovedBytes <= pc.Cycles*driftBudget
-	fmt.Fprintf(w, "recovery fraction: %.2f of the static→re-load goodput gap closed by the\n", recovery)
-	fmt.Fprintf(w, "bounded online planner (target >= 0.90); adaptive migrated %d KiB over %d\n", pc.MovedBytes/1024, pc.Cycles)
-	fmt.Fprintf(w, "cycles against a %d KiB/cycle budget\n", int64(driftBudget)/1024)
-	if !budgetOK {
-		return driftReport{}, fmt.Errorf("budget violated: moved %d bytes over %d cycles with a %d-byte budget", pc.MovedBytes, pc.Cycles, int64(driftBudget))
+	if pc.MovedBytes > pc.Cycles*driftBudget {
+		return res, fmt.Errorf("budget violated: moved %d bytes over %d cycles with a %d-byte budget", pc.MovedBytes, pc.Cycles, int64(driftBudget))
 	}
-
-	rep := driftReport{
-		Experiment:  "drift",
-		Nodes:       g.NumNodes(),
-		Queries:     len(qsB),
-		Affinity:    driftAffinity,
-		BudgetBytes: driftBudget,
-		Cells: map[string]driftMeasure{
-			"static": static, "adaptive": adaptive, "reload": reload,
-		},
-		Recovery:        recovery,
-		BudgetRespected: budgetOK,
-	}
-	return rep, nil
+	return res, nil
 }
 
 // runDriftCell runs one cell: phase A to steady state, the drift, then
@@ -272,13 +225,13 @@ func runDriftCell(g *graphT, sc Scale, cell driftCell, qsA, qsB []queryT) (drift
 		if elapsed <= 0 {
 			elapsed = time.Nanosecond
 		}
-		m.Windows = append(m.Windows, float64(len(win))/elapsed.Seconds())
+		m.windows = append(m.windows, float64(len(win))/elapsed.Seconds())
 	}
-	for _, gp := range m.Windows[len(m.Windows)-driftTail:] {
-		m.Tail += gp
+	for _, gp := range m.windows[len(m.windows)-driftTail:] {
+		m.tail += gp
 	}
-	m.Tail /= driftTail
-	m.Moved = ses.Snapshot().Placement
+	m.tail /= driftTail
+	m.moved = ses.Snapshot().Placement
 	return m, nil
 }
 

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/metrics"
 	"repro/internal/query"
 )
 
@@ -14,11 +12,7 @@ import (
 func answer(g *graphT, q queryT) query.Result { return query.Answer(g, q) }
 
 func init() {
-	register(Experiment{
-		ID: "elastic", Paper: "design (§1)",
-		Desc: "live scale-out/scale-in 4→8→4 mid-workload: cache-hit dip and recovery per policy",
-		Run:  runElastic,
-	})
+	register("elastic", "design (§1)", "live scale-out/scale-in 4→8→4 mid-workload: cache-hit dip and recovery per policy", runElastic)
 }
 
 // elasticPolicies: the modulo-hash baseline, its stable-remap replacement,
@@ -38,24 +32,6 @@ type elasticRow struct {
 	epoch  uint64
 }
 
-// elasticMeasure is one cell of the machine-readable artifact.
-type elasticMeasure struct {
-	WarmHit     float64 `json:"warm_hit"`
-	OutDip      float64 `json:"out_dip"`
-	OutRecovery float64 `json:"out_recovery"`
-	InDip       float64 `json:"in_dip"`
-	InRecovery  float64 `json:"in_recovery"`
-	FinalEpoch  uint64  `json:"final_epoch"`
-}
-
-// elasticReport is the machine-readable artifact (BENCH_elastic.json).
-type elasticReport struct {
-	Experiment string                    `json:"experiment"`
-	Nodes      int                       `json:"nodes"`
-	Queries    int                       `json:"queries"`
-	Cells      map[string]elasticMeasure `json:"cells"`
-}
-
 // runElastic exercises the paper's core elasticity claim — processors can
 // be added and removed without repartitioning the graph — and measures
 // what it costs: the per-policy cache-hit-rate dip right after each
@@ -64,62 +40,30 @@ type elasticReport struct {
 // whole node space on a size change, so its dip is the deepest; the
 // stable-remap hash moves only ~1/N of the keys; the smart schemes
 // re-derive their assignments for the new tier.
-func runElastic(w io.Writer, sc Scale) error {
-	e, _ := Get("elastic")
-	header(w, e)
+func runElastic(sc Scale) (Result, error) {
 	g, err := loadPreset(gen.WebGraph, sc)
 	if err != nil {
-		return err
+		return Result{}, err
 	}
 	qs := workload(g, sc, 2, 2)
-	rows := make([]elasticRow, len(elasticPolicies))
-	cells := make([]func() error, len(elasticPolicies))
-	for i, policy := range elasticPolicies {
-		i, policy := i, policy
-		cells[i] = func() error {
-			row, err := runElasticPolicy(g, sc, policy, qs)
-			if err != nil {
-				return fmt.Errorf("%v: %w", policy, err)
-			}
-			rows[i] = row
-			return nil
-		}
+	rows, err := policyRows(elasticPolicies, func(policy core.Policy) ([]any, error) {
+		r, err := runElasticPolicy(g, sc, policy, qs)
+		return []any{100 * r.warm, 100 * r.outDip, 100 * r.outRec, 100 * r.inDip, 100 * r.inRec, r.epoch}, err
+	})
+	if err != nil {
+		return Result{}, err
 	}
-	if err := runCells(cells); err != nil {
-		return err
+	t := Table{
+		Columns: columns("policy", "warm-hit%|%.1f", "out-dip%|%.1f", "out-rec%|%.1f", "in-dip%|%.1f", "in-rec%|%.1f", "epochs"),
+		Rows:    rows,
 	}
-	t := metrics.NewTable("policy", "warm-hit%", "out-dip%", "out-rec%", "in-dip%", "in-rec%", "epochs")
-	for i, policy := range elasticPolicies {
-		r := rows[i]
-		t.AddRow(policyLabel(policy),
-			fmt.Sprintf("%.1f", 100*r.warm),
-			fmt.Sprintf("%.1f", 100*r.outDip),
-			fmt.Sprintf("%.1f", 100*r.outRec),
-			fmt.Sprintf("%.1f", 100*r.inDip),
-			fmt.Sprintf("%.1f", 100*r.inRec),
-			r.epoch)
-	}
-	fmt.Fprint(w, t.String())
-	fmt.Fprintln(w, "warm-hit% is the static-topology control replaying the same window; the dip is the")
-	fmt.Fprintln(w, "gap to it. expected: every policy survives both transitions with exact results;")
-	fmt.Fprintln(w, "modulo Hash pays the deepest scale-in dip (a size change remaps almost every node),")
-	fmt.Fprintln(w, "StableHash moves only ~1/N of the key space so the original members' caches still")
-	fmt.Fprintln(w, "hit after scale-in, and the smart schemes re-derive assignments for the new count")
-
-	rep := elasticReport{
-		Experiment: "elastic",
-		Nodes:      g.NumNodes(),
-		Queries:    len(qs),
-		Cells:      make(map[string]elasticMeasure, len(elasticPolicies)),
-	}
-	for i, policy := range elasticPolicies {
-		r := rows[i]
-		rep.Cells[policyLabel(policy)] = elasticMeasure{
-			WarmHit: r.warm, OutDip: r.outDip, OutRecovery: r.outRec,
-			InDip: r.inDip, InRecovery: r.inRec, FinalEpoch: r.epoch,
-		}
-	}
-	return writeBenchJSON(w, "elastic", rep)
+	return Result{Tables: []Table{t}, Foot: []string{
+		"warm-hit% is the static-topology control replaying the same window; the dip is the",
+		"gap to it. expected: every policy survives both transitions with exact results;",
+		"modulo Hash pays the deepest scale-in dip (a size change remaps almost every node),",
+		"StableHash moves only ~1/N of the key space so the original members' caches still",
+		"hit after scale-in, and the smart schemes re-derive assignments for the new count",
+	}}, nil
 }
 
 // runElasticPolicy runs one policy's 4→8→4 cell: warm up on 4 processors,

@@ -1,20 +1,21 @@
-// Package experiments contains one runner per table and figure of the
-// paper's evaluation (Section 4), plus the ablations DESIGN.md calls out.
-// Each runner regenerates the corresponding result rows/series on the
-// synthetic dataset presets and prints them in paper-style tables.
+// Package experiments regenerates every table and figure of the paper's
+// evaluation (Section 4), plus the ablations and the beyond-the-paper runs
+// (elasticity, storage faults, chaos, drift, multi-anchor queries, k-NN), on
+// the synthetic dataset presets.
 //
-// Runners are registered by experiment id (fig7, fig8a, ..., table1, ...)
-// and parameterised by a Scale so the same code serves quick benchmark
-// runs and the paper-parameter ones (grouting-bench -scale full).
+// An experiment is registered by id (fig7, fig8a, ..., table1, ...) and
+// returns a Result: its tables as data. The figures that are sweeps — one
+// parameter x a set of routing policies -> one metric — are entries in the
+// sweeps table (sweeps.go), run by one grid runner; adding such a figure is
+// adding an entry. Render is the only code that prints. A Scale sizes a
+// run, so the same code serves quick benchmark runs and the paper-parameter
+// ones (grouting-bench -scale full).
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/embed"
@@ -57,26 +58,63 @@ var Full = Scale{
 }
 
 // Quick is the reduced scale used by `go test -bench` and CI: the same
-// code paths, an order of magnitude smaller. The graph scale keeps the
-// workload footprint well below the graph size, preserving the locality
-// regime the paper's results depend on.
+// code paths, an order of magnitude smaller. Measured: the 250-query
+// workload makes 9,968 record accesses on the 19,800-node WebGraph and its
+// whole working set is 337 KB, far inside a processor's cache — fig9b's
+// hits are equal at `ws` and `4ws` for every policy. Capacity never binds
+// at this scale; a miss is a record's first touch on its processor, and
+// that is all the policies differ by (ROADMAP item 1(b) is the scale where
+// it binds).
 var Quick = Scale{
 	GraphScale: 0.33, Hotspots: 25, PerHotspot: 10,
 	Landmarks: 16, MinSep: 2, Dims: 6, NMIter: 60, Seed: 42,
 }
 
-// Experiment couples a runner with its description.
+// Experiment is one registered table or figure.
 type Experiment struct {
 	ID    string
 	Paper string // which table/figure it reproduces
 	Desc  string
-	Run   func(w io.Writer, sc Scale) error
+	// run computes the result. Views of one sweep (fig8a/fig8b) find its
+	// grid in the memo when an earlier view of the same RunAll left it there.
+	run func(sc Scale, m memo) (Result, error)
+}
+
+// Run runs the experiment on its own.
+func (e Experiment) Run(sc Scale) (Result, error) { return e.exec(sc, memo{}) }
+
+func (e Experiment) exec(sc Scale, m memo) (Result, error) {
+	res, err := e.run(sc, m)
+	res.ID, res.Paper, res.Desc = e.ID, e.Paper, e.Desc
+	return res, err
+}
+
+// RunAll runs the experiments in order and hands each Result to emit with
+// the wall time it took. A grid that several of them are views of is
+// computed once. An experiment that fails after measuring (a violated
+// invariant) still has its Result emitted, as evidence, before RunAll
+// returns the error.
+func RunAll(es []Experiment, sc Scale, emit func(Result, time.Duration)) error {
+	m := memo{}
+	for _, e := range es {
+		start := time.Now()
+		res, err := e.exec(sc, m)
+		if err == nil || len(res.Tables) > 0 {
+			emit(res, time.Since(start))
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
+		}
+	}
+	return nil
 }
 
 var registry = map[string]Experiment{}
 
-func register(e Experiment) {
-	registry[e.ID] = e
+// register adds an experiment that is not a view of a sweep.
+func register(id, paper, desc string, run func(Scale) (Result, error)) {
+	registry[id] = Experiment{ID: id, Paper: paper, Desc: desc,
+		run: func(sc Scale, _ memo) (Result, error) { return run(sc) }}
 }
 
 // Get returns the experiment registered under id.
@@ -93,40 +131,6 @@ func All() []Experiment {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// header prints the experiment banner.
-func header(w io.Writer, e Experiment) {
-	fmt.Fprintf(w, "== %s (%s): %s ==\n", e.ID, e.Paper, e.Desc)
-}
-
-// benchDir is where experiments that produce machine-readable artifacts
-// (BENCH_<id>.json) write them. Empty — the default — disables emission,
-// so unit tests and ad-hoc library callers only get the text tables;
-// grouting-bench sets it (default: the working directory).
-var benchDir string
-
-// SetBenchDir sets the artifact output directory ("" disables emission).
-func SetBenchDir(dir string) { benchDir = dir }
-
-// writeBenchJSON emits v as BENCH_<id>.json under the bench directory and
-// notes the path on w. A no-op (reported as skipped) when no directory is
-// configured.
-func writeBenchJSON(w io.Writer, id string, v any) error {
-	if benchDir == "" {
-		fmt.Fprintf(w, "BENCH_%s.json: skipped (no bench dir; grouting-bench sets one)\n", id)
-		return nil
-	}
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return fmt.Errorf("marshal BENCH_%s.json: %w", id, err)
-	}
-	path := filepath.Join(benchDir, "BENCH_"+id+".json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	fmt.Fprintf(w, "wrote %s\n", path)
-	return nil
 }
 
 // loadPreset generates a dataset preset at the run's scale.

@@ -2,13 +2,17 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
+	"reflect"
 	"regexp"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // tiny is an even smaller scale than Quick, for unit tests.
@@ -56,31 +60,62 @@ func TestGetUnknown(t *testing.T) {
 	}
 }
 
+// runSuite runs every registered experiment at tiny scale on the given
+// number of workers.
+func runSuite(workers int) ([]Result, error) {
+	SetParallelism(workers)
+	defer SetParallelism(1)
+	var out []Result
+	err := RunAll(All(), tiny, func(r Result, _ time.Duration) { out = append(out, r) })
+	return out, err
+}
+
+// serialSuite is runSuite(1), shared by the tests that read it.
+var serialSuite = sync.OnceValues(func() ([]Result, error) { return runSuite(1) })
+
 // TestSerialParallelIdentical asserts the engine-level determinism
 // invariant of the parallel harness: because every cell owns a private
-// System and virtual Timeline, a figure's Report-derived output is
-// bit-identical at any worker count.
+// System and virtual Timeline, every experiment's Result is the same data
+// at any worker count (table2's wall times apart).
 func TestSerialParallelIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a full figure twice")
+		t.Skip("runs the whole suite twice")
 	}
-	e, ok := Get("fig8a")
-	if !ok {
-		t.Fatal("fig8a not registered")
+	serial, err := serialSuite()
+	if err != nil {
+		t.Fatalf("workers=1: %v", err)
 	}
-	defer SetParallelism(1)
-	outputs := make([]string, 2)
-	for i, workers := range []int{1, 4} {
-		SetParallelism(workers)
-		var buf bytes.Buffer
-		if err := e.Run(&buf, tiny); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	parallel, err := runSuite(4)
+	if err != nil {
+		t.Fatalf("workers=4: %v", err)
+	}
+	if len(serial) != len(parallel) {
+		t.Fatalf("%d results serially, %d in parallel", len(serial), len(parallel))
+	}
+	for i := range serial {
+		if a, b := withoutWallTime(serial[i]), withoutWallTime(parallel[i]); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s differs between 1 and 4 workers:\n--- serial ---\n%+v\n--- parallel ---\n%+v", a.ID, a, b)
 		}
-		outputs[i] = buf.String()
 	}
-	if outputs[0] != outputs[1] {
-		t.Errorf("serial and parallel harness outputs differ:\n--- serial ---\n%s\n--- parallel ---\n%s", outputs[0], outputs[1])
+}
+
+// withoutWallTime returns r with its wall-clock cells zeroed: table2's
+// measured column is the one place the suite reports real time.
+func withoutWallTime(r Result) Result {
+	if r.ID != "table2" {
+		return r
 	}
+	tab := r.Tables[0]
+	rows := make([][]any, len(tab.Rows))
+	for i, row := range tab.Rows {
+		rows[i] = slices.Clone(row)
+		if _, wall := row[1].(time.Duration); wall {
+			rows[i][1] = time.Duration(0)
+		}
+	}
+	tab.Rows = rows
+	r.Tables = []Table{tab}
+	return r
 }
 
 func TestSetParallelism(t *testing.T) {
@@ -122,113 +157,231 @@ func TestRunCellsOrderAndErrors(t *testing.T) {
 	}
 }
 
+// column returns the cells of tab's named column keyed by each row's first
+// cell as printed.
+func column(t *testing.T, tab Table, name string) map[string]any {
+	t.Helper()
+	for j, c := range tab.Columns {
+		if c.Name == name {
+			cells := make(map[string]any, len(tab.Rows))
+			for _, row := range tab.Rows {
+				cells[fmt.Sprint(row[0])] = row[j]
+			}
+			return cells
+		}
+	}
+	t.Fatalf("no column %q in %v", name, tab.Columns)
+	return nil
+}
+
+// runQuick runs one experiment at Quick scale and returns its first table;
+// a failure prints what it measured.
+func runQuick(t *testing.T, id string) Table {
+	t.Helper()
+	e, ok := Get(id)
+	if !ok {
+		t.Fatalf("%s not registered", id)
+	}
+	res, err := e.Run(Quick)
+	if err != nil {
+		var buf bytes.Buffer
+		Render(&buf, res)
+		t.Fatalf("%s failed: %v\n%s", id, err, buf.String())
+	}
+	return res.Tables[0]
+}
+
 // TestDriftRecoversGoodput is the adaptive-placement acceptance run: at
 // the recorded quick scale, the bounded online planner must close at
-// least 90% of the static→re-load goodput gap after the hotspots move,
-// without ever exceeding its per-cycle migration budget.
+// least 90% of the static→re-load goodput gap after the hotspots move
+// (that it never exceeds its per-cycle migration budget the run checks
+// itself).
 func TestDriftRecoversGoodput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full three-cell drift comparison")
 	}
-	var buf bytes.Buffer
-	rep, err := driftRun(&buf, Quick)
-	if err != nil {
-		t.Fatalf("drift failed: %v\n%s", err, buf.String())
+	tab := runQuick(t, "drift")
+	tail, moved := column(t, tab, "tail q/s"), column(t, tab, "moved")
+	static, adaptive, reload := tail["static"].(float64), tail["adaptive"].(float64), tail["re-load"].(float64)
+	if recovery := (adaptive - static) / (reload - static); reload > static && recovery < 0.90 {
+		t.Errorf("recovery fraction %.3f < 0.90", recovery)
 	}
-	if rep.Recovery < 0.90 {
-		t.Errorf("recovery fraction %.3f < 0.90\n%s", rep.Recovery, buf.String())
-	}
-	if !rep.BudgetRespected {
-		t.Errorf("migration volume exceeded the planner budget\n%s", buf.String())
-	}
-	ad := rep.Cells["adaptive"]
-	if ad.Moved.Moved == 0 {
+	if moved["adaptive"].(int64) == 0 {
 		t.Error("adaptive cell never migrated anything — the experiment is vacuous")
 	}
-	if st := rep.Cells["static"]; st.Moved.Moved != 0 {
-		t.Errorf("static cell migrated %d records; placement must not move", st.Moved.Moved)
+	if n := moved["static"].(int64); n != 0 {
+		t.Errorf("static cell migrated %d records; placement must not move", n)
 	}
 }
 
 // TestPatternsRespectsBudget is the multi-anchor acceptance run: every
-// policy answers the mixed workload oracle-identically (checked inside the
-// cells), the multi-anchor path genuinely executes (subtasks and waves
-// observed per policy), and no BoundedReach subtask ever exceeds the
-// per-partition visit budget.
+// policy answers the mixed workload oracle-identically, the multi-anchor
+// path genuinely executes and no BoundedReach subtask exceeds the
+// per-partition visit budget (all checked inside the cells, which fail the
+// run), for every policy of the comparison.
 func TestPatternsRespectsBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full four-policy patterns comparison")
 	}
-	var buf bytes.Buffer
-	rep, err := patternsRun(&buf, Quick)
-	if err != nil {
-		t.Fatalf("patterns failed: %v\n%s", err, buf.String())
+	tab := runQuick(t, "patterns")
+	waves, visited := column(t, tab, "waves"), column(t, tab, "max-visited")
+	if len(waves) != len(patternsPolicies) {
+		t.Errorf("%d policies measured, want %d", len(waves), len(patternsPolicies))
 	}
-	if !rep.BudgetRespected {
-		t.Errorf("a subtask exceeded the per-partition visit budget\n%s", buf.String())
-	}
-	if rep.MultiAnchor == 0 {
-		t.Error("workload contains no multi-anchor queries — the experiment is vacuous")
-	}
-	for name, m := range rep.Cells {
-		if m.Subtasks == 0 || m.Waves == 0 {
-			t.Errorf("%s: subtasks=%d waves=%d — multi-anchor path not exercised", name, m.Subtasks, m.Waves)
-		}
-		if m.MaxVisited > rep.VisitBudget {
-			t.Errorf("%s: max visited %d exceeds budget %d", name, m.MaxVisited, rep.VisitBudget)
+	for name, w := range waves {
+		if w.(int64) == 0 || visited[name].(int) > patternsBudget {
+			t.Errorf("%s: waves=%v max-visited=%v (budget %d)", name, w, visited[name], patternsBudget)
 		}
 	}
 }
 
 // TestKNNMatchesOracle is the k-nearest acceptance run: every policy
 // answers the KNN-heavy mix oracle-identically with one provider-shared
-// embedding (checked inside the cells), the distributed candidate path
-// genuinely executes, and at least one answer per cell is non-empty.
+// embedding, the distributed candidate path genuinely executes, and at
+// least one answer per cell is non-empty (all checked inside the cells,
+// which fail the run), for every policy of the comparison.
 func TestKNNMatchesOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full four-policy knn comparison")
 	}
-	var buf bytes.Buffer
-	rep, err := knnRun(&buf, Quick)
-	if err != nil {
-		t.Fatalf("knn failed: %v\n%s", err, buf.String())
+	tab := runQuick(t, "knn")
+	subtasks, nonEmpty := column(t, tab, "subtasks"), column(t, tab, "non-empty")
+	if len(subtasks) != len(knnPolicies) {
+		t.Errorf("%d policies measured, want %d", len(subtasks), len(knnPolicies))
 	}
-	if rep.KNNQueries == 0 {
-		t.Error("workload contains no KNearest queries — the experiment is vacuous")
-	}
-	for name, m := range rep.Cells {
-		if m.Subtasks == 0 {
-			t.Errorf("%s: no subtasks — distributed candidate generation not exercised", name)
-		}
-		if m.NonEmpty == 0 {
-			t.Errorf("%s: every KNearest answer empty — ranking not exercised", name)
+	for name, n := range subtasks {
+		if n.(int64) == 0 || nonEmpty[name].(int) == 0 {
+			t.Errorf("%s: subtasks=%v non-empty=%v", name, n, nonEmpty[name])
 		}
 	}
 }
 
-// TestEveryExperimentRuns runs each experiment on its own at tiny scale, in
-// parallel; what it prints is TestSuiteGolden's business.
-func TestEveryExperimentRuns(t *testing.T) {
+// TestPaperClaims is the first reader of the figures as data: three of the
+// paper's claims as predicates over Result rows, each pinned to the verdict
+// it has at Quick scale today. A change that flips one edits the pin and
+// says so.
+func TestPaperClaims(t *testing.T) {
 	if testing.Short() {
-		t.Skip("experiment smoke tests take a few seconds")
+		t.Skip("runs three figures at quick scale")
 	}
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			t.Parallel()
-			if err := e.Run(io.Discard, tiny); err != nil {
-				t.Fatalf("%s failed: %v", e.ID, err)
+	claims := []struct {
+		name  string
+		fig   string
+		holds bool
+		eval  func(t *testing.T, res Result) bool
+	}{
+		// Reuse captured: how many of the hits one processor's cache gives
+		// (every repeat is a hit there) Embed still gets on seven.
+		{"fig8b/embed-keeps-hits", "fig8b", false, func(t *testing.T, res Result) bool {
+			embed := column(t, res.Tables[0], "Embed")
+			kept := float64(embed["7"].(int64)) / float64(embed["1"].(int64))
+			t.Logf("hits(Embed, P=7) / hits(Embed, P=1) = %.2f", kept)
+			return kept >= 0.75
+		}},
+		{"fig14/ordering", "fig14", true, func(t *testing.T, res Result) bool {
+			ordered := true
+			for _, tab := range res.Tables {
+				rate := func(policy string) float64 { return column(t, tab, "hit-rate")[policy].(float64) }
+				ordered = ordered && rate("NoCache") < rate("NextReady") && rate("NextReady") < rate("Hash") &&
+					rate("Hash") < min(rate("Landmark"), rate("Embed"))
+			}
+			return ordered
+		}},
+		{"fig9b/capacity-binds", "fig9b", false, func(t *testing.T, res Result) bool {
+			tab := res.Tables[0]
+			var ws, ws4 []any
+			for _, row := range tab.Rows {
+				switch label := row[0].(string); {
+				case strings.HasPrefix(label, "ws ("):
+					ws = row
+				case strings.HasPrefix(label, "4ws ("):
+					ws4 = row
+				}
+			}
+			binds := false
+			for j := 1; j < len(tab.Columns); j++ {
+				binds = binds || ws4[j].(int64) > ws[j].(int64)
+			}
+			return binds
+		}},
+	}
+	for _, c := range claims {
+		t.Run(c.name, func(t *testing.T) {
+			e, _ := Get(c.fig)
+			res, err := e.Run(Quick)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.eval(t, res); got != c.holds {
+				t.Errorf("claim holds = %v, pinned %v", got, c.holds)
 			}
 		})
 	}
 }
 
+// TestEveryExperimentRuns runs each experiment on its own at tiny scale, in
+// parallel: the Result must be well formed and the same data the experiment
+// yields inside RunAll, where views of one grid share it. What it prints
+// is TestSuiteGolden's business.
+func TestEveryExperimentRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment smoke tests take a few seconds")
+	}
+	suite, err := serialSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			res, err := e.Run(tiny)
+			if err != nil {
+				t.Fatalf("%s failed: %v", e.ID, err)
+			}
+			if res.ID != e.ID || len(res.Tables) == 0 {
+				t.Fatalf("result of %s is %q with %d tables", e.ID, res.ID, len(res.Tables))
+			}
+			for _, tab := range res.Tables {
+				if len(tab.Rows) == 0 {
+					t.Errorf("table %q has no rows", tab.Title)
+				}
+				for _, row := range tab.Rows {
+					if len(row) != len(tab.Columns) {
+						t.Errorf("table %q: row %v has %d cells for %d columns", tab.Title, row, len(row), len(tab.Columns))
+					}
+				}
+			}
+			if a, b := withoutWallTime(res), withoutWallTime(suite[i]); !reflect.DeepEqual(a, b) {
+				t.Errorf("%s on its own differs from its run in the suite:\n%+v\n%+v", e.ID, a, b)
+			}
+		})
+	}
+}
+
+// TestRunAllEmitsEvidenceThenFails: an experiment that fails after
+// measuring has its Result emitted before RunAll returns the error under
+// the experiment's id; nothing after it runs.
+func TestRunAllEmitsEvidenceThenFails(t *testing.T) {
+	boom := fmt.Errorf("invariant violated")
+	es := []Experiment{
+		{ID: "ok", run: func(Scale, memo) (Result, error) { return Result{Tables: []Table{{}}}, nil }},
+		{ID: "measured", run: func(Scale, memo) (Result, error) { return Result{Tables: []Table{{}}}, boom }},
+		{ID: "never", run: func(Scale, memo) (Result, error) { t.Error("ran past a failure"); return Result{}, nil }},
+	}
+	var emitted []string
+	err := RunAll(es, tiny, func(r Result, _ time.Duration) { emitted = append(emitted, r.ID) })
+	if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "measured: ") {
+		t.Errorf("RunAll error = %v", err)
+	}
+	if !slices.Equal(emitted, []string{"ok", "measured"}) {
+		t.Errorf("emitted %v", emitted)
+	}
+}
+
 var update = flag.Bool("update", false, "rewrite testdata/suite_tiny.golden from what the suite prints now")
 
-// maskGolden removes from the suite's output what is not the experiments'
-// to decide: table2's measured column is wall time (the durations go, and
-// with them the padding their width sets), and the notices about artifact
-// files are the caller's.
+// maskGolden removes table2's measured column from the suite's output: it is
+// wall time (the durations go, and with them the padding their width sets).
 func maskGolden(out string) string {
 	durations := regexp.MustCompile(`[0-9.]+(ns|µs|ms|s)\b`)
 	padding := regexp.MustCompile(`  +|--+`)
@@ -239,9 +392,6 @@ func maskGolden(out string) string {
 			inTable2 = strings.HasPrefix(line, "== table2 ")
 		} else if inTable2 {
 			line = padding.ReplaceAllString(durations.ReplaceAllString(line, "<wall>"), " ")
-		}
-		if strings.HasPrefix(line, "BENCH_") && strings.Contains(line, ": skipped") {
-			continue
 		}
 		b.WriteString(line)
 	}
@@ -255,10 +405,14 @@ func TestSuiteGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole suite at tiny scale")
 	}
+	suite, err := serialSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	for _, e := range All() {
-		if err := e.Run(&buf, tiny); err != nil {
-			t.Fatalf("%s failed: %v", e.ID, err)
+	for _, res := range suite {
+		if err := Render(&buf, res); err != nil {
+			t.Fatal(err)
 		}
 		buf.WriteByte('\n')
 	}

@@ -2,23 +2,16 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/embed"
 	"repro/internal/gen"
 	"repro/internal/landmark"
-	"repro/internal/metrics"
 	"repro/internal/query"
 )
 
 func init() {
-	register(Experiment{
-		ID: "knn", Paper: "beyond the paper (embedding providers)",
-		Desc: "k-nearest-by-embedding under every routing policy: one precomputed embedding shared through the provider interface, every answer checked against the exact oracle",
-		Run:  runKNN,
-	})
+	register("knn", "beyond the paper (embedding providers)", "k-nearest-by-embedding under every routing policy: one precomputed embedding shared through the provider interface, every answer checked against the exact oracle", runKNN)
 }
 
 // knnK is how many neighbours each KNearest query asks for.
@@ -36,28 +29,6 @@ const knnBudget = 8
 // neighbourhood is already cached on the processor it lands on.
 var knnPolicies = []core.Policy{core.PolicyHash, core.PolicyStableHash, core.PolicyLandmark, core.PolicyEmbed}
 
-// knnMeasure is one policy's outcome on the KNN-heavy mixed run.
-type knnMeasure struct {
-	GoodputQPS float64 `json:"goodput_qps"`
-	HitRate    float64 `json:"hit_rate"`
-	Subtasks   int64   `json:"subtasks"`
-	// NonEmpty counts KNearest answers that returned at least one
-	// neighbour (an anchor with an embedded, non-trivial neighbourhood).
-	NonEmpty int `json:"non_empty"`
-}
-
-// knnReport is the machine-readable artifact (BENCH_knn.json).
-type knnReport struct {
-	Experiment string                `json:"experiment"`
-	Nodes      int                   `json:"nodes"`
-	Queries    int                   `json:"queries"`
-	KNNQueries int                   `json:"knn_queries"`
-	K          int                   `json:"k"`
-	Dims       int                   `json:"dims"`
-	Cells      map[string]knnMeasure `json:"cells"`
-	Verified   bool                  `json:"verified"`
-}
-
 // runKNN compares the routing policies on the MixedTypesKNN workload —
 // every sixth query a KNearest — with one precomputed embedding shared
 // across all cells via the FileProvider, exactly how a deployment shares
@@ -65,22 +36,10 @@ type knnReport struct {
 // (the ball BFS on the anchor's processor), the exact re-rank at the
 // coordinator, and every answer of every kind is verified against the
 // in-memory oracle (AnswerKNN for the new class) as it streams.
-func runKNN(w io.Writer, sc Scale) error {
-	rep, err := knnRun(w, sc)
-	if err != nil {
-		return err
-	}
-	return writeBenchJSON(w, "knn", rep)
-}
-
-// knnRun executes the per-policy cells and returns the machine-readable
-// report (the runner wraps it; tests assert on it).
-func knnRun(w io.Writer, sc Scale) (knnReport, error) {
-	e, _ := Get("knn")
-	header(w, e)
+func runKNN(sc Scale) (Result, error) {
 	g, err := loadPreset(gen.WebGraph, sc)
 	if err != nil {
-		return knnReport{}, err
+		return Result{}, err
 	}
 
 	// One embedding for every cell, built once with the run's smart-routing
@@ -93,7 +52,7 @@ func knnRun(w io.Writer, sc Scale) (knnReport, error) {
 		Dimensions: sc.Dims, Seed: sc.Seed, NM: embed.NMOptions{MaxIter: sc.NMIter},
 	})
 	if err != nil {
-		return knnReport{}, err
+		return Result{}, err
 	}
 	provider := embed.NewFileProvider(shared)
 
@@ -114,101 +73,70 @@ func knnRun(w io.Writer, sc Scale) (knnReport, error) {
 		}
 	}
 	if knnQ == 0 {
-		return knnReport{}, fmt.Errorf("the mix generated no KNearest queries")
+		return Result{}, fmt.Errorf("the mix generated no KNearest queries")
 	}
 
-	results := make([]knnMeasure, len(knnPolicies))
-	cells := make([]func() error, len(knnPolicies))
-	for i, policy := range knnPolicies {
-		i, policy := i, policy
-		cells[i] = func() error {
-			m, err := runKNNCell(g, sc, policy, provider, shared, qs)
-			if err != nil {
-				return fmt.Errorf("%v: %w", policy, err)
-			}
-			results[i] = m
-			return nil
-		}
+	rows, err := policyRows(knnPolicies, func(policy core.Policy) ([]any, error) {
+		return runKNNCell(g, sc, policy, provider, shared, qs)
+	})
+	if err != nil {
+		return Result{}, err
 	}
-	if err := runCells(cells); err != nil {
-		return knnReport{}, err
-	}
-
-	t := metrics.NewTable("policy", "goodput q/s", "hit%", "subtasks", "non-empty")
-	cellMap := make(map[string]knnMeasure, len(knnPolicies))
-	for i, policy := range knnPolicies {
-		m := results[i]
-		t.AddRow(policyLabel(policy),
-			fmt.Sprintf("%.0f", m.GoodputQPS),
-			fmt.Sprintf("%.1f", 100*m.HitRate),
-			m.Subtasks, m.NonEmpty)
-		cellMap[policyLabel(policy)] = m
-	}
-	fmt.Fprint(w, t.String())
-	fmt.Fprintf(w, "%d of %d queries are KNearest (K=%d, %d-dim shared embedding); candidate\n",
-		knnQ, len(qs), knnK, shared.D)
-	fmt.Fprintln(w, "generation runs on the anchor's processor, the exact re-rank at the router.")
-	fmt.Fprintln(w, "All cells rank with the same provider-shared coordinates, so the per-policy")
-	fmt.Fprintln(w, "columns isolate routing quality, not embedding quality")
-
-	return knnReport{
-		Experiment: "knn",
-		Nodes:      g.NumNodes(),
-		Queries:    len(qs),
-		KNNQueries: knnQ,
-		K:          knnK,
-		Dims:       shared.D,
-		Cells:      cellMap,
-		Verified:   true,
+	return Result{
+		Tables: []Table{{
+			Columns: columns("policy", "goodput q/s|%.0f", "hit%|%.1f", "subtasks", "non-empty"),
+			Rows:    rows,
+		}},
+		Foot: []string{
+			fmt.Sprintf("%d of %d queries are KNearest (K=%d, %d-dim shared embedding); candidate", knnQ, len(qs), knnK, shared.D),
+			"generation runs on the anchor's processor, the exact re-rank at the router.",
+			"All cells rank with the same provider-shared coordinates, so the per-policy",
+			"columns isolate routing quality, not embedding quality",
+		},
 	}, nil
 }
 
 // runKNNCell runs the KNN-heavy mix on one policy's session with the
 // shared provider plugged in, verifying every answer against the oracle.
-func runKNNCell(g *graphT, sc Scale, policy core.Policy, provider embed.Embedder, shared *embed.Embedding, qs []queryT) (knnMeasure, error) {
+// Its row: goodput, hit%, subtasks, and the KNearest answers that returned
+// at least one neighbour (an anchor with an embedded, non-trivial
+// neighbourhood).
+func runKNNCell(g *graphT, sc Scale, policy core.Policy, provider embed.Embedder, shared *embed.Embedding, qs []queryT) ([]any, error) {
 	cfg := sysConfig(policy, sc)
 	cfg.EmbedProvider = provider
 	sys, err := core.NewSystem(g, cfg)
 	if err != nil {
-		return knnMeasure{}, err
+		return nil, err
 	}
 	ses, err := sys.NewSession()
 	if err != nil {
-		return knnMeasure{}, err
+		return nil, err
 	}
-	var m knnMeasure
+	nonEmpty := 0
 	t0 := ses.Now()
 	for _, q := range qs {
 		res, _, err := ses.Execute(q)
 		if err != nil {
-			return knnMeasure{}, err
+			return nil, err
 		}
 		if q.Type == query.KNearest {
 			if res != query.AnswerKNN(g, shared, q) {
-				return knnMeasure{}, fmt.Errorf("KNearest query on node %d disagrees with the oracle", q.Node)
+				return nil, fmt.Errorf("KNearest query on node %d disagrees with the oracle", q.Node)
 			}
 			if res.Count > 0 {
-				m.NonEmpty++
+				nonEmpty++
 			}
 		} else if res != answer(g, q) {
-			return knnMeasure{}, fmt.Errorf("%v query on node %d answered wrongly", q.Type, q.Node)
+			return nil, fmt.Errorf("%v query on node %d answered wrongly", q.Type, q.Node)
 		}
 	}
-	elapsed := ses.Now() - t0
-	if elapsed <= 0 {
-		elapsed = time.Nanosecond
+	subtasks, _, _ := ses.MultiStats()
+	if subtasks == 0 {
+		return nil, fmt.Errorf("no multi-anchor subtasks executed — KNearest is not reaching the distributed path")
 	}
-	m.GoodputQPS = float64(len(qs)) / elapsed.Seconds()
-	h, miss := ses.Stats()
-	if touched := h + miss; touched > 0 {
-		m.HitRate = float64(h) / float64(touched)
+	if nonEmpty == 0 {
+		return nil, fmt.Errorf("every KNearest answer came back empty — the embedding is not reaching the ranker")
 	}
-	m.Subtasks, _, _ = ses.MultiStats()
-	if m.Subtasks == 0 {
-		return m, fmt.Errorf("no multi-anchor subtasks executed — KNearest is not reaching the distributed path")
-	}
-	if m.NonEmpty == 0 {
-		return m, fmt.Errorf("every KNearest answer came back empty — the embedding is not reaching the ranker")
-	}
-	return m, nil
+	qps, hit := sessionRates(ses, len(qs), t0)
+	return []any{qps, 100 * hit, subtasks, nonEmpty}, nil
 }

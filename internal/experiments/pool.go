@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/core"
 )
 
 // parallelism is the worker count runCells uses. 1 (the default) keeps the
@@ -78,4 +81,22 @@ func runCells(cells []func() error) error {
 		}
 	}
 	return nil
+}
+
+// policyRows runs one cell per policy and returns their rows in order, each
+// led by the policy's label; a cell's error is reported under its policy.
+func policyRows(policies []core.Policy, cell func(core.Policy) ([]any, error)) ([][]any, error) {
+	rows := make([][]any, len(policies))
+	cells := make([]func() error, len(policies))
+	for i, policy := range policies {
+		cells[i] = func() error {
+			r, err := cell(policy)
+			if err != nil {
+				return fmt.Errorf("%v: %w", policy, err)
+			}
+			rows[i] = append([]any{policyLabel(policy)}, r...)
+			return nil
+		}
+	}
+	return rows, runCells(cells)
 }

@@ -3,20 +3,14 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/metrics"
 	"repro/internal/query"
 )
 
 func init() {
-	register(Experiment{
-		ID: "storagefault", Paper: "design (§1)",
-		Desc: "kill one storage server mid-workload: R=2 fails over and sustains throughput, R=1 loses its shard's uncached keys",
-		Run:  runStorageFault,
-	})
+	register("storagefault", "design (§1)", "kill one storage server mid-workload: R=2 fails over and sustains throughput, R=1 loses its shard's uncached keys", runStorageFault)
 }
 
 // sfRow is one cell's phase-B (post-fault) measurements.
@@ -28,24 +22,6 @@ type sfRow struct {
 	epoch      uint64
 }
 
-// sfMeasure is one cell of the machine-readable artifact.
-type sfMeasure struct {
-	Answered     int     `json:"answered"`
-	Failed       int     `json:"failed"`
-	GoodputQPS   float64 `json:"goodput_qps"`
-	HitRate      float64 `json:"hit_rate"`
-	Failovers    int64   `json:"failovers"`
-	StorageEpoch uint64  `json:"storage_epoch"`
-}
-
-// sfReport is the machine-readable artifact (BENCH_storagefault.json).
-type sfReport struct {
-	Experiment string               `json:"experiment"`
-	Nodes      int                  `json:"nodes"`
-	Queries    int                  `json:"queries_per_phase"`
-	Cells      map[string]sfMeasure `json:"cells"`
-}
-
 // runStorageFault exercises the decoupled design's storage-side
 // fault-tolerance claim: with the storage tier replicated (R=2), killing
 // one server mid-workload loses zero queries — reads fail over to the
@@ -55,12 +31,10 @@ type sfReport struct {
 // typed unavailable error. Every successful result is verified against
 // the oracle as it streams; the cells share both workloads, so they
 // differ only in replication factor and the fault.
-func runStorageFault(w io.Writer, sc Scale) error {
-	e, _ := Get("storagefault")
-	header(w, e)
+func runStorageFault(sc Scale) (Result, error) {
 	g, err := loadPreset(gen.WebGraph, sc)
 	if err != nil {
-		return err
+		return Result{}, err
 	}
 	warm := workload(g, sc, 2, 2)
 	// Phase B queries fresh hotspot regions, so they actually reach the
@@ -85,7 +59,6 @@ func runStorageFault(w io.Writer, sc Scale) error {
 	rows := make([]sfRow, len(specs))
 	cells := make([]func() error, len(specs))
 	for i, spec := range specs {
-		i, spec := i, spec
 		cells[i] = func() error {
 			row, err := runStorageFaultCell(g, sc, spec.replicas, spec.fault, warm, cold)
 			if err != nil {
@@ -96,59 +69,40 @@ func runStorageFault(w io.Writer, sc Scale) error {
 		}
 	}
 	if err := runCells(cells); err != nil {
-		return err
+		return Result{}, err
 	}
 	control := rows[0].qps
-	t := metrics.NewTable("cell", "answered", "failed", "answered%", "qps", "vs-ctrl%", "hit%", "failovers", "st-epoch")
+	t := Table{Columns: columns("cell", "answered", "failed", "answered%|%.1f", "qps|%.0f", "vs-ctrl%|%.1f", "hit%|%.1f", "failovers", "st-epoch")}
 	for i, spec := range specs {
 		r := rows[i]
 		vs := 0.0
 		if control > 0 {
 			vs = 100 * r.qps / control
 		}
-		total := r.ok + r.failed
 		ansPct := 0.0
-		if total > 0 {
+		if total := r.ok + r.failed; total > 0 {
 			ansPct = 100 * float64(r.ok) / float64(total)
 		}
-		t.AddRow(spec.name, r.ok, r.failed,
-			fmt.Sprintf("%.1f", ansPct),
-			fmt.Sprintf("%.0f", r.qps),
-			fmt.Sprintf("%.1f", vs),
-			fmt.Sprintf("%.1f", 100*r.hit),
-			r.failovers, r.epoch)
+		t.Rows = append(t.Rows, []any{spec.name, r.ok, r.failed, ansPct, r.qps, vs, 100 * r.hit, r.failovers, r.epoch})
 	}
-	fmt.Fprint(w, t.String())
-	fmt.Fprintln(w, "phase B queries fresh regions after the fault lands. expected: fault R=2 answers")
-	fmt.Fprintln(w, "everything (failover + synchronous re-replication) at >=90% of the control's")
-	fmt.Fprintln(w, "goodput, while fault R=1 only answers what its caches and surviving shards")
-	fmt.Fprintln(w, "cover — the rest fail with the typed unavailable error after burning a")
-	fmt.Fprintln(w, "discovery round trip (failures abort early, which is why R=1's goodput per")
-	fmt.Fprintln(w, "busy-second can exceed 100%: the degradation is the answered% column)")
+	res := Result{Tables: []Table{t}, Foot: []string{
+		"phase B queries fresh regions after the fault lands. expected: fault R=2 answers",
+		"everything (failover + synchronous re-replication) at >=90% of the control's",
+		"goodput, while fault R=1 only answers what its caches and surviving shards",
+		"cover — the rest fail with the typed unavailable error after burning a",
+		"discovery round trip (failures abort early, which is why R=1's goodput per",
+		"busy-second can exceed 100%: the degradation is the answered% column)",
+	}}
 	if rows[1].failed != 0 {
-		return fmt.Errorf("R=2 lost %d queries across the storage failure", rows[1].failed)
+		return res, fmt.Errorf("R=2 lost %d queries across the storage failure", rows[1].failed)
 	}
 	if control > 0 && rows[1].qps < 0.9*control {
-		return fmt.Errorf("R=2 sustained only %.1f%% of control throughput", 100*rows[1].qps/control)
+		return res, fmt.Errorf("R=2 sustained only %.1f%% of control throughput", 100*rows[1].qps/control)
 	}
 	if total := rows[2].ok + rows[2].failed; total > 0 && rows[2].failed == 0 {
-		return fmt.Errorf("the R=1 fault cell lost nothing — the fault is not reaching storage")
+		return res, fmt.Errorf("the R=1 fault cell lost nothing — the fault is not reaching storage")
 	}
-
-	rep := sfReport{
-		Experiment: "storagefault",
-		Nodes:      g.NumNodes(),
-		Queries:    len(cold),
-		Cells:      make(map[string]sfMeasure, len(specs)),
-	}
-	for i, spec := range specs {
-		r := rows[i]
-		rep.Cells[spec.name] = sfMeasure{
-			Answered: r.ok, Failed: r.failed, GoodputQPS: r.qps,
-			HitRate: r.hit, Failovers: r.failovers, StorageEpoch: r.epoch,
-		}
-	}
-	return writeBenchJSON(w, "storagefault", rep)
+	return res, nil
 }
 
 // runStorageFaultCell warms one session on the warm workload, optionally

@@ -2,80 +2,58 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 )
 
 func init() {
-	register(Experiment{
-		ID: "table1", Paper: "Table 1",
-		Desc: "dataset statistics (synthetic presets standing in for the originals)",
-		Run:  runTable1,
-	})
-	register(Experiment{
-		ID: "table2", Paper: "Table 2",
-		Desc: "preprocessing times: BFS per landmark, landmark embedding, per-node embedding",
-		Run:  runTable2,
-	})
-	register(Experiment{
-		ID: "table3", Paper: "Table 3",
-		Desc: "preprocessing storage vs original graph size",
-		Run:  runTable3,
-	})
+	register("table1", "Table 1", "dataset statistics (synthetic presets standing in for the originals)", runTable1)
+	register("table2", "Table 2", "preprocessing times: BFS per landmark, landmark embedding, per-node embedding", runTable2)
+	register("table3", "Table 3", "preprocessing storage vs original graph size", runTable3)
 }
 
-func runTable1(w io.Writer, sc Scale) error {
-	e, _ := Get("table1")
-	header(w, e)
-	type dsRow struct {
-		st   graph.Stats
-		hop2 float64
+func runTable1(sc Scale) (Result, error) {
+	t := Table{
+		Columns: columns("dataset", "nodes", "edges", "avg-deg", "p99-deg", "adj-bytes", "avg-2hop|%.0f", "paper-nodes", "paper-edges", "paper-size"),
+		Rows:    make([][]any, len(gen.Datasets)),
 	}
-	rows := make([]dsRow, len(gen.Datasets))
 	cells := make([]func() error, len(gen.Datasets))
 	for i, d := range gen.Datasets {
-		i, d := i, d
 		cells[i] = func() error {
 			g, err := loadPreset(d, sc)
 			if err != nil {
 				return err
 			}
-			rows[i] = dsRow{
-				st:   graph.ComputeStats(g),
-				hop2: graph.AvgKHopSize(g, 2, 40, graph.Both),
-			}
+			st, spec := graph.ComputeStats(g), gen.Specs[d]
+			t.Rows[i] = []any{string(d), st.Nodes, st.Edges, st.AvgOutDeg, st.DegreeP99, st.AdjListSize,
+				graph.AvgKHopSize(g, 2, 40, graph.Both), spec.PaperNodes, spec.PaperEdges, spec.PaperSizeDisk}
 			return nil
 		}
 	}
 	if err := runCells(cells); err != nil {
-		return err
+		return Result{}, err
 	}
-	t := metrics.NewTable("dataset", "nodes", "edges", "avg-deg", "p99-deg", "adj-bytes", "avg-2hop", "paper-nodes", "paper-edges", "paper-size")
-	for i, d := range gen.Datasets {
-		st := rows[i].st
-		spec := gen.Specs[d]
-		t.AddRow(string(d), st.Nodes, st.Edges, st.AvgOutDeg, st.DegreeP99, st.AdjListSize,
-			fmt.Sprintf("%.0f", rows[i].hop2), spec.PaperNodes, spec.PaperEdges, spec.PaperSizeDisk)
-	}
-	_, err := fmt.Fprint(w, t.String())
-	return err
+	return Result{Tables: []Table{t}}, nil
 }
 
-func runTable2(w io.Writer, sc Scale) error {
-	e, _ := Get("table2")
-	header(w, e)
+// embedSystem builds the Embed-policy system whose preprocessing Tables 2
+// and 3 report.
+func embedSystem(sc Scale) (*graphT, *core.System, error) {
 	g, err := loadPreset(gen.WebGraph, sc)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	sys, err := core.NewSystem(g, sysConfig(core.PolicyEmbed, sc))
+	return g, sys, err
+}
+
+func runTable2(sc Scale) (Result, error) {
+	g, sys, err := embedSystem(sc)
 	if err != nil {
-		return err
+		return Result{}, err
 	}
 	p := sys.Prep()
 	perLandmarkBFS := time.Duration(0)
@@ -86,43 +64,38 @@ func runTable2(w io.Writer, sc Scale) error {
 	if n := g.NumNodes(); n > 0 {
 		perNodeEmbed = p.EmbedNodeTime / time.Duration(n)
 	}
-	t := metrics.NewTable("phase", "measured", "paper (WebGraph, 106M nodes)")
-	t.AddRow("landmark selection", p.SelectTime, "-")
-	t.AddRow("BFS per landmark", perLandmarkBFS, "35 s")
-	t.AddRow("BFS total ("+fmt.Sprint(p.Landmarks)+" landmarks)", p.BFSTime, "-")
-	t.AddRow("embedding total", p.EmbedNodeTime, "-")
-	t.AddRow("embedding per node", perNodeEmbed, "1 s")
+	t := Table{Columns: columns("phase", "measured", "paper (WebGraph, 106M nodes)"), Rows: [][]any{
+		{"landmark selection", p.SelectTime, "-"},
+		{"BFS per landmark", perLandmarkBFS, "35 s"},
+		{fmt.Sprintf("BFS total (%d landmarks)", p.Landmarks), p.BFSTime, "-"},
+		{"embedding total", p.EmbedNodeTime, "-"},
+		{"embedding per node", perNodeEmbed, "1 s"},
+	}}
 	if st := sys.Embedding().BuildStats(); st.Placed > 0 {
-		t.AddRow("  objective evaluations per node", fmt.Sprintf("%.1f", st.EvalsPerNode()), "-")
-		t.AddRow("  searches ended by the iteration cap", fmt.Sprintf("%.1f%%", 100*float64(st.Capped)/float64(st.Placed)), "-")
+		t.Rows = append(t.Rows,
+			[]any{"  objective evaluations per node", fmt.Sprintf("%.1f", st.EvalsPerNode()), "-"},
+			[]any{"  searches ended by the iteration cap", fmt.Sprintf("%.1f%%", 100*float64(st.Capped)/float64(st.Placed)), "-"})
 	}
-	_, err = fmt.Fprint(w, t.String())
-	return err
+	return Result{Tables: []Table{t}}, nil
 }
 
-func runTable3(w io.Writer, sc Scale) error {
-	e, _ := Get("table3")
-	header(w, e)
-	g, err := loadPreset(gen.WebGraph, sc)
+func runTable3(sc Scale) (Result, error) {
+	_, sys, err := embedSystem(sc)
 	if err != nil {
-		return err
-	}
-	sys, err := core.NewSystem(g, sysConfig(core.PolicyEmbed, sc))
-	if err != nil {
-		return err
+		return Result{}, err
 	}
 	p := sys.Prep()
-	t := metrics.NewTable("structure", "bytes", "fraction-of-graph", "paper")
-	frac := func(b int64) string {
+	frac := func(b int64) any {
 		if p.GraphBytes == 0 {
 			return "-"
 		}
-		return fmt.Sprintf("%.3f", float64(b)/float64(p.GraphBytes))
+		return float64(b) / float64(p.GraphBytes)
 	}
-	t.AddRow("landmark d(u,p) table", p.LandmarkBytes, frac(p.LandmarkBytes), "2.8 GB vs 60.3 GB graph")
-	t.AddRow("embedding coordinates", p.EmbedBytes, frac(p.EmbedBytes), "4 GB vs 60.3 GB graph")
-	t.AddRow("landmark BFS index", p.IndexBytes, frac(p.IndexBytes), "-")
-	t.AddRow("encoded graph (storage tier)", p.GraphBytes, "1.000", "60.3 GB")
-	_, err = fmt.Fprint(w, t.String())
-	return err
+	t := Table{Columns: columns("structure", "bytes", "fraction-of-graph|%.3f", "paper"), Rows: [][]any{
+		{"landmark d(u,p) table", p.LandmarkBytes, frac(p.LandmarkBytes), "2.8 GB vs 60.3 GB graph"},
+		{"embedding coordinates", p.EmbedBytes, frac(p.EmbedBytes), "4 GB vs 60.3 GB graph"},
+		{"landmark BFS index", p.IndexBytes, frac(p.IndexBytes), "-"},
+		{"encoded graph (storage tier)", p.GraphBytes, frac(p.GraphBytes), "60.3 GB"},
+	}}
+	return Result{Tables: []Table{t}}, nil
 }

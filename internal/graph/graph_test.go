@@ -239,8 +239,8 @@ func TestNodesByDegreeDesc(t *testing.T) {
 	}
 }
 
-// invariantInOutConsistent checks u in out(v) <=> v in in(u), edge counts
-// matching, per DESIGN.md invariant.
+// invariantInOutConsistent checks the adjacency invariant every loader and
+// mutation must keep: u in out(v) <=> v in in(u), edge counts matching.
 func invariantInOutConsistent(t *testing.T, g *Graph) {
 	t.Helper()
 	fwd := map[[2]NodeID]int{}

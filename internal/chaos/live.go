@@ -45,7 +45,8 @@ func (h *LiveHarness) Name() string { return "live" }
 // Supports: kill and restart are real over TCP. Drain, add, netsplit, heal
 // and slow-link are not implemented on this harness and come back Skipped —
 // the rpc tier itself has join, drain and membership; driving them (and
-// link faults) from here is ROADMAP item 4.
+// link faults) from here waits for the in-memory fault fabric the ROADMAP
+// plans, a net.Listener / net.Conn the real daemons run on.
 func (h *LiveHarness) Supports(a Action) bool {
 	return a == ActionKill || a == ActionRestart
 }

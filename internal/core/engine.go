@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/embed"
 	"repro/internal/metrics"
 	"repro/internal/placement"
 	"repro/internal/query"
@@ -432,6 +433,10 @@ func (ses *Session) Snapshot() *metrics.Snapshot {
 		RoutingTableBytes: router.TableBytes(strat, ses.sys.emb),
 		EmbedEvalsPerNode: int64(math.Round(build.EvalsPerNode())),
 		EmbedCapped:       build.Capped,
+	}
+	if emb := ses.sys.emb; emb != nil {
+		snap.EmbedDimensions = int64(emb.D)
+		snap.EmbedProvider = embed.SourceName(ses.sys.cfg.EmbedProvider)
 	}
 	assigned, executed := ses.rt.Assigned(), ses.rt.Executed()
 	stolenBy, divertedFrom := ses.rt.StolenBy(), ses.rt.DivertedFrom()

@@ -486,7 +486,7 @@ func (s *System) incorporateNode(u graph.NodeID) {
 			_ = s.emb.SetRow(u, rows[0])
 		}
 	default:
-		s.emb.IncorporateNode(s.idx, u, embed.Options{
+		s.emb.IncorporateNode(s.g, s.idx, u, embed.Options{
 			Dimensions: s.cfg.Dimensions, Seed: s.cfg.Seed, NM: s.cfg.EmbedNM,
 		})
 	}

@@ -120,19 +120,22 @@ func (e *Embedding) Coords(u graph.NodeID) []float32 {
 	return e.coords[i : i+e.D]
 }
 
-// setCoords copies p into node u's row, growing storage as needed.
-func (e *Embedding) setCoords(u graph.NodeID, p []float64) {
-	need := (int(u) + 1) * e.D
-	for len(e.coords) < need {
+// grow extends the table to hold node u; the rows it adds are unembedded.
+func (e *Embedding) grow(u graph.NodeID) {
+	for need := (int(u) + 1) * e.D; len(e.coords) < need; {
 		e.coords = append(e.coords, float32(math.NaN()))
 	}
-	row := e.coords[int(u)*e.D : need]
-	for j := 0; j < e.D; j++ {
+}
+
+// setCoords copies p into node u's row, growing storage as needed.
+func (e *Embedding) setCoords(u graph.NodeID, p []float64) {
+	e.grow(u)
+	row := e.Coords(u)
+	for j := range row {
 		row[j] = float32(p[j])
 	}
 }
 
-// setRow is setCoords' float32 twin, used when materializing a provider.
 // SetRow overwrites node u's coordinates with a provider-supplied row —
 // the incremental-update path for externally sourced embeddings, where
 // re-running the provider replaces the optimiser.
@@ -144,6 +147,7 @@ func (e *Embedding) SetRow(u graph.NodeID, row []float32) error {
 	return nil
 }
 
+// setRow is setCoords' float32 twin, used when materializing a provider.
 func (e *Embedding) setRow(u graph.NodeID, row []float32) {
 	need := (int(u) + 1) * e.D
 	for len(e.coords) < need {
@@ -171,11 +175,8 @@ func Euclidean(a, b []float32) float64 {
 // relErr is Eq 4: |d − eu| / d for a known hop distance d > 0.
 func relErr(d, eu float64) float64 { return math.Abs(d-eu) / d }
 
-// Build embeds the graph: first the landmarks (pairwise relative error
-// minimisation), then every other node against the landmark anchors. The
-// landmark index supplies all required hop distances, so Build performs no
-// additional BFS.
-func Build(g *graph.Graph, idx *landmark.Index, opts Options) (*Embedding, error) {
+// searchRows is Build up to the pass: every node where its own search put it.
+func searchRows(g *graph.Graph, idx *landmark.Index, opts Options) (*Embedding, error) {
 	opts = opts.withDefaults()
 	L := idx.NumLandmarks()
 	if L < 2 {
@@ -185,8 +186,7 @@ func Build(g *graph.Graph, idx *landmark.Index, opts Options) (*Embedding, error
 	rng := xrand.New(opts.Seed)
 
 	anchors := embedLandmarks(idx, opts, rng)
-	// Nodes are placed against the anchors as the table will store them, so
-	// that IncorporateNode, which has only the table, reproduces the row.
+	// Nodes are placed against the anchors at the table's precision.
 	for _, a := range anchors {
 		for k, v := range a {
 			a[k] = float64(float32(v))
@@ -314,12 +314,14 @@ func embedLandmarks(idx *landmark.Index, opts Options, rng *xrand.Source) [][]fl
 
 // placeNode embeds one node against the anchors, minimising the aggregate
 // relative error to every landmark that reaches it. The search starts at the
-// nearest landmark's own coordinates, so the row is a function of the
+// nearest landmark's own coordinates, so the point is a function of the
 // anchors and the node's distances alone — two neighbours with near-equal
 // distance vectors walk to the same minimum of a non-convex objective — and
 // s.rng, which the caller seeds per node, is drawn from only for a node no
-// landmark reaches. The point returned is an anchor's or the scratch's own,
-// to be copied before the scratch is used again.
+// landmark reaches. It is where the node's search ends, not the node's row
+// in a built table: Build's pass moves every row afterwards. The point
+// returned is an anchor's or the scratch's own, to be copied before the
+// scratch is used again.
 func (s *scratch) placeNode(idx *landmark.Index, anchors [][]float64, u graph.NodeID, opts Options) []float64 {
 	s.fit(opts.Dimensions)
 	terms := s.terms[:0]
@@ -364,30 +366,6 @@ func (s *scratch) placeNode(idx *landmark.Index, anchors [][]float64, u graph.No
 	s.stats.Placed++
 	x, _ := s.nelderMead(obj, nearest, opts.NM)
 	return x
-}
-
-// IncorporateNode places a new node (whose landmark distances must already
-// be in idx via Index.IncorporateNode) without re-embedding anything else —
-// the paper's update path for embed routing. The anchors are the already
-// embedded landmark nodes' own coordinates.
-func (e *Embedding) IncorporateNode(idx *landmark.Index, u graph.NodeID, opts Options) {
-	opts = opts.withDefaults()
-	opts.Dimensions = e.D
-	anchors := make([][]float64, idx.NumLandmarks())
-	for i := range anchors {
-		row := e.Coords(idx.Landmarks[i])
-		if row == nil {
-			continue
-		}
-		a := make([]float64, len(row))
-		for j, v := range row {
-			a[j] = float64(v)
-		}
-		anchors[i] = a
-	}
-	var s scratch
-	s.rng.Seed(opts.Seed ^ int64(uint64(u)*0x9e3779b97f4a7c15))
-	e.setCoords(u, s.placeNode(idx, anchors, u, opts))
 }
 
 // MeasureLandmarkFit returns the mean relative error (Eq 4) between true

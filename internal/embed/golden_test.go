@@ -16,16 +16,19 @@ import (
 // wantDist hashes (FNV-64a over every Index.Dist row) were generated at the
 // commit BEFORE BuildIndex moved onto caller-owned scratch and have not
 // changed since. The wantEmb hashes (over the coordinate table's float32
-// bits) held through that move too, and were regenerated ONCE, by the one
-// change allowed to move the embedding's output: the search finds the real
-// second-worst vertex, stops at a tolerance in the objective's units, and
-// starts at the nearest landmark without jitter. What that change had to
-// show instead of equal bits is beside the hashes: TestGoldenQualityFloor
-// (the fit and the pair error it may not give up) and
-// TestBuildEvaluationBudget (the work it may not take back). One triple per
-// worker count. WebGraph is dense and connected; Freebase is sparse, so most
-// of its nodes take the unreachable-from-every-landmark path (randomPoint)
-// and the rest see only a few anchors.
+// bits) held through that move too, and have been regenerated twice, each
+// time by a change whose purpose was to move the embedding's output: once
+// when the search found the real second-worst vertex, stopped at a tolerance
+// in the objective's units and started at the nearest landmark without
+// jitter, and once when Build gained its neighbour-averaging pass. What such
+// a change has to show instead of equal bits is beside the hashes:
+// TestGoldenQualityFloor (the fit the searches may not give up, the pair
+// error the table may not exceed), TestBuildEvaluationBudget (the work the
+// searches may not take back) and, for what the table is for,
+// TestEmbedCapturesHotspotReuse in internal/rpc. One triple per worker
+// count. WebGraph is dense and connected; Freebase is sparse, so most of its
+// nodes take the unreachable-from-every-landmark path (randomPoint) and the
+// rest see only a few anchors.
 var goldenBuilds = []struct {
 	dataset  gen.Dataset
 	scale    float64
@@ -34,8 +37,8 @@ var goldenBuilds = []struct {
 	wantDist uint64
 	wantEmb  uint64
 }{
-	{gen.WebGraph, 0.05, 7, 1, 0xa7ba1421219ff1b3, 0x7bc52fc079877bd7},
-	{gen.Freebase, 0.1, 11, 4, 0x66dddb05048dd63c, 0x0d0b89705446b6a5},
+	{gen.WebGraph, 0.05, 7, 1, 0xa7ba1421219ff1b3, 0xbc000c844013eb7e},
+	{gen.Freebase, 0.1, 11, 4, 0x66dddb05048dd63c, 0x7ab35b4478c9632c},
 }
 
 func TestPreprocessingBitIdentical(t *testing.T) {
@@ -83,24 +86,45 @@ func goldenWebGraph(t *testing.T) (*graph.Graph, *landmark.Index) {
 
 // The quality the regenerated hashes stand for, on the WebGraph case
 // (Freebase is mostly the unreachable-node path, whose placement is random by
-// design). Before the change → after: landmark fit 0.0870 → 0.0877 (what
-// the search minimises; the floor allows +0.01), ≤ 2-hop pair error
-// 0.4983 → 0.4933 (what routing depends on; may not rise).
+// design), in two halves because Build has two.
+//
+// The searched rows, before the pass, are held to what they were held to when
+// the searches last changed: landmark fit 0.0870 → 0.0877 (what a search
+// minimises; the floor allows +0.01), ≤ 2-hop pair error 0.4983 → 0.4933
+// (may not rise). Neither constant was raised for the pass.
+//
+// The table Build returns is held to a pair-error ceiling measured when the
+// pass landed, 0.5512 — HIGHER than the searched rows' 0.4933 on this 3,000-
+// node graph, while on the 60 k-node preset the same pass halves it
+// (0.87–1.08 → 0.41–0.63). The mean contracts every distance, and Eq 4
+// reads a pair drawn closer than its hop count as error; what routing needs
+// is that a node is nearer its neighbours than anything else, which the pair
+// error only partly says. So neither it nor the landmark fit (0.0877 →
+// 0.2964 here) is what the pass is judged by: routing follows reuse captured,
+// the cache hits embed routing gets of those a router that knew the hotspots
+// would (TestEmbedCapturesHotspotReuse, internal/rpc — on this graph 984 →
+// 1,009 of 980, at scale 0.2 2,870 → 3,154 of 3,099). The ceiling is here
+// so that a later change to the pass cannot scatter neighbours unnoticed.
 func TestGoldenQualityFloor(t *testing.T) {
-	const parentFit, parentPairErr = 0.0870, 0.4983
+	const searchedFit, searchedPairErr, pairErrCeiling = 0.0870, 0.4983, 0.56
 	g, idx := goldenWebGraph(t)
-	e, err := Build(g, idx, Options{Dimensions: 8, Seed: 7})
+	e, err := searchRows(g, idx, Options{Dimensions: 8, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fit := MeasureLandmarkFit(idx, e, 2000, 5)
-	pairErr := MeasureRelativeError(g, e, 2000, 2, 99)
-	t.Logf("landmark fit %.4f (parent %.4f), 2-hop pair error %.4f (parent %.4f)", fit, parentFit, pairErr, parentPairErr)
-	if fit > parentFit+0.01 {
-		t.Errorf("landmark fit %.4f, floor %.4f", fit, parentFit+0.01)
+	if fit > searchedFit+0.01 {
+		t.Errorf("searched rows: landmark fit %.4f, floor %.4f", fit, searchedFit+0.01)
 	}
-	if pairErr > parentPairErr {
-		t.Errorf("2-hop pair error %.4f, floor %.4f", pairErr, parentPairErr)
+	if pairErr := MeasureRelativeError(g, e, 2000, 2, 99); pairErr > searchedPairErr {
+		t.Errorf("searched rows: 2-hop pair error %.4f, floor %.4f", pairErr, searchedPairErr)
+	}
+	e.averageNeighbours(g)
+	pairErr := MeasureRelativeError(g, e, 2000, 2, 99)
+	t.Logf("prepbudget: the same build: landmark fit %.4f before the pass (ceiling %.4f), 2-hop pair error %.4f after it (ceiling %.2f)",
+		fit, searchedFit+0.01, pairErr, pairErrCeiling)
+	if pairErr > pairErrCeiling {
+		t.Errorf("2-hop pair error %.4f after the pass, ceiling %.2f", pairErr, pairErrCeiling)
 	}
 }
 
@@ -137,36 +161,60 @@ func TestBuildEvaluationBudget(t *testing.T) {
 	}
 }
 
-// With no jitter in the start a reachable node's row depends only on the
-// anchors and its landmark distances, so the paper's update path, given an
-// unchanged index, lands a node exactly where the batch build put it.
+// The update path and the build agree by construction: incorporating a node
+// that has embedded neighbours is the pass's step for that node — the mean of
+// their rows as they stand, one term per edge — whether or not the node was
+// there before, and a node with none is searched for against the landmarks'
+// rows, with no jitter in the start, so it lands where the same search lands
+// it again.
 func TestIncorporateNodeReproducesBuildRow(t *testing.T) {
 	g, idx := goldenWebGraph(t)
-	isLandmark := map[graph.NodeID]bool{}
-	for _, l := range idx.Landmarks {
-		isLandmark[l] = true
+	opts := Options{Dimensions: 8, Seed: 7}
+	e, err := Build(g, idx, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		opts := Options{Dimensions: 8, Seed: 7, Workers: workers}
-		e, err := Build(g, idx, opts)
-		if err != nil {
-			t.Fatal(err)
+	checked := 0
+	for u := graph.NodeID(0); u < g.MaxNodeID(); u += 97 {
+		if g.Degree(u) == 0 {
+			continue
 		}
-		checked := 0
-		for u := graph.NodeID(0); u < g.MaxNodeID(); u += 97 {
-			if isLandmark[u] || !g.Exists(u) {
-				continue
+		sum := make([]float64, e.D)
+		for _, adj := range [][]graph.Edge{g.OutEdges(u), g.InEdges(u)} {
+			for _, ed := range adj {
+				for j, v := range e.Coords(ed.To) {
+					sum[j] += float64(v)
+				}
 			}
-			want := slices.Clone(e.Coords(u))
-			e.IncorporateNode(idx, u, opts)
-			if got := e.Coords(u); !slices.Equal(got, want) {
-				t.Fatalf("%d workers, node %d: IncorporateNode placed it at %v, Build at %v", workers, u, got, want)
-			}
-			checked++
 		}
-		if checked < 25 {
-			t.Fatalf("only %d nodes checked", checked)
+		want := make([]float32, e.D)
+		for j := range want {
+			want[j] = float32(sum[j] / float64(g.Degree(u)))
 		}
+		e.IncorporateNode(g, idx, u, opts)
+		if got := e.Coords(u); !slices.Equal(got, want) {
+			t.Fatalf("node %d: IncorporateNode placed it at %v, the mean of its neighbours is %v", u, got, want)
+		}
+		checked++
+	}
+	if checked < 25 {
+		t.Fatalf("only %d nodes checked", checked)
+	}
+
+	// A node with no neighbour — here, given a graph that has none of its
+	// edges — falls back to the search, which depends on the table only
+	// through the landmarks' rows: twice the same row, and not the mean.
+	const u = 97
+	none := graph.New()
+	e.IncorporateNode(none, idx, u, opts)
+	searched := slices.Clone(e.Coords(u))
+	e.IncorporateNode(g, idx, u, opts)
+	if slices.Equal(e.Coords(u), searched) {
+		t.Fatalf("node %d: the search and the neighbour mean agree on %v; the fallback was not exercised", u, searched)
+	}
+	e.IncorporateNode(none, idx, u, opts)
+	if got := e.Coords(u); !slices.Equal(got, searched) {
+		t.Fatalf("node %d: searched for twice, placed at %v then %v", u, searched, got)
 	}
 }
 

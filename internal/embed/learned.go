@@ -35,10 +35,10 @@ func NewOptions(opts ...BuildOption) Options {
 
 // Learned is the built-in provider: the paper's learned-means scheme
 // (landmark anchors via incremental pairwise relative-error minimisation,
-// then per-node Simplex Downhill placement — Section 3.4.2), computed
-// once at construction. Its output is bit-identical to calling Build
-// directly with the same graph, index and options, which the golden test
-// pins.
+// then per-node Simplex Downhill placement — Section 3.4.2) followed by
+// Build's neighbour-averaging pass, computed once at construction. It is
+// Build: its output is bit-identical to calling Build directly with the
+// same graph, index and options, which the golden test pins.
 type Learned struct {
 	e *Embedding
 }
@@ -53,8 +53,10 @@ func NewLearned(g *graph.Graph, idx *landmark.Index, opts ...BuildOption) (*Lear
 	return &Learned{e: e}, nil
 }
 
+const learnedName = "learned"
+
 // Name implements Embedder.
-func (l *Learned) Name() string { return "learned" }
+func (l *Learned) Name() string { return learnedName }
 
 // Dimensions implements Embedder.
 func (l *Learned) Dimensions() int { return l.e.D }

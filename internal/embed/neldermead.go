@@ -3,6 +3,19 @@
 // space so that hop-count distances are approximately preserved, using the
 // Simplex Downhill (Nelder–Mead) algorithm — the optimiser the paper
 // applies both to place the landmarks and to place every remaining node.
+//
+// The searches fit each node to the landmarks, one node at a time, and what
+// routing needs of the table is something no search looks at: that a node's
+// neighbours are near it, so that a hotspot's queries reach one processor's
+// cache. Build therefore ends with one neighbour-averaging pass over the
+// table, and IncorporateNode is that pass's step for one node. Three numbers
+// describe a table and they do not move together: the landmark fit
+// (MeasureLandmarkFit, what the searches minimise; the pass raises it), the
+// pair error between nearby nodes (MeasureRelativeError, the paper's Figure
+// 12(a); the pass lowers it on graphs of the benchmark's size), and reuse
+// captured — of the cache hits a router that knew the hotspots would get, the
+// share embed routing gets — which is what the table is for and what the
+// pass is judged by (TestEmbedCapturesHotspotReuse in internal/rpc).
 package embed
 
 import (

@@ -40,6 +40,16 @@ type Embedder interface {
 	Embed(ctx context.Context, nodes []graph.NodeID) ([][]float32, error)
 }
 
+// SourceName is the provider name Stats() reports for a router's coordinate
+// table: p's own, or the built-in learned scheme's when no provider was
+// configured and the router built the table itself.
+func SourceName(p Embedder) string {
+	if p == nil {
+		return learnedName
+	}
+	return p.Name()
+}
+
 // Snapshotter is an optional provider fast path: providers that already
 // hold a fully materialised Embedding expose it directly, so Materialize
 // skips the batched walk (and needs no graph).

@@ -63,8 +63,9 @@ var Full = Scale{
 // whole working set is 337 KB, far inside a processor's cache — fig9b's
 // hits are equal at `ws` and `4ws` for every policy. Capacity never binds
 // at this scale; a miss is a record's first touch on its processor, and
-// that is all the policies differ by (ROADMAP item 1(b) is the scale where
-// it binds).
+// that is all the policies differ by (a workload shape where it binds —
+// more queries per hotspot, hotspots revisited, cache at a fraction of the
+// working set — is the ROADMAP's "paper's regime" work).
 var Quick = Scale{
 	GraphScale: 0.33, Hotspots: 25, PerHotspot: 10,
 	Landmarks: 16, MinSep: 2, Dims: 6, NMIter: 60, Seed: 42,

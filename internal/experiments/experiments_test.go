@@ -256,13 +256,13 @@ func TestKNNMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestPaperClaims is the first reader of the figures as data: three of the
+// TestPaperClaims is the first reader of the figures as data: six of the
 // paper's claims as predicates over Result rows, each pinned to the verdict
 // it has at Quick scale today. A change that flips one edits the pin and
 // says so.
 func TestPaperClaims(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs three figures at quick scale")
+		t.Skip("runs six figures at quick scale")
 	}
 	claims := []struct {
 		name  string
@@ -271,11 +271,11 @@ func TestPaperClaims(t *testing.T) {
 		eval  func(t *testing.T, res Result) bool
 	}{
 		// Reuse captured: how many of the hits one processor's cache gives
-		// (every repeat is a hit there) Embed still gets on seven.
+		// (every repeat is a hit there) Embed still gets on seven. 0.44
+		// before the embedding's neighbour-averaging pass, 0.69 with it.
 		{"fig8b/embed-keeps-hits", "fig8b", false, func(t *testing.T, res Result) bool {
-			embed := column(t, res.Tables[0], "Embed")
-			kept := float64(embed["7"].(int64)) / float64(embed["1"].(int64))
-			t.Logf("hits(Embed, P=7) / hits(Embed, P=1) = %.2f", kept)
+			kept := column(t, res.Tables[0], "Embed-captured")["7"].(float64)
+			t.Logf("hits(Embed, P=7) / hits(P=1) = %.2f", kept)
 			return kept >= 0.75
 		}},
 		{"fig14/ordering", "fig14", true, func(t *testing.T, res Result) bool {
@@ -303,6 +303,29 @@ func TestPaperClaims(t *testing.T) {
 				binds = binds || ws4[j].(int64) > ws[j].(int64)
 			}
 			return binds
+		}},
+		// The paper judges an embedding by the error between nearby node
+		// pairs. Held since the pass (0.633 / 0.544 / 0.500 / 0.518 / 0.507);
+		// the searched rows alone had it above 0.84 and rising with D.
+		{"fig12a/pair-error-falls", "fig12a", true, func(t *testing.T, res Result) bool {
+			pairErr := column(t, res.Tables[0], "2-hop-pair-error")
+			falls := pairErr["10"].(float64) < pairErr["2"].(float64)
+			for _, e := range pairErr {
+				falls = falls && e.(float64) <= 0.7
+			}
+			return falls
+		}},
+		{"fig10/preprocessing-helps", "fig10", true, func(t *testing.T, res Result) bool {
+			embed := column(t, res.Tables[0], "Embed")
+			return embed["100"].(time.Duration) <= embed["20"].(time.Duration)
+		}},
+		// Both smart routings break even with less cache than both baselines.
+		// Embed does since the pass (4,940 B against Hash's 5,269; 5,928
+		// before); Landmark, at 5,928, does not.
+		{"fig9c/smart-needs-less", "fig9c", false, func(t *testing.T, res Result) bool {
+			need := column(t, res.Tables[0], "min-cache-bytes")
+			t.Logf("min cache bytes: %v", need)
+			return max(need["Landmark"].(int64), need["Embed"].(int64)) < min(need["NextReady"].(int64), need["Hash"].(int64))
 		}},
 	}
 	for _, c := range claims {

@@ -18,9 +18,12 @@ type sweep struct {
 	axis     axis          // the zero axis is a single point, the default configuration
 	policies []core.Policy
 	// ref, when set, is run once per table at the default configuration:
-	// the Hash-reference column, fig9a's no-cache line.
-	ref   *core.Policy
-	views []view
+	// the Hash-reference column, fig9a's no-cache line. With refProcs it
+	// runs on that many processors instead — on one, whose cache sees every
+	// repeat, its hits are the reuse the workload has (captured).
+	ref      *core.Policy
+	refProcs int
+	views    []view
 }
 
 // axis is the parameter a sweep varies.
@@ -119,6 +122,13 @@ func ratio(name, format string, num, den int, of func(*core.Report) float64) col
 	return col{Column{name, format}, func(r row) any { return of(r.reps[num]) / of(r.reps[den]) }}
 }
 
+// captured is reuse captured, the routing-quality number that does not depend
+// on how much reuse a workload happens to have: the cache hits of the row's
+// j-th report over those of the sweep's one-processor reference run.
+func captured(name string, j int) col {
+	return col{Column{name, "%.2f"}, func(r row) any { return float64(r.reps[j].CacheHits) / float64(r.ref.CacheHits) }}
+}
+
 func vals[T any](vs ...T) []any {
 	out := make([]any, len(vs))
 	for i, v := range vs {
@@ -201,7 +211,11 @@ func (s *sweep) run(sc Scale) ([]gridTable, error) {
 		t := &tables[k]
 		if s.ref != nil {
 			cells = append(cells, func() (err error) {
-				t.ref, err = runPolicy(graphs[k], sysConfig(*s.ref, sc), workloads[k])
+				cfg := sysConfig(*s.ref, sc)
+				if s.refProcs > 0 {
+					cfg.Processors = s.refProcs
+				}
+				t.ref, err = runPolicy(graphs[k], cfg, workloads[k])
 				return err
 			})
 		}

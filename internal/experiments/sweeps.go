@@ -93,7 +93,7 @@ func storagePlacements(g *graphT, _ Scale, _ []queryT) ([]any, error) {
 // The three panels of Figures 14-16: one table per workload or dataset,
 // policies down the rows.
 var (
-	responseAndHits = []col{respTime.at("response-time", 0), hits.at("cache-hits", 0), misses.at("cache-misses", 0), hitRate.at("hit-rate", 0)}
+	responseAndHits = []col{respTime.at("response-time", 0), hits.at("cache-hits", 0), misses.at("cache-misses", 0), hitRate.at("hit-rate", 0), captured("reuse-captured", 0)}
 	responseAndRate = []col{respTime.at("response-time", 0), hitRate.at("hit-rate", 0)}
 )
 
@@ -103,13 +103,14 @@ var sweeps = []sweep{
 	{
 		axis:     axis{name: "processors", values: vals(1, 2, 3, 4, 5, 6, 7), set: func(c *core.Config, v any) { c.Processors = v.(int) }},
 		policies: fig8Policies,
+		ref:      &hashRef, refProcs: 1,
 		views: []view{{
 			id: "fig8a", paper: "Figure 8(a)", desc: "throughput vs number of query processors (1-7), 4 storage servers",
 			cols:  qps.perPolicy(fig8Policies),
 			notes: []string{"paper: Embed scales ~linearly; baselines saturate at 3-5 processors"},
 		}, {
 			id: "fig8b", paper: "Figure 8(b)", desc: "cache hits vs number of query processors",
-			cols: hits.perPolicy(fig8Policies),
+			cols: append(hits.perPolicy(fig8Policies), captured("Hash-captured", 2), captured("Landmark-captured", 3), captured("Embed-captured", 4)),
 			lead: func(t gridTable) string {
 				last := t.reps[len(t.reps)-1]
 				return fmt.Sprintf("paper: 'Cache Hits + Cache Misses = 52M'; here total touched = %d per run", last[len(last)-1].Touched)
@@ -213,6 +214,7 @@ var sweeps = []sweep{
 	{
 		hops:     [][2]int{{1, 2}, {2, 2}},
 		policies: fig8Policies,
+		ref:      &hashRef, refProcs: 1,
 		views: []view{{
 			id: "fig14", paper: "Figure 14", desc: "response time and cache hits/misses for r-hop hotspots (r=1,2), 2-hop traversals",
 			byPolicy: true, cols: responseAndHits, notesLast: true,

@@ -351,6 +351,12 @@ type Snapshot struct {
 	// here (another policy, or coordinates served from a file or provider).
 	EmbedEvalsPerNode int64
 	EmbedCapped       int64
+	// EmbedDimensions and EmbedProvider describe the coordinate table the
+	// router holds, wherever it came from: its width, and the name of the
+	// Embedder that supplied it ("learned" for the built-in scheme, "file",
+	// "service", a user's). Zero and empty when the router holds none.
+	EmbedDimensions int64
+	EmbedProvider   string
 }
 
 // String renders the snapshot as aligned tables (the same renderer the
@@ -366,6 +372,9 @@ func (s *Snapshot) String() string {
 	fmt.Fprintf(&b, "queue depth: p50=%d p99=%d p999=%d max=%d\n",
 		s.QueueDepth.P50, s.QueueDepth.P99, s.QueueDepth.P999, s.QueueDepth.Max)
 	fmt.Fprintf(&b, "routing tables: %d bytes\n", s.RoutingTableBytes)
+	if s.EmbedProvider != "" {
+		fmt.Fprintf(&b, "embedding: %d dimensions from provider %q\n", s.EmbedDimensions, s.EmbedProvider)
+	}
 	if s.EmbedEvalsPerNode > 0 {
 		fmt.Fprintf(&b, "embedding build: %d evaluations per node, %d searches capped\n", s.EmbedEvalsPerNode, s.EmbedCapped)
 	}

@@ -360,15 +360,14 @@ func (s *Landmark) DistanceTo(q query.Query, proc int) float64 {
 // via Equation 7. Routing is O(P·D) per query.
 //
 // The strategy is topology-aware: joined members get a fresh seeded mean
-// inside the embedding's bounding box (derived from the slot id, so the
-// value is independent of join order and identical on both transports),
-// surviving members keep their learned means across the epoch change, and
-// departed members simply drop out of the candidate set.
+// (derived from the slot id, so the value is independent of join order and
+// identical on both transports), surviving members keep their learned means
+// across the epoch change, and departed members simply drop out of the
+// candidate set.
 type Embed struct {
 	emb        *embed.Embedding
 	means      [][]float64 // slot-indexed; nil for slots never active
 	active     []int
-	lo, hi     []float64
 	seed       int64
 	alpha      float64
 	loadFactor float64
@@ -376,8 +375,8 @@ type Embed struct {
 
 // NewEmbed builds the embed strategy for procs processors. alpha is the
 // smoothing parameter of Equation 5; the initial per-processor means are
-// "assigned uniformly at random" (seeded for determinism) within the
-// bounding box of the embedded nodes.
+// "assigned uniformly at random" (seeded for determinism) among the embedded
+// nodes' rows (seedMean).
 func NewEmbed(emb *embed.Embedding, procs int, alpha, loadFactor float64, seed int64) (*Embed, error) {
 	if procs <= 0 {
 		return nil, fmt.Errorf("router: embed strategy needs procs > 0, got %d", procs)
@@ -385,17 +384,11 @@ func NewEmbed(emb *embed.Embedding, procs int, alpha, loadFactor float64, seed i
 	if alpha < 0 || alpha > 1 {
 		return nil, fmt.Errorf("router: alpha %v outside [0,1]", alpha)
 	}
-	lo, hi := coordsBounds(emb)
-	rng := xrand.New(seed)
-	s := &Embed{emb: emb, alpha: alpha, loadFactor: loadFactor, lo: lo, hi: hi, seed: seed}
+	s := &Embed{emb: emb, alpha: alpha, loadFactor: loadFactor, seed: seed}
 	s.means = make([][]float64, procs)
 	s.active = identitySlots(procs)
 	for p := range s.means {
-		m := make([]float64, emb.D)
-		for j := range m {
-			m[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
-		}
-		s.means[p] = m
+		s.means[p] = s.seedMean(p)
 	}
 	return s, nil
 }
@@ -415,47 +408,35 @@ func (s *Embed) SetTopology(v topology.View) {
 			s.means = append(s.means, nil)
 		}
 		if s.means[slot] == nil {
-			// Per-slot rng: deterministic regardless of join order.
-			rng := xrand.New(s.seed ^ int64((uint64(slot)+1)*0x9e3779b97f4a7c15))
-			m := make([]float64, s.emb.D)
-			for j := range m {
-				m[j] = s.lo[j] + rng.Float64()*(s.hi[j]-s.lo[j])
-			}
-			s.means[slot] = m
+			s.means[slot] = s.seedMean(slot)
 		}
 	}
 	s.active = active
 }
 
-func coordsBounds(emb *embed.Embedding) (lo, hi []float64) {
-	lo = make([]float64, emb.D)
-	hi = make([]float64, emb.D)
-	for j := range lo {
-		lo[j], hi[j] = math.Inf(1), math.Inf(-1)
+// seedMean is slot's first mean: the row of an embedded node, the first at
+// or after an id drawn from the slot's own stream (so the value does not
+// depend on join order). A mean has to start where nodes are. A point drawn
+// from the coordinates' bounding box is, in eight dimensions, almost surely
+// in empty space, and with equal loads a mean that starts farther from every
+// node than its peers never wins a query, never moves, and its processor
+// starves. The origin when nothing is embedded.
+func (s *Embed) seedMean(slot int) []float64 {
+	m := make([]float64, s.emb.D)
+	n := s.emb.NumNodes()
+	if n == 0 {
+		return m
 	}
-	found := false
-	for u := 0; u < emb.NumNodes(); u++ {
-		row := emb.Coords(graph.NodeID(u))
-		if row == nil || len(row) == 0 || math.IsNaN(float64(row[0])) {
-			continue
-		}
-		found = true
-		for j, v := range row {
-			f := float64(v)
-			if f < lo[j] {
-				lo[j] = f
+	rng := xrand.New(s.seed ^ int64((uint64(slot)+1)*0x9e3779b97f4a7c15))
+	for i, start := 0, rng.Intn(n); i < n; i++ {
+		if row := s.emb.Coords(graph.NodeID((start + i) % n)); !math.IsNaN(float64(row[0])) {
+			for j, v := range row {
+				m[j] = float64(v)
 			}
-			if f > hi[j] {
-				hi[j] = f
-			}
+			break
 		}
 	}
-	if !found {
-		for j := range lo {
-			lo[j], hi[j] = -1, 1
-		}
-	}
-	return lo, hi
+	return m
 }
 
 // Name implements Strategy.

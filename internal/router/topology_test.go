@@ -252,3 +252,43 @@ func TestEmbedMeansSurviveTopologyChange(t *testing.T) {
 		}
 	}
 }
+
+// A mean that starts where no node is never wins a query when loads are
+// equal, so its processor starves: drawn from the coordinates' bounding box,
+// seed 1 below dispatches 1,757 / 0 / 2,243 and seed 3 leaves a slot 422 of
+// 4,000. Replays a hotspot list through Decide with zero loads — no load term
+// to hide a dead slot behind — and holds every slot to a share of the
+// traffic (seeded at a node's row the smallest share of the five is 937).
+func TestEmbedNoSlotStarves(t *testing.T) {
+	const procs, minShare = 3, 0.15
+	for seed := int64(1); seed <= 5; seed++ {
+		g, err := gen.Preset(gen.WebGraph, 0.2, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := landmark.BuildIndex(g, landmark.Select(g, 32, 2), 0)
+		emb, err := embed.Build(g, idx, embed.Options{Dimensions: 8, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewEmbed(emb, procs, 0.5, 20, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := New(s, procs, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := query.Hotspot(g, query.WorkloadSpec{NumHotspots: 400, QueriesPerHotspot: 10, Seed: seed})
+		loads := make([]int, procs)
+		for _, q := range qs {
+			clear(loads)
+			r.Decide(q, loads)
+		}
+		for slot, n := range r.Assigned() {
+			if float64(n) < minShare*float64(len(qs)) {
+				t.Errorf("seed %d: slot %d got %d of %d queries (dispatch %v)", seed, slot, n, len(qs), r.Assigned())
+			}
+		}
+	}
+}

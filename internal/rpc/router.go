@@ -47,10 +47,12 @@ type RouterServer struct {
 	// emb is the coordinate table KNearest re-ranks against (and the
 	// embedding the strategy routes by, when it is embedding-based). Nil
 	// means KNearest queries answer query.ErrUnavailable; embErr carries
-	// the provider failure that caused a degraded start, if any. Both are
-	// set at construction and never change.
-	emb    *embed.Embedding
-	embErr error
+	// the provider failure that caused a degraded start, if any;
+	// embProvider names emb's source for Stats(). All are set at
+	// construction and never change.
+	emb         *embed.Embedding
+	embProvider string
+	embErr      error
 
 	mu   sync.Mutex // guards the topology, router, pools and counters below
 	topo *topology.Tracker
@@ -160,6 +162,9 @@ type RouterConfig struct {
 	// embed.Embedder. Nil routers reject KNearest with
 	// query.ErrUnavailable.
 	Embedding *embed.Embedding
+	// EmbedProvider names where Embedding came from (embed.SourceName), for
+	// Stats().
+	EmbedProvider string
 	// EmbedErr records why a configured embedding provider failed to
 	// materialise when the router starts degraded anyway (the policy did
 	// not need coordinates): KNearest rejections carry it for diagnosis.
@@ -179,14 +184,15 @@ func NewRouterServer(addr string, cfg RouterConfig) (*RouterServer, error) {
 	}
 	n := len(cfg.ProcessorAddrs)
 	r := &RouterServer{
-		policyName: cfg.PolicyName,
-		emb:        cfg.Embedding,
-		embErr:     cfg.EmbedErr,
-		topo:       topology.NewTrackerAddrs(cfg.ProcessorAddrs),
-		inflight:   make([]int, n),
-		completed:  make([]int64, n),
-		lastCache:  make([]metrics.CacheCounters, n),
-		inval:      make([]invalidations, n),
+		policyName:  cfg.PolicyName,
+		emb:         cfg.Embedding,
+		embProvider: cfg.EmbedProvider,
+		embErr:      cfg.EmbedErr,
+		topo:        topology.NewTrackerAddrs(cfg.ProcessorAddrs),
+		inflight:    make([]int, n),
+		completed:   make([]int64, n),
+		lastCache:   make([]metrics.CacheCounters, n),
+		inval:       make([]invalidations, n),
 	}
 	rt, err := router.NewFromView(cfg.Strategy, r.topo.View(), false)
 	if err != nil {
@@ -793,6 +799,10 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 		RoutingTableBytes: router.TableBytes(r.rt.Strategy(), r.emb),
 		EmbedEvalsPerNode: int64(math.Round(build.EvalsPerNode())),
 		EmbedCapped:       build.Capped,
+	}
+	if r.emb != nil {
+		snap.EmbedDimensions = int64(r.emb.D)
+		snap.EmbedProvider = r.embProvider
 	}
 	snap.Mutations = r.mutations.Load()
 	if r.planner != nil {

@@ -533,6 +533,8 @@ func sevenProcStatsResponse() *Response {
 		RoutingTableBytes: 60000 * 8 * 4,
 		EmbedEvalsPerNode: 151,
 		EmbedCapped:       260,
+		EmbedDimensions:   8,
+		EmbedProvider:     "learned",
 	}
 	for i := 0; i < 7; i++ {
 		cc := metrics.CacheCounters{

@@ -36,14 +36,15 @@ func readGolden(t *testing.T, name string) []byte {
 // TestGoldenFrames pins the response frames byte for byte. The files under
 // testdata hold what the commit before the walker existed wrote — its
 // appendStats/appendSnapshot/appendSummary field lists — from these same two
-// fixtures, plus the three appends the schema has seen since, each checked
+// fixtures, plus the four appends the schema has seen since, each checked
 // against the older file when it was made: Stats grew three counters (Bytes,
 // ReadMisses, RecoverNanos; three 0x00 bytes where the stats payload ends),
 // Snapshot grew RoutingTableBytes, one varint where the snapshot ends —
 // 0x00 in the first fixture, 80b0ea01 (1,920,000) in the second — and then
 // EmbedEvalsPerNode and EmbedCapped, two varints behind it: 0000, and
-// ae02 8804 (151, 260). Every other byte is the hand codec's, length prefix
-// aside.
+// ae02 8804 (151, 260), and then EmbedDimensions and EmbedProvider, a varint
+// and a string behind those: 0000, and 10 07 "learned" (8). Every other byte
+// is the hand codec's, length prefix aside.
 func TestGoldenFrames(t *testing.T) {
 	for _, tc := range []struct {
 		file string

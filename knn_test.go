@@ -223,6 +223,11 @@ func TestClientStreamCancellationKNN(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
+			// Stats names the table's source under a policy that built none.
+			if st, err := tc.c.Stats(ctx); err != nil || st.EmbedProvider != "file" || st.EmbedDimensions != int64(emb.D) {
+				t.Errorf("Stats: embedding of %d dimensions from provider %q (err %v), want %d from \"file\"",
+					st.EmbedDimensions, st.EmbedProvider, err, emb.D)
+			}
 			in := make(chan grouting.Query)
 			go func() {
 				for i := 0; ; i++ {

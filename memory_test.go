@@ -117,7 +117,8 @@ func TestRouterDoesNotRetainGraph(t *testing.T) {
 // zero for hash, which routes by arithmetic alone. What building the
 // embedding cost rides beside it — EmbedEvalsPerNode and EmbedCapped are
 // counts, so the same seed gives both transports the same ones: above zero
-// where an embedding was built, zero where none was.
+// where an embedding was built, zero where none was — and what the table is:
+// EmbedDimensions and EmbedProvider, 8 and "learned" for the one built here.
 func TestRoutingTableBytesTwoTransports(t *testing.T) {
 	ctx := context.Background()
 	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
@@ -155,6 +156,16 @@ func TestRoutingTableBytesTwoTransports(t *testing.T) {
 		}
 		if built := policy == grouting.PolicyEmbed; (rs.EmbedEvalsPerNode > 0) != built || (rs.EmbedCapped > 0) != built {
 			t.Errorf("%v: EmbedEvalsPerNode = %d, EmbedCapped = %d", policy, rs.EmbedEvalsPerNode, rs.EmbedCapped)
+		}
+		wantDims, wantProvider := int64(0), ""
+		if policy == grouting.PolicyEmbed {
+			wantDims, wantProvider = 8, "learned"
+		}
+		for _, st := range []grouting.Stats{ls, rs} {
+			if st.EmbedDimensions != wantDims || st.EmbedProvider != wantProvider {
+				t.Errorf("%v on %s: embedding of %d dimensions from provider %q, want %d from %q",
+					policy, st.Transport, st.EmbedDimensions, st.EmbedProvider, wantDims, wantProvider)
+			}
 		}
 	}
 }

@@ -161,6 +161,7 @@ func ServeRouter(addr string, spec RouterSpec) (*RouterServer, error) {
 		PlacementEvery:    spec.PlacementEvery,
 		PlacementMinReads: spec.PlacementMinReads,
 		Embedding:         emb,
+		EmbedProvider:     embed.SourceName(spec.EmbedProvider),
 		EmbedErr:          embErr,
 	})
 	if err != nil {

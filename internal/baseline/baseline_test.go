@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/embed"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/query"
@@ -123,7 +122,7 @@ func TestDecoupledBeatsBaselines(t *testing.T) {
 	sys, err := core.NewSystem(g, core.Config{
 		Processors: 7, StorageServers: 4, Policy: core.PolicyEmbed,
 		Network: simnet.Ethernet(), Landmarks: 8, MinSeparation: 1,
-		Dimensions: 4, Seed: 7, EmbedNM: embed.NMOptions{MaxIter: 60},
+		Dimensions: 4, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -200,10 +200,6 @@ type Config struct {
 	FailedProcessors []int
 	// PrepWorkers bounds preprocessing parallelism (0 = GOMAXPROCS).
 	PrepWorkers int
-	// EmbedNM tunes the embedding's searches; the zero value takes
-	// embed.Options' defaults. MaxIter is a cap few searches reach, so
-	// lowering it changes the output of those few and saves little time.
-	EmbedNM embed.NMOptions
 	// EmbedProvider supplies node coordinates from a pluggable source
 	// (embed.FileProvider, embed.Service, or any user Embedder) instead of
 	// the built-in learned embedding. It is materialised once at system

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/embed"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/query"
@@ -20,7 +19,6 @@ func testConfig(policy Policy) Config {
 		MinSeparation:  1,
 		Dimensions:     4,
 		Seed:           7,
-		EmbedNM:        embed.NMOptions{MaxIter: 60},
 	}
 }
 

@@ -414,7 +414,6 @@ func (ses *Session) SetStorageDelay(slot int, d time.Duration) {
 func (ses *Session) Snapshot() *metrics.Snapshot {
 	ses.applyTopology()
 	strat := ses.rt.Strategy()
-	build := ses.sys.emb.BuildStats()
 	snap := &metrics.Snapshot{
 		Transport:    "local",
 		Policy:       ses.sys.cfg.Policy.String(),
@@ -431,8 +430,6 @@ func (ses *Session) Snapshot() *metrics.Snapshot {
 		QueueDepth:   ses.depth.Summary(),
 
 		RoutingTableBytes: router.TableBytes(strat, ses.sys.emb),
-		EmbedEvalsPerNode: int64(math.Round(build.EvalsPerNode())),
-		EmbedCapped:       build.Capped,
 	}
 	if emb := ses.sys.emb; emb != nil {
 		snap.EmbedDimensions = int64(emb.D)

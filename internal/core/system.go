@@ -196,12 +196,7 @@ func (s *System) preprocess() error {
 
 	if s.cfg.Policy.NeedsEmbedding() && s.emb == nil {
 		t0 = time.Now()
-		e, err := embed.Build(s.g, s.idx, embed.Options{
-			Dimensions: s.cfg.Dimensions,
-			Seed:       s.cfg.Seed,
-			Workers:    s.cfg.PrepWorkers,
-			NM:         s.cfg.EmbedNM,
-		})
+		e, err := embed.Build(s.g, s.idx, embed.Options{Dimensions: s.cfg.Dimensions, Seed: s.cfg.Seed})
 		if err != nil {
 			return err
 		}
@@ -486,9 +481,7 @@ func (s *System) incorporateNode(u graph.NodeID) {
 			_ = s.emb.SetRow(u, rows[0])
 		}
 	default:
-		s.emb.IncorporateNode(s.g, s.idx, u, embed.Options{
-			Dimensions: s.cfg.Dimensions, Seed: s.cfg.Seed, NM: s.cfg.EmbedNM,
-		})
+		s.emb.IncorporateNode(s.g, s.idx, u, embed.Options{Dimensions: s.cfg.Dimensions, Seed: s.cfg.Seed})
 	}
 }
 

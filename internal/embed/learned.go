@@ -15,14 +15,8 @@ type BuildOption func(*Options)
 // WithDimensions sets the Euclidean dimensionality (paper default: 10).
 func WithDimensions(d int) BuildOption { return func(o *Options) { o.Dimensions = d } }
 
-// WithSeed drives every stochastic placement choice.
+// WithSeed drives where the nodes no landmark reaches are put.
 func WithSeed(s int64) BuildOption { return func(o *Options) { o.Seed = s } }
-
-// WithWorkers bounds per-node placement parallelism (0 = GOMAXPROCS).
-func WithWorkers(n int) BuildOption { return func(o *Options) { o.Workers = n } }
-
-// WithNM tunes the per-point Simplex Downhill searches.
-func WithNM(nm NMOptions) BuildOption { return func(o *Options) { o.NM = nm } }
 
 // NewOptions assembles an Options from functional options.
 func NewOptions(opts ...BuildOption) Options {
@@ -33,12 +27,12 @@ func NewOptions(opts ...BuildOption) Options {
 	return o
 }
 
-// Learned is the built-in provider: the paper's learned-means scheme
-// (landmark anchors via incremental pairwise relative-error minimisation,
-// then per-node Simplex Downhill placement — Section 3.4.2) followed by
-// Build's neighbour-averaging pass, computed once at construction. It is
-// Build: its output is bit-identical to calling Build directly with the
-// same graph, index and options, which the golden test pins.
+// Learned is the built-in provider: the paper's landmark-anchored embedding
+// (Section 3.4.2), placed here by landmark MDS instead of the paper's
+// Simplex Downhill searches, followed by Build's neighbour-averaging pass,
+// computed once at construction. It is Build: its output is bit-identical to
+// calling Build directly with the same graph, index and options, which the
+// golden test pins.
 type Learned struct {
 	e *Embedding
 }

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/embed"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/query"
@@ -43,10 +42,6 @@ type Scale struct {
 	Landmarks int
 	MinSep    int
 	Dims      int
-	// NMIter is the base of the embedding searches' iteration cap
-	// (embed.Options adds 12 per dimension); they stop on convergence long
-	// before it except at fig12's 15+ dimensions.
-	NMIter int
 	// Seed drives everything.
 	Seed int64
 }
@@ -54,7 +49,7 @@ type Scale struct {
 // Full is the paper-parameter scale (grouting-bench -scale full).
 var Full = Scale{
 	GraphScale: 1.0, Hotspots: 100, PerHotspot: 10,
-	Landmarks: 96, MinSep: 3, Dims: 10, NMIter: 120, Seed: 42,
+	Landmarks: 96, MinSep: 3, Dims: 10, Seed: 42,
 }
 
 // Quick is the reduced scale used by `go test -bench` and CI: the same
@@ -68,7 +63,7 @@ var Full = Scale{
 // working set — is the ROADMAP's "paper's regime" work).
 var Quick = Scale{
 	GraphScale: 0.33, Hotspots: 25, PerHotspot: 10,
-	Landmarks: 16, MinSep: 2, Dims: 6, NMIter: 60, Seed: 42,
+	Landmarks: 16, MinSep: 2, Dims: 6, Seed: 42,
 }
 
 // Experiment is one registered table or figure.
@@ -162,7 +157,6 @@ func sysConfig(policy core.Policy, sc Scale) core.Config {
 		MinSeparation:  sc.MinSep,
 		Dimensions:     sc.Dims,
 		Seed:           sc.Seed,
-		EmbedNM:        embed.NMOptions{MaxIter: sc.NMIter},
 	}
 }
 

@@ -197,21 +197,19 @@ func runFig12a(sc Scale) (Result, error) {
 	idx := landmark.BuildIndex(g, lms, 0)
 	dims := []int{2, 5, 10, 15, 20}
 	t := Table{
-		Columns: columns("dimensions", "distance-fit-error(Eq4)|%.3f", "2-hop-pair-error|%.3f", "iterations-per-node|%.1f"),
+		Columns: columns("dimensions", "distance-fit-error(Eq4)|%.3f", "2-hop-pair-error|%.3f"),
 		Rows:    make([][]any, len(dims)),
 	}
 	cells := make([]func() error, len(dims))
 	for i, d := range dims {
 		cells[i] = func() error {
-			emb, err := embed.Build(g, idx, embed.Options{Dimensions: d, Seed: sc.Seed, NM: embed.NMOptions{MaxIter: sc.NMIter}})
+			emb, err := embed.Build(g, idx, embed.Options{Dimensions: d, Seed: sc.Seed})
 			if err != nil {
 				return err
 			}
-			st := emb.BuildStats()
 			t.Rows[i] = []any{d,
 				embed.MeasureLandmarkFit(idx, emb, 400, sc.Seed+9),
 				embed.MeasureRelativeError(g, emb, 300, 2, sc.Seed+9),
-				float64(st.Iterations) / float64(max(st.Placed, 1)),
 			}
 			return nil
 		}

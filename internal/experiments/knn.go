@@ -49,7 +49,7 @@ func runKNN(sc Scale) (Result, error) {
 	lms := landmark.Select(g, sc.Landmarks, sc.MinSep)
 	idx := landmark.BuildIndex(g, lms, 0)
 	shared, err := embed.Build(g, idx, embed.Options{
-		Dimensions: sc.Dims, Seed: sc.Seed, NM: embed.NMOptions{MaxIter: sc.NMIter},
+		Dimensions: sc.Dims, Seed: sc.Seed,
 	})
 	if err != nil {
 		return Result{}, err

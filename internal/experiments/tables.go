@@ -71,11 +71,6 @@ func runTable2(sc Scale) (Result, error) {
 		{"embedding total", p.EmbedNodeTime, "-"},
 		{"embedding per node", perNodeEmbed, "1 s"},
 	}}
-	if st := sys.Embedding().BuildStats(); st.Placed > 0 {
-		t.Rows = append(t.Rows,
-			[]any{"  objective evaluations per node", fmt.Sprintf("%.1f", st.EvalsPerNode()), "-"},
-			[]any{"  searches ended by the iteration cap", fmt.Sprintf("%.1f%%", 100*float64(st.Capped)/float64(st.Placed)), "-"})
-	}
 	return Result{Tables: []Table{t}}, nil
 }
 

@@ -343,14 +343,6 @@ type Snapshot struct {
 	// preprocessing-storage row (Table 3), and what a router's resident
 	// size should be a small multiple of. Zero for the baseline policies.
 	RoutingTableBytes int64
-	// EmbedEvalsPerNode and EmbedCapped are what building the embedding
-	// cost this router (embed.BuildStats): objective evaluations per node
-	// placed, rounded, and how many of those searches ran into the
-	// iteration cap instead of converging. Counts, so equal wherever the
-	// graph, seed and parameters are; zero when no embedding was built
-	// here (another policy, or coordinates served from a file or provider).
-	EmbedEvalsPerNode int64
-	EmbedCapped       int64
 	// EmbedDimensions and EmbedProvider describe the coordinate table the
 	// router holds, wherever it came from: its width, and the name of the
 	// Embedder that supplied it ("learned" for the built-in scheme, "file",
@@ -374,9 +366,6 @@ func (s *Snapshot) String() string {
 	fmt.Fprintf(&b, "routing tables: %d bytes\n", s.RoutingTableBytes)
 	if s.EmbedProvider != "" {
 		fmt.Fprintf(&b, "embedding: %d dimensions from provider %q\n", s.EmbedDimensions, s.EmbedProvider)
-	}
-	if s.EmbedEvalsPerNode > 0 {
-		fmt.Fprintf(&b, "embedding build: %d evaluations per node, %d searches capped\n", s.EmbedEvalsPerNode, s.EmbedCapped)
 	}
 	t := NewTable("proc", "status", "assigned", "executed", "stolen", "diverted", "queue", "hits", "misses", "hit%", "evict", "inval-pend", "inval-done")
 	for _, p := range s.PerProc {

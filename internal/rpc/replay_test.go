@@ -79,9 +79,11 @@ func replayHits(t *testing.T, g *graph.Graph, strat router.Strategy, qs []query.
 // point_cold in process and in miniature — three processors, a total cache
 // of one eighth of the stored bytes, r = h = 2 — where the number can be
 // asserted instead of observed. The embedding's neighbour-averaging pass is
-// what it holds: without it embed routing gets 2,870 hits here against the
-// oracle's 3,099 and hashing's 2,136 (seeds 2 and 3: 2,775 / 3,011 / 2,037
-// and 2,771 / 3,087 / 1,983); with it 3,154 (3,166, 3,166).
+// what it holds: over the Simplex Downhill rows embed routing got 2,870 hits
+// here without it, against the oracle's 3,099 and hashing's 2,136 (seeds 2
+// and 3: 2,775 / 3,011 / 2,037 and 2,771 / 3,087 / 1,983), and 3,154 (3,166,
+// 3,166) with it; over the landmark-MDS rows that replaced them, 3,175
+// (3,098, 3,264).
 func TestEmbedCapturesHotspotReuse(t *testing.T) {
 	const procs, seed = 3, 1
 	g, err := gen.Preset(gen.WebGraph, 0.2, seed)

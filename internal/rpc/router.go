@@ -3,7 +3,6 @@ package rpc
 import (
 	"context"
 	"fmt"
-	"math"
 	"net"
 	"slices"
 	"sync"
@@ -782,7 +781,6 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	view := r.rt.View()
-	build := r.emb.BuildStats()
 	snap := &metrics.Snapshot{
 		Transport:    "tcp",
 		Policy:       r.policyName,
@@ -797,8 +795,6 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 		QueueDepth:   r.depth.Summary(),
 
 		RoutingTableBytes: router.TableBytes(r.rt.Strategy(), r.emb),
-		EmbedEvalsPerNode: int64(math.Round(build.EvalsPerNode())),
-		EmbedCapped:       build.Capped,
 	}
 	if r.emb != nil {
 		snap.EmbedDimensions = int64(r.emb.D)

@@ -531,8 +531,6 @@ func sevenProcStatsResponse() *Response {
 		QueueDepth: metrics.Summary{Count: 123456, Mean: 2, P50: 1, P95: 7, P99: 15, Max: 31},
 
 		RoutingTableBytes: 60000 * 8 * 4,
-		EmbedEvalsPerNode: 151,
-		EmbedCapped:       260,
 		EmbedDimensions:   8,
 		EmbedProvider:     "learned",
 	}

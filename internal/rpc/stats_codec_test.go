@@ -41,10 +41,11 @@ func readGolden(t *testing.T, name string) []byte {
 // ReadMisses, RecoverNanos; three 0x00 bytes where the stats payload ends),
 // Snapshot grew RoutingTableBytes, one varint where the snapshot ends —
 // 0x00 in the first fixture, 80b0ea01 (1,920,000) in the second — and then
-// EmbedEvalsPerNode and EmbedCapped, two varints behind it: 0000, and
-// ae02 8804 (151, 260), and then EmbedDimensions and EmbedProvider, a varint
-// and a string behind those: 0000, and 10 07 "learned" (8). Every other byte
-// is the hand codec's, length prefix aside.
+// EmbedDimensions and EmbedProvider, a varint and a string behind it: 0000,
+// and 10 07 "learned" (8). (EmbedEvalsPerNode and EmbedCapped sat between the
+// two for a while, 0000 and ae02 8804; when the searches they counted went,
+// the files lost exactly those bytes.) Every other byte is the hand codec's,
+// length prefix aside.
 func TestGoldenFrames(t *testing.T) {
 	for _, tc := range []struct {
 		file string

@@ -114,11 +114,9 @@ func TestRouterDoesNotRetainGraph(t *testing.T) {
 // the router holds to route by (landmark index, d(u,p) table, coordinates).
 // The same graph under the same policy and preprocessing parameters reports
 // the same figure from both transports: above zero for the smart policies,
-// zero for hash, which routes by arithmetic alone. What building the
-// embedding cost rides beside it — EmbedEvalsPerNode and EmbedCapped are
-// counts, so the same seed gives both transports the same ones: above zero
-// where an embedding was built, zero where none was — and what the table is:
-// EmbedDimensions and EmbedProvider, 8 and "learned" for the one built here.
+// zero for hash, which routes by arithmetic alone. What the table is rides
+// beside it: EmbedDimensions and EmbedProvider, 8 and "learned" for the one
+// built here.
 func TestRoutingTableBytesTwoTransports(t *testing.T) {
 	ctx := context.Background()
 	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
@@ -149,13 +147,6 @@ func TestRoutingTableBytesTwoTransports(t *testing.T) {
 		}
 		if smart := policy != grouting.PolicyHash; (rs.RoutingTableBytes > 0) != smart {
 			t.Errorf("%v: RoutingTableBytes = %d", policy, rs.RoutingTableBytes)
-		}
-		if ls.EmbedEvalsPerNode != rs.EmbedEvalsPerNode || ls.EmbedCapped != rs.EmbedCapped {
-			t.Errorf("%v: embedding build cost %d evaluations per node, %d capped on virtual-time; %d, %d on tcp",
-				policy, ls.EmbedEvalsPerNode, ls.EmbedCapped, rs.EmbedEvalsPerNode, rs.EmbedCapped)
-		}
-		if built := policy == grouting.PolicyEmbed; (rs.EmbedEvalsPerNode > 0) != built || (rs.EmbedCapped > 0) != built {
-			t.Errorf("%v: EmbedEvalsPerNode = %d, EmbedCapped = %d", policy, rs.EmbedEvalsPerNode, rs.EmbedCapped)
 		}
 		wantDims, wantProvider := int64(0), ""
 		if policy == grouting.PolicyEmbed {

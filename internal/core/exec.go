@@ -82,15 +82,18 @@ func (s *System) farFactor(p *proc, server int) float64 {
 	return f
 }
 
-// recordHeat attributes one storage read of each key to p, feeding the
-// owning session's placement planner. A no-op for workload-run processors
-// (no heat sink) and for cache hits (which never get here).
-func recordHeat(p *proc, keys []uint64) {
+// recordHeat attributes one storage read of each fetched record storage
+// holds to p, feeding the owning session's placement planner, as the
+// sockets' processor does. A no-op for workload-run processors (no heat
+// sink) and for cache hits (which never get here).
+func recordHeat(p *proc, ids []graph.NodeID, got []gstore.FetchResult) {
 	if p.heat == nil {
 		return
 	}
-	for _, k := range keys {
-		p.heat.Record(k, p.id, 1)
+	for j, id := range ids {
+		if got[j].OK {
+			p.heat.Record(uint64(id), p.id, 1)
+		}
 	}
 }
 
@@ -155,7 +158,6 @@ func (s *System) fetchRecords(p *proc, ids []graph.NodeID, now time.Duration, tl
 				finish := tl.Serve(b.Server, clock+rtt/2, work)
 				clock = finish + rtt/2
 				st.fetchedBytes += bytes
-				recordHeat(p, b.Keys)
 			})
 			if err != nil {
 				break
@@ -196,7 +198,6 @@ func (s *System) fetchRecords(p *proc, ids []graph.NodeID, now time.Duration, tl
 				arrival = a
 			}
 			st.fetchedBytes += bytes
-			recordHeat(p, b.Keys)
 		})
 		cost = arrival - now
 	}
@@ -208,6 +209,7 @@ func (s *System) fetchRecords(p *proc, ids []graph.NodeID, now time.Duration, tl
 		}
 		return nil, cost, st, err
 	}
+	recordHeat(p, missIDs, missDst)
 	if p.useCache {
 		for j := range missIDs {
 			fr := missDst[j]
@@ -215,7 +217,9 @@ func (s *System) fetchRecords(p *proc, ids []graph.NodeID, now time.Duration, tl
 				continue // dangling id: nothing stored, nothing cached
 			}
 			recs[sc.missPos[j]] = fr
-			p.cache.Put(uint64(missIDs[j]), cached{rec: fr.Record, bytes: fr.Bytes}, int64(fr.Bytes))
+			// The sockets' resident-size estimate, not the encoded length.
+			size := int64(16 + 8*(len(fr.Record.Out)+len(fr.Record.In)))
+			p.cache.Put(uint64(missIDs[j]), cached{rec: fr.Record, bytes: fr.Bytes}, size)
 			cost += prof.CacheInsert
 		}
 	}

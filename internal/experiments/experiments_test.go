@@ -343,8 +343,9 @@ func TestPaperClaims(t *testing.T) {
 			return embed["100"].(time.Duration) <= embed["20"].(time.Duration)
 		}},
 		// Both smart routings break even with less cache than both baselines.
-		// Embed does since the pass (4,940 B against Hash's 5,269; 5,928
-		// before); Landmark, at 5,928, does not.
+		// Charged encoded sizes, Embed did (4,611 B against Hash's 5,269) and
+		// Landmark, at 5,928, did not. Charged the sockets' 16 + 8 per edge,
+		// neither does: Embed 12,652 B, Landmark and Hash 11,387.
 		{"fig9c/smart-needs-less", "fig9c", false, func(t *testing.T, res Result) bool {
 			need := column(t, res.Tables[0], "min-cache-bytes")
 			t.Logf("min cache bytes: %v", need)

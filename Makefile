@@ -75,20 +75,22 @@ bench-test:
 # topology tracker, the replicated storage tier (membership transitions
 # vs concurrent reads), the placement planner feeding the router's
 # background migration loop, the traversal kernel whose scratch the
-# processors pool across concurrent batches, and the virtual-time engine,
+# processors pool across concurrent batches, the processor cache whose lock
+# its concurrent executors and evictions share, and the virtual-time engine,
 # whose mutation path incorporates nodes into a live index and embedding.
 race:
-	$(GO) test -race ./internal/core ./internal/rpc ./internal/router ./internal/topology ./internal/kvstore ./internal/gstore ./internal/chaos ./internal/placement ./internal/mquery ./internal/embed ./internal/traverse .
+	$(GO) test -race ./internal/cache ./internal/core ./internal/rpc ./internal/router ./internal/topology ./internal/kvstore ./internal/gstore ./internal/chaos ./internal/placement ./internal/mquery ./internal/embed ./internal/traverse .
 
 # Coverage ratchet for the storage stack the replication work lives in
 # plus the binary wire protocol, the embedding-provider subsystem and the
 # router both transports decide through: each package must stay at or
 # above its floor (set just under the current coverage — raise the floors
 # as coverage grows, never lower them). Current: gstore 96%, kvstore 91%,
-# topology 79%, chaos 84%, placement 100%, mquery 90%, rpc 87%, embed 88%,
+# topology 79%, chaos 84%, placement 100%, mquery 90%, rpc 89%, embed 90%,
 # traverse 100%, router 86%, wire 100% (the one bounds-checked reader every
-# decoder of outside bytes goes through).
-COVER_FLOORS = ./internal/gstore:90 ./internal/kvstore:87 ./internal/topology:75 ./internal/chaos:70 ./internal/placement:95 ./internal/mquery:85 ./internal/rpc:82 ./internal/embed:85 ./internal/traverse:90 ./internal/router:80 ./internal/wire:90
+# decoder of outside bytes goes through), cache 98% (the processor cache step
+# both engines fetch through).
+COVER_FLOORS = ./internal/cache:95 ./internal/gstore:90 ./internal/kvstore:87 ./internal/topology:75 ./internal/chaos:70 ./internal/placement:95 ./internal/mquery:85 ./internal/rpc:82 ./internal/embed:85 ./internal/traverse:90 ./internal/router:80 ./internal/wire:90
 
 cover:
 	@set -e; for spec in $(COVER_FLOORS); do \

@@ -13,6 +13,13 @@ import (
 // API: storage shards, processors, a router, and a dialled Client.
 func startTCPCluster(t testing.TB, g *grouting.Graph, nStorage, nProcs int, policy grouting.Policy) grouting.Client {
 	t.Helper()
+	return startTCPClusterCache(t, g, nStorage, nProcs, policy, 64<<20)
+}
+
+// startTCPClusterCache is startTCPCluster with cacheBytes of cache on every
+// processor.
+func startTCPClusterCache(t testing.TB, g *grouting.Graph, nStorage, nProcs int, policy grouting.Policy, cacheBytes int64) grouting.Client {
+	t.Helper()
 	ctx := context.Background()
 	var storageAddrs []string
 	for i := 0; i < nStorage; i++ {
@@ -28,7 +35,7 @@ func startTCPCluster(t testing.TB, g *grouting.Graph, nStorage, nProcs int, poli
 	}
 	var procAddrs []string
 	for i := 0; i < nProcs; i++ {
-		ps, err := grouting.ServeProcessor("127.0.0.1:0", storageAddrs, 64<<20)
+		ps, err := grouting.ServeProcessor("127.0.0.1:0", storageAddrs, cacheBytes)
 		if err != nil {
 			t.Fatal(err)
 		}

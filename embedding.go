@@ -2,7 +2,6 @@ package grouting
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/embed"
 	"repro/internal/query"
@@ -10,11 +9,11 @@ import (
 
 // Pluggable embedding providers. The routing strategies and the KNearest
 // query class consume node coordinates through the Embedder interface;
-// three implementations ship built in — the paper's learned-means scheme
-// (the default, built automatically by embedding policies), a
-// precomputed-file provider (OpenEmbeddingFile), and an in-process
-// external-service stub (NewEmbedService) — and any user type satisfying
-// the interface plugs in the same way, via WithEmbedProvider locally or
+// the paper's landmark-anchored scheme is built automatically by embedding
+// policies, a precomputed table plugs in as a FileProvider
+// (OpenEmbeddingFile, NewFileProvider), and any user type satisfying the
+// interface — a client of an external embedding service, say — plugs in
+// the same way, via WithEmbedProvider locally or
 // RouterSpec.EmbedProvider over TCP. The conformance suite under
 // internal/embed/embedtest pins the contract every provider must meet.
 type (
@@ -25,16 +24,8 @@ type (
 	// Embedding is the dense materialised coordinate table the router
 	// ranks and routes with.
 	Embedding = embed.Embedding
-	// EmbedServiceFunc computes coordinate rows for a batch of nodes —
-	// the callable behind an external-service provider.
-	EmbedServiceFunc = embed.EmbedFunc
 	// FileProvider serves a precomputed embedding artifact.
 	FileProvider = embed.FileProvider
-	// EmbedService is the in-process external-service provider stub:
-	// retry with doubling backoff, typed unavailability on exhaustion.
-	EmbedService = embed.Service
-	// EmbedServiceOption customises an EmbedService.
-	EmbedServiceOption = embed.ServiceOption
 	// CoordSource supplies coordinates for KNearest evaluation;
 	// *Embedding satisfies it.
 	CoordSource = query.CoordSource
@@ -58,22 +49,6 @@ func NewFileProvider(e *Embedding) *FileProvider { return embed.NewFileProvider(
 // WriteEmbeddingFile persists an embedding as a precomputed artifact
 // loadable by OpenEmbeddingFile and groutingd -embed-file.
 func WriteEmbeddingFile(path string, e *Embedding) error { return embed.WriteEmbeddingFile(path, e) }
-
-// NewEmbedService wraps an external embedding computation as a provider
-// with retry/backoff semantics: transient failures are retried with
-// doubling backoff, and exhaustion surfaces as ErrEmbedUnavailable —
-// which KNearest queries translate into the typed ErrUnavailable.
-func NewEmbedService(name string, dims int, fn EmbedServiceFunc, opts ...EmbedServiceOption) *EmbedService {
-	return embed.NewService(name, dims, fn, opts...)
-}
-
-// WithEmbedRetries sets how many times an EmbedService retries a failed
-// call before reporting ErrEmbedUnavailable (default 2).
-func WithEmbedRetries(n int) EmbedServiceOption { return embed.WithRetries(n) }
-
-// WithEmbedBackoff sets an EmbedService's initial retry backoff, doubled
-// per attempt (default 10ms).
-func WithEmbedBackoff(d time.Duration) EmbedServiceOption { return embed.WithBackoff(d) }
 
 // MaterializeEmbedding evaluates a provider over every node of g and
 // returns the dense coordinate table — what a system does internally at

@@ -10,8 +10,9 @@
 // The cache is generic over the cached value so processors can cache
 // decoded records without re-parsing. Entries live in a slot array linked
 // by indices (recency list) with evicted slots recycled through a free
-// list, so steady-state insert/evict churn allocates nothing. It is not
-// safe for concurrent use; each processor owns one cache.
+// list, so steady-state insert/evict churn allocates nothing. An LRU is not
+// safe for concurrent use. Processor puts one behind a lock with the fetch
+// both engines run through it (Step).
 package cache
 
 import "repro/internal/metrics"
@@ -132,7 +133,7 @@ func (c *LRU[V]) Contains(key uint64) bool {
 }
 
 // Put inserts or replaces the value for key. valBytes is the caller's size
-// estimate for the value (e.g. the encoded record length); the cache adds
+// estimate for the value (e.g. RecordSize for a graph record); the cache adds
 // EntryOverhead. Oversized values are rejected rather than flushing the
 // whole cache. It returns the number of entries evicted.
 func (c *LRU[V]) Put(key uint64, val V, valBytes int64) int {

@@ -1,0 +1,213 @@
+package cache
+
+import (
+	"errors"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/gstore"
+)
+
+// mapBackend serves records from a map and logs what the step asked of it.
+// during, when set, runs inside Read: what happens while a fetch is out.
+type mapBackend struct {
+	recs   map[graph.NodeID]gstore.Record
+	err    error
+	during func()
+	reads  [][]graph.NodeID
+	probes []Counts
+	heated []graph.NodeID
+}
+
+func (b *mapBackend) Read(ids []graph.NodeID, dst []gstore.FetchResult, probed Counts) error {
+	b.reads = append(b.reads, slices.Clone(ids))
+	b.probes = append(b.probes, probed)
+	if b.during != nil {
+		b.during()
+	}
+	if b.err != nil {
+		return b.err
+	}
+	for i, id := range ids {
+		rec, ok := b.recs[id]
+		dst[i] = gstore.FetchResult{Record: rec, OK: ok}
+	}
+	return nil
+}
+
+func (b *mapBackend) Heat(ids []graph.NodeID) { b.heated = append(b.heated, ids...) }
+
+// stored holds records 1..n, record i with i out-edges.
+func stored(n int) *mapBackend {
+	b := &mapBackend{recs: make(map[graph.NodeID]gstore.Record)}
+	for i := 1; i <= n; i++ {
+		r := gstore.Record{Node: graph.NodeID(i)}
+		for j := 0; j < i; j++ {
+			r.Out = append(r.Out, graph.Edge{To: graph.NodeID(j)})
+		}
+		b.recs[graph.NodeID(i)] = r
+	}
+	return b
+}
+
+// TestStepProbesThenReadsMisses: one read per step carrying only the misses,
+// results aligned with the ids, dangling ids neither cached nor heated, and
+// every record charged RecordSize.
+func TestStepProbesThenReadsMisses(t *testing.T) {
+	b := stored(3)
+	c := NewProcessor(1 << 20)
+	var sc Scratch
+	if _, n, err := c.Step(&sc, b, []graph.NodeID{1}); err != nil || n != (Counts{Misses: 1, Inserts: 1}) {
+		t.Fatalf("cold step: counts %+v, err %v", n, err)
+	}
+	recs, n, err := c.Step(&sc, b, []graph.NodeID{2, 1, 9, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != (Counts{Hits: 1, Misses: 3, Inserts: 2}) {
+		t.Fatalf("counts = %+v, want 1 hit, 3 misses, 2 inserts", n)
+	}
+	for i, want := range []graph.NodeID{2, 1, 0, 3} {
+		if recs[i].OK != (want != 0) || recs[i].Record.Node != want {
+			t.Fatalf("recs[%d] = %+v, want node %d", i, recs[i], want)
+		}
+	}
+	if got := b.reads[1]; !slices.Equal(got, []graph.NodeID{2, 9, 3}) || b.probes[1] != (Counts{Hits: 1, Misses: 3}) {
+		t.Fatalf("second read asked for %v after probe %+v", got, b.probes[1])
+	}
+	if !slices.Equal(b.heated, []graph.NodeID{1, 2, 3}) {
+		t.Fatalf("heated %v, want the stored records read: 1, 2, 3", b.heated)
+	}
+	var want int64
+	for id := graph.NodeID(1); id <= 3; id++ {
+		r := b.recs[id]
+		want += RecordSize(&r) + EntryOverhead
+	}
+	if st := c.Stats(); st.CurrentBytes != want || st.Inserts != 3 || st.Hits != 1 || st.Misses != 4 {
+		t.Fatalf("stats = %+v, want %d bytes over 3 inserts, 1 hit, 4 misses", st, want)
+	}
+	if _, n, _ := c.Step(&sc, b, []graph.NodeID{3, 2}); n != (Counts{Hits: 2}) || len(b.reads) != 2 {
+		t.Fatalf("all-hit step: counts %+v after %d reads, want 2 hits and no read", n, len(b.reads))
+	}
+}
+
+// TestStepReadErrorCachesNothing: a failed read fails the step and leaves
+// neither cache entries nor heat behind.
+func TestStepReadErrorCachesNothing(t *testing.T) {
+	b := stored(2)
+	b.err = errors.New("shard down")
+	c := NewProcessor(1 << 20)
+	var sc Scratch
+	if _, n, err := c.Step(&sc, b, []graph.NodeID{1, 2}); !errors.Is(err, b.err) || n != (Counts{Misses: 2}) {
+		t.Fatalf("counts %+v, err %v; want 2 misses and the read's error", n, err)
+	}
+	if st := c.Stats(); st.Inserts != 0 || len(b.heated) != 0 {
+		t.Fatalf("failed step cached %d records, heated %v", st.Inserts, b.heated)
+	}
+}
+
+// TestStepSkipsRecordsEvictedMidRead: a record evicted while the read that
+// fetched it was out answers the step but is not cached; the rest are.
+func TestStepSkipsRecordsEvictedMidRead(t *testing.T) {
+	b := stored(3)
+	c := NewProcessor(1 << 20)
+	b.during = func() { c.Evict(2) }
+	var sc Scratch
+	recs, n, err := c.Step(&sc, b, []graph.NodeID{1, 2, 3})
+	if err != nil || !recs[1].OK || n.Inserts != 3 {
+		t.Fatalf("recs %+v, counts %+v, err %v", recs, n, err)
+	}
+	if c.lru.Contains(2) || !c.lru.Contains(1) || !c.lru.Contains(3) {
+		t.Fatalf("resident %v, want 1 and 3 only", c.lru.Keys())
+	}
+}
+
+// TestStepWithoutCache: a nil Processor probes nothing and caches nothing,
+// but reads and heats like any other.
+func TestStepWithoutCache(t *testing.T) {
+	b := stored(2)
+	var c *Processor
+	var sc Scratch
+	for range 2 {
+		recs, n, err := c.Step(&sc, b, []graph.NodeID{2, 7, 1})
+		if err != nil || n != (Counts{Misses: 3}) || !recs[0].OK || recs[1].OK || !recs[2].OK {
+			t.Fatalf("recs %+v, counts %+v, err %v", recs, n, err)
+		}
+	}
+	if len(b.reads) != 2 || !slices.Equal(b.heated, []graph.NodeID{2, 1, 2, 1}) {
+		t.Fatalf("%d reads, heated %v", len(b.reads), b.heated)
+	}
+	if _, n, _ := c.Step(&sc, b, nil); n != (Counts{}) || len(b.reads) != 2 {
+		t.Fatal("an empty step read storage")
+	}
+	c.Evict(1)
+	if c.Stats() != (Stats{}) {
+		t.Fatal("a nil cache reports counters")
+	}
+}
+
+// TestStepConcurrentExecutors: executors sharing one processor cache under
+// evictions (run under -race) keep its accounting consistent.
+func TestStepConcurrentExecutors(t *testing.T) {
+	b := stored(64)
+	c := NewProcessor(4 << 10)
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	hits := 0
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			own := &mapBackend{recs: b.recs}
+			var sc Scratch
+			for i := range 200 {
+				ids := []graph.NodeID{graph.NodeID(1 + (i*7+w)%64), graph.NodeID(1 + (i*3)%64)}
+				_, n, err := c.Step(&sc, own, ids)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				hits += n.Hits
+				mu.Unlock()
+				if i%16 == 0 {
+					c.Evict(uint64(ids[0]))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.Hits != int64(hits) || st.Hits+st.Misses != 4*200*2 || st.CurrentBytes > st.CapacityBytes {
+		t.Fatalf("stats %+v after %d hits counted by the steps", st, hits)
+	}
+}
+
+// TestEvictedSince: a fetch only loses the records evicted while it was out;
+// once more keys were evicted than the ring remembers, all of them.
+func TestEvictedSince(t *testing.T) {
+	p := NewProcessor(1 << 10)
+	p.Evict(1, 2, 3)
+	seq := p.evictSeq
+	for _, key := range []uint64{1, 2, 3, 7} {
+		if p.evictedSince(seq, key) {
+			t.Fatalf("key %d counts as evicted since a point nothing was evicted after", key)
+		}
+	}
+	p.Evict(7, 8)
+	for key, want := range map[uint64]bool{1: false, 3: false, 7: true, 8: true, 9: false} {
+		if got := p.evictedSince(seq, key); got != want {
+			t.Fatalf("evictedSince(%d) = %v after evicting 7 and 8, want %v", key, got, want)
+		}
+	}
+	flood := make([]uint64, len(p.evicted)-1)
+	for i := range flood {
+		flood[i] = 100 + uint64(i)
+	}
+	p.Evict(flood...)
+	if !p.evictedSince(seq, 9) || p.evictedSince(p.evictSeq, 100) {
+		t.Fatal("past the ring every key must count as evicted, and none since the newest eviction")
+	}
+}

@@ -201,7 +201,7 @@ type Config struct {
 	// PrepWorkers bounds preprocessing parallelism (0 = GOMAXPROCS).
 	PrepWorkers int
 	// EmbedProvider supplies node coordinates from a pluggable source
-	// (embed.FileProvider, embed.Service, or any user Embedder) instead of
+	// (embed.FileProvider or any user Embedder) instead of
 	// the built-in learned embedding. It is materialised once at system
 	// construction and then serves both PolicyEmbed routing and KNearest
 	// ranking. When it fails and the policy does not require an embedding,

@@ -15,21 +15,13 @@ import (
 	"repro/internal/traverse"
 )
 
-// cached is a processor-cache entry: the decoded record plus its encoded
-// size (the capacity charge).
-type cached struct {
-	rec   gstore.Record
-	bytes int
-}
-
 // proc is one query processor's runtime state.
 type proc struct {
-	id       int
-	useCache bool
-	cache    *cache.LRU[cached]
-	sc       scratch          // fetchRecords' result and miss buffers
-	kernel   traverse.Scratch // the traversal's visited sets and frontiers
-	fx       fetcher
+	id     int
+	cache  *cache.Processor // nil under PolicyNoCache
+	sc     cache.Scratch    // the cache step's result and miss buffers
+	kernel traverse.Scratch // the traversal's visited sets and frontiers
+	fx     fetcher
 	// near is the processor's affinity storage slot (System.nearStorageSlot
 	// at provisioning time; -1 when none) — the slot whose fetches escape
 	// the StorageAffinity penalty.
@@ -37,24 +29,6 @@ type proc struct {
 	// heat, when non-nil, accumulates per-record storage-read counts for
 	// the owning session's placement planner. Cache hits never reach it.
 	heat *placement.Heat
-}
-
-// scratch is one processor's reusable fetchRecords buffers. Everything
-// here is overwritten per fetch, so records that must outlive a level
-// (cache entries) are copied out by value, never referenced.
-type scratch struct {
-	fetch   []gstore.FetchResult
-	missBuf []gstore.FetchResult
-	missIDs []graph.NodeID
-	missPos []int32
-}
-
-// resized returns *buf at length n, reallocating only when it has to.
-func resized(buf *[]gstore.FetchResult, n int) []gstore.FetchResult {
-	if cap(*buf) < n {
-		*buf = make([]gstore.FetchResult, n)
-	}
-	return (*buf)[:n]
 }
 
 // execStats accounts one query's data movement, following Eq 8/9: hits is
@@ -82,92 +56,81 @@ func (s *System) farFactor(p *proc, server int) float64 {
 	return f
 }
 
-// recordHeat attributes one storage read of each fetched record storage
-// holds to p, feeding the owning session's placement planner, as the
-// sockets' processor does. A no-op for workload-run processors (no heat
-// sink) and for cache hits (which never get here).
-func recordHeat(p *proc, ids []graph.NodeID, got []gstore.FetchResult) {
-	if p.heat == nil {
-		return
-	}
-	for j, id := range ids {
-		if got[j].OK {
-			p.heat.Record(uint64(id), p.id, 1)
-		}
-	}
+// fetcher is a processor's traverse.Fetcher for one execution: every batch
+// goes through the processor cache's Step, with the fetcher as its storage
+// backend, and the virtual clock and the data-movement stats accumulate
+// here. It lives in the proc so an execution allocates nothing.
+type fetcher struct {
+	s   *System
+	p   *proc
+	tl  *simnet.Timeline
+	now time.Duration
+	st  execStats
 }
 
-// fetchRecords obtains the records of ids for processor p starting at
-// virtual time now: cache first, then one batched multi-read per owning
-// storage server (charged on the contention timeline, halves of the RTT on
-// each side). It returns the results positionally aligned with ids (OK is
-// false for dangling ids), the elapsed virtual time, and the hit/miss
-// accounting. The returned slice is p's scratch buffer: it is valid only
-// until the next fetchRecords call on the same processor.
-func (s *System) fetchRecords(p *proc, ids []graph.NodeID, now time.Duration, tl *simnet.Timeline) ([]gstore.FetchResult, time.Duration, execStats, error) {
-	prof := s.cfg.Network
-	var cost time.Duration
-	var st execStats
-	sc := &p.sc
-	recs := resized(&sc.fetch, len(ids))
-	sc.missIDs = sc.missIDs[:0]
-	sc.missPos = sc.missPos[:0]
-	var missIDs []graph.NodeID
-	var missDst []gstore.FetchResult
-	if p.useCache {
-		for i, id := range ids {
-			if c, ok := p.cache.Get(uint64(id)); ok {
-				recs[i] = gstore.FetchResult{Record: c.rec, Bytes: c.bytes, OK: true}
-				st.hits++
-				cost += prof.CacheHit
-			} else {
-				recs[i] = gstore.FetchResult{}
-				sc.missIDs = append(sc.missIDs, id)
-				sc.missPos = append(sc.missPos, int32(i))
-				cost += prof.CacheLookupMiss
-			}
-		}
-		missIDs = sc.missIDs
-		missDst = resized(&sc.missBuf, len(missIDs))
-	} else {
-		missIDs = ids
-		missDst = recs // no scatter needed: FetchBatchInto fills every slot
-	}
-	if len(missIDs) == 0 {
-		return recs, cost, st, nil
-	}
+// fetcher arms p's fetcher for an execution starting at virtual time start.
+func (s *System) fetcher(p *proc, start time.Duration, tl *simnet.Timeline) *fetcher {
+	p.fx = fetcher{s: s, p: p, tl: tl, now: start}
+	return &p.fx
+}
 
-	st.misses += int64(len(missIDs))
+// Fetch runs one cache step and bills it whether or not it succeeds: a
+// failed fetch still burned the round trips that discovered the failure.
+// The returned slice is p's scratch buffer, valid until the next Fetch.
+func (f *fetcher) Fetch(ids []graph.NodeID) ([]gstore.FetchResult, error) {
+	recs, n, err := f.p.cache.Step(&f.p.sc, f, ids)
+	if n.Misses == 0 {
+		f.now += f.probeCost(n) // Read bills it otherwise, before departing
+	}
+	f.now += time.Duration(n.Inserts) * f.s.cfg.Network.CacheInsert
+	f.st.hits += int64(n.Hits)
+	f.st.misses += int64(n.Misses)
+	return recs, err
+}
+
+// probeCost is what the cache lookups of a step cost; nothing without a
+// cache.
+func (f *fetcher) probeCost(n cache.Counts) time.Duration {
+	if f.p.cache == nil {
+		return 0
+	}
+	prof := f.s.cfg.Network
+	return time.Duration(n.Hits)*prof.CacheHit + time.Duration(n.Misses)*prof.CacheLookupMiss
+}
+
+// Read is the step's storage backend: after the probe, one batched
+// multi-read per owning storage server, charged on the contention timeline
+// with halves of the RTT on each side.
+func (f *fetcher) Read(ids []graph.NodeID, dst []gstore.FetchResult, probed cache.Counts) error {
+	s, p, prof := f.s, f.p, f.s.cfg.Network
+	f.now += f.probeCost(probed)
 	var err error
 	if s.cfg.NoBatching {
 		// Ablation: one full round trip per key, strictly sequential.
-		clock := now + cost
-		for j := range missIDs {
-			err = s.tier.FetchBatchInto(missIDs[j:j+1], missDst[j:j+1], func(b kvstore.Batch, bytes int64) {
+		for j := range ids {
+			err = s.tier.FetchBatchInto(ids[j:j+1], dst[j:j+1], func(b kvstore.Batch, bytes int64) {
 				if bytes < 0 {
 					// Failed attempt: a round trip burned discovering the
 					// replica is gone, no data moved.
-					clock += prof.RTT
+					f.now += prof.RTT
 					return
 				}
 				work := time.Duration(len(b.Keys))*prof.PerKeyService + prof.TransferCost(bytes)
 				rtt := prof.RTT
-				if f := s.farFactor(p, b.Server); f > 1 {
-					rtt = time.Duration(float64(rtt) * f)
+				if ff := s.farFactor(p, b.Server); ff > 1 {
+					rtt = time.Duration(float64(rtt) * ff)
 				}
-				finish := tl.Serve(b.Server, clock+rtt/2, work)
-				clock = finish + rtt/2
-				st.fetchedBytes += bytes
+				f.now = f.tl.Serve(b.Server, f.now+rtt/2, work) + rtt/2
+				f.st.fetchedBytes += bytes
 			})
 			if err != nil {
 				break
 			}
 		}
-		cost = clock - now
 	} else {
-		depart := now + cost + prof.RTT/2
+		depart := f.now + prof.RTT/2
 		arrival := depart
-		err = s.tier.FetchBatchInto(missIDs, missDst, func(b kvstore.Batch, bytes int64) {
+		err = s.tier.FetchBatchInto(ids, dst, func(b kvstore.Batch, bytes int64) {
 			if bytes < 0 {
 				// Failed attempt: the processor pays the round trip that
 				// found the replica dead. The hook cannot tell a retried
@@ -183,74 +146,42 @@ func (s *System) fetchRecords(p *proc, ids []graph.NodeID, now time.Duration, tl
 			}
 			work := time.Duration(len(b.Keys))*prof.PerKeyService + prof.TransferCost(bytes)
 			ret := prof.RTT / 2
-			if f := s.farFactor(p, b.Server); f > 1 {
+			if ff := s.farFactor(p, b.Server); ff > 1 {
 				// A far batch occupies the shard no longer than a near one —
 				// the penalty is the longer network path, so it lands on the
-				// round trip: the return leg stretches by f (depart is shared
+				// round trip: the return leg stretches by ff (depart is shared
 				// across the round's batches, so the whole penalty is here).
 				// Latency is a max() term — one far batch drags the entire
 				// round — which is why the planner moves whole neighbourhoods,
 				// not single records.
-				ret = time.Duration(float64(ret) * f)
+				ret = time.Duration(float64(ret) * ff)
 			}
-			finish := tl.Serve(b.Server, depart, work)
+			finish := f.tl.Serve(b.Server, depart, work)
 			if a := finish + ret; a > arrival {
 				arrival = a
 			}
-			st.fetchedBytes += bytes
+			f.st.fetchedBytes += bytes
 		})
-		cost = arrival - now
+		f.now = arrival
 	}
-	if err != nil {
-		if errors.Is(err, kvstore.ErrNoLiveReplica) {
-			err = fmt.Errorf("%w: storage fetch: %v", query.ErrUnavailable, err)
-		} else {
-			err = fmt.Errorf("core: storage fetch: %w", err)
-		}
-		return nil, cost, st, err
+	if err == nil {
+		return nil
 	}
-	recordHeat(p, missIDs, missDst)
-	if p.useCache {
-		for j := range missIDs {
-			fr := missDst[j]
-			if !fr.OK {
-				continue // dangling id: nothing stored, nothing cached
-			}
-			recs[sc.missPos[j]] = fr
-			// The sockets' resident-size estimate, not the encoded length.
-			size := int64(16 + 8*(len(fr.Record.Out)+len(fr.Record.In)))
-			p.cache.Put(uint64(missIDs[j]), cached{rec: fr.Record, bytes: fr.Bytes}, size)
-			cost += prof.CacheInsert
+	if errors.Is(err, kvstore.ErrNoLiveReplica) {
+		return fmt.Errorf("%w: storage fetch: %v", query.ErrUnavailable, err)
+	}
+	return fmt.Errorf("core: storage fetch: %w", err)
+}
+
+// Heat attributes one storage read of each record the step read to p,
+// feeding the owning session's placement planner. A no-op for workload-run
+// processors, which have no heat sink.
+func (f *fetcher) Heat(ids []graph.NodeID) {
+	if h := f.p.heat; h != nil {
+		for _, id := range ids {
+			h.Record(uint64(id), f.p.id, 1)
 		}
 	}
-	return recs, cost, st, nil
-}
-
-// fetcher is a processor's traverse.Fetcher for one execution: every batch
-// goes through fetchRecords, and the virtual clock and the data-movement
-// stats accumulate here. It lives in the proc so an execution allocates
-// nothing.
-type fetcher struct {
-	s   *System
-	p   *proc
-	tl  *simnet.Timeline
-	now time.Duration
-	st  execStats
-}
-
-// fetcher arms p's fetcher for an execution starting at virtual time start.
-func (s *System) fetcher(p *proc, start time.Duration, tl *simnet.Timeline) *fetcher {
-	p.fx = fetcher{s: s, p: p, tl: tl, now: start}
-	return &p.fx
-}
-
-// Fetch bills the batch whether or not it succeeds: a failed fetch still
-// burned the round trips that discovered the failure.
-func (f *fetcher) Fetch(ids []graph.NodeID) ([]gstore.FetchResult, error) {
-	recs, dt, st, err := f.s.fetchRecords(f.p, ids, f.now, f.tl)
-	f.now += dt
-	f.st.add(st)
-	return recs, err
 }
 
 // Expanded bills n units of traversal compute.

@@ -90,7 +90,7 @@ func (ses *Session) writeRecord(u graph.NodeID) {
 	ses.chargeWrite(uint64(u), bytes)
 	for _, p := range ses.procs {
 		if p != nil {
-			p.cache.Remove(uint64(u))
+			p.cache.Evict(uint64(u))
 		}
 	}
 }
@@ -106,7 +106,7 @@ func (ses *Session) writeEdge(u, v graph.NodeID) {
 // chargeWrite advances the session clock by one write-all round trip for
 // key: every replica in the current placement serves the write on the
 // contention timeline, and the ack arrives when the slowest one finishes —
-// the same accounting shape fetchRecords uses for reads.
+// the same accounting shape a cache step's storage read uses.
 func (ses *Session) chargeWrite(key uint64, bytes int) {
 	prof := ses.sys.cfg.Network
 	var arr [topology.MaxReplicas]int

@@ -269,17 +269,11 @@ func (s *System) buildStrategy() (router.Strategy, error) {
 
 // newProc provisions one processor slot's runtime state (cold cache).
 func (s *System) newProc(slot int) *proc {
-	useCache := s.cfg.Policy != PolicyNoCache
-	capacity := s.cfg.CacheBytes
-	if !useCache {
-		capacity = 0
+	p := &proc{id: slot, near: s.nearStorageSlot(slot)}
+	if s.cfg.Policy != PolicyNoCache {
+		p.cache = cache.NewProcessor(s.cfg.CacheBytes)
 	}
-	return &proc{
-		id:       slot,
-		useCache: useCache,
-		cache:    cache.New[cached](capacity),
-		near:     s.nearStorageSlot(slot),
-	}
+	return p
 }
 
 // newProcs provisions per-run processor states for every non-departed slot

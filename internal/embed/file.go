@@ -147,7 +147,16 @@ func (f *FileProvider) Dimensions() int { return f.e.D }
 
 // Embed implements Embedder.
 func (f *FileProvider) Embed(ctx context.Context, nodes []graph.NodeID) ([][]float32, error) {
-	return rowsFromEmbedding(ctx, f.e, nodes)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	rows := make([][]float32, len(nodes))
+	for i, u := range nodes {
+		if row := f.e.Coords(u); row != nil && !nanRow(row) {
+			rows[i] = row
+		}
+	}
+	return rows, nil
 }
 
 // Snapshot implements Snapshotter.

@@ -24,13 +24,3 @@ func TestOptionsWithDefaults(t *testing.T) {
 		})
 	}
 }
-
-// TestNewOptionsFunctional pins the functional-option constructor against
-// the plain struct: both spellings produce the identical Options.
-func TestNewOptionsFunctional(t *testing.T) {
-	got := NewOptions(WithDimensions(6), WithSeed(42))
-	want := Options{Dimensions: 6, Seed: 42}
-	if got != want {
-		t.Fatalf("NewOptions = %+v, want %+v", got, want)
-	}
-}

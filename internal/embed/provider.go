@@ -16,8 +16,8 @@ import (
 var ErrUnavailable = errors.New("embed: provider unavailable")
 
 // Embedder is the provider interface every embedding source implements:
-// the built-in learned-means scheme, a precomputed file, an external
-// service — or anything a downstream user registers. Embed is batched:
+// a precomputed table (FileProvider), a client of an external service —
+// or anything a downstream user registers. Embed is batched:
 // one call returns one coordinate row per requested node, positionally
 // aligned with nodes.
 //
@@ -32,13 +32,17 @@ var ErrUnavailable = errors.New("embed: provider unavailable")
 //   - Context-aware: a cancelled ctx aborts with ctx.Err(); a provider
 //     that cannot answer fails with an error wrapping ErrUnavailable.
 type Embedder interface {
-	// Name identifies the provider ("learned", "file", "service", ...).
+	// Name identifies the provider ("file", "service", ...).
 	Name() string
 	// Dimensions is the width of every coordinate row.
 	Dimensions() int
 	// Embed returns nodes' coordinate rows, positionally aligned.
 	Embed(ctx context.Context, nodes []graph.NodeID) ([][]float32, error)
 }
+
+// learnedName is what SourceName calls the table a router builds itself
+// with Build.
+const learnedName = "learned"
 
 // SourceName is the provider name Stats() reports for a router's coordinate
 // table: p's own, or the built-in learned scheme's when no provider was
@@ -98,19 +102,4 @@ func Materialize(ctx context.Context, p Embedder, g *graph.Graph) (*Embedding, e
 		}
 	}
 	return e, nil
-}
-
-// rowsFromEmbedding serves an Embed call straight out of a materialised
-// Embedding — the shared read path of the learned and file providers.
-func rowsFromEmbedding(ctx context.Context, e *Embedding, nodes []graph.NodeID) ([][]float32, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rows := make([][]float32, len(nodes))
-	for i, u := range nodes {
-		if row := e.Coords(u); row != nil && !nanRow(row) {
-			rows[i] = row
-		}
-	}
-	return rows, nil
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/embed"
 	"repro/internal/embed/embedtest"
@@ -28,40 +27,58 @@ func testIndex(t testing.TB) (*graph.Graph, *landmark.Index) {
 	return g, landmark.BuildIndex(g, ls, 0)
 }
 
-// TestLearnedProviderGolden is the acceptance keystone: the default
-// (learned) provider's output is bit-identical to calling Build directly —
-// refactoring the scheme behind the provider interface changed nothing.
+// remote stands in for a client of an external embedding service: it
+// answers batches out of a table it does not hand over (no Snapshot), or,
+// with no table, fails every call the way an unreachable service does.
+type remote struct {
+	e    *embed.Embedding
+	dims int
+}
+
+func (r remote) Name() string    { return "service" }
+func (r remote) Dimensions() int { return r.dims }
+
+func (r remote) Embed(ctx context.Context, nodes []graph.NodeID) ([][]float32, error) {
+	if r.e == nil {
+		return nil, fmt.Errorf("embedding backend unreachable: %w", embed.ErrUnavailable)
+	}
+	return embed.NewFileProvider(r.e).Embed(ctx, nodes)
+}
+
+// TestLearnedProviderGolden: the built-in scheme as a provider is Build's
+// table behind NewFileProvider — Materialize hands back the table itself,
+// every row Embed serves is Build's bit for bit, and with no provider at
+// all Stats names the source "learned".
 func TestLearnedProviderGolden(t *testing.T) {
 	g, idx := testIndex(t)
-	opts := embed.Options{Dimensions: 5, Seed: 7}
-	want, err := embed.Build(g, idx, opts)
+	want, err := embed.Build(g, idx, embed.Options{Dimensions: 5, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := embed.NewLearned(g, idx, embed.WithDimensions(5), embed.WithSeed(7))
+	p := embed.NewFileProvider(want)
+	if got, err := embed.Materialize(context.Background(), p, g); err != nil || got != want {
+		t.Fatalf("Materialize = %p, %v; want Build's table %p", got, err, want)
+	}
+	nodes := g.Nodes()
+	rows, err := p.Embed(context.Background(), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := embed.Materialize(context.Background(), p, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.D != want.D || got.NumNodes() != want.NumNodes() {
-		t.Fatalf("shape: got D=%d n=%d, want D=%d n=%d", got.D, got.NumNodes(), want.D, want.NumNodes())
-	}
-	for u := graph.NodeID(0); int(u) < want.NumNodes(); u++ {
-		cw, cg := want.Coords(u), got.Coords(u)
-		for j := range cw {
-			wb, gb := math.Float32bits(cw[j]), math.Float32bits(cg[j])
-			if wb != gb && !(math.IsNaN(float64(cw[j])) && math.IsNaN(float64(cg[j]))) {
-				t.Fatalf("node %d dim %d: provider %v != Build %v (not bit-identical)", u, j, cg[j], cw[j])
+	for i, u := range nodes {
+		for j, c := range want.Coords(u) {
+			if math.Float32bits(rows[i][j]) != math.Float32bits(c) {
+				t.Fatalf("node %d dim %d: provider %v != Build %v (not bit-identical)", u, j, rows[i][j], c)
 			}
 		}
 	}
+	if got := embed.SourceName(nil); got != "learned" {
+		t.Fatalf("SourceName(nil) = %q, want learned", got)
+	}
 }
 
-// TestProviderConformance runs the embedtest suite over all three
-// built-in providers — the same harness downstream providers run.
+// TestProviderConformance runs the embedtest suite over the built-in table,
+// a file artifact and a service client — the same harness downstream
+// providers run.
 func TestProviderConformance(t *testing.T) {
 	g, idx := testIndex(t)
 	nodes := []graph.NodeID{0, 3, 17, 42, 77, 119, 5000} // 5000: beyond the graph, exercises nil rows
@@ -79,11 +96,11 @@ func TestProviderConformance(t *testing.T) {
 		"learned": {
 			Nodes: nodes,
 			New: func(t *testing.T) embed.Embedder {
-				p, err := embed.NewLearned(g, idx, embed.WithDimensions(4), embed.WithSeed(11))
+				e, err := embed.Build(g, idx, embed.Options{Dimensions: 4, Seed: 11})
 				if err != nil {
 					t.Fatal(err)
 				}
-				return p
+				return embed.NewFileProvider(e)
 			},
 		},
 		"file": {
@@ -99,18 +116,7 @@ func TestProviderConformance(t *testing.T) {
 		"service": {
 			Nodes: nodes,
 			New: func(t *testing.T) embed.Embedder {
-				return embed.NewService("svc", base.D, func(ctx context.Context, ns []graph.NodeID) ([][]float32, error) {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					rows := make([][]float32, len(ns))
-					for i, u := range ns {
-						if c := base.Coords(u); c != nil && !math.IsNaN(float64(c[0])) {
-							rows[i] = c
-						}
-					}
-					return rows, nil
-				})
+				return remote{base, base.D}
 			},
 		},
 	}
@@ -212,95 +218,6 @@ func FuzzFileDecode(f *testing.F) {
 	})
 }
 
-// TestServiceRetriesThenSucceeds: transient failures are retried with
-// doubling backoff, and the successful attempt's rows come through.
-func TestServiceRetriesThenSucceeds(t *testing.T) {
-	calls, sleeps := 0, []time.Duration(nil)
-	p := embed.NewService("flaky", 2, func(ctx context.Context, ns []graph.NodeID) ([][]float32, error) {
-		calls++
-		if calls < 3 {
-			return nil, fmt.Errorf("transient %d", calls)
-		}
-		rows := make([][]float32, len(ns))
-		for i := range rows {
-			rows[i] = []float32{1, 2}
-		}
-		return rows, nil
-	}, embed.WithRetries(3), embed.WithBackoff(time.Millisecond),
-		embed.WithSleepForTest(func(ctx context.Context, d time.Duration) error {
-			sleeps = append(sleeps, d)
-			return nil
-		}))
-	rows, err := p.Embed(context.Background(), []graph.NodeID{1, 2})
-	if err != nil || len(rows) != 2 || rows[0][0] != 1 {
-		t.Fatalf("rows=%v err=%v", rows, err)
-	}
-	if calls != 3 {
-		t.Fatalf("backend called %d times, want 3", calls)
-	}
-	want := []time.Duration{time.Millisecond, 2 * time.Millisecond}
-	if len(sleeps) != len(want) || sleeps[0] != want[0] || sleeps[1] != want[1] {
-		t.Fatalf("backoff sleeps = %v, want %v", sleeps, want)
-	}
-}
-
-// TestServiceExhaustionIsUnavailable: a backend that never recovers
-// surfaces as ErrUnavailable after the retry budget.
-func TestServiceExhaustionIsUnavailable(t *testing.T) {
-	calls := 0
-	p := embed.NewService("down", 2, func(ctx context.Context, ns []graph.NodeID) ([][]float32, error) {
-		calls++
-		return nil, errors.New("backend down")
-	}, embed.WithRetries(2), embed.WithSleepForTest(func(context.Context, time.Duration) error { return nil }))
-	_, err := p.Embed(context.Background(), []graph.NodeID{1})
-	if !errors.Is(err, embed.ErrUnavailable) {
-		t.Fatalf("err = %v, want ErrUnavailable", err)
-	}
-	if calls != 3 {
-		t.Fatalf("backend called %d times, want 3 (1 + 2 retries)", calls)
-	}
-}
-
-// TestServiceCancellationAborts: ctx cancellation wins over the retry
-// loop — no further attempts, ctx.Err() returned.
-func TestServiceCancellationAborts(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	calls := 0
-	p := embed.NewService("slow", 2, func(ctx context.Context, ns []graph.NodeID) ([][]float32, error) {
-		calls++
-		cancel() // backend "hangs"; caller gives up
-		return nil, errors.New("timeout")
-	}, embed.WithRetries(5), embed.WithSleepForTest(func(context.Context, time.Duration) error { return nil }))
-	_, err := p.Embed(ctx, []graph.NodeID{1})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if calls != 1 {
-		t.Fatalf("backend called %d times after cancellation, want 1", calls)
-	}
-}
-
-// TestServiceRejectsMisshapenRows: a backend answering with the wrong
-// row count or width is an error, not silent corruption.
-func TestServiceRejectsMisshapenRows(t *testing.T) {
-	short := embed.NewService("short", 2, func(ctx context.Context, ns []graph.NodeID) ([][]float32, error) {
-		return make([][]float32, 1), nil
-	})
-	if _, err := short.Embed(context.Background(), []graph.NodeID{1, 2}); err == nil {
-		t.Fatal("short row count accepted")
-	}
-	wide := embed.NewService("wide", 2, func(ctx context.Context, ns []graph.NodeID) ([][]float32, error) {
-		rows := make([][]float32, len(ns))
-		for i := range rows {
-			rows[i] = []float32{1, 2, 3}
-		}
-		return rows, nil
-	})
-	if _, err := wide.Embed(context.Background(), []graph.NodeID{1}); err == nil {
-		t.Fatal("over-wide row accepted")
-	}
-}
-
 // TestMaterializeFromService walks the batched (non-Snapshotter) path and
 // must agree with the backing embedding row for row.
 func TestMaterializeFromService(t *testing.T) {
@@ -309,16 +226,7 @@ func TestMaterializeFromService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := embed.NewService("svc", 3, func(ctx context.Context, ns []graph.NodeID) ([][]float32, error) {
-		rows := make([][]float32, len(ns))
-		for i, u := range ns {
-			if c := base.Coords(u); c != nil && !math.IsNaN(float64(c[0])) {
-				rows[i] = c
-			}
-		}
-		return rows, nil
-	})
-	got, err := embed.Materialize(context.Background(), p, g)
+	got, err := embed.Materialize(context.Background(), remote{base, 3}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,10 +239,7 @@ func TestMaterializeFromService(t *testing.T) {
 		}
 	}
 	// A failing provider propagates its error (wrapping ErrUnavailable).
-	down := embed.NewService("down", 3, func(context.Context, []graph.NodeID) ([][]float32, error) {
-		return nil, errors.New("no backend")
-	}, embed.WithRetries(0))
-	if _, err := embed.Materialize(context.Background(), down, g); !errors.Is(err, embed.ErrUnavailable) {
+	if _, err := embed.Materialize(context.Background(), remote{dims: 3}, g); !errors.Is(err, embed.ErrUnavailable) {
 		t.Fatalf("materialize over a dead provider: err = %v, want ErrUnavailable", err)
 	}
 }

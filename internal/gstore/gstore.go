@@ -4,8 +4,10 @@
 // its outgoing and incoming labelled edges.
 //
 // The binary codec is a compact varint encoding with delta-compressed,
-// sorted neighbour lists — the value sizes it produces drive the byte-level
-// cache-capacity and network-transfer modelling in the engine.
+// sorted neighbour lists. The value sizes it produces drive the engine's
+// network-transfer modelling; they no longer size cache entries, which
+// both transports charge cache.RecordSize, an estimate of the decoded
+// record's resident size.
 package gstore
 
 import (
@@ -264,7 +266,6 @@ func (t *Tier) Fetch(id graph.NodeID) (Record, bool, error) {
 // FetchResult is one element of a batched fetch.
 type FetchResult struct {
 	Record Record
-	Bytes  int // encoded size, for cache accounting
 	OK     bool
 }
 
@@ -377,7 +378,7 @@ func (t *Tier) FetchBatchInto(ids []graph.NodeID, dst []FetchResult, onBatch fun
 				if derr != nil && firstErr == nil {
 					firstErr = derr
 				}
-				dst[p] = FetchResult{Record: r, Bytes: len(vals[i]), OK: true}
+				dst[p] = FetchResult{Record: r, OK: true}
 			}
 			if onBatch != nil {
 				onBatch(b, bytes)

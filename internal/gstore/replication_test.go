@@ -2,6 +2,7 @@ package gstore
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
@@ -24,7 +25,7 @@ func newReplicatedTier(t *testing.T, servers, replicas int) (*Tier, *graph.Graph
 
 // TestFetchBatchIntoSurvivesReplicaFailure pins the tentpole property at
 // the tier level: after one of R=2 replicas fails, every record is still
-// fetched, byte-accounted and decoded identically.
+// fetched and decoded identically.
 func TestFetchBatchIntoSurvivesReplicaFailure(t *testing.T) {
 	tier, g := newReplicatedTier(t, 3, 2)
 	ids := make([]graph.NodeID, 0, 300)
@@ -43,7 +44,7 @@ func TestFetchBatchIntoSurvivesReplicaFailure(t *testing.T) {
 		t.Fatalf("fetch after replica failure: %v", err)
 	}
 	for i, id := range ids {
-		if !after[i].OK || after[i].Bytes != before[i].Bytes {
+		if !after[i].OK || !reflect.DeepEqual(after[i], before[i]) {
 			t.Fatalf("node %d: result changed across failure (%+v vs %+v)", id, after[i], before[i])
 		}
 		if len(after[i].Record.Out) != g.OutDegree(id) {

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/gstore"
@@ -579,32 +578,5 @@ func TestPreImageReadFailsOver(t *testing.T) {
 	}
 	if resp := rs.mutate(ctx, []Mutation{{Op: query.MutAddEdge, Node: u, To: 1 << 30}}); resp.Code != CodeConflict {
 		t.Fatalf("edge to a missing endpoint: %+v, want the typed conflict", resp)
-	}
-}
-
-// TestEvictedSince: a fetch only loses the records evicted while it was out;
-// once more keys were evicted than the ring remembers, all of them.
-func TestEvictedSince(t *testing.T) {
-	p := &ProcessorServer{cache: cache.New[gstore.Record](1 << 10)}
-	p.evict([]uint64{1, 2, 3})
-	seq := p.evictSeq
-	for _, key := range []uint64{1, 2, 3, 7} {
-		if p.evictedSince(seq, key) {
-			t.Fatalf("key %d counts as evicted since a point nothing was evicted after", key)
-		}
-	}
-	p.evict([]uint64{7, 8})
-	for key, want := range map[uint64]bool{1: false, 3: false, 7: true, 8: true, 9: false} {
-		if got := p.evictedSince(seq, key); got != want {
-			t.Fatalf("evictedSince(%d) = %v after evicting 7 and 8, want %v", key, got, want)
-		}
-	}
-	flood := make([]uint64, len(p.evicted)-1)
-	for i := range flood {
-		flood[i] = 100 + uint64(i)
-	}
-	p.evict(flood)
-	if !p.evictedSince(seq, 9) || p.evictedSince(p.evictSeq, 100) {
-		t.Fatal("past the ring every key must count as evicted, and none since the newest eviction")
 	}
 }

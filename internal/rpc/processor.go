@@ -13,7 +13,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/graph"
 	"repro/internal/gstore"
-	"repro/internal/metrics"
 	"repro/internal/mquery"
 	"repro/internal/query"
 	"repro/internal/traverse"
@@ -23,23 +22,16 @@ import (
 // receives query batches (from the router), executes the h-hop traversals
 // against the storage tier, and caches fetched records in a byte-bounded
 // LRU. Processors never talk to each other (Section 2.3). Concurrent
-// batches share the cache under a mutex; storage fetches ride the pooled
-// shard connections with the caller's deadline.
+// batches share the cache, which carries its own lock; storage fetches ride
+// the pooled shard connections with the caller's deadline.
 type ProcessorServer struct {
 	ln      net.Listener
 	ct      connTracker
 	storage *StorageClient
 
-	mu    sync.Mutex // guards cache, evicted, evictSeq and heat
-	cache *cache.LRU[gstore.Record]
-	// evicted is a ring of the keys most recently evicted from the cache and
-	// evictSeq how many ever were: evicted[(evictSeq-1)%len] is the newest. A
-	// storage fetch that straddles the eviction of one of its keys may have
-	// been answered before the write the eviction announced, so that record
-	// still answers the query that asked for it but is not cached (see
-	// netFetcher.Fetch, evictedSince).
-	evicted  [64]uint64
-	evictSeq uint64
+	cache *cache.Processor
+
+	heatMu sync.Mutex // guards heat
 	// heat counts storage misses per record since the last OpHeat drain —
 	// the adaptive-placement planner's read signal. Cache hits contribute
 	// nothing: a record the cache absorbs needs no migration. Bounded at
@@ -56,9 +48,8 @@ type ProcessorServer struct {
 
 	registration // announces the processor to a router (scale-out, clean leave)
 
-	requests     atomic.Int64
-	hits, misses atomic.Int64
-	executed     atomic.Int64
+	requests atomic.Int64
+	executed atomic.Int64
 }
 
 // ProcessorConfig configures a networked query processor.
@@ -95,7 +86,7 @@ func NewProcessorServerWith(addr string, cfg ProcessorConfig) (*ProcessorServer,
 		sc.Close()
 		return nil, fmt.Errorf("rpc: processor listen: %w", err)
 	}
-	p := &ProcessorServer{ln: ln, storage: sc, cache: cache.New[gstore.Record](cfg.CacheBytes), heat: make(map[uint64]int64)}
+	p := &ProcessorServer{ln: ln, storage: sc, cache: cache.NewProcessor(cfg.CacheBytes), heat: make(map[uint64]int64)}
 	p.execs = make(chan *execState, max(4, 2*runtime.GOMAXPROCS(0)))
 	for range cap(p.execs) {
 		p.execs <- &execState{fetch: netFetcher{p: p}}
@@ -119,54 +110,15 @@ func (p *ProcessorServer) Close() error {
 // Stats returns the processor's counters, including the full cache
 // accounting (hits, misses, evictions, resident bytes).
 func (p *ProcessorServer) Stats() Stats {
-	cc := p.cacheCounters()
+	cc := p.cache.Stats().Counters()
 	return Stats{
 		Role:     "processor",
 		Requests: p.requests.Load(),
-		Hits:     p.hits.Load(),
-		Misses:   p.misses.Load(),
+		Hits:     cc.Hits,
+		Misses:   cc.Misses,
 		Executed: p.executed.Load(),
 		Cache:    &cc,
 	}
-}
-
-// cacheCounters snapshots the cache accounting under the cache lock.
-func (p *ProcessorServer) cacheCounters() metrics.CacheCounters {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cache.Stats().Counters()
-}
-
-// evict drops every named record from the cache, so the next read refetches
-// the rewritten version from storage, and remembers the keys for the fetches
-// in flight.
-func (p *ProcessorServer) evict(keys []uint64) {
-	if len(keys) == 0 {
-		return
-	}
-	p.mu.Lock()
-	for _, k := range keys {
-		p.cache.Remove(k)
-		p.evicted[p.evictSeq%uint64(len(p.evicted))] = k
-		p.evictSeq++
-	}
-	p.mu.Unlock()
-}
-
-// evictedSince reports whether key was evicted after the eviction count read
-// seq — or may have been: past what the ring remembers every key counts as
-// evicted. Caller holds p.mu.
-func (p *ProcessorServer) evictedSince(seq, key uint64) bool {
-	n := p.evictSeq - seq
-	if n > uint64(len(p.evicted)) {
-		return true
-	}
-	for i := uint64(1); i <= n; i++ {
-		if p.evicted[(p.evictSeq-i)%uint64(len(p.evicted))] == key {
-			return true
-		}
-	}
-	return false
 }
 
 func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {
@@ -178,7 +130,7 @@ func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {
 		st := p.Stats()
 		return Response{OK: true, Stats: &st}
 	case OpEvict:
-		p.evict(req.Keys)
+		p.cache.Evict(req.Keys...)
 		return Response{OK: true}
 	case OpHeat:
 		return Response{OK: true, Hot: p.drainHeat()}
@@ -190,7 +142,7 @@ func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {
 		// request is validated, let alone waits for an executor: whatever the
 		// frame's queries read, they read after them, and the reply that
 		// retires them at the router is proof they were applied.
-		p.evict(req.Keys)
+		p.cache.Evict(req.Keys...)
 		if req.Exec == nil || (len(req.Exec.Queries) == 0 && len(req.Exec.Subtasks) == 0) {
 			return errorResponse(fmt.Errorf("%w: execute request carries no queries", query.ErrBadQuery))
 		}
@@ -216,7 +168,7 @@ func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {
 				p.executed.Add(1)
 				partials[i] = part
 			}
-			cc := p.cacheCounters()
+			cc := p.cache.Stats().Counters()
 			return Response{OK: true, Partials: partials, ProcCache: &cc}
 		}
 		results := make([]query.Result, len(req.Exec.Queries))
@@ -233,21 +185,19 @@ func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {
 			p.executed.Add(1)
 			results[i] = res
 		}
-		cc := p.cacheCounters()
+		cc := p.cache.Stats().Counters()
 		return Response{OK: true, Results: results, ProcCache: &cc}
 	}
 	return errorResponse(fmt.Errorf("processor: unknown op %q", req.Op))
 }
 
-// netFetcher is the processor's traverse.Fetcher for one request: cache
-// first, then one StorageClient.MultiGet for the misses under the
-// request's ctx, scattered into a reusable positional buffer.
+// netFetcher is the processor's traverse.Fetcher for one request, and the
+// backend of its cache steps: the misses are one StorageClient.MultiGet
+// under the request's ctx.
 type netFetcher struct {
-	p    *ProcessorServer
-	ctx  context.Context
-	recs []gstore.FetchResult
-	miss []graph.NodeID
-	pos  []int32 // pos[j] is miss[j]'s index in recs
+	p   *ProcessorServer
+	ctx context.Context
+	sc  cache.Scratch
 }
 
 func (f *netFetcher) Fetch(ids []graph.NodeID) ([]gstore.FetchResult, error) {
@@ -256,56 +206,34 @@ func (f *netFetcher) Fetch(ids []graph.NodeID) ([]gstore.FetchResult, error) {
 	if err := f.ctx.Err(); err != nil {
 		return nil, err
 	}
-	p := f.p
-	if cap(f.recs) < len(ids) {
-		f.recs = make([]gstore.FetchResult, len(ids))
-	}
-	recs := f.recs[:len(ids)]
-	miss, pos := f.miss[:0], f.pos[:0]
-	p.mu.Lock()
-	seq := p.evictSeq
-	for i, id := range ids {
-		rec, ok := p.cache.Get(uint64(id))
-		recs[i] = gstore.FetchResult{Record: rec, OK: ok}
-		if !ok {
-			miss = append(miss, id)
-			pos = append(pos, int32(i))
-		}
-	}
-	p.mu.Unlock()
-	f.miss, f.pos = miss, pos
-	p.hits.Add(int64(len(ids) - len(miss)))
-	p.misses.Add(int64(len(miss)))
-	if len(miss) == 0 {
-		return recs, nil
-	}
-	fetched, err := p.storage.MultiGet(f.ctx, miss)
+	recs, _, err := f.p.cache.Step(&f.sc, f, ids)
+	return recs, err
+}
+
+// Read implements cache.Backend.
+func (f *netFetcher) Read(ids []graph.NodeID, dst []gstore.FetchResult, _ cache.Counts) error {
+	fetched, err := f.p.storage.MultiGet(f.ctx, ids)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	p.mu.Lock()
-	for j, id := range miss {
+	for i, id := range ids {
 		rec, ok := fetched[id]
-		if !ok {
-			continue // dangling id: nothing stored, nothing cached
-		}
-		recs[pos[j]] = gstore.FetchResult{Record: rec, OK: true}
-		// An eviction applied while the fetch was out may announce a write the
-		// shard had not taken yet when it answered: caching that record would
-		// serve the pre-write version to every read after the write's ack.
-		// It answers this query — which raced the write — and the next miss
-		// refetches it.
-		if !p.evictedSince(seq, uint64(id)) {
-			// Approximate the record's resident size for capacity accounting.
-			size := int64(16 + 8*(len(rec.Out)+len(rec.In)))
-			p.cache.Put(uint64(id), rec, size)
-		}
+		dst[i] = gstore.FetchResult{Record: rec, OK: ok}
+	}
+	return nil
+}
+
+// Heat implements cache.Backend: heatCap bounds the keys tracked, and a new
+// key is dropped when it is full.
+func (f *netFetcher) Heat(ids []graph.NodeID) {
+	p := f.p
+	p.heatMu.Lock()
+	for _, id := range ids {
 		if _, hot := p.heat[uint64(id)]; hot || len(p.heat) < heatCap {
 			p.heat[uint64(id)]++
 		}
 	}
-	p.mu.Unlock()
-	return recs, nil
+	p.heatMu.Unlock()
 }
 
 // Expanded is a no-op: real time bills itself.
@@ -335,7 +263,7 @@ func (p *ProcessorServer) getExec(ctx context.Context) (*execState, error) {
 // giant traversal grew its tables past the point where pinning them beats
 // reallocating.
 func (p *ProcessorServer) putExec(ex *execState) {
-	if ex.kernel.Retained() > 1<<15 || cap(ex.fetch.recs) > 1<<15 {
+	if ex.kernel.Retained() > 1<<15 || ex.fetch.sc.Retained() > 1<<15 {
 		ex = &execState{fetch: netFetcher{p: p}}
 	}
 	ex.fetch.ctx = nil // an idle executor must not pin the request
@@ -353,13 +281,13 @@ const (
 // hottest first (key ascending on ties, so the report is deterministic),
 // and resets the accumulator.
 func (p *ProcessorServer) drainHeat() []HotKey {
-	p.mu.Lock()
+	p.heatMu.Lock()
 	hot := make([]HotKey, 0, len(p.heat))
 	for k, n := range p.heat {
 		hot = append(hot, HotKey{Key: k, Reads: n})
 	}
 	p.heat = make(map[uint64]int64)
-	p.mu.Unlock()
+	p.heatMu.Unlock()
 	slices.SortFunc(hot, func(a, b HotKey) int {
 		if a.Reads != b.Reads {
 			return cmp.Compare(b.Reads, a.Reads)

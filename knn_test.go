@@ -21,18 +21,33 @@ func testCoords(u grouting.NodeID) []float32 {
 	return []float32{float32(u % 5), float32(u%11) / 2, float32(u % 3)}
 }
 
+// funcEmbedder is a test provider that computes three-dimensional rows
+// with rows, or fails every call with ErrEmbedUnavailable when rows is nil,
+// like an external embedding service that cannot be reached.
+type funcEmbedder struct {
+	name string
+	rows func(grouting.NodeID) []float32
+}
+
+func (p funcEmbedder) Name() string    { return p.name }
+func (p funcEmbedder) Dimensions() int { return 3 }
+
+func (p funcEmbedder) Embed(_ context.Context, nodes []grouting.NodeID) ([][]float32, error) {
+	if p.rows == nil {
+		return nil, fmt.Errorf("embedding backend unreachable: %w", grouting.ErrEmbedUnavailable)
+	}
+	rows := make([][]float32, len(nodes))
+	for i, u := range nodes {
+		rows[i] = p.rows(u)
+	}
+	return rows, nil
+}
+
 // sharedEmbedding materialises the test coordinates over g once — the
 // table both transports rank with and the oracle checks against.
 func sharedEmbedding(t testing.TB, g *grouting.Graph) *grouting.Embedding {
 	t.Helper()
-	svc := grouting.NewEmbedService("test-coords", 3, func(_ context.Context, nodes []grouting.NodeID) ([][]float32, error) {
-		rows := make([][]float32, len(nodes))
-		for i, u := range nodes {
-			rows[i] = testCoords(u)
-		}
-		return rows, nil
-	})
-	emb, err := grouting.MaterializeEmbedding(context.Background(), svc, g)
+	emb, err := grouting.MaterializeEmbedding(context.Background(), funcEmbedder{"test-coords", testCoords}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +300,7 @@ func TestClientStreamCancellationKNN(t *testing.T) {
 func TestKNNDegradedProvider(t *testing.T) {
 	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
 	ctx := context.Background()
-	failing := grouting.NewEmbedService("down", 3,
-		func(context.Context, []grouting.NodeID) ([][]float32, error) {
-			return nil, fmt.Errorf("backend unreachable")
-		},
-		grouting.WithEmbedRetries(0), grouting.WithEmbedBackoff(time.Microsecond))
+	failing := funcEmbedder{name: "down"}
 
 	anchor := g.Nodes()[1]
 	knnQ := grouting.Query{Type: grouting.KNearest, Node: anchor, Hops: 2, K: 4, Dir: grouting.Both}

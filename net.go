@@ -115,7 +115,7 @@ type RouterSpec struct {
 	// PlacementMinReads is the planner's hysteresis floor (0 = default).
 	PlacementMinReads int64
 	// EmbedProvider supplies node coordinates from a pluggable source
-	// (OpenEmbeddingFile, NewEmbedService, or any user Embedder) instead
+	// (OpenEmbeddingFile, NewFileProvider, or any user Embedder) instead
 	// of the built-in learned embedding. It is materialised once at router
 	// start and then serves both embedding-based routing and KNearest
 	// ranking. Providers without their own snapshot need Graph to walk.

@@ -104,7 +104,7 @@ func WithoutStealing() Option { return func(c *Config) { c.DisableStealing = tru
 func WithPrepWorkers(n int) Option { return func(c *Config) { c.PrepWorkers = n } }
 
 // WithEmbedProvider plugs a coordinate source (OpenEmbeddingFile,
-// NewEmbedService, or any Embedder) into the system in place of the
+// NewFileProvider, or any Embedder) into the system in place of the
 // built-in learned embedding: it is materialised once at construction and
 // then serves both embedding-based routing and KNearest ranking. When the
 // provider fails and the policy does not require an embedding, the system

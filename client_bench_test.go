@@ -131,8 +131,10 @@ func BenchmarkClientExecuteTCP(b *testing.B) {
 // in this process. The warmed virtual-time path runs alloc-free (its engine
 // reuses every buffer and there is no wire), so "within 2x of virtual time"
 // is vacuous; the budget is the operative bound. Measured steady state is
-// 9 allocs/query (51 under gob framing; 17 while each of the four received
-// frames was copied into a pooled slab whose release escaped) — the residue
+// 7 allocs/query (51 under gob framing; 17 while each of the four received
+// frames was copied into a pooled slab whose release escaped; 9 while every
+// processor reply carried its cache counters, one heap copy written by the
+// processor and one read by the router) — the residue
 // is per-request goroutine spawns, pool misses under connection
 // concurrency, and the freshly-allocated Result internals that make
 // envelope recycling safe. Tighten the budget if the codec improves; never

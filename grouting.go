@@ -54,13 +54,13 @@
 // # Routing strategies are an extension point
 //
 // The routing policies are backed by an open registry: implement
-// [Strategy] (Pick/Observe/DecisionUnits, optionally [DistanceAware] and
-// [StatsObserver]), register it with [RegisterStrategy], and the returned
-// [Policy] works everywhere a built-in does — [WithPolicy]/[WithStrategy]
-// locally, [RouterSpec] over TCP, the daemons' -policy flags, and
-// [ParsePolicy]/[Policy.String] round-trips. [PolicyAdaptive] ships
-// through this API: hash routing until the observed cache hit rate shows
-// locality worth exploiting, then a hot-swap to the embedding scheme.
+// [Strategy] (Pick/Observe/DecisionUnits, optionally [DistanceAware]),
+// register it with [RegisterStrategy], and the returned [Policy] works
+// everywhere a built-in does — [WithPolicy]/[WithStrategy] locally,
+// [RouterSpec] over TCP, the daemons' -policy flags, and
+// [ParsePolicy]/[Policy.String] round-trips. A strategy decides from the
+// query stream and the per-processor loads alone, as the paper's routers
+// do.
 //
 // # Observability
 //

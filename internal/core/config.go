@@ -119,9 +119,11 @@ type Config struct {
 	// DisableStealing turns off query stealing (Requirement 2); on by
 	// default as in the paper.
 	DisableStealing bool
-	// LoadFactor is Eq 3/7's divisor (paper optimum: 20).
+	// LoadFactor is Eq 3/7's divisor (0 = router.DefaultLoadFactor, the
+	// paper's optimum).
 	LoadFactor float64
-	// Alpha is Eq 5's EMA smoothing parameter (paper optimum: 0.5).
+	// Alpha is Eq 5's EMA smoothing parameter (0 = router.DefaultAlpha, the
+	// paper's optimum).
 	Alpha float64
 	// Landmarks is |L| (paper optimum: 96).
 	Landmarks int
@@ -234,10 +236,10 @@ func (c Config) withDefaults() Config {
 		c.CacheBytes = 4 << 30
 	}
 	if c.LoadFactor == 0 {
-		c.LoadFactor = 20
+		c.LoadFactor = router.DefaultLoadFactor
 	}
 	if c.Alpha == 0 {
-		c.Alpha = 0.5
+		c.Alpha = router.DefaultAlpha
 	}
 	if c.Landmarks == 0 {
 		c.Landmarks = 96

@@ -108,12 +108,11 @@ func (s *System) RunWorkload(qs []query.Query) (*Report, error) {
 	procs := s.newProcs(view)
 	tl := simnet.NewTimeline(s.store.NumServers())
 	prof := s.cfg.Network
-	// The decision cost is sampled at route time — DecisionUnits may change
-	// over a run for adaptive strategies that hot-swap schemes.
+	// The decision cost is sampled at route time: DecisionUnits is the
+	// strategy's to report, and it may depend on the strategy's state.
 	decisionCost := func() time.Duration {
 		return prof.RouterBase + time.Duration(strat.DecisionUnits())*prof.RouterPerUnit
 	}
-	statsObs, _ := strat.(router.StatsObserver)
 	costByID := make([]time.Duration, len(qs))
 
 	var routerBusy time.Duration
@@ -183,9 +182,6 @@ func (s *System) RunWorkload(qs []query.Query) (*Report, error) {
 		lat.Add(costByID[q.ID] + service)
 		next[p] += service
 		agg.add(st)
-		if statsObs != nil {
-			statsObs.ObserveStats(aggregateCache(procs))
-		}
 		remaining--
 	}
 
@@ -355,14 +351,10 @@ func (ses *Session) Execute(q query.Query) (query.Result, time.Duration, error) 
 }
 
 // queryDone is how every successfully executed query ends, single-seed or
-// multi-anchor: it counts, the strategy's optional StatsObserver hook sees
-// the processors' aggregate cache counters, and every PlacementEvery
-// queries an adaptive-placement cycle runs.
+// multi-anchor: it counts, and every PlacementEvery queries an
+// adaptive-placement cycle runs.
 func (ses *Session) queryDone() {
 	ses.count++
-	if so, ok := ses.rt.Strategy().(router.StatsObserver); ok {
-		so.ObserveStats(aggregateCache(ses.procs))
-	}
 	if every := ses.sys.cfg.PlacementEvery; every > 0 && ses.planner != nil {
 		ses.sinceTick++
 		if ses.sinceTick >= every {
@@ -370,20 +362,6 @@ func (ses *Session) queryDone() {
 			ses.PlacementTick()
 		}
 	}
-}
-
-// aggregateCache sums the processors' cache counters — the StatsObserver
-// feedback signal, fully populated (evictions, resident bytes, …) so
-// strategies see the same fields both transports report. Departed slots
-// (nil) contribute nothing.
-func aggregateCache(procs []*proc) metrics.CacheCounters {
-	var agg metrics.CacheCounters
-	for _, p := range procs {
-		if p != nil {
-			agg.Add(p.cache.Stats().Counters())
-		}
-	}
-	return agg
 }
 
 // Stats returns the session's cumulative cache accounting.

@@ -289,8 +289,7 @@ type Snapshot struct {
 	Transport string
 	// Policy is the configured routing policy's registered name.
 	Policy string
-	// Strategy is the live strategy's self-reported name — for adaptive
-	// strategies this reflects the currently active scheme.
+	// Strategy is the live strategy's self-reported name (Strategy.Name).
 	Strategy string
 	// Processors is the number of active members in the current epoch.
 	Processors int

@@ -8,7 +8,6 @@ import (
 	"repro/internal/embed"
 	"repro/internal/graph"
 	"repro/internal/landmark"
-	"repro/internal/metrics"
 )
 
 // Prep enumerates how much smart-routing preprocessing a strategy needs
@@ -26,6 +25,13 @@ const (
 	PrepEmbedding
 )
 
+// The routing parameters both transports run with unless configured:
+// Eq 3/7's LoadFactor and Eq 5's α at the paper's optima (Fig 11a/b).
+const (
+	DefaultLoadFactor = 20
+	DefaultAlpha      = 0.5
+)
+
 // Resources carries the deployment-time inputs a strategy constructor may
 // draw on. Fields beyond the Prep level the strategy registered with may
 // be nil; constructors must check what they use.
@@ -37,9 +43,10 @@ type Resources struct {
 	// identical strategies).
 	Seed int64
 	// LoadFactor is Eq 3/7's load-balancing divisor (0 disables the load
-	// term).
+	// term; both transports default it to DefaultLoadFactor).
 	LoadFactor float64
-	// Alpha is Eq 5's EMA smoothing parameter.
+	// Alpha is Eq 5's EMA smoothing parameter (both transports default it
+	// to DefaultAlpha).
 	Alpha float64
 	// Graph is the dataset being served (nil when the deployment hides it,
 	// e.g. a baseline networked router).
@@ -59,14 +66,6 @@ type Resources struct {
 
 // Constructor builds a fresh strategy instance for one deployment/run.
 type Constructor func(Resources) (Strategy, error)
-
-// StatsObserver is optionally implemented by strategies that adapt to the
-// system's observed runtime behaviour: after each executed query the
-// engine (or networked router) feeds the cumulative cache counters, so a
-// strategy can e.g. switch schemes once the hit rate crosses a threshold.
-type StatsObserver interface {
-	ObserveStats(c metrics.CacheCounters)
-}
 
 // Registration is one registry entry binding a policy name to its id and
 // constructor.
@@ -190,13 +189,4 @@ func Names() []string {
 		out[i] = byID[id].Name
 	}
 	return out
-}
-
-// Build constructs the named strategy from res.
-func Build(name string, res Resources) (Strategy, error) {
-	reg, ok := LookupName(name)
-	if !ok {
-		return nil, fmt.Errorf("router: unknown strategy %q", name)
-	}
-	return reg.New(res)
 }

@@ -1,13 +1,11 @@
 package router
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/landmark"
-	"repro/internal/metrics"
 	"repro/internal/query"
 )
 
@@ -31,9 +29,20 @@ func TestRegistryBuiltins(t *testing.T) {
 	}
 }
 
+// build constructs the registered strategy name from res, the way core, rpc
+// and the root resolve a registration.
+func build(t *testing.T, name string, res Resources) (Strategy, error) {
+	t.Helper()
+	reg, ok := LookupName(name)
+	if !ok {
+		t.Fatalf("%q not registered", name)
+	}
+	return reg.New(res)
+}
+
 func TestRegistryBuildBaselines(t *testing.T) {
 	for _, name := range []string{"nocache", "nextready", "hash"} {
-		s, err := Build(name, Resources{Procs: 3})
+		s, err := build(t, name, Resources{Procs: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -41,23 +50,20 @@ func TestRegistryBuildBaselines(t *testing.T) {
 			t.Fatalf("%s picked %d", name, p)
 		}
 	}
-	if _, err := Build("bogus", Resources{}); err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Fatalf("bogus build error = %v", err)
-	}
 }
 
 func TestRegistrySmartStrategiesNeedPrep(t *testing.T) {
 	// Without preprocessing products the smart constructors must refuse.
-	if _, err := Build("landmark", Resources{Procs: 2, LoadFactor: 20}); err == nil {
+	if _, err := build(t, "landmark", Resources{Procs: 2, LoadFactor: DefaultLoadFactor}); err == nil {
 		t.Fatal("landmark built without assignment")
 	}
-	if _, err := Build("embed", Resources{Procs: 2, Alpha: 0.5, LoadFactor: 20}); err == nil {
+	if _, err := build(t, "embed", Resources{Procs: 2, Alpha: DefaultAlpha, LoadFactor: DefaultLoadFactor}); err == nil {
 		t.Fatal("embed built without embedding")
 	}
 	// With them, they build and route.
 	g := gen.Grid(10, 1)
 	idx := landmark.BuildIndex(g, []graph.NodeID{0, 9}, 0)
-	s, err := Build("landmark", Resources{Procs: 2, LoadFactor: 20, Assignment: landmark.Assign(idx, 2)})
+	s, err := build(t, "landmark", Resources{Procs: 2, LoadFactor: DefaultLoadFactor, Assignment: landmark.Assign(idx, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,41 +103,5 @@ func TestRegisterCustom(t *testing.T) {
 	// Built-ins come first, in id order.
 	if names[0] != "nocache" || names[4] != "embed" {
 		t.Fatalf("Names() order wrong: %v", names)
-	}
-}
-
-// adaptiveProbe flips destination once ObserveStats sees any hits —
-// exercising the StatsObserver feedback path in isolation.
-type adaptiveProbe struct {
-	swapped bool
-}
-
-func (s *adaptiveProbe) Name() string { return "probe" }
-func (s *adaptiveProbe) Pick(q query.Query, loads []int) int {
-	if s.swapped {
-		return 1
-	}
-	return 0
-}
-func (s *adaptiveProbe) Observe(query.Query, int) {}
-func (s *adaptiveProbe) DecisionUnits() int       { return 1 }
-func (s *adaptiveProbe) ObserveStats(c metrics.CacheCounters) {
-	if c.Hits > 0 {
-		s.swapped = true
-	}
-}
-
-func TestStatsObserverInterface(t *testing.T) {
-	var s Strategy = &adaptiveProbe{}
-	so, ok := s.(StatsObserver)
-	if !ok {
-		t.Fatal("probe does not satisfy StatsObserver")
-	}
-	if s.Pick(query.Query{}, []int{0, 0}) != 0 {
-		t.Fatal("pre-swap pick")
-	}
-	so.ObserveStats(metrics.CacheCounters{Hits: 1})
-	if s.Pick(query.Query{}, []int{0, 0}) != 1 {
-		t.Fatal("post-swap pick")
 	}
 }

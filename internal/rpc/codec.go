@@ -5,7 +5,6 @@ import (
 	"reflect"
 
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/mquery"
 	"repro/internal/query"
 	"repro/internal/wire"
@@ -37,7 +36,6 @@ const (
 	respPartials
 	respEpoch
 	respProc
-	respProcCache
 	respStats
 	respApplied
 	respHot
@@ -461,9 +459,6 @@ func encodeResponseFrame(buf []byte, tag uint64, resp *Response, scratch *[]byte
 	if resp.Proc != 0 {
 		bits |= respProc
 	}
-	if resp.ProcCache != nil {
-		bits |= respProcCache
-	}
 	if resp.Stats != nil {
 		bits |= respStats
 	}
@@ -506,9 +501,6 @@ func encodeResponseFrame(buf []byte, tag uint64, resp *Response, scratch *[]byte
 	if bits&respProc != 0 {
 		buf = binary.AppendVarint(buf, int64(resp.Proc))
 	}
-	if bits&respProcCache != 0 {
-		buf = appendCache(buf, resp.ProcCache)
-	}
 	if bits&respStats != 0 {
 		buf = appendFields(buf, reflect.ValueOf(resp.Stats).Elem())
 	}
@@ -535,7 +527,6 @@ func decodeResponseInto(payload []byte, resp *Response) error {
 	results := resp.Results
 	partials := resp.Partials
 	hot := resp.Hot
-	procCache := resp.ProcCache
 	*resp = Response{}
 
 	d := wire.NewReader(payload)
@@ -603,13 +594,6 @@ func decodeResponseInto(payload []byte, resp *Response) error {
 	if bits&respProc != 0 {
 		resp.Proc = int(d.Varint())
 	}
-	if bits&respProcCache != 0 {
-		if procCache == nil {
-			procCache = &metrics.CacheCounters{}
-		}
-		decCache(&d, procCache)
-		resp.ProcCache = procCache
-	}
 	if bits&respStats != 0 {
 		resp.Stats = &Stats{}
 		decFields(&d, reflect.ValueOf(resp.Stats).Elem())
@@ -628,27 +612,6 @@ func decodeResponseInto(payload []byte, resp *Response) error {
 		resp.Hot = hot
 	}
 	return d.Finish("rpc: response")
-}
-
-func appendCache(buf []byte, c *metrics.CacheCounters) []byte {
-	buf = binary.AppendVarint(buf, c.Hits)
-	buf = binary.AppendVarint(buf, c.Misses)
-	buf = binary.AppendVarint(buf, c.Inserts)
-	buf = binary.AppendVarint(buf, c.Evictions)
-	buf = binary.AppendVarint(buf, c.Rejected)
-	buf = binary.AppendVarint(buf, c.CurrentBytes)
-	buf = binary.AppendVarint(buf, c.CapacityBytes)
-	return buf
-}
-
-func decCache(d *wire.Reader, c *metrics.CacheCounters) {
-	c.Hits = d.Varint()
-	c.Misses = d.Varint()
-	c.Inserts = d.Varint()
-	c.Evictions = d.Varint()
-	c.Rejected = d.Varint()
-	c.CurrentBytes = d.Varint()
-	c.CapacityBytes = d.Varint()
 }
 
 // appendFields and decFields are the codec of the stats payload — Stats and

@@ -168,8 +168,7 @@ func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {
 				p.executed.Add(1)
 				partials[i] = part
 			}
-			cc := p.cache.Stats().Counters()
-			return Response{OK: true, Partials: partials, ProcCache: &cc}
+			return Response{OK: true, Partials: partials}
 		}
 		results := make([]query.Result, len(req.Exec.Queries))
 		for i, q := range req.Exec.Queries {
@@ -185,8 +184,7 @@ func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {
 			p.executed.Add(1)
 			results[i] = res
 		}
-		cc := p.cache.Stats().Counters()
-		return Response{OK: true, Results: results, ProcCache: &cc}
+		return Response{OK: true, Results: results}
 	}
 	return errorResponse(fmt.Errorf("processor: unknown op %q", req.Op))
 }

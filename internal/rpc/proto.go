@@ -248,10 +248,6 @@ type Response struct {
 	Epoch uint64
 	// Proc serves OpJoin: the slot the router assigned to the joiner.
 	Proc int
-	// ProcCache piggybacks the processor's cumulative cache counters on
-	// OpExecute responses, giving the router a live feedback signal for
-	// adaptive routing strategies without extra round trips.
-	ProcCache *metrics.CacheCounters
 	// Stats serves OpStats; nil for every other op.
 	Stats *Stats
 	// Applied serves OpMutate (mutations applied before the first failure)

@@ -59,11 +59,10 @@ type RouterServer struct {
 	// current view, the per-slot assigned/diverted counters and the epoch
 	// log. Its queues stay empty — forwarding is the pools' job.
 	rt        *router.Router
-	statsObs  router.StatsObserver    // strategy's optional feedback hook, nil if absent
 	pools     []*Pool                 // slot-indexed; nil once a member has left
 	inflight  []int                   // forwarded, not yet acked — the load handed to rt
 	completed []int64                 // queries each slot answered successfully
-	lastCache []metrics.CacheCounters // latest cache counters piggybacked per slot
+	lastCache []metrics.CacheCounters // cache counters of each slot's latest answered stats poll
 	inval     []invalidations         // rewritten keys each slot has yet to drop from its cache (mutate.go)
 	routing   metrics.Histogram       // wall-clock routing decision time (ns)
 	depth     metrics.Histogram       // destination in-flight depth at each decision
@@ -211,7 +210,6 @@ func NewRouterServer(addr string, cfg RouterConfig) (*RouterServer, error) {
 		r.heat = placement.NewHeat()
 		r.placementEvery = cfg.PlacementEvery
 	}
-	r.statsObs, _ = cfg.Strategy.(router.StatsObserver)
 	if r.pools, err = dialPools(cfg.ProcessorAddrs); err != nil {
 		return nil, err
 	}
@@ -452,7 +450,6 @@ func (r *RouterServer) executeClassic(ctx context.Context, ex *ExecRequest) Resp
 		if err != nil {
 			return errorResponse(err)
 		}
-		resp.ProcCache = nil // router-internal feedback, not client payload
 		resp.Epoch = epoch
 		return resp
 	}
@@ -685,34 +682,22 @@ func (r *RouterServer) carryLocked(dst []carried) []carried {
 func (r *RouterServer) forward(ctx context.Context, pool *Pool, p, n int, req *Request, c carried) (Response, error) {
 	req.Op, req.Keys = OpExecute, c.keys
 	resp, err := pool.Call(ctx, req)
-	r.settle(p, n, c.upTo, &resp, err)
+	r.settle(p, n, c.upTo, err)
 	return resp, err
 }
 
 // settle closes the per-slot accounting for n answered units of work on
 // processor p: the in-flight load drops, successful completions advance
 // the per-processor counters and retire the invalidations their frame
-// carried (those numbered below upTo), the processor's piggybacked cache
-// counters feed the strategy's optional StatsObserver hook — the live signal
-// adaptive strategies hot-swap on — and a draining member whose last
+// carried (those numbered below upTo), and a draining member whose last
 // in-flight work just finished completes its departure.
-func (r *RouterServer) settle(p, n int, upTo uint64, resp *Response, err error) {
+func (r *RouterServer) settle(p, n int, upTo uint64, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.inflight[p] -= n
 	if err == nil {
 		r.completed[p] += int64(n)
 		r.inval[p].retire(upTo)
-		if resp.ProcCache != nil {
-			r.lastCache[p] = *resp.ProcCache
-			if r.statsObs != nil {
-				var agg metrics.CacheCounters
-				for i := range r.lastCache {
-					agg.Add(r.lastCache[i])
-				}
-				r.statsObs.ObserveStats(agg)
-			}
-		}
 	}
 	if r.inflight[p] == 0 && r.rt.Status(p) == topology.Draining {
 		if v, lerr := r.topo.Leave(p); lerr == nil {
@@ -753,7 +738,7 @@ func (r *RouterServer) maybeTick(n int) {
 // Snapshot assembles the system-wide observability snapshot — the same
 // metrics.Snapshot structure the virtual-time engine reports — polling
 // each live processor's OpStats for fresh cache counters (falling back to
-// the last piggybacked counters for processors that do not answer). The
+// the counters of their last answered poll for processors that do not). The
 // whole snapshot is assembled under one lock, so it never mixes epochs.
 func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) {
 	r.mu.Lock()
@@ -761,7 +746,7 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 	storagePools := append([]*Pool(nil), r.storagePools...)
 	r.mu.Unlock()
 
-	// Members that do not answer keep their last piggybacked cache counters
+	// Members that do not answer keep their last polled cache counters
 	// (processors) or zero counters (shards), and still report their status.
 	fresh := pollStats(ctx, pools)
 	shardFresh := pollStats(ctx, storagePools)

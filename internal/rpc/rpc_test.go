@@ -15,6 +15,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mquery"
 	"repro/internal/query"
+	"repro/internal/router"
 )
 
 // startCluster spins up a full localhost deployment: nStorage storage
@@ -747,5 +748,75 @@ func TestClusterStatsSnapshot(t *testing.T) {
 	}
 	if pending != 4 || delivered != 2 {
 		t.Fatalf("invalidations pending/delivered = %d/%d over %+v, want 4/2", pending, delivered, snap.PerProc)
+	}
+}
+
+// TestSnapshotKeepsLastPolledCache pins where a silent processor's cache
+// counters come from: the OpStats poll that last answered. A processor that
+// stops answering keeps its row, its status and those counters, so the
+// aggregate does not drop.
+func TestSnapshotKeepsLastPolledCache(t *testing.T) {
+	g := gen.LocalWeb(1200, 8, 60, 0.01, 4)
+	_, storageAddrs := startStorageShards(t, 2)
+	sc, err := DialStorage(storageAddrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.LoadGraph(context.Background(), g); err != nil {
+		t.Fatal(err)
+	}
+	sc.Close()
+	var procs []*ProcessorServer
+	var procAddrs []string
+	for i := 0; i < 2; i++ {
+		ps, err := NewProcessorServer("127.0.0.1:0", storageAddrs, 64<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ps.Close() })
+		procs = append(procs, ps)
+		procAddrs = append(procAddrs, ps.Addr())
+	}
+	rs, err := NewRouterServer("127.0.0.1:0", RouterConfig{ProcessorAddrs: procAddrs, Strategy: router.NewHash()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	cl, err := DialRouter(context.Background(), rs.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, q := range query.Hotspot(g, query.WorkloadSpec{NumHotspots: 6, QueriesPerHotspot: 5, R: 2, H: 2, Seed: 11}) {
+		if _, err := cl.Execute(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := rs.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const gone = 1
+	if before.PerProc[gone].Cache.Touches() == 0 {
+		t.Fatalf("processor %d polled all-zero counters: %+v", gone, before.PerProc)
+	}
+
+	procs[gone].Close()
+	after, err := rs.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := after.PerProc[gone]
+	if row.Status == "" || row.Status != before.PerProc[gone].Status {
+		t.Fatalf("closed processor's status = %q, was %q", row.Status, before.PerProc[gone].Status)
+	}
+	if row.Cache != before.PerProc[gone].Cache {
+		t.Fatalf("closed processor reports %+v, its last poll answered %+v", row.Cache, before.PerProc[gone].Cache)
+	}
+	if after.Cache.Touches() < before.Cache.Touches() {
+		t.Fatalf("aggregate cache touches dropped %d -> %d", before.Cache.Touches(), after.Cache.Touches())
 	}
 }

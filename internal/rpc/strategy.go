@@ -33,7 +33,7 @@ func BuildStrategyEmbed(policy string, g *graph.Graph, procs int, seed int64, em
 	if !ok {
 		return nil, nil, fmt.Errorf("rpc: unknown policy %q", policy)
 	}
-	res := router.Resources{Procs: procs, Seed: seed, LoadFactor: 20, Alpha: 0.5, Graph: g, Embedding: emb}
+	res := router.Resources{Procs: procs, Seed: seed, LoadFactor: router.DefaultLoadFactor, Alpha: router.DefaultAlpha, Graph: g, Embedding: emb}
 	if reg.Prep >= router.PrepLandmarks {
 		if g == nil {
 			return nil, nil, fmt.Errorf("rpc: policy %q needs a graph for preprocessing", policy)

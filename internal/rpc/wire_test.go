@@ -114,9 +114,8 @@ func fullResponse() *Response {
 			{Kind: mquery.KindKNN, Anchor: 42, Visited: 12,
 				Candidates: []graph.NodeID{4, 9, 1<<32 - 1}},
 		},
-		Epoch:     9,
-		Proc:      3,
-		ProcCache: &metrics.CacheCounters{Hits: 10, Misses: 2, CurrentBytes: 1 << 20},
+		Epoch: 9,
+		Proc:  3,
 		Stats: &Stats{
 			Role: "router", Requests: 999, Keys: 100, Reads: 5, Hits: 4, Misses: 1,
 			Executed: 77, Cache: &metrics.CacheCounters{Hits: 1},

@@ -14,8 +14,7 @@ type (
 	Stats = metrics.Snapshot
 	// ProcStats is one processor's share of a Stats snapshot.
 	ProcStats = metrics.ProcCounters
-	// CacheCounters is a cache's activity counters (also what
-	// StatsObserver strategies receive as their feedback signal).
+	// CacheCounters is a cache's activity counters.
 	CacheCounters = metrics.CacheCounters
 	// StatsSummary is a compact percentile digest (routing decision time,
 	// queue depth).

@@ -33,12 +33,6 @@ type (
 	// virtual-time router uses it for locality-aware query stealing and
 	// dead-processor diversion (Section 3.4.1).
 	DistanceAware = router.DistanceAware
-	// StatsObserver is optionally implemented by strategies that adapt to
-	// the system's observed runtime behaviour: after each executed query
-	// both transports feed the cumulative cache counters, so a strategy
-	// can e.g. hot-swap schemes once the hit rate crosses a threshold (see
-	// PolicyAdaptive).
-	StatsObserver = router.StatsObserver
 	// StrategyResources carries the deployment-time inputs a strategy
 	// constructor may draw on: tier size, seed, tuning parameters, the
 	// graph, and — when the registration requires them — the landmark
@@ -71,7 +65,8 @@ func RequireEmbedding() RegisterOption {
 
 // RegisterStrategy adds a named routing strategy to the registry and
 // returns its Policy. The name must be unique and non-empty (the built-ins
-// occupy "nocache", "nextready", "hash", "landmark", "embed"); violations
+// occupy "nocache", "nextready", "hash", "landmark", "embed",
+// "stablehash"); violations
 // panic, as misregistration is a programming error. Registration is
 // typically done from a package-level var so the strategy exists before
 // any deployment is assembled:
@@ -90,9 +85,8 @@ func RegisterStrategy(name string, ctor StrategyConstructor, opts ...RegisterOpt
 }
 
 // NewStrategy constructs the registered strategy behind p from res —
-// useful for composing strategies out of the built-ins (PolicyAdaptive
-// builds its hash and embed legs this way) and for testing a strategy
-// outside a deployment.
+// useful for composing strategies out of the built-ins and for testing a
+// strategy outside a deployment.
 func NewStrategy(p Policy, res StrategyResources) (Strategy, error) {
 	reg, ok := router.LookupID(int(p))
 	if !ok {

@@ -146,123 +146,13 @@ func TestCustomStrategyTwoTransports(t *testing.T) {
 	}
 }
 
-// TestAdaptiveStrategySwaps drives the shipped adaptive hybrid on the
-// virtual-time transport with a high-locality stream (repeats on one
-// hotspot) and watches it hot-swap from hash to embed once the observed
-// hit rate crosses the threshold, with every answer still exact.
-func TestAdaptiveStrategySwaps(t *testing.T) {
-	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
-	sys, err := grouting.New(g,
-		grouting.WithProcessors(3),
-		grouting.WithStorageServers(2),
-		grouting.WithPolicy(grouting.PolicyAdaptive),
-		grouting.WithLandmarks(8),
-		grouting.WithMinSeparation(1),
-		grouting.WithDimensions(4),
-		grouting.WithSeed(1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := grouting.NewLocalClient(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	snap, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Policy != "adaptive" || snap.Strategy != "adaptive[hash]" {
-		t.Fatalf("fresh adaptive session: policy=%q strategy=%q", snap.Policy, snap.Strategy)
-	}
-
-	// Repeating one node's 2-hop query makes every access after the first
-	// a cache hit, driving the observed hit rate towards 1.
-	q := grouting.Query{Type: grouting.NeighborAgg, Node: 10, Hops: 2, Dir: grouting.Out}
-	want := grouting.Answer(g, q)
-	swapped := false
-	for i := 0; i < 400 && !swapped; i++ {
-		res, err := cl.Execute(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != want {
-			t.Fatalf("iteration %d: got %+v, want %+v", i, res, want)
-		}
-		snap, err = cl.Stats(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		swapped = snap.Strategy == "adaptive[embed]"
-	}
-	if !swapped {
-		t.Fatalf("adaptive never swapped: %d touches at %.2f hit rate",
-			snap.Cache.Touches(), snap.Cache.HitRate())
-	}
-	if snap.Cache.Touches() < grouting.AdaptiveMinTouches {
-		t.Fatalf("swapped before the minimum sample: %d touches", snap.Cache.Touches())
-	}
-	// Post-swap the system keeps answering exactly (embed leg live).
-	for i := 0; i < 10; i++ {
-		res, err := cl.Execute(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != want {
-			t.Fatalf("post-swap: got %+v, want %+v", res, want)
-		}
-	}
-}
-
-// TestAdaptiveStrategyTCP runs the adaptive policy on a loopback TCP
-// cluster: preprocessing resolves through the registry (the registration
-// declares it needs the embedding), the hot-swap fires on the piggybacked
-// cache feedback, and answers stay oracle-exact throughout.
-func TestAdaptiveStrategyTCP(t *testing.T) {
-	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
-	if !grouting.PolicyAdaptive.NeedsLandmarks() {
-		t.Fatal("adaptive registration lost its preprocessing requirement")
-	}
-	cl := startTCPCluster(t, g, 2, 2, grouting.PolicyAdaptive)
-	ctx := context.Background()
-
-	q := grouting.Query{Type: grouting.NeighborAgg, Node: 10, Hops: 2, Dir: grouting.Out}
-	want := grouting.Answer(g, q)
-	var snap grouting.Stats
-	swapped := false
-	for i := 0; i < 400 && !swapped; i++ {
-		res, err := cl.Execute(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != want {
-			t.Fatalf("iteration %d: got %+v, want %+v", i, res, want)
-		}
-		var serr error
-		snap, serr = cl.Stats(ctx)
-		if serr != nil {
-			t.Fatal(serr)
-		}
-		swapped = snap.Strategy == "adaptive[embed]"
-	}
-	if !swapped {
-		t.Fatalf("adaptive never swapped over tcp: %d touches at %.2f hit rate",
-			snap.Cache.Touches(), snap.Cache.HitRate())
-	}
-	if snap.Transport != "tcp" || snap.Policy != "adaptive" {
-		t.Fatalf("snapshot header = transport=%q policy=%q", snap.Transport, snap.Policy)
-	}
-}
-
 // TestParsePolicyRoundTrip: ParsePolicy is an exact inverse of
 // Policy.String over every registered name — built-ins and public
 // registrations alike — and unknown names produce the documented error
 // listing the registry.
 func TestParsePolicyRoundTrip(t *testing.T) {
 	names := grouting.Strategies()
-	if len(names) < 6 { // 5 built-ins + at least the shipped adaptive
+	if len(names) < 7 { // 6 built-ins + this file's policyBands
 		t.Fatalf("registry too small: %v", names)
 	}
 	for _, name := range names {
@@ -277,7 +167,7 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 	// The built-in constants round-trip to themselves.
 	for _, p := range []grouting.Policy{
 		grouting.PolicyNoCache, grouting.PolicyNextReady, grouting.PolicyHash,
-		grouting.PolicyLandmark, grouting.PolicyEmbed, grouting.PolicyAdaptive, policyBands,
+		grouting.PolicyLandmark, grouting.PolicyEmbed, grouting.PolicyStableHash, policyBands,
 	} {
 		back, err := grouting.ParsePolicy(p.String())
 		if err != nil {
@@ -353,9 +243,6 @@ func TestStrategyRegistryListing(t *testing.T) {
 	}
 	if in := byName["embed"]; !in.NeedsLandmarks || !in.NeedsEmbedding {
 		t.Fatalf("embed info = %+v", in)
-	}
-	if in := byName["adaptive"]; !in.NeedsEmbedding || in.Policy != grouting.PolicyAdaptive {
-		t.Fatalf("adaptive info = %+v", in)
 	}
 	if in := byName["bands"]; in.NeedsLandmarks || in.Policy != policyBands {
 		t.Fatalf("bands info = %+v", in)

@@ -120,7 +120,7 @@ func BenchmarkFetchBatch(b *testing.B) {
 // regression test lives in internal/gstore (TestFetchBatchReplicatedAllocs);
 // this benchmark tracks the time and allocation trajectory.
 func BenchmarkFetchBatchReplicated(b *testing.B) {
-	st, err := kvstore.NewReplicated(4, 2)
+	st, err := kvstore.NewStore(4, 2, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

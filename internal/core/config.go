@@ -95,14 +95,15 @@ type Config struct {
 	// StorageServers is the number of storage servers (paper: 4).
 	StorageServers int
 	// StorageReplicas is the storage tier's replication factor (default 1,
-	// the paper's unreplicated setup). With >= 2, every node record lives
-	// on that many replicas placed by rendezvous hashing over the
-	// epoch-versioned storage view: reads fail over transparently when a
-	// replica dies, and the AddStorage / DrainStorage / FailStorage /
+	// the paper's unreplicated setup, where each record lives on its
+	// Placer's shard). With >= 2, every node record lives on that many
+	// replicas placed by rendezvous hashing over the epoch-versioned
+	// storage view, and reads fail over transparently when a replica dies.
+	// At any factor the AddStorage / DrainStorage / FailStorage /
 	// ReviveStorage System methods move the membership live, with
 	// re-replication of under-replicated records completing before each
-	// call returns. Incompatible with a custom Placer (the partitioning
-	// ablation is single-replica by construction).
+	// call returns. Values above 1 are incompatible with a custom Placer,
+	// which places one copy.
 	StorageReplicas int
 	// Network is the cluster cost profile (default Infiniband).
 	Network simnet.Profile
@@ -140,8 +141,9 @@ type Config struct {
 	// induced subgraph of that fraction of nodes, incorporating the rest
 	// incrementally (Figure 10's robustness experiment). Default 1.
 	PreprocessFraction float64
-	// Placer overrides storage-tier key placement (default murmur hash) —
-	// the partitioning ablation.
+	// Placer overrides the R = 1 storage tier's key placement (default
+	// murmur hash, taken modulo the placement domain) — the partitioning
+	// ablation. Adaptive placement pins records on top of it.
 	Placer kvstore.Placer
 	// NoBatching disables frontier-batched multi-reads: every record is
 	// fetched with its own round trip, sequentially. Exists for the
@@ -166,8 +168,8 @@ type Config struct {
 	// heat attributed to the reading processor, and a background planner
 	// migrates hot records toward their dominant reader's near storage
 	// slot as bounded copy-then-tombstone moves. Off by default — no heat
-	// is recorded and no record ever moves. Forces the replicated store
-	// (works at StorageReplicas = 1); incompatible with a custom Placer.
+	// is recorded and no record ever moves. Works at any StorageReplicas
+	// and with a custom Placer.
 	AdaptivePlacement bool
 	// PlacementBudget bounds the record bytes migrated per planning cycle
 	// (<= 0 means unbounded, the offline re-load baseline). Ignored
@@ -279,9 +281,6 @@ func (c Config) validate() error {
 	}
 	if c.StorageReplicas > 1 && c.Placer != nil {
 		return fmt.Errorf("core: StorageReplicas > 1 is incompatible with a custom Placer")
-	}
-	if c.AdaptivePlacement && c.Placer != nil {
-		return fmt.Errorf("core: AdaptivePlacement is incompatible with a custom Placer")
 	}
 	if c.StorageAffinity != 0 && c.StorageAffinity < 1 {
 		return fmt.Errorf("core: StorageAffinity = %v, need 0 (off) or >= 1", c.StorageAffinity)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/kvstore"
 	"repro/internal/query"
 	"repro/internal/topology"
 )
@@ -197,16 +198,68 @@ func TestStorageScaleOutInLive(t *testing.T) {
 	}
 }
 
-// TestStorageElasticRequiresReplication pins the guard: the legacy
-// unreplicated store refuses membership growth.
-func TestStorageElasticRequiresReplication(t *testing.T) {
-	sys, _ := storageTestSystem(t, 1)
-	if _, err := sys.AddStorage(); err == nil {
-		t.Fatal("AddStorage accepted on an unreplicated tier")
+// TestUnreplicatedStorageIsElastic: an R = 1 tier grows and drains like a
+// replicated one, and the workload keeps answering the oracle across both.
+func TestUnreplicatedStorageIsElastic(t *testing.T) {
+	sys, qs := storageTestSystem(t, 1)
+	if _, err := sys.AddStorage(); err != nil {
+		t.Fatal(err)
 	}
-	if err := sys.DrainStorage(0); err == nil {
-		t.Fatal("DrainStorage accepted on an unreplicated tier")
+	if err := sys.DrainStorage(0); err != nil {
+		t.Fatal(err)
 	}
+	rep, err := sys.RunWorkload(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range qs {
+		if want := query.Answer(sys.Graph(), q); rep.Results[q.ID] != want {
+			t.Fatalf("query %d after add + drain: got %v, want %v", i, rep.Results[q.ID], want)
+		}
+	}
+}
+
+// TestTablePlacerAdaptivePlacement: a custom Placer's store takes the
+// adaptive subsystem's moves, and the moved records still answer.
+func TestTablePlacerAdaptivePlacement(t *testing.T) {
+	const n = 800
+	g := gen.LocalWeb(n, 6, 60, 0.01, 11)
+	assign := make([]int32, n)
+	for i := range assign {
+		assign[i] = int32(i * 2 / n) // two contiguous ranges, a partitioner's shape
+	}
+	cfg := testConfig(PolicyEmbed)
+	cfg.Placer = kvstore.TablePlacer{Assign: assign}
+	cfg.AdaptivePlacement = true
+	cfg.PlacementMinReads = 2
+	cfg.CacheBytes = 1 << 10 // tiny cache: reads hit storage and accrue heat
+	cfg.StorageAffinity = 4
+	sys, err := NewSystem(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ses, err := sys.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := query.Hotspot(g, query.WorkloadSpec{NumHotspots: 6, QueriesPerHotspot: 12, R: 2, H: 2, Seed: 3})
+	run := func() {
+		t.Helper()
+		for i, q := range qs {
+			res, _, err := ses.Execute(q)
+			if err != nil {
+				t.Fatalf("query %d: %v", i, err)
+			}
+			if want := query.Answer(g, q); res != want {
+				t.Fatalf("query %d: got %v, want %v", i, res, want)
+			}
+		}
+	}
+	run()
+	if moved := ses.PlacementTick(); moved == 0 {
+		t.Fatal("the placement cycle moved nothing on a TablePlacer store")
+	}
+	run()
 }
 
 func TestConfigStorageReplicasValidation(t *testing.T) {

@@ -61,15 +61,7 @@ func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	var st *kvstore.Store
-	var err error
-	if cfg.StorageReplicas > 1 || cfg.AdaptivePlacement {
-		// Placement overrides (the adaptive subsystem's lever) only exist
-		// on the replicated store, which runs fine at R = 1.
-		st, err = kvstore.NewReplicated(cfg.StorageServers, cfg.StorageReplicas)
-	} else {
-		st, err = kvstore.New(cfg.StorageServers, cfg.Placer)
-	}
+	st, err := kvstore.NewStore(cfg.StorageServers, cfg.StorageReplicas, cfg.Placer)
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,7 @@ import (
 func newReplicatedTier(t *testing.T, servers, replicas int) (*Tier, *graph.Graph) {
 	t.Helper()
 	g := gen.ErdosRenyi(300, 1500, 4)
-	st, err := kvstore.NewReplicated(servers, replicas)
+	st, err := kvstore.NewStore(servers, replicas, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestFetchBatchReplicatedAllocs(t *testing.T) {
 	Load(st1, g)
 	r1 := measure(NewTier(st1), ids, dst)
 
-	st2, _ := kvstore.NewReplicated(3, 2)
+	st2, _ := kvstore.NewStore(3, 2, nil)
 	Load(st2, g)
 	r2 := measure(NewTier(st2), ids, dst)
 

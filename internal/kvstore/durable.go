@@ -81,9 +81,7 @@ func (s *Store) EnableDurability(cfg Durability) error {
 	}
 	s.dur = &cfg
 	s.raiseVersion(maxVer)
-	if s.replicated() {
-		s.repairLocked()
-	}
+	s.repairLocked()
 	return nil
 }
 
@@ -135,9 +133,7 @@ func (s *Store) CrashServer(slot int) (topology.View, error) {
 	sv.mu.Lock()
 	sv.reset()
 	sv.mu.Unlock()
-	if s.replicated() {
-		s.repairLocked()
-	}
+	s.repairLocked()
 	return s.viewCopyLocked(), nil
 }
 
@@ -170,9 +166,7 @@ func (s *Store) RestartServer(slot int) (topology.View, error) {
 		return topology.View{}, err
 	}
 	s.installViewLocked(v)
-	if s.replicated() {
-		s.repairLocked()
-	}
+	s.repairLocked()
 	return s.viewCopyLocked(), nil
 }
 
@@ -200,9 +194,7 @@ func (s *Store) HealServer(slot int) error {
 		return fmt.Errorf("kvstore: slot %d out of range [0,%d)", slot, len(s.parted))
 	}
 	s.parted[slot] = false
-	if s.replicated() {
-		s.repairLocked()
-	}
+	s.repairLocked()
 	return nil
 }
 

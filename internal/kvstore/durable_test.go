@@ -32,7 +32,7 @@ func countReadable(t *testing.T, s *Store, n int) int {
 
 func mustDurable(t *testing.T, n, r int, dir string, every int) *Store {
 	t.Helper()
-	s, err := NewReplicated(n, r)
+	s, err := NewStore(n, r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

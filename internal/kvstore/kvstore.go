@@ -1,24 +1,24 @@
 // Package kvstore implements the storage tier of the decoupled architecture:
 // a RAMCloud-style distributed, in-memory key-value store (Section 4.1).
 //
-// All values live in the main memory of a set of storage servers. Placement
-// comes in two modes:
+// All values live in the main memory of a set of storage servers, and every
+// key lives where one deterministic rule, Place, says: on R = 1 stores the
+// Placer's pick over the placement domain (MurmurHash3, RAMCloud's default,
+// unless a custom Placer is given), on R >= 2 the R highest-scored
+// rendezvous slots. The TCP transport's StorageClient calls the same
+// function, so both transports place every key alike.
 //
-//   - Legacy single-replica placement (New): a key is hashed (MurmurHash3,
-//     RAMCloud's default) to its one owning server, or placed by a custom
-//     Placer. The membership is fixed at construction; a server can Fail
-//     and Revive (reads to it return ErrNoLiveReplica while it is down) but
-//     never join or leave.
-//
-//   - Replicated elastic placement (NewReplicated): every key lives on up
-//     to R replicas chosen by rendezvous hashing over the epoch-versioned
-//     storage view (a topology.Tracker of TierStorage members). Reads go to
-//     the highest-scored live replica and transparently fail over; writes
-//     go to every live replica; membership moves with AddServer /
-//     DrainServer / FailServer / ReviveServer, each of which re-replicates
-//     under-replicated keys before it returns, so a single transition never
-//     loses availability while at least one live replica of each key
-//     survives.
+// The domain is a view of the epoch-versioned storage membership (a
+// topology.Tracker of TierStorage members): the Active slots at R >= 2, the
+// Active and Down slots at R = 1 — a down sole owner keeps its keys because
+// nothing else holds them, and reads of them answer ErrNoLiveReplica until
+// it revives. Reads go to the highest-scored reachable replica and fail over
+// transparently; writes go to every reachable replica; deletions leave
+// tombstones; membership moves with AddServer / DrainServer / FailServer /
+// ReviveServer, each of which re-replicates under-replicated keys before it
+// returns, so a single transition never loses availability while at least
+// one live replica of each key survives. At R = 1 a membership change
+// re-homes most keys, since the Placer is taken modulo the domain size.
 //
 // The store is purely functional with respect to time: latency and
 // contention are modelled by the engine's network profile, which consults
@@ -50,8 +50,9 @@ var ErrNoLiveReplica = errors.New("kvstore: no live replica")
 // finds the keys' new replicas.
 var ErrServerDown = errors.New("kvstore: server no longer readable")
 
-// Placer decides which storage server owns a key in legacy single-replica
-// mode. Implementations must be deterministic and safe for concurrent use.
+// Placer decides which of numServers domain positions owns a key on an
+// R = 1 store. Implementations must be deterministic and safe for
+// concurrent use.
 type Placer interface {
 	Place(key uint64, numServers int) int
 }
@@ -87,11 +88,29 @@ func (t TablePlacer) Place(key uint64, numServers int) int {
 	return t.Fallback.Place(key, numServers)
 }
 
+// Place is the storage tier's one placement rule: it appends key's replica
+// slots (primary first) to dst[:0]. At replicas <= 1 that is
+// domain[placer.Place(key, len(domain))], a nil placer meaning MurmurPlacer{};
+// at replicas >= 2 the replicas highest-scoring rendezvous slots of domain.
+// An empty domain places nothing. Pins are the caller's to check first.
+func Place(key uint64, domain []int, replicas int, placer Placer, dst []int) []int {
+	if replicas >= 2 {
+		return topology.RendezvousN(key, domain, replicas, dst)
+	}
+	if len(domain) == 0 {
+		return dst[:0]
+	}
+	if placer == nil {
+		placer = MurmurPlacer{}
+	}
+	return append(dst[:0], domain[placer.Place(key, len(domain))])
+}
+
 // Store is the distributed key-value store: a slot-indexed set of
 // in-memory server shards plus a placement rule and the storage tier's
 // epoch-versioned membership.
 type Store struct {
-	placer   Placer // legacy single-replica placement; nil in replicated mode
+	placer   Placer // R = 1 placement; nil means MurmurPlacer{}
 	replicas int
 
 	topo    *topology.Tracker
@@ -104,15 +123,15 @@ type Store struct {
 	mu      sync.RWMutex
 	servers []*Shard
 	view    topology.View
-	active  []int // Active slots, ascending — the placement domain
+	domain  []int // placement domain, ascending: Active slots (+ Down at R = 1)
 	// parted marks slots cut off by an injected network partition: the
 	// shard is up and its data intact, but reads and writes cannot reach
 	// it and repair can neither source from nor copy to it. Placement is
 	// untouched — the system does not know the link is down, which is
 	// what distinguishes a netsplit from a failure.
 	parted []bool
-	// overrides pins individual keys to explicit slot sets, replacing their
-	// rendezvous placement — the adaptive-placement subsystem's lever for
+	// overrides pins individual keys to explicit slot sets, replacing the
+	// slots Place gives them — the adaptive-placement subsystem's lever for
 	// moving hot records toward their dominant readers. Mutated only under
 	// the write side of mu (Move / ClearOverrides), read everywhere
 	// placement is computed.
@@ -133,29 +152,14 @@ type MoveStats struct {
 	Overrides int64
 }
 
-// New creates a store with numServers shards in legacy single-replica
-// mode using placer (nil means MurmurPlacer with seed 0).
-func New(numServers int, placer Placer) (*Store, error) {
-	if numServers <= 0 {
-		return nil, fmt.Errorf("kvstore: need at least 1 server, got %d", numServers)
-	}
-	if placer == nil {
-		placer = MurmurPlacer{}
-	}
-	s := &Store{placer: placer, replicas: 1, topo: topology.NewTierTracker(topology.TierStorage, numServers)}
-	s.servers = make([]*Shard, numServers)
-	for i := range s.servers {
-		s.servers[i] = NewShard()
-	}
-	s.parted = make([]bool, numServers)
-	s.installViewLocked(s.topo.View())
-	return s, nil
-}
+// New creates an R = 1 store with numServers shards placed by placer (nil
+// means MurmurPlacer with seed 0).
+func New(numServers int, placer Placer) (*Store, error) { return NewStore(numServers, 1, placer) }
 
-// NewReplicated creates a store with numServers shards in replicated
-// elastic mode: every key is placed on up to replicas shards by rendezvous
-// hashing over the active storage view.
-func NewReplicated(numServers, replicas int) (*Store, error) {
+// NewStore creates a store with numServers shards that places every key on
+// replicas of them by Place; placer is consulted only at replicas = 1 (nil
+// means MurmurPlacer with seed 0).
+func NewStore(numServers, replicas int, placer Placer) (*Store, error) {
 	if numServers <= 0 {
 		return nil, fmt.Errorf("kvstore: need at least 1 server, got %d", numServers)
 	}
@@ -165,7 +169,7 @@ func NewReplicated(numServers, replicas int) (*Store, error) {
 	if replicas > numServers {
 		return nil, fmt.Errorf("kvstore: %d replicas need at least that many servers, have %d", replicas, numServers)
 	}
-	s := &Store{replicas: replicas, topo: topology.NewTierTracker(topology.TierStorage, numServers)}
+	s := &Store{placer: placer, replicas: replicas, topo: topology.NewTierTracker(topology.TierStorage, numServers)}
 	s.servers = make([]*Shard, numServers)
 	for i := range s.servers {
 		s.servers[i] = NewShard()
@@ -175,23 +179,18 @@ func NewReplicated(numServers, replicas int) (*Store, error) {
 	return s, nil
 }
 
-// replicated reports whether the store uses rendezvous replica placement.
-func (s *Store) replicated() bool { return s.placer == nil }
-
-// Replicated reports whether the store was built with NewReplicated.
-func (s *Store) Replicated() bool { return s.replicated() }
-
-// Replicas returns the replication factor (1 in legacy mode).
+// Replicas returns the replication factor.
 func (s *Store) Replicas() int { return s.replicas }
 
-// installViewLocked caches the tracker view and the active-slot placement
-// domain. Caller holds s.mu (or is the constructor).
+// installViewLocked caches the tracker view and its placement domain: the
+// Active slots, plus the Down ones at R = 1, where a down sole owner keeps
+// its keys. Caller holds s.mu (or is the constructor).
 func (s *Store) installViewLocked(v topology.View) {
 	s.view = v
-	s.active = s.active[:0]
+	s.domain = s.domain[:0]
 	for _, m := range v.Members {
-		if m.Status == topology.Active {
-			s.active = append(s.active, m.Slot)
+		if m.Status == topology.Active || (s.replicas == 1 && m.Status == topology.Down) {
+			s.domain = append(s.domain, m.Slot)
 		}
 	}
 }
@@ -224,11 +223,11 @@ func (s *Store) NumServers() int {
 func (s *Store) NumActive() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.active)
+	return s.view.NumActive()
 }
 
-// ServerFor returns the shard index a read of key is directed to: the
-// legacy owner, or the primary (highest-scored active) replica.
+// ServerFor returns the shard index a read of key is directed to: its
+// highest-scored reachable replica.
 func (s *Store) ServerFor(key uint64) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -243,10 +242,10 @@ func (s *Store) partedLocked(slot int) bool {
 
 // placementLocked computes key's placement set (primary first) under the
 // current view, appending to dst: the pinned override slots when the key
-// has been migrated (restricted to active members), otherwise rendezvous
-// over the active domain. An override whose every slot has left the active
-// set falls back to rendezvous — repair re-homes the data the same way, so
-// the two can never disagree for long. Caller holds s.mu.
+// has been migrated (restricted to active members), otherwise Place over
+// the view's domain. An override whose every slot has left the active set
+// falls back to Place — repair re-homes the data the same way, so the two
+// can never disagree for long. Caller holds s.mu.
 func (s *Store) placementLocked(key uint64, dst []int) []int {
 	if pin, ok := s.overrides[key]; ok {
 		dst = dst[:0]
@@ -259,19 +258,15 @@ func (s *Store) placementLocked(key uint64, dst []int) []int {
 			return dst
 		}
 	}
-	return topology.RendezvousN(key, s.active, s.replicas, dst)
+	return Place(key, s.domain, s.replicas, s.placer, dst)
 }
 
 // readSlotLocked picks the slot a read of key goes to under the current
-// view. Caller holds s.mu. In legacy mode the placer decides regardless of
-// health (a down owner surfaces as ErrNoLiveReplica at read time); in
-// replicated mode it is the highest-scored reachable replica — a parted
-// primary is routed around, and when the whole placement set is parted
-// the primary is returned so the read surfaces the unavailability there.
+// view: the highest-scored reachable replica. Caller holds s.mu. A parted
+// primary is routed around; when the whole placement set is parted the
+// primary is returned so the read surfaces the unavailability there, as does
+// a down sole owner at R = 1.
 func (s *Store) readSlotLocked(key uint64) int {
-	if !s.replicated() {
-		return s.placer.Place(key, len(s.servers))
-	}
 	var arr [topology.MaxReplicas]int
 	pl := s.placementLocked(key, arr[:0])
 	if len(pl) == 0 {
@@ -285,23 +280,20 @@ func (s *Store) readSlotLocked(key uint64) int {
 	return pl[0]
 }
 
-// ReplicasFor appends key's current placement set (up to R active slots,
-// primary first) to dst and returns it. Exposed for placement tests and
+// ReplicasFor appends key's current placement set (up to R slots, primary
+// first) to dst and returns it. Exposed for placement tests and
 // the observability surface.
 func (s *Store) ReplicasFor(key uint64, dst []int) []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if !s.replicated() {
-		return append(dst[:0], s.placer.Place(key, len(s.servers)))
-	}
 	return s.placementLocked(key, dst)
 }
 
-// Put stores val under key, replacing any prior value: on the legacy
-// owner, or on every replica of the current placement set. The value is
-// copied; the caller may reuse its buffer. It returns the write's version —
-// the monotonic store-wide stamp the distributed write path acks to its
-// caller (read-your-writes pivots on it).
+// Put stores val under key, replacing any prior value, on every replica of
+// the current placement set. The value is copied; the caller may reuse its
+// buffer. It returns the write's version — the monotonic store-wide stamp
+// the distributed write path acks to its caller (read-your-writes pivots
+// on it).
 func (s *Store) Put(key uint64, val []byte) uint64 {
 	cp := make([]byte, len(val))
 	copy(cp, val)
@@ -314,17 +306,13 @@ func (s *Store) Put(key uint64, val []byte) uint64 {
 	return ver
 }
 
-// writeLocked applies write to the shards a write of key lands on: the
-// legacy owner, or every reachable replica of the placement set. A parted
-// replica cannot receive the write; the reachable replicas take it and
-// repair catches the parted one up on heal. Only when the whole placement
-// set is unreachable does the write land everywhere — the degenerate case
-// a real client would retry until heal. Caller holds s.mu (read).
+// writeLocked applies write to the shards a write of key lands on: every
+// reachable replica of the placement set. A parted replica cannot receive
+// the write; the reachable replicas take it and repair catches the parted
+// one up on heal. Only when the whole placement set is unreachable does
+// the write land everywhere — the degenerate case a real client would retry
+// until heal. Caller holds s.mu (read).
 func (s *Store) writeLocked(key uint64, write func(*Shard)) {
-	if !s.replicated() {
-		write(s.servers[s.placer.Place(key, len(s.servers))])
-		return
-	}
 	var arr [topology.MaxReplicas]int
 	pl := s.placementLocked(key, arr[:0])
 	wrote := false
@@ -342,10 +330,9 @@ func (s *Store) writeLocked(key uint64, write func(*Shard)) {
 }
 
 // Get returns the value stored under key. The returned slice is owned by
-// the store and must not be modified. In replicated mode the read fails
-// over across the key's replicas; a key whose only copies are on down
-// servers reads as absent here (the batched path reports the distinction
-// through its typed errors).
+// the store and must not be modified. The read fails over across the key's
+// replicas; a key whose only copies are on down servers reads as absent
+// here (the batched path reports the distinction through its typed errors).
 func (s *Store) Get(key uint64) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -364,9 +351,7 @@ func (s *Store) Get(key uint64) ([]byte, bool) {
 	} else if v, found = sv.Get(key); found {
 		return v, true
 	}
-	if s.replicated() {
-		v, found, _ = s.lookupSlowLocked(key, slot)
-	}
+	v, found, _ = s.lookupSlowLocked(key, slot)
 	// A read served by another replica is not a miss: Misses counts reads
 	// of keys nobody could serve.
 	if !found {
@@ -409,9 +394,8 @@ func (s *Store) lookupSlowLocked(key uint64, tried int) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
-// Delete removes key and reports whether it was present. Replicated
-// deletions write tombstones so a stale replica cannot resurrect the key
-// during repair.
+// Delete removes key and reports whether it was present. Deletions write
+// tombstones so a stale replica cannot resurrect the key during repair.
 func (s *Store) Delete(key uint64) bool {
 	ver := s.version.Add(1)
 	s.mu.RLock()
@@ -421,10 +405,6 @@ func (s *Store) Delete(key uint64) bool {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 		sh.stats.Deletes++
-		if !s.replicated() {
-			present, _ = sh.drop(key, 0)
-			return
-		}
 		if old, ok := sh.data[key]; ok && !old.dead {
 			present = true
 		}
@@ -465,11 +445,9 @@ func (s *Store) TotalKeys() int {
 
 // AddServer grows the storage tier by one empty shard and re-replicates
 // the keys whose placement now includes it (~1/(N+1) of the key space,
-// the rendezvous remap bound) before returning. Replicated stores only.
+// the rendezvous remap bound; most keys at R = 1, where the Placer is taken
+// modulo the domain) before returning.
 func (s *Store) AddServer() (int, topology.View, error) {
-	if !s.replicated() {
-		return 0, topology.View{}, errors.New("kvstore: elastic membership requires a replicated store")
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	slot, v := s.topo.Join("")
@@ -487,12 +465,8 @@ func (s *Store) AddServer() (int, topology.View, error) {
 
 // DrainServer removes a shard cleanly: it leaves the placement domain,
 // every key it held is re-replicated onto the surviving shards, and only
-// then does the member become Left and its memory get released. Replicated
-// stores only.
+// then does the member become Left and its memory get released.
 func (s *Store) DrainServer(slot int) (topology.View, error) {
-	if !s.replicated() {
-		return topology.View{}, errors.New("kvstore: elastic membership requires a replicated store")
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v, err := s.topo.Drain(slot)
@@ -518,9 +492,9 @@ func (s *Store) DrainServer(slot int) (topology.View, error) {
 }
 
 // FailServer marks a shard as down: its data is retained but unreachable,
-// and (in replicated mode) the keys it served are re-replicated from
-// their surviving replicas so the tier is back at full replication before
-// the call returns. Refused for the last active shard.
+// and the keys it served are re-replicated from their surviving replicas
+// so the tier is back at full replication before the call returns. Refused
+// for the last active shard.
 func (s *Store) FailServer(slot int) (topology.View, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -529,14 +503,12 @@ func (s *Store) FailServer(slot int) (topology.View, error) {
 		return topology.View{}, err
 	}
 	s.installViewLocked(v)
-	if s.replicated() {
-		s.repairLocked()
-	}
+	s.repairLocked()
 	return s.viewCopyLocked(), nil
 }
 
-// ReviveServer returns a down shard to service. In replicated mode the
-// revived shard is synchronised — writes it missed are copied in by
+// ReviveServer returns a down shard to service. The revived shard is
+// synchronised — writes it missed are copied in by
 // version, deletions it missed arrive as tombstones, and copies parked on
 // stand-in shards during the outage are garbage-collected.
 func (s *Store) ReviveServer(slot int) (topology.View, error) {
@@ -547,9 +519,7 @@ func (s *Store) ReviveServer(slot int) (topology.View, error) {
 		return topology.View{}, err
 	}
 	s.installViewLocked(v)
-	if s.replicated() {
-		s.repairLocked()
-	}
+	s.repairLocked()
 	return s.viewCopyLocked(), nil
 }
 
@@ -560,26 +530,21 @@ func (s *Store) ReviveServer(slot int) (topology.View, error) {
 func (s *Store) Repair() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.replicated() {
-		s.repairLocked()
-	}
+	s.repairLocked()
 }
 
 // Move migrates key onto exactly the dst slots, pinning its placement
 // there until the override is cleared (or every dst slot leaves the active
-// set, at which point placement falls back to rendezvous and repair
-// re-homes the data). The move is a versioned copy-then-drop executed
+// set, at which point placement falls back to Place and repair re-homes
+// the data). The move is a versioned copy-then-drop executed
 // atomically under the store-wide write lock: the newest live copy is
 // installed on each dst slot with its version unchanged, the override is
 // published, and stale copies outside dst are garbage-collected — so a
 // racing reader observes either the old placement or the new one, never a
 // missing key, and a racing writer (which computes placement under the
 // read lock) always lands on the post-move placement with a newer version.
-// It returns the value bytes migrated. Replicated stores only.
+// It returns the value bytes migrated.
 func (s *Store) Move(key uint64, dst []int) (int64, error) {
-	if !s.replicated() {
-		return 0, errors.New("kvstore: placement overrides require a replicated store")
-	}
 	if len(dst) == 0 || len(dst) > topology.MaxReplicas {
 		return 0, fmt.Errorf("kvstore: move to %d slots outside [1,%d]", len(dst), topology.MaxReplicas)
 	}
@@ -649,7 +614,7 @@ func (s *Store) setOverrideLocked(key uint64, dst []int) {
 }
 
 // ClearOverrides removes every placement pin and re-homes the pinned keys
-// onto their rendezvous placement in one repair pass — the "forget what
+// onto the slots Place gives them in one repair pass — the "forget what
 // the workload taught us" reset the re-load baseline uses.
 func (s *Store) ClearOverrides() {
 	s.mu.Lock()
@@ -658,9 +623,7 @@ func (s *Store) ClearOverrides() {
 		return
 	}
 	s.overrides = nil
-	if s.replicated() {
-		s.repairLocked()
-	}
+	s.repairLocked()
 }
 
 // Moves returns the migration counters, including the number of keys
@@ -759,10 +722,7 @@ func (s *Store) repairLocked() {
 func (s *Store) UnderReplicated() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	target := s.replicas
-	if len(s.active) < target {
-		target = len(s.active)
-	}
+	target := min(s.replicas, s.view.NumActive())
 	copies := make(map[uint64]int)
 	// Writers mutate the shard maps under s.mu's *read* side plus the
 	// per-shard lock, so this scan must take each sv.mu too.
@@ -827,8 +787,8 @@ type BatchPlan struct {
 	order   []int32  // scratch: servers in first-seen order
 }
 
-// PlanBatchesIn groups keys by read destination (legacy owner or primary
-// replica; batches in first-seen server order, input order preserved
+// PlanBatchesIn groups keys by read destination (the preferred replica;
+// batches in first-seen server order, input order preserved
 // within each batch), reusing plan's buffers and recording each key's input
 // position in Batch.Pos. The returned slice is valid until the next call on plan.
 func (s *Store) PlanBatchesIn(plan *BatchPlan, keys []uint64) []Batch {
@@ -898,9 +858,10 @@ func grow[T any](buf []T, n int) []T {
 // modified.
 //
 // Errors classify availability, not absence: ErrServerDown means the
-// planned server stopped being readable (re-plan and retry — the keys
-// have live replicas elsewhere); ErrNoLiveReplica means at least one key's
-// every copy is on down shards (the batch's false oks are then
+// planned server stopped being readable (re-plan and retry — the keys have
+// live replicas elsewhere; R >= 2 only); ErrNoLiveReplica means at least
+// one key's every copy is on unreachable shards, which at R = 1 is every
+// batch planned on an unreachable server (the batch's false oks are then
 // unavailable, not absent). A nil error with ok == false is a genuinely
 // absent key.
 func (s *Store) GetBatchInto(b Batch, vals [][]byte, oks []bool) (int64, error) {
@@ -912,27 +873,27 @@ func (s *Store) GetBatchInto(b Batch, vals [][]byte, oks []bool) (int64, error) 
 	sv := s.servers[b.Server]
 	if s.view.Status(b.Server) != topology.Active || s.partedLocked(b.Server) {
 		sv.failovers.Add(uint64(len(b.Keys)))
-		if s.replicated() {
-			if s.partedLocked(b.Server) {
-				// ErrServerDown promises a replan will find a reachable
-				// replica; when some key's whole placement set is parted,
-				// that promise is false and the key is unavailable.
-				for _, k := range b.Keys {
-					if s.partedLocked(s.readSlotLocked(k)) {
-						return 0, fmt.Errorf("key %d: every replica parted: %w", k, ErrNoLiveReplica)
-					}
+		if s.replicas == 1 {
+			return 0, fmt.Errorf("server %d (sole replica of %d keys): %w", b.Server, len(b.Keys), ErrNoLiveReplica)
+		}
+		if s.partedLocked(b.Server) {
+			// ErrServerDown promises a replan will find a reachable replica;
+			// when some key's whole placement set is parted, that promise is
+			// false and the key is unavailable.
+			for _, k := range b.Keys {
+				if s.partedLocked(s.readSlotLocked(k)) {
+					return 0, fmt.Errorf("key %d: every replica parted: %w", k, ErrNoLiveReplica)
 				}
 			}
-			return 0, fmt.Errorf("server %d: %w", b.Server, ErrServerDown)
 		}
-		return 0, fmt.Errorf("server %d (sole replica of %d keys): %w", b.Server, len(b.Keys), ErrNoLiveReplica)
+		return 0, fmt.Errorf("server %d: %w", b.Server, ErrServerDown)
 	}
 	bytes, misses := sv.GetInto(b.Keys, vals, oks)
 	var err error
-	if misses > 0 && s.replicated() {
-		// Replicated slow path: a miss on the primary is either a genuinely
-		// absent key, a stale-plan window (serve it from its surviving
-		// replica), or an unavailable key whose copies are all down.
+	if misses > 0 {
+		// Slow path: a miss on the primary is either a genuinely absent
+		// key, a stale-plan window (serve it from its surviving replica),
+		// or an unavailable key whose copies are all down.
 		for i, ok := range oks {
 			if ok {
 				continue

@@ -2,9 +2,12 @@ package kvstore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/topology"
 )
 
 func mustNew(t *testing.T, n int, p Placer) *Store {
@@ -133,6 +136,28 @@ func TestTablePlacer(t *testing.T) {
 	tp2 := TablePlacer{Assign: []int32{9}}
 	if got := tp2.Place(0, 3); got < 0 || got >= 3 {
 		t.Fatalf("oversized table entry Place = %d", got)
+	}
+}
+
+// TestPlace pins the one placement rule: the placer's pick over the domain
+// at R = 1 (nil meaning murmur), rendezvous at R >= 2, nothing over an
+// empty domain.
+func TestPlace(t *testing.T) {
+	domain := []int{1, 4, 6}
+	if got := Place(7, nil, 1, nil, nil); len(got) != 0 {
+		t.Fatalf("empty domain placed %v", got)
+	}
+	for k := uint64(0); k < 200; k++ {
+		want := domain[MurmurPlacer{}.Place(k, len(domain))]
+		if got := Place(k, domain, 1, nil, nil); !slices.Equal(got, []int{want}) {
+			t.Fatalf("key %d: nil placer %v, murmur %d", k, got, want)
+		}
+	}
+	if got := Place(1, domain, 1, TablePlacer{Assign: []int32{0, 2}}, nil); !slices.Equal(got, []int{6}) {
+		t.Fatalf("table placer placed key 1 on %v, want [6]", got)
+	}
+	if got, want := Place(9, domain, 2, nil, nil), topology.RendezvousN(9, domain, 2, nil); !slices.Equal(got, want) {
+		t.Fatalf("R = 2 placed %v, rendezvous %v", got, want)
 	}
 }
 

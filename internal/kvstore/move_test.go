@@ -33,13 +33,6 @@ func otherSlots(t *testing.T, s *Store, key uint64, n int) []int {
 }
 
 func TestMoveValidation(t *testing.T) {
-	plain, err := New(3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.Move(1, []int{0}); err == nil {
-		t.Fatal("move accepted on an unreplicated store")
-	}
 	s := mustReplicated(t, 4, 2)
 	loadKeys(s, 10)
 	if _, err := s.Move(1, nil); err == nil {

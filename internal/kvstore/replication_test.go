@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -12,7 +13,7 @@ import (
 
 func mustReplicated(t *testing.T, n, r int) *Store {
 	t.Helper()
-	s, err := NewReplicated(n, r)
+	s, err := NewStore(n, r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,16 +52,16 @@ func readAll(t *testing.T, s *Store, n int) int {
 }
 
 func TestNewReplicatedValidation(t *testing.T) {
-	if _, err := NewReplicated(0, 1); err == nil {
+	if _, err := NewStore(0, 1, nil); err == nil {
 		t.Fatal("0 servers accepted")
 	}
-	if _, err := NewReplicated(4, 0); err == nil {
+	if _, err := NewStore(4, 0, nil); err == nil {
 		t.Fatal("0 replicas accepted")
 	}
-	if _, err := NewReplicated(2, 3); err == nil {
+	if _, err := NewStore(2, 3, nil); err == nil {
 		t.Fatal("more replicas than servers accepted")
 	}
-	if _, err := NewReplicated(20, topology.MaxReplicas+1); err == nil {
+	if _, err := NewStore(20, topology.MaxReplicas+1, nil); err == nil {
 		t.Fatal("replicas beyond MaxReplicas accepted")
 	}
 }
@@ -133,7 +134,10 @@ func TestReplicatedStaleBatchBouncesRetryably(t *testing.T) {
 	}
 }
 
-func TestLegacyFailIsNoLiveReplica(t *testing.T) {
+// TestSingleReplicaFailIsNoLiveReplica: at R = 1 a down shard stays in the
+// placement domain, so a batch planned on it answers ErrNoLiveReplica, not a
+// retryable ErrServerDown.
+func TestSingleReplicaFailIsNoLiveReplica(t *testing.T) {
 	s := mustNew(t, 3, nil)
 	loadKeys(s, 300)
 	if _, err := s.FailServer(1); err != nil {
@@ -160,7 +164,7 @@ func TestLegacyFailIsNoLiveReplica(t *testing.T) {
 	if !sawUnavailable {
 		t.Fatal("no batch landed on the failed server")
 	}
-	// Revive restores full service (legacy mode keeps the data in place).
+	// Revive restores full service (the down sole owner kept its data).
 	if _, err := s.ReviveServer(1); err != nil {
 		t.Fatal(err)
 	}
@@ -265,13 +269,43 @@ func TestReplicatedDrainServer(t *testing.T) {
 	}
 }
 
-func TestLegacyStoreRejectsElasticOps(t *testing.T) {
+// TestSingleReplicaStoreIsElastic: an R = 1 store moves its membership like
+// any other. Scale-out and drain re-home the keys (most of them, murmur being
+// taken modulo the domain) and every key reads back at its latest value.
+func TestSingleReplicaStoreIsElastic(t *testing.T) {
 	s := mustNew(t, 3, nil)
-	if _, _, err := s.AddServer(); err == nil {
-		t.Fatal("legacy AddServer accepted")
+	const n = 900
+	loadKeys(s, n)
+	for k := uint64(0); k < n; k += 3 {
+		s.Put(k, []byte{byte(k), 0xff, 0xff})
 	}
-	if _, err := s.DrainServer(0); err == nil {
-		t.Fatal("legacy DrainServer accepted")
+	slot, _, err := s.AddServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Stats(slot).Keys == 0 {
+		t.Fatal("scale-out left the new shard empty")
+	}
+	if _, err := s.DrainServer(0); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(0); st.Keys != 0 {
+		t.Fatalf("drained shard still holds %d keys", st.Keys)
+	}
+	if got := readAll(t, s, n); got != n {
+		t.Fatalf("read %d of %d after add + drain", got, n)
+	}
+	for k := uint64(0); k < n; k++ {
+		want := []byte{byte(k), byte(k >> 8), byte(k >> 16)}
+		if k%3 == 0 {
+			want = []byte{byte(k), 0xff, 0xff}
+		}
+		if v, ok := s.Get(k); !ok || !bytes.Equal(v, want) {
+			t.Fatalf("key %d = %v, %v; want %v", k, v, ok, want)
+		}
+	}
+	if u := s.UnderReplicated(); u != 0 {
+		t.Fatalf("UnderReplicated = %d after add + drain", u)
 	}
 }
 
@@ -530,8 +564,8 @@ func TestReplicatedTotalBytesCountsReplicas(t *testing.T) {
 	if got := s.TotalBytes(); got != 8 {
 		t.Fatalf("TotalBytes = %d, want 8 (4 bytes x 2 replicas)", got)
 	}
-	if !s.Replicated() || s.Replicas() != 2 {
-		t.Fatalf("mode accessors wrong: %v / %d", s.Replicated(), s.Replicas())
+	if s.Replicas() != 2 {
+		t.Fatalf("Replicas = %d, want 2", s.Replicas())
 	}
 }
 
@@ -558,7 +592,7 @@ func TestReplicatedEpochAdvances(t *testing.T) {
 }
 
 func ExampleStore_ReplicasFor() {
-	s, _ := NewReplicated(4, 2)
+	s, _ := NewStore(4, 2, nil)
 	fmt.Println(len(s.ReplicasFor(42, nil)))
 	// Output: 2
 }

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/gstore"
-	"repro/internal/hash"
 	"repro/internal/kvstore"
 	"repro/internal/query"
 	"repro/internal/topology"
@@ -213,10 +212,9 @@ type probeState struct {
 // StorageClient is the one way a process reaches the storage tier: it
 // shards keys over a set of storage servers, one connection pool per shard,
 // and resolves "where does key k live" in exactly one place (placement).
-// Unreplicated (replicas == 1) placement is the same murmur hash the legacy
-// in-process tier uses; with replicas >= 2 every key lives on R shards
-// placed by rendezvous hashing over the shard list, and a key a migration
-// moved lives where its pin says. There is one write path, PutBatch — one
+// Placement is kvstore.Place over the shard list, the function the
+// in-process store places by: murmur at R = 1, rendezvous over R shards at
+// R >= 2; a key a migration moved lives where its pin says. There is one write path, PutBatch — one
 // OpMultiPut frame per shard, every replica or fail unacked — under the
 // loader's chunks, a mutation's records and a single Put alike; reads prefer
 // the highest-scored healthy replica with transparent failover: a shard that
@@ -227,7 +225,7 @@ type probeState struct {
 type StorageClient struct {
 	pools    []*Pool
 	replicas int
-	slots    []int // 0..n-1, the rendezvous placement domain
+	slots    []int // 0..n-1, the placement domain
 
 	down      []atomic.Bool
 	failovers atomic.Int64
@@ -473,21 +471,17 @@ func (sc *StorageClient) overrideFor(key uint64) []int {
 	return pl
 }
 
-// placement is the deployment's one placement function: it appends key's
-// replica shards (primary first) to dst — the pin when migration moved the
-// key, else the murmur shard when unreplicated, else the replicas
-// highest-scoring rendezvous slots. The domain is frozen at the shard list
-// the client was built over; an empty one places nothing. Client-side
-// placement only works because every reader and every writer of a
-// deployment computes exactly this.
+// placement appends key's replica shards (primary first) to dst: the pin
+// when migration moved the key, else kvstore.Place over the shard list the
+// client was built over with murmur at R = 1 — the rule the in-process store
+// places by. An empty shard list places nothing. Client-side placement only
+// works because every reader and every writer of a deployment computes
+// exactly this.
 func (sc *StorageClient) placement(key uint64, dst []int) []int {
 	if pin := sc.overrideFor(key); len(pin) > 0 {
 		return append(dst[:0], pin...)
 	}
-	if sc.replicas <= 1 && len(sc.slots) > 0 {
-		return append(dst[:0], int(hash.Key64(key, 0)%uint64(len(sc.slots))))
-	}
-	return topology.RendezvousN(key, sc.slots, sc.replicas, dst)
+	return kvstore.Place(key, sc.slots, sc.replicas, kvstore.MurmurPlacer{}, dst)
 }
 
 // shardFor returns the shard a read of key prefers.

@@ -102,7 +102,9 @@ type Config struct {
 	// At any factor the AddStorage / DrainStorage / FailStorage /
 	// ReviveStorage System methods move the membership live, with
 	// re-replication of under-replicated records completing before each
-	// call returns. Values above 1 are incompatible with a custom Placer,
+	// call returns; at 1, AddStorage and DrainStorage wait until no member
+	// is down, since a down sole owner's records have nowhere to move
+	// from. Values above 1 are incompatible with a custom Placer,
 	// which places one copy.
 	StorageReplicas int
 	// Network is the cluster cost profile (default Infiniband).

@@ -365,7 +365,8 @@ func (s *System) storageTransition(what string, do func() (topology.View, error)
 // member (~1/(N+1) of the key space, the rendezvous remap bound) are
 // re-replicated onto it before the call returns; queries running
 // concurrently keep reading their old replicas until the new placement is
-// fully populated. Requires StorageReplicas >= 2 (the elastic mode).
+// fully populated. With StorageReplicas = 1 it re-homes most records and is
+// refused while a storage member is down.
 func (s *System) AddStorage() (int, error) {
 	var slot int
 	err := s.storageTransition("add storage", func() (v topology.View, err error) {
@@ -377,7 +378,8 @@ func (s *System) AddStorage() (int, error) {
 
 // DrainStorage removes a storage member cleanly: every record it holds is
 // re-replicated onto the survivors before the member leaves and its
-// memory is released. The slot is never reused.
+// memory is released. The slot is never reused. Refused like AddStorage
+// while a member is down at StorageReplicas = 1.
 func (s *System) DrainStorage(slot int) error {
 	return s.storageTransition(fmt.Sprintf("drain storage %d", slot), func() (topology.View, error) {
 		return s.store.DrainServer(slot)

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/topology"
 )
 
 // countReadable fetches keys [0,n) through the batched path and returns
@@ -105,6 +107,44 @@ func TestCrashRestartRecoversAckedWrites(t *testing.T) {
 	}
 	if under := s.UnderReplicated(); under != 0 {
 		t.Fatalf("under-replicated after restart: %d", under)
+	}
+}
+
+// TestSingleReplicaResizeWaitsForDownOwner: at R = 1 a resize while a sole
+// owner is down would hand live keys to the down slot, where the copy repair
+// made lives only in memory and a restart replays the log over it. Both
+// AddServer and DrainServer are refused until the owner is back, and then
+// every key reads back at its value after a crash, a restart and the resize.
+func TestSingleReplicaResizeWaitsForDownOwner(t *testing.T) {
+	s := mustDurable(t, 3, 1, t.TempDir(), 64)
+	const n = 600
+	loadKeys(s, n)
+	if _, err := s.CrashServer(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.AddServer(); err == nil {
+		t.Fatal("R = 1 AddServer accepted with slot 1 down")
+	}
+	if _, err := s.DrainServer(0); err == nil {
+		t.Fatal("R = 1 DrainServer accepted with slot 1 down")
+	}
+	if v := s.View(); len(v.Members) != 3 || v.Status(0) != topology.Active {
+		t.Fatalf("a refused resize moved the membership: %+v", v.Members)
+	}
+	if _, err := s.RestartServer(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.AddServer(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.DrainServer(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, s, n); got != n {
+		t.Fatalf("read %d of %d after restart + add + drain", got, n)
+	}
+	if u := s.UnderReplicated(); u != 0 {
+		t.Fatalf("UnderReplicated = %d", u)
 	}
 }
 

@@ -309,6 +309,32 @@ func TestSingleReplicaStoreIsElastic(t *testing.T) {
 	}
 }
 
+// TestSingleReplicaReviveReconcilesPinnedKey: a key pinned off its Placer
+// slot is written to that slot while its pin's slot is down; the revive's
+// repair pass must carry the newer value back under the pin.
+func TestSingleReplicaReviveReconcilesPinnedKey(t *testing.T) {
+	s := mustNew(t, 3, nil)
+	loadKeys(s, 100)
+	var buf [topology.MaxReplicas]int
+	k := uint64(0)
+	for s.ReplicasFor(k, buf[:0])[0] != 0 {
+		k++
+	}
+	if _, err := s.Move(k, []int{2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.FailServer(2); err != nil {
+		t.Fatal(err)
+	}
+	s.Put(k, []byte{byte(k), 0xff, 0xff})
+	if _, err := s.ReviveServer(2); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.Get(k); !ok || !bytes.Equal(v, []byte{byte(k), 0xff, 0xff}) {
+		t.Fatalf("key %d after revive = %v, %v; want the write made while down", k, v, ok)
+	}
+}
+
 func TestFailLastActiveRefused(t *testing.T) {
 	s := mustReplicated(t, 2, 2)
 	if _, err := s.FailServer(0); err != nil {

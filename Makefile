@@ -135,12 +135,15 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkQuery|BenchmarkRunWorkload|BenchmarkClientBatch' -benchmem .
 
 # The numbers every simplicity PR quotes: Go lines outside bench/ (the
-# benchmark module is frozen), non-test and test, and the non-test lines of
-# internal/experiments, the package the figures-as-data PRs shrink.
+# benchmark module is frozen), non-test and test, the non-test lines of
+# internal/experiments, the package the figures-as-data PRs shrink, and the
+# root package's public surface (one line of `go doc -short` per exported
+# top-level identifier).
 loc:
 	@echo "non-test Go lines: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
 	@echo "test Go lines:     $$(find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
 	@echo "internal/experiments non-test Go lines: $$(find internal/experiments -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "root package exported identifiers: $$($(GO) doc -short . | wc -l)"
 
 # Regenerate every figure/table at quick scale on all cores.
 suite:

@@ -117,9 +117,6 @@ type Outcome struct {
 // stream is the shared ExecuteStream engine: workers goroutines consume in
 // and emit outcomes until the input drains or ctx is cancelled.
 func stream(ctx context.Context, in <-chan Query, workers int, exec func(context.Context, Query) (Result, error)) <-chan Outcome {
-	if workers < 1 {
-		workers = 1
-	}
 	out := make(chan Outcome, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

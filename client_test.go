@@ -3,6 +3,7 @@ package grouting_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -30,12 +31,12 @@ func startTCPClusterCache(t testing.TB, g *grouting.Graph, nStorage, nProcs int,
 		t.Cleanup(func() { ss.Close() })
 		storageAddrs = append(storageAddrs, ss.Addr())
 	}
-	if err := grouting.LoadStorage(ctx, g, storageAddrs); err != nil {
+	if err := grouting.LoadStorageReplicated(ctx, g, storageAddrs, 1); err != nil {
 		t.Fatal(err)
 	}
 	var procAddrs []string
 	for i := 0; i < nProcs; i++ {
-		ps, err := grouting.ServeProcessor("127.0.0.1:0", storageAddrs, cacheBytes)
+		ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{Storage: storageAddrs, CacheBytes: cacheBytes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +288,7 @@ func TestRecoveryTimeOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := grouting.LoadStorage(ctx, g, []string{ss.Addr()}); err != nil {
+	if err := grouting.LoadStorageReplicated(ctx, g, []string{ss.Addr()}, 1); err != nil {
 		t.Fatal(err)
 	}
 	ss.Close()
@@ -295,7 +296,7 @@ func TestRecoveryTimeOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	ps, err := grouting.ServeProcessor("127.0.0.1:0", []string{ss.Addr()}, 1<<20)
+	ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{Storage: []string{ss.Addr()}, CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,47 +406,41 @@ func TestClientStreamCancellation(t *testing.T) {
 	}
 }
 
-// TestConfigOptionsEquivalence checks the functional options assemble the
-// same Config as the struct literal they sugar.
+// TestConfigOptionsEquivalence checks that New with every option builds the
+// system NewSystem builds from a Config literal setting the same fields.
 func TestConfigOptionsEquivalence(t *testing.T) {
-	got := grouting.NewConfig(
+	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
+	provider := grouting.NewFileProvider(sharedEmbedding(t, g))
+	got, err := grouting.New(g,
+		grouting.WithPolicy(grouting.PolicyLandmark),
 		grouting.WithProcessors(5),
 		grouting.WithStorageServers(3),
-		grouting.WithPolicy(grouting.PolicyLandmark),
-		grouting.WithNetwork(grouting.Ethernet()),
 		grouting.WithCacheBytes(1<<20),
 		grouting.WithLandmarks(12),
 		grouting.WithMinSeparation(2),
 		grouting.WithDimensions(4),
 		grouting.WithSeed(9),
-		grouting.WithLoadFactor(10),
-		grouting.WithAlpha(0.25),
-		grouting.WithoutStealing(),
-		grouting.WithPrepWorkers(2),
+		grouting.WithEmbedProvider(provider),
 	)
-	want := grouting.Config{
-		Processors:      5,
-		StorageServers:  3,
-		Policy:          grouting.PolicyLandmark,
-		Network:         grouting.Ethernet(),
-		CacheBytes:      1 << 20,
-		Landmarks:       12,
-		MinSeparation:   2,
-		Dimensions:      4,
-		Seed:            9,
-		LoadFactor:      10,
-		Alpha:           0.25,
-		DisableStealing: true,
-		PrepWorkers:     2,
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.Processors != want.Processors || got.StorageServers != want.StorageServers ||
-		got.Policy != want.Policy || got.Network.Name != want.Network.Name ||
-		got.CacheBytes != want.CacheBytes || got.Landmarks != want.Landmarks ||
-		got.MinSeparation != want.MinSeparation || got.Dimensions != want.Dimensions ||
-		got.Seed != want.Seed || got.LoadFactor != want.LoadFactor ||
-		got.Alpha != want.Alpha || got.DisableStealing != want.DisableStealing ||
-		got.PrepWorkers != want.PrepWorkers {
-		t.Fatalf("options config %+v != struct config %+v", got, want)
+	want, err := grouting.NewSystem(g, grouting.Config{
+		Policy:         grouting.PolicyLandmark,
+		Processors:     5,
+		StorageServers: 3,
+		CacheBytes:     1 << 20,
+		Landmarks:      12,
+		MinSeparation:  2,
+		Dimensions:     4,
+		Seed:           9,
+		EmbedProvider:  provider,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Config(), want.Config()) {
+		t.Fatalf("options config %+v != struct config %+v", got.Config(), want.Config())
 	}
 }
 

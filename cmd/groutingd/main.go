@@ -1,6 +1,6 @@
 // Command groutingd runs one daemon of the decoupled deployment: a storage
 // shard, a query processor, or the query router — the public
-// grouting.ServeStorage / ServeProcessor / ServeRouter entry points as a
+// grouting.ServeStorage / ServeProcessorWith / ServeRouter entry points as a
 // binary.
 //
 // A minimal localhost deployment:

@@ -51,25 +51,30 @@ func (s *bandStrategy) Pick(q grouting.Query, loads []int) int {
 func (s *bandStrategy) Observe(grouting.Query, int) {} // stateless
 func (s *bandStrategy) DecisionUnits() int          { return 1 }
 
-// One registration covers every deployment shape: WithPolicy/WithStrategy
-// locally, RouterSpec.Policy over TCP, and groutingd -policy bands.
+// One registration covers every deployment shape: Config.Policy locally,
+// RouterSpec.Policy over TCP, and groutingd -policy bands.
 var policyBands = grouting.RegisterStrategy("bands", newBandStrategy)
 
 func main() {
 	ctx := context.Background()
 	g := grouting.GenerateDataset(grouting.WebGraph, 0.03, 42)
+	var names []string
+	for _, s := range grouting.StrategyRegistry() {
+		names = append(names, s.Name)
+	}
 	fmt.Printf("dataset: %d nodes, %d edges; registered strategies: %v\n",
-		g.NumNodes(), g.NumEdges(), grouting.Strategies())
+		g.NumNodes(), g.NumEdges(), names)
 	workload := grouting.HotspotWorkload(g, grouting.WorkloadSpec{
 		NumHotspots: 10, QueriesPerHotspot: 10, R: 2, H: 2, Seed: 9,
 	})
 
-	// Transport 1: the virtual-time engine, selecting the strategy by name.
-	sys, err := grouting.New(g,
-		grouting.WithProcessors(3),
-		grouting.WithStorageServers(2),
-		grouting.WithStrategy("bands"),
-	)
+	// Transport 1: the virtual-time engine, resolving the strategy by name
+	// as the daemons' -policy flags do.
+	byName, err := grouting.ParsePolicy("bands")
+	if err != nil {
+		log.Fatal(err)
+	}
+	sys, err := grouting.NewSystem(g, grouting.Config{Processors: 3, StorageServers: 2, Policy: byName})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,12 +94,12 @@ func main() {
 		defer ss.Close()
 		storageAddrs = append(storageAddrs, ss.Addr())
 	}
-	if err := grouting.LoadStorage(ctx, g, storageAddrs); err != nil {
+	if err := grouting.LoadStorageReplicated(ctx, g, storageAddrs, 1); err != nil {
 		log.Fatal(err)
 	}
 	var procAddrs []string
 	for i := 0; i < 3; i++ {
-		ps, err := grouting.ServeProcessor("127.0.0.1:0", storageAddrs, 64<<20)
+		ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{Storage: storageAddrs, CacheBytes: 64 << 20})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -86,14 +86,14 @@ func main() {
 		storageAddrs = append(storageAddrs, ss.Addr())
 	}
 	start := time.Now()
-	if err := grouting.LoadStorage(ctx, g, storageAddrs); err != nil {
+	if err := grouting.LoadStorageReplicated(ctx, g, storageAddrs, 1); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("loaded into %d shards in %v\n", len(storageAddrs), time.Since(start).Round(time.Millisecond))
 
 	var procAddrs []string
 	for i := 0; i < 3; i++ {
-		ps, err := grouting.ServeProcessor("127.0.0.1:0", storageAddrs, 64<<20)
+		ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{Storage: storageAddrs, CacheBytes: 64 << 20})
 		if err != nil {
 			log.Fatal(err)
 		}

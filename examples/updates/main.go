@@ -174,12 +174,12 @@ func main() {
 		defer ss.Close()
 		storageAddrs = append(storageAddrs, ss.Addr())
 	}
-	if err := grouting.LoadStorage(ctx, gRemote, storageAddrs); err != nil {
+	if err := grouting.LoadStorageReplicated(ctx, gRemote, storageAddrs, 1); err != nil {
 		log.Fatal(err)
 	}
 	var procAddrs []string
 	for i := 0; i < 3; i++ {
-		ps, err := grouting.ServeProcessor("127.0.0.1:0", storageAddrs, 64<<20)
+		ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{Storage: storageAddrs, CacheBytes: 64 << 20})
 		if err != nil {
 			log.Fatal(err)
 		}

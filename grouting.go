@@ -43,7 +43,7 @@
 //
 //	local, _ := grouting.NewLocalClient(sys)                  // virtual-time engine
 //	remote, _ := grouting.Dial(ctx, "10.0.0.7:7200")          // TCP cluster (ServeStorage/
-//	                                                          // ServeProcessor/ServeRouter)
+//	                                                          // ServeProcessorWith/ServeRouter)
 //
 // Both transports validate queries the same way (Query.Validate) and
 // classify failures into the same typed errors — [ErrBadQuery],
@@ -56,7 +56,7 @@
 // The routing policies are backed by an open registry: implement
 // [Strategy] (Pick/Observe/DecisionUnits, optionally [DistanceAware]),
 // register it with [RegisterStrategy], and the returned [Policy] works
-// everywhere a built-in does — [WithPolicy]/[WithStrategy] locally,
+// everywhere a built-in does — [Config].Policy (or [WithPolicy]) locally,
 // [RouterSpec] over TCP, the daemons' -policy flags, and
 // [ParsePolicy]/[Policy.String] round-trips. A strategy decides from the
 // query stream and the per-processor loads alone, as the paper's routers

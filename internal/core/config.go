@@ -110,12 +110,8 @@ type Config struct {
 	// Network is the cluster cost profile (default Infiniband).
 	Network simnet.Profile
 	// Policy picks the routing scheme (default PolicyEmbed, the paper's
-	// best performer).
+	// best performer). A registered name resolves through ParsePolicy.
 	Policy Policy
-	// Strategy selects the routing scheme by registered name instead
-	// ("hash", "embed", or anything added through the strategy registry).
-	// When non-empty it overrides Policy; unknown names fail validation.
-	Strategy string
 	// CacheBytes is each processor's cache capacity (paper default: 4 GB,
 	// "large enough for our queries").
 	CacheBytes int64
@@ -204,8 +200,6 @@ type Config struct {
 	// system's epoch-versioned topology; ReviveProcessor and the other
 	// System membership methods move it afterwards.
 	FailedProcessors []int
-	// PrepWorkers bounds preprocessing parallelism (0 = GOMAXPROCS).
-	PrepWorkers int
 	// EmbedProvider supplies node coordinates from a pluggable source
 	// (embed.FileProvider or any user Embedder) instead of
 	// the built-in learned embedding. It is materialised once at system
@@ -218,12 +212,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Strategy != "" {
-		if reg, ok := router.LookupName(c.Strategy); ok {
-			c.Policy = Policy(reg.ID)
-		}
-		// Unknown names are reported by validate, which runs after this.
-	}
 	if c.Processors == 0 {
 		c.Processors = 7
 	}
@@ -261,11 +249,6 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
-	if c.Strategy != "" {
-		if _, ok := router.LookupName(c.Strategy); !ok {
-			return fmt.Errorf("core: unknown strategy %q (registered: %s)", c.Strategy, strings.Join(router.Names(), ", "))
-		}
-	}
 	if _, ok := router.LookupID(int(c.Policy)); !ok {
 		return fmt.Errorf("core: unknown policy %v", c.Policy)
 	}

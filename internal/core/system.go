@@ -167,7 +167,7 @@ func (s *System) preprocess() error {
 	s.prep.Landmarks = len(lms)
 
 	t0 = time.Now()
-	s.idx = landmark.BuildIndex(prepGraph, lms, s.cfg.PrepWorkers)
+	s.idx = landmark.BuildIndex(prepGraph, lms, 0)
 	s.prep.BFSTime = time.Since(t0)
 
 	// Incorporate the nodes excluded from preprocessing through the

@@ -25,7 +25,7 @@ func startElasticCluster(t *testing.T, g *graph.Graph, nProcs int, policy string
 		t.Cleanup(func() { ss.Close() })
 		storageAddrs = append(storageAddrs, ss.Addr())
 	}
-	sc, err := DialStorage(storageAddrs)
+	sc, err := DialStorageReplicated(storageAddrs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func startElasticCluster(t *testing.T, g *graph.Graph, nProcs int, policy string
 
 	var procAddrs []string
 	for i := 0; i < nProcs; i++ {
-		ps, err := NewProcessorServer("127.0.0.1:0", storageAddrs, 64<<20)
+		ps, err := NewProcessorServerWith("127.0.0.1:0", ProcessorConfig{Storage: storageAddrs, CacheBytes: 64 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestJoinAdmitsProcessorAtRuntime(t *testing.T) {
 	ctx := context.Background()
 	epochBefore := rs.Epoch()
 
-	ps, err := NewProcessorServer("127.0.0.1:0", storageAddrs, 64<<20)
+	ps, err := NewProcessorServerWith("127.0.0.1:0", ProcessorConfig{Storage: storageAddrs, CacheBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,7 +188,7 @@ func startWritableCluster(t *testing.T, strat router.Strategy, procs func(storag
 	ctx := context.Background()
 	c := &writableCluster{g: writableGraph()}
 	_, c.storageAddrs = startStorageShards(t, 2)
-	loader, err := DialStorage(c.storageAddrs)
+	loader, err := DialStorageReplicated(c.storageAddrs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestInvalidationsRideExecuteFrames(t *testing.T) {
 	c := startWritableCluster(t, byID, func(storageAddrs []string) []string {
 		var addrs []string
 		for i := 0; i < 3; i++ {
-			ps, err := NewProcessorServer("127.0.0.1:0", storageAddrs, 1<<20)
+			ps, err := NewProcessorServerWith("127.0.0.1:0", ProcessorConfig{Storage: storageAddrs, CacheBytes: 1 << 20})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -56,22 +56,18 @@ type ProcessorServer struct {
 type ProcessorConfig struct {
 	// Storage lists the storage shards the processor fetches from.
 	Storage []string
-	// StorageReplicas is the storage tier's replication factor: it must
-	// match what the loader used, since placement is client-side. 0 or 1
-	// means unreplicated.
+	// StorageReplicas is the storage tier's replication factor (0 reads as
+	// 1, unreplicated). It must match what the loader used, since placement
+	// is client-side. With >= 2 the processor's reads fail over
+	// transparently when a replica dies and recover it when it answers
+	// again.
 	StorageReplicas int
 	// CacheBytes is the processor's LRU capacity.
 	CacheBytes int64
 }
 
-// NewProcessorServer starts a processor on addr, fetching from the given
-// unreplicated storage shards with cacheBytes of LRU capacity.
-func NewProcessorServer(addr string, storageAddrs []string, cacheBytes int64) (*ProcessorServer, error) {
-	return NewProcessorServerWith(addr, ProcessorConfig{Storage: storageAddrs, CacheBytes: cacheBytes})
-}
-
-// NewProcessorServerWith starts a processor on addr with the full
-// configuration, including the storage replication factor.
+// NewProcessorServerWith starts a processor on addr serving in the
+// background.
 func NewProcessorServerWith(addr string, cfg ProcessorConfig) (*ProcessorServer, error) {
 	replicas := cfg.StorageReplicas
 	if replicas == 0 {

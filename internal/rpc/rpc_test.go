@@ -40,7 +40,7 @@ func startClusterCfg(t *testing.T, g *graph.Graph, nStorage, nProcs int, policy 
 		t.Cleanup(func() { ss.Close() })
 		storageAddrs = append(storageAddrs, ss.Addr())
 	}
-	sc, err := DialStorage(storageAddrs)
+	sc, err := DialStorageReplicated(storageAddrs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func startClusterCfg(t *testing.T, g *graph.Graph, nStorage, nProcs int, policy 
 
 	var procAddrs []string
 	for i := 0; i < nProcs; i++ {
-		ps, err := NewProcessorServer("127.0.0.1:0", storageAddrs, 64<<20)
+		ps, err := NewProcessorServerWith("127.0.0.1:0", ProcessorConfig{Storage: storageAddrs, CacheBytes: 64 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +318,7 @@ func startProcessor(t *testing.T, g *graph.Graph, cacheBytes int64) (*ProcessorS
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ss.Close() })
-	sc, err := DialStorage([]string{ss.Addr()})
+	sc, err := DialStorageReplicated([]string{ss.Addr()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func startProcessor(t *testing.T, g *graph.Graph, cacheBytes int64) (*ProcessorS
 		t.Fatal(err)
 	}
 	sc.Close()
-	ps, err := NewProcessorServer("127.0.0.1:0", []string{ss.Addr()}, cacheBytes)
+	ps, err := NewProcessorServerWith("127.0.0.1:0", ProcessorConfig{Storage: []string{ss.Addr()}, CacheBytes: cacheBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,10 +460,10 @@ func TestDialFailure(t *testing.T) {
 	if _, err := Dial("127.0.0.1:1"); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
-	if _, err := DialStorage(nil); err == nil {
+	if _, err := DialStorageReplicated(nil, 1); err == nil {
 		t.Fatal("empty storage list accepted")
 	}
-	if _, err := DialStorage([]string{"127.0.0.1:1"}); err == nil {
+	if _, err := DialStorageReplicated([]string{"127.0.0.1:1"}, 1); err == nil {
 		t.Fatal("unreachable storage accepted")
 	}
 }
@@ -758,7 +758,7 @@ func TestClusterStatsSnapshot(t *testing.T) {
 func TestSnapshotKeepsLastPolledCache(t *testing.T) {
 	g := gen.LocalWeb(1200, 8, 60, 0.01, 4)
 	_, storageAddrs := startStorageShards(t, 2)
-	sc, err := DialStorage(storageAddrs)
+	sc, err := DialStorageReplicated(storageAddrs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -769,7 +769,7 @@ func TestSnapshotKeepsLastPolledCache(t *testing.T) {
 	var procs []*ProcessorServer
 	var procAddrs []string
 	for i := 0; i < 2; i++ {
-		ps, err := NewProcessorServer("127.0.0.1:0", storageAddrs, 64<<20)
+		ps, err := NewProcessorServerWith("127.0.0.1:0", ProcessorConfig{Storage: storageAddrs, CacheBytes: 64 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}

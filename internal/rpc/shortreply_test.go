@@ -34,7 +34,7 @@ func TestShortReplyFailsTheCall(t *testing.T) {
 	}
 
 	t.Run("multiget, no other replica", func(t *testing.T) {
-		sc, err := DialStorage([]string{startAckServer(t)})
+		sc, err := DialStorageReplicated([]string{startAckServer(t)}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

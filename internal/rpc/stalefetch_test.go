@@ -50,7 +50,7 @@ func TestFetchAcrossEvictionIsNotCached(t *testing.T) {
 		}
 	})
 
-	loader, err := DialStorage([]string{gate})
+	loader, err := DialStorageReplicated([]string{gate}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestFetchAcrossEvictionIsNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	loader.Close()
-	ps, err := NewProcessorServer("127.0.0.1:0", []string{gate}, 1<<20)
+	ps, err := NewProcessorServerWith("127.0.0.1:0", ProcessorConfig{Storage: []string{gate}, CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

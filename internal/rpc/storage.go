@@ -244,12 +244,6 @@ type StorageClient struct {
 	closeOnce sync.Once
 }
 
-// DialStorage connects to every storage shard unreplicated, verifying
-// each is reachable.
-func DialStorage(addrs []string) (*StorageClient, error) {
-	return DialStorageReplicated(addrs, 1)
-}
-
 // DialStorageReplicated connects to every storage shard with the given
 // replication factor, verifying each shard is reachable. The loader, the
 // router and every processor of a deployment must agree on the factor —
@@ -458,11 +452,15 @@ func (sc *StorageClient) pins() map[uint64][]int {
 }
 
 // overrideFor returns key's pinned placement, or nil. A pin naming a slot
-// outside this client's shard list is ignored wholesale.
+// outside this client's shard list, or listing more than MaxReplicas slots
+// (more than getBatch's tried mask can mark), is ignored wholesale.
 func (sc *StorageClient) overrideFor(key uint64) []int {
 	sc.ovMu.RLock()
 	pl := sc.overrides[key]
 	sc.ovMu.RUnlock()
+	if len(pl) > topology.MaxReplicas {
+		return nil
+	}
 	for _, slot := range pl {
 		if slot < 0 || slot >= len(sc.pools) {
 			return nil
@@ -598,14 +596,17 @@ func (sc *StorageClient) dropAt(ctx context.Context, shard int, key uint64) erro
 func (sc *StorageClient) getBatch(ctx context.Context, keys []uint64, got func(i int, val []byte, found bool)) error {
 	// tried[i] is a bitmask over keys[i]'s placement indices, set as a replica
 	// is asked: a key is exhausted only once every replica has actually been
-	// contacted — down flags must never skip a replica for good.
+	// contacted — down flags must never skip a replica for good. The loop
+	// runs until nothing is pending, not for R rounds: a pin may list more
+	// slots than R, and every round either marks a new bit of a key's mask
+	// (at most MaxReplicas of them) or fails the key with firstErr.
 	tried := make([]uint8, len(keys))
 	pending := make([]int, len(keys))
 	for i := range pending {
 		pending[i] = i
 	}
 	var firstErr error
-	for round := 0; len(pending) > 0 && round <= sc.replicas; round++ {
+	for len(pending) > 0 {
 		groups := make(map[int][]int) // shard → positions in keys
 		var buf [topology.MaxReplicas]int
 		for _, i := range pending {

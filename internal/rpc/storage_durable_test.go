@@ -258,7 +258,7 @@ func TestStorageRejoinWarmHandshake(t *testing.T) {
 		t.Fatal(err)
 	}
 	storageAddrs := []string{srv.Addr()}
-	sc, err := DialStorage(storageAddrs)
+	sc, err := DialStorageReplicated(storageAddrs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

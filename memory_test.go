@@ -253,7 +253,7 @@ func TestMemoryBudget(t *testing.T) {
 		defer ss.Close()
 		storage = append(storage, ss.Addr())
 	}
-	if err := grouting.LoadStorage(ctx, g, storage); err != nil {
+	if err := grouting.LoadStorageReplicated(ctx, g, storage, 1); err != nil {
 		t.Fatal(err)
 	}
 	retained, allocated := mark.since()

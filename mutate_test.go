@@ -25,12 +25,12 @@ func startWritableTCPCluster(t testing.TB, g *grouting.Graph, nStorage, nProcs i
 		t.Cleanup(func() { ss.Close() })
 		storageAddrs = append(storageAddrs, ss.Addr())
 	}
-	if err := grouting.LoadStorage(ctx, g, storageAddrs); err != nil {
+	if err := grouting.LoadStorageReplicated(ctx, g, storageAddrs, 1); err != nil {
 		t.Fatal(err)
 	}
 	var procAddrs []string
 	for i := 0; i < nProcs; i++ {
-		ps, err := grouting.ServeProcessor("127.0.0.1:0", storageAddrs, 64<<20)
+		ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{Storage: storageAddrs, CacheBytes: 64 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}

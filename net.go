@@ -36,34 +36,14 @@ func ServeStorageDurable(addr, dir string, fsync bool) (*StorageServer, error) {
 	return rpc.NewStorageServerDurable(addr, dir, fsync)
 }
 
-// ServeProcessor starts a query processor on addr, fetching from the given
-// unreplicated storage shards with cacheBytes of LRU capacity.
-func ServeProcessor(addr string, storageAddrs []string, cacheBytes int64) (*ProcessorServer, error) {
-	return rpc.NewProcessorServer(addr, storageAddrs, cacheBytes)
-}
+// ProcessorSpec configures a networked query processor: the storage shards
+// it fetches from, their replication factor and its cache capacity.
+type ProcessorSpec = rpc.ProcessorConfig
 
-// ProcessorSpec configures a networked query processor.
-type ProcessorSpec struct {
-	// Storage lists the storage shards the processor fetches from.
-	Storage []string
-	// StorageReplicas is the storage tier's replication factor (0 or 1 =
-	// unreplicated). It must match what the loader used — placement is
-	// client-side. With >= 2 the processor's reads fail over
-	// transparently when a replica dies and recover it when it answers
-	// again.
-	StorageReplicas int
-	// CacheBytes is the processor's LRU capacity.
-	CacheBytes int64
-}
-
-// ServeProcessorWith starts a query processor on addr with the full
-// configuration, including the storage replication factor.
+// ServeProcessorWith starts a query processor on addr serving in the
+// background.
 func ServeProcessorWith(addr string, spec ProcessorSpec) (*ProcessorServer, error) {
-	return rpc.NewProcessorServerWith(addr, rpc.ProcessorConfig{
-		Storage:         spec.Storage,
-		StorageReplicas: spec.StorageReplicas,
-		CacheBytes:      spec.CacheBytes,
-	})
+	return rpc.NewProcessorServerWith(addr, spec)
 }
 
 // RouterSpec configures a networked router.
@@ -178,20 +158,17 @@ func ServeRouter(addr string, spec RouterSpec) (*RouterServer, error) {
 	return rs, nil
 }
 
-// LoadStorage bulk-loads every live node of g across the storage shards —
-// the networked analogue of what NewSystem does in-process.
-func LoadStorage(ctx context.Context, g *Graph, storageAddrs []string) error {
-	return LoadStorageReplicated(ctx, g, storageAddrs, 1)
-}
-
-// LoadStorageReplicated bulk-loads every live node of g across the
-// storage shards with the given replication factor: each record is
-// written to every replica of its rendezvous placement set, and a replica
-// that cannot be written fails the load rather than leaving the record
-// under-replicated. Processors reading the data must be started with the
-// same factor (ProcessorSpec.StorageReplicas / groutingd -storage-replicas).
+// LoadStorageReplicated bulk-loads every live node of g across the storage
+// shards — the networked analogue of what NewSystem does in-process — with
+// the given replication factor (0 reads as 1). Each record goes to every
+// shard of its placement: the murmur-hashed shard at 1, the rendezvous set
+// of that many shards above. A shard that cannot be written fails the load
+// rather than leaving the record under-replicated. Processors and the router
+// reading the data must be given the same factor
+// (ProcessorSpec.StorageReplicas, RouterSpec.StorageReplicas, groutingd
+// -storage-replicas).
 func LoadStorageReplicated(ctx context.Context, g *Graph, storageAddrs []string, replicas int) error {
-	sc, err := rpc.DialStorageReplicated(storageAddrs, replicas)
+	sc, err := rpc.DialStorageReplicated(storageAddrs, max(replicas, 1))
 	if err != nil {
 		return err
 	}
@@ -199,35 +176,20 @@ func LoadStorageReplicated(ctx context.Context, g *Graph, storageAddrs []string,
 	return sc.LoadGraph(ctx, g)
 }
 
-// DialOption customises a networked client.
-type DialOption func(*dialConfig)
-
-type dialConfig struct {
-	streamWorkers int
-}
-
-// WithStreamWorkers sets how many queries ExecuteStream keeps in flight
-// concurrently (default 4).
-func WithStreamWorkers(n int) DialOption {
-	return func(c *dialConfig) { c.streamWorkers = n }
-}
-
-const defaultStreamWorkers = 4
+// streamWorkers is how many queries a networked client's ExecuteStream
+// keeps in flight.
+const streamWorkers = 4
 
 // Dial connects a Client to a networked deployment's router. The returned
 // client satisfies the same Client interface as NewLocalClient: identical
 // results, the same typed errors, contexts honoured end to end (the
 // router forwards the caller's deadline to the processors).
-func Dial(ctx context.Context, routerAddr string, opts ...DialOption) (Client, error) {
-	cfg := dialConfig{streamWorkers: defaultStreamWorkers}
-	for _, o := range opts {
-		o(&cfg)
-	}
+func Dial(ctx context.Context, routerAddr string) (Client, error) {
 	rc, err := rpc.DialRouter(ctx, routerAddr)
 	if err != nil {
 		return nil, err
 	}
-	return &netClient{rc: rc, workers: cfg.streamWorkers}, nil
+	return &netClient{rc: rc}, nil
 }
 
 // TriggerPlacement asks a networked deployment's router to run one
@@ -246,8 +208,7 @@ func TriggerPlacement(ctx context.Context, routerAddr string) (int, error) {
 
 // netClient adapts the pooled rpc router client to the Client interface.
 type netClient struct {
-	rc      *rpc.RouterClient
-	workers int
+	rc *rpc.RouterClient
 }
 
 func (c *netClient) Execute(ctx context.Context, q Query) (Result, error) {
@@ -259,7 +220,7 @@ func (c *netClient) ExecuteBatch(ctx context.Context, qs []Query) ([]Result, err
 }
 
 func (c *netClient) ExecuteStream(ctx context.Context, in <-chan Query) <-chan Outcome {
-	return stream(ctx, in, c.workers, c.rc.Execute)
+	return stream(ctx, in, streamWorkers, c.rc.Execute)
 }
 
 func (c *netClient) Mutate(ctx context.Context, muts []Mutation) (int, error) {

@@ -31,12 +31,13 @@ func TestCrossTransportReplicationEquivalence(t *testing.T) {
 	defer cancel()
 
 	runLocal := func(replicas int) []grouting.Result {
-		sys, err := grouting.New(g,
-			grouting.WithPolicy(grouting.PolicyHash),
-			grouting.WithProcessors(3),
-			grouting.WithStorageServers(3),
-			grouting.WithStorageReplicas(replicas),
-			grouting.WithSeed(1))
+		sys, err := grouting.NewSystem(g, grouting.Config{
+			Policy:          grouting.PolicyHash,
+			Processors:      3,
+			StorageServers:  3,
+			StorageReplicas: replicas,
+			Seed:            1,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,12 +119,13 @@ func TestCrossTransportReplicationEquivalence(t *testing.T) {
 func TestKillReplicaMidWorkloadLocal(t *testing.T) {
 	g := grouting.GenerateDataset(grouting.WebGraph, 0.03, 11)
 	qs := storageWorkload(g, 29)
-	sys, err := grouting.New(g,
-		grouting.WithPolicy(grouting.PolicyHash),
-		grouting.WithProcessors(3),
-		grouting.WithStorageServers(3),
-		grouting.WithStorageReplicas(2),
-		grouting.WithSeed(1))
+	sys, err := grouting.NewSystem(g, grouting.Config{
+		Policy:          grouting.PolicyHash,
+		Processors:      3,
+		StorageServers:  3,
+		StorageReplicas: 2,
+		Seed:            1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,19 +233,20 @@ func TestKillReplicaMidWorkloadTCP(t *testing.T) {
 }
 
 // TestDurableCrashRestartLocal pins the public durability surface on the
-// virtual-time transport: with WithStorageDir, a crashed shard restarts
+// virtual-time transport: with Config.StorageDir, a crashed shard restarts
 // warm from its WAL directory mid-workload and every answer stays exact.
 func TestDurableCrashRestartLocal(t *testing.T) {
 	g := grouting.GenerateDataset(grouting.WebGraph, 0.03, 11)
 	qs := storageWorkload(g, 41)
-	sys, err := grouting.New(g,
-		grouting.WithPolicy(grouting.PolicyHash),
-		grouting.WithProcessors(3),
-		grouting.WithStorageServers(3),
-		grouting.WithStorageReplicas(2),
-		grouting.WithStorageDir(t.TempDir()),
-		grouting.WithStorageSnapshotEvery(64),
-		grouting.WithSeed(1))
+	sys, err := grouting.NewSystem(g, grouting.Config{
+		Policy:               grouting.PolicyHash,
+		Processors:           3,
+		StorageServers:       3,
+		StorageReplicas:      2,
+		StorageDir:           t.TempDir(),
+		StorageSnapshotEvery: 64,
+		Seed:                 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,6 +290,55 @@ func TestDurableCrashRestartLocal(t *testing.T) {
 	}
 }
 
+// TestLoadStorageZeroReplicas pins the loader's zero value: a factor of 0
+// reads as 1, as ProcessorSpec's and RouterSpec's do, so what it loads
+// answers through an R = 1 processor.
+func TestLoadStorageZeroReplicas(t *testing.T) {
+	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
+	qs := storageWorkload(g, 43)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	var storageAddrs []string
+	for i := 0; i < 2; i++ {
+		ss, err := grouting.ServeStorage("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ss.Close()
+		storageAddrs = append(storageAddrs, ss.Addr())
+	}
+	if err := grouting.LoadStorageReplicated(ctx, g, storageAddrs, 0); err != nil {
+		t.Fatalf("load with 0 replicas: %v", err)
+	}
+	ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{Storage: storageAddrs, StorageReplicas: 1, CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	rs, err := grouting.ServeRouter("127.0.0.1:0", grouting.RouterSpec{
+		Processors: []string{ps.Addr()}, Policy: grouting.PolicyHash,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	cl, err := grouting.Dial(ctx, rs.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for i, q := range qs {
+		res, err := cl.Execute(ctx, q)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if res != grouting.Answer(g, q) {
+			t.Fatalf("query %d disagrees with the oracle", i)
+		}
+	}
+}
+
 // TestUnreplicatedTCPLosesQueries pins the contrast the storagefault
 // experiment quantifies: without replication, killing a shard makes its
 // keys' queries fail with the typed unavailable error (never a wrong
@@ -308,10 +360,10 @@ func TestUnreplicatedTCPLosesQueries(t *testing.T) {
 		shards = append(shards, ss)
 		storageAddrs = append(storageAddrs, ss.Addr())
 	}
-	if err := grouting.LoadStorage(ctx, g, storageAddrs); err != nil {
+	if err := grouting.LoadStorageReplicated(ctx, g, storageAddrs, 1); err != nil {
 		t.Fatal(err)
 	}
-	ps, err := grouting.ServeProcessor("127.0.0.1:0", storageAddrs, 32<<20)
+	ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{Storage: storageAddrs, CacheBytes: 32 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 // Smart routing strategies are the heart of the system (Section 3.4), and
 // they are an open extension point: implement the Strategy interface,
 // register it with RegisterStrategy, and the returned Policy works
-// everywhere a built-in does — WithPolicy / WithStrategy on the
+// everywhere a built-in does — Config.Policy (or WithPolicy) on the
 // virtual-time system, RouterSpec.Policy on a networked deployment, the
 // daemons' -policy flags via ParsePolicy, and Policy.String round-trips.
 
@@ -95,10 +95,6 @@ func NewStrategy(p Policy, res StrategyResources) (Strategy, error) {
 	return reg.New(res)
 }
 
-// Strategies lists every registered policy name in registry order:
-// built-ins first, then user strategies in registration order.
-func Strategies() []string { return router.Names() }
-
 // StrategyInfo describes one strategy-registry entry.
 type StrategyInfo struct {
 	// Name is the registered name (what ParsePolicy accepts and
@@ -113,7 +109,8 @@ type StrategyInfo struct {
 }
 
 // StrategyRegistry lists every registered strategy with its preprocessing
-// requirements (what `grouting-cli -policy list` prints).
+// requirements (what `grouting-cli -policy list` prints), in registry
+// order: built-ins first, then user strategies in registration order.
 func StrategyRegistry() []StrategyInfo {
 	names := router.Names()
 	out := make([]StrategyInfo, 0, len(names))
@@ -131,8 +128,3 @@ func StrategyRegistry() []StrategyInfo {
 	}
 	return out
 }
-
-// WithStrategy selects the routing scheme by registered name — built-ins
-// and RegisterStrategy additions resolve uniformly. Unknown names surface
-// as an error from New/NewSystem.
-func WithStrategy(name string) Option { return func(c *Config) { c.Strategy = name } }

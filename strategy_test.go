@@ -56,17 +56,21 @@ func TestCustomStrategyTwoTransports(t *testing.T) {
 	})
 	ctx := context.Background()
 
+	byName, err := grouting.ParsePolicy("bands")
+	if err != nil {
+		t.Fatal(err)
+	}
 	sys, err := grouting.New(g,
 		grouting.WithProcessors(3),
 		grouting.WithStorageServers(2),
-		grouting.WithStrategy("bands"),
+		grouting.WithPolicy(byName),
 		grouting.WithSeed(1),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := sys.Config().Policy; got != policyBands {
-		t.Fatalf("WithStrategy resolved to %v, want %v", got, policyBands)
+		t.Fatalf("ParsePolicy resolved to %v, want %v", got, policyBands)
 	}
 	local, err := grouting.NewLocalClient(sys)
 	if err != nil {
@@ -151,7 +155,10 @@ func TestCustomStrategyTwoTransports(t *testing.T) {
 // registrations alike — and unknown names produce the documented error
 // listing the registry.
 func TestParsePolicyRoundTrip(t *testing.T) {
-	names := grouting.Strategies()
+	var names []string
+	for _, info := range grouting.StrategyRegistry() {
+		names = append(names, info.Name)
+	}
 	if len(names) < 7 { // 6 built-ins + this file's policyBands
 		t.Fatalf("registry too small: %v", names)
 	}
@@ -190,19 +197,6 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 		if !strings.Contains(msg, name) {
 			t.Fatalf("error %q does not list registered name %q", msg, name)
 		}
-	}
-}
-
-// TestWithStrategyUnknownName: an unregistered name surfaces as a
-// constructor error naming the registry.
-func TestWithStrategyUnknownName(t *testing.T) {
-	g := grouting.GenerateDataset(grouting.Memetracker, 0.02, 3)
-	_, err := grouting.New(g, grouting.WithStrategy("nope"))
-	if err == nil {
-		t.Fatal("unknown strategy name accepted")
-	}
-	if !strings.Contains(err.Error(), `"nope"`) || !strings.Contains(err.Error(), "hash") {
-		t.Fatalf("error %q should name the bad strategy and list the registry", err)
 	}
 }
 

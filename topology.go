@@ -65,7 +65,7 @@ func RendezvousHash(key uint64, slots []int) int {
 
 // RendezvousHashN appends key's top-r slots by rendezvous score to dst
 // (best first; dst may be nil) — the replica-placement primitive behind
-// WithStorageReplicas, exported for placement-aware tooling. r is capped
+// Config.StorageReplicas >= 2, exported for placement-aware tooling. r is capped
 // at 8.
 func RendezvousHashN(key uint64, slots []int, r int, dst []int) []int {
 	return topology.RendezvousN(key, slots, r, dst)

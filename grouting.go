@@ -190,8 +190,8 @@ func AnswerKNN(g *Graph, coords CoordSource, q Query) Result { return query.Answ
 type (
 	// Config describes a deployment (tier sizes, routing policy, cache
 	// capacity, smart-routing parameters). The zero value uses the paper's
-	// defaults: 7 processors, 4 storage servers, Infiniband, embed
-	// routing, 4 GB caches, 96 landmarks, 10 dimensions.
+	// defaults — 7 processors, 4 storage servers, Infiniband, 4 GB caches,
+	// 96 landmarks, 10 dimensions — under PolicyNoCache, the zero Policy.
 	Config = core.Config
 	// System is an assembled decoupled deployment over one graph.
 	System = core.System
@@ -209,7 +209,8 @@ type (
 
 // Routing policies (Sections 3.3 and 3.4).
 const (
-	// PolicyNoCache disables processor caches (the no-cache control).
+	// PolicyNoCache disables processor caches (the no-cache control). It
+	// is the zero Policy, so a Config that sets none runs it.
 	PolicyNoCache = core.PolicyNoCache
 	// PolicyNextReady dispatches to the least-loaded processor.
 	PolicyNextReady = core.PolicyNextReady
@@ -218,7 +219,7 @@ const (
 	// PolicyLandmark routes by landmark regions (Section 3.4.1).
 	PolicyLandmark = core.PolicyLandmark
 	// PolicyEmbed routes by graph embedding (Section 3.4.2) — the paper's
-	// best performer and the default.
+	// best performer.
 	PolicyEmbed = core.PolicyEmbed
 	// PolicyStableHash routes by rendezvous hashing over the active
 	// processor set: the elastic-topology hash baseline, which remaps only

@@ -13,7 +13,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/embed"
 	"repro/internal/kvstore"
@@ -109,8 +108,10 @@ type Config struct {
 	StorageReplicas int
 	// Network is the cluster cost profile (default Infiniband).
 	Network simnet.Profile
-	// Policy picks the routing scheme (default PolicyEmbed, the paper's
-	// best performer). A registered name resolves through ParsePolicy.
+	// Policy picks the routing scheme. The zero value is PolicyNoCache
+	// (next-ready dispatch with caching off), not the paper's best
+	// performer, PolicyEmbed. A registered name resolves through
+	// ParsePolicy.
 	Policy Policy
 	// CacheBytes is each processor's cache capacity (paper default: 4 GB,
 	// "large enough for our queries").
@@ -293,26 +294,4 @@ func (c Config) validate() error {
 		return fmt.Errorf("core: all %d processors marked failed", c.Processors)
 	}
 	return nil
-}
-
-// PrepStats records preprocessing wall time and router-side storage — the
-// quantities of Tables 2 and 3.
-type PrepStats struct {
-	// SelectTime covers landmark selection.
-	SelectTime time.Duration
-	// BFSTime covers the per-landmark BFS distance fields.
-	BFSTime time.Duration
-	// EmbedLandmarkTime covers anchor placement; EmbedNodeTime the
-	// parallel per-node placement.
-	EmbedLandmarkTime time.Duration
-	EmbedNodeTime     time.Duration
-	// LandmarkBytes is the router's d(u,p) table size; EmbedBytes the
-	// coordinate table size; IndexBytes the BFS distance fields.
-	LandmarkBytes int64
-	EmbedBytes    int64
-	IndexBytes    int64
-	// GraphBytes is the encoded graph size in the storage tier.
-	GraphBytes int64
-	// Landmarks is the number of landmarks actually selected.
-	Landmarks int
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/embed"
 	"repro/internal/metrics"
 	"repro/internal/placement"
 	"repro/internal/query"
@@ -68,7 +67,7 @@ type Report struct {
 	ExecProc []int
 	// HitsByID records per-query cache hits (indexed by query ID).
 	HitsByID []int64
-	Prep     PrepStats
+	Prep     router.PrepStats
 }
 
 // RunWorkload executes the queries through a fresh router/processor state
@@ -127,7 +126,7 @@ func (s *System) RunWorkload(qs []query.Query) (*Report, error) {
 		Results:        make([]query.Result, len(qs)),
 		ExecProc:       make([]int, len(qs)),
 		HitsByID:       make([]int64, len(qs)),
-		Prep:           s.prep,
+		Prep:           s.tab.Stats,
 	}
 
 	slots := view.Slots()
@@ -407,11 +406,11 @@ func (ses *Session) Snapshot() *metrics.Snapshot {
 		RoutingNanos: ses.routing.Summary(),
 		QueueDepth:   ses.depth.Summary(),
 
-		RoutingTableBytes: router.TableBytes(strat, ses.sys.emb),
+		RoutingTableBytes: router.TableBytes(strat, ses.sys.tab.Embedding),
 	}
-	if emb := ses.sys.emb; emb != nil {
+	if emb := ses.sys.tab.Embedding; emb != nil {
 		snap.EmbedDimensions = int64(emb.D)
-		snap.EmbedProvider = embed.SourceName(ses.sys.cfg.EmbedProvider)
+		snap.EmbedProvider = ses.sys.tab.Source
 	}
 	assigned, executed := ses.rt.Assigned(), ses.rt.Executed()
 	stolenBy, divertedFrom := ses.rt.StolenBy(), ses.rt.DivertedFrom()

@@ -25,7 +25,7 @@ func (ses *Session) executeMulti(q query.Query) (query.Result, time.Duration, er
 	if q.Type == query.KNearest {
 		// Fail before any subtask is issued: ranking needs the embedding,
 		// and a degraded provider should cost nothing downstream.
-		if err := sys.knnReady(); err != nil {
+		if err := sys.tab.KNNReady(sys.cfg.Policy.String()); err != nil {
 			return query.Result{}, 0, err
 		}
 	}
@@ -99,7 +99,7 @@ func (ses *Session) executeMulti(q query.Query) (query.Result, time.Duration, er
 	if pl.Kind == mquery.KindKNN {
 		// Exact re-rank at the coordinator: the processors only generated
 		// the hop-bounded candidate ball; the embedding lives here.
-		res = query.KNNResult(sys.emb, q, m.Candidates())
+		res = query.KNNResult(sys.tab.Embedding, q, m.Candidates())
 	}
 	return res, now - start, nil
 }

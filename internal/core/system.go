@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/embed"
@@ -13,10 +12,8 @@ import (
 	"repro/internal/kvstore"
 	"repro/internal/landmark"
 	"repro/internal/metrics"
-	"repro/internal/query"
 	"repro/internal/router"
 	"repro/internal/topology"
-	"repro/internal/xrand"
 )
 
 // System is an assembled decoupled deployment over one graph: storage tier
@@ -37,15 +34,9 @@ type System struct {
 	tier  *gstore.Tier
 	topo  *topology.Tracker
 
-	idx    *landmark.Index
-	assign *landmark.Assignment
-	emb    *embed.Embedding
-	// embErr records a failed EmbedProvider materialisation when the
-	// policy could start without it: the system runs degraded and
-	// KNearest queries surface this wrapped in query.ErrUnavailable.
-	embErr error
-
-	prep PrepStats
+	// tab holds the routing tables router.Prepare built; the mutation path
+	// updates its index, assignment and embedding in place.
+	tab *router.Tables
 
 	// stMu guards the storage transition log below; the store itself
 	// orders the transitions.
@@ -86,32 +77,20 @@ func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
 			return nil, err
 		}
 	}
-	s.prep.GraphBytes = gstore.Load(st, g)
-	if cfg.EmbedProvider != nil {
-		// A pluggable provider replaces the learned embedding wholesale:
-		// materialise it up front so routing and KNearest ranking read a
-		// plain coordinate table, never the provider, on the hot path.
-		t0 := time.Now()
-		e, err := embed.Materialize(context.Background(), cfg.EmbedProvider, g)
-		switch {
-		case err == nil:
-			s.emb = e
-			s.prep.EmbedNodeTime = time.Since(t0)
-			s.prep.EmbedBytes = e.StorageBytes()
-		case cfg.Policy.NeedsEmbedding():
-			// The router cannot run without coordinates: fail construction.
-			return nil, fmt.Errorf("core: embed provider %q: %w", cfg.EmbedProvider.Name(), err)
-		default:
-			// Degraded start: only KNearest needs the embedding, and it
-			// reports the failure per query as ErrUnavailable.
-			s.embErr = err
-		}
+	graphBytes := gstore.Load(st, g)
+	reg, _ := router.LookupID(int(cfg.Policy)) // validate checked it
+	s.tab, err = router.Prepare(g, reg, cfg.Processors, router.TableSpec{
+		Landmarks:          cfg.Landmarks,
+		MinSeparation:      cfg.MinSeparation,
+		Dimensions:         cfg.Dimensions,
+		Seed:               cfg.Seed,
+		PreprocessFraction: cfg.PreprocessFraction,
+		Provider:           cfg.EmbedProvider,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Policy.NeedsLandmarks() {
-		if err := s.preprocess(); err != nil {
-			return nil, err
-		}
-	}
+	s.tab.Stats.GraphBytes = graphBytes
 	return s, nil
 }
 
@@ -122,122 +101,15 @@ func (s *System) Config() Config { return s.cfg }
 func (s *System) Graph() *graph.Graph { return s.g }
 
 // Prep returns the preprocessing statistics (Tables 2 and 3).
-func (s *System) Prep() PrepStats { return s.prep }
+func (s *System) Prep() router.PrepStats { return s.tab.Stats }
 
 // Embedding returns the node embedding: the materialised EmbedProvider
 // when one is configured, the learned embedding under PolicyEmbed, nil
 // otherwise.
-func (s *System) Embedding() *embed.Embedding { return s.emb }
-
-// knnReady reports whether KNearest queries can be answered: the system
-// holds an embedding. The error is typed query.ErrUnavailable — a
-// degraded provider is a service condition, not a bad query — and carries
-// the materialisation failure when that is why the embedding is missing.
-func (s *System) knnReady() error {
-	if s.emb != nil {
-		return nil
-	}
-	if s.embErr != nil {
-		return fmt.Errorf("core: k-nearest needs an embedding, provider failed: %v: %w", s.embErr, query.ErrUnavailable)
-	}
-	return fmt.Errorf("core: k-nearest needs an embedding (policy %v builds none and no EmbedProvider is set): %w",
-		s.cfg.Policy, query.ErrUnavailable)
-}
+func (s *System) Embedding() *embed.Embedding { return s.tab.Embedding }
 
 // LandmarkIndex returns the landmark distance index (nil for baselines).
-func (s *System) LandmarkIndex() *landmark.Index { return s.idx }
-
-// preprocess runs landmark selection + BFS, landmark→processor assignment
-// and (for PolicyEmbed) the graph embedding. With PreprocessFraction < 1
-// only an induced subgraph is preprocessed exactly; remaining nodes are
-// incorporated through the incremental update path (Figure 10).
-func (s *System) preprocess() error {
-	prepGraph := s.g
-	var leftOut []graph.NodeID
-	if s.cfg.PreprocessFraction < 1 {
-		prepGraph, leftOut = inducedFraction(s.g, s.cfg.PreprocessFraction, s.cfg.Seed)
-	}
-
-	t0 := time.Now()
-	lms := landmark.Select(prepGraph, s.cfg.Landmarks, s.cfg.MinSeparation)
-	s.prep.SelectTime = time.Since(t0)
-	if len(lms) < 2 {
-		return fmt.Errorf("core: selected only %d landmarks (graph too small or disconnected)", len(lms))
-	}
-	s.prep.Landmarks = len(lms)
-
-	t0 = time.Now()
-	s.idx = landmark.BuildIndex(prepGraph, lms, 0)
-	s.prep.BFSTime = time.Since(t0)
-
-	// Incorporate the nodes excluded from preprocessing through the
-	// incremental path, in id order (standing in for arrival order), using
-	// the *full* graph's adjacency — exactly the paper's update rule:
-	// "we incrementally compute the necessary information for the new
-	// nodes, as they are being added, without changing anything on the
-	// preprocessed information of the earlier nodes." A single pass leaves
-	// the distances deliberately stale; that staleness is what Figure 10
-	// measures.
-	for _, u := range leftOut {
-		s.idx.IncorporateNode(s.g, u)
-	}
-
-	s.assign = landmark.Assign(s.idx, s.cfg.Processors)
-	s.prep.LandmarkBytes = s.assign.StorageBytes()
-	s.prep.IndexBytes = s.idx.StorageBytes()
-
-	if s.cfg.Policy.NeedsEmbedding() && s.emb == nil {
-		t0 = time.Now()
-		e, err := embed.Build(s.g, s.idx, embed.Options{Dimensions: s.cfg.Dimensions, Seed: s.cfg.Seed})
-		if err != nil {
-			return err
-		}
-		s.emb = e
-		s.prep.EmbedNodeTime = time.Since(t0)
-		s.prep.EmbedBytes = e.StorageBytes()
-	}
-	return nil
-}
-
-// inducedFraction returns a copy of g induced on a uniformly sampled
-// fraction of its live nodes (same node-id space; unsampled ids are
-// tombstoned) plus the list of left-out nodes in id order.
-func inducedFraction(g *graph.Graph, fraction float64, seed int64) (*graph.Graph, []graph.NodeID) {
-	rng := xrand.New(seed ^ 0x517cc1b727220a95)
-	max := int(g.MaxNodeID())
-	keep := make([]bool, max)
-	var leftOut []graph.NodeID
-	sub := graph.NewWithCapacity(max)
-	sub.AddNodes(max)
-	for id := 0; id < max; id++ {
-		if !g.Exists(graph.NodeID(id)) {
-			_ = sub.RemoveNode(graph.NodeID(id))
-			continue
-		}
-		if rng.Float64() < fraction {
-			keep[id] = true
-		} else {
-			leftOut = append(leftOut, graph.NodeID(id))
-		}
-	}
-	for id := 0; id < max; id++ {
-		if !keep[id] {
-			continue
-		}
-		for _, e := range g.OutEdges(graph.NodeID(id)) {
-			if int(e.To) < max && keep[e.To] {
-				sub.AddEdgeFast(graph.NodeID(id), e.To)
-			}
-		}
-	}
-	// Tombstone unsampled nodes after edges are in (they carry none).
-	for id := 0; id < max; id++ {
-		if !keep[id] && g.Exists(graph.NodeID(id)) {
-			_ = sub.RemoveNode(graph.NodeID(id))
-		}
-	}
-	return sub, leftOut
-}
+func (s *System) LandmarkIndex() *landmark.Index { return s.tab.Index }
 
 // buildStrategy creates a fresh routing strategy for one workload run
 // through the strategy registry, so runs never share router state and
@@ -247,16 +119,7 @@ func (s *System) buildStrategy() (router.Strategy, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: unknown policy %v", s.cfg.Policy)
 	}
-	return reg.New(router.Resources{
-		Procs:      s.cfg.Processors,
-		Seed:       s.cfg.Seed,
-		LoadFactor: s.cfg.LoadFactor,
-		Alpha:      s.cfg.Alpha,
-		Graph:      s.g,
-		Index:      s.idx,
-		Assignment: s.assign,
-		Embedding:  s.emb,
-	})
+	return reg.New(s.tab.Resources(s.cfg.LoadFactor, s.cfg.Alpha))
 }
 
 // newProc provisions one processor slot's runtime state (cold cache).
@@ -454,22 +317,23 @@ func (s *System) HealStorage(slot int) error {
 // Section 3.4, graph updates); the session write path rewrites the storage
 // records itself, to account their virtual-time cost.
 func (s *System) incorporateNode(u graph.NodeID) {
-	if s.idx != nil {
-		s.idx.IncorporateNode(s.g, u)
-		s.assign.SetNodeDistances(s.idx, u)
+	idx, emb := s.tab.Index, s.tab.Embedding
+	if idx != nil {
+		idx.IncorporateNode(s.g, u)
+		s.tab.Assignment.SetNodeDistances(idx, u)
 	}
 	switch {
-	case s.emb == nil:
+	case emb == nil:
 	case s.cfg.EmbedProvider != nil:
 		// Provider-backed coordinates: ask the provider for the new node.
 		// A failed or uncovered lookup leaves the node unembedded (NaN
 		// row semantics), which ranking and routing already tolerate.
 		rows, err := s.cfg.EmbedProvider.Embed(context.Background(), []graph.NodeID{u})
 		if err == nil && len(rows) == 1 && rows[0] != nil {
-			_ = s.emb.SetRow(u, rows[0])
+			_ = emb.SetRow(u, rows[0])
 		}
 	default:
-		s.emb.IncorporateNode(s.g, s.idx, u, embed.Options{Dimensions: s.cfg.Dimensions, Seed: s.cfg.Seed})
+		emb.IncorporateNode(s.g, idx, u, embed.Options{Dimensions: s.cfg.Dimensions, Seed: s.cfg.Seed})
 	}
 }
 
@@ -478,11 +342,12 @@ func (s *System) incorporateNode(u graph.NodeID) {
 // around the endpoints are re-relaxed up to 2 hops. The session write path
 // rewrites both storage records itself.
 func (s *System) refreshEdge(u, v graph.NodeID) {
-	if s.idx == nil {
+	idx := s.tab.Index
+	if idx == nil {
 		return
 	}
-	s.idx.RefreshAround(s.g, u, 2)
-	s.idx.RefreshAround(s.g, v, 2)
+	idx.RefreshAround(s.g, u, 2)
+	idx.RefreshAround(s.g, v, 2)
 	region := map[graph.NodeID]struct{}{u: {}, v: {}}
 	for w := range s.g.BFSBounded(u, 2, graph.Both) {
 		region[w] = struct{}{}
@@ -491,7 +356,7 @@ func (s *System) refreshEdge(u, v graph.NodeID) {
 		region[w] = struct{}{}
 	}
 	for w := range region {
-		s.assign.SetNodeDistances(s.idx, w)
+		s.tab.Assignment.SetNodeDistances(idx, w)
 	}
 }
 

@@ -43,7 +43,7 @@ func startElasticCluster(t *testing.T, g *graph.Graph, nProcs int, policy string
 		t.Cleanup(func() { ps.Close() })
 		procAddrs = append(procAddrs, ps.Addr())
 	}
-	strat, err := BuildStrategy(policy, g, nProcs, 7)
+	strat, _, err := BuildStrategyEmbed(policy, g, nProcs, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func startAdaptiveCluster(t *testing.T) *adaptiveCluster {
 		t.Cleanup(func() { ps.Close() })
 		procAddrs = append(procAddrs, ps.Addr())
 	}
-	strat, err := BuildStrategy("hash", c.g, len(procAddrs), 7)
+	strat, _, err := BuildStrategyEmbed("hash", c.g, len(procAddrs), 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/embed"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/mquery"
@@ -43,15 +42,11 @@ type RouterServer struct {
 	ct         connTracker
 	policyName string
 
-	// emb is the coordinate table KNearest re-ranks against (and the
-	// embedding the strategy routes by, when it is embedding-based). Nil
-	// means KNearest queries answer query.ErrUnavailable; embErr carries
-	// the provider failure that caused a degraded start, if any;
-	// embProvider names emb's source for Stats(). All are set at
-	// construction and never change.
-	emb         *embed.Embedding
-	embProvider string
-	embErr      error
+	// coords is the coordinate table KNearest re-ranks against (and the
+	// embedding the strategy routes by, when it is embedding-based), with
+	// its source and the provider failure of a degraded start. Set at
+	// construction and never changed.
+	coords router.Coords
 
 	mu   sync.Mutex // guards the topology, router, pools and counters below
 	topo *topology.Tracker
@@ -155,18 +150,11 @@ type RouterConfig struct {
 	PlacementEvery int
 	// PlacementMinReads is the planner's hysteresis floor (0 = default).
 	PlacementMinReads int64
-	// Embedding is the coordinate table KNearest queries re-rank against —
-	// the one BuildStrategyEmbed surfaces, or a materialised
-	// embed.Embedder. Nil routers reject KNearest with
+	// Coords is router.Prepare's coordinate table, which KNearest queries
+	// re-rank against, with the provider failure of a degraded start.
+	// Without a table the router rejects KNearest with
 	// query.ErrUnavailable.
-	Embedding *embed.Embedding
-	// EmbedProvider names where Embedding came from (embed.SourceName), for
-	// Stats().
-	EmbedProvider string
-	// EmbedErr records why a configured embedding provider failed to
-	// materialise when the router starts degraded anyway (the policy did
-	// not need coordinates): KNearest rejections carry it for diagnosis.
-	EmbedErr error
+	Coords router.Coords
 }
 
 // NewRouterServer starts a router on addr.
@@ -182,15 +170,13 @@ func NewRouterServer(addr string, cfg RouterConfig) (*RouterServer, error) {
 	}
 	n := len(cfg.ProcessorAddrs)
 	r := &RouterServer{
-		policyName:  cfg.PolicyName,
-		emb:         cfg.Embedding,
-		embProvider: cfg.EmbedProvider,
-		embErr:      cfg.EmbedErr,
-		topo:        topology.NewTrackerAddrs(cfg.ProcessorAddrs),
-		inflight:    make([]int, n),
-		completed:   make([]int64, n),
-		lastCache:   make([]metrics.CacheCounters, n),
-		inval:       make([]invalidations, n),
+		policyName: cfg.PolicyName,
+		coords:     cfg.Coords,
+		topo:       topology.NewTrackerAddrs(cfg.ProcessorAddrs),
+		inflight:   make([]int, n),
+		completed:  make([]int64, n),
+		lastCache:  make([]metrics.CacheCounters, n),
+		inval:      make([]invalidations, n),
 	}
 	rt, err := router.NewFromView(cfg.Strategy, r.topo.View(), false)
 	if err != nil {
@@ -510,7 +496,7 @@ func (r *RouterServer) executeClassic(ctx context.Context, ex *ExecRequest) Resp
 func (r *RouterServer) executeMultiQuery(ctx context.Context, q query.Query, deadline int64) (query.Result, uint64, error) {
 	if q.Type == query.KNearest {
 		// Ranking needs the coordinate table; fail before issuing subtasks.
-		if err := r.knnReady(); err != nil {
+		if err := r.coords.KNNReady(r.policyName); err != nil {
 			return query.Result{}, 0, err
 		}
 	}
@@ -543,24 +529,9 @@ func (r *RouterServer) executeMultiQuery(ctx context.Context, q query.Query, dea
 	if pl.Kind == mquery.KindKNN {
 		// Exact re-rank at the router: the processors only generated the
 		// hop-bounded candidate ball; the embedding lives here.
-		res = query.KNNResult(r.emb, q, m.Candidates())
+		res = query.KNNResult(r.coords.Embedding, q, m.Candidates())
 	}
 	return res, epoch, nil
-}
-
-// knnReady reports whether this router can answer KNearest queries: it
-// holds an embedding. The error is typed query.ErrUnavailable (a missing
-// or degraded embedding is a service condition, not a bad query) and
-// carries the provider failure that caused a degraded start, if any.
-func (r *RouterServer) knnReady() error {
-	if r.emb != nil {
-		return nil
-	}
-	if r.embErr != nil {
-		return fmt.Errorf("rpc: k-nearest needs an embedding, provider failed: %v: %w", r.embErr, query.ErrUnavailable)
-	}
-	return fmt.Errorf("rpc: k-nearest needs an embedding (policy %q routes without one and no provider is configured): %w",
-		r.policyName, query.ErrUnavailable)
 }
 
 // runWave routes one wave of subtasks through the strategy's multi-anchor
@@ -779,11 +750,11 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 		RoutingNanos: r.routing.Summary(),
 		QueueDepth:   r.depth.Summary(),
 
-		RoutingTableBytes: router.TableBytes(r.rt.Strategy(), r.emb),
+		RoutingTableBytes: router.TableBytes(r.rt.Strategy(), r.coords.Embedding),
 	}
-	if r.emb != nil {
-		snap.EmbedDimensions = int64(r.emb.D)
-		snap.EmbedProvider = r.embProvider
+	if emb := r.coords.Embedding; emb != nil {
+		snap.EmbedDimensions = int64(emb.D)
+		snap.EmbedProvider = r.coords.Source
 	}
 	snap.Mutations = r.mutations.Load()
 	if r.planner != nil {

@@ -59,7 +59,7 @@ func startClusterCfg(t *testing.T, g *graph.Graph, nStorage, nProcs int, policy 
 		procAddrs = append(procAddrs, ps.Addr())
 	}
 
-	strat, err := BuildStrategy(policy, g, nProcs, 7)
+	strat, _, err := BuildStrategyEmbed(policy, g, nProcs, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +451,7 @@ func TestRouterValidation(t *testing.T) {
 	if _, err := NewRouterServer("127.0.0.1:0", RouterConfig{}); err == nil {
 		t.Fatal("router with no processors accepted")
 	}
-	if _, err := BuildStrategy("bogus", gen.Ring(10), 2, 1); err == nil {
+	if _, _, err := BuildStrategyEmbed("bogus", gen.Ring(10), 2, 1, nil); err == nil {
 		t.Fatal("bogus policy accepted")
 	}
 }

@@ -66,7 +66,7 @@ func TestShortReplyFailsTheCall(t *testing.T) {
 
 	t.Run("router", func(t *testing.T) {
 		procs := []string{startAckServer(t), startAckServer(t)}
-		strat, err := BuildStrategy("hash", g, len(procs), 7)
+		strat, _, err := BuildStrategyEmbed("hash", g, len(procs), 7, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

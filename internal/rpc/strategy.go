@@ -5,57 +5,38 @@ import (
 
 	"repro/internal/embed"
 	"repro/internal/graph"
-	"repro/internal/landmark"
 	"repro/internal/router"
 )
 
-// BuildStrategy constructs a routing strategy for the networked router
-// through the strategy registry, running whatever smart-routing
-// preprocessing the registration declares (landmark selection + BFS, and
-// the graph embedding when required) locally over the graph. Registered
-// user strategies resolve exactly like the built-ins.
-func BuildStrategy(policy string, g *graph.Graph, procs int, seed int64) (router.Strategy, error) {
-	strat, _, err := BuildStrategyEmbed(policy, g, procs, seed, nil)
-	return strat, err
-}
-
-// BuildStrategyEmbed is BuildStrategy with the embedding surfaced: it
-// returns the coordinate table the strategy routes by, for the router to
-// re-rank KNearest queries against (RouterConfig.Embedding). A non-nil
-// emb overrides the learned embedding wholesale — the provider path —
-// and is returned as-is even for policies that route without
-// coordinates, so KNearest works under every policy.
-func BuildStrategyEmbed(policy string, g *graph.Graph, procs int, seed int64, emb *embed.Embedding) (router.Strategy, *embed.Embedding, error) {
-	if policy == "" {
-		policy = "nextready"
-	}
+// NetworkStrategy builds the networked router's strategy for a registered
+// policy: router.Prepare over router.NetworkTables (materialising p when it
+// is set), then the registration's constructor at the default routing
+// parameters. It returns the coordinates the router keeps for KNearest; the
+// rest of the tables is garbage once the strategy holds what it routes by.
+func NetworkStrategy(policy string, g *graph.Graph, procs int, seed int64, p embed.Embedder) (router.Strategy, router.Coords, error) {
 	reg, ok := router.LookupName(policy)
 	if !ok {
-		return nil, nil, fmt.Errorf("rpc: unknown policy %q", policy)
+		return nil, router.Coords{}, fmt.Errorf("rpc: unknown policy %q", policy)
 	}
-	res := router.Resources{Procs: procs, Seed: seed, LoadFactor: router.DefaultLoadFactor, Alpha: router.DefaultAlpha, Graph: g, Embedding: emb}
-	if reg.Prep >= router.PrepLandmarks {
-		if g == nil {
-			return nil, nil, fmt.Errorf("rpc: policy %q needs a graph for preprocessing", policy)
-		}
-		lms := landmark.Select(g, 32, 2)
-		if len(lms) < 2 {
-			return nil, nil, fmt.Errorf("rpc: graph too small for landmark selection")
-		}
-		idx := landmark.BuildIndex(g, lms, 0)
-		res.Index = idx
-		res.Assignment = landmark.Assign(idx, procs)
-		if reg.Prep >= router.PrepEmbedding && res.Embedding == nil {
-			built, err := embed.Build(g, idx, embed.Options{Dimensions: 8, Seed: seed})
-			if err != nil {
-				return nil, nil, err
-			}
-			res.Embedding = built
-		}
-	}
-	strat, err := reg.New(res)
+	spec := router.NetworkTables
+	spec.Seed, spec.Provider = seed, p
+	tab, err := router.Prepare(g, reg, procs, spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, router.Coords{}, err
 	}
-	return strat, res.Embedding, nil
+	strat, err := reg.New(tab.Resources(router.DefaultLoadFactor, router.DefaultAlpha))
+	return strat, tab.Coords, err
+}
+
+// BuildStrategyEmbed is NetworkStrategy over an already materialised
+// coordinate table: a non-nil emb replaces the learned embedding wholesale
+// and is returned as-is even for policies that route without coordinates,
+// so KNearest works under every policy.
+func BuildStrategyEmbed(policy string, g *graph.Graph, procs int, seed int64, emb *embed.Embedding) (router.Strategy, *embed.Embedding, error) {
+	var p embed.Embedder
+	if emb != nil {
+		p = embed.NewFileProvider(emb)
+	}
+	strat, coords, err := NetworkStrategy(policy, g, procs, seed, p)
+	return strat, coords.Embedding, err
 }

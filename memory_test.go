@@ -9,6 +9,7 @@ import (
 
 	grouting "repro"
 	"repro/internal/gen"
+	"repro/internal/router"
 )
 
 // labelledGraph is the dataset of the tests below: sparse, every node and
@@ -121,11 +122,12 @@ func TestRoutingTableBytesTwoTransports(t *testing.T) {
 	ctx := context.Background()
 	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
 	for _, policy := range []grouting.Policy{grouting.PolicyHash, grouting.PolicyLandmark, grouting.PolicyEmbed} {
-		// The networked router's preprocessing parameters (32 landmarks at
-		// least 2 hops apart, 8 dimensions) are fixed; match them.
+		// The networked router's table shape is fixed; match it.
+		nt := router.NetworkTables
 		sys, err := grouting.New(g,
 			grouting.WithProcessors(3), grouting.WithStorageServers(2), grouting.WithPolicy(policy),
-			grouting.WithLandmarks(32), grouting.WithMinSeparation(2), grouting.WithDimensions(8), grouting.WithSeed(7))
+			grouting.WithLandmarks(nt.Landmarks), grouting.WithMinSeparation(nt.MinSeparation),
+			grouting.WithDimensions(nt.Dimensions), grouting.WithSeed(7))
 		if err != nil {
 			t.Fatal(err)
 		}

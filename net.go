@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"repro/internal/embed"
 	"repro/internal/rpc"
 )
 
@@ -105,29 +104,14 @@ type RouterSpec struct {
 	EmbedProvider Embedder
 }
 
-// ServeRouter starts a query router on addr: it builds the routing
-// strategy (running smart-routing preprocessing over spec.Graph when the
-// policy needs it, or materialising spec.EmbedProvider), connects to the
-// processors and serves in the background.
+// ServeRouter starts a query router on addr: it builds the routing strategy
+// (rpc.NetworkStrategy: the smart policies' preprocessing over spec.Graph,
+// and spec.EmbedProvider's materialisation), connects to the processors and
+// serves in the background.
 func ServeRouter(addr string, spec RouterSpec) (*RouterServer, error) {
-	if spec.Policy.NeedsLandmarks() && spec.Graph == nil {
-		return nil, fmt.Errorf("grouting: policy %v needs a graph for preprocessing", spec.Policy)
-	}
-	var emb *Embedding
-	var embErr error
-	if spec.EmbedProvider != nil {
-		emb, embErr = embed.Materialize(context.Background(), spec.EmbedProvider, spec.Graph)
-		if embErr != nil {
-			if spec.Policy.NeedsEmbedding() {
-				// The strategy cannot route without coordinates.
-				return nil, fmt.Errorf("grouting: embed provider %q: %w", spec.EmbedProvider.Name(), embErr)
-			}
-			emb = nil // degraded start: KNearest reports embErr per query
-		}
-	}
-	strat, emb, err := rpc.BuildStrategyEmbed(spec.Policy.String(), spec.Graph, len(spec.Processors), spec.Seed, emb)
+	strat, coords, err := rpc.NetworkStrategy(spec.Policy.String(), spec.Graph, len(spec.Processors), spec.Seed, spec.EmbedProvider)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("grouting: %w", err)
 	}
 	rs, err := rpc.NewRouterServer(addr, rpc.RouterConfig{
 		ProcessorAddrs:    spec.Processors,
@@ -140,9 +124,7 @@ func ServeRouter(addr string, spec RouterSpec) (*RouterServer, error) {
 		PlacementBudget:   spec.PlacementBudget,
 		PlacementEvery:    spec.PlacementEvery,
 		PlacementMinReads: spec.PlacementMinReads,
-		Embedding:         emb,
-		EmbedProvider:     embed.SourceName(spec.EmbedProvider),
-		EmbedErr:          embErr,
+		Coords:            coords,
 	})
 	if err != nil {
 		return nil, err

@@ -7,11 +7,12 @@ import (
 )
 
 // Option sets one Config field for New. New(g) alone builds the paper's
-// primary setup (7 processors, 4 storage servers, Infiniband, embed routing,
-// 4 GB caches). Config is the configuration: every field, these included, is
-// set through NewSystem's Config literal. The options below are a frozen
-// shorthand for the few fields the repository benchmark sets; a new Config
-// field gets no setter.
+// cluster (7 processors, 4 storage servers, Infiniband, 4 GB caches) under
+// PolicyNoCache, the zero Policy; WithPolicy(PolicyEmbed) selects the
+// paper's best performer. Config is the configuration: every field, these
+// included, is set through NewSystem's Config literal. The options below
+// are a frozen shorthand for the few fields the repository benchmark sets;
+// a new Config field gets no setter.
 type Option func(*Config)
 
 // WithPolicy selects the routing scheme.
@@ -60,8 +61,9 @@ func ParsePolicy(s string) (Policy, error) {
 	return p, nil
 }
 
-// New builds a system from options: NewSystem over the Config they set
-// (zero fields keep the paper's defaults).
+// New builds a system from options: NewSystem over the Config they set.
+// Zero fields take Config's defaults — the paper's, except Policy, whose
+// zero value is PolicyNoCache.
 func New(g *Graph, opts ...Option) (*System, error) {
 	var cfg Config
 	for _, o := range opts {

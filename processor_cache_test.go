@@ -2,20 +2,23 @@ package grouting_test
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	grouting "repro"
+	"repro/internal/router"
 )
 
 // TestProcessorCacheTwoTransports: one seeded hotspot sequence, sent by a
 // serial client through the virtual-time engine and through a loopback
-// deployment, leaves every processor's cache in the same state on both —
-// the same misses, inserts, evictions and resident bytes — because both
-// engines fetch through one cache step and charge a record one size. Hits
-// are reported, not compared: the networked processor probes a query's node
-// before the traversal, whose first level then hits it again, so over TCP a
-// processor counts one more hit per query it executed.
+// deployment, leaves every processor with the same routed queries and its
+// cache in the same state on both — the same misses, inserts, evictions and
+// resident bytes — because both transports build their routing tables
+// through one function (the local system is given the networked router's
+// table shape), decide through one router and fetch through one cache step
+// that charges a record one size. Hits are reported, not compared: the
+// networked processor probes a query's node before the traversal, whose
+// first level then hits it again, so over TCP a processor counts one more
+// hit per query it executed.
 func TestProcessorCacheTwoTransports(t *testing.T) {
 	const procs, cacheBytes = 3, 64 << 10
 	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
@@ -23,12 +26,16 @@ func TestProcessorCacheTwoTransports(t *testing.T) {
 		NumHotspots: 12, QueriesPerHotspot: 8, R: 2, H: 2, Seed: 3,
 	})
 	ctx := context.Background()
-	run := func(policy grouting.Policy) (local, tcp grouting.Stats) {
+	nt := router.NetworkTables
+	for _, policy := range []grouting.Policy{grouting.PolicyHash, grouting.PolicyEmbed} {
 		sys, err := grouting.New(g,
 			grouting.WithProcessors(procs),
 			grouting.WithStorageServers(2),
 			grouting.WithPolicy(policy),
 			grouting.WithCacheBytes(cacheBytes),
+			grouting.WithLandmarks(nt.Landmarks),
+			grouting.WithMinSeparation(nt.MinSeparation),
+			grouting.WithDimensions(nt.Dimensions),
 			grouting.WithSeed(7),
 		)
 		if err != nil {
@@ -38,7 +45,7 @@ func TestProcessorCacheTwoTransports(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer lc.Close()
+		t.Cleanup(func() { lc.Close() })
 		var snaps [2]grouting.Stats
 		for i, c := range []grouting.Client{lc, startTCPClusterCache(t, g, 2, procs, policy, cacheBytes)} {
 			for _, q := range qs {
@@ -50,32 +57,20 @@ func TestProcessorCacheTwoTransports(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return snaps[0], snaps[1]
-	}
-
-	local, tcp := run(grouting.PolicyHash)
-	for p := range procs {
-		l, r := local.PerProc[p].Cache, tcp.PerProc[p].Cache
-		t.Logf("hash, processor %d: %d queries, hits %d virtual-time / %d tcp, misses %d, evictions %d, %d B resident",
-			p, tcp.PerProc[p].Executed, l.Hits, r.Hits, r.Misses, r.Evictions, r.CurrentBytes)
-		if l.Misses != r.Misses || l.Inserts != r.Inserts || l.Evictions != r.Evictions || l.CurrentBytes != r.CurrentBytes {
-			t.Errorf("processor %d: virtual-time cache %+v, tcp %+v; want equal misses, inserts, evictions and bytes", p, l, r)
+		local, tcp := snaps[0], snaps[1]
+		for p := range procs {
+			lp, rp := local.PerProc[p], tcp.PerProc[p]
+			l, r := lp.Cache, rp.Cache
+			t.Logf("%v, processor %d: %d queries, hits %d virtual-time / %d tcp, misses %d, evictions %d, %d B resident",
+				policy, p, rp.Assigned, l.Hits, r.Hits, r.Misses, r.Evictions, r.CurrentBytes)
+			if lp.Assigned != rp.Assigned || l.Misses != r.Misses || l.Inserts != r.Inserts ||
+				l.Evictions != r.Evictions || l.CurrentBytes != r.CurrentBytes {
+				t.Errorf("%v, processor %d: virtual-time %d assigned, cache %+v; tcp %d assigned, cache %+v; want equal assigned, misses, inserts, evictions and bytes",
+					policy, p, lp.Assigned, l, rp.Assigned, r)
+			}
 		}
-	}
-	if local.Cache.Evictions == 0 {
-		t.Fatal("no processor cache ever filled: the comparison says nothing about capacity")
-	}
-
-	// Embed routes through a table each transport builds for itself, so its
-	// hit rates are held to a tolerance; the TCP rate leaves out the probes.
-	const tolerance = 0.02
-	local, tcp = run(grouting.PolicyEmbed)
-	probes := int64(len(qs))
-	lr := local.Cache.HitRate()
-	tr := float64(tcp.Cache.Hits-probes) / float64(tcp.Cache.Touches()-probes)
-	t.Logf("embed hit rate: %.4f virtual-time, %.4f tcp without the probes (%.4f with them); tolerance %.2f",
-		lr, tr, tcp.Cache.HitRate(), tolerance)
-	if math.Abs(lr-tr) > tolerance {
-		t.Errorf("embed hit rates differ by %.4f across transports, over the %.2f tolerance", math.Abs(lr-tr), tolerance)
+		if local.Cache.Evictions == 0 {
+			t.Fatalf("%v: no processor cache ever filled: the comparison says nothing about capacity", policy)
+		}
 	}
 }

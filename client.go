@@ -39,8 +39,9 @@ const (
 	// MutAddEdge ensures the edge Node->To with Label exists (no duplicate
 	// parallel edge is ever created); a missing endpoint is ErrConflict.
 	MutAddEdge = core.MutAddEdge
-	// MutRemoveEdge removes the edge Node->To (any label); an absent edge
-	// is ErrConflict.
+	// MutRemoveEdge removes the edge Node->To (any label: the
+	// lowest-labelled edge when several connect u to v); an absent edge is
+	// ErrConflict.
 	MutRemoveEdge = core.MutRemoveEdge
 )
 
@@ -82,8 +83,9 @@ type Client interface {
 	// edge that is already present succeeds without duplicating it; a
 	// missing endpoint fails with ErrConflict.
 	AddEdge(ctx context.Context, u, v NodeID, label string) error
-	// RemoveEdge removes the directed edge u->v (any label). Removing an
-	// edge that does not exist fails with ErrConflict.
+	// RemoveEdge removes the directed edge u->v (any label: the
+	// lowest-labelled edge when several connect u to v). Removing an edge
+	// that does not exist fails with ErrConflict.
 	RemoveEdge(ctx context.Context, u, v NodeID) error
 	// Mutate applies a batch of mutations in order, stopping at the first
 	// failure. It returns how many were applied — the applied prefix
@@ -179,10 +181,8 @@ func (c *localClient) exec(ctx context.Context, q Query) (Result, error) {
 	if c.closed {
 		return Result{}, fmt.Errorf("%w: client closed", ErrUnavailable)
 	}
-	for _, a := range q.AnchorNodes() {
-		if !c.sys.Graph().Exists(a) {
-			return Result{}, fmt.Errorf("%w: node %d not in graph", ErrUnknownNode, a)
-		}
+	if err := c.sys.Known(q.AnchorNodes()...); err != nil {
+		return Result{}, err
 	}
 	res, _, err := c.ses.Execute(q)
 	return res, err

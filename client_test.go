@@ -240,7 +240,7 @@ func TestShardCountersTwoTransports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote := startWritableTCPCluster(t, g, 2, 2, grouting.PolicyHash)
+	remote, _ := startWritableTCPCluster(t, g, 2, 2, grouting.PolicyHash)
 
 	q := grouting.Query{Type: grouting.NeighborAgg, Node: g.Nodes()[1], Hops: 2, Dir: grouting.Out}
 	var perClient [2]grouting.Stats

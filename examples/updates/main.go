@@ -126,11 +126,10 @@ func main() {
 	oracle := grouting.GenerateDataset(dataset, scale, seed)
 	fmt.Printf("initial graph: %d nodes, %d edges\n", oracle.NumNodes(), oracle.NumEdges())
 
-	// Transport 1: the in-process virtual-time engine. Its system owns an
-	// identical copy of the graph (same dataset, same seed); the client
-	// mutates that copy while we mirror onto the oracle.
-	gLocal := grouting.GenerateDataset(dataset, scale, seed)
-	sys, err := grouting.NewSystem(gLocal, grouting.Config{
+	// Transport 1: the in-process virtual-time engine, built from the oracle
+	// itself: a system never mutates the graph it is given (writes edit the
+	// stored records), so the oracle stays ours to mirror the writes onto.
+	sys, err := grouting.NewSystem(oracle, grouting.Config{
 		Processors:     4,
 		StorageServers: 2,
 		Policy:         grouting.PolicyEmbed,
@@ -164,7 +163,6 @@ func main() {
 	// processors, a router. Seeding Storage gives the router the write
 	// path's placement domain.
 	oracle2 := grouting.GenerateDataset(dataset, scale, seed)
-	gRemote := grouting.GenerateDataset(dataset, scale, seed)
 	var storageAddrs []string
 	for i := 0; i < 2; i++ {
 		ss, err := grouting.ServeStorage("127.0.0.1:0")
@@ -174,7 +172,7 @@ func main() {
 		defer ss.Close()
 		storageAddrs = append(storageAddrs, ss.Addr())
 	}
-	if err := grouting.LoadStorageReplicated(ctx, gRemote, storageAddrs, 1); err != nil {
+	if err := grouting.LoadStorageReplicated(ctx, oracle2, storageAddrs, 1); err != nil {
 		log.Fatal(err)
 	}
 	var procAddrs []string
@@ -189,7 +187,7 @@ func main() {
 	rs, err := grouting.ServeRouter("127.0.0.1:0", grouting.RouterSpec{
 		Processors: procAddrs,
 		Policy:     grouting.PolicyLandmark,
-		Graph:      gRemote,
+		Graph:      oracle2,
 		Seed:       7,
 		Storage:    storageAddrs,
 	})

@@ -267,14 +267,6 @@ func Run(sc *Scenario, mk func() Harness) (*Result, error) {
 	if s := celapsed.Seconds(); s > 0 {
 		res.ControlGoodput = float64(len(qs)) / s
 	}
-	if len(script) > 0 {
-		// The virtual-time engine mutates the workload graph in place, so
-		// the control pass's writes are now baked into g. Regenerate it so
-		// the fault deployment bulk-loads the pristine dataset and applies
-		// the script online, like the control pass did.
-		g, _, _ = Workload(sc)
-	}
-
 	// Fault pass.
 	h := mk()
 	if err := h.Start(sc, g); err != nil {

@@ -159,9 +159,6 @@ type Config struct {
 	// accumulates before compacting them into a snapshot (default
 	// kvstore.DefaultSnapshotEvery). Ignored without StorageDir.
 	StorageSnapshotEvery int
-	// StorageFsync forces an fsync per logged write: durable against
-	// machine crashes, not just process death. Ignored without StorageDir.
-	StorageFsync bool
 	// AdaptivePlacement enables the workload-adaptive placement subsystem
 	// (internal/placement): sessions accumulate per-record storage-read
 	// heat attributed to the reading processor, and a background planner

@@ -336,13 +336,15 @@ func TestAddNodeIncremental(t *testing.T) {
 	}
 	// Attach a new node to two existing ones through the write path.
 	u := g.MaxNodeID()
-	if _, err := ses.Mutate(
-		Mutation{Op: MutUpsertNode, Node: u, Label: g.InternLabel("newbie")},
-		Mutation{Op: MutAddEdge, Node: 5, To: u},
-		Mutation{Op: MutAddEdge, Node: u, To: 6},
-	); err != nil {
+	muts := []Mutation{
+		{Op: MutUpsertNode, Node: u, Label: g.InternLabel("newbie")},
+		{Op: MutAddEdge, Node: 5, To: u},
+		{Op: MutAddEdge, Node: u, To: 6},
+	}
+	if _, err := ses.Mutate(muts...); err != nil {
 		t.Fatal(err)
 	}
+	mirror(g, muts...)
 	q := query.Query{Type: query.NeighborAgg, Node: u, Hops: 2, Dir: graph.Both}
 	res, _, err := ses.Execute(q)
 	if err != nil {

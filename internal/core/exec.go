@@ -167,10 +167,17 @@ func (f *fetcher) Read(ids []graph.NodeID, dst []gstore.FetchResult, probed cach
 	if err == nil {
 		return nil
 	}
+	return storageErr("storage fetch", err)
+}
+
+// storageErr classifies a failed read of the storage tier: a key no live
+// replica holds is the typed query.ErrUnavailable, anything else an internal
+// error; what names the read.
+func storageErr(what string, err error) error {
 	if errors.Is(err, kvstore.ErrNoLiveReplica) {
-		return fmt.Errorf("%w: storage fetch: %v", query.ErrUnavailable, err)
+		return fmt.Errorf("%w: %s: %v", query.ErrUnavailable, what, err)
 	}
-	return fmt.Errorf("core: storage fetch: %w", err)
+	return fmt.Errorf("core: %s: %w", what, err)
 }
 
 // Heat attributes one storage read of each record the step read to p,

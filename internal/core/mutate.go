@@ -1,9 +1,8 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
+	"repro/internal/gstore"
 	"repro/internal/placement"
 	"repro/internal/query"
 	"repro/internal/topology"
@@ -34,73 +33,82 @@ type Mutation struct {
 // rejected with the typed query.ErrBadQuery before anything executes.
 func (m Mutation) Validate() error { return query.ValidateMutation(m.Op, m.Node, m.To) }
 
-// Mutate applies muts in order against the running system: the graph, the
-// storage tier (versioned, WAL-logged when durability is on), the
-// routing-side incremental indexes, and every session processor's cache
-// (evicted, so the session reads its own writes). It stops at the first
-// mutation that fails and returns how many were applied — the applied
-// prefix stays applied, exactly as individually acked writes would.
+// Mutate applies muts in order against the running system: the storage
+// tier (versioned, WAL-logged when durability is on), the routing-side
+// incremental indexes, and every session processor's cache (evicted, so the
+// session reads its own writes). It stops at the first mutation that fails
+// and returns how many were applied — the applied prefix stays applied,
+// exactly as individually acked writes would. The graph given to NewSystem
+// is never touched.
 //
-// Conflicts (removing an absent edge, adding an edge on a missing
-// endpoint) return query.ErrConflict; malformed mutations return
-// query.ErrBadQuery. Virtual time advances by the write cost: one
-// replicated round trip per rewritten record, served on the storage
-// contention timeline.
+// Each mutation reads the pre-images of the records it touches from the
+// tier (unbilled), edits them with gstore.Apply — the edit the TCP router
+// makes — and writes back the ones that changed. Conflicts (removing an
+// absent edge, adding an edge on a missing endpoint) return
+// query.ErrConflict; malformed mutations return query.ErrBadQuery; a
+// pre-image no live replica holds returns query.ErrUnavailable and writes
+// nothing. Virtual time advances by the write cost: one replicated round
+// trip per rewritten record, served on the storage contention timeline.
 func (ses *Session) Mutate(muts ...Mutation) (int, error) {
 	ses.applyTopology()
-	g := ses.sys.g
 	for i, m := range muts {
-		if err := m.Validate(); err != nil {
+		if err := ses.apply(m); err != nil {
 			return i, err
-		}
-		switch m.Op {
-		case MutUpsertNode:
-			created := g.UpsertNode(m.Node, m.Label)
-			ses.writeRecord(m.Node)
-			if created {
-				ses.sys.incorporateNode(m.Node)
-			}
-		case MutAddEdge:
-			created, err := g.EnsureEdge(m.Node, m.To, m.Label)
-			if err != nil {
-				return i, fmt.Errorf("%w: add edge %d->%d: %v", query.ErrConflict, m.Node, m.To, err)
-			}
-			if created {
-				ses.writeEdge(m.Node, m.To)
-			}
-		case MutRemoveEdge:
-			if !g.RemoveEdge(m.Node, m.To) {
-				return i, fmt.Errorf("%w: remove edge %d->%d: no such edge", query.ErrConflict, m.Node, m.To)
-			}
-			ses.writeEdge(m.Node, m.To)
 		}
 		ses.mutations++
 	}
 	return len(muts), nil
 }
 
+// apply executes one mutation end to end.
+func (ses *Session) apply(m Mutation) error {
+	if err := m.Validate(); err != nil {
+		return err
+	}
+	ids := []graph.NodeID{m.Node, m.To}
+	if m.Op == MutUpsertNode {
+		ids = ids[:1]
+	}
+	var pre [2]gstore.FetchResult
+	if err := ses.sys.tier.FetchBatchInto(ids, pre[:], nil); err != nil {
+		return storageErr("pre-image read", err)
+	}
+	u, v := &pre[0].Record, &pre[1].Record
+	writeU, writeV, err := gstore.Apply(m.Op, m.Label, u, v, pre[0].OK, pre[1].OK)
+	if err != nil {
+		return err
+	}
+	if writeU {
+		ses.writeRecord(u)
+	}
+	if writeV {
+		ses.writeRecord(v)
+	}
+	switch {
+	case m.Op == MutUpsertNode:
+		if !pre[0].OK {
+			ses.sys.incorporateNode(m.Node)
+		}
+	case writeU || writeV:
+		ses.sys.refreshEdge(m.Node, m.To)
+	}
+	return nil
+}
+
 // Mutations returns how many mutations the session has applied.
 func (ses *Session) Mutations() int64 { return ses.mutations }
 
-// writeRecord rewrites u's storage record from the graph, charges the
-// replicated write's virtual-time cost and evicts the record from every
-// session processor's cache (read-your-writes).
-func (ses *Session) writeRecord(u graph.NodeID) {
-	bytes, _ := ses.sys.tier.UpdateNode(ses.sys.g, u)
-	ses.chargeWrite(uint64(u), bytes)
+// writeRecord stores r, charges the replicated write's virtual-time cost
+// and evicts the record from every session processor's cache
+// (read-your-writes).
+func (ses *Session) writeRecord(r *gstore.Record) {
+	bytes, _ := ses.sys.tier.PutRecord(r)
+	ses.chargeWrite(uint64(r.Node), bytes)
 	for _, p := range ses.procs {
 		if p != nil {
-			p.cache.Evict(uint64(u))
+			p.cache.Evict(uint64(r.Node))
 		}
 	}
-}
-
-// writeEdge rewrites both endpoint records after an edge change and runs
-// the routing-side refresh.
-func (ses *Session) writeEdge(u, v graph.NodeID) {
-	ses.writeRecord(u)
-	ses.writeRecord(v)
-	ses.sys.refreshEdge(u, v)
 }
 
 // chargeWrite advances the session clock by one write-all round trip for
@@ -126,15 +134,6 @@ func (ses *Session) chargeWrite(key uint64, bytes int) {
 // Env: placement truth comes from the store, locality from the same
 // nearStorageSlot mapping the cost model bills with.
 type sessionEnv struct{ ses *Session }
-
-func (e sessionEnv) Primary(key uint64) int {
-	var arr [topology.MaxReplicas]int
-	pl := e.ses.sys.store.ReplicasFor(key, arr[:0])
-	if len(pl) == 0 {
-		return -1
-	}
-	return pl[0]
-}
 
 func (e sessionEnv) Replicas(key uint64, dst []int) []int {
 	return e.ses.sys.store.ReplicasFor(key, dst)

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/gstore"
 	"repro/internal/query"
 )
 
@@ -45,6 +47,21 @@ func TestMutOpString(t *testing.T) {
 	}
 }
 
+// mirror applies acked mutations to oracle, the graph a test answers its
+// queries against: the system never touches the graph it was built from.
+func mirror(oracle *graph.Graph, muts ...Mutation) {
+	for _, m := range muts {
+		switch m.Op {
+		case MutUpsertNode:
+			oracle.UpsertNode(m.Node, m.Label)
+		case MutAddEdge:
+			oracle.EnsureEdge(m.Node, m.To, m.Label)
+		case MutRemoveEdge:
+			oracle.RemoveEdge(m.Node, m.To)
+		}
+	}
+}
+
 // TestMutateConflictKeepsPrefix: a batch stops at the first conflicting
 // mutation, the applied prefix stays applied, and the error is typed.
 func TestMutateConflictKeepsPrefix(t *testing.T) {
@@ -67,11 +84,14 @@ func TestMutateConflictKeepsPrefix(t *testing.T) {
 	if n != 1 || !errors.Is(err, query.ErrConflict) {
 		t.Fatalf("applied %d, err %v; want 1, ErrConflict", n, err)
 	}
-	if !g.Exists(u) {
-		t.Fatal("acked prefix lost: upserted node missing")
+	if err := sys.Known(u); err != nil {
+		t.Fatalf("acked prefix lost: %v", err)
 	}
-	if g.HasEdge(u, 7) {
+	if rec, _, _ := sys.tier.Fetch(u); len(rec.Out) != 0 {
 		t.Fatal("mutation past the failure point was applied")
+	}
+	if g.Exists(u) {
+		t.Fatal("the mutation reached the graph the system was built from")
 	}
 	// An edge onto a node that was never created is also a conflict.
 	if _, err := ses.Mutate(Mutation{Op: MutAddEdge, Node: g.MaxNodeID() + 10, To: 0, Label: lbl}); !errors.Is(err, query.ErrConflict) {
@@ -101,13 +121,15 @@ func TestMutateReadYourWrites(t *testing.T) {
 	lbl := g.InternLabel("t")
 	u := g.MaxNodeID()
 	before := ses.Now()
-	if _, err := ses.Mutate(
-		Mutation{Op: MutUpsertNode, Node: u, Label: lbl},
-		Mutation{Op: MutAddEdge, Node: 5, To: u, Label: lbl},
-		Mutation{Op: MutAddEdge, Node: u, To: 9, Label: lbl},
-	); err != nil {
+	muts := []Mutation{
+		{Op: MutUpsertNode, Node: u, Label: lbl},
+		{Op: MutAddEdge, Node: 5, To: u, Label: lbl},
+		{Op: MutAddEdge, Node: u, To: 9, Label: lbl},
+	}
+	if _, err := ses.Mutate(muts...); err != nil {
 		t.Fatal(err)
 	}
+	mirror(g, muts...)
 	if ses.Now() <= before {
 		t.Fatal("writes advanced no virtual time")
 	}
@@ -182,15 +204,17 @@ func TestMutateDuringMigration(t *testing.T) {
 		// then tombstoned.
 		u := g.MaxNodeID()
 		scratch := graph.NodeID((round*29 + 5) % base)
-		if n, err := ses.Mutate(
-			Mutation{Op: MutUpsertNode, Node: u, Label: lbl},
-			Mutation{Op: MutAddEdge, Node: center, To: u, Label: lbl},
-			Mutation{Op: MutAddEdge, Node: u, To: graph.NodeID((round*17 + 3) % base), Label: lbl},
-			Mutation{Op: MutAddEdge, Node: u, To: scratch, Label: lbl},
-			Mutation{Op: MutRemoveEdge, Node: u, To: scratch},
-		); err != nil || n != 5 {
+		muts := []Mutation{
+			{Op: MutUpsertNode, Node: u, Label: lbl},
+			{Op: MutAddEdge, Node: center, To: u, Label: lbl},
+			{Op: MutAddEdge, Node: u, To: graph.NodeID((round*17 + 3) % base), Label: lbl},
+			{Op: MutAddEdge, Node: u, To: scratch, Label: lbl},
+			{Op: MutRemoveEdge, Node: u, To: scratch},
+		}
+		if n, err := ses.Mutate(muts...); err != nil || n != 5 {
 			t.Fatalf("round %d: applied %d, err %v", round, n, err)
 		}
+		mirror(g, muts...)
 		acked = append(acked, u)
 		removed = append(removed, edge{u, scratch})
 		// The migration cycle races everything above.
@@ -218,5 +242,58 @@ func TestMutateDuringMigration(t *testing.T) {
 	if pc.MovedBytes > pc.Cycles*cfg.PlacementBudget {
 		t.Fatalf("migration volume %dB exceeds %d cycles x %dB budget",
 			pc.MovedBytes, pc.Cycles, cfg.PlacementBudget)
+	}
+}
+
+// TestMutateUnreadablePreImage: at StorageReplicas = 1 with a record's only
+// owner failed, a mutation that touches the record cannot read its
+// pre-image. It fails with the typed ErrUnavailable and writes nothing, and
+// Mutate reports the prefix applied before it.
+func TestMutateUnreadablePreImage(t *testing.T) {
+	g := testGraph()
+	sys, err := NewSystem(g, testConfig(PolicyLandmark))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ses, err := sys.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := func(u graph.NodeID) int { return sys.store.ReplicasFor(uint64(u), nil)[0] }
+	// h lives on the shard that stays up, v on the one that fails.
+	h, v := graph.NodeID(0), graph.NodeID(1)
+	for owner(v) == owner(h) || g.HasEdge(h, v) {
+		v++
+	}
+	stored := func(u graph.NodeID) []byte {
+		val, ok := sys.store.Get(uint64(u))
+		if !ok {
+			t.Fatalf("node %d has no record", u)
+		}
+		return val
+	}
+	preV := stored(v)
+	if err := sys.FailStorage(owner(v)); err != nil {
+		t.Fatal(err)
+	}
+	lbl := g.InternLabel("t")
+	n, err := ses.Mutate(
+		Mutation{Op: MutUpsertNode, Node: h, Label: lbl},
+		Mutation{Op: MutAddEdge, Node: h, To: v, Label: lbl},
+		Mutation{Op: MutUpsertNode, Node: h},
+	)
+	if n != 1 || !errors.Is(err, query.ErrUnavailable) {
+		t.Fatalf("applied %d, err %v; want 1 and ErrUnavailable", n, err)
+	}
+	want := gstore.RecordOf(g, h)
+	want.NodeLabel = lbl
+	if got := stored(h); !bytes.Equal(got, gstore.Encode(nil, want)) {
+		t.Fatal("node h's record is not the applied prefix's: the failed mutation wrote it")
+	}
+	if err := sys.ReviveStorage(owner(v)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stored(v), preV) {
+		t.Fatal("the failed mutation rewrote the unreadable record")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/kvstore"
 	"repro/internal/landmark"
 	"repro/internal/metrics"
+	"repro/internal/query"
 	"repro/internal/router"
 	"repro/internal/topology"
 )
@@ -71,7 +72,6 @@ func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
 		err := st.EnableDurability(kvstore.Durability{
 			Dir:           cfg.StorageDir,
 			SnapshotEvery: cfg.StorageSnapshotEvery,
-			Fsync:         cfg.StorageFsync,
 		})
 		if err != nil {
 			return nil, err
@@ -97,7 +97,10 @@ func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
 // Config returns the effective (defaulted) configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Graph returns the underlying graph.
+// Graph returns the graph the system was built from. NewSystem never
+// mutates it: mutations edit the stored records, and the system reads the
+// graph after construction only for its label table, into which labelled
+// mutations intern their labels.
 func (s *System) Graph() *graph.Graph { return s.g }
 
 // Prep returns the preprocessing statistics (Tables 2 and 3).
@@ -191,6 +194,23 @@ func (s *System) StorageTopology() topology.View { return s.store.View() }
 
 // Store exposes the storage tier (read-only use: stats, placement checks).
 func (s *System) Store() *kvstore.Store { return s.store }
+
+// Known is the probe the TCP processor makes before a query, read here
+// without billing virtual time: nil when every id has a record in the
+// storage tier, query.ErrUnknownNode naming the first that has none, and
+// query.ErrUnavailable when one cannot be read.
+func (s *System) Known(ids ...graph.NodeID) error {
+	dst := make([]gstore.FetchResult, len(ids))
+	if err := s.tier.FetchBatchInto(ids, dst, nil); err != nil {
+		return storageErr("node probe", err)
+	}
+	for i, r := range dst {
+		if !r.OK {
+			return fmt.Errorf("%w: node %d has no record in the storage tier", query.ErrUnknownNode, ids[i])
+		}
+	}
+	return nil
+}
 
 // logStorageTransitionLocked records the epoch events between the last
 // observed storage view and now, for the Snapshot's tier-tagged epoch
@@ -314,12 +334,12 @@ func (s *System) HealStorage(slot int) error {
 
 // incorporateNode runs the routing-side incremental update for a new node
 // u (landmark distances, processor assignment, embedding coordinates —
-// Section 3.4, graph updates); the session write path rewrites the storage
-// records itself, to account their virtual-time cost.
+// Section 3.4, graph updates) over the stored records; the session write
+// path rewrites the records itself, to account their virtual-time cost.
 func (s *System) incorporateNode(u graph.NodeID) {
 	idx, emb := s.tab.Index, s.tab.Embedding
 	if idx != nil {
-		idx.IncorporateNode(s.g, u)
+		idx.IncorporateNode(s.tier, u)
 		s.tab.Assignment.SetNodeDistances(idx, u)
 	}
 	switch {
@@ -333,30 +353,24 @@ func (s *System) incorporateNode(u graph.NodeID) {
 			_ = emb.SetRow(u, rows[0])
 		}
 	default:
-		emb.IncorporateNode(s.g, idx, u, embed.Options{Dimensions: s.cfg.Dimensions, Seed: s.cfg.Seed})
+		emb.IncorporateNode(s.tier, idx, u, embed.Options{Dimensions: s.cfg.Dimensions, Seed: s.cfg.Seed})
 	}
 }
 
 // refreshEdge is the routing-side incremental update after an edge
 // insertion or deletion between existing nodes u and v: landmark distances
-// around the endpoints are re-relaxed up to 2 hops. The session write path
-// rewrites both storage records itself.
+// around the endpoints are re-relaxed up to 2 hops over the stored records,
+// and every relaxed node's processor distances follow. The session write
+// path rewrites both storage records itself.
 func (s *System) refreshEdge(u, v graph.NodeID) {
 	idx := s.tab.Index
 	if idx == nil {
 		return
 	}
-	idx.RefreshAround(s.g, u, 2)
-	idx.RefreshAround(s.g, v, 2)
-	region := map[graph.NodeID]struct{}{u: {}, v: {}}
-	for w := range s.g.BFSBounded(u, 2, graph.Both) {
-		region[w] = struct{}{}
-	}
-	for w := range s.g.BFSBounded(v, 2, graph.Both) {
-		region[w] = struct{}{}
-	}
-	for w := range region {
-		s.tab.Assignment.SetNodeDistances(idx, w)
+	for _, end := range [2]graph.NodeID{u, v} {
+		for _, w := range idx.RefreshAround(s.tier, end, 2) {
+			s.tab.Assignment.SetNodeDistances(idx, w)
+		}
 	}
 }
 

@@ -36,20 +36,20 @@ func Build(g *graph.Graph, idx *landmark.Index, opts Options) (*Embedding, error
 func (e *Embedding) averageNeighbours(g *graph.Graph) {
 	sum := make([]float64, e.D)
 	for u := 0; u < e.NumNodes(); u++ {
-		if !nanRow(e.Coords(graph.NodeID(u))) {
-			e.neighbourMean(g, graph.NodeID(u), sum)
+		if id := graph.NodeID(u); !nanRow(e.Coords(id)) {
+			e.neighbourMean(id, g.OutEdges(id), g.InEdges(id), sum)
 		}
 	}
 }
 
 // neighbourMean sets u's row, which the table must already have, to the mean
-// of the rows of u's embedded neighbours, one term per edge in either
-// direction; sum is D floats of scratch. With no embedded neighbour the row
+// of the rows of u's embedded neighbours, one term per edge of out and in (u's
+// adjacency); sum is D floats of scratch. With no embedded neighbour the row
 // stays and the result is false.
-func (e *Embedding) neighbourMean(g *graph.Graph, u graph.NodeID, sum []float64) bool {
+func (e *Embedding) neighbourMean(u graph.NodeID, out, in []graph.Edge, sum []float64) bool {
 	clear(sum)
 	n := 0
-	for _, adj := range [2][]graph.Edge{g.OutEdges(u), g.InEdges(u)} {
+	for _, adj := range [2][]graph.Edge{out, in} {
 		for _, ed := range adj {
 			row := e.Coords(ed.To)
 			if row == nil || nanRow(row) {
@@ -73,14 +73,14 @@ func (e *Embedding) neighbourMean(g *graph.Graph, u graph.NodeID, sum []float64)
 
 // IncorporateNode places a (new) node without re-embedding anything else —
 // the paper's update path for embed routing — by the step Build's pass
-// applies to every node: the mean of its embedded neighbours in g. A node
+// applies to every node: the mean of its embedded neighbours in adj. A node
 // with none is placed as Build places a node before the pass: triangulated
 // from its landmark distances, which must be in idx (Index.IncorporateNode),
 // or, when no landmark reaches it, at its seeded far-out point.
-func (e *Embedding) IncorporateNode(g *graph.Graph, idx *landmark.Index, u graph.NodeID, opts Options) {
+func (e *Embedding) IncorporateNode(adj graph.Adjacency, idx *landmark.Index, u graph.NodeID, opts Options) {
 	e.grow(u)
 	x := make([]float64, e.D)
-	if e.neighbourMean(g, u, x) {
+	if e.neighbourMean(u, adj.OutEdges(u), adj.InEdges(u), x) {
 		return
 	}
 	if reachable(idx, u) {

@@ -15,6 +15,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -134,10 +135,10 @@ func (g *Graph) AddNodes(n int) NodeID {
 
 // UpsertNode ensures id names a live node carrying label, growing the id
 // space as needed (intermediate fresh ids stay non-existent until upserted
-// themselves) and reviving a tombstoned id. It is idempotent — the
-// distributed write path applies it once per transport without caring
-// whether the node already exists — and reports whether a node was created
-// (or revived) as opposed to relabelled in place.
+// themselves) and reviving a tombstoned id. It is the in-memory oracle of
+// the write path's upsert (gstore.Apply edits the stored records), so it is
+// idempotent like the mutation it mirrors, and reports whether a node was
+// created (or revived) as opposed to relabelled in place.
 func (g *Graph) UpsertNode(id NodeID, label Label) bool {
 	for NodeID(len(g.out)) <= id {
 		g.out = append(g.out, nil)
@@ -167,10 +168,9 @@ func (g *Graph) Labels() *Labels { return g.labels }
 
 // EnsureEdge inserts the directed edge u->v carrying label unless an
 // identical (u, v, label) edge already exists, and reports whether it
-// inserted one. This is the idempotent form the distributed write path
-// uses: applying the same mutation to the oracle graph and through a
-// Client (which may share the same graph on the local transport) cannot
-// produce a duplicate parallel edge.
+// inserted one. It is the in-memory oracle of the write path's add-edge:
+// mirroring a Client's mutations onto a graph with it yields the adjacency
+// the stored records hold, never a duplicate parallel edge.
 func (g *Graph) EnsureEdge(u, v NodeID, label Label) (bool, error) {
 	if !g.Exists(u) || !g.Exists(v) {
 		return false, ErrNoSuchNode
@@ -231,21 +231,38 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 	return false
 }
 
-// RemoveEdge deletes one directed edge u->v (any label) and reports whether
-// an edge was removed.
+// RemoveEdge deletes one directed edge u->v — the lowest-labelled edge when
+// several connect u to v, the first in the (To, Label) order stored records
+// keep, so the oracle drops the edge the write path drops — and reports
+// whether an edge was removed.
 func (g *Graph) RemoveEdge(u, v NodeID) bool {
 	if !g.Exists(u) || !g.Exists(v) {
 		return false
 	}
-	if !removeFirst(&g.out[u], v) {
+	i := LowestEdge(g.out[u], v)
+	if i < 0 {
 		return false
 	}
-	if !removeFirst(&g.in[v], u) {
+	j := slices.Index(g.in[v], Edge{To: u, Label: g.out[u][i].Label})
+	if j < 0 {
 		// The in/out views must agree; a one-sided edge is a corruption bug.
 		panic("graph: in/out adjacency inconsistent")
 	}
+	g.out[u], g.in[v] = slices.Delete(g.out[u], i, i+1), slices.Delete(g.in[v], j, j+1)
 	g.numEdges--
 	return true
+}
+
+// LowestEdge returns the index in es of the lowest-labelled edge pointing
+// at target (the first such edge in es on ties), or -1 when none does.
+func LowestEdge(es []Edge, target NodeID) int {
+	at := -1
+	for i, e := range es {
+		if e.To == target && (at < 0 || e.Label < es[at].Label) {
+			at = i
+		}
+	}
+	return at
 }
 
 // removeFirst deletes the first entry pointing at target, preserving order
@@ -281,6 +298,15 @@ func (g *Graph) RemoveNode(u NodeID) error {
 	g.removed[u] = true
 	g.liveNodes--
 	return nil
+}
+
+// Adjacency is the read side of a graph the incremental routing updates
+// need: a node's outgoing and incoming edges (nil for a node that does not
+// exist). *Graph is one; the virtual-time engine's mutation path hands them
+// its *gstore.Tier, which reads each node's edges from its stored record.
+type Adjacency interface {
+	OutEdges(u NodeID) []Edge
+	InEdges(u NodeID) []Edge
 }
 
 // OutEdges returns the outgoing adjacency of u. The returned slice is owned

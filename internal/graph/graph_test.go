@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -104,6 +105,37 @@ func TestParallelEdgesAllowed(t *testing.T) {
 	}
 	if g.NumEdges() != 1 || !g.HasEdge(0, 1) {
 		t.Fatal("removing one parallel edge should leave the other")
+	}
+}
+
+// TestRemoveEdgeTakesLowestLabel: with parallel u->v edges of different
+// labels, RemoveEdge drops the lowest-labelled one whatever the insertion
+// order — the first in the (To, Label) order stored records keep, so the
+// oracle and the write path remove the same edge — on both adjacency views.
+func TestRemoveEdgeTakesLowestLabel(t *testing.T) {
+	g := New()
+	g.AddNodes(4)
+	b, a := g.InternLabel("b"), g.InternLabel("a") // b < a as ids
+	for _, l := range []Label{a, b} {
+		if _, err := g.EnsureEdge(0, 3, l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !g.RemoveEdge(0, 3) {
+		t.Fatal("RemoveEdge(0,3) = false")
+	}
+	want := []Edge{{To: 3, Label: a}}
+	if got := g.OutEdges(0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("out-edges after removal = %v, want %v", got, want)
+	}
+	if got := g.InEdges(3); !reflect.DeepEqual(got, []Edge{{To: 0, Label: a}}) {
+		t.Fatalf("in-edges after removal = %v, want the %d-labelled edge from 0", got, a)
+	}
+	if i := LowestEdge([]Edge{{1, 5}, {2, 1}, {1, 3}, {1, 3}}, 1); i != 2 {
+		t.Fatalf("LowestEdge = %d, want 2 (label 3, first of the tie)", i)
+	}
+	if i := LowestEdge([]Edge{{1, 5}}, 2); i != -1 {
+		t.Fatalf("LowestEdge of an absent target = %d, want -1", i)
 	}
 }
 

@@ -14,10 +14,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/kvstore"
+	"repro/internal/query"
 )
 
 // Record is the decoded storage entry for one node.
@@ -148,70 +150,74 @@ func decodeEdgeList(data []byte, dst []graph.Edge) ([]byte, error) {
 	return data, nil
 }
 
-// HasOut reports whether r carries the outgoing edge (v, label).
-func (r *Record) HasOut(v graph.NodeID, label graph.Label) bool {
-	for _, e := range r.Out {
-		if e.To == v && e.Label == label {
-			return true
-		}
+// Apply is the one definition of what a mutation does to the stored records
+// it touches: both transports read the pre-images, call it, and write back
+// the records it reports changed. u is the record of the mutation's Node and
+// v that of its To (nil for an upsert); uFound and vFound say whether each
+// was stored, an absent one coming in as its node's empty Record.
+//
+//   - MutUpsertNode sets u's label and always reports writeU: an upsert
+//     rewrites the record, changed or not, so a retry re-asserts it on every
+//     replica.
+//   - MutAddEdge adds u->v to u.Out and to v.In, each side only where it is
+//     missing, so a half-written edge left by a failed attempt heals on retry.
+//   - MutRemoveEdge removes the lowest-labelled u->v edge from u.Out and the
+//     same edge from v.In (v's lowest from u when u no longer has one). It is
+//     query.ErrConflict when neither side had the edge.
+//
+// An edge mutation on an absent endpoint is query.ErrConflict. An error
+// changes nothing.
+func Apply(op query.MutOp, label graph.Label, u, v *Record, uFound, vFound bool) (writeU, writeV bool, err error) {
+	switch op {
+	case query.MutUpsertNode:
+		u.NodeLabel = label
+		return true, false, nil
+	case query.MutAddEdge, query.MutRemoveEdge:
+	default:
+		return false, false, fmt.Errorf("%w: unknown mutation op %d", query.ErrBadQuery, uint8(op))
 	}
-	return false
+	if !uFound || !vFound {
+		missing := u.Node
+		if uFound {
+			missing = v.Node
+		}
+		return false, false, fmt.Errorf("%w: edge %d->%d: endpoint %d has no record", query.ErrConflict, u.Node, v.Node, missing)
+	}
+	if op == query.MutAddEdge {
+		return ensureEdge(&u.Out, graph.Edge{To: v.Node, Label: label}), ensureEdge(&v.In, graph.Edge{To: u.Node, Label: label}), nil
+	}
+	i, j := graph.LowestEdge(u.Out, v.Node), graph.LowestEdge(v.In, u.Node)
+	if i >= 0 {
+		j = slices.Index(v.In, graph.Edge{To: u.Node, Label: u.Out[i].Label})
+	}
+	if i < 0 && j < 0 {
+		return false, false, fmt.Errorf("%w: remove edge %d->%d: no such edge", query.ErrConflict, u.Node, v.Node)
+	}
+	if i >= 0 {
+		u.Out = withoutEdge(u.Out, i)
+	}
+	if j >= 0 {
+		v.In = withoutEdge(v.In, j)
+	}
+	return i >= 0, j >= 0, nil
 }
 
-// EnsureOut inserts the outgoing edge (v, label) unless an identical one
-// exists, reporting whether it inserted. Decode shares one backing array
-// between Out and In, but Out is capacity-capped, so the append can never
-// clobber In.
-func (r *Record) EnsureOut(v graph.NodeID, label graph.Label) bool {
-	if r.HasOut(v, label) {
+// ensureEdge appends e to *es unless it is already there, reporting whether
+// it appended. Decode shares one backing array between Out and In, but each
+// list is capacity-capped, so the append can never clobber its sibling.
+func ensureEdge(es *[]graph.Edge, e graph.Edge) bool {
+	if slices.Contains(*es, e) {
 		return false
 	}
-	r.Out = append(r.Out, graph.Edge{To: v, Label: label})
+	*es = append(*es, e)
 	return true
 }
 
-// EnsureIn inserts the incoming edge (u, label) unless an identical one
-// exists, reporting whether it inserted.
-func (r *Record) EnsureIn(u graph.NodeID, label graph.Label) bool {
-	for _, e := range r.In {
-		if e.To == u && e.Label == label {
-			return false
-		}
-	}
-	r.In = append(r.In, graph.Edge{To: u, Label: label})
-	return true
-}
-
-// RemoveOut deletes the first outgoing edge to v (any label), mirroring
-// graph.RemoveEdge, and reports whether one was removed. The surviving
-// edges are compacted onto a fresh slice — Decode shares one backing
-// array between Out and In, so compacting in place would corrupt In.
-func (r *Record) RemoveOut(v graph.NodeID) bool {
-	var ok bool
-	r.Out, ok = removeEdgeCopy(r.Out, v)
-	return ok
-}
-
-// RemoveIn deletes the first incoming edge from u (any label) and reports
-// whether one was removed.
-func (r *Record) RemoveIn(u graph.NodeID) bool {
-	var ok bool
-	r.In, ok = removeEdgeCopy(r.In, u)
-	return ok
-}
-
-// removeEdgeCopy drops the first edge pointing at target, returning a
-// fresh slice (the input is never mutated) and whether one was found.
-func removeEdgeCopy(es []graph.Edge, target graph.NodeID) ([]graph.Edge, bool) {
-	for i, e := range es {
-		if e.To == target {
-			cp := make([]graph.Edge, 0, len(es)-1)
-			cp = append(cp, es[:i]...)
-			cp = append(cp, es[i+1:]...)
-			return cp, true
-		}
-	}
-	return es, false
+// withoutEdge returns es without its i-th edge, never writing to es's array:
+// Decode shares one backing array between Out and In, so compacting in place
+// would corrupt the sibling list. The capped prefix makes the append copy.
+func withoutEdge(es []graph.Edge, i int) []graph.Edge {
+	return append(es[:i:i], es[i+1:]...)
 }
 
 // RecordOf extracts node u's storage record from an in-memory graph.
@@ -261,6 +267,20 @@ func (t *Tier) Fetch(id graph.NodeID) (Record, bool, error) {
 	}
 	r, err := Decode(id, v)
 	return r, true, err
+}
+
+// OutEdges and InEdges make the tier a graph.Adjacency over the stored
+// records, which the virtual-time engine's routing-side updates read: a
+// node's edges as its record holds them, unbilled, none without a readable
+// record.
+func (t *Tier) OutEdges(u graph.NodeID) []graph.Edge {
+	r, _, _ := t.Fetch(u)
+	return r.Out
+}
+
+func (t *Tier) InEdges(u graph.NodeID) []graph.Edge {
+	r, _, _ := t.Fetch(u)
+	return r.In
 }
 
 // FetchResult is one element of a batched fetch.
@@ -391,21 +411,9 @@ func (t *Tier) FetchBatchInto(ids []graph.NodeID, dst []FetchResult, onBatch fun
 	return firstErr
 }
 
-// UpdateNode re-encodes node u from g and writes it back (or tombstones
-// it when the node no longer exists); used when the graph mutates
-// (Section 3.4, graph updates). It returns the encoded bytes written (0
-// for a delete) and the write's store version — the quantities the
-// engine's write cost model and read-your-writes ack are built on.
-func (t *Tier) UpdateNode(g *graph.Graph, u graph.NodeID) (int, uint64) {
-	if !g.Exists(u) {
-		t.store.Delete(uint64(u))
-		return 0, 0
-	}
-	return t.PutRecord(RecordOf(g, u))
-}
-
 // PutRecord encodes r and stores it under its node id, returning the
-// encoded size and the write's store version.
+// encoded size and the write's store version — the quantities the
+// virtual-time engine's write cost model is built on.
 func (t *Tier) PutRecord(r *Record) (int, uint64) {
 	buf := Encode(nil, r)
 	ver := t.store.Put(uint64(r.Node), buf)

@@ -2,6 +2,7 @@ package gstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"sort"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/kvstore"
+	"repro/internal/query"
 )
 
 func sortEdges(es []graph.Edge) []graph.Edge {
@@ -258,32 +260,6 @@ func TestFetchBatchIntoShortDst(t *testing.T) {
 	}
 }
 
-func TestUpdateNode(t *testing.T) {
-	tier, g := newLoadedTier(t)
-	// Mutate the graph, then push the update.
-	target := graph.NodeID(10)
-	before := g.OutDegree(target)
-	if err := g.AddEdge(target, 11, "new"); err != nil {
-		t.Fatal(err)
-	}
-	tier.UpdateNode(g, target)
-	r, ok, err := tier.Fetch(target)
-	if err != nil || !ok {
-		t.Fatalf("Fetch after update: %v %v", ok, err)
-	}
-	if len(r.Out) != before+1 {
-		t.Fatalf("updated record has %d out-edges, want %d", len(r.Out), before+1)
-	}
-	// Removing the node deletes the record.
-	if err := g.RemoveNode(target); err != nil {
-		t.Fatal(err)
-	}
-	tier.UpdateNode(g, target)
-	if _, ok, _ := tier.Fetch(target); ok {
-		t.Fatal("record survives node removal")
-	}
-}
-
 func TestLoadSkipsRemovedNodes(t *testing.T) {
 	g := gen.Ring(10)
 	if err := g.RemoveNode(3); err != nil {
@@ -318,104 +294,207 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-// TestRecordEdgeEditing covers the in-place record editors the networked
-// mutate path rewrites fetched records with: idempotent inserts, removal
-// by destination (any label), and the copy-on-remove discipline that
-// keeps Decode's shared backing array intact.
+// TestRecordEdgeEditing walks one record pair through a sequence of edits:
+// idempotent inserts, removal of the lowest-labelled parallel edge, a
+// second removal that conflicts, and a relabel.
 func TestRecordEdgeEditing(t *testing.T) {
-	r := &Record{
-		Node: 1,
-		Out:  []graph.Edge{{To: 2, Label: 1}, {To: 3, Label: 2}},
-		In:   []graph.Edge{{To: 9, Label: 1}},
+	u := &Record{Node: 1, Out: []graph.Edge{{To: 2, Label: 1}}}
+	v := &Record{Node: 3, In: []graph.Edge{{To: 9, Label: 1}}}
+	steps := []struct {
+		op           query.MutOp
+		label        graph.Label
+		wantU, wantV bool
+		conflict     bool
+	}{
+		{query.MutAddEdge, 5, true, true, false},
+		{query.MutAddEdge, 5, false, false, false}, // already present
+		{query.MutAddEdge, 4, true, true, false},   // a parallel edge, another label
+		{query.MutRemoveEdge, 0, true, true, false},
+		{query.MutRemoveEdge, 0, true, true, false},
+		{query.MutRemoveEdge, 0, false, false, true},
 	}
-	if !r.HasOut(2, 1) || r.HasOut(2, 2) || r.HasOut(5, 1) {
-		t.Fatal("HasOut wrong")
+	for i, s := range steps {
+		wu, wv, err := Apply(s.op, s.label, u, v, true, true)
+		if wu != s.wantU || wv != s.wantV || errors.Is(err, query.ErrConflict) != s.conflict {
+			t.Fatalf("step %d (%v %d): (%v, %v, %v), want (%v, %v, conflict %v)", i, s.op, s.label, wu, wv, err, s.wantU, s.wantV, s.conflict)
+		}
+		if i == 3 {
+			// The first removal took the label-4 edge: the lowest, not the
+			// first added.
+			want := []graph.Edge{{To: 2, Label: 1}, {To: 3, Label: 5}}
+			if !reflect.DeepEqual(u.Out, want) || !reflect.DeepEqual(v.In, []graph.Edge{{To: 9, Label: 1}, {To: 1, Label: 5}}) {
+				t.Fatalf("after removing the lowest label: u.Out %v, v.In %v", u.Out, v.In)
+			}
+		}
 	}
-	if r.EnsureOut(2, 1) {
-		t.Fatal("EnsureOut inserted a duplicate")
+	if !reflect.DeepEqual(u.Out, []graph.Edge{{To: 2, Label: 1}}) || !reflect.DeepEqual(v.In, []graph.Edge{{To: 9, Label: 1}}) {
+		t.Fatalf("edits left u.Out %v, v.In %v", u.Out, v.In)
 	}
-	if !r.EnsureOut(5, 3) || !r.HasOut(5, 3) {
-		t.Fatal("EnsureOut failed to insert")
+	if wu, wv, err := Apply(query.MutUpsertNode, 7, u, nil, true, false); !wu || wv || err != nil || u.NodeLabel != 7 {
+		t.Fatalf("upsert: (%v, %v, %v), label %d", wu, wv, err, u.NodeLabel)
 	}
-	if r.EnsureIn(9, 1) {
-		t.Fatal("EnsureIn inserted a duplicate")
-	}
-	if !r.EnsureIn(8, 2) || len(r.In) != 2 {
-		t.Fatal("EnsureIn failed to insert")
-	}
-	if r.RemoveOut(99) {
-		t.Fatal("RemoveOut removed a missing edge")
-	}
-	if !r.RemoveOut(3) || r.HasOut(3, 2) || len(r.Out) != 2 {
-		t.Fatalf("RemoveOut: %+v", r.Out)
-	}
-	if !r.RemoveIn(9) || len(r.In) != 1 || r.In[0].To != 8 {
-		t.Fatalf("RemoveIn: %+v", r.In)
-	}
-	if r.RemoveIn(9) {
-		t.Fatal("RemoveIn removed twice")
+}
+
+// TestApply covers every op against every endpoint found/absent pairing and
+// a changed and an unchanged pre-image: which records Apply reports
+// changed, what they hold afterwards, and that an error changes nothing.
+func TestApply(t *testing.T) {
+	const a, b = graph.Label(1), graph.Label(2)
+	out := func(es ...graph.Edge) []graph.Edge { return es }
+	ed := func(to graph.NodeID, l graph.Label) graph.Edge { return graph.Edge{To: to, Label: l} }
+	type recs struct{ uOut, vIn []graph.Edge }
+	for _, c := range []struct {
+		name           string
+		op             query.MutOp
+		label          graph.Label
+		uFound, vFound bool
+		pre, post      recs
+		wantU, wantV   bool
+		wantErr        error
+	}{
+		{name: "upsert absent", op: query.MutUpsertNode, label: a, uFound: false, wantU: true},
+		{name: "upsert relabel", op: query.MutUpsertNode, label: b, uFound: true, wantU: true},
+		{name: "upsert same label still rewrites", op: query.MutUpsertNode, label: 0, uFound: true, wantU: true},
+		{name: "add, u absent", op: query.MutAddEdge, label: a, uFound: false, vFound: true, wantErr: query.ErrConflict},
+		{name: "add, v absent", op: query.MutAddEdge, label: a, uFound: true, vFound: false, wantErr: query.ErrConflict},
+		{name: "add, both absent", op: query.MutAddEdge, label: a, wantErr: query.ErrConflict},
+		{name: "add new", op: query.MutAddEdge, label: a, uFound: true, vFound: true,
+			post: recs{out(ed(3, a)), out(ed(1, a))}, wantU: true, wantV: true},
+		{name: "add present", op: query.MutAddEdge, label: a, uFound: true, vFound: true,
+			pre:  recs{out(ed(3, a)), out(ed(1, a))},
+			post: recs{out(ed(3, a)), out(ed(1, a))}},
+		{name: "add heals v's half", op: query.MutAddEdge, label: a, uFound: true, vFound: true,
+			pre:  recs{out(ed(3, a)), nil},
+			post: recs{out(ed(3, a)), out(ed(1, a))}, wantV: true},
+		{name: "add heals u's half", op: query.MutAddEdge, label: a, uFound: true, vFound: true,
+			pre:  recs{nil, out(ed(1, a))},
+			post: recs{out(ed(3, a)), out(ed(1, a))}, wantU: true},
+		{name: "add parallel label", op: query.MutAddEdge, label: b, uFound: true, vFound: true,
+			pre:  recs{out(ed(3, a)), out(ed(1, a))},
+			post: recs{out(ed(3, a), ed(3, b)), out(ed(1, a), ed(1, b))}, wantU: true, wantV: true},
+		{name: "remove, u absent", op: query.MutRemoveEdge, uFound: false, vFound: true,
+			pre: recs{nil, out(ed(1, a))}, post: recs{nil, out(ed(1, a))}, wantErr: query.ErrConflict},
+		{name: "remove, v absent", op: query.MutRemoveEdge, uFound: true, vFound: false,
+			pre: recs{out(ed(3, a)), nil}, post: recs{out(ed(3, a)), nil}, wantErr: query.ErrConflict},
+		{name: "remove, both absent", op: query.MutRemoveEdge, wantErr: query.ErrConflict},
+		{name: "remove present", op: query.MutRemoveEdge, uFound: true, vFound: true,
+			pre:  recs{out(ed(2, a), ed(3, a)), out(ed(1, a))},
+			post: recs{out(ed(2, a)), out()}, wantU: true, wantV: true},
+		{name: "remove absent edge", op: query.MutRemoveEdge, uFound: true, vFound: true,
+			pre:  recs{out(ed(2, a)), out(ed(4, a))},
+			post: recs{out(ed(2, a)), out(ed(4, a))}, wantErr: query.ErrConflict},
+		{name: "remove u's half", op: query.MutRemoveEdge, uFound: true, vFound: true,
+			pre: recs{out(ed(3, a)), nil}, post: recs{out(), nil}, wantU: true},
+		{name: "remove v's half", op: query.MutRemoveEdge, uFound: true, vFound: true,
+			pre: recs{nil, out(ed(1, b))}, post: recs{nil, out()}, wantV: true},
+		{name: "remove lowest parallel label", op: query.MutRemoveEdge, uFound: true, vFound: true,
+			pre:  recs{out(ed(3, b), ed(3, a)), out(ed(1, b), ed(1, a))},
+			post: recs{out(ed(3, b)), out(ed(1, b))}, wantU: true, wantV: true},
+		{name: "remove keeps the sides consistent", op: query.MutRemoveEdge, uFound: true, vFound: true,
+			pre:  recs{out(ed(3, a), ed(3, b)), out(ed(1, b))},
+			post: recs{out(ed(3, b)), out(ed(1, b))}, wantU: true},
+		{name: "unknown op", op: query.MutOp(9), uFound: true, vFound: true, wantErr: query.ErrBadQuery},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			u := &Record{Node: 1, Out: c.pre.uOut}
+			v := &Record{Node: 3, In: c.pre.vIn}
+			if c.op == query.MutUpsertNode {
+				v = nil
+			}
+			wu, wv, err := Apply(c.op, c.label, u, v, c.uFound, c.vFound)
+			if !errors.Is(err, c.wantErr) || (err != nil) != (c.wantErr != nil) {
+				t.Fatalf("err = %v, want %v", err, c.wantErr)
+			}
+			if wu != c.wantU || wv != c.wantV {
+				t.Fatalf("writes (%v, %v), want (%v, %v)", wu, wv, c.wantU, c.wantV)
+			}
+			if c.op == query.MutUpsertNode {
+				if u.NodeLabel != c.label {
+					t.Fatalf("label %d, want %d", u.NodeLabel, c.label)
+				}
+				return
+			}
+			post := c.post
+			if err != nil {
+				post = c.pre
+			}
+			if len(u.Out) != len(post.uOut) || len(u.Out) > 0 && !reflect.DeepEqual(u.Out, post.uOut) ||
+				len(v.In) != len(post.vIn) || len(v.In) > 0 && !reflect.DeepEqual(v.In, post.vIn) {
+				t.Fatalf("u.Out %v, v.In %v; want %v, %v", u.Out, v.In, post.uOut, post.vIn)
+			}
+		})
 	}
 }
 
 // TestRecordRemoveDoesNotClobberDecodeSiblings: a decoded record's Out and
-// In share one backing array; removing from Out must copy, never compact
-// in place, or In would be corrupted.
+// In share one backing array; an edit of either must copy, never compact or
+// grow in place, or the other would be corrupted.
 func TestRecordRemoveDoesNotClobberDecodeSiblings(t *testing.T) {
 	orig := &Record{
 		Node: 7,
 		Out:  []graph.Edge{{To: 1, Label: 1}, {To: 2, Label: 2}, {To: 3, Label: 3}},
-		In:   []graph.Edge{{To: 4, Label: 4}, {To: 5, Label: 5}},
+		In:   []graph.Edge{{To: 1, Label: 1}, {To: 5, Label: 5}},
 	}
 	dec, err := Decode(7, Encode(nil, orig))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantIn := sortEdges(orig.In)
-	if !dec.RemoveOut(1) {
-		t.Fatal("RemoveOut missed")
+	peer := &Record{Node: 1, Out: []graph.Edge{{To: 7, Label: 1}}, In: []graph.Edge{{To: 7, Label: 1}}}
+	wantIn, wantOut := sortEdges(orig.In), []graph.Edge{{To: 2, Label: 2}, {To: 3, Label: 3}}
+	if wu, wv, err := Apply(query.MutRemoveEdge, 0, &dec, peer, true, true); !wu || !wv || err != nil {
+		t.Fatalf("remove 7->1: (%v, %v, %v)", wu, wv, err)
 	}
 	if got := sortEdges(dec.In); !reflect.DeepEqual(got, wantIn) {
-		t.Fatalf("In corrupted by RemoveOut: %+v, want %+v", got, wantIn)
+		t.Fatalf("In corrupted by removing from Out: %+v, want %+v", got, wantIn)
 	}
-	dec.EnsureOut(9, 9)
+	if wu, wv, err := Apply(query.MutRemoveEdge, 0, peer, &dec, true, true); !wu || !wv || err != nil {
+		t.Fatalf("remove 1->7: (%v, %v, %v)", wu, wv, err)
+	}
+	if !reflect.DeepEqual(dec.Out, wantOut) {
+		t.Fatalf("Out corrupted by removing from In: %+v, want %+v", dec.Out, wantOut)
+	}
+	dec, _ = Decode(7, Encode(nil, orig))
+	if _, _, err := Apply(query.MutAddEdge, 9, &dec, &Record{Node: 9}, true, true); err != nil {
+		t.Fatal(err)
+	}
 	if got := sortEdges(dec.In); !reflect.DeepEqual(got, wantIn) {
-		t.Fatalf("In corrupted by EnsureOut: %+v, want %+v", got, wantIn)
+		t.Fatalf("In corrupted by adding to Out: %+v, want %+v", got, wantIn)
 	}
 }
 
 // TestUpdateNodeReturnsCostInputs: the write path's virtual-time charge
-// and ack are built on UpdateNode's (bytes, version) return.
+// and ack are built on the (bytes, version) PutRecord returns for a record
+// fetched from the tier and edited by Apply.
 func TestUpdateNodeReturnsCostInputs(t *testing.T) {
-	tier, g := newLoadedTier(t)
-	target := graph.NodeID(20)
-	bytes, ver := tier.UpdateNode(g, target)
+	tier, _ := newLoadedTier(t)
+	const target = graph.NodeID(20)
+	r, ok, err := tier.Fetch(target)
+	if err != nil || !ok {
+		t.Fatalf("Fetch: %v %v", ok, err)
+	}
+	bytes, ver := tier.PutRecord(&r)
 	if bytes <= 0 || ver == 0 {
-		t.Fatalf("UpdateNode = (%d, %d), want positive bytes and version", bytes, ver)
+		t.Fatalf("PutRecord = (%d, %d), want positive bytes and version", bytes, ver)
 	}
-	if err := g.AddEdge(target, 21, "new"); err != nil {
-		t.Fatal(err)
+	peer := &Record{Node: 21}
+	if wu, _, err := Apply(query.MutAddEdge, 9, &r, peer, true, true); !wu || err != nil {
+		t.Fatalf("add edge: (%v, %v)", wu, err)
 	}
-	bytes2, ver2 := tier.UpdateNode(g, target)
+	bytes2, ver2 := tier.PutRecord(&r)
 	if bytes2 <= bytes || ver2 <= ver {
 		t.Fatalf("grown record: (%d, %d) after (%d, %d)", bytes2, ver2, bytes, ver)
-	}
-	if err := g.RemoveNode(target); err != nil {
-		t.Fatal(err)
-	}
-	if bytes, ver := tier.UpdateNode(g, target); bytes != 0 || ver != 0 {
-		t.Fatalf("delete returned (%d, %d), want (0, 0)", bytes, ver)
 	}
 }
 
 // TestPutRecord: storing an explicit record lands the encoded bytes under
-// its node id.
+// its node id, and returns the encoded size and a fresh store version.
 func TestPutRecord(t *testing.T) {
 	st, err := kvstore.New(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tier := NewTier(st)
-	r := &Record{Node: 77, NodeLabel: 1, Out: []graph.Edge{{To: 5, Label: 2}}}
+	r := &Record{Node: 77, NodeLabel: 1, Out: []graph.Edge{{To: 5, Label: 2}}, In: []graph.Edge{}}
 	bytes, ver := tier.PutRecord(r)
 	if bytes != len(Encode(nil, r)) || ver == 0 {
 		t.Fatalf("PutRecord = (%d, %d)", bytes, ver)
@@ -424,7 +503,7 @@ func TestPutRecord(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Fetch: %v %v", ok, err)
 	}
-	if got.NodeLabel != 1 || !got.HasOut(5, 2) {
-		t.Fatalf("fetched %+v", got)
+	if !reflect.DeepEqual(got, *r) {
+		t.Fatalf("fetched %+v, want %+v", got, *r)
 	}
 }

@@ -14,6 +14,7 @@ package landmark
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -212,70 +213,57 @@ func (idx *Index) growTo(n int) {
 }
 
 // IncorporateNode computes the distances of a (new) node u from every
-// landmark by relaxing over its current neighbours: d(l,u) =
+// landmark by relaxing over its current neighbours in adj: d(l,u) =
 // 1 + min over neighbours w of d(l,w). This is the paper's lightweight
 // update path ("when a new node u is added, we compute the distance of
 // this node to every landmark") — exact when the neighbours' distances are
 // exact, an upper bound otherwise.
-func (idx *Index) IncorporateNode(g *graph.Graph, u graph.NodeID) {
+func (idx *Index) IncorporateNode(adj graph.Adjacency, u graph.NodeID) {
 	idx.growTo(int(u) + 1)
+	out, in := adj.OutEdges(u), adj.InEdges(u)
 	for i := range idx.dist {
-		best := uint32(Inf)
-		if idx.Landmarks[i] == u {
-			best = 0
-		}
-		relax := func(v graph.NodeID) {
-			if int(v) < len(idx.dist[i]) {
-				if d := idx.dist[i][v]; d != Inf && uint32(d)+1 < best {
+		idx.dist[i][u] = uint16(idx.relax(i, u, out, in))
+	}
+}
+
+// relax is the step both update rules apply to a node u with adjacency out
+// and in: landmark i's distance to it is 0 when u is the landmark, else
+// 1 + the least distance to an endpoint in out or in (Inf when none has one).
+func (idx *Index) relax(i int, u graph.NodeID, out, in []graph.Edge) uint32 {
+	best := uint32(Inf)
+	if idx.Landmarks[i] == u {
+		best = 0
+	}
+	for _, es := range [2][]graph.Edge{out, in} {
+		for _, e := range es {
+			if int(e.To) < len(idx.dist[i]) {
+				if d := idx.dist[i][e.To]; d != Inf && uint32(d)+1 < best {
 					best = uint32(d) + 1
 				}
 			}
 		}
-		for _, e := range g.OutEdges(u) {
-			relax(e.To)
-		}
-		for _, e := range g.InEdges(u) {
-			relax(e.To)
-		}
-		idx.dist[i][u] = uint16(best)
 	}
+	return best
 }
 
 // RefreshAround re-relaxes the distance estimates of every node within
-// hops of u (bi-directed), the paper's edge-update rule ("for these two
-// end-nodes and their neighbors up to a certain number of hops, we
-// recompute their distances to every landmark"). Estimates can only
-// improve towards the true distance for additions; deletions degrade to
-// stale upper bounds until the periodic offline rebuild.
-func (idx *Index) RefreshAround(g *graph.Graph, u graph.NodeID, hops int) {
-	region := g.BFSBounded(u, hops, graph.Both)
+// hops of u in adj (bi-directed), the paper's edge-update rule ("for these
+// two end-nodes and their neighbors up to a certain number of hops, we
+// recompute their distances to every landmark"), and returns that region,
+// u first. Estimates can only improve towards the true distance for
+// additions; after a deletion they stay as stale upper bounds, since
+// nothing rebuilds the index online.
+func (idx *Index) RefreshAround(adj graph.Adjacency, u graph.NodeID, hops int) []graph.NodeID {
+	region := bfsBounded(adj, u, hops)
 	// Iterate a few relaxation rounds so improvements propagate inside the
 	// region (distance corrections travel at one hop per round).
 	for round := 0; round < hops+1; round++ {
 		changed := false
-		for v := range region {
+		for _, v := range region {
+			idx.growTo(int(v) + 1)
+			out, in := adj.OutEdges(v), adj.InEdges(v)
 			for i := range idx.dist {
-				if int(v) >= len(idx.dist[i]) {
-					idx.growTo(int(v) + 1)
-				}
-				best := uint32(Inf)
-				if idx.Landmarks[i] == v {
-					best = 0
-				}
-				relax := func(w graph.NodeID) {
-					if int(w) < len(idx.dist[i]) {
-						if d := idx.dist[i][w]; d != Inf && uint32(d)+1 < best {
-							best = uint32(d) + 1
-						}
-					}
-				}
-				for _, e := range g.OutEdges(v) {
-					relax(e.To)
-				}
-				for _, e := range g.InEdges(v) {
-					relax(e.To)
-				}
-				if uint16(best) < idx.dist[i][v] {
+				if best := idx.relax(i, v, out, in); uint16(best) < idx.dist[i][v] {
 					idx.dist[i][v] = uint16(best)
 					changed = true
 				}
@@ -285,6 +273,26 @@ func (idx *Index) RefreshAround(g *graph.Graph, u graph.NodeID, hops int) {
 			break
 		}
 	}
+	return region
+}
+
+// bfsBounded returns the nodes within hops of src in adj, both directions,
+// in BFS order from src.
+func bfsBounded(adj graph.Adjacency, src graph.NodeID, hops int) []graph.NodeID {
+	region, seen := []graph.NodeID{src}, map[graph.NodeID]bool{src: true}
+	for h, start := 0, 0; h < hops; h++ {
+		end := len(region)
+		for _, v := range region[start:end] {
+			for _, e := range slices.Concat(adj.OutEdges(v), adj.InEdges(v)) {
+				if !seen[e.To] {
+					seen[e.To] = true
+					region = append(region, e.To)
+				}
+			}
+		}
+		start = end
+	}
+	return region
 }
 
 // Validate checks internal consistency (every distance field covers the

@@ -1,6 +1,7 @@
 package landmark
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
@@ -175,7 +176,11 @@ func TestRefreshAroundShortcut(t *testing.T) {
 		t.Fatalf("pre-update Dist(0,9) = %d", idx.Dist(0, 9))
 	}
 	g.AddEdgeFast(0, 9)
-	idx.RefreshAround(g, 9, 2)
+	region := idx.RefreshAround(g, 9, 2)
+	// The relaxed region is everything within 2 hops of 9, 9 first.
+	if want := []graph.NodeID{9, 8, 0, 7, 1}; !reflect.DeepEqual(region, want) {
+		t.Fatalf("RefreshAround relaxed %v, want %v", region, want)
+	}
 	if got := idx.Dist(0, 9); got != 1 {
 		t.Fatalf("post-update Dist(0,9) = %d, want 1", got)
 	}

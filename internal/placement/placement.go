@@ -131,8 +131,6 @@ func (c Config) withDefaults() Config {
 // processor (the slot whose reads that processor gets cheapest — the
 // affinity the cost model and the planner must agree on).
 type Env interface {
-	// Primary returns key's current primary slot (-1 when unknown).
-	Primary(key uint64) int
 	// Replicas appends key's current placement set (primary first) to dst.
 	Replicas(key uint64, dst []int) []int
 	// SizeOf returns key's stored size in bytes (0 when absent).
@@ -192,8 +190,9 @@ func (p *Planner) Plan(h *Heat, env Env) []Move {
 		if near < 0 {
 			continue
 		}
-		cur := env.Primary(key)
-		if cur == near || cur < 0 {
+		var arr [8]int
+		cur := env.Replicas(key, arr[:0])
+		if len(cur) == 0 || cur[0] == near {
 			continue // already where its reader wants it
 		}
 		size := env.SizeOf(key)
@@ -205,8 +204,7 @@ func (p *Planner) Plan(h *Heat, env Env) []Move {
 		// its replication factor.
 		to := make([]int, 0, r)
 		to = append(to, near)
-		var arr [8]int
-		for _, slot := range env.Replicas(key, arr[:0]) {
+		for _, slot := range cur {
 			if len(to) >= r {
 				break
 			}
@@ -214,7 +212,7 @@ func (p *Planner) Plan(h *Heat, env Env) []Move {
 				to = append(to, slot)
 			}
 		}
-		cand = append(cand, Move{Key: key, To: to, From: cur, Reader: reader, Reads: reads, Bytes: int64(size)})
+		cand = append(cand, Move{Key: key, To: to, From: cur[0], Reader: reader, Reads: reads, Bytes: int64(size)})
 	}
 	sort.Slice(cand, func(i, j int) bool {
 		if cand[i].Reads != cand[j].Reads {

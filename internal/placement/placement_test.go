@@ -5,20 +5,13 @@ import (
 	"testing"
 )
 
-// stubEnv is a deployment surface the tests control exactly.
+// stubEnv is a deployment surface the tests control exactly; a key's
+// replicas lead with its primary.
 type stubEnv struct {
-	primary  map[uint64]int
 	replicas map[uint64][]int
 	sizes    map[uint64]int
 	near     map[int]int
 	rf       int
-}
-
-func (e *stubEnv) Primary(key uint64) int {
-	if p, ok := e.primary[key]; ok {
-		return p
-	}
-	return -1
 }
 
 func (e *stubEnv) Replicas(key uint64, dst []int) []int {
@@ -40,14 +33,12 @@ func (e *stubEnv) ReplicaTarget() int { return e.rf }
 // slot is p%2 and every listed key lives on slot 1 with size 100.
 func env(keys ...uint64) *stubEnv {
 	e := &stubEnv{
-		primary:  make(map[uint64]int),
 		replicas: make(map[uint64][]int),
 		sizes:    make(map[uint64]int),
 		near:     map[int]int{0: 0, 1: 1, 2: 0, 3: 1},
 		rf:       1,
 	}
 	for _, k := range keys {
-		e.primary[k] = 1
 		e.replicas[k] = []int{1}
 		e.sizes[k] = 100
 	}
@@ -147,9 +138,9 @@ func TestPlanHysteresis(t *testing.T) {
 
 func TestPlanSkipsSettledAndVanishedKeys(t *testing.T) {
 	e := env(1, 2, 3)
-	e.primary[1] = 0 // already at its reader's near slot
-	e.sizes[2] = 0   // deleted since the heat accrued
-	delete(e.primary, 3)
+	e.replicas[1] = []int{0} // already at its reader's near slot
+	e.sizes[2] = 0           // deleted since the heat accrued
+	delete(e.replicas, 3)
 	p := New(Config{MinReads: 1})
 	h := NewHeat()
 	for _, k := range []uint64{1, 2, 3} {

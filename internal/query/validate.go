@@ -108,8 +108,9 @@ const (
 	// edge that is already present succeeds without duplicating it; a
 	// missing endpoint is a conflict.
 	MutAddEdge
-	// MutRemoveEdge removes the edge Node->To (any label). Removing an
-	// edge that does not exist is a conflict.
+	// MutRemoveEdge removes the edge Node->To (any label: the
+	// lowest-labelled edge when several connect u to v). Removing an edge
+	// that does not exist is a conflict.
 	MutRemoveEdge
 )
 

@@ -106,10 +106,10 @@ func init() {
 	mustRegisterAt(idNextReady, "nextready", PrepNone, nextReady)
 	mustRegisterAt(idHash, "hash", PrepNone, func(Resources) (Strategy, error) { return NewHash(), nil })
 	mustRegisterAt(idLandmark, "landmark", PrepLandmarks, func(r Resources) (Strategy, error) {
-		if r.Assignment == nil {
-			return nil, fmt.Errorf("router: landmark strategy needs the landmark assignment (preprocessing did not run?)")
+		if r.Index == nil || r.Assignment == nil {
+			return nil, fmt.Errorf("router: landmark strategy needs the landmark index and assignment (preprocessing did not run?)")
 		}
-		return NewLandmarkElastic(r.Index, r.Assignment, r.LoadFactor), nil
+		return NewLandmark(r.Index, r.Assignment, r.LoadFactor), nil
 	})
 	mustRegisterAt(idEmbed, "embed", PrepEmbedding, func(r Resources) (Strategy, error) {
 		if r.Embedding == nil {

@@ -63,7 +63,10 @@ func TestRegistrySmartStrategiesNeedPrep(t *testing.T) {
 	// With them, they build and route.
 	g := gen.Grid(10, 1)
 	idx := landmark.BuildIndex(g, []graph.NodeID{0, 9}, 0)
-	s, err := build(t, "landmark", Resources{Procs: 2, LoadFactor: DefaultLoadFactor, Assignment: landmark.Assign(idx, 2)})
+	if _, err := build(t, "landmark", Resources{Procs: 2, LoadFactor: DefaultLoadFactor, Assignment: landmark.Assign(idx, 2)}); err == nil {
+		t.Fatal("landmark built without its index")
+	}
+	s, err := build(t, "landmark", Resources{Procs: 2, LoadFactor: DefaultLoadFactor, Index: idx, Assignment: landmark.Assign(idx, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}

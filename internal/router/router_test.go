@@ -196,7 +196,7 @@ func buildLandmarkStrategy(t *testing.T, procs int, loadFactor float64) (*Landma
 	ls := []graph.NodeID{0, 9}
 	idx := landmark.BuildIndex(g, ls, 0)
 	a := landmark.Assign(idx, procs)
-	return NewLandmark(a, loadFactor), g
+	return NewLandmark(idx, a, loadFactor), g
 }
 
 func TestLandmarkRoutesByRegion(t *testing.T) {
@@ -355,7 +355,7 @@ func TestTopologyLocalityEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, s := range map[string]Strategy{
-		"landmark": NewLandmark(a, 0),
+		"landmark": NewLandmark(idx, a, 0),
 		"embed":    embedS,
 	} {
 		loads := []int{0, 0}
@@ -389,13 +389,12 @@ func TestTopologyLocalityEndToEnd(t *testing.T) {
 }
 
 func TestTableBytes(t *testing.T) {
-	lm, _ := buildLandmarkStrategy(t, 2, 0) // 10 nodes: d(u,p) 10 x 2, no index kept
+	lm, _ := buildLandmarkStrategy(t, 2, 0) // 10 nodes: d(u,p) 10 x 2 and 2 landmark rows of 10
 	em, _ := buildEmbedStrategy(t, 2, 0.5, 0)
 	coords := em.emb.StorageBytes()
 	if coords != 12*3*4 {
 		t.Fatalf("12 nodes in 3 dimensions take %d bytes", coords)
 	}
-	elastic := NewLandmarkElastic(landmark.BuildIndex(gen.Grid(10, 1), []graph.NodeID{0, 9}, 0), lm.assign, 0)
 	for _, c := range []struct {
 		name string
 		s    Strategy
@@ -404,9 +403,8 @@ func TestTableBytes(t *testing.T) {
 	}{
 		{"hash", NewHash(), nil, 0},
 		{"hash beside a k-NN embedding", NewHash(), em.emb, coords},
-		{"landmark", lm, nil, 40},
-		{"landmark with its index", elastic, nil, 40 + 40},
-		{"landmark beside a k-NN embedding", lm, em.emb, 40 + coords},
+		{"landmark: its table and its index", lm, nil, 40 + 40},
+		{"landmark beside a k-NN embedding", lm, em.emb, 40 + 40 + coords},
 		{"embed, the router holding its table", em, em.emb, coords},
 		{"embed, the router holding none", em, nil, coords},
 	} {

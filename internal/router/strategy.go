@@ -219,8 +219,7 @@ func (s *StableHash) SetTopology(v topology.View) { s.active = v.RoutableSlots()
 // node falls in, with load blended in via Equation 3. Routing is O(P) per
 // query against the precomputed d(u,p) table.
 //
-// The strategy is topology-aware when built with the landmark index (the
-// registry constructor always is): on an epoch change it re-runs
+// The strategy is topology-aware: on an epoch change it re-runs
 // landmark.Assign over the new active member count, so landmark regions
 // are re-owned across the current tier instead of orphaned with departed
 // processors.
@@ -231,24 +230,12 @@ type Landmark struct {
 	loadFactor float64
 }
 
-// NewLandmark builds the landmark strategy from a node→processor distance
-// assignment. loadFactor <= 0 disables the load term (pure locality).
-// Without an index the strategy cannot re-derive ownership on topology
-// changes (the router's diversion still keeps departed members workless);
-// use NewLandmarkElastic for full topology awareness.
-func NewLandmark(assign *landmark.Assignment, loadFactor float64) *Landmark {
-	s := &Landmark{assign: assign, loadFactor: loadFactor}
-	s.slots = identitySlots(assign.Procs())
-	return s
-}
-
-// NewLandmarkElastic builds the landmark strategy with the index retained,
-// so SetTopology can recompute the landmark→processor assignment for new
-// active sets.
-func NewLandmarkElastic(idx *landmark.Index, assign *landmark.Assignment, loadFactor float64) *Landmark {
-	s := NewLandmark(assign, loadFactor)
-	s.idx = idx
-	return s
+// NewLandmark builds the landmark strategy from the landmark index and its
+// node→processor distance assignment. loadFactor <= 0 disables the load
+// term (pure locality). The index is retained so SetTopology can recompute
+// the landmark→processor assignment for new active sets.
+func NewLandmark(idx *landmark.Index, assign *landmark.Assignment, loadFactor float64) *Landmark {
+	return &Landmark{idx: idx, assign: assign, slots: identitySlots(assign.Procs()), loadFactor: loadFactor}
 }
 
 // TableBytes reports the memory of the precomputed tables a router holding
@@ -261,10 +248,7 @@ func TableBytes(s Strategy, emb *embed.Embedding) int64 {
 	var n int64
 	switch s := s.(type) {
 	case *Landmark:
-		n = s.assign.StorageBytes()
-		if s.idx != nil {
-			n += s.idx.StorageBytes()
-		}
+		n = s.assign.StorageBytes() + s.idx.StorageBytes()
 	case *Embed:
 		emb = s.emb
 	}
@@ -314,8 +298,7 @@ func (s *Landmark) Observe(query.Query, int) {}
 // DecisionUnits implements Strategy.
 func (s *Landmark) DecisionUnits() int { return s.assign.Procs() }
 
-// SetTopology implements TopologyAware: when built with the index, the
-// landmark→processor assignment (and with it the O(n·P) distance table) is
+// SetTopology implements TopologyAware: the landmark→processor assignment (and with it the O(n·P) distance table) is
 // recomputed for the new membership, exactly as deployment-time
 // preprocessing would have produced for that member count. Down members
 // keep their landmark regions — their queries divert while they are out
@@ -327,11 +310,6 @@ func (s *Landmark) DecisionUnits() int { return s.assign.Procs() }
 func (s *Landmark) SetTopology(v topology.View) {
 	members := v.RoutableSlots()
 	if len(members) == 0 || slotsEqual(members, s.slots) {
-		return
-	}
-	if s.idx == nil {
-		// No index to re-derive from: keep the existing table; the router
-		// diverts picks that land on non-active members.
 		return
 	}
 	s.assign = landmark.Assign(s.idx, len(members))

@@ -186,7 +186,7 @@ func TestStableHashTopologyFollowsMembership(t *testing.T) {
 func TestLandmarkReassignsOnTopologyChange(t *testing.T) {
 	g := gen.Grid(12, 1) // 144-node grid
 	idx := landmark.BuildIndex(g, []graph.NodeID{0, 11, 132, 143}, 0)
-	s := NewLandmarkElastic(idx, landmark.Assign(idx, 2), 0)
+	s := NewLandmark(idx, landmark.Assign(idx, 2), 0)
 	tr := topology.NewTracker(2, nil)
 	r, err := NewFromView(s, tr.View(), true)
 	if err != nil {

@@ -559,17 +559,14 @@ func TestPreImageReadFailsOver(t *testing.T) {
 	u, v := freshEdge(t, g, 0)
 	dead := rs.storage.shardFor(uint64(u))
 	shards[dead].Close()
-	ru, rv, preU, preV, err := rs.loadEndpoints(ctx, &Mutation{Op: query.MutAddEdge, Node: u, To: v})
+	recs, pres, err := rs.loadRecords(ctx, uint64(u), uint64(v))
 	if err != nil {
 		t.Fatalf("pre-image read with shard %d dead: %v", dead, err)
 	}
-	for _, got := range []struct {
-		rec *gstore.Record
-		pre preimage
-	}{{ru, preU}, {rv, preV}} {
-		want := gstore.Encode(nil, gstore.RecordOf(g, got.rec.Node))
-		if !got.pre.found || !bytes.Equal(got.pre.val, want) || !bytes.Equal(gstore.Encode(nil, got.rec), want) {
-			t.Fatalf("endpoint %d did not come back as loaded", got.rec.Node)
+	for i := range recs {
+		want := gstore.Encode(nil, gstore.RecordOf(g, recs[i].Node))
+		if !pres[i].found || !bytes.Equal(pres[i].val, want) || !bytes.Equal(gstore.Encode(nil, &recs[i]), want) {
+			t.Fatalf("endpoint %d did not come back as loaded", recs[i].Node)
 		}
 	}
 	if !rs.storage.down[dead].Load() || rs.storage.down[1-dead].Load() || rs.storage.Failovers() != 1 {

@@ -78,7 +78,10 @@ func (r *RouterServer) mutate(ctx context.Context, muts []Mutation) Response {
 	return Response{OK: true, Applied: len(muts)}
 }
 
-// applyMutation executes one mutation end to end. Caller holds mutMu.
+// applyMutation executes one mutation end to end: it reads the pre-images of
+// the records the mutation touches, edits them with gstore.Apply — the edit
+// the virtual-time engine makes — and commits the ones that changed. Caller
+// holds mutMu.
 func (r *RouterServer) applyMutation(ctx context.Context, m *Mutation) error {
 	if err := query.ValidateMutation(m.Op, m.Node, m.To); err != nil {
 		return err
@@ -90,56 +93,35 @@ func (r *RouterServer) applyMutation(ctx context.Context, m *Mutation) error {
 	if err := r.flushBacklogs(ctx); err != nil {
 		return err
 	}
-	switch m.Op {
-	case query.MutUpsertNode:
-		recs, pres, err := r.loadRecords(ctx, uint64(m.Node))
-		if err != nil {
-			return err
-		}
-		recs[0].NodeLabel = lab
-		return r.commit(ctx, write{&recs[0], pres[0]})
-	case query.MutAddEdge:
-		ru, rv, preU, preV, err := r.loadEndpoints(ctx, m)
-		if err != nil {
-			return err
-		}
-		// Ensure both directions independently: a half-written edge left by
-		// an earlier failed attempt heals on retry instead of sticking.
-		addedOut := ru.EnsureOut(m.To, lab)
-		addedIn := rv.EnsureIn(m.Node, lab)
-		switch {
-		case addedOut && addedIn:
-			return r.commit(ctx, write{ru, preU}, write{rv, preV})
-		case addedOut:
-			return r.commit(ctx, write{ru, preU})
-		case addedIn:
-			return r.commit(ctx, write{rv, preV})
-		}
-		// Fully present already: idempotent success, but still invalidate —
-		// if the write landed under a router that died before delivering its
-		// invalidations, this retry is what restores read-your-writes.
-		r.invalidate([]uint64{uint64(m.Node), uint64(m.To)})
-		return nil
-	case query.MutRemoveEdge:
-		ru, rv, preU, preV, err := r.loadEndpoints(ctx, m)
-		if err != nil {
-			return err
-		}
-		removedOut := ru.RemoveOut(m.To)
-		removedIn := rv.RemoveIn(m.Node)
-		switch {
-		case removedOut && removedIn:
-			return r.commit(ctx, write{ru, preU}, write{rv, preV})
-		case removedOut:
-			return r.commit(ctx, write{ru, preU})
-		case removedIn:
-			return r.commit(ctx, write{rv, preV})
-		}
-		// No such edge — invalidated all the same, for the retry reason above.
-		r.invalidate([]uint64{uint64(m.Node), uint64(m.To)})
-		return fmt.Errorf("%w: remove edge %d->%d: no such edge", query.ErrConflict, m.Node, m.To)
+	keys := []uint64{uint64(m.Node), uint64(m.To)}
+	if m.Op == query.MutUpsertNode {
+		keys = keys[:1]
 	}
-	return nil
+	recs, pres, err := r.loadRecords(ctx, keys...)
+	if err != nil {
+		return err
+	}
+	u, v, vFound := &recs[0], (*gstore.Record)(nil), false
+	if len(recs) == 2 {
+		v, vFound = &recs[1], pres[1].found
+	}
+	writeU, writeV, err := gstore.Apply(m.Op, lab, u, v, pres[0].found, vFound)
+	var ws []write
+	if writeU {
+		ws = append(ws, write{u, pres[0]})
+	}
+	if writeV {
+		ws = append(ws, write{v, pres[1]})
+	}
+	if len(ws) > 0 {
+		return r.commit(ctx, ws...)
+	}
+	// Nothing to write — the edge is fully present, or the mutation
+	// conflicts — but invalidate all the same: if the write landed under a
+	// router that died before delivering its invalidations, this retry is
+	// what restores read-your-writes.
+	r.invalidate(keys)
+	return err
 }
 
 // internLabel resolves a mutation's label string against the loaded
@@ -169,24 +151,6 @@ type preimage struct {
 type write struct {
 	rec *gstore.Record
 	pre preimage
-}
-
-// loadEndpoints fetches both endpoint records of an edge mutation (with
-// their pre-images) in one read round; either one missing is a conflict.
-func (r *RouterServer) loadEndpoints(ctx context.Context, m *Mutation) (*gstore.Record, *gstore.Record, preimage, preimage, error) {
-	var none preimage
-	recs, pres, err := r.loadRecords(ctx, uint64(m.Node), uint64(m.To))
-	if err != nil {
-		return nil, nil, none, none, err
-	}
-	if !pres[0].found || !pres[1].found {
-		missing := m.Node
-		if pres[0].found {
-			missing = m.To
-		}
-		return nil, nil, none, none, fmt.Errorf("%w: edge %d->%d: endpoint %d has no record", query.ErrConflict, m.Node, m.To, missing)
-	}
-	return &recs[0], &recs[1], pres[0], pres[1], nil
 }
 
 // loadRecords reads and decodes the records under keys in one batched round
@@ -389,15 +353,6 @@ func (r *RouterServer) pushOverridesTo(ctx context.Context, pool *Pool) error {
 type routerEnv struct {
 	sc  *StorageClient
 	ctx context.Context
-}
-
-func (e routerEnv) Primary(key uint64) int {
-	var buf [topology.MaxReplicas]int
-	pl := e.sc.placement(key, buf[:0])
-	if len(pl) == 0 {
-		return -1
-	}
-	return pl[0]
 }
 
 func (e routerEnv) Replicas(key uint64, dst []int) []int { return e.sc.placement(key, dst) }

@@ -22,7 +22,8 @@ func labelledGraph() *grouting.Graph { return grouting.GenerateDataset(grouting.
 //go:noinline
 func startClusterOverOwnGraph(t *testing.T, policy grouting.Policy) (grouting.Client, weak.Pointer[grouting.Graph]) {
 	g := labelledGraph()
-	return startWritableTCPCluster(t, g, 2, 2, policy), weak.Make(g)
+	cl, _ := startWritableTCPCluster(t, g, 2, 2, policy)
+	return cl, weak.Make(g)
 }
 
 // TestRouterDoesNotRetainGraph: the router reads RouterSpec.Graph while it

@@ -1,19 +1,24 @@
 package grouting_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	grouting "repro"
+	"repro/internal/gstore"
+	"repro/internal/rpc"
 )
 
 // startWritableTCPCluster is startTCPCluster with the storage tier handed
 // to the router, which is what arms the replicated write path (and, when
-// spec'd, the placement planner) on the TCP transport.
-func startWritableTCPCluster(t testing.TB, g *grouting.Graph, nStorage, nProcs int, policy grouting.Policy) grouting.Client {
+// spec'd, the placement planner) on the TCP transport. It returns the
+// client and the storage shards' addresses.
+func startWritableTCPCluster(t testing.TB, g *grouting.Graph, nStorage, nProcs int, policy grouting.Policy) (grouting.Client, []string) {
 	t.Helper()
 	ctx := context.Background()
 	var storageAddrs []string
@@ -53,7 +58,7 @@ func startWritableTCPCluster(t testing.TB, g *grouting.Graph, nStorage, nProcs i
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	return cl
+	return cl, storageAddrs
 }
 
 // mutationStream is the transport-agnostic write workload: singleton
@@ -145,7 +150,7 @@ func TestMutateTwoTransports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote := startWritableTCPCluster(t, grouting.GenerateDataset(grouting.WebGraph, scale, seed),
+	remote, _ := startWritableTCPCluster(t, grouting.GenerateDataset(grouting.WebGraph, scale, seed),
 		2, 3, grouting.PolicyLandmark)
 
 	clients := []struct {
@@ -258,7 +263,7 @@ func TestMutateConcurrentReadYourWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote := startWritableTCPCluster(t, grouting.GenerateDataset(grouting.WebGraph, scale, seed),
+	remote, _ := startWritableTCPCluster(t, grouting.GenerateDataset(grouting.WebGraph, scale, seed),
 		2, 3, grouting.PolicyHash)
 
 	for _, tc := range []struct {
@@ -311,5 +316,109 @@ func TestMutateConcurrentReadYourWrites(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// mirrorMutations applies acked client mutations to oracle, interning their
+// labels in stream order as both transports do.
+func mirrorMutations(oracle *grouting.Graph, muts []grouting.Mutation) {
+	for _, m := range muts {
+		label := oracle.InternLabel(m.Label)
+		switch m.Op {
+		case grouting.MutUpsertNode:
+			oracle.UpsertNode(m.Node, label)
+		case grouting.MutAddEdge:
+			oracle.EnsureEdge(m.Node, m.To, label)
+		case grouting.MutRemoveEdge:
+			oracle.RemoveEdge(m.Node, m.To)
+		}
+	}
+}
+
+// TestStoredRecordsTwoTransports: both transports edit stored records with
+// the one gstore.Apply, so one mutation stream — parallel "b" / "a" edges
+// and their removal among it — leaves every touched record byte-identical
+// on both, and equal to the record of the oracle the stream was mirrored
+// onto. The removal takes the lowest-labelled edge ("a", interned first)
+// everywhere. The graph handed to NewSystem is left exactly as it was.
+func TestStoredRecordsTwoTransports(t *testing.T) {
+	const scale, seed = 0.02, 7
+	dataset := func() *grouting.Graph { return grouting.GenerateDataset(grouting.WebGraph, scale, seed) }
+	ctx := context.Background()
+
+	given := dataset()
+	sys, err := grouting.NewSystem(given, grouting.Config{
+		Processors: 3, StorageServers: 2, Policy: grouting.PolicyLandmark,
+		Landmarks: 8, MinSeparation: 1, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := grouting.NewLocalClient(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, storageAddrs := startWritableTCPCluster(t, dataset(), 2, 3, grouting.PolicyLandmark)
+	sc, err := rpc.DialStorageReplicated(storageAddrs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+
+	oracle := dataset()
+	n0, n1 := oracle.MaxNodeID(), oracle.MaxNodeID()+1
+	v := grouting.NodeID(3)
+	for oracle.HasEdge(0, v) {
+		v++
+	}
+	old := oracle.OutEdges(5)[0].To
+	stream := []grouting.Mutation{
+		{Op: grouting.MutUpsertNode, Node: n0, Label: "a"}, // "a" is interned before "b"
+		{Op: grouting.MutUpsertNode, Node: n1, Label: "b"},
+		{Op: grouting.MutAddEdge, Node: n0, To: n1, Label: "b"},
+		{Op: grouting.MutAddEdge, Node: n0, To: n1, Label: "a"},
+		{Op: grouting.MutRemoveEdge, Node: n0, To: n1},
+		{Op: grouting.MutAddEdge, Node: 0, To: v, Label: "b"},
+		{Op: grouting.MutAddEdge, Node: 0, To: v, Label: "a"},
+		{Op: grouting.MutRemoveEdge, Node: 0, To: v},
+		{Op: grouting.MutAddEdge, Node: n1, To: 0, Label: "a"},
+		{Op: grouting.MutUpsertNode, Node: 0, Label: "b"},
+		{Op: grouting.MutRemoveEdge, Node: 5, To: old},
+	}
+	for _, tc := range []struct {
+		name string
+		c    grouting.Client
+	}{{"virtual-time", local}, {"tcp", remote}} {
+		if n, err := tc.c.Mutate(ctx, stream); n != len(stream) || err != nil {
+			t.Fatalf("%s: applied %d of %d: %v", tc.name, n, len(stream), err)
+		}
+	}
+	mirrorMutations(oracle, stream)
+	if want := []grouting.Edge{{To: n1, Label: oracle.InternLabel("b")}}; !reflect.DeepEqual(oracle.OutEdges(n0), want) {
+		t.Fatalf("oracle kept %v of the parallel edges, want %v", oracle.OutEdges(n0), want)
+	}
+
+	for _, u := range []grouting.NodeID{n0, n1, 0, v, 5, old} {
+		want := gstore.Encode(nil, gstore.RecordOf(oracle, u))
+		got, ok := sys.Store().Get(uint64(u))
+		if !ok || !bytes.Equal(got, want) {
+			t.Errorf("virtual-time record of node %d differs from the oracle's", u)
+		}
+		got, ok, err := sc.Get(ctx, uint64(u))
+		if err != nil || !ok || !bytes.Equal(got, want) {
+			t.Errorf("tcp record of node %d differs from the oracle's (%v)", u, err)
+		}
+	}
+
+	pristine := dataset()
+	if given.NumEdges() != pristine.NumEdges() || given.MaxNodeID() != pristine.MaxNodeID() {
+		t.Fatalf("the graph given to NewSystem has %d edges over %d ids, want %d over %d",
+			given.NumEdges(), given.MaxNodeID(), pristine.NumEdges(), pristine.MaxNodeID())
+	}
+	for u := grouting.NodeID(0); u < pristine.MaxNodeID(); u++ {
+		if !reflect.DeepEqual(given.OutEdges(u), pristine.OutEdges(u)) || !reflect.DeepEqual(given.InEdges(u), pristine.InEdges(u)) ||
+			given.NodeLabelID(u) != pristine.NodeLabelID(u) {
+			t.Fatalf("node %d of the graph given to NewSystem changed", u)
+		}
 	}
 }

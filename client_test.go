@@ -222,59 +222,78 @@ func unknownAnchorQueries(missing, known grouting.NodeID, reach grouting.Query) 
 // what the shard counts on both transports — the same graph at the same
 // replication factor puts the same keys and the same bytes on each slot
 // whether the slot is a kvstore.Shard in this process or one behind a
-// listener, and a read of an absent key and a warm restart's recovery time
-// make it through the router's poll of its shards.
+// listener, and a read of an absent key makes it through the router's poll
+// of its shards. With durable shards both transports also log the same
+// records: a fresh log per slot holding every key once, never compacted.
+// (WALBytes and DurableVersion are not compared: versions are store-wide
+// locally and per shard over TCP. Gets are not either: the local client's
+// unknown-node probe reads storage directly.)
 func TestShardCountersTwoTransports(t *testing.T) {
 	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
 	ctx := context.Background()
-	sys, err := grouting.New(g,
-		grouting.WithProcessors(2),
-		grouting.WithStorageServers(2),
-		grouting.WithPolicy(grouting.PolicyHash),
-		grouting.WithSeed(1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := grouting.NewLocalClient(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, _ := startWritableTCPCluster(t, g, 2, 2, grouting.PolicyHash)
-
 	q := grouting.Query{Type: grouting.NeighborAgg, Node: g.Nodes()[1], Hops: 2, Dir: grouting.Out}
-	var perClient [2]grouting.Stats
-	for i, c := range []grouting.Client{local, remote} {
-		if _, err := c.Execute(ctx, q); err != nil {
+	for _, durable := range []bool{false, true} {
+		cfg := grouting.Config{Policy: grouting.PolicyHash, Processors: 2, StorageServers: 2, StorageReplicas: 1, Seed: 1}
+		walDir := ""
+		if durable {
+			cfg.StorageDir, walDir = t.TempDir(), t.TempDir()
+		}
+		sys, err := grouting.NewSystem(g, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if perClient[i], err = c.Stats(ctx); err != nil {
+		local, err := grouting.NewLocalClient(sys)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	loc, tcp := perClient[0].PerStorage, perClient[1].PerStorage
-	if len(loc) != 2 || len(tcp) != 2 {
-		t.Fatalf("storage members: %d local, %d tcp; want 2 and 2", len(loc), len(tcp))
-	}
-	for slot := range loc {
-		if loc[slot].Keys != tcp[slot].Keys || loc[slot].Bytes != tcp[slot].Bytes || tcp[slot].Bytes <= 0 {
-			t.Errorf("slot %d: local keys=%d bytes=%d, tcp keys=%d bytes=%d; want equal and bytes > 0",
-				slot, loc[slot].Keys, loc[slot].Bytes, tcp[slot].Keys, tcp[slot].Bytes)
-		}
-	}
+		remote, _ := startWritableTCPCluster(t, g, 2, 2, grouting.PolicyHash, walDir)
 
-	// The networked processor finds out that a node is unknown by asking
-	// storage: that read is a miss on the shard the id hashes to.
-	unknown := grouting.Query{Type: grouting.NeighborAgg, Node: 1 << 30, Hops: 1, Dir: grouting.Out}
-	if _, err := remote.Execute(ctx, unknown); !errors.Is(err, grouting.ErrUnknownNode) {
-		t.Fatalf("unknown node error = %v, want ErrUnknownNode", err)
-	}
-	st, err := remote.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if misses := st.PerStorage[0].Misses + st.PerStorage[1].Misses; misses < 1 {
-		t.Errorf("shard misses over tcp = %d after a read of an absent key, want >= 1", misses)
+		var perClient [2]grouting.Stats
+		for i, c := range []grouting.Client{local, remote} {
+			if _, err := c.Execute(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+			if perClient[i], err = c.Stats(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		loc, tcp := perClient[0].PerStorage, perClient[1].PerStorage
+		if len(loc) != 2 || len(tcp) != 2 {
+			t.Fatalf("durable=%v: storage members: %d local, %d tcp; want 2 and 2", durable, len(loc), len(tcp))
+		}
+		for slot := range loc {
+			l, r := loc[slot], tcp[slot]
+			if l.Keys != r.Keys || l.Bytes != r.Bytes || r.Bytes <= 0 {
+				t.Errorf("durable=%v slot %d: local keys=%d bytes=%d, tcp keys=%d bytes=%d; want equal and bytes > 0",
+					durable, slot, l.Keys, l.Bytes, r.Keys, r.Bytes)
+			}
+			if r.Failovers != 0 || r.RepairBytes != 0 {
+				t.Errorf("durable=%v slot %d: tcp failovers=%d repair=%d; nothing counts them over tcp", durable, slot, r.Failovers, r.RepairBytes)
+			}
+			wantState, wantRecords := "", int64(0)
+			if durable {
+				wantState, wantRecords = "fresh", r.Keys
+			}
+			if l.Durable != wantState || r.Durable != wantState || l.WALRecords != wantRecords || r.WALRecords != wantRecords ||
+				l.Snapshots != 0 || r.Snapshots != 0 {
+				t.Errorf("durable=%v slot %d: local %q %d WAL records %d snapshots, tcp %q %d / %d; want %q, %d records, none compacted",
+					durable, slot, l.Durable, l.WALRecords, l.Snapshots, r.Durable, r.WALRecords, r.Snapshots, wantState, wantRecords)
+			}
+		}
+
+		// The networked processor finds out that a node is unknown by asking
+		// storage: that read is a miss on the shard the id hashes to.
+		unknown := grouting.Query{Type: grouting.NeighborAgg, Node: 1 << 30, Hops: 1, Dir: grouting.Out}
+		if _, err := remote.Execute(ctx, unknown); !errors.Is(err, grouting.ErrUnknownNode) {
+			t.Fatalf("unknown node error = %v, want ErrUnknownNode", err)
+		}
+		st, err := remote.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if misses := st.PerStorage[0].Misses + st.PerStorage[1].Misses; misses < 1 {
+			t.Errorf("durable=%v: shard misses over tcp = %d after a read of an absent key, want >= 1", durable, misses)
+		}
 	}
 }
 

@@ -92,8 +92,8 @@ func main() {
 		if *walDir != "" {
 			s, err = grouting.ServeStorageDurable(*listen, *walDir, *walFsync)
 			exitOn(err)
-			st := s.Stats()
-			fmt.Printf("storage shard listening on %s (%s, %d durable records under %s)\n",
+			st := s.Stats().Storage
+			fmt.Printf("storage shard listening on %s (%s, durable version %d under %s)\n",
 				s.Addr(), st.Durable, st.DurableVersion, *walDir)
 		} else {
 			s, err = grouting.ServeStorage(*listen)

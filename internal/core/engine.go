@@ -382,54 +382,30 @@ func (ses *Session) SetStorageDelay(slot int, d time.Duration) {
 	ses.tl.SetDelay(slot, d)
 }
 
-// Snapshot assembles the session's observability counters: per-processor
-// assignment/execution/steal/diversion counts, cache activity, and the
-// routing-decision and queue-depth digests. The networked router reports
-// the identical structure, so clients read one shape on both transports.
-// The snapshot is taken under a single topology view — the system's
-// current epoch, applied first — so its counters never mix two epochs.
+// Snapshot assembles the session's observability counters: the router's
+// half (router.Router.Snapshot, the builder the networked router shares)
+// plus what this engine counts — executions, queue lengths, cache
+// activity, the routing-decision and queue-depth digests and each storage
+// shard's row (kvstore.Shard.Counters). The snapshot is taken under a
+// single topology view — the system's current epoch, applied first — so
+// its counters never mix two epochs.
 func (ses *Session) Snapshot() *metrics.Snapshot {
 	ses.applyTopology()
-	strat := ses.rt.Strategy()
-	snap := &metrics.Snapshot{
-		Transport:    "local",
-		Policy:       ses.sys.cfg.Policy.String(),
-		Strategy:     strat.Name(),
-		Processors:   ses.view.NumActive(),
-		Epoch:        ses.view.Epoch,
-		Queries:      int64(ses.count),
-		Mutations:    ses.mutations,
-		Stolen:       int64(ses.rt.Stolen()),
-		Diverted:     int64(ses.rt.Diverted()),
-		Reassigned:   ses.rt.Reassigned(),
-		Epochs:       ses.rt.Events(),
-		RoutingNanos: ses.routing.Summary(),
-		QueueDepth:   ses.depth.Summary(),
-
-		RoutingTableBytes: router.TableBytes(strat, ses.sys.tab.Embedding),
-	}
-	if emb := ses.sys.tab.Embedding; emb != nil {
-		snap.EmbedDimensions = int64(emb.D)
-		snap.EmbedProvider = ses.sys.tab.Source
-	}
-	assigned, executed := ses.rt.Assigned(), ses.rt.Executed()
-	stolenBy, divertedFrom := ses.rt.StolenBy(), ses.rt.DivertedFrom()
+	snap := ses.rt.Snapshot(ses.sys.cfg.Policy.String(), ses.sys.tab.Coords)
+	snap.Transport = "local"
+	snap.Queries = int64(ses.count)
+	snap.Mutations = ses.mutations
+	snap.RoutingNanos = ses.routing.Summary()
+	snap.QueueDepth = ses.depth.Summary()
+	executed := ses.rt.Executed()
 	for i, p := range ses.procs {
-		var cc metrics.CacheCounters
+		pc := &snap.PerProc[i]
+		pc.Executed = int64(executed[i])
+		pc.QueueDepth = int64(ses.rt.QueueLen(i))
 		if p != nil {
-			cc = p.cache.Stats().Counters()
+			pc.Cache = p.cache.Stats().Counters()
 		}
-		snap.PerProc = append(snap.PerProc, metrics.ProcCounters{
-			Proc:       i,
-			Status:     ses.view.Status(i).String(),
-			Assigned:   int64(assigned[i]),
-			Executed:   int64(executed[i]),
-			Stolen:     int64(stolenBy[i]),
-			Diverted:   int64(divertedFrom[i]),
-			QueueDepth: int64(ses.rt.QueueLen(i)),
-			Cache:      cc,
-		})
-		snap.Cache.Add(cc)
+		snap.Cache.Add(pc.Cache)
 	}
 	// Storage tier: membership, replication factor, per-member shard
 	// counters and the tier-tagged transition log.
@@ -437,26 +413,8 @@ func (ses *Session) Snapshot() *metrics.Snapshot {
 	snap.StorageEpoch = sv.Epoch
 	snap.StorageReplicas = ses.sys.store.Replicas()
 	for _, m := range sv.Members {
-		st := ses.sys.store.Stats(m.Slot)
-		sc := metrics.StorageCounters{
-			Slot:        m.Slot,
-			Status:      m.Status.String(),
-			Keys:        int64(st.Keys),
-			Bytes:       st.Bytes,
-			Gets:        int64(st.Gets),
-			Misses:      int64(st.Misses),
-			Failovers:   int64(st.Failovers),
-			RepairBytes: st.RepairBytes,
-		}
-		if ds := ses.sys.store.Durability(m.Slot); ds.Enabled {
-			sc.Durable = ds.State
-			sc.WALBytes = ds.WALBytes
-			sc.WALRecords = ds.WALRecords
-			sc.Snapshots = int64(ds.Snapshots)
-			sc.DurableVersion = ds.DurableVersion
-			sc.ReplayedBytes = ds.ReplayedBytes
-			sc.RecoverNanos = ds.RecoverNanos
-		}
+		sc := ses.sys.store.Counters(m.Slot)
+		sc.Slot, sc.Status = m.Slot, m.Status.String()
 		snap.PerStorage = append(snap.PerStorage, sc)
 	}
 	if ses.planner != nil {

@@ -105,16 +105,6 @@ func (s *Store) SyncDurability() error {
 	return first
 }
 
-// Durability returns shard slot's durable-state snapshot.
-func (s *Store) Durability(slot int) DurabilityStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if slot < 0 || slot >= len(s.servers) {
-		return DurabilityStats{}
-	}
-	return s.servers[slot].Durability()
-}
-
 // CrashServer kills a shard with process-death semantics: its in-memory
 // data vanishes, its WAL file descriptor is abandoned without a sync
 // (whatever Append already handed the OS survives — nothing else), and

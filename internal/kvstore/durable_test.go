@@ -59,11 +59,10 @@ func TestEnableDurabilityValidation(t *testing.T) {
 	if !s.DurabilityEnabled() {
 		t.Fatal("DurabilityEnabled false after enable")
 	}
-	ds := s.Durability(0)
-	if !ds.Enabled || ds.State != "fresh" {
-		t.Fatalf("Durability(0) = %+v", ds)
+	if c := s.Counters(0); c.Durable != "fresh" {
+		t.Fatalf("Counters(0) = %+v", c)
 	}
-	if s.Durability(99).Enabled {
+	if s.Counters(99).Durable != "" {
 		t.Fatal("out-of-range slot reports enabled")
 	}
 }
@@ -85,8 +84,8 @@ func TestCrashRestartRecoversAckedWrites(t *testing.T) {
 	if _, err := s.CrashServer(2); err != nil {
 		t.Fatal(err)
 	}
-	if ds := s.Durability(2); ds.State != "crashed" {
-		t.Fatalf("state after crash = %q", ds.State)
+	if c := s.Counters(2); c.Durable != "crashed" {
+		t.Fatalf("state after crash = %q", c.Durable)
 	}
 	// The tier repaired around the crash: everything still readable.
 	if got := readAll(t, s, n); got != n-2 {
@@ -95,9 +94,8 @@ func TestCrashRestartRecoversAckedWrites(t *testing.T) {
 	if _, err := s.RestartServer(2); err != nil {
 		t.Fatal(err)
 	}
-	ds := s.Durability(2)
-	if ds.State != "warm" || ds.ReplayedRecords == 0 {
-		t.Fatalf("after restart: %+v", ds)
+	if c := s.Counters(2); c.Durable != "warm" || c.ReplayedBytes == 0 {
+		t.Fatalf("after restart: %+v", c)
 	}
 	if got := readAll(t, s, n); got != n-2 {
 		t.Fatalf("after restart: %d keys readable, want %d", got, n-2)
@@ -235,14 +233,14 @@ func TestSnapshotCompactionTruncatesWAL(t *testing.T) {
 	dir := t.TempDir()
 	s := mustDurable(t, 2, 2, dir, 100)
 	loadKeys(s, 500) // 500 records per shard (R=2 over 2 shards): several snapshots
-	ds := s.Durability(0)
-	if ds.Snapshots == 0 {
-		t.Fatalf("no snapshots after %d records: %+v", 500, ds)
+	c := s.Counters(0)
+	if c.Snapshots == 0 {
+		t.Fatalf("no snapshots after %d records: %+v", 500, c)
 	}
-	if ds.WALRecords >= 100 {
-		t.Fatalf("WAL not truncated: %d records live", ds.WALRecords)
+	if c.WALRecords >= 100 {
+		t.Fatalf("WAL not truncated: %d records live", c.WALRecords)
 	}
-	if ds.DurableVersion == 0 {
+	if c.DurableVersion == 0 {
 		t.Fatal("durable version not advanced")
 	}
 	// Files exist where Stats claims.
@@ -263,7 +261,7 @@ func TestDrainServerRemovesDurableFiles(t *testing.T) {
 			t.Fatalf("%s survives drain (err=%v)", f, err)
 		}
 	}
-	if s.Durability(2).Enabled {
+	if s.Counters(2).Durable != "" {
 		t.Fatal("drained shard still reports durability")
 	}
 	if got := readAll(t, s, 100); got != 100 {
@@ -279,12 +277,12 @@ func TestAddServerGetsDurableLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := s.Durability(slot)
-	if !ds.Enabled || ds.State != "fresh" {
-		t.Fatalf("new shard durability: %+v", ds)
+	c := s.Counters(slot)
+	if c.Durable != "fresh" {
+		t.Fatalf("new shard durability: %+v", c)
 	}
 	// The repair pass that filled the new shard must have hit its WAL.
-	if ds.WALRecords == 0 && ds.Snapshots == 0 {
+	if c.WALRecords == 0 && c.Snapshots == 0 {
 		t.Fatal("new shard's repair copies were not logged")
 	}
 	// And they must replay: crash + restart the new shard.

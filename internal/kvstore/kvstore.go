@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/hash"
+	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
@@ -422,6 +423,18 @@ func (s *Store) Stats(i int) ServerStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.servers[i].Stats()
+}
+
+// Counters returns shard slot's row of a stats snapshot (Shard.Counters;
+// the zero row for a slot out of range), under the store read lock for the
+// reason Stats holds it.
+func (s *Store) Counters(slot int) metrics.StorageCounters {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if slot < 0 || slot >= len(s.servers) {
+		return metrics.StorageCounters{}
+	}
+	return s.servers[slot].Counters()
 }
 
 // TotalBytes returns the bytes stored across all shards (each replica

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // DefaultSnapshotEvery is how many WAL records a shard accumulates before
@@ -458,6 +460,29 @@ func (sh *Shard) Durability() DurabilityStats {
 		ds.Err = l.err.Error()
 	}
 	return ds
+}
+
+// Counters is the shard's row of a stats snapshot, the one mapping of shard
+// state onto metrics.StorageCounters on either transport: resident keys and
+// bytes, the read, miss, failover and repair counters and, when the shard
+// has a log, its durable state. The owner fills Slot, Status and Addr.
+func (sh *Shard) Counters() metrics.StorageCounters {
+	st, ds := sh.Stats(), sh.Durability()
+	return metrics.StorageCounters{
+		Keys:           int64(st.Keys),
+		Bytes:          st.Bytes,
+		Gets:           int64(st.Gets),
+		Misses:         int64(st.Misses),
+		Failovers:      int64(st.Failovers),
+		RepairBytes:    st.RepairBytes,
+		Durable:        ds.State,
+		WALBytes:       ds.WALBytes,
+		WALRecords:     ds.WALRecords,
+		Snapshots:      int64(ds.Snapshots),
+		DurableVersion: ds.DurableVersion,
+		ReplayedBytes:  ds.ReplayedBytes,
+		RecoverNanos:   ds.RecoverNanos,
+	}
 }
 
 // SetSnapshotEvery overrides how many WAL records the shard accumulates

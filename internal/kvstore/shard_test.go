@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // openTestShard opens a durable shard over dir with the TCP daemon's file
@@ -218,6 +220,67 @@ func TestShardOpensParentFormatDirectory(t *testing.T) {
 	defer re.Abandon()
 	if got := shardImage(re, 12); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("image after a group behind the parent's frames %v, want %v", got, want)
+	}
+}
+
+// TestShardCountersMapsARestartedShard pins the storage row's one mapping: a
+// durable shard that compacted, was killed and reopened over its directory
+// reports its keys, reads and recovered log through Counters field for
+// field; an in-memory shard's row has no durable half; and a store's row for
+// a slot is its shard's, misses, failovers and repair copies included.
+func TestShardCountersMapsARestartedShard(t *testing.T) {
+	dir := t.TempDir()
+	sh := openTestShard(t, dir, 2)
+	for k := uint64(1); k <= 3; k++ {
+		if err := sh.Put(k, []byte("abcd"), k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh.Abandon()
+	re := openTestShard(t, dir, 2)
+	defer re.Abandon()
+	re.Get(1)
+	re.Get(9)
+	got, ds := re.Counters(), re.Durability()
+	want := metrics.StorageCounters{
+		Keys: 3, Bytes: 12, Gets: 2,
+		Durable: "warm", WALBytes: ds.WALBytes, WALRecords: 1, Snapshots: 1, DurableVersion: 3,
+		ReplayedBytes: ds.ReplayedBytes, RecoverNanos: ds.RecoverNanos,
+	}
+	if got != want || got.WALBytes <= 0 || got.ReplayedBytes <= got.WALBytes {
+		t.Fatalf("restarted shard's row %+v, want %+v with the snapshot's bytes replayed beside the log's", got, want)
+	}
+
+	mem := NewShard()
+	mem.Put(1, []byte("ab"), 1)
+	if c := mem.Counters(); c != (metrics.StorageCounters{Keys: 1, Bytes: 2}) {
+		t.Fatalf("in-memory shard's row %+v, want one key of two bytes and no durable half", c)
+	}
+
+	s := mustReplicated(t, 3, 2)
+	loadKeys(s, 60)
+	s.Get(1 << 40)
+	if _, err := s.FailServer(2); err != nil {
+		t.Fatal(err)
+	}
+	// A batch planned onto the failed slot before it failed bounces.
+	s.GetBatchInto(Batch{Server: 2, Keys: []uint64{1}}, make([][]byte, 1), make([]bool, 1))
+	var total metrics.StorageCounters
+	for slot := 0; slot < 3; slot++ {
+		c, st := s.Counters(slot), s.Stats(slot)
+		if c.Keys != int64(st.Keys) || c.Bytes != st.Bytes || c.Gets != int64(st.Gets) || c.Misses != int64(st.Misses) ||
+			c.Failovers != int64(st.Failovers) || c.RepairBytes != st.RepairBytes || c.Durable != "" {
+			t.Fatalf("slot %d: row %+v, shard counters %+v", slot, c, st)
+		}
+		total.Misses += c.Misses
+		total.Failovers += c.Failovers
+		total.RepairBytes += c.RepairBytes
+	}
+	if total.Misses == 0 || total.Failovers == 0 || total.RepairBytes == 0 {
+		t.Fatalf("store rows total %+v: a miss, a bounced batch and a failure's repair should all show", total)
+	}
+	if c := s.Counters(3); c != (metrics.StorageCounters{}) {
+		t.Fatalf("out-of-range slot's row %+v, want zero", c)
 	}
 }
 

@@ -158,7 +158,9 @@ type EpochEvent struct {
 
 // StorageCounters is one storage member's share of a Snapshot: its
 // membership state plus the shard-level read/write accounting, including
-// the per-replica health signal (Failovers).
+// the per-replica health signal (Failovers). Everything after Addr is the
+// shard's own row, mapped from its state in one place on both transports
+// (kvstore.Shard.Counters); a storage daemon answers OpStats with it.
 type StorageCounters struct {
 	// Slot is the storage slot (stable across epochs, never reused).
 	Slot int
@@ -171,15 +173,21 @@ type StorageCounters struct {
 	// Keys and Bytes are the shard's resident live entries.
 	Keys  int64
 	Bytes int64
-	// Gets and Misses count reads served and reads of absent keys.
+	// Gets counts key reads served. Misses counts reads of absent keys: on
+	// the virtual-time engine, reads no replica could serve, charged to the
+	// preferred one; over TCP, reads of keys this shard lacks, counted by
+	// its listener.
 	Gets   int64
 	Misses int64
 	// Failovers counts reads bounced off this member while it was
 	// unreachable — the per-replica health signal behind read failover.
+	// Counted by the virtual-time engine only: over TCP the storage client
+	// fails over per key but keeps no per-shard count, so it reads 0.
 	Failovers int64
 	// RepairBytes counts the bytes copied onto this member by
 	// re-replication — the transition cost a warm (WAL-recovered) restart
-	// keeps small and a cold restart pays in full.
+	// keeps small and a cold restart pays in full. Virtual-time engine
+	// only: the TCP tier has no repair, so it reads 0 there.
 	RepairBytes int64
 	// Durable is the member's durability state: "fresh" (log open,
 	// nothing replayed), "warm" (recovered state from its snapshot + WAL),
@@ -193,7 +201,11 @@ type StorageCounters struct {
 	// Snapshots counts snapshot compactions taken by this member.
 	Snapshots int64
 	// DurableVersion is the highest write version the member has made
-	// durable — what its rejoin-warm handshake advertises.
+	// durable — what its rejoin-warm handshake advertises. On the
+	// virtual-time engine versions are store-wide, so replicas compare; over
+	// TCP each shard stamps its own writes, so the number is per shard, and
+	// a shard that does not answer the poll shows the version it announced
+	// when it joined.
 	DurableVersion uint64
 	// ReplayedBytes is the snapshot+WAL volume replayed by the member's
 	// most recent local recovery, and RecoverNanos how long that replay
@@ -259,7 +271,8 @@ type ProcCounters struct {
 	Assigned int64
 	// Executed counts queries that actually ran here (post-steal).
 	Executed int64
-	// Stolen counts dispatches this processor satisfied by stealing.
+	// Stolen counts dispatches this processor satisfied by stealing. Only
+	// the virtual-time engine steals; over TCP it reads 0.
 	Stolen int64
 	// Diverted counts queries re-routed away because this processor was
 	// down when the strategy picked it.
@@ -283,7 +296,9 @@ type ProcCounters struct {
 // Snapshot is the system-wide observability surface: the quantities the
 // paper's evaluation is built on (per-processor placement, cache hit
 // rates, queue depths, routing decision cost), reported identically by the
-// virtual-time engine and the networked deployment.
+// virtual-time engine and the networked deployment. Both start it from the
+// same builder, router.Router.Snapshot, and add only what their transport
+// alone counts.
 type Snapshot struct {
 	// Transport names the deployment kind: "local" or "tcp".
 	Transport string
@@ -301,7 +316,8 @@ type Snapshot struct {
 	// Mutations counts graph mutations (node upserts, edge adds/removes)
 	// acknowledged through this handle's write path.
 	Mutations int64
-	// Stolen and Diverted are the system-wide totals.
+	// Stolen and Diverted are the system-wide totals (Stolen is 0 over
+	// TCP, see ProcCounters.Stolen).
 	Stolen   int64
 	Diverted int64
 	// Reassigned totals the queries moved by topology transitions (see

@@ -67,8 +67,8 @@ func TestDecideMembership(t *testing.T) {
 	if picks := r.DecideAnchors(mq(1, 2), []graph.NodeID{1, 2}, []int{9, 0, 1, 50}); picks[0] != 3 || picks[1] != 3 {
 		t.Fatalf("Draining picks diverted to %v, want slot 3", picks)
 	}
-	if df := r.DivertedFrom(); df[0] != 1 || df[1] != 0 || df[2] != 2 || r.Diverted() != 3 {
-		t.Fatalf("DivertedFrom = %v, total %d", df, r.Diverted())
+	if rows := r.Snapshot("", Coords{}).PerProc; rows[0].Diverted != 1 || rows[1].Diverted != 0 || rows[2].Diverted != 2 || r.Diverted() != 3 {
+		t.Fatalf("per-slot diverted %+v, total %d", rows, r.Diverted())
 	}
 }
 

@@ -87,9 +87,8 @@ func TestDeadQueueRecoveredByStealing(t *testing.T) {
 	if r.Stolen() != 6 {
 		t.Fatalf("Stolen = %d, want 6", r.Stolen())
 	}
-	stolenBy := r.StolenBy()
-	if stolenBy[0] != 0 || stolenBy[1]+stolenBy[2] != 6 {
-		t.Fatalf("StolenBy = %v", stolenBy)
+	if rows := r.Snapshot("", Coords{}).PerProc; rows[0].Stolen != 0 || rows[1].Stolen+rows[2].Stolen != 6 {
+		t.Fatalf("per-slot stolen: %+v", rows)
 	}
 	exec := r.Executed()
 	if exec[0] != 0 || exec[1]+exec[2] != 6 {
@@ -113,8 +112,8 @@ func TestDivertedAccountingAcrossKillRevive(t *testing.T) {
 	if r.Diverted() != 4 {
 		t.Fatalf("Diverted = %d, want 4", r.Diverted())
 	}
-	if df := r.DivertedFrom(); df[0] != 4 || df[1] != 0 {
-		t.Fatalf("DivertedFrom = %v", df)
+	if rows := r.Snapshot("", Coords{}).PerProc; rows[0].Diverted != 4 || rows[1].Diverted != 0 {
+		t.Fatalf("per-slot diverted: %+v", rows)
 	}
 	// Assignment lands on the processor that actually received the query.
 	if a := r.Assigned(); a[0] != 0 || a[1] != 4 {
@@ -128,7 +127,7 @@ func TestDivertedAccountingAcrossKillRevive(t *testing.T) {
 	if r.Diverted() != 4 {
 		t.Fatalf("revival produced spurious diversions: %d", r.Diverted())
 	}
-	if df := r.DivertedFrom(); df[0] != 4 {
-		t.Fatalf("DivertedFrom after revive = %v", df)
+	if rows := r.Snapshot("", Coords{}).PerProc; rows[0].Diverted != 4 {
+		t.Fatalf("per-slot diverted after revive: %+v", rows)
 	}
 }

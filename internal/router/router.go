@@ -166,14 +166,6 @@ func (r *Router) Status(p int) topology.Status { return r.view.Status(p) }
 // processors.
 func (r *Router) Diverted() int { return r.divertedTotal }
 
-// DivertedFrom returns a copy of the per-processor diversion counts (how
-// many queries each processor lost to being down when picked).
-func (r *Router) DivertedFrom() []int { return append([]int(nil), r.diverted...) }
-
-// StolenBy returns a copy of the per-processor steal counts (how many
-// dispatches each processor satisfied by stealing foreign work).
-func (r *Router) StolenBy() []int { return append([]int(nil), r.stolenBy...) }
-
 // Procs returns the number of processor slots (active or not; slots never
 // shrink).
 func (r *Router) Procs() int { return len(r.queues) }
@@ -203,6 +195,42 @@ func (r *Router) Assigned() []int { return append([]int(nil), r.assigned...) }
 // Executed returns a copy of the per-processor dispatch counts (where each
 // query actually ran, after stealing).
 func (r *Router) Executed() []int { return append([]int(nil), r.executed...) }
+
+// Snapshot starts a stats snapshot with what the router counts, the same on
+// both transports: policy (the configured name) and the live strategy, the
+// current view's epoch and active members, the steal, diversion and
+// re-routing totals with the epoch log, the size of the tables it routes by
+// and of c's coordinates, and one row per slot with its status and where the
+// strategy sent queries. The caller adds what only its transport counts:
+// executions, queue depths, caches, storage and the histograms.
+func (r *Router) Snapshot(policy string, c Coords) *metrics.Snapshot {
+	snap := &metrics.Snapshot{
+		Policy:            policy,
+		Strategy:          r.strategy.Name(),
+		Processors:        r.view.NumActive(),
+		Epoch:             r.view.Epoch,
+		Stolen:            int64(r.stolen),
+		Diverted:          int64(r.divertedTotal),
+		Reassigned:        r.reassigned,
+		Epochs:            r.Events(),
+		PerProc:           make([]metrics.ProcCounters, r.view.Slots()),
+		RoutingTableBytes: tableBytes(r.strategy, c.Embedding),
+	}
+	if c.Embedding != nil {
+		snap.EmbedDimensions = int64(c.Embedding.D)
+		snap.EmbedProvider = c.Source
+	}
+	for p := range snap.PerProc {
+		snap.PerProc[p] = metrics.ProcCounters{
+			Proc:     p,
+			Status:   r.view.Status(p).String(),
+			Assigned: int64(r.assigned[p]),
+			Stolen:   int64(r.stolenBy[p]),
+			Diverted: int64(r.diverted[p]),
+		}
+	}
+	return snap
+}
 
 // Route decides q's destination under the queue lengths — the virtual-time
 // load signal — and enqueues q there. It returns the chosen processor.
@@ -320,13 +348,6 @@ func (r *Router) divert(q query.Query, loads []int) int {
 		panic("router: no live processors")
 	}
 	return best
-}
-
-// RouteAll routes a batch in order.
-func (r *Router) RouteAll(qs []query.Query) {
-	for _, q := range qs {
-		r.Route(q)
-	}
 }
 
 // Next hands processor p its next query. When p's own queue is empty and

@@ -408,8 +408,74 @@ func TestTableBytes(t *testing.T) {
 		{"embed, the router holding its table", em, em.emb, coords},
 		{"embed, the router holding none", em, nil, coords},
 	} {
-		if got := TableBytes(c.s, c.emb); got != c.want {
-			t.Errorf("%s: TableBytes = %d, want %d", c.name, got, c.want)
+		if got := tableBytes(c.s, c.emb); got != c.want {
+			t.Errorf("%s: tableBytes = %d, want %d", c.name, got, c.want)
 		}
+	}
+}
+
+// TestSnapshotCountsWhatTheRouterDecides builds the router's half of a stats
+// snapshot after a failure that diverts picks, a departure that re-routes a
+// backlog and a drain by stealing, over three epochs: every total and
+// per-slot row is the router's own count, what only a transport counts
+// (executions, queue depths, caches) is left zero, and the coordinate table
+// handed in is what the snapshot describes.
+func TestSnapshotCountsWhatTheRouterDecides(t *testing.T) {
+	tr := topology.NewTracker(3, nil)
+	r, err := NewFromView(NewHash(), tr.View(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routeN(r, 90)
+	v, err := tr.Fail(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.ApplyView(v)
+	routeN(r, 30)
+	if v, err = tr.Leave(1); err != nil {
+		t.Fatal(err)
+	}
+	moved := r.ApplyView(v)
+	for {
+		if _, ok := r.Next(0); !ok {
+			break
+		}
+	}
+	if r.Diverted() == 0 || moved == 0 || r.Stolen() == 0 {
+		t.Fatalf("fixture: %d diverted, %d re-routed, %d stolen; want each > 0", r.Diverted(), moved, r.Stolen())
+	}
+
+	snap := r.Snapshot("hash", Coords{})
+	if snap.Policy != "hash" || snap.Strategy != "hash" || snap.Processors != 1 || snap.Epoch != 3 ||
+		snap.Stolen != int64(r.Stolen()) || snap.Diverted != int64(r.Diverted()) || snap.Reassigned != int64(moved) ||
+		len(snap.Epochs) != 2 || snap.Epochs[1].Left != 1 || snap.Epochs[1].Reassigned != int64(moved) ||
+		snap.RoutingTableBytes != 0 || snap.EmbedDimensions != 0 || snap.EmbedProvider != "" {
+		t.Fatalf("snapshot header %+v", snap)
+	}
+	if len(snap.PerProc) != 3 {
+		t.Fatalf("%d rows, want one per slot", len(snap.PerProc))
+	}
+	assigned := r.Assigned()
+	var stolen, diverted int64
+	for p, row := range snap.PerProc {
+		if row.Proc != p || row.Assigned != int64(assigned[p]) || row.Executed != 0 || row.QueueDepth != 0 || row.Cache.Touches() != 0 {
+			t.Errorf("slot %d: row %+v", p, row)
+		}
+		stolen += row.Stolen
+		diverted += row.Diverted
+	}
+	rows := snap.PerProc
+	if rows[0].Status != "active" || rows[1].Status != "left" || rows[2].Status != "down" ||
+		rows[0].Stolen != snap.Stolen || rows[0].Diverted != 0 || rows[1].Diverted == 0 || rows[2].Diverted == 0 ||
+		stolen != snap.Stolen || diverted != snap.Diverted {
+		t.Errorf("rows %+v: want slot 0 active with every steal, 1 left and 2 down with the diversions, summing to the totals", rows)
+	}
+
+	em, _ := buildEmbedStrategy(t, 2, 0.5, 0)
+	snap = r.Snapshot("hash", Coords{Embedding: em.emb, Source: "learned"})
+	if snap.EmbedDimensions != int64(em.emb.D) || snap.EmbedProvider != "learned" || snap.RoutingTableBytes != em.emb.StorageBytes() {
+		t.Errorf("with a k-NN table: %d dimensions from %q, %d table bytes; want %d from \"learned\", %d",
+			snap.EmbedDimensions, snap.EmbedProvider, snap.RoutingTableBytes, em.emb.D, em.emb.StorageBytes())
 	}
 }

@@ -238,13 +238,13 @@ func NewLandmark(idx *landmark.Index, assign *landmark.Assignment, loadFactor fl
 	return &Landmark{idx: idx, assign: assign, slots: identitySlots(assign.Procs()), loadFactor: loadFactor}
 }
 
-// TableBytes reports the memory of the precomputed tables a router holding
+// tableBytes reports the memory of the precomputed tables a router holding
 // strategy s and the coordinate table emb (nil when it holds none) routes
 // by: the landmark index and d(u,p) table of a Landmark strategy, and the
 // coordinates — emb, which under embed routing is the strategy's own table.
-// This is Table 3's preprocessing storage; both transports report it as
-// Stats().RoutingTableBytes.
-func TableBytes(s Strategy, emb *embed.Embedding) int64 {
+// This is Table 3's preprocessing storage; Router.Snapshot reports it as
+// RoutingTableBytes on both transports.
+func tableBytes(s Strategy, emb *embed.Embedding) int64 {
 	var n int64
 	switch s := s.(type) {
 	case *Landmark:

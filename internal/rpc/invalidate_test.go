@@ -295,7 +295,7 @@ func TestInvalidationsRideExecuteFrames(t *testing.T) {
 	var before [3]Stats
 	for i, ps := range procs {
 		before[i] = ps.Stats()
-		if before[i].Executed != 1 || before[i].Misses == 0 {
+		if before[i].Executed != 1 || before[i].Cache.Misses == 0 {
 			t.Fatalf("processor %d not warmed by exactly its own query: %+v", i, before[i])
 		}
 	}

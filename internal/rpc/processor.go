@@ -107,14 +107,7 @@ func (p *ProcessorServer) Close() error {
 // accounting (hits, misses, evictions, resident bytes).
 func (p *ProcessorServer) Stats() Stats {
 	cc := p.cache.Stats().Counters()
-	return Stats{
-		Role:     "processor",
-		Requests: p.requests.Load(),
-		Hits:     cc.Hits,
-		Misses:   cc.Misses,
-		Executed: p.executed.Load(),
-		Cache:    &cc,
-	}
+	return Stats{Role: "processor", Requests: p.requests.Load(), Executed: p.executed.Load(), Cache: &cc}
 }
 
 func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {

@@ -258,46 +258,22 @@ type Response struct {
 	Hot []HotKey
 }
 
-// Stats carries daemon counters over the wire.
+// Stats is a daemon's answer to OpStats: its role, the requests it served,
+// and its row in the snapshot's own types — the one a role fills, the
+// others nil. The wire form is the declaration order (see appendFields).
 type Stats struct {
 	Role     string
 	Requests int64
-	Keys     int64
-	// Reads counts key reads served (storage role): unlike Requests it
-	// excludes puts, pings and stats polls, so it is the read-traffic
-	// signal the router's storage snapshot reports.
-	Reads    int64
-	Hits     int64
-	Misses   int64
+	// Executed counts the queries a processor ran.
 	Executed int64
-	// Cache carries a processor's full cache counters (nil for other
-	// roles).
+	// Cache is a processor's cache counters.
 	Cache *metrics.CacheCounters
-	// Durable reports a storage shard's durability state ("fresh" for a
-	// durable shard that started empty, "warm" for one that recovered
-	// state from its local snapshot + WAL, "crashed" for one whose WAL was
-	// abandoned; empty for shards running without a WAL). The fields below are the shard's durability
-	// counters; varints keep them to a byte each when zero, so
-	// non-durable deployments pay almost no wire cost.
-	Durable        string
-	WALBytes       int64
-	WALRecords     int64
-	Snapshots      int64
-	DurableVersion uint64
-	ReplayedBytes  int64
-	// Snapshot carries the router's system-wide observability snapshot
-	// (nil for other roles): the same structure the virtual-time engine
-	// reports, so local and networked clients read identical stats.
+	// Storage is a storage shard's row (kvstore.Shard.Counters), which the
+	// router's snapshot takes as it is.
+	Storage *metrics.StorageCounters
+	// Snapshot is the router's system-wide snapshot: the structure the
+	// virtual-time engine reports, so both transports read alike.
 	Snapshot *metrics.Snapshot
-	// Bytes, ReadMisses and RecoverNanos complete a storage shard's share of
-	// the router's snapshot (metrics.StorageCounters' Bytes, Misses and
-	// RecoverNanos): resident value bytes, reads of absent keys, and how
-	// long the most recent local recovery took. The stats payload's wire
-	// form is this struct's declaration order (see appendFields), so they —
-	// and every later field — come after the older ones.
-	Bytes        int64
-	ReadMisses   int64
-	RecoverNanos int64
 }
 
 // ErrCode classifies a remote failure so the client can reconstruct the

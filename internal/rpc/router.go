@@ -75,7 +75,7 @@ type RouterServer struct {
 	// storageJoinVer holds the durable version watermark each storage
 	// shard announced on its latest (re)join — the rejoin-warm handshake:
 	// 0 means the shard joined cold (or runs without a WAL), anything
-	// higher means it recovered that many durable records locally and
+	// higher means it recovered its writes up to that version locally and
 	// re-replication only needs to top up the delta. Slot-indexed,
 	// guarded by mu.
 	storageJoinVer []uint64
@@ -706,11 +706,13 @@ func (r *RouterServer) maybeTick(n int) {
 	}()
 }
 
-// Snapshot assembles the system-wide observability snapshot — the same
-// metrics.Snapshot structure the virtual-time engine reports — polling
-// each live processor's OpStats for fresh cache counters (falling back to
-// the counters of their last answered poll for processors that do not). The
-// whole snapshot is assembled under one lock, so it never mixes epochs.
+// Snapshot assembles the system-wide observability snapshot: the routing
+// half from router.Router.Snapshot, the builder the virtual-time engine
+// uses too, plus what this router counts and what its members report —
+// each live processor's OpStats cache counters (falling back to the
+// counters of their last answered poll for processors that do not) and
+// each shard's row, taken as it is. The whole snapshot is assembled under
+// one lock, so it never mixes epochs.
 func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) {
 	r.mu.Lock()
 	pools := append([]*Pool(nil), r.pools...)
@@ -736,69 +738,34 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	view := r.rt.View()
-	snap := &metrics.Snapshot{
-		Transport:    "tcp",
-		Policy:       r.policyName,
-		Strategy:     r.rt.Strategy().Name(),
-		Processors:   view.NumActive(),
-		Epoch:        view.Epoch,
-		Queries:      r.queries.Load(),
-		Diverted:     int64(r.rt.Diverted()),
-		Reassigned:   r.rt.Reassigned(),
-		Epochs:       r.rt.Events(),
-		RoutingNanos: r.routing.Summary(),
-		QueueDepth:   r.depth.Summary(),
-
-		RoutingTableBytes: router.TableBytes(r.rt.Strategy(), r.coords.Embedding),
-	}
-	if emb := r.coords.Embedding; emb != nil {
-		snap.EmbedDimensions = int64(emb.D)
-		snap.EmbedProvider = r.coords.Source
-	}
+	snap := r.rt.Snapshot(r.policyName, r.coords)
+	snap.Transport = "tcp"
+	snap.Queries = r.queries.Load()
 	snap.Mutations = r.mutations.Load()
-	if r.planner != nil {
-		snap.Placement = placementCounters
-		snap.PlacementLog = placementLog
-	}
-	assigned, diverted := r.rt.Assigned(), r.rt.DivertedFrom()
-	for i, m := range view.Members {
+	snap.RoutingNanos = r.routing.Summary()
+	snap.QueueDepth = r.depth.Summary()
+	snap.Placement, snap.PlacementLog = placementCounters, placementLog
+	for i, m := range r.rt.View().Members {
 		if i < len(fresh) && fresh[i] != nil && fresh[i].Cache != nil {
 			r.lastCache[i] = *fresh[i].Cache
 		}
-		cc := r.lastCache[i]
-		snap.PerProc = append(snap.PerProc, metrics.ProcCounters{
-			Proc:                   i,
-			Status:                 m.Status.String(),
-			Addr:                   m.Addr,
-			Assigned:               int64(assigned[i]),
-			Executed:               r.completed[i],
-			Diverted:               int64(diverted[i]),
-			QueueDepth:             int64(r.inflight[i]),
-			Cache:                  cc,
-			PendingInvalidations:   int64(len(r.inval[i].keys)),
-			InvalidationsDelivered: r.inval[i].delivered,
-		})
-		snap.Cache.Add(cc)
+		pc := &snap.PerProc[i]
+		pc.Addr = m.Addr
+		pc.Executed = r.completed[i]
+		pc.QueueDepth = int64(r.inflight[i])
+		pc.Cache = r.lastCache[i]
+		pc.PendingInvalidations = int64(len(r.inval[i].keys))
+		pc.InvalidationsDelivered = r.inval[i].delivered
+		snap.Cache.Add(pc.Cache)
 	}
 	snap.StorageEpoch = r.storageView.Epoch
 	snap.StorageReplicas = r.storage.Replicas()
 	for _, m := range r.storageView.Members {
-		sc := metrics.StorageCounters{Slot: m.Slot, Status: m.Status.String(), Addr: m.Addr}
-		if m.Slot < len(shardFresh) && shardFresh[m.Slot] != nil {
-			sf := shardFresh[m.Slot]
-			sc.Keys = sf.Keys
-			sc.Bytes = sf.Bytes
-			sc.Gets = sf.Reads
-			sc.Misses = sf.ReadMisses
-			sc.Durable = sf.Durable
-			sc.WALBytes = sf.WALBytes
-			sc.WALRecords = sf.WALRecords
-			sc.Snapshots = sf.Snapshots
-			sc.DurableVersion = sf.DurableVersion
-			sc.ReplayedBytes = sf.ReplayedBytes
-			sc.RecoverNanos = sf.RecoverNanos
+		var sc metrics.StorageCounters
+		if m.Slot < len(shardFresh) && shardFresh[m.Slot] != nil && shardFresh[m.Slot].Storage != nil {
+			sc = *shardFresh[m.Slot].Storage
 		}
+		sc.Slot, sc.Status, sc.Addr = m.Slot, m.Status.String(), m.Addr
 		if sc.DurableVersion == 0 && m.Slot < len(r.storageJoinVer) {
 			// Fall back to the version the shard announced at join time
 			// when it is not answering stats polls right now.

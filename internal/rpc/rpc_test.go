@@ -137,7 +137,7 @@ func TestStorageGetPut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Stats == nil || resp.Stats.Role != "storage" || resp.Stats.Keys != 2 {
+	if resp.Stats == nil || resp.Stats.Role != "storage" || resp.Stats.Storage.Keys != 2 {
 		t.Fatalf("stats = %+v", resp.Stats)
 	}
 }
@@ -352,7 +352,7 @@ func TestProcessorCacheWarms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Stats == nil || resp.Stats.Hits == 0 {
+	if resp.Stats == nil || resp.Stats.Cache.Hits == 0 {
 		t.Fatalf("repeat query produced no cache hits: %+v", resp.Stats)
 	}
 	if resp.Stats.Executed != 2 {
@@ -377,7 +377,7 @@ func TestCancelledBatchStopsOnWarmProcessor(t *testing.T) {
 		return ps.Stats()
 	}
 	cold, warm := pass(), pass()
-	if warm.Misses != cold.Misses || warm.Executed != int64(2*len(qs)) {
+	if warm.Cache.Misses != cold.Cache.Misses || warm.Executed != int64(2*len(qs)) {
 		t.Fatalf("second pass not a full all-hit batch: %+v after %+v", warm, cold)
 	}
 

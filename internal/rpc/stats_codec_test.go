@@ -48,8 +48,17 @@ func readGolden(t *testing.T, name string) []byte {
 // the first file lost the seven varints behind Proc, 14 04 00 00 00 80808001
 // 00 (Hits 10, Misses 2, CurrentBytes 1 MiB), its bitmap went ff0f → ff07
 // and its length prefix 0x119 → 0x10f; the second carries Stats alone, whose
-// bit moved down one: bitmap 8002 → 8001. Every other byte is the hand
-// codec's, length prefix aside.
+// bit moved down one: bitmap 8002 → 8001. Then Stats stopped mirroring a
+// shard's counters under its own names: Keys, Reads, Hits, Misses, the six
+// durability fields and the three trailing ones went, and a shard's row
+// travels as Storage, a *metrics.StorageCounters between Cache and
+// Snapshot. The first fixture moved its storage values into that row: the
+// 20 bytes the deleted fields took (Hits and the trailing three included)
+// became the row's 24 (a presence byte, Slot/Status/Addr, and Bytes,
+// Failovers, RepairBytes and RecoverNanos as 0x00 each) — length prefix
+// 0x10f → 0x113, +4 B. The second, a router's, lost the
+// thirteen zero bytes and gained Storage's absent-pointer byte — 0x222 →
+// 0x216, −12 B. Every other byte is the hand codec's, length prefix aside.
 func TestGoldenFrames(t *testing.T) {
 	for _, tc := range []struct {
 		file string
@@ -111,7 +120,7 @@ func TestStatsRoundTripDropsNoField(t *testing.T) {
 	var st Stats
 	var n int64
 	fillLeaves(reflect.ValueOf(&st).Elem(), &n)
-	if n < 100 || st.Cache == nil || st.Snapshot == nil || len(st.Snapshot.PerStorage) != 2 {
+	if n < 100 || st.Cache == nil || st.Storage == nil || st.Snapshot == nil || len(st.Snapshot.PerStorage) != 2 {
 		t.Fatalf("fixture filled %d leaves: %+v", n, st)
 	}
 	want := &Response{OK: true, Stats: &st}

@@ -170,26 +170,12 @@ func (s *StorageServer) handle(_ context.Context, req *Request) Response {
 	return errorResponse(fmt.Errorf("storage: unknown op %q", req.Op))
 }
 
-// Stats returns the shard's counters (request total, key reads served and
-// missed, resident keys and bytes) plus its durability counters when it runs
-// a WAL.
+// Stats returns the request total and the shard's row (Shard.Counters),
+// whose Misses is the listener's count of reads of keys the shard lacks.
 func (s *StorageServer) Stats() Stats {
-	ss, ds := s.shard.Stats(), s.shard.Durability()
-	return Stats{
-		Role:           "storage",
-		Requests:       s.requests.Load(),
-		Reads:          int64(ss.Gets),
-		Keys:           int64(ss.Keys),
-		Durable:        ds.State,
-		WALBytes:       ds.WALBytes,
-		WALRecords:     ds.WALRecords,
-		Snapshots:      int64(ds.Snapshots),
-		DurableVersion: ds.DurableVersion,
-		ReplayedBytes:  ds.ReplayedBytes,
-		Bytes:          ss.Bytes,
-		ReadMisses:     s.misses.Load(),
-		RecoverNanos:   ds.RecoverNanos,
-	}
+	c := s.shard.Counters()
+	c.Misses = s.misses.Load()
+	return Stats{Role: "storage", Requests: s.requests.Load(), Storage: &c}
 }
 
 // Down-shard probe schedule: the first re-ping comes probeBase after a

@@ -62,7 +62,7 @@ func TestStorageServerDurableCrashRestart(t *testing.T) {
 			addr := srv.Addr()
 			const n = 300
 			rec := putFrames(t, addr, n, writer.per)
-			st := srv.Stats()
+			st := srv.Stats().Storage
 			if st.Durable != "fresh" || st.DurableVersion != n || st.WALRecords != n {
 				t.Fatalf("pre-crash stats: %+v", st)
 			}
@@ -73,7 +73,7 @@ func TestStorageServerDurableCrashRestart(t *testing.T) {
 				t.Fatalf("restart over %s: %v", dir, err)
 			}
 			defer restarted.Close()
-			st = restarted.Stats()
+			st = restarted.Stats().Storage
 			if st.Durable != "warm" {
 				t.Fatalf("restarted shard state = %q, want warm", st.Durable)
 			}
@@ -141,7 +141,7 @@ func TestStoragePutBatchConcurrent(t *testing.T) {
 	wg.Wait()
 	const total = writers * batches * perBatch
 	for i, srv := range servers {
-		if st := srv.Stats(); st.Keys != total || st.WALRecords != total || st.DurableVersion != total {
+		if st := srv.Stats().Storage; st.Keys != total || st.WALRecords != total || st.DurableVersion != total {
 			t.Fatalf("shard %d: %d keys, %d WAL records, version %d; want %d of each", i, st.Keys, st.WALRecords, st.DurableVersion, total)
 		}
 	}
@@ -167,7 +167,7 @@ func TestStorageServerDurableSnapshotCompaction(t *testing.T) {
 	srv.SetSnapshotEvery(50)
 	const n = 130
 	putKeys(t, srv.Addr(), n)
-	st := srv.Stats()
+	st := srv.Stats().Storage
 	if st.Snapshots == 0 {
 		t.Fatal("no snapshot written past the threshold")
 	}
@@ -185,7 +185,7 @@ func TestStorageServerDurableSnapshotCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restarted.Close()
-	if st := restarted.Stats(); st.Keys != n || st.Durable != "warm" {
+	if st := restarted.Stats().Storage; st.Keys != n || st.Durable != "warm" {
 		t.Fatalf("restart after compaction: keys %d state %q", st.Keys, st.Durable)
 	}
 }
@@ -207,7 +207,7 @@ func TestStorageServerDurableCrashLoopCompacts(t *testing.T) {
 		addr = srv.Addr()
 		if life == 5 {
 			defer srv.Close()
-			st := srv.Stats()
+			st := srv.Stats().Storage
 			if st.WALRecords >= 50 || st.Snapshots == 0 {
 				t.Fatalf("after 5 short lives: %d WAL records, %d snapshots", st.WALRecords, st.Snapshots)
 			}
@@ -242,7 +242,7 @@ func TestStorageServerDurableFsync(t *testing.T) {
 	if err := srv.SyncWAL(); err != nil {
 		t.Fatal(err)
 	}
-	if st := srv.Stats(); st.DurableVersion != 20 {
+	if st := srv.Stats().Storage; st.DurableVersion != 20 {
 		t.Fatalf("dur-ver = %d, want 20", st.DurableVersion)
 	}
 }
@@ -281,7 +281,7 @@ func TestStorageRejoinWarmHandshake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantVer := srv.Stats().DurableVersion
+	wantVer := srv.Stats().Storage.DurableVersion
 	if wantVer == 0 {
 		t.Fatal("durable shard loaded a graph but reports version 0")
 	}

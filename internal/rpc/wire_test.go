@@ -117,10 +117,10 @@ func fullResponse() *Response {
 		Epoch: 9,
 		Proc:  3,
 		Stats: &Stats{
-			Role: "router", Requests: 999, Keys: 100, Reads: 5, Hits: 4, Misses: 1,
-			Executed: 77, Cache: &metrics.CacheCounters{Hits: 1},
-			Durable: "wal", WALBytes: 1 << 16, WALRecords: 12, Snapshots: 2,
-			DurableVersion: 3, ReplayedBytes: 512,
+			Role: "router", Requests: 999, Executed: 77, Cache: &metrics.CacheCounters{Hits: 1},
+			Storage: &metrics.StorageCounters{Keys: 100, Gets: 5, Misses: 1,
+				Durable: "wal", WALBytes: 1 << 16, WALRecords: 12, Snapshots: 2,
+				DurableVersion: 3, ReplayedBytes: 512},
 			Snapshot: &metrics.Snapshot{
 				Transport: "tcp", Policy: "embed", Strategy: "embed",
 				Processors: 2, Epoch: 9, Queries: 100, Mutations: 7,

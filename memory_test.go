@@ -22,7 +22,7 @@ func labelledGraph() *grouting.Graph { return grouting.GenerateDataset(grouting.
 //go:noinline
 func startClusterOverOwnGraph(t *testing.T, policy grouting.Policy) (grouting.Client, weak.Pointer[grouting.Graph]) {
 	g := labelledGraph()
-	cl, _ := startWritableTCPCluster(t, g, 2, 2, policy)
+	cl, _ := startWritableTCPCluster(t, g, 2, 2, policy, "")
 	return cl, weak.Make(g)
 }
 

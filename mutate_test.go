@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -16,14 +18,19 @@ import (
 
 // startWritableTCPCluster is startTCPCluster with the storage tier handed
 // to the router, which is what arms the replicated write path (and, when
-// spec'd, the placement planner) on the TCP transport. It returns the
+// spec'd, the placement planner) on the TCP transport. A non-empty walDir
+// makes every shard durable, shard i logging under walDir/i. It returns the
 // client and the storage shards' addresses.
-func startWritableTCPCluster(t testing.TB, g *grouting.Graph, nStorage, nProcs int, policy grouting.Policy) (grouting.Client, []string) {
+func startWritableTCPCluster(t testing.TB, g *grouting.Graph, nStorage, nProcs int, policy grouting.Policy, walDir string) (grouting.Client, []string) {
 	t.Helper()
 	ctx := context.Background()
 	var storageAddrs []string
 	for i := 0; i < nStorage; i++ {
-		ss, err := grouting.ServeStorage("127.0.0.1:0")
+		dir := ""
+		if walDir != "" {
+			dir = filepath.Join(walDir, strconv.Itoa(i))
+		}
+		ss, err := grouting.ServeStorageDurable("127.0.0.1:0", dir, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +158,7 @@ func TestMutateTwoTransports(t *testing.T) {
 		t.Fatal(err)
 	}
 	remote, _ := startWritableTCPCluster(t, grouting.GenerateDataset(grouting.WebGraph, scale, seed),
-		2, 3, grouting.PolicyLandmark)
+		2, 3, grouting.PolicyLandmark, "")
 
 	clients := []struct {
 		name string
@@ -264,7 +271,7 @@ func TestMutateConcurrentReadYourWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	remote, _ := startWritableTCPCluster(t, grouting.GenerateDataset(grouting.WebGraph, scale, seed),
-		2, 3, grouting.PolicyHash)
+		2, 3, grouting.PolicyHash, "")
 
 	for _, tc := range []struct {
 		name string
@@ -358,7 +365,7 @@ func TestStoredRecordsTwoTransports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, storageAddrs := startWritableTCPCluster(t, dataset(), 2, 3, grouting.PolicyLandmark)
+	remote, storageAddrs := startWritableTCPCluster(t, dataset(), 2, 3, grouting.PolicyLandmark, "")
 	sc, err := rpc.DialStorageReplicated(storageAddrs, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/query"
 )
 
@@ -30,32 +29,28 @@ var (
 )
 
 // MutOp enumerates the online graph mutations.
-type MutOp = core.MutOp
+type MutOp = query.MutOp
 
 // Mutation operations.
 const (
 	// MutUpsertNode creates Node with Label, or relabels it. Idempotent.
-	MutUpsertNode = core.MutUpsertNode
+	MutUpsertNode = query.MutUpsertNode
 	// MutAddEdge ensures the edge Node->To with Label exists (no duplicate
 	// parallel edge is ever created); a missing endpoint is ErrConflict.
-	MutAddEdge = core.MutAddEdge
+	MutAddEdge = query.MutAddEdge
 	// MutRemoveEdge removes the edge Node->To (any label: the
 	// lowest-labelled edge when several connect u to v); an absent edge is
 	// ErrConflict.
-	MutRemoveEdge = core.MutRemoveEdge
+	MutRemoveEdge = query.MutRemoveEdge
 )
 
-// Mutation is one online graph write as clients express it: labels travel
-// as strings (the server side interns them), exactly like Query.CountLabel.
-// Node is the subject (the upserted node, or an edge's source); To is the
-// edge destination; Label is the node label for MutUpsertNode and the edge
-// label for MutAddEdge (ignored by MutRemoveEdge).
-type Mutation struct {
-	Op    MutOp
-	Node  NodeID
-	To    NodeID
-	Label string
-}
+// Mutation is one online graph write, the same value on both transports and
+// in the oracle: labels travel as strings (the engine interns them), exactly
+// like Query.CountLabel. Node is the subject (the upserted node, or an edge's
+// source); To is the edge destination; Label is the node label for
+// MutUpsertNode and the edge label for MutAddEdge (ignored by MutRemoveEdge).
+// Mutation.Apply makes the same edit on an in-memory Graph.
+type Mutation = query.Mutation
 
 // Client is the transport-agnostic query interface: the same client code
 // runs against the in-process virtual-time engine (NewLocalClient) and a
@@ -116,6 +111,29 @@ type Outcome struct {
 	Err    error
 }
 
+// writes is the Client write sugar both transports embed: each call is a
+// one-mutation batch through the client's own Mutate.
+type writes struct {
+	mutate func(context.Context, []Mutation) (int, error)
+}
+
+func (w writes) UpsertNode(ctx context.Context, id NodeID, label string) error {
+	return w.one(ctx, Mutation{Op: MutUpsertNode, Node: id, Label: label})
+}
+
+func (w writes) AddEdge(ctx context.Context, u, v NodeID, label string) error {
+	return w.one(ctx, Mutation{Op: MutAddEdge, Node: u, To: v, Label: label})
+}
+
+func (w writes) RemoveEdge(ctx context.Context, u, v NodeID) error {
+	return w.one(ctx, Mutation{Op: MutRemoveEdge, Node: u, To: v})
+}
+
+func (w writes) one(ctx context.Context, m Mutation) error {
+	_, err := w.mutate(ctx, []Mutation{m})
+	return err
+}
+
 // stream is the shared ExecuteStream engine: workers goroutines consume in
 // and emit outcomes until the input drains or ctx is cancelled.
 func stream(ctx context.Context, in <-chan Query, workers int, exec func(context.Context, Query) (Result, error)) <-chan Outcome {
@@ -159,10 +177,13 @@ func NewLocalClient(sys *System) (Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &localClient{sys: sys, ses: ses}, nil
+	c := &localClient{sys: sys, ses: ses}
+	c.writes = writes{c.Mutate}
+	return c, nil
 }
 
 type localClient struct {
+	writes
 	mu     sync.Mutex
 	sys    *System
 	ses    *Session
@@ -218,27 +239,7 @@ func (c *localClient) Mutate(ctx context.Context, muts []Mutation) (int, error) 
 	if c.closed {
 		return 0, fmt.Errorf("%w: client closed", ErrUnavailable)
 	}
-	g := c.sys.Graph()
-	cm := make([]core.Mutation, len(muts))
-	for i, m := range muts {
-		cm[i] = core.Mutation{Op: m.Op, Node: m.Node, To: m.To, Label: g.InternLabel(m.Label)}
-	}
-	return c.ses.Mutate(cm...)
-}
-
-func (c *localClient) UpsertNode(ctx context.Context, id NodeID, label string) error {
-	_, err := c.Mutate(ctx, []Mutation{{Op: MutUpsertNode, Node: id, Label: label}})
-	return err
-}
-
-func (c *localClient) AddEdge(ctx context.Context, u, v NodeID, label string) error {
-	_, err := c.Mutate(ctx, []Mutation{{Op: MutAddEdge, Node: u, To: v, Label: label}})
-	return err
-}
-
-func (c *localClient) RemoveEdge(ctx context.Context, u, v NodeID) error {
-	_, err := c.Mutate(ctx, []Mutation{{Op: MutRemoveEdge, Node: u, To: v}})
-	return err
+	return c.ses.Mutate(muts...)
 }
 
 func (c *localClient) Stats(ctx context.Context) (Stats, error) {

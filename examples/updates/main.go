@@ -81,14 +81,11 @@ func streamUpdates(ctx context.Context, c grouting.Client, oracle *grouting.Grap
 		return fmt.Errorf("batch applied %d of %d: %w", n, len(burst), err)
 	}
 	for _, m := range burst {
-		switch m.Op {
-		case grouting.MutUpsertNode:
-			oracle.UpsertNode(m.Node, pageLabel)
+		if err := m.Apply(oracle); err != nil {
+			return err
+		}
+		if m.Op == grouting.MutUpsertNode {
 			added = append(added, m.Node)
-		case grouting.MutAddEdge:
-			if _, err := oracle.EnsureEdge(m.Node, m.To, linkLabel); err != nil {
-				return err
-			}
 		}
 	}
 

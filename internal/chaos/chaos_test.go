@@ -1,10 +1,14 @@
 package chaos
 
 import (
+	"context"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/gstore"
+	"repro/internal/query"
+	"repro/internal/rpc"
 )
 
 func TestBuiltinScenariosValidateAndRoundTrip(t *testing.T) {
@@ -215,14 +219,14 @@ func TestWriteScriptShape(t *testing.T) {
 			t.Fatalf("write %d touches node below base: %+v", i, m)
 		}
 		switch m.Op {
-		case core.MutUpsertNode:
+		case query.MutUpsertNode:
 			nodes[int(m.Node)] = true
-		case core.MutAddEdge:
+		case query.MutAddEdge:
 			if !nodes[int(m.Node)] || !nodes[int(m.To)] {
 				t.Fatalf("write %d adds edge %d->%d before upserting both endpoints", i, m.Node, m.To)
 			}
 			edges[[2]int{int(m.Node), int(m.To)}] = true
-		case core.MutRemoveEdge:
+		case query.MutRemoveEdge:
 			e := [2]int{int(m.Node), int(m.To)}
 			if !edges[e] {
 				t.Fatalf("write %d removes edge %d->%d that was never added", i, m.Node, m.To)
@@ -246,6 +250,59 @@ func TestWriteScriptShape(t *testing.T) {
 	}
 	if writeScript(base, 0) != nil {
 		t.Fatal("empty script not nil")
+	}
+}
+
+// TestLabelledUpsertSameOnBothHarnesses sends one labelled upsert through
+// each harness over the same graph: both must store the label id the graph's
+// table gives the label, so a labelled write means the same on both.
+func TestLabelledUpsertSameOnBothHarnesses(t *testing.T) {
+	sc := &Scenario{Name: "label", Processors: 1, StorageServers: 2, StorageReplicas: 1, Nodes: 50, Queries: 10, Seed: 3}
+	g, _, _ := Workload(sc)
+	const node = graph.NodeID(7)
+	m := query.Mutation{Op: query.MutUpsertNode, Node: node, Label: "relabelled"}
+
+	sim := NewSimHarness()
+	defer sim.Close()
+	if err := sim.Start(sc, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Mutate(m); err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	val, ok := sim.sys.Store().Get(uint64(node))
+	if !ok {
+		t.Fatal("sim: node has no record")
+	}
+	simRec, err := gstore.Decode(node, val)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	live := NewLiveHarness()
+	defer live.Close()
+	if err := live.Start(sc, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Mutate(m); err != nil {
+		t.Fatalf("live: %v", err)
+	}
+	sc2, err := rpc.DialStorageReplicated(live.addrs, sc.StorageReplicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc2.Close()
+	recs, err := sc2.MultiGet(context.Background(), []graph.NodeID{node})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want, ok := g.LabelID(m.Label)
+	if !ok || want == graph.NoLabel {
+		t.Fatalf("label %q was not interned into the graph's table", m.Label)
+	}
+	if simRec.NodeLabel != want || recs[node].NodeLabel != want {
+		t.Fatalf("stored label id: sim %d, live %d; want %d on both", simRec.NodeLabel, recs[node].NodeLabel, want)
 	}
 }
 

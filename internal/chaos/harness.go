@@ -28,7 +28,7 @@ type Harness interface {
 	// Mutate applies one online graph write through the deployment's
 	// write path. A nil return is an ack: the write is on every replica
 	// of its placement and visible to every subsequent read.
-	Mutate(m core.Mutation) error
+	Mutate(m query.Mutation) error
 	// Apply fires one scheduled step.
 	Apply(st Step) error
 	// Elapsed is the harness clock — virtual time for the simnet engine,
@@ -103,7 +103,7 @@ func (h *SimHarness) Execute(q query.Query) (query.Result, error) {
 	return res, err
 }
 
-func (h *SimHarness) Mutate(m core.Mutation) error {
+func (h *SimHarness) Mutate(m query.Mutation) error {
 	_, err := h.ses.Mutate(m)
 	return err
 }

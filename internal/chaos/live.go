@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/query"
 	"repro/internal/rpc"
@@ -95,9 +94,11 @@ func (h *LiveHarness) Start(sc *Scenario, g *graph.Graph) error {
 	// Seeding StorageAddrs gives the router the write path's placement
 	// domain (mutations need it); the Register calls below still run — a
 	// join at a seeded address is idempotent and doubles as the shards'
-	// durable-version announcement.
+	// durable-version announcement. The graph gives it the label table the
+	// loader encoded with, which labelled mutations intern into, as on the
+	// sim harness.
 	rs, err := rpc.NewRouterServer("127.0.0.1:0", rpc.RouterConfig{
-		ProcessorAddrs: procAddrs, StorageAddrs: h.addrs, StorageReplicas: sc.StorageReplicas,
+		ProcessorAddrs: procAddrs, StorageAddrs: h.addrs, StorageReplicas: sc.StorageReplicas, Graph: g,
 	})
 	if err != nil {
 		h.Close()
@@ -144,10 +145,10 @@ func (h *LiveHarness) Execute(q query.Query) (query.Result, error) {
 // acks only after every replica of the record's placement took the write
 // and every processor cache dropped it, so a kill window surfaces here as
 // an unacked error — exactly what the runner's settle phase retries.
-func (h *LiveHarness) Mutate(m core.Mutation) error {
+func (h *LiveHarness) Mutate(m query.Mutation) error {
 	ctx, cancel := context.WithTimeout(context.Background(), liveTimeout)
 	defer cancel()
-	_, err := h.client.Mutate(ctx, []rpc.Mutation{{Op: m.Op, Node: m.Node, To: m.To}})
+	_, err := h.client.Mutate(ctx, []query.Mutation{m})
 	return err
 }
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/query"
@@ -145,22 +144,22 @@ const (
 // writes are unlabeled, and safe to retry after a failed ack: upserts and
 // edge adds are idempotent, and a retried remove whose first attempt
 // landed reports ErrConflict, which the settle phase reads as landed.
-func writeScript(base graph.NodeID, n int) []core.Mutation {
+func writeScript(base graph.NodeID, n int) []query.Mutation {
 	if n <= 0 {
 		return nil
 	}
-	muts := make([]core.Mutation, 0, n)
-	muts = append(muts, core.Mutation{Op: core.MutUpsertNode, Node: base})
+	muts := make([]query.Mutation, 0, n)
+	muts = append(muts, query.Mutation{Op: query.MutUpsertNode, Node: base})
 	next := base + 1
 	for len(muts) < n {
 		switch len(muts) % 5 {
 		case 0:
 			// Tombstone the first edge added in the previous period.
-			muts = append(muts, core.Mutation{Op: core.MutRemoveEdge, Node: next - 3, To: next - 2})
+			muts = append(muts, query.Mutation{Op: query.MutRemoveEdge, Node: next - 3, To: next - 2})
 		case 1, 3:
-			muts = append(muts, core.Mutation{Op: core.MutUpsertNode, Node: next})
+			muts = append(muts, query.Mutation{Op: query.MutUpsertNode, Node: next})
 		case 2, 4:
-			muts = append(muts, core.Mutation{Op: core.MutAddEdge, Node: next - 1, To: next})
+			muts = append(muts, query.Mutation{Op: query.MutAddEdge, Node: next - 1, To: next})
 			next++
 		}
 	}
@@ -168,17 +167,11 @@ func writeScript(base graph.NodeID, n int) []core.Mutation {
 }
 
 // applyScript replays the write script onto a plain in-memory graph —
-// the reference state the read-back probes compare the deployment to.
-func applyScript(g *graph.Graph, script []core.Mutation) {
+// the reference state the read-back probes compare the deployment to. The
+// script is written to apply without conflict on its dataset.
+func applyScript(g *graph.Graph, script []query.Mutation) {
 	for _, m := range script {
-		switch m.Op {
-		case core.MutUpsertNode:
-			g.UpsertNode(m.Node, m.Label)
-		case core.MutAddEdge:
-			g.EnsureEdge(m.Node, m.To, m.Label)
-		case core.MutRemoveEdge:
-			g.RemoveEdge(m.Node, m.To)
-		}
+		_ = m.Apply(g)
 	}
 }
 
@@ -186,17 +179,17 @@ func applyScript(g *graph.Graph, script []core.Mutation) {
 // 2-hop neighborhood count from every written node (a lost node record,
 // lost edge or resurrected edge shifts a count) plus a 1-hop reachability
 // probe across every tombstoned edge (resurrection made explicit).
-func writeProbes(script []core.Mutation) []query.Query {
+func writeProbes(script []query.Mutation) []query.Query {
 	var probes []query.Query
 	seen := map[graph.NodeID]bool{}
 	for _, m := range script {
-		if m.Op == core.MutUpsertNode && !seen[m.Node] {
+		if m.Op == query.MutUpsertNode && !seen[m.Node] {
 			seen[m.Node] = true
 			probes = append(probes, query.Query{
 				Type: query.NeighborAgg, Node: m.Node, Hops: 2, Dir: graph.Both,
 			})
 		}
-		if m.Op == core.MutRemoveEdge {
+		if m.Op == query.MutRemoveEdge {
 			probes = append(probes, query.Query{
 				Type: query.Reachability, Node: m.Node, Target: m.To, Hops: 1,
 			})
@@ -229,7 +222,7 @@ func Run(sc *Scenario, mk func() Harness) (*Result, error) {
 	probe.Close()
 
 	g, qs, want := Workload(sc)
-	var script []core.Mutation
+	var script []query.Mutation
 	if sc.MutateEvery > 0 {
 		script = writeScript(g.MaxNodeID()+1, len(qs)/sc.MutateEvery)
 	}
@@ -370,7 +363,7 @@ func Run(sc *Scenario, mk func() Harness) (*Result, error) {
 // that cannot settle, any read-back disagreement (a lost acked write, or
 // a tombstoned edge that resurrected across a restart) and any probe
 // that errors is a violation.
-func settleAndVerify(h Harness, res *Result, script []core.Mutation, acked []bool, sc *Scenario) []string {
+func settleAndVerify(h Harness, res *Result, script []query.Mutation, acked []bool, sc *Scenario) []string {
 	var v []string
 	for w, m := range script {
 		if acked[w] {
@@ -381,7 +374,7 @@ func settleAndVerify(h Harness, res *Result, script []core.Mutation, acked []boo
 			if err = h.Mutate(m); err == nil {
 				break
 			}
-			if m.Op == core.MutRemoveEdge && errors.Is(err, query.ErrConflict) {
+			if m.Op == query.MutRemoveEdge && errors.Is(err, query.ErrConflict) {
 				err = nil // the pre-settle attempt landed before failing its ack
 				break
 			}

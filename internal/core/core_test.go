@@ -336,15 +336,15 @@ func TestAddNodeIncremental(t *testing.T) {
 	}
 	// Attach a new node to two existing ones through the write path.
 	u := g.MaxNodeID()
-	muts := []Mutation{
-		{Op: MutUpsertNode, Node: u, Label: g.InternLabel("newbie")},
-		{Op: MutAddEdge, Node: 5, To: u},
-		{Op: MutAddEdge, Node: u, To: 6},
+	muts := []query.Mutation{
+		{Op: query.MutUpsertNode, Node: u, Label: "newbie"},
+		{Op: query.MutAddEdge, Node: 5, To: u},
+		{Op: query.MutAddEdge, Node: u, To: 6},
 	}
 	if _, err := ses.Mutate(muts...); err != nil {
 		t.Fatal(err)
 	}
-	mirror(g, muts...)
+	mirror(t, g, muts...)
 	q := query.Query{Type: query.NeighborAgg, Node: u, Hops: 2, Dir: graph.Both}
 	res, _, err := ses.Execute(q)
 	if err != nil {
@@ -369,7 +369,7 @@ func TestUpdateEdgeRefreshesStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ses.Mutate(Mutation{Op: MutAddEdge, Node: 10, To: 20}); err != nil {
+	if _, err := ses.Mutate(query.Mutation{Op: query.MutAddEdge, Node: 10, To: 20}); err != nil {
 		t.Fatal(err)
 	}
 	q := query.Query{Type: query.Reachability, Node: 10, Target: 20, Hops: 1}

@@ -8,38 +8,14 @@ import (
 	"repro/internal/topology"
 )
 
-// MutOp enumerates the online graph mutations every transport accepts.
-type MutOp = query.MutOp
-
-// Mutation operations (documented on the query package's constants).
-const (
-	MutUpsertNode = query.MutUpsertNode
-	MutAddEdge    = query.MutAddEdge
-	MutRemoveEdge = query.MutRemoveEdge
-)
-
-// Mutation is one online graph write. Node is the subject (the upserted
-// node, or an edge's source); To is the edge destination; Label is the
-// node label for MutUpsertNode and the edge label for MutAddEdge.
-type Mutation struct {
-	Op    MutOp
-	Node  graph.NodeID
-	To    graph.NodeID
-	Label graph.Label
-}
-
-// Validate checks the mutation's shape without consulting a graph, the
-// same contract query.Query.Validate gives reads: malformed mutations are
-// rejected with the typed query.ErrBadQuery before anything executes.
-func (m Mutation) Validate() error { return query.ValidateMutation(m.Op, m.Node, m.To) }
-
 // Mutate applies muts in order against the running system: the storage
 // tier (versioned, WAL-logged when durability is on), the routing-side
 // incremental indexes, and every session processor's cache (evicted, so the
 // session reads its own writes). It stops at the first mutation that fails
 // and returns how many were applied — the applied prefix stays applied,
 // exactly as individually acked writes would. The graph given to NewSystem
-// is never touched.
+// keeps its adjacency; only its label table grows, as labels intern into the
+// table the stored records were encoded with.
 //
 // Each mutation reads the pre-images of the records it touches from the
 // tier (unbilled), edits them with gstore.Apply — the edit the TCP router
@@ -49,7 +25,7 @@ func (m Mutation) Validate() error { return query.ValidateMutation(m.Op, m.Node,
 // pre-image no live replica holds returns query.ErrUnavailable and writes
 // nothing. Virtual time advances by the write cost: one replicated round
 // trip per rewritten record, served on the storage contention timeline.
-func (ses *Session) Mutate(muts ...Mutation) (int, error) {
+func (ses *Session) Mutate(muts ...query.Mutation) (int, error) {
 	ses.applyTopology()
 	for i, m := range muts {
 		if err := ses.apply(m); err != nil {
@@ -61,12 +37,13 @@ func (ses *Session) Mutate(muts ...Mutation) (int, error) {
 }
 
 // apply executes one mutation end to end.
-func (ses *Session) apply(m Mutation) error {
+func (ses *Session) apply(m query.Mutation) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
+	lab := ses.sys.g.InternLabel(m.Label)
 	ids := []graph.NodeID{m.Node, m.To}
-	if m.Op == MutUpsertNode {
+	if m.Op == query.MutUpsertNode {
 		ids = ids[:1]
 	}
 	var pre [2]gstore.FetchResult
@@ -74,7 +51,7 @@ func (ses *Session) apply(m Mutation) error {
 		return storageErr("pre-image read", err)
 	}
 	u, v := &pre[0].Record, &pre[1].Record
-	writeU, writeV, err := gstore.Apply(m.Op, m.Label, u, v, pre[0].OK, pre[1].OK)
+	writeU, writeV, err := gstore.Apply(m.Op, lab, u, v, pre[0].OK, pre[1].OK)
 	if err != nil {
 		return err
 	}
@@ -85,7 +62,7 @@ func (ses *Session) apply(m Mutation) error {
 		ses.writeRecord(v)
 	}
 	switch {
-	case m.Op == MutUpsertNode:
+	case m.Op == query.MutUpsertNode:
 		if !pre[0].OK {
 			ses.sys.incorporateNode(m.Node)
 		}

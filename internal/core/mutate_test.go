@@ -11,53 +11,13 @@ import (
 	"repro/internal/query"
 )
 
-func TestMutationValidate(t *testing.T) {
-	bad := []Mutation{
-		{Op: MutOp(0)},
-		{Op: MutOp(99)},
-		{Op: MutUpsertNode, Node: 1, To: 2},
-		{Op: MutAddEdge, Node: 3, To: 3},
-		{Op: MutRemoveEdge, Node: 4, To: 4},
-	}
-	for i, m := range bad {
-		if err := m.Validate(); !errors.Is(err, query.ErrBadQuery) {
-			t.Errorf("case %d (%v): err = %v, want ErrBadQuery", i, m, err)
-		}
-	}
-	for _, m := range []Mutation{
-		{Op: MutUpsertNode, Node: 1},
-		{Op: MutAddEdge, Node: 1, To: 2},
-		{Op: MutRemoveEdge, Node: 2, To: 1},
-	} {
-		if err := m.Validate(); err != nil {
-			t.Errorf("%v rejected: %v", m, err)
-		}
-	}
-}
-
-func TestMutOpString(t *testing.T) {
-	want := map[MutOp]string{
-		MutUpsertNode: "upsert-node", MutAddEdge: "add-edge",
-		MutRemoveEdge: "remove-edge", MutOp(9): "MutOp(9)",
-	}
-	for op, s := range want {
-		if op.String() != s {
-			t.Errorf("MutOp(%d).String() = %q, want %q", uint8(op), op.String(), s)
-		}
-	}
-}
-
 // mirror applies acked mutations to oracle, the graph a test answers its
 // queries against: the system never touches the graph it was built from.
-func mirror(oracle *graph.Graph, muts ...Mutation) {
+func mirror(t *testing.T, oracle *graph.Graph, muts ...query.Mutation) {
+	t.Helper()
 	for _, m := range muts {
-		switch m.Op {
-		case MutUpsertNode:
-			oracle.UpsertNode(m.Node, m.Label)
-		case MutAddEdge:
-			oracle.EnsureEdge(m.Node, m.To, m.Label)
-		case MutRemoveEdge:
-			oracle.RemoveEdge(m.Node, m.To)
+		if err := m.Apply(oracle); err != nil {
+			t.Fatalf("oracle rejects acked %v: %v", m, err)
 		}
 	}
 }
@@ -74,12 +34,12 @@ func TestMutateConflictKeepsPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lbl := g.InternLabel("t")
+	const lbl = "t"
 	u := g.MaxNodeID()
 	n, err := ses.Mutate(
-		Mutation{Op: MutUpsertNode, Node: u, Label: lbl},
-		Mutation{Op: MutRemoveEdge, Node: u, To: 5}, // no such edge
-		Mutation{Op: MutAddEdge, Node: u, To: 7, Label: lbl},
+		query.Mutation{Op: query.MutUpsertNode, Node: u, Label: lbl},
+		query.Mutation{Op: query.MutRemoveEdge, Node: u, To: 5}, // no such edge
+		query.Mutation{Op: query.MutAddEdge, Node: u, To: 7, Label: lbl},
 	)
 	if n != 1 || !errors.Is(err, query.ErrConflict) {
 		t.Fatalf("applied %d, err %v; want 1, ErrConflict", n, err)
@@ -94,7 +54,7 @@ func TestMutateConflictKeepsPrefix(t *testing.T) {
 		t.Fatal("the mutation reached the graph the system was built from")
 	}
 	// An edge onto a node that was never created is also a conflict.
-	if _, err := ses.Mutate(Mutation{Op: MutAddEdge, Node: g.MaxNodeID() + 10, To: 0, Label: lbl}); !errors.Is(err, query.ErrConflict) {
+	if _, err := ses.Mutate(query.Mutation{Op: query.MutAddEdge, Node: g.MaxNodeID() + 10, To: 0, Label: lbl}); !errors.Is(err, query.ErrConflict) {
 		t.Fatalf("edge on missing endpoint: err = %v, want ErrConflict", err)
 	}
 }
@@ -118,18 +78,18 @@ func TestMutateReadYourWrites(t *testing.T) {
 	if _, _, err := ses.Execute(q5); err != nil {
 		t.Fatal(err)
 	}
-	lbl := g.InternLabel("t")
+	const lbl = "t"
 	u := g.MaxNodeID()
 	before := ses.Now()
-	muts := []Mutation{
-		{Op: MutUpsertNode, Node: u, Label: lbl},
-		{Op: MutAddEdge, Node: 5, To: u, Label: lbl},
-		{Op: MutAddEdge, Node: u, To: 9, Label: lbl},
+	muts := []query.Mutation{
+		{Op: query.MutUpsertNode, Node: u, Label: lbl},
+		{Op: query.MutAddEdge, Node: 5, To: u, Label: lbl},
+		{Op: query.MutAddEdge, Node: u, To: 9, Label: lbl},
 	}
 	if _, err := ses.Mutate(muts...); err != nil {
 		t.Fatal(err)
 	}
-	mirror(g, muts...)
+	mirror(t, g, muts...)
 	if ses.Now() <= before {
 		t.Fatal("writes advanced no virtual time")
 	}
@@ -186,7 +146,7 @@ func TestMutateDuringMigration(t *testing.T) {
 		}
 	}
 
-	lbl := g.InternLabel("live")
+	const lbl = "live"
 	var acked []graph.NodeID
 	type edge struct{ u, v graph.NodeID }
 	var removed []edge
@@ -204,17 +164,17 @@ func TestMutateDuringMigration(t *testing.T) {
 		// then tombstoned.
 		u := g.MaxNodeID()
 		scratch := graph.NodeID((round*29 + 5) % base)
-		muts := []Mutation{
-			{Op: MutUpsertNode, Node: u, Label: lbl},
-			{Op: MutAddEdge, Node: center, To: u, Label: lbl},
-			{Op: MutAddEdge, Node: u, To: graph.NodeID((round*17 + 3) % base), Label: lbl},
-			{Op: MutAddEdge, Node: u, To: scratch, Label: lbl},
-			{Op: MutRemoveEdge, Node: u, To: scratch},
+		muts := []query.Mutation{
+			{Op: query.MutUpsertNode, Node: u, Label: lbl},
+			{Op: query.MutAddEdge, Node: center, To: u, Label: lbl},
+			{Op: query.MutAddEdge, Node: u, To: graph.NodeID((round*17 + 3) % base), Label: lbl},
+			{Op: query.MutAddEdge, Node: u, To: scratch, Label: lbl},
+			{Op: query.MutRemoveEdge, Node: u, To: scratch},
 		}
 		if n, err := ses.Mutate(muts...); err != nil || n != 5 {
 			t.Fatalf("round %d: applied %d, err %v", round, n, err)
 		}
-		mirror(g, muts...)
+		mirror(t, g, muts...)
 		acked = append(acked, u)
 		removed = append(removed, edge{u, scratch})
 		// The migration cycle races everything above.
@@ -276,17 +236,17 @@ func TestMutateUnreadablePreImage(t *testing.T) {
 	if err := sys.FailStorage(owner(v)); err != nil {
 		t.Fatal(err)
 	}
-	lbl := g.InternLabel("t")
+	const lbl = "t"
 	n, err := ses.Mutate(
-		Mutation{Op: MutUpsertNode, Node: h, Label: lbl},
-		Mutation{Op: MutAddEdge, Node: h, To: v, Label: lbl},
-		Mutation{Op: MutUpsertNode, Node: h},
+		query.Mutation{Op: query.MutUpsertNode, Node: h, Label: lbl},
+		query.Mutation{Op: query.MutAddEdge, Node: h, To: v, Label: lbl},
+		query.Mutation{Op: query.MutUpsertNode, Node: h},
 	)
 	if n != 1 || !errors.Is(err, query.ErrUnavailable) {
 		t.Fatalf("applied %d, err %v; want 1 and ErrUnavailable", n, err)
 	}
 	want := gstore.RecordOf(g, h)
-	want.NodeLabel = lbl
+	want.NodeLabel, _ = g.LabelID(lbl)
 	if got := stored(h); !bytes.Equal(got, gstore.Encode(nil, want)) {
 		t.Fatal("node h's record is not the applied prefix's: the failed mutation wrote it")
 	}

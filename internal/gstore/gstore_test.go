@@ -3,7 +3,9 @@ package gstore
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -423,6 +425,97 @@ func TestApply(t *testing.T) {
 				t.Fatalf("u.Out %v, v.In %v; want %v, %v", u.Out, v.In, post.uOut, post.vIn)
 			}
 		})
+	}
+}
+
+// TestOracleIsTheRecordEdit holds query.Mutation.Apply, the oracle, and
+// Apply, the edit both transports make on stored records, to one contract:
+// for every op, each endpoint present or absent and the u->v edge absent,
+// single or parallel, the two fail with the same error class and leave the
+// same records behind.
+func TestOracleIsTheRecordEdit(t *testing.T) {
+	const u, v = graph.NodeID(1), graph.NodeID(3)
+	// build is the pre-state, deterministic so two builds intern the same
+	// label ids: "a" < "b", unrelated edges u->0 and 0->v that every edit
+	// must keep, and the u->v edges labelled uv in that order.
+	build := func(uLive, vLive bool, uv []string) *graph.Graph {
+		g := graph.New()
+		a := g.InternLabel("a")
+		g.InternLabel("b")
+		g.UpsertNode(0, graph.NoLabel)
+		g.UpsertNode(5, graph.NoLabel)
+		if uLive {
+			g.UpsertNode(u, a)
+			g.EnsureEdge(u, 0, a)
+		}
+		if vLive {
+			g.UpsertNode(v, graph.NoLabel)
+			g.EnsureEdge(0, v, a)
+		}
+		for _, l := range uv {
+			if err := g.AddEdge(u, v, l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g
+	}
+	class := func(err error) string {
+		switch {
+		case err == nil:
+			return "ok"
+		case errors.Is(err, query.ErrConflict):
+			return "conflict"
+		case errors.Is(err, query.ErrBadQuery):
+			return "bad"
+		}
+		return err.Error()
+	}
+	same := func(a, b *Record) bool {
+		return a.Node == b.Node && a.NodeLabel == b.NodeLabel && slices.Equal(a.Out, b.Out) && slices.Equal(a.In, b.In)
+	}
+	muts := []query.Mutation{
+		{Op: query.MutUpsertNode, Node: u, Label: "b"},
+		{Op: query.MutUpsertNode, Node: u, Label: "fresh"},
+		{Op: query.MutAddEdge, Node: u, To: v, Label: "b"},
+		{Op: query.MutAddEdge, Node: u, To: v, Label: "fresh"},
+		{Op: query.MutRemoveEdge, Node: u, To: v},
+		{Op: query.MutOp(9), Node: u, To: v},
+	}
+	cases := 0
+	for _, m := range muts {
+		for _, live := range [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}} {
+			for _, uv := range [][]string{nil, {"a"}, {"b", "a"}} {
+				if uv != nil && !(live[0] && live[1]) {
+					continue // an edge needs both endpoints
+				}
+				name := fmt.Sprintf("%v %q u=%v v=%v uv=%v", m.Op, m.Label, live[0], live[1], uv)
+				oracle := build(live[0], live[1], uv)
+				oracleErr := m.Apply(oracle)
+
+				g := build(live[0], live[1], uv)
+				ur, vr := RecordOf(g, u), RecordOf(g, v)
+				var vArg *Record
+				if m.Op != query.MutUpsertNode {
+					vArg = vr
+				}
+				_, _, recErr := Apply(m.Op, g.InternLabel(m.Label), ur, vArg, g.Exists(u), g.Exists(v))
+
+				if class(oracleErr) != class(recErr) {
+					t.Errorf("%s: oracle %v, record edit %v", name, oracleErr, recErr)
+					continue
+				}
+				if want := RecordOf(oracle, u); !same(ur, want) {
+					t.Errorf("%s: u's record %+v, oracle's %+v", name, ur, want)
+				}
+				if want := RecordOf(oracle, v); !same(vr, want) {
+					t.Errorf("%s: v's record %+v, oracle's %+v", name, vr, want)
+				}
+				cases++
+			}
+		}
+	}
+	if cases != len(muts)*6 {
+		t.Fatalf("ran %d cases, want %d", cases, len(muts)*6)
 	}
 }
 

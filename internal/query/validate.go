@@ -94,54 +94,3 @@ func (q Query) Validate() error {
 	}
 	return nil
 }
-
-// MutOp enumerates the online graph mutations every transport accepts; the
-// values are what travels on the wire.
-type MutOp uint8
-
-const (
-	// MutUpsertNode creates Node with Label, or relabels it when it
-	// already exists. Idempotent: upserting the same (node, label) twice
-	// is a no-op the second time.
-	MutUpsertNode MutOp = iota + 1
-	// MutAddEdge ensures the edge Node->To with Label exists. Adding an
-	// edge that is already present succeeds without duplicating it; a
-	// missing endpoint is a conflict.
-	MutAddEdge
-	// MutRemoveEdge removes the edge Node->To (any label: the
-	// lowest-labelled edge when several connect u to v). Removing an edge
-	// that does not exist is a conflict.
-	MutRemoveEdge
-)
-
-func (op MutOp) String() string {
-	switch op {
-	case MutUpsertNode:
-		return "upsert-node"
-	case MutAddEdge:
-		return "add-edge"
-	case MutRemoveEdge:
-		return "remove-edge"
-	}
-	return fmt.Sprintf("MutOp(%d)", uint8(op))
-}
-
-// ValidateMutation checks a mutation's shape without consulting a graph,
-// the same contract Validate gives reads: every transport runs it before
-// executing, so a malformed mutation is rejected with the typed
-// ErrBadQuery whether it was submitted in-process or over TCP.
-func ValidateMutation(op MutOp, node, to graph.NodeID) error {
-	switch op {
-	case MutUpsertNode:
-		if to != 0 {
-			return fmt.Errorf("%w: upsert-node carries an edge destination", ErrBadQuery)
-		}
-	case MutAddEdge, MutRemoveEdge:
-		if node == to {
-			return fmt.Errorf("%w: self-loop %d->%d", ErrBadQuery, node, to)
-		}
-	default:
-		return fmt.Errorf("%w: unknown mutation op %d", ErrBadQuery, uint8(op))
-	}
-	return nil
-}

@@ -48,9 +48,6 @@ func (c *RouterClient) Execute(ctx context.Context, q query.Query) (query.Result
 	defer clientCallPool.Put(cc)
 	cc.qs[0] = q
 	cc.ex = ExecRequest{Queries: cc.qs[:1]}
-	if dl, ok := ctx.Deadline(); ok {
-		cc.ex.Deadline = dl.UnixNano()
-	}
 	cc.req = Request{Op: OpExecute, Exec: &cc.ex}
 	if err := c.pool.CallInto(ctx, &cc.req, &cc.resp); err != nil {
 		return query.Result{}, err
@@ -73,7 +70,7 @@ func (c *RouterClient) ExecuteBatch(ctx context.Context, qs []query.Query) ([]qu
 			return nil, err
 		}
 	}
-	resp, err := c.pool.Call(ctx, execRequest(ctx, qs))
+	resp, err := c.pool.Call(ctx, execRequest(qs))
 	if err != nil {
 		return nil, err
 	}
@@ -88,15 +85,11 @@ func (c *RouterClient) ExecuteBatch(ctx context.Context, qs []query.Query) ([]qu
 // applied on failure (each mutation acks individually), and every mutation
 // is idempotent, so retrying a failed batch from the reported index is
 // always safe.
-func (c *RouterClient) Mutate(ctx context.Context, muts []Mutation) (int, error) {
+func (c *RouterClient) Mutate(ctx context.Context, muts []query.Mutation) (int, error) {
 	if len(muts) == 0 {
 		return 0, nil
 	}
-	req := &Request{Op: OpMutate, Muts: muts}
-	if dl, ok := ctx.Deadline(); ok {
-		req.Deadline = dl.UnixNano()
-	}
-	resp, err := c.pool.Call(ctx, req)
+	resp, err := c.pool.Call(ctx, &Request{Op: OpMutate, Muts: muts})
 	return resp.Applied, err
 }
 
@@ -104,11 +97,7 @@ func (c *RouterClient) Mutate(ctx context.Context, muts []Mutation) (int, error)
 // and returns how many records moved. Routers without the subsystem
 // enabled reject it with query.ErrBadQuery.
 func (c *RouterClient) Migrate(ctx context.Context) (int, error) {
-	req := &Request{Op: OpMigrate}
-	if dl, ok := ctx.Deadline(); ok {
-		req.Deadline = dl.UnixNano()
-	}
-	resp, err := c.pool.Call(ctx, req)
+	resp, err := c.pool.Call(ctx, &Request{Op: OpMigrate})
 	return resp.Applied, err
 }
 

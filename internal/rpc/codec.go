@@ -2,7 +2,9 @@ package rpc
 
 import (
 	"encoding/binary"
+	"maps"
 	"reflect"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/mquery"
@@ -174,8 +176,10 @@ func encodeRequestFrame(buf []byte, tag uint64, req *Request, deadline int64, sc
 		}
 	}
 	if bits&reqOverrides != 0 {
+		// Ascending keys: the same table always encodes to the same bytes.
 		buf = binary.AppendUvarint(buf, uint64(len(req.Overrides)))
-		for k, slots := range req.Overrides {
+		for _, k := range slices.Sorted(maps.Keys(req.Overrides)) {
+			slots := req.Overrides[k]
 			buf = binary.AppendUvarint(buf, k)
 			buf = binary.AppendUvarint(buf, uint64(len(slots)))
 			for _, s := range slots {
@@ -227,7 +231,7 @@ func decodeRequestInto(payload []byte, req *Request) error {
 		req.Keys = keys
 	}
 	if bits&reqExec != 0 {
-		req.Exec = decExec(&d, exec, req.Deadline)
+		req.Exec = decExec(&d, exec)
 	}
 	if bits&reqAddr != 0 {
 		req.Addr = d.Str(maxWireStr)
@@ -245,7 +249,7 @@ func decodeRequestInto(payload []byte, req *Request) error {
 		n := d.Count(maxFrame)
 		muts = muts[:0]
 		for i := 0; i < n; i++ {
-			var m Mutation
+			var m query.Mutation
 			m.Op = query.MutOp(d.U8())
 			m.Node = graph.NodeID(d.Uvarint())
 			m.To = graph.NodeID(d.Uvarint())
@@ -283,7 +287,7 @@ func decodeRequestInto(payload []byte, req *Request) error {
 }
 
 // appendExec encodes the OpExecute payload. The deadline lives in the frame
-// header, not here (decode mirrors it back into ExecRequest.Deadline).
+// header, not here.
 func appendExec(buf []byte, ex *ExecRequest, scratch *[]byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ex.Queries)))
 	for i := range ex.Queries {
@@ -300,13 +304,13 @@ func appendExec(buf []byte, ex *ExecRequest, scratch *[]byte) []byte {
 
 // decExec decodes the OpExecute payload, reusing a recycled ExecRequest's
 // struct and slice capacity when the caller hands one in (ex may be nil).
-func decExec(d *wire.Reader, ex *ExecRequest, deadline int64) *ExecRequest {
+func decExec(d *wire.Reader, ex *ExecRequest) *ExecRequest {
 	if ex == nil {
 		ex = &ExecRequest{}
 	}
 	qs := ex.Queries[:0]
 	sts := ex.Subtasks[:0]
-	*ex = ExecRequest{Deadline: deadline}
+	*ex = ExecRequest{}
 	nq := d.Count(maxFrame)
 	for i := 0; i < nq; i++ {
 		var q query.Query

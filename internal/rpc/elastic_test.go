@@ -216,7 +216,7 @@ func TestExecuteResponseCarriesEpoch(t *testing.T) {
 	}
 	defer cn.Close()
 	q := query.Query{Type: query.NeighborAgg, Node: 1, Hops: 1, Dir: graph.Out}
-	resp, err := cn.Call(ctx, execRequest(ctx, []query.Query{q}))
+	resp, err := cn.Call(ctx, execRequest([]query.Query{q}))
 	if err != nil {
 		t.Fatal(err)
 	}

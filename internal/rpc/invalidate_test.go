@@ -237,7 +237,7 @@ func freshEdge(t *testing.T, g *graph.Graph, i int) (u, v graph.NodeID) {
 func (c *writableCluster) addEdge(t *testing.T, i int) []uint64 {
 	t.Helper()
 	u, v := freshEdge(t, c.g, i)
-	if _, err := c.cl.Mutate(context.Background(), []Mutation{{Op: query.MutAddEdge, Node: u, To: v}}); err != nil {
+	if _, err := c.cl.Mutate(context.Background(), []query.Mutation{{Op: query.MutAddEdge, Node: u, To: v}}); err != nil {
 		t.Fatal(err)
 	}
 	return []uint64{uint64(u), uint64(v)}
@@ -300,7 +300,7 @@ func TestInvalidationsRideExecuteFrames(t *testing.T) {
 		}
 	}
 
-	if _, err := cl.Mutate(ctx, []Mutation{{Op: query.MutAddEdge, Node: u, To: v}}); err != nil {
+	if _, err := cl.Mutate(ctx, []query.Mutation{{Op: query.MutAddEdge, Node: u, To: v}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := oracle.EnsureEdge(u, v, 0); err != nil {
@@ -488,9 +488,9 @@ func TestBacklogBoundFlushesWithOneEvict(t *testing.T) {
 	done := 0
 	toggle := func(n int) {
 		t.Helper()
-		muts := make([]Mutation, n)
+		muts := make([]query.Mutation, n)
 		for i := range muts {
-			muts[i] = Mutation{Op: query.MutAddEdge, Node: u, To: v}
+			muts[i] = query.Mutation{Op: query.MutAddEdge, Node: u, To: v}
 			if (done+i)%2 == 1 {
 				muts[i].Op = query.MutRemoveEdge
 			}
@@ -522,7 +522,7 @@ func TestBacklogBoundFlushesWithOneEvict(t *testing.T) {
 		return val
 	}
 	pre := stored()
-	applied, err := c.cl.Mutate(ctx, []Mutation{{Op: query.MutAddEdge, Node: u, To: v}}) // done is even: the edge is absent
+	applied, err := c.cl.Mutate(ctx, []query.Mutation{{Op: query.MutAddEdge, Node: u, To: v}}) // done is even: the edge is absent
 	if applied != 0 || !errors.Is(err, query.ErrUnavailable) || !strings.Contains(err.Error(), "cache eviction") {
 		t.Fatalf("mutation past the bound with the processor gone: applied %d, err %v; want the typed cache-eviction failure", applied, err)
 	}
@@ -573,7 +573,7 @@ func TestPreImageReadFailsOver(t *testing.T) {
 		t.Fatalf("down = %v %v, %d failovers; want only shard %d down, once",
 			rs.storage.down[0].Load(), rs.storage.down[1].Load(), rs.storage.Failovers(), dead)
 	}
-	if resp := rs.mutate(ctx, []Mutation{{Op: query.MutAddEdge, Node: u, To: 1 << 30}}); resp.Code != CodeConflict {
+	if resp := rs.mutate(ctx, []query.Mutation{{Op: query.MutAddEdge, Node: u, To: 1 << 30}}); resp.Code != CodeConflict {
 		t.Fatalf("edge to a missing endpoint: %+v, want the typed conflict", resp)
 	}
 }

@@ -143,7 +143,7 @@ func TestRouterServerKeepsOnlyTheLabelTable(t *testing.T) {
 	if got, err := cl.Execute(ctx, q); err != nil || got != want {
 		t.Fatalf("labelled pattern: got %+v, %v; want %+v", got, err, want)
 	}
-	if _, err := cl.Mutate(ctx, []Mutation{{Op: query.MutUpsertNode, Node: 5000, Label: "never-seen"}}); err != nil {
+	if _, err := cl.Mutate(ctx, []query.Mutation{{Op: query.MutUpsertNode, Node: 5000, Label: "never-seen"}}); err != nil {
 		t.Fatalf("labelled mutation: %v", err)
 	}
 }
@@ -193,8 +193,8 @@ func TestLabelledPatternRacesLabelledMutate(t *testing.T) {
 		// one interns, none changes a pattern's answer.
 		first := g.MaxNodeID()
 		for i := 0; i < rounds; i++ {
-			m := Mutation{Op: query.MutUpsertNode, Node: first + graph.NodeID(i), Label: fmt.Sprintf("fresh-%d", i)}
-			if _, err := cl.Mutate(ctx, []Mutation{m}); err != nil {
+			m := query.Mutation{Op: query.MutUpsertNode, Node: first + graph.NodeID(i), Label: fmt.Sprintf("fresh-%d", i)}
+			if _, err := cl.Mutate(ctx, []query.Mutation{m}); err != nil {
 				t.Errorf("mutation %d: %v", i, err)
 				return
 			}

@@ -61,7 +61,7 @@ const maxBacklog = 256
 // mutate applies a batch of mutations in order, stopping at the first
 // failure. Response.Applied counts the applied prefix, which stays
 // applied — the same contract as the virtual-time Session.Mutate.
-func (r *RouterServer) mutate(ctx context.Context, muts []Mutation) Response {
+func (r *RouterServer) mutate(ctx context.Context, muts []query.Mutation) Response {
 	if len(muts) == 0 {
 		return errorResponse(fmt.Errorf("%w: mutate request carries no mutations", query.ErrBadQuery))
 	}
@@ -82,8 +82,8 @@ func (r *RouterServer) mutate(ctx context.Context, muts []Mutation) Response {
 // the records the mutation touches, edits them with gstore.Apply — the edit
 // the virtual-time engine makes — and commits the ones that changed. Caller
 // holds mutMu.
-func (r *RouterServer) applyMutation(ctx context.Context, m *Mutation) error {
-	if err := query.ValidateMutation(m.Op, m.Node, m.To); err != nil {
+func (r *RouterServer) applyMutation(ctx context.Context, m *query.Mutation) error {
+	if err := m.Validate(); err != nil {
 		return err
 	}
 	lab, err := r.internLabel(m.Label)

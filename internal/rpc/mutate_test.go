@@ -208,7 +208,7 @@ func TestMigrateTCP(t *testing.T) {
 	for oracle.HasEdge(u, v) || u == v {
 		v++
 	}
-	if _, err := cl.Mutate(ctx, []Mutation{{Op: query.MutAddEdge, Node: u, To: v}}); err != nil {
+	if _, err := cl.Mutate(ctx, []query.Mutation{{Op: query.MutAddEdge, Node: u, To: v}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := oracle.EnsureEdge(u, v, 0); err != nil {
@@ -471,7 +471,7 @@ func TestMutateRollbackOnExpiredContext(t *testing.T) {
 	go func() {
 		short, cancel := context.WithTimeout(ctx, 150*time.Millisecond)
 		defer cancel()
-		_, err := cl.Mutate(short, []Mutation{{Op: query.MutAddEdge, Node: u, To: v}})
+		_, err := cl.Mutate(short, []query.Mutation{{Op: query.MutAddEdge, Node: u, To: v}})
 		failed <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -501,7 +501,7 @@ func TestMutateRollbackOnExpiredContext(t *testing.T) {
 	checkOracle(t, cl, g, onU, "after the roll-back")
 
 	shards[1].Close()
-	_, err = cl.Mutate(ctx, []Mutation{{Op: query.MutAddEdge, Node: u, To: v}})
+	_, err = cl.Mutate(ctx, []query.Mutation{{Op: query.MutAddEdge, Node: u, To: v}})
 	if !errors.Is(err, query.ErrUnavailable) {
 		t.Fatalf("mutation across a dead replica: err = %v, want ErrUnavailable", err)
 	}

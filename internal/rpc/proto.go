@@ -36,7 +36,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/mquery"
 	"repro/internal/query"
@@ -144,16 +143,6 @@ func (op Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
 
-// Mutation is one graph write as it travels to the router. Label rides as
-// a string (the router interns it against the loaded graph's label table),
-// exactly like Query.CountLabel.
-type Mutation struct {
-	Op    query.MutOp
-	Node  graph.NodeID
-	To    graph.NodeID
-	Label string
-}
-
 // HotKey is one entry of a processor's drained heat: a record and how many
 // storage misses it cost since the last drain.
 type HotKey struct {
@@ -197,31 +186,30 @@ type Request struct {
 	// the router's topology view can distinguish a cold joiner (0) from a
 	// warm rejoin. Zero for non-durable shards and processor joins.
 	Version uint64
-	// Muts serves OpMutate; nil for every other op.
-	Muts []Mutation
+	// Muts serves OpMutate; nil for every other op. Labels ride as strings
+	// (the router interns them against the loaded graph's label table).
+	Muts []query.Mutation
 	// Overrides serves OpPlacement: the full placement-override table,
 	// replacing whatever the processor held (migration pins are router
 	// state; the push is always the complete picture).
 	Overrides map[uint64][]int
-	// Deadline carries the client context's absolute deadline in Unix
-	// nanoseconds (0 = none). On the wire it rides in the frame header,
-	// so every op propagates it; decode mirrors it back here (and into
-	// Exec.Deadline when the request carries an Exec payload).
+	// Deadline is the absolute deadline in Unix nanoseconds (0 = none) the
+	// frame header carries, so every op propagates it. Left 0, Conn.CallInto
+	// sends the call context's deadline; decode fills it from the header,
+	// and serveConn turns it back into the handler's context, which the
+	// daemon's own downstream calls (router → processor → storage) carry on
+	// in turn.
 	Deadline int64
 }
 
-// ExecRequest is the OpExecute payload: a batch of queries plus the
-// client's absolute deadline, which daemons re-impose on their own
-// downstream calls (router → processor → storage).
+// ExecRequest is the OpExecute payload: a batch of queries, or one wave's
+// subtasks.
 type ExecRequest struct {
 	Queries []query.Query
 	// Subtasks serves the router→processor leg of a multi-anchor query:
 	// the per-anchor work units of one wave routed to this processor.
 	// Mutually exclusive with Queries; nil on the client→router leg.
 	Subtasks []mquery.Subtask
-	// Deadline is the client context's deadline in Unix nanoseconds
-	// (0 = none).
-	Deadline int64
 }
 
 // Response is the response envelope. As with Request, inactive payloads
@@ -355,14 +343,9 @@ func checkResults(addr string, resp *Response, queries int) error {
 	return &remoteError{addr: addr, msg: fmt.Sprintf("got %d results for %d queries", len(resp.Results), queries), kind: query.ErrUnavailable}
 }
 
-// execRequest assembles an OpExecute request, capturing ctx's deadline so
-// daemons downstream can honour it.
-func execRequest(ctx context.Context, qs []query.Query) *Request {
-	ex := &ExecRequest{Queries: qs}
-	if dl, ok := ctx.Deadline(); ok {
-		ex.Deadline = dl.UnixNano()
-	}
-	return &Request{Op: OpExecute, Exec: ex}
+// execRequest assembles an OpExecute request.
+func execRequest(qs []query.Query) *Request {
+	return &Request{Op: OpExecute, Exec: &ExecRequest{Queries: qs}}
 }
 
 // pcall is one in-flight pipelined call. The struct (and its signal
@@ -482,9 +465,6 @@ func (cn *Conn) CallInto(ctx context.Context, req *Request, resp *Response) erro
 
 	// The wire deadline: what the request carries, else the context's.
 	dl := req.Deadline
-	if req.Exec != nil && req.Exec.Deadline > 0 {
-		dl = req.Exec.Deadline
-	}
 	if dl == 0 {
 		if t, ok := ctx.Deadline(); ok {
 			dl = t.UnixNano()
@@ -711,9 +691,7 @@ func serveConn(c net.Conn, handle func(context.Context, *Request) Response, ct *
 		go func(tag uint64, req *Request) {
 			ctx := connCtx
 			var cancel context.CancelFunc
-			if req.Exec != nil && req.Exec.Deadline > 0 {
-				ctx, cancel = context.WithDeadline(ctx, time.Unix(0, req.Exec.Deadline))
-			} else if req.Deadline > 0 {
+			if req.Deadline > 0 {
 				ctx, cancel = context.WithDeadline(ctx, time.Unix(0, req.Deadline))
 			}
 			resp := handle(ctx, req)

@@ -342,7 +342,7 @@ func (r *RouterServer) executeMixed(ctx context.Context, ex *ExecRequest) Respon
 			classic = append(classic, i)
 			continue
 		}
-		res, epoch, err := r.executeMultiQuery(ctx, q, ex.Deadline)
+		res, epoch, err := r.executeMultiQuery(ctx, q)
 		if err != nil {
 			return errorResponse(err)
 		}
@@ -352,7 +352,7 @@ func (r *RouterServer) executeMixed(ctx context.Context, ex *ExecRequest) Respon
 		}
 	}
 	if len(classic) > 0 {
-		sub := &ExecRequest{Queries: make([]query.Query, len(classic)), Deadline: ex.Deadline}
+		sub := &ExecRequest{Queries: make([]query.Query, len(classic))}
 		for j, i := range classic {
 			sub.Queries[j] = ex.Queries[i]
 		}
@@ -455,7 +455,7 @@ func (r *RouterServer) executeClassic(ctx context.Context, ex *ExecRequest) Resp
 	results := make(chan procResult, len(groups))
 	for p, indices := range groups {
 		go func(p int, indices []int) {
-			sub := &ExecRequest{Queries: make([]query.Query, len(indices)), Deadline: ex.Deadline}
+			sub := &ExecRequest{Queries: make([]query.Query, len(indices))}
 			for j, i := range indices {
 				sub.Queries[j] = ex.Queries[i]
 			}
@@ -493,7 +493,7 @@ func (r *RouterServer) executeClassic(ctx context.Context, ex *ExecRequest) Resp
 // are merged as each processor answers; for BoundedReach, a hit on the
 // target cancels the wave's outstanding subtask calls mid-stream (their
 // results cannot change the answer) and no further wave launches.
-func (r *RouterServer) executeMultiQuery(ctx context.Context, q query.Query, deadline int64) (query.Result, uint64, error) {
+func (r *RouterServer) executeMultiQuery(ctx context.Context, q query.Query) (query.Result, uint64, error) {
 	if q.Type == query.KNearest {
 		// Ranking needs the coordinate table; fail before issuing subtasks.
 		if err := r.coords.KNNReady(r.policyName); err != nil {
@@ -512,7 +512,7 @@ func (r *RouterServer) executeMultiQuery(ctx context.Context, q query.Query, dea
 	epoch := r.Epoch()
 	wave := pl.Subtasks
 	for len(wave) > 0 && !m.Found() {
-		ep, err := r.runWave(ctx, q, wave, deadline, m)
+		ep, err := r.runWave(ctx, q, wave, m)
 		if ep > 0 {
 			epoch = ep
 		}
@@ -537,7 +537,7 @@ func (r *RouterServer) executeMultiQuery(ctx context.Context, q query.Query, dea
 // runWave routes one wave of subtasks through the strategy's multi-anchor
 // hook, fans the per-processor groups out concurrently, and absorbs the
 // partial results as they stream back.
-func (r *RouterServer) runWave(ctx context.Context, q query.Query, wave []mquery.Subtask, deadline int64, m *mquery.Merger) (uint64, error) {
+func (r *RouterServer) runWave(ctx context.Context, q query.Query, wave []mquery.Subtask, m *mquery.Merger) (uint64, error) {
 	anchors := make([]graph.NodeID, len(wave))
 	for i, st := range wave {
 		anchors[i] = st.Anchor
@@ -580,7 +580,7 @@ func (r *RouterServer) runWave(ctx context.Context, q query.Query, wave []mquery
 	results := make(chan procResult, len(groups))
 	for p, indices := range groups {
 		go func(p int, indices []int) {
-			sub := &ExecRequest{Subtasks: make([]mquery.Subtask, len(indices)), Deadline: deadline}
+			sub := &ExecRequest{Subtasks: make([]mquery.Subtask, len(indices))}
 			for j, i := range indices {
 				sub.Subtasks[j] = wave[i]
 			}

@@ -260,7 +260,7 @@ func TestClusterTypedErrors(t *testing.T) {
 	if _, err := cl.Execute(ctx, bad); !errors.Is(err, query.ErrBadQuery) {
 		t.Fatalf("bad query error = %v, want ErrBadQuery", err)
 	}
-	resp, err := cl.pool.Call(ctx, execRequest(ctx, []query.Query{bad}))
+	resp, err := cl.pool.Call(ctx, execRequest([]query.Query{bad}))
 	if err == nil || !errors.Is(err, query.ErrBadQuery) {
 		t.Fatalf("router-side bad query error = %v (resp %+v), want ErrBadQuery", err, resp)
 	}
@@ -344,7 +344,7 @@ func TestProcessorCacheWarms(t *testing.T) {
 	_, cn := startProcessor(t, gen.Ring(100), 1<<20)
 	q := query.Query{Type: query.NeighborAgg, Node: 5, Hops: 3, Dir: graph.Out}
 	for i := 0; i < 2; i++ {
-		if _, err := cn.Call(ctx, execRequest(ctx, []query.Query{q})); err != nil {
+		if _, err := cn.Call(ctx, execRequest([]query.Query{q})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -371,7 +371,7 @@ func TestCancelledBatchStopsOnWarmProcessor(t *testing.T) {
 		qs[i] = query.Query{Type: query.NeighborAgg, Node: graph.NodeID(i), Hops: 3, Dir: graph.Out}
 	}
 	pass := func() Stats {
-		if _, err := cn.Call(ctx, execRequest(ctx, qs)); err != nil {
+		if _, err := cn.Call(ctx, execRequest(qs)); err != nil {
 			t.Fatal(err)
 		}
 		return ps.Stats()
@@ -382,15 +382,15 @@ func TestCancelledBatchStopsOnWarmProcessor(t *testing.T) {
 	}
 
 	// A propagated deadline that has already passed, over the wire.
-	req := execRequest(ctx, qs)
-	req.Exec.Deadline = time.Now().Add(-time.Second).UnixNano()
+	req := execRequest(qs)
+	req.Deadline = time.Now().Add(-time.Second).UnixNano()
 	if _, err := cn.Call(ctx, req); !errors.Is(err, query.ErrUnavailable) {
 		t.Fatalf("expired batch: err = %v, want ErrUnavailable", err)
 	}
 	// An already-cancelled context, handed straight to the handler.
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if resp := ps.handle(cancelled, execRequest(ctx, qs)); resp.OK || resp.Code != CodeUnavailable {
+	if resp := ps.handle(cancelled, execRequest(qs)); resp.OK || resp.Code != CodeUnavailable {
 		t.Fatalf("cancelled batch: response %+v, want CodeUnavailable", resp)
 	}
 	after := ps.Stats()
@@ -414,7 +414,7 @@ func TestProcessorExecutorsBounded(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			q := query.Query{Type: query.NeighborAgg, Node: graph.NodeID(i % 100), Hops: 3, Dir: graph.Out}
-			resp, err := cn.Call(ctx, execRequest(ctx, []query.Query{q}))
+			resp, err := cn.Call(ctx, execRequest([]query.Query{q}))
 			if err != nil {
 				t.Errorf("burst query %d: %v", i, err)
 				return
@@ -436,13 +436,13 @@ func TestProcessorExecutorsBounded(t *testing.T) {
 	q := query.Query{Type: query.NeighborAgg, Node: 5, Hops: 3, Dir: graph.Out}
 	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
 	defer cancel()
-	if resp := ps.handle(short, execRequest(ctx, []query.Query{q})); resp.OK || resp.Code != CodeUnavailable {
+	if resp := ps.handle(short, execRequest([]query.Query{q})); resp.OK || resp.Code != CodeUnavailable {
 		t.Fatalf("request with no free executor: response %+v, want CodeUnavailable", resp)
 	}
 	for _, ex := range held {
 		ps.execs <- ex
 	}
-	if _, err := cn.Call(ctx, execRequest(ctx, []query.Query{q})); err != nil {
+	if _, err := cn.Call(ctx, execRequest([]query.Query{q})); err != nil {
 		t.Fatalf("after the executors came back: %v", err)
 	}
 }
@@ -475,11 +475,7 @@ func TestDialFailure(t *testing.T) {
 func reqFrameSize(t *testing.T, req *Request) int {
 	t.Helper()
 	var scratch []byte
-	dl := req.Deadline
-	if req.Exec != nil && req.Exec.Deadline > 0 {
-		dl = req.Exec.Deadline
-	}
-	buf := encodeRequestFrame(nil, 1, req, dl, &scratch)
+	buf := encodeRequestFrame(nil, 1, req, req.Deadline, &scratch)
 	// The frame must decode back; a size test on garbage proves nothing.
 	tag, rest, ok := peelTag(buf[frameHeader:])
 	if !ok || tag != 1 {
@@ -567,7 +563,7 @@ func TestEnvelopeEncodedSize(t *testing.T) {
 	}
 	// Mutations: a single-op batch stays a small constant envelope, and an
 	// unlabelled op never drags a label string along.
-	mut := &Request{Op: OpMutate, Muts: []Mutation{{Op: query.MutAddEdge, Node: 42, To: 99}}}
+	mut := &Request{Op: OpMutate, Muts: []query.Mutation{{Op: query.MutAddEdge, Node: 42, To: 99}}}
 	if n := reqFrameSize(t, mut); n > 24 {
 		t.Errorf("1-op mutate frame encodes to %d bytes, want <= 24", n)
 	}
@@ -586,7 +582,7 @@ func TestEnvelopeEncodedSize(t *testing.T) {
 		t.Errorf("1-pin placement push frame encodes to %d bytes, want <= 16", n)
 	}
 	// One-query execute: the query payload plus envelope, nothing else.
-	exec := execRequest(context.Background(), []query.Query{
+	exec := execRequest([]query.Query{
 		{ID: 1, Type: query.NeighborAgg, Node: 42, Hops: 2, Dir: graph.Out},
 	})
 	if n := reqFrameSize(t, exec); n > 48 {
@@ -618,7 +614,7 @@ func TestEnvelopeEncodedSize(t *testing.T) {
 		t.Errorf("1-subtask execute frame encodes to %d bytes, want <= 32", n)
 	}
 	// A pattern-match query rides its varint-packed template.
-	patExec := execRequest(context.Background(), []query.Query{{
+	patExec := execRequest([]query.Query{{
 		ID: 1, Type: query.PatternMatch, Node: 42, Dir: graph.Out,
 		Pattern: &query.Pattern{
 			Nodes: []query.PatternNode{{Anchor: 42}, {Anchor: 97}, {}},
@@ -630,7 +626,7 @@ func TestEnvelopeEncodedSize(t *testing.T) {
 	}
 	// A k-nearest query is the classic-traversal envelope plus one varint
 	// for K; its single-subtask dispatch matches the reach ceiling.
-	knnExec := execRequest(context.Background(), []query.Query{
+	knnExec := execRequest([]query.Query{
 		{ID: 1, Type: query.KNearest, Node: 42, Hops: 2, K: 8, Dir: graph.Both},
 	})
 	if n := reqFrameSize(t, knnExec); n > 48 {
@@ -732,7 +728,7 @@ func TestClusterStatsSnapshot(t *testing.T) {
 	for g.HasEdge(u, v) || u == v {
 		v++
 	}
-	if _, err := cl.Mutate(ctx, []Mutation{{Op: query.MutAddEdge, Node: u, To: v}}); err != nil {
+	if _, err := cl.Mutate(ctx, []query.Mutation{{Op: query.MutAddEdge, Node: u, To: v}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Execute(ctx, qs[1]); err != nil {

@@ -97,7 +97,7 @@ func TestFetchAcrossEvictionIsNotCached(t *testing.T) {
 		t.Fatal("the processor never fetched the query's record")
 	}
 
-	if _, err := cl.Mutate(ctx, []Mutation{{Op: query.MutAddEdge, Node: x, To: y}}); err != nil {
+	if _, err := cl.Mutate(ctx, []query.Mutation{{Op: query.MutAddEdge, Node: x, To: y}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := oracle.EnsureEdge(x, y, 0); err != nil {

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -79,6 +80,37 @@ func TestGoldenFrames(t *testing.T) {
 		}
 		if !reflect.DeepEqual(&back, tc.resp) {
 			t.Errorf("%s decodes to\n %+v\nwant\n %+v", tc.file, &back, tc.resp)
+		}
+	}
+}
+
+// TestGoldenRequestFrames pins the request envelope byte for byte:
+// full_request.hex is fullRequest's frame followed by multiPutRequest's, as
+// the codec wrote them before mutations became query.Mutation and before the
+// OpExecute payload stopped mirroring the header deadline. The one override
+// map is written in ascending key order, the order the encoder now always
+// uses (it once followed map iteration).
+func TestGoldenRequestFrames(t *testing.T) {
+	want := readGolden(t, "full_request.hex")
+	var scratch []byte
+	var got []byte
+	fixtures := []*Request{fullRequest(), multiPutRequest()}
+	for _, req := range fixtures {
+		got = append(got, encodeRequestFrame(nil, 7, req, req.Deadline, &scratch)...)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("frames differ from the golden ones\n got  %x\n want %x", got, want)
+	}
+	for _, req := range fixtures {
+		end := frameHeader + int(binary.LittleEndian.Uint32(want))
+		_, payload, _ := peelTag(want[frameHeader:end])
+		want = want[end:]
+		var back Request
+		if err := decodeRequestInto(payload, &back); err != nil {
+			t.Fatalf("%v: %v", req.Op, err)
+		}
+		if !reflect.DeepEqual(&back, req) {
+			t.Errorf("%v frame decodes to\n %+v\nwant\n %+v", req.Op, &back, req)
 		}
 	}
 }

@@ -59,7 +59,6 @@ func fullRequest() *Request {
 		Value:    []byte("payload-bytes"),
 		Keys:     []uint64{1, 2, 1 << 40},
 		Exec: &ExecRequest{
-			Deadline: 1_700_000_000_123_456_789,
 			Queries: []query.Query{
 				{
 					ID: 3, Type: query.RandomWalk, Node: 42, Target: 99,
@@ -83,7 +82,7 @@ func fullRequest() *Request {
 		Proc:      5,
 		Tier:      "storage",
 		Version:   12,
-		Muts:      []Mutation{{Op: query.MutAddEdge, Node: 1, To: 2, Label: "knows"}, {Op: query.MutRemoveEdge, Node: 9, To: 1}},
+		Muts:      []query.Mutation{{Op: query.MutAddEdge, Node: 1, To: 2, Label: "knows"}, {Op: query.MutRemoveEdge, Node: 9, To: 1}},
 		Overrides: map[uint64][]int{42: {1, 0}, 99: {2}},
 	}
 }
@@ -163,27 +162,15 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpGet, Key: 123456789},
 		{Op: OpMultiGet, Keys: []uint64{0, 1, 1<<64 - 1}},
 		{Op: OpPut, Key: 1, Value: []byte{0, 255, 1}},
-		{Op: OpMutate, Muts: []Mutation{{Op: query.MutAddEdge, Node: 42, To: 99}}},
+		{Op: OpMutate, Muts: []query.Mutation{{Op: query.MutAddEdge, Node: 42, To: 99}}},
 		{Op: OpJoin, Addr: "127.0.0.1:7001", Tier: "storage", Version: 3},
 		{Op: OpPlacement, Overrides: map[uint64][]int{7: {0, 2}}},
 		multiPutRequest(),
 		fullRequest(),
 	}
 	for _, req := range reqs {
-		dl := req.Deadline
-		if req.Exec != nil && req.Exec.Deadline > dl {
-			dl = req.Exec.Deadline
-		}
-		got := roundTripRequest(t, req, dl)
-		want := *req
-		want.Deadline = dl
-		if want.Exec != nil {
-			ex := *want.Exec
-			ex.Deadline = dl // the deadline rides in the frame header and is mirrored back
-			want.Exec = &ex
-		}
-		if !reflect.DeepEqual(got, &want) {
-			t.Errorf("op %v round trip mismatch:\n got  %+v\n want %+v", req.Op, got, &want)
+		if got := roundTripRequest(t, req, req.Deadline); !reflect.DeepEqual(got, req) {
+			t.Errorf("op %v round trip mismatch:\n got  %+v\n want %+v", req.Op, got, req)
 		}
 	}
 }
@@ -301,8 +288,7 @@ func FuzzFrameDecode(f *testing.F) {
 		if _, rest, ok := peelTag(data); ok {
 			var req Request
 			if err := decodeRequestInto(rest, &req); err == nil {
-				dl := req.Deadline
-				buf := encodeRequestFrame(nil, 1, &req, dl, &scratch)
+				buf := encodeRequestFrame(nil, 1, &req, req.Deadline, &scratch)
 				_, rest2, ok := peelTag(buf[frameHeader:])
 				if !ok {
 					t.Fatal("re-encoded request: tag unreadable")

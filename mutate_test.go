@@ -108,14 +108,11 @@ func mutationStream(ctx context.Context, c grouting.Client, oracle *grouting.Gra
 		return nil, fmt.Errorf("batch applied %d of %d: %w", n, len(burst), err)
 	}
 	for _, m := range burst {
-		switch m.Op {
-		case grouting.MutUpsertNode:
-			oracle.UpsertNode(m.Node, pageLabel)
+		if err := m.Apply(oracle); err != nil {
+			return nil, err
+		}
+		if m.Op == grouting.MutUpsertNode {
 			added = append(added, m.Node)
-		case grouting.MutAddEdge:
-			if _, err := oracle.EnsureEdge(m.Node, m.To, linkLabel); err != nil {
-				return nil, err
-			}
 		}
 	}
 
@@ -328,16 +325,11 @@ func TestMutateConcurrentReadYourWrites(t *testing.T) {
 
 // mirrorMutations applies acked client mutations to oracle, interning their
 // labels in stream order as both transports do.
-func mirrorMutations(oracle *grouting.Graph, muts []grouting.Mutation) {
+func mirrorMutations(t *testing.T, oracle *grouting.Graph, muts []grouting.Mutation) {
+	t.Helper()
 	for _, m := range muts {
-		label := oracle.InternLabel(m.Label)
-		switch m.Op {
-		case grouting.MutUpsertNode:
-			oracle.UpsertNode(m.Node, label)
-		case grouting.MutAddEdge:
-			oracle.EnsureEdge(m.Node, m.To, label)
-		case grouting.MutRemoveEdge:
-			oracle.RemoveEdge(m.Node, m.To)
+		if err := m.Apply(oracle); err != nil {
+			t.Fatalf("oracle rejects acked %v: %v", m, err)
 		}
 	}
 }
@@ -400,7 +392,7 @@ func TestStoredRecordsTwoTransports(t *testing.T) {
 			t.Fatalf("%s: applied %d of %d: %v", tc.name, n, len(stream), err)
 		}
 	}
-	mirrorMutations(oracle, stream)
+	mirrorMutations(t, oracle, stream)
 	if want := []grouting.Edge{{To: n1, Label: oracle.InternLabel("b")}}; !reflect.DeepEqual(oracle.OutEdges(n0), want) {
 		t.Fatalf("oracle kept %v of the parallel edges, want %v", oracle.OutEdges(n0), want)
 	}

@@ -171,7 +171,9 @@ func Dial(ctx context.Context, routerAddr string) (Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &netClient{rc: rc}, nil
+	c := &netClient{rc: rc}
+	c.writes = writes{c.Mutate}
+	return c, nil
 }
 
 // TriggerPlacement asks a networked deployment's router to run one
@@ -190,6 +192,7 @@ func TriggerPlacement(ctx context.Context, routerAddr string) (int, error) {
 
 // netClient adapts the pooled rpc router client to the Client interface.
 type netClient struct {
+	writes
 	rc *rpc.RouterClient
 }
 
@@ -206,26 +209,7 @@ func (c *netClient) ExecuteStream(ctx context.Context, in <-chan Query) <-chan O
 }
 
 func (c *netClient) Mutate(ctx context.Context, muts []Mutation) (int, error) {
-	wire := make([]rpc.Mutation, len(muts))
-	for i, m := range muts {
-		wire[i] = rpc.Mutation{Op: m.Op, Node: m.Node, To: m.To, Label: m.Label}
-	}
-	return c.rc.Mutate(ctx, wire)
-}
-
-func (c *netClient) UpsertNode(ctx context.Context, id NodeID, label string) error {
-	_, err := c.Mutate(ctx, []Mutation{{Op: MutUpsertNode, Node: id, Label: label}})
-	return err
-}
-
-func (c *netClient) AddEdge(ctx context.Context, u, v NodeID, label string) error {
-	_, err := c.Mutate(ctx, []Mutation{{Op: MutAddEdge, Node: u, To: v, Label: label}})
-	return err
-}
-
-func (c *netClient) RemoveEdge(ctx context.Context, u, v NodeID) error {
-	_, err := c.Mutate(ctx, []Mutation{{Op: MutRemoveEdge, Node: u, To: v}})
-	return err
+	return c.rc.Mutate(ctx, muts)
 }
 
 func (c *netClient) Stats(ctx context.Context) (Stats, error) {

@@ -144,6 +144,7 @@ bench:
 loc:
 	@echo "non-test Go lines: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
 	@echo "test Go lines:     $$(find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
+	@echo "total Go lines:    $$(find . -name '*.go' ! -path './bench/*' | xargs cat | wc -l)"
 	@echo "internal/experiments non-test Go lines: $$(find internal/experiments -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "root package exported identifiers: $$($(GO) doc -short . | wc -l)"
 

@@ -19,7 +19,7 @@ func BenchmarkClientBatch(b *testing.B) {
 	qs := grouting.HotspotWorkload(g, grouting.WorkloadSpec{
 		NumHotspots: 16, QueriesPerHotspot: 4, R: 2, H: 2, Seed: 3,
 	})
-	cl := startTCPCluster(b, g, 2, 3, grouting.PolicyHash)
+	cl, _ := startLoopback(b, g, grouting.Config{Processors: 3, StorageServers: 2, Policy: grouting.PolicyHash, CacheBytes: 64 << 20})
 	ctx := context.Background()
 
 	// Warm the processor caches so every variant measures submission cost,
@@ -74,20 +74,9 @@ func allocBenchSetup(tb testing.TB) (local, remote grouting.Client, qs []groutin
 	qs = grouting.HotspotWorkload(g, grouting.WorkloadSpec{
 		NumHotspots: 16, QueriesPerHotspot: 4, R: 2, H: 2, Seed: 3,
 	})
-	sys, err := grouting.New(g,
-		grouting.WithProcessors(3),
-		grouting.WithStorageServers(2),
-		grouting.WithPolicy(grouting.PolicyHash),
-		grouting.WithSeed(1),
-	)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	local, err = grouting.NewLocalClient(sys)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	remote = startTCPCluster(tb, g, 2, 3, grouting.PolicyHash)
+	local, remote = twoTransports(tb, g, grouting.Config{
+		Processors: 3, StorageServers: 2, Policy: grouting.PolicyHash, CacheBytes: 64 << 20, Seed: 1,
+	})
 
 	// Warm processor caches, connection pools, and frame-slab pools so the
 	// measurements see the steady state, not dials and first-touch fetches.
@@ -313,31 +302,10 @@ func TestMutateCrossingsBudget(t *testing.T) {
 	}
 	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
 	ctx := context.Background()
-	storageAddrs := durableShards(t)
-	if err := grouting.LoadStorageReplicated(ctx, g, storageAddrs, 2); err != nil {
-		t.Fatal(err)
-	}
-	var procAddrs []string
-	for i := 0; i < 3; i++ {
-		ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{Storage: storageAddrs, StorageReplicas: 2, CacheBytes: 64 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ps.Close() })
-		procAddrs = append(procAddrs, ps.Addr())
-	}
-	rs, err := grouting.ServeRouter("127.0.0.1:0", grouting.RouterSpec{
-		Processors: procAddrs, Policy: grouting.PolicyHash, Storage: storageAddrs, StorageReplicas: 2,
+	cl, _ := startLoopback(t, g, grouting.Config{
+		Processors: 3, StorageServers: 2, StorageReplicas: 2, StorageDir: t.TempDir(),
+		Policy: grouting.PolicyHash, CacheBytes: 64 << 20,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rs.Close() })
-	cl, err := grouting.Dial(ctx, rs.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
 	var pairs [][2]grouting.NodeID
 	for u := grouting.NodeID(0); len(pairs) < 16; u += 2 {
 		if g.Exists(u) && g.Exists(u+1) && !g.HasEdge(u, u+1) {

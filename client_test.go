@@ -8,57 +8,43 @@ import (
 	"time"
 
 	grouting "repro"
+	"repro/internal/rpc"
 )
 
-// startTCPCluster assembles a real loopback deployment through the public
-// API: storage shards, processors, a router, and a dialled Client.
-func startTCPCluster(t testing.TB, g *grouting.Graph, nStorage, nProcs int, policy grouting.Policy) grouting.Client {
-	t.Helper()
-	return startTCPClusterCache(t, g, nStorage, nProcs, policy, 64<<20)
-}
-
-// startTCPClusterCache is startTCPCluster with cacheBytes of cache on every
-// processor.
-func startTCPClusterCache(t testing.TB, g *grouting.Graph, nStorage, nProcs int, policy grouting.Policy, cacheBytes int64) grouting.Client {
+// startLoopback starts the deployment cfg describes over g as real daemons
+// on loopback sockets (rpc.Loopback: the networked counterpart of
+// NewSystem(g, cfg)) and dials a Client to its router; both close with the
+// test.
+func startLoopback(t testing.TB, g *grouting.Graph, cfg grouting.Config) (grouting.Client, *rpc.Deployment) {
 	t.Helper()
 	ctx := context.Background()
-	var storageAddrs []string
-	for i := 0; i < nStorage; i++ {
-		ss, err := grouting.ServeStorage("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ss.Close() })
-		storageAddrs = append(storageAddrs, ss.Addr())
-	}
-	if err := grouting.LoadStorageReplicated(ctx, g, storageAddrs, 1); err != nil {
-		t.Fatal(err)
-	}
-	var procAddrs []string
-	for i := 0; i < nProcs; i++ {
-		ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{Storage: storageAddrs, CacheBytes: cacheBytes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ps.Close() })
-		procAddrs = append(procAddrs, ps.Addr())
-	}
-	rs, err := grouting.ServeRouter("127.0.0.1:0", grouting.RouterSpec{
-		Processors: procAddrs,
-		Policy:     policy,
-		Graph:      g,
-		Seed:       7,
-	})
+	d, err := rpc.Loopback(ctx, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { rs.Close() })
-	cl, err := grouting.Dial(ctx, rs.Addr())
+	t.Cleanup(d.Close)
+	cl, err := grouting.Dial(ctx, d.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	return cl
+	return cl, d
+}
+
+// twoTransports builds cfg's deployment over g on both transports: the
+// virtual-time system and the loopback daemons.
+func twoTransports(t testing.TB, g *grouting.Graph, cfg grouting.Config) (local, remote grouting.Client) {
+	t.Helper()
+	sys, err := grouting.NewSystem(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local, err = grouting.NewLocalClient(sys); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { local.Close() })
+	remote, _ = startLoopback(t, g, cfg)
+	return local, remote
 }
 
 // runWorkload is THE transport-agnostic client function: it exercises all
@@ -118,23 +104,9 @@ func TestClientTwoTransports(t *testing.T) {
 		NumHotspots: 9, QueriesPerHotspot: 5, R: 2, H: 2, Seed: 3,
 	})
 	ctx := context.Background()
-
-	sys, err := grouting.New(g,
-		grouting.WithProcessors(3),
-		grouting.WithStorageServers(2),
-		grouting.WithPolicy(grouting.PolicyLandmark),
-		grouting.WithLandmarks(8),
-		grouting.WithMinSeparation(1),
-		grouting.WithSeed(1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := grouting.NewLocalClient(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote := startTCPCluster(t, g, 2, 3, grouting.PolicyLandmark)
+	local, remote := twoTransports(t, g, grouting.Config{
+		Processors: 3, StorageServers: 2, Policy: grouting.PolicyLandmark, Landmarks: 8, MinSeparation: 1, Seed: 1,
+	})
 
 	clients := []struct {
 		name string
@@ -234,9 +206,10 @@ func TestShardCountersTwoTransports(t *testing.T) {
 	q := grouting.Query{Type: grouting.NeighborAgg, Node: g.Nodes()[1], Hops: 2, Dir: grouting.Out}
 	for _, durable := range []bool{false, true} {
 		cfg := grouting.Config{Policy: grouting.PolicyHash, Processors: 2, StorageServers: 2, StorageReplicas: 1, Seed: 1}
-		walDir := ""
+		remoteCfg := cfg
 		if durable {
-			cfg.StorageDir, walDir = t.TempDir(), t.TempDir()
+			// Each transport logs under its own directory.
+			cfg.StorageDir, remoteCfg.StorageDir = t.TempDir(), t.TempDir()
 		}
 		sys, err := grouting.NewSystem(g, cfg)
 		if err != nil {
@@ -246,7 +219,7 @@ func TestShardCountersTwoTransports(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		remote, _ := startWritableTCPCluster(t, g, 2, 2, grouting.PolicyHash, walDir)
+		remote, _ := startLoopback(t, g, remoteCfg)
 
 		var perClient [2]grouting.Stats
 		for i, c := range []grouting.Client{local, remote} {
@@ -302,41 +275,26 @@ func TestShardCountersTwoTransports(t *testing.T) {
 func TestRecoveryTimeOverTCP(t *testing.T) {
 	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
 	ctx := context.Background()
-	dir := t.TempDir()
-	ss, err := grouting.ServeStorageDurable("127.0.0.1:0", dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := grouting.LoadStorageReplicated(ctx, g, []string{ss.Addr()}, 1); err != nil {
-		t.Fatal(err)
-	}
-	ss.Close()
-	if ss, err = grouting.ServeStorageDurable("127.0.0.1:0", dir, false); err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{Storage: []string{ss.Addr()}, CacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ps.Close()
-	rs, err := grouting.ServeRouter("127.0.0.1:0", grouting.RouterSpec{
-		Processors: []string{ps.Addr()}, Policy: grouting.PolicyHash, Storage: []string{ss.Addr()},
+	cl, d := startLoopback(t, g, grouting.Config{
+		Processors: 1, StorageServers: 1, Policy: grouting.PolicyHash, CacheBytes: 1 << 20, StorageDir: t.TempDir(),
 	})
-	if err != nil {
+	if err := d.KillStorage(0); err != nil {
 		t.Fatal(err)
 	}
-	defer rs.Close()
-	cl, err := grouting.Dial(ctx, rs.Addr())
-	if err != nil {
+	if err := d.RestartStorage(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	st, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	// The router's pooled connections to the killed shard break on their
+	// first use; the poll after that re-dials.
+	var m grouting.StorageStats
+	for deadline := time.Now().Add(5 * time.Second); m.Durable != "warm" && time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		st, err := cl.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m = st.PerStorage[0]
 	}
-	if m := st.PerStorage[0]; m.Durable != "warm" || m.ReplayedBytes <= 0 || m.RecoverNanos <= 0 || m.Keys != int64(len(g.Nodes())) {
+	if m.Durable != "warm" || m.ReplayedBytes <= 0 || m.RecoverNanos <= 0 || m.Keys != int64(len(g.Nodes())) {
 		t.Errorf("restarted shard reports %+v; want warm, every key, and its replay's bytes and time", m)
 	}
 }
@@ -353,20 +311,7 @@ func TestClientStreamCancellation(t *testing.T) {
 		NumHotspots: 40, QueriesPerHotspot: 10, R: 2, H: 2, Seed: 5,
 	})
 
-	sys, err := grouting.New(g,
-		grouting.WithProcessors(2),
-		grouting.WithStorageServers(2),
-		grouting.WithPolicy(grouting.PolicyHash),
-		grouting.WithSeed(2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := grouting.NewLocalClient(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote := startTCPCluster(t, g, 2, 2, grouting.PolicyHash)
+	local, remote := twoTransports(t, g, grouting.Config{Processors: 2, StorageServers: 2, Policy: grouting.PolicyHash, Seed: 2})
 
 	for _, tc := range []struct {
 		name string

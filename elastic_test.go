@@ -10,68 +10,14 @@ import (
 	"time"
 
 	grouting "repro"
+	"repro/internal/rpc"
 )
 
-// elasticTCPCluster is a loopback deployment whose pieces stay reachable
-// so the test can grow and shrink the processing tier at runtime.
-type elasticTCPCluster struct {
-	client       grouting.Client
-	router       *grouting.RouterServer
-	storageAddrs []string
-}
-
-func startElasticTCPCluster(t testing.TB, g *grouting.Graph, nProcs int, policy grouting.Policy) *elasticTCPCluster {
+// joinProcessor starts one more processor in d and registers it with the
+// running router, returning it and its assigned slot.
+func joinProcessor(t testing.TB, d *rpc.Deployment) (*grouting.ProcessorServer, int) {
 	t.Helper()
-	ctx := context.Background()
-	var storageAddrs []string
-	for i := 0; i < 2; i++ {
-		ss, err := grouting.ServeStorage("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ss.Close() })
-		storageAddrs = append(storageAddrs, ss.Addr())
-	}
-	if err := grouting.LoadStorageReplicated(ctx, g, storageAddrs, 1); err != nil {
-		t.Fatal(err)
-	}
-	var procAddrs []string
-	for i := 0; i < nProcs; i++ {
-		ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{Storage: storageAddrs, CacheBytes: 64 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ps.Close() })
-		procAddrs = append(procAddrs, ps.Addr())
-	}
-	rs, err := grouting.ServeRouter("127.0.0.1:0", grouting.RouterSpec{
-		Processors: procAddrs,
-		Policy:     policy,
-		Graph:      g,
-		Seed:       7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rs.Close() })
-	cl, err := grouting.Dial(ctx, rs.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return &elasticTCPCluster{client: cl, router: rs, storageAddrs: storageAddrs}
-}
-
-// joinProcessor starts a fresh processor and registers it with the
-// running router, returning its assigned slot.
-func (c *elasticTCPCluster) joinProcessor(t testing.TB) (*grouting.ProcessorServer, int) {
-	t.Helper()
-	ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{Storage: c.storageAddrs, CacheBytes: 64 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ps.Close() })
-	slot, err := ps.Register(context.Background(), c.router.Addr(), "")
+	ps, slot, err := d.JoinProcessor(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +38,8 @@ func TestElasticityCrossTransport(t *testing.T) {
 	half := len(qs) / 2
 	ctx := context.Background()
 
-	sys, err := grouting.New(g,
-		grouting.WithProcessors(4),
-		grouting.WithStorageServers(2),
-		grouting.WithPolicy(grouting.PolicyStableHash),
-		grouting.WithSeed(1),
-	)
+	cfg := grouting.Config{Processors: 4, StorageServers: 2, Policy: grouting.PolicyStableHash, Seed: 1}
+	sys, err := grouting.NewSystem(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,19 +47,19 @@ func TestElasticityCrossTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcp := startElasticTCPCluster(t, g, 4, grouting.PolicyStableHash)
+	remote, d := startLoopback(t, g, cfg)
 
 	scaleOut := map[string]func() []int{
 		"virtual-time": func() []int {
 			return []int{sys.AddProcessor(), sys.AddProcessor()}
 		},
 		"tcp": func() []int {
-			_, s1 := tcp.joinProcessor(t)
-			_, s2 := tcp.joinProcessor(t)
+			_, s1 := joinProcessor(t, d)
+			_, s2 := joinProcessor(t, d)
 			return []int{s1, s2}
 		},
 	}
-	clients := map[string]grouting.Client{"virtual-time": local, "tcp": tcp.client}
+	clients := map[string]grouting.Client{"virtual-time": local, "tcp": remote}
 
 	results := map[string][]grouting.Result{}
 	assigned := map[string][]int64{}
@@ -281,11 +223,11 @@ func TestConcurrentExecuteStatsTCPTransition(t *testing.T) {
 	qs := grouting.HotspotWorkload(g, grouting.WorkloadSpec{
 		NumHotspots: 15, QueriesPerHotspot: 10, R: 2, H: 2, Seed: 3,
 	})
-	tcp := startElasticTCPCluster(t, g, 3, grouting.PolicyStableHash)
+	cl, d := startLoopback(t, g, grouting.Config{Processors: 3, StorageServers: 2, Policy: grouting.PolicyStableHash})
 	var procs sync.Map // slot -> *grouting.ProcessorServer
-	runConcurrentTransitions(t, "tcp", tcp.client, qs,
+	runConcurrentTransitions(t, "tcp", cl, qs,
 		func() int {
-			ps, slot := tcp.joinProcessor(t)
+			ps, slot := joinProcessor(t, d)
 			procs.Store(slot, ps)
 			return slot
 		},

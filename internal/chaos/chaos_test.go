@@ -255,7 +255,9 @@ func TestWriteScriptShape(t *testing.T) {
 
 // TestLabelledUpsertSameOnBothHarnesses sends one labelled upsert through
 // each harness over the same graph: both must store the label id the graph's
-// table gives the label, so a labelled write means the same on both.
+// table gives the label, so a labelled write means the same on both — and
+// both must report the same routing policy, since both build the scenario's
+// deployment from one configuration.
 func TestLabelledUpsertSameOnBothHarnesses(t *testing.T) {
 	sc := &Scenario{Name: "label", Processors: 1, StorageServers: 2, StorageReplicas: 1, Nodes: 50, Queries: 10, Seed: 3}
 	g, _, _ := Workload(sc)
@@ -287,7 +289,7 @@ func TestLabelledUpsertSameOnBothHarnesses(t *testing.T) {
 	if err := live.Mutate(m); err != nil {
 		t.Fatalf("live: %v", err)
 	}
-	sc2, err := rpc.DialStorageReplicated(live.addrs, sc.StorageReplicas)
+	sc2, err := rpc.DialStorageReplicated(live.d.StorageAddrs(), sc.StorageReplicas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,6 +305,15 @@ func TestLabelledUpsertSameOnBothHarnesses(t *testing.T) {
 	}
 	if simRec.NodeLabel != want || recs[node].NodeLabel != want {
 		t.Fatalf("stored label id: sim %d, live %d; want %d on both", simRec.NodeLabel, recs[node].NodeLabel, want)
+	}
+
+	// One scenario, one deployment: both harnesses route by the same policy.
+	liveStats, err := live.client.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if simPolicy := sim.ses.Snapshot().Policy; simPolicy != liveStats.Policy {
+		t.Fatalf("routing policy: sim %q, live %q", simPolicy, liveStats.Policy)
 	}
 }
 

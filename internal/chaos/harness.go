@@ -66,7 +66,11 @@ func (h *SimHarness) Name() string { return "sim" }
 // Supports: the simnet engine injects every fault kind.
 func (h *SimHarness) Supports(Action) bool { return true }
 
-func (h *SimHarness) Start(sc *Scenario, g *graph.Graph) error {
+// deployment is the one configuration both harnesses build a scenario's
+// deployment from: its topology, hash routing at its seed and 16 MiB
+// processor caches, durable under a fresh temporary directory — returned
+// for the harness to remove — when the scenario is.
+func (sc *Scenario) deployment() (core.Config, string, error) {
 	cfg := core.Config{
 		Processors:      sc.Processors,
 		StorageServers:  sc.StorageServers,
@@ -75,15 +79,23 @@ func (h *SimHarness) Start(sc *Scenario, g *graph.Graph) error {
 		CacheBytes:      16 << 20,
 		Seed:            sc.Seed,
 	}
-	if sc.Durable {
-		dir, err := os.MkdirTemp("", "grouting-chaos-*")
-		if err != nil {
-			return fmt.Errorf("chaos: sim durable dir: %w", err)
-		}
-		h.dir = dir
-		cfg.StorageDir = dir
-		cfg.StorageSnapshotEvery = sc.SnapshotEvery
+	if !sc.Durable {
+		return cfg, "", nil
 	}
+	dir, err := os.MkdirTemp("", "grouting-chaos-*")
+	if err != nil {
+		return cfg, "", fmt.Errorf("chaos: durable dir: %w", err)
+	}
+	cfg.StorageDir, cfg.StorageSnapshotEvery = dir, sc.SnapshotEvery
+	return cfg, dir, nil
+}
+
+func (h *SimHarness) Start(sc *Scenario, g *graph.Graph) error {
+	cfg, dir, err := sc.deployment()
+	if err != nil {
+		return err
+	}
+	h.dir = dir
 	sys, err := core.NewSystem(g, cfg)
 	if err != nil {
 		h.Close()

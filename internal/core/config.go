@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"repro/internal/embed"
+	"repro/internal/graph"
 	"repro/internal/kvstore"
 	"repro/internal/router"
 	"repro/internal/simnet"
@@ -207,6 +208,45 @@ type Config struct {
 	// query.ErrUnavailable until a restart; everything else is unaffected.
 	// Nil (the default) keeps the learned scheme for embedding policies.
 	EmbedProvider embed.Embedder
+}
+
+// Resolve returns the configuration with every zero field at its default,
+// or the reason it cannot run. NewSystem and rpc.Loopback both start from
+// it.
+func (c Config) Resolve() (Config, error) {
+	c = c.withDefaults()
+	return c, c.validate()
+}
+
+// Prepare builds the routing tables c describes over g for c.Processors
+// processors — the one mapping of a Config onto router.Prepare, shared by
+// both transports.
+func (c Config) Prepare(g *graph.Graph) (*router.Tables, error) {
+	c = c.withDefaults()
+	reg, ok := router.LookupID(int(c.Policy))
+	if !ok {
+		return nil, fmt.Errorf("core: unknown policy %v", c.Policy)
+	}
+	return router.Prepare(g, reg, c.Processors, router.TableSpec{
+		Landmarks:          c.Landmarks,
+		MinSeparation:      c.MinSeparation,
+		Dimensions:         c.Dimensions,
+		Seed:               c.Seed,
+		PreprocessFraction: c.PreprocessFraction,
+		Provider:           c.EmbedProvider,
+	})
+}
+
+// Strategy constructs a fresh routing strategy over tab, which Prepare
+// built from c, at c's LoadFactor and Alpha, through the strategy registry:
+// registered user strategies construct exactly like the built-ins.
+func (c Config) Strategy(tab *router.Tables) (router.Strategy, error) {
+	c = c.withDefaults()
+	reg, ok := router.LookupID(int(c.Policy))
+	if !ok {
+		return nil, fmt.Errorf("core: unknown policy %v", c.Policy)
+	}
+	return reg.New(tab.Resources(c.LoadFactor, c.Alpha))
 }
 
 func (c Config) withDefaults() Config {

@@ -81,7 +81,7 @@ type Report struct {
 // numbers belong to exactly one epoch. Live mid-workload transitions are
 // a Session/Client behaviour.
 func (s *System) RunWorkload(qs []query.Query) (*Report, error) {
-	strat, err := s.buildStrategy()
+	strat, err := s.cfg.Strategy(s.tab) // a fresh one per run: runs share no router state
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +251,7 @@ type Session struct {
 
 // NewSession creates a session with cold caches.
 func (s *System) NewSession() (*Session, error) {
-	strat, err := s.buildStrategy()
+	strat, err := s.cfg.Strategy(s.tab)
 	if err != nil {
 		return nil, err
 	}

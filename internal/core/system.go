@@ -49,8 +49,8 @@ type System struct {
 // NewSystem builds a system: loads the graph into the storage tier and
 // runs whatever preprocessing the configured policy needs.
 func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	cfg, err := cfg.Resolve()
+	if err != nil {
 		return nil, err
 	}
 	st, err := kvstore.NewStore(cfg.StorageServers, cfg.StorageReplicas, cfg.Placer)
@@ -78,16 +78,7 @@ func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
 		}
 	}
 	graphBytes := gstore.Load(st, g)
-	reg, _ := router.LookupID(int(cfg.Policy)) // validate checked it
-	s.tab, err = router.Prepare(g, reg, cfg.Processors, router.TableSpec{
-		Landmarks:          cfg.Landmarks,
-		MinSeparation:      cfg.MinSeparation,
-		Dimensions:         cfg.Dimensions,
-		Seed:               cfg.Seed,
-		PreprocessFraction: cfg.PreprocessFraction,
-		Provider:           cfg.EmbedProvider,
-	})
-	if err != nil {
+	if s.tab, err = cfg.Prepare(g); err != nil {
 		return nil, err
 	}
 	s.tab.Stats.GraphBytes = graphBytes
@@ -113,17 +104,6 @@ func (s *System) Embedding() *embed.Embedding { return s.tab.Embedding }
 
 // LandmarkIndex returns the landmark distance index (nil for baselines).
 func (s *System) LandmarkIndex() *landmark.Index { return s.tab.Index }
-
-// buildStrategy creates a fresh routing strategy for one workload run
-// through the strategy registry, so runs never share router state and
-// registered user strategies construct exactly like the built-ins.
-func (s *System) buildStrategy() (router.Strategy, error) {
-	reg, ok := router.LookupID(int(s.cfg.Policy))
-	if !ok {
-		return nil, fmt.Errorf("core: unknown policy %v", s.cfg.Policy)
-	}
-	return reg.New(s.tab.Resources(s.cfg.LoadFactor, s.cfg.Alpha))
-}
 
 // newProc provisions one processor slot's runtime state (cold cache).
 func (s *System) newProc(slot int) *proc {

@@ -6,72 +6,21 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/query"
 	"repro/internal/topology"
 )
 
-// startElasticCluster builds storage + nProcs processors + router and
-// returns the pieces needed to grow the tier at runtime.
-func startElasticCluster(t *testing.T, g *graph.Graph, nProcs int, policy string) (*RouterServer, *RouterClient, []string) {
-	t.Helper()
-	var storageAddrs []string
-	for i := 0; i < 2; i++ {
-		ss, err := NewStorageServer("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ss.Close() })
-		storageAddrs = append(storageAddrs, ss.Addr())
-	}
-	sc, err := DialStorageReplicated(storageAddrs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.LoadGraph(context.Background(), g); err != nil {
-		t.Fatal(err)
-	}
-	sc.Close()
-
-	var procAddrs []string
-	for i := 0; i < nProcs; i++ {
-		ps, err := NewProcessorServerWith("127.0.0.1:0", ProcessorConfig{Storage: storageAddrs, CacheBytes: 64 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ps.Close() })
-		procAddrs = append(procAddrs, ps.Addr())
-	}
-	strat, _, err := BuildStrategyEmbed(policy, g, nProcs, 7, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := NewRouterServer("127.0.0.1:0", RouterConfig{ProcessorAddrs: procAddrs, Strategy: strat, PolicyName: policy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rs.Close() })
-	cl, err := DialRouter(context.Background(), rs.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return rs, cl, storageAddrs
-}
-
 func TestJoinAdmitsProcessorAtRuntime(t *testing.T) {
 	g := gen.LocalWeb(1200, 8, 60, 0.01, 4)
-	rs, cl, storageAddrs := startElasticCluster(t, g, 2, "stablehash")
+	d, cl := startLoopback(t, g, core.Config{StorageServers: 2, Processors: 2, Policy: core.PolicyStableHash})
+	rs := d.router
 	ctx := context.Background()
 	epochBefore := rs.Epoch()
 
-	ps, err := NewProcessorServerWith("127.0.0.1:0", ProcessorConfig{Storage: storageAddrs, CacheBytes: 64 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ps.Close() })
-	slot, err := ps.Register(ctx, rs.Addr(), "")
+	ps, slot, err := d.JoinProcessor(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +78,8 @@ func TestJoinAdmitsProcessorAtRuntime(t *testing.T) {
 
 func TestJoinRejectsUnreachableAddress(t *testing.T) {
 	g := gen.LocalWeb(600, 6, 40, 0.01, 4)
-	rs, _, _ := startElasticCluster(t, g, 1, "nextready")
+	d, _ := startLoopback(t, g, core.Config{StorageServers: 2, Processors: 1, Policy: core.PolicyNextReady})
+	rs := d.router
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	cn, err := DialContext(ctx, rs.Addr())
@@ -150,7 +100,8 @@ func TestJoinRejectsUnreachableAddress(t *testing.T) {
 
 func TestDrainRemovesProcessorCleanly(t *testing.T) {
 	g := gen.LocalWeb(1200, 8, 60, 0.01, 4)
-	rs, cl, _ := startElasticCluster(t, g, 3, "stablehash")
+	d, cl := startLoopback(t, g, core.Config{StorageServers: 2, Processors: 3, Policy: core.PolicyStableHash})
+	rs := d.router
 	ctx := context.Background()
 	qs := query.Hotspot(g, query.WorkloadSpec{NumHotspots: 10, QueriesPerHotspot: 5, R: 2, H: 2, Seed: 5})
 	for _, q := range qs[:len(qs)/2] {
@@ -208,7 +159,8 @@ func TestDrainRemovesProcessorCleanly(t *testing.T) {
 
 func TestExecuteResponseCarriesEpoch(t *testing.T) {
 	g := gen.LocalWeb(600, 6, 40, 0.01, 4)
-	rs, _, _ := startElasticCluster(t, g, 2, "nextready")
+	d, _ := startLoopback(t, g, core.Config{StorageServers: 2, Processors: 2, Policy: core.PolicyNextReady})
+	rs := d.router
 	ctx := context.Background()
 	cn, err := DialContext(ctx, rs.Addr())
 	if err != nil {

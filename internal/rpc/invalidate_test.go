@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/gstore"
@@ -169,9 +170,19 @@ func (s *stubProc) idle(t *testing.T, when string) {
 	}
 }
 
-// writableCluster is a loopback deployment whose router can mutate: two
-// unreplicated shards loaded with a small web graph, and whatever processors
-// procs starts over them.
+// policyByID is byID in the strategy registry, so a loopback deployment can
+// route by it.
+var policyByID = func() core.Policy {
+	id, err := router.Register("test-by-id", router.PrepNone, func(router.Resources) (router.Strategy, error) { return byID, nil })
+	if err != nil {
+		panic(err)
+	}
+	return core.Policy(id)
+}()
+
+// writableCluster is a deployment whose router can mutate: two unreplicated
+// shards loaded with a small web graph, a router holding them, and its
+// processors.
 type writableCluster struct {
 	g            *graph.Graph
 	storageAddrs []string
@@ -183,9 +194,17 @@ type writableCluster struct {
 // independent copy for a test to keep as its oracle.
 func writableGraph() *graph.Graph { return gen.LocalWeb(600, 6, 40, 0.01, 5) }
 
-func startWritableCluster(t *testing.T, strat router.Strategy, procs func(storageAddrs []string) []string) *writableCluster {
+// startStubCluster is a writableCluster over n stub processors: the stubs
+// record frames and are no deployment, so the router is started by hand.
+func startStubCluster(t *testing.T, n int, strat router.Strategy) (*writableCluster, []*stubProc) {
 	t.Helper()
 	ctx := context.Background()
+	stubs := make([]*stubProc, n)
+	addrs := make([]string, n)
+	for i := range stubs {
+		stubs[i] = startStubProc(t)
+		addrs[i] = stubs[i].addr()
+	}
 	c := &writableCluster{g: writableGraph()}
 	_, c.storageAddrs = startStorageShards(t, 2)
 	loader, err := DialStorageReplicated(c.storageAddrs, 1)
@@ -196,7 +215,7 @@ func startWritableCluster(t *testing.T, strat router.Strategy, procs func(storag
 		t.Fatal(err)
 	}
 	loader.Close()
-	c.rs, err = NewRouterServer("127.0.0.1:0", RouterConfig{ProcessorAddrs: procs(c.storageAddrs), Strategy: strat, StorageAddrs: c.storageAddrs})
+	c.rs, err = NewRouterServer("127.0.0.1:0", RouterConfig{ProcessorAddrs: addrs, Strategy: strat, StorageAddrs: c.storageAddrs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,19 +225,7 @@ func startWritableCluster(t *testing.T, strat router.Strategy, procs func(storag
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.cl.Close() })
-	return c
-}
-
-// stubCluster is a writableCluster over n stub processors.
-func startStubCluster(t *testing.T, n int, strat router.Strategy) (*writableCluster, []*stubProc) {
-	t.Helper()
-	stubs := make([]*stubProc, n)
-	addrs := make([]string, n)
-	for i := range stubs {
-		stubs[i] = startStubProc(t)
-		addrs[i] = stubs[i].addr()
-	}
-	return startWritableCluster(t, strat, func([]string) []string { return addrs }), stubs
+	return c, stubs
 }
 
 // freshEdge returns the i-th node pair (2i+2, 2i+3) checked to have no edge
@@ -269,20 +276,10 @@ func (c *writableCluster) wantBacklog(t *testing.T, when string, slot, pending i
 // that processor sees — no OpEvict — yet answers from the new record.
 func TestInvalidationsRideExecuteFrames(t *testing.T) {
 	ctx := context.Background()
-	var procs []*ProcessorServer
-	c := startWritableCluster(t, byID, func(storageAddrs []string) []string {
-		var addrs []string
-		for i := 0; i < 3; i++ {
-			ps, err := NewProcessorServerWith("127.0.0.1:0", ProcessorConfig{Storage: storageAddrs, CacheBytes: 1 << 20})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { ps.Close() })
-			procs, addrs = append(procs, ps), append(addrs, ps.Addr())
-		}
-		return addrs
-	})
-	cl := c.cl
+	c := &writableCluster{g: writableGraph()}
+	d, cl := startLoopback(t, c.g, core.Config{StorageServers: 2, Processors: 3, CacheBytes: 1 << 20, Policy: policyByID})
+	c.rs, c.cl = d.router, cl
+	procs := d.procs
 
 	oracle := writableGraph()
 	u, v := freshEdge(t, c.g, 0)

@@ -10,9 +10,11 @@ import (
 	"time"
 	"weak"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/query"
+	"repro/internal/router"
 )
 
 // TestClusterMultiAnchorMatchesOracle runs the full mixed workload —
@@ -21,7 +23,7 @@ import (
 // every result against the in-memory oracle.
 func TestClusterMultiAnchorMatchesOracle(t *testing.T) {
 	g := gen.LocalWeb(1200, 8, 60, 0.01, 6)
-	cl := startCluster(t, g, 2, 3, "hash")
+	_, cl := startLoopback(t, g, core.Config{StorageServers: 2, Processors: 3, Policy: core.PolicyHash})
 	qs := query.Hotspot(g, query.WorkloadSpec{
 		NumHotspots: 8, QueriesPerHotspot: 5, R: 2, H: 2,
 		Types: query.MixedTypes, VisitBudget: 8, Seed: 13,
@@ -66,14 +68,11 @@ func TestClusterMultiAnchorMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestClusterLabelledPattern checks label resolution over the wire: a
-// router started with the dataset resolves template label strings; one
-// started without it rejects labelled templates with the typed error
-// rather than silently matching nothing.
-func TestClusterLabelledPattern(t *testing.T) {
-	g := gen.KnowledgeGraph(600, 2400, 4, 3, 9)
-	var anchor = g.Nodes()[1]
-	q := query.Query{
+// labelledPattern is a pattern from g's second node to any neighbour
+// labelled "type1".
+func labelledPattern(g *graph.Graph) query.Query {
+	anchor := g.Nodes()[1]
+	return query.Query{
 		Type: query.PatternMatch,
 		Node: anchor,
 		Pattern: &query.Pattern{
@@ -82,9 +81,19 @@ func TestClusterLabelledPattern(t *testing.T) {
 		},
 		Dir: graph.Out,
 	}
+}
+
+// TestClusterLabelledPattern checks label resolution over the wire: a
+// router started with the dataset resolves template label strings; one
+// started without it rejects labelled templates with the typed error
+// rather than silently matching nothing.
+func TestClusterLabelledPattern(t *testing.T) {
+	g := gen.KnowledgeGraph(600, 2400, 4, 3, 9)
+	q := labelledPattern(g)
+	anchor := q.Node
 
 	ctx := context.Background()
-	cl := startClusterCfg(t, g, 2, 3, "hash", true)
+	d, cl := startLoopback(t, g, core.Config{StorageServers: 2, Processors: 3, Policy: core.PolicyHash})
 	got, err := cl.Execute(ctx, q)
 	if err != nil {
 		t.Fatal(err)
@@ -103,38 +112,36 @@ func TestClusterLabelledPattern(t *testing.T) {
 		t.Fatalf("unknown label: got %+v, %v; want 0 matches", got, err)
 	}
 
-	// Without the graph the router has no label table: typed rejection.
-	bare := startCluster(t, g, 2, 3, "hash")
+	// Without the graph the router has no label table: typed rejection, from
+	// a router started over the same processors and shards without it.
+	var procs []string
+	for _, ps := range d.procs {
+		procs = append(procs, ps.Addr())
+	}
+	rs, err := NewRouterServer("127.0.0.1:0", RouterConfig{ProcessorAddrs: procs, Strategy: router.NewHash(), StorageAddrs: d.storageAddrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	bare, err := DialRouter(ctx, rs.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bare.Close() })
 	if _, err := bare.Execute(ctx, q); !errors.Is(err, query.ErrBadQuery) {
 		t.Fatalf("labelled pattern on graph-less router: err = %v, want ErrBadQuery", err)
 	}
 }
 
-// startLabelledClusterOverOwnGraph starts a cluster whose router was given a
-// graph nobody else holds, and hands back a weak pointer to that graph, one
-// labelled pattern over it and the oracle's answer.
-//
-//go:noinline
-func startLabelledClusterOverOwnGraph(t *testing.T) (*RouterClient, weak.Pointer[graph.Graph], query.Query, query.Result) {
-	g := gen.KnowledgeGraph(600, 2400, 4, 3, 9)
-	anchor := g.Nodes()[1]
-	q := query.Query{
-		Type: query.PatternMatch,
-		Node: anchor,
-		Pattern: &query.Pattern{
-			Nodes: []query.PatternNode{{Anchor: anchor}, {Label: "type1"}},
-			Edges: []query.PatternEdge{{From: 0, To: 1}},
-		},
-		Dir: graph.Out,
-	}
-	return startClusterCfg(t, g, 2, 3, "hash", true), weak.Make(g), q, query.Answer(g, q)
-}
-
 // TestRouterServerKeepsOnlyTheLabelTable: RouterConfig.Graph is read during
 // construction and not retained — the graph is collectable as soon as the
-// caller lets go — yet labelled patterns and labelled mutations resolve.
+// caller lets go, here once Loopback returns — yet labelled patterns and
+// labelled mutations resolve.
 func TestRouterServerKeepsOnlyTheLabelTable(t *testing.T) {
-	cl, wp, q, want := startLabelledClusterOverOwnGraph(t)
+	g := gen.KnowledgeGraph(600, 2400, 4, 3, 9)
+	q := labelledPattern(g)
+	want, wp := query.Answer(g, q), weak.Make(g)
+	_, cl := startLoopback(t, g, core.Config{StorageServers: 2, Processors: 3, Policy: core.PolicyHash})
 	runtime.GC()
 	if wp.Value() != nil {
 		t.Fatal("the graph handed to NewRouterServer is still reachable after construction")
@@ -155,7 +162,7 @@ func TestRouterServerKeepsOnlyTheLabelTable(t *testing.T) {
 // a report under -race, a fatal error without it.
 func TestLabelledPatternRacesLabelledMutate(t *testing.T) {
 	g := gen.KnowledgeGraph(600, 2400, 4, 3, 9)
-	cl := startClusterCfg(t, g, 2, 3, "hash", true)
+	_, cl := startLoopback(t, g, core.Config{StorageServers: 2, Processors: 3, Policy: core.PolicyHash})
 	ctx := context.Background()
 
 	anchors := g.Nodes()[1:9]
@@ -208,7 +215,7 @@ func TestLabelledPatternRacesLabelledMutate(t *testing.T) {
 // (the pool discards connections poisoned by cancellation).
 func TestMultiAnchorCancellation(t *testing.T) {
 	g := gen.LocalWeb(1500, 8, 60, 0.01, 7)
-	cl := startCluster(t, g, 2, 3, "hash")
+	_, cl := startLoopback(t, g, core.Config{StorageServers: 2, Processors: 3, Policy: core.PolicyHash})
 	q := query.Query{
 		Type:        query.BoundedReach,
 		Node:        5,

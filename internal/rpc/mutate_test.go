@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/gstore"
@@ -51,71 +52,17 @@ func checkOracle(t *testing.T, cl *RouterClient, oracle *graph.Graph, qs []query
 	}
 }
 
-// adaptiveCluster is a loopback deployment with the placement planner
-// armed: three shards at R=2, two processors whose caches are far below
-// the working set (hot records keep missing, which is what accrues heat),
-// hash routing.
-type adaptiveCluster struct {
-	g            *graph.Graph
-	storageAddrs []string
-	procCfg      ProcessorConfig
-	rs           *RouterServer
-	cl           *RouterClient
+// adaptive is a deployment with the placement planner armed: three shards
+// at R=2, two processors whose caches are far below the working set (hot
+// records keep missing, which is what accrues heat), hash routing.
+var adaptive = core.Config{
+	StorageServers: 3, StorageReplicas: 2, Processors: 2, CacheBytes: 2 << 10, Policy: core.PolicyHash,
+	AdaptivePlacement: true, PlacementMinReads: 4,
 }
 
-const adaptiveShards, adaptiveReplicas = 3, 2
-
-// adaptiveGraph generates the cluster's dataset; a second call is an
+// adaptiveGraph generates the deployment's dataset; a second call is an
 // independent copy for a test to keep as its oracle.
 func adaptiveGraph() *graph.Graph { return gen.LocalWeb(900, 8, 50, 0.01, 13) }
-
-func startAdaptiveCluster(t *testing.T) *adaptiveCluster {
-	t.Helper()
-	ctx := context.Background()
-	c := &adaptiveCluster{g: adaptiveGraph()}
-	_, c.storageAddrs = startStorageShards(t, adaptiveShards)
-	loader, err := DialStorageReplicated(c.storageAddrs, adaptiveReplicas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loader.LoadGraph(ctx, c.g); err != nil {
-		t.Fatal(err)
-	}
-	loader.Close()
-
-	c.procCfg = ProcessorConfig{Storage: c.storageAddrs, StorageReplicas: adaptiveReplicas, CacheBytes: 2 << 10}
-	var procAddrs []string
-	for i := 0; i < 2; i++ {
-		ps, err := NewProcessorServerWith("127.0.0.1:0", c.procCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ps.Close() })
-		procAddrs = append(procAddrs, ps.Addr())
-	}
-	strat, _, err := BuildStrategyEmbed("hash", c.g, len(procAddrs), 7, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.rs, err = NewRouterServer("127.0.0.1:0", RouterConfig{
-		ProcessorAddrs:    procAddrs,
-		Strategy:          strat,
-		StorageAddrs:      c.storageAddrs,
-		StorageReplicas:   adaptiveReplicas,
-		AdaptivePlacement: true,
-		PlacementMinReads: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.rs.Close() })
-	c.cl, err = DialRouter(ctx, c.rs.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.cl.Close() })
-	return c
-}
 
 // TestMigrateTCP drives the networked adaptive-placement path end to end:
 // skewed reads heat records on two processors, one OpMigrate moves the hot
@@ -124,9 +71,10 @@ func startAdaptiveCluster(t *testing.T) *adaptiveCluster {
 // joins later) resolves the moved keys to it, and a mutation of a moved
 // key rewrites the pinned replicas.
 func TestMigrateTCP(t *testing.T) {
-	const shards, replicas = adaptiveShards, adaptiveReplicas
-	c := startAdaptiveCluster(t)
-	g, storageAddrs, procCfg, rs, cl := c.g, c.storageAddrs, c.procCfg, c.rs, c.cl
+	shards, replicas := adaptive.StorageServers, adaptive.StorageReplicas
+	g := adaptiveGraph()
+	d, cl := startLoopback(t, g, adaptive)
+	storageAddrs, rs := d.StorageAddrs(), d.router
 	oracle := adaptiveGraph()
 	ctx := context.Background()
 
@@ -186,12 +134,8 @@ func TestMigrateTCP(t *testing.T) {
 	checkOracle(t, cl, oracle, qs, "after migration")
 
 	// A processor that joins now is handed the pins before it is admitted.
-	late, err := NewProcessorServerWith("127.0.0.1:0", procCfg)
+	late, _, err := d.JoinProcessor(ctx)
 	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { late.Close() })
-	if _, err := late.Register(ctx, rs.Addr(), ""); err != nil {
 		t.Fatal(err)
 	}
 	for key, pin := range pins {
@@ -231,9 +175,10 @@ func TestMigrateTCP(t *testing.T) {
 // are polled and a processor joins: the pin table the cycles write is the
 // one every one of those paths resolves placement through.
 func TestMigrateConcurrent(t *testing.T) {
-	c := startAdaptiveCluster(t)
+	g := adaptiveGraph()
+	d, cl := startLoopback(t, g, adaptive)
 	ctx := context.Background()
-	qs := query.Hotspot(c.g, query.WorkloadSpec{NumHotspots: 6, QueriesPerHotspot: 8, R: 1, H: 2, Seed: 5})
+	qs := query.Hotspot(g, query.WorkloadSpec{NumHotspots: 6, QueriesPerHotspot: 8, R: 1, H: 2, Seed: 5})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -247,12 +192,12 @@ func TestMigrateConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				got, err := c.cl.Execute(ctx, qs[i])
+				got, err := cl.Execute(ctx, qs[i])
 				if err != nil {
 					t.Errorf("query %d during migration: %v", qs[i].ID, err)
 					return
 				}
-				if want := query.Answer(c.g, qs[i]); got != want {
+				if want := query.Answer(g, qs[i]); got != want {
 					t.Errorf("query %d during migration: got %+v, want %+v", qs[i].ID, got, want)
 					return
 				}
@@ -268,7 +213,7 @@ func TestMigrateConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := c.rs.Snapshot(ctx); err != nil {
+			if _, err := d.router.Snapshot(ctx); err != nil {
 				t.Errorf("snapshot during migration: %v", err)
 				return
 			}
@@ -278,16 +223,11 @@ func TestMigrateConcurrent(t *testing.T) {
 	moved := 0
 	for cycle := 0; cycle < 8; cycle++ {
 		if cycle == 4 {
-			late, err := NewProcessorServerWith("127.0.0.1:0", c.procCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { late.Close() })
-			if _, err := late.Register(ctx, c.rs.Addr(), ""); err != nil {
+			if _, _, err := d.JoinProcessor(ctx); err != nil {
 				t.Fatal(err)
 			}
 		}
-		n, err := c.cl.Migrate(ctx)
+		n, err := cl.Migrate(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

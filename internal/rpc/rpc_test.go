@@ -10,75 +10,29 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/mquery"
 	"repro/internal/query"
-	"repro/internal/router"
 )
 
-// startCluster spins up a full localhost deployment: nStorage storage
-// shards, nProcs processors, one router with the given policy, loaded with
-// graph g. Cleanup is registered on t.
-func startCluster(t *testing.T, g *graph.Graph, nStorage, nProcs int, policy string) *RouterClient {
+// startLoopback starts cfg's loopback deployment over g and dials a client
+// to its router; both close with the test.
+func startLoopback(t *testing.T, g *graph.Graph, cfg core.Config) (*Deployment, *RouterClient) {
 	t.Helper()
-	return startClusterCfg(t, g, nStorage, nProcs, policy, false)
-}
-
-// startClusterCfg is startCluster with control over whether the router is
-// started with the dataset (groutingd -graph), which label-carrying
-// patterns and mutations need for string→Label resolution.
-func startClusterCfg(t *testing.T, g *graph.Graph, nStorage, nProcs int, policy string, withGraph bool) *RouterClient {
-	t.Helper()
-	var storageAddrs []string
-	for i := 0; i < nStorage; i++ {
-		ss, err := NewStorageServer("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ss.Close() })
-		storageAddrs = append(storageAddrs, ss.Addr())
-	}
-	sc, err := DialStorageReplicated(storageAddrs, 1)
+	d, err := Loopback(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.LoadGraph(context.Background(), g); err != nil {
-		t.Fatal(err)
-	}
-	sc.Close()
-
-	var procAddrs []string
-	for i := 0; i < nProcs; i++ {
-		ps, err := NewProcessorServerWith("127.0.0.1:0", ProcessorConfig{Storage: storageAddrs, CacheBytes: 64 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ps.Close() })
-		procAddrs = append(procAddrs, ps.Addr())
-	}
-
-	strat, _, err := BuildStrategyEmbed(policy, g, nProcs, 7, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := RouterConfig{ProcessorAddrs: procAddrs, Strategy: strat, StorageAddrs: storageAddrs}
-	if withGraph {
-		cfg.Graph = g
-	}
-	rs, err := NewRouterServer("127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rs.Close() })
-
-	cl, err := DialRouter(context.Background(), rs.Addr())
+	t.Cleanup(d.Close)
+	cl, err := DialRouter(context.Background(), d.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	return cl
+	return d, cl
 }
 
 func TestStorageGetPut(t *testing.T) {
@@ -162,7 +116,7 @@ func TestStorageUnknownOp(t *testing.T) {
 // deployment and checks every result against the in-memory oracle.
 func TestClusterMatchesOracle(t *testing.T) {
 	g := gen.LocalWeb(1500, 8, 60, 0.01, 5)
-	cl := startCluster(t, g, 2, 3, "hash")
+	_, cl := startLoopback(t, g, core.Config{StorageServers: 2, Processors: 3, Policy: core.PolicyHash})
 	qs := query.Hotspot(g, query.WorkloadSpec{
 		NumHotspots: 8, QueriesPerHotspot: 5, R: 2, H: 2, Seed: 9,
 	})
@@ -182,7 +136,7 @@ func TestClusterMatchesOracle(t *testing.T) {
 // checks positional alignment with the oracle.
 func TestClusterBatchMatchesOracle(t *testing.T) {
 	g := gen.LocalWeb(1200, 8, 60, 0.01, 4)
-	cl := startCluster(t, g, 2, 3, "hash")
+	_, cl := startLoopback(t, g, core.Config{StorageServers: 2, Processors: 3, Policy: core.PolicyHash})
 	qs := query.Hotspot(g, query.WorkloadSpec{
 		NumHotspots: 6, QueriesPerHotspot: 5, R: 2, H: 2, Seed: 11,
 	})
@@ -202,8 +156,8 @@ func TestClusterBatchMatchesOracle(t *testing.T) {
 
 func TestClusterSmartPolicies(t *testing.T) {
 	g := gen.LocalWeb(1200, 8, 60, 0.01, 6)
-	for _, policy := range []string{"landmark", "embed", "nextready"} {
-		cl := startCluster(t, g, 2, 2, policy)
+	for _, policy := range []core.Policy{core.PolicyLandmark, core.PolicyEmbed, core.PolicyNextReady} {
+		_, cl := startLoopback(t, g, core.Config{StorageServers: 2, Processors: 2, Policy: policy})
 		q := query.Query{ID: 0, Type: query.NeighborAgg, Node: 100, Hops: 2, Dir: graph.Out}
 		got, err := cl.Execute(context.Background(), q)
 		if err != nil {
@@ -217,7 +171,7 @@ func TestClusterSmartPolicies(t *testing.T) {
 
 func TestClusterConcurrentClients(t *testing.T) {
 	g := gen.LocalWeb(1000, 6, 50, 0.01, 8)
-	cl := startCluster(t, g, 2, 3, "nextready")
+	_, cl := startLoopback(t, g, core.Config{StorageServers: 2, Processors: 3, Policy: core.PolicyNextReady})
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -251,7 +205,7 @@ func TestClusterConcurrentClients(t *testing.T) {
 // over the wire.
 func TestClusterTypedErrors(t *testing.T) {
 	g := gen.LocalWeb(800, 6, 50, 0.01, 2)
-	cl := startCluster(t, g, 2, 2, "nextready")
+	_, cl := startLoopback(t, g, core.Config{StorageServers: 2, Processors: 2, Policy: core.PolicyNextReady})
 	ctx := context.Background()
 
 	// Malformed query: rejected client-side and (if forced through) by the
@@ -281,7 +235,7 @@ func TestClusterTypedErrors(t *testing.T) {
 // in-flight call and that an expired deadline fails fast.
 func TestCallCancellation(t *testing.T) {
 	g := gen.LocalWeb(600, 6, 50, 0.01, 3)
-	cl := startCluster(t, g, 1, 1, "nextready")
+	_, cl := startLoopback(t, g, core.Config{StorageServers: 1, Processors: 1, Policy: core.PolicyNextReady})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -308,29 +262,12 @@ func TestCallCancellation(t *testing.T) {
 	}
 }
 
-// startProcessor starts one storage shard loaded with g and one processor
-// in front of it, and returns the processor with a connection to it.
+// startProcessor starts a one-shard, one-processor deployment over g and
+// returns its processor with a connection to it.
 func startProcessor(t *testing.T, g *graph.Graph, cacheBytes int64) (*ProcessorServer, *Conn) {
 	t.Helper()
-	ctx := context.Background()
-	ss, err := NewStorageServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ss.Close() })
-	sc, err := DialStorageReplicated([]string{ss.Addr()}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.LoadGraph(ctx, g); err != nil {
-		t.Fatal(err)
-	}
-	sc.Close()
-	ps, err := NewProcessorServerWith("127.0.0.1:0", ProcessorConfig{Storage: []string{ss.Addr()}, CacheBytes: cacheBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ps.Close() })
+	d, _ := startLoopback(t, g, core.Config{StorageServers: 1, Processors: 1, CacheBytes: cacheBytes, Policy: core.PolicyHash})
+	ps := d.procs[0]
 	cn, err := Dial(ps.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -687,7 +624,7 @@ func TestEnvelopeEncodedSize(t *testing.T) {
 // whose cache/routing counters are live.
 func TestClusterStatsSnapshot(t *testing.T) {
 	g := gen.LocalWeb(1200, 8, 60, 0.01, 4)
-	cl := startCluster(t, g, 2, 3, "hash")
+	_, cl := startLoopback(t, g, core.Config{StorageServers: 2, Processors: 3, Policy: core.PolicyHash})
 	qs := query.Hotspot(g, query.WorkloadSpec{
 		NumHotspots: 6, QueriesPerHotspot: 5, R: 2, H: 2, Seed: 11,
 	})
@@ -753,36 +690,8 @@ func TestClusterStatsSnapshot(t *testing.T) {
 // aggregate does not drop.
 func TestSnapshotKeepsLastPolledCache(t *testing.T) {
 	g := gen.LocalWeb(1200, 8, 60, 0.01, 4)
-	_, storageAddrs := startStorageShards(t, 2)
-	sc, err := DialStorageReplicated(storageAddrs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.LoadGraph(context.Background(), g); err != nil {
-		t.Fatal(err)
-	}
-	sc.Close()
-	var procs []*ProcessorServer
-	var procAddrs []string
-	for i := 0; i < 2; i++ {
-		ps, err := NewProcessorServerWith("127.0.0.1:0", ProcessorConfig{Storage: storageAddrs, CacheBytes: 64 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ps.Close() })
-		procs = append(procs, ps)
-		procAddrs = append(procAddrs, ps.Addr())
-	}
-	rs, err := NewRouterServer("127.0.0.1:0", RouterConfig{ProcessorAddrs: procAddrs, Strategy: router.NewHash()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rs.Close() })
-	cl, err := DialRouter(context.Background(), rs.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
+	d, cl := startLoopback(t, g, core.Config{StorageServers: 2, Processors: 2, Policy: core.PolicyHash})
+	rs, procs := d.router, d.procs
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/gstore"
 )
@@ -252,36 +253,10 @@ func TestStorageServerDurableFsync(t *testing.T) {
 // on rejoin — the rejoin-warm handshake.
 func TestStorageRejoinWarmHandshake(t *testing.T) {
 	g := gen.LocalWeb(400, 8, 40, 0.01, 2)
-	dir := t.TempDir()
-	srv, err := NewStorageServerDurable("127.0.0.1:0", dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	storageAddrs := []string{srv.Addr()}
-	sc, err := DialStorageReplicated(storageAddrs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.LoadGraph(context.Background(), g); err != nil {
-		t.Fatal(err)
-	}
-	sc.Close()
-	ps, err := NewProcessorServerWith("127.0.0.1:0", ProcessorConfig{Storage: storageAddrs, CacheBytes: 16 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ps.Close() })
-	rs, err := NewRouterServer("127.0.0.1:0", RouterConfig{ProcessorAddrs: []string{ps.Addr()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rs.Close() })
-
-	slot, err := srv.Register(context.Background(), rs.Addr(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantVer := srv.Stats().Storage.DurableVersion
+	d, _ := startLoopback(t, g, core.Config{StorageServers: 1, Processors: 1, Policy: core.PolicyHash, StorageDir: t.TempDir()})
+	rs := d.router
+	const slot = 0
+	wantVer := d.storage[slot].Stats().Storage.DurableVersion
 	if wantVer == 0 {
 		t.Fatal("durable shard loaded a graph but reports version 0")
 	}
@@ -302,18 +277,13 @@ func TestStorageRejoinWarmHandshake(t *testing.T) {
 
 	// Crash the shard and restart it over its directory on the same
 	// address; the re-register must carry the recovered watermark.
-	addr := srv.Addr()
-	srv.Close()
-	restarted, err := NewStorageServerDurable(addr, dir, false)
-	if err != nil {
+	if err := d.KillStorage(slot); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { restarted.Close() })
-	again, err := restarted.Register(context.Background(), rs.Addr(), "")
-	if err != nil {
+	if err := d.RestartStorage(ctx, slot); err != nil {
 		t.Fatal(err)
 	}
-	if again != slot {
+	if again := d.storage[slot].RegisteredSlot(); again != slot {
 		t.Fatalf("rejoin slot = %d, want %d", again, slot)
 	}
 	// The router's pooled connections to the crashed instance break on

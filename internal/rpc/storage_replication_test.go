@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/gstore"
@@ -232,39 +233,19 @@ func TestDialStorageReplicatedValidation(t *testing.T) {
 // checks the storage view, the tier-tagged epoch log, and clean leave.
 func TestStorageJoinDrain(t *testing.T) {
 	g := gen.LocalWeb(600, 8, 40, 0.01, 2)
-	_, storageAddrs := startStorageShards(t, 2)
-	sc, err := DialStorageReplicated(storageAddrs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.LoadGraph(context.Background(), g); err != nil {
-		t.Fatal(err)
-	}
-	sc.Close()
-	ps, err := NewProcessorServerWith("127.0.0.1:0", ProcessorConfig{Storage: storageAddrs, StorageReplicas: 2, CacheBytes: 16 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ps.Close() })
-	rs, err := NewRouterServer("127.0.0.1:0", RouterConfig{
-		ProcessorAddrs:  []string{ps.Addr()},
-		StorageAddrs:    storageAddrs[:1], // seed one; the second joins live
-		StorageReplicas: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rs.Close() })
+	d, _ := startLoopback(t, g, core.Config{StorageServers: 2, StorageReplicas: 2, Processors: 1, Policy: core.PolicyHash})
+	storageAddrs, rs := d.StorageAddrs(), d.router
 
+	// A third shard joins the two the router was seeded with.
 	extra, extraAddrs := startStorageShards(t, 1)
 	slot, err := extra[0].Register(context.Background(), rs.Addr(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if slot != 1 {
-		t.Fatalf("joined storage slot = %d, want 1", slot)
+	if slot != 2 {
+		t.Fatalf("joined storage slot = %d, want 2", slot)
 	}
-	if got := extra[0].RegisteredSlot(); got != 1 {
+	if got := extra[0].RegisteredSlot(); got != 2 {
 		t.Fatalf("RegisteredSlot = %d", got)
 	}
 	// Idempotent re-join.
@@ -281,8 +262,8 @@ func TestStorageJoinDrain(t *testing.T) {
 	if snap.StorageEpoch != 2 || snap.StorageReplicas != 2 {
 		t.Fatalf("storage header: epoch %d replicas %d", snap.StorageEpoch, snap.StorageReplicas)
 	}
-	if len(snap.PerStorage) != 2 {
-		t.Fatalf("%d storage rows, want 2", len(snap.PerStorage))
+	if len(snap.PerStorage) != 3 {
+		t.Fatalf("%d storage rows, want 3", len(snap.PerStorage))
 	}
 	if snap.PerStorage[0].Addr != storageAddrs[0] || snap.PerStorage[0].Status != "active" {
 		t.Fatalf("seeded storage row: %+v", snap.PerStorage[0])
@@ -308,8 +289,8 @@ func TestStorageJoinDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.PerStorage[1].Status != "left" {
-		t.Fatalf("deregistered shard status = %q", snap.PerStorage[1].Status)
+	if snap.PerStorage[2].Status != "left" {
+		t.Fatalf("deregistered shard status = %q", snap.PerStorage[2].Status)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -54,72 +53,16 @@ func sharedEmbedding(t testing.TB, g *grouting.Graph) *grouting.Embedding {
 	return emb
 }
 
-// startKNNCluster is startTCPCluster with an embedding provider plugged
-// into the router, the way groutingd -embed-file does.
-func startKNNCluster(t testing.TB, g *grouting.Graph, policy grouting.Policy, provider grouting.Embedder) grouting.Client {
-	t.Helper()
-	ctx := context.Background()
-	var storageAddrs []string
-	for i := 0; i < 2; i++ {
-		ss, err := grouting.ServeStorage("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ss.Close() })
-		storageAddrs = append(storageAddrs, ss.Addr())
-	}
-	if err := grouting.LoadStorageReplicated(ctx, g, storageAddrs, 1); err != nil {
-		t.Fatal(err)
-	}
-	var procAddrs []string
-	for i := 0; i < 2; i++ {
-		ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{Storage: storageAddrs, CacheBytes: 64 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ps.Close() })
-		procAddrs = append(procAddrs, ps.Addr())
-	}
-	rs, err := grouting.ServeRouter("127.0.0.1:0", grouting.RouterSpec{
-		Processors:    procAddrs,
-		Policy:        policy,
-		Graph:         g,
-		Seed:          7,
-		EmbedProvider: provider,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rs.Close() })
-	cl, err := grouting.Dial(ctx, rs.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return cl
-}
-
 // TestClientTwoTransportsKNN is the k-nearest acceptance test: a pinned
 // KNearest workload runs unmodified against the virtual-time system and a
 // real loopback TCP cluster under EVERY registered routing policy, with
-// one shared embedding reaching the local system through
-// WithEmbedProvider and the router through a WriteEmbeddingFile →
-// RouterSpec.EmbedProvider artifact round trip. Every answer must match
-// the exact oracle (AnswerKNN) and the two transports each other.
+// one shared embedding reaching both through Config.EmbedProvider (the
+// artifact round trip through RouterSpec.EmbedProvider is TestMemoryBudget's).
+// Every answer must match the exact oracle (AnswerKNN) and the two
+// transports each other.
 func TestClientTwoTransportsKNN(t *testing.T) {
 	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
 	emb := sharedEmbedding(t, g)
-
-	// The TCP side loads the embedding the production way: from a
-	// precomputed artifact on disk.
-	path := filepath.Join(t.TempDir(), "emb.gemb")
-	if err := grouting.WriteEmbeddingFile(path, emb); err != nil {
-		t.Fatal(err)
-	}
-	fileProv, err := grouting.OpenEmbeddingFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	qs := grouting.HotspotWorkload(g, grouting.WorkloadSpec{
 		NumHotspots: 6, QueriesPerHotspot: 4, R: 2, H: 2,
@@ -139,21 +82,9 @@ func TestClientTwoTransportsKNN(t *testing.T) {
 	for _, info := range grouting.StrategyRegistry() {
 		info := info
 		t.Run(info.Name, func(t *testing.T) {
-			sys, err := grouting.New(g,
-				grouting.WithProcessors(2),
-				grouting.WithStorageServers(2),
-				grouting.WithPolicy(info.Policy),
-				grouting.WithSeed(1),
-				grouting.WithEmbedProvider(grouting.NewFileProvider(emb)),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			local, err := grouting.NewLocalClient(sys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			remote := startKNNCluster(t, g, info.Policy, fileProv)
+			local, remote := twoTransports(t, g, grouting.Config{
+				Processors: 2, StorageServers: 2, Policy: info.Policy, Seed: 1, EmbedProvider: grouting.NewFileProvider(emb),
+			})
 
 			var perClient [2][]grouting.Result
 			for i, tc := range []struct {
@@ -215,21 +146,9 @@ func TestClientStreamCancellationKNN(t *testing.T) {
 		return grouting.Answer(g, q)
 	}
 
-	sys, err := grouting.New(g,
-		grouting.WithProcessors(2),
-		grouting.WithStorageServers(2),
-		grouting.WithPolicy(grouting.PolicyHash),
-		grouting.WithSeed(2),
-		grouting.WithEmbedProvider(grouting.NewFileProvider(emb)),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := grouting.NewLocalClient(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote := startKNNCluster(t, g, grouting.PolicyHash, grouting.NewFileProvider(emb))
+	local, remote := twoTransports(t, g, grouting.Config{
+		Processors: 2, StorageServers: 2, Policy: grouting.PolicyHash, Seed: 2, EmbedProvider: grouting.NewFileProvider(emb),
+	})
 
 	for _, tc := range []struct {
 		name string
@@ -306,24 +225,10 @@ func TestKNNDegradedProvider(t *testing.T) {
 	knnQ := grouting.Query{Type: grouting.KNearest, Node: anchor, Hops: 2, K: 4, Dir: grouting.Both}
 	plainQ := grouting.Query{Type: grouting.NeighborAgg, Node: anchor, Hops: 2, Dir: grouting.Out}
 
-	// Local transport, degraded start.
-	sys, err := grouting.New(g,
-		grouting.WithProcessors(2),
-		grouting.WithStorageServers(2),
-		grouting.WithPolicy(grouting.PolicyHash),
-		grouting.WithSeed(2),
-		grouting.WithEmbedProvider(failing),
-	)
-	if err != nil {
-		t.Fatalf("degraded system must still construct: %v", err)
-	}
-	local, err := grouting.NewLocalClient(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// TCP transport, degraded start.
-	remote := startKNNCluster(t, g, grouting.PolicyHash, failing)
+	// Both transports, degraded start.
+	local, remote := twoTransports(t, g, grouting.Config{
+		Processors: 2, StorageServers: 2, Policy: grouting.PolicyHash, Seed: 2, EmbedProvider: failing,
+	})
 
 	for _, tc := range []struct {
 		name string

@@ -3,26 +3,26 @@ package grouting_test
 import (
 	"bytes"
 	"context"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"weak"
 
 	grouting "repro"
 	"repro/internal/gen"
-	"repro/internal/router"
 )
 
 // labelledGraph is the dataset of the tests below: sparse, every node and
 // edge labelled. The same call always yields an equal graph.
 func labelledGraph() *grouting.Graph { return grouting.GenerateDataset(grouting.Freebase, 0.05, 5) }
 
-// startClusterOverOwnGraph brings up a writable loopback deployment over a
-// graph nobody else holds, and hands back only a weak pointer to it.
+// startClusterOverOwnGraph brings up cfg's loopback deployment over a graph
+// nobody else holds, and hands back only a weak pointer to it.
 //
 //go:noinline
-func startClusterOverOwnGraph(t *testing.T, policy grouting.Policy) (grouting.Client, weak.Pointer[grouting.Graph]) {
+func startClusterOverOwnGraph(t *testing.T, cfg grouting.Config) (grouting.Client, weak.Pointer[grouting.Graph]) {
 	g := labelledGraph()
-	cl, _ := startWritableTCPCluster(t, g, 2, 2, policy, "")
+	cl, _ := startLoopback(t, g, cfg)
 	return cl, weak.Make(g)
 }
 
@@ -35,15 +35,14 @@ func TestRouterDoesNotRetainGraph(t *testing.T) {
 	ctx := context.Background()
 	for _, policy := range []grouting.Policy{grouting.PolicyHash, grouting.PolicyEmbed} {
 		t.Run(policy.String(), func(t *testing.T) {
-			remote, wp := startClusterOverOwnGraph(t, policy)
+			cfg := grouting.Config{Processors: 2, StorageServers: 2, Policy: policy, Seed: 7}
+			remote, wp := startClusterOverOwnGraph(t, cfg)
 			runtime.GC()
 			if wp.Value() != nil {
-				t.Fatal("the graph handed to ServeRouter is still reachable after construction")
+				t.Fatal("the graph handed to the deployment is still reachable after construction")
 			}
 
-			sys, err := grouting.New(labelledGraph(),
-				grouting.WithProcessors(2), grouting.WithStorageServers(2),
-				grouting.WithPolicy(policy), grouting.WithSeed(7))
+			sys, err := grouting.NewSystem(labelledGraph(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,26 +116,13 @@ func TestRouterDoesNotRetainGraph(t *testing.T) {
 // The same graph under the same policy and preprocessing parameters reports
 // the same figure from both transports: above zero for the smart policies,
 // zero for hash, which routes by arithmetic alone. What the table is rides
-// beside it: EmbedDimensions and EmbedProvider, 8 and "learned" for the one
-// built here.
+// beside it: EmbedDimensions and EmbedProvider, 10 (the default) and
+// "learned" for the one built here.
 func TestRoutingTableBytesTwoTransports(t *testing.T) {
 	ctx := context.Background()
 	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
 	for _, policy := range []grouting.Policy{grouting.PolicyHash, grouting.PolicyLandmark, grouting.PolicyEmbed} {
-		// The networked router's table shape is fixed; match it.
-		nt := router.NetworkTables
-		sys, err := grouting.New(g,
-			grouting.WithProcessors(3), grouting.WithStorageServers(2), grouting.WithPolicy(policy),
-			grouting.WithLandmarks(nt.Landmarks), grouting.WithMinSeparation(nt.MinSeparation),
-			grouting.WithDimensions(nt.Dimensions), grouting.WithSeed(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		local, err := grouting.NewLocalClient(sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		remote := startTCPCluster(t, g, 2, 3, policy)
+		local, remote := twoTransports(t, g, grouting.Config{Processors: 3, StorageServers: 2, Policy: policy, Seed: 7})
 		ls, err := local.Stats(ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -153,7 +139,7 @@ func TestRoutingTableBytesTwoTransports(t *testing.T) {
 		}
 		wantDims, wantProvider := int64(0), ""
 		if policy == grouting.PolicyEmbed {
-			wantDims, wantProvider = 8, "learned"
+			wantDims, wantProvider = 10, "learned"
 		}
 		for _, st := range []grouting.Stats{ls, rs} {
 			if st.EmbedDimensions != wantDims || st.EmbedProvider != wantProvider {
@@ -220,7 +206,10 @@ func reachable(wp weak.Pointer[grouting.Graph]) bool { return wp.Value() != nil 
 // are what each role keeps, without the ≈ 10 MiB a Go daemon costs empty.
 // What it asserts is the router's: a router holds routing tables — at most
 // twice Stats().RoutingTableBytes plus 4 MiB of connections and counters —
-// never a second copy of the data set.
+// never a second copy of the data set. Measuring role by role, it is also
+// the deployment built through the public daemon API (ServeStorage,
+// LoadStorageReplicated, ServeProcessorWith, ServeRouter with an
+// EmbedProvider) that other tests start with rpc.Loopback.
 func TestMemoryBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("memory measurements are meaningless under the race detector")
@@ -316,5 +305,34 @@ func TestMemoryBudget(t *testing.T) {
 			t.Errorf("router under %v retains %.1f MiB, budget %.1f (2 x %.1f MiB of routing tables + 4)", policy, retained, budget, tables)
 		}
 	}
-	runtime.KeepAlive(g)
+
+	// Last, k-NN over the same daemons, the way groutingd -embed-file serves
+	// it: a coordinate table written as a .gemb artifact and opened again as
+	// RouterSpec.EmbedProvider ranks exactly as the oracle does.
+	emb := sharedEmbedding(t, g)
+	path := filepath.Join(t.TempDir(), "emb.gemb")
+	if err := grouting.WriteEmbeddingFile(path, emb); err != nil {
+		t.Fatal(err)
+	}
+	fileProv, err := grouting.OpenEmbeddingFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	knn, err := grouting.ServeRouter("127.0.0.1:0", grouting.RouterSpec{Processors: procs, Policy: grouting.PolicyHash, Storage: storage, EmbedProvider: fileProv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer knn.Close()
+	c, err := grouting.Dial(ctx, knn.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, q := range grouting.HotspotWorkload(g, grouting.WorkloadSpec{
+		NumHotspots: 4, QueriesPerHotspot: 2, R: 2, H: 2, Types: []grouting.QueryType{grouting.KNearest}, K: 5, Seed: 3,
+	}) {
+		if got, err := c.Execute(ctx, q); err != nil || got != grouting.AnswerKNN(g, emb, q) {
+			t.Fatalf("k-nearest %d on node %d: got %+v, %v; want %+v", q.ID, q.Node, got, err, grouting.AnswerKNN(g, emb, q))
+		}
+	}
 }

@@ -34,21 +34,9 @@ func TestClientTwoTransportsMultiAnchor(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	sys, err := grouting.New(g,
-		grouting.WithProcessors(3),
-		grouting.WithStorageServers(2),
-		grouting.WithPolicy(grouting.PolicyEmbed),
-		grouting.WithDimensions(4),
-		grouting.WithSeed(1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := grouting.NewLocalClient(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote := startTCPCluster(t, g, 2, 3, grouting.PolicyEmbed)
+	local, remote := twoTransports(t, g, grouting.Config{
+		Processors: 3, StorageServers: 2, Policy: grouting.PolicyEmbed, Dimensions: 4, Seed: 1,
+	})
 
 	clients := []struct {
 		name string
@@ -126,20 +114,7 @@ func TestClientStreamCancellationMultiAnchor(t *testing.T) {
 		VisitBudget: 4, Seed: 5,
 	})
 
-	sys, err := grouting.New(g,
-		grouting.WithProcessors(2),
-		grouting.WithStorageServers(2),
-		grouting.WithPolicy(grouting.PolicyHash),
-		grouting.WithSeed(2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := grouting.NewLocalClient(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote := startTCPCluster(t, g, 2, 2, grouting.PolicyHash)
+	local, remote := twoTransports(t, g, grouting.Config{Processors: 2, StorageServers: 2, Policy: grouting.PolicyHash, Seed: 2})
 
 	for _, tc := range []struct {
 		name string

@@ -5,9 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"reflect"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -15,58 +13,6 @@ import (
 	"repro/internal/gstore"
 	"repro/internal/rpc"
 )
-
-// startWritableTCPCluster is startTCPCluster with the storage tier handed
-// to the router, which is what arms the replicated write path (and, when
-// spec'd, the placement planner) on the TCP transport. A non-empty walDir
-// makes every shard durable, shard i logging under walDir/i. It returns the
-// client and the storage shards' addresses.
-func startWritableTCPCluster(t testing.TB, g *grouting.Graph, nStorage, nProcs int, policy grouting.Policy, walDir string) (grouting.Client, []string) {
-	t.Helper()
-	ctx := context.Background()
-	var storageAddrs []string
-	for i := 0; i < nStorage; i++ {
-		dir := ""
-		if walDir != "" {
-			dir = filepath.Join(walDir, strconv.Itoa(i))
-		}
-		ss, err := grouting.ServeStorageDurable("127.0.0.1:0", dir, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ss.Close() })
-		storageAddrs = append(storageAddrs, ss.Addr())
-	}
-	if err := grouting.LoadStorageReplicated(ctx, g, storageAddrs, 1); err != nil {
-		t.Fatal(err)
-	}
-	var procAddrs []string
-	for i := 0; i < nProcs; i++ {
-		ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{Storage: storageAddrs, CacheBytes: 64 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ps.Close() })
-		procAddrs = append(procAddrs, ps.Addr())
-	}
-	rs, err := grouting.ServeRouter("127.0.0.1:0", grouting.RouterSpec{
-		Processors: procAddrs,
-		Policy:     policy,
-		Graph:      g,
-		Seed:       7,
-		Storage:    storageAddrs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rs.Close() })
-	cl, err := grouting.Dial(ctx, rs.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return cl, storageAddrs
-}
 
 // mutationStream is the transport-agnostic write workload: singleton
 // upserts and edge inserts, a batched burst, and a tombstoning removal,
@@ -138,24 +84,9 @@ func mutationStream(ctx context.Context, c grouting.Client, oracle *grouting.Gra
 func TestMutateTwoTransports(t *testing.T) {
 	const scale, seed = 0.02, 7
 	ctx := context.Background()
-
-	sys, err := grouting.New(grouting.GenerateDataset(grouting.WebGraph, scale, seed),
-		grouting.WithProcessors(3),
-		grouting.WithStorageServers(2),
-		grouting.WithPolicy(grouting.PolicyLandmark),
-		grouting.WithLandmarks(8),
-		grouting.WithMinSeparation(1),
-		grouting.WithSeed(1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := grouting.NewLocalClient(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, _ := startWritableTCPCluster(t, grouting.GenerateDataset(grouting.WebGraph, scale, seed),
-		2, 3, grouting.PolicyLandmark, "")
+	local, remote := twoTransports(t, grouting.GenerateDataset(grouting.WebGraph, scale, seed), grouting.Config{
+		Processors: 3, StorageServers: 2, Policy: grouting.PolicyLandmark, Landmarks: 8, MinSeparation: 1, Seed: 1,
+	})
 
 	clients := []struct {
 		name string
@@ -255,20 +186,8 @@ func TestMutateConcurrentReadYourWrites(t *testing.T) {
 		}
 	}
 
-	sys, err := grouting.New(grouting.GenerateDataset(grouting.WebGraph, scale, seed),
-		grouting.WithProcessors(3),
-		grouting.WithStorageServers(2),
-		grouting.WithPolicy(grouting.PolicyHash),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := grouting.NewLocalClient(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, _ := startWritableTCPCluster(t, grouting.GenerateDataset(grouting.WebGraph, scale, seed),
-		2, 3, grouting.PolicyHash, "")
+	local, remote := twoTransports(t, grouting.GenerateDataset(grouting.WebGraph, scale, seed),
+		grouting.Config{Processors: 3, StorageServers: 2, Policy: grouting.PolicyHash})
 
 	for _, tc := range []struct {
 		name string
@@ -345,11 +264,12 @@ func TestStoredRecordsTwoTransports(t *testing.T) {
 	dataset := func() *grouting.Graph { return grouting.GenerateDataset(grouting.WebGraph, scale, seed) }
 	ctx := context.Background()
 
-	given := dataset()
-	sys, err := grouting.NewSystem(given, grouting.Config{
+	cfg := grouting.Config{
 		Processors: 3, StorageServers: 2, Policy: grouting.PolicyLandmark,
 		Landmarks: 8, MinSeparation: 1, Seed: 1,
-	})
+	}
+	given := dataset()
+	sys, err := grouting.NewSystem(given, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,8 +277,8 @@ func TestStoredRecordsTwoTransports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, storageAddrs := startWritableTCPCluster(t, dataset(), 2, 3, grouting.PolicyLandmark, "")
-	sc, err := rpc.DialStorageReplicated(storageAddrs, 1)
+	remote, d := startLoopback(t, dataset(), cfg)
+	sc, err := rpc.DialStorageReplicated(d.StorageAddrs(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

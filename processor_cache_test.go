@@ -5,54 +5,37 @@ import (
 	"testing"
 
 	grouting "repro"
-	"repro/internal/router"
 )
 
 // TestProcessorCacheTwoTransports: one seeded hotspot sequence, sent by a
 // serial client through the virtual-time engine and through a loopback
 // deployment, leaves every processor with the same routed queries and its
 // cache in the same state on both — the same misses, inserts, evictions and
-// resident bytes — because both transports build their routing tables
-// through one function (the local system is given the networked router's
-// table shape), decide through one router and fetch through one cache step
-// that charges a record one size. Hits are reported, not compared: the
-// networked processor probes a query's node before the traversal, whose
-// first level then hits it again, so over TCP a processor counts one more
-// hit per query it executed.
+// resident bytes — because both transports are built from one Config, build
+// their routing tables through one function, decide through one router and
+// fetch through one cache step that charges a record one size. Hits are
+// reported, not compared: the networked processor probes a query's node
+// before the traversal, whose first level then hits it again, so over TCP a
+// processor counts one more hit per query it executed.
 func TestProcessorCacheTwoTransports(t *testing.T) {
-	const procs, cacheBytes = 3, 64 << 10
+	const procs = 3
 	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
 	qs := grouting.HotspotWorkload(g, grouting.WorkloadSpec{
 		NumHotspots: 12, QueriesPerHotspot: 8, R: 2, H: 2, Seed: 3,
 	})
 	ctx := context.Background()
-	nt := router.NetworkTables
 	for _, policy := range []grouting.Policy{grouting.PolicyHash, grouting.PolicyEmbed} {
-		sys, err := grouting.New(g,
-			grouting.WithProcessors(procs),
-			grouting.WithStorageServers(2),
-			grouting.WithPolicy(policy),
-			grouting.WithCacheBytes(cacheBytes),
-			grouting.WithLandmarks(nt.Landmarks),
-			grouting.WithMinSeparation(nt.MinSeparation),
-			grouting.WithDimensions(nt.Dimensions),
-			grouting.WithSeed(7),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lc, err := grouting.NewLocalClient(sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { lc.Close() })
+		lc, remote := twoTransports(t, g, grouting.Config{
+			Processors: procs, StorageServers: 2, Policy: policy, CacheBytes: 64 << 10, Seed: 7,
+		})
 		var snaps [2]grouting.Stats
-		for i, c := range []grouting.Client{lc, startTCPClusterCache(t, g, 2, procs, policy, cacheBytes)} {
+		for i, c := range []grouting.Client{lc, remote} {
 			for _, q := range qs {
 				if _, err := c.Execute(ctx, q); err != nil {
 					t.Fatalf("%v, client %d, query %d: %v", policy, i, q.ID, err)
 				}
 			}
+			var err error
 			if snaps[i], err = c.Stats(ctx); err != nil {
 				t.Fatal(err)
 			}

@@ -8,11 +8,13 @@ package grouting_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	grouting "repro"
+	"repro/internal/rpc"
 )
 
 func storageWorkload(g *grouting.Graph, seed int64) []grouting.Query {
@@ -30,78 +32,18 @@ func TestCrossTransportReplicationEquivalence(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
-	runLocal := func(replicas int) []grouting.Result {
-		sys, err := grouting.NewSystem(g, grouting.Config{
-			Policy:          grouting.PolicyHash,
-			Processors:      3,
-			StorageServers:  3,
-			StorageReplicas: replicas,
-			Seed:            1,
+	cells := map[string][]grouting.Result{}
+	for _, replicas := range []int{1, 2} {
+		local, remote := twoTransports(t, g, grouting.Config{
+			Policy: grouting.PolicyHash, Processors: 3, StorageServers: 3, StorageReplicas: replicas, Seed: 1,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl, err := grouting.NewLocalClient(sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		out, err := cl.ExecuteBatch(ctx, qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	runTCP := func(replicas int) []grouting.Result {
-		var storageAddrs []string
-		for i := 0; i < 3; i++ {
-			ss, err := grouting.ServeStorage("127.0.0.1:0")
+		for name, cl := range map[string]grouting.Client{"local": local, "tcp": remote} {
+			out, err := cl.ExecuteBatch(ctx, qs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer ss.Close()
-			storageAddrs = append(storageAddrs, ss.Addr())
+			cells[fmt.Sprintf("%s-R%d", name, replicas)] = out
 		}
-		if err := grouting.LoadStorageReplicated(ctx, g, storageAddrs, replicas); err != nil {
-			t.Fatal(err)
-		}
-		var procAddrs []string
-		for i := 0; i < 2; i++ {
-			ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{
-				Storage: storageAddrs, StorageReplicas: replicas, CacheBytes: 32 << 20,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ps.Close()
-			procAddrs = append(procAddrs, ps.Addr())
-		}
-		rs, err := grouting.ServeRouter("127.0.0.1:0", grouting.RouterSpec{
-			Processors: procAddrs, Policy: grouting.PolicyHash,
-			Storage: storageAddrs, StorageReplicas: replicas,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rs.Close()
-		cl, err := grouting.Dial(ctx, rs.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		out, err := cl.ExecuteBatch(ctx, qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	cells := map[string][]grouting.Result{
-		"local-R1": runLocal(1),
-		"local-R2": runLocal(2),
-		"tcp-R1":   runTCP(1),
-		"tcp-R2":   runTCP(2),
 	}
 	for i, q := range qs {
 		want := grouting.Answer(g, q)
@@ -178,49 +120,16 @@ func TestKillReplicaMidWorkloadTCP(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	var shards []*grouting.StorageServer
-	var storageAddrs []string
-	for i := 0; i < 3; i++ {
-		ss, err := grouting.ServeStorage("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ss.Close()
-		shards = append(shards, ss)
-		storageAddrs = append(storageAddrs, ss.Addr())
-	}
-	if err := grouting.LoadStorageReplicated(ctx, g, storageAddrs, 2); err != nil {
-		t.Fatal(err)
-	}
-	var procAddrs []string
-	for i := 0; i < 2; i++ {
-		ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{
-			Storage: storageAddrs, StorageReplicas: 2, CacheBytes: 32 << 20,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ps.Close()
-		procAddrs = append(procAddrs, ps.Addr())
-	}
-	rs, err := grouting.ServeRouter("127.0.0.1:0", grouting.RouterSpec{
-		Processors: procAddrs, Policy: grouting.PolicyHash,
-		Storage: storageAddrs, StorageReplicas: 2,
+	cl, d := startLoopback(t, g, grouting.Config{
+		Policy: grouting.PolicyHash, Processors: 2, StorageServers: 3, StorageReplicas: 2, CacheBytes: 32 << 20,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	cl, err := grouting.Dial(ctx, rs.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
 
 	kill := len(qs) / 3
 	for i, q := range qs {
 		if i == kill {
-			shards[0].Close()
+			if err := d.KillStorage(0); err != nil {
+				t.Fatal(err)
+			}
 		}
 		res, err := cl.Execute(ctx, q)
 		if err != nil {
@@ -291,11 +200,10 @@ func TestDurableCrashRestartLocal(t *testing.T) {
 }
 
 // TestLoadStorageZeroReplicas pins the loader's zero value: a factor of 0
-// reads as 1, as ProcessorSpec's and RouterSpec's do, so what it loads
-// answers through an R = 1 processor.
+// reads as 1, as ProcessorSpec's and RouterSpec's do, so every record it
+// loads reads back through an R = 1 storage client.
 func TestLoadStorageZeroReplicas(t *testing.T) {
 	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
-	qs := storageWorkload(g, 43)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
@@ -311,31 +219,14 @@ func TestLoadStorageZeroReplicas(t *testing.T) {
 	if err := grouting.LoadStorageReplicated(ctx, g, storageAddrs, 0); err != nil {
 		t.Fatalf("load with 0 replicas: %v", err)
 	}
-	ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{Storage: storageAddrs, StorageReplicas: 1, CacheBytes: 1 << 20})
+	sc, err := rpc.DialStorageReplicated(storageAddrs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ps.Close()
-	rs, err := grouting.ServeRouter("127.0.0.1:0", grouting.RouterSpec{
-		Processors: []string{ps.Addr()}, Policy: grouting.PolicyHash,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	cl, err := grouting.Dial(ctx, rs.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	for i, q := range qs {
-		res, err := cl.Execute(ctx, q)
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-		if res != grouting.Answer(g, q) {
-			t.Fatalf("query %d disagrees with the oracle", i)
-		}
+	defer sc.Close()
+	recs, err := sc.MultiGet(ctx, g.Nodes())
+	if err != nil || len(recs) != g.NumNodes() {
+		t.Fatalf("read back %d of %d records: %v", len(recs), g.NumNodes(), err)
 	}
 }
 
@@ -349,39 +240,10 @@ func TestUnreplicatedTCPLosesQueries(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	var shards []*grouting.StorageServer
-	var storageAddrs []string
-	for i := 0; i < 2; i++ {
-		ss, err := grouting.ServeStorage("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ss.Close()
-		shards = append(shards, ss)
-		storageAddrs = append(storageAddrs, ss.Addr())
-	}
-	if err := grouting.LoadStorageReplicated(ctx, g, storageAddrs, 1); err != nil {
+	cl, d := startLoopback(t, g, grouting.Config{Policy: grouting.PolicyHash, Processors: 1, StorageServers: 2, CacheBytes: 32 << 20})
+	if err := d.KillStorage(1); err != nil {
 		t.Fatal(err)
 	}
-	ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{Storage: storageAddrs, CacheBytes: 32 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ps.Close()
-	rs, err := grouting.ServeRouter("127.0.0.1:0", grouting.RouterSpec{
-		Processors: []string{ps.Addr()}, Policy: grouting.PolicyHash,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	cl, err := grouting.Dial(ctx, rs.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	shards[1].Close()
 	failed := 0
 	for i, q := range qs {
 		res, err := cl.Execute(ctx, q)

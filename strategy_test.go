@@ -60,23 +60,10 @@ func TestCustomStrategyTwoTransports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := grouting.New(g,
-		grouting.WithProcessors(3),
-		grouting.WithStorageServers(2),
-		grouting.WithPolicy(byName),
-		grouting.WithSeed(1),
-	)
-	if err != nil {
-		t.Fatal(err)
+	if byName != policyBands {
+		t.Fatalf("ParsePolicy resolved to %v, want %v", byName, policyBands)
 	}
-	if got := sys.Config().Policy; got != policyBands {
-		t.Fatalf("ParsePolicy resolved to %v, want %v", got, policyBands)
-	}
-	local, err := grouting.NewLocalClient(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote := startTCPCluster(t, g, 2, 3, policyBands)
+	local, remote := twoTransports(t, g, grouting.Config{Processors: 3, StorageServers: 2, Policy: byName, Seed: 1})
 
 	clients := []struct {
 		name string

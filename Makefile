@@ -85,14 +85,14 @@ race:
 # plus the binary wire protocol, the embedding-provider subsystem and the
 # router both transports decide through: each package must stay at or
 # above its floor (set just under the current coverage — raise the floors
-# as coverage grows, never lower them). Current: gstore 94%, kvstore 91%,
+# as coverage grows, never lower them). Current: gstore 94%, kvstore 92%,
 # topology 79%, chaos 85%, placement 100%, mquery 91%, rpc 90%, embed 91%,
 # traverse 100%, router 89%, wire 100% (the one bounds-checked reader every
 # decoder of outside bytes goes through), cache 98% (the processor cache step
 # both engines fetch through), landmark 95% (the index the mutation path
 # updates incrementally), metrics 78% (the snapshot types every layer's stats
 # row is written in).
-COVER_FLOORS = ./internal/cache:95 ./internal/gstore:90 ./internal/kvstore:90 ./internal/topology:75 ./internal/chaos:70 ./internal/placement:95 ./internal/mquery:85 ./internal/rpc:82 ./internal/embed:85 ./internal/traverse:90 ./internal/router:85 ./internal/wire:90 ./internal/landmark:90 ./internal/metrics:75
+COVER_FLOORS = ./internal/cache:95 ./internal/gstore:90 ./internal/kvstore:91 ./internal/topology:75 ./internal/chaos:70 ./internal/placement:95 ./internal/mquery:85 ./internal/rpc:82 ./internal/embed:85 ./internal/traverse:90 ./internal/router:85 ./internal/wire:90 ./internal/landmark:90 ./internal/metrics:75
 
 cover:
 	@set -e; for spec in $(COVER_FLOORS); do \
@@ -106,10 +106,11 @@ cover:
 	done
 
 # `go test` only replays the fuzz targets' seeds. This runs each of them for
-# real, 5 s apiece (about 35 s in all, offline): the decoders that take bytes
+# real, 5 s apiece (about 40 s in all, offline): the decoders that take bytes
 # from outside the process — the request and response envelopes, subtasks,
-# partials, the embedding file — and the WAL's replay.
-FUZZ_TARGETS = ./internal/rpc:FuzzFrameDecode ./internal/mquery:FuzzSubtaskWire ./internal/mquery:FuzzPartialWire ./internal/embed:FuzzFileDecode ./internal/kvstore:FuzzWALReplay ./internal/kvstore:FuzzWALRoundTrip
+# partials, the embedding file — the WAL's replay, and a storage shard's log
+# against a map model.
+FUZZ_TARGETS = ./internal/rpc:FuzzFrameDecode ./internal/mquery:FuzzSubtaskWire ./internal/mquery:FuzzPartialWire ./internal/embed:FuzzFileDecode ./internal/kvstore:FuzzWALReplay ./internal/kvstore:FuzzWALRoundTrip ./internal/kvstore:FuzzShardOps
 
 fuzz-smoke:
 	@set -e; for spec in $(FUZZ_TARGETS); do \

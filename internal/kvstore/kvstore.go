@@ -292,19 +292,17 @@ func (s *Store) ReplicasFor(key uint64, dst []int) []int {
 }
 
 // Put stores val under key, replacing any prior value, on every replica of
-// the current placement set. The value is copied; the caller may reuse its
-// buffer. It returns the write's version — the monotonic store-wide stamp
-// the distributed write path acks to its caller (read-your-writes pivots
-// on it).
+// the current placement set. Each shard copies the value into its log; the
+// caller may reuse its buffer. It returns the write's version — the
+// monotonic store-wide stamp the distributed write path acks to its caller
+// (read-your-writes pivots on it).
 func (s *Store) Put(key uint64, val []byte) uint64 {
-	cp := make([]byte, len(val))
-	copy(cp, val)
 	ver := s.version.Add(1)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	// Put has no error return: a failed append stays in the shard's
 	// Durability().Err.
-	s.writeLocked(key, func(sh *Shard) { _ = sh.Put(key, cp, ver) })
+	s.writeLocked(key, func(sh *Shard) { _ = sh.Put(key, val, ver) })
 	return ver
 }
 
@@ -407,7 +405,7 @@ func (s *Store) Delete(key uint64) bool {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 		sh.stats.Deletes++
-		if old, ok := sh.data[key]; ok && !old.dead {
+		if old, ok := sh.lookup(key); ok && !old.dead {
 			present = true
 		}
 		sh.put(key, entry{ver: ver, dead: true}, 0)
@@ -607,7 +605,7 @@ func (s *Store) Move(key uint64, dst []int) (int64, error) {
 		if s.partedLocked(slot) || s.view.Status(slot) != topology.Active {
 			continue
 		}
-		if e, ok := s.servers[slot].data[key]; ok && (!found || e.ver > best.ver) {
+		if e, ok := s.servers[slot].lookup(key); ok && (!found || e.ver > best.ver) {
 			best, found = e, true
 		}
 	}
@@ -720,11 +718,11 @@ func (s *Store) repairLocked() {
 		if (m.Status != topology.Active && m.Status != topology.Draining) || s.partedLocked(m.Slot) {
 			continue
 		}
-		for k, e := range s.servers[m.Slot].data {
+		s.servers[m.Slot].each(func(k uint64, e entry) {
 			if b, ok := newest[k]; !ok || e.ver > b.e.ver {
 				newest[k] = src{slot: m.Slot, e: e}
 			}
-		}
+		})
 	}
 	var arr [topology.MaxReplicas]int
 	for k, b := range newest {
@@ -734,7 +732,7 @@ func (s *Store) repairLocked() {
 				continue
 			}
 			sv := s.servers[slot]
-			if e, ok := sv.data[k]; !ok || e.ver < b.e.ver {
+			if e, ok := sv.lookup(k); !ok || e.ver < b.e.ver {
 				sv.put(k, b.e, putRepair)
 			}
 		}
@@ -773,11 +771,11 @@ func (s *Store) UnderReplicated() int {
 		}
 		sv := s.servers[m.Slot]
 		sv.mu.RLock()
-		for k, e := range sv.data {
+		sv.each(func(k uint64, e entry) {
 			if !e.dead {
 				copies[k]++
 			}
-		}
+		})
 		sv.mu.RUnlock()
 	}
 	// Keys visible only on down shards count as under-replicated too.
@@ -787,13 +785,13 @@ func (s *Store) UnderReplicated() int {
 		}
 		sv := s.servers[m.Slot]
 		sv.mu.RLock()
-		for k, e := range sv.data {
+		sv.each(func(k uint64, e entry) {
 			if !e.dead {
 				if _, ok := copies[k]; !ok {
 					copies[k] = 0
 				}
 			}
-		}
+		})
 		sv.mu.RUnlock()
 	}
 	under := 0

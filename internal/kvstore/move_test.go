@@ -88,7 +88,7 @@ func TestMoveRelocatesAndPins(t *testing.T) {
 	}
 	// Copies exist only on the destination slots.
 	for slot := 0; slot < s.NumServers(); slot++ {
-		_, has := s.servers[slot].data[key]
+		_, has := s.servers[slot].lookup(key)
 		want := slot == dst[0] || slot == dst[1]
 		if has != want {
 			t.Fatalf("slot %d holds copy=%v, want %v", slot, has, want)
@@ -134,7 +134,7 @@ func TestMoveThenWriteAndDelete(t *testing.T) {
 		t.Fatal("post-move write returned version 0")
 	}
 	for _, slot := range dst {
-		e, ok := s.servers[slot].data[key]
+		e, ok := s.servers[slot].lookup(key)
 		if !ok || e.ver != ver {
 			t.Fatalf("slot %d missed the post-move write: %+v %v", slot, e, ok)
 		}

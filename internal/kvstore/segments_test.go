@@ -1,0 +1,325 @@
+package kvstore
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"sync"
+	"testing"
+)
+
+// modelKeys is how many keys runShardOps writes: few enough that most steps
+// replace, tombstone or drop a record already there.
+const modelKeys = 8
+
+// modelLengths are the value lengths runShardOps draws from: empty, one
+// byte, both sides of the segment size, three segments, three small ones and
+// just over half a segment.
+var modelLengths = [...]int{0, 1, segSize - 1, segSize, 3 * segSize, 7, 40, 300, segSize/2 + 1}
+
+// cleanedSince reports whether l has been cleaned since first was its first
+// segment: only a cleaning replaces a log's first segment, and the caller
+// holding first keeps its memory from being reused for the new one.
+func cleanedSince(l *segLog, first []byte) bool {
+	return first != nil && (len(l.segs) == 0 || &l.segs[0][:1][0] != &first[:1][0])
+}
+
+// checkSlack fails unless l's segments hold exactly its live and dead bytes
+// and their capacity is at most factor times that plus one segment, the
+// head's. A shared segment the log moved on from is more than half full
+// whatever its records, since a record longer than half a segment gets its
+// own; filled with records of one length it is more than two thirds full.
+func checkSlack(t testing.TB, l *segLog, factor float64) {
+	t.Helper()
+	var used, capacity int64
+	for _, b := range l.segs {
+		used, capacity = used+int64(len(b)), capacity+int64(cap(b))
+	}
+	if used != l.live+l.dead || float64(capacity) > factor*float64(used)+segSize {
+		t.Fatalf("the log's %d segments hold %d bytes in %d of capacity; it counts %d live and %d dead", len(l.segs), used, capacity, l.live, l.dead)
+	}
+}
+
+// modelValue is the value runShardOps writes under key at version ver.
+func modelValue(key, ver uint64, n int) []byte {
+	v := make([]byte, n)
+	for i := range v {
+		v[i] = byte(key*31 + ver*7 + uint64(i))
+	}
+	return v
+}
+
+// runShardOps drives a shard and a map model through the operations ops
+// encodes, three bytes each (operation, key, argument): PutBatch of one to
+// three records at fresh versions or at versions the compare may refuse, a
+// tombstone, Drop, a forced cleaning and, on a durable shard, a snapshot and
+// a reopen. After every step it fails unless the shard reads as the model
+// does: Get, GetInto, Stats' Keys and Bytes, the log's live-byte count and
+// slack (checkSlack) and, on a durable shard (dir set; "" runs one in
+// memory), the image its snapshot and WAL replay to. It returns how many
+// writes, tombstones and drops set off a cleaning.
+func runShardOps(t testing.TB, dir string, ops []byte) (cleanings int) {
+	t.Helper()
+	walPath, snapPath := filepath.Join(dir, "shard.wal"), filepath.Join(dir, "shard.snap")
+	open := func() *Shard {
+		if dir == "" {
+			return NewShard()
+		}
+		sh, err := OpenShard(walPath, snapPath, 8, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sh
+	}
+	sh := open()
+	defer func() { sh.Abandon() }()
+	model := make(map[uint64]entry)
+	var top uint64 // the highest version written
+	keys := make([]uint64, modelKeys)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	vals, oks := make([][]byte, modelKeys), make([]bool, modelKeys)
+	for step := 0; len(ops) >= 3; step++ {
+		op, key, arg := ops[0]%8, uint64(ops[1])%modelKeys, int(ops[2])
+		ops = ops[3:]
+		var first []byte
+		if len(sh.recs.segs) > 0 {
+			first = sh.recs.segs[0]
+		}
+		var name string
+		switch op {
+		case 0, 1, 2, 3:
+			name = "batch"
+			first := top + 1
+			if op == 3 {
+				name, first = "stale batch", 1+uint64(arg)%(top+1)
+			}
+			n := 1 + arg%3
+			ks, vs := make([]uint64, n), make([][]byte, n)
+			for i := range ks {
+				ver := first + uint64(i)
+				ks[i] = (key + uint64(i)) % modelKeys
+				vs[i] = modelValue(ks[i], ver, modelLengths[(arg/3+i)%len(modelLengths)])
+				if m, ok := model[ks[i]]; !ok || m.ver < ver {
+					model[ks[i]] = entry{val: bytes.Clone(vs[i]), ver: ver}
+				}
+				top = max(top, ver)
+			}
+			if err := sh.PutBatch(ks, vs, first); err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range vs {
+				clear(v) // the shard keeps copies, not these
+			}
+		case 4:
+			name = "tombstone"
+			top++
+			sh.mu.Lock()
+			err := sh.put(key, entry{ver: top, dead: true}, 0)
+			sh.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			model[key] = entry{ver: top, dead: true}
+		case 5:
+			name = "drop"
+			m, ok := model[key]
+			if found, err := sh.Drop(key); err != nil || found != (ok && !m.dead) {
+				t.Fatalf("step %d: Drop(%d) = %v, %v; the model holds version %d (present %v, tombstone %v)", step, key, found, err, m.ver, ok, m.dead)
+			}
+			delete(model, key)
+		case 6:
+			name = "clean"
+			sh.mu.Lock()
+			sh.recs.clean(sh.index)
+			sh.mu.Unlock()
+		case 7:
+			if dir == "" {
+				continue
+			}
+			name = "snapshot and reopen"
+			sh.mu.Lock()
+			err := sh.snapshot()
+			sh.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh.Abandon()
+			sh = open()
+		}
+		if op < 6 && cleanedSince(&sh.recs, first) {
+			cleanings++
+		}
+
+		sh.GetInto(keys, vals, oks)
+		wantKeys, wantBytes := 0, int64(0)
+		for _, k := range keys {
+			m, ok := model[k]
+			live := ok && !m.dead
+			v, found := sh.Get(k)
+			if found != live || oks[k] != live || !bytes.Equal(v, m.val) || !bytes.Equal(vals[k], m.val) {
+				t.Fatalf("step %d (%s): key %d reads %d bytes (found %v) by Get, %d (found %v) by GetInto; the model holds %d bytes (live %v)",
+					step, name, k, len(v), found, len(vals[k]), oks[k], len(m.val), live)
+			}
+			if live {
+				wantKeys++
+				wantBytes += int64(len(m.val))
+			}
+		}
+		if st := sh.Stats(); st.Keys != wantKeys || st.Bytes != wantBytes {
+			t.Fatalf("step %d (%s): Stats counts %d keys of %d bytes, the model %d of %d", step, name, st.Keys, st.Bytes, wantKeys, wantBytes)
+		}
+		var live int64
+		for _, ref := range sh.index {
+			_, size := sh.recs.read(ref)
+			live += size
+		}
+		if live != sh.recs.live || sh.recs.dead < 0 {
+			t.Fatalf("step %d (%s): the log counts %d live and %d dead bytes, its indexed records hold %d", step, name, sh.recs.live, sh.recs.dead, live)
+		}
+		checkSlack(t, &sh.recs, 2)
+		if dir == "" {
+			continue
+		}
+		re := NewShard()
+		if _, _, err := loadSnapshot(snapPath, re.applyReplay); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := replayWAL(walPath, re.applyReplay); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			got, ok := re.lookup(k)
+			m, want := model[k]
+			if ok != want || got.ver != m.ver || got.dead != m.dead || !bytes.Equal(got.val, m.val) {
+				t.Fatalf("step %d (%s): key %d replays to version %d (present %v, tombstone %v, %d bytes); the model holds version %d (present %v, tombstone %v, %d bytes)",
+					step, name, k, got.ver, ok, got.dead, len(got.val), m.ver, want, m.dead, len(m.val))
+			}
+		}
+	}
+	return cleanings
+}
+
+// TestShardLogMatchesModel runs a seeded sequence of 300 operations through
+// runShardOps on an in-memory and on a durable shard; each must also have
+// cleaned its log on its own at least once.
+func TestShardLogMatchesModel(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			ops := make([]byte, 3*300)
+			rand.New(rand.NewSource(1)).Read(ops)
+			dir := ""
+			if durable {
+				dir = t.TempDir()
+			}
+			if n := runShardOps(t, dir, ops); n == 0 {
+				t.Fatal("the log was only ever cleaned by force: no step let its dead bytes reach its live ones")
+			}
+		})
+	}
+}
+
+// FuzzShardOps runs runShardOps over arbitrary operation bytes, on an
+// in-memory and on a durable shard.
+func FuzzShardOps(f *testing.F) {
+	f.Add(false, []byte{0, 0, 12, 5, 1, 0, 6, 0, 0, 0, 2, 4})
+	f.Add(true, []byte{0, 3, 12, 4, 3, 0, 7, 0, 0, 3, 3, 200, 5, 3, 0})
+	f.Fuzz(func(t *testing.T, durable bool, ops []byte) {
+		dir := ""
+		if durable {
+			dir = t.TempDir()
+		}
+		runShardOps(t, dir, ops[:min(len(ops), 3*32)])
+	})
+}
+
+// TestSegLogSlack appends runs of records of one length — just over half a
+// segment, just over a third, just under a half — and holds the log to
+// 1.5 × its bytes plus a segment after each: a record that does not fit the
+// head must not leave half a segment empty behind it.
+func TestSegLogSlack(t *testing.T) {
+	for _, n := range []int{segSize/2 + 1, segSize/3 + 1, segSize/2 - 16} {
+		var l segLog
+		for i := 0; i < 16; i++ {
+			l.append(entry{val: make([]byte, n), ver: uint64(i + 1)})
+			checkSlack(t, &l, 1.5)
+		}
+	}
+}
+
+// TestShardHeldValuesSurviveCleaning holds the values GetInto hands out
+// while a writer overwrites every key until the log has been cleaned twice.
+// Each held slice must still read the bytes it read: nothing is written over
+// a stored byte, and a cleaning copies into fresh segments. Under -race a
+// write into a held value would also be reported.
+func TestShardHeldValuesSurviveCleaning(t *testing.T) {
+	const keys, size = 64, 1 << 10
+	sh := NewShard()
+	ks := make([]uint64, keys)
+	for i := range ks {
+		ks[i] = uint64(i)
+	}
+	write := func(round uint64) {
+		vals := make([][]byte, keys)
+		for i := range vals {
+			vals[i] = bytes.Repeat([]byte{byte(round)<<6 | byte(i)}, size)
+		}
+		if err := sh.PutBatch(ks, vals, 1+round*keys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(0)
+	done := make(chan struct{})
+	var ready, readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		ready.Add(1)
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var held, want [][]byte
+			got, oks := make([][]byte, keys), make([]bool, keys)
+			for i := 0; ; i++ {
+				stop := false
+				select {
+				case <-done:
+					stop = true
+				default:
+				}
+				sh.GetInto(ks, got, oks)
+				if i < 8 {
+					for _, v := range got {
+						held, want = append(held, v), append(want, bytes.Clone(v))
+					}
+				}
+				if i == 0 {
+					ready.Done()
+				}
+				for j := range held {
+					if !bytes.Equal(held[j], want[j]) {
+						t.Errorf("a held value changed under cleaning: reads %x…, read %x…", held[j][:4], want[j][:4])
+						return
+					}
+				}
+				if stop {
+					return
+				}
+			}
+		}()
+	}
+	ready.Wait()
+	for round, cleanings := uint64(1), 0; cleanings < 2; round++ {
+		sh.mu.RLock()
+		first := sh.recs.segs[0]
+		sh.mu.RUnlock()
+		write(round)
+		sh.mu.RLock()
+		if cleanedSince(&sh.recs, first) {
+			cleanings++
+		}
+		sh.mu.RUnlock()
+	}
+	close(done)
+	readers.Wait()
+}

@@ -30,35 +30,40 @@ type ServerStats struct {
 	RepairBytes int64
 }
 
-// entry is one stored value plus its write version. Versions are
-// monotonic per writer (store-wide in a Store, per shard over TCP), so
-// re-replication after a failure or revive always converges on the newest
-// write; dead entries are tombstones that keep a deletion from being
-// resurrected off a stale replica.
-type entry struct {
-	val  []byte
-	ver  uint64
-	dead bool
-}
-
-// Shard is one storage shard: a versioned key→value map, its counters
+// Shard is one storage shard: a versioned key→value store, its counters
 // and — once opened over a WAL + snapshot pair — the durability protocol
 // (replay order snapshot → WAL, durable-version watermark, compaction
 // trigger, persisted tombstones and drops). A Store drives a slot-indexed
 // set of shards in-package through the lock-held put/drop; an owner outside
 // the package (rpc.StorageServer, one shard behind a listener) uses the
 // exported methods, each of which takes the shard lock itself.
+//
+// The records live in a log, recs: append-only segments behind index, a map
+// from each key to its newest record. Every write appends — a put, a
+// tombstone, a replayed record, a repair or migration copy — and only marks
+// the record it replaces dead; once the dead bytes reach the live ones and
+// amount to a segment, the shard copies its live records into fresh
+// segments under its write lock. The shard copies every value it is given.
+//
+// A value Get, GetInto or a Store read hands out aliases a segment. Nothing
+// is ever written over bytes already in a segment, and cleaning allocates
+// new segments instead of reusing old ones, so the slice keeps its bytes
+// after the lock is released — a reply encoded later still carries what was
+// read — and must never be written to.
 type Shard struct {
-	mu   sync.RWMutex
-	data map[uint64]entry
+	mu sync.RWMutex
+	// index maps each key to the ref of its newest record in recs, a
+	// tombstone included.
+	index map[uint64]uint64
+	recs  segLog
 	// stats holds the write-side counters and the live-key accounting,
 	// guarded by mu. The read counters are atomics so no read path ever
 	// takes the write lock; Stats folds them in.
 	stats                   ServerStats
 	gets, misses, failovers atomic.Uint64
 	// log is the shard's WAL + snapshot pair, nil while in-memory only. Its
-	// fields are guarded by the same regime as data: sh.mu, or the owning
-	// store's write lock during membership transitions.
+	// fields are guarded by the same regime as the records: sh.mu, or the
+	// owning store's write lock during membership transitions.
 	log *shardLog
 }
 
@@ -111,7 +116,7 @@ type DurabilityStats struct {
 }
 
 // NewShard returns an empty in-memory shard.
-func NewShard() *Shard { return &Shard{data: make(map[uint64]entry)} }
+func NewShard() *Shard { return &Shard{index: make(map[uint64]uint64)} }
 
 // OpenShard returns a durable shard recovered from walPath and snapPath
 // (either may be absent: a fresh shard). Every later mutation is appended
@@ -182,27 +187,55 @@ const (
 	putReplay
 )
 
-// install puts e under key in memory if it is newer than what the shard
+// lookup decodes key's newest record, a tombstone included. Caller holds
+// sh.mu (either side) or the store-wide lock.
+func (sh *Shard) lookup(key uint64) (entry, bool) {
+	ref, ok := sh.index[key]
+	if !ok {
+		return entry{}, false
+	}
+	e, _ := sh.recs.read(ref)
+	return e, true
+}
+
+// each calls fn with every key's newest record, tombstones included, in no
+// particular order; fn must not write to the shard. Caller holds sh.mu
+// (either side) or the store-wide lock.
+func (sh *Shard) each(fn func(key uint64, e entry)) {
+	for k, ref := range sh.index {
+		e, _ := sh.recs.read(ref)
+		fn(k, e)
+	}
+}
+
+// install appends e under key to the log if it is newer than what the shard
 // holds, maintaining the live-key accounting, and reports whether it did: an
 // entry that is not newer is refused and must not be logged either. Caller
 // holds sh.mu (or the store-wide write lock, which excludes every shard
 // reader).
 func (sh *Shard) install(key uint64, e entry, flags int) bool {
-	old, ok := sh.data[key]
-	if ok && old.ver >= e.ver {
-		return false
+	ref, ok := sh.index[key]
+	var old entry
+	var oldSize int64
+	if ok {
+		if old, oldSize = sh.recs.read(ref); old.ver >= e.ver {
+			return false
+		}
+		if !old.dead {
+			sh.stats.Keys--
+			sh.stats.Bytes -= int64(len(old.val))
+		}
 	}
-	if ok && !old.dead {
-		sh.stats.Keys--
-		sh.stats.Bytes -= int64(len(old.val))
-	}
-	sh.data[key] = e
+	sh.index[key] = sh.recs.append(e)
 	if !e.dead {
 		sh.stats.Keys++
 		sh.stats.Bytes += int64(len(e.val))
 	}
 	if flags&putRepair != 0 {
 		sh.stats.RepairBytes += int64(len(e.val))
+	}
+	if ok {
+		sh.recs.release(oldSize, sh.index)
 	}
 	return true
 }
@@ -227,15 +260,17 @@ func (sh *Shard) put(key uint64, e entry, flags int) error {
 // went. Only a key that was present is logged. Caller holds sh.mu (or the
 // store-wide write lock).
 func (sh *Shard) drop(key uint64, flags int) (bool, error) {
-	old, ok := sh.data[key]
+	ref, ok := sh.index[key]
 	if !ok {
 		return false, nil
 	}
+	old, size := sh.recs.read(ref)
 	if !old.dead {
 		sh.stats.Keys--
 		sh.stats.Bytes -= int64(len(old.val))
 	}
-	delete(sh.data, key)
+	delete(sh.index, key)
+	sh.recs.release(size, sh.index)
 	var err error
 	if flags&putReplay == 0 {
 		err = sh.logMutation(WALDrop, key, old.ver, nil)
@@ -247,7 +282,8 @@ func (sh *Shard) drop(key uint64, flags int) (bool, error) {
 // tier) does; the counters and the log are the caller's business. Caller
 // holds sh.mu or the store-wide write lock.
 func (sh *Shard) reset() {
-	sh.data = make(map[uint64]entry)
+	sh.index = make(map[uint64]uint64)
+	sh.recs = segLog{}
 	sh.stats.Keys, sh.stats.Bytes = 0, 0
 }
 
@@ -257,9 +293,7 @@ func (sh *Shard) reset() {
 func (sh *Shard) applyReplay(op WALOp, key, ver uint64, val []byte) {
 	switch op {
 	case WALPut:
-		cp := make([]byte, len(val))
-		copy(cp, val)
-		sh.put(key, entry{val: cp, ver: ver}, putReplay)
+		sh.put(key, entry{val: val, ver: ver}, putReplay)
 	case WALTomb:
 		sh.put(key, entry{ver: ver, dead: true}, putReplay)
 	case WALDrop:
@@ -282,7 +316,7 @@ func (sh *Shard) logMutation(op WALOp, key, ver uint64, val []byte) error {
 // is returned — a networked owner fails the write unacked — and the first
 // one is kept for Durability().Err. Caller holds sh.mu or the store-wide
 // write lock — the same exclusion put relies on, which also makes the
-// snapshot's map iteration safe.
+// snapshot's index iteration safe.
 func (sh *Shard) logged(n int, err error) error {
 	l := sh.log
 	if err == nil {
@@ -303,7 +337,7 @@ func (sh *Shard) snapshot() error {
 	_, _, walVer := l.wal.Stats()
 	ver := max(l.snapVer, walVer)
 	n, err := writeSnapshot(l.snapPath, ver, func(emit func(op WALOp, key, ver uint64, val []byte)) {
-		for k, e := range sh.data {
+		sh.each(func(k uint64, e entry) {
 			if e.dead {
 				// Tombstones persist: a restart must not resurrect a
 				// deletion off a stale replica.
@@ -311,7 +345,7 @@ func (sh *Shard) snapshot() error {
 			} else {
 				emit(WALPut, k, e.ver, e.val)
 			}
-		}
+		})
 	})
 	if err != nil {
 		return err
@@ -338,13 +372,13 @@ func (l *shardLog) discard() {
 // tombstone reads as absent.
 func (sh *Shard) peek(key uint64) ([]byte, bool) {
 	sh.mu.RLock()
-	e, ok := sh.data[key]
+	e, ok := sh.lookup(key)
 	sh.mu.RUnlock()
 	return e.val, ok && !e.dead
 }
 
 // Get returns the live value stored under key and counts one read. The
-// slice is owned by the shard and must not be modified.
+// slice aliases the shard's log and must not be modified.
 func (sh *Shard) Get(key uint64) ([]byte, bool) {
 	sh.gets.Add(1)
 	return sh.peek(key)
@@ -352,11 +386,12 @@ func (sh *Shard) Get(key uint64) ([]byte, bool) {
 
 // GetInto reads keys positionally into the caller-owned vals/oks
 // (len(keys) each), counts them as reads and returns the value bytes read
-// and how many keys were absent.
+// and how many keys were absent. The values alias the shard's log and must
+// not be modified.
 func (sh *Shard) GetInto(keys []uint64, vals [][]byte, oks []bool) (bytes int64, misses int) {
 	sh.mu.RLock()
 	for i, k := range keys {
-		if e, ok := sh.data[k]; ok && !e.dead {
+		if e, ok := sh.lookup(k); ok && !e.dead {
 			vals[i], oks[i] = e.val, true
 			bytes += int64(len(e.val))
 		} else {
@@ -379,9 +414,9 @@ func (sh *Shard) Put(key uint64, val []byte, ver uint64) error {
 // owner that hands out a monotonic counter always installs, and a key named
 // twice ends at its last value — and logs the installed records as one group
 // before returning: one WAL write for the batch, and a record the compare
-// refused is not in it. The shard keeps every val: the caller must not reuse
-// them. A non-nil error means the batch is in memory but none of it is
-// durable.
+// refused is not in it. The shard copies every value into its log, so the
+// caller keeps its buffers. A non-nil error means the batch is in memory but
+// none of it is durable.
 func (sh *Shard) PutBatch(keys []uint64, vals [][]byte, firstVer uint64) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

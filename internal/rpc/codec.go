@@ -199,18 +199,17 @@ func encodeRequestFrame(buf []byte, tag uint64, req *Request, deadline int64, sc
 // decodeRequestInto decodes a request frame payload (tag already peeled)
 // into req, overwriting every field but reusing req's slice capacity — the
 // server side recycles Requests, so a steady-state decode allocates
-// nothing. Overrides and the elements of Values are the exceptions: always a
-// fresh map and fresh byte slices, one allocation per value, because the
-// placement handler and the storage shard keep them after the request
-// completes (and a shard that replaces one record must be able to free it
-// alone).
+// nothing. The values of an OpMultiPut are copied out of the payload, which
+// the connection reuses, into one buffer the request keeps; the storage
+// shard copies what it stores. Overrides are the exception: always a fresh
+// map, because the placement handler keeps it after the request completes.
 func decodeRequestInto(payload []byte, req *Request) error {
 	value := req.Value
 	keys := req.Keys
-	values := req.Values
+	values, valBuf := req.Values, req.valBuf
 	muts := req.Muts
 	exec := req.Exec
-	*req = Request{}
+	*req = Request{valBuf: valBuf}
 	d := wire.NewReader(payload)
 	req.Op = Op(d.U8())
 	req.Deadline = int64(d.Uvarint())
@@ -278,10 +277,22 @@ func decodeRequestInto(payload []byte, req *Request) error {
 	if bits&reqValues != 0 {
 		n := d.Count(maxFrame)
 		values = values[:0]
+		total := 0
 		for i := 0; i < n; i++ {
-			values = append(values, d.Bytes(nil))
+			v := d.Raw()
+			values = append(values, v)
+			total += len(v)
 		}
-		req.Values = values
+		// Sized up front, so no value moves while the next is copied.
+		if cap(valBuf) < total {
+			valBuf = make([]byte, 0, total)
+		}
+		valBuf = valBuf[:0]
+		for i, v := range values {
+			valBuf = append(valBuf, v...)
+			values[i] = valBuf[len(valBuf)-len(v) : len(valBuf) : len(valBuf)]
+		}
+		req.Values, req.valBuf = values, valBuf
 	}
 	return d.Finish("rpc: request")
 }

@@ -167,6 +167,9 @@ type Request struct {
 	Keys []uint64
 	// Values serves OpMultiPut, positionally aligned with Keys.
 	Values [][]byte
+	// valBuf holds the bytes of a decoded request's Values: one buffer the
+	// decoder copies every value into and reuses with the request.
+	valBuf []byte
 	// Exec serves OpExecute; nil for every other op.
 	Exec *ExecRequest
 	// Addr serves OpJoin (the joining member's advertised address) and
@@ -359,10 +362,9 @@ type pcall struct {
 var callPool = sync.Pool{New: func() any { return &pcall{done: make(chan struct{}, 1)} }}
 
 // reqPool recycles server-side request envelopes (and, via
-// decodeRequestInto, their Keys/Muts/Exec buffers) across frames. Handlers
-// copy anything they keep — or, for the freshly allocated OpMultiPut values,
-// clear the request's references to them — so a request is free for reuse
-// once its response is encoded.
+// decodeRequestInto, their Keys/Values/Muts/Exec buffers) across frames.
+// Handlers copy anything they keep — the storage shard copies every value it
+// stores — so a request is free for reuse once its response is encoded.
 var reqPool = sync.Pool{New: func() any { return new(Request) }}
 
 func getCall(resp *Response) *pcall {
@@ -702,9 +704,9 @@ func serveConn(c net.Conn, handle func(context.Context, *Request) Response, ct *
 			scratch := getSlab()
 			buf := encodeResponseFrame((*slab)[:0], tag, &resp, scratch)
 			putSlab(scratch)
-			// Handlers copy anything they keep (overrides and multiput values
-			// are fresh per decode), so the request and its buffers recycle
-			// here.
+			// Handlers copy anything they keep (overrides are fresh per
+			// decode, and the shard copies every value it stores), so the
+			// request and its buffers recycle here.
 			reqPool.Put(req)
 			wmu.Lock()
 			_, werr := c.Write(buf)

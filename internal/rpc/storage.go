@@ -20,7 +20,7 @@ import (
 )
 
 // StorageServer is one shard of the networked storage tier: a
-// kvstore.Shard — the same map, WAL, snapshot and recovery the in-process
+// kvstore.Shard — the same log, WAL, snapshot and recovery the in-process
 // tier runs — served over TCP. Which servers own which key is decided
 // by the clients (murmur hash when unreplicated, rendezvous hashing over
 // the shard list with R replicas otherwise — as RAMCloud's coordinator
@@ -135,9 +135,7 @@ func (s *StorageServer) handle(_ context.Context, req *Request) Response {
 		s.misses.Add(int64(misses))
 		return resp
 	case OpPut:
-		cp := make([]byte, len(req.Value))
-		copy(cp, req.Value)
-		if err := s.shard.Put(req.Key, cp, s.writes.Add(1)); err != nil {
+		if err := s.shard.Put(req.Key, req.Value, s.writes.Add(1)); err != nil {
 			return errorResponse(fmt.Errorf("storage wal: %w", err))
 		}
 		return Response{OK: true}
@@ -146,11 +144,7 @@ func (s *StorageServer) handle(_ context.Context, req *Request) Response {
 		if n == 0 || uint64(len(req.Values)) != n {
 			return errorResponse(fmt.Errorf("%w: multiput carries %d values for %d keys", query.ErrBadQuery, len(req.Values), n))
 		}
-		// The decoder allocated every value for this frame alone, so the shard
-		// takes them as they are; the request, which is recycled, lets go.
-		err := s.shard.PutBatch(req.Keys, req.Values, s.writes.Add(n)-n+1)
-		clear(req.Values)
-		if err != nil {
+		if err := s.shard.PutBatch(req.Keys, req.Values, s.writes.Add(n)-n+1); err != nil {
 			return errorResponse(fmt.Errorf("storage wal: %w", err))
 		}
 		return Response{OK: true}

@@ -31,7 +31,38 @@ func roundTripRequest(t *testing.T, req *Request, deadline int64) *Request {
 	if err := decodeRequestInto(rest, &got); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
+	got.valBuf = nil // the decoder's buffer behind Values, not an envelope field
 	return &got
+}
+
+// TestMultiPutDecodeAllocatesNothing decodes a 300-record OpMultiPut frame
+// into a warm request: the values land in the request's own buffer, so the
+// decode allocates nothing, and they keep their bytes once the frame is
+// reused.
+func TestMultiPutDecodeAllocatesNothing(t *testing.T) {
+	want := &Request{Op: OpMultiPut}
+	for i := 0; i < 300; i++ {
+		want.Keys = append(want.Keys, uint64(i))
+		want.Values = append(want.Values, bytes.Repeat([]byte{byte(i)}, 20+i%90))
+	}
+	var scratch []byte
+	_, payload, _ := peelTag(encodeRequestFrame(nil, 1, want, 0, &scratch)[frameHeader:])
+	var req Request
+	decode := func() {
+		if err := decodeRequestInto(payload, &req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	if allocs := testing.AllocsPerRun(100, decode); allocs != 0 {
+		t.Fatalf("decoding a 300-record multiput into a warm request allocates %.0f times, want 0", allocs)
+	}
+	clear(payload)
+	for i, v := range req.Values {
+		if !bytes.Equal(v, want.Values[i]) {
+			t.Fatalf("value %d reads %x after the frame was reused, want %x", i, v, want.Values[i])
+		}
+	}
 }
 
 func roundTripResponse(t *testing.T, resp *Response) *Response {

@@ -206,7 +206,8 @@ func reachable(wp weak.Pointer[grouting.Graph]) bool { return wp.Value() != nil 
 // are what each role keeps, without the ≈ 10 MiB a Go daemon costs empty.
 // What it asserts is the router's: a router holds routing tables — at most
 // twice Stats().RoutingTableBytes plus 4 MiB of connections and counters —
-// never a second copy of the data set. Measuring role by role, it is also
+// never a second copy of the data set — and the shards': two shards retain
+// at most twice the bytes they store. Measuring role by role, it is also
 // the deployment built through the public daemon API (ServeStorage,
 // LoadStorageReplicated, ServeProcessorWith, ServeRouter with an
 // EmbedProvider) that other tests start with rpc.Loopback.
@@ -237,19 +238,27 @@ func TestMemoryBudget(t *testing.T) {
 
 	mark := markMem()
 	var storage []string
+	var shards []*grouting.StorageServer
 	for i := 0; i < 2; i++ {
 		ss, err := grouting.ServeStorage("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer ss.Close()
-		storage = append(storage, ss.Addr())
+		storage, shards = append(storage, ss.Addr()), append(shards, ss)
 	}
 	if err := grouting.LoadStorageReplicated(ctx, g, storage, 1); err != nil {
 		t.Fatal(err)
 	}
 	retained, allocated := mark.since()
-	t.Logf("membudget: storage x2      retained %5.1f MiB, allocated %6.1f MiB (construction + load of %d records)", retained, allocated, g.NumNodes())
+	var stored float64
+	for _, ss := range shards {
+		stored += float64(ss.Stats().Storage.Bytes) / (1 << 20)
+	}
+	t.Logf("membudget: storage x2      retained %5.1f MiB, allocated %6.1f MiB (construction + load of %d records, %.1f MiB stored)", retained, allocated, g.NumNodes(), stored)
+	if retained > 2*stored {
+		t.Errorf("two shards retain %.1f MiB for %.1f MiB of records, budget %.1f (2 x what they store)", retained, stored, 2*stored)
+	}
 
 	// The processors' figure includes the graph-less hash router the burst
 	// goes through: a listener, six connections.

@@ -87,12 +87,12 @@ race:
 # above its floor (set just under the current coverage — raise the floors
 # as coverage grows, never lower them). Current: gstore 94%, kvstore 92%,
 # topology 79%, chaos 85%, placement 100%, mquery 91%, rpc 90%, embed 91%,
-# traverse 100%, router 89%, wire 100% (the one bounds-checked reader every
+# traverse 100%, router 90%, wire 100% (the one bounds-checked reader every
 # decoder of outside bytes goes through), cache 98% (the processor cache step
 # both engines fetch through), landmark 95% (the index the mutation path
 # updates incrementally), metrics 78% (the snapshot types every layer's stats
 # row is written in).
-COVER_FLOORS = ./internal/cache:95 ./internal/gstore:90 ./internal/kvstore:91 ./internal/topology:75 ./internal/chaos:70 ./internal/placement:95 ./internal/mquery:85 ./internal/rpc:82 ./internal/embed:85 ./internal/traverse:90 ./internal/router:85 ./internal/wire:90 ./internal/landmark:90 ./internal/metrics:75
+COVER_FLOORS = ./internal/cache:95 ./internal/gstore:90 ./internal/kvstore:91 ./internal/topology:75 ./internal/chaos:70 ./internal/placement:95 ./internal/mquery:85 ./internal/rpc:82 ./internal/embed:85 ./internal/traverse:90 ./internal/router:89 ./internal/wire:90 ./internal/landmark:90 ./internal/metrics:75
 
 cover:
 	@set -e; for spec in $(COVER_FLOORS); do \

@@ -45,6 +45,16 @@ func (c *Processor) Stats() Stats {
 	return c.lru.Stats()
 }
 
+// Contains reports whether id's record is resident, touching nothing.
+func (c *Processor) Contains(id graph.NodeID) bool {
+	if c == nil {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Contains(uint64(id))
+}
+
 // Evict drops every named record, so the next read refetches the rewritten
 // version from storage, and remembers the keys for the steps in flight.
 func (c *Processor) Evict(keys ...uint64) {

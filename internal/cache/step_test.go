@@ -93,6 +93,27 @@ func TestStepProbesThenReadsMisses(t *testing.T) {
 	}
 }
 
+// TestContainsTouchesNothing: residency is visible without a hit, a miss or
+// a move to the front, and a missing cache holds nothing.
+func TestContainsTouchesNothing(t *testing.T) {
+	b := stored(2)
+	c := NewProcessor(1 << 20)
+	var sc Scratch
+	if _, _, err := c.Step(&sc, b, []graph.NodeID{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats()
+	if !c.Contains(1) || !c.Contains(2) || c.Contains(3) {
+		t.Fatalf("resident %v, want 1 and 2", c.lru.Keys())
+	}
+	if c.Stats() != before || !slices.Equal(c.lru.Keys(), []uint64{2, 1}) {
+		t.Fatalf("stats %+v after %+v, recency %v; want both untouched", c.Stats(), before, c.lru.Keys())
+	}
+	if (*Processor)(nil).Contains(1) {
+		t.Fatal("a missing cache holds a record")
+	}
+}
+
 // TestStepReadErrorCachesNothing: a failed read fails the step and leaves
 // neither cache entries nor heat behind.
 func TestStepReadErrorCachesNothing(t *testing.T) {

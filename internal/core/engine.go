@@ -172,6 +172,7 @@ func (s *System) RunWorkload(qs []query.Query) (*Report, error) {
 			continue
 		}
 		res, service, st, err := s.execute(procs[p], q, next[p], tl)
+		rt.Done(p, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -235,7 +236,6 @@ type Session struct {
 	stats   execStats
 	count   int
 	routing metrics.Histogram // virtual routing decision cost per query (ns)
-	depth   metrics.Histogram // destination queue depth at each decision
 
 	// Multi-anchor execution counters (see MultiStats).
 	multiSubtasks   int64
@@ -327,15 +327,9 @@ func (ses *Session) Execute(q query.Query) (query.Result, time.Duration, error) 
 	decisionCost := prof.RouterBase + time.Duration(strat.DecisionUnits())*prof.RouterPerUnit
 	p := ses.rt.Route(q)
 	ses.routing.Observe(int64(decisionCost))
-	// Depth ahead of the new query. A session executes synchronously, so
-	// this is legitimately always 0 — the digest exists so the snapshot
-	// shape matches the networked router, where in-flight depth is real.
-	ses.depth.Observe(int64(ses.rt.QueueLen(p) - 1))
-	q2, ok := ses.rt.Next(p)
-	if !ok {
-		return query.Result{}, 0, fmt.Errorf("core: routed query vanished from queue %d", p)
-	}
-	res, service, st, err := ses.sys.execute(ses.procs[p], q2, ses.now, ses.tl)
+	ses.rt.Next(p) // p's queue holds q alone: q is outstanding on p until Done
+	res, service, st, err := ses.sys.execute(ses.procs[p], q, ses.now, ses.tl)
+	ses.rt.Done(p, 1)
 	// Virtual time spent is spent even when the query fails (e.g. a
 	// storage replica died and the fetch burned round trips discovering
 	// it) — failed queries cost real capacity, which is exactly what the
@@ -384,11 +378,11 @@ func (ses *Session) SetStorageDelay(slot int, d time.Duration) {
 
 // Snapshot assembles the session's observability counters: the router's
 // half (router.Router.Snapshot, the builder the networked router shares)
-// plus what this engine counts — executions, queue lengths, cache
-// activity, the routing-decision and queue-depth digests and each storage
-// shard's row (kvstore.Shard.Counters). The snapshot is taken under a
-// single topology view — the system's current epoch, applied first — so
-// its counters never mix two epochs.
+// plus what this engine counts — executions, cache activity, the
+// routing-decision digest and each storage shard's row
+// (kvstore.Shard.Counters). The snapshot is taken under a single topology
+// view — the system's current epoch, applied first — so its counters never
+// mix two epochs.
 func (ses *Session) Snapshot() *metrics.Snapshot {
 	ses.applyTopology()
 	snap := ses.rt.Snapshot(ses.sys.cfg.Policy.String(), ses.sys.tab.Coords)
@@ -396,12 +390,10 @@ func (ses *Session) Snapshot() *metrics.Snapshot {
 	snap.Queries = int64(ses.count)
 	snap.Mutations = ses.mutations
 	snap.RoutingNanos = ses.routing.Summary()
-	snap.QueueDepth = ses.depth.Summary()
 	executed := ses.rt.Executed()
 	for i, p := range ses.procs {
 		pc := &snap.PerProc[i]
 		pc.Executed = int64(executed[i])
-		pc.QueueDepth = int64(ses.rt.QueueLen(i))
 		if p != nil {
 			pc.Cache = p.cache.Stats().Counters()
 		}

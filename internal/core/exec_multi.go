@@ -47,9 +47,8 @@ func (ses *Session) executeMulti(q query.Query) (query.Result, time.Duration, er
 		}
 		picks := ses.rt.RouteAnchors(q, anchors)
 		decisionCost := prof.RouterBase + time.Duration(strat.DecisionUnits())*prof.RouterPerUnit
-		for _, p := range picks {
+		for range picks {
 			ses.routing.Observe(int64(decisionCost))
-			ses.depth.Observe(int64(ses.rt.QueueLen(p)))
 		}
 		// The router makes the wave's decisions back to back before any
 		// subtask departs (it is one sequential component).
@@ -59,6 +58,7 @@ func (ses *Session) executeMulti(q query.Query) (query.Result, time.Duration, er
 		// point; join at the slowest chain.
 		procNow := make(map[int]time.Duration, len(picks))
 		waveEnd := now
+		var werr error
 		for i, st := range wave {
 			p := picks[i]
 			startAt, busy := procNow[p]
@@ -71,21 +71,29 @@ func (ses *Session) executeMulti(q query.Query) (query.Result, time.Duration, er
 				waveEnd = procNow[p]
 			}
 			if err != nil {
-				// Virtual time burned before the failure is spent —
-				// failed subtasks cost real capacity.
-				ses.now = waveEnd
-				return query.Result{}, waveEnd - start, err
+				werr = err
+				break
 			}
 			ses.multiSubtasks++
 			if err := m.Absorb(part); err != nil {
-				ses.now = waveEnd
-				return query.Result{}, waveEnd - start, fmt.Errorf("core: %w", err)
+				werr = fmt.Errorf("core: %w", err)
+				break
 			}
 			if m.Found() {
 				// Early success: later subtasks of this wave are never
 				// issued (the session knows the answer at the join point).
 				break
 			}
+		}
+		// The wave has ended: every pick is acked, issued or not.
+		for _, p := range picks {
+			ses.rt.Done(p, 1)
+		}
+		if werr != nil {
+			// Virtual time burned before the failure is spent — failed
+			// subtasks cost real capacity.
+			ses.now = waveEnd
+			return query.Result{}, waveEnd - start, werr
 		}
 		now = waveEnd
 		wave = m.NextWave()

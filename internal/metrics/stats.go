@@ -277,8 +277,8 @@ type ProcCounters struct {
 	// Diverted counts queries re-routed away because this processor was
 	// down when the strategy picked it.
 	Diverted int64
-	// QueueDepth is the current queue length (virtual-time router) or
-	// in-flight count (networked router).
+	// QueueDepth is this processor's load: queued plus outstanding (handed
+	// out, not yet acked) queries and subtasks.
 	QueueDepth int64
 	// Cache is this processor's cache activity.
 	Cache CacheCounters
@@ -346,11 +346,8 @@ type Snapshot struct {
 	// RoutingNanos digests per-query routing decision time in nanoseconds
 	// (virtual router cost on the local transport, wall time on tcp).
 	RoutingNanos Summary
-	// QueueDepth digests the destination's queue depth (in-flight load for
-	// the networked router) observed at each routing decision. On the
-	// synchronous local client queries never queue, so every observation
-	// is legitimately 0 there; under concurrent networked load it reports
-	// real backpressure.
+	// QueueDepth digests the destination's load — queued plus outstanding,
+	// ProcCounters.QueueDepth — at each routing decision.
 	QueueDepth Summary
 	// RoutingTableBytes is the memory of what the router routes by: the
 	// landmark index and the d(u,p) table under landmark routing, the node

@@ -71,14 +71,14 @@ func TestRouteAnchorsAccounting(t *testing.T) {
 		t.Fatalf("picks = %v", picks)
 	}
 	// Subtasks are assigned and executed, never enqueued.
-	if got := r.Assigned(); got[0] != 2 || got[1] != 1 {
+	if got := r.assigned; got[0] != 2 || got[1] != 1 {
 		t.Fatalf("assigned = %v", got)
 	}
 	if got := r.Executed(); got[0] != 2 || got[1] != 1 {
 		t.Fatalf("executed = %v", got)
 	}
-	if r.Pending() != 0 {
-		t.Fatalf("subtasks left %d queries pending", r.Pending())
+	if pending(r) != 0 {
+		t.Fatalf("subtasks left %d queries pending", pending(r))
 	}
 }
 

@@ -116,7 +116,7 @@ func TestDivertedAccountingAcrossKillRevive(t *testing.T) {
 		t.Fatalf("per-slot diverted: %+v", rows)
 	}
 	// Assignment lands on the processor that actually received the query.
-	if a := r.Assigned(); a[0] != 0 || a[1] != 4 {
+	if a := r.assigned; a[0] != 0 || a[1] != 4 {
 		t.Fatalf("Assigned = %v", a)
 	}
 

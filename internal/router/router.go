@@ -15,8 +15,9 @@ import (
 // assigned to it, it may steal a request that was originally intended for
 // another processor."
 //
-// The router dispatches to a processor only on acknowledgement of its
-// previous query, so queue lengths are an online load estimate.
+// Every decision on every engine reads one load per slot (Section 3.2):
+// its queued queries plus the work Next and RouteAnchors handed it that the
+// caller has not yet acked with Done.
 //
 // Membership is an epoch-versioned topology.View: slots are stable
 // processor ids that only grow, and ApplyView moves the router to a newer
@@ -28,8 +29,10 @@ type Router struct {
 	topoAware     TopologyAware // strategy's optional topology hook, nil if absent
 	view          topology.View
 	queues        [][]query.Query
-	heads         []int // pop index per queue (amortised O(1) pops)
-	loads         []int // scratch for Route: per-queue lengths, reused per call
+	heads         []int             // pop index per queue (amortised O(1) pops)
+	outstanding   []int             // per slot: handed out, not yet acked with Done
+	loads         []int             // scratch for Route and RouteAnchors: every slot's Load
+	depth         metrics.Histogram // the destination's load at each decision
 	stealing      bool
 	assigned      []int // total queries routed per processor (pre-steal)
 	executed      []int // total queries handed out per processor (post-steal)
@@ -73,6 +76,7 @@ func (r *Router) grow(n int) {
 	for len(r.queues) < n {
 		r.queues = append(r.queues, nil)
 		r.heads = append(r.heads, 0)
+		r.outstanding = append(r.outstanding, 0)
 		r.loads = append(r.loads, 0)
 		r.assigned = append(r.assigned, 0)
 		r.executed = append(r.executed, 0)
@@ -149,9 +153,6 @@ func (r *Router) View() topology.View { return r.view }
 // Epoch returns the router's current topology epoch.
 func (r *Router) Epoch() uint64 { return r.view.Epoch }
 
-// Reassigned returns the total queries re-routed by topology transitions.
-func (r *Router) Reassigned() int64 { return r.reassigned }
-
 // Events returns a copy of the bounded topology-transition log, oldest
 // first.
 func (r *Router) Events() []metrics.EpochEvent {
@@ -176,21 +177,15 @@ func (r *Router) Strategy() Strategy { return r.strategy }
 // QueueLen returns the number of queries waiting for processor p.
 func (r *Router) QueueLen(p int) int { return len(r.queues[p]) - r.heads[p] }
 
-// Pending returns the total queries waiting across all queues.
-func (r *Router) Pending() int {
-	total := 0
-	for p := range r.queues {
-		total += r.QueueLen(p)
-	}
-	return total
-}
+// Load returns slot p's load: its queued queries plus its outstanding work.
+func (r *Router) Load(p int) int { return r.QueueLen(p) + r.outstanding[p] }
+
+// Done acks n units of work Next or RouteAnchors handed slot p. Their callers
+// ack all of it on every exit path, or every later decision sees p too busy.
+func (r *Router) Done(p, n int) { r.outstanding[p] -= n }
 
 // Stolen returns how many dispatches were satisfied by stealing.
 func (r *Router) Stolen() int { return r.stolen }
-
-// Assigned returns a copy of the per-processor assignment counts (where
-// the strategy originally sent each query).
-func (r *Router) Assigned() []int { return append([]int(nil), r.assigned...) }
 
 // Executed returns a copy of the per-processor dispatch counts (where each
 // query actually ran, after stealing).
@@ -200,9 +195,10 @@ func (r *Router) Executed() []int { return append([]int(nil), r.executed...) }
 // both transports: policy (the configured name) and the live strategy, the
 // current view's epoch and active members, the steal, diversion and
 // re-routing totals with the epoch log, the size of the tables it routes by
-// and of c's coordinates, and one row per slot with its status and where the
+// and of c's coordinates, the digest of the destination's load at each
+// decision, and one row per slot with its status, its load and where the
 // strategy sent queries. The caller adds what only its transport counts:
-// executions, queue depths, caches, storage and the histograms.
+// executions, caches, storage and the routing-time digest.
 func (r *Router) Snapshot(policy string, c Coords) *metrics.Snapshot {
 	snap := &metrics.Snapshot{
 		Policy:            policy,
@@ -215,6 +211,7 @@ func (r *Router) Snapshot(policy string, c Coords) *metrics.Snapshot {
 		Epochs:            r.Events(),
 		PerProc:           make([]metrics.ProcCounters, r.view.Slots()),
 		RoutingTableBytes: tableBytes(r.strategy, c.Embedding),
+		QueueDepth:        r.depth.Summary(),
 	}
 	if c.Embedding != nil {
 		snap.EmbedDimensions = int64(c.Embedding.D)
@@ -222,66 +219,67 @@ func (r *Router) Snapshot(policy string, c Coords) *metrics.Snapshot {
 	}
 	for p := range snap.PerProc {
 		snap.PerProc[p] = metrics.ProcCounters{
-			Proc:     p,
-			Status:   r.view.Status(p).String(),
-			Assigned: int64(r.assigned[p]),
-			Stolen:   int64(r.stolenBy[p]),
-			Diverted: int64(r.diverted[p]),
+			Proc:       p,
+			Status:     r.view.Status(p).String(),
+			Assigned:   int64(r.assigned[p]),
+			Stolen:     int64(r.stolenBy[p]),
+			Diverted:   int64(r.diverted[p]),
+			QueueDepth: int64(r.Load(p)),
 		}
 	}
 	return snap
 }
 
-// Route decides q's destination under the queue lengths — the virtual-time
-// load signal — and enqueues q there. It returns the chosen processor.
+// Route decides q's destination under every slot's load and enqueues q
+// there; Next hands it out. It returns the chosen processor.
 func (r *Router) Route(q query.Query) int {
-	p := r.Decide(q, r.queueLoads())
+	p := r.decide(q, r.slotLoads())
+	r.depth.Observe(int64(r.Load(p)))
 	r.queues[p] = append(r.queues[p], q)
 	return p
 }
 
-// RouteAnchors routes a multi-anchor query's per-anchor subtasks under the
-// queue lengths: one destination per anchor. Unlike Route, nothing is
-// enqueued: subtask execution is driven by the caller's wave machinery, not
-// the FIFO queues, so each subtask counts as executed on its processor
-// right away.
+// RouteAnchors routes a multi-anchor query's per-anchor subtasks under every
+// slot's load: one destination per anchor. Nothing is enqueued — the
+// caller's wave machinery drives subtasks, not the FIFO queues — so each is
+// outstanding on its processor at once, until the caller acks it with Done.
 func (r *Router) RouteAnchors(q query.Query, anchors []graph.NodeID) []int {
-	picks := r.DecideAnchors(q, anchors, r.queueLoads())
+	picks := r.decideAnchors(q, anchors, r.slotLoads())
 	for _, p := range picks {
+		r.depth.Observe(int64(r.Load(p)))
+		r.outstanding[p]++
 		r.executed[p]++
 	}
 	return picks
 }
 
-// queueLoads fills the router's scratch with every slot's queue length.
-func (r *Router) queueLoads() []int {
+// slotLoads fills the router's scratch with every slot's Load.
+func (r *Router) slotLoads() []int {
 	for p := range r.queues {
-		r.loads[p] = r.QueueLen(p)
+		r.loads[p] = r.Load(p)
 	}
 	return r.loads
 }
 
-// Decide is the routing decision, the one both transports run: the strategy
-// picks a destination for q under loads (Eq 3/7's live load term — queue
-// lengths in virtual time, ack-driven in-flight counts over TCP), a pick
-// that is not Active is diverted, the strategy observes the final
-// destination and the per-slot counters advance. loads holds one entry per
-// slot and is the caller's scratch: entries of departed slots are
-// overwritten. Decide touches no queue and allocates nothing. It panics if
-// no processor is alive — an unservable deployment is a caller bug.
-func (r *Router) Decide(q query.Query, loads []int) int {
+// decide is the routing decision: the strategy picks a destination for q
+// under loads (Eq 3/7's load term; departed slots' entries are overwritten),
+// a pick that is not Active is diverted, the strategy observes the final
+// destination and the per-slot counters advance. decide allocates nothing.
+// It panics if no processor is alive — an unservable deployment is a caller
+// bug.
+func (r *Router) decide(q query.Query, loads []int) int {
 	r.maskLeft(loads)
 	p := r.assign(q, r.strategy.Pick(q, loads), loads)
 	r.strategy.Observe(q, p)
 	return p
 }
 
-// DecideAnchors is Decide for a multi-anchor query's per-anchor subtasks:
+// decideAnchors is decide for a multi-anchor query's per-anchor subtasks:
 // one destination per anchor, chosen through the strategy's multi-anchor
 // hook (PickAnchors — per-anchor routing for the built-ins). Dead picks are
 // diverted, and the strategy observes every final destination (so
 // cache-model strategies learn where the anchors' neighbourhoods now live).
-func (r *Router) DecideAnchors(q query.Query, anchors []graph.NodeID, loads []int) []int {
+func (r *Router) decideAnchors(q query.Query, anchors []graph.NodeID, loads []int) []int {
 	r.maskLeft(loads)
 	picks := PickAnchors(r.strategy, q, anchors, loads)
 	for i, p := range picks {
@@ -350,11 +348,12 @@ func (r *Router) divert(q query.Query, loads []int) int {
 	return best
 }
 
-// Next hands processor p its next query. When p's own queue is empty and
-// stealing is enabled, a query is stolen from another queue: with a
-// DistanceAware strategy, the pending head closest to p (so the stolen
-// work still matches p's cache contents); otherwise the oldest query of
-// the longest queue. ok is false when no work remains anywhere (or p's
+// Next hands processor p its next query, which stays outstanding on p until
+// the caller acks it with Done. When p's own queue is empty and stealing is
+// enabled, a query is stolen from another queue, and its load moves to p:
+// with a DistanceAware strategy, the pending head closest to p (so the
+// stolen work still matches p's cache contents); otherwise the oldest query
+// of the longest queue. ok is false when no work remains anywhere (or p's
 // queue is empty and stealing is disabled).
 //
 // Only Active processors get work — not even their own backlog otherwise —
@@ -364,13 +363,22 @@ func (r *Router) Next(p int) (query.Query, bool) {
 	if !r.view.IsActive(p) {
 		return query.Query{}, false
 	}
-	if q, ok := r.pop(p); ok {
+	q, ok := r.pop(p)
+	if !ok && r.stealing {
+		if q, ok = r.steal(p); ok {
+			r.stolen++
+			r.stolenBy[p]++
+		}
+	}
+	if ok {
 		r.executed[p]++
-		return q, true
+		r.outstanding[p]++
 	}
-	if !r.stealing {
-		return query.Query{}, false
-	}
+	return q, ok
+}
+
+// steal takes a query from another slot's queue for p.
+func (r *Router) steal(p int) (query.Query, bool) {
 	if da, ok := r.strategy.(DistanceAware); ok {
 		// Locality-aware steal: take the pending query nearest to p
 		// (the router "rearranges the future queries", Section 3.2), so
@@ -390,9 +398,6 @@ func (r *Router) Next(p int) (query.Query, bool) {
 		}
 		q := r.queues[victim][slot]
 		r.queues[victim] = append(r.queues[victim][:slot], r.queues[victim][slot+1:]...)
-		r.stolen++
-		r.stolenBy[p]++
-		r.executed[p]++
 		return q, true
 	}
 	// Blind steal: the oldest query of the longest queue.
@@ -405,11 +410,7 @@ func (r *Router) Next(p int) (query.Query, bool) {
 	if victim < 0 {
 		return query.Query{}, false
 	}
-	q, _ := r.pop(victim)
-	r.stolen++
-	r.stolenBy[p]++
-	r.executed[p]++
-	return q, true
+	return r.pop(victim)
 }
 
 func (r *Router) pop(p int) (query.Query, bool) {
@@ -418,8 +419,8 @@ func (r *Router) pop(p int) (query.Query, bool) {
 	}
 	q := r.queues[p][r.heads[p]]
 	r.heads[p]++
-	// Reclaim space once the consumed prefix dominates.
-	if r.heads[p] > 64 && r.heads[p]*2 > len(r.queues[p]) {
+	// Reclaim space once the consumed prefix dominates, or the queue is empty.
+	if r.heads[p] == len(r.queues[p]) || r.heads[p] > 64 && r.heads[p]*2 > len(r.queues[p]) {
 		r.queues[p] = append(r.queues[p][:0], r.queues[p][r.heads[p]:]...)
 		r.heads[p] = 0
 	}

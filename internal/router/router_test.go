@@ -15,6 +15,15 @@ func q(id int, node graph.NodeID) query.Query {
 	return query.Query{ID: id, Node: node, Type: query.NeighborAgg, Hops: 2}
 }
 
+// pending returns the queries waiting across all of r's queues.
+func pending(r *Router) int {
+	total := 0
+	for p := range r.queues {
+		total += r.QueueLen(p)
+	}
+	return total
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(NewHash(), 0, true); err == nil {
 		t.Fatal("accepted zero processors")
@@ -35,7 +44,7 @@ func TestNextReadyBalances(t *testing.T) {
 	}
 	for p := 0; p < 4; p++ {
 		if got := r.QueueLen(p); got != 10 {
-			t.Fatalf("queue %d holds %d, want 10 (assigned %v)", p, got, r.Assigned())
+			t.Fatalf("queue %d holds %d, want 10 (assigned %v)", p, got, r.assigned)
 		}
 	}
 }
@@ -120,8 +129,8 @@ func TestStealingDrainsEverything(t *testing.T) {
 	if len(seen) != 100 {
 		t.Fatalf("drained %d queries, want 100", len(seen))
 	}
-	if r.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain", r.Pending())
+	if pending(r) != 0 {
+		t.Fatalf("Pending = %d after drain", pending(r))
 	}
 }
 
@@ -417,9 +426,10 @@ func TestTableBytes(t *testing.T) {
 // TestSnapshotCountsWhatTheRouterDecides builds the router's half of a stats
 // snapshot after a failure that diverts picks, a departure that re-routes a
 // backlog and a drain by stealing, over three epochs: every total and
-// per-slot row is the router's own count, what only a transport counts
-// (executions, queue depths, caches) is left zero, and the coordinate table
-// handed in is what the snapshot describes.
+// per-slot row is the router's own count — with every dispatch acked, each
+// slot's load is 0 and the load digest holds one entry per decision — what
+// only a transport counts (executions, caches) is left zero, and the
+// coordinate table handed in is what the snapshot describes.
 func TestSnapshotCountsWhatTheRouterDecides(t *testing.T) {
 	tr := topology.NewTracker(3, nil)
 	r, err := NewFromView(NewHash(), tr.View(), true)
@@ -441,6 +451,7 @@ func TestSnapshotCountsWhatTheRouterDecides(t *testing.T) {
 		if _, ok := r.Next(0); !ok {
 			break
 		}
+		r.Done(0, 1)
 	}
 	if r.Diverted() == 0 || moved == 0 || r.Stolen() == 0 {
 		t.Fatalf("fixture: %d diverted, %d re-routed, %d stolen; want each > 0", r.Diverted(), moved, r.Stolen())
@@ -450,13 +461,14 @@ func TestSnapshotCountsWhatTheRouterDecides(t *testing.T) {
 	if snap.Policy != "hash" || snap.Strategy != "hash" || snap.Processors != 1 || snap.Epoch != 3 ||
 		snap.Stolen != int64(r.Stolen()) || snap.Diverted != int64(r.Diverted()) || snap.Reassigned != int64(moved) ||
 		len(snap.Epochs) != 2 || snap.Epochs[1].Left != 1 || snap.Epochs[1].Reassigned != int64(moved) ||
-		snap.RoutingTableBytes != 0 || snap.EmbedDimensions != 0 || snap.EmbedProvider != "" {
+		snap.RoutingTableBytes != 0 || snap.EmbedDimensions != 0 || snap.EmbedProvider != "" ||
+		snap.QueueDepth.Count != int64(120+moved) {
 		t.Fatalf("snapshot header %+v", snap)
 	}
 	if len(snap.PerProc) != 3 {
 		t.Fatalf("%d rows, want one per slot", len(snap.PerProc))
 	}
-	assigned := r.Assigned()
+	assigned := r.assigned
 	var stolen, diverted int64
 	for p, row := range snap.PerProc {
 		if row.Proc != p || row.Assigned != int64(assigned[p]) || row.Executed != 0 || row.QueueDepth != 0 || row.Cache.Touches() != 0 {

@@ -60,13 +60,13 @@ func slotsEqual(a, b []int) bool {
 
 // Strategy decides the destination processor for each query.
 //
-// Pick receives the per-processor loads (the router's queue lengths — "the
-// router uses the number of queries in the queue corresponding to a
-// processor as the measure of its load"). Observe is invoked after the
-// router commits the decision, letting stateful strategies (Embed's moving
-// average) learn the dispatch history. DecisionUnits reports the per-query
-// decision cost in abstract units (P for landmark, P·D for embed) that the
-// engine converts to routing time.
+// Pick receives the per-processor loads (Router.Load, queued plus
+// outstanding work on every engine — "the router uses the number of queries
+// in the queue corresponding to a processor as the measure of its load").
+// Observe is invoked after the router commits the decision, letting stateful
+// strategies (Embed's moving average) learn the dispatch history.
+// DecisionUnits reports the per-query decision cost in abstract units (P
+// for landmark, P·D for embed) that the engine converts to routing time.
 type Strategy interface {
 	Name() string
 	Pick(q query.Query, loads []int) int

@@ -44,7 +44,7 @@ func TestApplyViewGrowsSlots(t *testing.T) {
 	}
 	// New member receives work.
 	routeN(r, 300)
-	if r.Assigned()[slot] == 0 {
+	if r.assigned[slot] == 0 {
 		t.Fatal("joined member assigned no work")
 	}
 	// Stale views are ignored.
@@ -65,7 +65,7 @@ func TestApplyViewReassignsDepartedBacklog(t *testing.T) {
 	if backlog == 0 {
 		t.Fatal("test needs a backlog on the leaving member")
 	}
-	pendingBefore := r.Pending()
+	pendingBefore := pending(r)
 	v, err := tr.Leave(leaving)
 	if err != nil {
 		t.Fatal(err)
@@ -77,11 +77,11 @@ func TestApplyViewReassignsDepartedBacklog(t *testing.T) {
 	if r.QueueLen(leaving) != 0 {
 		t.Fatal("departed member still has queued work")
 	}
-	if r.Pending() != pendingBefore {
-		t.Fatalf("pending %d != %d: queries lost in transition", r.Pending(), pendingBefore)
+	if pending(r) != pendingBefore {
+		t.Fatalf("pending %d != %d: queries lost in transition", pending(r), pendingBefore)
 	}
-	if r.Reassigned() != int64(backlog) {
-		t.Fatalf("Reassigned() = %d, want %d", r.Reassigned(), backlog)
+	if r.reassigned != int64(backlog) {
+		t.Fatalf("Reassigned() = %d, want %d", r.reassigned, backlog)
 	}
 	if _, ok := r.Next(leaving); ok {
 		t.Fatal("departed member handed work")
@@ -256,9 +256,10 @@ func TestEmbedMeansSurviveTopologyChange(t *testing.T) {
 // A mean that starts where no node is never wins a query when loads are
 // equal, so its processor starves: drawn from the coordinates' bounding box,
 // seed 1 below dispatches 1,757 / 0 / 2,243 and seed 3 leaves a slot 422 of
-// 4,000. Replays a hotspot list through Decide with zero loads — no load term
-// to hide a dead slot behind — and holds every slot to a share of the
-// traffic that a slot which never wins cannot reach.
+// 4,000. Replays a hotspot list through Route, Next and Done, so every load
+// is zero at every decision — no load term to hide a dead slot behind — and
+// holds every slot to a share of the traffic that a slot which never wins
+// cannot reach.
 //
 // The floor is 10 %, not an even split, because a mean that wins at all can
 // still win little: one that follows a hotspot into an outlying corner of the
@@ -293,14 +294,14 @@ func TestEmbedNoSlotStarves(t *testing.T) {
 			t.Fatal(err)
 		}
 		qs := query.Hotspot(g, query.WorkloadSpec{NumHotspots: 400, QueriesPerHotspot: 10, Seed: seed})
-		loads := make([]int, procs)
 		for _, q := range qs {
-			clear(loads)
-			r.Decide(q, loads)
+			p := r.Route(q)
+			r.Next(p)
+			r.Done(p, 1)
 		}
-		for slot, n := range r.Assigned() {
+		for slot, n := range r.assigned {
 			if float64(n) < minShare*float64(len(qs)) {
-				t.Errorf("seed %d: slot %d got %d of %d queries (dispatch %v)", seed, slot, n, len(qs), r.Assigned())
+				t.Errorf("seed %d: slot %d got %d of %d queries (dispatch %v)", seed, slot, n, len(qs), r.assigned)
 			}
 		}
 	}

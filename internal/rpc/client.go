@@ -52,7 +52,7 @@ func (c *RouterClient) Execute(ctx context.Context, q query.Query) (query.Result
 	if err := c.pool.CallInto(ctx, &cc.req, &cc.resp); err != nil {
 		return query.Result{}, err
 	}
-	if err := checkResults(c.pool.Addr(), &cc.resp, 1); err != nil {
+	if err := checkResults(c.pool.Addr(), &cc.resp, 1, 0); err != nil {
 		return query.Result{}, err
 	}
 	return cc.resp.Results[0], nil
@@ -74,7 +74,7 @@ func (c *RouterClient) ExecuteBatch(ctx context.Context, qs []query.Query) ([]qu
 	if err != nil {
 		return nil, err
 	}
-	if err := checkResults(c.pool.Addr(), &resp, len(qs)); err != nil {
+	if err := checkResults(c.pool.Addr(), &resp, len(qs), 0); err != nil {
 		return nil, err
 	}
 	return resp.Results, nil

@@ -134,8 +134,8 @@ func (r *RouterServer) drainStorage(req *Request) Response {
 }
 
 // drain begins a member's clean departure: Active→Draining immediately
-// (no new work), then Draining→Left once its in-flight queries finish —
-// right away when it is already idle, otherwise from finish().
+// (no new work), then Draining→Left once its outstanding work settles —
+// right away when it is already idle, otherwise from settle().
 func (r *RouterServer) drain(req *Request) Response {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -150,7 +150,7 @@ func (r *RouterServer) drain(req *Request) Response {
 		return errorResponse(fmt.Errorf("%w: %v", query.ErrBadQuery, err))
 	}
 	r.applyViewLocked(v)
-	if r.inflight[slot] == 0 {
+	if r.rt.Load(slot) == 0 {
 		if v2, err := r.topo.Leave(slot); err == nil {
 			r.applyViewLocked(v2)
 		}

@@ -182,9 +182,11 @@ func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {
 // backend of its cache steps: the misses are one StorageClient.MultiGet
 // under the request's ctx.
 type netFetcher struct {
-	p   *ProcessorServer
-	ctx context.Context
-	sc  cache.Scratch
+	p       *ProcessorServer
+	ctx     context.Context
+	sc      cache.Scratch
+	node    graph.NodeID // while probing, the query node its first read must find
+	probing bool
 }
 
 func (f *netFetcher) Fetch(ids []graph.NodeID) ([]gstore.FetchResult, error) {
@@ -194,7 +196,17 @@ func (f *netFetcher) Fetch(ids []graph.NodeID) ([]gstore.FetchResult, error) {
 		return nil, err
 	}
 	recs, _, err := f.p.cache.Step(&f.sc, f, ids)
+	if err == nil && f.probing && ids[0] == f.node {
+		f.probing = false
+		if !recs[0].OK {
+			return nil, unknownNode(f.node)
+		}
+	}
 	return recs, err
+}
+
+func unknownNode(id graph.NodeID) error {
+	return fmt.Errorf("%w: node %d has no record in the storage tier", query.ErrUnknownNode, id)
 }
 
 // Read implements cache.Backend.
@@ -290,20 +302,13 @@ func (p *ProcessorServer) drainHeat() []HotKey {
 // execute validates and runs one point query through the shared kernel, so
 // results agree exactly with query.Answer and with the virtual-time
 // engine. A query whose Node has no record in the storage tier fails with
-// query.ErrUnknownNode, matching the virtual-time client.
+// query.ErrUnknownNode, matching the virtual-time client: the kernel's own
+// first read of the node checks it, so the cache sees exactly the reads the
+// virtual-time engine makes, and a kernel that reads nothing leaves the
+// cache alone.
 func (p *ProcessorServer) execute(ex *execState, q query.Query) (query.Result, error) {
 	if err := q.Validate(); err != nil {
 		return query.Result{}, err
-	}
-	// Existence probe: one cached lookup of the query node's record. The
-	// fetch warms the cache, so the traversal's own level-0 fetch hits.
-	probe := [1]graph.NodeID{q.Node}
-	recs, err := ex.fetch.Fetch(probe[:])
-	if err != nil {
-		return query.Result{}, err
-	}
-	if !recs[0].OK {
-		return query.Result{}, fmt.Errorf("%w: node %d has no record in the storage tier", query.ErrUnknownNode, q.Node)
 	}
 	// Label filtering needs the graph's label table, which only the
 	// storage-side loader has; the networked processor serves unfiltered
@@ -311,5 +316,15 @@ func (p *ProcessorServer) execute(ex *execState, q query.Query) (query.Result, e
 	if q.Type == query.NeighborAgg && q.CountLabel != "" {
 		return query.Result{}, fmt.Errorf("%w: label-filtered aggregation is not supported over rpc", query.ErrBadQuery)
 	}
-	return ex.kernel.Run(&ex.fetch, q, traverse.LabelFilter{})
+	f := &ex.fetch
+	f.node, f.probing = q.Node, true
+	res, err := ex.kernel.Run(f, q, traverse.LabelFilter{})
+	if err == nil && f.probing && !p.cache.Contains(q.Node) {
+		var found bool // the kernel read nothing: one read the cache does not keep
+		if _, found, err = p.storage.Get(f.ctx, uint64(q.Node)); err == nil && !found {
+			err = unknownNode(q.Node)
+		}
+	}
+	f.probing = false
+	return res, err
 }

@@ -337,13 +337,14 @@ func respError(addr string, resp *Response) error {
 }
 
 // checkResults refuses an OK execute reply that does not carry one result
-// per query (the codec omits an empty Results): every caller indexes it
-// positionally.
-func checkResults(addr string, resp *Response, queries int) error {
-	if len(resp.Results) == queries {
+// per query and one partial per subtask (the codec omits an empty slice):
+// every caller indexes them positionally.
+func checkResults(addr string, resp *Response, queries, subtasks int) error {
+	if len(resp.Results) == queries && len(resp.Partials) == subtasks {
 		return nil
 	}
-	return &remoteError{addr: addr, msg: fmt.Sprintf("got %d results for %d queries", len(resp.Results), queries), kind: query.ErrUnavailable}
+	return &remoteError{addr: addr, kind: query.ErrUnavailable, msg: fmt.Sprintf("got %d results and %d partials for %d queries and %d subtasks",
+		len(resp.Results), len(resp.Partials), queries, subtasks)}
 }
 
 // execRequest assembles an OpExecute request.

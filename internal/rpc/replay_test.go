@@ -52,8 +52,9 @@ type byHotspot struct{ *router.Hash }
 func (byHotspot) Pick(q query.Query, loads []int) int { return q.Hotspot % len(loads) }
 
 // replayHits runs qs through a router deciding with zero loads and procs
-// processors that do what ProcessorServer.execute does — existence probe,
-// then the kernel — and returns the cache hits of the tier.
+// processors that do what ProcessorServer.execute does — run the kernel,
+// whose first read is the query node — and returns the cache hits of the
+// tier.
 func replayHits(t *testing.T, g *graph.Graph, strat router.Strategy, qs []query.Query, procs int, cacheBytes int64) int {
 	t.Helper()
 	r, err := router.New(strat, procs, false)
@@ -66,13 +67,11 @@ func replayHits(t *testing.T, g *graph.Graph, strat router.Strategy, qs []query.
 		fetchers[p] = &replayFetcher{cache: cache.NewProcessor(cacheBytes), b: graphBackend{g}, hits: &hits}
 	}
 	var kernel traverse.Scratch
-	loads := make([]int, procs)
 	for _, q := range qs {
-		clear(loads)
-		f := fetchers[r.Decide(q, loads)]
-		if _, err := f.Fetch([]graph.NodeID{q.Node}); err != nil {
-			t.Fatal(err)
-		}
+		p := r.Route(q)
+		r.Next(p)
+		r.Done(p, 1)
+		f := fetchers[p]
 		if _, err := kernel.Run(f, q, traverse.LabelFilter{}); err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +93,10 @@ func replayHits(t *testing.T, g *graph.Graph, strat router.Strategy, qs []query.
 // key of its batch, which evicts what a repeated level is about to ask for;
 // the processors probe a whole batch first. Through their step embed gets
 // 5,260 hits, the oracle 5,104 and hashing 3,275 (seeds 2 and 3: 5,090 /
-// 4,902 / 3,157 and 5,270 / 4,975 / 2,957).
+// 4,902 / 3,157 and 5,270 / 4,975 / 2,957) when each query's node is probed
+// before the kernel runs, which hits it again; since the processor's
+// existence check rides the kernel's own first read, 4,466 / 4,310 / 2,480
+// (seeds 2 and 3: 4,302 / 4,115 / 2,369 and 4,477 / 4,180 / 2,160).
 func TestEmbedCapturesHotspotReuse(t *testing.T) {
 	const procs, seed = 3, 1
 	g, err := gen.Preset(gen.WebGraph, 0.2, seed)

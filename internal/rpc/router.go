@@ -19,12 +19,11 @@ import (
 )
 
 // RouterServer is the networked query router: it accepts client query
-// batches, asks the router — the same internal/router.Router the
-// virtual-time engine decides through — for a destination per query,
-// forwards each sub-batch to its processor over a pooled connection
-// (carrying the client's deadline) and relays the answers. Per-processor
-// in-flight counts are the load it hands the decision: the TCP analogue of
-// queue length for the load-balanced distance (Eq 3/7).
+// batches, dispatches each query through the same internal/router.Router
+// and Route / Next / Done sequence as the virtual-time engine, forwards each
+// sub-batch to its processor over a pooled connection (carrying the
+// client's deadline) and relays the answers. Stealing is off, so the load
+// every decision reads (Eq 3/7) is the slot's forwarded, unsettled work.
 //
 // Membership is elastic: processors self-register at runtime with OpJoin
 // (the router dials back and verifies them before admitting), leave
@@ -34,9 +33,9 @@ import (
 // reused, so the per-slot accounting stays aligned across epochs.
 //
 // The router keeps the same per-processor accounting as the virtual-time
-// engine (assigned/completed counts, routing-decision-time and queue-depth
-// histograms) and serves it as a metrics.Snapshot on OpStats, so local and
-// networked clients report through one structure.
+// engine (assigned/completed counts, loads, routing-time and load digests)
+// and serves it as a metrics.Snapshot on OpStats, so local and networked
+// clients report through one structure.
 type RouterServer struct {
 	ln         net.Listener
 	ct         connTracker
@@ -51,16 +50,14 @@ type RouterServer struct {
 	mu   sync.Mutex // guards the topology, router, pools and counters below
 	topo *topology.Tracker
 	// rt makes every routing decision and owns what follows from one: the
-	// current view, the per-slot assigned/diverted counters and the epoch
-	// log. Its queues stay empty — forwarding is the pools' job.
+	// current view, each slot's load, the per-slot assigned/diverted
+	// counters and the epoch log. Forwarding is the pools' job.
 	rt        *router.Router
 	pools     []*Pool                 // slot-indexed; nil once a member has left
-	inflight  []int                   // forwarded, not yet acked — the load handed to rt
 	completed []int64                 // queries each slot answered successfully
 	lastCache []metrics.CacheCounters // cache counters of each slot's latest answered stats poll
 	inval     []invalidations         // rewritten keys each slot has yet to drop from its cache (mutate.go)
 	routing   metrics.Histogram       // wall-clock routing decision time (ns)
-	depth     metrics.Histogram       // destination in-flight depth at each decision
 
 	// The storage tier's membership, tracked for observability: storage
 	// shards self-register (OpJoin, Tier "storage") and deregister, each
@@ -173,7 +170,6 @@ func NewRouterServer(addr string, cfg RouterConfig) (*RouterServer, error) {
 		policyName: cfg.PolicyName,
 		coords:     cfg.Coords,
 		topo:       topology.NewTrackerAddrs(cfg.ProcessorAddrs),
-		inflight:   make([]int, n),
 		completed:  make([]int64, n),
 		lastCache:  make([]metrics.CacheCounters, n),
 		inval:      make([]invalidations, n),
@@ -259,8 +255,7 @@ func (r *RouterServer) View() topology.View {
 // holds r.mu.
 func (r *RouterServer) applyViewLocked(v topology.View) {
 	r.rt.ApplyView(v)
-	for len(r.inflight) < v.Slots() {
-		r.inflight = append(r.inflight, 0)
+	for len(r.completed) < v.Slots() {
 		r.completed = append(r.completed, 0)
 		r.lastCache = append(r.lastCache, metrics.CacheCounters{})
 		r.inval = append(r.inval, invalidations{})
@@ -375,7 +370,6 @@ func (r *RouterServer) executeMixed(ctx context.Context, ex *ExecRequest) Respon
 // pooled: its slices are returned to the caller.
 type routeScratch struct {
 	dest  []int
-	loads []int
 	pools []*Pool
 	inv   []carried
 	req   Request
@@ -386,8 +380,8 @@ var routePool = sync.Pool{New: func() any { return new(routeScratch) }}
 func (r *RouterServer) executeClassic(ctx context.Context, ex *ExecRequest) Response {
 	sc := routePool.Get().(*routeScratch)
 	defer routePool.Put(sc)
-	// Routing decisions under the current in-flight load (one strategy
-	// lock for the batch; the strategy is inherently sequential).
+	// Routing decisions under the current load (one strategy lock for the
+	// batch; the strategy is inherently sequential).
 	if cap(sc.dest) < len(ex.Queries) {
 		sc.dest = make([]int, len(ex.Queries))
 	}
@@ -398,17 +392,11 @@ func (r *RouterServer) executeClassic(ctx context.Context, ex *ExecRequest) Resp
 		return errorResponse(fmt.Errorf("%w: no active processors", query.ErrUnavailable))
 	}
 	epoch := r.rt.Epoch()
-	if cap(sc.loads) < len(r.inflight) {
-		sc.loads = make([]int, len(r.inflight))
-	}
-	loads := sc.loads[:len(r.inflight)]
 	for i, q := range ex.Queries {
-		copy(loads, r.inflight)
 		t0 := time.Now()
-		p := r.rt.Decide(q, loads)
+		p := r.rt.Route(q)
 		r.routing.Observe(time.Since(t0).Nanoseconds())
-		r.depth.Observe(int64(r.inflight[p]))
-		r.inflight[p]++
+		r.rt.Next(p) // q, outstanding on p until its reply settles
 		dest[i] = p
 	}
 	pools := append(sc.pools[:0], r.pools...)
@@ -428,11 +416,8 @@ func (r *RouterServer) executeClassic(ctx context.Context, ex *ExecRequest) Resp
 	if single {
 		p := dest[0]
 		sc.req = Request{Exec: ex}
-		resp, err := r.forward(ctx, pools[p], p, len(dest), &sc.req, inv[p])
+		resp, err := r.forward(ctx, pools[p], p, &sc.req, inv[p])
 		r.finish(len(dest), err)
-		if err == nil {
-			err = checkResults(pools[p].Addr(), &resp, len(dest))
-		}
 		if err != nil {
 			return errorResponse(err)
 		}
@@ -459,7 +444,7 @@ func (r *RouterServer) executeClassic(ctx context.Context, ex *ExecRequest) Resp
 			for j, i := range indices {
 				sub.Queries[j] = ex.Queries[i]
 			}
-			resp, err := r.forward(ctx, pools[p], p, len(indices), &Request{Exec: sub}, inv[p])
+			resp, err := r.forward(ctx, pools[p], p, &Request{Exec: sub}, inv[p])
 			results <- procResult{proc: p, indices: indices, resp: resp, err: err}
 		}(p, indices)
 	}
@@ -469,9 +454,6 @@ func (r *RouterServer) executeClassic(ctx context.Context, ex *ExecRequest) Resp
 	for range groups {
 		pr := <-results
 		r.finish(len(pr.indices), pr.err)
-		if pr.err == nil {
-			pr.err = checkResults(pools[pr.proc].Addr(), &pr.resp, len(pr.indices))
-		}
 		if pr.err != nil {
 			if firstErr == nil {
 				firstErr = pr.err
@@ -550,12 +532,10 @@ func (r *RouterServer) runWave(ctx context.Context, q query.Query, wave []mquery
 	}
 	epoch := r.rt.Epoch()
 	t0 := time.Now()
-	picks := r.rt.DecideAnchors(q, anchors, append([]int(nil), r.inflight...))
+	picks := r.rt.RouteAnchors(q, anchors)
 	perPick := time.Since(t0).Nanoseconds() / int64(len(picks))
-	for _, p := range picks {
+	for range picks {
 		r.routing.Observe(perPick)
-		r.depth.Observe(int64(r.inflight[p]))
-		r.inflight[p]++
 	}
 	pools := append([]*Pool(nil), r.pools...)
 	inv := r.carryLocked(nil)
@@ -587,7 +567,7 @@ func (r *RouterServer) runWave(ctx context.Context, q query.Query, wave []mquery
 			// Subtasks are routed work units inside one query, not queries:
 			// forward settles the per-slot accounting, and the client-visible
 			// counters move once, when the whole query completes.
-			resp, err := r.forward(wctx, pools[p], p, len(indices), &Request{Exec: sub}, inv[p])
+			resp, err := r.forward(wctx, pools[p], p, &Request{Exec: sub}, inv[p])
 			results <- procResult{proc: p, indices: indices, resp: resp, err: err}
 		}(p, indices)
 	}
@@ -603,14 +583,6 @@ func (r *RouterServer) runWave(ctx context.Context, q query.Query, wave []mquery
 		if pr.err != nil {
 			if firstErr == nil {
 				firstErr = pr.err
-			}
-			continue
-		}
-		if len(pr.resp.Partials) != len(pr.indices) {
-			// A failed peer, like a short Results (checkResults): unavailable.
-			if firstErr == nil {
-				firstErr = &remoteError{addr: pools[pr.proc].Addr(), kind: query.ErrUnavailable,
-					msg: fmt.Sprintf("got %d partials for %d subtasks", len(pr.resp.Partials), len(pr.indices))}
 			}
 			continue
 		}
@@ -645,32 +617,37 @@ func (r *RouterServer) carryLocked(dst []carried) []carried {
 }
 
 // forward is the one place an OpExecute frame leaves for a processor: req's
-// payload, n units of work, to slot p over pool. The frame takes along what
-// the slot's invalidation queue held when its batch was routed (c) — the
-// processor applies it before anything else — and the slot's accounting
-// settles when the call returns; only an OK reply retires what the frame
-// carried.
-func (r *RouterServer) forward(ctx context.Context, pool *Pool, p, n int, req *Request, c carried) (Response, error) {
+// queries or subtasks, one unit of work each, to slot p over pool. The frame
+// takes along what the slot's invalidation queue held when its batch was
+// routed (c) — the processor applies it before anything else — and the
+// slot's accounting settles when the call returns. A reply short of one
+// result per query or one partial per subtask is a failed peer, typed
+// unavailable; only a whole OK reply retires what the frame carried.
+func (r *RouterServer) forward(ctx context.Context, pool *Pool, p int, req *Request, c carried) (Response, error) {
 	req.Op, req.Keys = OpExecute, c.keys
+	ex := req.Exec
 	resp, err := pool.Call(ctx, req)
-	r.settle(p, n, c.upTo, err)
+	if err == nil {
+		err = checkResults(pool.Addr(), &resp, len(ex.Queries), len(ex.Subtasks))
+	}
+	r.settle(p, len(ex.Queries)+len(ex.Subtasks), c.upTo, err)
 	return resp, err
 }
 
 // settle closes the per-slot accounting for n answered units of work on
-// processor p: the in-flight load drops, successful completions advance
-// the per-processor counters and retire the invalidations their frame
-// carried (those numbered below upTo), and a draining member whose last
-// in-flight work just finished completes its departure.
+// processor p: the router's load drops (Done), successful completions
+// advance the per-processor counters and retire the invalidations their
+// frame carried (those numbered below upTo), and a draining member whose
+// last outstanding work just finished completes its departure.
 func (r *RouterServer) settle(p, n int, upTo uint64, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.inflight[p] -= n
+	r.rt.Done(p, n)
 	if err == nil {
 		r.completed[p] += int64(n)
 		r.inval[p].retire(upTo)
 	}
-	if r.inflight[p] == 0 && r.rt.Status(p) == topology.Draining {
+	if r.rt.Load(p) == 0 && r.rt.Status(p) == topology.Draining {
 		if v, lerr := r.topo.Leave(p); lerr == nil {
 			r.applyViewLocked(v)
 		}
@@ -743,7 +720,6 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 	snap.Queries = r.queries.Load()
 	snap.Mutations = r.mutations.Load()
 	snap.RoutingNanos = r.routing.Summary()
-	snap.QueueDepth = r.depth.Summary()
 	snap.Placement, snap.PlacementLog = placementCounters, placementLog
 	for i, m := range r.rt.View().Members {
 		if i < len(fresh) && fresh[i] != nil && fresh[i].Cache != nil {
@@ -752,7 +728,6 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 		pc := &snap.PerProc[i]
 		pc.Addr = m.Addr
 		pc.Executed = r.completed[i]
-		pc.QueueDepth = int64(r.inflight[i])
 		pc.Cache = r.lastCache[i]
 		pc.PendingInvalidations = int64(len(r.inval[i].keys))
 		pc.InvalidationsDelivered = r.inval[i].delivered

@@ -21,8 +21,9 @@ func startAckServer(t *testing.T) string {
 // TestShortReplyFailsTheCall: an OK reply that carries fewer entries than
 // the request asked for is a failed peer, never an index to follow. A
 // storage client retries the keys on their next replica; a router answers
-// the batch with the typed unavailable error. Before the length checks
-// both indexed the reply and the process died.
+// the batch with the typed unavailable error and counts nothing as
+// completed. Before the length checks both indexed the reply and the
+// process died.
 func TestShortReplyFailsTheCall(t *testing.T) {
 	ctx := context.Background()
 	g := gen.LocalWeb(300, 4, 30, 0.01, 5)
@@ -94,6 +95,20 @@ func TestShortReplyFailsTheCall(t *testing.T) {
 		reach := query.Query{Type: query.BoundedReach, Node: ids[1], Anchors: ids[1:5], Target: ids[5], Hops: 2, VisitBudget: 4, Dir: graph.Out}
 		if _, err := cl.Execute(ctx, reach); !errors.Is(err, query.ErrUnavailable) {
 			t.Errorf("multi-anchor query: err = %v, want unavailable", err)
+		}
+		// A short reply is a failed call at the router too: nothing counts
+		// as completed, and every slot's load is settled.
+		snap, err := rs.Snapshot(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Queries != 0 {
+			t.Errorf("router counts %d completed queries, want 0", snap.Queries)
+		}
+		for _, row := range snap.PerProc {
+			if row.Executed != 0 || row.QueueDepth != 0 {
+				t.Errorf("slot %d: %d executed, load %d; want 0 and 0", row.Proc, row.Executed, row.QueueDepth)
+			}
 		}
 	})
 }

@@ -35,11 +35,11 @@ test:
 	$(GO) test ./...
 
 # The kernel-crossings ledger of README's "Performance log", measured from
-# /proc/self/io by the four budget tests and printed one line per row — the
+# /proc/self/io by the five budget tests and printed one line per row — the
 # table is pasted from this, not from memory. A budget that fails prints the
 # whole test output instead.
 ledger:
-	@out=$$($(GO) test -count=1 -v -run 'TestPingCrossings|TestTCPCrossingsBudget|TestLoadCrossingsBudget|TestMutateCrossingsBudget' ./internal/rpc . 2>&1) || { echo "$$out"; exit 1; }; \
+	@out=$$($(GO) test -count=1 -v -run 'TestPingCrossings|TestTCPCrossingsBudget|TestLoadCrossingsBudget|TestMutateCrossingsBudget|TestReadAfterWriteCrossings' ./internal/rpc . 2>&1) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -o '[0-9.]* read/write calls per .*'
 
 # The per-role memory budget of README's "Memory budget" table: what two
@@ -106,11 +106,11 @@ cover:
 	done
 
 # `go test` only replays the fuzz targets' seeds. This runs each of them for
-# real, 5 s apiece (about 40 s in all, offline): the decoders that take bytes
+# real, 5 s apiece (about 45 s in all, offline): the decoders that take bytes
 # from outside the process — the request and response envelopes, subtasks,
-# partials, the embedding file — the WAL's replay, and a storage shard's log
-# against a map model.
-FUZZ_TARGETS = ./internal/rpc:FuzzFrameDecode ./internal/mquery:FuzzSubtaskWire ./internal/mquery:FuzzPartialWire ./internal/embed:FuzzFileDecode ./internal/kvstore:FuzzWALReplay ./internal/kvstore:FuzzWALRoundTrip ./internal/kvstore:FuzzShardOps
+# partials, the embedding file — the WAL's replay, a storage shard's log
+# against a map model, and a stored record under a mutation's edit stream.
+FUZZ_TARGETS = ./internal/rpc:FuzzFrameDecode ./internal/mquery:FuzzSubtaskWire ./internal/mquery:FuzzPartialWire ./internal/embed:FuzzFileDecode ./internal/kvstore:FuzzWALReplay ./internal/kvstore:FuzzWALRoundTrip ./internal/kvstore:FuzzShardOps ./internal/gstore:FuzzRecordEdits
 
 fuzz-smoke:
 	@set -e; for spec in $(FUZZ_TARGETS); do \

@@ -352,3 +352,87 @@ func TestMutateCrossingsBudget(t *testing.T) {
 		}
 	}
 }
+
+// readAfterWriteCrossingsBudget bounds the read/write calls of a point query
+// routed right after a write rewrote the records its 1-hop ball holds, on the
+// deployment of the mutation rows: the write's edits ride the query's frame
+// and update the processor's cached copies in place, so the read costs what
+// a warm one does — tcpCrossingsBudget. A processor that dropped the
+// records instead refetches them, + 4 per shard frame.
+const readAfterWriteCrossingsBudget = tcpCrossingsBudget
+
+// byQueryID routes a query to processor ID mod the tier size, so a test can
+// send one node's query to every processor in turn.
+type byQueryID struct{}
+
+func (byQueryID) Name() string                           { return "by-query-id" }
+func (byQueryID) Pick(q grouting.Query, loads []int) int { return q.ID % len(loads) }
+func (byQueryID) Observe(grouting.Query, int)            {}
+func (byQueryID) DecisionUnits() int                     { return 1 }
+
+var policyByQueryID = grouting.RegisterStrategy("by-query-id", func(grouting.StrategyResources) (grouting.Strategy, error) {
+	return byQueryID{}, nil
+})
+
+// TestReadAfterWriteCrossings regenerates the read-after-write row of the
+// ledger: each pass toggles one edge u->u+1, then reads u's 1-hop ball once
+// on each of three processors warmed on it; only the reads are counted. Must
+// not run in parallel with anything.
+func TestReadAfterWriteCrossings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crossings measurement")
+	}
+	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
+	ctx := context.Background()
+	const procs = 3
+	cl, _ := startLoopback(t, g, grouting.Config{
+		Processors: procs, StorageServers: 2, StorageReplicas: 2, StorageDir: t.TempDir(),
+		Policy: policyByQueryID, CacheBytes: 64 << 20,
+	})
+	u := grouting.NodeID(0)
+	for ; !g.Exists(u) || !g.Exists(u+1) || g.HasEdge(u, u+1); u += 2 {
+	}
+	toggle := func(i int) {
+		t.Helper()
+		var err error
+		if i%2 == 0 {
+			err = cl.AddEdge(ctx, u, u+1, "")
+		} else {
+			err = cl.RemoveEdge(ctx, u, u+1)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	readAll := func() {
+		t.Helper()
+		for p := range procs {
+			q := grouting.Query{ID: p, Type: grouting.NeighborAgg, Node: u, Hops: 1, Dir: grouting.Out}
+			if _, err := cl.Execute(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Warm every processor on the ball with the edge and without it, which
+	// also dials every pooled connection the path uses.
+	readAll()
+	toggle(0)
+	readAll()
+	// Reading /proc/self/io is itself a couple of read calls; each window
+	// is charged what an empty one measures.
+	probe := ioCrossings(t)
+	empty := ioCrossings(t) - probe
+	const passes = 20
+	var crossings int64
+	for i := 1; i <= passes; i++ {
+		toggle(i)
+		before := ioCrossings(t)
+		readAll()
+		crossings += ioCrossings(t) - before - empty
+	}
+	per := float64(crossings) / float64(passes*procs)
+	t.Logf("%.2f read/write calls per read after a write", per)
+	if per > readAfterWriteCrossingsBudget {
+		t.Errorf("a read after a write costs %.2f read/write calls, above the budget of %.1f", per, readAfterWriteCrossingsBudget)
+	}
+}

@@ -180,6 +180,40 @@ func (c *LRU[V]) Put(key uint64, val V, valBytes int64) int {
 	return evicted
 }
 
+// Peek returns the cached value for key without touching recency or the
+// counters.
+func (c *LRU[V]) Peek(key uint64) (V, bool) {
+	if i, ok := c.items[key]; ok {
+		return c.slots[i].val, true
+	}
+	var zero V
+	return zero, false
+}
+
+// Update replaces the value of a resident key in place: its recency and the
+// hit, miss and insert counters stay as they were, its new size is charged,
+// and the oldest entries are evicted if that overflows the capacity. A value
+// larger than the whole cache drops the key. It reports whether key was
+// resident.
+func (c *LRU[V]) Update(key uint64, val V, valBytes int64) bool {
+	i, ok := c.items[key]
+	if !ok {
+		return false
+	}
+	cost := valBytes + EntryOverhead
+	if cost > c.capacity {
+		c.removeSlot(i)
+		return true
+	}
+	s := &c.slots[i]
+	c.size += cost - s.cost
+	s.val, s.cost = val, cost
+	for c.size > c.capacity {
+		c.evictOldest()
+	}
+	return true
+}
+
 // Remove drops key from the cache, reporting whether it was resident.
 func (c *LRU[V]) Remove(key uint64) bool {
 	i, ok := c.items[key]

@@ -253,3 +253,34 @@ func BenchmarkPutEvict(b *testing.B) {
 		c.Put(uint64(i), i, 256)
 	}
 }
+
+// TestUpdateKeepsRecencyAndCounters: Update replaces a resident value in
+// place and charges its new size — evicting the oldest entries when that
+// overflows, dropping the key when it no longer fits at all — and Peek reads
+// without touching anything.
+func TestUpdateKeepsRecencyAndCounters(t *testing.T) {
+	c := New[string](3*EntryOverhead + 30)
+	c.Put(1, "a", 10)
+	c.Put(2, "b", 10)
+	c.Put(3, "c", 10)
+	before := c.Stats()
+	if v, ok := c.Peek(2); !ok || v != "b" || c.Stats() != before {
+		t.Fatalf("Peek = %q, %v; stats %+v after %+v", v, ok, c.Stats(), before)
+	}
+	if !c.Update(2, "B", 20) || c.Update(9, "x", 1) {
+		t.Fatal("Update misreported residency")
+	}
+	if v, _ := c.Peek(2); v != "B" || c.Len() != 2 || c.Contains(1) {
+		t.Fatalf("after growing 2: %q, resident %v; want the oldest, 1, evicted", v, c.Keys())
+	}
+	st := c.Stats()
+	if st.Hits != before.Hits || st.Misses != before.Misses || st.Inserts != before.Inserts || st.Evictions != before.Evictions+1 {
+		t.Fatalf("stats %+v after %+v, want one eviction and nothing else", st, before)
+	}
+	if got := c.Keys(); got[0] != 3 || got[1] != 2 {
+		t.Fatalf("recency %v, want 3 then 2", got)
+	}
+	if !c.Update(3, "huge", c.Capacity()) || c.Contains(3) || c.Size() != 20+EntryOverhead {
+		t.Fatalf("oversized update left %v at %d bytes", c.Keys(), c.Size())
+	}
+}

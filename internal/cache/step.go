@@ -15,16 +15,17 @@ func RecordSize(r *gstore.Record) int64 {
 }
 
 // Processor is one query processor's cache of decoded records: the LRU, a
-// ring of the keys most recently evicted from it, and the lock that guards
-// both, so concurrent executors share it. A nil *Processor is the paper's
-// no-cache mode: Step fetches everything, and Evict and Stats do nothing.
+// ring of the keys most recently evicted from it or updated in it, and the
+// lock that guards both, so concurrent executors share it. A nil *Processor
+// is the paper's no-cache mode: Step fetches everything, and Evict, Apply and
+// Stats do nothing.
 type Processor struct {
 	mu  sync.Mutex
 	lru *LRU[gstore.Record]
-	// evicted is a ring of the keys most recently evicted and evictSeq how
-	// many ever were: evicted[(evictSeq-1)%len] is the newest. A storage
-	// fetch that straddles the eviction of one of its keys may have been
-	// answered before the write the eviction announced, so Step lets that
+	// evicted is a ring of the keys most recently evicted or updated and
+	// evictSeq how many ever were: evicted[(evictSeq-1)%len] is the newest. A
+	// storage fetch that straddles the eviction or update of one of its keys
+	// may have been answered before the write it announced, so Step lets that
 	// record answer the query that asked for it but does not cache it.
 	evicted  [64]uint64
 	evictSeq uint64
@@ -64,15 +65,43 @@ func (c *Processor) Evict(keys ...uint64) {
 	c.mu.Lock()
 	for _, k := range keys {
 		c.lru.Remove(k)
-		c.evicted[c.evictSeq%uint64(len(c.evicted))] = k
-		c.evictSeq++
+		c.remember(k)
 	}
 	c.mu.Unlock()
 }
 
-// evictedSince reports whether key was evicted after the eviction count read
-// seq — or may have been: past what the ring remembers every key counts as
-// evicted. Caller holds c.mu.
+// Apply brings key's resident record up to date with one mutation's edit
+// stream (gstore.AppendEdits) instead of dropping it: the record is replaced
+// by gstore.ApplyEdits of it — recency and the hit, miss and insert counters
+// untouched, its new size charged — and a stream that does not apply, the
+// empty one included, evicts it. Either way, resident or not, the key is
+// remembered as Evict remembers it, so a fetch that straddles the update
+// cannot cache the record as it was before the write.
+func (c *Processor) Apply(key uint64, edits []byte) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	if rec, ok := c.lru.Peek(key); ok {
+		if next, err := gstore.ApplyEdits(rec, edits); err == nil {
+			c.lru.Update(key, next, RecordSize(&next))
+		} else {
+			c.lru.Remove(key)
+		}
+	}
+	c.remember(key)
+	c.mu.Unlock()
+}
+
+// remember enters key in the ring of recent evictions. Caller holds c.mu.
+func (c *Processor) remember(key uint64) {
+	c.evicted[c.evictSeq%uint64(len(c.evicted))] = key
+	c.evictSeq++
+}
+
+// evictedSince reports whether key was evicted or updated after the count
+// read seq — or may have been: past what the ring remembers every key counts
+// as evicted. Caller holds c.mu.
 func (c *Processor) evictedSince(seq, key uint64) bool {
 	n := c.evictSeq - seq
 	if n > uint64(len(c.evicted)) {
@@ -126,9 +155,9 @@ func resized(buf *[]gstore.FetchResult, n int) []gstore.FetchResult {
 
 // Step is the processor's fetch, the same on both transports: probe the
 // cache for ids, read the misses from b in one batch, cache what came back
-// at RecordSize unless it was evicted while the read was out, and tell b
-// which records it read. The records come back positionally aligned with
-// ids in sc's buffer. On a read error nothing is cached or heated.
+// at RecordSize unless it was evicted or updated while the read was out, and
+// tell b which records it read. The records come back positionally aligned
+// with ids in sc's buffer. On a read error nothing is cached or heated.
 func (c *Processor) Step(sc *Scratch, b Backend, ids []graph.NodeID) ([]gstore.FetchResult, Counts, error) {
 	recs := resized(&sc.recs, len(ids))
 	if c == nil {

@@ -232,3 +232,78 @@ func TestEvictedSince(t *testing.T) {
 		t.Fatal("past the ring every key must count as evicted, and none since the newest eviction")
 	}
 }
+
+// TestApplyUpdatesInPlace: an edit stream replaces a resident record with
+// the edited one — recency and the hit, miss and insert counters untouched,
+// the new size charged — and remembers the key like an eviction; a stream
+// that does not apply evicts; a key not resident is only remembered.
+func TestApplyUpdatesInPlace(t *testing.T) {
+	b := stored(3)
+	c := NewProcessor(1 << 20)
+	var sc Scratch
+	if _, _, err := c.Step(&sc, b, []graph.NodeID{2, 1}); err != nil {
+		t.Fatal(err)
+	}
+	pre := b.recs[2]
+	post := pre
+	post.NodeLabel = 5
+	post.Out = append(post.Out[:len(post.Out):len(post.Out)], graph.Edge{To: 9, Label: 1})
+	before, seq := c.Stats(), c.evictSeq
+	c.Apply(2, gstore.AppendEdits(nil, &pre, &post))
+	got, _ := c.lru.Peek(2)
+	want, _ := gstore.Decode(2, gstore.Encode(nil, &post))
+	st := c.Stats()
+	if got.NodeLabel != 5 || !slices.Equal(got.Out, want.Out) {
+		t.Fatalf("resident record %+v, want %+v", got, want)
+	}
+	grown := RecordSize(&want) - RecordSize(&pre)
+	if st.Hits != before.Hits || st.Misses != before.Misses || st.Inserts != before.Inserts || st.CurrentBytes != before.CurrentBytes+grown {
+		t.Fatalf("stats %+v after %+v, want only %d more bytes", st, before, grown)
+	}
+	if !slices.Equal(c.lru.Keys(), []uint64{1, 2}) || !c.evictedSince(seq, 2) {
+		t.Fatalf("recency %v, remembered %v; want untouched recency and 2 remembered", c.lru.Keys(), c.evictedSince(seq, 2))
+	}
+	c.Apply(7, []byte{0})
+	if c.lru.Contains(7) || !c.evictedSince(seq, 7) {
+		t.Fatal("an update of a record not resident cached it or was forgotten")
+	}
+	c.Apply(1, nil)
+	if c.lru.Contains(1) || !c.lru.Contains(2) {
+		t.Fatalf("resident %v after an empty stream for 1, want 2 only", c.lru.Keys())
+	}
+	(*Processor)(nil).Apply(1, []byte{0})
+}
+
+// TestStepKeepsRecordsUpdatedMidRead: a fetch out across the update of a
+// record answers its step with what it read but caches nothing — not where
+// the record was absent, and not over the edited copy a second executor
+// cached and the update then edited.
+func TestStepKeepsRecordsUpdatedMidRead(t *testing.T) {
+	b := stored(3)
+	c := NewProcessor(1 << 20)
+	pre := b.recs[2]
+	post := pre
+	post.NodeLabel = 4
+	edits := gstore.AppendEdits(nil, &pre, &post)
+	var sc Scratch
+	b.during = func() { c.Apply(3, edits) }
+	if _, _, err := c.Step(&sc, b, []graph.NodeID{3}); err != nil {
+		t.Fatal(err)
+	}
+	if c.lru.Contains(3) {
+		t.Fatal("a record fetched across its update was cached")
+	}
+	b.during = func() {
+		c.mu.Lock()
+		c.lru.Put(2, pre, RecordSize(&pre)) // the other executor's fetch
+		c.mu.Unlock()
+		c.Apply(2, edits)
+	}
+	recs, _, err := c.Step(&sc, b, []graph.NodeID{2})
+	if err != nil || recs[0].Record.NodeLabel != pre.NodeLabel {
+		t.Fatalf("step = %+v, %v; want the record it read", recs, err)
+	}
+	if got, _ := c.lru.Peek(2); got.NodeLabel != 4 {
+		t.Fatalf("resident record 2 has label %d, want the edited 4", got.NodeLabel)
+	}
+}

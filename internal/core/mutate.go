@@ -10,8 +10,9 @@ import (
 
 // Mutate applies muts in order against the running system: the storage
 // tier (versioned, WAL-logged when durability is on), the routing-side
-// incremental indexes, and every session processor's cache (evicted, so the
-// session reads its own writes). It stops at the first mutation that fails
+// incremental indexes, and every session processor's cache (a resident copy
+// updated in place with the write's edits, so the session reads its own
+// writes). It stops at the first mutation that fails
 // and returns how many were applied — the applied prefix stays applied,
 // exactly as individually acked writes would. The graph given to NewSystem
 // keeps its adjacency; only its label table grows, as labels intern into the
@@ -50,16 +51,19 @@ func (ses *Session) apply(m query.Mutation) error {
 	if err := ses.sys.tier.FetchBatchInto(ids, pre[:], nil); err != nil {
 		return storageErr("pre-image read", err)
 	}
+	// gstore.Apply edits the records; the copies keep the pre-images the
+	// caches' edits are computed from.
+	oldU, oldV := pre[0].Record, pre[1].Record
 	u, v := &pre[0].Record, &pre[1].Record
 	writeU, writeV, err := gstore.Apply(m.Op, lab, u, v, pre[0].OK, pre[1].OK)
 	if err != nil {
 		return err
 	}
 	if writeU {
-		ses.writeRecord(u)
+		ses.writeRecord(&oldU, u)
 	}
 	if writeV {
-		ses.writeRecord(v)
+		ses.writeRecord(&oldV, v)
 	}
 	switch {
 	case m.Op == query.MutUpsertNode:
@@ -76,14 +80,15 @@ func (ses *Session) apply(m query.Mutation) error {
 func (ses *Session) Mutations() int64 { return ses.mutations }
 
 // writeRecord stores r, charges the replicated write's virtual-time cost
-// and evicts the record from every session processor's cache
-// (read-your-writes).
-func (ses *Session) writeRecord(r *gstore.Record) {
+// and updates the record in every session processor's cache with the edits
+// from old, the stream the TCP router ships (read-your-writes).
+func (ses *Session) writeRecord(old, r *gstore.Record) {
 	bytes, _ := ses.sys.tier.PutRecord(r)
 	ses.chargeWrite(uint64(r.Node), bytes)
+	edits := gstore.AppendEdits(nil, old, r)
 	for _, p := range ses.procs {
 		if p != nil {
-			p.cache.Evict(uint64(r.Node))
+			p.cache.Apply(uint64(r.Node), edits)
 		}
 	}
 }

@@ -37,11 +37,14 @@ var (
 )
 
 // stubFrame is what a stubProc saw of one OpExecute or OpEvict frame: id is
-// the first query's ID or the first subtask's anchor.
+// the first query's ID or the first subtask's anchor; keys, values and
+// version are the invalidations it carried.
 type stubFrame struct {
-	op   Op
-	id   int
-	keys []uint64
+	op      Op
+	id      int
+	keys    []uint64
+	values  [][]byte
+	version uint64
 }
 
 // stubProc is a scripted processor: it acks every frame — one zero Result
@@ -121,7 +124,10 @@ func (s *stubProc) handle(_ context.Context, req *Request) Response {
 	if req.Op != OpExecute && req.Op != OpEvict {
 		return Response{OK: true}
 	}
-	f := stubFrame{op: req.Op, id: -1, keys: slices.Clone(req.Keys)}
+	f := stubFrame{op: req.Op, id: -1, keys: slices.Clone(req.Keys), version: req.Version}
+	for _, v := range req.Values {
+		f.values = append(f.values, slices.Clone(v))
+	}
 	resp := Response{OK: true}
 	s.mu.Lock()
 	if ex := req.Exec; ex != nil && len(ex.Queries) > 0 {
@@ -270,10 +276,12 @@ func (c *writableCluster) wantBacklog(t *testing.T, when string, slot, pending i
 	}
 }
 
-// TestInvalidationsRideExecuteFrames: a record warmed into all three
-// processors' caches is mutated; the mutation itself sends no processor a
-// frame, and the one query then routed to each processor is the only frame
-// that processor sees — no OpEvict — yet answers from the new record.
+// TestInvalidationsRideExecuteFrames: an edge whose two records are warmed
+// into all three processors' caches is removed; the mutation itself sends no
+// processor a frame, and the one query then routed to each processor is the
+// only frame that processor sees — no OpEvict — yet answers from the new
+// records without a single cache miss: the frame's edits updated the cached
+// copies in place.
 func TestInvalidationsRideExecuteFrames(t *testing.T) {
 	ctx := context.Background()
 	c := &writableCluster{g: writableGraph()}
@@ -282,7 +290,11 @@ func TestInvalidationsRideExecuteFrames(t *testing.T) {
 	procs := d.procs
 
 	oracle := writableGraph()
-	u, v := freshEdge(t, c.g, 0)
+	u := graph.NodeID(2)
+	if len(c.g.OutEdges(u)) == 0 {
+		t.Fatalf("test graph has no out-edge of %d", u)
+	}
+	v := c.g.OutEdges(u)[0].To // u's ball holds v's record too
 	onU := func(proc int) []query.Query {
 		return []query.Query{{ID: proc, Type: query.NeighborAgg, Node: u, Hops: 1, Dir: graph.Out}}
 	}
@@ -297,11 +309,11 @@ func TestInvalidationsRideExecuteFrames(t *testing.T) {
 		}
 	}
 
-	if _, err := cl.Mutate(ctx, []query.Mutation{{Op: query.MutAddEdge, Node: u, To: v}}); err != nil {
+	if _, err := cl.Mutate(ctx, []query.Mutation{{Op: query.MutRemoveEdge, Node: u, To: v}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := oracle.EnsureEdge(u, v, 0); err != nil {
-		t.Fatal(err)
+	if !oracle.RemoveEdge(u, v) {
+		t.Fatalf("oracle has no edge %d->%d", u, v)
 	}
 	for i, ps := range procs {
 		if got := ps.Stats().Requests; got != before[i].Requests {
@@ -314,8 +326,12 @@ func TestInvalidationsRideExecuteFrames(t *testing.T) {
 		checkOracle(t, cl, oracle, onU(proc), "after the mutation")
 	}
 	for i, ps := range procs {
-		if got := ps.Stats().Requests; got != before[i].Requests+1 {
-			t.Fatalf("processor %d saw %d frames since the mutation, want exactly its one query", i, got-before[i].Requests)
+		after := ps.Stats()
+		if after.Requests != before[i].Requests+1 {
+			t.Fatalf("processor %d saw %d frames since the mutation, want exactly its one query", i, after.Requests-before[i].Requests)
+		}
+		if after.Cache.Misses != before[i].Cache.Misses {
+			t.Fatalf("processor %d missed %d records after the mutation, want none: the rewritten records were dropped, not updated", i, after.Cache.Misses-before[i].Cache.Misses)
 		}
 		c.wantBacklog(t, "after the queries", i, 0, 2)
 	}
@@ -363,6 +379,68 @@ func TestInvalidationsRetireBySequence(t *testing.T) {
 	if f := stub.next(t); len(f.keys) != 0 {
 		t.Fatalf("frame behind an empty backlog carried %v", f.keys)
 	}
+}
+
+// TestOvertakenFrameEvicts: two frames a router sent one processor — the
+// first carrying an edge's addition, the second that and the edge's removal
+// — reach a real processor newest first. The newer applies both edits; the
+// older, applied last, must evict rather than edit — re-adding the edge to
+// the cached record would serve a removed edge — so the frame's own query
+// and the next read return storage's record. The frames are captured from a
+// stub processor, so they are byte for byte what the router sends.
+func TestOvertakenFrameEvicts(t *testing.T) {
+	ctx := context.Background()
+	c, stubs := startStubCluster(t, 1, byID)
+	stub := stubs[0]
+	oracle := writableGraph()
+	u, v := freshEdge(t, c.g, 0)
+	ps, err := NewProcessorServerWith("127.0.0.1:0", ProcessorConfig{Storage: c.storageAddrs, CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ps.Close() })
+	onU := query.Query{ID: 1, Type: query.NeighborAgg, Node: u, Hops: 1, Dir: graph.Out}
+	replay := func(f stubFrame, when string) Stats {
+		t.Helper()
+		resp := ps.handle(ctx, &Request{Op: OpExecute, Keys: f.keys, Values: f.values, Version: f.version, Exec: &ExecRequest{Queries: []query.Query{onU}}})
+		if want := query.Answer(oracle, onU); !resp.OK || len(resp.Results) != 1 || resp.Results[0] != want {
+			t.Fatalf("%s: %+v, want %+v", when, resp, want)
+		}
+		return ps.Stats()
+	}
+	warm := replay(stubFrame{}, "warming")
+
+	c.addEdge(t, 0)
+	release := stub.hold(1)
+	withheld := make(chan struct{})
+	go func() {
+		defer close(withheld)
+		c.run(t, 1, 10)
+	}()
+	older := stub.next(t)
+	if _, err := c.cl.Mutate(ctx, []query.Mutation{{Op: query.MutRemoveEdge, Node: u, To: v}}); err != nil {
+		t.Fatal(err)
+	}
+	c.run(t, 2, 10)
+	newer := stub.next(t)
+	release()
+	<-withheld
+	if len(older.keys) != 2 || len(newer.keys) != 4 || len(newer.values) != 4 || older.version >= newer.version {
+		t.Fatalf("frames carried %d then %d keys, versions %d then %d; want the older's 2 inside the newer's 4",
+			len(older.keys), len(newer.keys), older.version, newer.version)
+	}
+	if ed, err := gstore.ApplyEdits(gstore.Record{Node: u}, older.values[0]); err != nil || len(ed.Out) != 1 {
+		t.Fatalf("the older frame's edit of %d = %+v, %v; want it to add the edge", u, ed, err)
+	}
+
+	st := replay(newer, "newer frame first")
+	if st.Cache.Misses != warm.Cache.Misses {
+		t.Fatalf("the newer frame's edits cost %d misses, want none", st.Cache.Misses-warm.Cache.Misses)
+	}
+	if st = replay(older, "older frame last"); st.Cache.Misses == warm.Cache.Misses {
+		t.Fatal("the overtaken frame's query missed nothing: its keys were not evicted")
+	}
+	replay(stubFrame{}, "next read")
 }
 
 // TestUnansweredFrameRetiresNothing: a frame that is answered with an error,

@@ -26,21 +26,27 @@ import (
 // routes from then on is preceded, at its processor, by the invalidation of
 // the rewritten records. No frame is sent for that: between the storage write
 // and the ack the keys are queued on every processor slot that has not Left
-// (invalidate), and every OpExecute frame the router forwards to a slot takes
-// the slot's whole queue along as Request.Keys (forward) — the processor
-// drops them from its cache before it looks at the frame's queries. A queue
-// is retired by sequence number when a frame that carried it is answered OK:
-// pooled connections reorder frames, so a backlog keeps riding every frame to
-// its slot until then, and a failed or cancelled call retires nothing. What
-// this gives up against an eviction fan-out is "every cache is clean at ack
-// time" for a reader that bypasses the router and asks a processor directly;
+// (invalidate), each with its edits — gstore.AppendEdits from the decoded
+// pre-image to the rewrite, or an empty entry, which evicts, when a rollback
+// or a retry with nothing to write queues the key — and every OpExecute frame
+// the router forwards to a slot takes the slot's whole queue along (forward):
+// the keys as Request.Keys, their edits as Request.Values and the sequence
+// number past them as Request.Version. Before it looks at the frame's queries
+// the processor updates its cached copies with the edits, or, for a frame
+// older than one it already applied, evicts the keys. A queue is retired by
+// sequence number when a frame that carried it is answered OK: pooled
+// connections reorder frames, so a backlog keeps riding every frame to its
+// slot until then, and a failed or cancelled call retires nothing. What this
+// gives up against an eviction fan-out is "every cache is clean at ack time"
+// for a reader that bypasses the router and asks a processor directly;
 // nothing the router serves can tell the difference. The queues are router
 // memory: a router that restarts begins, like a joining processor, with
-// nothing queued, so restart the processors (and their caches) with it.
+// nothing queued and lower sequence numbers, which the processors answer with
+// evictions; restart the processors (and their caches) with it.
 //
 // A processor that is handed no frames — none routed to it, or it stopped
 // answering — accumulates a backlog. Past maxBacklog keys the next mutation
-// sends that slot its backlog as one explicit OpEvict before touching
+// sends that slot its backlog's keys as one explicit OpEvict before touching
 // storage, and fails unacked when the processor cannot confirm it: the
 // fan-out's rule, now the exception.
 
@@ -101,6 +107,10 @@ func (r *RouterServer) applyMutation(ctx context.Context, m *query.Mutation) err
 	if err != nil {
 		return err
 	}
+	// gstore.Apply edits recs; the copy keeps the pre-images the edits
+	// shipped to the processors are computed from (their edge arrays are
+	// never written, only replaced).
+	olds := slices.Clone(recs)
 	u, v, vFound := &recs[0], (*gstore.Record)(nil), false
 	if len(recs) == 2 {
 		v, vFound = &recs[1], pres[1].found
@@ -108,19 +118,19 @@ func (r *RouterServer) applyMutation(ctx context.Context, m *query.Mutation) err
 	writeU, writeV, err := gstore.Apply(m.Op, lab, u, v, pres[0].found, vFound)
 	var ws []write
 	if writeU {
-		ws = append(ws, write{u, pres[0]})
+		ws = append(ws, write{u, &olds[0], pres[0]})
 	}
 	if writeV {
-		ws = append(ws, write{v, pres[1]})
+		ws = append(ws, write{v, &olds[1], pres[1]})
 	}
 	if len(ws) > 0 {
 		return r.commit(ctx, ws...)
 	}
 	// Nothing to write — the edge is fully present, or the mutation
-	// conflicts — but invalidate all the same: if the write landed under a
+	// conflicts — but evict all the same: if the write landed under a
 	// router that died before delivering its invalidations, this retry is
 	// what restores read-your-writes.
-	r.invalidate(keys)
+	r.invalidate(keys, make([][]byte, len(keys)))
 	return err
 }
 
@@ -147,9 +157,10 @@ type preimage struct {
 	found bool
 }
 
-// write pairs a rewritten record with its pre-image.
+// write pairs a rewritten record with its pre-image, decoded and as stored.
 type write struct {
 	rec *gstore.Record
+	old *gstore.Record
 	pre preimage
 }
 
@@ -183,8 +194,10 @@ func (r *RouterServer) loadRecords(ctx context.Context, keys ...uint64) ([]gstor
 }
 
 // commit writes the rewritten records to every replica, then queues their
-// invalidation for every processor. Only after both does the mutation ack —
-// no query routed afterwards can be served a pre-write cache entry.
+// invalidation for every processor — each record's edits from its pre-image,
+// gstore.AppendEdits, for the processors to update their cached copies with.
+// Only after both does the mutation ack — no query routed afterwards can be
+// served a pre-write cache entry.
 //
 // The records travel as one PutBatch — one frame and one WAL write per
 // shard for the whole mutation. A write-all that fails on any shard is
@@ -205,14 +218,18 @@ func (r *RouterServer) commit(ctx context.Context, ws ...write) error {
 		r.rollback(ctx, ws)
 		return err
 	}
-	r.invalidate(keys)
+	edits := make([][]byte, len(ws))
+	for i, w := range ws {
+		edits[i] = gstore.AppendEdits(nil, w.old, w.rec)
+	}
+	r.invalidate(keys, edits)
 	return nil
 }
 
 // rollback restores the pre-images of the given writes on every reachable
 // replica, best effort — the mutation is already failing unacked; this pass
-// only narrows the divergence window — and invalidates the keys: a query
-// may have cached the record the failed write left behind for a moment.
+// only narrows the divergence window — and evicts the keys: a query may have
+// cached the record the failed write left behind for a moment.
 // It runs detached from the request's ctx: an expired or cancelled request
 // is the commonest reason to be here, and on that ctx no call would leave.
 func (r *RouterServer) rollback(ctx context.Context, ws []write) {
@@ -230,32 +247,35 @@ func (r *RouterServer) rollback(ctx context.Context, ws []write) {
 			}
 		}
 	}
-	r.invalidate(keys)
+	r.invalidate(keys, make([][]byte, len(keys)))
 }
 
 // invalidations is one processor slot's queue of rewritten record keys the
-// processor is not yet known to have dropped from its cache. Keys are
-// numbered in arrival order — keys[i] has sequence number base+i — so a
-// frame's answer can retire exactly what that frame carried, whatever order
-// the answers come back in.
+// processor is not yet known to have brought up to date in its cache, each
+// with its edits: edits[i] is keys[i]'s gstore.AppendEdits stream, or empty
+// for an eviction. Keys are numbered in arrival order — keys[i] has sequence
+// number base+i — so a frame's answer can retire exactly what that frame
+// carried, whatever order the answers come back in.
 type invalidations struct {
 	keys      []uint64
+	edits     [][]byte
 	base      uint64
 	delivered int64 // keys retired by an answered frame, for Stats
 }
 
-// carried is what one frame takes along of its slot's queue: the keys, and
-// the sequence number just past the last of them.
+// carried is what one frame takes along of its slot's queue: the keys and
+// their edits, and the sequence number just past the last of them.
 type carried struct {
-	keys []uint64
-	upTo uint64
+	keys  []uint64
+	edits [][]byte
+	upTo  uint64
 }
 
-// carry snapshots the queue for one outgoing frame. The keys alias the queue's
-// array: appends land past them and retiring only re-slices, so the frame's
-// encoder reads them without the lock.
+// carry snapshots the queue for one outgoing frame. The keys and edits alias
+// the queue's arrays: appends land past them and retiring only re-slices, so
+// the frame's encoder reads them without the lock.
 func (q *invalidations) carry() carried {
-	return carried{keys: q.keys, upTo: q.base + uint64(len(q.keys))}
+	return carried{keys: q.keys, edits: q.edits, upTo: q.base + uint64(len(q.keys))}
 }
 
 // retire drops the keys numbered below upTo — an OK answer to a frame that
@@ -266,20 +286,22 @@ func (q *invalidations) retire(upTo uint64) {
 		return
 	}
 	n := upTo - q.base
-	q.keys, q.base = q.keys[n:], upTo
+	q.keys, q.edits, q.base = q.keys[n:], q.edits[n:], upTo
 	q.delivered += int64(n)
 }
 
-// invalidate queues keys for every processor that may still answer queries:
-// anything that has not Left — a draining member finishes in-flight work on
-// the old view, so its cache matters too. It cannot fail, which is why a
-// mutation can ack on it.
-func (r *RouterServer) invalidate(keys []uint64) {
+// invalidate queues keys, with their edits (positionally aligned; an empty
+// one evicts), for every processor that may still answer queries: anything
+// that has not Left — a draining member finishes in-flight work on the old
+// view, so its cache matters too. It cannot fail, which is why a mutation can
+// ack on it.
+func (r *RouterServer) invalidate(keys []uint64, edits [][]byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for slot, p := range r.pools {
 		if p != nil {
-			r.inval[slot].keys = append(r.inval[slot].keys, keys...)
+			q := &r.inval[slot]
+			q.keys, q.edits = append(q.keys, keys...), append(q.edits, edits...)
 		}
 	}
 }

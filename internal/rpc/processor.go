@@ -31,6 +31,12 @@ type ProcessorServer struct {
 
 	cache *cache.Processor
 
+	invalMu sync.Mutex // serialises the invalidations frames carry
+	// applied is the highest Version of a frame whose edits were applied:
+	// a frame below it was overtaken by a later one on the pooled
+	// connections, and its edits, applied now, could roll a record back.
+	applied uint64
+
 	heatMu sync.Mutex // guards heat
 	// heat counts storage misses per record since the last OpHeat drain —
 	// the adaptive-placement planner's read signal. Cache hits contribute
@@ -131,7 +137,7 @@ func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {
 		// request is validated, let alone waits for an executor: whatever the
 		// frame's queries read, they read after them, and the reply that
 		// retires them at the router is proof they were applied.
-		p.cache.Evict(req.Keys...)
+		p.invalidate(req)
 		if req.Exec == nil || (len(req.Exec.Queries) == 0 && len(req.Exec.Subtasks) == 0) {
 			return errorResponse(fmt.Errorf("%w: execute request carries no queries", query.ErrBadQuery))
 		}
@@ -176,6 +182,29 @@ func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {
 		return Response{OK: true, Results: results}
 	}
 	return errorResponse(fmt.Errorf("processor: unknown op %q", req.Op))
+}
+
+// invalidate applies the invalidations an OpExecute frame carries: Keys,
+// each with its edit stream in Values, numbered up to Version. A frame
+// numbered at or above every frame applied before has each key's edits
+// applied in order (cache.Processor.Apply, updating a resident copy in
+// place); one numbered below — overtaken on the pooled connections — or one
+// without an edit per key evicts its keys instead, which is always safe, and
+// is also all a processor does with the lower numbers of a restarted router.
+func (p *ProcessorServer) invalidate(req *Request) {
+	if len(req.Keys) == 0 {
+		return
+	}
+	p.invalMu.Lock()
+	defer p.invalMu.Unlock()
+	if req.Version < p.applied || len(req.Values) != len(req.Keys) {
+		p.cache.Evict(req.Keys...)
+		return
+	}
+	for i, k := range req.Keys {
+		p.cache.Apply(k, req.Values[i])
+	}
+	p.applied = req.Version
 }
 
 // netFetcher is the processor's traverse.Fetcher for one request, and the

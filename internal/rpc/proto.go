@@ -79,9 +79,10 @@ const (
 	OpMutate
 	// OpEvict removes keys from a processor's record cache (processor
 	// role). A mutation's invalidations normally reach a processor as the
-	// Keys of an OpExecute frame; the router sends an explicit OpEvict only
-	// to a processor whose backlog of them outgrew its bound because no
-	// query was routed there, and a tool may send one to cool a cache.
+	// Keys and Values of an OpExecute frame; the router sends an explicit
+	// OpEvict only to a processor whose backlog of them outgrew its bound
+	// because no query was routed there, and a tool may send one to cool a
+	// cache.
 	OpEvict
 	// OpHeat drains a processor's per-record storage-miss heat since the
 	// previous OpHeat (processor role): the planner's read signal.
@@ -161,11 +162,14 @@ type Request struct {
 	Value []byte
 	// Keys serves OpMultiGet, OpEvict and OpMultiPut — and OpExecute on the
 	// router → processor leg, where it names the records a processor must
-	// drop from its cache before it runs the frame's queries (the
+	// bring up to date in its cache before it runs the frame's queries (the
 	// invalidations of mutations acked since the processor last answered a
 	// frame). Absent when empty, like every field.
 	Keys []uint64
-	// Values serves OpMultiPut, positionally aligned with Keys.
+	// Values serves OpMultiPut, positionally aligned with Keys — and an
+	// OpExecute frame's invalidations: Values[i] is Keys[i]'s edit stream
+	// (gstore.AppendEdits), which the processor applies to its cached copy,
+	// or empty, which evicts it.
 	Values [][]byte
 	// valBuf holds the bytes of a decoded request's Values: one buffer the
 	// decoder copies every value into and reuses with the request.
@@ -187,7 +191,11 @@ type Request struct {
 	// durable version watermark (records recovered from its local WAL +
 	// snapshot). A restarting shard announces how warm it came back, so
 	// the router's topology view can distinguish a cold joiner (0) from a
-	// warm rejoin. Zero for non-durable shards and processor joins.
+	// warm rejoin. Zero for non-durable shards and processor joins. On an
+	// OpExecute frame that carries Keys it is the router's sequence number
+	// just past them: a processor applies the edits of a frame numbered at
+	// or above every frame it applied before, and evicts the keys of one
+	// that was overtaken.
 	Version uint64
 	// Muts serves OpMutate; nil for every other op. Labels ride as strings
 	// (the router interns them against the loaded graph's label table).

@@ -267,7 +267,7 @@ func (r *RouterServer) applyViewLocked(v topology.View) {
 			r.pools[slot] = nil
 			// Keep the numbering: an answer still on its way retires nothing.
 			q := &r.inval[slot]
-			q.keys, q.base = nil, q.base+uint64(len(q.keys))
+			q.keys, q.edits, q.base = nil, nil, q.base+uint64(len(q.keys))
 		}
 	}
 }
@@ -619,12 +619,16 @@ func (r *RouterServer) carryLocked(dst []carried) []carried {
 // forward is the one place an OpExecute frame leaves for a processor: req's
 // queries or subtasks, one unit of work each, to slot p over pool. The frame
 // takes along what the slot's invalidation queue held when its batch was
-// routed (c) — the processor applies it before anything else — and the
+// routed (c) — the keys, their edits as Values and the sequence number past
+// them as Version; the processor applies them before anything else — and the
 // slot's accounting settles when the call returns. A reply short of one
 // result per query or one partial per subtask is a failed peer, typed
 // unavailable; only a whole OK reply retires what the frame carried.
 func (r *RouterServer) forward(ctx context.Context, pool *Pool, p int, req *Request, c carried) (Response, error) {
-	req.Op, req.Keys = OpExecute, c.keys
+	req.Op, req.Keys, req.Values, req.Version = OpExecute, c.keys, c.edits, 0
+	if len(c.keys) > 0 {
+		req.Version = c.upTo
+	}
 	ex := req.Exec
 	resp, err := pool.Call(ctx, req)
 	if err == nil {

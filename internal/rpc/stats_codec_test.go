@@ -89,12 +89,15 @@ func TestGoldenFrames(t *testing.T) {
 // the codec wrote them before mutations became query.Mutation and before the
 // OpExecute payload stopped mirroring the header deadline. The one override
 // map is written in ascending key order, the order the encoder now always
-// uses (it once followed map iteration).
+// uses (it once followed map iteration). The third frame, appended when
+// invalidations began to carry edits, is executeEditsRequest's: the edit
+// streams ride as Values and their sequence number as Version, fields the
+// envelope already had, so the first two frames did not move.
 func TestGoldenRequestFrames(t *testing.T) {
 	want := readGolden(t, "full_request.hex")
 	var scratch []byte
 	var got []byte
-	fixtures := []*Request{fullRequest(), multiPutRequest()}
+	fixtures := []*Request{fullRequest(), multiPutRequest(), executeEditsRequest()}
 	for _, req := range fixtures {
 		got = append(got, encodeRequestFrame(nil, 7, req, req.Deadline, &scratch)...)
 	}

@@ -124,6 +124,17 @@ func multiPutRequest() *Request {
 	return &Request{Op: OpMultiPut, Keys: []uint64{3, 1 << 40, 3}, Values: [][]byte{[]byte("a"), {0, 255, 1}, []byte("record-bytes")}}
 }
 
+// executeEditsRequest is an OpExecute frame as the router forwards it with
+// two invalidations queued, numbered up to 41: key 12's edit stream — one
+// edit, its out-edge to 300 under label 2 now held once — and key 300's
+// eviction, an empty stream.
+func executeEditsRequest() *Request {
+	return &Request{
+		Op: OpExecute, Keys: []uint64{12, 300}, Values: [][]byte{{1, 1, 0xac, 0x02, 2, 1}, {}}, Version: 41,
+		Exec: &ExecRequest{Queries: []query.Query{{ID: 5, Type: query.NeighborAgg, Node: 12, Hops: 1, Dir: graph.Out}}},
+	}
+}
+
 // fullResponse exercises every response envelope field, including the
 // storage-bearing stats snapshot.
 func fullResponse() *Response {

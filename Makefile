@@ -91,8 +91,8 @@ race:
 # decoder of outside bytes goes through), cache 98% (the processor cache step
 # both engines fetch through), landmark 95% (the index the mutation path
 # updates incrementally), metrics 78% (the snapshot types every layer's stats
-# row is written in).
-COVER_FLOORS = ./internal/cache:95 ./internal/gstore:90 ./internal/kvstore:91 ./internal/topology:75 ./internal/chaos:70 ./internal/placement:95 ./internal/mquery:85 ./internal/rpc:82 ./internal/embed:85 ./internal/traverse:90 ./internal/router:89 ./internal/wire:90 ./internal/landmark:90 ./internal/metrics:75
+# row is written in), core 88% (the virtual-time engine the figures run on).
+COVER_FLOORS = ./internal/cache:95 ./internal/gstore:90 ./internal/kvstore:91 ./internal/topology:75 ./internal/chaos:70 ./internal/placement:95 ./internal/mquery:85 ./internal/rpc:82 ./internal/embed:85 ./internal/traverse:90 ./internal/router:89 ./internal/wire:90 ./internal/landmark:90 ./internal/metrics:75 ./internal/core:85
 
 cover:
 	@set -e; for spec in $(COVER_FLOORS); do \

@@ -453,3 +453,43 @@ func TestPerProcReports(t *testing.T) {
 		t.Fatalf("report totals: %+v", rep)
 	}
 }
+
+// TestRunWorkloadMatchesSessionAtOneProcessor pins the closed-loop driver to
+// the session's dispatch step: with one processor there is no queue to
+// reorder and nothing to steal, so RunWorkload must give a serial session's
+// answers, cache counters and clock over the same list.
+func TestRunWorkloadMatchesSessionAtOneProcessor(t *testing.T) {
+	g := testGraph()
+	qs := testWorkload(g)
+	for _, policy := range []Policy{PolicyHash, PolicyLandmark, PolicyEmbed} {
+		cfg := testConfig(policy)
+		cfg.Processors, cfg.CacheBytes = 1, 16<<10
+		sys, err := NewSystem(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sys.RunWorkload(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ses, err := sys.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range qs {
+			res, _, err := ses.Execute(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res != rep.Results[q.ID] {
+				t.Fatalf("%v: query %d: RunWorkload %+v, session %+v", policy, q.ID, rep.Results[q.ID], res)
+			}
+		}
+		hits, misses := ses.Stats()
+		if rep.CacheHits != hits || rep.CacheMisses != misses || rep.Makespan != ses.Now() {
+			t.Fatalf("%v: RunWorkload %d hits / %d misses / %v, session %d / %d / %v",
+				policy, rep.CacheHits, rep.CacheMisses, rep.Makespan, hits, misses, ses.Now())
+		}
+		t.Logf("%v: %d hits, %d misses, makespan %v", policy, hits, misses, rep.Makespan)
+	}
+}

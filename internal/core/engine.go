@@ -12,26 +12,24 @@ import (
 	"repro/internal/router"
 	"repro/internal/simnet"
 	"repro/internal/topology"
+	"repro/internal/traverse"
 )
 
 // ProcReport summarises one processor's share of a workload run.
 type ProcReport struct {
 	Executed int
-	Busy     time.Duration
 	Cache    cache.Stats
 }
 
 // Report is the outcome of a workload run: the quantities every figure in
 // Section 4 plots.
 type Report struct {
-	Policy  string
-	Network string
+	Policy string
 	// Processors is the number of active members in the run's topology
 	// view; Epoch identifies that view.
-	Processors     int
-	Epoch          uint64
-	StorageServers int
-	Queries        int
+	Processors int
+	Epoch      uint64
+	Queries    int
 
 	// Makespan is the virtual time at which the last query completed;
 	// ThroughputQPS = Queries / Makespan.
@@ -42,9 +40,6 @@ type Report struct {
 	// decision + cache/storage data movement + compute), the paper's
 	// "query response time".
 	MeanResponse time.Duration
-	P50Response  time.Duration
-	P95Response  time.Duration
-	P99Response  time.Duration
 
 	// CacheHits/CacheMisses follow Eq 8/9: record accesses served from
 	// processor caches vs pulled from storage. Touched = Hits + Misses.
@@ -53,27 +48,24 @@ type Report struct {
 	Touched     int64
 	HitRate     float64
 
-	FetchedBytes int64
-	RouterTime   time.Duration
-	Stolen       int
+	Stolen int
 	// Diverted counts queries re-routed away from failed processors.
 	Diverted int
 
 	PerProc []ProcReport
 	Results []query.Result
-	// ExecProc records which processor executed each query (indexed by
-	// query ID) — the post-stealing placement, useful for locality
-	// diagnostics and tests.
-	ExecProc []int
-	// HitsByID records per-query cache hits (indexed by query ID).
-	HitsByID []int64
-	Prep     router.PrepStats
 }
 
-// RunWorkload executes the queries through a fresh router/processor state
-// (cold caches, as in every experiment of Section 4) and returns the
-// report. Query IDs must be unique and within [0, len(qs)); the generator
-// in package query produces exactly that.
+// RunWorkload executes the queries through a fresh session (cold caches, as
+// in every experiment of Section 4) and returns the report. It is the
+// closed-loop driver of the paper's ack-based router (Section 3.2): the
+// earliest-available processor asks for work, the router admits queries
+// from the stream only while that processor's queue is empty, and an idle
+// processor steals. Every query runs through the session's one dispatch
+// step; the driver runs no placement cycles. It admits single-destination
+// queries only; multi-anchor kinds run through Session.Execute. Query IDs
+// must be unique and within [0, len(qs)); the generator in package query
+// produces exactly that.
 //
 // The run executes under the topology view current at the call — a
 // processor added with AddProcessor before the call participates from the
@@ -81,15 +73,6 @@ type Report struct {
 // numbers belong to exactly one epoch. Live mid-workload transitions are
 // a Session/Client behaviour.
 func (s *System) RunWorkload(qs []query.Query) (*Report, error) {
-	strat, err := s.cfg.Strategy(s.tab) // a fresh one per run: runs share no router state
-	if err != nil {
-		return nil, err
-	}
-	view := s.topo.View()
-	rt, err := router.NewFromView(strat, view, !s.cfg.DisableStealing)
-	if err != nil {
-		return nil, err
-	}
 	seen := make([]bool, len(qs))
 	for _, q := range qs {
 		if q.ID < 0 || q.ID >= len(qs) || seen[q.ID] {
@@ -97,58 +80,32 @@ func (s *System) RunWorkload(qs []query.Query) (*Report, error) {
 		}
 		seen[q.ID] = true
 		if q.Type.MultiAnchor() {
-			// The batch engine's queue/steal loop is single-destination by
-			// construction; multi-anchor queries run through a Session,
-			// whose wave machinery the experiments drive directly.
 			return nil, fmt.Errorf("%w: %v queries require session execution", query.ErrBadQuery, q.Type)
 		}
 	}
-
-	procs := s.newProcs(view)
-	tl := simnet.NewTimeline(s.store.NumServers())
-	prof := s.cfg.Network
-	// The decision cost is sampled at route time: DecisionUnits is the
-	// strategy's to report, and it may depend on the strategy's state.
-	decisionCost := func() time.Duration {
-		return prof.RouterBase + time.Duration(strat.DecisionUnits())*prof.RouterPerUnit
+	ses, err := s.NewSession() // runs share no router or cache state
+	if err != nil {
+		return nil, err
+	}
+	done := make([]bool, len(ses.next))
+	for i := range done {
+		done[i] = !ses.view.IsActive(i)
 	}
 	costByID := make([]time.Duration, len(qs))
-
-	var routerBusy time.Duration
-
 	rep := &Report{
-		Policy:         s.cfg.Policy.String(),
-		Network:        prof.Name,
-		Processors:     view.NumActive(),
-		Epoch:          view.Epoch,
-		StorageServers: s.cfg.StorageServers,
-		Queries:        len(qs),
-		Results:        make([]query.Result, len(qs)),
-		ExecProc:       make([]int, len(qs)),
-		HitsByID:       make([]int64, len(qs)),
-		Prep:           s.tab.Stats,
+		Policy:     s.cfg.Policy.String(),
+		Processors: ses.view.NumActive(),
+		Epoch:      ses.view.Epoch,
+		Queries:    len(qs),
+		Results:    make([]query.Result, len(qs)),
 	}
-
-	slots := view.Slots()
-	next := make([]time.Duration, slots) // per-processor availability
-	done := make([]bool, slots)
-	for i := 0; i < slots; i++ {
-		done[i] = !view.IsActive(i)
-	}
-	var lat metrics.Durations
-	var agg execStats
-	remaining := len(qs)
-	stream := 0 // next workload query to route
-
-	for remaining > 0 {
+	var respSum time.Duration
+	for remaining, stream := len(qs), 0; remaining > 0; {
 		// Earliest-available live processor executes next (deterministic
 		// tie-break by index).
 		p := -1
-		for i := range next {
-			if done[i] {
-				continue
-			}
-			if p < 0 || next[i] < next[p] {
+		for i, at := range ses.next {
+			if !done[i] && (p < 0 || at < ses.next[p]) {
 				p = i
 			}
 		}
@@ -159,78 +116,70 @@ func (s *System) RunWorkload(qs []query.Query) (*Report, error) {
 		// the client stream on demand, so per-connection queues stay short
 		// and their lengths are a live load signal, exactly as when the
 		// paper's router releases the next query on a processor's ack.
-		for rt.QueueLen(p) == 0 && stream < len(qs) {
-			dc := decisionCost()
-			rt.Route(qs[stream])
-			costByID[qs[stream].ID] = dc
+		for ses.rt.QueueLen(p) == 0 && stream < len(qs) {
+			_, costByID[qs[stream].ID] = ses.route(qs[stream])
 			stream++
-			routerBusy += dc
 		}
-		q, ok := rt.Next(p)
+		q, ok := ses.rt.Next(p)
 		if !ok {
 			done[p] = true
 			continue
 		}
-		res, service, st, err := s.execute(procs[p], q, next[p], tl)
-		rt.Done(p, 1)
+		res, service, err := ses.serve(p, q, 0) // closed loop: every query is there from 0
 		if err != nil {
 			return nil, err
 		}
 		rep.Results[q.ID] = res
-		rep.ExecProc[q.ID] = p
-		rep.HitsByID[q.ID] = st.hits
-		lat.Add(costByID[q.ID] + service)
-		next[p] += service
-		agg.add(st)
+		respSum += costByID[q.ID] + service
 		remaining--
 	}
 
-	for i, pr := range procs {
-		r := ProcReport{Executed: rt.Executed()[i], Busy: next[i]}
+	executed := ses.rt.Executed()
+	for i, pr := range ses.procs {
+		r := ProcReport{Executed: executed[i]}
 		if pr != nil {
 			r.Cache = pr.cache.Stats()
 		}
 		rep.PerProc = append(rep.PerProc, r)
-		if next[i] > rep.Makespan {
-			rep.Makespan = next[i]
-		}
+		rep.Makespan = max(rep.Makespan, ses.next[i])
 	}
 	if rep.Makespan > 0 {
 		rep.ThroughputQPS = float64(len(qs)) / rep.Makespan.Seconds()
 	} else {
 		rep.ThroughputQPS = math.Inf(1)
 	}
-	rep.MeanResponse = lat.Mean()
-	rep.P50Response = lat.Percentile(0.5)
-	rep.P95Response = lat.Percentile(0.95)
-	rep.P99Response = lat.Percentile(0.99)
-	rep.CacheHits = agg.hits
-	rep.CacheMisses = agg.misses
-	rep.Touched = agg.hits + agg.misses
-	if rep.Touched > 0 {
-		rep.HitRate = float64(agg.hits) / float64(rep.Touched)
+	if len(qs) > 0 {
+		rep.MeanResponse = respSum / time.Duration(len(qs))
 	}
-	rep.FetchedBytes = agg.fetchedBytes
-	rep.RouterTime = routerBusy
-	rep.Stolen = rt.Stolen()
-	rep.Diverted = rt.Diverted()
+	rep.CacheHits, rep.CacheMisses = ses.stats.hits, ses.stats.misses
+	rep.Touched = rep.CacheHits + rep.CacheMisses
+	if rep.Touched > 0 {
+		rep.HitRate = float64(rep.CacheHits) / float64(rep.Touched)
+	}
+	rep.Stolen = ses.rt.Stolen()
+	rep.Diverted = ses.rt.Diverted()
 	return rep, nil
 }
 
-// Session is an interactive handle over a running system: queries execute
-// one at a time through the router, processor caches persist between
-// calls. Examples and the networked daemon use it; experiments use
-// RunWorkload.
+// Session is the virtual-time engine: one router, the processors' states
+// and caches, the storage contention timeline and each processor's
+// availability. Session.Execute runs one query at a time on the session's
+// clock, and the local client wraps it; RunWorkload drives a fresh session
+// closed-loop. Processor caches persist between calls.
 //
 // A session follows the system's topology: epoch changes made through
 // AddProcessor / DrainProcessor / FailProcessor / ReviveProcessor are
 // applied atomically at the next Execute or Snapshot, so every query runs
 // — and every snapshot reports — under exactly one view.
 type Session struct {
-	sys     *System
-	rt      *router.Router
-	view    topology.View
-	procs   []*proc
+	sys   *System
+	rt    *router.Router
+	view  topology.View
+	procs []*proc
+	// next is each processor slot's availability: the virtual time its
+	// last dispatched work completes. A serial session keeps every entry
+	// at or below now.
+	next    []time.Duration
 	tl      *simnet.Timeline
 	now     time.Duration
 	stats   execStats
@@ -249,7 +198,9 @@ type Session struct {
 	sinceTick int
 }
 
-// NewSession creates a session with cold caches.
+// NewSession creates a session with cold caches: a fresh router over a
+// fresh strategy under the current view, cold processors, an idle
+// timeline.
 func (s *System) NewSession() (*Session, error) {
 	strat, err := s.cfg.Strategy(s.tab)
 	if err != nil {
@@ -265,6 +216,7 @@ func (s *System) NewSession() (*Session, error) {
 		rt:    rt,
 		view:  view,
 		procs: s.newProcs(view),
+		next:  make([]time.Duration, view.Slots()),
 		tl:    simnet.NewTimeline(s.store.NumServers()),
 	}
 	if s.cfg.AdaptivePlacement {
@@ -305,9 +257,50 @@ func (ses *Session) applyTopology() {
 			p.heat = ses.heat
 		}
 		ses.procs = append(ses.procs, p)
+		ses.next = append(ses.next, 0)
 	}
 	ses.rt.ApplyView(v)
 	ses.view = v
+}
+
+// decisionCost is what one routing decision costs on the virtual clock,
+// sampled when the decision is made: DecisionUnits is the strategy's to
+// report, and it may depend on the strategy's state.
+func (ses *Session) decisionCost() time.Duration {
+	prof := ses.sys.cfg.Network
+	return prof.RouterBase + time.Duration(ses.rt.Strategy().DecisionUnits())*prof.RouterPerUnit
+}
+
+// route is the session's routing step: it prices the decision and routes q
+// onto a processor's queue, returning the processor and the decision's
+// cost.
+func (ses *Session) route(q query.Query) (int, time.Duration) {
+	cost := ses.decisionCost()
+	p := ses.rt.Route(q)
+	ses.routing.Observe(int64(cost))
+	return p, cost
+}
+
+// serve is the session's dispatch step: processor p runs q, which it took
+// from the router, starting once both q has arrived (at) and p is free.
+// The query is acked, p's availability advances and the data movement is
+// booked whether or not it succeeds — virtual time spent is spent even
+// when the query fails (e.g. a storage replica died and the fetch burned
+// round trips discovering it), which is exactly what the storagefault
+// experiment measures.
+func (ses *Session) serve(p int, q query.Query, at time.Duration) (query.Result, time.Duration, error) {
+	var lf traverse.LabelFilter
+	if q.CountLabel != "" {
+		lf.On = true
+		lf.Label, lf.Known = ses.sys.g.LabelID(q.CountLabel)
+	}
+	start := max(at, ses.next[p])
+	f := ses.fetcher(p, start)
+	res, err := f.p.kernel.Run(f, q, lf)
+	ses.rt.Done(p, 1)
+	ses.next[p] = f.now
+	ses.stats.add(f.st)
+	return res, f.now - start, err
 }
 
 // Execute routes and runs one query, returning its result and virtual
@@ -322,20 +315,10 @@ func (ses *Session) Execute(q query.Query) (query.Result, time.Duration, error) 
 	if q.Type.MultiAnchor() {
 		return ses.executeMulti(q)
 	}
-	prof := ses.sys.cfg.Network
-	strat := ses.rt.Strategy()
-	decisionCost := prof.RouterBase + time.Duration(strat.DecisionUnits())*prof.RouterPerUnit
-	p := ses.rt.Route(q)
-	ses.routing.Observe(int64(decisionCost))
-	ses.rt.Next(p) // p's queue holds q alone: q is outstanding on p until Done
-	res, service, st, err := ses.sys.execute(ses.procs[p], q, ses.now, ses.tl)
-	ses.rt.Done(p, 1)
-	// Virtual time spent is spent even when the query fails (e.g. a
-	// storage replica died and the fetch burned round trips discovering
-	// it) — failed queries cost real capacity, which is exactly what the
-	// storagefault experiment measures.
+	p, _ := ses.route(q)
+	ses.rt.Next(p) // p's queue holds q alone: q is outstanding on p until served
+	res, service, err := ses.serve(p, q, ses.now)
 	ses.now += service
-	ses.stats.add(st)
 	if err != nil {
 		return query.Result{}, service, err
 	}

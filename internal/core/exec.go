@@ -36,13 +36,11 @@ type proc struct {
 // records pulled from the storage tier.
 type execStats struct {
 	hits, misses int64
-	fetchedBytes int64
 }
 
 func (a *execStats) add(b execStats) {
 	a.hits += b.hits
 	a.misses += b.misses
-	a.fetchedBytes += b.fetchedBytes
 }
 
 // farFactor returns the StorageAffinity cost multiplier for a batch served
@@ -68,10 +66,12 @@ type fetcher struct {
 	st  execStats
 }
 
-// fetcher arms p's fetcher for an execution starting at virtual time start.
-func (s *System) fetcher(p *proc, start time.Duration, tl *simnet.Timeline) *fetcher {
-	p.fx = fetcher{s: s, p: p, tl: tl, now: start}
-	return &p.fx
+// fetcher arms processor p's fetcher for an execution starting at virtual
+// time start.
+func (ses *Session) fetcher(p int, start time.Duration) *fetcher {
+	pr := ses.procs[p]
+	pr.fx = fetcher{s: ses.sys, p: pr, tl: ses.tl, now: start}
+	return &pr.fx
 }
 
 // Fetch runs one cache step and bills it whether or not it succeeds: a
@@ -121,7 +121,6 @@ func (f *fetcher) Read(ids []graph.NodeID, dst []gstore.FetchResult, probed cach
 					rtt = time.Duration(float64(rtt) * ff)
 				}
 				f.now = f.tl.Serve(b.Server, f.now+rtt/2, work) + rtt/2
-				f.st.fetchedBytes += bytes
 			})
 			if err != nil {
 				break
@@ -160,7 +159,6 @@ func (f *fetcher) Read(ids []graph.NodeID, dst []gstore.FetchResult, probed cach
 			if a := finish + ret; a > arrival {
 				arrival = a
 			}
-			f.st.fetchedBytes += bytes
 		})
 		f.now = arrival
 	}
@@ -181,8 +179,8 @@ func storageErr(what string, err error) error {
 }
 
 // Heat attributes one storage read of each record the step read to p,
-// feeding the owning session's placement planner. A no-op for workload-run
-// processors, which have no heat sink.
+// feeding the owning session's placement planner. A no-op without adaptive
+// placement, which leaves the processors no heat sink.
 func (f *fetcher) Heat(ids []graph.NodeID) {
 	if h := f.p.heat; h != nil {
 		for _, id := range ids {
@@ -194,18 +192,4 @@ func (f *fetcher) Heat(ids []graph.NodeID) {
 // Expanded bills n units of traversal compute.
 func (f *fetcher) Expanded(n int) {
 	f.now += time.Duration(n) * f.s.cfg.Network.ComputePerNode
-}
-
-// execute runs one point query on processor p starting at virtual time
-// start and returns the result, the service time, and the data-movement
-// stats.
-func (s *System) execute(p *proc, q query.Query, start time.Duration, tl *simnet.Timeline) (query.Result, time.Duration, execStats, error) {
-	var lf traverse.LabelFilter
-	if q.CountLabel != "" {
-		lf.On = true
-		lf.Label, lf.Known = s.g.LabelID(q.CountLabel)
-	}
-	f := s.fetcher(p, start, tl)
-	res, err := p.kernel.Run(f, q, lf)
-	return res, f.now - start, f.st, err
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mquery"
 	"repro/internal/query"
-	"repro/internal/simnet"
 )
 
 // executeMulti runs a multi-anchor query (PatternMatch / BoundedReach) as
@@ -19,9 +18,6 @@ import (
 // shape the networked router executes with real goroutines.
 func (ses *Session) executeMulti(q query.Query) (query.Result, time.Duration, error) {
 	sys := ses.sys
-	prof := sys.cfg.Network
-	strat := ses.rt.Strategy()
-
 	if q.Type == query.KNearest {
 		// Fail before any subtask is issued: ranking needs the embedding,
 		// and a degraded provider should cost nothing downstream.
@@ -46,7 +42,7 @@ func (ses *Session) executeMulti(q query.Query) (query.Result, time.Duration, er
 			anchors[i] = st.Anchor
 		}
 		picks := ses.rt.RouteAnchors(q, anchors)
-		decisionCost := prof.RouterBase + time.Duration(strat.DecisionUnits())*prof.RouterPerUnit
+		decisionCost := ses.decisionCost()
 		for range picks {
 			ses.routing.Observe(int64(decisionCost))
 		}
@@ -55,21 +51,14 @@ func (ses *Session) executeMulti(q query.Query) (query.Result, time.Duration, er
 		now += time.Duration(len(picks)) * decisionCost
 
 		// Fork: per-processor serial chains starting at the wave's fork
-		// point; join at the slowest chain.
-		procNow := make(map[int]time.Duration, len(picks))
+		// point (every processor is free by then); join at the slowest
+		// chain.
 		waveEnd := now
 		var werr error
 		for i, st := range wave {
 			p := picks[i]
-			startAt, busy := procNow[p]
-			if !busy {
-				startAt = now
-			}
-			part, svc, err := sys.runSubtask(ses.procs[p], st, startAt, ses.tl, &ses.stats)
-			procNow[p] = startAt + svc
-			if procNow[p] > waveEnd {
-				waveEnd = procNow[p]
-			}
+			part, err := ses.runSubtask(p, st, max(now, ses.next[p]))
+			waveEnd = max(waveEnd, ses.next[p])
 			if err != nil {
 				werr = err
 				break
@@ -115,16 +104,18 @@ func (ses *Session) executeMulti(q query.Query) (query.Result, time.Duration, er
 // runSubtask executes one subtask on processor p starting at virtual time
 // start: every record batch goes through the ordinary cached fetch path
 // (cache charges, storage contention on the timeline, affinity penalties),
-// and the traversal work is billed at ComputePerNode per unit.
-func (s *System) runSubtask(p *proc, st mquery.Subtask, start time.Duration, tl *simnet.Timeline, agg *execStats) (mquery.Partial, time.Duration, error) {
-	f := s.fetcher(p, start, tl)
+// and the traversal work is billed at ComputePerNode per unit. p's
+// availability advances and the data movement is booked whether or not the
+// subtask succeeds.
+func (ses *Session) runSubtask(p int, st mquery.Subtask, start time.Duration) (mquery.Partial, error) {
+	f := ses.fetcher(p, start)
 	part, units, err := mquery.Run(st, mquery.FetchOver(f))
-	agg.add(f.st)
-	if err != nil {
-		return mquery.Partial{}, f.now - start, err
+	if err == nil {
+		f.Expanded(units)
 	}
-	f.Expanded(units)
-	return part, f.now - start, nil
+	ses.next[p] = f.now
+	ses.stats.add(f.st)
+	return part, err
 }
 
 // MultiStats reports the session's multi-anchor execution counters: total

@@ -149,8 +149,9 @@ func TestMultiAnchorLabelledPattern(t *testing.T) {
 	}
 }
 
-// TestRunWorkloadRejectsMultiAnchor pins the batch engine's contract:
-// multi-anchor kinds only execute through sessions.
+// TestRunWorkloadRejectsMultiAnchor pins the closed-loop driver's contract:
+// it admits single-destination queries, and multi-anchor kinds execute
+// through Session.Execute.
 func TestRunWorkloadRejectsMultiAnchor(t *testing.T) {
 	g := testGraph()
 	sys, err := NewSystem(g, testConfig(PolicyHash))

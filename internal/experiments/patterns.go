@@ -28,11 +28,11 @@ var patternsPolicies = []core.Policy{core.PolicyHash, core.PolicyStableHash, cor
 // of five queries are multi-anchor: PatternMatch fans each template out as
 // per-anchor candidate subtasks joined at the session, and BoundedReach
 // composes budget-truncated partial answers across waves. Multi-anchor
-// queries execute through sessions (they need wave composition, which the
-// one-shot RunWorkload path deliberately rejects), every answer is checked
-// against the in-memory oracle as it streams, and the per-partition visit
-// budget is asserted structurally: the largest per-subtask visit count any
-// policy observed must stay within the budget.
+// queries execute through Session.Execute (they need wave composition;
+// RunWorkload's closed-loop driver admits single-destination queries only),
+// every answer is checked against the in-memory oracle as it streams, and
+// the per-partition visit budget is asserted structurally: the largest
+// per-subtask visit count any policy observed must stay within the budget.
 func runPatterns(sc Scale) (Result, error) {
 	g, err := loadPreset(gen.WebGraph, sc)
 	if err != nil {

@@ -21,17 +21,18 @@ import (
 // reachability to itself, a walk that only restarts) checks without
 // touching the cache, as the virtual-time client does.
 //
-// The same list also runs through RunWorkload, the third engine, built from
-// the same Config. Its queue and steal loop places queries differently from a
-// serial client, so its per-processor executions and cache counters are
-// logged, not compared. "point_cold" is the repository benchmark's
-// point_cold in miniature: embed routing, three processors, a total cache of
-// one eighth of the stored bytes. "hash-writes" is "hash" with a stream of
-// writes over the records the caches hold after the warm pass — edges added,
-// one under a second label beside the first, removed, and a node relabelled
-// — then NeighborAgg, RandomWalk and Reachability on the written nodes and
-// the hotspot list again: both transports update their cached copies with the
-// same edits, so the counters still agree, and every answer is the oracle's.
+// The same list also runs through RunWorkload, the closed-loop driver over a
+// fresh session built from the same Config. Its queue and steal loop places
+// queries differently from a serial client, so its per-processor executions
+// and cache counters are logged, not compared. "point_cold" is the
+// repository benchmark's point_cold in miniature: embed routing, three
+// processors, a total cache of one eighth of the stored bytes. "hash-writes"
+// is "hash" with a stream of writes over the records the caches hold after
+// the warm pass — edges added, one under a second label beside the first,
+// removed, and a node relabelled — then NeighborAgg, RandomWalk and
+// Reachability on the written nodes and the hotspot list again: both
+// transports update their cached copies with the same edits, so the
+// counters still agree, and every answer is the oracle's.
 func TestProcessorCacheTwoTransports(t *testing.T) {
 	const procs = 3
 	small := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)

@@ -109,7 +109,8 @@ cover:
 # real, 5 s apiece (about 45 s in all, offline): the decoders that take bytes
 # from outside the process — the request and response envelopes, subtasks,
 # partials, the embedding file — the WAL's replay, a storage shard's log
-# against a map model, and a stored record under a mutation's edit stream.
+# against a map model (its WAL compaction cut at each crash point), and a
+# stored record under a mutation's edit stream.
 FUZZ_TARGETS = ./internal/rpc:FuzzFrameDecode ./internal/mquery:FuzzSubtaskWire ./internal/mquery:FuzzPartialWire ./internal/embed:FuzzFileDecode ./internal/kvstore:FuzzWALReplay ./internal/kvstore:FuzzWALRoundTrip ./internal/kvstore:FuzzShardOps ./internal/gstore:FuzzRecordEdits
 
 fuzz-smoke:

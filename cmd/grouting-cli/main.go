@@ -506,8 +506,9 @@ func topologyTable(snap *grouting.Stats) string {
 			snap.StorageEpoch, len(snap.PerStorage), snap.StorageReplicas)
 		// The durability columns show each shard's crash-recovery state:
 		// "-" = in-memory only, "fresh" = WAL enabled and started empty,
-		// "warm" = recovered its state from local snapshot + WAL; dur-ver
-		// is the durable record watermark a rejoining shard announces.
+		// "warm" = recovered its state from its local WAL; dur-ver is the
+		// durable record watermark a rejoining shard announces; snaps
+		// counts the WAL's compactions since the shard opened.
 		ts := metrics.NewTable("tier", "slot", "status", "addr", "keys", "gets", "failovers", "durable", "dur-ver", "wal-kb", "snaps")
 		for _, m := range snap.PerStorage {
 			durable := m.Durable

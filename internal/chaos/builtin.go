@@ -40,8 +40,7 @@ func RollingRestart() *Scenario {
 		Name:        "rolling-restart",
 		Description: "kill -9 and restart every durable shard in sequence under load; warm WAL recovery keeps re-replication to a delta",
 		Processors:  3, StorageServers: 3, StorageReplicas: 2,
-		Durable: true, SnapshotEvery: 256,
-		Nodes: 500, Queries: 900, Seed: 1,
+		Durable: true, Nodes: 500, Queries: 900, Seed: 1,
 		Steps: []Step{
 			{At: 0.15, Action: ActionKill, Target: 0},
 			{At: 0.30, Action: ActionRestart, Target: 0},
@@ -71,8 +70,7 @@ func MutateRollingRestart() *Scenario {
 		Name:        "mutate-rolling-restart",
 		Description: "sustained online writes while every durable shard is killed and restarted in sequence; zero lost acked writes, zero wrong answers, tombstones stay dead",
 		Processors:  3, StorageServers: 3, StorageReplicas: 2,
-		Durable: true, SnapshotEvery: 256,
-		Nodes: 500, Queries: 900, Seed: 6, MutateEvery: 3,
+		Durable: true, Nodes: 500, Queries: 900, Seed: 6, MutateEvery: 3,
 		Steps: []Step{
 			{At: 0.15, Action: ActionKill, Target: 0},
 			{At: 0.30, Action: ActionRestart, Target: 0},
@@ -118,8 +116,7 @@ func Kill9() *Scenario {
 		Name:        "kill9",
 		Description: "crash one durable shard, restart it over its WAL: zero lost queries, bounded re-replication",
 		Processors:  2, StorageServers: 2, StorageReplicas: 2,
-		Durable: true, SnapshotEvery: 256,
-		Nodes: 400, Queries: 600, Seed: 3,
+		Durable: true, Nodes: 400, Queries: 600, Seed: 3,
 		Steps: []Step{
 			{At: 0.40, Action: ActionKill, Target: 0},
 			{At: 0.70, Action: ActionRestart, Target: 0},
@@ -159,8 +156,7 @@ func ScaleOut() *Scenario {
 		Name:        "scaleout",
 		Description: "add a shard, then drain an original one, all under load: membership churn with zero failures",
 		Processors:  2, StorageServers: 2, StorageReplicas: 2,
-		Durable: true, SnapshotEvery: 256,
-		Nodes: 400, Queries: 600, Seed: 5,
+		Durable: true, Nodes: 400, Queries: 600, Seed: 5,
 		Steps: []Step{
 			{At: 0.30, Action: ActionAdd},
 			{At: 0.60, Action: ActionDrain, Target: 0},

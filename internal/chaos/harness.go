@@ -86,7 +86,7 @@ func (sc *Scenario) deployment() (core.Config, string, error) {
 	if err != nil {
 		return cfg, "", fmt.Errorf("chaos: durable dir: %w", err)
 	}
-	cfg.StorageDir, cfg.StorageSnapshotEvery = dir, sc.SnapshotEvery
+	cfg.StorageDir = dir
 	return cfg, dir, nil
 }
 

@@ -28,7 +28,7 @@ type Action string
 // exercise the durability and replication machinery under it.
 const (
 	// ActionKill crashes a storage shard: in-memory state is lost, the
-	// shard's local WAL + snapshot (when the scenario is durable) survive.
+	// shard's local WAL (when the scenario is durable) survives.
 	ActionKill Action = "kill"
 	// ActionRestart restarts a killed shard over its local files; a
 	// durable shard comes back warm and re-replication only tops up the
@@ -108,9 +108,6 @@ type Scenario struct {
 	StorageServers  int  `json:"storage_servers"`
 	StorageReplicas int  `json:"storage_replicas"`
 	Durable         bool `json:"durable"`
-	// SnapshotEvery overrides the durable shards' WAL-records-per-snapshot
-	// threshold (0 = default).
-	SnapshotEvery int `json:"snapshot_every,omitempty"`
 
 	// Workload: a deterministic synthetic graph of Nodes nodes and a
 	// hotspot query workload of Queries queries, both derived from Seed.

@@ -149,17 +149,13 @@ type Config struct {
 	// fetched with its own round trip, sequentially. Exists for the
 	// batching ablation; always off in the paper configuration.
 	NoBatching bool
-	// StorageDir, when non-empty, enables WAL + snapshot durability on the
-	// storage tier: each shard logs every write under this directory and a
-	// crashed shard restarts warm (CrashStorage / RestartStorage), with
-	// re-replication topping up only the delta written during the outage.
-	// A directory holding a previous run's files restarts the whole tier
-	// from disk.
+	// StorageDir, when non-empty, enables WAL durability on the storage
+	// tier: each shard logs every write under this directory, compacting the
+	// log whenever it cleans its records, and a crashed shard restarts warm
+	// (CrashStorage / RestartStorage), with re-replication topping up only
+	// the delta written during the outage. A directory holding a previous
+	// run's files restarts the whole tier from disk.
 	StorageDir string
-	// StorageSnapshotEvery is the number of WAL records a shard
-	// accumulates before compacting them into a snapshot (default
-	// kvstore.DefaultSnapshotEvery). Ignored without StorageDir.
-	StorageSnapshotEvery int
 	// AdaptivePlacement enables the workload-adaptive placement subsystem
 	// (internal/placement): sessions accumulate per-record storage-read
 	// heat attributed to the reading processor, and a background planner

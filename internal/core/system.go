@@ -69,11 +69,7 @@ func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
 		// Durability goes on before the bulk load so every loaded record is
 		// logged — and so a directory with a previous run's files restarts
 		// the tier warm (the load then only freshens versions).
-		err := st.EnableDurability(kvstore.Durability{
-			Dir:           cfg.StorageDir,
-			SnapshotEvery: cfg.StorageSnapshotEvery,
-		})
-		if err != nil {
+		if err := st.EnableDurability(kvstore.Durability{Dir: cfg.StorageDir}); err != nil {
 			return nil, err
 		}
 	}
@@ -282,7 +278,7 @@ func (s *System) CrashStorage(slot int) error {
 }
 
 // RestartStorage brings a crashed (or failed) storage member back the way
-// a restarted process would: local snapshot+WAL replay first (warm start,
+// a restarted process would: local WAL replay first (warm start,
 // when Config.StorageDir is set), then rejoin, with re-replication topping
 // up only the writes newer than its durable version. Without durability
 // the member rejoins empty and re-replication copies the full shard.

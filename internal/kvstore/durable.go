@@ -9,16 +9,12 @@ import (
 	"repro/internal/topology"
 )
 
-// Durability configures WAL + snapshot persistence for a store's shards.
-// Each shard gets its own pair of files under Dir (shard-<slot>.wal,
-// shard-<slot>.snap) so shards recover independently, exactly like
-// separate storage processes would.
+// Durability configures WAL persistence for a store's shards. Each shard
+// gets its own log under Dir (shard-<slot>.wal) so shards recover
+// independently, exactly like separate storage processes would.
 type Durability struct {
-	// Dir holds the per-shard log and snapshot files (created if absent).
+	// Dir holds the per-shard logs (created if absent).
 	Dir string
-	// SnapshotEvery is the number of WAL records between snapshots
-	// (<= 0 means DefaultSnapshotEvery).
-	SnapshotEvery int
 	// Fsync forces an fsync per append: durable against machine crashes,
 	// not just process death, at a large throughput cost.
 	Fsync bool
@@ -27,9 +23,7 @@ type Durability struct {
 // openLogLocked recovers slot's durable state under cfg.Dir into its shard
 // and returns the highest version replayed. Caller holds s.mu (write).
 func (s *Store) openLogLocked(cfg Durability, slot int) (uint64, error) {
-	wal := filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d.wal", slot))
-	snap := filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d.snap", slot))
-	return s.servers[slot].open(wal, snap, cfg.SnapshotEvery, cfg.Fsync)
+	return s.servers[slot].open(filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d.wal", slot)), cfg.Fsync)
 }
 
 // raiseVersion lifts the store's version counter to at least ver: new
@@ -44,7 +38,7 @@ func (s *Store) raiseVersion(ver uint64) {
 	}
 }
 
-// EnableDurability attaches a WAL + snapshot pair to every shard,
+// EnableDurability attaches a WAL to every shard,
 // recovering any durable state already under cfg.Dir. Call it before bulk
 // loading on a fresh store, or on a fresh store pointed at a previous
 // run's directory to restart the whole tier warm. Replayed writes keep
@@ -128,7 +122,7 @@ func (s *Store) CrashServer(slot int) (topology.View, error) {
 }
 
 // RestartServer brings a Down shard back the way a restarted process
-// would: replay its snapshot + WAL locally (warm start, when durability
+// would: replay its WAL locally (warm start, when durability
 // is on), rejoin the tier, and let repair top up only the writes newer
 // than its durable version. Without durability the shard rejoins empty
 // and repair re-copies everything — the contrast the WAL exists to avoid.

@@ -32,16 +32,46 @@ func countReadable(t *testing.T, s *Store, n int) int {
 	return found
 }
 
-func mustDurable(t *testing.T, n, r int, dir string, every int) *Store {
+func mustDurable(t *testing.T, n, r int, dir string) *Store {
 	t.Helper()
 	s, err := NewStore(n, r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.EnableDurability(Durability{Dir: dir, SnapshotEvery: every}); err != nil {
+	if err := s.EnableDurability(Durability{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// churnKey is where compactAll writes, far above the keys tests load.
+const churnKey = 1 << 40
+
+// compactAll overwrites a few keys above churnKey with 16 KiB values, then
+// drops them, until every active shard's records have been cleaned and its
+// log compacted: a log that is a compacted image plus a tail, with no live
+// key left behind.
+func compactAll(t *testing.T, s *Store) {
+	t.Helper()
+	big := make([]byte, 16<<10)
+	for i := uint64(0); ; i++ {
+		done := true
+		for slot := 0; slot < s.NumServers(); slot++ {
+			if s.View().Status(slot) == topology.Active && s.Counters(slot).Snapshots == 0 {
+				done = false
+			}
+		}
+		if done {
+			break
+		}
+		if i == 1000 {
+			t.Fatal("no compaction on every shard after 1000 overwrites")
+		}
+		s.Put(churnKey+i%8, big)
+	}
+	for k := uint64(churnKey); k < churnKey+8; k++ {
+		s.Delete(k)
+	}
 }
 
 func TestEnableDurabilityValidation(t *testing.T) {
@@ -69,12 +99,13 @@ func TestEnableDurabilityValidation(t *testing.T) {
 
 // TestCrashRestartRecoversAckedWrites is the core durability contract:
 // kill -9 a shard (no sync, no warning) and every write acknowledged
-// before the crash is back after restart, via local snapshot+WAL replay.
+// before the crash is back after restart, via local WAL replay.
 func TestCrashRestartRecoversAckedWrites(t *testing.T) {
 	dir := t.TempDir()
-	s := mustDurable(t, 4, 2, dir, 64) // small snapshot interval: both files in play
+	s := mustDurable(t, 4, 2, dir)
 	const n = 500
 	loadKeys(s, n)
+	compactAll(t, s)                  // a compacted image and a tail behind it
 	for k := uint64(0); k < 20; k++ { // overwrites + deletions in the log too
 		s.Put(k, []byte{byte(k), byte(k >> 8), byte(k >> 16)})
 	}
@@ -114,9 +145,10 @@ func TestCrashRestartRecoversAckedWrites(t *testing.T) {
 // AddServer and DrainServer are refused until the owner is back, and then
 // every key reads back at its value after a crash, a restart and the resize.
 func TestSingleReplicaResizeWaitsForDownOwner(t *testing.T) {
-	s := mustDurable(t, 3, 1, t.TempDir(), 64)
+	s := mustDurable(t, 3, 1, t.TempDir())
 	const n = 600
 	loadKeys(s, n)
+	compactAll(t, s)
 	if _, err := s.CrashServer(1); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +188,7 @@ func TestWarmRestartBoundsRepairBytes(t *testing.T) {
 		t.Helper()
 		var s *Store
 		if durable {
-			s = mustDurable(t, 4, 2, t.TempDir(), 0)
+			s = mustDurable(t, 4, 2, t.TempDir())
 		} else {
 			s = mustReplicated(t, 4, 2)
 		}
@@ -197,8 +229,9 @@ func TestWarmRestartBoundsRepairBytes(t *testing.T) {
 func TestWholeTierColdStartFromDisk(t *testing.T) {
 	dir := t.TempDir()
 	const n = 400
-	s1 := mustDurable(t, 3, 2, dir, 32)
+	s1 := mustDurable(t, 3, 2, dir)
 	loadKeys(s1, n)
+	compactAll(t, s1)
 	s1.Delete(5)
 	if err := s1.SyncDurability(); err != nil {
 		t.Fatal(err)
@@ -212,7 +245,7 @@ func TestWholeTierColdStartFromDisk(t *testing.T) {
 		}
 	}
 
-	s2 := mustDurable(t, 3, 2, dir, 32)
+	s2 := mustDurable(t, 3, 2, dir)
 	if got := readAll(t, s2, n); got != n-1 {
 		t.Fatalf("cold start recovered %d keys, want %d", got, n-1)
 	}
@@ -229,37 +262,46 @@ func TestWholeTierColdStartFromDisk(t *testing.T) {
 	}
 }
 
+// TestSnapshotCompactionTruncatesWAL loads a durable store — no compaction,
+// every record still in the log — then overwrites until every shard's
+// records are cleaned: each log is rewritten as its live records, the file
+// on disk is the size the stats claim, and no snapshot file appears.
 func TestSnapshotCompactionTruncatesWAL(t *testing.T) {
 	dir := t.TempDir()
-	s := mustDurable(t, 2, 2, dir, 100)
-	loadKeys(s, 500) // 500 records per shard (R=2 over 2 shards): several snapshots
-	c := s.Counters(0)
-	if c.Snapshots == 0 {
-		t.Fatalf("no snapshots after %d records: %+v", 500, c)
+	s := mustDurable(t, 2, 2, dir)
+	loadKeys(s, 500) // 500 records per shard (R=2 over 2 shards)
+	if c := s.Counters(0); c.Snapshots != 0 || c.WALRecords != 500 {
+		t.Fatalf("after a load of fresh keys: %+v, want no compaction and 500 records", c)
 	}
-	if c.WALRecords >= 100 {
-		t.Fatalf("WAL not truncated: %d records live", c.WALRecords)
+	compactAll(t, s)
+	c := s.Counters(0)
+	// The last compaction kept the 500 loaded keys and at most the 8 churn
+	// keys; what followed it is at most one overwrite or deletion each.
+	if c.WALRecords > 500+8+8 {
+		t.Fatalf("WAL not compacted: %d records", c.WALRecords)
 	}
 	if c.DurableVersion == 0 {
 		t.Fatal("durable version not advanced")
 	}
-	// Files exist where Stats claims.
-	if _, err := os.Stat(filepath.Join(dir, "shard-0.snap")); err != nil {
-		t.Fatal(err)
+	// The file is what Stats claims.
+	fi, err := os.Stat(filepath.Join(dir, "shard-0.wal"))
+	if err != nil || fi.Size() != c.WALBytes {
+		t.Fatalf("shard-0.wal: %v (err %v), stats claim %d bytes", fi, err, c.WALBytes)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "shard-0.snap")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a snapshot file beside the log (err=%v)", err)
 	}
 }
 
 func TestDrainServerRemovesDurableFiles(t *testing.T) {
 	dir := t.TempDir()
-	s := mustDurable(t, 3, 2, dir, 0)
+	s := mustDurable(t, 3, 2, dir)
 	loadKeys(s, 100)
 	if _, err := s.DrainServer(2); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{"shard-2.wal", "shard-2.snap"} {
-		if _, err := os.Stat(filepath.Join(dir, f)); !errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("%s survives drain (err=%v)", f, err)
-		}
+	if _, err := os.Stat(filepath.Join(dir, "shard-2.wal")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("shard-2.wal survives drain (err=%v)", err)
 	}
 	if s.Counters(2).Durable != "" {
 		t.Fatal("drained shard still reports durability")
@@ -271,7 +313,7 @@ func TestDrainServerRemovesDurableFiles(t *testing.T) {
 
 func TestAddServerGetsDurableLog(t *testing.T) {
 	dir := t.TempDir()
-	s := mustDurable(t, 2, 2, dir, 0)
+	s := mustDurable(t, 2, 2, dir)
 	loadKeys(s, 100)
 	slot, _, err := s.AddServer()
 	if err != nil {
@@ -298,7 +340,7 @@ func TestAddServerGetsDurableLog(t *testing.T) {
 }
 
 func TestRestartServerValidation(t *testing.T) {
-	s := mustDurable(t, 3, 2, t.TempDir(), 0)
+	s := mustDurable(t, 3, 2, t.TempDir())
 	if _, err := s.RestartServer(0); err == nil {
 		t.Fatal("restart of an active shard accepted")
 	}
@@ -432,9 +474,10 @@ func TestPartitionValidation(t *testing.T) {
 // invariant that no acknowledged write is ever lost or resurrected.
 func TestDurablePartitionedCrashInterplay(t *testing.T) {
 	dir := t.TempDir()
-	s := mustDurable(t, 5, 3, dir, 128)
+	s := mustDurable(t, 5, 3, dir)
 	const n = 1000
 	loadKeys(s, n)
+	compactAll(t, s)
 	if err := s.PartitionServer(0); err != nil {
 		t.Fatal(err)
 	}

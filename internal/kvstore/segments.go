@@ -24,6 +24,9 @@ type segLog struct {
 	// live counts the bytes of the records the index points at; dead the
 	// bytes of records replaced or dropped since the last clean.
 	live, dead int64
+	// cleaned is set by every clean; a durable shard clears it once its
+	// WAL has followed (Shard.compact).
+	cleaned bool
 }
 
 // entry is one record decoded: the value (aliasing its segment), the write
@@ -97,7 +100,7 @@ func (l *segLog) release(size int64, index map[uint64]uint64) {
 // garbage collector once no value handed out of them is held any more.
 func (l *segLog) clean(index map[uint64]uint64) {
 	old := *l
-	*l = segLog{}
+	*l = segLog{cleaned: true}
 	for k, ref := range index {
 		e, _ := old.read(ref)
 		index[k] = l.append(e)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -41,6 +43,57 @@ func checkSlack(t testing.TB, l *segLog, factor float64) {
 	}
 }
 
+// walBound is the most a shard's WAL may hold while its records have not been
+// cleaned since its last compaction, for keys below 128. The file is then a
+// mark (at most 20 bytes), the image of the records the cleaning kept and
+// what was logged since; every frame in it stands for one record of the
+// in-memory log, live or dead, and each record has at most two: its put or
+// tombstone — the record plus a header, an op and a key, 10 bytes more at
+// most — and the drop that released it, which is no larger. So the file is
+// at most 20 + 2 × (live + dead) + 19 per record, and each record is at least
+// two bytes. The clean rule keeps dead below max(live, segSize), so
+// the file stays under 20 + 11.5 × (2 × live + segSize): in step with the
+// shard's memory.
+func walBound(l *segLog) int64 {
+	return 20 + 2*(l.live+l.dead) + 19*(l.live+l.dead)/2
+}
+
+// crashCompaction runs sh's compaction up to point and leaves the rest to a
+// crash: 0 writes the temp file and stops before the rename; 1 renames it
+// and stops before the log adopts it; 2 does the same and puts the parent
+// format's snapshot beside the log — the crash between a migration's rename
+// and its unlink, whose snapshot must be ignored; 3 completes it. Caller
+// holds sh.mu.
+func crashCompaction(t testing.TB, sh *Shard, point int) {
+	t.Helper()
+	w := sh.log.wal
+	if point == 3 {
+		if err := sh.compact(); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	c, err := w.rewrite(sh.emitIndex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if point > 0 {
+		if err := os.Rename(c.f.Name(), w.path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.f.Close()
+	if point == 2 {
+		raw, err := os.ReadFile(parentSnap)
+		if err == nil {
+			err = os.WriteFile(strings.TrimSuffix(w.path, ".wal")+".snap", raw, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // modelValue is the value runShardOps writes under key at version ver.
 func modelValue(key, ver uint64, n int) []byte {
 	v := make([]byte, n)
@@ -53,12 +106,15 @@ func modelValue(key, ver uint64, n int) []byte {
 // runShardOps drives a shard and a map model through the operations ops
 // encodes, three bytes each (operation, key, argument): PutBatch of one to
 // three records at fresh versions or at versions the compare may refuse, a
-// tombstone, Drop, a forced cleaning and, on a durable shard, a snapshot and
-// a reopen. After every step it fails unless the shard reads as the model
+// tombstone, Drop, a forced cleaning and, on a durable shard, a compaction
+// cut short by a crash at a point the argument picks (crashCompaction) and a
+// reopen. After every step it fails unless the shard reads as the model
 // does: Get, GetInto, Stats' Keys and Bytes, the log's live-byte count and
 // slack (checkSlack) and, on a durable shard (dir set; "" runs one in
-// memory), the image its snapshot and WAL replay to. It returns how many
-// writes, tombstones and drops set off a cleaning.
+// memory), the image its WAL replays to, no snapshot beside it, a WAL that
+// has followed every cleaning but a forced one no write has come after yet,
+// and the WAL within walBound.
+// It returns how many writes, tombstones and drops set off a cleaning.
 func runShardOps(t testing.TB, dir string, ops []byte) (cleanings int) {
 	t.Helper()
 	walPath, snapPath := filepath.Join(dir, "shard.wal"), filepath.Join(dir, "shard.snap")
@@ -66,7 +122,7 @@ func runShardOps(t testing.TB, dir string, ops []byte) (cleanings int) {
 		if dir == "" {
 			return NewShard()
 		}
-		sh, err := OpenShard(walPath, snapPath, 8, false)
+		sh, err := OpenShard(walPath, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +137,12 @@ func runShardOps(t testing.TB, dir string, ops []byte) (cleanings int) {
 		keys[i] = uint64(i)
 	}
 	vals, oks := make([][]byte, modelKeys), make([]bool, modelKeys)
+	// forced is set by a forced cleaning and cleared by the next step that
+	// changes the WAL: until then the log may lag the cleaning, after it the
+	// log must have followed.
+	forced := false
 	for step := 0; len(ops) >= 3; step++ {
+		before := sh.Durability()
 		op, key, arg := ops[0]%8, uint64(ops[1])%modelKeys, int(ops[2])
 		ops = ops[3:]
 		var first []byte
@@ -132,6 +193,7 @@ func runShardOps(t testing.TB, dir string, ops []byte) (cleanings int) {
 			delete(model, key)
 		case 6:
 			name = "clean"
+			forced = true
 			sh.mu.Lock()
 			sh.recs.clean(sh.index)
 			sh.mu.Unlock()
@@ -139,13 +201,10 @@ func runShardOps(t testing.TB, dir string, ops []byte) (cleanings int) {
 			if dir == "" {
 				continue
 			}
-			name = "snapshot and reopen"
+			name = fmt.Sprintf("compaction cut at point %d, reopen", arg%4)
 			sh.mu.Lock()
-			err := sh.snapshot()
+			crashCompaction(t, sh, arg%4)
 			sh.mu.Unlock()
-			if err != nil {
-				t.Fatal(err)
-			}
 			sh.Abandon()
 			sh = open()
 		}
@@ -184,11 +243,21 @@ func runShardOps(t testing.TB, dir string, ops []byte) (cleanings int) {
 			continue
 		}
 		re := NewShard()
-		if _, _, err := loadSnapshot(snapPath, re.applyReplay); err != nil {
-			t.Fatal(err)
-		}
 		if _, _, err := replayWAL(walPath, re.applyReplay); err != nil {
 			t.Fatal(err)
+		}
+		if _, err := os.Stat(snapPath); !os.IsNotExist(err) {
+			t.Fatalf("step %d (%s): a snapshot beside the log (err=%v)", step, name, err)
+		}
+		ds := sh.Durability()
+		if op == 7 || ds.WALBytes != before.WALBytes || ds.WALRecords != before.WALRecords {
+			forced = false
+		}
+		if sh.recs.cleaned && !forced {
+			t.Fatalf("step %d (%s): the records were cleaned and the WAL did not follow", step, name)
+		}
+		if !sh.recs.cleaned && ds.WALBytes > walBound(&sh.recs) {
+			t.Fatalf("step %d (%s): the WAL holds %d bytes, over the %d the log's %d live and %d dead bytes allow", step, name, ds.WALBytes, walBound(&sh.recs), sh.recs.live, sh.recs.dead)
 		}
 		for _, k := range keys {
 			got, ok := re.lookup(k)
@@ -226,6 +295,7 @@ func TestShardLogMatchesModel(t *testing.T) {
 func FuzzShardOps(f *testing.F) {
 	f.Add(false, []byte{0, 0, 12, 5, 1, 0, 6, 0, 0, 0, 2, 4})
 	f.Add(true, []byte{0, 3, 12, 4, 3, 0, 7, 0, 0, 3, 3, 200, 5, 3, 0})
+	f.Add(true, []byte{0, 3, 12, 4, 3, 0, 7, 0, 1, 0, 2, 5, 7, 0, 2, 5, 3, 0, 7, 0, 3, 0, 1, 1})
 	f.Fuzz(func(t *testing.T, durable bool, ops []byte) {
 		dir := ""
 		if durable {

@@ -2,16 +2,13 @@ package kvstore
 
 import (
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
 )
-
-// DefaultSnapshotEvery is how many WAL records a shard accumulates before
-// compacting them into a snapshot and truncating the log.
-const DefaultSnapshotEvery = 4096
 
 // ServerStats counts the operations served by one storage server.
 type ServerStats struct {
@@ -31,19 +28,23 @@ type ServerStats struct {
 }
 
 // Shard is one storage shard: a versioned key→value store, its counters
-// and — once opened over a WAL + snapshot pair — the durability protocol
-// (replay order snapshot → WAL, durable-version watermark, compaction
-// trigger, persisted tombstones and drops). A Store drives a slot-indexed
-// set of shards in-package through the lock-held put/drop; an owner outside
-// the package (rpc.StorageServer, one shard behind a listener) uses the
-// exported methods, each of which takes the shard lock itself.
+// and — once opened over a WAL — the durability protocol (replay,
+// durable-version watermark, compaction, persisted tombstones and drops). A
+// Store drives a slot-indexed set of shards in-package through the
+// lock-held put/drop; an owner outside the package (rpc.StorageServer, one
+// shard behind a listener) uses the exported methods, each of which takes
+// the shard lock itself.
 //
 // The records live in a log, recs: append-only segments behind index, a map
 // from each key to its newest record. Every write appends — a put, a
 // tombstone, a replayed record, a repair or migration copy — and only marks
 // the record it replaces dead; once the dead bytes reach the live ones and
 // amount to a segment, the shard copies its live records into fresh
-// segments under its write lock. The shard copies every value it is given.
+// segments under its write lock, and a durable shard's WAL follows: once the
+// group that set the cleaning off is logged, the file is rewritten as the
+// live records. Memory and file keep one compaction rule, so each holds about
+// twice its live bytes plus a segment at most. The shard copies every value
+// it is given.
 //
 // A value Get, GetInto or a Store read hands out aliases a segment. Nothing
 // is ever written over bytes already in a segment, and cleaning allocates
@@ -61,30 +62,24 @@ type Shard struct {
 	// takes the write lock; Stats folds them in.
 	stats                   ServerStats
 	gets, misses, failovers atomic.Uint64
-	// log is the shard's WAL + snapshot pair, nil while in-memory only. Its
-	// fields are guarded by the same regime as the records: sh.mu, or the
-	// owning store's write lock during membership transitions.
+	// log is the shard's WAL, nil while in-memory only. Its fields are
+	// guarded by the same regime as the records: sh.mu, or the owning
+	// store's write lock during membership transitions.
 	log *shardLog
 }
 
-// shardLog is one shard's durable state: its WAL, its latest snapshot,
-// and the recovery bookkeeping the observability surface reports.
+// shardLog is one shard's durable state: its WAL and the recovery
+// bookkeeping the observability surface reports.
 type shardLog struct {
-	wal      *WAL
-	walPath  string
-	snapPath string
-	every    int
-
-	sinceSnap int
-	snapshots uint64
-	snapVer   uint64 // version watermark of the latest snapshot
-	snapBytes int64
+	wal         *WAL
+	walPath     string
+	compactions uint64
 
 	replayedRecords int64
 	replayedBytes   int64
 	recoverNanos    int64
 	crashed         bool  // Abandon ran: killed, not yet reopened
-	err             error // first append/snapshot failure, surfaced in stats
+	err             error // first append/compaction failure, surfaced in stats
 }
 
 // DurabilityStats reports one shard's durable state.
@@ -93,16 +88,14 @@ type DurabilityStats struct {
 	// other field is then zero).
 	Enabled bool
 	// State is "fresh" (log open, nothing replayed), "warm" (recovered at
-	// least one record from its snapshot + WAL) or "crashed" (killed, not
-	// yet restarted); empty when disabled.
+	// least one record from its WAL) or "crashed" (killed, not yet
+	// restarted); empty when disabled.
 	State string
-	// WALBytes and WALRecords measure the live log (since last snapshot).
+	// WALBytes and WALRecords measure the log file.
 	WALBytes   int64
 	WALRecords int64
-	// Snapshots counts snapshot compactions; SnapshotBytes is the latest
-	// snapshot's size.
-	Snapshots     uint64
-	SnapshotBytes int64
+	// Snapshots counts the log's compactions since the shard was opened.
+	Snapshots uint64
 	// DurableVersion is the highest write version this shard has made
 	// durable — what the rejoin-warm handshake advertises.
 	DurableVersion uint64
@@ -118,63 +111,65 @@ type DurabilityStats struct {
 // NewShard returns an empty in-memory shard.
 func NewShard() *Shard { return &Shard{index: make(map[uint64]uint64)} }
 
-// OpenShard returns a durable shard recovered from walPath and snapPath
-// (either may be absent: a fresh shard). Every later mutation is appended
-// to the WAL before it returns, and every snapshotEvery records (<= 0 means
-// DefaultSnapshotEvery) the shard compacts into a snapshot; fsync forces an
-// fsync per append.
-func OpenShard(walPath, snapPath string, snapshotEvery int, fsync bool) (*Shard, error) {
+// OpenShard returns a durable shard recovered from the log at walPath (a
+// fresh shard when absent). Every later mutation is appended to the log
+// before it returns, and the log compacts whenever the shard's records are
+// cleaned; fsync forces an fsync per append.
+func OpenShard(walPath string, fsync bool) (*Shard, error) {
 	sh := NewShard()
-	if _, err := sh.open(walPath, snapPath, snapshotEvery, fsync); err != nil {
+	if _, err := sh.open(walPath, fsync); err != nil {
 		return nil, err
 	}
 	return sh, nil
 }
 
-// open recovers the durable state at the two paths into sh (snapshot
-// first, then the WAL), attaches the open log and returns the highest
-// version replayed. Replayed WAL records count toward the compaction
-// threshold, so a shard that keeps restarting still compacts. Caller holds
-// the store-wide write lock (or owns sh exclusively).
-func (sh *Shard) open(walPath, snapPath string, every int, fsync bool) (uint64, error) {
-	l := &shardLog{walPath: walPath, snapPath: snapPath}
-	l.setEvery(every)
-
+// open recovers the log at walPath into sh, attaches it and returns the
+// highest version it holds. A parent-format directory — a .snap beside a log
+// no compaction has rewritten — replays the snapshot first, then compacts at
+// once and unlinks it; a .snap beside a compacted log is stale and only
+// unlinked. A replay that cleaned the shard's records compacts the log before
+// the shard serves, so a shard that keeps crashing still compacts. Caller
+// holds the store-wide write lock (or owns sh exclusively).
+func (sh *Shard) open(walPath string, fsync bool) (uint64, error) {
+	l := &shardLog{walPath: walPath}
 	start := time.Now()
-	var maxVer uint64
 	apply := func(op WALOp, key, ver uint64, val []byte) {
 		sh.applyReplay(op, key, ver, val)
 		l.replayedRecords++
-		maxVer = max(maxVer, ver)
 	}
-	snapVer, snapBytes, err := loadSnapshot(snapPath, apply)
-	if err != nil {
-		return 0, err
-	}
-	l.snapVer, l.snapBytes = snapVer, snapBytes
-	if snapBytes > 0 {
-		l.snapshots = 1
-		l.replayedBytes += snapBytes
+	snap := strings.TrimSuffix(walPath, ".wal") + ".snap"
+	migrate := parentFormat(walPath, snap)
+	var snapVer uint64
+	if migrate {
+		var err error
+		if snapVer, l.replayedBytes, err = loadSnapshot(snap, apply); err != nil {
+			return 0, err
+		}
 	}
 	wal, err := OpenWAL(walPath, fsync, apply)
 	if err != nil {
 		return 0, err
 	}
-	walBytes, walRecords, walVer := wal.Stats()
+	wal.durVer = max(wal.durVer, snapVer) // not shared yet: no lock
+	walBytes, _, _ := wal.Stats()
 	l.replayedBytes += walBytes
-	l.sinceSnap = int(walRecords)
 	l.wal = wal
-	l.recoverNanos = time.Since(start).Nanoseconds()
 	sh.log = l
-	return max(maxVer, snapVer, walVer), nil
-}
-
-// setEvery sets the compaction threshold (n <= 0 means the default).
-func (l *shardLog) setEvery(n int) {
-	if n <= 0 {
-		n = DefaultSnapshotEvery
+	if migrate || sh.recs.cleaned {
+		err = sh.compact()
 	}
-	l.every = n
+	if err == nil {
+		if err = os.Remove(snap); os.IsNotExist(err) {
+			err = nil
+		}
+	}
+	if err != nil {
+		wal.Close()
+		sh.log = nil
+		return 0, err
+	}
+	l.recoverNanos = time.Since(start).Nanoseconds()
+	return wal.durVer, nil
 }
 
 // put flags.
@@ -182,8 +177,8 @@ const (
 	// putRepair marks a re-replication copy: the install counts toward
 	// RepairBytes, the transition-cost signal the chaos invariants bound.
 	putRepair = 1 << iota
-	// putReplay marks a WAL/snapshot replay install: it must not be
-	// appended back to the log it came from.
+	// putReplay marks a replay install: it must not be appended back to the
+	// log it came from.
 	putReplay
 )
 
@@ -288,8 +283,8 @@ func (sh *Shard) reset() {
 }
 
 // applyReplay installs one replayed record. Replay order is append order,
-// and put's version compare makes it idempotent, so replaying snapshot
-// then WAL (which may overlap) converges on the durable state.
+// and put's version compare makes it idempotent, so replaying a parent
+// snapshot then the WAL (which may overlap) converges on the durable state.
 func (sh *Shard) applyReplay(op WALOp, key, ver uint64, val []byte) {
 	switch op {
 	case WALPut:
@@ -307,65 +302,58 @@ func (sh *Shard) logMutation(op WALOp, key, ver uint64, val []byte) error {
 	if sh.log == nil {
 		return nil
 	}
-	return sh.logged(1, sh.log.wal.Append(op, key, ver, val))
+	return sh.logged(sh.log.wal.Append(op, key, ver, val))
 }
 
-// logged closes out a WAL append of n records that returned err: the
-// records count toward the compaction threshold and the log compacts into a
-// snapshot once past it — after the whole group, never inside one. A failure
-// is returned — a networked owner fails the write unacked — and the first
-// one is kept for Durability().Err. Caller holds sh.mu or the store-wide
-// write lock — the same exclusion put relies on, which also makes the
-// snapshot's index iteration safe.
-func (sh *Shard) logged(n int, err error) error {
-	l := sh.log
-	if err == nil {
-		if l.sinceSnap += n; l.sinceSnap >= l.every {
-			err = sh.snapshot()
-		}
+// logged closes out a WAL append that returned err: when the shard's records
+// have been cleaned since the log last compacted, the log compacts now —
+// after the whole group, never inside one. A failure is returned — a
+// networked owner fails the write unacked — and the first one is kept for
+// Durability().Err. Caller holds sh.mu or the store-wide write lock — the
+// same exclusion put relies on, which also keeps the index still for the
+// compaction.
+func (sh *Shard) logged(err error) error {
+	if err == nil && sh.recs.cleaned {
+		err = sh.compact()
 	}
-	if err != nil && l.err == nil {
-		l.err = err
+	if err != nil && sh.log.err == nil {
+		sh.log.err = err
 	}
 	return err
 }
 
-// snapshot writes the shard's full image and truncates the WAL. Caller
-// holds sh.mu or the store-wide write lock.
-func (sh *Shard) snapshot() error {
-	l := sh.log
-	_, _, walVer := l.wal.Stats()
-	ver := max(l.snapVer, walVer)
-	n, err := writeSnapshot(l.snapPath, ver, func(emit func(op WALOp, key, ver uint64, val []byte)) {
-		sh.each(func(k uint64, e entry) {
-			if e.dead {
-				// Tombstones persist: a restart must not resurrect a
-				// deletion off a stale replica.
-				emit(WALTomb, k, e.ver, nil)
-			} else {
-				emit(WALPut, k, e.ver, e.val)
-			}
-		})
-	})
-	if err != nil {
+// compact rewrites the WAL as the shard's index under a mark carrying the
+// durable-version watermark: the file's half of the cleaning its records
+// went through. A failed compaction waits for the next cleaning rather than
+// rewriting the shard on every write after it. Caller holds sh.mu or the
+// store-wide write lock.
+func (sh *Shard) compact() error {
+	sh.recs.cleaned = false
+	if err := sh.log.wal.compact(sh.emitIndex); err != nil {
 		return err
 	}
-	if err := l.wal.Reset(); err != nil {
-		return err
-	}
-	l.snapshots++
-	l.snapVer = ver
-	l.snapBytes = n
-	l.sinceSnap = 0
+	sh.log.compactions++
 	return nil
 }
 
-// discard closes the log and removes its files — the shard has left the
+// emitIndex emits every key's newest record as a WAL record. Tombstones
+// persist: a restart must not resurrect a deletion off a stale replica.
+// Caller holds sh.mu or the store-wide write lock.
+func (sh *Shard) emitIndex(emit func(op WALOp, key, ver uint64, val []byte)) {
+	sh.each(func(k uint64, e entry) {
+		if e.dead {
+			emit(WALTomb, k, e.ver, nil)
+		} else {
+			emit(WALPut, k, e.ver, e.val)
+		}
+	})
+}
+
+// discard closes the log and removes its file — the shard has left the
 // tier for good. Caller holds sh.mu or the store-wide write lock.
 func (l *shardLog) discard() {
 	l.wal.Close()
 	os.Remove(l.walPath)
-	os.Remove(l.snapPath)
 }
 
 // peek reads key's live value without touching the read counters; a
@@ -439,7 +427,7 @@ func (sh *Shard) PutBatch(keys []uint64, vals [][]byte, firstVer uint64) error {
 	}
 	var err error
 	if n > 0 {
-		err = sh.logged(n, sh.log.wal.appendFrames(frames, n, maxVer))
+		err = sh.logged(sh.log.wal.appendFrames(frames, n, maxVer))
 	}
 	*bp = frames[:0]
 	walBufPool.Put(bp)
@@ -479,9 +467,8 @@ func (sh *Shard) Durability() DurabilityStats {
 		State:           "fresh",
 		WALBytes:        walBytes,
 		WALRecords:      walRecords,
-		Snapshots:       l.snapshots,
-		SnapshotBytes:   l.snapBytes,
-		DurableVersion:  max(walVer, l.snapVer),
+		Snapshots:       l.compactions,
+		DurableVersion:  walVer,
 		ReplayedRecords: l.replayedRecords,
 		ReplayedBytes:   l.replayedBytes,
 		RecoverNanos:    l.recoverNanos,
@@ -517,16 +504,6 @@ func (sh *Shard) Counters() metrics.StorageCounters {
 		DurableVersion: ds.DurableVersion,
 		ReplayedBytes:  ds.ReplayedBytes,
 		RecoverNanos:   ds.RecoverNanos,
-	}
-}
-
-// SetSnapshotEvery overrides how many WAL records the shard accumulates
-// before compacting (n <= 0 restores the default). No-op without a log.
-func (sh *Shard) SetSnapshotEvery(n int) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.log != nil {
-		sh.log.setEvery(n)
 	}
 }
 

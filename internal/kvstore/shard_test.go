@@ -13,9 +13,9 @@ import (
 
 // openTestShard opens a durable shard over dir with the TCP daemon's file
 // layout.
-func openTestShard(t *testing.T, dir string, every int) *Shard {
+func openTestShard(t *testing.T, dir string) *Shard {
 	t.Helper()
-	sh, err := OpenShard(filepath.Join(dir, "shard.wal"), filepath.Join(dir, "shard.snap"), every, false)
+	sh, err := OpenShard(filepath.Join(dir, "shard.wal"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func shardImage(sh *Shard, n int) map[uint64]string {
 // neighbours still install, and a key named twice is two records ending at
 // its last value.
 func TestShardLogsOnlyWhatChanged(t *testing.T) {
-	sh := openTestShard(t, t.TempDir(), 0)
+	sh := openTestShard(t, t.TempDir())
 	defer sh.Abandon()
 	put := func(val string, ver uint64) func() (bool, error) {
 		return func() (bool, error) { return false, sh.Put(1, []byte(val), ver) }
@@ -99,97 +99,89 @@ func TestShardLogsOnlyWhatChanged(t *testing.T) {
 	}
 }
 
-// TestShardSnapshotOverlappingWALConverges rebuilds the state a crash
-// between the snapshot's rename and the WAL's truncation leaves — a
-// snapshot plus a WAL that still holds every record the snapshot already
-// covers, then a tail — and checks replay converges on the live image.
-func TestShardSnapshotOverlappingWALConverges(t *testing.T) {
+// copyFixture copies the files of testdata/<name> — a directory the parent
+// format's own code wrote — into a fresh temp directory and returns it.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "shard.wal")
-	sh := openTestShard(t, dir, 1<<20)
-	ver := uint64(0)
-	put := func(k uint64, v string) {
-		ver++
-		if err := sh.Put(k, []byte(v), ver); err != nil {
+	for _, f := range []string{"shard.snap", "shard.wal"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name, f))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, f), raw, 0o644)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	for k := uint64(0); k < 20; k++ {
-		put(k, fmt.Sprintf("a%d", k))
-	}
-	for k := uint64(0); k < 20; k += 3 {
-		put(k, fmt.Sprintf("b%d", k)) // overwritten
-	}
-	for k := uint64(1); k < 20; k += 5 {
-		sh.Drop(k) // dropped ...
-	}
-	put(6, "back") // ... and one of them re-put
-	covered, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh.mu.Lock()
-	err = sh.snapshot()
-	sh.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	put(7, "tail")
-	sh.Drop(0)
-	want := shardImage(sh, 20)
-	tail, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh.Abandon()
-	if err := os.WriteFile(walPath, append(covered, tail...), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return dir
+}
 
-	re := openTestShard(t, dir, 0)
-	defer re.Abandon()
+// walOpensWithMark reports whether the log in dir opens with the mark a
+// compaction writes: a snapshot beside it would be stale.
+func walOpensWithMark(dir string) bool {
+	return !parentFormat(filepath.Join(dir, "shard.wal"), parentSnap)
+}
+
+// TestShardSnapshotOverlappingWALConverges opens the state a parent-format
+// crash between the snapshot's rename and the WAL's truncation left —
+// testdata/parent-overlap, written by the parent's code: keys 0..19 put as
+// "a<k>", every third overwritten as "b<k>", 1, 6, 11 and 16 dropped, 6
+// put back, then the snapshot, then a tail putting 7 and dropping 0, with
+// the log still holding every record the snapshot covers. Replay converges
+// on the live image, the directory migrates — the log compacted, the
+// snapshot gone — and the compacted log alone reopens to the same image.
+func TestShardSnapshotOverlappingWALConverges(t *testing.T) {
+	want := map[uint64]string{}
+	for k := uint64(0); k < 20; k++ {
+		want[k] = fmt.Sprintf("a%d", k)
+		if k%3 == 0 {
+			want[k] = fmt.Sprintf("b%d", k)
+		}
+		if k%5 == 1 {
+			delete(want, k)
+		}
+	}
+	want[6], want[7] = "back", "tail"
+	delete(want, 0)
+	const ver = 29 // 20 puts, 7 overwrites and two re-puts
+
+	dir := copyFixture(t, "parent-overlap")
+	re := openTestShard(t, dir)
 	if got := shardImage(re, 20); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("replayed image %v, want %v", got, want)
 	}
-	if ds := re.Durability(); ds.State != "warm" || ds.DurableVersion != ver || ds.Snapshots != 1 {
-		t.Fatalf("recovered durability: %+v (want warm at version %d)", ds, ver)
+	if ds := re.Durability(); ds.State != "warm" || ds.DurableVersion != ver || ds.Snapshots != 1 || ds.WALRecords != int64(len(want)) {
+		t.Fatalf("recovered durability: %+v (want warm at version %d, compacted once to %d records)", ds, ver, len(want))
 	}
 	if st := re.Stats(); st.Keys != len(want) {
 		t.Fatalf("recovered %d live keys, want %d", st.Keys, len(want))
 	}
+	if _, err := os.Stat(filepath.Join(dir, "shard.snap")); !os.IsNotExist(err) || !walOpensWithMark(dir) {
+		t.Fatalf("the directory did not migrate: snapshot err=%v, mark %v", err, walOpensWithMark(dir))
+	}
+	re.Abandon()
+	again := openTestShard(t, dir)
+	defer again.Abandon()
+	if got := shardImage(again, 20); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("the compacted log reopened to %v, want %v", got, want)
+	}
+	if ds := again.Durability(); ds.DurableVersion != ver || ds.Snapshots != 0 || ds.ReplayedRecords != int64(len(want)) {
+		t.Fatalf("reopened compacted log: %+v", ds)
+	}
 }
 
-// TestShardOpensParentFormatDirectory builds the directory the TCP shard
-// wrote before it shared this code — snapshot records all at version 0
-// under a watermark, then a WAL tail versioned above it — and checks every
-// key comes back, the watermark is the tail's, and a write stamped above
-// it replaces a version-0 record.
+// TestShardOpensParentFormatDirectory opens testdata/parent-format, the
+// directory the TCP shard wrote before it shared this code — snapshot
+// records all at version 0 under watermark 100, then a WAL tail versioned
+// above it (put 3, put 10, drop 4), written by the parent's own code — and
+// checks every key comes back, the watermark is the tail's, a write stamped
+// above it replaces a version-0 record, and the directory migrates to one
+// compacted log. A crash between the migration's rename and its unlink
+// leaves the snapshot beside a compacted log: the reopen ignores it.
 func TestShardOpensParentFormatDirectory(t *testing.T) {
-	dir := t.TempDir()
+	dir := copyFixture(t, "parent-format")
 	const watermark = 100
-	if _, err := writeSnapshot(filepath.Join(dir, "shard.snap"), watermark, func(emit func(op WALOp, key, ver uint64, val []byte)) {
-		for k := uint64(0); k < 10; k++ {
-			emit(WALPut, k, 0, []byte(fmt.Sprintf("snap%d", k)))
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	w, err := OpenWAL(filepath.Join(dir, "shard.wal"), false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range []struct {
-		op  WALOp
-		key uint64
-		val string
-	}{{WALPut, 3, "tail3"}, {WALPut, 10, "tail10"}, {WALDrop, 4, ""}} {
-		if err := w.Append(rec.op, rec.key, watermark+1+rec.key, []byte(rec.val)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Close()
-
-	sh := openTestShard(t, dir, 0)
+	sh := openTestShard(t, dir)
 	want := map[uint64]string{3: "tail3", 10: "tail10"}
 	for k := uint64(0); k < 10; k++ {
 		if k != 3 && k != 4 {
@@ -200,8 +192,11 @@ func TestShardOpensParentFormatDirectory(t *testing.T) {
 		t.Fatalf("recovered image %v, want %v", got, want)
 	}
 	ds := sh.Durability()
-	if ds.State != "warm" || ds.DurableVersion != watermark+11 || ds.ReplayedRecords != 13 {
+	if ds.State != "warm" || ds.DurableVersion != watermark+11 || ds.ReplayedRecords != 13 || ds.Snapshots != 1 {
 		t.Fatalf("recovered durability: %+v", ds)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "shard.snap")); !os.IsNotExist(err) || !walOpensWithMark(dir) {
+		t.Fatalf("the directory did not migrate: snapshot err=%v", err)
 	}
 	if err := sh.Put(5, []byte("new"), ds.DurableVersion+1); err != nil {
 		t.Fatal(err)
@@ -209,46 +204,82 @@ func TestShardOpensParentFormatDirectory(t *testing.T) {
 	if v, _ := sh.Get(5); string(v) != "new" {
 		t.Fatalf("write above the watermark lost to a version-0 record: %q", v)
 	}
-	// A group appended behind the parent's one-record frames shares their
-	// log: both generations replay, in order.
+	// A group appended behind the compacted image shares its log: both
+	// replay, in order.
 	if err := sh.PutBatch([]uint64{6, 3}, [][]byte{[]byte("group6"), []byte("group3")}, ds.DurableVersion+2); err != nil {
 		t.Fatal(err)
 	}
 	want[5], want[6], want[3] = "new", "group6", "group3"
 	sh.Abandon()
-	re := openTestShard(t, dir, 0)
-	defer re.Abandon()
+	re := openTestShard(t, dir)
 	if got := shardImage(re, 12); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("image after a group behind the parent's frames %v, want %v", got, want)
+		t.Fatalf("image after a group behind the compacted image %v, want %v", got, want)
+	}
+	re.Abandon()
+
+	// The crash between the rename and the unlink.
+	raw, err := os.ReadFile(parentSnap)
+	if err == nil {
+		err = os.WriteFile(filepath.Join(dir, "shard.snap"), raw, 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := openTestShard(t, dir)
+	defer again.Abandon()
+	if got := shardImage(again, 12); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("image with a stale snapshot beside the log %v, want %v", got, want)
+	}
+	if ds := again.Durability(); ds.ReplayedRecords != int64(len(want))+3 || ds.Snapshots != 0 {
+		t.Fatalf("the stale snapshot was replayed: %+v", ds)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "shard.snap")); !os.IsNotExist(err) {
+		t.Fatalf("the stale snapshot stays (err=%v)", err)
 	}
 }
 
 // TestShardCountersMapsARestartedShard pins the storage row's one mapping: a
-// durable shard that compacted, was killed and reopened over its directory
-// reports its keys, reads and recovered log through Counters field for
-// field; an in-memory shard's row has no durable half; and a store's row for
-// a slot is its shard's, misses, failovers and repair copies included.
+// durable shard that was killed, reopened over its directory and compacted
+// reports its keys, reads, compaction and recovered log through Counters
+// field for field; an in-memory shard's row has no durable half; and a
+// store's row for a slot is its shard's, misses, failovers and repair copies
+// included.
 func TestShardCountersMapsARestartedShard(t *testing.T) {
 	dir := t.TempDir()
-	sh := openTestShard(t, dir, 2)
+	sh := openTestShard(t, dir)
 	for k := uint64(1); k <= 3; k++ {
 		if err := sh.Put(k, []byte("abcd"), k); err != nil {
 			t.Fatal(err)
 		}
 	}
 	sh.Abandon()
-	re := openTestShard(t, dir, 2)
+	fi, err := os.Stat(filepath.Join(dir, "shard.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	re := openTestShard(t, dir)
 	defer re.Abandon()
+	// Three 40 KiB values under one key leave 80 KiB dead: the records are
+	// cleaned and the log compacts to the four keys; the drop follows it.
+	big := make([]byte, 40<<10)
+	for v := uint64(4); v <= 6; v++ {
+		if err := re.Put(9, big, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := re.Drop(9); err != nil {
+		t.Fatal(err)
+	}
 	re.Get(1)
 	re.Get(9)
 	got, ds := re.Counters(), re.Durability()
 	want := metrics.StorageCounters{
 		Keys: 3, Bytes: 12, Gets: 2,
-		Durable: "warm", WALBytes: ds.WALBytes, WALRecords: 1, Snapshots: 1, DurableVersion: 3,
-		ReplayedBytes: ds.ReplayedBytes, RecoverNanos: ds.RecoverNanos,
+		Durable: "warm", WALBytes: ds.WALBytes, WALRecords: 5, Snapshots: 1, DurableVersion: 6,
+		ReplayedBytes: fi.Size(), RecoverNanos: ds.RecoverNanos,
 	}
-	if got != want || got.WALBytes <= 0 || got.ReplayedBytes <= got.WALBytes {
-		t.Fatalf("restarted shard's row %+v, want %+v with the snapshot's bytes replayed beside the log's", got, want)
+	if got != want || got.WALBytes <= int64(len(big)) || got.WALBytes >= 2*int64(len(big)) {
+		t.Fatalf("restarted shard's row %+v, want %+v with one 40 KiB record in the log", got, want)
 	}
 
 	mem := NewShard()
@@ -290,7 +321,7 @@ func TestShardCountersMapsARestartedShard(t *testing.T) {
 // stays in Durability().Err for owners — Store.Put — that have no error to
 // return.
 func TestShardAppendFailureIsReturnedAndKept(t *testing.T) {
-	sh := openTestShard(t, t.TempDir(), 0)
+	sh := openTestShard(t, t.TempDir())
 	if err := sh.Put(1, []byte("durable"), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -319,9 +350,9 @@ func TestShardAppendFailureIsReturnedAndKept(t *testing.T) {
 // shard (run under -race): a read sees a key absent or at one of its
 // written values, never torn.
 func TestShardConcurrentReadsVsWrites(t *testing.T) {
-	sh := openTestShard(t, t.TempDir(), 16)
+	sh := openTestShard(t, t.TempDir())
 	defer sh.Abandon()
-	const keys, writes = 32, 600
+	const keys, writes, size = 32, 600, 512
 	done := make(chan struct{})
 	var readers sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -342,7 +373,7 @@ func TestShardConcurrentReadsVsWrites(t *testing.T) {
 				sh.GetInto(ks, vals[:keys], oks[:keys])
 				vals[keys], oks[keys] = sh.Get(3)
 				for i, got := range vals {
-					if oks[i] && (len(got) != 8 || got[0] != got[7]) {
+					if oks[i] && (len(got) != size || got[0] != got[size-1]) {
 						t.Errorf("torn value %v", got)
 						return
 					}
@@ -362,7 +393,7 @@ func TestShardConcurrentReadsVsWrites(t *testing.T) {
 		}
 		vals := make([][]byte, 3)
 		for i := range vals {
-			vals[i] = bytes.Repeat([]byte{byte(w)}, 8)
+			vals[i] = bytes.Repeat([]byte{byte(w)}, size)
 		}
 		var err error
 		if w%5 == 0 {
@@ -376,7 +407,10 @@ func TestShardConcurrentReadsVsWrites(t *testing.T) {
 	}
 	close(done)
 	readers.Wait()
-	if ds := sh.Durability(); ds.Snapshots == 0 || ds.WALRecords >= 16 || ds.Err != "" {
+	// 600 writes of 512 bytes over 32 keys leave far more than a segment
+	// dead: the log compacts, and what it holds is the last image and its
+	// tail, not every write.
+	if ds := sh.Durability(); ds.Snapshots == 0 || ds.WALRecords >= writes/2 || ds.Err != "" {
 		t.Fatalf("compaction under load: %+v", ds)
 	}
 }
@@ -411,7 +445,7 @@ func TestShardGroupIsItsRecords(t *testing.T) {
 		}
 	}
 	w.Close()
-	sh := openTestShard(t, grouped, 0)
+	sh := openTestShard(t, grouped)
 	if err := sh.PutBatch(keys, vals, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +464,7 @@ func TestShardGroupIsItsRecords(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatalf("a group of five is %d bytes, five appends %d: not the same log", len(b), len(a))
 	}
-	fromAppends, fromGroup := openTestShard(t, oneByOne, 0), openTestShard(t, grouped, 0)
+	fromAppends, fromGroup := openTestShard(t, oneByOne), openTestShard(t, grouped)
 	defer fromAppends.Abandon()
 	defer fromGroup.Abandon()
 	if x, y := shardImage(fromAppends, 20), shardImage(fromGroup, 20); len(x) != 5 || fmt.Sprint(x) != fmt.Sprint(y) {
@@ -445,7 +479,7 @@ func TestShardGroupIsItsRecords(t *testing.T) {
 func TestShardGroupTornAtEveryOffset(t *testing.T) {
 	keys, vals, ends := groupFixture()
 	src := t.TempDir()
-	sh := openTestShard(t, src, 0)
+	sh := openTestShard(t, src)
 	if err := sh.PutBatch(keys, vals, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +497,7 @@ func TestShardGroupTornAtEveryOffset(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "shard.wal"), raw[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		re := openTestShard(t, dir, 0)
+		re := openTestShard(t, dir)
 		want := map[uint64]string{}
 		for i := 0; i < whole; i++ {
 			want[keys[i]] = string(vals[i])
@@ -478,7 +512,7 @@ func TestShardGroupTornAtEveryOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 		re.Abandon()
-		again := openTestShard(t, dir, 0)
+		again := openTestShard(t, dir)
 		want[99] = "after"
 		if got := shardImage(again, 100); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("cut at %d: a put behind the torn group reopened to %v, want %v", cut, got, want)
@@ -487,19 +521,22 @@ func TestShardGroupTornAtEveryOffset(t *testing.T) {
 	}
 }
 
-// TestShardGroupCompactsOnce drives groups across the snapshot threshold:
-// the shard compacts after the group, once however far past the threshold
-// the group went, the log restarts from zero records, and snapshot plus log
-// reopen to everything.
+// TestShardGroupCompactsOnce drives groups of 16 KiB overwrites of four
+// keys across the clean rule: the log compacts after the group that set the
+// cleaning off, never inside it — the file is then the four keys' image,
+// not the image plus the group's tail — once however many cleanings the
+// group went through, and the compacted log plus what follows it reopens to
+// everything.
 func TestShardGroupCompactsOnce(t *testing.T) {
 	dir := t.TempDir()
-	sh := openTestShard(t, dir, 8)
+	sh := openTestShard(t, dir)
+	const size = 16 << 10
 	ver := uint64(1)
 	batch := func(n int) {
 		t.Helper()
 		keys, vals := make([]uint64, n), make([][]byte, n)
 		for i := range keys {
-			keys[i], vals[i] = ver+uint64(i), []byte(fmt.Sprintf("v%d", ver+uint64(i)))
+			keys[i], vals[i] = (ver+uint64(i))%4, bytes.Repeat([]byte{byte(ver + uint64(i))}, size)
 		}
 		if err := sh.PutBatch(keys, vals, ver); err != nil {
 			t.Fatal(err)
@@ -510,25 +547,218 @@ func TestShardGroupCompactsOnce(t *testing.T) {
 		n                  int
 		snapshots, records int64
 	}{
-		{5, 0, 5},  // under the threshold
-		{5, 1, 0},  // 10 >= 8: one compaction, after the group
-		{3, 1, 3},  // counting restarts from the group's end
-		{20, 2, 0}, // two and a half thresholds in one group: still one
+		{4, 0, 4},  // four fresh keys: 64 KiB live, nothing dead
+		{6, 1, 4},  // the fourth overwrite brings 64 KiB dead: clean, compact after the group
+		{1, 1, 5},  // 48 KiB dead: the log grows again from the image
+		{11, 2, 4}, // three cleanings in one group: still one compaction
 	} {
 		batch(st.n)
 		if ds := sh.Durability(); int64(ds.Snapshots) != st.snapshots || ds.WALRecords != st.records || ds.Err != "" {
-			t.Fatalf("after a group of %d: %d snapshots, %d WAL records (%+v), want %d and %d", st.n, ds.Snapshots, ds.WALRecords, ds, st.snapshots, st.records)
+			t.Fatalf("after a group of %d: %d compactions, %d WAL records (%+v), want %d and %d", st.n, ds.Snapshots, ds.WALRecords, ds, st.snapshots, st.records)
 		}
 	}
-	batch(2)
-	want := shardImage(sh, int(ver))
+	batch(1) // 48 KiB dead: a tail behind the image
+	want := shardImage(sh, 4)
 	sh.Abandon()
-	re := openTestShard(t, dir, 8)
+	re := openTestShard(t, dir)
 	defer re.Abandon()
-	if got := shardImage(re, int(ver)); len(got) != int(ver)-1 || fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("snapshot + log reopened to %d keys, want %d", len(got), ver-1)
+	if got := shardImage(re, 4); len(got) != 4 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("the compacted log reopened to %d keys, want 4", len(got))
 	}
-	if ds := re.Durability(); ds.DurableVersion != ver-1 || ds.WALRecords != 2 {
+	if ds := re.Durability(); ds.DurableVersion != ver-1 || ds.WALRecords != 5 || ds.Snapshots != 0 {
 		t.Fatalf("recovered durability: %+v", ds)
+	}
+}
+
+// TestShardDurableVersionNeverFalls drops the key holding the highest
+// version, compacts and reopens: no record carries that version any more,
+// but the compacted log's mark does, so the durable version holds.
+func TestShardDurableVersionNeverFalls(t *testing.T) {
+	dir := t.TempDir()
+	sh := openTestShard(t, dir)
+	for k := uint64(1); k <= 3; k++ {
+		if err := sh.Put(k, []byte("v"), 10*k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sh.Drop(3); err != nil {
+		t.Fatal(err)
+	}
+	sh.mu.Lock()
+	err := sh.compact()
+	sh.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds := sh.Durability(); ds.DurableVersion != 30 || ds.WALRecords != 2 {
+		t.Fatalf("after the compaction: %+v, want version 30 over two records", ds)
+	}
+	sh.Abandon()
+	re := openTestShard(t, dir)
+	defer re.Abandon()
+	if ds := re.Durability(); ds.DurableVersion != 30 || ds.ReplayedRecords != 2 {
+		t.Fatalf("reopened: %+v, want version 30 over two records", ds)
+	}
+}
+
+// TestShardBulkLoadDoesNotCompact loads N fresh keys in groups, the way a
+// loader fills a durable shard: nothing is replaced, so nothing is cleaned,
+// and the log is exactly the N records — no whole-shard rewrite at all.
+func TestShardBulkLoadDoesNotCompact(t *testing.T) {
+	sh := openTestShard(t, t.TempDir())
+	defer sh.Abandon()
+	const n, per = 80 * 256, 256
+	val := make([]byte, 40)
+	for first := 0; first < n; first += per {
+		keys, vals := make([]uint64, per), make([][]byte, per)
+		for i := range keys {
+			keys[i], vals[i] = uint64(first+i), val
+		}
+		if err := sh.PutBatch(keys, vals, uint64(first+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ds := sh.Durability(); ds.Snapshots != 0 || ds.WALRecords != n || ds.DurableVersion != n {
+		t.Fatalf("after a load of %d fresh keys: %+v, want no compaction and %d records", n, ds, n)
+	}
+}
+
+// TestShardWALBytesBoundedUnderOverwrites overwrites 64 keys with 100-byte
+// values 20,000 times. Between compactions the log holds the last image and
+// the frames written since, one per in-memory record; a frame is its record
+// plus at most 19 bytes (header, op, key), and a record here is at least 102
+// bytes. The clean rule keeps dead below max(live, segSize), so the file
+// stays under 20 + (2 × live + segSize) × 121/102 — about twice the live
+// bytes plus a segment, the bound the shard's memory keeps.
+func TestShardWALBytesBoundedUnderOverwrites(t *testing.T) {
+	sh := openTestShard(t, t.TempDir())
+	defer sh.Abandon()
+	const keys, writes, size = 64, 20000, 100
+	var peak int64
+	for w := 0; w < writes; w++ {
+		if err := sh.Put(uint64(w%keys), bytes.Repeat([]byte{byte(w)}, size), uint64(w+1)); err != nil {
+			t.Fatal(err)
+		}
+		ds := sh.Durability()
+		sh.mu.RLock()
+		bound := 20 + (2*sh.recs.live+segSize)*121/102
+		sh.mu.RUnlock()
+		if ds.WALBytes > bound {
+			t.Fatalf("after %d writes the WAL holds %d bytes, over the bound %d", w+1, ds.WALBytes, bound)
+		}
+		peak = max(peak, ds.WALBytes)
+	}
+	if ds := sh.Durability(); ds.Snapshots < 10 {
+		t.Fatalf("%d compactions over %d writes of %d bytes (peak WAL %d bytes)", ds.Snapshots, writes, size, peak)
+	}
+}
+
+// TestShardReplayThatCleansCompactsAtOpen opens a log that holds ten 16 KiB
+// versions of one key — what a shard killed between a cleaning and its
+// compaction leaves, or a parent-format log, which compacted only every 4096
+// records: the replay cleans the records, so the shard compacts the log
+// before it serves, and the file is one record when open returns.
+func TestShardReplayThatCleansCompactsAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(filepath.Join(dir, "shard.wal"), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := uint64(1); v <= 10; v++ {
+		if err := w.Append(WALPut, 1, v, bytes.Repeat([]byte{byte(v)}, 16<<10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	sh := openTestShard(t, dir)
+	defer sh.Abandon()
+	ds := sh.Durability()
+	if ds.Snapshots != 1 || ds.WALRecords != 1 || ds.ReplayedRecords != 10 || ds.DurableVersion != 10 {
+		t.Fatalf("after the open: %+v, want one compaction to one record", ds)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "shard.wal")); err != nil || fi.Size() != ds.WALBytes || fi.Size() > 17<<10 {
+		t.Fatalf("the log on disk: %v (err %v), stats claim %d bytes", fi, err, ds.WALBytes)
+	}
+	if v, _ := sh.Get(1); len(v) != 16<<10 || v[0] != 10 {
+		t.Fatalf("key 1 reads %d bytes, version byte %d", len(v), v[0])
+	}
+}
+
+// TestShardFailedCompactionIsRetried moves a shard's directory away under
+// it: appends still reach the open log, but the compaction a cleaning asks
+// for cannot create its temp file. The write that set the cleaning off is
+// logged yet returns the error (a networked owner leaves it unacked), which
+// Durability().Err keeps. Writes after it do not rewrite the shard again;
+// once the directory is back, the next cleaning compacts — with fsync on,
+// the directory fsync included.
+func TestShardFailedCompactionIsRetried(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "shard")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	sh, err := OpenShard(filepath.Join(dir, "shard.wal"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Abandon()
+	big := make([]byte, 40<<10)
+	put := func(key uint64, val []byte, ver uint64) {
+		t.Helper()
+		if err := sh.Put(key, val, ver); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(1, big, 1)
+	put(1, big, 2)
+	if err := os.Rename(dir, dir+".away"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Put(1, big, 3); err == nil { // 80 KiB dead: a cleaning
+		t.Fatal("a compaction with no directory to write in returned no error")
+	}
+	put(2, []byte("x"), 4) // no cleaning, no second attempt
+	if ds := sh.Durability(); ds.Err == "" || ds.Snapshots != 0 || ds.WALRecords != 4 {
+		t.Fatalf("after the failed compaction: %+v", ds)
+	}
+	if err := os.Rename(dir+".away", dir); err != nil {
+		t.Fatal(err)
+	}
+	put(1, big, 5)
+	put(1, big, 6) // 80 KiB dead again: the next cleaning
+	if ds := sh.Durability(); ds.Snapshots != 1 || ds.WALRecords != 2 || ds.DurableVersion != 6 {
+		t.Fatalf("after the next cleaning: %+v", ds)
+	}
+	sh.Abandon()
+	re := openTestShard(t, dir)
+	defer re.Abandon()
+	if v, _ := re.Get(1); len(v) != len(big) || shardImage(re, 3)[2] != "x" {
+		t.Fatalf("reopened: key 1 holds %d bytes, image %v", len(v), shardImage(re, 3))
+	}
+}
+
+// TestShardRefusesCorruptParentSnapshot opens a parent-format directory
+// whose snapshot is damaged: the open fails, and neither file is touched —
+// the snapshot is not unlinked and the log not compacted over it.
+func TestShardRefusesCorruptParentSnapshot(t *testing.T) {
+	dir := copyFixture(t, "parent-format")
+	snap, wal := filepath.Join(dir, "shard.snap"), filepath.Join(dir, "shard.wal")
+	raw, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snap, raw[:len(raw)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh, err := OpenShard(wal, false); err == nil {
+		sh.Abandon()
+		t.Fatal("a damaged snapshot opened")
+	}
+	after, err := os.ReadFile(wal)
+	if _, serr := os.Stat(snap); err != nil || serr != nil || !bytes.Equal(before, after) {
+		t.Fatalf("the failed open touched the directory: log err %v, snapshot err %v, log changed %v", err, serr, !bytes.Equal(before, after))
 	}
 }

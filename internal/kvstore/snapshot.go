@@ -5,85 +5,30 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"path/filepath"
 )
 
-// Snapshot files compact a shard's WAL: the full shard image at one
-// version watermark, after which the log restarts empty. The file reuses
-// the WAL's CRC frame: frame 0 is a header (magic + uvarint version
-// watermark), every following frame is one record in WAL payload
-// encoding. Snapshots are written to a temp file and renamed into place,
-// so a crash mid-snapshot leaves the previous snapshot (or none) intact —
-// a snapshot is either whole or absent, never torn.
+// A shard.snap beside a WAL is the parent format's compaction, which nothing
+// writes any more: the shard image at a version watermark, after which the
+// log restarted. It reuses the WAL's CRC frame: a header frame (magic +
+// uvarint watermark), then one frame per record. Shard.open replays it under
+// its log, compacts the log and unlinks it.
 var snapMagic = []byte("grsnap1\n")
 
-// writeSnapshot atomically writes a snapshot at path. iter must call emit
-// once per record; version is the shard's durable-version watermark.
-// Returns the file's size.
-func writeSnapshot(path string, version uint64, iter func(emit func(op WALOp, key, ver uint64, val []byte))) (int64, error) {
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
+// parentFormat reports whether the snapshot at snap must be replayed under
+// the log at wal: it exists, and the log does not open with the mark a
+// compaction writes — a snapshot beside a compacted log is stale.
+func parentFormat(wal, snap string) bool {
+	if _, err := os.Stat(snap); os.IsNotExist(err) {
+		return false
+	}
+	f, err := os.Open(wal)
 	if err != nil {
-		return 0, fmt.Errorf("kvstore: snapshot temp: %w", err)
+		return true
 	}
-	defer os.Remove(tmp.Name()) // no-op after the rename succeeds
-	bw := bufio.NewWriterSize(tmp, 1<<16)
-	bp := walBufPool.Get().(*[]byte)
-	defer func() { walBufPool.Put(bp) }()
-
-	var hdrArr [32]byte
-	hdr := append(hdrArr[:0], snapMagic...)
-	hdr = binary.AppendUvarint(hdr, version)
-	*bp = writeFrame(bw, (*bp)[:0], hdr)
-
-	var werr error
-	var total int64
-	iter(func(op WALOp, key, ver uint64, val []byte) {
-		if werr != nil {
-			return
-		}
-		buf := appendRecord((*bp)[:0], op, key, ver, val)
-		total += int64(len(buf))
-		if _, err := bw.Write(buf); err != nil {
-			werr = err
-		}
-		*bp = buf[:0]
-	})
-	if werr == nil {
-		werr = bw.Flush()
-	}
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return 0, fmt.Errorf("kvstore: snapshot write: %w", werr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return 0, fmt.Errorf("kvstore: snapshot rename: %w", err)
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0, fmt.Errorf("kvstore: snapshot stat: %w", err)
-	}
-	return fi.Size(), nil
-}
-
-// writeFrame frames payload (header + CRC) into buf and writes it,
-// returning buf for reuse. Errors surface on the writer's next Flush.
-func writeFrame(w io.Writer, buf, payload []byte) []byte {
-	buf = buf[:0]
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
-	buf = append(buf, payload...)
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, walCRC))
-	w.Write(buf)
-	return buf[:0]
+	defer f.Close()
+	frame, err := readFrame(f, nil)
+	return err != nil || WALOp(frame[0]) != walMark
 }
 
 // loadSnapshot reads the snapshot at path, invoking fn per record. It
@@ -129,28 +74,4 @@ func loadSnapshot(path string, fn func(op WALOp, key, ver uint64, val []byte)) (
 		return 0, 0, fmt.Errorf("kvstore: snapshot %s: corrupt after %d records", path, records)
 	}
 	return version, fi.Size(), nil
-}
-
-// readFrame reads one CRC frame into buf (grown as needed) and returns
-// the payload.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [walHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n == 0 || n > walMaxRecord {
-		return nil, fmt.Errorf("bad frame length %d", n)
-	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	if crc32.Checksum(buf, walCRC) != binary.LittleEndian.Uint32(hdr[4:]) {
-		return nil, fmt.Errorf("frame CRC mismatch")
-	}
-	return buf, nil
 }

@@ -1,11 +1,15 @@
 package kvstore
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 )
 
@@ -23,6 +27,10 @@ const (
 	WALTomb WALOp = 2
 	// WALDrop removes the key entirely.
 	WALDrop WALOp = 3
+	// walMark opens a compacted log: it carries the durable-version
+	// watermark in its version field (key 0, no value) and installs nothing,
+	// so the watermark survives the compaction dropping its key.
+	walMark WALOp = 4
 )
 
 // WAL framing: every record is [4B little-endian payload length]
@@ -45,10 +53,11 @@ var walCRC = crc32.MakeTable(crc32.Castagnoli)
 // single-allocation discipline the gstore codec uses on the fetch path.
 var walBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
 
-// WAL is one shard's append-only write-ahead log. Appends are written to
-// the OS with a single write syscall per record or group of records, so a
-// killed *process* never loses an acknowledged write; Fsync extends that to
-// machine crashes. Safe for concurrent use.
+// WAL is one shard's append-only write-ahead log and its only durable
+// format. Appends are written to the OS with a single write syscall per
+// record or group of records, so a killed *process* never loses an
+// acknowledged write; Fsync extends that to machine crashes. compact
+// replaces the file with its live records. Safe for concurrent use.
 type WAL struct {
 	mu      sync.Mutex
 	f       *os.File
@@ -62,8 +71,10 @@ type WAL struct {
 // OpenWAL opens (creating if absent) the log at path, replays every intact
 // record through apply in append order, truncates any torn tail, and
 // returns the log positioned for appending. apply may be nil when the
-// caller only wants the log open (fresh shard).
+// caller only wants the log open (fresh shard). A compaction's temp file
+// left by a crash before its rename is removed.
 func OpenWAL(path string, fsync bool, apply func(op WALOp, key, ver uint64, val []byte)) (*WAL, error) {
+	os.Remove(path + ".tmp")
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: open wal: %w", err)
@@ -181,22 +192,88 @@ func (w *WAL) Sync() error {
 	return w.f.Sync()
 }
 
-// Reset truncates the log to empty — called after a snapshot has made its
-// contents redundant. The durable-version watermark survives (the
-// snapshot carries it).
-func (w *WAL) Reset() error {
+// compaction is the log rewritten to its temp file, path + ".tmp", and
+// fsynced, on its way to replacing it. One compaction runs at a time, so the
+// name is fixed: a crash's leftover is truncated by the next one.
+type compaction struct {
+	f              *os.File
+	bytes, records int64
+}
+
+// compact replaces the log with a mark carrying its durable-version
+// watermark and the records each emits: rewrite, rename over the log, adopt
+// the new file's descriptor and — when appends fsync — fsync the directory,
+// so a machine crash cannot keep the new file's data and lose its name. A
+// crash before the rename leaves the old log (and a temp file OpenWAL
+// removes), one after it the new. The caller keeps appends out until compact
+// returns.
+func (w *WAL) compact(each func(emit func(op WALOp, key, ver uint64, val []byte))) error {
+	c, err := w.rewrite(each)
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(c.f.Name(), w.path); err != nil {
+		c.f.Close()
+		os.Remove(c.f.Name())
+		return fmt.Errorf("kvstore: compaction rename: %w", err)
+	}
+	w.adopt(c)
+	if w.fsync {
+		return syncDir(filepath.Dir(w.path))
+	}
+	return nil
+}
+
+// rewrite writes the mark and the records each emits to the temp file and
+// fsyncs it.
+func (w *WAL) rewrite(each func(emit func(op WALOp, key, ver uint64, val []byte))) (*compaction, error) {
+	f, err := os.OpenFile(w.path+".tmp", os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("kvstore: compaction temp: %w", err)
+	}
+	c := &compaction{f: f, records: -1} // the mark is no record
+	bw := bufio.NewWriterSize(f, 1<<16)
+	bp := walBufPool.Get().(*[]byte)
+	emit := func(op WALOp, key, ver uint64, val []byte) {
+		*bp = appendRecord((*bp)[:0], op, key, ver, val)
+		bw.Write(*bp) // a failed write sticks, and Flush reports it
+		c.bytes += int64(len(*bp))
+		c.records++
+	}
+	_, _, durVer := w.Stats()
+	emit(walMark, 0, durVer, nil)
+	each(emit)
+	walBufPool.Put(bp)
+	if err = bw.Flush(); err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(f.Name())
+		return nil, fmt.Errorf("kvstore: compaction write: %w", err)
+	}
+	return c, nil
+}
+
+// adopt makes the renamed file the log, its descriptor at its end.
+func (w *WAL) adopt(c *compaction) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.f == nil {
-		return fmt.Errorf("kvstore: wal %s is closed", w.path)
+	w.f.Close()
+	w.f, w.bytes, w.records = c.f, c.bytes, c.records
+}
+
+// syncDir fsyncs directory dir, making a rename in it durable. Windows
+// cannot fsync a directory; NTFS journals the rename itself.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		d.Close()
 	}
-	if err := w.f.Truncate(0); err != nil {
-		return fmt.Errorf("kvstore: wal reset: %w", err)
+	if err != nil && runtime.GOOS != "windows" {
+		return fmt.Errorf("kvstore: fsync dir: %w", err)
 	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("kvstore: wal reset seek: %w", err)
-	}
-	w.bytes, w.records = 0, 0
 	return nil
 }
 
@@ -255,53 +332,68 @@ func replayWAL(path string, fn func(op WALOp, key, ver uint64, val []byte)) (rec
 
 // replayFrames reads frames from r until EOF or the first damaged frame,
 // returning the record count, the byte offset after the last good frame,
-// and the highest version seen. Only an I/O error (not corruption) is an
-// error.
+// and the highest version seen, a mark's included. A mark is not a record:
+// fn never sees it. Only an I/O error (not corruption) is an error.
 func replayFrames(r io.Reader, fn func(op WALOp, key, ver uint64, val []byte)) (records, good int64, maxVer uint64, err error) {
-	br := &byteCounter{r: r}
 	bp := walBufPool.Get().(*[]byte)
 	defer func() { walBufPool.Put(bp) }()
-	var hdr [walHeaderSize]byte
 	for {
-		if _, rerr := io.ReadFull(br, hdr[:]); rerr != nil {
-			if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-				return records, good, maxVer, nil // clean end or torn header
-			}
+		buf, rerr := readFrame(r, *bp)
+		if rerr == io.EOF || rerr == errTorn {
+			return records, good, maxVer, nil // clean end, or the end of the good prefix
+		}
+		if rerr != nil {
 			return records, good, maxVer, fmt.Errorf("kvstore: wal read: %w", rerr)
 		}
-		n := binary.LittleEndian.Uint32(hdr[:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:])
-		if n == 0 || n > walMaxRecord {
-			return records, good, maxVer, nil // corrupt length: end of good prefix
-		}
-		buf := *bp
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
-			*bp = buf
-		}
-		buf = buf[:n]
-		if _, rerr := io.ReadFull(br, buf); rerr != nil {
-			if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-				return records, good, maxVer, nil // torn payload
-			}
-			return records, good, maxVer, fmt.Errorf("kvstore: wal read: %w", rerr)
-		}
-		if crc32.Checksum(buf, walCRC) != sum {
-			return records, good, maxVer, nil // corrupt record: stop here
-		}
+		*bp = buf
 		op, key, ver, val, derr := decodeRecord(buf)
 		if derr != nil {
 			return records, good, maxVer, nil // CRC-valid but malformed: treat as corrupt
 		}
-		records++
-		good = br.n
-		if ver > maxVer {
-			maxVer = ver
+		good += int64(walHeaderSize + len(buf))
+		maxVer = max(maxVer, ver)
+		if op == walMark {
+			continue
 		}
+		records++
 		if fn != nil {
 			fn(op, key, ver, val)
 		}
 	}
+}
+
+// errTorn is readFrame's report of a frame cut short or damaged.
+var errTorn = errors.New("kvstore: torn or damaged frame")
+
+// readFrame reads one CRC frame into buf (grown as needed) and returns its
+// payload. A clean end is io.EOF; a partial header or payload, a bad length
+// or a CRC mismatch is errTorn; any other error is the read's.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	var hdr [walHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			return nil, errTorn
+		}
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[:4])
+	if n == 0 || n > walMaxRecord {
+		return nil, errTorn
+	}
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil, errTorn
+		}
+		return nil, err
+	}
+	if crc32.Checksum(buf, walCRC) != binary.LittleEndian.Uint32(hdr[4:]) {
+		return nil, errTorn
+	}
+	return buf, nil
 }
 
 // decodeRecord parses one CRC-validated payload. The returned val aliases
@@ -311,7 +403,7 @@ func decodeRecord(buf []byte) (op WALOp, key, ver uint64, val []byte, err error)
 		return 0, 0, 0, nil, fmt.Errorf("kvstore: empty wal record")
 	}
 	op = WALOp(buf[0])
-	if op != WALPut && op != WALTomb && op != WALDrop {
+	if op < WALPut || op > walMark {
 		return 0, 0, 0, nil, fmt.Errorf("kvstore: unknown wal op %d", op)
 	}
 	buf = buf[1:]
@@ -335,16 +427,4 @@ func decodeRecord(buf []byte) (op WALOp, key, ver uint64, val []byte, err error)
 		return 0, 0, 0, nil, fmt.Errorf("kvstore: %d trailing wal bytes", len(buf))
 	}
 	return op, key, ver, val, nil
-}
-
-// byteCounter tracks how many bytes have been consumed from r.
-type byteCounter struct {
-	r io.Reader
-	n int64
-}
-
-func (b *byteCounter) Read(p []byte) (int, error) {
-	n, err := b.r.Read(p)
-	b.n += int64(n)
-	return n, err
 }

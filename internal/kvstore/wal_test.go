@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -226,22 +227,45 @@ func TestWALGarbageTail(t *testing.T) {
 	}
 }
 
-func TestWALResetAfterSnapshot(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.wal")
+// TestWALCompactReplacesLog compacts a log three times over: each time the
+// file becomes a mark plus the records emitted, the stats follow it, the
+// durable version holds — live and reopened — though no record carries it
+// any more, appends land in the new file, and no temp file is left beside
+// it.
+func TestWALCompactReplacesLog(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.wal")
 	w := appendRecs(t, path, sampleRecs(10, rand.New(rand.NewSource(8))))
-	if err := w.Reset(); err != nil {
+	for gen := uint64(1); gen <= 3; gen++ {
+		if err := w.compact(func(emit func(op WALOp, key, ver uint64, val []byte)) {
+			emit(WALPut, gen, gen, []byte{byte(gen)})
+			emit(WALTomb, 50, 2, nil)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		size := int64(len(appendRecord(appendRecord(appendRecord(nil, walMark, 0, 10, nil), WALPut, gen, gen, []byte{byte(gen)}), WALTomb, 50, 2, nil)))
+		if b, r, v := w.Stats(); b != size || r != 2 || v != 10 {
+			t.Fatalf("compaction %d: bytes=%d records=%d version=%d, want %d, 2 and 10", gen, b, r, v, size)
+		}
+	}
+	re, err := OpenWAL(path, false, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if b, r, _ := w.Stats(); b != 0 || r != 0 {
-		t.Fatalf("after Reset: bytes=%d records=%d", b, r)
+	if _, r, v := re.Stats(); r != 2 || v != 10 {
+		t.Fatalf("reopened: records=%d version=%d, want 2 and 10", r, v)
 	}
-	if err := w.Append(WALPut, 1, 100, []byte("x")); err != nil {
+	re.Close()
+	if err := w.Append(WALPut, 1, 301, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
-	got := replayRecs(t, path)
-	if len(got) != 1 || got[0].key != 1 {
-		t.Fatalf("replay after reset: %+v", got)
+	want := []walRec{{WALPut, 3, 3, []byte{3}}, {WALTomb, 50, 2, nil}, {WALPut, 1, 301, []byte("x")}}
+	if got := replayRecs(t, path); !recsEqual(got, want) {
+		t.Fatalf("replay after compactions: %+v, want %+v", got, want)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("files beside the log: %v (%v)", ents, err)
 	}
 }
 
@@ -283,29 +307,32 @@ func TestWALAbandonKeepsWrittenRecords(t *testing.T) {
 	}
 }
 
+// parentSnap is the parent format's snapshot committed under testdata:
+// keys 0..9, value "snap<k>", all at version 0 under watermark 100, written
+// by the parent's own writeSnapshot.
+const parentSnap = "testdata/parent-format/shard.snap"
+
 func TestSnapshotRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.snap")
-	recs := sampleRecs(100, rand.New(rand.NewSource(10)))
-	n, err := writeSnapshot(path, 4242, func(emit func(op WALOp, key, ver uint64, val []byte)) {
-		for _, r := range recs {
-			emit(r.op, r.key, r.ver, r.val)
-		}
-	})
-	if err != nil || n <= 0 {
-		t.Fatalf("writeSnapshot: n=%d err=%v", n, err)
-	}
 	var got []walRec
-	ver, size, err := loadSnapshot(path, func(op WALOp, key, ver uint64, val []byte) {
+	ver, size, err := loadSnapshot(parentSnap, func(op WALOp, key, ver uint64, val []byte) {
 		got = append(got, walRec{op, key, ver, append([]byte(nil), val...)})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ver != 4242 || size != n {
-		t.Fatalf("loadSnapshot: ver=%d size=%d want 4242/%d", ver, size, n)
+	fi, err := os.Stat(parentSnap)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !recsEqual(got, recs) {
-		t.Fatalf("snapshot mismatch: %d vs %d records", len(got), len(recs))
+	if ver != 100 || size != fi.Size() {
+		t.Fatalf("loadSnapshot: ver=%d size=%d want 100/%d", ver, size, fi.Size())
+	}
+	var want []walRec
+	for k := uint64(0); k < 10; k++ {
+		want = append(want, walRec{WALPut, k, 0, []byte(fmt.Sprintf("snap%d", k))})
+	}
+	if !recsEqual(got, want) {
+		t.Fatalf("snapshot records %+v, want %+v", got, want)
 	}
 }
 
@@ -317,20 +344,13 @@ func TestSnapshotMissingLoadsEmpty(t *testing.T) {
 }
 
 func TestSnapshotCorruptionIsAnError(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.snap")
-	if _, err := writeSnapshot(path, 7, func(emit func(op WALOp, key, ver uint64, val []byte)) {
-		emit(WALPut, 1, 1, []byte("abc"))
-		emit(WALPut, 2, 2, []byte("def"))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
+	path := filepath.Join(t.TempDir(), "t.snap")
+	raw, err := os.ReadFile(parentSnap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A truncated snapshot is corruption, not a crash artifact — the write
-	// is atomic, so unlike the WAL it must refuse to load.
+	// was atomic, so unlike the WAL it must refuse to load.
 	if err := os.WriteFile(path, raw[:len(raw)-2], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -343,29 +363,6 @@ func TestSnapshotCorruptionIsAnError(t *testing.T) {
 	}
 	if _, _, err := loadSnapshot(path, nil); err == nil {
 		t.Fatal("garbage file loaded as snapshot")
-	}
-}
-
-func TestSnapshotOverwriteIsAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.snap")
-	for gen := uint64(1); gen <= 3; gen++ {
-		if _, err := writeSnapshot(path, gen, func(emit func(op WALOp, key, ver uint64, val []byte)) {
-			emit(WALPut, gen, gen, []byte{byte(gen)})
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ver, _, err := loadSnapshot(path, nil)
-	if err != nil || ver != 3 {
-		t.Fatalf("latest snapshot: ver=%d err=%v", ver, err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 {
-		t.Fatalf("leftover temp files: %v", ents)
 	}
 }
 
@@ -469,6 +466,8 @@ func TestDecodeRecordRejectsMalformed(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":        {},
 		"bad op":       {9, 1, 1},
+		"op zero":      {0, 1, 1},
+		"mark trailer": {byte(walMark), 0, 1, 0},
 		"torn key":     {byte(WALPut), 0x80},
 		"torn version": append([]byte{byte(WALPut)}, 0x01, 0x80),
 		"short value":  {byte(WALPut), 1, 1, 5, 'a'},

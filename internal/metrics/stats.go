@@ -190,15 +190,17 @@ type StorageCounters struct {
 	// only: the TCP tier has no repair, so it reads 0 there.
 	RepairBytes int64
 	// Durable is the member's durability state: "fresh" (log open,
-	// nothing replayed), "warm" (recovered state from its snapshot + WAL),
+	// nothing replayed), "warm" (recovered state from its WAL),
 	// "crashed" (killed, not yet restarted), or "" when the deployment has
 	// no durability layer (the remaining fields are then zero).
 	Durable string
-	// WALBytes / WALRecords measure the live write-ahead log (records
-	// since the last snapshot compaction).
+	// WALBytes / WALRecords measure the write-ahead log file: the image
+	// its last compaction wrote and the records appended since.
 	WALBytes   int64
 	WALRecords int64
-	// Snapshots counts snapshot compactions taken by this member.
+	// Snapshots counts the compactions of this member's log since it was
+	// opened: each rewrites the file as the live records, once the shard
+	// has cleaned them in memory (the field keeps its older name).
 	Snapshots int64
 	// DurableVersion is the highest write version the member has made
 	// durable — what its rejoin-warm handshake advertises. On the
@@ -207,7 +209,7 @@ type StorageCounters struct {
 	// a shard that does not answer the poll shows the version it announced
 	// when it joined.
 	DurableVersion uint64
-	// ReplayedBytes is the snapshot+WAL volume replayed by the member's
+	// ReplayedBytes is the WAL volume replayed by the member's
 	// most recent local recovery, and RecoverNanos how long that replay
 	// took: together the shard's warm-restart cost.
 	ReplayedBytes int64

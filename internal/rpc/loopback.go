@@ -61,8 +61,7 @@ type Deployment struct {
 // Loopback starts the deployment cfg describes over g, the networked
 // counterpart of core.NewSystem(g, cfg):
 //   - StorageServers shards, each durable under StorageDir/<slot> when
-//     StorageDir is set (compacting every StorageSnapshotEvery records),
-//     loaded with g at StorageReplicas;
+//     StorageDir is set, loaded with g at StorageReplicas;
 //   - Processors processors with CacheBytes of cache each (a cache that
 //     stores nothing under PolicyNoCache), reading at StorageReplicas;
 //   - a router whose tables follow cfg's Landmarks, MinSeparation,
@@ -140,12 +139,7 @@ func (d *Deployment) serveShard(slot int, addr string) (*StorageServer, error) {
 	if d.cfg.StorageDir == "" {
 		return NewStorageServer(addr)
 	}
-	ss, err := NewStorageServerDurable(addr, filepath.Join(d.cfg.StorageDir, strconv.Itoa(slot)), false)
-	if err != nil {
-		return nil, err
-	}
-	ss.SetSnapshotEvery(d.cfg.StorageSnapshotEvery)
-	return ss, nil
+	return NewStorageServerDurable(addr, filepath.Join(d.cfg.StorageDir, strconv.Itoa(slot)), false)
 }
 
 // serveProcessor starts one more processor over the shards.

@@ -20,7 +20,7 @@ import (
 )
 
 // StorageServer is one shard of the networked storage tier: a
-// kvstore.Shard — the same log, WAL, snapshot and recovery the in-process
+// kvstore.Shard — the same log, WAL, compaction and recovery the in-process
 // tier runs — served over TCP. Which servers own which key is decided
 // by the clients (murmur hash when unreplicated, rendezvous hashing over
 // the shard list with R replicas otherwise — as RAMCloud's coordinator
@@ -57,10 +57,11 @@ func NewStorageServer(addr string) (*StorageServer, error) {
 }
 
 // NewStorageServerDurable starts a storage shard whose writes survive a
-// crash: every put is appended to a WAL under dir before it is acked, and
-// the shard compacts into a snapshot periodically. Starting over a
-// directory left by a previous (even killed) process replays snapshot +
-// WAL first, so the shard comes back warm with every acked write. With
+// crash: every put is appended to a WAL under dir (dir/shard.wal) before it
+// is acked, and the WAL compacts whenever the shard cleans its records.
+// Starting over a directory left by a previous (even killed) process
+// replays the WAL first — and migrates a parent-format shard.snap into it —
+// so the shard comes back warm with every acked write. With
 // fsync true each append is fsynced (machine-crash durable); false keeps
 // a single write syscall per put frame (process-death durable).
 func NewStorageServerDurable(addr, dir string, fsync bool) (*StorageServer, error) {
@@ -70,7 +71,7 @@ func NewStorageServerDurable(addr, dir string, fsync bool) (*StorageServer, erro
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("rpc: storage wal dir: %w", err)
 	}
-	shard, err := kvstore.OpenShard(filepath.Join(dir, "shard.wal"), filepath.Join(dir, "shard.snap"), 0, fsync)
+	shard, err := kvstore.OpenShard(filepath.Join(dir, "shard.wal"), fsync)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: storage recovery: %w", err)
 	}
@@ -108,11 +109,6 @@ func (s *StorageServer) Close() error {
 	s.shard.Abandon()
 	return err
 }
-
-// SetSnapshotEvery overrides how many WAL records the shard accumulates
-// before compacting into a snapshot (n <= 0 restores the default). No-op
-// without durability.
-func (s *StorageServer) SetSnapshotEvery(n int) { s.shard.SetSnapshotEvery(n) }
 
 // SyncWAL fsyncs the shard's WAL so every acked write is durable against
 // machine crash, not just process death. No-op without durability.

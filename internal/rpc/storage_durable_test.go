@@ -155,28 +155,56 @@ func TestStoragePutBatchConcurrent(t *testing.T) {
 	}
 }
 
-// TestStorageServerDurableSnapshotCompaction drives a durable shard past
-// its snapshot threshold and checks the WAL is truncated, the snapshot
-// file exists, and a restart over snapshot + short WAL still recovers
-// everything.
+// callOK sends req on a direct connection to addr and fails the test unless
+// the shard accepts it.
+func callOK(t *testing.T, addr string, req *Request) Response {
+	t.Helper()
+	cn, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cn.Close()
+	resp, err := cn.Call(context.Background(), req)
+	if err != nil {
+		t.Fatalf("%v of key %d: %v", req.Op, req.Key, err)
+	}
+	return resp
+}
+
+// overwrite puts a size-byte value under each of keys, rounds times over,
+// through a direct connection to one shard.
+func overwrite(t *testing.T, addr string, keys []uint64, size, rounds int) {
+	t.Helper()
+	for r := 0; r < rounds; r++ {
+		for _, k := range keys {
+			callOK(t, addr, &Request{Op: OpPut, Key: k, Value: bytes.Repeat([]byte{byte(r)}, size)})
+		}
+	}
+}
+
+// TestStorageServerDurableSnapshotCompaction overwrites a durable shard's
+// keys until it cleans its records and checks the WAL was compacted to the
+// live records — no snapshot file beside it — and a restart over the
+// compacted log still recovers everything.
 func TestStorageServerDurableSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := NewStorageServerDurable("127.0.0.1:0", dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetSnapshotEvery(50)
 	const n = 130
 	putKeys(t, srv.Addr(), n)
+	// 8 KiB overwrites of four keys: ten rounds leave 288 KiB dead.
+	overwrite(t, srv.Addr(), []uint64{0, 1, 2, 3}, 8<<10, 10)
 	st := srv.Stats().Storage
 	if st.Snapshots == 0 {
-		t.Fatal("no snapshot written past the threshold")
+		t.Fatal("no compaction once the records were cleaned")
 	}
-	if st.WALRecords >= 50 {
-		t.Fatalf("WAL not truncated by compaction: %d records", st.WALRecords)
+	if st.WALRecords >= n+40 {
+		t.Fatalf("WAL not compacted: %d records", st.WALRecords)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "shard.snap")); err != nil {
-		t.Fatalf("snapshot file: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "shard.snap")); !os.IsNotExist(err) {
+		t.Fatalf("a snapshot file beside the log (err=%v)", err)
 	}
 	addr := srv.Addr()
 	srv.Close()
@@ -189,43 +217,77 @@ func TestStorageServerDurableSnapshotCompaction(t *testing.T) {
 	if st := restarted.Stats().Storage; st.Keys != n || st.Durable != "warm" {
 		t.Fatalf("restart after compaction: keys %d state %q", st.Keys, st.Durable)
 	}
+	if v, ok := storedAt(t, addr, 3); !ok || len(v) != 8<<10 || v[0] != 9 {
+		t.Fatalf("key 3 after the restart: found=%v, %d bytes", ok, len(v))
+	}
 }
 
 // TestStorageServerDurableCrashLoopCompacts restarts a durable shard again
-// and again before any single life reaches the snapshot threshold: the
-// replayed WAL records must count toward it, or the log grows (and every
-// restart replays all of it) for ever.
+// and again, each life overwriting four keys with 12 KiB values: 48 KiB, too
+// little for one life's writes to reach the 64 KiB a cleaning needs. The
+// replayed records count toward it, so the log still compacts and does not
+// grow (with every restart replaying all of it) for ever.
 func TestStorageServerDurableCrashLoopCompacts(t *testing.T) {
 	dir := t.TempDir()
 	addr := "127.0.0.1:0"
-	const n = 40
+	keys := []uint64{0, 1, 2, 3}
+	const lives, size = 8, 12 << 10
 	for life := 0; ; life++ {
 		srv, err := NewStorageServerDurable(addr, dir, false)
 		if err != nil {
 			t.Fatalf("life %d: %v", life, err)
 		}
-		srv.SetSnapshotEvery(50)
 		addr = srv.Addr()
-		if life == 5 {
+		if life == lives {
 			defer srv.Close()
 			st := srv.Stats().Storage
-			if st.WALRecords >= 50 || st.Snapshots == 0 {
-				t.Fatalf("after 5 short lives: %d WAL records, %d snapshots", st.WALRecords, st.Snapshots)
+			if st.WALRecords >= int64(lives*len(keys)/2) || st.WALBytes >= int64(lives*len(keys)*size/2) {
+				t.Fatalf("after %d short lives: %d WAL records, %d bytes", lives, st.WALRecords, st.WALBytes)
 			}
-			cn, err := Dial(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cn.Close()
-			for k := uint64(0); k < n; k++ {
-				if resp, err := cn.Call(context.Background(), &Request{Op: OpGet, Key: k}); err != nil || !resp.Found {
-					t.Fatalf("key %d after the crash loop: found=%v err=%v", k, resp.Found, err)
+			for _, k := range keys {
+				if v, ok := storedAt(t, addr, k); !ok || len(v) != size {
+					t.Fatalf("key %d after the crash loop: found=%v, %d bytes", k, ok, len(v))
 				}
 			}
 			return
 		}
-		putKeys(t, addr, n)
+		overwrite(t, addr, keys, size, 1)
 		srv.Close()
+	}
+}
+
+// TestStorageServerDurableVersionHolds drops the shard's highest-versioned
+// key, and the drop sets off the cleaning that compacts the log: no record
+// left carries that version, but the compacted log's mark does, so after a
+// restart the shard still announces it and stamps its next write above it.
+func TestStorageServerDurableVersionHolds(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := NewStorageServerDurable("127.0.0.1:0", dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Addr()
+	overwrite(t, addr, []uint64{1}, 40<<10, 2) // versions 1, 2: 40 KiB dead
+	overwrite(t, addr, []uint64{2}, 30<<10, 1) // version 3
+	if resp := callOK(t, addr, &Request{Op: OpDrop, Key: 2}); !resp.Found {
+		t.Fatal("drop of key 2 found nothing")
+	}
+	if st := srv.Stats().Storage; st.Snapshots != 1 || st.WALRecords != 1 || st.DurableVersion != 3 {
+		t.Fatalf("after the drop: %+v, want one compaction to one record at version 3", st)
+	}
+	srv.Close()
+
+	restarted, err := NewStorageServerDurable(addr, dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	if st := restarted.Stats().Storage; st.DurableVersion != 3 {
+		t.Fatalf("restarted shard announces version %d, want 3", st.DurableVersion)
+	}
+	overwrite(t, addr, []uint64{7}, 1, 1)
+	if st := restarted.Stats().Storage; st.DurableVersion != 4 {
+		t.Fatalf("the first write after the restart took version %d, want 4", st.DurableVersion)
 	}
 }
 

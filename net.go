@@ -25,9 +25,10 @@ func ServeStorage(addr string) (*StorageServer, error) { return rpc.NewStorageSe
 
 // ServeStorageDurable starts a storage shard whose writes survive a
 // crash: every put is appended to a write-ahead log under dir before it
-// is acked, periodically compacted into a snapshot. Starting over a
-// directory left by a previous (even killed) process replays snapshot +
-// WAL, so the shard comes back warm with every acked write and announces
+// is acked, and the log is rewritten as the live records whenever the
+// shard cleans them. Starting over a directory left by a previous (even
+// killed) process replays the log, so the shard comes back warm with
+// every acked write and announces
 // its recovered watermark when it re-registers with a router. With fsync
 // true each append is fsynced (durable against machine crash, not just
 // process death).

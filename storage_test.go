@@ -142,19 +142,19 @@ func TestKillReplicaMidWorkloadTCP(t *testing.T) {
 }
 
 // TestDurableCrashRestartLocal pins the public durability surface on the
-// virtual-time transport: with Config.StorageDir, a crashed shard restarts
-// warm from its WAL directory mid-workload and every answer stays exact.
+// virtual-time transport: with Config.StorageDir, a crashed shard whose log
+// has compacted restarts warm from its WAL directory mid-workload and every
+// answer stays exact.
 func TestDurableCrashRestartLocal(t *testing.T) {
 	g := grouting.GenerateDataset(grouting.WebGraph, 0.03, 11)
 	qs := storageWorkload(g, 41)
 	sys, err := grouting.NewSystem(g, grouting.Config{
-		Policy:               grouting.PolicyHash,
-		Processors:           3,
-		StorageServers:       3,
-		StorageReplicas:      2,
-		StorageDir:           t.TempDir(),
-		StorageSnapshotEvery: 64,
-		Seed:                 1,
+		Policy:          grouting.PolicyHash,
+		Processors:      3,
+		StorageServers:  3,
+		StorageReplicas: 2,
+		StorageDir:      t.TempDir(),
+		Seed:            1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,6 +165,39 @@ func TestDurableCrashRestartLocal(t *testing.T) {
 	}
 	defer cl.Close()
 	ctx := context.Background()
+
+	// Grow a node's record by 300 edges and shrink it back, node after
+	// node, until shard 1 has cleaned its records and compacted its log:
+	// the crash below then replays a compacted image and the tail behind
+	// it. The graph ends as it began, so the oracle still answers from g.
+	for u := grouting.NodeID(0); ; u++ {
+		stats, err := cl.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.PerStorage[1].Snapshots > 0 {
+			break
+		}
+		if int(u) == g.NumNodes() || u == 64 {
+			t.Fatal("shard 1 never compacted its log")
+		}
+		if !g.Exists(u) || g.OutDegree(u) == 0 {
+			continue
+		}
+		label := g.LabelString(g.OutEdges(u)[0].Label)
+		var add, remove []grouting.Mutation
+		for v := grouting.NodeID(0); v < g.MaxNodeID() && len(add) < 300; v++ {
+			if v != u && g.Exists(v) && !g.HasEdge(u, v) {
+				add = append(add, grouting.Mutation{Op: grouting.MutAddEdge, Node: u, To: v, Label: label})
+				remove = append(remove, grouting.Mutation{Op: grouting.MutRemoveEdge, Node: u, To: v})
+			}
+		}
+		for _, muts := range [][]grouting.Mutation{add, remove} {
+			if n, err := cl.Mutate(ctx, muts); err != nil {
+				t.Fatalf("node %d: %d of %d mutations applied: %v", u, n, len(muts), err)
+			}
+		}
+	}
 
 	crash, restart := len(qs)/3, 2*len(qs)/3
 	for i, q := range qs {

@@ -269,6 +269,60 @@ func TestWALCompactReplacesLog(t *testing.T) {
 	}
 }
 
+// TestWALResetAfterSnapshot compacts a log to no records — the snapshot of
+// an empty shard: the file is the mark alone, and the next append is the
+// only record a replay finds.
+func TestWALResetAfterSnapshot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.wal")
+	w := appendRecs(t, path, sampleRecs(10, rand.New(rand.NewSource(8))))
+	if err := w.compact(func(func(op WALOp, key, ver uint64, val []byte)) {}); err != nil {
+		t.Fatal(err)
+	}
+	mark := int64(len(appendRecord(nil, walMark, 0, 10, nil)))
+	if b, r, _ := w.Stats(); b != mark || r != 0 {
+		t.Fatalf("after an empty compaction: bytes=%d records=%d, want %d and 0", b, r, mark)
+	}
+	if err := w.Append(WALPut, 1, 100, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	got := replayRecs(t, path)
+	if len(got) != 1 || got[0].key != 1 {
+		t.Fatalf("replay after reset: %+v", got)
+	}
+}
+
+// TestSnapshotOverwriteIsAtomic rewrites the log over a temp file that an
+// interrupted compaction left behind: each rewrite replaces the log whole,
+// the latest image is the one a reopen replays, and no temp file is left.
+func TestSnapshotOverwriteIsAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.wal")
+	w := appendRecs(t, path, nil)
+	if err := os.WriteFile(path+".tmp", []byte("half a rewrite"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for gen := uint64(1); gen <= 3; gen++ {
+		if err := w.compact(func(emit func(op WALOp, key, ver uint64, val []byte)) {
+			emit(WALPut, gen, gen, []byte{byte(gen)})
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	want := []walRec{{WALPut, 3, 3, []byte{3}}}
+	if got := replayRecs(t, path); !recsEqual(got, want) {
+		t.Fatalf("latest image: %+v, want %+v", got, want)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 {
+		t.Fatalf("leftover temp files: %v", ents)
+	}
+}
+
 // TestWALUnrepairableAppendClosesLog takes the file away under the log: the
 // append fails, the file cannot be cut back to its good length either, and
 // from then on the log is closed — every later append fails instead of

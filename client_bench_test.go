@@ -250,8 +250,8 @@ func durableShards(t *testing.T) []string {
 // graph record on two durable shards at R=2, dial and pings included. The
 // records travel ≈ 300 to an OpMultiPut frame, and a frame costs a shard its
 // four crossings plus one WAL write however many records it carries: measured
-// 0.04. It was 10.0 while every record was its own OpPut round trip and its
-// own WAL write on each of its two replicas — 2 × (4 + 1).
+// 0.04. It was 10.0 while every record was its own single-key put round
+// trip and its own WAL write on each of its two replicas — 2 × (4 + 1).
 const loadCrossingsBudget = 0.5
 
 // TestLoadCrossingsBudget regenerates the loader's row of README's crossings
@@ -283,9 +283,9 @@ func TestLoadCrossingsBudget(t *testing.T) {
 // test sends none, so every 128th mutation finds the three backlogs past their
 // bound and delivers them itself (3 × 4, ≈ 0.1 per mutation). Measured 19.6,
 // plus the same margin as the query budget. It was 34.0 while the pre-images
-// were two serial OpGets (8) and every mutation fanned an OpEvict out to
+// were two serial single-key gets (8) and every mutation fanned an OpEvict out to
 // every processor (3 × 4), and 44.0 while each record also went to each
-// replica as its own OpPut.
+// replica as its own single-key put.
 const mutateCrossingsBudget = 20.1
 
 // upsertCrossingsBudget is the same ledger for a node upsert: one record, so

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"encoding/binary"
+	"fmt"
 	"maps"
 	"reflect"
 	"slices"
@@ -15,10 +16,12 @@ import (
 // Envelope field bitmaps. Each envelope encodes a presence bitmap followed
 // by the present fields in bit order; an absent field decodes as its zero
 // value. Both sides are op-agnostic — the handler layer, not the codec,
-// decides which fields an op is allowed to use (exactly as with gob).
+// decides which fields an op is allowed to use (exactly as with gob). A
+// retired field's bit stays reserved, and a decoder refuses a bit it does not
+// know: a peer that still sends a retired field fails loudly, not misparsed.
 const (
-	reqKey = 1 << iota
-	reqValue
+	_ = 1 << iota // retired: the single key of the old OpGet / OpPut / OpDrop
+	_             // retired: the single value of the old OpPut
 	reqKeys
 	reqExec
 	reqAddr
@@ -28,11 +31,12 @@ const (
 	reqMuts
 	reqOverrides
 	reqValues
+	reqKnown = reqKeys | reqExec | reqAddr | reqProc | reqTier | reqVersion | reqMuts | reqOverrides | reqValues
 )
 
 const (
-	respValue = 1 << iota
-	respFound
+	_ = 1 << iota // retired: the single value of the old OpGet
+	_             // retired: the found flag of the old OpGet / OpDrop
 	respValues
 	respResults
 	respPartials
@@ -41,6 +45,7 @@ const (
 	respStats
 	respApplied
 	respHot
+	respKnown = respValues | respResults | respPartials | respEpoch | respProc | respStats | respApplied | respHot
 )
 
 // Response status byte: 0 = OK, 1 = not-OK without an error (unused by the
@@ -103,12 +108,6 @@ func encodeRequestFrame(buf []byte, tag uint64, req *Request, deadline int64, sc
 	buf = binary.AppendUvarint(buf, uint64(deadline))
 
 	var bits uint64
-	if req.Key != 0 {
-		bits |= reqKey
-	}
-	if len(req.Value) > 0 {
-		bits |= reqValue
-	}
 	if len(req.Keys) > 0 {
 		bits |= reqKeys
 	}
@@ -138,12 +137,6 @@ func encodeRequestFrame(buf []byte, tag uint64, req *Request, deadline int64, sc
 	}
 	buf = binary.AppendUvarint(buf, bits)
 
-	if bits&reqKey != 0 {
-		buf = binary.AppendUvarint(buf, req.Key)
-	}
-	if bits&reqValue != 0 {
-		buf = wire.AppendBytes(buf, req.Value)
-	}
 	if bits&reqKeys != 0 {
 		buf = binary.AppendUvarint(buf, uint64(len(req.Keys)))
 		for _, k := range req.Keys {
@@ -204,7 +197,6 @@ func encodeRequestFrame(buf []byte, tag uint64, req *Request, deadline int64, sc
 // shard copies what it stores. Overrides are the exception: always a fresh
 // map, because the placement handler keeps it after the request completes.
 func decodeRequestInto(payload []byte, req *Request) error {
-	value := req.Value
 	keys := req.Keys
 	values, valBuf := req.Values, req.valBuf
 	muts := req.Muts
@@ -214,13 +206,10 @@ func decodeRequestInto(payload []byte, req *Request) error {
 	req.Op = Op(d.U8())
 	req.Deadline = int64(d.Uvarint())
 	bits := d.Uvarint()
+	if bits&^reqKnown != 0 {
+		return fmt.Errorf("rpc: request: unknown field bits %#x", bits&^reqKnown)
+	}
 
-	if bits&reqKey != 0 {
-		req.Key = d.Uvarint()
-	}
-	if bits&reqValue != 0 {
-		req.Value = d.Bytes(value)
-	}
 	if bits&reqKeys != 0 {
 		n := d.Count(maxFrame)
 		keys = keys[:0]
@@ -453,12 +442,6 @@ func encodeResponseFrame(buf []byte, tag uint64, resp *Response, scratch *[]byte
 	}
 
 	var bits uint64
-	if len(resp.Value) > 0 {
-		bits |= respValue
-	}
-	if resp.Found {
-		bits |= respFound
-	}
 	if len(resp.Values) > 0 {
 		bits |= respValues
 	}
@@ -485,9 +468,6 @@ func encodeResponseFrame(buf []byte, tag uint64, resp *Response, scratch *[]byte
 	}
 	buf = binary.AppendUvarint(buf, bits)
 
-	if bits&respValue != 0 {
-		buf = wire.AppendBytes(buf, resp.Value)
-	}
 	if bits&respValues != 0 {
 		buf = binary.AppendUvarint(buf, uint64(len(resp.Values)))
 		for i, v := range resp.Values {
@@ -536,7 +516,6 @@ func encodeResponseFrame(buf []byte, tag uint64, resp *Response, scratch *[]byte
 // into resp, reusing resp's slice capacity — the caller-owned-buffer half
 // of the zero-alloc path.
 func decodeResponseInto(payload []byte, resp *Response) error {
-	value := resp.Value
 	values := resp.Values
 	founds := resp.Founds
 	results := resp.Results
@@ -555,11 +534,10 @@ func decodeResponseInto(payload []byte, resp *Response) error {
 		resp.Code = codeForStatus(status)
 	}
 	bits := d.Uvarint()
-
-	if bits&respValue != 0 {
-		resp.Value = d.Bytes(value)
+	if bits&^respKnown != 0 {
+		return fmt.Errorf("rpc: response: unknown field bits %#x", bits&^respKnown)
 	}
-	resp.Found = bits&respFound != 0
+
 	if bits&respValues != 0 {
 		n := d.Count(maxFrame)
 		if values == nil {

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// startBlockingServer serves a handler where OpGet parks until release is
+// startBlockingServer serves a handler where OpMultiGet parks until release is
 // closed (or the per-request context ends) and every other op answers
 // immediately — a stand-in for one slow query sharing a pipelined
 // connection with fast ones.
@@ -21,12 +21,12 @@ func startBlockingServer(t *testing.T, release <-chan struct{}) string {
 	}
 	t.Cleanup(func() { ln.Close() })
 	go serve(ln, func(ctx context.Context, req *Request) Response {
-		if req.Op == OpGet {
+		if req.Op == OpMultiGet {
 			select {
 			case <-release:
 			case <-ctx.Done():
 			}
-			return Response{OK: true, Found: true, Value: []byte("slow")}
+			return Response{OK: true, Values: [][]byte{[]byte("slow")}, Founds: []bool{true}}
 		}
 		return Response{OK: true}
 	}, nil)
@@ -53,7 +53,7 @@ func TestCancelledCallDoesNotPoisonConn(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	slowErr := make(chan error, 1)
 	go func() {
-		_, err := cn.Call(ctx, &Request{Op: OpGet, Key: 42})
+		_, err := cn.Call(ctx, &Request{Op: OpMultiGet, Keys: []uint64{42}})
 		slowErr <- err
 	}()
 
@@ -119,7 +119,7 @@ func TestPoolSurvivesCancelledCall(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.Call(ctx, &Request{Op: OpGet, Key: 7})
+		_, err := p.Call(ctx, &Request{Op: OpMultiGet, Keys: []uint64{7}})
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)

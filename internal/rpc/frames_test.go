@@ -318,27 +318,41 @@ func startServer(t *testing.T, handle func(context.Context, *Request) Response, 
 	return ln.Addr().String()
 }
 
-// startEchoServer serves a handler that answers OpPut with the value it
-// was sent, keeps the last one for OpGet, and acks everything else.
+// startEchoServer serves a handler that answers OpMultiPut with the first
+// value it was sent, keeps the last one for OpMultiGet, and acks everything
+// else.
 func startEchoServer(t *testing.T, wrap func(net.Conn) net.Conn, ct *connTracker) string {
 	t.Helper()
 	var mu sync.Mutex
 	var last []byte
 	return startServer(t, func(_ context.Context, req *Request) Response {
 		switch req.Op {
-		case OpPut:
-			v := append([]byte(nil), req.Value...)
+		case OpMultiPut:
+			v := append([]byte(nil), req.Values[0]...)
 			mu.Lock()
 			last = v
 			mu.Unlock()
-			return Response{OK: true, Value: v}
-		case OpGet:
+			return Response{OK: true, Values: [][]byte{v}, Founds: []bool{true}}
+		case OpMultiGet:
 			mu.Lock()
 			defer mu.Unlock()
-			return Response{OK: true, Found: true, Value: last}
+			return Response{OK: true, Values: [][]byte{last}, Founds: []bool{true}}
 		}
 		return Response{OK: true}
 	}, wrap, ct)
+}
+
+// echoPut is the OpMultiPut of one value the echo server answers.
+func echoPut(value []byte) *Request {
+	return &Request{Op: OpMultiPut, Keys: []uint64{1}, Values: [][]byte{value}}
+}
+
+// echoed is the value an echo-server reply carries (nil when it has none).
+func echoed(resp *Response) []byte {
+	if len(resp.Values) != 1 {
+		return nil
+	}
+	return resp.Values[0]
 }
 
 // dialThrough is Dial with the client end read through wrap.
@@ -354,7 +368,7 @@ func dialThrough(t *testing.T, addr string, wrap func(net.Conn) net.Conn) *Conn 
 }
 
 // TestLargeFrameThenSmall sends a value far past the read window through
-// both readers (OpPut up, OpGet down) and checks the conn still frames the
+// both readers (OpMultiPut up, OpMultiGet down) and checks the conn still frames the
 // small calls that follow.
 func TestLargeFrameThenSmall(t *testing.T) {
 	for _, path := range readPaths {
@@ -363,12 +377,12 @@ func TestLargeFrameThenSmall(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), stall)
 			defer cancel()
 			value := patterned(3, 1<<20)
-			if _, err := cn.Call(ctx, &Request{Op: OpPut, Key: 1, Value: value}); err != nil {
+			if _, err := cn.Call(ctx, echoPut(value)); err != nil {
 				t.Fatal(err)
 			}
-			resp, err := cn.Call(ctx, &Request{Op: OpGet, Key: 1})
-			if err != nil || !bytes.Equal(resp.Value, value) {
-				t.Fatalf("1 MiB value came back as %d bytes, err = %v", len(resp.Value), err)
+			resp, err := cn.Call(ctx, &Request{Op: OpMultiGet, Keys: []uint64{1}})
+			if err != nil || !bytes.Equal(echoed(&resp), value) {
+				t.Fatalf("1 MiB value came back as %d bytes, err = %v", len(echoed(&resp)), err)
 			}
 			for i := 0; i < 10; i++ {
 				if _, err := cn.Call(ctx, &Request{Op: OpPing}); err != nil {
@@ -414,7 +428,7 @@ func TestBrokenStreamFailsPendingCalls(t *testing.T) {
 	var tooBig [frameHeader]byte
 	binary.LittleEndian.PutUint32(tooBig[:], maxFrame+1)
 	var scratch []byte
-	reply := encodeResponseFrame(nil, 1, &Response{OK: true, Value: patterned(5, 64)}, &scratch)
+	reply := encodeResponseFrame(nil, 1, &Response{OK: true, Values: [][]byte{patterned(5, 64)}, Founds: []bool{true}}, &scratch)
 	for _, path := range readPaths {
 		for _, tc := range []struct {
 			name     string
@@ -627,12 +641,12 @@ func TestPipelinedCallsNeverStall(t *testing.T) {
 						}
 						off := (c*31 + i) % 256
 						value := pattern[off : off+n]
-						if err := cn.CallInto(ctx, &Request{Op: OpPut, Key: uint64(c), Value: value}, &resp); err != nil {
+						if err := cn.CallInto(ctx, &Request{Op: OpMultiPut, Keys: []uint64{uint64(c)}, Values: [][]byte{value}}, &resp); err != nil {
 							t.Errorf("caller %d round %d (%d bytes): %v", c, i, n, err)
 							return
 						}
-						if !bytes.Equal(resp.Value, value) {
-							t.Errorf("caller %d round %d: sent %d bytes, got %d back", c, i, n, len(resp.Value))
+						if !bytes.Equal(echoed(&resp), value) {
+							t.Errorf("caller %d round %d: sent %d bytes, got %d back", c, i, n, len(echoed(&resp)))
 							return
 						}
 					}

@@ -229,24 +229,32 @@ func (r *RouterServer) commit(ctx context.Context, ws ...write) error {
 // rollback restores the pre-images of the given writes on every reachable
 // replica, best effort — the mutation is already failing unacked; this pass
 // only narrows the divergence window — and evicts the keys: a query may have
-// cached the record the failed write left behind for a moment.
+// cached the record the failed write left behind for a moment. The records
+// that existed go back as one PutBatch, whose every shard takes its frame
+// whatever another's answer; the ones that did not are dropped with one
+// OpDrop per shard of their placement.
 // It runs detached from the request's ctx: an expired or cancelled request
 // is the commonest reason to be here, and on that ctx no call would leave.
 func (r *RouterServer) rollback(ctx context.Context, ws []write) {
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), rollbackTimeout)
 	defer cancel()
-	keys := make([]uint64, 0, len(ws))
+	keys := make([]uint64, len(ws))
+	var found []uint64
+	var vals [][]byte
+	drops := make(map[int][]uint64)
 	var arr [topology.MaxReplicas]int
-	for _, w := range ws {
-		keys = append(keys, w.pre.key)
+	for i, w := range ws {
+		keys[i] = w.pre.key
+		if w.pre.found {
+			found, vals = append(found, w.pre.key), append(vals, w.pre.val)
+			continue
+		}
 		for _, slot := range r.storage.placement(w.pre.key, arr[:0]) {
-			if w.pre.found {
-				_ = r.storage.putAt(ctx, slot, w.pre.key, w.pre.val)
-			} else {
-				_ = r.storage.dropAt(ctx, slot, w.pre.key)
-			}
+			drops[slot] = append(drops[slot], w.pre.key)
 		}
 	}
+	_ = r.storage.PutBatch(ctx, found, vals)
+	r.storage.dropAt(ctx, drops)
 	r.invalidate(keys, make([][]byte, len(keys)))
 }
 
@@ -453,16 +461,19 @@ func (r *RouterServer) migrate(ctx context.Context) Response {
 			}
 		}
 		// Then tombstone each key on the old slots its new placement does
-		// not reuse. Best effort: a shard that misses the drop keeps a stale
-		// copy (replayed on restart) the pins already hide from every reader.
+		// not reuse, one OpDrop per slot. Best effort: a shard that misses
+		// the drop keeps stale copies (replayed on restart) the pins already
+		// hide from every reader.
 		if allPushed {
+			drops := make(map[int][]uint64)
 			for _, d := range copied {
 				for _, slot := range d.old {
 					if !slices.Contains(d.move.To, slot) {
-						_ = r.storage.dropAt(ctx, slot, d.move.Key)
+						drops[slot] = append(drops[slot], d.move.Key)
 					}
 				}
 			}
+			r.storage.dropAt(ctx, drops)
 		}
 	}
 	r.heat.Decay()

@@ -30,11 +30,14 @@ func storedAt(t *testing.T, addr string, key uint64) ([]byte, bool) {
 		t.Fatal(err)
 	}
 	defer cn.Close()
-	resp, err := cn.Call(context.Background(), &Request{Op: OpGet, Key: key})
+	resp, err := cn.Call(context.Background(), &Request{Op: OpMultiGet, Keys: []uint64{key}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.Value, resp.Found
+	if len(resp.Values) != 1 || len(resp.Founds) != 1 {
+		t.Fatalf("shard %s answered %d values for 1 key", addr, len(resp.Values))
+	}
+	return resp.Values[0], resp.Founds[0]
 }
 
 // checkOracle runs qs through the router and compares every answer with
@@ -450,6 +453,69 @@ func TestMutateRollbackOnExpiredContext(t *testing.T) {
 	}
 }
 
+// TestRollbackOneFramePerShard rolls back writes whose pre-images are partly
+// absent: every replica of the stored records gets its pre-image bytes back,
+// the records the failed write created are gone from every replica, and no
+// shard is sent more than one OpMultiPut and one OpDrop for the lot.
+func TestRollbackOneFramePerShard(t *testing.T) {
+	ctx := context.Background()
+	servers, addrs := startStorageShards(t, 3)
+	rs, err := NewRouterServer("127.0.0.1:0", RouterConfig{
+		ProcessorAddrs: []string{startStubProc(t).addr()}, StorageAddrs: addrs, StorageReplicas: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+
+	var ws []write
+	var keys []uint64
+	var rewrites [][]byte
+	for k := uint64(1); k <= 8; k++ {
+		pre := preimage{key: k}
+		if k%2 == 0 { // the even records existed before the write
+			pre.val, pre.found = gstore.Encode(nil, &gstore.Record{Node: graph.NodeID(k), NodeLabel: 1}), true
+		}
+		ws = append(ws, write{pre: pre})
+		keys = append(keys, k)
+		rewrites = append(rewrites, gstore.Encode(nil, &gstore.Record{Node: graph.NodeID(k), NodeLabel: 2}))
+	}
+	// The failed write's records, landed on every replica.
+	if err := rs.storage.PutBatch(ctx, keys, rewrites); err != nil {
+		t.Fatal(err)
+	}
+	before := make([]int64, len(servers))
+	wantFrames := make([]int64, len(servers))
+	for i, s := range servers {
+		before[i] = s.Stats().Requests
+		var puts, drops bool
+		for _, w := range ws {
+			if slices.Contains(rs.storage.placement(w.pre.key, nil), i) {
+				puts, drops = puts || w.pre.found, drops || !w.pre.found
+			}
+		}
+		for _, sent := range []bool{puts, drops} {
+			if sent {
+				wantFrames[i]++
+			}
+		}
+	}
+
+	rs.rollback(ctx, ws)
+	for i, s := range servers {
+		if got := s.Stats().Requests - before[i]; got != wantFrames[i] {
+			t.Errorf("shard %d was sent %d frames by the roll-back, want %d", i, got, wantFrames[i])
+		}
+	}
+	for _, w := range ws {
+		for _, slot := range rs.storage.placement(w.pre.key, nil) {
+			if val, found := storedAt(t, addrs[slot], w.pre.key); found != w.pre.found || !bytes.Equal(val, w.pre.val) {
+				t.Errorf("key %d on slot %d after the roll-back: found=%v %x, want found=%v %x", w.pre.key, slot, found, val, w.pre.found, w.pre.val)
+			}
+		}
+	}
+}
+
 // TestStoragePutNeedsEveryReplica pins the client's one write semantic: a
 // record whose placement includes a dead replica is not acked — for a single
 // put, a batch and the bulk loader alike — the error is the typed one, and
@@ -471,10 +537,10 @@ func TestStoragePutNeedsEveryReplica(t *testing.T) {
 	for ; slices.Contains(sc.placement(offDead, nil), 2); offDead++ {
 	}
 	rec := func(key uint64) []byte { return gstore.Encode(nil, &gstore.Record{Node: graph.NodeID(key)}) }
-	if err := sc.Put(ctx, offDead, rec(offDead)); err != nil || sc.down[2].Load() {
+	if err := sc.PutBatch(ctx, []uint64{offDead}, [][]byte{rec(offDead)}); err != nil || sc.down[2].Load() {
 		t.Fatalf("Put clear of the dead replica: err = %v, shard 2 down = %v", err, sc.down[2].Load())
 	}
-	err = sc.Put(ctx, onDead, rec(onDead))
+	err = sc.PutBatch(ctx, []uint64{onDead}, [][]byte{rec(onDead)})
 	if !errors.Is(err, query.ErrUnavailable) {
 		t.Fatalf("Put with a dead replica: err = %v, want ErrUnavailable", err)
 	}

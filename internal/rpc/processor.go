@@ -208,7 +208,7 @@ func (p *ProcessorServer) invalidate(req *Request) {
 }
 
 // netFetcher is the processor's traverse.Fetcher for one request, and the
-// backend of its cache steps: the misses are one StorageClient.MultiGet
+// backend of its cache steps: the misses are one StorageClient.readInto
 // under the request's ctx.
 type netFetcher struct {
 	p       *ProcessorServer
@@ -240,15 +240,7 @@ func unknownNode(id graph.NodeID) error {
 
 // Read implements cache.Backend.
 func (f *netFetcher) Read(ids []graph.NodeID, dst []gstore.FetchResult, _ cache.Counts) error {
-	fetched, err := f.p.storage.MultiGet(f.ctx, ids)
-	if err != nil {
-		return err
-	}
-	for i, id := range ids {
-		rec, ok := fetched[id]
-		dst[i] = gstore.FetchResult{Record: rec, OK: ok}
-	}
-	return nil
+	return f.p.storage.readInto(f.ctx, ids, dst)
 }
 
 // Heat implements cache.Backend: heatCap bounds the keys tracked, and a new

@@ -48,14 +48,12 @@ type Op uint8
 const (
 	// OpPing checks liveness.
 	OpPing Op = 1 + iota
-	// OpGet fetches one value from a storage server.
-	OpGet
+	// Op 2 is retired: a single-key read is an OpMultiGet of one.
+	_
 	// OpMultiGet fetches many values from a storage server.
 	OpMultiGet
-	// OpPut stores one value on one storage server, whatever the key's
-	// placement — the slot-addressed write of a migration copy or a
-	// pre-image restore. Every placement-addressed write is an OpMultiPut.
-	OpPut
+	// Op 4 is retired: a single-key write is an OpMultiPut of one.
+	_
 	// OpExecute runs a batch of one or more queries on a processor (or, via
 	// the router, on whichever processors the routing strategy picks).
 	OpExecute
@@ -95,51 +93,32 @@ const (
 	// (processor role): keys pinned away from their rendezvous placement
 	// by migration resolve through it.
 	OpPlacement
-	// OpDrop deletes one key from a storage shard — the tombstone half of
-	// a copy-then-drop migration. Durable shards log it, so a restart
-	// cannot resurrect the migrated-away copy (storage role).
+	// OpDrop deletes Keys from a storage shard — the tombstone half of a
+	// copy-then-drop migration, and a rolled-back write's restore of a
+	// record that did not exist before it. Durable shards log each present
+	// key, so a restart cannot resurrect a dropped copy (storage role).
 	OpDrop
 	// OpMultiPut stores Values[i] under Keys[i] on a storage server: one
 	// lock acquisition and, on a durable shard, one WAL write for the whole
-	// frame. It is the one client write path — the loader's chunks, a
-	// mutation's rewritten records and a single Put all travel as one
-	// OpMultiPut per shard. The reply is OK or a typed error for the whole
-	// batch: a failed log append leaves all of it unacked.
+	// frame. It is the one write: the loader's chunks, a mutation's
+	// rewritten records and its roll-back travel as one OpMultiPut per
+	// shard of their placement, and a migration copy as one per destination
+	// slot. The reply is OK or a typed error for the whole batch: a failed
+	// log append leaves all of it unacked.
 	OpMultiPut
 )
 
+// opNames names the ops; a retired or unknown one prints as its number.
+var opNames = [...]string{
+	OpPing: "ping", OpMultiGet: "multiget", OpExecute: "execute", OpStats: "stats",
+	OpJoin: "join", OpDrain: "drain", OpMutate: "mutate", OpEvict: "evict",
+	OpHeat: "heat", OpMigrate: "migrate", OpPlacement: "placement", OpDrop: "drop",
+	OpMultiPut: "multiput",
+}
+
 func (op Op) String() string {
-	switch op {
-	case OpPing:
-		return "ping"
-	case OpGet:
-		return "get"
-	case OpMultiGet:
-		return "multiget"
-	case OpPut:
-		return "put"
-	case OpExecute:
-		return "execute"
-	case OpStats:
-		return "stats"
-	case OpJoin:
-		return "join"
-	case OpDrain:
-		return "drain"
-	case OpMutate:
-		return "mutate"
-	case OpEvict:
-		return "evict"
-	case OpHeat:
-		return "heat"
-	case OpMigrate:
-		return "migrate"
-	case OpPlacement:
-		return "placement"
-	case OpDrop:
-		return "drop"
-	case OpMultiPut:
-		return "multiput"
+	if int(op) < len(opNames) && opNames[op] != "" {
+		return opNames[op]
 	}
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
@@ -157,14 +136,12 @@ type HotKey struct {
 // full union.
 type Request struct {
 	Op Op
-	// Key and Value serve OpGet / OpPut / OpDrop.
-	Key   uint64
-	Value []byte
-	// Keys serves OpMultiGet, OpEvict and OpMultiPut — and OpExecute on the
-	// router → processor leg, where it names the records a processor must
-	// bring up to date in its cache before it runs the frame's queries (the
-	// invalidations of mutations acked since the processor last answered a
-	// frame). Absent when empty, like every field.
+	// Keys serves OpMultiGet, OpMultiPut, OpDrop and OpEvict — and OpExecute
+	// on the router → processor leg, where it names the records a processor
+	// must bring up to date in its cache before it runs the frame's queries
+	// (the invalidations of mutations acked since the processor last
+	// answered a frame). Absent when empty, like every field. Every storage
+	// op is batched: a single key travels as a Keys of one.
 	Keys []uint64
 	// Values serves OpMultiPut, positionally aligned with Keys — and an
 	// OpExecute frame's invalidations: Values[i] is Keys[i]'s edit stream
@@ -188,8 +165,8 @@ type Request struct {
 	// the targeted tier's.
 	Tier string
 	// Version serves OpJoin for the storage tier: the joining shard's
-	// durable version watermark (records recovered from its local WAL +
-	// snapshot). A restarting shard announces how warm it came back, so
+	// durable version watermark (records recovered from its local WAL).
+	// A restarting shard announces how warm it came back, so
 	// the router's topology view can distinguish a cold joiner (0) from a
 	// warm rejoin. Zero for non-durable shards and processor joins. On an
 	// OpExecute frame that carries Keys it is the router's sequence number
@@ -229,10 +206,9 @@ type Response struct {
 	OK   bool
 	Err  string
 	Code ErrCode
-	// Value and Found serve OpGet.
-	Value []byte
-	Found bool
-	// Values and Founds serve OpMultiGet.
+	// Values and Founds serve OpMultiGet, positionally aligned with the
+	// request's Keys: Founds[i] false means no record is stored under
+	// Keys[i].
 	Values [][]byte
 	Founds []bool
 	// Results serves OpExecute, positionally aligned with Exec.Queries.

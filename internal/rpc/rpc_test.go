@@ -47,22 +47,22 @@ func TestStorageGetPut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cn.Close()
-	if _, err := cn.Call(ctx, &Request{Op: OpPut, Key: 7, Value: []byte("v7")}); err != nil {
+	if _, err := cn.Call(ctx, &Request{Op: OpMultiPut, Keys: []uint64{7}, Values: [][]byte{[]byte("v7")}}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := cn.Call(ctx, &Request{Op: OpGet, Key: 7})
+	resp, err := cn.Call(ctx, &Request{Op: OpMultiGet, Keys: []uint64{7}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Found || string(resp.Value) != "v7" {
-		t.Fatalf("get = %+v", resp)
+	if got := fmt.Sprintf("%q %v", resp.Values, resp.Founds); got != `["v7"] [true]` {
+		t.Fatalf("get = %s", got)
 	}
-	resp, err = cn.Call(ctx, &Request{Op: OpGet, Key: 8})
+	resp, err = cn.Call(ctx, &Request{Op: OpMultiGet, Keys: []uint64{8}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Found {
-		t.Fatal("missing key found")
+	if len(resp.Founds) != 1 || resp.Founds[0] {
+		t.Fatalf("missing key: founds = %v", resp.Founds)
 	}
 	// A batch overwrites and creates in one frame; a batch whose values do
 	// not line up with its keys, or that names none, is refused whole with
@@ -75,9 +75,10 @@ func TestStorageGetPut(t *testing.T) {
 		{Op: OpMultiPut, Keys: []uint64{7, 10}, Values: [][]byte{[]byte("short")}},
 		{Op: OpMultiPut, Keys: []uint64{10}, Values: [][]byte{[]byte("a"), []byte("b")}},
 		{Op: OpMultiPut, Values: [][]byte{[]byte("keyless")}},
+		{Op: OpDrop},
 	} {
 		if _, err := cn.Call(ctx, bad); !errors.Is(err, query.ErrBadQuery) {
-			t.Fatalf("multiput of %d keys, %d values: err = %v, want ErrBadQuery", len(bad.Keys), len(bad.Values), err)
+			t.Fatalf("%s of %d keys, %d values: err = %v, want ErrBadQuery", bad.Op, len(bad.Keys), len(bad.Values), err)
 		}
 	}
 	resp, err = cn.Call(ctx, &Request{Op: OpMultiGet, Keys: []uint64{7, 9, 10}})
@@ -107,8 +108,11 @@ func TestStorageUnknownOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cn.Close()
-	if _, err := cn.Call(context.Background(), &Request{Op: Op(99)}); err == nil {
-		t.Fatal("bogus op accepted")
+	// 2 and 4 are the retired single-key get and put.
+	for _, op := range []Op{99, 2, 4} {
+		if _, err := cn.Call(context.Background(), &Request{Op: op, Keys: []uint64{7}}); err == nil {
+			t.Fatalf("bogus %s accepted", op)
+		}
 	}
 }
 
@@ -494,7 +498,7 @@ func TestEnvelopeEncodedSize(t *testing.T) {
 	if n := reqFrameSize(t, ping); n > 8 {
 		t.Errorf("ping frame encodes to %d bytes, want <= 8", n)
 	}
-	get := &Request{Op: OpGet, Key: 123456789}
+	get := &Request{Op: OpMultiGet, Keys: []uint64{123456789}}
 	if n := reqFrameSize(t, get); n > 16 {
 		t.Errorf("get frame encodes to %d bytes, want <= 16", n)
 	}

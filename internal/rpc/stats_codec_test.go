@@ -59,7 +59,10 @@ func readGolden(t *testing.T, name string) []byte {
 // Failovers, RepairBytes and RecoverNanos as 0x00 each) — length prefix
 // 0x10f → 0x113, +4 B. The second, a router's, lost the
 // thirteen zero bytes and gained Storage's absent-pointer byte — 0x222 →
-// 0x216, −12 B. Every other byte is the hand codec's, length prefix aside.
+// 0x216, −12 B. When the single-key get (op 2) retired, its Value and Found
+// bits with it, the first file lost Value's 01 76 ("v") and its bitmap went
+// ff07 → fc07: length prefix 0x113 → 0x111, −2 B. Every other byte is the
+// hand codec's, length prefix aside.
 func TestGoldenFrames(t *testing.T) {
 	for _, tc := range []struct {
 		file string
@@ -92,7 +95,11 @@ func TestGoldenFrames(t *testing.T) {
 // uses (it once followed map iteration). The third frame, appended when
 // invalidations began to carry edits, is executeEditsRequest's: the edit
 // streams ride as Values and their sequence number as Version, fields the
-// envelope already had, so the first two frames did not move.
+// envelope already had, so the first two frames did not move. When the
+// single-key Key and Value fields retired, the first frame lost Key's
+// a797b107 (15485863) and Value's 0d "payload-bytes", and its bitmap went
+// ff07 → fc07: length prefix 0xc7 → 0xb5, −18 B. The other two frames did
+// not move.
 func TestGoldenRequestFrames(t *testing.T) {
 	want := readGolden(t, "full_request.hex")
 	var scratch []byte

@@ -119,22 +119,11 @@ func (s *StorageServer) handle(_ context.Context, req *Request) Response {
 	switch req.Op {
 	case OpPing:
 		return Response{OK: true}
-	case OpGet:
-		v, ok := s.shard.Get(req.Key)
-		if !ok {
-			s.misses.Add(1)
-		}
-		return Response{OK: true, Value: v, Found: ok}
 	case OpMultiGet:
 		resp := Response{OK: true, Values: make([][]byte, len(req.Keys)), Founds: make([]bool, len(req.Keys))}
 		_, misses := s.shard.GetInto(req.Keys, resp.Values, resp.Founds)
 		s.misses.Add(int64(misses))
 		return resp
-	case OpPut:
-		if err := s.shard.Put(req.Key, req.Value, s.writes.Add(1)); err != nil {
-			return errorResponse(fmt.Errorf("storage wal: %w", err))
-		}
-		return Response{OK: true}
 	case OpMultiPut:
 		n := uint64(len(req.Keys))
 		if n == 0 || uint64(len(req.Values)) != n {
@@ -145,14 +134,18 @@ func (s *StorageServer) handle(_ context.Context, req *Request) Response {
 		}
 		return Response{OK: true}
 	case OpDrop:
-		// The tombstone half of a copy-then-drop migration: the key leaves
-		// the shard, and on a durable shard the drop is WAL-logged so a
+		// The tombstone half of a copy-then-drop migration: the keys leave
+		// the shard, and on a durable shard each drop is WAL-logged so a
 		// restart replays it and cannot resurrect the migrated-away copy.
-		found, err := s.shard.Drop(req.Key)
-		if err != nil {
-			return errorResponse(fmt.Errorf("storage wal: %w", err))
+		if len(req.Keys) == 0 {
+			return errorResponse(fmt.Errorf("%w: drop carries no keys", query.ErrBadQuery))
 		}
-		return Response{OK: true, Found: found}
+		for _, k := range req.Keys {
+			if _, err := s.shard.Drop(k); err != nil {
+				return errorResponse(fmt.Errorf("storage wal: %w", err))
+			}
+		}
+		return Response{OK: true}
 	case OpStats:
 		st := s.Stats()
 		return Response{OK: true, Stats: &st}
@@ -192,7 +185,7 @@ type probeState struct {
 // in-process store places by: murmur at R = 1, rendezvous over R shards at
 // R >= 2; a key a migration moved lives where its pin says. There is one write path, PutBatch — one
 // OpMultiPut frame per shard, every replica or fail unacked — under the
-// loader's chunks, a mutation's records and a single Put alike; reads prefer
+// loader's chunks, a mutation's records and its roll-back alike; reads prefer
 // the highest-scored healthy replica with transparent failover: a shard that
 // fails a call is marked down (per-replica health), its keys retry on their
 // next replica, and a background probe revives it when it answers pings
@@ -458,12 +451,6 @@ func (sc *StorageClient) placement(key uint64, dst []int) []int {
 	return kvstore.Place(key, sc.slots, sc.replicas, kvstore.MurmurPlacer{}, dst)
 }
 
-// shardFor returns the shard a read of key prefers.
-func (sc *StorageClient) shardFor(key uint64) int {
-	var buf [topology.MaxReplicas]int
-	return sc.placement(key, buf[:0])[0]
-}
-
 // call sends one request to one shard, marking the shard down when the
 // call fails for any reason but the caller's own cancellation.
 func (sc *StorageClient) call(ctx context.Context, shard int, req *Request) (Response, error) {
@@ -487,12 +474,6 @@ func errUnplaced(key uint64) error {
 func (sc *StorageClient) Get(ctx context.Context, key uint64) (val []byte, found bool, err error) {
 	err = sc.getBatch(ctx, []uint64{key}, func(_ int, v []byte, ok bool) { val, found = v, ok })
 	return val, found, err
-}
-
-// Put stores one encoded record on every replica of its placement:
-// PutBatch of one.
-func (sc *StorageClient) Put(ctx context.Context, key uint64, value []byte) error {
-	return sc.PutBatch(ctx, []uint64{key}, [][]byte{value})
 }
 
 // PutBatch stores vals[i] under keys[i] on every replica of each key's
@@ -540,18 +521,20 @@ func (sc *StorageClient) PutBatch(ctx context.Context, keys []uint64, vals [][]b
 	return firstErr
 }
 
-// putAt stores value under key on one shard, whatever key's placement: the
-// migration copy and the pre-image restore.
+// putAt stores value under key on one shard, whatever key's placement — a
+// migration copy — as an OpMultiPut of one.
 func (sc *StorageClient) putAt(ctx context.Context, shard int, key uint64, value []byte) error {
-	_, err := sc.call(ctx, shard, &Request{Op: OpPut, Key: key, Value: value})
+	_, err := sc.call(ctx, shard, &Request{Op: OpMultiPut, Keys: []uint64{key}, Values: [][]byte{value}})
 	return err
 }
 
-// dropAt tombstones key on one shard: a migration's old copy, or the
-// restore of a record that did not exist before a rolled-back write.
-func (sc *StorageClient) dropAt(ctx context.Context, shard int, key uint64) error {
-	_, err := sc.call(ctx, shard, &Request{Op: OpDrop, Key: key})
-	return err
+// dropAt tombstones drops[slot] on each slot, one OpDrop frame per slot,
+// whatever the keys' placement — a migration's old copies, or the records a
+// rolled-back write created. Best effort: both callers ignore a failure.
+func (sc *StorageClient) dropAt(ctx context.Context, drops map[int][]uint64) {
+	for slot, keys := range drops {
+		_, _ = sc.call(ctx, slot, &Request{Op: OpDrop, Keys: keys})
+	}
 }
 
 // getBatch is the client's one read: the raw stored bytes under keys, handed
@@ -660,31 +643,42 @@ func (sc *StorageClient) getBatch(ctx context.Context, keys []uint64, got func(i
 	return firstErr
 }
 
-// MultiGet fetches the records for ids — getBatch plus gstore.Decode — as a
-// map; ids nothing is stored under are absent from it, and what was read
-// before a failure is returned with the error.
-func (sc *StorageClient) MultiGet(ctx context.Context, ids []graph.NodeID) (map[graph.NodeID]gstore.Record, error) {
+// readInto fetches the records for ids into dst positionally — getBatch
+// plus gstore.Decode — with OK false where nothing is stored, the bytes do
+// not decode or the call failed first. It is the processor's miss read.
+func (sc *StorageClient) readInto(ctx context.Context, ids []graph.NodeID, dst []gstore.FetchResult) error {
 	keys := make([]uint64, len(ids))
 	for i, id := range ids {
 		keys[i] = uint64(id)
 	}
-	out := make(map[graph.NodeID]gstore.Record, len(ids))
+	clear(dst)
 	var decodeErr error
 	err := sc.getBatch(ctx, keys, func(i int, val []byte, found bool) {
 		if !found {
 			return
 		}
 		rec, err := gstore.Decode(ids[i], val)
-		if err != nil {
-			if decodeErr == nil {
-				decodeErr = err
-			}
-			return
+		if err != nil && decodeErr == nil {
+			decodeErr = err
 		}
-		out[ids[i]] = rec
+		dst[i] = gstore.FetchResult{Record: rec, OK: err == nil}
 	})
 	if err == nil {
 		err = decodeErr
+	}
+	return err
+}
+
+// MultiGet is readInto as a map: ids nothing is stored under are absent from
+// it, and what was read before a failure is returned with the error.
+func (sc *StorageClient) MultiGet(ctx context.Context, ids []graph.NodeID) (map[graph.NodeID]gstore.Record, error) {
+	recs := make([]gstore.FetchResult, len(ids))
+	err := sc.readInto(ctx, ids, recs)
+	out := make(map[graph.NodeID]gstore.Record, len(ids))
+	for i, r := range recs {
+		if r.OK {
+			out[ids[i]] = r.Record
+		}
 	}
 	return out, err
 }

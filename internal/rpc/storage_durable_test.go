@@ -16,12 +16,12 @@ import (
 )
 
 // putKeys writes n distinct records through a direct connection to one
-// durable shard, one OpPut each, and returns the encoded record used.
+// durable shard, one record to a frame, and returns the encoded record used.
 func putKeys(t *testing.T, addr string, n int) []byte { return putFrames(t, addr, n, 1) }
 
 // putFrames writes keys [0,n) under one encoded record, which it returns,
-// through a direct connection to one shard: per records to a frame, as
-// OpMultiPut — or, with per == 1, as the single-record OpPut.
+// through a direct connection to one shard: per records to an OpMultiPut
+// frame.
 func putFrames(t *testing.T, addr string, n, per int) []byte {
 	t.Helper()
 	cn, err := Dial(addr)
@@ -31,12 +31,9 @@ func putFrames(t *testing.T, addr string, n, per int) []byte {
 	defer cn.Close()
 	rec := gstore.Encode(nil, &gstore.Record{Node: 1, NodeLabel: 9})
 	for k := 0; k < n; k += per {
-		req := &Request{Op: OpPut, Key: uint64(k), Value: rec}
-		if per > 1 {
-			req = &Request{Op: OpMultiPut}
-			for j := k; j < min(k+per, n); j++ {
-				req.Keys, req.Values = append(req.Keys, uint64(j)), append(req.Values, rec)
-			}
+		req := &Request{Op: OpMultiPut}
+		for j := k; j < min(k+per, n); j++ {
+			req.Keys, req.Values = append(req.Keys, uint64(j)), append(req.Values, rec)
 		}
 		if _, err := cn.Call(context.Background(), req); err != nil {
 			t.Fatalf("%v from key %d: %v", req.Op, k, err)
@@ -84,15 +81,9 @@ func TestStorageServerDurableCrashRestart(t *testing.T) {
 			if st.ReplayedBytes == 0 {
 				t.Fatal("restarted shard reports no replayed bytes")
 			}
-			cn, err := Dial(restarted.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cn.Close()
 			for _, key := range []uint64{0, 7, 63, 64, n - 1} {
-				resp, err := cn.Call(context.Background(), &Request{Op: OpGet, Key: key})
-				if err != nil || !resp.Found || !bytes.Equal(resp.Value, rec) {
-					t.Fatalf("get %d after restart: found=%v err=%v value=%x", key, resp.Found, err, resp.Value)
+				if val, found := storedAt(t, restarted.Addr(), key); !found || !bytes.Equal(val, rec) {
+					t.Fatalf("get %d after restart: found=%v value=%x", key, found, val)
 				}
 			}
 		})
@@ -166,7 +157,7 @@ func callOK(t *testing.T, addr string, req *Request) Response {
 	defer cn.Close()
 	resp, err := cn.Call(context.Background(), req)
 	if err != nil {
-		t.Fatalf("%v of key %d: %v", req.Op, req.Key, err)
+		t.Fatalf("%v of keys %v: %v", req.Op, req.Keys, err)
 	}
 	return resp
 }
@@ -177,7 +168,7 @@ func overwrite(t *testing.T, addr string, keys []uint64, size, rounds int) {
 	t.Helper()
 	for r := 0; r < rounds; r++ {
 		for _, k := range keys {
-			callOK(t, addr, &Request{Op: OpPut, Key: k, Value: bytes.Repeat([]byte{byte(r)}, size)})
+			callOK(t, addr, &Request{Op: OpMultiPut, Keys: []uint64{k}, Values: [][]byte{bytes.Repeat([]byte{byte(r)}, size)}})
 		}
 	}
 }
@@ -269,8 +260,12 @@ func TestStorageServerDurableVersionHolds(t *testing.T) {
 	addr := srv.Addr()
 	overwrite(t, addr, []uint64{1}, 40<<10, 2) // versions 1, 2: 40 KiB dead
 	overwrite(t, addr, []uint64{2}, 30<<10, 1) // version 3
-	if resp := callOK(t, addr, &Request{Op: OpDrop, Key: 2}); !resp.Found {
-		t.Fatal("drop of key 2 found nothing")
+	if _, found := storedAt(t, addr, 2); !found {
+		t.Fatal("key 2 missing before its drop")
+	}
+	callOK(t, addr, &Request{Op: OpDrop, Keys: []uint64{2}})
+	if _, found := storedAt(t, addr, 2); found {
+		t.Fatal("key 2 still stored after its drop")
 	}
 	if st := srv.Stats().Storage; st.Snapshots != 1 || st.WALRecords != 1 || st.DurableVersion != 3 {
 		t.Fatalf("after the drop: %+v, want one compaction to one record at version 3", st)

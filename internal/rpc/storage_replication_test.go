@@ -15,6 +15,12 @@ import (
 	"repro/internal/topology"
 )
 
+// shardFor returns the primary of key's placement: the shard a read of it
+// prefers while every shard is healthy.
+func (sc *StorageClient) shardFor(key uint64) int {
+	return sc.placement(key, nil)[0]
+}
+
 // startStorageShards brings up n shards and returns them with their
 // addresses.
 func startStorageShards(t *testing.T, n int) ([]*StorageServer, []string) {
@@ -132,7 +138,7 @@ func TestStorageClientShardRecovery(t *testing.T) {
 	ctx := context.Background()
 	rec := gstore.Encode(nil, &gstore.Record{Node: 7, NodeLabel: 3})
 	for k := uint64(0); k < 50; k++ {
-		if err := sc.Put(ctx, k, rec); err != nil {
+		if err := sc.PutBatch(ctx, []uint64{k}, [][]byte{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,7 +156,7 @@ func TestStorageClientShardRecovery(t *testing.T) {
 	t.Cleanup(func() { restarted.Close() })
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if err := sc.Put(ctx, 7, rec); err == nil {
+		if err := sc.PutBatch(ctx, []uint64{7}, [][]byte{rec}); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -190,7 +196,7 @@ func TestGetBatchFollowsPinPastReplicas(t *testing.T) {
 	for sc.shardFor(own) != 2 {
 		own++
 	}
-	if err := sc.Put(ctx, own, gstore.Encode(nil, &gstore.Record{Node: graph.NodeID(own), NodeLabel: 5})); err != nil {
+	if err := sc.PutBatch(ctx, []uint64{own}, [][]byte{gstore.Encode(nil, &gstore.Record{Node: graph.NodeID(own), NodeLabel: 5})}); err != nil {
 		t.Fatal(err)
 	}
 	sc.SetOverrides(map[uint64][]int{
@@ -346,9 +352,10 @@ func TestEnvelopeEncodedSizeWithStorage(t *testing.T) {
 	// The write path's frames. A loader chunk — 300 records of 55 bytes, the
 	// benchmark graph's mean, under keys of a 60 k-node graph — is its
 	// payload plus a key and a length per record: within 8 % of the bytes it
-	// stores, and inside the peer's read window. A one-record OpMultiPut,
-	// which every single Put now is, costs the two counts and the wider field
-	// bitmap over the OpPut it replaced.
+	// stores, and inside the peer's read window. A one-record OpMultiPut —
+	// every single-key write, the migration copy included — stays within
+	// the 70 bytes the retired single-key put frame plus its two counts and
+	// wider field bitmap came to.
 	chunk := &Request{Op: OpMultiPut}
 	rec := make([]byte, 55)
 	for i := 0; i < 300; i++ {
@@ -358,8 +365,7 @@ func TestEnvelopeEncodedSizeWithStorage(t *testing.T) {
 	if n, payload := reqFrameSize(t, chunk), 300*len(rec); n > payload+payload*8/100 || n > frameWindow {
 		t.Errorf("300-record multiput frame encodes to %d bytes for %d bytes of records, want <= +8%% and <= the %d-byte read window", n, payload, frameWindow)
 	}
-	put := reqFrameSize(t, &Request{Op: OpPut, Key: 59000, Value: rec})
-	if n := reqFrameSize(t, &Request{Op: OpMultiPut, Keys: []uint64{59000}, Values: [][]byte{rec}}); n > put+3 {
-		t.Errorf("1-record multiput frame encodes to %d bytes, want <= %d (the put frame + 3)", n, put+3)
+	if n := reqFrameSize(t, &Request{Op: OpMultiPut, Keys: []uint64{59000}, Values: [][]byte{rec}}); n > 70 {
+		t.Errorf("1-record multiput frame encodes to %d bytes, want <= 70", n)
 	}
 }

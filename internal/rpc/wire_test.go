@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -86,8 +87,6 @@ func fullRequest() *Request {
 	return &Request{
 		Op:       OpExecute,
 		Deadline: 1_700_000_000_123_456_789,
-		Key:      15485863,
-		Value:    []byte("payload-bytes"),
 		Keys:     []uint64{1, 2, 1 << 40},
 		Exec: &ExecRequest{
 			Queries: []query.Query{
@@ -140,8 +139,6 @@ func executeEditsRequest() *Request {
 func fullResponse() *Response {
 	return &Response{
 		OK:     true,
-		Value:  []byte("v"),
-		Found:  true,
 		Values: [][]byte{[]byte("a"), nil, []byte("ccc")},
 		Founds: []bool{true, false, true},
 		Results: []query.Result{
@@ -201,9 +198,10 @@ func fullResponse() *Response {
 func TestRequestRoundTrip(t *testing.T) {
 	reqs := []*Request{
 		{Op: OpPing},
-		{Op: OpGet, Key: 123456789},
+		{Op: OpMultiGet, Keys: []uint64{123456789}},
 		{Op: OpMultiGet, Keys: []uint64{0, 1, 1<<64 - 1}},
-		{Op: OpPut, Key: 1, Value: []byte{0, 255, 1}},
+		{Op: OpMultiPut, Keys: []uint64{1}, Values: [][]byte{{0, 255, 1}}},
+		{Op: OpDrop, Keys: []uint64{1, 1 << 40}},
 		{Op: OpMutate, Muts: []query.Mutation{{Op: query.MutAddEdge, Node: 42, To: 99}}},
 		{Op: OpJoin, Addr: "127.0.0.1:7001", Tier: "storage", Version: 3},
 		{Op: OpPlacement, Overrides: map[uint64][]int{7: {0, 2}}},
@@ -231,7 +229,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		{},
 		{Err: "node 42 missing", Code: CodeUnknownNode},
 		{Err: "conflict at op 3", Code: CodeConflict, Applied: 3},
-		{OK: true, Found: false, Value: nil},
+		{OK: true, Values: [][]byte{nil}, Founds: []bool{false}},
 	} {
 		got := roundTripResponse(t, resp)
 		if !reflect.DeepEqual(got, resp) {
@@ -278,6 +276,41 @@ func TestFrameDecodeTruncation(t *testing.T) {
 		var resp Response
 		if err := decodeResponseInto(rest, &resp); err == nil {
 			t.Fatalf("response truncated at %d/%d decoded cleanly", i, len(respPayload))
+		}
+	}
+}
+
+// TestRetiredFieldBitsRefused feeds both decoders the payloads a peer still
+// speaking the single-key vocabulary sends — a put of "v7" under key 7 (op
+// 4, bits key|value), a get (op 2, bit key) and a found get's reply (bits
+// value|found) — and a frame setting a retired bit beside a live one: each
+// fails to decode with an error naming the bits, rather than being read as
+// some other field.
+func TestRetiredFieldBitsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"single-key put", []byte{4, 0, 0x03, 7, 2, 'v', '7'}},
+		{"single-key get", []byte{2, 0, 0x01, 7}},
+		{"retired key beside keys", []byte{byte(OpMultiGet), 0, 0x05, 7, 1, 7}},
+	} {
+		var req Request
+		if err := decodeRequestInto(tc.payload, &req); err == nil || !strings.Contains(err.Error(), "unknown field bits") {
+			t.Errorf("request %s: err = %v, want unknown field bits", tc.name, err)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"found get reply", []byte{statusOK, 0x03, 2, 'v', '7'}},
+		{"found flag alone", []byte{statusOK, 0x02}},
+		{"retired value beside values", []byte{statusOK, 0x05, 1, 'v', 1, 1, 'w'}},
+	} {
+		var resp Response
+		if err := decodeResponseInto(tc.payload, &resp); err == nil || !strings.Contains(err.Error(), "unknown field bits") {
+			t.Errorf("response %s: err = %v, want unknown field bits", tc.name, err)
 		}
 	}
 }

@@ -7,8 +7,11 @@
 // policy because of its simplicity ... it favors recent queries. Thus, it
 // performs well with our smart routing schemes."
 //
-// The cache is generic over the cached value so processors can cache
-// decoded records without re-parsing. Entries live in a slot array linked
+// The cache is generic over the cached value. Processors cache each record
+// as the bytes storage holds it, charged its length — the paper's "data
+// retrieved from the storage" — and decode it per query into an executor's
+// arena (Step), so a byte limit holds as many records as their stored size
+// allows. Entries live in a slot array linked
 // by indices (recency list) with evicted slots recycled through a free
 // list, so steady-state insert/evict churn allocates nothing. An LRU is not
 // safe for concurrent use. Processor puts one behind a lock with the fetch
@@ -17,10 +20,13 @@ package cache
 
 import "repro/internal/metrics"
 
-// EntryOverhead approximates the per-entry bookkeeping cost (map bucket +
-// list element + headers) charged against the capacity in addition to the
-// caller-declared value size.
-const EntryOverhead = 64
+// EntryOverhead is the per-entry cost charged against the capacity in
+// addition to the caller-declared value size: a 48-byte slot of the recency
+// array and the slack of its growth, a share of the key map, and the
+// rounding of a value's allocation up to its size class. It is measured,
+// not guessed — TestChargeCoversHeap fills a processor cache with stored
+// WebGraph records and holds the live heap per entry under the charge.
+const EntryOverhead = 120
 
 // Stats counts cache activity. TouchedBytes tracks the cumulative size of
 // values admitted, which the capacity experiments use to size working sets.
@@ -133,7 +139,7 @@ func (c *LRU[V]) Contains(key uint64) bool {
 }
 
 // Put inserts or replaces the value for key. valBytes is the caller's size
-// estimate for the value (e.g. RecordSize for a graph record); the cache adds
+// of the value (a stored record's length, for a processor); the cache adds
 // EntryOverhead. Oversized values are rejected rather than flushing the
 // whole cache. It returns the number of entries evicted.
 func (c *LRU[V]) Put(key uint64, val V, valBytes int64) int {

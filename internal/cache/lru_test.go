@@ -46,8 +46,8 @@ func TestReplaceUpdatesValueAndSize(t *testing.T) {
 }
 
 func TestEvictionOrderIsLRU(t *testing.T) {
-	// Capacity fits exactly 3 entries of cost 36+64=100.
-	c := New[int](300)
+	// Capacity fits exactly 3 entries of cost 36+EntryOverhead.
+	c := New[int](3 * (36 + EntryOverhead))
 	c.Put(1, 1, 36)
 	c.Put(2, 2, 36)
 	c.Put(3, 3, 36)
@@ -68,11 +68,12 @@ func TestEvictionOrderIsLRU(t *testing.T) {
 }
 
 func TestPutMayEvictMultiple(t *testing.T) {
-	c := New[int](300)
-	c.Put(1, 1, 36) // cost 100
+	c := New[int](3 * (36 + EntryOverhead))
+	c.Put(1, 1, 36) // cost 36+EntryOverhead
 	c.Put(2, 2, 36)
 	c.Put(3, 3, 36)
-	evicted := c.Put(4, 4, 200) // cost 264 forces out several entries
+	// Cost 100 more than two of the others forces out several entries.
+	evicted := c.Put(4, 4, 36+EntryOverhead+100)
 	if evicted < 2 {
 		t.Fatalf("evicted %d entries, want >= 2", evicted)
 	}
@@ -85,9 +86,9 @@ func TestPutMayEvictMultiple(t *testing.T) {
 }
 
 func TestOversizedValueRejected(t *testing.T) {
-	c := New[int](100)
+	c := New[int](36 + EntryOverhead)
 	c.Put(1, 1, 10)
-	c.Put(2, 2, 500) // cost 564 > capacity
+	c.Put(2, 2, 500) // cost 500+EntryOverhead > capacity
 	if c.Contains(2) {
 		t.Fatal("oversized value admitted")
 	}

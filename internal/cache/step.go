@@ -1,27 +1,23 @@
 package cache
 
 import (
+	"bytes"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/gstore"
 )
 
-// RecordSize is what a cached record is charged against the capacity (the
-// cache adds EntryOverhead): 16 bytes of header and 8 per edge in either
-// direction, an estimate of the decoded record's resident size.
-func RecordSize(r *gstore.Record) int64 {
-	return int64(16 + 8*(len(r.Out)+len(r.In)))
-}
-
-// Processor is one query processor's cache of decoded records: the LRU, a
+// Processor is one query processor's cache of records as storage stores
+// them — each the encoded bytes it read, charged their length — the LRU, a
 // ring of the keys most recently evicted from it or updated in it, and the
 // lock that guards both, so concurrent executors share it. A nil *Processor
 // is the paper's no-cache mode: Step fetches everything, and Evict, Apply and
 // Stats do nothing.
 type Processor struct {
 	mu  sync.Mutex
-	lru *LRU[gstore.Record]
+	lru *LRU[[]byte]
 	// evicted is a ring of the keys most recently evicted or updated and
 	// evictSeq how many ever were: evicted[(evictSeq-1)%len] is the newest. A
 	// storage fetch that straddles the eviction or update of one of its keys
@@ -33,7 +29,7 @@ type Processor struct {
 
 // NewProcessor creates a processor cache of capacity bytes.
 func NewProcessor(capacity int64) *Processor {
-	return &Processor{lru: New[gstore.Record](capacity)}
+	return &Processor{lru: New[[]byte](capacity)}
 }
 
 // Stats snapshots the cache counters.
@@ -71,20 +67,27 @@ func (c *Processor) Evict(keys ...uint64) {
 }
 
 // Apply brings key's resident record up to date with one mutation's edit
-// stream (gstore.AppendEdits) instead of dropping it: the record is replaced
-// by gstore.ApplyEdits of it — recency and the hit, miss and insert counters
-// untouched, its new size charged — and a stream that does not apply, the
-// empty one included, evicts it. Either way, resident or not, the key is
-// remembered as Evict remembers it, so a fetch that straddles the update
-// cannot cache the record as it was before the write.
+// stream (gstore.AppendEdits) instead of dropping it: the record is decoded,
+// edited by gstore.ApplyEdits and stored re-encoded — recency and the hit,
+// miss and insert counters untouched, its new size charged — and a stream
+// that does not apply, the empty one included, evicts it. Either way,
+// resident or not, the key is remembered as Evict remembers it, so a fetch
+// that straddles the update cannot cache the record as it was before the
+// write.
 func (c *Processor) Apply(key uint64, edits []byte) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	if rec, ok := c.lru.Peek(key); ok {
-		if next, err := gstore.ApplyEdits(rec, edits); err == nil {
-			c.lru.Update(key, next, RecordSize(&next))
+	if raw, ok := c.lru.Peek(key); ok {
+		rec, err := gstore.Decode(graph.NodeID(key), raw)
+		if err == nil {
+			rec, err = gstore.ApplyEdits(rec, edits)
+		}
+		if err == nil {
+			// Cloned so the entry holds no spare capacity it is not charged.
+			enc := bytes.Clone(gstore.Encode(nil, &rec))
+			c.lru.Update(key, enc, int64(len(enc)))
 		} else {
 			c.lru.Remove(key)
 		}
@@ -118,10 +121,11 @@ func (c *Processor) evictedSince(seq, key uint64) bool {
 // Backend is where a step's misses come from: the storage tier, reached the
 // way the engine reaches it.
 type Backend interface {
-	// Read fetches the records of ids into dst positionally (OK false for
+	// Read fetches the stored bytes of ids into dst positionally (nil for
 	// an id storage holds no record of). probed is what the step's probe
-	// counted before it.
-	Read(ids []graph.NodeID, dst []gstore.FetchResult, probed Counts) error
+	// counted before it. The bytes need stay unmodified only until the step
+	// returns: it decodes them and copies those it caches.
+	Read(ids []graph.NodeID, dst [][]byte, probed Counts) error
 	// Heat is told the ids of the records a step read from storage, the
 	// adaptive-placement planner's read signal.
 	Heat(ids []graph.NodeID)
@@ -133,43 +137,63 @@ type Counts struct {
 	Hits, Misses, Inserts int
 }
 
-// Scratch is one executor's step buffers. Everything in it is overwritten
-// per step, so the records Step returns are valid until the next one.
+// Scratch is one executor's step buffers. The result and miss buffers are
+// overwritten per step; the records' edge lists live in an arena that only
+// Reset truncates, so a record stays valid across the steps of one query or
+// subtask — mquery's ball and pattern join keep earlier levels' records.
 type Scratch struct {
-	recs, got []gstore.FetchResult
-	miss      []graph.NodeID
-	pos       []int32 // pos[j] is miss[j]'s index in recs
+	recs []gstore.FetchResult
+	// bytes holds a step's stored bytes: ids[i]'s at i (nil if none), and
+	// past len(ids) the misses' as the backend read them.
+	bytes [][]byte
+	miss  []graph.NodeID
+	pos   []int32      // pos[j] is miss[j]'s index in recs
+	edges []graph.Edge // the arena every step decodes into
 }
 
-// Retained returns the length of the longest batch sc has held, so an owner
-// can drop a Scratch a giant query bloated.
-func (sc *Scratch) Retained() int { return cap(sc.recs) }
+// Reset frees the arena for reuse: every record a step decoded since the
+// last Reset is invalid from here on. An executor calls it at the start of
+// each point query and each subtask.
+func (sc *Scratch) Reset() { sc.edges = sc.edges[:0] }
 
-// resized returns *buf at length n, reallocating only when it has to.
-func resized(buf *[]gstore.FetchResult, n int) []gstore.FetchResult {
+// Retained returns the larger of the longest batch and the most edges one
+// query or subtask has held in sc, so an owner can drop a Scratch a giant
+// query bloated.
+func (sc *Scratch) Retained() int { return max(cap(sc.recs), cap(sc.edges)) }
+
+// resized returns *buf at length n, reallocating only when it has to, and
+// then to at least 64 entries and at least double, so an executor's buffers
+// settle after a few batches.
+func resized[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]gstore.FetchResult, n)
+		*buf = make([]T, n, max(n, 2*cap(*buf), 64))
 	}
 	return (*buf)[:n]
 }
 
 // Step is the processor's fetch, the same on both transports: probe the
-// cache for ids, read the misses from b in one batch, cache what came back
-// at RecordSize unless it was evicted or updated while the read was out, and
-// tell b which records it read. The records come back positionally aligned
-// with ids in sc's buffer. On a read error nothing is cached or heated.
+// cache for ids, read the misses from b in one batch, decode hits and
+// misses alike into sc's arena, cache the misses' bytes unless they were
+// evicted or updated while the read was out, and tell b which records it
+// read. The records come back positionally aligned with ids in sc's buffer;
+// their edge lists stay valid until sc.Reset. On a read or decode error
+// nothing is cached or heated.
 func (c *Processor) Step(sc *Scratch, b Backend, ids []graph.NodeID) ([]gstore.FetchResult, Counts, error) {
-	recs := resized(&sc.recs, len(ids))
+	buf := resized(&sc.bytes, 2*len(ids))
+	raw := buf[:len(ids)]
 	if c == nil {
 		// ids goes to the backend as a copy: the caller's slice (often an
 		// array on its stack) must not escape through the interface.
 		miss := append(sc.miss[:0], ids...)
 		sc.miss = miss
 		n := Counts{Misses: len(miss)}
-		if len(miss) == 0 {
-			return recs, n, nil
+		if len(miss) > 0 {
+			if err := b.Read(miss, raw, n); err != nil {
+				return nil, n, err
+			}
 		}
-		if err := b.Read(miss, recs, n); err != nil {
+		recs, err := sc.decode(ids, raw)
+		if err != nil {
 			return nil, n, err
 		}
 		hot := miss[:0]
@@ -188,8 +212,8 @@ func (c *Processor) Step(sc *Scratch, b Backend, ids []graph.NodeID) ([]gstore.F
 	c.mu.Lock()
 	seq := c.evictSeq
 	for i, id := range ids {
-		rec, ok := c.lru.Get(uint64(id))
-		recs[i] = gstore.FetchResult{Record: rec, OK: ok}
+		v, ok := c.lru.Get(uint64(id))
+		raw[i] = v
 		if !ok {
 			miss = append(miss, id)
 			pos = append(pos, int32(i))
@@ -198,30 +222,69 @@ func (c *Processor) Step(sc *Scratch, b Backend, ids []graph.NodeID) ([]gstore.F
 	c.mu.Unlock()
 	sc.miss, sc.pos = miss, pos
 	n := Counts{Hits: len(ids) - len(miss), Misses: len(miss)}
-	if len(miss) == 0 {
-		return recs, n, nil
+	got := buf[len(ids) : len(ids)+len(miss)]
+	if len(miss) > 0 {
+		if err := b.Read(miss, got, n); err != nil {
+			return nil, n, err
+		}
+		for j, v := range got {
+			raw[pos[j]] = v
+		}
 	}
-	got := resized(&sc.got, len(miss))
-	if err := b.Read(miss, got, n); err != nil {
-		return nil, n, err
+	recs, err := sc.decode(ids, raw)
+	if err != nil || len(miss) == 0 {
+		return recs, n, err
 	}
 	hot := miss[:0] // filtered in place: miss[j] is read before hot can reach it
 	c.mu.Lock()
-	for j, fr := range got {
-		if !fr.OK {
+	for j, v := range got {
+		if v == nil {
 			continue // dangling id: nothing stored, nothing cached
 		}
 		id := miss[j]
-		recs[pos[j]] = fr
 		n.Inserts++
 		if !c.evictedSince(seq, uint64(id)) {
-			c.lru.Put(uint64(id), fr.Record, RecordSize(&fr.Record))
+			c.lru.Put(uint64(id), append([]byte(nil), v...), int64(len(v)))
 		}
 		hot = append(hot, id)
 	}
 	c.mu.Unlock()
+	clear(got) // the scratch must not pin what the backend read
 	if len(hot) > 0 {
 		b.Heat(hot)
 	}
 	return recs, n, nil
+}
+
+// decode turns one step's stored bytes into its records, in one pass,
+// appending their edges to the arena, and lets go of the bytes. A cached
+// value is never written after it is stored (Apply stores a fresh
+// encoding), so hits decode outside the lock.
+func (sc *Scratch) decode(ids []graph.NodeID, raw [][]byte) ([]gstore.FetchResult, error) {
+	recs := resized(&sc.recs, len(ids))
+	// An edge takes at least two bytes, so this reserves room for the whole
+	// step at once. A growing arena at least doubles, from 4,096 edges
+	// (32 KiB, about what a 2-hop ball around a WebGraph hub decodes), so
+	// an executor's arena settles within its first few queries.
+	need := 0
+	for _, v := range raw {
+		need += len(v) / 2
+	}
+	if cap(sc.edges)-len(sc.edges) < need {
+		sc.edges = slices.Grow(sc.edges, max(need, cap(sc.edges), 4096))
+	}
+	for i, v := range raw {
+		raw[i] = nil
+		if v == nil {
+			recs[i] = gstore.FetchResult{}
+			continue
+		}
+		r, edges, err := gstore.DecodeInto(ids[i], v, sc.edges)
+		if err != nil {
+			return nil, err
+		}
+		sc.edges = edges
+		recs[i] = gstore.FetchResult{Record: r, OK: true}
+	}
+	return recs, nil
 }

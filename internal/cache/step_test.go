@@ -21,7 +21,7 @@ type mapBackend struct {
 	heated []graph.NodeID
 }
 
-func (b *mapBackend) Read(ids []graph.NodeID, dst []gstore.FetchResult, probed Counts) error {
+func (b *mapBackend) Read(ids []graph.NodeID, dst [][]byte, probed Counts) error {
 	b.reads = append(b.reads, slices.Clone(ids))
 	b.probes = append(b.probes, probed)
 	if b.during != nil {
@@ -31,10 +31,19 @@ func (b *mapBackend) Read(ids []graph.NodeID, dst []gstore.FetchResult, probed C
 		return b.err
 	}
 	for i, id := range ids {
-		rec, ok := b.recs[id]
-		dst[i] = gstore.FetchResult{Record: rec, OK: ok}
+		dst[i] = nil
+		if rec, ok := b.recs[id]; ok {
+			dst[i] = gstore.Encode(nil, &rec)
+		}
 	}
 	return nil
+}
+
+// size is what the cache charges for id's record besides EntryOverhead: its
+// stored length.
+func (b *mapBackend) size(id graph.NodeID) int64 {
+	r := b.recs[id]
+	return int64(len(gstore.Encode(nil, &r)))
 }
 
 func (b *mapBackend) Heat(ids []graph.NodeID) { b.heated = append(b.heated, ids...) }
@@ -54,7 +63,7 @@ func stored(n int) *mapBackend {
 
 // TestStepProbesThenReadsMisses: one read per step carrying only the misses,
 // results aligned with the ids, dangling ids neither cached nor heated, and
-// every record charged RecordSize.
+// every record charged its stored length.
 func TestStepProbesThenReadsMisses(t *testing.T) {
 	b := stored(3)
 	c := NewProcessor(1 << 20)
@@ -82,8 +91,7 @@ func TestStepProbesThenReadsMisses(t *testing.T) {
 	}
 	var want int64
 	for id := graph.NodeID(1); id <= 3; id++ {
-		r := b.recs[id]
-		want += RecordSize(&r) + EntryOverhead
+		want += b.size(id) + EntryOverhead
 	}
 	if st := c.Stats(); st.CurrentBytes != want || st.Inserts != 3 || st.Hits != 1 || st.Misses != 4 {
 		t.Fatalf("stats = %+v, want %d bytes over 3 inserts, 1 hit, 4 misses", st, want)
@@ -251,12 +259,12 @@ func TestApplyUpdatesInPlace(t *testing.T) {
 	before, seq := c.Stats(), c.evictSeq
 	c.Apply(2, gstore.AppendEdits(nil, &pre, &post))
 	got, _ := c.lru.Peek(2)
-	want, _ := gstore.Decode(2, gstore.Encode(nil, &post))
+	want := gstore.Encode(nil, &post)
 	st := c.Stats()
-	if got.NodeLabel != 5 || !slices.Equal(got.Out, want.Out) {
-		t.Fatalf("resident record %+v, want %+v", got, want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("resident record %x, want %x", got, want)
 	}
-	grown := RecordSize(&want) - RecordSize(&pre)
+	grown := int64(len(want) - len(gstore.Encode(nil, &pre)))
 	if st.Hits != before.Hits || st.Misses != before.Misses || st.Inserts != before.Inserts || st.CurrentBytes != before.CurrentBytes+grown {
 		t.Fatalf("stats %+v after %+v, want only %d more bytes", st, before, grown)
 	}
@@ -295,7 +303,8 @@ func TestStepKeepsRecordsUpdatedMidRead(t *testing.T) {
 	}
 	b.during = func() {
 		c.mu.Lock()
-		c.lru.Put(2, pre, RecordSize(&pre)) // the other executor's fetch
+		enc := gstore.Encode(nil, &pre)
+		c.lru.Put(2, enc, int64(len(enc))) // the other executor's fetch
 		c.mu.Unlock()
 		c.Apply(2, edits)
 	}
@@ -303,7 +312,83 @@ func TestStepKeepsRecordsUpdatedMidRead(t *testing.T) {
 	if err != nil || recs[0].Record.NodeLabel != pre.NodeLabel {
 		t.Fatalf("step = %+v, %v; want the record it read", recs, err)
 	}
-	if got, _ := c.lru.Peek(2); got.NodeLabel != 4 {
-		t.Fatalf("resident record 2 has label %d, want the edited 4", got.NodeLabel)
+	if raw, _ := c.lru.Peek(2); !slices.Equal(raw, gstore.Encode(nil, &post)) {
+		t.Fatalf("resident record 2 is %x, want the edited one", raw)
 	}
+}
+
+// TestArenaOutlivesSteps: the records of a step stay as stored through the
+// steps after it until the Scratch is Reset — an executor's BFS and pattern
+// join keep earlier levels' records while it fetches the next.
+func TestArenaOutlivesSteps(t *testing.T) {
+	b, ids := encodedWebGraph(t, 0.02)
+	c := NewProcessor(1 << 20)
+	var sc Scratch
+	batches := [][]graph.NodeID{ids[:40], ids[40:90], ids[90:150]}
+	fill(t, c, b, batches[0]) // the first batch hits, the others miss
+	first, _, err := c.Step(&sc, b, batches[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	first = slices.Clone(first) // the result buffer itself is per step
+	for _, ids := range batches[1:] {
+		if _, _, err := c.Step(&sc, b, ids); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, id := range batches[0] {
+		want, err := gstore.Decode(id, b[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := first[i].Record
+		if !first[i].OK || got.Node != id || got.NodeLabel != want.NodeLabel || !slices.Equal(got.Out, want.Out) || !slices.Equal(got.In, want.In) {
+			t.Fatalf("record %d after two more steps = %+v, want %+v", id, got, want)
+		}
+	}
+}
+
+// TestStepHitAllocatesNothing: a warm, all-hit step decodes into an arena
+// already grown to the batch, so it allocates nothing.
+func TestStepHitAllocatesNothing(t *testing.T) {
+	enc, ids := encodedWebGraph(t, 0.02)
+	ids = ids[:64]
+	var b Backend = enc // converted once: a slice in an interface is boxed
+	c := NewProcessor(1 << 20)
+	var sc Scratch
+	fill(t, c, b, ids)
+	step := func() {
+		sc.Reset()
+		if _, n, err := c.Step(&sc, b, ids); err != nil || n.Hits != len(ids) {
+			t.Fatalf("counts %+v, err %v; want %d hits", n, err, len(ids))
+		}
+	}
+	step() // grows the arena
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("a warm all-hit step allocates %.1f times, want 0", allocs)
+	}
+}
+
+// BenchmarkStepHit is the cost of a hit now that the cache holds stored
+// bytes: a warm all-hit step of 64 WebGraph records, decoded into the
+// arena, reported per record.
+func BenchmarkStepHit(b *testing.B) {
+	enc, ids := encodedWebGraph(b, 0.02)
+	ids = ids[:64]
+	var be Backend = enc
+	c := NewProcessor(1 << 20)
+	var sc Scratch
+	fill(b, c, be, ids)
+	if _, _, err := c.Step(&sc, be, ids); err != nil { // grows sc's arena
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		sc.Reset()
+		if _, _, err := c.Step(&sc, be, ids); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ids)), "ns/record")
 }

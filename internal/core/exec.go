@@ -19,7 +19,7 @@ import (
 type proc struct {
 	id     int
 	cache  *cache.Processor // nil under PolicyNoCache
-	sc     cache.Scratch    // the cache step's result and miss buffers
+	sc     cache.Scratch    // the cache step's buffers and edge arena
 	kernel traverse.Scratch // the traversal's visited sets and frontiers
 	fx     fetcher
 	// near is the processor's affinity storage slot (System.nearStorageSlot
@@ -66,17 +66,20 @@ type fetcher struct {
 	st  execStats
 }
 
-// fetcher arms processor p's fetcher for an execution starting at virtual
-// time start.
+// fetcher arms processor p's fetcher for an execution — one point query or
+// one subtask — starting at virtual time start, freeing the edge arena the
+// previous execution's records were decoded into.
 func (ses *Session) fetcher(p int, start time.Duration) *fetcher {
 	pr := ses.procs[p]
+	pr.sc.Reset()
 	pr.fx = fetcher{s: ses.sys, p: pr, tl: ses.tl, now: start}
 	return &pr.fx
 }
 
 // Fetch runs one cache step and bills it whether or not it succeeds: a
 // failed fetch still burned the round trips that discovered the failure.
-// The returned slice is p's scratch buffer, valid until the next Fetch.
+// The returned slice is p's scratch buffer, valid until the next Fetch; the
+// records' edges stay valid until the execution ends.
 func (f *fetcher) Fetch(ids []graph.NodeID) ([]gstore.FetchResult, error) {
 	recs, n, err := f.p.cache.Step(&f.p.sc, f, ids)
 	if n.Misses == 0 {
@@ -98,17 +101,17 @@ func (f *fetcher) probeCost(n cache.Counts) time.Duration {
 	return time.Duration(n.Hits)*prof.CacheHit + time.Duration(n.Misses)*prof.CacheLookupMiss
 }
 
-// Read is the step's storage backend: after the probe, one batched
+// Read is the step's storage backend: after the probe, one batched raw
 // multi-read per owning storage server, charged on the contention timeline
 // with halves of the RTT on each side.
-func (f *fetcher) Read(ids []graph.NodeID, dst []gstore.FetchResult, probed cache.Counts) error {
+func (f *fetcher) Read(ids []graph.NodeID, dst [][]byte, probed cache.Counts) error {
 	s, p, prof := f.s, f.p, f.s.cfg.Network
 	f.now += f.probeCost(probed)
 	var err error
 	if s.cfg.NoBatching {
 		// Ablation: one full round trip per key, strictly sequential.
 		for j := range ids {
-			err = s.tier.FetchBatchInto(ids[j:j+1], dst[j:j+1], func(b kvstore.Batch, bytes int64) {
+			err = s.tier.ReadBatchInto(ids[j:j+1], dst[j:j+1], func(b kvstore.Batch, bytes int64) {
 				if bytes < 0 {
 					// Failed attempt: a round trip burned discovering the
 					// replica is gone, no data moved.
@@ -129,7 +132,7 @@ func (f *fetcher) Read(ids []graph.NodeID, dst []gstore.FetchResult, probed cach
 	} else {
 		depart := f.now + prof.RTT/2
 		arrival := depart
-		err = s.tier.FetchBatchInto(ids, dst, func(b kvstore.Batch, bytes int64) {
+		err = s.tier.ReadBatchInto(ids, dst, func(b kvstore.Batch, bytes int64) {
 			if bytes < 0 {
 				// Failed attempt: the processor pays the round trip that
 				// found the replica dead. The hook cannot tell a retried

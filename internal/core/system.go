@@ -176,12 +176,12 @@ func (s *System) Store() *kvstore.Store { return s.store }
 // storage tier, query.ErrUnknownNode naming the first that has none, and
 // query.ErrUnavailable when one cannot be read.
 func (s *System) Known(ids ...graph.NodeID) error {
-	dst := make([]gstore.FetchResult, len(ids))
-	if err := s.tier.FetchBatchInto(ids, dst, nil); err != nil {
+	dst := make([][]byte, len(ids))
+	if err := s.tier.ReadBatchInto(ids, dst, nil); err != nil {
 		return storageErr("node probe", err)
 	}
-	for i, r := range dst {
-		if !r.OK {
+	for i, v := range dst {
+		if v == nil {
 			return fmt.Errorf("%w: node %d has no record in the storage tier", query.ErrUnknownNode, ids[i])
 		}
 	}

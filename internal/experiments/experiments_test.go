@@ -344,8 +344,10 @@ func TestPaperClaims(t *testing.T) {
 		}},
 		// Both smart routings break even with less cache than both baselines.
 		// Charged encoded sizes, Embed did (4,611 B against Hash's 5,269) and
-		// Landmark, at 5,928, did not. Charged the sockets' 16 + 8 per edge,
-		// neither does: Embed 12,652 B, Landmark and Hash 11,387.
+		// Landmark, at 5,928, did not. Charged 16 + 8 per decoded edge,
+		// neither did: Embed 12,652 B, Landmark and Hash 11,387. Cached as
+		// stored bytes plus a measured 120-B entry, Embed does (5,928 B
+		// against Hash's 9,551) and Landmark, at 12,186, does not.
 		{"fig9c/smart-needs-less", "fig9c", false, func(t *testing.T, res Result) bool {
 			need := column(t, res.Tables[0], "min-cache-bytes")
 			t.Logf("min cache bytes: %v", need)

@@ -5,9 +5,10 @@
 //
 // The binary codec is a compact varint encoding with delta-compressed,
 // sorted neighbour lists. The value sizes it produces drive the engine's
-// network-transfer modelling; they no longer size cache entries, which
-// both transports charge cache.RecordSize, an estimate of the decoded
-// record's resident size.
+// network-transfer modelling, and they size cache entries too: both
+// transports' processors cache a record as these bytes (ReadBatchInto
+// hands them over raw) and charge their length, decoding a record per
+// query (DecodeInto) into an executor's edge arena.
 package gstore
 
 import (
@@ -58,96 +59,91 @@ func appendEdges(buf []byte, edges []graph.Edge) []byte {
 
 // Decode parses a record produced by Encode. The node id is not part of the
 // value (it is the key), so the caller supplies it. Both edge lists share a
-// single backing allocation: a cheap byte-level pre-scan finds the list
-// sizes, then one []graph.Edge serves Out and In — the hot fetch path
-// decodes millions of records, so halving its allocations matters.
+// single backing allocation: an edge takes at least two bytes, so half the
+// value's length bounds how many edges it holds, and DecodeInto fills one
+// []graph.Edge of that capacity without a pre-scan.
 func Decode(node graph.NodeID, data []byte) (Record, error) {
+	r, _, err := DecodeInto(node, data, make([]graph.Edge, 0, len(data)/2))
+	return r, err
+}
+
+// DecodeInto parses a record produced by Encode in one pass, appending its
+// edges to arena and returning the extended arena: Out and In are
+// capacity-capped windows of it, so appending to either never clobbers a
+// neighbour. Records decoded into one arena stay valid as it grows — a
+// grown arena is a new array, the old one still backs them — until its
+// owner truncates it and decodes over them. On an error the arena comes
+// back as it was given.
+func DecodeInto(node graph.NodeID, data []byte, arena []graph.Edge) (Record, []graph.Edge, error) {
 	r := Record{Node: node}
 	label, n := binary.Uvarint(data)
 	if n <= 0 || label > uint64(^graph.Label(0)) {
-		return r, fmt.Errorf("%w: node label", ErrCorrupt)
+		return r, arena, fmt.Errorf("%w: node label", ErrCorrupt)
 	}
 	data = data[n:]
 	r.NodeLabel = graph.Label(label)
-	outCount, afterOut, err := scanEdgeList(data)
+	start := len(arena)
+	out, data, err := appendEdgeList(arena, data)
 	if err != nil {
-		return r, fmt.Errorf("%w: out edges", ErrCorrupt)
+		return r, arena, fmt.Errorf("%w: out edges", ErrCorrupt)
 	}
-	inCount, _, err := scanEdgeList(afterOut)
+	mid := len(out)
+	all, data, err := appendEdgeList(out, data)
 	if err != nil {
-		return r, fmt.Errorf("%w: in edges", ErrCorrupt)
-	}
-	all := make([]graph.Edge, outCount+inCount)
-	r.Out = all[:outCount:outCount]
-	r.In = all[outCount:]
-	if data, err = decodeEdgeList(data, r.Out); err != nil {
-		return r, fmt.Errorf("%w: out edges", ErrCorrupt)
-	}
-	if data, err = decodeEdgeList(data, r.In); err != nil {
-		return r, fmt.Errorf("%w: in edges", ErrCorrupt)
+		return r, arena, fmt.Errorf("%w: in edges", ErrCorrupt)
 	}
 	if len(data) != 0 {
-		return r, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data))
+		return r, arena, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data))
 	}
-	return r, nil
+	// Sliced only now: appending In may have moved the arena.
+	r.Out = all[start:mid:mid]
+	r.In = all[mid:len(all):len(all)]
+	return r, all, nil
 }
 
-// scanEdgeList reads an edge-list count and skips past its varints without
-// materialising anything, returning the count and the remaining bytes.
-// The count guard rejects absurd values before any allocation: a
-// legitimate edge costs at least 2 varint bytes (1 delta + 1 label), so
-// any count exceeding len(data)/2 cannot decode.
-func scanEdgeList(data []byte) (uint64, []byte, error) {
+// appendEdgeList decodes one edge list onto dst, returning the extended
+// slice and the remaining bytes. The count guard rejects absurd values
+// before anything is allocated: an edge costs at least 2 varint bytes (1
+// delta + 1 label), so a count exceeding len(data)/2 cannot decode. Most
+// deltas and labels fit one varint byte, so a pair of them is read without
+// a call.
+func appendEdgeList(dst []graph.Edge, data []byte) ([]graph.Edge, []byte, error) {
 	count, n := binary.Uvarint(data)
 	if n <= 0 {
-		return 0, data, ErrCorrupt
+		return dst, data, ErrCorrupt
 	}
 	data = data[n:]
 	if count > uint64(len(data))/2 {
-		return 0, data, ErrCorrupt
+		return dst, data, ErrCorrupt
 	}
-	// Skip 2*count varints: a varint ends at its first byte without the
-	// continuation bit.
-	remaining := count * 2
-	i := 0
-	for ; remaining > 0 && i < len(data); i++ {
-		if data[i] < 0x80 {
-			remaining--
+	n0 := len(dst)
+	dst = slices.Grow(dst, int(count))[:n0+int(count)]
+	out := dst[n0:]
+	prev, j := uint64(0), 0
+	for i := range out {
+		var delta, label uint64
+		if j+1 < len(data) && data[j]|data[j+1] < 0x80 {
+			delta, label = uint64(data[j]), uint64(data[j+1])
+			j += 2
+		} else {
+			var n int
+			if delta, n = binary.Uvarint(data[j:]); n <= 0 {
+				return dst[:n0], data, ErrCorrupt
+			}
+			j += n
+			if label, n = binary.Uvarint(data[j:]); n <= 0 || label > uint64(^graph.Label(0)) {
+				return dst[:n0], data, ErrCorrupt
+			}
+			j += n
 		}
-	}
-	if remaining > 0 {
-		return 0, data, ErrCorrupt
-	}
-	return count, data[i:], nil
-}
-
-// decodeEdgeList re-reads the count varint (validated by scanEdgeList) and
-// fills dst, which has exactly that length, returning the remaining bytes.
-func decodeEdgeList(data []byte, dst []graph.Edge) ([]byte, error) {
-	_, n := binary.Uvarint(data)
-	if n <= 0 {
-		return data, ErrCorrupt
-	}
-	data = data[n:]
-	prev := uint64(0)
-	for i := range dst {
-		delta, n := binary.Uvarint(data)
-		if n <= 0 {
-			return data, ErrCorrupt
-		}
-		data = data[n:]
-		label, n := binary.Uvarint(data)
-		if n <= 0 || label > uint64(^graph.Label(0)) {
-			return data, ErrCorrupt
-		}
-		data = data[n:]
 		prev += delta
 		if prev > uint64(^graph.NodeID(0)) {
-			return data, ErrCorrupt
+			return dst[:n0], data, ErrCorrupt
 		}
-		dst[i] = graph.Edge{To: graph.NodeID(prev), Label: graph.Label(label)}
+		out[i] = graph.Edge{To: graph.NodeID(prev), Label: graph.Label(label)}
 	}
-	return data, nil
+	data = data[j:]
+	return dst, data, nil
 }
 
 // Apply is the one definition of what a mutation does to the stored records
@@ -290,13 +286,14 @@ type FetchResult struct {
 }
 
 // fetchScratch holds the reusable planning and read buffers behind
-// FetchBatchInto. Pooled so concurrent callers (one per experiment cell)
+// ReadBatchInto. Pooled so concurrent callers (one per experiment cell)
 // never contend or share state.
 type fetchScratch struct {
 	keys []uint64
 	plan kvstore.BatchPlan
 	vals [][]byte
 	oks  []bool
+	raw  [][]byte // FetchBatchInto's bytes, decoded into its dst
 	// Two retry buffer pairs, alternated per attempt: one holds the keys
 	// being retried (read side) while the other collects the next round's
 	// bounces (write side), so the lists never alias.
@@ -311,11 +308,42 @@ var scratchPool = sync.Pool{New: func() any { return new(fetchScratch) }}
 // any realistic churn without risking a livelock under continuous faults.
 const fetchAttempts = 4
 
-// FetchBatchInto retrieves and decodes many node records grouped by owning
-// replica, writing dst[i] for ids[i] (dst must have len >= len(ids)). Batch
-// planning and raw reads run through pooled buffers; only the decoded edge
-// lists are freshly allocated (records outlive the call — the engine
-// caches them).
+// FetchBatchInto retrieves and decodes many node records: ReadBatchInto,
+// then Decode of each, writing dst[i] for ids[i] (dst must have len >=
+// len(ids)). Only the decoded edge lists are freshly allocated. A read
+// error is returned before any decode error.
+func (t *Tier) FetchBatchInto(ids []graph.NodeID, dst []FetchResult, onBatch func(b kvstore.Batch, bytes int64)) error {
+	if len(dst) < len(ids) {
+		return fmt.Errorf("gstore: FetchBatchInto dst len %d < %d ids", len(dst), len(ids))
+	}
+	sc := scratchPool.Get().(*fetchScratch)
+	defer scratchPool.Put(sc)
+	if cap(sc.raw) < len(ids) {
+		sc.raw = make([][]byte, len(ids))
+	}
+	raw := sc.raw[:len(ids)]
+	defer clear(raw) // the pool must not pin stored bytes
+	err := t.ReadBatchInto(ids, raw, onBatch)
+	for i, v := range raw {
+		if v == nil {
+			dst[i] = FetchResult{Record: Record{Node: ids[i]}}
+			continue
+		}
+		r, derr := Decode(ids[i], v)
+		if derr != nil && err == nil {
+			err = derr
+		}
+		dst[i] = FetchResult{Record: r, OK: true}
+	}
+	return err
+}
+
+// ReadBatchInto retrieves many node records as storage holds them, grouped
+// by owning replica: dst[i] is the encoded value stored for ids[i], nil when
+// there is none (dst must have len >= len(ids)). The values alias the
+// store's own and must not be modified; a caller keeping one past its next
+// write should copy it. Batch planning and the reads run through pooled
+// buffers, so the call allocates nothing.
 //
 // Reads fail over transparently: a batch bounced off a server that a
 // concurrent membership transition made unreadable is re-planned against
@@ -323,12 +351,12 @@ const fetchAttempts = 4
 // onBatch hook observes each served batch with its byte total; a failed
 // attempt is reported with bytes == -1 (a burned round trip, no data), so
 // the engine can charge failover latency without crediting a transfer.
-// Keys whose every replica is down fail the fetch with an error wrapping
-// kvstore.ErrNoLiveReplica (their dst entries read !OK, but they are
+// Keys whose every replica is down fail the read with an error wrapping
+// kvstore.ErrNoLiveReplica (their dst entries are nil, but they are
 // unavailable, not absent).
-func (t *Tier) FetchBatchInto(ids []graph.NodeID, dst []FetchResult, onBatch func(b kvstore.Batch, bytes int64)) error {
+func (t *Tier) ReadBatchInto(ids []graph.NodeID, dst [][]byte, onBatch func(b kvstore.Batch, bytes int64)) error {
 	if len(dst) < len(ids) {
-		return fmt.Errorf("gstore: FetchBatchInto dst len %d < %d ids", len(dst), len(ids))
+		return fmt.Errorf("gstore: ReadBatchInto dst len %d < %d ids", len(dst), len(ids))
 	}
 	sc := scratchPool.Get().(*fetchScratch)
 	defer scratchPool.Put(sc)
@@ -341,6 +369,7 @@ func (t *Tier) FetchBatchInto(ids []graph.NodeID, dst []FetchResult, onBatch fun
 			sc.retryPos[p] = make([]int32, 0, len(ids))
 		}
 	}
+	defer clear(sc.vals) // the pool must not pin stored bytes
 	// pend maps the current attempt's key list back to dst positions; the
 	// first attempt covers everything, retries only the bounced keys.
 	pendIDs, pendPos := ids, []int32(nil)
@@ -377,7 +406,7 @@ func (t *Tier) FetchBatchInto(ids []graph.NodeID, dst []FetchResult, onBatch fun
 				// cannot be distinguished from absent, so fail them all —
 				// conservative, never silently wrong.
 				for i := range b.Keys {
-					dst[origPos(i)] = FetchResult{Record: Record{Node: graph.NodeID(b.Keys[i])}}
+					dst[origPos(i)] = nil
 				}
 				if firstErr == nil {
 					firstErr = fmt.Errorf("gstore: %d keys on server %d: %w", len(b.Keys), b.Server, err)
@@ -388,17 +417,13 @@ func (t *Tier) FetchBatchInto(ids []graph.NodeID, dst []FetchResult, onBatch fun
 				continue
 			}
 			for i := range b.Keys {
-				p := origPos(i)
-				id := graph.NodeID(b.Keys[i])
-				if !oks[i] {
-					dst[p] = FetchResult{Record: Record{Node: id}}
-					continue
+				var v []byte
+				if oks[i] {
+					if v = vals[i]; v == nil {
+						v = []byte{} // stored but empty: corrupt, not absent
+					}
 				}
-				r, derr := Decode(id, vals[i])
-				if derr != nil && firstErr == nil {
-					firstErr = derr
-				}
-				dst[p] = FetchResult{Record: r, OK: true}
+				dst[origPos(i)] = v
 			}
 			if onBatch != nil {
 				onBatch(b, bytes)

@@ -1,6 +1,7 @@
 package gstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -516,6 +517,64 @@ func TestOracleIsTheRecordEdit(t *testing.T) {
 	}
 	if cases != len(muts)*6 {
 		t.Fatalf("ran %d cases, want %d", cases, len(muts)*6)
+	}
+}
+
+// TestReadBatchIntoIsStoredBytes: the raw batched read hands back exactly
+// the bytes the store holds, nil for an id with no record, and refuses a
+// short destination.
+func TestReadBatchIntoIsStoredBytes(t *testing.T) {
+	tier, _ := newLoadedTier(t)
+	ids := []graph.NodeID{5, 99999, 0, 250}
+	dst := make([][]byte, len(ids))
+	if err := tier.ReadBatchInto(ids, dst, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		want, _ := tier.Store().Get(uint64(id))
+		if !bytes.Equal(dst[i], want) || (dst[i] == nil) != (want == nil) {
+			t.Fatalf("id %d: read %x, stored %x", id, dst[i], want)
+		}
+	}
+	if err := tier.ReadBatchInto(ids, dst[:2], nil); err == nil {
+		t.Fatal("short destination accepted")
+	}
+}
+
+// TestDecodeIntoSharesOneArena: records decoded one after another into one
+// arena agree with Decode, keep their values as the arena grows past its
+// capacity, cap each list so appending to one cannot write into the next,
+// and a corrupt record leaves the arena as it was.
+func TestDecodeIntoSharesOneArena(t *testing.T) {
+	recs := []*Record{
+		{Node: 1, NodeLabel: 3, Out: []graph.Edge{{To: 2}, {To: 9, Label: 1}}, In: []graph.Edge{{To: 4}}},
+		{Node: 2, Out: []graph.Edge{{To: 1}}},
+		{Node: 3, NodeLabel: 1, In: []graph.Edge{{To: 1, Label: 2}, {To: 2}, {To: 300}}},
+	}
+	arena := make([]graph.Edge, 0, 2)
+	var got []Record
+	for _, r := range recs {
+		dec, next, err := DecodeInto(r.Node, Encode(nil, r), arena)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arena = next
+		got = append(got, dec)
+	}
+	for i, r := range recs {
+		want, _ := Decode(r.Node, Encode(nil, r))
+		if got[i].NodeLabel != want.NodeLabel || !slices.Equal(got[i].Out, want.Out) || !slices.Equal(got[i].In, want.In) {
+			t.Fatalf("record %d decoded into the arena as %+v, want %+v", r.Node, got[i], want)
+		}
+		if cap(got[i].Out) != len(got[i].Out) || cap(got[i].In) != len(got[i].In) {
+			t.Fatalf("record %d: lists not capacity-capped", r.Node)
+		}
+	}
+	if n := len(arena); n != 7 {
+		t.Fatalf("arena holds %d edges, want 7", n)
+	}
+	if _, same, err := DecodeInto(4, []byte{0, 5, 1}, arena); err == nil || len(same) != len(arena) {
+		t.Fatalf("corrupt record: err %v, arena %d -> %d edges", err, len(arena), len(same))
 	}
 }
 

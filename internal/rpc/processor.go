@@ -156,6 +156,7 @@ func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {
 				if err := ctx.Err(); err != nil {
 					return errorResponse(err)
 				}
+				ex.fetch.sc.Reset()
 				part, _, err := mquery.Run(st, fetch)
 				if err != nil {
 					return errorResponse(err)
@@ -208,12 +209,13 @@ func (p *ProcessorServer) invalidate(req *Request) {
 }
 
 // netFetcher is the processor's traverse.Fetcher for one request, and the
-// backend of its cache steps: the misses are one StorageClient.readInto
+// backend of its cache steps: the misses are one StorageClient.readRaw
 // under the request's ctx.
 type netFetcher struct {
 	p       *ProcessorServer
 	ctx     context.Context
 	sc      cache.Scratch
+	keys    []uint64     // readRaw's key buffer
 	node    graph.NodeID // while probing, the query node its first read must find
 	probing bool
 }
@@ -239,8 +241,10 @@ func unknownNode(id graph.NodeID) error {
 }
 
 // Read implements cache.Backend.
-func (f *netFetcher) Read(ids []graph.NodeID, dst []gstore.FetchResult, _ cache.Counts) error {
-	return f.p.storage.readInto(f.ctx, ids, dst)
+func (f *netFetcher) Read(ids []graph.NodeID, dst [][]byte, _ cache.Counts) error {
+	var err error
+	f.keys, err = f.p.storage.readRaw(f.ctx, ids, dst, f.keys)
+	return err
 }
 
 // Heat implements cache.Backend: heatCap bounds the keys tracked, and a new
@@ -280,8 +284,8 @@ func (p *ProcessorServer) getExec(ctx context.Context) (*execState, error) {
 }
 
 // putExec frees ex for the next request — a fresh one in its place when a
-// giant traversal grew its tables past the point where pinning them beats
-// reallocating.
+// giant traversal grew its tables, its batches or its edge arena past the
+// point where pinning them beats reallocating.
 func (p *ProcessorServer) putExec(ex *execState) {
 	if ex.kernel.Retained() > 1<<15 || ex.fetch.sc.Retained() > 1<<15 {
 		ex = &execState{fetch: netFetcher{p: p}}
@@ -338,6 +342,7 @@ func (p *ProcessorServer) execute(ex *execState, q query.Query) (query.Result, e
 		return query.Result{}, fmt.Errorf("%w: label-filtered aggregation is not supported over rpc", query.ErrBadQuery)
 	}
 	f := &ex.fetch
+	f.sc.Reset()
 	f.node, f.probing = q.Node, true
 	res, err := ex.kernel.Run(f, q, traverse.LabelFilter{})
 	if err == nil && f.probing && !p.cache.Contains(q.Node) {

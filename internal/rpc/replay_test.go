@@ -16,11 +16,11 @@ import (
 // from the graph.
 type graphBackend struct{ g *graph.Graph }
 
-func (b graphBackend) Read(ids []graph.NodeID, dst []gstore.FetchResult, _ cache.Counts) error {
+func (b graphBackend) Read(ids []graph.NodeID, dst [][]byte, _ cache.Counts) error {
 	for i, id := range ids {
-		dst[i] = gstore.FetchResult{OK: b.g.Exists(id)}
-		if dst[i].OK {
-			dst[i].Record = *gstore.RecordOf(b.g, id)
+		dst[i] = nil
+		if b.g.Exists(id) {
+			dst[i] = gstore.Encode(nil, gstore.RecordOf(b.g, id))
 		}
 	}
 	return nil
@@ -72,6 +72,7 @@ func replayHits(t *testing.T, g *graph.Graph, strat router.Strategy, qs []query.
 		r.Next(p)
 		r.Done(p, 1)
 		f := fetchers[p]
+		f.sc.Reset()
 		if _, err := kernel.Run(f, q, traverse.LabelFilter{}); err != nil {
 			t.Fatal(err)
 		}

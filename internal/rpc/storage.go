@@ -643,42 +643,46 @@ func (sc *StorageClient) getBatch(ctx context.Context, keys []uint64, got func(i
 	return firstErr
 }
 
-// readInto fetches the records for ids into dst positionally — getBatch
-// plus gstore.Decode — with OK false where nothing is stored, the bytes do
-// not decode or the call failed first. It is the processor's miss read.
-func (sc *StorageClient) readInto(ctx context.Context, ids []graph.NodeID, dst []gstore.FetchResult) error {
-	keys := make([]uint64, len(ids))
-	for i, id := range ids {
-		keys[i] = uint64(id)
+// readRaw fetches the stored bytes of ids into dst positionally — getBatch
+// over keys, a buffer of the caller's that it refills and returns — nil
+// where nothing is stored or the call failed first. It is the processor's
+// miss read: the bytes are the reply's own, kept by no one else.
+func (sc *StorageClient) readRaw(ctx context.Context, ids []graph.NodeID, dst [][]byte, keys []uint64) ([]uint64, error) {
+	keys = keys[:0]
+	for _, id := range ids {
+		keys = append(keys, uint64(id))
 	}
-	clear(dst)
-	var decodeErr error
+	clear(dst[:len(ids)])
 	err := sc.getBatch(ctx, keys, func(i int, val []byte, found bool) {
-		if !found {
-			return
+		if found {
+			if val == nil {
+				val = []byte{} // stored but empty: corrupt, not absent
+			}
+			dst[i] = val
 		}
-		rec, err := gstore.Decode(ids[i], val)
-		if err != nil && decodeErr == nil {
-			decodeErr = err
-		}
-		dst[i] = gstore.FetchResult{Record: rec, OK: err == nil}
 	})
-	if err == nil {
-		err = decodeErr
-	}
-	return err
+	return keys, err
 }
 
-// MultiGet is readInto as a map: ids nothing is stored under are absent from
-// it, and what was read before a failure is returned with the error.
+// MultiGet is readRaw decoded into a map: ids nothing is stored under, or
+// whose bytes do not decode, are absent from it, and what was read before a
+// failure is returned with the error.
 func (sc *StorageClient) MultiGet(ctx context.Context, ids []graph.NodeID) (map[graph.NodeID]gstore.Record, error) {
-	recs := make([]gstore.FetchResult, len(ids))
-	err := sc.readInto(ctx, ids, recs)
+	raw := make([][]byte, len(ids))
+	_, err := sc.readRaw(ctx, ids, raw, nil)
 	out := make(map[graph.NodeID]gstore.Record, len(ids))
-	for i, r := range recs {
-		if r.OK {
-			out[ids[i]] = r.Record
+	for i, v := range raw {
+		if v == nil {
+			continue
 		}
+		rec, derr := gstore.Decode(ids[i], v)
+		if derr != nil {
+			if err == nil {
+				err = derr
+			}
+			continue
+		}
+		out[ids[i]] = rec
 	}
 	return out, err
 }

@@ -21,8 +21,10 @@ import (
 // Fetcher is a transport's record source for one execution.
 type Fetcher interface {
 	// Fetch returns the records of ids, positionally (OK is false for an id
-	// with no stored record). The slice is valid only until the next Fetch;
-	// ids is not retained.
+	// with no stored record). The slice is valid only until the next Fetch,
+	// but the records' edge lists until the execution ends: the executor
+	// decodes every record of one point query or subtask into one arena and
+	// frees it only when the next begins. ids is not retained.
 	Fetch(ids []graph.NodeID) ([]gstore.FetchResult, error)
 	// Expanded reports n nodes expanded out of the last Fetch's records:
 	// where the virtual-time engine bills traversal compute.

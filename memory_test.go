@@ -9,6 +9,7 @@ import (
 	"weak"
 
 	grouting "repro"
+	"repro/internal/cache"
 	"repro/internal/gen"
 )
 
@@ -264,6 +265,7 @@ func TestMemoryBudget(t *testing.T) {
 	// goes through: a listener, six connections.
 	mark = markMem()
 	var procs []string
+	var servers []*grouting.ProcessorServer
 	for i := 0; i < 3; i++ {
 		ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{Storage: storage, CacheBytes: 64 << 20})
 		if err != nil {
@@ -271,6 +273,7 @@ func TestMemoryBudget(t *testing.T) {
 		}
 		defer ps.Close()
 		procs = append(procs, ps.Addr())
+		servers = append(servers, ps)
 	}
 	bare, err := grouting.ServeRouter("127.0.0.1:0", grouting.RouterSpec{Processors: procs, Policy: grouting.PolicyHash})
 	if err != nil {
@@ -279,7 +282,16 @@ func TestMemoryBudget(t *testing.T) {
 	defer bare.Close()
 	burst(bare.Addr())
 	retained, allocated = mark.since()
-	t.Logf("membudget: processor x3    retained %5.1f MiB, allocated %6.1f MiB (construction + %d queries, caches warm)", retained, allocated, len(qs))
+	// Nothing is written, so what the caches hold is what they admitted and
+	// did not evict.
+	var resident, charged int64
+	for _, ps := range servers {
+		cc := ps.Stats().Cache
+		resident += cc.Inserts - cc.Evictions
+		charged += cc.CurrentBytes
+	}
+	t.Logf("membudget: processor x3    retained %5.1f MiB, allocated %6.1f MiB (construction + %d queries, caches warm: %d records resident, each charged %.1f B stored + %d)",
+		retained, allocated, len(qs), resident, float64(charged)/float64(resident)-cache.EntryOverhead, cache.EntryOverhead)
 
 	// A router's figure is what goes away with it: the burst also moves the
 	// processors' caches (another policy sends a query elsewhere), so live

@@ -167,3 +167,45 @@ func writesOver(t *testing.T, g *grouting.Graph, qs []grouting.Query) ([]groutin
 	}
 	return muts, reads
 }
+
+// TestWarmPatternTwoTransports: a pattern subtask materialises a ball two
+// levels deep and joins over every level's records, so the records of its
+// first fetch must survive the fetches after it. Run warm — a second time,
+// every record a cache hit — on both transports, each two-edge path anchored
+// at a node returns the oracle's match count, and the counts are not all
+// zero.
+func TestWarmPatternTwoTransports(t *testing.T) {
+	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
+	var qs []grouting.Query
+	for i, anchor := range g.Nodes()[1:9] { // an Anchor of 0 means none
+		qs = append(qs, grouting.Query{
+			ID: i, Type: grouting.PatternMatch, Node: anchor, Dir: grouting.Out,
+			Pattern: &grouting.Pattern{
+				Nodes: []grouting.PatternNode{{Anchor: anchor}, {}, {}},
+				Edges: []grouting.PatternEdge{{From: 0, To: 1}, {From: 1, To: 2}},
+			},
+		})
+	}
+	ctx := context.Background()
+	local, remote := twoTransports(t, g, grouting.Config{
+		Processors: 2, StorageServers: 2, Policy: grouting.PolicyHash, CacheBytes: 1 << 20, Seed: 1,
+	})
+	matched := 0
+	for _, c := range []grouting.Client{local, remote} {
+		for pass := range 2 {
+			for _, q := range qs {
+				got, err := c.Execute(ctx, q)
+				if want := grouting.Answer(g, q); err != nil || got != want {
+					t.Fatalf("pass %d, pattern at %d: %+v, %v; want %+v", pass, q.Node, got, err, want)
+				}
+				matched += got.Matches
+			}
+		}
+		if st, err := c.Stats(ctx); err != nil || st.Cache.Hits == 0 {
+			t.Fatalf("no cache hits (%v): the warm pass read nothing from the cache", err)
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no anchor has a two-edge path: the test checks nothing")
+	}
+}

@@ -171,10 +171,11 @@ func (s *System) StorageTopology() topology.View { return s.store.View() }
 // Store exposes the storage tier (read-only use: stats, placement checks).
 func (s *System) Store() *kvstore.Store { return s.store }
 
-// Known is the probe the TCP processor makes before a query, read here
-// without billing virtual time: nil when every id has a record in the
-// storage tier, query.ErrUnknownNode naming the first that has none, and
-// query.ErrUnavailable when one cannot be read.
+// Known is the local client's check before it executes a query, a read of
+// the anchors' records that bills no virtual time: nil when every id has a
+// record in the storage tier, query.ErrUnknownNode naming the first that has
+// none, and query.ErrUnavailable when one cannot be read. The TCP processor
+// checks on its kernel's first read of the query node instead.
 func (s *System) Known(ids ...graph.NodeID) error {
 	dst := make([][]byte, len(ids))
 	if err := s.tier.ReadBatchInto(ids, dst, nil); err != nil {

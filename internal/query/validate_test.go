@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -60,6 +61,28 @@ func TestHotspotGeneratesValidQueries(t *testing.T) {
 	for _, q := range qs {
 		if err := q.Validate(); err != nil {
 			t.Fatalf("generated query %d invalid: %v (%+v)", q.ID, err, q)
+		}
+	}
+}
+
+// TestHotspotMixedTypes: the full mix generates valid queries of every kind
+// it names, each multi-anchor query anchored at its Node.
+func TestHotspotMixedTypes(t *testing.T) {
+	g := gen.BarabasiAlbert(300, 3, 2)
+	qs := Hotspot(g, WorkloadSpec{NumHotspots: 10, QueriesPerHotspot: 6, Types: MixedTypesKNN, Seed: 4})
+	kinds := map[Type]int{}
+	for _, q := range qs {
+		if err := q.Validate(); err != nil {
+			t.Fatalf("generated query %d invalid: %v (%+v)", q.ID, err, q)
+		}
+		if q.Type.MultiAnchor() && q.AnchorNodes()[0] != q.Node {
+			t.Fatalf("query %d (%v): first anchor %d, Node %d", q.ID, q.Type, q.AnchorNodes()[0], q.Node)
+		}
+		kinds[q.Type]++
+	}
+	for _, typ := range MixedTypesKNN {
+		if kinds[typ] == 0 {
+			t.Errorf("no %v query generated: %v", typ, kinds)
 		}
 	}
 }

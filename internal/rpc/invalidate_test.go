@@ -221,7 +221,7 @@ func startStubCluster(t *testing.T, n int, strat router.Strategy) (*writableClus
 		t.Fatal(err)
 	}
 	loader.Close()
-	c.rs, err = NewRouterServer("127.0.0.1:0", RouterConfig{ProcessorAddrs: addrs, Strategy: strat, StorageAddrs: c.storageAddrs})
+	c.rs, err = newRouterServer("127.0.0.1:0", RouterConfig{Processors: addrs, Storage: c.storageAddrs}, strat, router.Coords{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,7 +624,7 @@ func TestPreImageReadFailsOver(t *testing.T) {
 	}
 	loader.Close()
 	rs, err := NewRouterServer("127.0.0.1:0", RouterConfig{
-		ProcessorAddrs: []string{startStubProc(t).addr()}, StorageAddrs: storageAddrs, StorageReplicas: 2,
+		Processors: []string{startStubProc(t).addr()}, Storage: storageAddrs, StorageReplicas: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -79,31 +79,18 @@ func Loopback(ctx context.Context, g *graph.Graph, cfg core.Config) (*Deployment
 	if err != nil {
 		return nil, err
 	}
-	strat, coords, err := configStrategy(g, cfg)
-	if err != nil {
-		return nil, err
-	}
 	d := &Deployment{cfg: cfg}
-	if err := d.start(ctx, g, RouterConfig{
-		Strategy:          strat,
-		PolicyName:        cfg.Policy.String(),
-		StorageReplicas:   cfg.StorageReplicas,
-		Graph:             g,
-		AdaptivePlacement: cfg.AdaptivePlacement,
-		PlacementBudget:   cfg.PlacementBudget,
-		PlacementEvery:    cfg.PlacementEvery,
-		PlacementMinReads: cfg.PlacementMinReads,
-		Coords:            coords,
-	}); err != nil {
+	if err := d.start(ctx, g); err != nil {
 		d.Close()
 		return nil, err
 	}
 	return d, nil
 }
 
-// start brings the shards up and loads them, then the processors, then the
-// router rc describes over both.
-func (d *Deployment) start(ctx context.Context, g *graph.Graph, rc RouterConfig) error {
+// start brings the shards up and loads them, then the processors, then a
+// router over both whose strategy is built from d.cfg itself, so that its
+// tables, LoadFactor and Alpha are the Config's.
+func (d *Deployment) start(ctx context.Context, g *graph.Graph) error {
 	for slot := range d.cfg.StorageServers {
 		ss, err := d.serveShard(slot, "127.0.0.1:0")
 		if err != nil {
@@ -121,15 +108,28 @@ func (d *Deployment) start(ctx context.Context, g *graph.Graph, rc RouterConfig)
 	if err != nil {
 		return err
 	}
+	rc := RouterConfig{
+		Policy:            d.cfg.Policy,
+		Graph:             g,
+		Storage:           d.storageAddrs,
+		StorageReplicas:   d.cfg.StorageReplicas,
+		AdaptivePlacement: d.cfg.AdaptivePlacement,
+		PlacementBudget:   d.cfg.PlacementBudget,
+		PlacementEvery:    d.cfg.PlacementEvery,
+		PlacementMinReads: d.cfg.PlacementMinReads,
+	}
 	for range d.cfg.Processors {
 		ps, err := d.serveProcessor()
 		if err != nil {
 			return err
 		}
-		rc.ProcessorAddrs = append(rc.ProcessorAddrs, ps.Addr())
+		rc.Processors = append(rc.Processors, ps.Addr())
 	}
-	rc.StorageAddrs = d.storageAddrs
-	d.router, err = NewRouterServer("127.0.0.1:0", rc)
+	strat, coords, err := configStrategy(g, d.cfg)
+	if err != nil {
+		return err
+	}
+	d.router, err = newRouterServer("127.0.0.1:0", rc, strat, coords)
 	return err
 }
 

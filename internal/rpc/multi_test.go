@@ -14,7 +14,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/query"
-	"repro/internal/router"
 )
 
 // TestClusterMultiAnchorMatchesOracle runs the full mixed workload —
@@ -118,7 +117,7 @@ func TestClusterLabelledPattern(t *testing.T) {
 	for _, ps := range d.procs {
 		procs = append(procs, ps.Addr())
 	}
-	rs, err := NewRouterServer("127.0.0.1:0", RouterConfig{ProcessorAddrs: procs, Strategy: router.NewHash(), StorageAddrs: d.storageAddrs})
+	rs, err := NewRouterServer("127.0.0.1:0", RouterConfig{Processors: procs, Policy: core.PolicyHash, Storage: d.storageAddrs})
 	if err != nil {
 		t.Fatal(err)
 	}

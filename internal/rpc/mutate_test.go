@@ -363,8 +363,8 @@ func TestMutateRollbackOnExpiredContext(t *testing.T) {
 	}
 	t.Cleanup(func() { ps.Close() })
 	rs, err := NewRouterServer("127.0.0.1:0", RouterConfig{
-		ProcessorAddrs:  []string{ps.Addr()},
-		StorageAddrs:    storageAddrs,
+		Processors:      []string{ps.Addr()},
+		Storage:         storageAddrs,
 		StorageReplicas: 2,
 	})
 	if err != nil {
@@ -461,7 +461,7 @@ func TestRollbackOneFramePerShard(t *testing.T) {
 	ctx := context.Background()
 	servers, addrs := startStorageShards(t, 3)
 	rs, err := NewRouterServer("127.0.0.1:0", RouterConfig{
-		ProcessorAddrs: []string{startStubProc(t).addr()}, StorageAddrs: addrs, StorageReplicas: 2,
+		Processors: []string{startStubProc(t).addr()}, Storage: addrs, StorageReplicas: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/embed"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/mquery"
@@ -108,94 +110,115 @@ type RouterServer struct {
 	queries  atomic.Int64
 }
 
-// RouterConfig configures a networked router.
+// RouterConfig configures a networked router (grouting.RouterSpec).
 type RouterConfig struct {
-	// ProcessorAddrs lists the initial processing tier; more processors can
-	// join at runtime with OpJoin.
-	ProcessorAddrs []string
-	// Strategy decides destinations; nil defaults to next-ready.
-	Strategy router.Strategy
-	// PolicyName is the configured policy's registered name, reported in
-	// stats snapshots (defaults to the strategy's self-reported name).
-	PolicyName string
-	// StorageAddrs optionally seeds the router's storage view; more shards
-	// can join at runtime with OpJoin. Seeded shards are ping-verified like
-	// processors, and they are the shards the router's storage client —
-	// the write path of mutations and migrations — places keys over.
-	StorageAddrs []string
-	// StorageReplicas is the deployment's storage replication factor: the
-	// one the loader and the processors use (0 reads as 1).
-	StorageReplicas int
-	// Graph is the loaded dataset. It is read during construction and not
-	// retained: the router keeps its label table only (shared with the
-	// graph, so whoever still holds the graph sees the labels the router
-	// interns), to resolve pattern labels and intern mutation labels
-	// against the ids the loader encoded records with. Routers started
-	// without it reject patterns and mutations that carry a label.
+	// Processors lists the initial processing tier's addresses; more
+	// processors can join the running router at any time with
+	// ProcessorServer.Register (groutingd -join) and leave cleanly with
+	// Deregister, each transition producing a new topology epoch.
+	Processors []string
+	// Policy selects the routing scheme. Smart policies (PolicyLandmark,
+	// PolicyEmbed) need Graph for preprocessing.
+	Policy core.Policy
+	// Graph is the loaded dataset. NewRouterServer reads it during
+	// construction — the smart policies' preprocessing runs over it — and
+	// does not retain it: the router keeps the routing tables built from it
+	// and its label table (shared with the graph, not copied), which
+	// labelled patterns and labelled mutations resolve against. A caller
+	// that wants the router's memory to be those tables drops its own
+	// reference too; one that keeps the graph (an oracle, a second client)
+	// simply keeps it. Without a graph the baseline policies still route,
+	// and labelled patterns and mutations are rejected with ErrBadQuery.
 	Graph *graph.Graph
-	// AdaptivePlacement enables the workload-adaptive placement subsystem:
-	// the router periodically drains per-record heat from the processors,
-	// plans bounded migrations of hot records toward their dominant
-	// reader's near shard, and executes each as copy → override push →
-	// drop. Requires StorageAddrs.
+	// Seed drives the preprocessing's stochastic choices.
+	Seed int64
+	// Storage optionally seeds the router's storage view: the listed
+	// shards appear in Stats()/grouting-cli -topology with their status
+	// and shard counters, and more can join at runtime with
+	// StorageServer.Register (groutingd -role storage -join). It is also
+	// the write path: the router applies mutations (Client.Mutate through
+	// Dial) and adaptive-placement moves through the same storage client
+	// the processors read through, over exactly these shards — so list
+	// the shards, in the order, the loader and the processors were given.
+	Storage []string
+	// StorageReplicas is the deployment's storage replication factor —
+	// the one the loader and the processors use; the router's writes go
+	// to that many replicas and Stats() reports it (0 reads as 1).
+	StorageReplicas int
+	// AdaptivePlacement enables the workload-adaptive placement subsystem
+	// on the router: it periodically drains per-record read heat from the
+	// processors and migrates hot records toward their dominant reader as
+	// bounded copy-then-drop moves. Requires Storage.
 	AdaptivePlacement bool
 	// PlacementBudget bounds the bytes migrated per planning cycle
 	// (<= 0 = unbounded).
 	PlacementBudget int64
-	// PlacementEvery runs one planning cycle automatically after that many
-	// completed queries (0 = only explicit OpMigrate calls).
+	// PlacementEvery runs one planning cycle automatically after that
+	// many completed queries (0 = only explicit cycles).
 	PlacementEvery int
 	// PlacementMinReads is the planner's hysteresis floor (0 = default).
 	PlacementMinReads int64
-	// Coords is router.Prepare's coordinate table, which KNearest queries
-	// re-rank against, with the provider failure of a degraded start.
-	// Without a table the router rejects KNearest with
-	// query.ErrUnavailable.
-	Coords router.Coords
+	// EmbedProvider supplies node coordinates from a pluggable source
+	// (OpenEmbeddingFile, NewFileProvider, or any user Embedder) instead
+	// of the built-in learned embedding. It is materialised once at router
+	// start and then serves both embedding-based routing and KNearest
+	// ranking. Providers without their own snapshot need Graph to walk.
+	// When it fails and the policy does not require an embedding, the
+	// router starts degraded: KNearest queries answer the typed
+	// ErrUnavailable; everything else is unaffected.
+	EmbedProvider embed.Embedder
 }
 
-// NewRouterServer starts a router on addr.
+// NewRouterServer starts a router on addr: it builds the routing strategy
+// cfg describes (the smart policies' preprocessing over cfg.Graph at
+// router.NetworkTables' shape, and cfg.EmbedProvider's materialisation),
+// connects to the processors and serves in the background.
 func NewRouterServer(addr string, cfg RouterConfig) (*RouterServer, error) {
-	if len(cfg.ProcessorAddrs) == 0 {
+	if len(cfg.Processors) == 0 {
 		return nil, fmt.Errorf("rpc: router needs at least one processor")
 	}
-	if cfg.Strategy == nil {
-		cfg.Strategy = router.NewNextReady()
+	strat, coords, err := configStrategy(cfg.Graph, networkConfig(cfg.Policy, len(cfg.Processors), cfg.Seed, cfg.EmbedProvider))
+	if err != nil {
+		return nil, err
 	}
-	if cfg.PolicyName == "" {
-		cfg.PolicyName = cfg.Strategy.Name()
-	}
-	n := len(cfg.ProcessorAddrs)
+	return newRouterServer(addr, cfg, strat, coords)
+}
+
+// newRouterServer starts a router on addr that routes by strat, which the
+// caller built for cfg.Policy (cfg's Seed and EmbedProvider are not read),
+// and re-ranks KNearest against coords.
+func newRouterServer(addr string, cfg RouterConfig, strat router.Strategy, coords router.Coords) (*RouterServer, error) {
+	n := len(cfg.Processors)
 	r := &RouterServer{
-		policyName: cfg.PolicyName,
-		coords:     cfg.Coords,
-		topo:       topology.NewTrackerAddrs(cfg.ProcessorAddrs),
+		policyName: cfg.Policy.String(),
+		coords:     coords,
+		topo:       topology.NewTrackerAddrs(cfg.Processors),
 		completed:  make([]int64, n),
 		lastCache:  make([]metrics.CacheCounters, n),
 		inval:      make([]invalidations, n),
 	}
-	rt, err := router.NewFromView(cfg.Strategy, r.topo.View(), false)
+	rt, err := router.NewFromView(strat, r.topo.View(), false)
 	if err != nil {
 		return nil, err
 	}
 	r.rt = rt
-	r.storageTopo = topology.NewTierTrackerAddrs(topology.TierStorage, cfg.StorageAddrs)
+	r.storageTopo = topology.NewTierTrackerAddrs(topology.TierStorage, cfg.Storage)
 	r.storageView = r.storageTopo.View()
 	if cfg.Graph != nil {
 		r.labels = cfg.Graph.Labels()
 	}
 	if cfg.AdaptivePlacement {
-		if len(cfg.StorageAddrs) == 0 {
-			return nil, fmt.Errorf("rpc: adaptive placement needs the router's storage view seeded (StorageAddrs)")
+		if len(cfg.Storage) == 0 {
+			return nil, fmt.Errorf("rpc: adaptive placement needs the router's storage view seeded (Storage)")
 		}
 		r.planner = placement.New(placement.Config{BudgetBytes: cfg.PlacementBudget, MinReads: cfg.PlacementMinReads})
 		r.heat = placement.NewHeat()
 		r.placementEvery = cfg.PlacementEvery
 	}
-	if r.pools, err = dialPools(cfg.ProcessorAddrs); err != nil {
+	if r.pools, err = dialPools(cfg.Processors); err != nil {
 		return nil, err
 	}
-	if r.storagePools, err = dialPools(cfg.StorageAddrs); err != nil {
+	if r.storagePools, err = dialPools(cfg.Storage); err != nil {
 		r.closePools()
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/query"
@@ -67,11 +68,7 @@ func TestShortReplyFailsTheCall(t *testing.T) {
 
 	t.Run("router", func(t *testing.T) {
 		procs := []string{startAckServer(t), startAckServer(t)}
-		strat, _, err := BuildStrategyEmbed("hash", g, len(procs), 7, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := NewRouterServer("127.0.0.1:0", RouterConfig{ProcessorAddrs: procs, Strategy: strat})
+		rs, err := NewRouterServer("127.0.0.1:0", RouterConfig{Processors: procs, Policy: core.PolicyHash})
 		if err != nil {
 			t.Fatal(err)
 		}

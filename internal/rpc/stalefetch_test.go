@@ -125,7 +125,7 @@ func startGatedDeployment(t *testing.T) *gatedDeployment {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.ps.Close() })
-	rs, err := NewRouterServer("127.0.0.1:0", RouterConfig{ProcessorAddrs: []string{d.ps.Addr()}, StorageAddrs: []string{gate}})
+	rs, err := NewRouterServer("127.0.0.1:0", RouterConfig{Processors: []string{d.ps.Addr()}, Storage: []string{gate}})
 	if err != nil {
 		t.Fatal(err)
 	}

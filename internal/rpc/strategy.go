@@ -1,8 +1,6 @@
 package rpc
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/embed"
 	"repro/internal/graph"
@@ -23,31 +21,31 @@ func configStrategy(g *graph.Graph, cfg core.Config) (router.Strategy, router.Co
 	return strat, tab.Coords, err
 }
 
-// NetworkStrategy builds the strategy of a router started through
-// grouting.ServeRouter for a registered policy: configStrategy over
-// router.NetworkTables' shape (materialising p when it is set) at the
-// default routing parameters.
-func NetworkStrategy(policy string, g *graph.Graph, procs int, seed int64, p embed.Embedder) (router.Strategy, router.Coords, error) {
-	reg, ok := router.LookupName(policy)
-	if !ok {
-		return nil, router.Coords{}, fmt.Errorf("rpc: unknown policy %q", policy)
-	}
+// networkConfig is the core.Config of a router started through
+// NewRouterServer: router.NetworkTables' shape (materialising p when it is
+// set) at the default routing parameters.
+func networkConfig(policy core.Policy, procs int, seed int64, p embed.Embedder) core.Config {
 	nt := router.NetworkTables
-	return configStrategy(g, core.Config{
-		Policy: core.Policy(reg.ID), Processors: procs, Seed: seed, EmbedProvider: p,
+	return core.Config{
+		Policy: policy, Processors: procs, Seed: seed, EmbedProvider: p,
 		Landmarks: nt.Landmarks, MinSeparation: nt.MinSeparation, Dimensions: nt.Dimensions,
-	})
+	}
 }
 
-// BuildStrategyEmbed is NetworkStrategy over an already materialised
-// coordinate table: a non-nil emb replaces the learned embedding wholesale
-// and is returned as-is even for policies that route without coordinates,
-// so KNearest works under every policy.
+// BuildStrategyEmbed builds the strategy NewRouterServer would for a
+// registered policy over an already materialised coordinate table: a non-nil
+// emb replaces the learned embedding wholesale and is returned as-is even for
+// policies that route without coordinates, so KNearest works under every
+// policy.
 func BuildStrategyEmbed(policy string, g *graph.Graph, procs int, seed int64, emb *embed.Embedding) (router.Strategy, *embed.Embedding, error) {
+	pol, err := core.ParsePolicy(policy)
+	if err != nil {
+		return nil, nil, err
+	}
 	var p embed.Embedder
 	if emb != nil {
 		p = embed.NewFileProvider(emb)
 	}
-	strat, coords, err := NetworkStrategy(policy, g, procs, seed, p)
+	strat, coords, err := configStrategy(g, networkConfig(pol, procs, seed, p))
 	return strat, coords.Embedding, err
 }

@@ -2,7 +2,6 @@ package grouting
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 
 	"repro/internal/rpc"
@@ -47,86 +46,13 @@ func ServeProcessorWith(addr string, spec ProcessorSpec) (*ProcessorServer, erro
 }
 
 // RouterSpec configures a networked router.
-type RouterSpec struct {
-	// Processors lists the initial processing tier's addresses; more
-	// processors can join the running router at any time with
-	// ProcessorServer.Register (groutingd -join) and leave cleanly with
-	// Deregister, each transition producing a new topology epoch.
-	Processors []string
-	// Policy selects the routing scheme. Smart policies (PolicyLandmark,
-	// PolicyEmbed) need Graph for preprocessing.
-	Policy Policy
-	// Graph is the loaded dataset. ServeRouter reads it during
-	// construction — the smart policies' preprocessing runs over it — and
-	// does not retain it: the router keeps the routing tables built from it
-	// and its label table (shared with the graph, not copied), which
-	// labelled patterns and labelled mutations resolve against. A caller
-	// that wants the router's memory to be those tables drops its own
-	// reference too; one that keeps the graph (an oracle, a second client)
-	// simply keeps it. Without a graph the baseline policies still route,
-	// and labelled patterns and mutations are rejected with ErrBadQuery.
-	Graph *Graph
-	// Seed drives the preprocessing's stochastic choices.
-	Seed int64
-	// Storage optionally seeds the router's storage view: the listed
-	// shards appear in Stats()/grouting-cli -topology with their status
-	// and shard counters, and more can join at runtime with
-	// StorageServer.Register (groutingd -role storage -join). It is also
-	// the write path: the router applies mutations (Client.Mutate through
-	// Dial) and adaptive-placement moves through the same storage client
-	// the processors read through, over exactly these shards — so list
-	// the shards, in the order, the loader and the processors were given.
-	Storage []string
-	// StorageReplicas is the deployment's storage replication factor —
-	// the one the loader and the processors use; the router's writes go
-	// to that many replicas and Stats() reports it (0 reads as 1).
-	StorageReplicas int
-	// AdaptivePlacement enables the workload-adaptive placement subsystem
-	// on the router: it periodically drains per-record read heat from the
-	// processors and migrates hot records toward their dominant reader as
-	// bounded copy-then-drop moves. Requires Storage.
-	AdaptivePlacement bool
-	// PlacementBudget bounds the bytes migrated per planning cycle
-	// (<= 0 = unbounded).
-	PlacementBudget int64
-	// PlacementEvery runs one planning cycle automatically after that
-	// many completed queries (0 = only explicit cycles).
-	PlacementEvery int
-	// PlacementMinReads is the planner's hysteresis floor (0 = default).
-	PlacementMinReads int64
-	// EmbedProvider supplies node coordinates from a pluggable source
-	// (OpenEmbeddingFile, NewFileProvider, or any user Embedder) instead
-	// of the built-in learned embedding. It is materialised once at router
-	// start and then serves both embedding-based routing and KNearest
-	// ranking. Providers without their own snapshot need Graph to walk.
-	// When it fails and the policy does not require an embedding, the
-	// router starts degraded: KNearest queries answer the typed
-	// ErrUnavailable; everything else is unaffected.
-	EmbedProvider Embedder
-}
+type RouterSpec = rpc.RouterConfig
 
-// ServeRouter starts a query router on addr: it builds the routing strategy
-// (rpc.NetworkStrategy: the smart policies' preprocessing over spec.Graph,
-// and spec.EmbedProvider's materialisation), connects to the processors and
-// serves in the background.
+// ServeRouter starts a query router on addr serving in the background: it
+// is rpc.NewRouterServer, which builds the routing strategy spec describes,
+// followed by one garbage collection.
 func ServeRouter(addr string, spec RouterSpec) (*RouterServer, error) {
-	strat, coords, err := rpc.NetworkStrategy(spec.Policy.String(), spec.Graph, len(spec.Processors), spec.Seed, spec.EmbedProvider)
-	if err != nil {
-		return nil, fmt.Errorf("grouting: %w", err)
-	}
-	rs, err := rpc.NewRouterServer(addr, rpc.RouterConfig{
-		ProcessorAddrs:    spec.Processors,
-		Strategy:          strat,
-		PolicyName:        spec.Policy.String(),
-		StorageAddrs:      spec.Storage,
-		StorageReplicas:   spec.StorageReplicas,
-		Graph:             spec.Graph,
-		AdaptivePlacement: spec.AdaptivePlacement,
-		PlacementBudget:   spec.PlacementBudget,
-		PlacementEvery:    spec.PlacementEvery,
-		PlacementMinReads: spec.PlacementMinReads,
-		Coords:            coords,
-	})
+	rs, err := rpc.NewRouterServer(addr, spec)
 	if err != nil {
 		return nil, err
 	}

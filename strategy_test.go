@@ -3,6 +3,7 @@ package grouting_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -134,6 +135,87 @@ func TestCustomStrategyTwoTransports(t *testing.T) {
 	}
 	if spread < 2 {
 		t.Fatalf("workload landed on %d processor(s); band routing should spread it", spread)
+	}
+}
+
+// TestRouterBuildsAgree: a router started with ServeRouter builds its tables
+// at one fixed shape (32 landmarks, separation 2, 8 dimensions), and a
+// Config given that shape builds the same tables on either transport. One
+// hotspot list, sent one Execute at a time, lands on the same processors
+// through all three deployments — the same count on every processor — under
+// both smart policies, and every answer is the oracle's.
+func TestRouterBuildsAgree(t *testing.T) {
+	const procs, seed = 3, 5
+	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, seed)
+	qs := grouting.HotspotWorkload(g, grouting.WorkloadSpec{NumHotspots: 10, QueriesPerHotspot: 10, R: 2, H: 2, Seed: seed})
+	ctx := context.Background()
+
+	var storage []string
+	for range 2 {
+		ss, err := grouting.ServeStorage("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ss.Close() })
+		storage = append(storage, ss.Addr())
+	}
+	if err := grouting.LoadStorageReplicated(ctx, g, storage, 1); err != nil {
+		t.Fatal(err)
+	}
+	var addrs []string
+	for range procs {
+		ps, err := grouting.ServeProcessorWith("127.0.0.1:0", grouting.ProcessorSpec{Storage: storage, CacheBytes: 64 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ps.Close() })
+		addrs = append(addrs, ps.Addr())
+	}
+
+	for _, policy := range []grouting.Policy{grouting.PolicyEmbed, grouting.PolicyLandmark} {
+		rs, err := grouting.ServeRouter("127.0.0.1:0", grouting.RouterSpec{Processors: addrs, Policy: policy, Graph: g, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { rs.Close() })
+		served, err := grouting.Dial(ctx, rs.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { served.Close() })
+		cfg := grouting.Config{
+			Processors: procs, StorageServers: 2, Policy: policy, Seed: seed,
+			Landmarks: 32, MinSeparation: 2, Dimensions: 8,
+		}
+		local, loopback := twoTransports(t, g, cfg)
+
+		deployments := []struct {
+			name string
+			c    grouting.Client
+		}{{"ServeRouter", served}, {"Loopback", loopback}, {"NewSystem", local}}
+		assigned := make([][]int64, len(deployments))
+		for i, d := range deployments {
+			for _, q := range qs {
+				res, err := d.c.Execute(ctx, q)
+				if want := grouting.Answer(g, q); err != nil || res != want {
+					t.Fatalf("%v, %s: query %d: %+v, %v; want %+v", policy, d.name, q.ID, res, err, want)
+				}
+			}
+			snap, err := d.c.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pp := range snap.PerProc {
+				assigned[i] = append(assigned[i], pp.Assigned)
+			}
+			t.Logf("%v, %s: assigned %v", policy, d.name, assigned[i])
+		}
+		for i := 1; i < len(deployments); i++ {
+			if !slices.Equal(assigned[i], assigned[0]) {
+				t.Errorf("%v: %s assigned %v, %s assigned %v; want equal",
+					policy, deployments[i].name, assigned[i], deployments[0].name, assigned[0])
+			}
+		}
 	}
 }
 

@@ -172,29 +172,44 @@ func TestTCPAllocBudget(t *testing.T) {
 // ioCrossings reads this process's read(2)+write(2) family call count from
 // /proc/self/io — what strace -c would total, without strace.
 func ioCrossings(t *testing.T) int64 {
+	calls, _ := ioTotals(t)
+	return calls
+}
+
+// ioTotals reads this process's read(2)+write(2) family calls (syscr +
+// syscw) and the bytes they moved (rchar + wchar) from /proc/self/io.
+func ioTotals(t *testing.T) (calls, bytes int64) {
 	t.Helper()
 	data, err := os.ReadFile("/proc/self/io")
 	if err != nil {
 		t.Skipf("no per-process I/O accounting here: %v", err)
 	}
-	var total int64
 	found := 0
 	for _, line := range strings.Split(string(data), "\n") {
 		name, val, ok := strings.Cut(line, ": ")
-		if !ok || (name != "syscr" && name != "syscw") {
+		if !ok {
+			continue
+		}
+		var sum *int64
+		switch name {
+		case "syscr", "syscw":
+			sum = &calls
+		case "rchar", "wchar":
+			sum = &bytes
+		default:
 			continue
 		}
 		n, err := strconv.ParseInt(strings.TrimSpace(val), 10, 64)
 		if err != nil {
 			t.Skipf("unreadable /proc/self/io line %q", line)
 		}
-		total += n
+		*sum += n
 		found++
 	}
-	if found != 2 {
-		t.Skip("/proc/self/io has no syscr/syscw")
+	if found != 4 {
+		t.Skip("/proc/self/io has no syscr/syscw/rchar/wchar")
 	}
-	return total
+	return calls, bytes
 }
 
 // tcpCrossingsBudget bounds the read/write calls one warmed point query
@@ -204,6 +219,13 @@ func ioCrossings(t *testing.T) int64 {
 // client's. The margin is for the rare wake-up that finds its bytes already
 // taken. It was 12 while every idle wake-up paid a second read for EAGAIN.
 const tcpCrossingsBudget = 8.5
+
+// tcpBytesBudget bounds the bytes those calls move per warmed point query:
+// each of the four frames is written once and read once, so twice their
+// sum, plus the rare uncached storage read. Measured 121.5–121.8 B once a
+// query carried only what its kind reads, a result only its set fields and
+// a frame a uvarint length; 225.2 B before. The margin is a few such reads.
+const tcpBytesBudget = 125.0
 
 // TestTCPCrossingsBudget pins the kernel crossings per query next to the
 // allocations per query: the ledger in README's performance log, measured
@@ -215,7 +237,7 @@ func TestTCPCrossingsBudget(t *testing.T) {
 	_, remote, qs := allocBenchSetup(t)
 	ctx := context.Background()
 	const passes = 10
-	before := ioCrossings(t)
+	calls0, bytes0 := ioTotals(t)
 	for i := 0; i < passes; i++ {
 		for _, q := range qs {
 			if _, err := remote.Execute(ctx, q); err != nil {
@@ -223,10 +245,15 @@ func TestTCPCrossingsBudget(t *testing.T) {
 			}
 		}
 	}
-	perQuery := float64(ioCrossings(t)-before) / float64(passes*len(qs))
-	t.Logf("%.2f read/write calls per query", perQuery)
+	calls1, bytes1 := ioTotals(t)
+	perQuery := float64(calls1-calls0) / float64(passes*len(qs))
+	bytesPerQuery := float64(bytes1-bytes0) / float64(passes*len(qs))
+	t.Logf("%.2f read/write calls per query, %.1f B per query", perQuery, bytesPerQuery)
 	if perQuery > tcpCrossingsBudget {
 		t.Errorf("a hot point query costs %.2f read/write calls, above the budget of %.1f", perQuery, tcpCrossingsBudget)
+	}
+	if bytesPerQuery > tcpBytesBudget {
+		t.Errorf("a hot point query moves %.1f B through read/write calls, above the budget of %.0f", bytesPerQuery, tcpBytesBudget)
 	}
 }
 

@@ -40,7 +40,8 @@ const (
 // prefix of intact frames: a torn tail — a partial header, a short
 // payload, or a CRC mismatch from a write cut off mid-record — ends the
 // log there, which is exactly the state an acknowledged-writes-only crash
-// leaves behind.
+// leaves behind. A frame whose CRC holds but whose op is unknown is no tail:
+// a newer format wrote it, and replay refuses the log (ErrFormat).
 const walHeaderSize = 8
 
 // walMaxRecord bounds a single record so a corrupt length field cannot
@@ -70,9 +71,11 @@ type WAL struct {
 
 // OpenWAL opens (creating if absent) the log at path, replays every intact
 // record through apply in append order, truncates any torn tail, and
-// returns the log positioned for appending. apply may be nil when the
-// caller only wants the log open (fresh shard). A compaction's temp file
-// left by a crash before its rename is removed.
+// returns the log positioned for appending. A log holding a frame of a
+// format this build does not know fails with ErrFormat, and its file is left
+// as it was. apply may be nil when the caller only wants the log open (fresh
+// shard). A compaction's temp file left by a crash before its rename is
+// removed.
 func OpenWAL(path string, fsync bool, apply func(op WALOp, key, ver uint64, val []byte)) (*WAL, error) {
 	os.Remove(path + ".tmp")
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -333,7 +336,9 @@ func replayWAL(path string, fn func(op WALOp, key, ver uint64, val []byte)) (rec
 // replayFrames reads frames from r until EOF or the first damaged frame,
 // returning the record count, the byte offset after the last good frame,
 // and the highest version seen, a mark's included. A mark is not a record:
-// fn never sees it. Only an I/O error (not corruption) is an error.
+// fn never sees it. An I/O error is an error, and so is a CRC-valid frame
+// with an unknown op (ErrFormat): that frame is a newer format's, not damage,
+// so nothing behind it may be cut. Other damage ends the good prefix.
 func replayFrames(r io.Reader, fn func(op WALOp, key, ver uint64, val []byte)) (records, good int64, maxVer uint64, err error) {
 	bp := walBufPool.Get().(*[]byte)
 	defer func() { walBufPool.Put(bp) }()
@@ -347,6 +352,9 @@ func replayFrames(r io.Reader, fn func(op WALOp, key, ver uint64, val []byte)) (
 		}
 		*bp = buf
 		op, key, ver, val, derr := decodeRecord(buf)
+		if errors.Is(derr, ErrFormat) {
+			return records, good, maxVer, fmt.Errorf("%w: frame at byte %d", derr, good)
+		}
 		if derr != nil {
 			return records, good, maxVer, nil // CRC-valid but malformed: treat as corrupt
 		}
@@ -364,6 +372,10 @@ func replayFrames(r io.Reader, fn func(op WALOp, key, ver uint64, val []byte)) (
 
 // errTorn is readFrame's report of a frame cut short or damaged.
 var errTorn = errors.New("kvstore: torn or damaged frame")
+
+// ErrFormat marks a log this build cannot read: a frame whose CRC holds but
+// whose op is unknown was written by a newer format.
+var ErrFormat = errors.New("kvstore: wal format unknown to this build")
 
 // readFrame reads one CRC frame into buf (grown as needed) and returns its
 // payload. A clean end is io.EOF; a partial header or payload, a bad length
@@ -404,7 +416,7 @@ func decodeRecord(buf []byte) (op WALOp, key, ver uint64, val []byte, err error)
 	}
 	op = WALOp(buf[0])
 	if op < WALPut || op > walMark {
-		return 0, 0, 0, nil, fmt.Errorf("kvstore: unknown wal op %d", op)
+		return 0, 0, 0, nil, fmt.Errorf("%w: op %d", ErrFormat, op)
 	}
 	buf = buf[1:]
 	key, n := binary.Uvarint(buf)

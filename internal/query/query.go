@@ -81,7 +81,8 @@ func (t Type) MultiAnchor() bool {
 	return t == PatternMatch || t == BoundedReach || t == KNearest
 }
 
-// Query is one online request.
+// Query is one online request. Over TCP it travels as Reads() of it: a
+// field a kind starts to read must be kept there, or it never arrives.
 type Query struct {
 	ID   int
 	Type Type

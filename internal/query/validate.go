@@ -94,3 +94,33 @@ func (q Query) Validate() error {
 	}
 	return nil
 }
+
+// Reads returns q with every field its kind never reads set to zero: the
+// query a processor or router needs, and the one the wire carries. Type,
+// Node, Hops and Dir stay for every kind (Validate checks Hops and Dir of
+// all of them), and so do ID and Hotspot, which routing strategies read.
+// Then each kind keeps its own: NeighborAgg its CountLabel, RandomWalk its
+// RestartProb and Seed, Reachability its Target, PatternMatch its Pattern,
+// BoundedReach its Target, Anchors and VisitBudget, and KNearest its K. A
+// kind Validate does not know keeps everything. Answer, AnswerKNN and
+// Validate give q and q.Reads() the same verdict.
+func (q Query) Reads() Query {
+	p := Query{ID: q.ID, Type: q.Type, Node: q.Node, Hops: q.Hops, Dir: q.Dir, Hotspot: q.Hotspot}
+	switch q.Type {
+	case NeighborAgg:
+		p.CountLabel = q.CountLabel
+	case RandomWalk:
+		p.RestartProb, p.Seed = q.RestartProb, q.Seed
+	case Reachability:
+		p.Target = q.Target
+	case PatternMatch:
+		p.Pattern = q.Pattern
+	case BoundedReach:
+		p.Target, p.Anchors, p.VisitBudget = q.Target, q.Anchors, q.VisitBudget
+	case KNearest:
+		p.K = q.K
+	default:
+		return q
+	}
+	return p
+}

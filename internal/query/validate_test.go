@@ -2,6 +2,7 @@ package query
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
@@ -85,4 +86,101 @@ func TestHotspotMixedTypes(t *testing.T) {
 			t.Errorf("no %v query generated: %v", typ, kinds)
 		}
 	}
+}
+
+// stuffed returns q with every field that is zero in it set to something
+// that is not: the fields its kind reads change its answer (on both sides of
+// the comparison), and the ones it does not read must not.
+func stuffed(q Query) Query {
+	if q.Target == 0 {
+		q.Target = q.Node + 1
+	}
+	if q.RestartProb == 0 {
+		q.RestartProb = 0.5
+	}
+	if q.CountLabel == "" {
+		q.CountLabel = "no-such-label"
+	}
+	if q.Seed == 0 {
+		q.Seed = 99
+	}
+	if q.Anchors == nil {
+		q.Anchors = []graph.NodeID{q.Node}
+	}
+	if q.Pattern == nil {
+		q.Pattern = &Pattern{Nodes: []PatternNode{{Anchor: q.Node}, {}}, Edges: []PatternEdge{{From: 0, To: 1}}}
+	}
+	if q.VisitBudget == 0 {
+		q.VisitBudget = 3
+	}
+	if q.K == 0 {
+		q.K = 2
+	}
+	return q
+}
+
+// TestReadsKeepsTheAnswer is the projection's contract, over the hotspot
+// workload and the mix with every kind on two seeds, as generated and with
+// every unset field stuffed: a query and its projection get the same answer
+// from the oracles and the same verdict from Validate, and the projection
+// zeroes every field its kind does not read.
+func TestReadsKeepsTheAnswer(t *testing.T) {
+	for _, seed := range []int64{3, 8} {
+		g := gen.LocalWeb(800, 6, 30, 0.01, seed)
+		coords := coordMap{}
+		for _, u := range g.Nodes() {
+			coords[u] = []float32{float32(uint64(u)*2654435761%1000) / 10, float32(uint64(u)*40503%1000) / 10}
+		}
+		var qs []Query
+		for _, types := range [][]Type{nil, MixedTypesKNN} {
+			qs = append(qs, Hotspot(g, WorkloadSpec{NumHotspots: 12, QueriesPerHotspot: 6, Types: types, Seed: seed})...)
+		}
+		kinds := map[Type]int{}
+		for _, gq := range qs {
+			for _, q := range []Query{gq, stuffed(gq)} {
+				p := q.Reads()
+				if !reflect.DeepEqual(p.Reads(), p) {
+					t.Fatalf("seed %d: projecting %+v twice differs from once", seed, q)
+				}
+				if got, want := Answer(g, p), Answer(g, q); got != want {
+					t.Fatalf("seed %d: %v answers %+v projected, %+v as written (%+v)", seed, q.Type, got, want, q)
+				}
+				if q.Type == KNearest {
+					if got, want := AnswerKNN(g, coords, p), AnswerKNN(g, coords, q); got != want {
+						t.Fatalf("seed %d: k-NN answers %+v projected, %+v as written (%+v)", seed, got, want, q)
+					}
+				}
+				if (q.Validate() == nil) != (p.Validate() == nil) {
+					t.Fatalf("seed %d: Validate = %v as written, %v projected (%+v)", seed, q.Validate(), p.Validate(), q)
+				}
+				if unread(p) {
+					t.Fatalf("seed %d: %v projection keeps a field its kind does not read: %+v", seed, q.Type, p)
+				}
+			}
+			kinds[gq.Type]++
+		}
+		if len(kinds) != len(MixedTypesKNN) {
+			t.Fatalf("seed %d: the workloads drew %d kinds, want all %d", seed, len(kinds), len(MixedTypesKNN))
+		}
+	}
+}
+
+// unread reports whether p sets a field its kind does not read.
+func unread(p Query) bool {
+	switch p.Type {
+	case NeighborAgg:
+		p.CountLabel = ""
+	case RandomWalk:
+		p.RestartProb, p.Seed = 0, 0
+	case Reachability:
+		p.Target = 0
+	case PatternMatch:
+		p.Pattern = nil
+	case BoundedReach:
+		p.Target, p.Anchors, p.VisitBudget = 0, nil, 0
+	case KNearest:
+		p.K = 0
+	}
+	p.ID, p.Type, p.Node, p.Hops, p.Dir, p.Hotspot = 0, 0, 0, 0, 0, 0
+	return !reflect.DeepEqual(p, Query{})
 }

@@ -335,53 +335,153 @@ func decExec(d *wire.Reader, ex *ExecRequest) *ExecRequest {
 	return ex
 }
 
+// Query and result field bitmaps. A query travels as Type, Node, Hops and
+// Dir, then a bitmap over the fields below and the present ones in bit
+// order; appendQuery writes q.Reads(), so a field the kind never reads
+// costs nothing, and neither does a zero one. The point kinds' fields sit in
+// the bitmap's first uvarint byte. A result travels as Type, then a bitmap
+// over its payload fields and the present ones: Reachable is its bit alone,
+// Nearest its length up to the last set entry and those entries. A decoder
+// refuses a bit it does not know.
+const (
+	qID = 1 << iota
+	qHotspot
+	qTarget
+	qSeed
+	qRestartProb
+	qCountLabel
+	qK
+	qAnchors
+	qPattern
+	qVisitBudget
+	qKnown = 1<<iota - 1
+)
+
+const (
+	resCount = 1 << iota
+	resEndNode
+	resReachable
+	resMatches
+	resNearest
+	resKnown = 1<<iota - 1
+)
+
 func appendQuery(buf []byte, q *query.Query, scratch *[]byte) []byte {
-	buf = binary.AppendVarint(buf, int64(q.ID))
-	buf = append(buf, byte(q.Type))
-	buf = binary.AppendUvarint(buf, uint64(q.Node))
-	buf = binary.AppendUvarint(buf, uint64(q.Target))
-	buf = binary.AppendVarint(buf, int64(q.Hops))
-	buf = wire.AppendF64(buf, q.RestartProb)
-	buf = wire.AppendStr(buf, q.CountLabel)
-	buf = append(buf, byte(q.Dir))
-	buf = binary.AppendVarint(buf, q.Seed)
-	buf = binary.AppendVarint(buf, int64(q.Hotspot))
-	buf = binary.AppendUvarint(buf, uint64(len(q.Anchors)))
-	for _, a := range q.Anchors {
-		buf = binary.AppendUvarint(buf, uint64(a))
+	p := q.Reads()
+	buf = append(buf, byte(p.Type))
+	buf = binary.AppendUvarint(buf, uint64(p.Node))
+	buf = binary.AppendVarint(buf, int64(p.Hops))
+	buf = append(buf, byte(p.Dir))
+	var bits uint64
+	if p.ID != 0 {
+		bits |= qID
 	}
-	if q.Pattern != nil {
-		buf = append(buf, 1)
-		tmp := q.Pattern.AppendBinary((*scratch)[:0])
+	if p.Hotspot != 0 {
+		bits |= qHotspot
+	}
+	if p.Target != 0 {
+		bits |= qTarget
+	}
+	if p.Seed != 0 {
+		bits |= qSeed
+	}
+	if p.RestartProb != 0 {
+		bits |= qRestartProb
+	}
+	if p.CountLabel != "" {
+		bits |= qCountLabel
+	}
+	if p.K != 0 {
+		bits |= qK
+	}
+	if len(p.Anchors) > 0 {
+		bits |= qAnchors
+	}
+	if p.Pattern != nil {
+		bits |= qPattern
+	}
+	if p.VisitBudget != 0 {
+		bits |= qVisitBudget
+	}
+	buf = binary.AppendUvarint(buf, bits)
+	if bits&qID != 0 {
+		buf = binary.AppendVarint(buf, int64(p.ID))
+	}
+	if bits&qHotspot != 0 {
+		buf = binary.AppendVarint(buf, int64(p.Hotspot))
+	}
+	if bits&qTarget != 0 {
+		buf = binary.AppendUvarint(buf, uint64(p.Target))
+	}
+	if bits&qSeed != 0 {
+		buf = binary.AppendVarint(buf, p.Seed)
+	}
+	if bits&qRestartProb != 0 {
+		buf = wire.AppendF64(buf, p.RestartProb)
+	}
+	if bits&qCountLabel != 0 {
+		buf = wire.AppendStr(buf, p.CountLabel)
+	}
+	if bits&qK != 0 {
+		buf = binary.AppendVarint(buf, int64(p.K))
+	}
+	if bits&qAnchors != 0 {
+		buf = binary.AppendUvarint(buf, uint64(len(p.Anchors)))
+		for _, a := range p.Anchors {
+			buf = binary.AppendUvarint(buf, uint64(a))
+		}
+	}
+	if bits&qPattern != 0 {
+		tmp := p.Pattern.AppendBinary((*scratch)[:0])
 		buf = wire.AppendBytes(buf, tmp)
 		*scratch = tmp
-	} else {
-		buf = append(buf, 0)
 	}
-	buf = binary.AppendVarint(buf, int64(q.VisitBudget))
-	buf = binary.AppendVarint(buf, int64(q.K))
+	if bits&qVisitBudget != 0 {
+		buf = binary.AppendVarint(buf, int64(p.VisitBudget))
+	}
 	return buf
 }
 
 func decQuery(d *wire.Reader, q *query.Query) {
-	q.ID = int(d.Varint())
 	q.Type = query.Type(d.U8())
 	q.Node = graph.NodeID(d.Uvarint())
-	q.Target = graph.NodeID(d.Uvarint())
 	q.Hops = int(d.Varint())
-	q.RestartProb = d.F64()
-	q.CountLabel = d.Str(maxWireStr)
 	q.Dir = graph.Direction(d.U8())
-	q.Seed = d.Varint()
-	q.Hotspot = int(d.Varint())
-	na := d.Count(maxFrame)
-	if na > 0 {
-		q.Anchors = make([]graph.NodeID, na)
-		for i := range q.Anchors {
-			q.Anchors[i] = graph.NodeID(d.Uvarint())
+	bits := d.Uvarint()
+	if bits&^qKnown != 0 {
+		d.Fail()
+		return
+	}
+	if bits&qID != 0 {
+		q.ID = int(d.Varint())
+	}
+	if bits&qHotspot != 0 {
+		q.Hotspot = int(d.Varint())
+	}
+	if bits&qTarget != 0 {
+		q.Target = graph.NodeID(d.Uvarint())
+	}
+	if bits&qSeed != 0 {
+		q.Seed = d.Varint()
+	}
+	if bits&qRestartProb != 0 {
+		q.RestartProb = d.F64()
+	}
+	if bits&qCountLabel != 0 {
+		q.CountLabel = d.Str(maxWireStr)
+	}
+	if bits&qK != 0 {
+		q.K = int(d.Varint())
+	}
+	if bits&qAnchors != 0 {
+		if na := d.Count(maxFrame); na > 0 {
+			q.Anchors = make([]graph.NodeID, na)
+			for i := range q.Anchors {
+				q.Anchors[i] = graph.NodeID(d.Uvarint())
+			}
 		}
 	}
-	if d.Bool() {
+	if bits&qPattern != 0 {
 		raw := d.Raw()
 		if !d.Failed() {
 			var p query.Pattern
@@ -392,42 +492,78 @@ func decQuery(d *wire.Reader, q *query.Query) {
 			}
 		}
 	}
-	q.VisitBudget = int(d.Varint())
-	q.K = int(d.Varint())
+	if bits&qVisitBudget != 0 {
+		q.VisitBudget = int(d.Varint())
+	}
 }
 
 func appendResult(buf []byte, r *query.Result) []byte {
 	buf = append(buf, byte(r.Type))
-	buf = binary.AppendVarint(buf, int64(r.Count))
-	buf = binary.AppendUvarint(buf, uint64(r.EndNode))
-	buf = wire.AppendBool(buf, r.Reachable)
-	buf = binary.AppendVarint(buf, int64(r.Matches))
-	// Nearest travels only for KNearest results (Count doubles as its
-	// length there); other kinds pay a single zero byte.
-	nn := 0
-	if r.Type == query.KNearest && r.Count > 0 && r.Count <= query.MaxKNearest {
-		nn = r.Count
+	nn := len(r.Nearest)
+	for nn > 0 && r.Nearest[nn-1] == 0 {
+		nn--
 	}
-	buf = append(buf, byte(nn))
-	for i := 0; i < nn; i++ {
-		buf = binary.AppendUvarint(buf, uint64(r.Nearest[i]))
+	var bits uint64
+	if r.Count != 0 {
+		bits |= resCount
+	}
+	if r.EndNode != 0 {
+		bits |= resEndNode
+	}
+	if r.Reachable {
+		bits |= resReachable
+	}
+	if r.Matches != 0 {
+		bits |= resMatches
+	}
+	if nn > 0 {
+		bits |= resNearest
+	}
+	buf = binary.AppendUvarint(buf, bits)
+	if bits&resCount != 0 {
+		buf = binary.AppendVarint(buf, int64(r.Count))
+	}
+	if bits&resEndNode != 0 {
+		buf = binary.AppendUvarint(buf, uint64(r.EndNode))
+	}
+	if bits&resMatches != 0 {
+		buf = binary.AppendVarint(buf, int64(r.Matches))
+	}
+	if bits&resNearest != 0 {
+		buf = append(buf, byte(nn))
+		for _, v := range r.Nearest[:nn] {
+			buf = binary.AppendUvarint(buf, uint64(v))
+		}
 	}
 	return buf
 }
 
 func decResult(d *wire.Reader, r *query.Result) {
 	r.Type = query.Type(d.U8())
-	r.Count = int(d.Varint())
-	r.EndNode = graph.NodeID(d.Uvarint())
-	r.Reachable = d.Bool()
-	r.Matches = int(d.Varint())
-	nn := int(d.U8())
-	if nn > query.MaxKNearest {
+	bits := d.Uvarint()
+	if bits&^resKnown != 0 {
 		d.Fail()
 		return
 	}
-	for i := 0; i < nn; i++ {
-		r.Nearest[i] = graph.NodeID(d.Uvarint())
+	if bits&resCount != 0 {
+		r.Count = int(d.Varint())
+	}
+	if bits&resEndNode != 0 {
+		r.EndNode = graph.NodeID(d.Uvarint())
+	}
+	r.Reachable = bits&resReachable != 0
+	if bits&resMatches != 0 {
+		r.Matches = int(d.Varint())
+	}
+	if bits&resNearest != 0 {
+		nn := int(d.U8())
+		if nn > query.MaxKNearest {
+			d.Fail()
+			return
+		}
+		for i := 0; i < nn; i++ {
+			r.Nearest[i] = graph.NodeID(d.Uvarint())
+		}
 	}
 }
 

@@ -141,7 +141,12 @@ func (fs frameStream) wait(t *testing.T) error {
 // socket cuts them and checks the frames come out whole, in order, with
 // the stream's end reported the way readFrame reports it.
 func TestReadFramesStreams(t *testing.T) {
-	small := rawFrame(patterned(1, 37))
+	small := rawFrame(patterned(1, 40))
+	// A payload of 2^14 bytes takes a three-byte length prefix.
+	wide := rawFrame(patterned(2, 1<<14))
+	if _, k, _ := frameLen(wide); k != 3 {
+		t.Fatalf("a %d-byte payload has a %d-byte prefix, want 3", 1<<14, k)
+	}
 
 	var burst []byte
 	var burstWant [][]byte
@@ -156,7 +161,7 @@ func TestReadFramesStreams(t *testing.T) {
 	var full []byte
 	var fullWant [][]byte
 	for i := 0; i < frameWindow/1024; i++ {
-		p := patterned(i, 1024-frameHeader)
+		p := patterned(i, 1024-2) // a two-byte length prefix
 		full = append(full, rawFrame(p)...)
 		fullWant = append(fullWant, p)
 	}
@@ -170,10 +175,10 @@ func TestReadFramesStreams(t *testing.T) {
 	// header riding in the same writes.
 	big := patterned(7, 3*frameWindow+123)
 	mixed := append(append(append([]byte(nil), small...), rawFrame(big)...), small...)
-	mixedWant := [][]byte{patterned(1, 37), big, patterned(1, 37)}
+	mixedWant := [][]byte{patterned(1, 40), big, patterned(1, 40)}
 
-	var tooBig [frameHeader]byte
-	binary.LittleEndian.PutUint32(tooBig[:], maxFrame+1)
+	tooBig := binary.AppendUvarint(nil, maxFrame+1)
+	overLong := []byte{0x80, 0x80, 0x80, 0x80, 0x01} // five prefix bytes, for length 2^28
 
 	type streamCase struct {
 		name string
@@ -185,19 +190,27 @@ func TestReadFramesStreams(t *testing.T) {
 		wantErr error
 	}
 	cases := []streamCase{
-		{name: "byte at a time", writes: splitEvery(small, 1), want: [][]byte{patterned(1, 37)}, wantErr: io.EOF},
+		{name: "byte at a time", writes: splitEvery(small, 1), want: [][]byte{patterned(1, 40)}, wantErr: io.EOF},
 		{name: "64 frames in one write", writes: [][]byte{burst}, want: burstWant, wantErr: io.EOF},
 		{name: "window filled exactly", writes: [][]byte{full, rawFrame(tail)}, preload: true, want: fullWant, wantErr: io.EOF},
 		{name: "frame larger than the window", writes: splitEvery(mixed, 5000), want: mixedWant, wantErr: io.EOF},
-		{name: "empty payload", writes: [][]byte{rawFrame(nil), small}, want: [][]byte{{}, patterned(1, 37)}, wantErr: io.EOF},
-		{name: "length past maxFrame", writes: [][]byte{small, tooBig[:]}, want: [][]byte{patterned(1, 37)}, wantErr: errFrameTooBig},
-		{name: "EOF inside a header", writes: [][]byte{small, small[:2]}, want: [][]byte{patterned(1, 37)}, wantErr: io.ErrUnexpectedEOF},
+		{name: "empty payload", writes: [][]byte{rawFrame(nil), small}, want: [][]byte{{}, patterned(1, 40)}, wantErr: io.EOF},
+		{name: "length past maxFrame", writes: [][]byte{small, tooBig}, want: [][]byte{patterned(1, 40)}, wantErr: errFrameTooBig},
+		{name: "length prefix past four bytes", writes: [][]byte{small, overLong}, want: [][]byte{patterned(1, 40)}, wantErr: errFrameTooBig},
+		{name: "EOF inside a header", writes: [][]byte{small, wide[:2]}, want: [][]byte{patterned(1, 40)}, wantErr: io.ErrUnexpectedEOF},
 		{name: "EOF inside a payload", writes: [][]byte{small[:20]}, wantErr: io.ErrUnexpectedEOF},
 	}
-	// One frame cut in two at every offset, header included.
+	// One frame cut in two at every offset, header included, and a frame
+	// behind it cut at every byte of its three-byte header.
 	for k := 1; k < len(small); k++ {
 		cases = append(cases, streamCase{name: fmt.Sprintf("split at %d", k),
-			writes: [][]byte{small[:k], small[k:]}, want: [][]byte{patterned(1, 37)}, wantErr: io.EOF})
+			writes: [][]byte{small[:k], small[k:]}, want: [][]byte{patterned(1, 40)}, wantErr: io.EOF})
+	}
+	for k := 1; k <= 3; k++ {
+		stream := append(append([]byte(nil), small...), wide...)
+		cut := len(small) + k
+		cases = append(cases, streamCase{name: fmt.Sprintf("header split at %d", k),
+			writes: [][]byte{stream[:cut], stream[cut:]}, want: [][]byte{patterned(1, 40), patterned(2, 1<<14)}, wantErr: io.EOF})
 	}
 
 	for _, path := range readPaths {
@@ -247,7 +260,7 @@ func TestReadFramesStreams(t *testing.T) {
 // that is owed something must find the close by itself; a partial frame is
 // reason enough.
 func TestCloseBehindData(t *testing.T) {
-	frame := rawFrame(patterned(1, 37))
+	frame := rawFrame(patterned(1, 40))
 	for _, path := range readPaths {
 		for _, tc := range []struct {
 			name    string
@@ -425,8 +438,7 @@ func startScriptedPeer(t *testing.T, calls int, reply []byte) string {
 // did not answer fails with query.ErrUnavailable naming what the reader
 // saw — at once, not at its deadline.
 func TestBrokenStreamFailsPendingCalls(t *testing.T) {
-	var tooBig [frameHeader]byte
-	binary.LittleEndian.PutUint32(tooBig[:], maxFrame+1)
+	tooBig := binary.AppendUvarint(nil, maxFrame+1)
 	var scratch []byte
 	reply := encodeResponseFrame(nil, 1, &Response{OK: true, Values: [][]byte{patterned(5, 64)}, Founds: []bool{true}}, &scratch)
 	for _, path := range readPaths {
@@ -436,7 +448,7 @@ func TestBrokenStreamFailsPendingCalls(t *testing.T) {
 			answered int
 			msg      string
 		}{
-			{"length past maxFrame", tooBig[:], 0, errFrameTooBig.Error()},
+			{"length past maxFrame", tooBig, 0, errFrameTooBig.Error()},
 			{"empty payload", rawFrame(nil), 0, "malformed frame"},
 			{"corrupt stats payload", corruptStatsFrame(), 0, "response: malformed wire encoding"},
 			{"EOF inside a frame", reply[:len(reply)/2], 0, io.ErrUnexpectedEOF.Error()},
@@ -496,8 +508,7 @@ func TestBrokenStreamFailsPendingCalls(t *testing.T) {
 // TestBadFramesDropTheConn sends a server each kind of broken stream: it
 // hangs up.
 func TestBadFramesDropTheConn(t *testing.T) {
-	var tooBig [frameHeader]byte
-	binary.LittleEndian.PutUint32(tooBig[:], maxFrame+1)
+	tooBig := binary.AppendUvarint(nil, maxFrame+1)
 	ping := encodeRequestFrame(nil, 1, &Request{Op: OpPing}, 0, new([]byte))
 	for _, path := range readPaths {
 		for _, tc := range []struct {
@@ -505,7 +516,7 @@ func TestBadFramesDropTheConn(t *testing.T) {
 			bytes     []byte
 			halfClose bool
 		}{
-			{"length past maxFrame", tooBig[:], false},
+			{"length past maxFrame", tooBig, false},
 			{"empty payload", rawFrame(nil), false},
 			{"undecodable request", rawFrame([]byte{1, 0xff}), false},
 			{"EOF inside a frame", ping[:len(ping)-1], true},

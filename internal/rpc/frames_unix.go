@@ -3,7 +3,6 @@
 package rpc
 
 import (
-	"encoding/binary"
 	"io"
 	"net"
 	"os"
@@ -80,22 +79,25 @@ func readFrames(c net.Conn, onFrame func(payload []byte) bool, owed func() bool)
 			drained := n < len(buf)-w
 			w += n
 
-			need := frameHeader // bytes the frame at r spans, once its header is in
-			for w-r >= frameHeader {
-				size := binary.LittleEndian.Uint32(buf[r:])
-				if size > maxFrame {
-					rerr = errFrameTooBig
+			need := 0 // bytes the frame at r spans, once its header is in
+			for r < w {
+				size, k, herr := frameLen(buf[r:w])
+				if herr != nil {
+					rerr = herr
 					return true
 				}
-				need = frameHeader + int(size)
+				if k == 0 {
+					break // the header is split across reads
+				}
+				need = k + size
 				if w-r < need {
 					break
 				}
-				if !onFrame(buf[r+frameHeader : r+need]) {
+				if !onFrame(buf[r+k : r+need]) {
 					return true
 				}
 				r += need
-				need = frameHeader
+				need = 0
 			}
 			// Leave room at buf[w:] for the rest of a partial frame.
 			switch {

@@ -418,7 +418,7 @@ func reqFrameSize(t *testing.T, req *Request) int {
 	var scratch []byte
 	buf := encodeRequestFrame(nil, 1, req, req.Deadline, &scratch)
 	// The frame must decode back; a size test on garbage proves nothing.
-	tag, rest, ok := peelTag(buf[frameHeader:])
+	tag, rest, ok := peelTag(framePayload(buf))
 	if !ok || tag != 1 {
 		t.Fatalf("frame tag corrupt")
 	}
@@ -434,7 +434,7 @@ func respFrameSize(t *testing.T, resp *Response) int {
 	t.Helper()
 	var scratch []byte
 	buf := encodeResponseFrame(nil, 1, resp, &scratch)
-	tag, rest, ok := peelTag(buf[frameHeader:])
+	tag, rest, ok := peelTag(framePayload(buf))
 	if !ok || tag != 1 {
 		t.Fatalf("frame tag corrupt")
 	}
@@ -536,8 +536,8 @@ func TestEnvelopeEncodedSize(t *testing.T) {
 	// bytes here), nothing else.
 	var scratch []byte
 	bare := encodeRequestFrame(nil, 1, exec, 0, &scratch)
-	if got := hex.EncodeToString(bare); got != "1b000000010500080102002a00040000000000000000000000000000000000" {
-		t.Errorf("bare execute frame = %s, not the frame the protocol has always sent", got)
+	if got := hex.EncodeToString(bare); got != "0c0105000801002a0400010200" {
+		t.Errorf("bare execute frame = %s, not the frame the protocol sends", got)
 	}
 	exec.Keys = []uint64{}
 	if empty := encodeRequestFrame(nil, 1, exec, 0, &scratch); !bytes.Equal(empty, bare) {
@@ -546,6 +546,34 @@ func TestEnvelopeEncodedSize(t *testing.T) {
 	exec.Keys = []uint64{42, 40000}
 	if n := reqFrameSize(t, exec); n != len(bare)+1+1+3 {
 		t.Errorf("execute frame carrying two invalidations encodes to %d bytes, want %d", n, len(bare)+1+1+3)
+	}
+	// Each point kind's execute request and its result, as the hotspot
+	// generator draws them over a 60 k-node graph (three-byte node ids, a
+	// 63-bit walk seed, a two-byte hotspot index): a query carries what its
+	// kind reads and no field it leaves zero. The ceilings are the sizes
+	// when queries and results became presence-coded and the length prefix
+	// a uvarint: 46 B for each request before, and 15, 16 and 14 B for the
+	// results.
+	for _, pk := range []struct {
+		q        query.Query
+		r        query.Result
+		req, res int
+	}{
+		{query.Query{ID: 4321, Type: query.NeighborAgg, Node: 54321, Hops: 2, Dir: graph.Out, Hotspot: 87},
+			query.Result{Type: query.NeighborAgg, Count: 311}, 18, 9},
+		{query.Query{ID: 4322, Type: query.RandomWalk, Node: 54321, Hops: 2, Dir: graph.Out, Hotspot: 87, RestartProb: 0.15, Seed: 1<<62 + 12345},
+			query.Result{Type: query.RandomWalk, EndNode: 54329}, 36, 10},
+		{query.Query{ID: 4323, Type: query.Reachability, Node: 54321, Target: 43210, Hops: 2, Dir: graph.Out, Hotspot: 87},
+			query.Result{Type: query.Reachability, Reachable: true}, 21, 7},
+	} {
+		full := pk.q
+		full.RestartProb, full.Seed, full.Target = 0.15, 1<<62+12345, 43210 // the generator sets them on every kind
+		if n := reqFrameSize(t, execRequest([]query.Query{full})); n > pk.req {
+			t.Errorf("1-%v execute frame encodes to %d bytes, want <= %d", pk.q.Type, n, pk.req)
+		}
+		if n := respFrameSize(t, &Response{OK: true, Results: []query.Result{pk.r}}); n > pk.res {
+			t.Errorf("%v result frame encodes to %d bytes, want <= %d", pk.q.Type, n, pk.res)
+		}
 	}
 	// A one-subtask wave dispatch: the varint-packed subtask plus envelope.
 	subExec := &Request{Op: OpExecute, Exec: &ExecRequest{Subtasks: []mquery.Subtask{

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -61,8 +60,12 @@ func readGolden(t *testing.T, name string) []byte {
 // thirteen zero bytes and gained Storage's absent-pointer byte — 0x222 →
 // 0x216, −12 B. When the single-key get (op 2) retired, its Value and Found
 // bits with it, the first file lost Value's 01 76 ("v") and its bitmap went
-// ff07 → fc07: length prefix 0x113 → 0x111, −2 B. Every other byte is the
-// hand codec's, length prefix aside.
+// ff07 → fc07: length prefix 0x113 → 0x111, −2 B. When the length prefix
+// became a uvarint and results became presence-coded, the first file went
+// 277 → 272 B (prefix 4 → 2 B; its two results 6 + 13 → 5 + 11 B: Count,
+// EndNode, Reachable and Matches of the first behind bitmap 0f, three
+// Nearest ids of the second behind bitmap 11) and the second 538 → 536 B
+// (prefix alone). Every other byte is the hand codec's, length prefix aside.
 func TestGoldenFrames(t *testing.T) {
 	for _, tc := range []struct {
 		file string
@@ -76,7 +79,7 @@ func TestGoldenFrames(t *testing.T) {
 		if got := encodeResponseFrame(nil, 7, tc.resp, &scratch); !bytes.Equal(got, want) {
 			t.Errorf("%s: frame differs from the golden one\n got  %x\n want %x", tc.file, got, want)
 		}
-		_, rest, _ := peelTag(want[frameHeader:])
+		_, rest, _ := peelTag(framePayload(want))
 		var back Response
 		if err := decodeResponseInto(rest, &back); err != nil {
 			t.Fatalf("%s: %v", tc.file, err)
@@ -99,7 +102,12 @@ func TestGoldenFrames(t *testing.T) {
 // single-key Key and Value fields retired, the first frame lost Key's
 // a797b107 (15485863) and Value's 0d "payload-bytes", and its bitmap went
 // ff07 → fc07: length prefix 0xc7 → 0xb5, −18 B. The other two frames did
-// not move.
+// not move. When the length prefix became a uvarint and a query began to
+// travel as what its kind reads, presence-coded, the three frames went
+// 185 → 117, 38 → 35 and 46 → 28 B: fullRequest's random walk lost Target,
+// CountLabel, Anchors, Pattern and VisitBudget, which no walk reads, and
+// its three queries' zero fields; every frame lost two or three prefix
+// bytes. Each frame decodes to its fixture with its queries projected.
 func TestGoldenRequestFrames(t *testing.T) {
 	want := readGolden(t, "full_request.hex")
 	var scratch []byte
@@ -112,16 +120,17 @@ func TestGoldenRequestFrames(t *testing.T) {
 		t.Fatalf("frames differ from the golden ones\n got  %x\n want %x", got, want)
 	}
 	for _, req := range fixtures {
-		end := frameHeader + int(binary.LittleEndian.Uint32(want))
-		_, payload, _ := peelTag(want[frameHeader:end])
+		n, k, _ := frameLen(want)
+		end := k + n
+		_, payload, _ := peelTag(want[k:end])
 		want = want[end:]
 		var back Request
 		if err := decodeRequestInto(payload, &back); err != nil {
 			t.Fatalf("%v: %v", req.Op, err)
 		}
 		back.valBuf = nil // the decoder's buffer behind Values, not an envelope field
-		if !reflect.DeepEqual(&back, req) {
-			t.Errorf("%v frame decodes to\n %+v\nwant\n %+v", req.Op, &back, req)
+		if want := projected(req); !reflect.DeepEqual(&back, want) {
+			t.Errorf("%v frame decodes to\n %+v\nwant\n %+v", req.Op, &back, want)
 		}
 	}
 }
@@ -218,7 +227,7 @@ func TestStatsSchemaIsEncodable(t *testing.T) {
 // payload: the decode must fail — the count is checked against the bytes
 // left before anything is allocated — and not panic.
 func TestCorruptStatsPayloadFailsDecode(t *testing.T) {
-	if err := decodeResponseInto(corruptStatsFrame()[frameHeader+1:], &Response{}); err == nil {
+	if err := decodeResponseInto(framePayload(corruptStatsFrame())[1:], &Response{}); err == nil {
 		t.Fatal("a stats payload with a slice count past its frame decoded cleanly")
 	}
 }

@@ -15,16 +15,22 @@ import (
 	"repro/internal/query"
 )
 
+// framePayload is the payload behind frame's length prefix.
+func framePayload(frame []byte) []byte {
+	n, k, _ := frameLen(frame)
+	return frame[k : k+n]
+}
+
 // roundTripRequest encodes req as a frame with the given header deadline,
 // peels the tag, and decodes into a fresh Request.
 func roundTripRequest(t *testing.T, req *Request, deadline int64) *Request {
 	t.Helper()
 	var scratch []byte
 	buf := encodeRequestFrame(nil, 7, req, deadline, &scratch)
-	if got := int(binary.LittleEndian.Uint32(buf[:frameHeader])); got != len(buf)-frameHeader {
-		t.Fatalf("length prefix = %d, payload = %d", got, len(buf)-frameHeader)
+	if n, k, err := frameLen(buf); err != nil || k == 0 || k+n != len(buf) {
+		t.Fatalf("length prefix = %d in %d bytes (%v), frame = %d bytes", n, k, err, len(buf))
 	}
-	tag, rest, ok := peelTag(buf[frameHeader:])
+	tag, rest, ok := peelTag(framePayload(buf))
 	if !ok || tag != 7 {
 		t.Fatalf("peelTag = (%d, %v)", tag, ok)
 	}
@@ -34,6 +40,21 @@ func roundTripRequest(t *testing.T, req *Request, deadline int64) *Request {
 	}
 	got.valBuf = nil // the decoder's buffer behind Values, not an envelope field
 	return &got
+}
+
+// projected is req as its peer decodes it: every query reduced to what its
+// kind reads (query.Query.Reads), everything else as it was.
+func projected(req *Request) *Request {
+	if req.Exec == nil {
+		return req
+	}
+	p, ex := *req, *req.Exec
+	ex.Queries = nil
+	for _, q := range req.Exec.Queries {
+		ex.Queries = append(ex.Queries, q.Reads())
+	}
+	p.Exec = &ex
+	return &p
 }
 
 // TestMultiPutDecodeAllocatesNothing decodes a 300-record OpMultiPut frame
@@ -47,7 +68,7 @@ func TestMultiPutDecodeAllocatesNothing(t *testing.T) {
 		want.Values = append(want.Values, bytes.Repeat([]byte{byte(i)}, 20+i%90))
 	}
 	var scratch []byte
-	_, payload, _ := peelTag(encodeRequestFrame(nil, 1, want, 0, &scratch)[frameHeader:])
+	_, payload, _ := peelTag(framePayload(encodeRequestFrame(nil, 1, want, 0, &scratch)))
 	var req Request
 	decode := func() {
 		if err := decodeRequestInto(payload, &req); err != nil {
@@ -66,11 +87,48 @@ func TestMultiPutDecodeAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestExecuteDecodeAllocatesNothing decodes the hot path's two frames, an
+// OpExecute of the three point kinds and the reply carrying their results,
+// into a warm request and response: presence-coded queries and results
+// allocate nothing.
+func TestExecuteDecodeAllocatesNothing(t *testing.T) {
+	var scratch []byte
+	req := execRequest([]query.Query{
+		{ID: 4321, Type: query.NeighborAgg, Node: 54321, Hops: 2, Dir: graph.Out, Hotspot: 87},
+		{ID: 4322, Type: query.RandomWalk, Node: 54321, Hops: 2, Dir: graph.Out, Hotspot: 87, RestartProb: 0.15, Seed: 1<<62 + 12345},
+		{ID: 4323, Type: query.Reachability, Node: 54321, Target: 43210, Hops: 2, Dir: graph.Out, Hotspot: 87},
+	})
+	_, reqPayload, _ := peelTag(framePayload(encodeRequestFrame(nil, 1, req, 12345, &scratch)))
+	resp := &Response{OK: true, Results: []query.Result{
+		{Type: query.NeighborAgg, Count: 311},
+		{Type: query.RandomWalk, EndNode: 54329},
+		{Type: query.Reachability, Reachable: true},
+	}}
+	_, respPayload, _ := peelTag(framePayload(encodeResponseFrame(nil, 1, resp, &scratch)))
+	var gotReq Request
+	var gotResp Response
+	decode := func() {
+		if err := decodeRequestInto(reqPayload, &gotReq); err != nil {
+			t.Fatal(err)
+		}
+		if err := decodeResponseInto(respPayload, &gotResp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	if allocs := testing.AllocsPerRun(100, decode); allocs != 0 {
+		t.Fatalf("decoding a point-query execute and its reply into warm envelopes allocates %.0f times, want 0", allocs)
+	}
+	if !reflect.DeepEqual(gotReq.Exec.Queries, req.Exec.Queries) || !reflect.DeepEqual(gotResp.Results, resp.Results) {
+		t.Fatalf("decoded %+v / %+v, want %+v / %+v", gotReq.Exec.Queries, gotResp.Results, req.Exec.Queries, resp.Results)
+	}
+}
+
 func roundTripResponse(t *testing.T, resp *Response) *Response {
 	t.Helper()
 	var scratch []byte
 	buf := encodeResponseFrame(nil, 9, resp, &scratch)
-	tag, rest, ok := peelTag(buf[frameHeader:])
+	tag, rest, ok := peelTag(framePayload(buf))
 	if !ok || tag != 9 {
 		t.Fatalf("peelTag = (%d, %v)", tag, ok)
 	}
@@ -194,7 +252,8 @@ func fullResponse() *Response {
 
 // TestRequestRoundTrip checks every request field survives the binary
 // encoding exactly, for both the everything-at-once envelope and the
-// sparse common cases.
+// sparse common cases — a query as what its kind reads: fullRequest's random
+// walk sets every query field, and arrives without the eight no walk reads.
 func TestRequestRoundTrip(t *testing.T) {
 	reqs := []*Request{
 		{Op: OpPing},
@@ -209,8 +268,8 @@ func TestRequestRoundTrip(t *testing.T) {
 		fullRequest(),
 	}
 	for _, req := range reqs {
-		if got := roundTripRequest(t, req, req.Deadline); !reflect.DeepEqual(got, req) {
-			t.Errorf("op %v round trip mismatch:\n got  %+v\n want %+v", req.Op, got, req)
+		if got, want := roundTripRequest(t, req, req.Deadline), projected(req); !reflect.DeepEqual(got, want) {
+			t.Errorf("op %v round trip mismatch:\n got  %+v\n want %+v", req.Op, got, want)
 		}
 	}
 }
@@ -254,7 +313,7 @@ func TestFrameDecodeTruncation(t *testing.T) {
 	respFrame := encodeResponseFrame(nil, 1, fullResponse(), &scratch)
 
 	for _, full := range []*Request{fullRequest(), multiPutRequest()} {
-		reqPayload := encodeRequestFrame(nil, 1, full, 12345, &scratch)[frameHeader:]
+		reqPayload := framePayload(encodeRequestFrame(nil, 1, full, 12345, &scratch))
 		for i := 0; i < len(reqPayload); i++ {
 			_, rest, ok := peelTag(reqPayload[:i])
 			if !ok {
@@ -267,7 +326,7 @@ func TestFrameDecodeTruncation(t *testing.T) {
 		}
 	}
 
-	respPayload := respFrame[frameHeader:]
+	respPayload := framePayload(respFrame)
 	for i := 0; i < len(respPayload); i++ {
 		_, rest, ok := peelTag(respPayload[:i])
 		if !ok {
@@ -315,30 +374,43 @@ func TestRetiredFieldBitsRefused(t *testing.T) {
 	}
 }
 
-// TestReadFrameCorruptLength checks the length prefix is distrusted: an
-// oversized claim fails fast with errFrameTooBig instead of allocating,
-// and a short body surfaces as an unexpected EOF.
+// TestReadFrameCorruptLength checks the length prefix is distrusted, by
+// readFrame and by both ways a conn is read: a length past maxFrame, and a
+// prefix that runs past the four bytes any legal length needs, fail fast with
+// errFrameTooBig instead of allocating; a short body or a short prefix
+// surfaces as an unexpected EOF; an empty frame is one byte.
 func TestReadFrameCorruptLength(t *testing.T) {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[:], maxFrame+1)
-	if _, err := readFrame(bytes.NewReader(hdr[:])); !errors.Is(err, errFrameTooBig) {
-		t.Fatalf("oversized length: err = %v, want errFrameTooBig", err)
-	}
-
-	binary.LittleEndian.PutUint32(hdr[:], 100)
-	short := append(hdr[:], []byte("only-14-bytes!")...)
-	if _, err := readFrame(bytes.NewReader(short)); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("short body: err = %v, want unexpected EOF", err)
-	}
-
-	if _, err := readFrame(bytes.NewReader(hdr[:2])); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("short header: err = %v, want unexpected EOF", err)
+	tooBig := binary.AppendUvarint(nil, maxFrame+1)
+	overLong := []byte{0x80, 0x80, 0x80, 0x80, 0x00} // zero, in five bytes
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		want   error
+	}{
+		{"length past maxFrame", tooBig, errFrameTooBig},
+		{"length prefix past four bytes", overLong, errFrameTooBig},
+		{"short body", append(binary.AppendUvarint(nil, 100), "only-14-bytes!"...), io.ErrUnexpectedEOF},
+		{"short prefix", []byte{0x80, 0x80}, io.ErrUnexpectedEOF},
+	} {
+		if _, err := readFrame(bytes.NewReader(tc.stream)); !errors.Is(err, tc.want) {
+			t.Errorf("readFrame, %s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		for _, path := range readPaths {
+			w, r := tcpPair(t)
+			fs := streamFrames(path.wrap(r), nil)
+			if _, err := w.Write(tc.stream); err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+			if err := fs.wait(t); !errors.Is(err, tc.want) {
+				t.Errorf("%s reader, %s: err = %v, want %v", path.name, tc.name, err, tc.want)
+			}
+		}
 	}
 
 	// A well-formed empty frame (pure header, zero-length payload) reads
 	// back as an empty payload, not an error.
-	binary.LittleEndian.PutUint32(hdr[:], 0)
-	payload, err := readFrame(bytes.NewReader(hdr[:]))
+	payload, err := readFrame(bytes.NewReader([]byte{0}))
 	if err != nil || len(payload) != 0 {
 		t.Fatalf("empty frame: payload = %v, err = %v", payload, err)
 	}
@@ -351,12 +423,17 @@ func TestReadFrameCorruptLength(t *testing.T) {
 // emits what it cannot read).
 func FuzzFrameDecode(f *testing.F) {
 	var scratch []byte
-	f.Add(encodeRequestFrame(nil, 1, fullRequest(), 12345, &scratch)[frameHeader:])
-	f.Add(encodeResponseFrame(nil, 1, fullResponse(), &scratch)[frameHeader:])
-	f.Add(encodeRequestFrame(nil, 0, &Request{Op: OpPing}, 0, &scratch)[frameHeader:])
-	f.Add(encodeRequestFrame(nil, 2, multiPutRequest(), 0, &scratch)[frameHeader:])
+	f.Add(framePayload(encodeRequestFrame(nil, 1, fullRequest(), 12345, &scratch)))
+	f.Add(framePayload(encodeResponseFrame(nil, 1, fullResponse(), &scratch)))
+	f.Add(framePayload(encodeRequestFrame(nil, 0, &Request{Op: OpPing}, 0, &scratch)))
+	f.Add(framePayload(encodeRequestFrame(nil, 2, multiPutRequest(), 0, &scratch)))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	// Streams for the frame reader: a length past maxFrame, a prefix past
+	// four bytes, and two whole frames.
+	f.Add(binary.AppendUvarint(nil, maxFrame+1))
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x00})
+	f.Add(append(encodeRequestFrame(nil, 1, &Request{Op: OpPing}, 0, &scratch), encodeResponseFrame(nil, 1, &Response{OK: true}, &scratch)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var scratch []byte
@@ -364,7 +441,7 @@ func FuzzFrameDecode(f *testing.F) {
 			var req Request
 			if err := decodeRequestInto(rest, &req); err == nil {
 				buf := encodeRequestFrame(nil, 1, &req, req.Deadline, &scratch)
-				_, rest2, ok := peelTag(buf[frameHeader:])
+				_, rest2, ok := peelTag(framePayload(buf))
 				if !ok {
 					t.Fatal("re-encoded request: tag unreadable")
 				}
@@ -376,7 +453,7 @@ func FuzzFrameDecode(f *testing.F) {
 			var resp Response
 			if err := decodeResponseInto(rest, &resp); err == nil {
 				buf := encodeResponseFrame(nil, 1, &resp, &scratch)
-				_, rest2, ok := peelTag(buf[frameHeader:])
+				_, rest2, ok := peelTag(framePayload(buf))
 				if !ok {
 					t.Fatal("re-encoded response: tag unreadable")
 				}
@@ -386,9 +463,22 @@ func FuzzFrameDecode(f *testing.F) {
 				}
 			}
 		}
-		// The frame reader itself must tolerate arbitrary stream bytes.
-		if payload, err := readFrame(bytes.NewReader(data)); err == nil {
-			releaseFrame(payload)
+		// The frame reader itself must tolerate arbitrary stream bytes, and
+		// what it delivers is the stream cut where the prefixes say; it
+		// refuses as too big only a prefix frameLen refuses.
+		rest := data
+		err := readFramesBuffered(bytes.NewReader(data), func(payload []byte) bool {
+			n, k, _ := frameLen(rest)
+			if k == 0 || !bytes.Equal(payload, rest[k:k+n]) {
+				t.Fatalf("frame of %d bytes delivered where the stream holds %x", len(payload), rest)
+			}
+			rest = rest[k+n:]
+			return true
+		})
+		if errors.Is(err, errFrameTooBig) {
+			if n, k, herr := frameLen(rest); herr == nil {
+				t.Fatalf("a %d-byte length in %d prefix bytes refused as too big", n, k)
+			}
 		}
 	})
 }

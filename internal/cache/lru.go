@@ -25,8 +25,14 @@ import "repro/internal/metrics"
 // array and the slack of its growth, a share of the key map, and the
 // rounding of a value's allocation up to its size class. It is measured,
 // not guessed — TestChargeCoversHeap fills a processor cache with stored
-// WebGraph records and holds the live heap per entry under the charge.
-const EntryOverhead = 120
+// WebGraph records and holds the live heap per entry under the charge. With
+// records of 31 B on average it is the smallest constant that covers both
+// of the test's capacities: at 129 the half-of-stored cache holds 1,188
+// entries in 147.7 B of heap each and the four-times-stored cache
+// 9,502 in 129.0 B, charged 160.2 and 160.4 B; at 128 the first one's 1,196
+// entries overflow the slot array's 1,194 and grow it to 1,706, 167.5 B of
+// heap each against 159.2 charged.
+const EntryOverhead = 129
 
 // Stats counts cache activity. TouchedBytes tracks the cumulative size of
 // values admitted, which the capacity experiments use to size working sets.

@@ -262,13 +262,14 @@ func (c *Processor) Step(sc *Scratch, b Backend, ids []graph.NodeID) ([]gstore.F
 // encoding), so hits decode outside the lock.
 func (sc *Scratch) decode(ids []graph.NodeID, raw [][]byte) ([]gstore.FetchResult, error) {
 	recs := resized(&sc.recs, len(ids))
-	// An edge takes at least two bytes, so this reserves room for the whole
-	// step at once. A growing arena at least doubles, from 4,096 edges
-	// (32 KiB, about what a 2-hop ball around a WebGraph hub decodes), so
-	// an executor's arena settles within its first few queries.
+	// An edge takes at least one byte, after a head and two counts of one
+	// byte at least, so this reserves room for the whole step at once. A
+	// growing arena at least doubles, from 4,096 edges (32 KiB, about what a
+	// 2-hop ball around a WebGraph hub decodes), so an executor's arena
+	// settles within its first few queries.
 	need := 0
 	for _, v := range raw {
-		need += len(v) / 2
+		need += max(len(v)-3, 0)
 	}
 	if cap(sc.edges)-len(sc.edges) < need {
 		sc.edges = slices.Grow(sc.edges, max(need, cap(sc.edges), 4096))

@@ -9,6 +9,19 @@
 // transports' processors cache a record as these bytes (ReadBatchInto
 // hands them over raw) and charge their length, decoding a record per
 // query (DecodeInto) into an executor's edge arena.
+//
+// A record is a uvarint head, then the out-edge list, then the in-edge
+// list; a list is a uvarint count and, per edge in (To, Label) order, the
+// uvarint delta of To from the previous edge's To and, in a labelled list,
+// the edge's uvarint label. A list is labelled when one of its edges
+// carries a label. When every non-empty list is labelled the head is the
+// node label (below 1<<16) and both lists are labelled: the original
+// layout, which every build reads. Otherwise the head is tagged:
+// 1<<16 | outLabelled<<17 | inLabelled<<18 | label, three bytes, and a list
+// whose flag is clear stores only its count and its deltas. A build that
+// predates the tag refuses such a record (its head exceeds any label); a
+// head of 1<<19 or more is refused here, so a later layout is never
+// misread.
 package gstore
 
 import (
@@ -34,17 +47,46 @@ type Record struct {
 // ErrCorrupt is returned when a stored value cannot be decoded.
 var ErrCorrupt = errors.New("gstore: corrupt record")
 
+// The tagged head's bits, above the node label's 16.
+const (
+	headTagged      = 1 << 16
+	headOutLabelled = 1 << 17
+	headInLabelled  = 1 << 18
+	headLimit       = 1 << 19 // the first head no layout defines
+)
+
 // Encode serialises r, appending to buf (which may be nil) and returning
 // the extended slice. Edge lists are sorted by (To, Label) before encoding;
 // Encode does not modify r.
 func Encode(buf []byte, r *Record) []byte {
-	buf = binary.AppendUvarint(buf, uint64(r.NodeLabel))
-	buf = appendEdges(buf, r.Out)
-	buf = appendEdges(buf, r.In)
+	out, in := labelled(r.Out), labelled(r.In)
+	head := uint64(r.NodeLabel)
+	if (!out && len(r.Out) > 0) || (!in && len(r.In) > 0) {
+		head |= headTagged
+		if out {
+			head |= headOutLabelled
+		}
+		if in {
+			head |= headInLabelled
+		}
+	}
+	buf = binary.AppendUvarint(buf, head)
+	buf = appendEdges(buf, r.Out, out)
+	buf = appendEdges(buf, r.In, in)
 	return buf
 }
 
-func appendEdges(buf []byte, edges []graph.Edge) []byte {
+// labelled reports whether any of edges carries a label.
+func labelled(edges []graph.Edge) bool {
+	for _, e := range edges {
+		if e.Label != graph.NoLabel {
+			return true
+		}
+	}
+	return false
+}
+
+func appendEdges(buf []byte, edges []graph.Edge, withLabels bool) []byte {
 	sorted := graph.SortedEdges(edges)
 	buf = binary.AppendUvarint(buf, uint64(len(sorted)))
 	prev := uint64(0)
@@ -52,18 +94,21 @@ func appendEdges(buf []byte, edges []graph.Edge) []byte {
 		delta := uint64(e.To) - prev
 		prev = uint64(e.To)
 		buf = binary.AppendUvarint(buf, delta)
-		buf = binary.AppendUvarint(buf, uint64(e.Label))
+		if withLabels {
+			buf = binary.AppendUvarint(buf, uint64(e.Label))
+		}
 	}
 	return buf
 }
 
 // Decode parses a record produced by Encode. The node id is not part of the
 // value (it is the key), so the caller supplies it. Both edge lists share a
-// single backing allocation: an edge takes at least two bytes, so half the
-// value's length bounds how many edges it holds, and DecodeInto fills one
-// []graph.Edge of that capacity without a pre-scan.
+// single backing allocation: an edge takes at least one byte, after a head
+// and two counts of one byte at least, so the value's length less three
+// bounds how many edges it holds, and DecodeInto fills one []graph.Edge of
+// that capacity without a pre-scan.
 func Decode(node graph.NodeID, data []byte) (Record, error) {
-	r, _, err := DecodeInto(node, data, make([]graph.Edge, 0, len(data)/2))
+	r, _, err := DecodeInto(node, data, make([]graph.Edge, 0, max(len(data)-3, 0)))
 	return r, err
 }
 
@@ -76,19 +121,23 @@ func Decode(node graph.NodeID, data []byte) (Record, error) {
 // back as it was given.
 func DecodeInto(node graph.NodeID, data []byte, arena []graph.Edge) (Record, []graph.Edge, error) {
 	r := Record{Node: node}
-	label, n := binary.Uvarint(data)
-	if n <= 0 || label > uint64(^graph.Label(0)) {
-		return r, arena, fmt.Errorf("%w: node label", ErrCorrupt)
+	head, n := binary.Uvarint(data)
+	if n <= 0 || head >= headLimit {
+		return r, arena, fmt.Errorf("%w: record head", ErrCorrupt)
 	}
 	data = data[n:]
-	r.NodeLabel = graph.Label(label)
+	r.NodeLabel = graph.Label(head)
+	outLabels, inLabels := true, true
+	if head&headTagged != 0 {
+		outLabels, inLabels = head&headOutLabelled != 0, head&headInLabelled != 0
+	}
 	start := len(arena)
-	out, data, err := appendEdgeList(arena, data)
+	out, data, err := appendEdgeList(arena, data, outLabels)
 	if err != nil {
 		return r, arena, fmt.Errorf("%w: out edges", ErrCorrupt)
 	}
 	mid := len(out)
-	all, data, err := appendEdgeList(out, data)
+	all, data, err := appendEdgeList(out, data, inLabels)
 	if err != nil {
 		return r, arena, fmt.Errorf("%w: in edges", ErrCorrupt)
 	}
@@ -103,17 +152,21 @@ func DecodeInto(node graph.NodeID, data []byte, arena []graph.Edge) (Record, []g
 
 // appendEdgeList decodes one edge list onto dst, returning the extended
 // slice and the remaining bytes. The count guard rejects absurd values
-// before anything is allocated: an edge costs at least 2 varint bytes (1
-// delta + 1 label), so a count exceeding len(data)/2 cannot decode. Most
-// deltas and labels fit one varint byte, so a pair of them is read without
-// a call.
-func appendEdgeList(dst []graph.Edge, data []byte) ([]graph.Edge, []byte, error) {
+// before anything is allocated: an edge costs at least 1 varint byte (its
+// delta) and, in a list with labels, 2 (a label too), so a count exceeding
+// len(data) or len(data)/2 cannot decode. Most deltas and labels fit one
+// varint byte, so an edge of them is read without a call.
+func appendEdgeList(dst []graph.Edge, data []byte, withLabels bool) ([]graph.Edge, []byte, error) {
 	count, n := binary.Uvarint(data)
 	if n <= 0 {
 		return dst, data, ErrCorrupt
 	}
 	data = data[n:]
-	if count > uint64(len(data))/2 {
+	limit := uint64(len(data))
+	if withLabels {
+		limit /= 2
+	}
+	if count > limit {
 		return dst, data, ErrCorrupt
 	}
 	n0 := len(dst)
@@ -122,19 +175,25 @@ func appendEdgeList(dst []graph.Edge, data []byte) ([]graph.Edge, []byte, error)
 	prev, j := uint64(0), 0
 	for i := range out {
 		var delta, label uint64
-		if j+1 < len(data) && data[j]|data[j+1] < 0x80 {
+		switch {
+		case !withLabels && j < len(data) && data[j] < 0x80:
+			delta = uint64(data[j])
+			j++
+		case withLabels && j+1 < len(data) && data[j]|data[j+1] < 0x80:
 			delta, label = uint64(data[j]), uint64(data[j+1])
 			j += 2
-		} else {
+		default:
 			var n int
 			if delta, n = binary.Uvarint(data[j:]); n <= 0 {
 				return dst[:n0], data, ErrCorrupt
 			}
 			j += n
-			if label, n = binary.Uvarint(data[j:]); n <= 0 || label > uint64(^graph.Label(0)) {
-				return dst[:n0], data, ErrCorrupt
+			if withLabels {
+				if label, n = binary.Uvarint(data[j:]); n <= 0 || label > uint64(^graph.Label(0)) {
+					return dst[:n0], data, ErrCorrupt
+				}
+				j += n
 			}
-			j += n
 		}
 		prev += delta
 		if prev > uint64(^graph.NodeID(0)) {

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -108,8 +109,8 @@ func modelValue(key, ver uint64, n int) []byte {
 // three records at fresh versions or at versions the compare may refuse, a
 // tombstone, Drop, a forced cleaning and, on a durable shard, a compaction
 // cut short by a crash at a point the argument picks (crashCompaction) and a
-// reopen. After every step it fails unless the shard reads as the model
-// does: Get, GetInto, Stats' Keys and Bytes, the log's live-byte count and
+// reopen. A forced cleaning must leave no more segments than it found.
+// After every step it fails unless the shard reads as the model does: Get, GetInto, Stats' Keys and Bytes, the log's live-byte count and
 // slack (checkSlack) and, on a durable shard (dir set; "" runs one in
 // memory), the image its WAL replays to, no snapshot beside it, a WAL that
 // has followed every cleaning but a forced one no write has come after yet,
@@ -195,8 +196,13 @@ func runShardOps(t testing.TB, dir string, ops []byte) (cleanings int) {
 			name = "clean"
 			forced = true
 			sh.mu.Lock()
-			sh.recs.clean(sh.index)
+			before := len(sh.recs.segs)
+			sh.recs.clean()
+			after := len(sh.recs.segs)
 			sh.mu.Unlock()
+			if after > before {
+				t.Fatalf("step %d: cleaning took the log from %d segments to %d", step, before, after)
+			}
 		case 7:
 			if dir == "" {
 				continue
@@ -231,9 +237,11 @@ func runShardOps(t testing.TB, dir string, ops []byte) (cleanings int) {
 			t.Fatalf("step %d (%s): Stats counts %d keys of %d bytes, the model %d of %d", step, name, st.Keys, st.Bytes, wantKeys, wantBytes)
 		}
 		var live int64
-		for _, ref := range sh.index {
-			_, size := sh.recs.read(ref)
-			live += size
+		for _, s := range sh.recs.slots {
+			if s != 0 {
+				_, size := sh.recs.read(s - 1)
+				live += size
+			}
 		}
 		if live != sh.recs.live || sh.recs.dead < 0 {
 			t.Fatalf("step %d (%s): the log counts %d live and %d dead bytes, its indexed records hold %d", step, name, sh.recs.live, sh.recs.dead, live)
@@ -313,7 +321,7 @@ func TestSegLogSlack(t *testing.T) {
 	for _, n := range []int{segSize/2 + 1, segSize/3 + 1, segSize/2 - 16} {
 		var l segLog
 		for i := 0; i < 16; i++ {
-			l.append(entry{val: make([]byte, n), ver: uint64(i + 1)})
+			l.append(uint64(i), entry{val: make([]byte, n), ver: uint64(i + 1)})
 			checkSlack(t, &l, 1.5)
 		}
 	}
@@ -392,4 +400,109 @@ func TestShardHeldValuesSurviveCleaning(t *testing.T) {
 	}
 	close(done)
 	readers.Wait()
+}
+
+// TestSegLogIndexMatchesMap drives a shard over 3,000 keys through 60,000
+// seeded puts, tombstones and drops, with a forced cleaning every 5,000,
+// and holds its index to a map after every thousand: every key's lookup,
+// the occupied-slot count, the table at most three quarters full, and each
+// visiting exactly the model's keys, each once. A cleaning must leave no
+// more segments than it found. The run grows the table from
+// 16 slots to 4,096, and the drops exercise the backward shift on runs that
+// wrap the table's end.
+func TestSegLogIndexMatchesMap(t *testing.T) {
+	const keys, steps = 3000, 60000
+	sh := NewShard()
+	model := make(map[uint64]entry)
+	rng := rand.New(rand.NewSource(3))
+	check := func(step int) {
+		t.Helper()
+		for k := uint64(0); k < keys; k++ {
+			got, ok := sh.lookup(k)
+			m, want := model[k]
+			if ok != want || got.ver != m.ver || got.dead != m.dead || !bytes.Equal(got.val, m.val) {
+				t.Fatalf("step %d: key %d looks up version %d (present %v), the model holds %d (present %v)", step, k, got.ver, ok, m.ver, want)
+			}
+		}
+		if sh.recs.keys != len(model) || 4*sh.recs.keys > 3*len(sh.recs.slots) {
+			t.Fatalf("step %d: %d occupied slots of %d, the model holds %d keys", step, sh.recs.keys, len(sh.recs.slots), len(model))
+		}
+		seen := make(map[uint64]bool)
+		sh.each(func(k uint64, e entry) {
+			if seen[k] || model[k].ver != e.ver {
+				t.Fatalf("step %d: each visits key %d at version %d (again: %v), the model holds %d", step, k, e.ver, seen[k], model[k].ver)
+			}
+			seen[k] = true
+		})
+		if len(seen) != len(model) {
+			t.Fatalf("step %d: each visits %d keys, the model holds %d", step, len(seen), len(model))
+		}
+	}
+	for step := 1; step <= steps; step++ {
+		k, ver := uint64(rng.Intn(keys)), uint64(step)
+		switch r := rng.Intn(10); {
+		case r < 6:
+			v := modelValue(k, ver, rng.Intn(48))
+			if err := sh.Put(k, v, ver); err != nil {
+				t.Fatal(err)
+			}
+			model[k] = entry{val: v, ver: ver}
+		case r < 7:
+			sh.mu.Lock()
+			sh.put(k, entry{ver: ver, dead: true}, 0)
+			sh.mu.Unlock()
+			model[k] = entry{ver: ver, dead: true}
+		default:
+			if _, err := sh.Drop(k); err != nil {
+				t.Fatal(err)
+			}
+			delete(model, k)
+		}
+		if step%5000 == 0 {
+			sh.mu.Lock()
+			before := len(sh.recs.segs)
+			sh.recs.clean()
+			after := len(sh.recs.segs)
+			sh.mu.Unlock()
+			if after > before {
+				t.Fatalf("step %d: cleaning took the log from %d segments to %d", step, before, after)
+			}
+		}
+		if step%1000 == 0 {
+			check(step)
+		}
+	}
+	if len(sh.recs.slots) != 4096 {
+		t.Fatalf("the table has %d slots for %d keys, want 4,096", len(sh.recs.slots), len(model))
+	}
+}
+
+// TestShardFullIsRefused fills a shard's log up to the last segment a ref
+// can name: a record that fits the head segment is still taken, one that
+// needs a new segment is refused with ErrShardFull — by PutBatch, with the
+// records before it installed and the shard's counters counting only them —
+// and a drop still frees its key.
+func TestShardFullIsRefused(t *testing.T) {
+	sh := NewShard()
+	if err := sh.Put(1, []byte("first"), 1); err != nil {
+		t.Fatal(err)
+	}
+	head := sh.recs.segs[0]
+	sh.recs.segs = make([][]byte, refSegs)
+	sh.recs.segs[0], sh.recs.head = head, 0
+	err := sh.PutBatch([]uint64{2, 3, 4}, [][]byte{[]byte("fits"), make([]byte, segSize), []byte("after")}, 2)
+	if !errors.Is(err, ErrShardFull) {
+		t.Fatalf("a put past the last segment: err = %v, want ErrShardFull", err)
+	}
+	for k, want := range map[uint64]bool{1: true, 2: true, 3: false, 4: false} {
+		if _, ok := sh.Get(k); ok != want {
+			t.Errorf("key %d present %v, want %v", k, ok, want)
+		}
+	}
+	if st := sh.Stats(); st.Keys != 2 || st.Bytes != int64(len("first")+len("fits")) {
+		t.Errorf("Stats counts %d keys of %d bytes, want the 2 installed", st.Keys, st.Bytes)
+	}
+	if found, err := sh.Drop(1); !found || err != nil {
+		t.Fatalf("Drop on a full shard = %v, %v", found, err)
+	}
 }

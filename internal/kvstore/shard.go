@@ -35,14 +35,14 @@ type ServerStats struct {
 // shard behind a listener) uses the exported methods, each of which takes
 // the shard lock itself.
 //
-// The records live in a log, recs: append-only segments behind index, a map
-// from each key to its newest record. Every write appends — a put, a
-// tombstone, a replayed record, a repair or migration copy — and only marks
-// the record it replaces dead; once the dead bytes reach the live ones and
-// amount to a segment, the shard copies its live records into fresh
-// segments under its write lock, and a durable shard's WAL follows: once the
-// group that set the cleaning off is logged, the file is rewritten as the
-// live records. Memory and file keep one compaction rule, so each holds about
+// The records live in a log, recs: append-only segments behind an index, an
+// open-addressing table of refs to each key's newest record. Every write
+// appends — a put, a tombstone, a replayed record, a repair or migration
+// copy — and only marks the record it replaces dead; once the dead bytes
+// reach the live ones and amount to a segment, the shard copies its live
+// records into fresh segments under its write lock, and a durable shard's
+// WAL follows: once the group that set the cleaning off is logged, the file
+// is rewritten as the live records. Memory and file keep one compaction rule, so each holds about
 // twice its live bytes plus a segment at most. The shard copies every value
 // it is given.
 //
@@ -53,10 +53,8 @@ type ServerStats struct {
 // read — and must never be written to.
 type Shard struct {
 	mu sync.RWMutex
-	// index maps each key to the ref of its newest record in recs, a
-	// tombstone included.
-	index map[uint64]uint64
-	recs  segLog
+	// recs holds every key's newest record, a tombstone included.
+	recs segLog
 	// stats holds the write-side counters and the live-key accounting,
 	// guarded by mu. The read counters are atomics so no read path ever
 	// takes the write lock; Stats folds them in.
@@ -109,7 +107,7 @@ type DurabilityStats struct {
 }
 
 // NewShard returns an empty in-memory shard.
-func NewShard() *Shard { return &Shard{index: make(map[uint64]uint64)} }
+func NewShard() *Shard { return &Shard{} }
 
 // OpenShard returns a durable shard recovered from the log at walPath (a
 // fresh shard when absent). Every later mutation is appended to the log
@@ -185,43 +183,34 @@ const (
 // lookup decodes key's newest record, a tombstone included. Caller holds
 // sh.mu (either side) or the store-wide lock.
 func (sh *Shard) lookup(key uint64) (entry, bool) {
-	ref, ok := sh.index[key]
-	if !ok {
-		return entry{}, false
-	}
-	e, _ := sh.recs.read(ref)
-	return e, true
+	_, e, _, ok := sh.recs.lookup(key)
+	return e, ok
 }
 
 // each calls fn with every key's newest record, tombstones included, in no
 // particular order; fn must not write to the shard. Caller holds sh.mu
 // (either side) or the store-wide lock.
-func (sh *Shard) each(fn func(key uint64, e entry)) {
-	for k, ref := range sh.index {
-		e, _ := sh.recs.read(ref)
-		fn(k, e)
-	}
-}
+func (sh *Shard) each(fn func(key uint64, e entry)) { sh.recs.each(fn) }
 
 // install appends e under key to the log if it is newer than what the shard
 // holds, maintaining the live-key accounting, and reports whether it did: an
-// entry that is not newer is refused and must not be logged either. Caller
-// holds sh.mu (or the store-wide write lock, which excludes every shard
-// reader).
-func (sh *Shard) install(key uint64, e entry, flags int) bool {
-	ref, ok := sh.index[key]
-	var old entry
-	var oldSize int64
-	if ok {
-		if old, oldSize = sh.recs.read(ref); old.ver >= e.ver {
-			return false
-		}
-		if !old.dead {
-			sh.stats.Keys--
-			sh.stats.Bytes -= int64(len(old.val))
-		}
+// entry that is not newer is refused and must not be logged either, and so
+// is one the log has no room for (ErrShardFull). Caller holds sh.mu (or the
+// store-wide write lock, which excludes every shard reader).
+func (sh *Shard) install(key uint64, e entry, flags int) (bool, error) {
+	slot, old, oldSize, ok := sh.recs.lookup(key)
+	if ok && old.ver >= e.ver {
+		return false, nil
 	}
-	sh.index[key] = sh.recs.append(e)
+	ref, err := sh.recs.append(key, e)
+	if err != nil {
+		return false, err
+	}
+	sh.recs.set(slot, ok, key, ref)
+	if ok && !old.dead {
+		sh.stats.Keys--
+		sh.stats.Bytes -= int64(len(old.val))
+	}
 	if !e.dead {
 		sh.stats.Keys++
 		sh.stats.Bytes += int64(len(e.val))
@@ -230,18 +219,18 @@ func (sh *Shard) install(key uint64, e entry, flags int) bool {
 		sh.stats.RepairBytes += int64(len(e.val))
 	}
 	if ok {
-		sh.recs.release(oldSize, sh.index)
+		sh.recs.release(oldSize)
 	}
-	return true
+	return true, nil
 }
 
 // put installs e under key and, unless it was refused or is a replay,
-// appends it to the shard's WAL. The error is the WAL's (the entry is
-// installed in memory regardless). Caller holds sh.mu or the store-wide
-// write lock.
+// appends it to the shard's WAL. The error is the install's (ErrShardFull:
+// nothing changed) or the WAL's (the entry is installed in memory
+// regardless). Caller holds sh.mu or the store-wide write lock.
 func (sh *Shard) put(key uint64, e entry, flags int) error {
-	if !sh.install(key, e, flags) || flags&putReplay != 0 {
-		return nil
+	if ok, err := sh.install(key, e, flags); !ok || flags&putReplay != 0 {
+		return err
 	}
 	op := WALPut
 	if e.dead {
@@ -255,17 +244,16 @@ func (sh *Shard) put(key uint64, e entry, flags int) error {
 // went. Only a key that was present is logged. Caller holds sh.mu (or the
 // store-wide write lock).
 func (sh *Shard) drop(key uint64, flags int) (bool, error) {
-	ref, ok := sh.index[key]
+	slot, old, size, ok := sh.recs.lookup(key)
 	if !ok {
 		return false, nil
 	}
-	old, size := sh.recs.read(ref)
 	if !old.dead {
 		sh.stats.Keys--
 		sh.stats.Bytes -= int64(len(old.val))
 	}
-	delete(sh.index, key)
-	sh.recs.release(size, sh.index)
+	sh.recs.remove(slot)
+	sh.recs.release(size)
 	var err error
 	if flags&putReplay == 0 {
 		err = sh.logMutation(WALDrop, key, old.ver, nil)
@@ -277,7 +265,6 @@ func (sh *Shard) drop(key uint64, flags int) (bool, error) {
 // tier) does; the counters and the log are the caller's business. Caller
 // holds sh.mu or the store-wide write lock.
 func (sh *Shard) reset() {
-	sh.index = make(map[uint64]uint64)
 	sh.recs = segLog{}
 	sh.stats.Keys, sh.stats.Bytes = 0, 0
 }
@@ -404,30 +391,40 @@ func (sh *Shard) Put(key uint64, val []byte, ver uint64) error {
 // before returning: one WAL write for the batch, and a record the compare
 // refused is not in it. The shard copies every value into its log, so the
 // caller keeps its buffers. A non-nil error means the batch is in memory but
-// none of it is durable.
+// none of it is durable — except ErrShardFull, which stops the batch at the
+// record the log has no room for: the records before it are installed and
+// logged, that one and the rest are not.
 func (sh *Shard) PutBatch(keys []uint64, vals [][]byte, firstVer uint64) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.stats.Puts += uint64(len(keys))
 	if sh.log == nil {
 		for i, key := range keys {
-			sh.install(key, entry{val: vals[i], ver: firstVer + uint64(i)}, 0)
+			if _, err := sh.install(key, entry{val: vals[i], ver: firstVer + uint64(i)}, 0); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
 	bp := walBufPool.Get().(*[]byte)
 	frames := (*bp)[:0]
 	n, maxVer := 0, uint64(0)
+	var err error
 	for i, key := range keys {
 		ver := firstVer + uint64(i)
-		if sh.install(key, entry{val: vals[i], ver: ver}, 0) {
+		var ok bool
+		if ok, err = sh.install(key, entry{val: vals[i], ver: ver}, 0); err != nil {
+			break
+		}
+		if ok {
 			frames = appendRecord(frames, WALPut, key, ver, vals[i])
 			n, maxVer = n+1, ver
 		}
 	}
-	var err error
 	if n > 0 {
-		err = sh.logged(sh.log.wal.appendFrames(frames, n, maxVer))
+		if lerr := sh.logged(sh.log.wal.appendFrames(frames, n, maxVer)); err == nil {
+			err = lerr
+		}
 	}
 	*bp = frames[:0]
 	walBufPool.Put(bp)

@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -37,17 +36,14 @@ func parentFormat(wal, snap string) bool {
 // error, because snapshots are written atomically and can only be damaged
 // by real corruption.
 func loadSnapshot(path string, fn func(op WALOp, key, ver uint64, val []byte)) (version uint64, size int64, err error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return 0, 0, nil
 		}
 		return 0, 0, fmt.Errorf("kvstore: open snapshot: %w", err)
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-
-	hdr, err := readFrame(br, nil)
+	hdr, err := readFrame(bytes.NewReader(raw), nil)
 	if err != nil {
 		return 0, 0, fmt.Errorf("kvstore: snapshot header: %w", err)
 	}
@@ -59,19 +55,16 @@ func loadSnapshot(path string, fn func(op WALOp, key, ver uint64, val []byte)) (
 		return 0, 0, fmt.Errorf("kvstore: snapshot %s: bad version watermark", path)
 	}
 
-	records, good, _, err := replayFrames(br, fn)
+	body := raw[walHeaderSize+len(hdr):]
+	records, good, _, err := replayFrames(bytes.NewReader(body), fn)
 	if err != nil {
 		return 0, 0, err
 	}
 	// replayFrames tolerates a torn or garbage tail; for a snapshot that
 	// means corruption, so every byte of the file must belong to a good
 	// frame.
-	fi, serr := f.Stat()
-	if serr != nil {
-		return 0, 0, fmt.Errorf("kvstore: snapshot stat: %w", serr)
-	}
-	if int64(walHeaderSize+len(hdr))+good != fi.Size() {
+	if good != int64(len(body)) {
 		return 0, 0, fmt.Errorf("kvstore: snapshot %s: corrupt after %d records", path, records)
 	}
-	return version, fi.Size(), nil
+	return version, int64(len(raw)), nil
 }

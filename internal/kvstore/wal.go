@@ -37,11 +37,21 @@ const (
 // [4B little-endian CRC-32C of the payload][payload]. The payload is
 // [1B op][uvarint key][uvarint version][uvarint value length][value]
 // (the value run is present only for WALPut). Replay accepts the longest
-// prefix of intact frames: a torn tail — a partial header, a short
-// payload, or a CRC mismatch from a write cut off mid-record — ends the
-// log there, which is exactly the state an acknowledged-writes-only crash
-// leaves behind. A frame whose CRC holds but whose op is unknown is no tail:
-// a newer format wrote it, and replay refuses the log (ErrFormat).
+// prefix of intact frames when what follows it is a torn tail: a partial
+// header, a short payload, a bad length or a CRC mismatch from a write cut
+// off mid-record, with no intact frame — one whose CRC holds — starting
+// anywhere behind it. That is exactly the state a crash during an append
+// leaves behind, and the log ends there. Damage with an intact frame behind
+// it is no tail: a crash cannot leave it (appends only ever extend the
+// file, and a failed one is cut back), so it is corruption, and cutting
+// there would lose every acknowledged record behind it — replay refuses the
+// log (DamageError). So does a frame whose CRC holds but whose op is
+// unknown: a newer format wrote it (ErrFormat).
+//
+// The one torn tail this refuses is a machine crash with appends not
+// fsynced that lost an earlier page of the last write and kept a later one,
+// leaving intact frames behind a hole: the log cannot tell that from
+// corruption in the middle, and refusing is the side that loses nothing.
 const walHeaderSize = 8
 
 // walMaxRecord bounds a single record so a corrupt length field cannot
@@ -72,10 +82,11 @@ type WAL struct {
 // OpenWAL opens (creating if absent) the log at path, replays every intact
 // record through apply in append order, truncates any torn tail, and
 // returns the log positioned for appending. A log holding a frame of a
-// format this build does not know fails with ErrFormat, and its file is left
-// as it was. apply may be nil when the caller only wants the log open (fresh
-// shard). A compaction's temp file left by a crash before its rename is
-// removed.
+// format this build does not know fails with ErrFormat, one damaged before
+// an intact frame with a DamageError, and either file is left as it was
+// (apply has seen the records before the frame). apply may be nil when the
+// caller only wants the log open (fresh shard). A compaction's temp file
+// left by a crash before its rename is removed.
 func OpenWAL(path string, fsync bool, apply func(op WALOp, key, ver uint64, val []byte)) (*WAL, error) {
 	os.Remove(path + ".tmp")
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -317,9 +328,9 @@ func (w *WAL) Stats() (bytes, records int64, durableVersion uint64) {
 
 // replayWAL scans the log at path, invoking fn for each intact record in
 // append order, and reports how many records were recovered and the byte
-// offset of the good prefix. A torn or corrupt tail ends the replay
-// without error — that is the crash contract, not a failure. A missing
-// file replays as empty.
+// offset of the good prefix. A torn tail ends the replay without error —
+// that is the crash contract, not a failure; damage before an intact frame
+// is a DamageError. A missing file replays as empty.
 func replayWAL(path string, fn func(op WALOp, key, ver uint64, val []byte)) (records, goodBytes int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -333,30 +344,38 @@ func replayWAL(path string, fn func(op WALOp, key, ver uint64, val []byte)) (rec
 	return records, goodBytes, err
 }
 
-// replayFrames reads frames from r until EOF or the first damaged frame,
-// returning the record count, the byte offset after the last good frame,
-// and the highest version seen, a mark's included. A mark is not a record:
-// fn never sees it. An I/O error is an error, and so is a CRC-valid frame
-// with an unknown op (ErrFormat): that frame is a newer format's, not damage,
-// so nothing behind it may be cut. Other damage ends the good prefix.
-func replayFrames(r io.Reader, fn func(op WALOp, key, ver uint64, val []byte)) (records, good int64, maxVer uint64, err error) {
+// replayFrames reads frames from r, which starts at the log's first byte,
+// until EOF or the first damaged frame, returning the record count, the
+// byte offset after the last good frame, and the highest version seen, a
+// mark's included. A mark is not a record: fn never sees it. An I/O error
+// is an error, and so is a CRC-valid frame with an unknown op (ErrFormat):
+// that frame is a newer format's, not damage, so nothing behind it may be
+// cut. A damaged frame — torn, CRC-failing, or CRC-valid but malformed —
+// ends the good prefix when no intact frame starts behind it, and is a
+// DamageError when one does.
+func replayFrames(r io.ReadSeeker, fn func(op WALOp, key, ver uint64, val []byte)) (records, good int64, maxVer uint64, err error) {
 	bp := walBufPool.Get().(*[]byte)
 	defer func() { walBufPool.Put(bp) }()
 	for {
-		buf, rerr := readFrame(r, *bp)
-		if rerr == io.EOF || rerr == errTorn {
-			return records, good, maxVer, nil // clean end, or the end of the good prefix
+		var buf []byte
+		if buf, err = readFrame(r, *bp); err == io.EOF {
+			return records, good, maxVer, nil
 		}
-		if rerr != nil {
-			return records, good, maxVer, fmt.Errorf("kvstore: wal read: %w", rerr)
+		if err != nil && err != errTorn {
+			return records, good, maxVer, fmt.Errorf("kvstore: wal read: %w", err)
 		}
-		*bp = buf
-		op, key, ver, val, derr := decodeRecord(buf)
-		if errors.Is(derr, ErrFormat) {
-			return records, good, maxVer, fmt.Errorf("%w: frame at byte %d", derr, good)
+		var op WALOp
+		var key, ver uint64
+		var val []byte
+		if err == nil {
+			*bp = buf
+			op, key, ver, val, err = decodeRecord(buf)
 		}
-		if derr != nil {
-			return records, good, maxVer, nil // CRC-valid but malformed: treat as corrupt
+		if errors.Is(err, ErrFormat) {
+			return records, good, maxVer, fmt.Errorf("%w: frame at byte %d", err, good)
+		}
+		if err != nil { // torn, CRC-failing or malformed
+			return records, good, maxVer, damaged(r, good)
 		}
 		good += int64(walHeaderSize + len(buf))
 		maxVer = max(maxVer, ver)
@@ -368,6 +387,45 @@ func replayFrames(r io.Reader, fn func(op WALOp, key, ver uint64, val []byte)) (
 			fn(op, key, ver, val)
 		}
 	}
+}
+
+// damaged judges the damaged frame at offset at: nil when it starts a torn
+// tail — no intact frame, one whose length fits and whose CRC holds, starts
+// anywhere behind it — and a DamageError naming the first one otherwise.
+// Every byte offset is tried, since a damaged frame's length cannot be
+// trusted to say where the next one starts. It runs once per open, on the
+// bytes behind the good prefix only.
+func damaged(r io.ReadSeeker, at int64) error {
+	if _, err := r.Seek(at+1, io.SeekStart); err != nil {
+		return fmt.Errorf("kvstore: wal seek: %w", err)
+	}
+	rest, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("kvstore: wal read: %w", err)
+	}
+	for i := 0; i+walHeaderSize < len(rest); i++ {
+		n := int(binary.LittleEndian.Uint32(rest[i:]))
+		end := i + walHeaderSize + n
+		if n == 0 || n > walMaxRecord || end > len(rest) {
+			continue
+		}
+		if crc32.Checksum(rest[i+walHeaderSize:end], walCRC) == binary.LittleEndian.Uint32(rest[i+4:]) {
+			return &DamageError{Offset: at, Intact: at + 1 + int64(i)}
+		}
+	}
+	return nil
+}
+
+// DamageError is a log refused because a frame in it is damaged and an
+// intact frame starts behind it: corruption, not a torn tail, so cutting
+// the log at the damage would lose the records behind it.
+type DamageError struct {
+	Offset int64 // where the damaged frame starts
+	Intact int64 // where the first intact frame behind it starts
+}
+
+func (e *DamageError) Error() string {
+	return fmt.Sprintf("kvstore: wal damaged at byte %d, an intact frame at byte %d behind it", e.Offset, e.Intact)
 }
 
 // errTorn is readFrame's report of a frame cut short or damaged.

@@ -186,36 +186,90 @@ func TestWALTruncatedHeader(t *testing.T) {
 	}
 }
 
-func TestWALCorruptCRCStopsAtPrefix(t *testing.T) {
-	recs := sampleRecs(40, rand.New(rand.NewSource(5)))
-	// Flip one payload byte in the middle of the log: everything before
-	// the damaged record survives, everything after is dropped (the log
-	// cannot trust record boundaries past a bad frame).
-	var cut int
-	{
-		path := filepath.Join(t.TempDir(), "probe.wal")
-		appendRecs(t, path, recs[:20]).Close()
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cut = int(fi.Size())
+// walOffset is the length of the log recs[:n] makes: the offset of record
+// n+1 in the whole log.
+func walOffset(t *testing.T, recs []walRec, n int) int64 {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "probe.wal")
+	appendRecs(t, path, recs[:n]).Close()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := damageAndReplay(t, recs, func(raw []byte) []byte {
-		raw[cut+walHeaderSize] ^= 0xFF // first payload byte of record 21
-		return raw
-	}); got != 20 {
-		t.Fatalf("corrupt CRC: recovered %d records, want 20", got)
+	return fi.Size()
+}
+
+// damageRefused writes recs as a log, applies damage to its raw bytes and
+// holds OpenWAL and replayWAL to refusing it with a DamageError at offset,
+// the first intact frame at intact, the file left byte for byte as it was.
+func damageRefused(t *testing.T, recs []walRec, damage func(raw []byte), offset, intact int64) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "t.wal")
+	appendRecs(t, path, recs).Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damage(raw)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := OpenWAL(path, false, nil)
+	if w != nil {
+		w.Close()
+	}
+	var de *DamageError
+	if !errors.As(err, &de) || de.Offset != offset || de.Intact != intact {
+		t.Fatalf("open: err = %v, want a DamageError at byte %d with an intact frame at %d", err, offset, intact)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, raw) {
+		t.Fatalf("open left the log at %d bytes (err %v), want the %d it had, byte for byte", len(after), err, len(raw))
+	}
+	if _, _, err := replayWAL(path, nil); !errors.As(err, &de) || de.Offset != offset {
+		t.Fatalf("replay: err = %v, want a DamageError at byte %d", err, offset)
 	}
 }
 
+// TestWALCorruptCRCStopsAtPrefix damages one frame of a 40-record log by
+// flipping its first payload byte. In the middle of the log — record 21,
+// intact frames behind it — that is no torn tail but corruption, and cutting
+// the log there would lose 19 acknowledged records: the log is refused with
+// a DamageError naming the damaged frame's offset and the next intact one's
+// (damageRefused). The same damage to the last frame, with nothing intact
+// behind it, is a torn tail: the log opens at the 39 records before it and
+// is cut there.
+func TestWALCorruptCRCStopsAtPrefix(t *testing.T) {
+	recs := sampleRecs(40, rand.New(rand.NewSource(5)))
+	cut := walOffset(t, recs, 20)
+	damageRefused(t, recs, func(raw []byte) {
+		raw[cut+walHeaderSize] ^= 0xFF // first payload byte of record 21
+	}, cut, walOffset(t, recs, 21))
+
+	last := walOffset(t, recs, 39)
+	if got := damageAndReplay(t, recs, func(raw []byte) []byte {
+		raw[last+walHeaderSize] ^= 0xFF // first payload byte of record 40
+		return raw
+	}); got != 39 {
+		t.Fatalf("corrupt CRC on the last frame: recovered %d records, want 39", got)
+	}
+}
+
+// TestWALCorruptLengthStopsAtPrefix gives a frame a length past
+// walMaxRecord. On the first of ten frames the nine behind it are intact, so
+// the log is refused at byte 0 (damageRefused); on the last it is a torn
+// tail, cut after the nine before it.
 func TestWALCorruptLengthStopsAtPrefix(t *testing.T) {
 	recs := sampleRecs(10, rand.New(rand.NewSource(6)))
-	if got := damageAndReplay(t, recs, func(raw []byte) []byte {
+	damageRefused(t, recs, func(raw []byte) {
 		binary.LittleEndian.PutUint32(raw[:4], walMaxRecord+1)
+	}, 0, walOffset(t, recs, 1))
+
+	last := walOffset(t, recs, 9)
+	if got := damageAndReplay(t, recs, func(raw []byte) []byte {
+		binary.LittleEndian.PutUint32(raw[last:], walMaxRecord+1)
 		return raw
-	}); got != 0 {
-		t.Fatalf("corrupt length: recovered %d records, want 0", got)
+	}); got != 9 {
+		t.Fatalf("corrupt length on the last frame: recovered %d records, want 9", got)
 	}
 }
 
@@ -460,8 +514,10 @@ func TestSnapshotCorruptionIsAnError(t *testing.T) {
 }
 
 // FuzzWALReplay feeds arbitrary bytes to the replay path: it must never
-// panic, never report an error for in-memory corruption, and always
-// return a good-prefix offset within the input.
+// panic, report no error but ErrFormat or a DamageError — one at the end of
+// the good prefix, naming a frame behind it that lies within the input and
+// whose CRC holds — and always return a good-prefix offset within the
+// input.
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
@@ -470,13 +526,28 @@ func FuzzWALReplay(f *testing.F) {
 	valid = appendRecord(valid, WALTomb, 43, 8, nil)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-2])
+	// The first frame damaged, the second intact behind it: refused.
+	damaged := bytes.Clone(valid)
+	damaged[walHeaderSize] ^= 0xFF
+	f.Add(damaged)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		records, good, _, err := replayFrames(bytes.NewReader(raw), func(op WALOp, key, ver uint64, val []byte) {
 			if op != WALPut && op != WALTomb && op != WALDrop {
 				t.Fatalf("replay surfaced invalid op %d", op)
 			}
 		})
-		if err != nil && !errors.Is(err, ErrFormat) {
+		var de *DamageError
+		switch {
+		case err == nil, errors.Is(err, ErrFormat):
+		case errors.As(err, &de):
+			at := de.Intact
+			if de.Offset != good || at <= good || at+walHeaderSize > int64(len(raw)) {
+				t.Fatalf("%v, with a good prefix of %d of %d bytes", err, good, len(raw))
+			}
+			if _, ferr := readFrame(bytes.NewReader(raw[at:]), nil); ferr != nil {
+				t.Fatalf("%v, but the frame there reads: %v", err, ferr)
+			}
+		default:
 			t.Fatalf("in-memory replay errored: %v", err)
 		}
 		if good < 0 || good > int64(len(raw)) {

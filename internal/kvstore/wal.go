@@ -39,8 +39,8 @@ const (
 // (the value run is present only for WALPut). Replay accepts the longest
 // prefix of intact frames when what follows it is a torn tail: a partial
 // header, a short payload, a bad length or a CRC mismatch from a write cut
-// off mid-record, with no intact frame — one whose CRC holds — starting
-// anywhere behind it. That is exactly the state a crash during an append
+// off mid-record, with no intact frame — one whose CRC holds over a record
+// this build reads — starting anywhere behind it. That is exactly the state a crash during an append
 // leaves behind, and the log ends there. Damage with an intact frame behind
 // it is no tail: a crash cannot leave it (appends only ever extend the
 // file, and a failed one is cut back), so it is corruption, and cutting
@@ -390,11 +390,14 @@ func replayFrames(r io.ReadSeeker, fn func(op WALOp, key, ver uint64, val []byte
 }
 
 // damaged judges the damaged frame at offset at: nil when it starts a torn
-// tail — no intact frame, one whose length fits and whose CRC holds, starts
-// anywhere behind it — and a DamageError naming the first one otherwise.
-// Every byte offset is tried, since a damaged frame's length cannot be
-// trusted to say where the next one starts. It runs once per open, on the
-// bytes behind the good prefix only.
+// tail — no intact frame starts anywhere behind it — and a DamageError
+// naming the first one otherwise. Every byte offset is tried, since a
+// damaged frame's length cannot be trusted to say where the next one
+// starts. An intact frame is one whose length fits, whose payload decodes
+// as a record this build reads, and whose CRC holds; the decode is tried
+// first, so the CRC runs over almost no candidate that is not a frame and
+// the scan stays linear in the bytes behind the good prefix, which it
+// reads once per open.
 func damaged(r io.ReadSeeker, at int64) error {
 	if _, err := r.Seek(at+1, io.SeekStart); err != nil {
 		return fmt.Errorf("kvstore: wal seek: %w", err)
@@ -409,7 +412,14 @@ func damaged(r io.ReadSeeker, at int64) error {
 		if n == 0 || n > walMaxRecord || end > len(rest) {
 			continue
 		}
-		if crc32.Checksum(rest[i+walHeaderSize:end], walCRC) == binary.LittleEndian.Uint32(rest[i+4:]) {
+		payload := rest[i+walHeaderSize : end]
+		if op := WALOp(payload[0]); op < WALPut || op > walMark {
+			continue
+		}
+		if _, _, _, _, err := decodeRecord(payload); err != nil {
+			continue
+		}
+		if crc32.Checksum(payload, walCRC) == binary.LittleEndian.Uint32(rest[i+4:]) {
 			return &DamageError{Offset: at, Intact: at + 1 + int64(i)}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 type walRec struct {
@@ -270,6 +271,32 @@ func TestWALCorruptLengthStopsAtPrefix(t *testing.T) {
 		return raw
 	}); got != 9 {
 		t.Fatalf("corrupt length on the last frame: recovered %d records, want 9", got)
+	}
+}
+
+// TestWALDamageScanIsLinear puts 8 MiB of bytes, half of them zero, behind
+// a damaged first frame: every offset of it is a candidate frame, and many
+// declare a length that fits. Judging the damage a torn tail must not
+// checksum each candidate's claimed length — that is quadratic, minutes
+// here — so it has to finish within a few seconds, race detector included.
+func TestWALDamageScanIsLinear(t *testing.T) {
+	rest := make([]byte, 8<<20)
+	rng := rand.New(rand.NewSource(8))
+	rng.Read(rest)
+	for i := range rest {
+		if rng.Intn(2) == 0 {
+			rest[i] = 0
+		}
+	}
+	raw := appendRecord(nil, WALPut, 1, 1, []byte("x"))
+	raw[walHeaderSize] ^= 0xFF
+	raw = append(raw, rest...)
+	start := time.Now()
+	if _, good, _, err := replayFrames(bytes.NewReader(raw), nil); err != nil || good != 0 {
+		t.Fatalf("replay: good prefix %d, err %v; want a torn tail at 0", good, err)
+	}
+	if d := time.Since(start); d > 30*time.Second {
+		t.Fatalf("judging the damage took %v", d)
 	}
 }
 

@@ -35,11 +35,11 @@ test:
 	$(GO) test ./...
 
 # The kernel-crossings ledger of README's "Performance log", measured from
-# /proc/self/io by the five budget tests and printed one line per row — the
+# /proc/self/io by the six budget tests and printed one line per row — the
 # table is pasted from this, not from memory. A budget that fails prints the
 # whole test output instead.
 ledger:
-	@out=$$($(GO) test -count=1 -v -run 'TestPingCrossings|TestTCPCrossingsBudget|TestLoadCrossingsBudget|TestMutateCrossingsBudget|TestReadAfterWriteCrossings' ./internal/rpc . 2>&1) || { echo "$$out"; exit 1; }; \
+	@out=$$($(GO) test -count=1 -v -run 'TestPingCrossings|TestTCPCrossingsBudget|TestKNNCrossingsBudget|TestLoadCrossingsBudget|TestMutateCrossingsBudget|TestReadAfterWriteCrossings' ./internal/rpc . 2>&1) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -o '[0-9.]* read/write calls per .*'
 
 # The per-role memory budget of README's "Memory budget" table: what two

@@ -257,6 +257,59 @@ func TestTCPCrossingsBudget(t *testing.T) {
 	}
 }
 
+// knnBytesBudget bounds the bytes one warmed k-NN query moves through the
+// read/write calls of a loopback deployment whose router holds an
+// embedding: the query's frames client → router and back and its one
+// candidate subtask's frames router → processor and back, each written once
+// and read once, so twice their sum. The partial carrying the candidate
+// ball is most of it. Measured 639.6–639.7 B once a partial's ids travelled
+// as deltas; 1,069.0 B while every id was a whole uvarint. The margin is a
+// few uncached storage reads.
+const knnBytesBudget = 650.0
+
+// TestKNNCrossingsBudget is the ledger's multi-anchor row: the crossings
+// and bytes of a warmed KNearest query list, whose subtasks return their
+// whole 2-hop candidate ball to the router. Must not run in parallel with
+// anything.
+func TestKNNCrossingsBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crossings measurement")
+	}
+	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
+	qs := grouting.HotspotWorkload(g, grouting.WorkloadSpec{
+		NumHotspots: 16, QueriesPerHotspot: 4, R: 2, H: 2,
+		Types: []grouting.QueryType{grouting.KNearest}, K: 8, Seed: 3,
+	})
+	remote, _ := startLoopback(t, g, grouting.Config{
+		Processors: 3, StorageServers: 2, Policy: grouting.PolicyLandmark, CacheBytes: 64 << 20, Seed: 1,
+		EmbedProvider: grouting.NewFileProvider(sharedEmbedding(t, g)),
+	})
+	ctx := context.Background()
+	run := func() {
+		for _, q := range qs {
+			if _, err := remote.Execute(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run() // warm the caches and connection pools
+	const passes = 10
+	calls0, bytes0 := ioTotals(t)
+	for i := 0; i < passes; i++ {
+		run()
+	}
+	calls1, bytes1 := ioTotals(t)
+	perQuery := float64(calls1-calls0) / float64(passes*len(qs))
+	bytesPerQuery := float64(bytes1-bytes0) / float64(passes*len(qs))
+	t.Logf("%.2f read/write calls per k-NN query, %.1f B per k-NN query", perQuery, bytesPerQuery)
+	if perQuery > tcpCrossingsBudget {
+		t.Errorf("a warmed k-NN query costs %.2f read/write calls, above the point query's budget of %.1f", perQuery, tcpCrossingsBudget)
+	}
+	if bytesPerQuery > knnBytesBudget {
+		t.Errorf("a warmed k-NN query moves %.1f B through read/write calls, above the budget of %.0f", bytesPerQuery, knnBytesBudget)
+	}
+}
+
 // durableShards starts two in-process durable storage shards (WAL on, fsync
 // off — the benchmark's read_write shape) and returns their addresses.
 func durableShards(t *testing.T) []string {

@@ -17,8 +17,10 @@
 //   - BoundedReach subtasks run a budgeted BFS toward the target and report
 //     either success or their truncated frontier; the Merger relaunches
 //     frontier nodes as new subtasks in later waves (partial evaluation),
-//     so no single subtask ever exceeds the per-partition visit budget yet
-//     the composed answer is exact.
+//     so the answer is exact while the visit budget is enforced per
+//     subtask: no subtask expands more than the budget, but a wave can
+//     give one processor several subtasks, so a processor's share of a
+//     wave is not bounded by it.
 package mquery
 
 import (
@@ -82,7 +84,10 @@ type Pair struct {
 
 // EdgeRel is the relation a subtask extracted for one pattern edge.
 type EdgeRel struct {
-	Edge  int
+	Edge int
+	// Pairs travel as two columns of id deltas (From, To): any order
+	// round-trips, and Run's ascending (From, To) order is what keeps them
+	// small.
 	Pairs []Pair
 }
 
@@ -108,10 +113,13 @@ type Partial struct {
 	// relaunched boundary node may be a dangling id and is allowed to be.
 	NoAnchor bool
 	// Frontier is the truncated frontier to relaunch (KindReach, when the
-	// budget ran out before the search did).
+	// budget ran out before the search did). Its nodes travel as id deltas:
+	// any order round-trips, and Run's ascending order keeps them small.
 	Frontier []Boundary
 	// Candidates are the ball nodes of a KindKNN subtask (sorted, anchor
-	// excluded). The coordinator re-ranks them by embedding distance.
+	// excluded). The coordinator re-ranks them by embedding distance. They
+	// travel as id deltas: any order round-trips, and ascending order is
+	// what makes the list small (about a byte per id for a 2-hop ball).
 	Candidates []graph.NodeID
 	// Visited counts the nodes this subtask expanded — the quantity the
 	// per-partition budget bounds. The Merger rejects any KindReach partial

@@ -3,6 +3,7 @@ package mquery
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/query"
@@ -67,19 +68,30 @@ func (st *Subtask) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
+// Partial flag bits, one varint. partialIDDeltas marks the id encoding this
+// build writes: every node-id list (Candidates, each relation's From and To
+// columns, the Frontier nodes) travels as zigzag varint deltas from the
+// previous id of the same column. Every partial sets it and the decoder
+// requires it, so a peer from before the encoding — which wrote whole ids
+// and refuses any flag above 3 — fails loudly in both directions instead of
+// misreading ids.
+const (
+	partialFound    = 1 // Found — the whole value on frames sent before NoAnchor existed
+	partialNoAnchor = 2
+	partialIDDeltas = 4
+)
+
 // AppendBinary appends the partial's wire form to buf and returns the
 // extended slice; see Subtask.AppendBinary.
 func (p Partial) AppendBinary(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(p.Kind))
 	buf = binary.AppendUvarint(buf, uint64(p.Anchor))
-	// One flags varint: bit 0 is Found — the whole value, on every frame
-	// sent before NoAnchor existed — and bit 1 NoAnchor.
-	flags := uint64(0)
+	flags := uint64(partialIDDeltas)
 	if p.Found {
-		flags |= 1
+		flags |= partialFound
 	}
 	if p.NoAnchor {
-		flags |= 2
+		flags |= partialNoAnchor
 	}
 	buf = binary.AppendUvarint(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(p.Visited))
@@ -87,19 +99,22 @@ func (p Partial) AppendBinary(buf []byte) []byte {
 	for _, er := range p.Rels {
 		buf = binary.AppendUvarint(buf, uint64(er.Edge))
 		buf = binary.AppendUvarint(buf, uint64(len(er.Pairs)))
+		var from, to graph.NodeID
 		for _, pr := range er.Pairs {
-			buf = binary.AppendUvarint(buf, uint64(pr.From))
-			buf = binary.AppendUvarint(buf, uint64(pr.To))
+			buf = appendID(buf, &from, pr.From)
+			buf = appendID(buf, &to, pr.To)
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(p.Frontier)))
+	var node graph.NodeID
 	for _, b := range p.Frontier {
-		buf = binary.AppendUvarint(buf, uint64(b.Node))
+		buf = appendID(buf, &node, b.Node)
 		buf = binary.AppendUvarint(buf, uint64(b.Hops))
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(p.Candidates)))
+	var cand graph.NodeID
 	for _, c := range p.Candidates {
-		buf = binary.AppendUvarint(buf, uint64(c))
+		buf = appendID(buf, &cand, c)
 	}
 	return buf
 }
@@ -110,6 +125,15 @@ func (p *Partial) UnmarshalBinary(data []byte) error {
 	kind := Kind(d.U32())
 	anchor := graph.NodeID(d.U32())
 	flags := d.U32()
+	// The flags come first so that a peer of another version is named as
+	// one, not reported as a malformed id further on.
+	switch {
+	case d.Failed():
+	case flags&partialIDDeltas == 0:
+		return fmt.Errorf("partial: flags %#x lack the id-delta bit: a peer from before delta-coded ids", flags)
+	case flags > partialFound|partialNoAnchor|partialIDDeltas:
+		return fmt.Errorf("partial: unknown flag bits %#x", flags)
+	}
 	visited := int(d.U32())
 	nRels := d.Count(query.MaxPatternEdges)
 	var rels []EdgeRel
@@ -117,24 +141,23 @@ func (p *Partial) UnmarshalBinary(data []byte) error {
 		edge := int(d.U32())
 		nPairs := d.Count(d.Len()) // each pair costs >= 2 bytes
 		var pairs []Pair
+		var from, to graph.NodeID
 		for j := 0; j < nPairs; j++ {
-			from := graph.NodeID(d.U32())
-			to := graph.NodeID(d.U32())
-			pairs = append(pairs, Pair{From: from, To: to})
+			pairs = append(pairs, Pair{From: readID(&d, &from), To: readID(&d, &to)})
 		}
 		rels = append(rels, EdgeRel{Edge: edge, Pairs: pairs})
 	}
 	nFront := d.Count(d.Len())
 	var front []Boundary
+	var node graph.NodeID
 	for i := 0; i < nFront; i++ {
-		node := graph.NodeID(d.U32())
-		hops := int(d.U32())
-		front = append(front, Boundary{Node: node, Hops: hops})
+		front = append(front, Boundary{Node: readID(&d, &node), Hops: int(d.U32())})
 	}
 	nCands := d.Count(d.Len())
 	var cands []graph.NodeID
+	var cand graph.NodeID
 	for i := 0; i < nCands; i++ {
-		cands = append(cands, graph.NodeID(d.U32()))
+		cands = append(cands, readID(&d, &cand))
 	}
 	if err := d.Finish("partial"); err != nil {
 		return err
@@ -142,12 +165,30 @@ func (p *Partial) UnmarshalBinary(data []byte) error {
 	if kind != KindPattern && kind != KindReach && kind != KindKNN {
 		return fmt.Errorf("partial: unknown kind %d", kind)
 	}
-	if flags > 3 {
-		return fmt.Errorf("partial: unknown flag bits %#x", flags)
-	}
-	*p = Partial{Kind: kind, Anchor: anchor, Rels: rels, Found: flags&1 != 0, NoAnchor: flags&2 != 0,
-		Frontier: front, Visited: visited, Candidates: cands}
+	*p = Partial{Kind: kind, Anchor: anchor, Rels: rels, Found: flags&partialFound != 0,
+		NoAnchor: flags&partialNoAnchor != 0, Frontier: front, Visited: visited, Candidates: cands}
 	return nil
+}
+
+// appendID appends id as the zigzag varint of its difference from *prev and
+// makes it the column's new previous id: ascending ids cost their gaps,
+// and a list in any order still round-trips.
+func appendID(buf []byte, prev *graph.NodeID, id graph.NodeID) []byte {
+	buf = binary.AppendVarint(buf, int64(id)-int64(*prev))
+	*prev = id
+	return buf
+}
+
+// readID reads appendID's delta from *prev; a delta that takes the id outside
+// [0, 2^32-1] fails the reader.
+func readID(d *wire.Reader, prev *graph.NodeID) graph.NodeID {
+	v := int64(*prev) + d.Varint() // *prev >= 0, so an overflowing sum wraps negative
+	if v < 0 || v > math.MaxUint32 {
+		d.Fail()
+		return 0
+	}
+	*prev = graph.NodeID(v)
+	return *prev
 }
 
 // appendLabel encodes a resolved label constraint (-1 = any) as l+1.

@@ -608,7 +608,8 @@ func TestEnvelopeEncodedSize(t *testing.T) {
 		t.Errorf("1-knn-subtask execute frame encodes to %d bytes, want <= 32", n)
 	}
 	// A candidate partial and the final ranked result stay proportional to
-	// the ids they carry: one byte of count plus a varint per node.
+	// the ids they carry: one byte of count plus a varint per gap between
+	// ascending nodes (mquery's TestPartialEncodedSize holds real balls).
 	knnPart := &Response{OK: true, Partials: []mquery.Partial{
 		{Kind: mquery.KindKNN, Anchor: 42, Visited: 12,
 			Candidates: []graph.NodeID{7, 9, 11, 13}},

@@ -65,7 +65,12 @@ func readGolden(t *testing.T, name string) []byte {
 // 277 → 272 B (prefix 4 → 2 B; its two results 6 + 13 → 5 + 11 B: Count,
 // EndNode, Reachable and Matches of the first behind bitmap 0f, three
 // Nearest ids of the second behind bitmap 11) and the second 538 → 536 B
-// (prefix alone). Every other byte is the hand codec's, length prefix aside.
+// (prefix alone). When a partial's id lists became zigzag deltas behind
+// flag bit 4, the first file's two partials changed and its length did not
+// (272 B, +0 B): the reach partial's flags 00 → 04 and frontier node 07 → 0e,
+// the k-NN partial's flags 00 → 04 and candidates 04 09 ffffffff0f → 08 0a
+// ecffffff1f (gaps 4, 5 and 2^32−10 cost what the ids did). Every other
+// byte is the hand codec's, length prefix aside.
 func TestGoldenFrames(t *testing.T) {
 	for _, tc := range []struct {
 		file string

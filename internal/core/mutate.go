@@ -18,80 +18,38 @@ import (
 // keeps its adjacency; only its label table grows, as labels intern into the
 // table the stored records were encoded with.
 //
-// Each mutation reads the pre-images of the records it touches from the
-// tier (unbilled), edits them with gstore.Apply — the edit the TCP router
-// makes — and writes back the ones that changed. Conflicts (removing an
-// absent edge, adding an edge on a missing endpoint) return
-// query.ErrConflict; malformed mutations return query.ErrBadQuery; a
-// pre-image no live replica holds returns query.ErrUnavailable and writes
-// nothing. Virtual time advances by the write cost: one replicated round
-// trip per rewritten record, served on the storage contention timeline.
+// Each mutation runs gstore.Mutate, the algorithm the TCP router runs: it
+// reads the pre-images of the records it touches from the tier (unbilled),
+// edits them with gstore.Apply and writes back the ones that changed.
+// Conflicts (removing an absent edge, adding an edge on a missing endpoint)
+// return query.ErrConflict; malformed mutations and a label the full label
+// table cannot take return query.ErrBadQuery; a pre-image no live replica
+// holds returns query.ErrUnavailable and writes nothing. Virtual time
+// advances by the write cost: one replicated round trip per rewritten
+// record, served on the storage contention timeline.
 func (ses *Session) Mutate(muts ...query.Mutation) (int, error) {
 	ses.applyTopology()
-	for i, m := range muts {
-		if err := ses.apply(m); err != nil {
+	for i := range muts {
+		m := &muts[i]
+		ws, err := gstore.Mutate(sessionEnv{ses}, m)
+		if err != nil {
 			return i, err
+		}
+		// The routing-side indexes take a created node in, and refresh
+		// around an edge that changed a record.
+		switch {
+		case m.Op == query.MutUpsertNode && ws[0].Pre == nil:
+			ses.sys.incorporateNode(m.Node)
+		case m.Op != query.MutUpsertNode && len(ws) > 0:
+			ses.sys.refreshEdge(m.Node, m.To)
 		}
 		ses.mutations++
 	}
 	return len(muts), nil
 }
 
-// apply executes one mutation end to end.
-func (ses *Session) apply(m query.Mutation) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	lab := ses.sys.g.InternLabel(m.Label)
-	ids := []graph.NodeID{m.Node, m.To}
-	if m.Op == query.MutUpsertNode {
-		ids = ids[:1]
-	}
-	var pre [2]gstore.FetchResult
-	if err := ses.sys.tier.FetchBatchInto(ids, pre[:], nil); err != nil {
-		return storageErr("pre-image read", err)
-	}
-	// gstore.Apply edits the records; the copies keep the pre-images the
-	// caches' edits are computed from.
-	oldU, oldV := pre[0].Record, pre[1].Record
-	u, v := &pre[0].Record, &pre[1].Record
-	writeU, writeV, err := gstore.Apply(m.Op, lab, u, v, pre[0].OK, pre[1].OK)
-	if err != nil {
-		return err
-	}
-	if writeU {
-		ses.writeRecord(&oldU, u)
-	}
-	if writeV {
-		ses.writeRecord(&oldV, v)
-	}
-	switch {
-	case m.Op == query.MutUpsertNode:
-		if !pre[0].OK {
-			ses.sys.incorporateNode(m.Node)
-		}
-	case writeU || writeV:
-		ses.sys.refreshEdge(m.Node, m.To)
-	}
-	return nil
-}
-
 // Mutations returns how many mutations the session has applied.
 func (ses *Session) Mutations() int64 { return ses.mutations }
-
-// writeRecord stores r, charges the replicated write's virtual-time cost
-// and updates the record in every session processor's cache with the edits
-// from old, the stream the TCP router ships (read-your-writes).
-func (ses *Session) writeRecord(old, r *gstore.Record) {
-	bytes, _ := ses.sys.tier.PutRecord(r)
-	ses.chargeWrite(uint64(r.Node), bytes)
-	edits := gstore.AppendEdits(nil, old, r)
-	for _, p := range ses.procs {
-		if p != nil {
-			p.cache.Apply(uint64(r.Node), edits)
-		}
-	}
-}
 
 // chargeWrite advances the session clock by one write-all round trip for
 // key: every replica in the current placement serves the write on the
@@ -113,9 +71,39 @@ func (ses *Session) chargeWrite(key uint64, bytes int) {
 }
 
 // sessionEnv adapts the session's deployment to the placement planner's
-// Env: placement truth comes from the store, locality from the same
-// nearStorageSlot mapping the cost model bills with.
+// Env — placement truth comes from the store, locality from the same
+// nearStorageSlot mapping the cost model bills with — and to gstore.Mutate's.
 type sessionEnv struct{ ses *Session }
+
+// Labels is the graph's label table, the one the records were loaded with.
+func (e sessionEnv) Labels() (*graph.Labels, error) { return e.ses.sys.g.Labels(), nil }
+
+// Read is the mutation's pre-image read, unbilled.
+func (e sessionEnv) Read(ids []graph.NodeID, dst [][]byte) error {
+	if err := e.ses.sys.tier.ReadBatchInto(ids, dst, nil); err != nil {
+		return storageErr("pre-image read", err)
+	}
+	return nil
+}
+
+// Commit stores each record, charges the replicated write's virtual-time
+// cost and updates every session processor's cached copy with the edits the
+// TCP router ships (read-your-writes). With nothing to write it does
+// nothing: the write that made the mutation a no-op updated the caches in
+// the call that stored it, so none holds a record older than storage.
+func (e sessionEnv) Commit(ws []gstore.Write, _ []graph.NodeID) error {
+	ses := e.ses
+	for _, w := range ws {
+		ses.sys.store.Put(uint64(w.Node), w.Val)
+		ses.chargeWrite(uint64(w.Node), len(w.Val))
+		for _, p := range ses.procs {
+			if p != nil {
+				p.cache.Apply(uint64(w.Node), w.Edits)
+			}
+		}
+	}
+	return nil
+}
 
 func (e sessionEnv) Replicas(key uint64, dst []int) []int {
 	return e.ses.sys.store.ReplicasFor(key, dst)

@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/gstore"
@@ -56,6 +59,61 @@ func TestMutateConflictKeepsPrefix(t *testing.T) {
 	// An edge onto a node that was never created is also a conflict.
 	if _, err := ses.Mutate(query.Mutation{Op: query.MutAddEdge, Node: g.MaxNodeID() + 10, To: 0, Label: lbl}); !errors.Is(err, query.ErrConflict) {
 		t.Fatalf("edge on missing endpoint: err = %v, want ErrConflict", err)
+	}
+}
+
+// TestNothingToWriteKeepsCaches: the repeat of an acked AddEdge has nothing
+// to write, and the session's empty commit leaves every processor's cache as
+// it was — each cached endpoint still resident, no counter moved — and the
+// virtual clock where it stood. The session's caches took the first write's
+// edits in the call that stored it, so none can hold an older record.
+func TestNothingToWriteKeepsCaches(t *testing.T) {
+	g := testGraph()
+	sys, err := NewSystem(g, testConfig(PolicyHash))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ses, err := sys.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, v := graph.NodeID(0), graph.NodeID(1)
+	for g.HasEdge(u, v) {
+		v++
+	}
+	add := query.Mutation{Op: query.MutAddEdge, Node: u, To: v}
+	if _, err := ses.Mutate(add); err != nil {
+		t.Fatal(err)
+	}
+	// Queries anchored at u and at each of its neighbours land on different
+	// processors and each reads u's record.
+	anchors := append([]graph.NodeID{u, v}, g.OutEdges(u)[0].To, g.InEdges(u)[0].To)
+	for _, a := range anchors {
+		if _, _, err := ses.Execute(query.Query{Type: query.NeighborAgg, Node: a, Hops: 1, Dir: graph.Both}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type cached struct {
+		u, v  bool
+		stats cache.Stats
+	}
+	snapshot := func() []cached {
+		var out []cached
+		for _, p := range ses.procs {
+			out = append(out, cached{p.cache.Contains(u), p.cache.Contains(v), p.cache.Stats()})
+		}
+		return out
+	}
+	before, now := snapshot(), ses.Now()
+	if resident := slices.IndexFunc(before, func(c cached) bool { return c.u && c.v }); resident < 0 {
+		t.Fatal("no processor caches both endpoints")
+	}
+
+	if n, err := ses.Mutate(add); n != 1 || err != nil {
+		t.Fatalf("repeat: applied %d, %v", n, err)
+	}
+	if after := snapshot(); !reflect.DeepEqual(after, before) || ses.Now() != now {
+		t.Fatalf("the repeat moved the caches from %+v to %+v, the clock by %v", before, after, ses.Now()-now)
 	}
 }
 

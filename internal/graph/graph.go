@@ -443,23 +443,34 @@ func newLabels() *Labels {
 	return &Labels{strs: []string{""}, ids: map[string]Label{"": NoLabel}}
 }
 
-// Intern returns the id of s, assigning the next one when s is new.
+// Intern is TryIntern for the graph builders, which have no error to
+// return: it panics on a full table.
 func (t *Labels) Intern(s string) Label {
+	id, ok := t.TryIntern(s)
+	if !ok {
+		panic("graph: label table overflow (more than 65536 distinct labels)")
+	}
+	return id
+}
+
+// TryIntern returns the id of s, assigning the next one when s is new; ok
+// is false when s is new and all 65,536 ids are taken.
+func (t *Labels) TryIntern(s string) (id Label, ok bool) {
 	if id, ok := t.ID(s); ok {
-		return id
+		return id, true
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if id, ok := t.ids[s]; ok {
-		return id
+		return id, true
 	}
 	if len(t.strs) > int(^Label(0)) {
-		panic("graph: label table overflow (more than 65536 distinct labels)")
+		return 0, false
 	}
-	id := Label(len(t.strs))
+	id = Label(len(t.strs))
 	t.strs = append(t.strs, s)
 	t.ids[s] = id
-	return id
+	return id, true
 }
 
 // ID returns the interned id for s and whether it is known.

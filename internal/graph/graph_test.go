@@ -2,6 +2,7 @@ package graph
 
 import (
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -221,6 +222,30 @@ func TestNodeLabels(t *testing.T) {
 	if g.NumLabels() != 4 { // "", person, company, founder
 		t.Fatalf("NumLabels = %d, want 4", g.NumLabels())
 	}
+}
+
+// TestLabelTableFull: once all 65,536 ids are taken, TryIntern reports the
+// full table for a new string and still resolves a known one, and Intern
+// panics.
+func TestLabelTableFull(t *testing.T) {
+	l := newLabels()
+	for i := l.Len(); i <= int(^Label(0)); i++ {
+		if _, ok := l.TryIntern(strconv.Itoa(i)); !ok {
+			t.Fatalf("table full at %d labels", i)
+		}
+	}
+	if id, ok := l.TryIntern("new"); ok || l.Len() != 1<<16 {
+		t.Fatalf("TryIntern on a full table = %d, %v with %d labels; want not ok and 65536", id, ok, l.Len())
+	}
+	if id, ok := l.TryIntern("7"); !ok || id != 7 {
+		t.Fatalf("TryIntern of a known label on a full table = %d, %v; want 7, true", id, ok)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Intern on a full table did not panic")
+		}
+	}()
+	l.Intern("new")
 }
 
 func TestEdgeLabels(t *testing.T) {

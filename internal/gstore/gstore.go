@@ -494,12 +494,3 @@ func (t *Tier) ReadBatchInto(ids []graph.NodeID, dst [][]byte, onBatch func(b kv
 	}
 	return firstErr
 }
-
-// PutRecord encodes r and stores it under its node id, returning the
-// encoded size and the write's store version — the quantities the
-// virtual-time engine's write cost model is built on.
-func (t *Tier) PutRecord(r *Record) (int, uint64) {
-	buf := Encode(nil, r)
-	ver := t.store.Put(uint64(r.Node), buf)
-	return len(buf), ver
-}

@@ -613,49 +613,3 @@ func TestRecordRemoveDoesNotClobberDecodeSiblings(t *testing.T) {
 		t.Fatalf("In corrupted by adding to Out: %+v, want %+v", got, wantIn)
 	}
 }
-
-// TestUpdateNodeReturnsCostInputs: the write path's virtual-time charge
-// and ack are built on the (bytes, version) PutRecord returns for a record
-// fetched from the tier and edited by Apply.
-func TestUpdateNodeReturnsCostInputs(t *testing.T) {
-	tier, _ := newLoadedTier(t)
-	const target = graph.NodeID(20)
-	r, ok, err := tier.Fetch(target)
-	if err != nil || !ok {
-		t.Fatalf("Fetch: %v %v", ok, err)
-	}
-	bytes, ver := tier.PutRecord(&r)
-	if bytes <= 0 || ver == 0 {
-		t.Fatalf("PutRecord = (%d, %d), want positive bytes and version", bytes, ver)
-	}
-	peer := &Record{Node: 21}
-	if wu, _, err := Apply(query.MutAddEdge, 9, &r, peer, true, true); !wu || err != nil {
-		t.Fatalf("add edge: (%v, %v)", wu, err)
-	}
-	bytes2, ver2 := tier.PutRecord(&r)
-	if bytes2 <= bytes || ver2 <= ver {
-		t.Fatalf("grown record: (%d, %d) after (%d, %d)", bytes2, ver2, bytes, ver)
-	}
-}
-
-// TestPutRecord: storing an explicit record lands the encoded bytes under
-// its node id, and returns the encoded size and a fresh store version.
-func TestPutRecord(t *testing.T) {
-	st, err := kvstore.New(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tier := NewTier(st)
-	r := &Record{Node: 77, NodeLabel: 1, Out: []graph.Edge{{To: 5, Label: 2}}, In: []graph.Edge{}}
-	bytes, ver := tier.PutRecord(r)
-	if bytes != len(Encode(nil, r)) || ver == 0 {
-		t.Fatalf("PutRecord = (%d, %d)", bytes, ver)
-	}
-	got, ok, err := tier.Fetch(77)
-	if err != nil || !ok {
-		t.Fatalf("Fetch: %v %v", ok, err)
-	}
-	if !reflect.DeepEqual(got, *r) {
-		t.Fatalf("fetched %+v, want %+v", got, *r)
-	}
-}

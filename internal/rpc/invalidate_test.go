@@ -337,6 +337,37 @@ func TestInvalidationsRideExecuteFrames(t *testing.T) {
 	}
 }
 
+// TestNothingToWriteEvicts: the repeat of an acked AddEdge has nothing to
+// write, yet queues its touched keys on every live slot with empty edits —
+// evictions — and the next execute frame to each slot carries them. It is
+// what restores read-your-writes when the first attempt's write landed under
+// a router that died before delivering its invalidations.
+func TestNothingToWriteEvicts(t *testing.T) {
+	c, stubs := startStubCluster(t, 3, byID)
+	keys := c.addEdge(t, 0)
+	for slot, stub := range stubs {
+		c.run(t, slot, 10)
+		if f := stub.next(t); !slices.Equal(f.keys, keys) || len(f.values) != len(keys) || len(f.values[0]) == 0 {
+			t.Fatalf("slot %d: frame after the add carried %v with edits %x, want %v with edits", slot, f.keys, f.values, keys)
+		}
+	}
+
+	if again := c.addEdge(t, 0); !slices.Equal(again, keys) {
+		t.Fatalf("the repeat touched %v, want %v", again, keys)
+	}
+	for slot, stub := range stubs {
+		stub.idle(t, "after the repeat")
+		c.wantBacklog(t, "after the repeat", slot, len(keys), int64(len(keys)))
+	}
+	for slot, stub := range stubs {
+		c.run(t, slot, 10)
+		f := stub.next(t)
+		if !slices.Equal(f.keys, keys) || len(f.values) != len(keys) || slices.ContainsFunc(f.values, func(e []byte) bool { return len(e) > 0 }) {
+			t.Fatalf("slot %d: frame after the repeat carried %v with edits %x, want %v as evictions", slot, f.keys, f.values, keys)
+		}
+	}
+}
+
 // TestInvalidationsRetireBySequence: with two frames to one slot in flight
 // and the first answer withheld, the second still carries the backlog, and
 // only the answer to a frame that carried a key retires it — the late answer
@@ -634,14 +665,15 @@ func TestPreImageReadFailsOver(t *testing.T) {
 	u, v := freshEdge(t, g, 0)
 	dead := rs.storage.shardFor(uint64(u))
 	shards[dead].Close()
-	recs, pres, err := rs.loadRecords(ctx, uint64(u), uint64(v))
-	if err != nil {
+	ids, raw := []graph.NodeID{u, v}, make([][]byte, 2)
+	if err := (routerEnv{r: rs, ctx: ctx}).Read(ids, raw); err != nil {
 		t.Fatalf("pre-image read with shard %d dead: %v", dead, err)
 	}
-	for i := range recs {
-		want := gstore.Encode(nil, gstore.RecordOf(g, recs[i].Node))
-		if !pres[i].found || !bytes.Equal(pres[i].val, want) || !bytes.Equal(gstore.Encode(nil, &recs[i]), want) {
-			t.Fatalf("endpoint %d did not come back as loaded", recs[i].Node)
+	for i, id := range ids {
+		want := gstore.Encode(nil, gstore.RecordOf(g, id))
+		rec, err := gstore.Decode(id, raw[i])
+		if raw[i] == nil || !bytes.Equal(raw[i], want) || err != nil || !bytes.Equal(gstore.Encode(nil, &rec), want) {
+			t.Fatalf("endpoint %d did not come back as loaded", id)
 		}
 	}
 	if !rs.storage.down[dead].Load() || rs.storage.down[1-dead].Load() || rs.storage.Failovers() != 1 {

@@ -64,8 +64,8 @@ const (
 // processor is handed a frame within a few milliseconds, a handful of keys.
 const maxBacklog = 256
 
-// mutate applies a batch of mutations in order, stopping at the first
-// failure. Response.Applied counts the applied prefix, which stays
+// mutate applies a batch of mutations in order, each with gstore.Mutate
+// over routerEnv, stopping at the first failure. Response.Applied counts the applied prefix, which stays
 // applied — the same contract as the virtual-time Session.Mutate.
 func (r *RouterServer) mutate(ctx context.Context, muts []query.Mutation) Response {
 	if len(muts) == 0 {
@@ -74,7 +74,7 @@ func (r *RouterServer) mutate(ctx context.Context, muts []query.Mutation) Respon
 	r.mutMu.Lock()
 	defer r.mutMu.Unlock()
 	for i := range muts {
-		if err := r.applyMutation(ctx, &muts[i]); err != nil {
+		if _, err := gstore.Mutate(routerEnv{r: r, ctx: ctx}, &muts[i]); err != nil {
 			resp := errorResponse(err)
 			resp.Applied = i
 			return resp
@@ -82,148 +82,6 @@ func (r *RouterServer) mutate(ctx context.Context, muts []query.Mutation) Respon
 		r.mutations.Add(1)
 	}
 	return Response{OK: true, Applied: len(muts)}
-}
-
-// applyMutation executes one mutation end to end: it reads the pre-images of
-// the records the mutation touches, edits them with gstore.Apply — the edit
-// the virtual-time engine makes — and commits the ones that changed. Caller
-// holds mutMu.
-func (r *RouterServer) applyMutation(ctx context.Context, m *query.Mutation) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	lab, err := r.internLabel(m.Label)
-	if err != nil {
-		return err
-	}
-	if err := r.flushBacklogs(ctx); err != nil {
-		return err
-	}
-	keys := []uint64{uint64(m.Node), uint64(m.To)}
-	if m.Op == query.MutUpsertNode {
-		keys = keys[:1]
-	}
-	recs, pres, err := r.loadRecords(ctx, keys...)
-	if err != nil {
-		return err
-	}
-	// gstore.Apply edits recs; the copy keeps the pre-images the edits
-	// shipped to the processors are computed from (their edge arrays are
-	// never written, only replaced).
-	olds := slices.Clone(recs)
-	u, v, vFound := &recs[0], (*gstore.Record)(nil), false
-	if len(recs) == 2 {
-		v, vFound = &recs[1], pres[1].found
-	}
-	writeU, writeV, err := gstore.Apply(m.Op, lab, u, v, pres[0].found, vFound)
-	var ws []write
-	if writeU {
-		ws = append(ws, write{u, &olds[0], pres[0]})
-	}
-	if writeV {
-		ws = append(ws, write{v, &olds[1], pres[1]})
-	}
-	if len(ws) > 0 {
-		return r.commit(ctx, ws...)
-	}
-	// Nothing to write — the edge is fully present, or the mutation
-	// conflicts — but evict all the same: if the write landed under a
-	// router that died before delivering its invalidations, this retry is
-	// what restores read-your-writes.
-	r.invalidate(keys, make([][]byte, len(keys)))
-	return err
-}
-
-// internLabel resolves a mutation's label string against the loaded
-// graph's label table — the table the loader encoded every record with, so
-// ids agree. Routers started without the graph accept only unlabelled
-// mutations.
-func (r *RouterServer) internLabel(s string) (graph.Label, error) {
-	if s == "" {
-		return 0, nil
-	}
-	if r.labels == nil {
-		return 0, fmt.Errorf("%w: labelled mutations need the router started with the graph (groutingd -graph)", query.ErrBadQuery)
-	}
-	return r.labels.Intern(s), nil
-}
-
-// preimage is a record's stored bytes as they were before the mutation,
-// kept so a partially failed write-all can restore the replicas it
-// already touched.
-type preimage struct {
-	key   uint64
-	val   []byte
-	found bool
-}
-
-// write pairs a rewritten record with its pre-image, decoded and as stored.
-type write struct {
-	rec *gstore.Record
-	old *gstore.Record
-	pre preimage
-}
-
-// loadRecords reads and decodes the records under keys in one batched round
-// — one OpMultiGet per preferred shard, with the read path's replica
-// fail-over — returning each one's raw stored bytes alongside as the write
-// path's roll-back pre-image. A key nothing is stored under comes back as
-// that node's empty Record with found unset.
-func (r *RouterServer) loadRecords(ctx context.Context, keys ...uint64) ([]gstore.Record, []preimage, error) {
-	recs, pres := make([]gstore.Record, len(keys)), make([]preimage, len(keys))
-	var decodeErr error
-	err := r.storage.getBatch(ctx, keys, func(i int, val []byte, found bool) {
-		pres[i] = preimage{key: keys[i], val: val, found: found}
-		recs[i] = gstore.Record{Node: graph.NodeID(keys[i])}
-		if !found {
-			return
-		}
-		rec, err := gstore.Decode(recs[i].Node, val)
-		if err != nil && decodeErr == nil {
-			decodeErr = err
-		}
-		recs[i] = rec
-	})
-	if err == nil {
-		err = decodeErr
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return recs, pres, nil
-}
-
-// commit writes the rewritten records to every replica, then queues their
-// invalidation for every processor — each record's edits from its pre-image,
-// gstore.AppendEdits, for the processors to update their cached copies with.
-// Only after both does the mutation ack — no query routed afterwards can be
-// served a pre-write cache entry.
-//
-// The records travel as one PutBatch — one frame and one WAL write per
-// shard for the whole mutation. A write-all that fails on any shard is
-// rolled back: every record of the mutation gets its pre-image restored on
-// every reachable replica, so an unacked mutation leaves the tier as it
-// found it instead of with divergent replicas (the read-modify-write of a
-// later retry reads one replica and would otherwise conclude a half-written
-// side needs nothing, leaving the stale copies stale forever). The roll-back
-// is itself best effort — a replica that dies inside the window keeps a
-// stale copy until the next successful mutation rewrites the record.
-func (r *RouterServer) commit(ctx context.Context, ws ...write) error {
-	keys := make([]uint64, len(ws))
-	vals := make([][]byte, len(ws))
-	for i, w := range ws {
-		keys[i], vals[i] = uint64(w.rec.Node), gstore.Encode(nil, w.rec)
-	}
-	if err := r.storage.PutBatch(ctx, keys, vals); err != nil {
-		r.rollback(ctx, ws)
-		return err
-	}
-	edits := make([][]byte, len(ws))
-	for i, w := range ws {
-		edits[i] = gstore.AppendEdits(nil, w.old, w.rec)
-	}
-	r.invalidate(keys, edits)
-	return nil
 }
 
 // rollback restores the pre-images of the given writes on every reachable
@@ -235,7 +93,7 @@ func (r *RouterServer) commit(ctx context.Context, ws ...write) error {
 // OpDrop per shard of their placement.
 // It runs detached from the request's ctx: an expired or cancelled request
 // is the commonest reason to be here, and on that ctx no call would leave.
-func (r *RouterServer) rollback(ctx context.Context, ws []write) {
+func (r *RouterServer) rollback(ctx context.Context, ws []gstore.Write) {
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), rollbackTimeout)
 	defer cancel()
 	keys := make([]uint64, len(ws))
@@ -244,13 +102,13 @@ func (r *RouterServer) rollback(ctx context.Context, ws []write) {
 	drops := make(map[int][]uint64)
 	var arr [topology.MaxReplicas]int
 	for i, w := range ws {
-		keys[i] = w.pre.key
-		if w.pre.found {
-			found, vals = append(found, w.pre.key), append(vals, w.pre.val)
+		keys[i] = uint64(w.Node)
+		if w.Pre != nil {
+			found, vals = append(found, keys[i]), append(vals, w.Pre)
 			continue
 		}
-		for _, slot := range r.storage.placement(w.pre.key, arr[:0]) {
-			drops[slot] = append(drops[slot], w.pre.key)
+		for _, slot := range r.storage.placement(keys[i], arr[:0]) {
+			drops[slot] = append(drops[slot], keys[i])
 		}
 	}
 	_ = r.storage.PutBatch(ctx, found, vals)
@@ -377,18 +235,19 @@ func (r *RouterServer) pushOverridesTo(ctx context.Context, pool *Pool) error {
 	return err
 }
 
-// routerEnv adapts the router's storage client to the placement planner's
-// Env. Locality mirrors the virtual-time engine's nearStorageSlot:
-// processor slot i's near shard is i mod the seeded shard count.
+// routerEnv adapts the router to the placement planner's Env and to
+// gstore.Mutate's. Locality mirrors the virtual-time engine's
+// nearStorageSlot: processor slot i's near shard is i mod the seeded shard
+// count.
 type routerEnv struct {
-	sc  *StorageClient
+	r   *RouterServer
 	ctx context.Context
 }
 
-func (e routerEnv) Replicas(key uint64, dst []int) []int { return e.sc.placement(key, dst) }
+func (e routerEnv) Replicas(key uint64, dst []int) []int { return e.r.storage.placement(key, dst) }
 
 func (e routerEnv) SizeOf(key uint64) int {
-	val, found, err := e.sc.Get(e.ctx, key)
+	val, found, err := e.r.storage.Get(e.ctx, key)
 	if err != nil || !found {
 		return 0
 	}
@@ -396,13 +255,69 @@ func (e routerEnv) SizeOf(key uint64) int {
 }
 
 func (e routerEnv) NearSlot(proc int) int {
-	if len(e.sc.slots) == 0 || proc < 0 {
+	if len(e.r.storage.slots) == 0 || proc < 0 {
 		return -1
 	}
-	return proc % len(e.sc.slots)
+	return proc % len(e.r.storage.slots)
 }
 
-func (e routerEnv) ReplicaTarget() int { return e.sc.Replicas() }
+func (e routerEnv) ReplicaTarget() int { return e.r.storage.Replicas() }
+
+// Labels is the loaded graph's label table, the one the loader encoded the
+// records with. Routers started without the graph take only unlabelled
+// mutations.
+func (e routerEnv) Labels() (*graph.Labels, error) {
+	if e.r.labels == nil {
+		return nil, fmt.Errorf("%w: labelled mutations need the router started with the graph (groutingd -graph)", query.ErrBadQuery)
+	}
+	return e.r.labels, nil
+}
+
+// Read delivers the backlogs past maxBacklog first, so a processor that
+// cannot confirm fails the mutation before it writes anything, then reads
+// the pre-images in one round with the read path's replica fail-over.
+func (e routerEnv) Read(ids []graph.NodeID, dst [][]byte) error {
+	if err := e.r.flushBacklogs(e.ctx); err != nil {
+		return err
+	}
+	_, err := e.r.storage.readRaw(e.ctx, ids, dst, nil)
+	return err
+}
+
+// Commit writes the records to every replica as one PutBatch — one frame
+// and one WAL write per shard — then queues each one's edits for every
+// processor; only after both does the mutation ack, so no query routed
+// afterwards is served a pre-write cache entry. A write-all that fails on
+// any shard is rolled back, so an unacked mutation leaves the tier as it
+// found it rather than with divergent replicas, which a retry's
+// read-modify-write, reading one replica, might never heal. The roll-back
+// is best effort: a replica that dies inside the window keeps a stale copy
+// until the next mutation rewrites the record.
+//
+// With nothing to write — the edge is fully present, or the mutation
+// conflicts — the touched keys are evicted all the same: if the write
+// landed under a router that died before delivering its invalidations,
+// this retry is what restores read-your-writes.
+func (e routerEnv) Commit(ws []gstore.Write, touched []graph.NodeID) error {
+	if len(ws) == 0 {
+		keys := make([]uint64, len(touched))
+		for i, id := range touched {
+			keys[i] = uint64(id)
+		}
+		e.r.invalidate(keys, make([][]byte, len(keys)))
+		return nil
+	}
+	keys, vals, edits := make([]uint64, len(ws)), make([][]byte, len(ws)), make([][]byte, len(ws))
+	for i, w := range ws {
+		keys[i], vals[i], edits[i] = uint64(w.Node), w.Val, w.Edits
+	}
+	if err := e.r.storage.PutBatch(e.ctx, keys, vals); err != nil {
+		e.r.rollback(e.ctx, ws)
+		return err
+	}
+	e.r.invalidate(keys, edits)
+	return nil
+}
 
 // migrate runs one adaptive-placement cycle: drain heat from the
 // processors, plan bounded moves, and execute each as a versioned
@@ -434,7 +349,7 @@ func (r *RouterServer) migrate(ctx context.Context) Response {
 		old  []int
 	}
 	var copied []executed
-	for _, m := range r.planner.Plan(r.heat, routerEnv{sc: r.storage, ctx: ctx}) {
+	for _, m := range r.planner.Plan(r.heat, routerEnv{r: r, ctx: ctx}) {
 		// Copy the record onto every destination slot, then pin it there;
 		// the move only counts when every destination acked.
 		old := r.storage.placement(m.Key, nil)

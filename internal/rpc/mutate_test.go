@@ -468,15 +468,15 @@ func TestRollbackOneFramePerShard(t *testing.T) {
 	}
 	t.Cleanup(func() { rs.Close() })
 
-	var ws []write
+	var ws []gstore.Write
 	var keys []uint64
 	var rewrites [][]byte
 	for k := uint64(1); k <= 8; k++ {
-		pre := preimage{key: k}
+		w := gstore.Write{Node: graph.NodeID(k)}
 		if k%2 == 0 { // the even records existed before the write
-			pre.val, pre.found = gstore.Encode(nil, &gstore.Record{Node: graph.NodeID(k), NodeLabel: 1}), true
+			w.Pre = gstore.Encode(nil, &gstore.Record{Node: w.Node, NodeLabel: 1})
 		}
-		ws = append(ws, write{pre: pre})
+		ws = append(ws, w)
 		keys = append(keys, k)
 		rewrites = append(rewrites, gstore.Encode(nil, &gstore.Record{Node: graph.NodeID(k), NodeLabel: 2}))
 	}
@@ -490,8 +490,8 @@ func TestRollbackOneFramePerShard(t *testing.T) {
 		before[i] = s.Stats().Requests
 		var puts, drops bool
 		for _, w := range ws {
-			if slices.Contains(rs.storage.placement(w.pre.key, nil), i) {
-				puts, drops = puts || w.pre.found, drops || !w.pre.found
+			if slices.Contains(rs.storage.placement(uint64(w.Node), nil), i) {
+				puts, drops = puts || w.Pre != nil, drops || w.Pre == nil
 			}
 		}
 		for _, sent := range []bool{puts, drops} {
@@ -508,9 +508,10 @@ func TestRollbackOneFramePerShard(t *testing.T) {
 		}
 	}
 	for _, w := range ws {
-		for _, slot := range rs.storage.placement(w.pre.key, nil) {
-			if val, found := storedAt(t, addrs[slot], w.pre.key); found != w.pre.found || !bytes.Equal(val, w.pre.val) {
-				t.Errorf("key %d on slot %d after the roll-back: found=%v %x, want found=%v %x", w.pre.key, slot, found, val, w.pre.found, w.pre.val)
+		key := uint64(w.Node)
+		for _, slot := range rs.storage.placement(key, nil) {
+			if val, found := storedAt(t, addrs[slot], key); found != (w.Pre != nil) || !bytes.Equal(val, w.Pre) {
+				t.Errorf("key %d on slot %d after the roll-back: found=%v %x, want found=%v %x", key, slot, found, val, w.Pre != nil, w.Pre)
 			}
 		}
 	}

@@ -134,6 +134,33 @@ func TestMutateTwoTransports(t *testing.T) {
 	}
 }
 
+// TestLabelTableFullTwoTransports: a mutation whose label the full label
+// table cannot take is the typed ErrBadQuery on both transports, with
+// nothing applied, and the deployment goes on serving queries. The table is
+// filled in-process: both deployments intern into the given graph's table.
+func TestLabelTableFullTwoTransports(t *testing.T) {
+	ctx := context.Background()
+	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
+	local, remote := twoTransports(t, g, grouting.Config{Processors: 2, StorageServers: 2, Policy: grouting.PolicyHash})
+	for i := g.NumLabels(); i < 1<<16; i++ {
+		g.InternLabel(fmt.Sprintf("fill-%d", i))
+	}
+	q := grouting.Query{Type: grouting.NeighborAgg, Node: 1, Hops: 1, Dir: grouting.Out}
+	want := grouting.Answer(g, q)
+	for _, tc := range []struct {
+		name string
+		c    grouting.Client
+	}{{"virtual-time", local}, {"tcp", remote}} {
+		n, err := tc.c.Mutate(ctx, []grouting.Mutation{{Op: grouting.MutUpsertNode, Node: 1, Label: "one too many"}})
+		if n != 0 || !errors.Is(err, grouting.ErrBadQuery) {
+			t.Fatalf("%s: label past a full table: applied %d, err %v; want 0 and ErrBadQuery", tc.name, n, err)
+		}
+		if res, err := tc.c.Execute(ctx, q); err != nil || res != want {
+			t.Fatalf("%s: query after the refused label: %+v, %v; want %+v", tc.name, res, err, want)
+		}
+	}
+}
+
 // TestMutateConcurrentReadYourWrites hammers both transports with
 // concurrent writers touching disjoint records, each immediately reading
 // back its own write — through the record it created, and through the
@@ -254,11 +281,13 @@ func mirrorMutations(t *testing.T, oracle *grouting.Graph, muts []grouting.Mutat
 }
 
 // TestStoredRecordsTwoTransports: both transports edit stored records with
-// the one gstore.Apply, so one mutation stream — parallel "b" / "a" edges
+// the one gstore.Mutate, so one mutation stream — parallel "b" / "a" edges
 // and their removal among it — leaves every touched record byte-identical
 // on both, and equal to the record of the oracle the stream was mirrored
 // onto. The removal takes the lowest-labelled edge ("a", interned first)
-// everywhere. The graph handed to NewSystem is left exactly as it was.
+// everywhere. Two mutations that write nothing after it — a no-op and a
+// conflict — change no record on either. The graph handed to NewSystem is
+// left exactly as it was.
 func TestStoredRecordsTwoTransports(t *testing.T) {
 	const scale, seed = 0.02, 7
 	dataset := func() *grouting.Graph { return grouting.GenerateDataset(grouting.WebGraph, scale, seed) }
@@ -310,6 +339,19 @@ func TestStoredRecordsTwoTransports(t *testing.T) {
 	}{{"virtual-time", local}, {"tcp", remote}} {
 		if n, err := tc.c.Mutate(ctx, stream); n != len(stream) || err != nil {
 			t.Fatalf("%s: applied %d of %d: %v", tc.name, n, len(stream), err)
+		}
+	}
+	// Then two mutations that write nothing: the re-add of an edge already
+	// there, and, in its own call, the removal of one that is not.
+	for _, tc := range []struct {
+		name string
+		c    grouting.Client
+	}{{"virtual-time", local}, {"tcp", remote}} {
+		if n, err := tc.c.Mutate(ctx, []grouting.Mutation{{Op: grouting.MutAddEdge, Node: n1, To: 0, Label: "a"}}); n != 1 || err != nil {
+			t.Fatalf("%s: re-add of a present edge: applied %d, %v", tc.name, n, err)
+		}
+		if n, err := tc.c.Mutate(ctx, []grouting.Mutation{{Op: grouting.MutRemoveEdge, Node: n0, To: 0}}); n != 0 || !errors.Is(err, grouting.ErrConflict) {
+			t.Fatalf("%s: removal of an absent edge: applied %d, %v; want 0 and ErrConflict", tc.name, n, err)
 		}
 	}
 	mirrorMutations(t, oracle, stream)

@@ -114,13 +114,14 @@ cover:
 	done
 
 # `go test` only replays the fuzz targets' seeds. This runs each of them for
-# real, 5 s apiece (about 50 s in all, offline): the decoders that take bytes
+# real, 5 s apiece (about 55 s in all, offline): the decoders that take bytes
 # from outside the process — the request and response envelopes, subtasks,
 # partials, the embedding file — the WAL's replay, a storage shard's log
 # against a map model (its WAL compaction cut at each crash point), a stored
-# record under a mutation's edit stream, and a stored record on its own in
-# either layout.
-FUZZ_TARGETS = ./internal/rpc:FuzzFrameDecode ./internal/mquery:FuzzSubtaskWire ./internal/mquery:FuzzPartialWire ./internal/embed:FuzzFileDecode ./internal/kvstore:FuzzWALReplay ./internal/kvstore:FuzzWALRoundTrip ./internal/kvstore:FuzzShardOps ./internal/gstore:FuzzRecordEdits ./internal/gstore:FuzzRecordDecode
+# record under a mutation's edit stream, a stored record on its own in
+# either layout, and the cut of a stored record to the out-prefix an
+# out-only read ships.
+FUZZ_TARGETS = ./internal/rpc:FuzzFrameDecode ./internal/mquery:FuzzSubtaskWire ./internal/mquery:FuzzPartialWire ./internal/embed:FuzzFileDecode ./internal/kvstore:FuzzWALReplay ./internal/kvstore:FuzzWALRoundTrip ./internal/kvstore:FuzzShardOps ./internal/gstore:FuzzRecordEdits ./internal/gstore:FuzzRecordDecode ./internal/gstore:FuzzRecordPrefix
 
 fuzz-smoke:
 	@set -e; for spec in $(FUZZ_TARGETS); do \

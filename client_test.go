@@ -35,6 +35,15 @@ func startLoopback(t testing.TB, g *grouting.Graph, cfg grouting.Config) (grouti
 // virtual-time system and the loopback daemons.
 func twoTransports(t testing.TB, g *grouting.Graph, cfg grouting.Config) (local, remote grouting.Client) {
 	t.Helper()
+	local, remote, _ = twoTransportsStored(t, g, cfg)
+	return local, remote
+}
+
+// twoTransportsStored is twoTransports that also returns a put into both
+// transports' storage tiers, for a test to store what a client never
+// writes: put(key, val) stores val under key on every replica of each.
+func twoTransportsStored(t testing.TB, g *grouting.Graph, cfg grouting.Config) (local, remote grouting.Client, put func(key uint64, val []byte)) {
+	t.Helper()
 	sys, err := grouting.NewSystem(g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -43,8 +52,20 @@ func twoTransports(t testing.TB, g *grouting.Graph, cfg grouting.Config) (local,
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { local.Close() })
-	remote, _ = startLoopback(t, g, cfg)
-	return local, remote
+	remote, d := startLoopback(t, g, cfg)
+	put = func(key uint64, val []byte) {
+		t.Helper()
+		sys.Store().Put(key, val)
+		sc, err := rpc.DialStorageReplicated(d.StorageAddrs(), max(cfg.StorageReplicas, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sc.Close()
+		if err := sc.PutBatch(context.Background(), []uint64{key}, [][]byte{val}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return local, remote, put
 }
 
 // runWorkload is THE transport-agnostic client function: it exercises all

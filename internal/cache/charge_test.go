@@ -10,12 +10,13 @@ import (
 )
 
 // rawBackend serves every record's stored bytes from a table built up
-// front, so reading allocates nothing the cache does not keep.
+// front, cut as storage cuts them, so reading allocates nothing the cache
+// does not keep.
 type rawBackend [][]byte
 
-func (b rawBackend) Read(ids []graph.NodeID, dst [][]byte, _ Counts) error {
+func (b rawBackend) Read(ids []graph.NodeID, dir graph.Direction, dst [][]byte, _ Counts) error {
 	for i, id := range ids {
-		dst[i] = b[id]
+		dst[i] = gstore.Project(b[id], dir)
 	}
 	return nil
 }
@@ -56,7 +57,7 @@ func fill(t testing.TB, c *Processor, b Backend, ids []graph.NodeID) {
 	var sc Scratch
 	for i := 0; i < len(ids); i += 64 {
 		sc.Reset()
-		if _, _, err := c.Step(&sc, b, ids[i:min(i+64, len(ids))]); err != nil {
+		if _, _, err := c.Step(&sc, b, ids[i:min(i+64, len(ids))], graph.Both); err != nil {
 			t.Fatal(err)
 		}
 	}

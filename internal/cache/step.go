@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"bytes"
 	"slices"
 	"sync"
 
@@ -67,26 +66,21 @@ func (c *Processor) Evict(keys ...uint64) {
 }
 
 // Apply brings key's resident record up to date with one mutation's edit
-// stream (gstore.AppendEdits) instead of dropping it: the record is decoded,
-// edited by gstore.ApplyEdits and stored re-encoded — recency and the hit,
-// miss and insert counters untouched, its new size charged — and a stream
-// that does not apply, the empty one included, evicts it. Either way,
-// resident or not, the key is remembered as Evict remembers it, so a fetch
-// that straddles the update cannot cache the record as it was before the
-// write.
+// stream (gstore.AppendEdits) instead of dropping it: gstore.EditValue edits
+// the entry in the form it is cached in — a whole record, or an out-prefix
+// that takes the label and out-edge edits — and it is stored re-encoded,
+// recency and the hit, miss and insert counters untouched, its new size
+// charged; a stream that does not apply, the empty one included, evicts it.
+// Either way, resident or not, the key is remembered as Evict remembers it,
+// so a fetch that straddles the update cannot cache the record as it was
+// before the write.
 func (c *Processor) Apply(key uint64, edits []byte) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	if raw, ok := c.lru.Peek(key); ok {
-		rec, err := gstore.Decode(graph.NodeID(key), raw)
-		if err == nil {
-			rec, err = gstore.ApplyEdits(rec, edits)
-		}
-		if err == nil {
-			// Cloned so the entry holds no spare capacity it is not charged.
-			enc := bytes.Clone(gstore.Encode(nil, &rec))
+		if enc, err := gstore.EditValue(graph.NodeID(key), raw, edits); err == nil {
 			c.lru.Update(key, enc, int64(len(enc)))
 		} else {
 			c.lru.Remove(key)
@@ -122,10 +116,12 @@ func (c *Processor) evictedSince(seq, key uint64) bool {
 // way the engine reaches it.
 type Backend interface {
 	// Read fetches the stored bytes of ids into dst positionally (nil for
-	// an id storage holds no record of). probed is what the step's probe
-	// counted before it. The bytes need stay unmodified only until the step
-	// returns: it decodes them and copies those it caches.
-	Read(ids []graph.NodeID, dst [][]byte, probed Counts) error
+	// an id storage holds no record of), each as a read in direction dir
+	// ships it (gstore.Project: an out-prefix for graph.Out). probed is what
+	// the step's probe counted before it. The bytes need stay unmodified
+	// only until the step returns: it decodes them and copies those it
+	// caches.
+	Read(ids []graph.NodeID, dir graph.Direction, dst [][]byte, probed Counts) error
 	// Heat is told the ids of the records a step read from storage, the
 	// adaptive-placement planner's read signal.
 	Heat(ids []graph.NodeID)
@@ -178,21 +174,31 @@ func resized[T any](buf *[]T, n int) []T {
 // read. The records come back positionally aligned with ids in sc's buffer;
 // their edge lists stay valid until sc.Reset. On a read or decode error
 // nothing is cached or heated.
-func (c *Processor) Step(sc *Scratch, b Backend, ids []graph.NodeID) ([]gstore.FetchResult, Counts, error) {
+//
+// dir is what the caller reads of the records. A step that reads only
+// out-edges (graph.Out) reads its misses as out-prefixes, caches them so,
+// and decodes no in-list but that of a value storage shipped whole: its
+// records' In is nil otherwise. Any other step needs whole records: an
+// out-prefix in the cache is a miss to it, and the whole record it fetches
+// takes the prefix's place.
+func (c *Processor) Step(sc *Scratch, b Backend, ids []graph.NodeID, dir graph.Direction) ([]gstore.FetchResult, Counts, error) {
 	buf := resized(&sc.bytes, 2*len(ids))
 	raw := buf[:len(ids)]
 	if c == nil {
 		// ids goes to the backend as a copy: the caller's slice (often an
 		// array on its stack) must not escape through the interface.
-		miss := append(sc.miss[:0], ids...)
-		sc.miss = miss
+		miss, pos := append(sc.miss[:0], ids...), sc.pos[:0]
+		for i := range ids {
+			pos = append(pos, int32(i))
+		}
+		sc.miss, sc.pos = miss, pos
 		n := Counts{Misses: len(miss)}
 		if len(miss) > 0 {
-			if err := b.Read(miss, raw, n); err != nil {
+			if err := b.Read(miss, dir, raw, n); err != nil {
 				return nil, n, err
 			}
 		}
-		recs, err := sc.decode(ids, raw)
+		recs, err := sc.decode(ids, raw, dir, pos)
 		if err != nil {
 			return nil, n, err
 		}
@@ -212,6 +218,11 @@ func (c *Processor) Step(sc *Scratch, b Backend, ids []graph.NodeID) ([]gstore.F
 	c.mu.Lock()
 	seq := c.evictSeq
 	for i, id := range ids {
+		if dir != graph.Out {
+			if v, ok := c.lru.Peek(uint64(id)); ok && gstore.IsPrefix(v) {
+				c.lru.Remove(uint64(id)) // so Get counts the miss it is here
+			}
+		}
 		v, ok := c.lru.Get(uint64(id))
 		raw[i] = v
 		if !ok {
@@ -224,14 +235,14 @@ func (c *Processor) Step(sc *Scratch, b Backend, ids []graph.NodeID) ([]gstore.F
 	n := Counts{Hits: len(ids) - len(miss), Misses: len(miss)}
 	got := buf[len(ids) : len(ids)+len(miss)]
 	if len(miss) > 0 {
-		if err := b.Read(miss, got, n); err != nil {
+		if err := b.Read(miss, dir, got, n); err != nil {
 			return nil, n, err
 		}
 		for j, v := range got {
 			raw[pos[j]] = v
 		}
 	}
-	recs, err := sc.decode(ids, raw)
+	recs, err := sc.decode(ids, raw, dir, pos)
 	if err != nil || len(miss) == 0 {
 		return recs, n, err
 	}
@@ -257,30 +268,53 @@ func (c *Processor) Step(sc *Scratch, b Backend, ids []graph.NodeID) ([]gstore.F
 }
 
 // decode turns one step's stored bytes into its records, in one pass,
-// appending their edges to the arena, and lets go of the bytes. A cached
-// value is never written after it is stored (Apply stores a fresh
+// appending their edges to the arena, and lets go of the bytes. fetched
+// holds, ascending, the positions of the bytes storage just read; the rest
+// are cached values, which were checked whole when they were cached. A
+// cached value is never written after it is stored (Apply stores a fresh
 // encoding), so hits decode outside the lock.
-func (sc *Scratch) decode(ids []graph.NodeID, raw [][]byte) ([]gstore.FetchResult, error) {
+//
+// Under dir graph.Out a record decodes as far as its out-list: a cached
+// whole record stops there, and so does an out-prefix storage shipped. A
+// whole value storage shipped is one OutPrefix refused, or one from a
+// backend that does not cut, and decodes whole, strictly.
+func (sc *Scratch) decode(ids []graph.NodeID, raw [][]byte, dir graph.Direction, fetched []int32) ([]gstore.FetchResult, error) {
 	recs := resized(&sc.recs, len(ids))
 	// An edge takes at least one byte, after a head and two counts of one
-	// byte at least, so this reserves room for the whole step at once. A
-	// growing arena at least doubles, from 4,096 edges (32 KiB, about what a
-	// 2-hop ball around a WebGraph hub decodes), so an executor's arena
-	// settles within its first few queries.
+	// byte at least — one count in an out-prefix — so this reserves room
+	// for the whole step at once. A growing arena at least doubles, from
+	// 4,096 edges (32 KiB, about what a 2-hop ball around a WebGraph hub
+	// decodes), so an executor's arena settles within its first few
+	// queries.
+	overhead := 3
+	if dir == graph.Out {
+		overhead = 2
+	}
 	need := 0
 	for _, v := range raw {
-		need += max(len(v)-3, 0)
+		need += max(len(v)-overhead, 0)
 	}
 	if cap(sc.edges)-len(sc.edges) < need {
 		sc.edges = slices.Grow(sc.edges, max(need, cap(sc.edges), 4096))
 	}
 	for i, v := range raw {
 		raw[i] = nil
+		read := len(fetched) > 0 && fetched[0] == int32(i)
+		if read {
+			fetched = fetched[1:]
+		}
 		if v == nil {
 			recs[i] = gstore.FetchResult{}
 			continue
 		}
-		r, edges, err := gstore.DecodeInto(ids[i], v, sc.edges)
+		var r gstore.Record
+		var edges []graph.Edge
+		var err error
+		if dir == graph.Out && (!read || gstore.IsPrefix(v)) {
+			r, edges, err = gstore.DecodeOutInto(ids[i], v, sc.edges)
+		} else {
+			r, edges, err = gstore.DecodeInto(ids[i], v, sc.edges)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -10,19 +10,24 @@ import (
 	"repro/internal/gstore"
 )
 
-// mapBackend serves records from a map and logs what the step asked of it.
-// during, when set, runs inside Read: what happens while a fetch is out.
+// mapBackend serves records from a map, cut as storage cuts them, and logs
+// what the step asked of it. during, when set, runs inside Read: what
+// happens while a fetch is out. raw, when set, is served for its ids as it
+// is, uncut.
 type mapBackend struct {
 	recs   map[graph.NodeID]gstore.Record
+	raw    map[graph.NodeID][]byte
 	err    error
 	during func()
 	reads  [][]graph.NodeID
+	dirs   []graph.Direction
 	probes []Counts
 	heated []graph.NodeID
 }
 
-func (b *mapBackend) Read(ids []graph.NodeID, dst [][]byte, probed Counts) error {
+func (b *mapBackend) Read(ids []graph.NodeID, dir graph.Direction, dst [][]byte, probed Counts) error {
 	b.reads = append(b.reads, slices.Clone(ids))
+	b.dirs = append(b.dirs, dir)
 	b.probes = append(b.probes, probed)
 	if b.during != nil {
 		b.during()
@@ -32,8 +37,10 @@ func (b *mapBackend) Read(ids []graph.NodeID, dst [][]byte, probed Counts) error
 	}
 	for i, id := range ids {
 		dst[i] = nil
-		if rec, ok := b.recs[id]; ok {
-			dst[i] = gstore.Encode(nil, &rec)
+		if v, ok := b.raw[id]; ok {
+			dst[i] = v
+		} else if rec, ok := b.recs[id]; ok {
+			dst[i] = gstore.Project(gstore.Encode(nil, &rec), dir)
 		}
 	}
 	return nil
@@ -48,11 +55,12 @@ func (b *mapBackend) size(id graph.NodeID) int64 {
 
 func (b *mapBackend) Heat(ids []graph.NodeID) { b.heated = append(b.heated, ids...) }
 
-// stored holds records 1..n, record i with i out-edges.
+// stored holds records 1..n, record i with i out-edges and one in-edge,
+// from node 100+i.
 func stored(n int) *mapBackend {
 	b := &mapBackend{recs: make(map[graph.NodeID]gstore.Record)}
 	for i := 1; i <= n; i++ {
-		r := gstore.Record{Node: graph.NodeID(i)}
+		r := gstore.Record{Node: graph.NodeID(i), In: []graph.Edge{{To: graph.NodeID(100 + i)}}}
 		for j := 0; j < i; j++ {
 			r.Out = append(r.Out, graph.Edge{To: graph.NodeID(j)})
 		}
@@ -68,10 +76,10 @@ func TestStepProbesThenReadsMisses(t *testing.T) {
 	b := stored(3)
 	c := NewProcessor(1 << 20)
 	var sc Scratch
-	if _, n, err := c.Step(&sc, b, []graph.NodeID{1}); err != nil || n != (Counts{Misses: 1, Inserts: 1}) {
+	if _, n, err := c.Step(&sc, b, []graph.NodeID{1}, graph.Both); err != nil || n != (Counts{Misses: 1, Inserts: 1}) {
 		t.Fatalf("cold step: counts %+v, err %v", n, err)
 	}
-	recs, n, err := c.Step(&sc, b, []graph.NodeID{2, 1, 9, 3})
+	recs, n, err := c.Step(&sc, b, []graph.NodeID{2, 1, 9, 3}, graph.Both)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +104,7 @@ func TestStepProbesThenReadsMisses(t *testing.T) {
 	if st := c.Stats(); st.CurrentBytes != want || st.Inserts != 3 || st.Hits != 1 || st.Misses != 4 {
 		t.Fatalf("stats = %+v, want %d bytes over 3 inserts, 1 hit, 4 misses", st, want)
 	}
-	if _, n, _ := c.Step(&sc, b, []graph.NodeID{3, 2}); n != (Counts{Hits: 2}) || len(b.reads) != 2 {
+	if _, n, _ := c.Step(&sc, b, []graph.NodeID{3, 2}, graph.Both); n != (Counts{Hits: 2}) || len(b.reads) != 2 {
 		t.Fatalf("all-hit step: counts %+v after %d reads, want 2 hits and no read", n, len(b.reads))
 	}
 }
@@ -107,7 +115,7 @@ func TestContainsTouchesNothing(t *testing.T) {
 	b := stored(2)
 	c := NewProcessor(1 << 20)
 	var sc Scratch
-	if _, _, err := c.Step(&sc, b, []graph.NodeID{1, 2}); err != nil {
+	if _, _, err := c.Step(&sc, b, []graph.NodeID{1, 2}, graph.Both); err != nil {
 		t.Fatal(err)
 	}
 	before := c.Stats()
@@ -129,7 +137,7 @@ func TestStepReadErrorCachesNothing(t *testing.T) {
 	b.err = errors.New("shard down")
 	c := NewProcessor(1 << 20)
 	var sc Scratch
-	if _, n, err := c.Step(&sc, b, []graph.NodeID{1, 2}); !errors.Is(err, b.err) || n != (Counts{Misses: 2}) {
+	if _, n, err := c.Step(&sc, b, []graph.NodeID{1, 2}, graph.Both); !errors.Is(err, b.err) || n != (Counts{Misses: 2}) {
 		t.Fatalf("counts %+v, err %v; want 2 misses and the read's error", n, err)
 	}
 	if st := c.Stats(); st.Inserts != 0 || len(b.heated) != 0 {
@@ -144,7 +152,7 @@ func TestStepSkipsRecordsEvictedMidRead(t *testing.T) {
 	c := NewProcessor(1 << 20)
 	b.during = func() { c.Evict(2) }
 	var sc Scratch
-	recs, n, err := c.Step(&sc, b, []graph.NodeID{1, 2, 3})
+	recs, n, err := c.Step(&sc, b, []graph.NodeID{1, 2, 3}, graph.Both)
 	if err != nil || !recs[1].OK || n.Inserts != 3 {
 		t.Fatalf("recs %+v, counts %+v, err %v", recs, n, err)
 	}
@@ -160,7 +168,7 @@ func TestStepWithoutCache(t *testing.T) {
 	var c *Processor
 	var sc Scratch
 	for range 2 {
-		recs, n, err := c.Step(&sc, b, []graph.NodeID{2, 7, 1})
+		recs, n, err := c.Step(&sc, b, []graph.NodeID{2, 7, 1}, graph.Both)
 		if err != nil || n != (Counts{Misses: 3}) || !recs[0].OK || recs[1].OK || !recs[2].OK {
 			t.Fatalf("recs %+v, counts %+v, err %v", recs, n, err)
 		}
@@ -168,7 +176,7 @@ func TestStepWithoutCache(t *testing.T) {
 	if len(b.reads) != 2 || !slices.Equal(b.heated, []graph.NodeID{2, 1, 2, 1}) {
 		t.Fatalf("%d reads, heated %v", len(b.reads), b.heated)
 	}
-	if _, n, _ := c.Step(&sc, b, nil); n != (Counts{}) || len(b.reads) != 2 {
+	if _, n, _ := c.Step(&sc, b, nil, graph.Both); n != (Counts{}) || len(b.reads) != 2 {
 		t.Fatal("an empty step read storage")
 	}
 	c.Evict(1)
@@ -178,7 +186,8 @@ func TestStepWithoutCache(t *testing.T) {
 }
 
 // TestStepConcurrentExecutors: executors sharing one processor cache under
-// evictions (run under -race) keep its accounting consistent.
+// evictions (run under -race), some reading out-edges only and some whole
+// records, keep its accounting consistent.
 func TestStepConcurrentExecutors(t *testing.T) {
 	b := stored(64)
 	c := NewProcessor(4 << 10)
@@ -193,7 +202,11 @@ func TestStepConcurrentExecutors(t *testing.T) {
 			var sc Scratch
 			for i := range 200 {
 				ids := []graph.NodeID{graph.NodeID(1 + (i*7+w)%64), graph.NodeID(1 + (i*3)%64)}
-				_, n, err := c.Step(&sc, own, ids)
+				dir := graph.Both // half the steps read out-edges only: prefixes and whole records replace each other
+				if (i+w)%2 == 0 {
+					dir = graph.Out
+				}
+				_, n, err := c.Step(&sc, own, ids, dir)
 				if err != nil {
 					t.Error(err)
 					return
@@ -249,7 +262,7 @@ func TestApplyUpdatesInPlace(t *testing.T) {
 	b := stored(3)
 	c := NewProcessor(1 << 20)
 	var sc Scratch
-	if _, _, err := c.Step(&sc, b, []graph.NodeID{2, 1}); err != nil {
+	if _, _, err := c.Step(&sc, b, []graph.NodeID{2, 1}, graph.Both); err != nil {
 		t.Fatal(err)
 	}
 	pre := b.recs[2]
@@ -295,7 +308,7 @@ func TestStepKeepsRecordsUpdatedMidRead(t *testing.T) {
 	edits := gstore.AppendEdits(nil, &pre, &post)
 	var sc Scratch
 	b.during = func() { c.Apply(3, edits) }
-	if _, _, err := c.Step(&sc, b, []graph.NodeID{3}); err != nil {
+	if _, _, err := c.Step(&sc, b, []graph.NodeID{3}, graph.Both); err != nil {
 		t.Fatal(err)
 	}
 	if c.lru.Contains(3) {
@@ -308,7 +321,7 @@ func TestStepKeepsRecordsUpdatedMidRead(t *testing.T) {
 		c.mu.Unlock()
 		c.Apply(2, edits)
 	}
-	recs, _, err := c.Step(&sc, b, []graph.NodeID{2})
+	recs, _, err := c.Step(&sc, b, []graph.NodeID{2}, graph.Both)
 	if err != nil || recs[0].Record.NodeLabel != pre.NodeLabel {
 		t.Fatalf("step = %+v, %v; want the record it read", recs, err)
 	}
@@ -326,13 +339,13 @@ func TestArenaOutlivesSteps(t *testing.T) {
 	var sc Scratch
 	batches := [][]graph.NodeID{ids[:40], ids[40:90], ids[90:150]}
 	fill(t, c, b, batches[0]) // the first batch hits, the others miss
-	first, _, err := c.Step(&sc, b, batches[0])
+	first, _, err := c.Step(&sc, b, batches[0], graph.Both)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first = slices.Clone(first) // the result buffer itself is per step
 	for _, ids := range batches[1:] {
-		if _, _, err := c.Step(&sc, b, ids); err != nil {
+		if _, _, err := c.Step(&sc, b, ids, graph.Both); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -349,7 +362,8 @@ func TestArenaOutlivesSteps(t *testing.T) {
 }
 
 // TestStepHitAllocatesNothing: a warm, all-hit step decodes into an arena
-// already grown to the batch, so it allocates nothing.
+// already grown to the batch, so it allocates nothing, whichever lists it
+// reads.
 func TestStepHitAllocatesNothing(t *testing.T) {
 	enc, ids := encodedWebGraph(t, 0.02)
 	ids = ids[:64]
@@ -357,38 +371,141 @@ func TestStepHitAllocatesNothing(t *testing.T) {
 	c := NewProcessor(1 << 20)
 	var sc Scratch
 	fill(t, c, b, ids)
-	step := func() {
-		sc.Reset()
-		if _, n, err := c.Step(&sc, b, ids); err != nil || n.Hits != len(ids) {
-			t.Fatalf("counts %+v, err %v; want %d hits", n, err, len(ids))
+	for _, dir := range []graph.Direction{graph.Both, graph.Out} {
+		step := func() {
+			sc.Reset()
+			if _, n, err := c.Step(&sc, b, ids, dir); err != nil || n.Hits != len(ids) {
+				t.Fatalf("%v: counts %+v, err %v; want %d hits", dir, n, err, len(ids))
+			}
 		}
-	}
-	step() // grows the arena
-	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
-		t.Fatalf("a warm all-hit step allocates %.1f times, want 0", allocs)
+		step() // grows the arena
+		if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+			t.Fatalf("a warm all-hit %v step allocates %.1f times, want 0", dir, allocs)
+		}
 	}
 }
 
 // BenchmarkStepHit is the cost of a hit now that the cache holds stored
-// bytes: a warm all-hit step of 64 WebGraph records, decoded into the
-// arena, reported per record.
+// bytes: a warm all-hit step of 64 whole WebGraph records, decoded into the
+// arena, reported per record — in full for a step that reads both lists,
+// as far as the out-list for one that reads only out-edges.
 func BenchmarkStepHit(b *testing.B) {
 	enc, ids := encodedWebGraph(b, 0.02)
 	ids = ids[:64]
 	var be Backend = enc
+	for _, dir := range []graph.Direction{graph.Both, graph.Out} {
+		b.Run(dir.String(), func(b *testing.B) {
+			c := NewProcessor(1 << 20)
+			var sc Scratch
+			fill(b, c, be, ids)
+			if _, _, err := c.Step(&sc, be, ids, dir); err != nil { // grows sc's arena
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				sc.Reset()
+				if _, _, err := c.Step(&sc, be, ids, dir); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ids)), "ns/record")
+		})
+	}
+}
+
+// TestStepOutOnlyCachesPrefixes: a step that reads only out-edges reads and
+// caches out-prefixes, charged their length, and decodes no in-list. A step
+// that reads in-edges counts such an entry a miss, reads the whole record
+// and caches it in the prefix's place; an out-only step then hits the whole
+// entry and still stops at its out-list.
+func TestStepOutOnlyCachesPrefixes(t *testing.T) {
+	b := stored(3)
 	c := NewProcessor(1 << 20)
 	var sc Scratch
-	fill(b, c, be, ids)
-	if _, _, err := c.Step(&sc, be, ids); err != nil { // grows sc's arena
-		b.Fatal(err)
+	recs, n, err := c.Step(&sc, b, []graph.NodeID{2, 3}, graph.Out)
+	if err != nil || n != (Counts{Misses: 2, Inserts: 2}) || b.dirs[0] != graph.Out {
+		t.Fatalf("cold out-only step: counts %+v, read %v, err %v", n, b.dirs, err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		sc.Reset()
-		if _, _, err := c.Step(&sc, be, ids); err != nil {
-			b.Fatal(err)
+	for i, id := range []graph.NodeID{2, 3} {
+		want := b.recs[id]
+		if got := recs[i].Record; !recs[i].OK || !slices.Equal(got.Out, want.Out) || got.In != nil {
+			t.Fatalf("record %d = %+v, want its out-list and no in-list", id, got)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ids)), "ns/record")
+	whole := func(id graph.NodeID) []byte { r := b.recs[id]; return gstore.Encode(nil, &r) }
+	prefix := int64(len(gstore.Project(whole(2), graph.Out)) + len(gstore.Project(whole(3), graph.Out)))
+	if st := c.Stats(); st.CurrentBytes != prefix+2*EntryOverhead {
+		t.Fatalf("%d bytes resident, want the two prefixes' %d and their overhead", st.CurrentBytes, prefix)
+	}
+
+	recs, n, err = c.Step(&sc, b, []graph.NodeID{3, 2}, graph.In)
+	if err != nil || n != (Counts{Misses: 2, Inserts: 2}) || b.dirs[1] != graph.In {
+		t.Fatalf("in-reading step over prefixes: counts %+v, read %v, err %v", n, b.dirs, err)
+	}
+	if got := recs[0].Record; !slices.Equal(got.In, b.recs[3].In) {
+		t.Fatalf("record 3 = %+v, want its in-list", got)
+	}
+	for _, id := range []graph.NodeID{2, 3} {
+		if raw, _ := c.lru.Peek(uint64(id)); !slices.Equal(raw, whole(id)) {
+			t.Fatalf("resident %d = %x, want the whole record %x", id, raw, whole(id))
+		}
+	}
+	if st := c.Stats(); st.Misses != 4 || st.Hits != 0 || st.Evictions != 0 || c.lru.Len() != 2 {
+		t.Fatalf("stats %+v, %d entries; want 4 misses, the prefixes replaced", st, c.lru.Len())
+	}
+
+	recs, n, err = c.Step(&sc, b, []graph.NodeID{2}, graph.Out)
+	if err != nil || n != (Counts{Hits: 1}) || recs[0].Record.In != nil || !slices.Equal(recs[0].Record.Out, b.recs[2].Out) {
+		t.Fatalf("out-only hit on a whole record = %+v, counts %+v, err %v", recs[0], n, err)
+	}
+	if _, n, _ := c.Step(&sc, b, []graph.NodeID{2, 3}, graph.Both); n != (Counts{Hits: 2}) {
+		t.Fatalf("whole entries read whole: counts %+v, want 2 hits", n)
+	}
+}
+
+// TestStepOutOnlyRefusesWholeCorruptMiss: storage ships whole a value whose
+// in-list does not walk, and an out-only step decodes a value it fetched
+// whole strictly: it refuses it and caches nothing, though the out-list it
+// reads is intact.
+func TestStepOutOnlyRefusesWholeCorruptMiss(t *testing.T) {
+	b := stored(3)
+	r := b.recs[2]
+	enc := gstore.Encode(nil, &r)
+	b.raw = map[graph.NodeID][]byte{2: enc[:len(enc)-1]} // its one in-edge cut off
+	c := NewProcessor(1 << 20)
+	var sc Scratch
+	if _, _, err := c.Step(&sc, b, []graph.NodeID{1, 2}, graph.Out); !errors.Is(err, gstore.ErrCorrupt) {
+		t.Fatalf("step over a record with a truncated in-list: %v, want it refused", err)
+	}
+	if st := c.Stats(); st.Inserts != 0 || c.lru.Len() != 0 || len(b.heated) != 0 {
+		t.Fatalf("refused step left %d entries, stats %+v, heat %v", c.lru.Len(), st, b.heated)
+	}
+}
+
+// TestApplyEditsAPrefix: an edit stream applied to a cached out-prefix
+// takes its label and out-edge edits, skips its in-edge ones, and leaves a
+// prefix — here the one storage would ship of the edited record — charged
+// its length.
+func TestApplyEditsAPrefix(t *testing.T) {
+	b := stored(3)
+	c := NewProcessor(1 << 20)
+	var sc Scratch
+	if _, _, err := c.Step(&sc, b, []graph.NodeID{2}, graph.Out); err != nil {
+		t.Fatal(err)
+	}
+	pre := b.recs[2]
+	post := pre
+	post.NodeLabel = 6
+	post.Out = append(post.Out[:len(post.Out):len(post.Out)], graph.Edge{To: 9})
+	post.In = nil
+	c.Apply(2, gstore.AppendEdits(nil, &pre, &post))
+	got, _ := c.lru.Peek(2)
+	want := gstore.Project(gstore.Encode(nil, &post), graph.Out)
+	if !slices.Equal(got, want) || !gstore.IsPrefix(got) {
+		t.Fatalf("resident prefix %x after the edits, want %x", got, want)
+	}
+	if st := c.Stats(); st.CurrentBytes != int64(len(want))+EntryOverhead {
+		t.Fatalf("%d bytes charged, want the edited prefix's %d", st.CurrentBytes, len(want))
+	}
 }

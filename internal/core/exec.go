@@ -80,8 +80,8 @@ func (ses *Session) fetcher(p int, start time.Duration) *fetcher {
 // failed fetch still burned the round trips that discovered the failure.
 // The returned slice is p's scratch buffer, valid until the next Fetch; the
 // records' edges stay valid until the execution ends.
-func (f *fetcher) Fetch(ids []graph.NodeID) ([]gstore.FetchResult, error) {
-	recs, n, err := f.p.cache.Step(&f.p.sc, f, ids)
+func (f *fetcher) Fetch(ids []graph.NodeID, dir graph.Direction) ([]gstore.FetchResult, error) {
+	recs, n, err := f.p.cache.Step(&f.p.sc, f, ids, dir)
 	if n.Misses == 0 {
 		f.now += f.probeCost(n) // Read bills it otherwise, before departing
 	}
@@ -103,15 +103,16 @@ func (f *fetcher) probeCost(n cache.Counts) time.Duration {
 
 // Read is the step's storage backend: after the probe, one batched raw
 // multi-read per owning storage server, charged on the contention timeline
-// with halves of the RTT on each side.
-func (f *fetcher) Read(ids []graph.NodeID, dst [][]byte, probed cache.Counts) error {
+// with halves of the RTT on each side and the bytes it shipped — out-prefixes
+// under graph.Out.
+func (f *fetcher) Read(ids []graph.NodeID, dir graph.Direction, dst [][]byte, probed cache.Counts) error {
 	s, p, prof := f.s, f.p, f.s.cfg.Network
 	f.now += f.probeCost(probed)
 	var err error
 	if s.cfg.NoBatching {
 		// Ablation: one full round trip per key, strictly sequential.
 		for j := range ids {
-			err = s.tier.ReadBatchInto(ids[j:j+1], dst[j:j+1], func(b kvstore.Batch, bytes int64) {
+			err = s.tier.ReadBatchInto(ids[j:j+1], dir, dst[j:j+1], func(b kvstore.Batch, bytes int64) {
 				if bytes < 0 {
 					// Failed attempt: a round trip burned discovering the
 					// replica is gone, no data moved.
@@ -132,7 +133,7 @@ func (f *fetcher) Read(ids []graph.NodeID, dst [][]byte, probed cache.Counts) er
 	} else {
 		depart := f.now + prof.RTT/2
 		arrival := depart
-		err = s.tier.ReadBatchInto(ids, dst, func(b kvstore.Batch, bytes int64) {
+		err = s.tier.ReadBatchInto(ids, dir, dst, func(b kvstore.Batch, bytes int64) {
 			if bytes < 0 {
 				// Failed attempt: the processor pays the round trip that
 				// found the replica dead. The hook cannot tell a retried

@@ -80,7 +80,7 @@ func (e sessionEnv) Labels() (*graph.Labels, error) { return e.ses.sys.g.Labels(
 
 // Read is the mutation's pre-image read, unbilled.
 func (e sessionEnv) Read(ids []graph.NodeID, dst [][]byte) error {
-	if err := e.ses.sys.tier.ReadBatchInto(ids, dst, nil); err != nil {
+	if err := e.ses.sys.tier.ReadBatchInto(ids, graph.Both, dst, nil); err != nil {
 		return storageErr("pre-image read", err)
 	}
 	return nil

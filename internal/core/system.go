@@ -178,7 +178,7 @@ func (s *System) Store() *kvstore.Store { return s.store }
 // checks on its kernel's first read of the query node instead.
 func (s *System) Known(ids ...graph.NodeID) error {
 	dst := make([][]byte, len(ids))
-	if err := s.tier.ReadBatchInto(ids, dst, nil); err != nil {
+	if err := s.tier.ReadBatchInto(ids, graph.Both, dst, nil); err != nil {
 		return storageErr("node probe", err)
 	}
 	for i, v := range dst {

@@ -106,7 +106,38 @@ type edgeCount struct {
 // Any malformed byte is an error, and so is an edge count above r's own
 // count of that edge plus one, which bounds what the result allocates at
 // r's edges plus one per edit.
-func ApplyEdits(r Record, edits []byte) (Record, error) {
+func ApplyEdits(r Record, edits []byte) (Record, error) { return applyEdits(r, edits, true) }
+
+// EditValue returns val — a whole record or an out-prefix, as a processor
+// caches it, already known to decode — with the edit stream applied, in
+// the same form, copied out of Encode's buffer so it holds none of that
+// buffer's spare capacity: a whole record takes every edit, an out-prefix
+// the label and out-edge edits, its in-edge edits checked and skipped.
+func EditValue(node graph.NodeID, val, edits []byte) ([]byte, error) {
+	prefix := IsPrefix(val)
+	var r Record
+	var err error
+	if prefix {
+		r, _, err = DecodeOutInto(node, val, nil)
+	} else {
+		r, err = Decode(node, val)
+	}
+	if err == nil {
+		r, err = applyEdits(r, edits, !prefix)
+	}
+	if err != nil {
+		return nil, err
+	}
+	enc := Encode(nil, &r)
+	if prefix {
+		enc = enc[:len(enc)-1] // r.In is empty: its list is one count byte
+	}
+	return slices.Clone(enc), nil
+}
+
+// applyEdits is ApplyEdits; without in, r is an out-prefix, whose in-edge
+// edits are checked but not applied.
+func applyEdits(r Record, edits []byte, in bool) (Record, error) {
 	n, k := binary.Uvarint(edits)
 	// Every edit takes at least two bytes, so a count past half the
 	// remaining bytes cannot decode.
@@ -150,6 +181,9 @@ func ApplyEdits(r Record, edits []byte) (Record, error) {
 		}
 		if f[0] > uint64(^graph.NodeID(0)) || f[1] > uint64(^graph.Label(0)) {
 			return r, fmt.Errorf("%w: edge edit", ErrCorrupt)
+		}
+		if tag == editIn && !in {
+			continue
 		}
 		ec := edgeCount{e: graph.Edge{To: graph.NodeID(f[0]), Label: graph.Label(f[1])}}
 		for _, e := range resident {

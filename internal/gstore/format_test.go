@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -183,12 +184,9 @@ func TestUnlabelledCountGuard(t *testing.T) {
 // with its lists in Decode's order — and whose encoding is a fixed point.
 // Seeded with both layouts.
 func FuzzRecordDecode(f *testing.F) {
-	_, tagged := taggedRecord()
-	f.Add(tagged)
-	f.Add(Encode(nil, &Record{NodeLabel: 2, Out: []graph.Edge{{To: 5, Label: 1}}, In: []graph.Edge{{To: 3, Label: 2}}}))
-	f.Add(Encode(nil, &Record{Out: []graph.Edge{{To: 1}, {To: 1}, {To: 1 << 20}}}))
-	f.Add(Encode(nil, &Record{NodeLabel: 9}))
-	f.Add(append(binary.AppendUvarint(nil, 1<<16|1<<17|1<<18), 1, 0, 5, 0)) // tagged, both flags set
+	for _, seed := range recordSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := Decode(6, data)
 		if err != nil {
@@ -204,6 +202,60 @@ func FuzzRecordDecode(f *testing.F) {
 		}
 		if enc2 := Encode(nil, &again); !bytes.Equal(enc2, enc) {
 			t.Fatalf("encoding is not a fixed point: %x then %x", enc, enc2)
+		}
+	})
+}
+
+// recordSeeds are FuzzRecordDecode's and FuzzRecordPrefix's seeds: stored
+// records in either layout.
+func recordSeeds() [][]byte {
+	_, tagged := taggedRecord()
+	return [][]byte{
+		tagged,
+		Encode(nil, &Record{NodeLabel: 2, Out: []graph.Edge{{To: 5, Label: 1}}, In: []graph.Edge{{To: 3, Label: 2}}}),
+		Encode(nil, &Record{Out: []graph.Edge{{To: 1}, {To: 1}, {To: 1 << 20}}}),
+		Encode(nil, &Record{NodeLabel: 9}),
+		append(binary.AppendUvarint(nil, 1<<16|1<<17|1<<18), 1, 0, 5, 0), // tagged, both flags set
+	}
+}
+
+// FuzzRecordPrefix: for any bytes, OutPrefix either refuses the value —
+// exactly when Decode does — or returns an n where val[:n] is an
+// out-prefix: IsPrefix says so, DecodeOutInto reads it to the same label
+// and out-list Decode reads from the whole value, Decode refuses it (a
+// prefix is never taken for a whole record), and Project cuts there.
+func FuzzRecordPrefix(f *testing.F) {
+	for _, seed := range recordSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, val []byte) {
+		whole, decErr := Decode(6, val)
+		n, err := OutPrefix(val)
+		if (err == nil) != (decErr == nil) {
+			t.Fatalf("%x: OutPrefix %d, %v; Decode %v", val, n, err, decErr)
+		}
+		if err != nil {
+			if got := Project(val, graph.Out); !bytes.Equal(got, val) {
+				t.Fatalf("%x: a refused value projects to %x, not whole", val, got)
+			}
+			return
+		}
+		prefix := val[:n]
+		if !IsPrefix(prefix) || IsPrefix(val) {
+			t.Fatalf("%x cut at %d: IsPrefix %v on the prefix, %v on the whole value", val, n, IsPrefix(prefix), IsPrefix(val))
+		}
+		r, _, err := DecodeOutInto(6, prefix, nil)
+		if err != nil {
+			t.Fatalf("%x: its prefix %x does not decode: %v", val, prefix, err)
+		}
+		if r.NodeLabel != whole.NodeLabel || !slices.Equal(r.Out, whole.Out) || r.In != nil {
+			t.Fatalf("%x: prefix decodes to %+v, the whole value to %+v", val, r, whole)
+		}
+		if _, err := Decode(6, prefix); err == nil {
+			t.Fatalf("%x: its prefix %x decodes as a whole record", val, prefix)
+		}
+		if got := Project(val, graph.Out); !bytes.Equal(got, prefix) || !bytes.Equal(Project(val, graph.Both), val) {
+			t.Fatalf("%x: projects to %x out, %x both", val, got, Project(val, graph.Both))
 		}
 	})
 }

@@ -22,6 +22,17 @@
 // predates the tag refuses such a record (its head exceeds any label); a
 // head of 1<<19 or more is refused here, so a later layout is never
 // misread.
+//
+// A read that follows only out-edges needs only a record's out-prefix: the
+// head and the out-list, which Encode writes first. Storage ships that
+// prefix (Project, cut where OutPrefix says) instead of the whole value on
+// both transports, and a processor caches it as it arrived. A whole record
+// always has at least one byte after its out-list, the in-list's count; an
+// out-prefix has none. That is how a cached value says what it holds
+// (IsPrefix), and why Decode refuses a prefix while DecodeOutInto reads
+// either form. OutPrefix walks the whole value, so a value with a malformed
+// in-list is shipped whole and refused by the reader's strict decode; only
+// a stored value cut exactly at the end of its out-list reads as a prefix.
 package gstore
 
 import (
@@ -118,25 +129,15 @@ func Decode(node graph.NodeID, data []byte) (Record, error) {
 // neighbour. Records decoded into one arena stay valid as it grows — a
 // grown arena is a new array, the old one still backs them — until its
 // owner truncates it and decodes over them. On an error the arena comes
-// back as it was given.
+// back as it was given. An out-prefix is refused: it has no in-list.
 func DecodeInto(node graph.NodeID, data []byte, arena []graph.Edge) (Record, []graph.Edge, error) {
 	r := Record{Node: node}
-	head, n := binary.Uvarint(data)
-	if n <= 0 || head >= headLimit {
-		return r, arena, fmt.Errorf("%w: record head", ErrCorrupt)
-	}
-	data = data[n:]
-	r.NodeLabel = graph.Label(head)
-	outLabels, inLabels := true, true
-	if head&headTagged != 0 {
-		outLabels, inLabels = head&headOutLabelled != 0, head&headInLabelled != 0
-	}
-	start := len(arena)
-	out, data, err := appendEdgeList(arena, data, outLabels)
+	label, inLabels, out, data, err := decodeOut(data, arena)
 	if err != nil {
-		return r, arena, fmt.Errorf("%w: out edges", ErrCorrupt)
+		return r, arena, err
 	}
-	mid := len(out)
+	r.NodeLabel = label
+	start, mid := len(arena), len(out)
 	all, data, err := appendEdgeList(out, data, inLabels)
 	if err != nil {
 		return r, arena, fmt.Errorf("%w: in edges", ErrCorrupt)
@@ -148,6 +149,146 @@ func DecodeInto(node graph.NodeID, data []byte, arena []graph.Edge) (Record, []g
 	r.Out = all[start:mid:mid]
 	r.In = all[mid:len(all):len(all)]
 	return r, all, nil
+}
+
+// DecodeOutInto decodes the head and the out-list at the front of data — an
+// out-prefix, or a whole record whose in-list it leaves unread — into arena
+// as DecodeInto does, and returns the record with In nil. Checked this way,
+// an out-prefix is checked whole; the in-list of a whole record is not, so
+// a caller reading a whole value nobody has checked uses DecodeInto.
+func DecodeOutInto(node graph.NodeID, data []byte, arena []graph.Edge) (Record, []graph.Edge, error) {
+	label, _, out, _, err := decodeOut(data, arena)
+	if err != nil {
+		return Record{Node: node}, arena, err
+	}
+	start := len(arena)
+	return Record{Node: node, NodeLabel: label, Out: out[start:len(out):len(out)]}, out, nil
+}
+
+// decodeOut parses data's head and appends its out-list to arena,
+// returning the node label, whether the in-list carries labels, the
+// extended arena and the bytes after the out-list.
+func decodeOut(data []byte, arena []graph.Edge) (graph.Label, bool, []graph.Edge, []byte, error) {
+	label, outLabels, inLabels, data, err := decodeHead(data)
+	if err != nil {
+		return 0, false, arena, nil, err
+	}
+	out, data, err := appendEdgeList(arena, data, outLabels)
+	if err != nil {
+		return 0, false, arena, nil, fmt.Errorf("%w: out edges", ErrCorrupt)
+	}
+	return label, inLabels, out, data, nil
+}
+
+// decodeHead parses the head data opens with: the node label, whether each
+// list carries labels, and the bytes after it.
+func decodeHead(data []byte) (label graph.Label, outLabels, inLabels bool, rest []byte, err error) {
+	head, n := binary.Uvarint(data)
+	if n <= 0 || head >= headLimit {
+		return 0, false, false, nil, fmt.Errorf("%w: record head", ErrCorrupt)
+	}
+	outLabels, inLabels = true, true
+	if head&headTagged != 0 {
+		outLabels, inLabels = head&headOutLabelled != 0, head&headInLabelled != 0
+	}
+	return graph.Label(head), outLabels, inLabels, data[n:], nil
+}
+
+// OutPrefix walks val the way DecodeInto does, storing no edges, and
+// returns the length of its out-prefix: the head and the out-list. A value
+// DecodeInto refuses is refused here too, so what is cut from a value that
+// walks is always an intact in-list.
+func OutPrefix(val []byte) (int, error) {
+	_, outLabels, inLabels, data, err := decodeHead(val)
+	if err != nil {
+		return 0, err
+	}
+	if data, err = skipEdgeList(data, outLabels); err != nil {
+		return 0, fmt.Errorf("%w: out edges", ErrCorrupt)
+	}
+	n := len(val) - len(data)
+	if data, err = skipEdgeList(data, inLabels); err != nil {
+		return 0, fmt.Errorf("%w: in edges", ErrCorrupt)
+	}
+	if len(data) != 0 {
+		return 0, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data))
+	}
+	return n, nil
+}
+
+// Project returns what a read in direction dir ships of the stored value
+// val: its out-prefix for graph.Out, and val whole for any other direction
+// or for a value OutPrefix refuses — which the reader's strict decode then
+// refuses in turn. Both transports' storage reads cut through it.
+func Project(val []byte, dir graph.Direction) []byte {
+	if dir != graph.Out {
+		return val
+	}
+	if n, err := OutPrefix(val); err == nil {
+		return val[:n]
+	}
+	return val
+}
+
+// IsPrefix reports whether val is an out-prefix: whether nothing follows
+// its out-list. It finds the list's end by its varints' last bytes and
+// checks no more, so it answers exactly for a value that decodes; of one
+// that does not, the caller's decode is the judge. It reads no edge, which
+// is what a probe of the cache can afford.
+func IsPrefix(val []byte) bool {
+	_, outLabels, _, data, err := decodeHead(val)
+	count, n := binary.Uvarint(data)
+	if err != nil || n <= 0 || count > uint64(len(data)) {
+		return false
+	}
+	if outLabels {
+		count *= 2 // a delta and a label per edge
+	}
+	for _, b := range data[n:] {
+		if count == 0 {
+			return false // a byte after the out-list
+		}
+		if b < 0x80 { // the last byte of a varint
+			count--
+		}
+	}
+	return count == 0
+}
+
+// skipEdgeList checks one edge list as appendEdgeList decodes it, storing
+// nothing, and returns the bytes after it.
+func skipEdgeList(data []byte, withLabels bool) ([]byte, error) {
+	count, n := binary.Uvarint(data)
+	if n <= 0 {
+		return data, ErrCorrupt
+	}
+	data = data[n:]
+	limit := uint64(len(data))
+	if withLabels {
+		limit /= 2
+	}
+	if count > limit {
+		return data, ErrCorrupt
+	}
+	prev := uint64(0)
+	for ; count > 0; count-- {
+		delta, n := binary.Uvarint(data)
+		if n <= 0 {
+			return data, ErrCorrupt
+		}
+		data = data[n:]
+		if withLabels {
+			label, n := binary.Uvarint(data)
+			if n <= 0 || label > uint64(^graph.Label(0)) {
+				return data, ErrCorrupt
+			}
+			data = data[n:]
+		}
+		if prev += delta; prev > uint64(^graph.NodeID(0)) {
+			return data, ErrCorrupt
+		}
+	}
+	return data, nil
 }
 
 // appendEdgeList decodes one edge list onto dst, returning the extended
@@ -382,7 +523,7 @@ func (t *Tier) FetchBatchInto(ids []graph.NodeID, dst []FetchResult, onBatch fun
 	}
 	raw := sc.raw[:len(ids)]
 	defer clear(raw) // the pool must not pin stored bytes
-	err := t.ReadBatchInto(ids, raw, onBatch)
+	err := t.ReadBatchInto(ids, graph.Both, raw, onBatch)
 	for i, v := range raw {
 		if v == nil {
 			dst[i] = FetchResult{Record: Record{Node: ids[i]}}
@@ -397,23 +538,24 @@ func (t *Tier) FetchBatchInto(ids []graph.NodeID, dst []FetchResult, onBatch fun
 	return err
 }
 
-// ReadBatchInto retrieves many node records as storage holds them, grouped
-// by owning replica: dst[i] is the encoded value stored for ids[i], nil when
-// there is none (dst must have len >= len(ids)). The values alias the
-// store's own and must not be modified; a caller keeping one past its next
-// write should copy it. Batch planning and the reads run through pooled
-// buffers, so the call allocates nothing.
+// ReadBatchInto retrieves many node records as a read in direction dir
+// ships them (Project: the out-prefix of each for graph.Out, else the value
+// storage holds), grouped by owning replica: dst[i] is what it read of
+// ids[i], nil when nothing is stored (dst must have len >= len(ids)). The
+// values alias the store's own and must not be modified; a caller keeping
+// one past its next write should copy it. Batch planning and the reads run
+// through pooled buffers, so the call allocates nothing.
 //
 // Reads fail over transparently: a batch bounced off a server that a
 // concurrent membership transition made unreadable is re-planned against
 // the new storage view and retried on the keys' surviving replicas. The
-// onBatch hook observes each served batch with its byte total; a failed
+// onBatch hook observes each served batch with the bytes it shipped; a failed
 // attempt is reported with bytes == -1 (a burned round trip, no data), so
 // the engine can charge failover latency without crediting a transfer.
 // Keys whose every replica is down fail the read with an error wrapping
 // kvstore.ErrNoLiveReplica (their dst entries are nil, but they are
 // unavailable, not absent).
-func (t *Tier) ReadBatchInto(ids []graph.NodeID, dst [][]byte, onBatch func(b kvstore.Batch, bytes int64)) error {
+func (t *Tier) ReadBatchInto(ids []graph.NodeID, dir graph.Direction, dst [][]byte, onBatch func(b kvstore.Batch, bytes int64)) error {
 	if len(dst) < len(ids) {
 		return fmt.Errorf("gstore: ReadBatchInto dst len %d < %d ids", len(dst), len(ids))
 	}
@@ -448,7 +590,7 @@ func (t *Tier) ReadBatchInto(ids []graph.NodeID, dst [][]byte, onBatch func(b kv
 				return pendPos[b.Pos[i]]
 			}
 			vals, oks := sc.vals[:len(b.Keys)], sc.oks[:len(b.Keys)]
-			bytes, err := t.store.GetBatchInto(b, vals, oks)
+			_, err := t.store.GetBatchInto(b, vals, oks)
 			switch {
 			case errors.Is(err, kvstore.ErrServerDown) && attempt < fetchAttempts:
 				// Bounced: the keys have live replicas under the new view.
@@ -475,12 +617,15 @@ func (t *Tier) ReadBatchInto(ids []graph.NodeID, dst [][]byte, onBatch func(b kv
 				}
 				continue
 			}
+			var bytes int64 // what the batch shipped
 			for i := range b.Keys {
 				var v []byte
 				if oks[i] {
 					if v = vals[i]; v == nil {
 						v = []byte{} // stored but empty: corrupt, not absent
 					}
+					v = Project(v, dir)
+					bytes += int64(len(v))
 				}
 				dst[origPos(i)] = v
 			}

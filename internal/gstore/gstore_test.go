@@ -527,7 +527,7 @@ func TestReadBatchIntoIsStoredBytes(t *testing.T) {
 	tier, _ := newLoadedTier(t)
 	ids := []graph.NodeID{5, 99999, 0, 250}
 	dst := make([][]byte, len(ids))
-	if err := tier.ReadBatchInto(ids, dst, nil); err != nil {
+	if err := tier.ReadBatchInto(ids, graph.Both, dst, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, id := range ids {
@@ -536,7 +536,7 @@ func TestReadBatchIntoIsStoredBytes(t *testing.T) {
 			t.Fatalf("id %d: read %x, stored %x", id, dst[i], want)
 		}
 	}
-	if err := tier.ReadBatchInto(ids, dst[:2], nil); err == nil {
+	if err := tier.ReadBatchInto(ids, graph.Both, dst[:2], nil); err == nil {
 		t.Fatal("short destination accepted")
 	}
 }

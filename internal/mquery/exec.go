@@ -29,10 +29,10 @@ func Run(st Subtask, fetch Fetch) (Partial, int, error) {
 
 // FetchOver adapts a transport's positional traverse.Fetcher to the
 // map-returning Fetch that Run executes against: ids without a record are
-// absent from the map.
+// absent from the map. Subtasks read whole records (graph.Both).
 func FetchOver(f traverse.Fetcher) Fetch {
 	return func(ids []graph.NodeID) (map[graph.NodeID]gstore.Record, error) {
-		recs, err := f.Fetch(ids)
+		recs, err := f.Fetch(ids, graph.Both)
 		if err != nil {
 			return nil, err
 		}

@@ -31,7 +31,8 @@ const (
 	reqMuts
 	reqOverrides
 	reqValues
-	reqKnown = reqKeys | reqExec | reqAddr | reqProc | reqTier | reqVersion | reqMuts | reqOverrides | reqValues
+	reqOutOnly // no payload: the bit is the field
+	reqKnown   = reqKeys | reqExec | reqAddr | reqProc | reqTier | reqVersion | reqMuts | reqOverrides | reqValues | reqOutOnly
 )
 
 const (
@@ -134,6 +135,9 @@ func encodeRequestFrame(buf []byte, tag uint64, req *Request, deadline int64, sc
 	}
 	if len(req.Values) > 0 {
 		bits |= reqValues
+	}
+	if req.OutOnly {
+		bits |= reqOutOnly
 	}
 	buf = binary.AppendUvarint(buf, bits)
 
@@ -283,6 +287,7 @@ func decodeRequestInto(payload []byte, req *Request) error {
 		}
 		req.Values, req.valBuf = values, valBuf
 	}
+	req.OutOnly = bits&reqOutOnly != 0
 	return d.Finish("rpc: request")
 }
 

@@ -280,7 +280,7 @@ func (e routerEnv) Read(ids []graph.NodeID, dst [][]byte) error {
 	if err := e.r.flushBacklogs(e.ctx); err != nil {
 		return err
 	}
-	_, err := e.r.storage.readRaw(e.ctx, ids, dst, nil)
+	_, err := e.r.storage.readRaw(e.ctx, ids, graph.Both, dst, nil)
 	return err
 }
 

@@ -220,13 +220,13 @@ type netFetcher struct {
 	probing bool
 }
 
-func (f *netFetcher) Fetch(ids []graph.NodeID) ([]gstore.FetchResult, error) {
+func (f *netFetcher) Fetch(ids []graph.NodeID, dir graph.Direction) ([]gstore.FetchResult, error) {
 	// Checked on every batch, not only on a miss: an all-hit traversal
 	// must still stop when its caller has given up.
 	if err := f.ctx.Err(); err != nil {
 		return nil, err
 	}
-	recs, _, err := f.p.cache.Step(&f.sc, f, ids)
+	recs, _, err := f.p.cache.Step(&f.sc, f, ids, dir)
 	if err == nil && f.probing && ids[0] == f.node {
 		f.probing = false
 		if !recs[0].OK {
@@ -241,9 +241,9 @@ func unknownNode(id graph.NodeID) error {
 }
 
 // Read implements cache.Backend.
-func (f *netFetcher) Read(ids []graph.NodeID, dst [][]byte, _ cache.Counts) error {
+func (f *netFetcher) Read(ids []graph.NodeID, dir graph.Direction, dst [][]byte, _ cache.Counts) error {
 	var err error
-	f.keys, err = f.p.storage.readRaw(f.ctx, ids, dst, f.keys)
+	f.keys, err = f.p.storage.readRaw(f.ctx, ids, dir, dst, f.keys)
 	return err
 }
 

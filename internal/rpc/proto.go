@@ -151,6 +151,9 @@ type Request struct {
 	// valBuf holds the bytes of a decoded request's Values: one buffer the
 	// decoder copies every value into and reuses with the request.
 	valBuf []byte
+	// OutOnly serves OpMultiGet: the reader follows only out-edges, so the
+	// shard answers each found value with its out-prefix (gstore.Project).
+	OutOnly bool
 	// Exec serves OpExecute; nil for every other op.
 	Exec *ExecRequest
 	// Addr serves OpJoin (the joining member's advertised address) and

@@ -13,14 +13,14 @@ import (
 )
 
 // graphBackend is the storage tier in process: a cache step's misses read
-// from the graph.
+// from the graph, cut as storage cuts them.
 type graphBackend struct{ g *graph.Graph }
 
-func (b graphBackend) Read(ids []graph.NodeID, dst [][]byte, _ cache.Counts) error {
+func (b graphBackend) Read(ids []graph.NodeID, dir graph.Direction, dst [][]byte, _ cache.Counts) error {
 	for i, id := range ids {
 		dst[i] = nil
 		if b.g.Exists(id) {
-			dst[i] = gstore.Encode(nil, gstore.RecordOf(b.g, id))
+			dst[i] = gstore.Project(gstore.Encode(nil, gstore.RecordOf(b.g, id)), dir)
 		}
 	}
 	return nil
@@ -37,8 +37,8 @@ type replayFetcher struct {
 	hits  *int // of the whole tier
 }
 
-func (f *replayFetcher) Fetch(ids []graph.NodeID) ([]gstore.FetchResult, error) {
-	recs, n, err := f.cache.Step(&f.sc, f.b, ids)
+func (f *replayFetcher) Fetch(ids []graph.NodeID, dir graph.Direction) ([]gstore.FetchResult, error) {
+	recs, n, err := f.cache.Step(&f.sc, f.b, ids, dir)
 	*f.hits += n.Hits
 	return recs, err
 }

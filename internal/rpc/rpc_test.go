@@ -502,6 +502,12 @@ func TestEnvelopeEncodedSize(t *testing.T) {
 	if n := reqFrameSize(t, get); n > 16 {
 		t.Errorf("get frame encodes to %d bytes, want <= 16", n)
 	}
+	// OutOnly is a presence bit with no payload: past the bitmap's first
+	// seven bits, it costs one bitmap byte and nothing else.
+	outGet := &Request{Op: OpMultiGet, Keys: get.Keys, OutOnly: true}
+	if n, plain := reqFrameSize(t, outGet), reqFrameSize(t, get); n > 16 || n != plain+1 {
+		t.Errorf("out-only get frame encodes to %d bytes, the plain one to %d; want one more, <= 16", n, plain)
+	}
 	// Mutations: a single-op batch stays a small constant envelope, and an
 	// unlabelled op never drags a label string along.
 	mut := &Request{Op: OpMutate, Muts: []query.Mutation{{Op: query.MutAddEdge, Node: 42, To: 99}}}

@@ -112,7 +112,10 @@ func TestGoldenFrames(t *testing.T) {
 // 185 → 117, 38 → 35 and 46 → 28 B: fullRequest's random walk lost Target,
 // CountLabel, Anchors, Pattern and VisitBudget, which no walk reads, and
 // its three queries' zero fields; every frame lost two or three prefix
-// bytes. Each frame decodes to its fixture with its queries projected.
+// bytes. When an OpMultiGet began to carry OutOnly, a presence bit with no
+// payload, fullRequest set it and its bitmap went fc07 → fc17, the frame's
+// length unmoved (0 B); the other two frames did not move. Each frame
+// decodes to its fixture with its queries projected.
 func TestGoldenRequestFrames(t *testing.T) {
 	want := readGolden(t, "full_request.hex")
 	var scratch []byte

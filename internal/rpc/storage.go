@@ -123,6 +123,11 @@ func (s *StorageServer) handle(_ context.Context, req *Request) Response {
 		resp := Response{OK: true, Values: make([][]byte, len(req.Keys)), Founds: make([]bool, len(req.Keys))}
 		_, misses := s.shard.GetInto(req.Keys, resp.Values, resp.Founds)
 		s.misses.Add(int64(misses))
+		if req.OutOnly {
+			for i, v := range resp.Values {
+				resp.Values[i] = gstore.Project(v, graph.Out)
+			}
+		}
 		return resp
 	case OpMultiPut:
 		n := uint64(len(req.Keys))
@@ -472,7 +477,7 @@ func errUnplaced(key uint64) error {
 
 // Get returns key's raw stored bytes: getBatch of one.
 func (sc *StorageClient) Get(ctx context.Context, key uint64) (val []byte, found bool, err error) {
-	err = sc.getBatch(ctx, []uint64{key}, func(_ int, v []byte, ok bool) { val, found = v, ok })
+	err = sc.getBatch(ctx, []uint64{key}, graph.Both, func(_ int, v []byte, ok bool) { val, found = v, ok })
 	return val, found, err
 }
 
@@ -537,9 +542,11 @@ func (sc *StorageClient) dropAt(ctx context.Context, drops map[int][]uint64) {
 	}
 }
 
-// getBatch is the client's one read: the raw stored bytes under keys, handed
-// to got by position (got(i, …) answers keys[i]; found false means no record
-// is stored there) on the caller's goroutine as each shard's reply arrives —
+// getBatch is the client's one read: the raw stored bytes under keys, as a
+// read in direction dir ships them (graph.Out sets the frame's OutOnly bit,
+// and each shard answers with out-prefixes), handed to got by position
+// (got(i, …) answers keys[i]; found false means no record is stored there)
+// on the caller's goroutine as each shard's reply arrives —
 // so decoding one shard's records overlaps the wait for the next. A key no
 // replica answered is never handed over. Keys are grouped by
 // their preferred replica — the first healthy one of their placement — and
@@ -552,7 +559,7 @@ func (sc *StorageClient) dropAt(ctx context.Context, drops map[int][]uint64) {
 // settles it: every write is write-all and the router rolls an unacked one
 // back, so replicas only diverge when a roll-back was itself interrupted —
 // and the next successful write of the record re-converges them.
-func (sc *StorageClient) getBatch(ctx context.Context, keys []uint64, got func(i int, val []byte, found bool)) error {
+func (sc *StorageClient) getBatch(ctx context.Context, keys []uint64, dir graph.Direction, got func(i int, val []byte, found bool)) error {
 	// tried[i] is a bitmask over keys[i]'s placement indices, set as a replica
 	// is asked: a key is exhausted only once every replica has actually been
 	// contacted — down flags must never skip a replica for good. The loop
@@ -609,7 +616,7 @@ func (sc *StorageClient) getBatch(ctx context.Context, keys []uint64, got func(i
 				for j, i := range at {
 					sub[j] = keys[i]
 				}
-				resp, err := sc.pools[shard].Call(ctx, &Request{Op: OpMultiGet, Keys: sub})
+				resp, err := sc.pools[shard].Call(ctx, &Request{Op: OpMultiGet, Keys: sub, OutOnly: dir == graph.Out})
 				if err == nil && (len(resp.Founds) != len(sub) || len(resp.Values) != len(sub)) {
 					// A reply that does not cover the keys is a failed shard,
 					// not an index to trust.
@@ -643,17 +650,18 @@ func (sc *StorageClient) getBatch(ctx context.Context, keys []uint64, got func(i
 	return firstErr
 }
 
-// readRaw fetches the stored bytes of ids into dst positionally — getBatch
-// over keys, a buffer of the caller's that it refills and returns — nil
-// where nothing is stored or the call failed first. It is the processor's
-// miss read: the bytes are the reply's own, kept by no one else.
-func (sc *StorageClient) readRaw(ctx context.Context, ids []graph.NodeID, dst [][]byte, keys []uint64) ([]uint64, error) {
+// readRaw fetches the stored bytes of ids into dst positionally, as a read
+// in direction dir ships them — getBatch over keys, a buffer of the
+// caller's that it refills and returns — nil where nothing is stored or the
+// call failed first. It is the processor's miss read: the bytes are the
+// reply's own, kept by no one else.
+func (sc *StorageClient) readRaw(ctx context.Context, ids []graph.NodeID, dir graph.Direction, dst [][]byte, keys []uint64) ([]uint64, error) {
 	keys = keys[:0]
 	for _, id := range ids {
 		keys = append(keys, uint64(id))
 	}
 	clear(dst[:len(ids)])
-	err := sc.getBatch(ctx, keys, func(i int, val []byte, found bool) {
+	err := sc.getBatch(ctx, keys, dir, func(i int, val []byte, found bool) {
 		if found {
 			if val == nil {
 				val = []byte{} // stored but empty: corrupt, not absent
@@ -669,7 +677,7 @@ func (sc *StorageClient) readRaw(ctx context.Context, ids []graph.NodeID, dst []
 // failure is returned with the error.
 func (sc *StorageClient) MultiGet(ctx context.Context, ids []graph.NodeID) (map[graph.NodeID]gstore.Record, error) {
 	raw := make([][]byte, len(ids))
-	_, err := sc.readRaw(ctx, ids, raw, nil)
+	_, err := sc.readRaw(ctx, ids, graph.Both, raw, nil)
 	out := make(map[graph.NodeID]gstore.Record, len(ids))
 	for i, v := range raw {
 		if v == nil {

@@ -172,6 +172,7 @@ func fullRequest() *Request {
 		Version:   12,
 		Muts:      []query.Mutation{{Op: query.MutAddEdge, Node: 1, To: 2, Label: "knows"}, {Op: query.MutRemoveEdge, Node: 9, To: 1}},
 		Overrides: map[uint64][]int{42: {1, 0}, 99: {2}},
+		OutOnly:   true,
 	}
 }
 

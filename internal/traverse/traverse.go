@@ -24,8 +24,11 @@ type Fetcher interface {
 	// with no stored record). The slice is valid only until the next Fetch,
 	// but the records' edge lists until the execution ends: the executor
 	// decodes every record of one point query or subtask into one arena and
-	// frees it only when the next begins. ids is not retained.
-	Fetch(ids []graph.NodeID) ([]gstore.FetchResult, error)
+	// frees it only when the next begins. ids is not retained. dir is what
+	// the caller reads of the records: under graph.Out their labels and
+	// out-lists only, which is all storage then ships (In may come back
+	// nil).
+	Fetch(ids []graph.NodeID, dir graph.Direction) ([]gstore.FetchResult, error)
 	// Expanded reports n nodes expanded out of the last Fetch's records:
 	// where the virtual-time engine bills traversal compute.
 	Expanded(n int)
@@ -86,8 +89,9 @@ func appendUnvisited(next []graph.NodeID, edges []graph.Edge, vis *visitSet) []g
 }
 
 // neighborAgg is the h-hop neighbour aggregation: levelwise BFS, one
-// batched fetch per frontier. Every node within h hops has its record
-// retrieved (labels live in the records), matching the paper's accounting
+// batched fetch per frontier. Every node within h hops has its label and
+// the edge lists q.Dir follows retrieved — under graph.Out its label and
+// out-list, the out-prefix of its record — matching the paper's accounting
 // where a query touches its whole h-hop neighbourhood.
 func (sc *Scratch) neighborAgg(f Fetcher, q query.Query, lf LabelFilter) (query.Result, error) {
 	sc.visited.reset()
@@ -96,7 +100,7 @@ func (sc *Scratch) neighborAgg(f Fetcher, q query.Query, lf LabelFilter) (query.
 	next := sc.next[:0]
 	count := 0
 	for level := 0; level <= q.Hops && len(frontier) > 0; level++ {
-		recs, err := f.Fetch(frontier)
+		recs, err := f.Fetch(frontier, q.Dir)
 		if err != nil {
 			return query.Result{}, err
 		}
@@ -144,7 +148,7 @@ func (sc *Scratch) randomWalk(f Fetcher, q query.Query) (query.Result, error) {
 			continue
 		}
 		sc.one[0] = cur
-		recs, err := f.Fetch(sc.one[:])
+		recs, err := f.Fetch(sc.one[:], q.Dir)
 		if err != nil {
 			return query.Result{}, err
 		}
@@ -181,11 +185,11 @@ func (sc *Scratch) reachability(f Fetcher, q query.Query) (query.Result, error) 
 	reachable := false
 	for levels := 0; levels < q.Hops && !reachable && len(fFront) > 0 && len(bFront) > 0; levels++ {
 		forward := len(fFront) <= len(bFront)
-		front, mine, other := fFront, &sc.visited, &sc.visitedB
+		front, mine, other, dir := fFront, &sc.visited, &sc.visitedB, graph.Out
 		if !forward {
-			front, mine, other = bFront, other, mine
+			front, mine, other, dir = bFront, other, mine, graph.In
 		}
-		recs, err := f.Fetch(front)
+		recs, err := f.Fetch(front, dir)
 		if err != nil {
 			return query.Result{}, err
 		}

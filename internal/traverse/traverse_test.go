@@ -36,7 +36,10 @@ func newMemFetcher(t *testing.T, g *graph.Graph) *memFetcher {
 	return f
 }
 
-func (f *memFetcher) Fetch(ids []graph.NodeID) ([]gstore.FetchResult, error) {
+// Fetch serves an out-only fetch without in-lists, as the engines' steps
+// do, so a kernel that reads In after asking for graph.Out disagrees with
+// the oracle.
+func (f *memFetcher) Fetch(ids []graph.NodeID, dir graph.Direction) ([]gstore.FetchResult, error) {
 	if f.fetches++; f.fetches == f.failAt {
 		return nil, errStorage
 	}
@@ -45,6 +48,9 @@ func (f *memFetcher) Fetch(ids []graph.NodeID) ([]gstore.FetchResult, error) {
 	}
 	for i, id := range ids {
 		rec, ok := f.recs[id]
+		if dir == graph.Out {
+			rec.In = nil
+		}
 		f.buf[i] = gstore.FetchResult{Record: rec, OK: ok}
 	}
 	return f.buf[:len(ids)], nil

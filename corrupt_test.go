@@ -4,25 +4,11 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"strings"
 	"testing"
 
 	grouting "repro"
 	"repro/internal/gstore"
 )
-
-// corruptRefusal reports whether err is the refusal of a corrupt stored
-// record, as each transport reports one: gstore.ErrCorrupt itself in
-// process, an untyped internal error that names it over the sockets —
-// never one of the typed errors a client may act on.
-func corruptRefusal(err error) bool {
-	for _, typed := range []error{grouting.ErrBadQuery, grouting.ErrUnknownNode, grouting.ErrUnavailable, grouting.ErrConflict} {
-		if errors.Is(err, typed) {
-			return false
-		}
-	}
-	return err != nil && strings.Contains(err.Error(), gstore.ErrCorrupt.Error())
-}
 
 // bothLists returns a node of g other than 0 (a reachability Target of 0
 // means none) with at least two out-edges and two in-edges.
@@ -39,7 +25,8 @@ func bothLists(t *testing.T, g *grouting.Graph) grouting.NodeID {
 
 // TestCorruptRecordRefusedTwoTransports: a query that reads only out-edges
 // asks storage for out-prefixes, but a stored value that does not walk
-// whole is shipped whole and refused, on both transports, as it was when
+// whole is shipped whole and refused with gstore.ErrCorrupt, on both
+// transports, as it was when
 // every read shipped whole records: one whose out-list is malformed, and
 // one whose out-list is intact but whose in-list is cut short — the bytes
 // the query does not read. Neither is cached.
@@ -66,8 +53,8 @@ func TestCorruptRecordRefusedTwoTransports(t *testing.T) {
 			c    grouting.Client
 		}{{"virtual-time", local}, {"tcp", remote}} {
 			q := grouting.Query{Type: grouting.NeighborAgg, Node: u, Hops: 1, Dir: grouting.Out}
-			if res, err := c.c.Execute(ctx, q); !corruptRefusal(err) {
-				t.Fatalf("%s, %s: out-only query = %+v, %v; want the corrupt record refused", tc.name, c.name, res, err)
+			if res, err := c.c.Execute(ctx, q); !errors.Is(err, gstore.ErrCorrupt) {
+				t.Fatalf("%s, %s: out-only query = %+v, %v; want the corrupt record refused with gstore.ErrCorrupt", tc.name, c.name, res, err)
 			}
 			st, err := c.c.Stats(ctx)
 			if err != nil {

@@ -229,9 +229,6 @@ func NewBSP(g *graph.Graph, machines int, prof simnet.Profile) (*BSP, error) {
 	return &BSP{g: g, part: p, prof: prof, name: "sedge-bsp", persist: make([]time.Duration, machines)}, nil
 }
 
-// Partition exposes the underlying edge-cut (for inspection/ablation).
-func (b *BSP) Partition() *partition.EdgeCut { return b.part }
-
 // waveCost prices one wave of concurrent queries: per shared superstep,
 // every machine processes its share of all queries' frontiers,
 // cross-partition neighbour notifications pay the per-message Ethernet

@@ -260,9 +260,6 @@ func (c *LRU[V]) Len() int { return len(c.items) }
 // Size returns the current charged bytes (values + overhead).
 func (c *LRU[V]) Size() int64 { return c.size }
 
-// Capacity returns the configured byte capacity.
-func (c *LRU[V]) Capacity() int64 { return c.capacity }
-
 // Stats returns a snapshot of the counters.
 func (c *LRU[V]) Stats() Stats {
 	s := c.stats

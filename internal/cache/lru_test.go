@@ -77,8 +77,8 @@ func TestPutMayEvictMultiple(t *testing.T) {
 	if evicted < 2 {
 		t.Fatalf("evicted %d entries, want >= 2", evicted)
 	}
-	if c.Size() > c.Capacity() {
-		t.Fatalf("size %d exceeds capacity %d", c.Size(), c.Capacity())
+	if c.Size() > c.capacity {
+		t.Fatalf("size %d exceeds capacity %d", c.Size(), c.capacity)
 	}
 	if !c.Contains(4) {
 		t.Fatal("newly inserted entry missing")
@@ -281,7 +281,7 @@ func TestUpdateKeepsRecencyAndCounters(t *testing.T) {
 	if got := c.Keys(); got[0] != 3 || got[1] != 2 {
 		t.Fatalf("recency %v, want 3 then 2", got)
 	}
-	if !c.Update(3, "huge", c.Capacity()) || c.Contains(3) || c.Size() != 20+EntryOverhead {
+	if !c.Update(3, "huge", c.capacity) || c.Contains(3) || c.Size() != 20+EntryOverhead {
 		t.Fatalf("oversized update left %v at %d bytes", c.Keys(), c.Size())
 	}
 }

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/graph"
@@ -133,7 +134,7 @@ func TestKnowledgeGraph(t *testing.T) {
 	for id := graph.NodeID(0); id < g.MaxNodeID(); id++ {
 		typeSeen[g.NodeLabel(id)] = true
 		for _, e := range g.OutEdges(id) {
-			if g.LabelString(e.Label) == "" {
+			if g.Labels().String(e.Label) == "" {
 				t.Fatalf("edge from %d has empty label", id)
 			}
 		}
@@ -223,4 +224,24 @@ func TestPresetDeterministic(t *testing.T) {
 	if a.NumEdges() != b.NumEdges() {
 		t.Fatalf("same seed, different edge counts: %d vs %d", a.NumEdges(), b.NumEdges())
 	}
+}
+
+// DegreeCCDF returns the complementary cumulative degree distribution of g
+// at the probe degrees: fraction of nodes with total degree >= probe.
+// Tests use it to assert heavy tails for the skewed presets.
+func DegreeCCDF(g *graph.Graph, probes []int) []float64 {
+	degrees := make([]int, 0, g.NumNodes())
+	for id := graph.NodeID(0); id < g.MaxNodeID(); id++ {
+		if g.Exists(id) {
+			degrees = append(degrees, g.Degree(id))
+		}
+	}
+	sort.Ints(degrees)
+	out := make([]float64, len(probes))
+	for i, p := range probes {
+		// index of first degree >= p
+		idx := sort.SearchInts(degrees, p)
+		out[i] = float64(len(degrees)-idx) / float64(len(degrees))
+	}
+	return out
 }

@@ -2,7 +2,6 @@ package gen
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -84,24 +83,4 @@ func Preset(d Dataset, scale float64, seed int64) (*graph.Graph, error) {
 		return KnowledgeGraph(n, e, 40, 120, seed), nil
 	}
 	return nil, fmt.Errorf("gen: unhandled dataset %q", d)
-}
-
-// DegreeCCDF returns the complementary cumulative degree distribution of g
-// at the probe degrees: fraction of nodes with total degree >= probe.
-// Tests use it to assert heavy tails for the skewed presets.
-func DegreeCCDF(g *graph.Graph, probes []int) []float64 {
-	degrees := make([]int, 0, g.NumNodes())
-	for id := graph.NodeID(0); id < g.MaxNodeID(); id++ {
-		if g.Exists(id) {
-			degrees = append(degrees, g.Degree(id))
-		}
-	}
-	sort.Ints(degrees)
-	out := make([]float64, len(probes))
-	for i, p := range probes {
-		// index of first degree >= p
-		idx := sort.SearchInts(degrees, p)
-		out[i] = float64(len(degrees)-idx) / float64(len(degrees))
-	}
-	return out
 }

@@ -4,23 +4,15 @@ package graph
 // the BFS source.
 const Unreachable int32 = -1
 
-// BFS computes hop distances from src to every node, following dir edges.
-// The result is indexed by NodeID over [0, MaxNodeID()) with Unreachable
-// for nodes the search cannot reach (including tombstoned ids).
-//
-// Landmark preprocessing runs this with Both, matching the paper's
-// bi-directed view of the graph.
-func (g *Graph) BFS(src NodeID, dir Direction) []int32 {
-	dist := make([]int32, g.MaxNodeID())
-	g.BFSInto(src, dir, dist, nil)
-	return dist
-}
-
-// BFSInto is BFS on buffers the caller owns, for callers that run many
-// searches: dist, of length MaxNodeID(), is overwritten with the result;
+// BFSInto computes hop distances from src to every node, following dir
+// edges, into dist, of length MaxNodeID(): indexed by NodeID, with
+// Unreachable for nodes the search cannot reach (including tombstoned ids).
 // queue is scratch whose contents do not matter, returned (grown if it had
 // to be) for the next call. With a queue of capacity MaxNodeID() a search
 // allocates nothing.
+//
+// Landmark preprocessing runs this with Both, matching the paper's
+// bi-directed view of the graph.
 func (g *Graph) BFSInto(src NodeID, dir Direction, dist []int32, queue []NodeID) []NodeID {
 	for i := range dist {
 		dist[i] = Unreachable
@@ -45,7 +37,7 @@ func (g *Graph) BFSInto(src NodeID, dir Direction, dist []int32, queue []NodeID)
 	return queue
 }
 
-// BFSBounded is BFS truncated at maxHops. It returns a map from reached
+// BFSBounded is BFSInto truncated at maxHops. It returns a map from reached
 // node to distance (including src at distance 0), touching only the
 // explored region, so it is cheap on large graphs for small maxHops.
 func (g *Graph) BFSBounded(src NodeID, maxHops int, dir Direction) map[NodeID]int32 {
@@ -146,17 +138,4 @@ func (g *Graph) visitNeighbors(u NodeID, dir Direction, fn func(NodeID)) {
 			fn(e.To)
 		}
 	}
-}
-
-// Eccentricity returns the largest finite hop distance from src following
-// dir edges (0 if src reaches nothing).
-func (g *Graph) Eccentricity(src NodeID, dir Direction) int32 {
-	dist := g.BFS(src, dir)
-	var ecc int32
-	for _, d := range dist {
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
 }

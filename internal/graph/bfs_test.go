@@ -162,16 +162,6 @@ func TestHopDistanceMissingNodes(t *testing.T) {
 	}
 }
 
-func TestEccentricity(t *testing.T) {
-	g := buildPath(5)
-	if ecc := g.Eccentricity(0, Out); ecc != 4 {
-		t.Fatalf("Eccentricity(0, Out) = %d, want 4", ecc)
-	}
-	if ecc := g.Eccentricity(2, Both); ecc != 2 {
-		t.Fatalf("Eccentricity(2, Both) = %d, want 2", ecc)
-	}
-}
-
 // TestBFSTriangleInequality validates the landmark bound (Eq 2) on a random
 // graph: for all u,v and landmark l, |d(u,l)-d(l,v)| <= d(u,v) <= d(u,l)+d(l,v)
 // in the bi-directed view (where distance is a metric).
@@ -252,4 +242,11 @@ func BenchmarkBFS10k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.BFS(NodeID(i%10000), Both)
 	}
+}
+
+// BFS is BFSInto into a fresh distance slice, the tests' search.
+func (g *Graph) BFS(src NodeID, dir Direction) []int32 {
+	dist := make([]int32, g.MaxNodeID())
+	g.BFSInto(src, dir, dist, nil)
+	return dist
 }

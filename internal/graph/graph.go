@@ -363,24 +363,8 @@ func (g *Graph) NodeLabelID(u NodeID) Label {
 	return g.nodeLabel[u]
 }
 
-// SetNodeLabel replaces the label of u.
-func (g *Graph) SetNodeLabel(u NodeID, label string) error {
-	if !g.Exists(u) {
-		return ErrNoSuchNode
-	}
-	g.nodeLabel[u] = g.labels.Intern(label)
-	return nil
-}
-
-// LabelString resolves an interned label id to its string.
-func (g *Graph) LabelString(l Label) string { return g.labels.String(l) }
-
 // LabelID returns the interned id for label and whether it is known.
 func (g *Graph) LabelID(label string) (Label, bool) { return g.labels.ID(label) }
-
-// NumLabels returns the number of distinct interned labels, including the
-// empty label.
-func (g *Graph) NumLabels() int { return g.labels.Len() }
 
 // Nodes returns all live node ids in ascending order. It allocates; hot
 // paths should iterate [0, MaxNodeID) with Exists instead.

@@ -213,14 +213,8 @@ func TestNodeLabels(t *testing.T) {
 	if g.NodeLabelID(a) == g.NodeLabelID(b) {
 		t.Fatal("distinct labels interned to same id")
 	}
-	if err := g.SetNodeLabel(a, "founder"); err != nil {
-		t.Fatal(err)
-	}
-	if g.NodeLabel(a) != "founder" {
-		t.Fatal("SetNodeLabel did not apply")
-	}
-	if g.NumLabels() != 4 { // "", person, company, founder
-		t.Fatalf("NumLabels = %d, want 4", g.NumLabels())
+	if g.Labels().Len() != 3 { // "", person, company
+		t.Fatalf("%d labels, want 3", g.Labels().Len())
 	}
 }
 
@@ -259,15 +253,15 @@ func TestEdgeLabels(t *testing.T) {
 	if len(out) != 1 {
 		t.Fatalf("OutEdges(jerry) = %v", out)
 	}
-	if g.LabelString(out[0].Label) != "founded" {
-		t.Fatalf("edge label = %q, want founded", g.LabelString(out[0].Label))
+	if g.Labels().String(out[0].Label) != "founded" {
+		t.Fatalf("edge label = %q, want founded", g.Labels().String(out[0].Label))
 	}
 	// The reverse entry carries the same label (Figure 3: F-bar).
 	in := g.InEdges(yahoo)
 	if len(in) != 1 || in[0].To != jerry || in[0].Label != out[0].Label {
 		t.Fatalf("InEdges(yahoo) = %v, want [{%d founded}]", in, jerry)
 	}
-	if id, ok := g.LabelID("founded"); !ok || g.LabelString(id) != "founded" {
+	if id, ok := g.LabelID("founded"); !ok || g.Labels().String(id) != "founded" {
 		t.Fatal("LabelID round trip failed")
 	}
 	if _, ok := g.LabelID("unknown"); ok {

@@ -23,7 +23,7 @@ import (
 // edit stream to any state of the record at or after that suffix's first
 // pre-image yields the latest record — for edges a record holds at most
 // twice, which is all a mutation stream of adds and removes needs; a deeper
-// stack can trip ApplyEdits' count bound, which is an error, never a wrong
+// stack can trip applyEdits' count bound, which is an error, never a wrong
 // record. A typical edge toggle is one edit of about six bytes per endpoint.
 const (
 	editLabel byte = iota
@@ -99,15 +99,6 @@ type edgeCount struct {
 	count, had int
 }
 
-// ApplyEdits returns r with the edit stream applied. The result equals
-// Decode(Encode(post)) for the post the stream was built from: edges in
-// Decode's (To, Label) order, both lists in one fresh backing array — r's
-// arrays are never written, since readers may hold them without a lock.
-// Any malformed byte is an error, and so is an edge count above r's own
-// count of that edge plus one, which bounds what the result allocates at
-// r's edges plus one per edit.
-func ApplyEdits(r Record, edits []byte) (Record, error) { return applyEdits(r, edits, true) }
-
 // EditValue returns val — a whole record or an out-prefix, as a processor
 // caches it, already known to decode — with the edit stream applied, in
 // the same form, copied out of Encode's buffer so it holds none of that
@@ -135,8 +126,14 @@ func EditValue(node graph.NodeID, val, edits []byte) ([]byte, error) {
 	return slices.Clone(enc), nil
 }
 
-// applyEdits is ApplyEdits; without in, r is an out-prefix, whose in-edge
-// edits are checked but not applied.
+// applyEdits returns r with the edit stream applied. The result equals
+// Decode(Encode(post)) for the post the stream was built from: edges in
+// Decode's (To, Label) order, both lists in one fresh backing array — r's
+// arrays are never written, since readers may hold them without a lock.
+// Any malformed byte is an error, and so is an edge count above r's own
+// count of that edge plus one, which bounds what the result allocates at
+// r's edges plus one per edit. Without in, r is an out-prefix, whose
+// in-edge edits are checked but not applied.
 func applyEdits(r Record, edits []byte, in bool) (Record, error) {
 	n, k := binary.Uvarint(edits)
 	// Every edit takes at least two bytes, so a count past half the

@@ -186,3 +186,6 @@ func FuzzRecordEdits(f *testing.F) {
 		}
 	})
 }
+
+// ApplyEdits is applyEdits on a whole record, the edit streams' oracle.
+func ApplyEdits(r Record, edits []byte) (Record, error) { return applyEdits(r, edits, true) }

@@ -79,13 +79,6 @@ func (s *Store) EnableDurability(cfg Durability) error {
 	return nil
 }
 
-// DurabilityEnabled reports whether the store has a durability layer.
-func (s *Store) DurabilityEnabled() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.dur != nil
-}
-
 // SyncDurability fsyncs every shard's WAL — the graceful-shutdown flush.
 func (s *Store) SyncDurability() error {
 	s.mu.RLock()
@@ -180,11 +173,4 @@ func (s *Store) HealServer(slot int) error {
 	s.parted[slot] = false
 	s.repairLocked()
 	return nil
-}
-
-// Parted reports whether slot is currently cut off by a partition.
-func (s *Store) Parted(slot int) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.partedLocked(slot)
 }

@@ -86,8 +86,8 @@ func TestEnableDurabilityValidation(t *testing.T) {
 	if err := s.EnableDurability(Durability{Dir: dir}); err == nil {
 		t.Fatal("double enable accepted")
 	}
-	if !s.DurabilityEnabled() {
-		t.Fatal("DurabilityEnabled false after enable")
+	if s.dur == nil {
+		t.Fatal("no durability layer after enable")
 	}
 	if c := s.Counters(0); c.Durable != "fresh" {
 		t.Fatalf("Counters(0) = %+v", c)

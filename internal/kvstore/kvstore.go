@@ -135,8 +135,7 @@ type Store struct {
 	// overrides pins individual keys to explicit slot sets, replacing the
 	// slots Place gives them — the adaptive-placement subsystem's lever for
 	// moving hot records toward their dominant readers. Mutated only under
-	// the write side of mu (Move / ClearOverrides), read everywhere
-	// placement is computed.
+	// the write side of mu (Move), read everywhere placement is computed.
 	overrides map[uint64][]int
 	moves     MoveStats
 	// dur is the durability configuration, nil until EnableDurability.
@@ -226,14 +225,6 @@ func (s *Store) NumActive() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.view.NumActive()
-}
-
-// ServerFor returns the shard index a read of key is directed to: its
-// highest-scored reachable replica.
-func (s *Store) ServerFor(key uint64) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.readSlotLocked(key)
 }
 
 // partedLocked reports whether slot is cut off by an injected partition.
@@ -435,26 +426,6 @@ func (s *Store) Counters(slot int) metrics.StorageCounters {
 	return s.servers[slot].Counters()
 }
 
-// TotalBytes returns the bytes stored across all shards (each replica
-// counts — this is resident memory, not logical data size).
-func (s *Store) TotalBytes() int64 {
-	var total int64
-	for i, n := 0, s.NumServers(); i < n; i++ {
-		total += s.Stats(i).Bytes
-	}
-	return total
-}
-
-// TotalKeys returns the number of live entries across all shards (each
-// replica counts).
-func (s *Store) TotalKeys() int {
-	total := 0
-	for i, n := 0, s.NumServers(); i < n; i++ {
-		total += s.Stats(i).Keys
-	}
-	return total
-}
-
 // AddServer grows the storage tier by one empty shard and re-replicates
 // the keys whose placement now includes it (~1/(N+1) of the key space,
 // the rendezvous remap bound; most keys at R = 1, where the Placer is taken
@@ -647,19 +618,6 @@ func (s *Store) setOverrideLocked(key uint64, dst []int) {
 	s.overrides[key] = append([]int(nil), dst...)
 }
 
-// ClearOverrides removes every placement pin and re-homes the pinned keys
-// onto the slots Place gives them in one repair pass — the "forget what
-// the workload taught us" reset the re-load baseline uses.
-func (s *Store) ClearOverrides() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.overrides) == 0 {
-		return
-	}
-	s.overrides = nil
-	s.repairLocked()
-}
-
 // Moves returns the migration counters, including the number of keys
 // currently pinned by an override.
 func (s *Store) Moves() MoveStats {
@@ -668,18 +626,6 @@ func (s *Store) Moves() MoveStats {
 	ms := s.moves
 	ms.Overrides = int64(len(s.overrides))
 	return ms
-}
-
-// OverrideFor returns key's pinned slot set (nil when unpinned). The
-// returned slice is a copy.
-func (s *Store) OverrideFor(key uint64) []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	pin, ok := s.overrides[key]
-	if !ok {
-		return nil
-	}
-	return append([]int(nil), pin...)
 }
 
 // SizeOf returns the stored value size of key's newest reachable live
@@ -752,55 +698,6 @@ func (s *Store) repairLocked() {
 			}
 		}
 	}
-}
-
-// UnderReplicated returns how many keys currently have fewer live copies
-// than their target (min(R, active shards)) — the re-replication backlog.
-// It is zero after every membership mutator returns unless some keys'
-// every copy is trapped on down shards.
-func (s *Store) UnderReplicated() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	target := min(s.replicas, s.view.NumActive())
-	copies := make(map[uint64]int)
-	// Writers mutate the shard maps under s.mu's *read* side plus the
-	// per-shard lock, so this scan must take each sv.mu too.
-	for _, m := range s.view.Members {
-		if m.Status != topology.Active {
-			continue
-		}
-		sv := s.servers[m.Slot]
-		sv.mu.RLock()
-		sv.each(func(k uint64, e entry) {
-			if !e.dead {
-				copies[k]++
-			}
-		})
-		sv.mu.RUnlock()
-	}
-	// Keys visible only on down shards count as under-replicated too.
-	for _, m := range s.view.Members {
-		if m.Status != topology.Down {
-			continue
-		}
-		sv := s.servers[m.Slot]
-		sv.mu.RLock()
-		sv.each(func(k uint64, e entry) {
-			if !e.dead {
-				if _, ok := copies[k]; !ok {
-					copies[k] = 0
-				}
-			}
-		})
-		sv.mu.RUnlock()
-	}
-	under := 0
-	for _, c := range copies {
-		if c < target {
-			under++
-		}
-	}
-	return under
 }
 
 // Batch is the portion of a multi-get directed at a single server: the

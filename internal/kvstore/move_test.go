@@ -175,32 +175,6 @@ func TestOverrideFallback(t *testing.T) {
 	}
 }
 
-// TestClearOverrides is the re-load baseline's reset: every pin is
-// forgotten and the keys re-home onto rendezvous placement.
-func TestClearOverrides(t *testing.T) {
-	s := mustReplicated(t, 4, 2)
-	loadKeys(s, 10)
-	s.ClearOverrides() // no pins: must be a no-op
-	var before [topology.MaxReplicas]int
-	want := append([]int(nil), s.ReplicasFor(4, before[:0])...)
-	dst := otherSlots(t, s, 4, 2)
-	if _, err := s.Move(4, dst); err != nil {
-		t.Fatal(err)
-	}
-	s.ClearOverrides()
-	if s.Moves().Overrides != 0 {
-		t.Fatalf("overrides survive the reset: %+v", s.Moves())
-	}
-	var arr [topology.MaxReplicas]int
-	got := s.ReplicasFor(4, arr[:0])
-	if len(got) != len(want) || got[0] != want[0] {
-		t.Fatalf("placement %v after reset, want rendezvous %v", got, want)
-	}
-	if v, ok := s.Get(4); !ok || v[0] != 4 {
-		t.Fatalf("key lost across the reset: %v %v", v, ok)
-	}
-}
-
 func TestNumActive(t *testing.T) {
 	s := mustReplicated(t, 4, 2)
 	if s.NumActive() != 4 {

@@ -702,3 +702,21 @@ func BenchmarkWALReplay(b *testing.B) {
 		}
 	}
 }
+
+// replayWAL scans the log at path, invoking fn for each intact record in
+// append order, and reports how many records were recovered and the byte
+// offset of the good prefix. A torn tail ends the replay without error —
+// that is the crash contract, not a failure; damage before an intact frame
+// is a DamageError. A missing file replays as empty.
+func replayWAL(path string, fn func(op WALOp, key, ver uint64, val []byte)) (records, goodBytes int64, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return 0, 0, nil
+		}
+		return 0, 0, fmt.Errorf("kvstore: open wal: %w", err)
+	}
+	defer f.Close()
+	records, goodBytes, _, err = replayFrames(f, fn)
+	return records, goodBytes, err
+}

@@ -166,28 +166,6 @@ func (a *EdgeCut) CutFraction(g *graph.Graph) float64 {
 	return float64(cut) / float64(g.NumEdges())
 }
 
-// Balance returns max part size / ideal part size (1.0 = perfect).
-func (a *EdgeCut) Balance(g *graph.Graph) float64 {
-	sizes := make([]int, a.K)
-	total := 0
-	for u := graph.NodeID(0); u < g.MaxNodeID(); u++ {
-		if g.Exists(u) && a.Of[u] >= 0 {
-			sizes[a.Of[u]]++
-			total++
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	maxSize := 0
-	for _, s := range sizes {
-		if s > maxSize {
-			maxSize = s
-		}
-	}
-	return float64(maxSize) * float64(a.K) / float64(total)
-}
-
 // Validate checks that every live node is assigned to a valid part.
 func (a *EdgeCut) Validate(g *graph.Graph) error {
 	for u := graph.NodeID(0); u < g.MaxNodeID(); u++ {

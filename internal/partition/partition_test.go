@@ -160,7 +160,7 @@ func TestVertexCutReplicationReasonable(t *testing.T) {
 		t.Fatalf("replication factor %v too high for greedy placement", rf)
 	}
 	if b := vc.EdgeBalance(); b > 1.5 {
-		t.Fatalf("edge balance = %v (loads %v)", b, vc.EdgeLoad())
+		t.Fatalf("edge balance = %v (loads %v)", b, vc.edgeLoad)
 	}
 }
 

@@ -116,21 +116,3 @@ func (vc *VertexCut) ReplicationFactor() float64 {
 	}
 	return float64(total) / float64(nodes)
 }
-
-// EdgeBalance returns max part edge-load / ideal (1.0 = perfect).
-func (vc *VertexCut) EdgeBalance() float64 {
-	total, maxLoad := 0, 0
-	for _, l := range vc.edgeLoad {
-		total += l
-		if l > maxLoad {
-			maxLoad = l
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(maxLoad) * float64(vc.K) / float64(total)
-}
-
-// EdgeLoad returns the per-part edge counts.
-func (vc *VertexCut) EdgeLoad() []int { return append([]int(nil), vc.edgeLoad...) }

@@ -57,10 +57,8 @@ const (
 const (
 	statusOK    = 0
 	statusNotOK = 1
-	statusErr   = 2 // statusErr + codeIndex
+	statusErr   = 2 // statusErr + the code's row in errorCodes
 )
-
-var wireCodes = [...]ErrCode{CodeBadQuery, CodeUnknownNode, CodeUnavailable, CodeConflict, CodeInternal}
 
 func statusFor(resp *Response) byte {
 	if resp.Err == "" {
@@ -69,20 +67,15 @@ func statusFor(resp *Response) byte {
 		}
 		return statusNotOK
 	}
-	for i, c := range wireCodes {
-		if resp.Code == c {
-			return byte(statusErr + i)
-		}
-	}
-	return byte(statusErr + len(wireCodes) - 1) // internal
+	return byte(statusErr + codeRow(resp.Code))
 }
 
 func codeForStatus(s byte) ErrCode {
 	i := int(s) - statusErr
-	if i < 0 || i >= len(wireCodes) {
+	if i < 0 || i >= len(errorCodes) {
 		return CodeInternal
 	}
-	return wireCodes[i]
+	return errorCodes[i].code
 }
 
 // peelTag splits the pipelining tag off a frame payload — the demux needs

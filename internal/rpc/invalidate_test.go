@@ -460,8 +460,10 @@ func TestOvertakenFrameEvicts(t *testing.T) {
 		t.Fatalf("frames carried %d then %d keys, versions %d then %d; want the older's 2 inside the newer's 4",
 			len(older.keys), len(newer.keys), older.version, newer.version)
 	}
-	if ed, err := gstore.ApplyEdits(gstore.Record{Node: u}, older.values[0]); err != nil || len(ed.Out) != 1 {
-		t.Fatalf("the older frame's edit of %d = %+v, %v; want it to add the edge", u, ed, err)
+	val, err := gstore.EditValue(u, gstore.Encode(nil, &gstore.Record{Node: u}), older.values[0])
+	ed, derr := gstore.Decode(u, val)
+	if err != nil || derr != nil || len(ed.Out) != 1 {
+		t.Fatalf("the older frame's edit of %d = %+v, %v, %v; want it to add the edge", u, ed, err, derr)
 	}
 
 	st := replay(newer, "newer frame first")

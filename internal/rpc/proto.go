@@ -11,7 +11,8 @@
 // forwards the client's remaining budget to the processors) and
 // cancellation unblocks in-flight calls. Failures map onto the shared
 // typed errors (query.ErrBadQuery, query.ErrUnknownNode,
-// query.ErrUnavailable) on both sides of the connection.
+// query.ErrUnavailable, …; errorCodes lists them) on both sides of the
+// connection.
 //
 // Wire format: see wire.go (framing) and codec.go (payloads). Every frame
 // carries a tag, and each connection multiplexes many in-flight calls — a
@@ -36,6 +37,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/gstore"
+	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/mquery"
 	"repro/internal/query"
@@ -270,35 +273,54 @@ const (
 	CodeConflict ErrCode = "conflict"
 	// CodeInternal is everything else.
 	CodeInternal ErrCode = "internal"
+	// CodeCorrupt maps to gstore.ErrCorrupt.
+	CodeCorrupt ErrCode = "corrupt"
+	// CodeShardFull maps to kvstore.ErrShardFull.
+	CodeShardFull ErrCode = "shard-full"
 )
 
-// sentinelFor returns the typed error a code maps to (nil for internal).
-func sentinelFor(code ErrCode) error {
-	switch code {
-	case CodeBadQuery:
-		return query.ErrBadQuery
-	case CodeUnknownNode:
-		return query.ErrUnknownNode
-	case CodeUnavailable:
-		return query.ErrUnavailable
-	case CodeConflict:
-		return query.ErrConflict
-	}
-	return nil
+// errorCodes is the one mapping between the wire's error codes and the
+// sentinels a failure wraps. A row's index is its wire status (statusErr +
+// index), so rows are only ever appended: a peer from before a row reads its
+// status as CodeInternal. errorResponse classifies an error by the first row
+// whose sentinel it wraps, and respError hands that sentinel back, so
+// errors.Is holds on both sides of a connection.
+var errorCodes = [...]struct {
+	code     ErrCode
+	sentinel error // nil for CodeInternal, which no sentinel maps to
+}{
+	{CodeBadQuery, query.ErrBadQuery},
+	{CodeUnknownNode, query.ErrUnknownNode},
+	{CodeUnavailable, query.ErrUnavailable},
+	{CodeConflict, query.ErrConflict},
+	{CodeInternal, nil},
+	{CodeCorrupt, gstore.ErrCorrupt},
+	{CodeShardFull, kvstore.ErrShardFull},
 }
 
-// errorResponse wraps err into a Response, classifying it for the client.
+// codeRow is code's row in errorCodes; a code outside the table is
+// CodeInternal's.
+func codeRow(code ErrCode) int {
+	for i, row := range errorCodes {
+		if row.code == code {
+			return i
+		}
+	}
+	return codeRow(CodeInternal)
+}
+
+// errorResponse wraps err into a Response, classifying it for the client. A
+// deadline or a cancellation that wraps no sentinel is CodeUnavailable.
 func errorResponse(err error) Response {
 	code := CodeInternal
-	switch {
-	case errors.Is(err, query.ErrBadQuery):
-		code = CodeBadQuery
-	case errors.Is(err, query.ErrUnknownNode):
-		code = CodeUnknownNode
-	case errors.Is(err, query.ErrConflict):
-		code = CodeConflict
-	case errors.Is(err, query.ErrUnavailable), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		code = CodeUnavailable
+	}
+	for _, row := range errorCodes {
+		if errors.Is(err, row.sentinel) { // never for the nil sentinel
+			code = row.code
+			break
+		}
 	}
 	return Response{Err: err.Error(), Code: code}
 }
@@ -320,7 +342,7 @@ func respError(addr string, resp *Response) error {
 	if resp.Err == "" {
 		return nil
 	}
-	return &remoteError{addr: addr, msg: resp.Err, kind: sentinelFor(resp.Code)}
+	return &remoteError{addr: addr, msg: resp.Err, kind: errorCodes[codeRow(resp.Code)].sentinel}
 }
 
 // checkResults refuses an OK execute reply that does not carry one result

@@ -17,7 +17,6 @@ type registration struct {
 	regMu      sync.Mutex // guards the fields below
 	routerAddr string     // router this daemon registered with ("" = none)
 	advertise  string     // address announced to the router
-	slot       int        // slot the router assigned
 }
 
 // Register announces this daemon to a running router (OpJoin): the router
@@ -46,7 +45,7 @@ func (reg *registration) Register(ctx context.Context, routerAddr, advertise str
 		return 0, err
 	}
 	reg.regMu.Lock()
-	reg.routerAddr, reg.advertise, reg.slot = routerAddr, advertise, resp.Proc
+	reg.routerAddr, reg.advertise = routerAddr, advertise
 	reg.regMu.Unlock()
 	return resp.Proc, nil
 }
@@ -78,15 +77,4 @@ func (reg *registration) Deregister(ctx context.Context) error {
 	}
 	reg.regMu.Unlock()
 	return nil
-}
-
-// RegisteredSlot returns the slot the router assigned at Register, or -1
-// when the daemon never registered (or has deregistered).
-func (reg *registration) RegisteredSlot() int {
-	reg.regMu.Lock()
-	defer reg.regMu.Unlock()
-	if reg.routerAddr == "" {
-		return -1
-	}
-	return reg.slot
 }

@@ -340,8 +340,8 @@ func TestStorageRejoinWarmHandshake(t *testing.T) {
 	if err := d.RestartStorage(ctx, slot); err != nil {
 		t.Fatal(err)
 	}
-	if again := d.storage[slot].RegisteredSlot(); again != slot {
-		t.Fatalf("rejoin slot = %d, want %d", again, slot)
+	if again, err := d.storage[slot].Register(ctx, d.router.Addr(), ""); err != nil || again != slot {
+		t.Fatalf("rejoin slot = %d, %v; want %d", again, err, slot)
 	}
 	// The router's pooled connections to the crashed instance break on
 	// their first use after the restart; the pool re-dials, so the stats

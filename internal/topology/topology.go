@@ -123,20 +123,9 @@ func (v View) Status(slot int) Status {
 	return v.Members[slot].Status
 }
 
-// ActiveSlots returns the slots receiving new work, in ascending order.
-func (v View) ActiveSlots() []int {
-	out := make([]int, 0, len(v.Members))
-	for _, m := range v.Members {
-		if m.Status == Active {
-			out = append(out, m.Slot)
-		}
-	}
-	return out
-}
-
 // RoutableSlots returns every slot that is still a member — everything
 // but Left — in ascending order. Routing strategies derive their
-// candidate sets from this, not from ActiveSlots: a Down member stays a
+// candidate sets from this, not from the Active members: a Down member stays a
 // valid destination in the strategy's model (its keys divert to the
 // next-best live processor and come back when it revives, the paper's
 // §3.4.1 fault-tolerance behaviour), while a Left member is gone for

@@ -142,7 +142,7 @@ func TestLabelTableFullTwoTransports(t *testing.T) {
 	ctx := context.Background()
 	g := grouting.GenerateDataset(grouting.WebGraph, 0.02, 7)
 	local, remote := twoTransports(t, g, grouting.Config{Processors: 2, StorageServers: 2, Policy: grouting.PolicyHash})
-	for i := g.NumLabels(); i < 1<<16; i++ {
+	for i := g.Labels().Len(); i < 1<<16; i++ {
 		g.InternLabel(fmt.Sprintf("fill-%d", i))
 	}
 	q := grouting.Query{Type: grouting.NeighborAgg, Node: 1, Hops: 1, Dir: grouting.Out}

@@ -184,7 +184,7 @@ func TestDurableCrashRestartLocal(t *testing.T) {
 		if !g.Exists(u) || g.OutDegree(u) == 0 {
 			continue
 		}
-		label := g.LabelString(g.OutEdges(u)[0].Label)
+		label := g.Labels().String(g.OutEdges(u)[0].Label)
 		var add, remove []grouting.Mutation
 		for v := grouting.NodeID(0); v < g.MaxNodeID() && len(add) < 300; v++ {
 			if v != u && g.Exists(v) && !g.HasEdge(u, v) {

@@ -309,8 +309,12 @@ func codeRow(code ErrCode) int {
 	return codeRow(CodeInternal)
 }
 
-// errorResponse wraps err into a Response, classifying it for the client. A
-// deadline or a cancellation that wraps no sentinel is CodeUnavailable.
+// errorResponse wraps err into a Response, classifying it for the client.
+// The order of errorCodes is also the precedence: an error that wraps two
+// sentinels takes the earlier row's code (ErrUnavailable with ErrConflict is
+// CodeUnavailable). Any sentinel outranks a deadline or a cancellation
+// (ErrCorrupt with context.Canceled is CodeCorrupt); one that wraps no
+// sentinel is CodeUnavailable. TestErrorCodesRoundTrip pins both cases.
 func errorResponse(err error) Response {
 	code := CodeInternal
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {

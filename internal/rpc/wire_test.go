@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/gstore"
+	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/mquery"
 	"repro/internal/query"
@@ -336,8 +338,21 @@ func TestErrorCodesRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if resp := errorResponse(fmt.Errorf("call: %w", context.Canceled)); resp.Code != CodeUnavailable {
-		t.Errorf("a cancellation is %q, want %q", resp.Code, CodeUnavailable)
+	// Precedence: an error wrapping two sentinels takes the earlier row's
+	// code, and any sentinel outranks a deadline or a cancellation.
+	for _, c := range []struct {
+		err  error
+		want ErrCode
+	}{
+		{fmt.Errorf("call: %w", context.Canceled), CodeUnavailable},
+		{fmt.Errorf("call: %w", context.DeadlineExceeded), CodeUnavailable},
+		{fmt.Errorf("%w: %w", query.ErrConflict, query.ErrUnavailable), CodeUnavailable},
+		{fmt.Errorf("%w: %w", gstore.ErrCorrupt, context.Canceled), CodeCorrupt},
+		{fmt.Errorf("%w: %w", kvstore.ErrShardFull, context.DeadlineExceeded), CodeShardFull},
+	} {
+		if resp := errorResponse(c.err); resp.Code != c.want {
+			t.Errorf("%v is %q, want %q", c.err, resp.Code, c.want)
+		}
 	}
 	if c := codeForStatus(byte(statusErr + len(errorCodes))); c != CodeInternal {
 		t.Errorf("a status past the table decodes as %q, want %q", c, CodeInternal)

@@ -76,8 +76,18 @@ func (e *Embedding) Coords(u graph.NodeID) []float32 {
 
 // grow extends the table to hold node u; the rows it adds are unembedded.
 func (e *Embedding) grow(u graph.NodeID) {
-	for need := (int(u) + 1) * e.D; len(e.coords) < need; {
-		e.coords = append(e.coords, float32(math.NaN()))
+	have, need := len(e.coords), (int(u)+1)*e.D
+	if need <= have {
+		return
+	}
+	if need > cap(e.coords) {
+		// One allocation, at least need long, grown by a quarter at a time
+		// when rows arrive one by one.
+		e.coords = append(make([]float32, 0, max(need, cap(e.coords)*5/4)), e.coords...)
+	}
+	e.coords = e.coords[:need]
+	for i := have; i < need; i++ {
+		e.coords[i] = float32(math.NaN())
 	}
 }
 

@@ -85,6 +85,9 @@ func DecodeEmbedding(data []byte) (*Embedding, error) {
 		return nil, fmt.Errorf("embed: file row count %d exceeds payload", count)
 	}
 	e := &Embedding{D: int(dims)}
+	if last, ok := lastRow(body[len(body)-d.Len():], count, dims); ok {
+		e.grow(graph.NodeID(last)) // the table at its final size, allocated once
+	}
 	row := make([]float32, dims)
 	last := -1
 	for i := uint64(0); i < count; i++ {
@@ -105,6 +108,21 @@ func DecodeEmbedding(data []byte) (*Embedding, error) {
 		return nil, err
 	}
 	return e, nil
+}
+
+// lastRow returns the node id of the last of the count rows of dims
+// coordinates rows starts with — the largest, since rows ascend — and
+// false when rows is too short to hold them or an id overflows a NodeID.
+func lastRow(rows []byte, count, dims uint64) (uint64, bool) {
+	var u uint64
+	for range count {
+		id, n := binary.Uvarint(rows)
+		if n <= 0 || id > math.MaxUint32 || uint64(len(rows)-n) < 4*dims {
+			return 0, false
+		}
+		u, rows = id, rows[n+int(4*dims):]
+	}
+	return u, count > 0
 }
 
 // WriteEmbeddingFile writes e to path in the versioned file format — the

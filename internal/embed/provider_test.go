@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/embed"
@@ -151,6 +152,30 @@ func TestFileCodecRoundTrip(t *testing.T) {
 				t.Fatalf("node %d dim %d: %v != %v", u, j, b[j], a[j])
 			}
 		}
+	}
+}
+
+// TestFileDecodeAllocatesTableOnce: decoding an artifact allocates the
+// coordinate table once, at its final size, not by growing it a float at a
+// time.
+func TestFileDecodeAllocatesTableOnce(t *testing.T) {
+	g := gen.LocalWeb(20000, 6, 120, 0.04, 3)
+	e, err := embed.Build(g, landmark.BuildIndex(g, landmark.Select(g, 16, 2), 0), embed.Options{Dimensions: 8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := embed.EncodeEmbedding(e)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := embed.DecodeEmbedding(blob)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated, table := after.TotalAlloc-before.TotalAlloc, uint64(got.StorageBytes())
+	t.Logf("decoding a %d-byte artifact allocated %d bytes for a %d-byte table", len(blob), allocated, table)
+	if allocated > table+table/8 {
+		t.Fatalf("decode allocated %d bytes for a %d-byte table", allocated, table)
 	}
 }
 

@@ -16,19 +16,16 @@ import (
 // external graph tooling and for loading real datasets).
 func WriteAdjacency(w io.Writer, g *graph.Graph) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for id := graph.NodeID(0); id < g.MaxNodeID(); id++ {
 		if !g.Exists(id) {
 			continue
 		}
-		if _, err := fmt.Fprintf(bw, "%d:", id); err != nil {
-			return err
-		}
+		line = append(strconv.AppendUint(line[:0], uint64(id), 10), ':')
 		for _, e := range g.OutEdges(id) {
-			if _, err := fmt.Fprintf(bw, " %d", e.To); err != nil {
-				return err
-			}
+			line = strconv.AppendUint(append(line, ' '), uint64(e.To), 10)
 		}
-		if err := bw.WriteByte('\n'); err != nil {
+		if _, err := bw.Write(append(line, '\n')); err != nil {
 			return err
 		}
 	}

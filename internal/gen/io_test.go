@@ -287,3 +287,59 @@ func TestWriteAdjacencySkipsRemoved(t *testing.T) {
 		t.Fatalf("removed node serialised:\n%s", buf.String())
 	}
 }
+
+// fmtAdjacency is the writer WriteAdjacency replaced, one fmt.Fprintf per
+// id and per edge, kept as the oracle of the format's bytes.
+func fmtAdjacency(w io.Writer, g *graph.Graph) error {
+	bw := bufio.NewWriter(w)
+	for id := graph.NodeID(0); id < g.MaxNodeID(); id++ {
+		if !g.Exists(id) {
+			continue
+		}
+		if _, err := fmt.Fprintf(bw, "%d:", id); err != nil {
+			return err
+		}
+		for _, e := range g.OutEdges(id) {
+			if _, err := fmt.Fprintf(bw, " %d", e.To); err != nil {
+				return err
+			}
+		}
+		if err := bw.WriteByte('\n'); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// TestWriteAdjacencyMatchesFmt holds WriteAdjacency to the fmt-based writer
+// byte for byte: a skewed graph, one with a removed node, isolated nodes
+// and parallel edges, and ids of one to six digits.
+func TestWriteAdjacencyMatchesFmt(t *testing.T) {
+	holed := Ring(12)
+	if err := holed.RemoveNode(4); err != nil {
+		t.Fatal(err)
+	}
+	holed.AddNodes(3) // isolated: "id:" lines
+	holed.AddEdgeFast(0, 1)
+	wide := graph.New()
+	wide.AddNodes(120_000)
+	for _, e := range [][2]graph.NodeID{{0, 9}, {9, 99}, {99, 99_999}, {119_999, 0}, {12_345, 100_000}} {
+		wide.AddEdgeFast(e[0], e[1])
+	}
+	web, err := Preset(WebGraph, 0.05, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*graph.Graph{"holed": holed, "wide": wide, "webgraph": web} {
+		var got, want bytes.Buffer
+		if err := WriteAdjacency(&got, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := fmtAdjacency(&want, g); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: WriteAdjacency wrote %d bytes, the fmt writer %d, and they differ", name, got.Len(), want.Len())
+		}
+	}
+}

@@ -4,42 +4,10 @@ package graph
 // the BFS source.
 const Unreachable int32 = -1
 
-// BFSInto computes hop distances from src to every node, following dir
-// edges, into dist, of length MaxNodeID(): indexed by NodeID, with
-// Unreachable for nodes the search cannot reach (including tombstoned ids).
-// queue is scratch whose contents do not matter, returned (grown if it had
-// to be) for the next call. With a queue of capacity MaxNodeID() a search
-// allocates nothing.
-//
-// Landmark preprocessing runs this with Both, matching the paper's
-// bi-directed view of the graph.
-func (g *Graph) BFSInto(src NodeID, dir Direction, dist []int32, queue []NodeID) []NodeID {
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	if !g.Exists(src) {
-		return queue
-	}
-	dist[src] = 0
-	queue = append(queue[:0], src)
-	// The head is an index, not a re-slice: queue[1:] gives up the front of
-	// the backing array, and every append past its shrunken end reallocates.
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u]
-		g.visitNeighbors(u, dir, func(v NodeID) {
-			if dist[v] == Unreachable {
-				dist[v] = du + 1
-				queue = append(queue, v)
-			}
-		})
-	}
-	return queue
-}
-
-// BFSBounded is BFSInto truncated at maxHops. It returns a map from reached
-// node to distance (including src at distance 0), touching only the
-// explored region, so it is cheap on large graphs for small maxHops.
+// BFSBounded is a breadth-first search from src truncated at maxHops. It
+// returns a map from reached node to distance (including src at distance
+// 0), touching only the explored region, so it is cheap on large graphs
+// for small maxHops.
 func (g *Graph) BFSBounded(src NodeID, maxHops int, dir Direction) map[NodeID]int32 {
 	dist := make(map[NodeID]int32)
 	if !g.Exists(src) || maxHops < 0 {

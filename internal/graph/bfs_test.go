@@ -250,3 +250,35 @@ func (g *Graph) BFS(src NodeID, dir Direction) []int32 {
 	g.BFSInto(src, dir, dist, nil)
 	return dist
 }
+
+// BFSInto computes hop distances from src to every node, following dir
+// edges, into dist, of length MaxNodeID(): indexed by NodeID, with
+// Unreachable for nodes the search cannot reach (including tombstoned ids).
+// queue is scratch whose contents do not matter, returned (grown if it had
+// to be) for the next call. With a queue of capacity MaxNodeID() a search
+// allocates nothing.
+//
+// It is the tests' reference search: one source, a plain queue.
+func (g *Graph) BFSInto(src NodeID, dir Direction, dist []int32, queue []NodeID) []NodeID {
+	for i := range dist {
+		dist[i] = Unreachable
+	}
+	if !g.Exists(src) {
+		return queue
+	}
+	dist[src] = 0
+	queue = append(queue[:0], src)
+	// The head is an index, not a re-slice: queue[1:] gives up the front of
+	// the backing array, and every append past its shrunken end reallocates.
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		du := dist[u]
+		g.visitNeighbors(u, dir, func(v NodeID) {
+			if dist[v] == Unreachable {
+				dist[v] = du + 1
+				queue = append(queue, v)
+			}
+		})
+	}
+	return queue
+}

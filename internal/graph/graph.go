@@ -13,10 +13,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -381,14 +381,19 @@ func (g *Graph) Nodes() []NodeID {
 // NodesByDegreeDesc returns live node ids sorted by total degree, highest
 // first (ties broken by id for determinism). Used by landmark selection.
 func (g *Graph) NodesByDegreeDesc() []NodeID {
-	ids := g.Nodes()
-	sort.Slice(ids, func(i, j int) bool {
-		di, dj := g.Degree(ids[i]), g.Degree(ids[j])
-		if di != dj {
-			return di > dj
+	// One integer sort: a key is the complemented degree above the id, so
+	// ascending keys run by degree down, then id up.
+	keys := make([]uint64, 0, g.liveNodes)
+	for id := range g.out {
+		if !g.removed[id] {
+			keys = append(keys, uint64(^uint32(len(g.out[id])+len(g.in[id])))<<32|uint64(id))
 		}
-		return ids[i] < ids[j]
-	})
+	}
+	slices.Sort(keys)
+	ids := make([]NodeID, len(keys))
+	for i, k := range keys {
+		ids[i] = NodeID(k)
+	}
 	return ids
 }
 
@@ -397,11 +402,8 @@ func (g *Graph) NodesByDegreeDesc() []NodeID {
 // execution (e.g. random-walk neighbour indexing) sorts through this
 // helper so both sides see identical orderings.
 func SortEdges(es []Edge) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].To != es[j].To {
-			return es[i].To < es[j].To
-		}
-		return es[i].Label < es[j].Label
+	slices.SortFunc(es, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.To, b.To), cmp.Compare(a.Label, b.Label))
 	})
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -287,6 +288,13 @@ func TestNodesByDegreeDesc(t *testing.T) {
 	// Ties (0 and 1, both degree 2) break by id.
 	if order[1] != 0 || order[2] != 1 {
 		t.Fatalf("tie-break order = %v, want [2 0 1 3]", order)
+	}
+	// A removed node is left out, and its edges no longer count.
+	if err := g.RemoveNode(3); err != nil {
+		t.Fatal(err)
+	}
+	if order := g.NodesByDegreeDesc(); !slices.Equal(order, []NodeID{2, 0, 1}) {
+		t.Fatalf("order after removing node 3 = %v, want [2 0 1]", order)
 	}
 }
 

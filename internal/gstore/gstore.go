@@ -98,10 +98,9 @@ func labelled(edges []graph.Edge) bool {
 }
 
 func appendEdges(buf []byte, edges []graph.Edge, withLabels bool) []byte {
-	sorted := graph.SortedEdges(edges)
-	buf = binary.AppendUvarint(buf, uint64(len(sorted)))
+	buf = binary.AppendUvarint(buf, uint64(len(edges)))
 	prev := uint64(0)
-	for _, e := range sorted {
+	for _, e := range sorted(edges) {
 		delta := uint64(e.To) - prev
 		prev = uint64(e.To)
 		buf = binary.AppendUvarint(buf, delta)

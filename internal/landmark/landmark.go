@@ -4,8 +4,9 @@
 // Landmarks are selected "based on their node degree and how well they
 // spread over the entire graph": candidates are taken in decreasing degree
 // order and discarded when they fall within a minimum hop separation of an
-// already-chosen landmark. A BFS per landmark (over the bi-directed graph)
-// yields the distance field d(l, u); pivot landmarks are then spread across
+// already-chosen landmark. One multi-source BFS over the bi-directed graph,
+// up to 64 landmarks sharing each edge scan (sweep.go), yields every
+// landmark's distance field d(l, u); pivot landmarks are then spread across
 // processors farthest-point style, every remaining landmark joins its
 // closest pivot's processor, and the router keeps the O(n·P) table
 // d(u, p) = min over landmarks assigned to p of d(l, u).
@@ -15,8 +16,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 )
@@ -95,11 +94,13 @@ func withinHops(g *graph.Graph, src graph.NodeID, maxHops int, targets map[graph
 	return false
 }
 
-// BuildIndex runs one BFS per landmark (parallel across workers; 0 means
-// GOMAXPROCS) and returns the distance index. This is the O(|L|·e)
-// preprocessing step of Table 2. Each worker owns one dist/queue pair for
-// all the searches it runs, so the build allocates its distance fields and
-// little else.
+// BuildIndex computes every landmark's distance field over the bi-directed
+// graph and returns the index: the O(|L|·e) preprocessing step of Table 2.
+// The landmarks share one multi-source BFS per 64 of them (sweep.go), so
+// the edges are scanned once per batch, not once per landmark; workers (0
+// means GOMAXPROCS) split its bottom-up levels by node range, and its
+// landmarks once it turns out deep and narrow. The fields are what a
+// separate BFS from each landmark gives, whatever workers is.
 func BuildIndex(g *graph.Graph, landmarks []graph.NodeID, workers int) *Index {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -108,38 +109,30 @@ func BuildIndex(g *graph.Graph, landmarks []graph.NodeID, workers int) *Index {
 		Landmarks: append([]graph.NodeID(nil), landmarks...),
 		dist:      make([][]uint16, len(landmarks)),
 	}
+	// Every field in one allocation, set to Inf by doubling copies rather
+	// than a store per slot. A row's capacity ends at its length, so a row
+	// that grows (growTo) moves out instead of into its neighbour.
 	n := int(g.MaxNodeID())
-	var next atomic.Int64 // the next landmark nobody has taken
-	var wg sync.WaitGroup
-	for w := min(workers, len(landmarks)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dist := make([]int32, n)
-			queue := make([]graph.NodeID, 0, n)
-			for i := int(next.Add(1)) - 1; i < len(idx.Landmarks); i = int(next.Add(1)) - 1 {
-				queue = g.BFSInto(idx.Landmarks[i], graph.Both, dist, queue)
-				idx.dist[i] = compressBFS(dist)
-			}
-		}()
-	}
-	wg.Wait()
-	return idx
-}
-
-func compressBFS(d32 []int32) []uint16 {
-	d := make([]uint16, len(d32))
-	for i, v := range d32 {
-		switch {
-		case v < 0:
-			d[i] = Inf
-		case v >= int32(Inf):
-			d[i] = Inf - 1
-		default:
-			d[i] = uint16(v)
+	block := make([]uint16, len(landmarks)*n)
+	if len(block) > 0 {
+		block[0] = Inf
+		for k := 1; k < len(block); k *= 2 {
+			copy(block[k:], block[:k])
 		}
 	}
-	return d
+	for i := range idx.dist {
+		idx.dist[i] = block[i*n : (i+1)*n : (i+1)*n]
+	}
+	if len(landmarks) == 0 || n == 0 {
+		return idx
+	}
+	s := newSweep(g, workers)
+	defer s.stop()
+	for lo := 0; lo < len(landmarks); lo += sweepBits {
+		hi := min(lo+sweepBits, len(landmarks))
+		s.run(idx.Landmarks[lo:hi], idx.dist[lo:hi])
+	}
+	return idx
 }
 
 // NumLandmarks returns the number of landmarks in the index.

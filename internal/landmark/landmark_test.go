@@ -2,6 +2,7 @@ package landmark
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -296,17 +297,40 @@ func TestAssignOneProcessor(t *testing.T) {
 	}
 }
 
+// BenchmarkBuildIndex times the index build on a skewed graph, on the
+// benchmark's 60 k-node WebGraph preset with the networked router's 32
+// landmarks, and on a 60 k-node ring, whose 30,000 levels each hold a
+// handful of nodes. Each graph is built inside its own sub-benchmark, so
+// only the graph being searched is live.
 func BenchmarkBuildIndex(b *testing.B) {
-	g := gen.RMAT(gen.RMATOptions{Nodes: 20000, Edges: 100000, Seed: 1})
-	ls := Select(g, 16, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildIndex(g, ls, 0)
+	for _, c := range []struct {
+		name  string
+		graph func() *graph.Graph
+		lms   int
+	}{
+		{"rmat20k", func() *graph.Graph { return gen.RMAT(gen.RMATOptions{Nodes: 20000, Edges: 100000, Seed: 1}) }, 16},
+		{"webgraph60k", func() *graph.Graph {
+			g, err := gen.Preset(gen.WebGraph, 1, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return g
+		}, 32},
+		{"ring60k", func() *graph.Graph { return gen.Ring(60000) }, 32},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			g := c.graph()
+			ls := Select(g, c.lms, 2)
+			for b.Loop() {
+				BuildIndex(g, ls, 0)
+			}
+		})
 	}
 }
 
-// BuildIndex allocates the distance fields it returns and one dist/queue
-// pair per worker — not two buffers and a goroutine per landmark.
+// BuildIndex allocates the distance fields it returns, one sweep's words
+// and lists, and a goroutine per worker beyond the first — not two buffers
+// and a goroutine per landmark.
 func TestBuildIndexAllocBudget(t *testing.T) {
 	g := gen.LocalWeb(3000, 12, 160, 0.04, 7)
 	lms := Select(g, 24, 2)
@@ -318,4 +342,86 @@ func TestBuildIndexAllocBudget(t *testing.T) {
 			t.Errorf("%d workers: %.0f allocations, budget %.0f", workers, allocs, budget)
 		}
 	}
+}
+
+// TestBuildIndexMatchesBFS holds the multi-source sweep to a separate
+// search from each landmark: on skewed, random, fragmented and
+// high-diameter graphs, with landmark lists on both sides of a word's 64
+// bits that repeat a landmark and name a removed node, every field must
+// equal bfsInto's, capped at Inf−1, for every worker count.
+func TestBuildIndexMatchesBFS(t *testing.T) {
+	web, err := gen.Preset(gen.WebGraph, 0.05, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	er := gen.ErdosRenyi(2000, 2600, 5)
+	island := er.AddNodes(40) // a part no landmark of the rest reaches
+	for i := graph.NodeID(1); i < 40; i++ {
+		er.AddEdgeFast(island+i-1, island+i)
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"webgraph", web},
+		{"localweb", gen.LocalWeb(3000, 12, 160, 0.04, 7)},
+		{"erdosrenyi", er},
+		{"ring", gen.Ring(3000)},
+		{"grid", gen.Grid(60, 40)},
+		{"path-past-the-cap", gen.Grid(int(Inf)+4000, 1)},
+	} {
+		g := c.g
+		pool := Select(g, 130, 0)
+		removed := pool[len(pool)/2]
+		if err := g.RemoveNode(removed); err != nil {
+			t.Fatal(err)
+		}
+		pool[1] = pool[0]
+		for _, count := range []int{1, 63, 64, 65, 130} {
+			lms := slices.Clone(pool[:count])
+			if count > 1 {
+				lms[count-1] = removed
+			}
+			var want [][]uint16
+			dist, queue := make([]int32, g.MaxNodeID()), []graph.NodeID(nil)
+			for _, l := range lms {
+				queue = bfsInto(g, l, graph.Both, dist, queue)
+				want = append(want, capped(dist))
+			}
+			for _, workers := range []int{1, 2, 4} {
+				idx := BuildIndex(g, lms, workers)
+				if !slices.Equal(idx.Landmarks, lms) {
+					t.Fatalf("%s, %d landmarks, %d workers: Landmarks = %v", c.name, count, workers, idx.Landmarks)
+				}
+				if idx.NumNodes() != int(g.MaxNodeID()) {
+					t.Fatalf("%s, %d landmarks, %d workers: NumNodes = %d, want %d", c.name, count, workers, idx.NumNodes(), g.MaxNodeID())
+				}
+				for i := range want {
+					for v, d := range want[i] {
+						if got := idx.Dist(i, graph.NodeID(v)); got != d {
+							t.Fatalf("%s, %d landmarks, %d workers: landmark %d (node %d) at node %d: %d, a separate search says %d",
+								c.name, count, workers, i, lms[i], v, got, d)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// capped is a bfsInto field in the index's terms: Inf where unreachable,
+// and no distance above Inf−1.
+func capped(dist []int32) []uint16 {
+	row := make([]uint16, len(dist))
+	for v, d := range dist {
+		switch {
+		case d == graph.Unreachable:
+			row[v] = Inf
+		case d >= int32(Inf):
+			row[v] = Inf - 1
+		default:
+			row[v] = uint16(d)
+		}
+	}
+	return row
 }

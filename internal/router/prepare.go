@@ -35,7 +35,8 @@ var NetworkTables = TableSpec{Landmarks: 32, MinSeparation: 2, Dimensions: 8}
 type PrepStats struct {
 	// SelectTime covers landmark selection.
 	SelectTime time.Duration
-	// BFSTime covers the per-landmark BFS distance fields.
+	// BFSTime covers the landmarks' distance fields: landmark.BuildIndex's
+	// multi-source BFS, one sweep per 64 landmarks.
 	BFSTime time.Duration
 	// EmbedNodeTime covers the whole coordinate table: embed.Build, or the
 	// provider's materialisation.

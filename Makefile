@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: ci fmt-check vet lint build cross test ledger membudget prepbudget bench-test race cover fuzz-smoke examples bench-smoke bench suite chaos chaos-smoke loc
+.PHONY: ci fmt-check vet lint build cross test ledger membudget prepbudget bench-test race cover fuzz-smoke examples bench-smoke bench setupbench suite chaos chaos-smoke loc
 
 ci: fmt-check lint build cross test ledger membudget prepbudget bench-test race cover fuzz-smoke examples bench-smoke loc
 
@@ -114,14 +114,15 @@ cover:
 	done
 
 # `go test` only replays the fuzz targets' seeds. This runs each of them for
-# real, 5 s apiece (about 55 s in all, offline): the decoders that take bytes
+# real, 5 s apiece (about 60 s in all, offline): the decoders that take bytes
 # from outside the process — the request and response envelopes, subtasks,
-# partials, the embedding file — the WAL's replay, a storage shard's log
-# against a map model (its WAL compaction cut at each crash point), a stored
-# record under a mutation's edit stream, a stored record on its own in
-# either layout, and the cut of a stored record to the out-prefix an
-# out-only read ships.
-FUZZ_TARGETS = ./internal/rpc:FuzzFrameDecode ./internal/mquery:FuzzSubtaskWire ./internal/mquery:FuzzPartialWire ./internal/embed:FuzzFileDecode ./internal/kvstore:FuzzWALReplay ./internal/kvstore:FuzzWALRoundTrip ./internal/kvstore:FuzzShardOps ./internal/gstore:FuzzRecordEdits ./internal/gstore:FuzzRecordDecode ./internal/gstore:FuzzRecordPrefix
+# partials, the embedding file, the adjacency-list text a router loads
+# (against the line-by-line reader it replaced) — the WAL's replay, a
+# storage shard's log against a map model (its WAL compaction cut at each
+# crash point), a stored record under a mutation's edit stream, a stored
+# record on its own in either layout, and the cut of a stored record to the
+# out-prefix an out-only read ships.
+FUZZ_TARGETS = ./internal/rpc:FuzzFrameDecode ./internal/mquery:FuzzSubtaskWire ./internal/mquery:FuzzPartialWire ./internal/embed:FuzzFileDecode ./internal/gen:FuzzReadAdjacency ./internal/kvstore:FuzzWALReplay ./internal/kvstore:FuzzWALRoundTrip ./internal/kvstore:FuzzShardOps ./internal/gstore:FuzzRecordEdits ./internal/gstore:FuzzRecordDecode ./internal/gstore:FuzzRecordPrefix
 
 fuzz-smoke:
 	@set -e; for spec in $(FUZZ_TARGETS); do \
@@ -147,6 +148,13 @@ bench-smoke:
 # transport pipelining comparison (BenchmarkClientBatch).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkQuery|BenchmarkRunWorkload|BenchmarkClientBatch' -benchmem .
+
+# The passes over the whole graph a deployment's set-up makes, on the
+# benchmark's 60 k-node preset (BenchmarkSetupPhases: generate, encode, load
+# at R = 1, load at R = 2 on durable shards, read the adjacency file), five
+# rounds of ten; about 20 s.
+setupbench:
+	$(GO) test -run '^$$' -bench 'BenchmarkSetupPhases' -benchtime 10x -count 5 .
 
 # The numbers every simplicity PR quotes: Go lines outside bench/ (the
 # benchmark module is frozen), non-test and test, the non-test lines of

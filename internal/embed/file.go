@@ -27,6 +27,13 @@ const (
 	// maxFileDims bounds the decoded dimensionality; a corrupt header
 	// cannot force a huge per-row allocation.
 	maxFileDims = 1 << 12
+	// maxTableGrowth bounds the coordinate table a file can make the
+	// decoder allocate — (last row's id + 1) × D × 4 bytes — to this
+	// multiple of the file's own length. A file of every node's row is
+	// about the size of its table; one whose ids run far past its rows
+	// asks for a table of mostly empty rows, and near id 1<<32 for more
+	// memory than any process has.
+	maxTableGrowth = 64
 )
 
 // EncodeEmbedding serialises every embedded (non-NaN) row of e into the
@@ -57,8 +64,9 @@ func EncodeEmbedding(e *Embedding) []byte {
 
 // DecodeEmbedding parses a file-format blob back into an Embedding. Every
 // malformed input — bad magic, unknown version, truncation at any byte,
-// out-of-order rows, checksum mismatch, trailing bytes — is an error,
-// never a panic or a silent partial decode.
+// out-of-order rows, checksum mismatch, trailing bytes, row ids that would
+// size the table past maxTableGrowth times the file — is an error, never a
+// panic, an out-of-memory death or a silent partial decode.
 func DecodeEmbedding(data []byte) (*Embedding, error) {
 	if len(data) < len(fileMagic)+1+4 {
 		return nil, fmt.Errorf("embed: file too short (%d bytes)", len(data))
@@ -86,6 +94,9 @@ func DecodeEmbedding(data []byte) (*Embedding, error) {
 	}
 	e := &Embedding{D: int(dims)}
 	if last, ok := lastRow(body[len(body)-d.Len():], count, dims); ok {
+		if table := (last + 1) * dims * 4; table > maxTableGrowth*uint64(len(data)) {
+			return nil, fmt.Errorf("embed: file of %d bytes asks for a %d-byte coordinate table (rows up to node %d), over %d x its size", len(data), table, last, maxTableGrowth)
+		}
 		e.grow(graph.NodeID(last)) // the table at its final size, allocated once
 	}
 	row := make([]float32, dims)

@@ -2,11 +2,14 @@ package embed_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/embed"
@@ -215,6 +218,41 @@ func TestFileCodecCorruption(t *testing.T) {
 	}
 }
 
+// farRowFile is a well-formed file — right magic, version and checksum —
+// of one 2-D row at node 4,000,000,000: 24 bytes that ask for a 32 GB table.
+func farRowFile() []byte {
+	buf := append([]byte("GEMB"), 1)
+	buf = binary.AppendUvarint(buf, 2)
+	buf = binary.AppendUvarint(buf, 1)
+	buf = binary.AppendUvarint(buf, 4_000_000_000)
+	buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(1))
+	buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(2))
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+// TestFileDecodeRefusesFarRows: a file whose row ids would size the
+// coordinate table far past the file is refused with both sizes named,
+// before anything is allocated — the decoder used to allocate the table the
+// last row's id asked for and die out of memory here.
+func TestFileDecodeRefusesFarRows(t *testing.T) {
+	blob := farRowFile()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := embed.DecodeEmbedding(blob)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 24-byte file asking for a 32 GB table decoded")
+	}
+	for _, size := range []string{fmt.Sprint(len(blob)), fmt.Sprint(uint64(4_000_000_001) * 2 * 4)} {
+		if !strings.Contains(err.Error(), size) {
+			t.Errorf("error %q does not name %s", err, size)
+		}
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("refusing the file allocated %d bytes", n)
+	}
+}
+
 // FuzzFileDecode throws arbitrary bytes at the file decoder: never panic,
 // and anything that decodes must re-encode to a blob that decodes to the
 // same embedding.
@@ -227,6 +265,7 @@ func FuzzFileDecode(f *testing.F) {
 	f.Add(embed.EncodeEmbedding(e))
 	f.Add([]byte("GEMB"))
 	f.Add([]byte{})
+	f.Add(farRowFile())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := embed.DecodeEmbedding(data)
 		if err != nil {

@@ -11,7 +11,7 @@ import (
 
 func init() {
 	register("table1", "Table 1", "dataset statistics (synthetic presets standing in for the originals)", runTable1)
-	register("table2", "Table 2", "preprocessing times: BFS per landmark, landmark embedding, per-node embedding", runTable2)
+	register("table2", "Table 2", "preprocessing times: landmark BFS sweep, landmark embedding, per-node embedding", runTable2)
 	register("table3", "Table 3", "preprocessing storage vs original graph size", runTable3)
 }
 
@@ -56,18 +56,15 @@ func runTable2(sc Scale) (Result, error) {
 		return Result{}, err
 	}
 	p := sys.Prep()
-	perLandmarkBFS := time.Duration(0)
-	if p.Landmarks > 0 {
-		perLandmarkBFS = p.BFSTime / time.Duration(p.Landmarks)
-	}
 	perNodeEmbed := time.Duration(0)
 	if n := g.NumNodes(); n > 0 {
 		perNodeEmbed = p.EmbedNodeTime / time.Duration(n)
 	}
 	t := Table{Columns: columns("phase", "measured", "paper (WebGraph, 106M nodes)"), Rows: [][]any{
 		{"landmark selection", p.SelectTime, "-"},
-		{"BFS per landmark", perLandmarkBFS, "35 s"},
-		{fmt.Sprintf("BFS total (%d landmarks)", p.Landmarks), p.BFSTime, "-"},
+		// One multi-source search serves every landmark at once, so its
+		// total is the measured cost: divided by L it is no search's time.
+		{fmt.Sprintf("BFS, one sweep for all %d landmarks", p.Landmarks), p.BFSTime, "35 s per landmark"},
 		{"embedding total", p.EmbedNodeTime, "-"},
 		{"embedding per node", perNodeEmbed, "1 s"},
 	}}

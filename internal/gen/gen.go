@@ -10,7 +10,10 @@
 // Friendster's far larger average 2-hop neighbourhood, which weakens
 // caching in Figure 16(b); Freebase's sparsity).
 //
-// All generators are deterministic given a seed.
+// All generators are deterministic given a seed. Those whose edges arrive
+// grouped by source (LocalWeb, BarabasiAlbert, Cascade, Ring) write them
+// into a graph.Bulk, which lays every adjacency out once at its final size;
+// the rest grow one slice per node with AddEdgeFast.
 package gen
 
 import (
@@ -88,10 +91,10 @@ func LocalWeb(n, m, window int, hubFrac float64, seed int64) *graph.Graph {
 	if window < 2 {
 		window = 2
 	}
-	g := graph.NewWithCapacity(n)
-	g.AddNodes(n)
+	var b graph.Bulk
 	rng := xrand.New(seed)
 	for i := 0; i < n; i++ {
+		b.Begin(graph.NodeID(i))
 		for k := 0; k < m; k++ {
 			var v int
 			if rng.Float64() < hubFrac {
@@ -112,10 +115,10 @@ func LocalWeb(n, m, window int, hubFrac float64, seed int64) *graph.Graph {
 			if v == i {
 				v = (i + 1) % n
 			}
-			g.AddEdgeFast(graph.NodeID(i), graph.NodeID(v))
+			b.Edge(graph.NodeID(v))
 		}
 	}
-	return g
+	return b.Graph()
 }
 
 // BarabasiAlbert generates a preferential-attachment graph: each new node
@@ -126,8 +129,7 @@ func BarabasiAlbert(n, m int, seed int64) *graph.Graph {
 	if m < 1 {
 		m = 1
 	}
-	g := graph.NewWithCapacity(n)
-	g.AddNodes(n)
+	var b graph.Bulk
 	rng := xrand.New(seed)
 	// repeated holds one entry per edge endpoint, so uniform sampling from
 	// it is degree-proportional sampling.
@@ -138,13 +140,15 @@ func BarabasiAlbert(n, m int, seed int64) *graph.Graph {
 	}
 	// Seed clique over the first start nodes.
 	for i := 0; i < start; i++ {
+		b.Begin(graph.NodeID(i))
 		for j := 0; j < i; j++ {
-			g.AddEdgeFast(graph.NodeID(i), graph.NodeID(j))
+			b.Edge(graph.NodeID(j))
 			repeated = append(repeated, graph.NodeID(i), graph.NodeID(j))
 		}
 	}
 	for i := start; i < n; i++ {
 		u := graph.NodeID(i)
+		b.Begin(u)
 		for k := 0; k < m; k++ {
 			var v graph.NodeID
 			if len(repeated) == 0 {
@@ -152,11 +156,11 @@ func BarabasiAlbert(n, m int, seed int64) *graph.Graph {
 			} else {
 				v = repeated[rng.Intn(len(repeated))]
 			}
-			g.AddEdgeFast(u, v)
+			b.Edge(v)
 			repeated = append(repeated, u, v)
 		}
 	}
-	return g
+	return b.Graph()
 }
 
 // ErdosRenyi generates a uniform random directed graph with exactly edges
@@ -176,10 +180,13 @@ func ErdosRenyi(n, edges int, seed int64) *graph.Graph {
 // occasionally "bursting" into a popular old node. Average out-degree is
 // approximately avgDeg.
 func Cascade(n int, avgDeg float64, seed int64) *graph.Graph {
-	g := graph.NewWithCapacity(n)
-	g.AddNodes(n)
+	var b graph.Bulk
+	if n > 0 {
+		b.Begin(0) // node 0 cites nothing
+	}
 	rng := xrand.New(seed)
 	for i := 1; i < n; i++ {
+		b.Begin(graph.NodeID(i))
 		deg := int(avgDeg)
 		if rng.Float64() < avgDeg-float64(deg) {
 			deg++
@@ -198,10 +205,10 @@ func Cascade(n int, avgDeg float64, seed int64) *graph.Graph {
 				// combined with transitivity yields heavy-tailed in-degree.
 				v = rng.Intn(i)
 			}
-			g.AddEdgeFast(graph.NodeID(i), graph.NodeID(v))
+			b.Edge(graph.NodeID(v))
 		}
 	}
-	return g
+	return b.Graph()
 }
 
 // KnowledgeGraph generates a sparse labelled entity-relation graph
@@ -275,10 +282,10 @@ func Grid(w, h int) *graph.Graph {
 // Ring generates a directed cycle of n nodes: useful for worst-case
 // diameter behaviour in tests.
 func Ring(n int) *graph.Graph {
-	g := graph.NewWithCapacity(n)
-	g.AddNodes(n)
+	var b graph.Bulk
 	for i := 0; i < n; i++ {
-		g.AddEdgeFast(graph.NodeID(i), graph.NodeID((i+1)%n))
+		b.Begin(graph.NodeID(i))
+		b.Edge(graph.NodeID((i + 1) % n))
 	}
-	return g
+	return b.Graph()
 }

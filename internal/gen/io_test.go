@@ -169,6 +169,59 @@ func TestReadAdjacencyFailsLikeReplay(t *testing.T) {
 	}
 }
 
+// FuzzReadAdjacency holds ReadAdjacency to replayAdjacency on any input:
+// both accept or both refuse, with the same error text, and what they
+// accept is the same graph. An input naming a valid id above 1<<16 is
+// skipped: the replay grows one node at a time up to it, and an id near
+// 1<<32 is a graph of four billion nodes for either reader.
+func FuzzReadAdjacency(f *testing.F) {
+	for _, seed := range []string{
+		"0: 1 2\r\n1: 0\r\n2:\r\n",
+		"# 3: 4 5\n\n \t# indented\n0: 1\n",
+		"0:\u00a01\u00a02\n\u00a01\u00a0:\u00a00\u00a0\n",
+		"0:\u00851\u00852\u0085\n\u0085",
+		"0: 1\u2028 2\u3000\n",
+		"0000000001: 0000000002 00000000000000000003\n",
+		"4294967296: 1\n",
+		"0: 1 4294967296\n",
+		"0: 18446744073709551615\n",
+		"0: 18446744073709551616\n",
+		"99999999999999999999 : 1\n",
+		"0: 1 x 2\n",
+		"0 1: 2\n",
+		"no colon\n",
+		": 1\n",
+		"0: 1:2\n",
+		"\xff: 1\n",
+		"0: 1\xff 2\n",
+		"0: 1\n2: 3",
+		"",
+		"\n\n",
+	} {
+		f.Add(seed)
+	}
+	f.Add(randomAdjacencyText(rand.New(rand.NewSource(1))))
+	f.Fuzz(func(t *testing.T, text string) {
+		for _, run := range strings.FieldsFunc(text, func(r rune) bool { return r < '0' || r > '9' }) {
+			if v, err := strconv.ParseUint(run, 10, 32); err == nil && v > 1<<16 {
+				t.Skip("names an id too large to replay")
+			}
+		}
+		want, werr := replayAdjacency(strings.NewReader(text))
+		got, gerr := ReadAdjacency(strings.NewReader(text))
+		switch {
+		case (werr == nil) != (gerr == nil):
+			t.Fatalf("ReadAdjacency error %v, the replay's %v", gerr, werr)
+		case werr != nil:
+			if gerr.Error() != werr.Error() {
+				t.Fatalf("ReadAdjacency error %q, the replay's %q", gerr, werr)
+			}
+		default:
+			sameGraph(t, got, want)
+		}
+	})
+}
+
 // The load's whole point is its footprint: what ReadAdjacency allocates in
 // total must stay within a quarter of what the graph it returns keeps (the
 // append-per-edge reader allocated 3.4 x).

@@ -67,10 +67,15 @@ const (
 )
 
 // Encode serialises r, appending to buf (which may be nil) and returning
-// the extended slice. Edge lists are sorted by (To, Label) before encoding;
-// Encode does not modify r.
+// the extended slice. Edge lists are written in (To, Label) order: a list
+// already in it, as a decoded record's and most of a generated graph's in-
+// lists are, is written as it stands; any other is sorted as packed
+// To<<16 | Label keys in a buffer on the stack (pooled for a list longer
+// than stackKeys), so Encode allocates nothing but buf's growth and does
+// not modify r.
 func Encode(buf []byte, r *Record) []byte {
-	out, in := labelled(r.Out), labelled(r.In)
+	out, outOrdered := shape(r.Out)
+	in, inOrdered := shape(r.In)
 	head := uint64(r.NodeLabel)
 	if (!out && len(r.Out) > 0) || (!in && len(r.In) > 0) {
 		head |= headTagged
@@ -82,30 +87,76 @@ func Encode(buf []byte, r *Record) []byte {
 		}
 	}
 	buf = binary.AppendUvarint(buf, head)
-	buf = appendEdges(buf, r.Out, out)
-	buf = appendEdges(buf, r.In, in)
+	buf = appendEdges(buf, r.Out, out, outOrdered)
+	buf = appendEdges(buf, r.In, in, inOrdered)
 	return buf
 }
 
-// labelled reports whether any of edges carries a label.
-func labelled(edges []graph.Edge) bool {
+// edgeKey packs e so that keys order as edges do by (To, Label).
+func edgeKey(e graph.Edge) uint64 { return uint64(e.To)<<16 | uint64(e.Label) }
+
+// shape reports, in one pass, whether any of edges carries a label and
+// whether they are in (To, Label) order.
+func shape(edges []graph.Edge) (labelled, ordered bool) {
+	ordered = true
+	prev := uint64(0)
 	for _, e := range edges {
-		if e.Label != graph.NoLabel {
-			return true
-		}
+		k := edgeKey(e)
+		labelled = labelled || e.Label != graph.NoLabel
+		ordered = ordered && k >= prev
+		prev = k
 	}
-	return false
+	return labelled, ordered
 }
 
-func appendEdges(buf []byte, edges []graph.Edge, withLabels bool) []byte {
+// stackKeys is how many edges' sort keys appendEdges keeps on its stack:
+// 512 bytes, above the out-degree of nearly every generated node.
+const stackKeys = 64
+
+// keyPool holds the key buffers of lists longer than stackKeys.
+var keyPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+func appendEdges(buf []byte, edges []graph.Edge, withLabels, ordered bool) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(edges)))
+	if ordered {
+		prev := uint64(0)
+		for _, e := range edges {
+			buf = binary.AppendUvarint(buf, uint64(e.To)-prev)
+			prev = uint64(e.To)
+			if withLabels {
+				buf = binary.AppendUvarint(buf, uint64(e.Label))
+			}
+		}
+		return buf
+	}
+	if len(edges) <= stackKeys {
+		var stack [stackKeys]uint64
+		return appendKeys(buf, sortedKeys(stack[:0], edges), withLabels)
+	}
+	p := keyPool.Get().(*[]uint64)
+	*p = sortedKeys((*p)[:0], edges)
+	buf = appendKeys(buf, *p, withLabels)
+	keyPool.Put(p)
+	return buf
+}
+
+// sortedKeys appends the keys of edges to dst, which is empty, and sorts them.
+func sortedKeys(dst []uint64, edges []graph.Edge) []uint64 {
+	for _, e := range edges {
+		dst = append(dst, edgeKey(e))
+	}
+	slices.Sort(dst)
+	return dst
+}
+
+// appendKeys writes sorted keys as an edge list's body.
+func appendKeys(buf []byte, keys []uint64, withLabels bool) []byte {
 	prev := uint64(0)
-	for _, e := range sorted(edges) {
-		delta := uint64(e.To) - prev
-		prev = uint64(e.To)
-		buf = binary.AppendUvarint(buf, delta)
+	for _, k := range keys {
+		buf = binary.AppendUvarint(buf, k>>16-prev)
+		prev = k >> 16
 		if withLabels {
-			buf = binary.AppendUvarint(buf, uint64(e.Label))
+			buf = binary.AppendUvarint(buf, k&0xFFFF)
 		}
 	}
 	return buf

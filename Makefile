@@ -79,8 +79,12 @@ bench-test:
 # processors pool across concurrent batches, the processor cache whose lock
 # its concurrent executors and evictions share, and the virtual-time engine,
 # whose mutation path incorporates nodes into a live index and embedding.
+# The second line repeats the tests of the one pipelined connection a peer
+# gets — the lost-wakeup stress, a tag's lifetime, one socket per pool —
+# ten times each, as a rare interleaving is what they look for.
 race:
 	$(GO) test -race ./internal/cache ./internal/core ./internal/rpc ./internal/router ./internal/topology ./internal/kvstore ./internal/gstore ./internal/chaos ./internal/placement ./internal/mquery ./internal/embed ./internal/traverse .
+	$(GO) test -race -count=10 -run 'TestPipelinedCallsNeverStall|TestTagFreedOnReply|TestPoolHoldsOneConn' ./internal/rpc
 
 # Coverage ratchet for the storage stack the replication work lives in
 # plus the binary wire protocol, the embedding-provider subsystem and the

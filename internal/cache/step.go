@@ -184,53 +184,33 @@ func resized[T any](buf *[]T, n int) []T {
 func (c *Processor) Step(sc *Scratch, b Backend, ids []graph.NodeID, dir graph.Direction) ([]gstore.FetchResult, Counts, error) {
 	buf := resized(&sc.bytes, 2*len(ids))
 	raw := buf[:len(ids)]
-	if c == nil {
-		// ids goes to the backend as a copy: the caller's slice (often an
-		// array on its stack) must not escape through the interface.
-		miss, pos := append(sc.miss[:0], ids...), sc.pos[:0]
-		for i := range ids {
-			pos = append(pos, int32(i))
-		}
-		sc.miss, sc.pos = miss, pos
-		n := Counts{Misses: len(miss)}
-		if len(miss) > 0 {
-			if err := b.Read(miss, dir, raw, n); err != nil {
-				return nil, n, err
-			}
-		}
-		recs, err := sc.decode(ids, raw, dir, pos)
-		if err != nil {
-			return nil, n, err
-		}
-		hot := miss[:0]
-		for i, r := range recs {
-			if r.OK {
-				hot = append(hot, miss[i])
-			}
-		}
-		if len(hot) > 0 {
-			b.Heat(hot)
-		}
-		return recs, n, nil
-	}
-
+	// A nil cache holds nothing: every id is a miss, and nothing is cached.
+	// The misses go to the backend as a copy of ids, so the caller's slice
+	// (often an array on its stack) does not escape through the interface.
 	miss, pos := sc.miss[:0], sc.pos[:0]
-	c.mu.Lock()
-	seq := c.evictSeq
+	var seq uint64
+	if c != nil {
+		c.mu.Lock()
+		seq = c.evictSeq
+	}
 	for i, id := range ids {
-		if dir != graph.Out {
-			if v, ok := c.lru.Peek(uint64(id)); ok && gstore.IsPrefix(v) {
-				c.lru.Remove(uint64(id)) // so Get counts the miss it is here
+		if c != nil {
+			if dir != graph.Out {
+				if v, ok := c.lru.Peek(uint64(id)); ok && gstore.IsPrefix(v) {
+					c.lru.Remove(uint64(id)) // so Get counts the miss it is here
+				}
+			}
+			v, ok := c.lru.Get(uint64(id))
+			if raw[i] = v; ok {
+				continue
 			}
 		}
-		v, ok := c.lru.Get(uint64(id))
-		raw[i] = v
-		if !ok {
-			miss = append(miss, id)
-			pos = append(pos, int32(i))
-		}
+		miss = append(miss, id)
+		pos = append(pos, int32(i))
 	}
-	c.mu.Unlock()
+	if c != nil {
+		c.mu.Unlock()
+	}
 	sc.miss, sc.pos = miss, pos
 	n := Counts{Hits: len(ids) - len(miss), Misses: len(miss)}
 	got := buf[len(ids) : len(ids)+len(miss)]
@@ -247,19 +227,25 @@ func (c *Processor) Step(sc *Scratch, b Backend, ids []graph.NodeID, dir graph.D
 		return recs, n, err
 	}
 	hot := miss[:0] // filtered in place: miss[j] is read before hot can reach it
-	c.mu.Lock()
+	if c != nil {
+		c.mu.Lock()
+	}
 	for j, v := range got {
 		if v == nil {
 			continue // dangling id: nothing stored, nothing cached
 		}
 		id := miss[j]
-		n.Inserts++
-		if !c.evictedSince(seq, uint64(id)) {
-			c.lru.Put(uint64(id), append([]byte(nil), v...), int64(len(v)))
+		if c != nil {
+			n.Inserts++
+			if !c.evictedSince(seq, uint64(id)) {
+				c.lru.Put(uint64(id), append([]byte(nil), v...), int64(len(v)))
+			}
 		}
 		hot = append(hot, id)
 	}
-	c.mu.Unlock()
+	if c != nil {
+		c.mu.Unlock()
+	}
 	clear(got) // the scratch must not pin what the backend read
 	if len(hot) > 0 {
 		b.Heat(hot)

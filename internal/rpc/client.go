@@ -8,8 +8,8 @@ import (
 	"repro/internal/query"
 )
 
-// RouterClient is a gRouting client talking to a router daemon over a
-// connection pool, so concurrent and pipelined submissions proceed in
+// RouterClient is a gRouting client talking to a router daemon over one
+// pipelined connection, so concurrent and pipelined submissions proceed in
 // parallel.
 type RouterClient struct {
 	pool *Pool

@@ -579,9 +579,9 @@ func TestCloseWakesParkedReader(t *testing.T) {
 				t.Fatalf("call on a closed conn: err = %v, want unavailable", err)
 			}
 
-			p := NewPool(addr, 3)
+			p := NewPool(addr, 0)
 			var wg sync.WaitGroup
-			for i := 0; i < 6; i++ { // concurrent first calls fill the pool
+			for i := 0; i < 6; i++ { // concurrent first calls race to dial
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -592,15 +592,13 @@ func TestCloseWakesParkedReader(t *testing.T) {
 			}
 			wg.Wait()
 			p.mu.Lock()
-			conns := append([]*Conn(nil), p.conns...)
+			pooled := p.cn
 			p.mu.Unlock()
 			within(t, "Pool.Close", p.Close)
-			for _, cn := range conns {
-				select {
-				case <-cn.done:
-				default:
-					t.Fatal("Pool.Close returned with a demux still running")
-				}
+			select {
+			case <-pooled.done:
+			default:
+				t.Fatal("Pool.Close returned with the demux still running")
 			}
 
 			// The server's side: its read loops are parked on conns whose

@@ -545,7 +545,7 @@ func TestInvalidationQueuesFollowMembership(t *testing.T) {
 		c.run(t, 1, 11)
 	}()
 	stubs[1].next(t)
-	cn, err := Dial(c.rs.Addr())
+	cn, err := dial(c.rs.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

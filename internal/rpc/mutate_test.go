@@ -25,7 +25,7 @@ import (
 // resolve to.
 func storedAt(t *testing.T, addr string, key uint64) ([]byte, bool) {
 	t.Helper()
-	cn, err := Dial(addr)
+	cn, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,8 +33,9 @@ type ProcessorServer struct {
 
 	invalMu sync.Mutex // serialises the invalidations frames carry
 	// applied is the highest Version of a frame whose edits were applied:
-	// a frame below it was overtaken by a later one on the pooled
-	// connections, and its edits, applied now, could roll a record back.
+	// a frame below it was overtaken by a later one (the router writes from
+	// concurrent goroutines, and serveConn runs a socket's frames
+	// concurrently), and its edits, applied now, could roll a record back.
 	applied uint64
 
 	heatMu sync.Mutex // guards heat
@@ -189,7 +190,7 @@ func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {
 // each with its edit stream in Values, numbered up to Version. A frame
 // numbered at or above every frame applied before has each key's edits
 // applied in order (cache.Processor.Apply, updating a resident copy in
-// place); one numbered below — overtaken on the pooled connections — or one
+// place); one numbered below — overtaken on the way — or one
 // without an edit per key evicts its keys instead, which is always safe, and
 // is also all a processor does with the lower numbers of a restarted router.
 func (p *ProcessorServer) invalidate(req *Request) {

@@ -402,6 +402,13 @@ func putCall(ca *pcall) {
 // failure breaks it (failing every in-flight call with
 // query.ErrUnavailable), after which the owner (normally a Pool) discards
 // it.
+//
+// A tag is freed when the demux reads its reply, the reply to an abandoned
+// call included, and a new call takes a freed tag before it grows the
+// counter. So a late reply never reaches a later call, and a tag stays below
+// the calls in flight plus the abandoned ones still owed a reply: one byte
+// on the wire up to 127 of them. A peer that never answers an abandoned call
+// pins its tag until the connection closes.
 type Conn struct {
 	c    net.Conn
 	addr string
@@ -410,14 +417,12 @@ type Conn struct {
 	wmu sync.Mutex // serialises frame writes
 
 	mu      sync.Mutex
-	nextTag uint64
+	nextTag uint64   // the highest tag ever issued
+	free    []uint64 // tags whose replies were read, reissued before nextTag grows
+	// pending holds each issued tag until its reply is read: the call
+	// waiting for it, or nil once that call was abandoned.
 	pending map[uint64]*pcall
 	broken  error // non-nil once the connection is poisoned
-}
-
-// Dial connects to a daemon.
-func Dial(addr string) (*Conn, error) {
-	return DialContext(context.Background(), addr)
 }
 
 // DialContext connects to a daemon, abandoning the connection attempt
@@ -474,8 +479,14 @@ func (cn *Conn) CallInto(ctx context.Context, req *Request, resp *Response) erro
 		putCall(ca)
 		return &remoteError{addr: cn.addr, msg: "connection broken by earlier failure", kind: query.ErrUnavailable}
 	}
-	cn.nextTag++
-	tag := cn.nextTag
+	var tag uint64
+	if n := len(cn.free); n > 0 {
+		tag = cn.free[n-1]
+		cn.free = cn.free[:n-1]
+	} else {
+		cn.nextTag++
+		tag = cn.nextTag
+	}
 	cn.pending[tag] = ca
 	cn.mu.Unlock()
 
@@ -507,16 +518,18 @@ func (cn *Conn) CallInto(ctx context.Context, req *Request, resp *Response) erro
 		return cn.finishCall(ctx, ca, resp)
 	case <-ctx.Done():
 		cn.mu.Lock()
-		if _, ok := cn.pending[tag]; ok {
-			// Abandon only our own tag; the demux will discard the late
-			// response and the connection keeps serving other calls.
-			delete(cn.pending, tag)
+		if cn.pending[tag] == ca {
+			// Abandon only our own call: the tag stays issued until the
+			// demux reads and discards the late response, and the
+			// connection keeps serving other calls.
+			cn.pending[tag] = nil
 			cn.mu.Unlock()
 			putCall(ca)
 			return fmt.Errorf("rpc: %s: %w", cn.addr, ctx.Err())
 		}
 		cn.mu.Unlock()
-		// The demux claimed the call first: delivery is imminent — take it.
+		// The demux (or fail) claimed the call first, and the tag may
+		// already be reissued: delivery is imminent — take it.
 		<-ca.done
 		return cn.finishCall(ctx, ca, resp)
 	}
@@ -546,6 +559,9 @@ func (cn *Conn) fail(cause error) {
 	cn.pending = nil
 	cn.mu.Unlock()
 	for _, ca := range pend {
+		if ca == nil {
+			continue // abandoned: nobody waits for it
+		}
 		ca.err = cause
 		ca.done <- struct{}{}
 	}
@@ -553,10 +569,11 @@ func (cn *Conn) fail(cause error) {
 }
 
 // readLoop is the demux: it delivers each frame readFrames hands it to the
-// call that owns its tag. Responses to abandoned (cancelled) tags are
-// discarded. Any read or decode failure poisons the connection — after
-// readFrames has returned, since fail closes the socket and the frame
-// callback must not (see readFrames).
+// call that owns its tag and frees the tag. Responses to abandoned
+// (cancelled) calls are discarded, their tags freed all the same; a
+// response to a tag not issued is dropped. Any read or decode failure
+// poisons the connection — after readFrames has returned, since fail
+// closes the socket and the frame callback must not (see readFrames).
 func (cn *Conn) readLoop() {
 	defer close(cn.done)
 	var cause error
@@ -567,11 +584,15 @@ func (cn *Conn) readLoop() {
 			return false
 		}
 		cn.mu.Lock()
-		ca := cn.pending[tag]
-		delete(cn.pending, tag)
+		ca, issued := cn.pending[tag]
+		if issued {
+			delete(cn.pending, tag)
+			cn.free = append(cn.free, tag)
+		}
 		cn.mu.Unlock()
 		if ca == nil {
-			// Abandoned call (cancelled or timed out): drop the response.
+			// Abandoned call (cancelled or timed out), or a tag never
+			// issued: drop the response.
 			return true
 		}
 		if derr := decodeResponseInto(rest, ca.resp); derr != nil {

@@ -35,6 +35,11 @@ func startLoopback(t *testing.T, g *graph.Graph, cfg core.Config) (*Deployment, 
 	return d, cl
 }
 
+// dial connects one Conn to a daemon, as a Pool would.
+func dial(addr string) (*Conn, error) {
+	return DialContext(context.Background(), addr)
+}
+
 func TestStorageGetPut(t *testing.T) {
 	ctx := context.Background()
 	ss, err := NewStorageServer("127.0.0.1:0")
@@ -42,7 +47,7 @@ func TestStorageGetPut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	cn, err := Dial(ss.Addr())
+	cn, err := dial(ss.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +108,7 @@ func TestStorageUnknownOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	cn, err := Dial(ss.Addr())
+	cn, err := dial(ss.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +277,7 @@ func startProcessor(t *testing.T, g *graph.Graph, cacheBytes int64) (*ProcessorS
 	t.Helper()
 	d, _ := startLoopback(t, g, core.Config{StorageServers: 1, Processors: 1, CacheBytes: cacheBytes, Policy: core.PolicyHash})
 	ps := d.procs[0]
-	cn, err := Dial(ps.Addr())
+	cn, err := dial(ps.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +403,7 @@ func TestRouterValidation(t *testing.T) {
 }
 
 func TestDialFailure(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1"); err == nil {
+	if _, err := dial("127.0.0.1:1"); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 	if _, err := DialStorageReplicated(nil, 1); err == nil {

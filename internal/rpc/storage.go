@@ -184,7 +184,7 @@ type probeState struct {
 }
 
 // StorageClient is the one way a process reaches the storage tier: it
-// shards keys over a set of storage servers, one connection pool per shard,
+// shards keys over a set of storage servers, one connection per shard,
 // and resolves "where does key k live" in exactly one place (placement).
 // Placement is kvstore.Place over the shard list, the function the
 // in-process store places by: murmur at R = 1, rendezvous over R shards at
@@ -213,9 +213,8 @@ type StorageClient struct {
 	ovMu      sync.RWMutex
 	overrides map[uint64][]int
 
-	probeWake chan struct{} // markDown → probeLoop: a shard just went down
-	probeStop chan struct{}
-	closeOnce sync.Once
+	probeWake chan struct{}      // markDown → probeLoop: a shard just went down
+	probeStop context.CancelFunc // ends probeLoop and its in-flight ping
 }
 
 // DialStorageReplicated connects to every storage shard with the given
@@ -274,7 +273,6 @@ func newStorageClient(pools []*Pool, replicas int) *StorageClient {
 		slots:     make([]int, len(pools)),
 		down:      make([]atomic.Bool, len(pools)),
 		probeWake: make(chan struct{}, 1),
-		probeStop: make(chan struct{}),
 	}
 	for i := range sc.slots {
 		sc.slots[i] = i
@@ -282,13 +280,15 @@ func newStorageClient(pools []*Pool, replicas int) *StorageClient {
 	// The probe runs in every mode: even unreplicated clients mark a
 	// shard down after a failure, and only the probe clears the flag when
 	// the shard answers again.
-	go sc.probeLoop()
+	ctx, stop := context.WithCancel(context.Background())
+	sc.probeStop = stop
+	go sc.probeLoop(ctx)
 	return sc
 }
 
 // Close closes every shard pool and stops the health probe.
 func (sc *StorageClient) Close() {
-	sc.closeOnce.Do(func() { close(sc.probeStop) })
+	sc.probeStop()
 	closeAll(sc.pools)
 }
 
@@ -305,13 +305,7 @@ func (sc *StorageClient) Failovers() int64 { return sc.failovers.Load() }
 // shards that died together. A successful ping clears both the health
 // flag and the backoff. Close cancels the loop's context, so even an
 // in-flight ping unblocks immediately.
-func (sc *StorageClient) probeLoop() {
-	root, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		<-sc.probeStop
-		cancel()
-	}()
+func (sc *StorageClient) probeLoop(root context.Context) {
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	state := make([]probeState, len(sc.pools))
 	// The timer is armed only while some shard is down; with every shard
@@ -325,7 +319,7 @@ func (sc *StorageClient) probeLoop() {
 	armed := false
 	for {
 		select {
-		case <-sc.probeStop:
+		case <-root.Done():
 			return
 		case <-sc.probeWake:
 			// A call just failed: the first re-ping comes probeBase later,

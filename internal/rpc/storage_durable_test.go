@@ -24,7 +24,7 @@ func putKeys(t *testing.T, addr string, n int) []byte { return putFrames(t, addr
 // frame.
 func putFrames(t *testing.T, addr string, n, per int) []byte {
 	t.Helper()
-	cn, err := Dial(addr)
+	cn, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestStoragePutBatchConcurrent(t *testing.T) {
 // the shard accepts it.
 func callOK(t *testing.T, addr string, req *Request) Response {
 	t.Helper()
-	cn, err := Dial(addr)
+	cn, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

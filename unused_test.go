@@ -38,7 +38,10 @@ var keptUnused = map[string]string{
 // names anywhere but its own declaration, unless keptUnused gives the reason
 // it stays. Code only a test calls belongs in the tests. The check matches
 // names, not types: a method is named when any call site, interface or
-// method value anywhere names a method or function of that name.
+// method value anywhere names a method or function of that name. So it is
+// blind to a function whose name another package's function shares: a Dial
+// under internal/ that only tests call passes as long as the root package's
+// Dial has callers.
 func TestNoExportedCodeOnlyTestsCall(t *testing.T) {
 	fset := token.NewFileSet()
 	named := map[string]int{}

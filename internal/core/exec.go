@@ -114,8 +114,8 @@ func (f *fetcher) Read(ids []graph.NodeID, dir graph.Direction, dst [][]byte, pr
 		for j := range ids {
 			err = s.tier.ReadBatchInto(ids[j:j+1], dir, dst[j:j+1], func(b kvstore.Batch, bytes int64) {
 				if bytes < 0 {
-					// Failed attempt: a round trip burned discovering the
-					// replica is gone, no data moved.
+					// A failed batch costs the round trip that found no
+					// live replica; no data moved.
 					f.now += prof.RTT
 					return
 				}
@@ -135,13 +135,8 @@ func (f *fetcher) Read(ids []graph.NodeID, dir graph.Direction, dst [][]byte, pr
 		arrival := depart
 		err = s.tier.ReadBatchInto(ids, dir, dst, func(b kvstore.Batch, bytes int64) {
 			if bytes < 0 {
-				// Failed attempt: the processor pays the round trip that
-				// found the replica dead. The hook cannot tell a retried
-				// batch from a same-round sibling, so depart is left alone:
-				// siblings (modelled as issued concurrently) must not be
-				// charged for the failure, and the retry's missing extra
-				// departure delay is bounded by the RTT already folded into
-				// arrival here.
+				// A failed batch costs the round trip that found no live
+				// replica.
 				if a := depart + prof.RTT; a > arrival {
 					arrival = a
 				}

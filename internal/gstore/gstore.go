@@ -502,9 +502,6 @@ type Tier struct {
 // NewTier wraps a loaded store.
 func NewTier(st *kvstore.Store) *Tier { return &Tier{store: st} }
 
-// Store exposes the underlying KV store (for placement and batch planning).
-func (t *Tier) Store() *kvstore.Store { return t.store }
-
 // Fetch retrieves and decodes one node record. The bool reports presence.
 func (t *Tier) Fetch(id graph.NodeID) (Record, bool, error) {
 	v, ok := t.store.Get(uint64(id))
@@ -541,22 +538,10 @@ type FetchResult struct {
 type fetchScratch struct {
 	keys []uint64
 	plan kvstore.BatchPlan
-	vals [][]byte
-	oks  []bool
 	raw  [][]byte // FetchBatchInto's bytes, decoded into its dst
-	// Two retry buffer pairs, alternated per attempt: one holds the keys
-	// being retried (read side) while the other collects the next round's
-	// bounces (write side), so the lists never alias.
-	retryIDs [2][]graph.NodeID
-	retryPos [2][]int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(fetchScratch) }}
-
-// fetchAttempts bounds the replan-and-retry loop: each retry reflects one
-// storage membership transition that raced the plan, so a handful covers
-// any realistic churn without risking a livelock under continuous faults.
-const fetchAttempts = 4
 
 // FetchBatchInto retrieves and decodes many node records: ReadBatchInto,
 // then Decode of each, writing dst[i] for ids[i] (dst must have len >=
@@ -593,18 +578,16 @@ func (t *Tier) FetchBatchInto(ids []graph.NodeID, dst []FetchResult, onBatch fun
 // storage holds), grouped by owning replica: dst[i] is what it read of
 // ids[i], nil when nothing is stored (dst must have len >= len(ids)). The
 // values alias the store's own and must not be modified; a caller keeping
-// one past its next write should copy it. Batch planning and the reads run
-// through pooled buffers, so the call allocates nothing.
+// one past its next write should copy it. The keys go through one
+// kvstore.Store.ReadBatch on pooled buffers, so the read sees one storage
+// view and allocates nothing.
 //
-// Reads fail over transparently: a batch bounced off a server that a
-// concurrent membership transition made unreadable is re-planned against
-// the new storage view and retried on the keys' surviving replicas. The
-// onBatch hook observes each served batch with the bytes it shipped; a failed
-// attempt is reported with bytes == -1 (a burned round trip, no data), so
-// the engine can charge failover latency without crediting a transfer.
-// Keys whose every replica is down fail the read with an error wrapping
-// kvstore.ErrNoLiveReplica (their dst entries are nil, but they are
-// unavailable, not absent).
+// After the read, onBatch observes each batch with the bytes it shipped; a
+// failed batch is reported with bytes == -1 (a burned round trip, no data),
+// so the engine can charge the discovery latency without crediting a
+// transfer. A failed batch's keys have no reachable replica: the read
+// returns an error wrapping kvstore.ErrNoLiveReplica, and their dst entries
+// are nil, but they are unavailable, not absent.
 func (t *Tier) ReadBatchInto(ids []graph.NodeID, dir graph.Direction, dst [][]byte, onBatch func(b kvstore.Batch, bytes int64)) error {
 	if len(dst) < len(ids) {
 		return fmt.Errorf("gstore: ReadBatchInto dst len %d < %d ids", len(dst), len(ids))
@@ -613,79 +596,28 @@ func (t *Tier) ReadBatchInto(ids []graph.NodeID, dir graph.Direction, dst [][]by
 	defer scratchPool.Put(sc)
 	if cap(sc.keys) < len(ids) {
 		sc.keys = make([]uint64, len(ids))
-		sc.vals = make([][]byte, len(ids))
-		sc.oks = make([]bool, len(ids))
-		for p := range sc.retryIDs {
-			sc.retryIDs[p] = make([]graph.NodeID, 0, len(ids))
-			sc.retryPos[p] = make([]int32, 0, len(ids))
+	}
+	keys := sc.keys[:len(ids)]
+	for i, id := range ids {
+		keys[i] = uint64(id)
+	}
+	var err error
+	for _, b := range t.store.ReadBatch(&sc.plan, keys, dst[:len(ids)]) {
+		bytes := int64(-1)
+		if b.Err == nil {
+			bytes = 0 // what the batch shipped
+			for _, p := range b.Pos {
+				if dst[p] != nil {
+					dst[p] = Project(dst[p], dir)
+					bytes += int64(len(dst[p]))
+				}
+			}
+		} else if err == nil {
+			err = fmt.Errorf("gstore: %d keys on server %d: %w", len(b.Keys), b.Server, b.Err)
+		}
+		if onBatch != nil {
+			onBatch(b, bytes)
 		}
 	}
-	defer clear(sc.vals) // the pool must not pin stored bytes
-	// pend maps the current attempt's key list back to dst positions; the
-	// first attempt covers everything, retries only the bounced keys.
-	pendIDs, pendPos := ids, []int32(nil)
-	var firstErr error
-	for attempt := 0; len(pendIDs) > 0; attempt++ {
-		keys := sc.keys[:len(pendIDs)]
-		for i, id := range pendIDs {
-			keys[i] = uint64(id)
-		}
-		retryIDs := sc.retryIDs[attempt%2][:0]
-		retryPos := sc.retryPos[attempt%2][:0]
-		for _, b := range t.store.PlanBatchesIn(&sc.plan, keys) {
-			origPos := func(i int) int32 {
-				if pendPos == nil {
-					return b.Pos[i]
-				}
-				return pendPos[b.Pos[i]]
-			}
-			vals, oks := sc.vals[:len(b.Keys)], sc.oks[:len(b.Keys)]
-			_, err := t.store.GetBatchInto(b, vals, oks)
-			switch {
-			case errors.Is(err, kvstore.ErrServerDown) && attempt < fetchAttempts:
-				// Bounced: the keys have live replicas under the new view.
-				for i := range b.Keys {
-					retryIDs = append(retryIDs, graph.NodeID(b.Keys[i]))
-					retryPos = append(retryPos, origPos(i))
-				}
-				if onBatch != nil {
-					onBatch(b, -1)
-				}
-				continue
-			case err != nil:
-				// No live replica (or retries exhausted): the batch's keys
-				// cannot be distinguished from absent, so fail them all —
-				// conservative, never silently wrong.
-				for i := range b.Keys {
-					dst[origPos(i)] = nil
-				}
-				if firstErr == nil {
-					firstErr = fmt.Errorf("gstore: %d keys on server %d: %w", len(b.Keys), b.Server, err)
-				}
-				if onBatch != nil {
-					onBatch(b, -1)
-				}
-				continue
-			}
-			var bytes int64 // what the batch shipped
-			for i := range b.Keys {
-				var v []byte
-				if oks[i] {
-					if v = vals[i]; v == nil {
-						v = []byte{} // stored but empty: corrupt, not absent
-					}
-					v = Project(v, dir)
-					bytes += int64(len(v))
-				}
-				dst[origPos(i)] = v
-			}
-			if onBatch != nil {
-				onBatch(b, bytes)
-			}
-		}
-		sc.retryIDs[attempt%2], sc.retryPos[attempt%2] = retryIDs, retryPos
-		pendIDs = retryIDs
-		pendPos = retryPos
-	}
-	return firstErr
+	return err
 }

@@ -53,37 +53,48 @@ func TestFetchBatchIntoSurvivesReplicaFailure(t *testing.T) {
 	}
 }
 
-// TestFetchBatchIntoRetriesStaleBatch drives the bounce-and-replan path
-// deliberately: the fetch must succeed even when the planned server fails
-// between planning and reading — FetchBatchInto replans internally, and
-// the failed attempt is reported to onBatch with bytes == -1.
-func TestFetchBatchIntoRetriesStaleBatch(t *testing.T) {
+// TestFetchBatchIntoHookMayFailServer fails a server from inside the
+// onBatch hook: hooks run after the store's read lock is released, so the
+// membership transition neither deadlocks nor fails the read in flight,
+// and the next read is served in full from the surviving replicas.
+func TestFetchBatchIntoHookMayFailServer(t *testing.T) {
 	tier, _ := newReplicatedTier(t, 3, 2)
 	st := tier.Store()
 	ids := []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7}
+	want := make([]FetchResult, len(ids))
+	if err := tier.FetchBatchInto(ids, want, nil); err != nil {
+		t.Fatal(err)
+	}
 	dst := make([]FetchResult, len(ids))
-
-	// Fail a server mid-call by hooking the first onBatch invocation: the
-	// remaining batches of the same call (and any retried keys) must still
-	// be served. The hook fires before the failure affects the already-read
-	// batch, so we fail a *different* server than the one just read.
-	failed := false
+	failed := -1
 	err := tier.FetchBatchInto(ids, dst, func(b kvstore.Batch, bytes int64) {
-		if !failed {
-			failed = true
-			victim := (b.Server + 1) % 3
-			if _, ferr := st.FailServer(victim); ferr != nil {
-				t.Fatalf("fail %d: %v", victim, ferr)
+		if failed < 0 {
+			failed = b.Server
+			if _, ferr := st.FailServer(b.Server); ferr != nil {
+				t.Fatalf("fail %d: %v", b.Server, ferr)
 			}
 		}
 	})
 	if err != nil {
-		t.Fatalf("fetch across mid-call failure: %v", err)
+		t.Fatalf("fetch with a server failed from its hook: %v", err)
 	}
-	for i, id := range ids {
-		if !dst[i].OK {
-			t.Fatalf("node %d not served across mid-call failure", id)
+	if failed < 0 {
+		t.Fatal("hook never ran")
+	}
+	if !reflect.DeepEqual(dst, want) {
+		t.Fatalf("the read in flight when server %d failed differs from the one before", failed)
+	}
+	clear(dst)
+	err = tier.FetchBatchInto(ids, dst, func(b kvstore.Batch, bytes int64) {
+		if bytes < 0 || b.Server == failed {
+			t.Errorf("batch on server %d (failed: %d) shipped %d bytes", b.Server, failed, bytes)
 		}
+	})
+	if err != nil {
+		t.Fatalf("fetch after server %d failed: %v", failed, err)
+	}
+	if !reflect.DeepEqual(dst, want) {
+		t.Fatalf("the read after server %d failed differs from the one before", failed)
 	}
 }
 

@@ -79,19 +79,6 @@ func (s *Store) EnableDurability(cfg Durability) error {
 	return nil
 }
 
-// SyncDurability fsyncs every shard's WAL — the graceful-shutdown flush.
-func (s *Store) SyncDurability() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var first error
-	for _, sv := range s.servers {
-		if err := sv.Sync(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // CrashServer kills a shard with process-death semantics: its in-memory
 // data vanishes, its WAL file descriptor is abandoned without a sync
 // (whatever Append already handed the OS survives — nothing else), and

@@ -18,15 +18,14 @@ func countReadable(t *testing.T, s *Store, n int) int {
 	for i := range keys {
 		keys[i] = uint64(i)
 	}
+	batches, vals := readBatch(s, keys)
+	if err := batchErr(batches); err != nil {
+		t.Fatalf("ReadBatch: %v", err)
+	}
 	found := 0
-	for _, b := range planBatches(s, keys) {
-		_, err := getBatch(s, b, func(k uint64, v []byte, ok bool) {
-			if ok {
-				found++
-			}
-		})
-		if err != nil {
-			t.Fatalf("GetBatch: %v", err)
+	for _, v := range vals {
+		if v != nil {
+			found++
 		}
 	}
 	return found
@@ -233,8 +232,10 @@ func TestWholeTierColdStartFromDisk(t *testing.T) {
 	loadKeys(s1, n)
 	compactAll(t, s1)
 	s1.Delete(5)
-	if err := s1.SyncDurability(); err != nil {
-		t.Fatal(err)
+	for _, sv := range s1.servers {
+		if err := sv.Sync(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Simulate whole-process death: abandon every shard's fd.
 	for i := 0; i < s1.NumServers(); i++ {
@@ -385,7 +386,8 @@ func TestPartitionRoutesAroundAndHeals(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint64(i)
 	}
-	for _, b := range planBatches(s, keys) {
+	batches, _ := readBatch(s, keys)
+	for _, b := range batches {
 		if b.Server == 1 {
 			t.Fatal("plan routed a batch to the parted shard")
 		}
@@ -435,10 +437,9 @@ func TestPartitionSoleReplicaIsUnavailable(t *testing.T) {
 		keys[i] = uint64(i)
 	}
 	sawUnavailable := false
-	for _, b := range planBatches(s, keys) {
-		vals := make([][]byte, len(b.Keys))
-		oks := make([]bool, len(b.Keys))
-		_, err := s.GetBatchInto(b, vals, oks)
+	batches, _ := readBatch(s, keys)
+	for _, b := range batches {
+		err := b.Err
 		if b.Server == 2 {
 			if !errors.Is(err, ErrNoLiveReplica) {
 				t.Fatalf("parted sole replica: err=%v, want ErrNoLiveReplica", err)

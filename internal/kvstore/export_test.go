@@ -97,3 +97,22 @@ func (s *Store) Parted(slot int) bool {
 	defer s.mu.RUnlock()
 	return s.partedLocked(slot)
 }
+
+// Delete removes key and reports whether it was present. Deletions write
+// tombstones so a stale replica cannot resurrect the key during repair.
+func (s *Store) Delete(key uint64) bool {
+	ver := s.version.Add(1)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	present := false
+	s.writeLocked(key, func(sh *Shard) {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		sh.stats.Deletes++
+		if old, ok := sh.lookup(key); ok && !old.dead {
+			present = true
+		}
+		sh.put(key, entry{ver: ver, dead: true}, 0)
+	})
+	return present
+}

@@ -23,11 +23,13 @@
 //
 // The store is purely functional with respect to time: latency and
 // contention are modelled by the engine's network profile, which consults
-// the batch plans this package produces (which keys land on which server).
+// the batches ReadBatch returns (which keys landed on which server).
 //
 // The store is safe for concurrent use: a store-wide RWMutex orders
 // membership transitions against reads, and each server shard has its own
-// lock for data access.
+// lock for data access. ReadBatch plans a batched read and reads it under
+// one hold of the read lock, so a read sees one membership view: no
+// transition lands between choosing a key's replica and reading it.
 package kvstore
 
 import (
@@ -45,12 +47,6 @@ import (
 // served because every replica that may hold it is down. The engine maps
 // it onto the shared query.ErrUnavailable.
 var ErrNoLiveReplica = errors.New("kvstore: no live replica")
-
-// ErrServerDown is returned when a batch was planned on a server that
-// stopped being readable before the read landed (a membership transition
-// raced the plan). It is retryable: re-planning against the current view
-// finds the keys' new replicas.
-var ErrServerDown = errors.New("kvstore: server no longer readable")
 
 // Placer decides which of numServers domain positions owns a key on an
 // R = 1 store. Implementations must be deterministic and safe for
@@ -209,22 +205,12 @@ func (s *Store) viewCopyLocked() topology.View {
 	return topology.View{Epoch: s.view.Epoch, Members: append([]topology.Member(nil), s.view.Members...)}
 }
 
-// Epoch returns the storage view's current epoch.
-func (s *Store) Epoch() uint64 { return s.topo.Epoch() }
-
 // NumServers returns the number of storage slots ever allocated (left
 // members keep their slot, as in the processing tier).
 func (s *Store) NumServers() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.servers)
-}
-
-// NumActive returns the number of active storage members.
-func (s *Store) NumActive() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.view.NumActive()
 }
 
 // partedLocked reports whether slot is cut off by an injected partition.
@@ -323,7 +309,7 @@ func (s *Store) writeLocked(key uint64, write func(*Shard)) {
 // Get returns the value stored under key. The returned slice is owned by
 // the store and must not be modified. The read fails over across the key's
 // replicas; a key whose only copies are on down servers reads as absent
-// here (the batched path reports the distinction through its typed errors).
+// here (ReadBatch reports the distinction through Batch.Err).
 func (s *Store) Get(key uint64) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -383,25 +369,6 @@ func (s *Store) lookupSlowLocked(key uint64, tried int) ([]byte, bool, error) {
 		}
 	}
 	return nil, false, nil
-}
-
-// Delete removes key and reports whether it was present. Deletions write
-// tombstones so a stale replica cannot resurrect the key during repair.
-func (s *Store) Delete(key uint64) bool {
-	ver := s.version.Add(1)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	present := false
-	s.writeLocked(key, func(sh *Shard) {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		sh.stats.Deletes++
-		if old, ok := sh.lookup(key); ok && !old.dead {
-			present = true
-		}
-		sh.put(key, entry{ver: ver, dead: true}, 0)
-	})
-	return present
 }
 
 // Stats returns a snapshot of shard i's counters. The store-level read
@@ -701,19 +668,22 @@ func (s *Store) repairLocked() {
 }
 
 // Batch is the portion of a multi-get directed at a single server: the
-// unit the engine charges to that server's timeline. Pos, when non-nil,
-// holds each key's position in the original input slice so callers can
-// scatter results back positionally.
+// unit the engine charges to that server's timeline. Pos holds each key's
+// position in the input slice, so callers can find its value there. Err is
+// nil for a served batch; it wraps ErrNoLiveReplica when the batch's keys
+// have no reachable copy, and its keys then read as nil — unavailable, not
+// absent.
 type Batch struct {
 	Server int
 	Keys   []uint64
 	Pos    []int32
+	Err    error
 }
 
-// BatchPlan holds the reusable buffers behind PlanBatchesIn so the hot
-// fetch path plans every frontier without allocating. A plan belongs to
-// one caller at a time; the batches it returns alias its buffers and are
-// valid until the next PlanBatchesIn on the same plan.
+// BatchPlan holds the reusable buffers behind ReadBatch so the hot fetch
+// path reads every frontier without allocating. A plan belongs to one
+// caller at a time; the batches it returns alias its buffers and are valid
+// until the next ReadBatch on the same plan.
 type BatchPlan struct {
 	batches []Batch
 	keys    []uint64 // grouped keys, one contiguous run per server
@@ -723,16 +693,22 @@ type BatchPlan struct {
 	order   []int32  // scratch: servers in first-seen order
 }
 
-// PlanBatchesIn groups keys by read destination (the preferred replica;
-// batches in first-seen server order, input order preserved
-// within each batch), reusing plan's buffers and recording each key's input
-// position in Batch.Pos. The returned slice is valid until the next call on plan.
-func (s *Store) PlanBatchesIn(plan *BatchPlan, keys []uint64) []Batch {
+// ReadBatch reads keys into vals (len(keys), positionally aligned): vals[i]
+// is keys[i]'s value, non-nil when present (an empty value included), nil
+// when absent or unavailable. It groups the keys by read destination, the
+// preferred reachable replica — batches in first-seen server order, input
+// order kept within each batch — and reads every group, all under one hold
+// of the store's read lock, so the plan and the reads see one membership
+// view. It returns the batches, reusing plan's buffers (valid until the next
+// call on plan). The values are owned by the store and must not be
+// modified.
+func (s *Store) ReadBatch(plan *BatchPlan, keys []uint64, vals [][]byte) []Batch {
 	if len(keys) == 0 {
 		return nil
 	}
 	n := len(keys)
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	ns := len(s.servers)
 	plan.keys = grow(plan.keys, n)
 	plan.pos = grow(plan.pos, n)
@@ -750,7 +726,6 @@ func (s *Store) PlanBatchesIn(plan *BatchPlan, keys []uint64) []Batch {
 		}
 		plan.count[sv]++
 	}
-	s.mu.RUnlock()
 	// Turn per-server counts into start offsets, following first-seen order
 	// so the grouped runs line up with the batch order.
 	off := int32(0)
@@ -770,11 +745,14 @@ func (s *Store) PlanBatchesIn(plan *BatchPlan, keys []uint64) []Batch {
 	start := int32(0)
 	for _, sv := range plan.order {
 		end := plan.count[sv]
-		plan.batches = append(plan.batches, Batch{
-			Server: int(sv),
-			Keys:   plan.keys[start:end:end],
-			Pos:    plan.pos[start:end:end],
-		})
+		b := Batch{Server: int(sv), Keys: plan.keys[start:end:end], Pos: plan.pos[start:end:end]}
+		b.Err = s.readLocked(b, vals)
+		if b.Err != nil {
+			for _, p := range b.Pos {
+				vals[p] = nil
+			}
+		}
+		plan.batches = append(plan.batches, b)
 		start = end
 	}
 	return plan.batches
@@ -788,64 +766,45 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// GetBatchInto fetches every key in b into the caller-owned vals/oks
-// slices (len(b.Keys) each, positionally aligned with b.Keys) and returns
-// the total bytes read. The values are owned by the store and must not be
-// modified.
-//
-// Errors classify availability, not absence: ErrServerDown means the
-// planned server stopped being readable (re-plan and retry — the keys have
-// live replicas elsewhere; R >= 2 only); ErrNoLiveReplica means at least
-// one key's every copy is on unreachable shards, which at R = 1 is every
-// batch planned on an unreachable server (the batch's false oks are then
-// unavailable, not absent). A nil error with ok == false is a genuinely
-// absent key.
-func (s *Store) GetBatchInto(b Batch, vals [][]byte, oks []bool) (int64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if b.Server < 0 || b.Server >= len(s.servers) {
-		return 0, fmt.Errorf("kvstore: batch server %d out of range [0,%d)", b.Server, len(s.servers))
-	}
+// readLocked reads b's keys into vals at their input positions. A batch
+// lands on an unreachable server only when its keys have no reachable
+// replica — a down or parted sole owner at R = 1, or a placement set
+// parted whole — and fails with ErrNoLiveReplica. A key its server misses
+// goes to lookupSlowLocked, which serves it from another replica or
+// classifies it absent or unavailable. Caller holds s.mu (read).
+func (s *Store) readLocked(b Batch, vals [][]byte) error {
 	sv := s.servers[b.Server]
 	if s.view.Status(b.Server) != topology.Active || s.partedLocked(b.Server) {
 		sv.failovers.Add(uint64(len(b.Keys)))
-		if s.replicas == 1 {
-			return 0, fmt.Errorf("server %d (sole replica of %d keys): %w", b.Server, len(b.Keys), ErrNoLiveReplica)
-		}
-		if s.partedLocked(b.Server) {
-			// ErrServerDown promises a replan will find a reachable replica;
-			// when some key's whole placement set is parted, that promise is
-			// false and the key is unavailable.
-			for _, k := range b.Keys {
-				if s.partedLocked(s.readSlotLocked(k)) {
-					return 0, fmt.Errorf("key %d: every replica parted: %w", k, ErrNoLiveReplica)
-				}
-			}
-		}
-		return 0, fmt.Errorf("server %d: %w", b.Server, ErrServerDown)
+		return fmt.Errorf("server %d unreachable, no other replica of its %d keys: %w", b.Server, len(b.Keys), ErrNoLiveReplica)
 	}
-	bytes, misses := sv.GetInto(b.Keys, vals, oks)
+	misses := 0
+	sv.mu.RLock()
+	for j, k := range b.Keys {
+		if e, ok := sv.lookup(k); ok && !e.dead {
+			vals[b.Pos[j]] = e.val
+		} else {
+			vals[b.Pos[j]] = nil
+			misses++
+		}
+	}
+	sv.mu.RUnlock()
+	sv.gets.Add(uint64(len(b.Keys)))
 	var err error
-	if misses > 0 {
-		// Slow path: a miss on the primary is either a genuinely absent
-		// key, a stale-plan window (serve it from its surviving replica),
-		// or an unavailable key whose copies are all down.
-		for i, ok := range oks {
-			if ok {
-				continue
-			}
-			v, found, e := s.lookupSlowLocked(b.Keys[i], b.Server)
-			if found {
-				vals[i], oks[i] = v, true
-				bytes += int64(len(v))
-				misses--
-			} else if e != nil && err == nil {
-				err = e
-			}
+	for j, k := range b.Keys {
+		if misses == 0 || vals[b.Pos[j]] != nil {
+			continue
+		}
+		v, found, e := s.lookupSlowLocked(k, b.Server)
+		if found {
+			vals[b.Pos[j]] = v
+			misses--
+		} else if e != nil && err == nil {
+			err = e
 		}
 	}
 	// Reads served by another replica are not misses: Misses counts reads
 	// nobody could serve.
 	sv.misses.Add(uint64(misses))
-	return bytes, err
+	return err
 }

@@ -19,22 +19,22 @@ func mustNew(t *testing.T, n int, p Placer) *Store {
 	return s
 }
 
-// planBatches plans keys through PlanBatchesIn on a plan of its own, so the
-// batches stay valid however long the test holds them.
-func planBatches(s *Store, keys []uint64) []Batch {
-	return s.PlanBatchesIn(new(BatchPlan), keys)
+// readBatch reads keys through ReadBatch on a plan of its own, so the
+// batches stay valid however long the test holds them; vals[i] is keys[i]'s
+// value.
+func readBatch(s *Store, keys []uint64) ([]Batch, [][]byte) {
+	vals := make([][]byte, len(keys))
+	return s.ReadBatch(new(BatchPlan), keys, vals), vals
 }
 
-// getBatch fetches b through GetBatchInto and hands fn every key in order
-// with its value (nil, false when absent).
-func getBatch(s *Store, b Batch, fn func(key uint64, val []byte, ok bool)) (int64, error) {
-	vals := make([][]byte, len(b.Keys))
-	oks := make([]bool, len(b.Keys))
-	n, err := s.GetBatchInto(b, vals, oks)
-	for i, k := range b.Keys {
-		fn(k, vals[i], oks[i])
+// batchErr returns the first batch error, nil when every batch was served.
+func batchErr(batches []Batch) error {
+	for _, b := range batches {
+		if b.Err != nil {
+			return b.Err
+		}
 	}
-	return n, err
+	return nil
 }
 
 func TestNewRejectsZeroServers(t *testing.T) {
@@ -182,7 +182,7 @@ func TestPlanBatchesGroupsByServer(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint64(i)
 	}
-	batches := planBatches(s, keys)
+	batches, _ := readBatch(s, keys)
 	total := 0
 	seen := map[int]bool{}
 	for _, b := range batches {
@@ -200,8 +200,8 @@ func TestPlanBatchesGroupsByServer(t *testing.T) {
 	if total != len(keys) {
 		t.Fatalf("batches cover %d keys, want %d", total, len(keys))
 	}
-	if planBatches(s, nil) != nil {
-		t.Fatal("PlanBatchesIn(nil) != nil")
+	if b, _ := readBatch(s, nil); b != nil {
+		t.Fatal("ReadBatch(nil) != nil")
 	}
 }
 
@@ -211,23 +211,21 @@ func TestGetBatch(t *testing.T) {
 		s.Put(k, []byte{byte(k), byte(k)})
 	}
 	keys := []uint64{0, 1, 2, 3, 4, 100}
-	var got, missing int
-	var bytes int64
-	for _, b := range planBatches(s, keys) {
-		n, err := getBatch(s, b, func(k uint64, v []byte, ok bool) {
-			if ok {
-				got++
-				if len(v) != 2 || v[0] != byte(k) {
-					t.Fatalf("wrong value for key %d: %v", k, v)
-				}
-			} else {
-				missing++
+	batches, vals := readBatch(s, keys)
+	if err := batchErr(batches); err != nil {
+		t.Fatal(err)
+	}
+	var got, missing, bytes int
+	for i, k := range keys {
+		if v := vals[i]; v != nil {
+			got++
+			bytes += len(v)
+			if len(v) != 2 || v[0] != byte(k) {
+				t.Fatalf("wrong value for key %d: %v", k, v)
 			}
-		})
-		if err != nil {
-			t.Fatal(err)
+		} else {
+			missing++
 		}
-		bytes += n
 	}
 	if got != 5 || missing != 1 {
 		t.Fatalf("got=%d missing=%d, want 5/1", got, missing)
@@ -284,7 +282,8 @@ func TestQuickPlanPartition(t *testing.T) {
 		for _, k := range keys {
 			count[k]++
 		}
-		for _, b := range planBatches(s, keys) {
+		batches, _ := readBatch(s, keys)
+		for _, b := range batches {
 			for _, k := range b.Keys {
 				count[k]--
 			}
@@ -301,12 +300,19 @@ func TestQuickPlanPartition(t *testing.T) {
 	}
 }
 
-// TestPlanBatchesInMatchesPlanBatches checks the buffer-reusing planner
-// against per-key ServerFor: batches in first-seen server order, input
-// order kept within each batch, plus position indices that map every
-// grouped key back to its input slot.
-func TestPlanBatchesInMatchesPlanBatches(t *testing.T) {
+// TestReadBatchMatchesGet checks the batched read against per-key
+// ServerFor and Get on one reused plan: batches in first-seen server order,
+// input order kept within each batch, position indices that map every
+// grouped key back to its input slot, and every value Get's — present,
+// absent and empty values alike (an empty value reads non-nil).
+func TestReadBatchMatchesGet(t *testing.T) {
 	s, _ := New(5, nil)
+	for k := uint64(0); k < 1<<31; k += 1 << 25 {
+		s.Put(k, []byte{byte(k >> 25), 1})
+	}
+	for k := uint64(1); k < 1<<31; k += 1 << 27 {
+		s.Put(k, []byte{})
+	}
 	var plan BatchPlan
 	rng := uint64(1)
 	for round := 0; round < 20; round++ {
@@ -314,7 +320,8 @@ func TestPlanBatchesInMatchesPlanBatches(t *testing.T) {
 		keys := make([]uint64, n)
 		for i := range keys {
 			rng = rng*6364136223846793005 + 1442695040888963407
-			keys[i] = rng >> 33
+			// Stored keys, empty-valued keys and absent ones in turn.
+			keys[i] = []uint64{(rng >> 58) << 25, (rng>>60)<<27 + 1, rng >> 33}[i%3]
 		}
 		var order []int
 		want := map[int][]uint64{}
@@ -325,14 +332,15 @@ func TestPlanBatchesInMatchesPlanBatches(t *testing.T) {
 			}
 			want[sv] = append(want[sv], k)
 		}
-		got := s.PlanBatchesIn(&plan, keys)
+		vals := make([][]byte, n)
+		got := s.ReadBatch(&plan, keys, vals)
 		if len(got) != len(order) {
 			t.Fatalf("round %d: %d batches, want %d", round, len(got), len(order))
 		}
 		for i, sv := range order {
 			gb, wk := got[i], want[sv]
-			if gb.Server != sv {
-				t.Fatalf("round %d batch %d: server %d, want %d", round, i, gb.Server, sv)
+			if gb.Server != sv || gb.Err != nil {
+				t.Fatalf("round %d batch %d: server %d err %v, want server %d", round, i, gb.Server, gb.Err, sv)
 			}
 			if len(gb.Keys) != len(wk) || len(gb.Pos) != len(wk) {
 				t.Fatalf("round %d batch %d: %d keys / %d pos, want %d", round, i, len(gb.Keys), len(gb.Pos), len(wk))
@@ -346,34 +354,11 @@ func TestPlanBatchesInMatchesPlanBatches(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestGetBatchIntoMatchesGetBatch checks the batched read against single
-// Gets: same founds, same values, byte total the sum of the found values.
-func TestGetBatchIntoMatchesGetBatch(t *testing.T) {
-	s, _ := New(3, nil)
-	for k := uint64(0); k < 50; k++ {
-		s.Put(k, []byte{byte(k), byte(k + 1)})
-	}
-	keys := []uint64{3, 999, 7, 1000, 11}
-	for _, b := range planBatches(s, keys) {
-		vals := make([][]byte, len(b.Keys))
-		oks := make([]bool, len(b.Keys))
-		gotBytes, gotErr := s.GetBatchInto(b, vals, oks)
-		if gotErr != nil {
-			t.Fatalf("unexpected error: %v", gotErr)
-		}
-		var wantBytes int64
-		for i, key := range b.Keys {
-			val, ok := s.Get(key)
-			if oks[i] != ok || string(vals[i]) != string(val) {
-				t.Fatalf("key %d: GetBatchInto (%v, %q) != Get (%v, %q)", key, oks[i], vals[i], ok, val)
+		for i, k := range keys {
+			v, ok := s.Get(k)
+			if (vals[i] != nil) != ok || string(vals[i]) != string(v) {
+				t.Fatalf("round %d key %d: ReadBatch %q (non-nil %v) != Get (%q, %v)", round, k, vals[i], vals[i] != nil, v, ok)
 			}
-			wantBytes += int64(len(val))
-		}
-		if gotBytes != wantBytes {
-			t.Fatalf("byte totals differ: %d vs %d", gotBytes, wantBytes)
 		}
 	}
 }

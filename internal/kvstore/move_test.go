@@ -177,13 +177,13 @@ func TestOverrideFallback(t *testing.T) {
 
 func TestNumActive(t *testing.T) {
 	s := mustReplicated(t, 4, 2)
-	if s.NumActive() != 4 {
-		t.Fatalf("NumActive = %d, want 4", s.NumActive())
+	if s.View().NumActive() != 4 {
+		t.Fatalf("NumActive = %d, want 4", s.View().NumActive())
 	}
 	if _, err := s.FailServer(1); err != nil {
 		t.Fatal(err)
 	}
-	if s.NumActive() != 3 {
-		t.Fatalf("NumActive = %d after one failure, want 3", s.NumActive())
+	if s.View().NumActive() != 3 {
+		t.Fatalf("NumActive = %d after one failure, want 3", s.View().NumActive())
 	}
 }

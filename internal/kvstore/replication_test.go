@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -34,18 +35,17 @@ func readAll(t *testing.T, s *Store, n int) int {
 	for i := range keys {
 		keys[i] = uint64(i)
 	}
+	batches, vals := readBatch(s, keys)
+	if err := batchErr(batches); err != nil {
+		t.Fatalf("ReadBatch: %v", err)
+	}
 	found := 0
-	for _, b := range planBatches(s, keys) {
-		_, err := getBatch(s, b, func(k uint64, v []byte, ok bool) {
-			if ok {
-				if len(v) != 3 || v[0] != byte(k) {
-					t.Fatalf("key %d: wrong value %v", k, v)
-				}
-				found++
+	for k, v := range vals {
+		if v != nil {
+			if len(v) != 3 || v[0] != byte(k) {
+				t.Fatalf("key %d: wrong value %v", k, v)
 			}
-		})
-		if err != nil {
-			t.Fatalf("GetBatch: %v", err)
+			found++
 		}
 	}
 	return found
@@ -111,32 +111,9 @@ func TestReplicatedFailRepairsAndServes(t *testing.T) {
 	}
 }
 
-func TestReplicatedStaleBatchBouncesRetryably(t *testing.T) {
-	s := mustReplicated(t, 3, 2)
-	loadKeys(s, 100)
-	keys := []uint64{1, 2, 3, 4, 5}
-	batches := planBatches(s, keys)
-	if _, err := s.FailServer(batches[0].Server); err != nil {
-		t.Fatal(err)
-	}
-	vals := make([][]byte, len(batches[0].Keys))
-	oks := make([]bool, len(batches[0].Keys))
-	_, err := s.GetBatchInto(batches[0], vals, oks)
-	if !errors.Is(err, ErrServerDown) {
-		t.Fatalf("stale batch on failed server: err = %v, want ErrServerDown", err)
-	}
-	if st := s.Stats(batches[0].Server); st.Failovers == 0 {
-		t.Fatal("bounced reads did not count as failovers")
-	}
-	// Re-planning against the new view serves everything.
-	if got := readAll(t, s, 100); got != 100 {
-		t.Fatalf("read %d of 100 after replan", got)
-	}
-}
-
 // TestSingleReplicaFailIsNoLiveReplica: at R = 1 a down shard stays in the
-// placement domain, so a batch planned on it answers ErrNoLiveReplica, not a
-// retryable ErrServerDown.
+// placement domain, so the batch read on it fails with ErrNoLiveReplica and
+// its keys read nil.
 func TestSingleReplicaFailIsNoLiveReplica(t *testing.T) {
 	s := mustNew(t, 3, nil)
 	loadKeys(s, 300)
@@ -148,13 +125,17 @@ func TestSingleReplicaFailIsNoLiveReplica(t *testing.T) {
 		keys[i] = uint64(i)
 	}
 	sawUnavailable := false
-	for _, b := range planBatches(s, keys) {
-		vals := make([][]byte, len(b.Keys))
-		oks := make([]bool, len(b.Keys))
-		_, err := s.GetBatchInto(b, vals, oks)
+	batches, vals := readBatch(s, keys)
+	for _, b := range batches {
+		err := b.Err
 		if b.Server == 1 {
 			if !errors.Is(err, ErrNoLiveReplica) {
 				t.Fatalf("batch on down sole replica: err = %v", err)
+			}
+			for _, p := range b.Pos {
+				if vals[p] != nil {
+					t.Fatalf("key %d on the down sole replica read %v", keys[p], vals[p])
+				}
 			}
 			sawUnavailable = true
 		} else if err != nil {
@@ -426,9 +407,9 @@ func TestReplicatedPlacementProperty(t *testing.T) {
 }
 
 // TestReplicatedConcurrentChurn hammers the batched read path while
-// membership transitions land concurrently: reads must never return a
-// wrong value or a spurious absence, only success (possibly after the
-// engine-level replan the ErrServerDown bounce requests).
+// membership transitions land concurrently: ReadBatch plans and reads under
+// one view, so every round must return every key with its value and no
+// batch error — no stale plan to bounce, no replan.
 func TestReplicatedConcurrentChurn(t *testing.T) {
 	const n = 400
 	s := mustReplicated(t, 4, 2)
@@ -454,31 +435,17 @@ func TestReplicatedConcurrentChurn(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint64(i)
 	}
-	for round := 0; round < 50; round++ {
-		var plan BatchPlan
-		for attempt := 0; ; attempt++ {
-			ok := true
-			for _, b := range s.PlanBatchesIn(&plan, keys) {
-				vals := make([][]byte, len(b.Keys))
-				oks := make([]bool, len(b.Keys))
-				_, err := s.GetBatchInto(b, vals, oks)
-				if errors.Is(err, ErrServerDown) {
-					ok = false // stale plan: replan, exactly as gstore does
-					break
-				}
-				if err != nil {
-					t.Errorf("round %d: %v", round, err)
-					ok = true
-					break
-				}
-				for i, k := range b.Keys {
-					if !oks[i] || vals[i][0] != byte(k) {
-						t.Errorf("round %d: key %d read wrong (%v, %v)", round, k, oks[i], vals[i])
-					}
-				}
+	var plan BatchPlan
+	vals := make([][]byte, n)
+	for round := 0; round < 300; round++ {
+		for _, b := range s.ReadBatch(&plan, keys, vals) {
+			if b.Err != nil {
+				t.Fatalf("round %d: batch on server %d: %v", round, b.Server, b.Err)
 			}
-			if ok || attempt > 20 {
-				break
+		}
+		for i, v := range vals {
+			if v == nil || v[0] != byte(i) {
+				t.Fatalf("round %d: key %d read %v", round, i, v)
 			}
 		}
 	}
@@ -569,19 +536,52 @@ func TestStatsConcurrentWithRepair(t *testing.T) {
 func TestReplicatedGetBatchDistinguishesAbsent(t *testing.T) {
 	s := mustReplicated(t, 3, 2)
 	loadKeys(s, 50)
-	// A genuinely absent key reads ok=false with a nil error.
-	for _, b := range planBatches(s, []uint64{7, 9999}) {
-		vals := make([][]byte, len(b.Keys))
-		oks := make([]bool, len(b.Keys))
-		if _, err := s.GetBatchInto(b, vals, oks); err != nil {
-			t.Fatalf("batch with absent key errored: %v", err)
+	// A genuinely absent key reads nil with no batch error.
+	batches, vals := readBatch(s, []uint64{7, 9999})
+	if err := batchErr(batches); err != nil {
+		t.Fatalf("batch with absent key errored: %v", err)
+	}
+	if vals[0] == nil || vals[1] != nil {
+		t.Fatalf("keys 7, 9999 read %v, want present, absent", vals)
+	}
+}
+
+// TestReadBatchKeyOnlyOnUnreachableShards reads a key whose newest copy
+// sits on a down shard and whose other copy on a parted one: its read
+// replica is live but misses it, and the slow path classifies it
+// unavailable, so the whole batch fails with ErrNoLiveReplica and reads nil.
+func TestReadBatchKeyOnlyOnUnreachableShards(t *testing.T) {
+	s := mustReplicated(t, 4, 2)
+	const k = 7
+	loadKeys(s, 100)
+	pl := s.ReplicasFor(k, nil)
+	if err := s.PartitionServer(pl[0]); err != nil {
+		t.Fatal(err)
+	}
+	s.Put(k, []byte{k, 1, 1}) // lands on pl[1] only
+	if _, err := s.FailServer(pl[1]); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]uint64, 100)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	batches, vals := readBatch(s, keys)
+	for _, b := range batches {
+		if !slices.Contains(b.Keys, k) {
+			continue
 		}
-		for i, k := range b.Keys {
-			if (k == 9999) == oks[i] {
-				t.Fatalf("key %d: ok=%v", k, oks[i])
+		if b.Server == pl[0] || b.Server == pl[1] || !errors.Is(b.Err, ErrNoLiveReplica) {
+			t.Fatalf("key %d's batch on server %d (placed %v): err %v, want ErrNoLiveReplica from a live server", k, b.Server, pl, b.Err)
+		}
+		for _, p := range b.Pos {
+			if vals[p] != nil {
+				t.Fatalf("key %d of the failed batch read %v", keys[p], vals[p])
 			}
 		}
+		return
 	}
+	t.Fatalf("no batch holds key %d", k)
 }
 
 func TestReplicatedTotalBytesCountsReplicas(t *testing.T) {
@@ -597,18 +597,18 @@ func TestReplicatedTotalBytesCountsReplicas(t *testing.T) {
 
 func TestReplicatedEpochAdvances(t *testing.T) {
 	s := mustReplicated(t, 3, 2)
-	e0 := s.Epoch()
+	e0 := s.View().Epoch
 	if _, err := s.FailServer(0); err != nil {
 		t.Fatal(err)
 	}
-	if s.Epoch() != e0+1 {
-		t.Fatalf("epoch %d after fail, want %d", s.Epoch(), e0+1)
+	if s.View().Epoch != e0+1 {
+		t.Fatalf("epoch %d after fail, want %d", s.View().Epoch, e0+1)
 	}
 	if _, err := s.ReviveServer(0); err != nil {
 		t.Fatal(err)
 	}
-	if s.Epoch() != e0+2 {
-		t.Fatalf("epoch %d after revive, want %d", s.Epoch(), e0+2)
+	if s.View().Epoch != e0+2 {
+		t.Fatalf("epoch %d after revive, want %d", s.View().Epoch, e0+2)
 	}
 	for _, m := range s.View().Members {
 		if m.Tier != topology.TierStorage {

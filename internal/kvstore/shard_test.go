@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -294,8 +295,15 @@ func TestShardCountersMapsARestartedShard(t *testing.T) {
 	if _, err := s.FailServer(2); err != nil {
 		t.Fatal(err)
 	}
-	// A batch planned onto the failed slot before it failed bounces.
-	s.GetBatchInto(Batch{Server: 2, Keys: []uint64{1}}, make([][]byte, 1), make([]bool, 1))
+	// A read whose every replica is parted fails over to nothing.
+	for slot := 0; slot < 2; slot++ {
+		if err := s.PartitionServer(slot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if batches, _ := readBatch(s, []uint64{1}); !errors.Is(batchErr(batches), ErrNoLiveReplica) {
+		t.Fatalf("read with every replica parted: %v, want ErrNoLiveReplica", batchErr(batches))
+	}
 	var total metrics.StorageCounters
 	for slot := 0; slot < 3; slot++ {
 		c, st := s.Counters(slot), s.Stats(slot)

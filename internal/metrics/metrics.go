@@ -23,9 +23,6 @@ func (d *Durations) Add(v time.Duration) {
 	d.sorted = false
 }
 
-// Len returns the number of observations.
-func (d *Durations) Len() int { return len(d.vals) }
-
 // Sum returns the total of all observations.
 func (d *Durations) Sum() time.Duration {
 	var s time.Duration
@@ -64,15 +61,6 @@ func (d *Durations) Percentile(p float64) time.Duration {
 		i = len(d.vals) - 1
 	}
 	return d.vals[i]
-}
-
-// Max returns the largest observation (0 when empty).
-func (d *Durations) Max() time.Duration {
-	if len(d.vals) == 0 {
-		return 0
-	}
-	d.sort()
-	return d.vals[len(d.vals)-1]
 }
 
 func (d *Durations) sort() {

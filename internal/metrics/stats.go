@@ -33,9 +33,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// Count returns the number of samples observed.
-func (h *Histogram) Count() int64 { return h.count }
-
 // Quantile returns an upper bound for the p-quantile (p in [0,1]); 0 when
 // empty. The bound is exact for bucket boundaries and never exceeds the
 // observed maximum.

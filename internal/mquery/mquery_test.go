@@ -49,8 +49,8 @@ func drive(t *testing.T, g *graph.Graph, q query.Query) (query.Result, int) {
 			if part.Visited > 0 && units < part.Visited {
 				t.Fatalf("subtask billed %d units for %d visits", units, part.Visited)
 			}
-			if st.Kind == KindReach && part.Visited > pl.Budget() {
-				t.Fatalf("subtask visited %d nodes, budget %d", part.Visited, pl.Budget())
+			if st.Kind == KindReach && part.Visited > pl.budget {
+				t.Fatalf("subtask visited %d nodes, budget %d", part.Visited, pl.budget)
 			}
 			if err := m.Absorb(part); err != nil {
 				t.Fatalf("Absorb: %v", err)
@@ -285,8 +285,8 @@ func TestPlanReachDedupsAnchors(t *testing.T) {
 	if len(pl.Subtasks) != 3 {
 		t.Fatalf("planned %d subtasks for 3 distinct anchors", len(pl.Subtasks))
 	}
-	if pl.Budget() != 4 {
-		t.Fatalf("Budget() = %d", pl.Budget())
+	if pl.budget != 4 {
+		t.Fatalf("budget = %d", pl.budget)
 	}
 }
 

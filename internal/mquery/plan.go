@@ -25,9 +25,6 @@ type Plan struct {
 	budget int
 }
 
-// Budget returns the per-partition visit budget (KindReach plans).
-func (pl *Plan) Budget() int { return pl.budget }
-
 // NewPlan decomposes q into per-anchor subtasks. The resolver may be nil
 // when the query carries no label constraints; a labelled pattern with a
 // nil resolver fails with query.ErrBadQuery (the caller has no label

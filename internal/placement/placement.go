@@ -55,9 +55,6 @@ func (h *Heat) Record(key uint64, proc int, n int64) {
 	kh.byProc[proc] += n
 }
 
-// Len returns the number of records with non-zero heat.
-func (h *Heat) Len() int { return len(h.keys) }
-
 // Dominant returns key's hottest reader (lowest processor id on ties),
 // its read count, and the key's total reads. A key without heat returns
 // (-1, 0, 0).

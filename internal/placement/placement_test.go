@@ -55,8 +55,8 @@ func TestHeatRecordAndDominant(t *testing.T) {
 	h.Record(7, 2, 1)
 	h.Record(7, 1, 0)  // no-op
 	h.Record(7, 1, -4) // no-op
-	if h.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", h.Len())
+	if len(h.keys) != 1 {
+		t.Fatalf("%d keys with heat, want 1", len(h.keys))
 	}
 	p, r, tot := h.Dominant(7)
 	if p != 2 || r != 6 || tot != 9 {
@@ -80,8 +80,8 @@ func TestHeatDecay(t *testing.T) {
 	h.Record(1, 1, 1) // cools to zero on first decay
 	h.Record(2, 0, 1) // whole record evicted on first decay
 	h.Decay()
-	if h.Len() != 1 {
-		t.Fatalf("Len after decay = %d, want 1", h.Len())
+	if len(h.keys) != 1 {
+		t.Fatalf("%d keys with heat after decay, want 1", len(h.keys))
 	}
 	if p, r, tot := h.Dominant(1); p != 0 || r != 4 || tot != 4 {
 		t.Fatalf("Dominant after decay = (%d,%d,%d), want (0,4,4)", p, r, tot)
@@ -89,8 +89,8 @@ func TestHeatDecay(t *testing.T) {
 	h.Decay()
 	h.Decay()
 	h.Decay() // 8 halves to zero only on the fourth cycle
-	if h.Len() != 0 {
-		t.Fatalf("heat survived full decay: Len = %d", h.Len())
+	if len(h.keys) != 0 {
+		t.Fatalf("heat survived full decay: %d keys", len(h.keys))
 	}
 }
 

@@ -167,10 +167,6 @@ func (r *Router) Status(p int) topology.Status { return r.view.Status(p) }
 // processors.
 func (r *Router) Diverted() int { return r.divertedTotal }
 
-// Procs returns the number of processor slots (active or not; slots never
-// shrink).
-func (r *Router) Procs() int { return len(r.queues) }
-
 // Strategy returns the routing strategy in use.
 func (r *Router) Strategy() Strategy { return r.strategy }
 

@@ -32,15 +32,15 @@ func TestApplyViewGrowsSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Procs() != 2 || r.Epoch() != 1 {
-		t.Fatalf("initial procs/epoch = %d/%d", r.Procs(), r.Epoch())
+	if len(r.queues) != 2 || r.Epoch() != 1 {
+		t.Fatalf("initial procs/epoch = %d/%d", len(r.queues), r.Epoch())
 	}
 	slot, v := tr.Join("")
 	if moved := r.ApplyView(v); moved != 0 {
 		t.Fatalf("join reassigned %d queries", moved)
 	}
-	if r.Procs() != 3 || r.Epoch() != 2 || r.Status(slot) != topology.Active {
-		t.Fatalf("after join: procs=%d epoch=%d status=%v", r.Procs(), r.Epoch(), r.Status(slot))
+	if len(r.queues) != 3 || r.Epoch() != 2 || r.Status(slot) != topology.Active {
+		t.Fatalf("after join: procs=%d epoch=%d status=%v", len(r.queues), r.Epoch(), r.Status(slot))
 	}
 	// New member receives work.
 	routeN(r, 300)
@@ -48,7 +48,7 @@ func TestApplyViewGrowsSlots(t *testing.T) {
 		t.Fatal("joined member assigned no work")
 	}
 	// Stale views are ignored.
-	if r.ApplyView(topology.Static(1)) != 0 || r.Procs() != 3 {
+	if r.ApplyView(topology.Static(1)) != 0 || len(r.queues) != 3 {
 		t.Fatal("stale view applied")
 	}
 }
@@ -93,7 +93,7 @@ func TestApplyViewReassignsDepartedBacklog(t *testing.T) {
 	}
 	// Every query still drains through the live members.
 	drained := 0
-	for p := 0; p < r.Procs(); p++ {
+	for p := 0; p < len(r.queues); p++ {
 		for {
 			if _, ok := r.Next(p); !ok {
 				break

@@ -145,14 +145,6 @@ func (t *Timeline) SetDelay(s int, d time.Duration) {
 	t.delay[s] = d
 }
 
-// Delay returns the injected link latency for server s.
-func (t *Timeline) Delay(s int) time.Duration {
-	if s >= len(t.delay) {
-		return 0
-	}
-	return t.delay[s]
-}
-
 // Serve charges work to server s for a request arriving at start and
 // returns its finish time (arrival + queueing wait + service). Arrivals
 // slightly out of virtual-time order join the current backlog without
@@ -172,15 +164,3 @@ func (t *Timeline) Serve(s int, start, work time.Duration) time.Duration {
 	t.backlog[s] += work
 	return start + wait + work + t.delay[s]
 }
-
-// Reset returns all servers to idle at t=0 (injected delays persist —
-// they model link state, not load).
-func (t *Timeline) Reset() {
-	for i := range t.backlog {
-		t.backlog[i] = 0
-		t.lastAt[i] = 0
-	}
-}
-
-// NumServers returns the number of tracked servers.
-func (t *Timeline) NumServers() int { return len(t.backlog) }

@@ -65,18 +65,6 @@ func TestTimelineIdleGap(t *testing.T) {
 	}
 }
 
-func TestTimelineReset(t *testing.T) {
-	tl := NewTimeline(3)
-	tl.Serve(2, 0, 50)
-	tl.Reset()
-	if tl.Available(2) != 0 {
-		t.Fatal("Reset did not clear state")
-	}
-	if tl.NumServers() != 3 {
-		t.Fatalf("NumServers = %d", tl.NumServers())
-	}
-}
-
 func TestContentionGrowsWithLoad(t *testing.T) {
 	// The Figure 8(c) mechanism: the same total work on fewer servers
 	// yields later completion.

@@ -10,8 +10,8 @@ func TestTierString(t *testing.T) {
 
 func TestTierTrackerMembersCarryTier(t *testing.T) {
 	tr := NewTierTracker(TierStorage, 3)
-	if tr.Tier() != TierStorage {
-		t.Fatalf("Tier() = %v", tr.Tier())
+	if tr.tier != TierStorage {
+		t.Fatalf("tier = %v", tr.tier)
 	}
 	for _, m := range tr.View().Members {
 		if m.Tier != TierStorage {
@@ -25,7 +25,7 @@ func TestTierTrackerMembersCarryTier(t *testing.T) {
 	// The processor-tier constructors keep the zero tier, so existing
 	// slot-indexed accounting is untouched.
 	pr := NewTracker(2, nil)
-	if pr.Tier() != TierProcessor || pr.View().Members[0].Tier != TierProcessor {
+	if pr.tier != TierProcessor || pr.View().Members[0].Tier != TierProcessor {
 		t.Fatal("NewTracker must seed processor-tier members")
 	}
 }

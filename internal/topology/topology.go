@@ -254,9 +254,6 @@ func NewTierTrackerAddrs(tier Tier, addrs []string) *Tracker {
 	return t
 }
 
-// Tier returns which tier this tracker's members serve.
-func (t *Tracker) Tier() Tier { return t.tier }
-
 // View returns the current view.
 func (t *Tracker) View() View {
 	t.mu.Lock()

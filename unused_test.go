@@ -29,7 +29,6 @@ var keptUnused = map[string]string{
 	"rpc.(*Deployment).JoinProcessor": "the re-registration a router restart on a loopback deployment is to reuse (ROADMAP item 16(a))",
 	"rpc.(*remoteError).Unwrap":       "errors.Is and errors.As call it through the Unwrap interface",
 	"kvstore.(*Store).Repair":         "the in-process side of the one repair planner (ROADMAP item 10(c))",
-	"kvstore.(*Store).SyncDurability": "a durability flush: the graceful-shutdown fsync of every shard's WAL",
 }
 
 // TestNoExportedCodeOnlyTestsCall parses every non-test Go file of the

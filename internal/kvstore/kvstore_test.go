@@ -300,29 +300,41 @@ func TestQuickPlanPartition(t *testing.T) {
 	}
 }
 
-// TestReadBatchMatchesGet checks the batched read against per-key
-// ServerFor and Get on one reused plan: batches in first-seen server order,
-// input order kept within each batch, position indices that map every
-// grouped key back to its input slot, and every value Get's — present,
-// absent and empty values alike (an empty value reads non-nil).
-func TestReadBatchMatchesGet(t *testing.T) {
-	s, _ := New(5, nil)
+// putMixed stores two-byte values under every multiple of 1<<25 below 1<<31
+// and empty values under 1 + every multiple of 1<<27, so mixedKeys can draw
+// present, empty-valued and (almost always) absent keys.
+func putMixed(s *Store) {
 	for k := uint64(0); k < 1<<31; k += 1 << 25 {
 		s.Put(k, []byte{byte(k >> 25), 1})
 	}
 	for k := uint64(1); k < 1<<31; k += 1 << 27 {
 		s.Put(k, []byte{})
 	}
+}
+
+// mixedKeys returns round's keys (a length that varies with round, zero
+// included): stored keys, empty-valued keys and random ones in turn.
+func mixedKeys(rng *uint64, round int) []uint64 {
+	keys := make([]uint64, round*7%23)
+	for i := range keys {
+		*rng = *rng*6364136223846793005 + 1442695040888963407
+		r := *rng
+		keys[i] = []uint64{(r >> 58) << 25, (r>>60)<<27 + 1, r >> 33}[i%3]
+	}
+	return keys
+}
+
+// TestPlanBatchesInMatchesPlanBatches checks ReadBatch's grouping on one
+// reused plan against per-key ServerFor: batches in first-seen server
+// order, input order kept within each batch, plus position indices that
+// map every grouped key back to its input slot.
+func TestPlanBatchesInMatchesPlanBatches(t *testing.T) {
+	s, _ := New(5, nil)
+	putMixed(s)
 	var plan BatchPlan
 	rng := uint64(1)
 	for round := 0; round < 20; round++ {
-		n := round * 7 % 23
-		keys := make([]uint64, n)
-		for i := range keys {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			// Stored keys, empty-valued keys and absent ones in turn.
-			keys[i] = []uint64{(rng >> 58) << 25, (rng>>60)<<27 + 1, rng >> 33}[i%3]
-		}
+		keys := mixedKeys(&rng, round)
 		var order []int
 		want := map[int][]uint64{}
 		for _, k := range keys {
@@ -332,8 +344,7 @@ func TestReadBatchMatchesGet(t *testing.T) {
 			}
 			want[sv] = append(want[sv], k)
 		}
-		vals := make([][]byte, n)
-		got := s.ReadBatch(&plan, keys, vals)
+		got := s.ReadBatch(&plan, keys, make([][]byte, len(keys)))
 		if len(got) != len(order) {
 			t.Fatalf("round %d: %d batches, want %d", round, len(got), len(order))
 		}
@@ -354,11 +365,35 @@ func TestReadBatchMatchesGet(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGetBatchIntoMatchesGetBatch checks ReadBatch's values on one reused
+// plan against single Gets: every value Get's — present, absent and empty
+// values alike (an empty value reads non-nil) — and the byte total of the
+// values read the sum of Get's.
+func TestGetBatchIntoMatchesGetBatch(t *testing.T) {
+	s, _ := New(5, nil)
+	putMixed(s)
+	var plan BatchPlan
+	rng := uint64(1)
+	for round := 0; round < 20; round++ {
+		keys := mixedKeys(&rng, round)
+		vals := make([][]byte, len(keys))
+		if err := batchErr(s.ReadBatch(&plan, keys, vals)); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		var gotBytes, wantBytes int
 		for i, k := range keys {
 			v, ok := s.Get(k)
 			if (vals[i] != nil) != ok || string(vals[i]) != string(v) {
 				t.Fatalf("round %d key %d: ReadBatch %q (non-nil %v) != Get (%q, %v)", round, k, vals[i], vals[i] != nil, v, ok)
 			}
+			gotBytes += len(vals[i])
+			wantBytes += len(v)
+		}
+		if gotBytes != wantBytes {
+			t.Fatalf("round %d: byte totals differ: %d vs %d", round, gotBytes, wantBytes)
 		}
 	}
 }

@@ -35,11 +35,12 @@ test:
 	$(GO) test ./...
 
 # The kernel-crossings ledger of README's "Performance log", measured from
-# /proc/self/io by the six budget tests and printed one line per row — the
-# table is pasted from this, not from memory. A budget that fails prints the
+# /proc/<pid>/io by the eight budget tests and printed one line per row — the
+# table is pasted from this, not from memory. The pipelined and deadline ping
+# rows run both ends as child processes. A budget that fails prints the
 # whole test output instead.
 ledger:
-	@out=$$($(GO) test -count=1 -v -run 'TestPingCrossings|TestTCPCrossingsBudget|TestKNNCrossingsBudget|TestLoadCrossingsBudget|TestMutateCrossingsBudget|TestReadAfterWriteCrossings' ./internal/rpc . 2>&1) || { echo "$$out"; exit 1; }; \
+	@out=$$($(GO) test -count=1 -v -run 'TestPingCrossings|TestPipelinedPingCrossings|TestDeadlinePingCrossings|TestTCPCrossingsBudget|TestKNNCrossingsBudget|TestLoadCrossingsBudget|TestMutateCrossingsBudget|TestReadAfterWriteCrossings' ./internal/rpc . 2>&1) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -o '[0-9.]* read/write calls per .*'
 
 # The per-role memory budget of README's "Memory budget" table: what two
@@ -80,12 +81,13 @@ bench-test:
 # its concurrent executors and evictions share, and the virtual-time engine,
 # whose mutation path incorporates nodes into a live index and embedding.
 # The second line repeats the tests of the one pipelined connection a peer
-# gets — the lost-wakeup stress, a tag's lifetime, one socket per pool —
-# and the batched storage read under concurrent fails and revives, ten
-# times each, as a rare interleaving is what they look for.
+# gets — the lost-wakeup stress, a close behind a reply while another is
+# owed, a tag's lifetime, one socket per pool — and the batched storage read
+# under concurrent fails and revives, ten times each, as a rare interleaving
+# is what they look for.
 race:
 	$(GO) test -race ./internal/cache ./internal/core ./internal/rpc ./internal/router ./internal/topology ./internal/kvstore ./internal/gstore ./internal/chaos ./internal/placement ./internal/mquery ./internal/embed ./internal/traverse .
-	$(GO) test -race -count=10 -run 'TestPipelinedCallsNeverStall|TestTagFreedOnReply|TestPoolHoldsOneConn|TestReplicatedConcurrentChurn' ./internal/rpc ./internal/kvstore
+	$(GO) test -race -count=10 -run 'TestPipelinedCallsNeverStall|TestOwedCallSeesCloseBehindReply|TestTagFreedOnReply|TestPoolHoldsOneConn|TestReplicatedConcurrentChurn' ./internal/rpc ./internal/kvstore
 
 # Coverage ratchet for the storage stack the replication work lives in
 # plus the binary wire protocol, the embedding-provider subsystem and the

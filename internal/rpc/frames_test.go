@@ -669,9 +669,12 @@ func TestPipelinedCallsNeverStall(t *testing.T) {
 // ioCrossings reads this process's read(2)+write(2) family call count from
 // /proc/self/io — what strace -c would total, without strace. Tests that
 // compare two readings must not run in parallel with anything.
-func ioCrossings(t *testing.T) int64 {
+func ioCrossings(t *testing.T) int64 { return procCrossings(t, "self") }
+
+// procCrossings is ioCrossings for process pid ("self", or a child's).
+func procCrossings(t *testing.T, pid string) int64 {
 	t.Helper()
-	data, err := os.ReadFile("/proc/self/io")
+	data, err := os.ReadFile("/proc/" + pid + "/io")
 	if err != nil {
 		t.Skipf("no per-process I/O accounting here: %v", err)
 	}
@@ -684,13 +687,13 @@ func ioCrossings(t *testing.T) int64 {
 		}
 		n, err := strconv.ParseInt(strings.TrimSpace(val), 10, 64)
 		if err != nil {
-			t.Skipf("unreadable /proc/self/io line %q", line)
+			t.Skipf("unreadable /proc/%s/io line %q", pid, line)
 		}
 		total += n
 		found++
 	}
 	if found != 2 {
-		t.Skipf("/proc/self/io has no syscr/syscw")
+		t.Skipf("/proc/%s/io has no syscr/syscw", pid)
 	}
 	return total
 }

@@ -611,9 +611,12 @@ func (cn *Conn) readLoop() {
 
 // callsPending tells the reader whether the peer owes this end a response:
 // while it does, a peer that closes must be noticed without this end
-// writing first, or those calls would wait on a dead stream. A call that
-// registers after the check writes after it, and that write provokes the
-// reset the parked reader wakes on.
+// writing first, or those calls would wait on a dead stream. So while it
+// reports true the reader parks under a read deadline, and a close behind
+// the last reply read fails the calls within finProbe (readFrames); while
+// it reports false no deadline is armed. A call that registers after the
+// check writes after it, and that write provokes the reset the parked
+// reader wakes on.
 func (cn *Conn) callsPending() bool {
 	cn.mu.Lock()
 	defer cn.mu.Unlock()

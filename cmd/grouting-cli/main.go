@@ -26,11 +26,6 @@
 //	grouting-cli -router 127.0.0.1:7200 -put "900001:city,900001->17:near"
 //	grouting-cli -router 127.0.0.1:7200 -del "900001->17"
 //
-//	# adaptive placement: trigger a planning cycle, inspect the counters
-//	# and the migration log
-//	grouting-cli -router 127.0.0.1:7200 -migrate
-//	grouting-cli -router 127.0.0.1:7200 -placement
-//
 //	# ad-hoc multi-anchor queries: a two-anchor pattern join (anchors 7
 //	# and 9 sharing an out-neighbour) and a budgeted multi-source
 //	# reachability (partial evaluation, 8 visits per subtask)
@@ -85,8 +80,6 @@ func main() {
 		topo       = flag.Bool("topology", false, "print the processing tier's topology (epoch, member status, transition log) and exit")
 		put        = flag.String("put", "", `mutations to apply and exit: "id", "id:label", "u->v", "u->v:label", comma-separated`)
 		del        = flag.String("del", "", `edges to remove and exit: "u->v", comma-separated (combines with -put in one batch, puts first)`)
-		migrate    = flag.Bool("migrate", false, "trigger one adaptive-placement planning cycle on the router and exit")
-		placementV = flag.Bool("placement", false, "print the adaptive-placement counters and migration log and exit")
 		patternF   = flag.String("pattern", "", `ad-hoc pattern query: template edges "u->v[:elabel]" comma-separated; numeric endpoints anchor at that node, names are free variables, "name=label" constrains a variable's node label (e.g. "7->x,9->x,x=paper")`)
 		reachF     = flag.String("reach", "", `ad-hoc bounded-reachability query "a1+a2+...->target" (multi-anchor; depth -h, per-subtask budget -budget)`)
 		knnF       = flag.String("knn", "", `ad-hoc k-nearest query: anchor node id (candidates within -h undirected hops, ranked by the router's embedding, top -k returned)`)
@@ -142,31 +135,6 @@ func main() {
 			exitOn(fmt.Errorf("applied %d of %d mutations: %w", n, len(muts), err))
 		}
 		fmt.Printf("applied %d mutations\n", n)
-		return
-	}
-
-	if *migrate {
-		if *routerAddr == "" {
-			exitOn(fmt.Errorf("-migrate needs -router"))
-		}
-		moved, err := grouting.TriggerPlacement(ctx, *routerAddr)
-		exitOn(err)
-		fmt.Printf("placement cycle moved %d records\n", moved)
-		if !*placementV {
-			return
-		}
-	}
-
-	if *placementV {
-		if *routerAddr == "" {
-			exitOn(fmt.Errorf("-placement needs -router"))
-		}
-		cl, err := grouting.Dial(ctx, *routerAddr)
-		exitOn(err)
-		defer cl.Close()
-		snap, err := cl.Stats(ctx)
-		exitOn(err)
-		fmt.Print(placementTable(&snap))
 		return
 	}
 
@@ -456,29 +424,6 @@ func parseNodeID(s string) (grouting.NodeID, error) {
 		return 0, fmt.Errorf("bad node id %q", s)
 	}
 	return grouting.NodeID(n), nil
-}
-
-// placementTable renders the adaptive-placement subsystem's counters and
-// its migration log from a Stats snapshot.
-func placementTable(snap *grouting.Stats) string {
-	var b strings.Builder
-	p := snap.Placement
-	budget := "unbounded"
-	if p.BudgetBytes > 0 {
-		budget = fmt.Sprintf("%d KiB", p.BudgetBytes>>10)
-	}
-	fmt.Fprintf(&b, "placement: %d cycles, %d moved of %d planned (%d KiB, budget %s/cycle), %d records pinned\n",
-		p.Cycles, p.Moved, p.Planned, p.MovedBytes>>10, budget, p.Overrides)
-	fmt.Fprintf(&b, "skipped: %d over budget, %d below hysteresis; %d mutations applied\n",
-		p.SkippedBudget, p.SkippedCold, snap.Mutations)
-	if len(snap.PlacementLog) > 0 {
-		t := metrics.NewTable("key", "from", "to", "reader", "reads", "bytes")
-		for _, e := range snap.PlacementLog {
-			t.AddRow(e.Key, e.From, e.To, e.Reader, e.Reads, e.Bytes)
-		}
-		b.WriteString(t.String())
-	}
-	return b.String()
 }
 
 // policyTable renders the strategy registry as an aligned table.

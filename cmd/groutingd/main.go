@@ -77,11 +77,6 @@ func main() {
 		graphScale = flag.Float64("graphscale", 0.05, "dataset scale for preprocessing (router role)")
 		seed       = flag.Int64("seed", 42, "generator / preprocessing seed")
 		embedFile  = flag.String("embed-file", "", "router role: precomputed embedding artifact (grouting.WriteEmbeddingFile) used in place of the learned embedding for routing and k-nearest queries")
-
-		adaptive      = flag.Bool("adaptive", false, "router role: enable workload-adaptive placement (needs -storage)")
-		placeBudgetKB = flag.Int64("placement-budget-kb", 0, "router role: bytes migrated per placement cycle in KiB (0 = unbounded)")
-		placeEvery    = flag.Int("placement-every", 0, "router role: run a placement cycle every N completed queries (0 = only explicit grouting-cli -migrate)")
-		placeMinReads = flag.Int64("placement-min-reads", 0, "router role: planner hysteresis floor, reads per record per cycle (0 = default)")
 	)
 	flag.Parse()
 
@@ -161,8 +156,6 @@ func main() {
 		exitOn(err)
 		spec := grouting.RouterSpec{
 			Processors: addrs, Policy: pol, Seed: *seed, StorageReplicas: *replicas,
-			AdaptivePlacement: *adaptive, PlacementBudget: *placeBudgetKB << 10,
-			PlacementEvery: *placeEvery, PlacementMinReads: *placeMinReads,
 		}
 		if *storage != "" {
 			saddrs, err := cliutil.SplitAddrs(*storage)

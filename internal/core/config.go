@@ -162,7 +162,8 @@ type Config struct {
 	// migrates hot records toward their dominant reader's near storage
 	// slot as bounded copy-then-tombstone moves. Off by default — no heat
 	// is recorded and no record ever moves. Works at any StorageReplicas
-	// and with a custom Placer.
+	// and with a custom Placer. Virtual time only: rpc.Loopback refuses it,
+	// as over TCP no shard is nearer a processor than another.
 	AdaptivePlacement bool
 	// PlacementBudget bounds the record bytes migrated per planning cycle
 	// (<= 0 means unbounded, the offline re-load baseline). Ignored

@@ -215,7 +215,8 @@ type StorageCounters struct {
 
 // PlacementCounters is the adaptive-placement subsystem's share of a
 // Snapshot: what the background planner has done since the system started.
-// All-zero when the subsystem is disabled.
+// All-zero when the subsystem is disabled, and on the TCP transport, which
+// does not place adaptively.
 type PlacementCounters struct {
 	// Cycles counts planner runs; Planned the migrations those runs
 	// proposed; Moved the migrations actually executed (Planned minus

@@ -9,10 +9,12 @@
 // decides *what* should move and *where*, applying hysteresis (cold
 // records and records without a sufficiently dominant reader never move)
 // and a per-cycle byte budget (a migration storm can never starve the
-// query path). The deployment — the virtual-time engine or the networked
-// router — executes each move as a versioned copy-then-tombstone
+// query path). The deployment — the virtual-time engine, the only one that
+// places adaptively — executes each move as a versioned copy-then-tombstone
 // relocation and reports the outcome back, so the planner's counters and
-// decision log always describe what actually happened.
+// decision log always describe what actually happened. Over TCP every shard
+// is equally far from every processor, so a move has no read path to
+// shorten there; the networked deployment places by kvstore.Place alone.
 //
 // This is PHD-Store's incremental redistribution and Peng et al.'s
 // workload-based fragmentation (see PAPERS.md) landed on the decoupled
@@ -27,8 +29,8 @@ import (
 
 // Heat accumulates storage-read counts per record, attributed to the
 // reading processor. Cache hits contribute nothing — a record the caches
-// absorb needs no migration. Not safe for concurrent use; each owner
-// (session or router) guards its own.
+// absorb needs no migration. Not safe for concurrent use; its owner, the
+// session, guards it.
 type Heat struct {
 	keys map[uint64]*keyHeat
 }

@@ -93,14 +93,6 @@ func (c *RouterClient) Mutate(ctx context.Context, muts []query.Mutation) (int, 
 	return resp.Applied, err
 }
 
-// Migrate asks the router to run one adaptive-placement planning cycle now
-// and returns how many records moved. Routers without the subsystem
-// enabled reject it with query.ErrBadQuery.
-func (c *RouterClient) Migrate(ctx context.Context) (int, error) {
-	resp, err := c.pool.Call(ctx, &Request{Op: OpMigrate})
-	return resp.Applied, err
-}
-
 // Stats fetches the deployment's observability snapshot from the router
 // in one OpStats round trip.
 func (c *RouterClient) Stats(ctx context.Context) (*metrics.Snapshot, error) {

@@ -3,9 +3,7 @@ package rpc
 import (
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"reflect"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/mquery"
@@ -29,10 +27,10 @@ const (
 	reqTier
 	reqVersion
 	reqMuts
-	reqOverrides
+	_ // retired: the placement-override table of the old OpPlacement
 	reqValues
 	reqOutOnly // no payload: the bit is the field
-	reqKnown   = reqKeys | reqExec | reqAddr | reqProc | reqTier | reqVersion | reqMuts | reqOverrides | reqValues | reqOutOnly
+	reqKnown   = reqKeys | reqExec | reqAddr | reqProc | reqTier | reqVersion | reqMuts | reqValues | reqOutOnly
 )
 
 const (
@@ -45,8 +43,8 @@ const (
 	respProc
 	respStats
 	respApplied
-	respHot
-	respKnown = respValues | respResults | respPartials | respEpoch | respProc | respStats | respApplied | respHot
+	_         // retired: the hot-record list of the old OpHeat
+	respKnown = respValues | respResults | respPartials | respEpoch | respProc | respStats | respApplied
 )
 
 // Response status byte: 0 = OK, 1 = not-OK without an error (unused by the
@@ -123,9 +121,6 @@ func encodeRequestFrame(buf []byte, tag uint64, req *Request, deadline int64, sc
 	if len(req.Muts) > 0 {
 		bits |= reqMuts
 	}
-	if len(req.Overrides) > 0 {
-		bits |= reqOverrides
-	}
 	if len(req.Values) > 0 {
 		bits |= reqValues
 	}
@@ -165,18 +160,6 @@ func encodeRequestFrame(buf []byte, tag uint64, req *Request, deadline int64, sc
 			buf = wire.AppendStr(buf, m.Label)
 		}
 	}
-	if bits&reqOverrides != 0 {
-		// Ascending keys: the same table always encodes to the same bytes.
-		buf = binary.AppendUvarint(buf, uint64(len(req.Overrides)))
-		for _, k := range slices.Sorted(maps.Keys(req.Overrides)) {
-			slots := req.Overrides[k]
-			buf = binary.AppendUvarint(buf, k)
-			buf = binary.AppendUvarint(buf, uint64(len(slots)))
-			for _, s := range slots {
-				buf = binary.AppendVarint(buf, int64(s))
-			}
-		}
-	}
 	if bits&reqValues != 0 {
 		buf = binary.AppendUvarint(buf, uint64(len(req.Values)))
 		for _, v := range req.Values {
@@ -191,8 +174,7 @@ func encodeRequestFrame(buf []byte, tag uint64, req *Request, deadline int64, sc
 // server side recycles Requests, so a steady-state decode allocates
 // nothing. The values of an OpMultiPut are copied out of the payload, which
 // the connection reuses, into one buffer the request keeps; the storage
-// shard copies what it stores. Overrides are the exception: always a fresh
-// map, because the placement handler keeps it after the request completes.
+// shard copies what it stores.
 func decodeRequestInto(payload []byte, req *Request) error {
 	keys := req.Keys
 	values, valBuf := req.Values, req.valBuf
@@ -242,23 +224,6 @@ func decodeRequestInto(payload []byte, req *Request) error {
 			muts = append(muts, m)
 		}
 		req.Muts = muts
-	}
-	if bits&reqOverrides != 0 {
-		n := d.Count(maxFrame)
-		if n > 0 {
-			req.Overrides = make(map[uint64][]int, n)
-			for i := 0; i < n; i++ {
-				k := d.Uvarint()
-				ns := d.Count(maxFrame)
-				slots := make([]int, ns)
-				for j := range slots {
-					slots[j] = int(d.Varint())
-				}
-				if !d.Failed() {
-					req.Overrides[k] = slots
-				}
-			}
-		}
 	}
 	if bits&reqValues != 0 {
 		n := d.Count(maxFrame)
@@ -597,9 +562,6 @@ func encodeResponseFrame(buf []byte, tag uint64, resp *Response, scratch *[]byte
 	if resp.Applied != 0 {
 		bits |= respApplied
 	}
-	if len(resp.Hot) > 0 {
-		bits |= respHot
-	}
 	buf = binary.AppendUvarint(buf, bits)
 
 	if bits&respValues != 0 {
@@ -636,13 +598,6 @@ func encodeResponseFrame(buf []byte, tag uint64, resp *Response, scratch *[]byte
 	if bits&respApplied != 0 {
 		buf = binary.AppendVarint(buf, int64(resp.Applied))
 	}
-	if bits&respHot != 0 {
-		buf = binary.AppendUvarint(buf, uint64(len(resp.Hot)))
-		for _, h := range resp.Hot {
-			buf = binary.AppendUvarint(buf, h.Key)
-			buf = binary.AppendVarint(buf, h.Reads)
-		}
-	}
 	return finishFrame(buf)
 }
 
@@ -654,7 +609,6 @@ func decodeResponseInto(payload []byte, resp *Response) error {
 	founds := resp.Founds
 	results := resp.Results
 	partials := resp.Partials
-	hot := resp.Hot
 	*resp = Response{}
 
 	d := wire.NewReader(payload)
@@ -727,16 +681,6 @@ func decodeResponseInto(payload []byte, resp *Response) error {
 	}
 	if bits&respApplied != 0 {
 		resp.Applied = int(d.Varint())
-	}
-	if bits&respHot != 0 {
-		n := d.Count(maxFrame)
-		hot = hot[:0]
-		for i := 0; i < n; i++ {
-			k := d.Uvarint()
-			r := d.Varint()
-			hot = append(hot, HotKey{Key: k, Reads: r})
-		}
-		resp.Hot = hot
 	}
 	return d.Finish("rpc: response")
 }

@@ -23,7 +23,8 @@ var ErrUnsupported = errors.New("rpc: a loopback deployment cannot honour")
 // honour, wrapped around ErrUnsupported; nil when there is none.
 // DisableStealing is not among them: the TCP router never steals, whatever
 // its value (ROADMAP item 13). PreprocessFraction is honoured: the router's
-// tables come from the same router.Prepare call.
+// tables come from the same router.Prepare call. The Placement* fields are
+// not listed: core.Config reads them only under AdaptivePlacement.
 func refuse(cfg core.Config) error {
 	var fields []string
 	for _, f := range []struct {
@@ -34,6 +35,7 @@ func refuse(cfg core.Config) error {
 		{cfg.NoBatching, "NoBatching (a processor reads each level in one MultiGet)"},
 		{cfg.StorageAffinity > 1, "StorageAffinity (a virtual-time cost, not a placement)"},
 		{cfg.Placer != nil, "Placer (every StorageClient places by kvstore.Place's default)"},
+		{cfg.AdaptivePlacement, "AdaptivePlacement (records move in virtual time only)"},
 		{len(cfg.FailedProcessors) > 0, "FailedProcessors (every processor starts active)"},
 	} {
 		if f.set {
@@ -67,7 +69,7 @@ type Deployment struct {
 //   - a router whose tables follow cfg's Landmarks, MinSeparation,
 //     Dimensions, Seed, PreprocessFraction and EmbedProvider, which routes
 //     at cfg's LoadFactor and Alpha, writes through the shards and holds
-//     g's label table, with adaptive placement as cfg sets it.
+//     g's label table.
 //
 // A field the sockets cannot honour is refused with an error wrapping
 // ErrUnsupported. Close stops every daemon.
@@ -109,14 +111,10 @@ func (d *Deployment) start(ctx context.Context, g *graph.Graph) error {
 		return err
 	}
 	rc := RouterConfig{
-		Policy:            d.cfg.Policy,
-		Graph:             g,
-		Storage:           d.storageAddrs,
-		StorageReplicas:   d.cfg.StorageReplicas,
-		AdaptivePlacement: d.cfg.AdaptivePlacement,
-		PlacementBudget:   d.cfg.PlacementBudget,
-		PlacementEvery:    d.cfg.PlacementEvery,
-		PlacementMinReads: d.cfg.PlacementMinReads,
+		Policy:          d.cfg.Policy,
+		Graph:           g,
+		Storage:         d.storageAddrs,
+		StorageReplicas: d.cfg.StorageReplicas,
 	}
 	for range d.cfg.Processors {
 		ps, err := d.serveProcessor()

@@ -30,6 +30,7 @@ func TestLoopbackRefusesWhatSocketsCannotHonour(t *testing.T) {
 		{"StorageAffinity", func(c *core.Config) { c.StorageAffinity = 4 }},
 		{"Placer", func(c *core.Config) { c.Placer = kvstore.MurmurPlacer{} }},
 		{"FailedProcessors", func(c *core.Config) { c.FailedProcessors = []int{1} }},
+		{"AdaptivePlacement", func(c *core.Config) { c.AdaptivePlacement = true }},
 	} {
 		cfg := base
 		c.set(&cfg)
@@ -49,7 +50,6 @@ func TestLoopbackRefusesWhatSocketsCannotHonour(t *testing.T) {
 		{"plain", func(*core.Config) {}},
 		{"StorageDir", func(c *core.Config) { c.StorageDir = t.TempDir() }},
 		{"StorageReplicas", func(c *core.Config) { c.StorageReplicas = 2 }},
-		{"AdaptivePlacement", func(c *core.Config) { c.AdaptivePlacement = true }},
 		{"PreprocessFraction", func(c *core.Config) { c.Policy, c.PreprocessFraction = core.PolicyLandmark, 0.5 }},
 	} {
 		cfg := base

@@ -25,16 +25,6 @@ func (r *RouterServer) join(ctx context.Context, addr string) Response {
 		p.Close()
 		return errorResponse(fmt.Errorf("join %s: %w", addr, err))
 	}
-	// Hand the joiner the current placement pins before it can be routed
-	// to: a migrated key must never be read at its baseline location. (A
-	// migration racing this join may still add a pin between the push and
-	// the admit below; its own post-move push fans out to every admitted
-	// member, so the window is the admit itself — and the migration holds
-	// the drop back until every push acked.)
-	if err := r.pushOverridesTo(ctx, p); err != nil {
-		p.Close()
-		return errorResponse(fmt.Errorf("join %s: placement push: %w", addr, err))
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	// Re-check under the lock: a concurrent join of the same address wins.

@@ -3,24 +3,23 @@ package rpc
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/gstore"
-	"repro/internal/placement"
 	"repro/internal/query"
 	"repro/internal/topology"
 )
 
-// The router is the networked deployment's single writer: OpMutate and
-// OpMigrate both serialise on mutMu, so every record rewrite is a clean
-// read-modify-write against the storage tier and a migration can never
-// race a mutation. A mutation is two storage round trips: the pre-images of
-// its records come back in one batched read, and the rewrites land on every
-// replica of each key's placement as one PutBatch. A write that cannot reach
-// every replica fails without acking; since every mutation is idempotent, the
-// client retries it safely.
+// The router is the networked deployment's single writer: OpMutate
+// serialises on mutMu, so every record rewrite is a clean read-modify-write
+// against the storage tier. A mutation is two storage round trips: the
+// pre-images of its records come back in one batched read, and the rewrites
+// land on every replica of each key's placement as one PutBatch. A write
+// that cannot reach every replica fails without acking; since every mutation
+// is idempotent, the client retries it safely. A key's placement is
+// kvstore.Place's on every process, so the router's writes and the
+// processors' reads agree on it without a table to share.
 //
 // Acked means every replica took the write and every query the router
 // routes from then on is preceded, at its processor, by the invalidation of
@@ -50,13 +49,9 @@ import (
 // storage, and fails unacked when the processor cannot confirm it: the
 // fan-out's rule, now the exception.
 
-// migrateTimeout bounds an automatic background migration cycle;
-// rollbackTimeout the restore of an unacked mutation's pre-images, which
-// runs detached from the request whose context may be what failed it.
-const (
-	migrateTimeout  = 30 * time.Second
-	rollbackTimeout = 2 * time.Second
-)
+// rollbackTimeout bounds the restore of an unacked mutation's pre-images,
+// which runs detached from the request whose context may be what failed it.
+const rollbackTimeout = 2 * time.Second
 
 // maxBacklog is how many invalidations may wait on one processor slot before
 // a mutation stops to deliver them itself. Any routed traffic keeps a queue
@@ -64,9 +59,10 @@ const (
 // processor is handed a frame within a few milliseconds, a handful of keys.
 const maxBacklog = 256
 
-// mutate applies a batch of mutations in order, each with gstore.Mutate
-// over routerEnv, stopping at the first failure. Response.Applied counts the applied prefix, which stays
-// applied — the same contract as the virtual-time Session.Mutate.
+// mutate applies a batch of mutations in order, each with gstore.Mutate over
+// routerEnv, stopping at the first failure. Response.Applied counts the
+// applied prefix, which stays applied — the same contract as the
+// virtual-time Session.Mutate.
 func (r *RouterServer) mutate(ctx context.Context, muts []query.Mutation) Response {
 	if len(muts) == 0 {
 		return errorResponse(fmt.Errorf("%w: mutate request carries no mutations", query.ErrBadQuery))
@@ -202,66 +198,11 @@ func (r *RouterServer) flushBacklogs(ctx context.Context) error {
 	return nil
 }
 
-// procTarget pairs a processor slot with its pool.
-type procTarget struct {
-	slot int
-	pool *Pool
-}
-
-// liveProcs snapshots every processor that may still answer queries
-// (anything not Left — draining members finish in-flight work on the old
-// view, so their caches matter too).
-func (r *RouterServer) liveProcs() []procTarget {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []procTarget
-	for slot, p := range r.pools {
-		if p != nil && r.rt.Status(slot) != topology.Left {
-			out = append(out, procTarget{slot: slot, pool: p})
-		}
-	}
-	return out
-}
-
-// pushOverridesTo hands one pool the complete current override table.
-// Empty tables are not pushed — the processor's default (no pins) already
-// matches.
-func (r *RouterServer) pushOverridesTo(ctx context.Context, pool *Pool) error {
-	ov := r.storage.pins()
-	if len(ov) == 0 {
-		return nil
-	}
-	_, err := pool.Call(ctx, &Request{Op: OpPlacement, Overrides: ov})
-	return err
-}
-
-// routerEnv adapts the router to the placement planner's Env and to
-// gstore.Mutate's. Locality mirrors the virtual-time engine's
-// nearStorageSlot: processor slot i's near shard is i mod the seeded shard
-// count.
+// routerEnv adapts the router to gstore.Mutate's Env.
 type routerEnv struct {
 	r   *RouterServer
 	ctx context.Context
 }
-
-func (e routerEnv) Replicas(key uint64, dst []int) []int { return e.r.storage.placement(key, dst) }
-
-func (e routerEnv) SizeOf(key uint64) int {
-	val, found, err := e.r.storage.Get(e.ctx, key)
-	if err != nil || !found {
-		return 0
-	}
-	return len(val)
-}
-
-func (e routerEnv) NearSlot(proc int) int {
-	if len(e.r.storage.slots) == 0 || proc < 0 {
-		return -1
-	}
-	return proc % len(e.r.storage.slots)
-}
-
-func (e routerEnv) ReplicaTarget() int { return e.r.storage.Replicas() }
 
 // Labels is the loaded graph's label table, the one the loader encoded the
 // records with. Routers started without the graph take only unlabelled
@@ -317,80 +258,4 @@ func (e routerEnv) Commit(ws []gstore.Write, touched []graph.NodeID) error {
 	}
 	e.r.invalidate(keys, edits)
 	return nil
-}
-
-// migrate runs one adaptive-placement cycle: drain heat from the
-// processors, plan bounded moves, and execute each as a versioned
-// copy-then-drop relocation a racing reader can never observe as wrong —
-// the copy lands on the new shards first, then every processor's placement
-// pins are replaced, and only once every processor acked the new table are
-// the old copies dropped. Response.Applied is the number of records moved.
-func (r *RouterServer) migrate(ctx context.Context) Response {
-	if r.planner == nil {
-		return errorResponse(fmt.Errorf("%w: adaptive placement is not enabled on this router", query.ErrBadQuery))
-	}
-	r.mutMu.Lock()
-	defer r.mutMu.Unlock()
-
-	// Drain heat, attributed to each reporting processor's slot. A
-	// processor that does not answer simply contributes none this cycle.
-	for _, t := range r.liveProcs() {
-		resp, err := t.pool.Call(ctx, &Request{Op: OpHeat})
-		if err != nil {
-			continue
-		}
-		for _, hk := range resp.Hot {
-			r.heat.Record(hk.Key, t.slot, hk.Reads)
-		}
-	}
-
-	type executed struct {
-		move placement.Move
-		old  []int
-	}
-	var copied []executed
-	for _, m := range r.planner.Plan(r.heat, routerEnv{r: r, ctx: ctx}) {
-		// Copy the record onto every destination slot, then pin it there;
-		// the move only counts when every destination acked.
-		old := r.storage.placement(m.Key, nil)
-		val, found, err := r.storage.Get(ctx, m.Key)
-		ok := err == nil && found
-		for i := 0; ok && i < len(m.To); i++ {
-			ok = r.storage.putAt(ctx, m.To[i], m.Key, val) == nil
-		}
-		r.planner.Executed(m, ok)
-		if !ok {
-			continue
-		}
-		r.storage.pin(m.Key, slices.Clone(m.To))
-		copied = append(copied, executed{move: m, old: old})
-	}
-
-	if len(copied) > 0 {
-		// Replace every processor's pin table; the old copies may only be
-		// dropped once no reader can still resolve to them.
-		allPushed := true
-		for _, t := range r.liveProcs() {
-			if err := r.pushOverridesTo(ctx, t.pool); err != nil {
-				allPushed = false
-			}
-		}
-		// Then tombstone each key on the old slots its new placement does
-		// not reuse, one OpDrop per slot. Best effort: a shard that misses
-		// the drop keeps stale copies (replayed on restart) the pins already
-		// hide from every reader.
-		if allPushed {
-			drops := make(map[int][]uint64)
-			for _, d := range copied {
-				for _, slot := range d.old {
-					if !slices.Contains(d.move.To, slot) {
-						drops[slot] = append(drops[slot], d.move.Key)
-					}
-				}
-			}
-			r.storage.dropAt(ctx, drops)
-		}
-	}
-	r.heat.Decay()
-	return Response{OK: true, Applied: len(copied)}
 }

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/gstore"
@@ -52,195 +51,6 @@ func checkOracle(t *testing.T, cl *RouterClient, oracle *graph.Graph, qs []query
 		if want := query.Answer(oracle, q); got != want {
 			t.Fatalf("%s: query %d (%v on %d): got %+v, want %+v", phase, q.ID, q.Type, q.Node, got, want)
 		}
-	}
-}
-
-// adaptive is a deployment with the placement planner armed: three shards
-// at R=2, two processors whose caches are far below the working set (hot
-// records keep missing, which is what accrues heat), hash routing.
-var adaptive = core.Config{
-	StorageServers: 3, StorageReplicas: 2, Processors: 2, CacheBytes: 2 << 10, Policy: core.PolicyHash,
-	AdaptivePlacement: true, PlacementMinReads: 4,
-}
-
-// adaptiveGraph generates the deployment's dataset; a second call is an
-// independent copy for a test to keep as its oracle.
-func adaptiveGraph() *graph.Graph { return gen.LocalWeb(900, 8, 50, 0.01, 13) }
-
-// TestMigrateTCP drives the networked adaptive-placement path end to end:
-// skewed reads heat records on two processors, one OpMigrate moves the hot
-// ones next to their readers, and afterwards every replica holds exactly
-// what the new placement says, every reader (including a processor that
-// joins later) resolves the moved keys to it, and a mutation of a moved
-// key rewrites the pinned replicas.
-func TestMigrateTCP(t *testing.T) {
-	shards, replicas := adaptive.StorageServers, adaptive.StorageReplicas
-	g := adaptiveGraph()
-	d, cl := startLoopback(t, g, adaptive)
-	storageAddrs, rs := d.StorageAddrs(), d.router
-	oracle := adaptiveGraph()
-	ctx := context.Background()
-
-	qs := query.Hotspot(g, query.WorkloadSpec{NumHotspots: 4, QueriesPerHotspot: 12, R: 1, H: 2, Seed: 3})
-	checkOracle(t, cl, oracle, qs, "before migration")
-
-	moved, err := cl.Migrate(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved < 1 {
-		t.Fatalf("migration moved %d records, want >= 1", moved)
-	}
-	snap, err := rs.Snapshot(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Placement.Moved != int64(moved) || snap.Placement.Overrides != int64(moved) {
-		t.Fatalf("placement counters %+v after %d moves", snap.Placement, moved)
-	}
-	if len(snap.PlacementLog) == 0 {
-		t.Fatal("no move in the decision log")
-	}
-
-	// What each move must have left behind, derived from the baseline
-	// placement rule rather than from the router: the reader's near shard
-	// leads, the old replicas fill up to the replication factor, and every
-	// old slot the move did not reuse no longer holds the key.
-	domain := make([]int, shards)
-	for i := range domain {
-		domain[i] = i
-	}
-	pins := make(map[uint64][]int)
-	for _, ev := range snap.PlacementLog {
-		old := topology.RendezvousN(ev.Key, domain, replicas, nil)
-		if ev.From != old[0] || ev.To == old[0] {
-			t.Fatalf("move %+v does not start at the baseline primary %d", ev, old[0])
-		}
-		pin := []int{ev.To}
-		for _, slot := range old {
-			if slot != ev.To && len(pin) < replicas {
-				pin = append(pin, slot)
-			}
-		}
-		pins[ev.Key] = pin
-		want := gstore.Encode(nil, gstore.RecordOf(g, graph.NodeID(ev.Key)))
-		for slot := range domain {
-			val, found := storedAt(t, storageAddrs[slot], ev.Key)
-			if pinned := slices.Contains(pin, slot); found != pinned {
-				t.Fatalf("key %d on slot %d: found=%v, pinned placement %v (baseline %v)", ev.Key, slot, found, pin, old)
-			}
-			if found && !bytes.Equal(val, want) {
-				t.Fatalf("key %d on slot %d: copy differs from the loaded record", ev.Key, slot)
-			}
-		}
-	}
-	checkOracle(t, cl, oracle, qs, "after migration")
-
-	// A processor that joins now is handed the pins before it is admitted.
-	late, _, err := d.JoinProcessor(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for key, pin := range pins {
-		if got := late.storage.overrideFor(key); !slices.Equal(got, pin) {
-			t.Fatalf("late joiner resolves key %d to %v, want pin %v", key, got, pin)
-		}
-	}
-	checkOracle(t, cl, oracle, qs, "after late join")
-
-	// A mutation of a moved key rewrites the pinned replicas, not the
-	// baseline ones.
-	ev := snap.PlacementLog[0]
-	u, v := graph.NodeID(ev.Key), graph.NodeID(0)
-	for oracle.HasEdge(u, v) || u == v {
-		v++
-	}
-	if _, err := cl.Mutate(ctx, []query.Mutation{{Op: query.MutAddEdge, Node: u, To: v}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := oracle.EnsureEdge(u, v, 0); err != nil {
-		t.Fatal(err)
-	}
-	want := gstore.Encode(nil, gstore.RecordOf(oracle, u))
-	for slot := range domain {
-		val, found := storedAt(t, storageAddrs[slot], ev.Key)
-		if pinned := slices.Contains(pins[ev.Key], slot); found != pinned {
-			t.Fatalf("after mutate: key %d on slot %d: found=%v, pin %v", ev.Key, slot, found, pins[ev.Key])
-		}
-		if found && !bytes.Equal(val, want) {
-			t.Fatalf("after mutate: key %d on slot %d does not carry the new edge", ev.Key, slot)
-		}
-	}
-	checkOracle(t, cl, oracle, append(qs, query.Query{ID: len(qs), Type: query.NeighborAgg, Node: u, Hops: 1, Dir: graph.Out}), "after mutate")
-}
-
-// TestMigrateConcurrent runs migration cycles while clients read, stats
-// are polled and a processor joins: the pin table the cycles write is the
-// one every one of those paths resolves placement through.
-func TestMigrateConcurrent(t *testing.T) {
-	g := adaptiveGraph()
-	d, cl := startLoopback(t, g, adaptive)
-	ctx := context.Background()
-	qs := query.Hotspot(g, query.WorkloadSpec{NumHotspots: 6, QueriesPerHotspot: 8, R: 1, H: 2, Seed: 5})
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; ; i = (i + 3) % len(qs) {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				got, err := cl.Execute(ctx, qs[i])
-				if err != nil {
-					t.Errorf("query %d during migration: %v", qs[i].ID, err)
-					return
-				}
-				if want := query.Answer(g, qs[i]); got != want {
-					t.Errorf("query %d during migration: got %+v, want %+v", qs[i].ID, got, want)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := d.router.Snapshot(ctx); err != nil {
-				t.Errorf("snapshot during migration: %v", err)
-				return
-			}
-		}
-	}()
-
-	moved := 0
-	for cycle := 0; cycle < 8; cycle++ {
-		if cycle == 4 {
-			if _, _, err := d.JoinProcessor(ctx); err != nil {
-				t.Fatal(err)
-			}
-		}
-		n, err := cl.Migrate(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		moved += n
-		time.Sleep(20 * time.Millisecond) // let the readers accrue heat for the next cycle
-	}
-	close(stop)
-	wg.Wait()
-	if moved == 0 {
-		t.Fatal("no record moved under concurrent reads")
 	}
 }
 

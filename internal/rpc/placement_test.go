@@ -11,7 +11,9 @@ import (
 
 // TestPlacementSameAcrossTransports: the in-process store core.NewSystem
 // builds and the StorageClient every TCP process places through put each
-// key on the same slots, for every store configuration the two share.
+// key on the same slots, for every store configuration the two share. The
+// adaptive case holds core's store, whose pins only a planning cycle sets,
+// to the client's placement before any record moves.
 func TestPlacementSameAcrossTransports(t *testing.T) {
 	g := gen.Ring(64)
 	for _, shards := range []int{3, 4} {

@@ -1,12 +1,10 @@
 package rpc
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"net"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -37,14 +35,6 @@ type ProcessorServer struct {
 	// concurrent goroutines, and serveConn runs a socket's frames
 	// concurrently), and its edits, applied now, could roll a record back.
 	applied uint64
-
-	heatMu sync.Mutex // guards heat
-	// heat counts storage misses per record since the last OpHeat drain —
-	// the adaptive-placement planner's read signal. Cache hits contribute
-	// nothing: a record the cache absorbs needs no migration. Bounded at
-	// heatCap keys (new keys are dropped when full; the periodic drain
-	// empties it).
-	heat map[uint64]int64
 
 	// execs is the processor's fixed set of executors (traversal scratch +
 	// fetch buffers). A request holds one for its whole batch and the next
@@ -89,7 +79,7 @@ func NewProcessorServerWith(addr string, cfg ProcessorConfig) (*ProcessorServer,
 		sc.Close()
 		return nil, fmt.Errorf("rpc: processor listen: %w", err)
 	}
-	p := &ProcessorServer{ln: ln, storage: sc, cache: cache.NewProcessor(cfg.CacheBytes), heat: make(map[uint64]int64)}
+	p := &ProcessorServer{ln: ln, storage: sc, cache: cache.NewProcessor(cfg.CacheBytes)}
 	p.execs = make(chan *execState, max(4, 2*runtime.GOMAXPROCS(0)))
 	for range cap(p.execs) {
 		p.execs <- &execState{fetch: netFetcher{p: p}}
@@ -127,11 +117,6 @@ func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {
 		return Response{OK: true, Stats: &st}
 	case OpEvict:
 		p.cache.Evict(req.Keys...)
-		return Response{OK: true}
-	case OpHeat:
-		return Response{OK: true, Hot: p.drainHeat()}
-	case OpPlacement:
-		p.storage.SetOverrides(req.Overrides)
 		return Response{OK: true}
 	case OpExecute:
 		// The invalidations that rode this frame come first — before the
@@ -248,18 +233,9 @@ func (f *netFetcher) Read(ids []graph.NodeID, dir graph.Direction, dst [][]byte,
 	return err
 }
 
-// Heat implements cache.Backend: heatCap bounds the keys tracked, and a new
-// key is dropped when it is full.
-func (f *netFetcher) Heat(ids []graph.NodeID) {
-	p := f.p
-	p.heatMu.Lock()
-	for _, id := range ids {
-		if _, hot := p.heat[uint64(id)]; hot || len(p.heat) < heatCap {
-			p.heat[uint64(id)]++
-		}
-	}
-	p.heatMu.Unlock()
-}
+// Heat is a no-op: adaptive placement, which reads a miss's heat, runs in
+// virtual time only.
+func (f *netFetcher) Heat([]graph.NodeID) {}
 
 // Expanded is a no-op: real time bills itself.
 func (f *netFetcher) Expanded(int) {}
@@ -293,36 +269,6 @@ func (p *ProcessorServer) putExec(ex *execState) {
 	}
 	ex.fetch.ctx = nil // an idle executor must not pin the request
 	p.execs <- ex
-}
-
-// Heat bounds: at most heatCap distinct records are tracked between
-// drains, and a drain reports the hottest heatTopK of them.
-const (
-	heatCap  = 8192
-	heatTopK = 64
-)
-
-// drainHeat returns the hottest missed records since the previous drain,
-// hottest first (key ascending on ties, so the report is deterministic),
-// and resets the accumulator.
-func (p *ProcessorServer) drainHeat() []HotKey {
-	p.heatMu.Lock()
-	hot := make([]HotKey, 0, len(p.heat))
-	for k, n := range p.heat {
-		hot = append(hot, HotKey{Key: k, Reads: n})
-	}
-	p.heat = make(map[uint64]int64)
-	p.heatMu.Unlock()
-	slices.SortFunc(hot, func(a, b HotKey) int {
-		if a.Reads != b.Reads {
-			return cmp.Compare(b.Reads, a.Reads)
-		}
-		return cmp.Compare(a.Key, b.Key)
-	})
-	if len(hot) > heatTopK {
-		hot = hot[:heatTopK]
-	}
-	return hot
 }
 
 // execute validates and runs one point query through the shared kernel, so

@@ -85,29 +85,22 @@ const (
 	// because no query was routed there, and a tool may send one to cool a
 	// cache.
 	OpEvict
-	// OpHeat drains a processor's per-record storage-miss heat since the
-	// previous OpHeat (processor role): the planner's read signal.
-	OpHeat
-	// OpMigrate runs one adaptive-placement planning cycle on the router:
-	// poll heat, plan bounded moves, execute each as copy → push placement
-	// overrides → drop the old copy (router role only).
-	OpMigrate
-	// OpPlacement replaces a processor's placement-override table
-	// (processor role): keys pinned away from their rendezvous placement
-	// by migration resolve through it.
-	OpPlacement
-	// OpDrop deletes Keys from a storage shard — the tombstone half of a
-	// copy-then-drop migration, and a rolled-back write's restore of a
-	// record that did not exist before it. Durable shards log each present
-	// key, so a restart cannot resurrect a dropped copy (storage role).
+	// Ops 11–13 are retired: the heat drain, migration cycle and pin push of
+	// adaptive placement over TCP, which lives in virtual time only.
+	_
+	_
+	_
+	// OpDrop deletes Keys from a storage shard: a rolled-back write's restore
+	// of a record that did not exist before it. Durable shards log each
+	// present key, so a restart cannot resurrect a dropped record (storage
+	// role).
 	OpDrop
 	// OpMultiPut stores Values[i] under Keys[i] on a storage server: one
 	// lock acquisition and, on a durable shard, one WAL write for the whole
 	// frame. It is the one write: the loader's chunks, a mutation's
 	// rewritten records and its roll-back travel as one OpMultiPut per
-	// shard of their placement, and a migration copy as one per destination
-	// slot. The reply is OK or a typed error for the whole batch: a failed
-	// log append leaves all of it unacked.
+	// shard of their placement. The reply is OK or a typed error for the
+	// whole batch: a failed log append leaves all of it unacked.
 	OpMultiPut
 )
 
@@ -115,8 +108,7 @@ const (
 var opNames = [...]string{
 	OpPing: "ping", OpMultiGet: "multiget", OpExecute: "execute", OpStats: "stats",
 	OpJoin: "join", OpDrain: "drain", OpMutate: "mutate", OpEvict: "evict",
-	OpHeat: "heat", OpMigrate: "migrate", OpPlacement: "placement", OpDrop: "drop",
-	OpMultiPut: "multiput",
+	OpDrop: "drop", OpMultiPut: "multiput",
 }
 
 func (op Op) String() string {
@@ -124,13 +116,6 @@ func (op Op) String() string {
 		return opNames[op]
 	}
 	return fmt.Sprintf("op(%d)", uint8(op))
-}
-
-// HotKey is one entry of a processor's drained heat: a record and how many
-// storage misses it cost since the last drain.
-type HotKey struct {
-	Key   uint64
-	Reads int64
 }
 
 // Request is the request envelope. Only the fields of the active operation
@@ -183,10 +168,6 @@ type Request struct {
 	// Muts serves OpMutate; nil for every other op. Labels ride as strings
 	// (the router interns them against the loaded graph's label table).
 	Muts []query.Mutation
-	// Overrides serves OpPlacement: the full placement-override table,
-	// replacing whatever the processor held (migration pins are router
-	// state; the push is always the complete picture).
-	Overrides map[uint64][]int
 	// Deadline is the absolute deadline in Unix nanoseconds (0 = none) the
 	// frame header carries, so every op propagates it. Left 0, Conn.CallInto
 	// sends the call context's deadline; decode fills it from the header,
@@ -231,12 +212,8 @@ type Response struct {
 	Proc int
 	// Stats serves OpStats; nil for every other op.
 	Stats *Stats
-	// Applied serves OpMutate (mutations applied before the first failure)
-	// and OpMigrate (records moved this cycle).
+	// Applied serves OpMutate: mutations applied before the first failure.
 	Applied int
-	// Hot serves OpHeat: the processor's hottest storage-missed records
-	// since the previous drain, hottest first.
-	Hot []HotKey
 }
 
 // Stats is a daemon's answer to OpStats: its role, the requests it served,
@@ -742,9 +719,8 @@ func serveConn(c net.Conn, handle func(context.Context, *Request) Response, ct *
 			scratch := getSlab()
 			buf := encodeResponseFrame((*slab)[:0], tag, &resp, scratch)
 			putSlab(scratch)
-			// Handlers copy anything they keep (overrides are fresh per
-			// decode, and the shard copies every value it stores), so the
-			// request and its buffers recycle here.
+			// Handlers copy anything they keep (the shard copies every
+			// value it stores), so the request and its buffers recycle here.
 			reqPool.Put(req)
 			wmu.Lock()
 			_, werr := c.Write(buf)

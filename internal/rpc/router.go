@@ -14,7 +14,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/mquery"
-	"repro/internal/placement"
 	"repro/internal/query"
 	"repro/internal/router"
 	"repro/internal/topology"
@@ -79,32 +78,21 @@ type RouterServer struct {
 	// guarded by mu.
 	storageJoinVer []uint64
 
-	// Online mutations + adaptive placement. The router is the single
-	// writer: mutMu serialises mutations and migration cycles, so every
-	// record rewrite is a clean read-modify-write and migration never
-	// races a write. labels is the loaded dataset's label table — the table,
-	// not the dataset: the router resolves pattern labels and interns
-	// mutation labels against the ids the loader encoded records with, and
-	// holds nothing else of the graph (nil = only unlabelled patterns and
+	// Online mutations. The router is the single writer: mutMu serialises
+	// mutations, so every record rewrite is a clean read-modify-write.
+	// labels is the loaded dataset's label table — the table, not the
+	// dataset: the router resolves pattern labels and interns mutation
+	// labels against the ids the loader encoded records with, and holds
+	// nothing else of the graph (nil = only unlabelled patterns and
 	// mutations are accepted). storage is the same client
 	// the processors read through, built over the seeded shards' pools
 	// (shared with storagePools, not dialled again): its placement domain
 	// is frozen at the seeded shard count — exactly what the processors'
-	// clients hash over, which late-joining shards are not part of — and
-	// its pin table is the authoritative one, complete copies of which are
-	// pushed to the processors on every change. planner and heat (guarded
-	// by mutMu) exist only when RouterConfig.AdaptivePlacement is set;
-	// placementEvery > 0 runs a cycle automatically after that many
-	// completed queries.
-	labels         *graph.Labels
-	mutMu          sync.Mutex
-	mutations      atomic.Int64
-	storage        *StorageClient
-	planner        *placement.Planner
-	heat           *placement.Heat
-	placementEvery int
-	sinceTick      atomic.Int64
-	ticking        atomic.Bool
+	// clients hash over, which late-joining shards are not part of.
+	labels    *graph.Labels
+	mutMu     sync.Mutex
+	mutations atomic.Int64
+	storage   *StorageClient
 
 	requests atomic.Int64
 	queries  atomic.Int64
@@ -137,27 +125,14 @@ type RouterConfig struct {
 	// and shard counters, and more can join at runtime with
 	// StorageServer.Register (groutingd -role storage -join). It is also
 	// the write path: the router applies mutations (Client.Mutate through
-	// Dial) and adaptive-placement moves through the same storage client
-	// the processors read through, over exactly these shards — so list
-	// the shards, in the order, the loader and the processors were given.
+	// Dial) through the same storage client the processors read through,
+	// over exactly these shards — so list the shards, in the order, the
+	// loader and the processors were given.
 	Storage []string
 	// StorageReplicas is the deployment's storage replication factor —
 	// the one the loader and the processors use; the router's writes go
 	// to that many replicas and Stats() reports it (0 reads as 1).
 	StorageReplicas int
-	// AdaptivePlacement enables the workload-adaptive placement subsystem
-	// on the router: it periodically drains per-record read heat from the
-	// processors and migrates hot records toward their dominant reader as
-	// bounded copy-then-drop moves. Requires Storage.
-	AdaptivePlacement bool
-	// PlacementBudget bounds the bytes migrated per planning cycle
-	// (<= 0 = unbounded).
-	PlacementBudget int64
-	// PlacementEvery runs one planning cycle automatically after that
-	// many completed queries (0 = only explicit cycles).
-	PlacementEvery int
-	// PlacementMinReads is the planner's hysteresis floor (0 = default).
-	PlacementMinReads int64
 	// EmbedProvider supplies node coordinates from a pluggable source
 	// (OpenEmbeddingFile, NewFileProvider, or any user Embedder) instead
 	// of the built-in learned embedding. It is materialised once at router
@@ -206,14 +181,6 @@ func newRouterServer(addr string, cfg RouterConfig, strat router.Strategy, coord
 	r.storageView = r.storageTopo.View()
 	if cfg.Graph != nil {
 		r.labels = cfg.Graph.Labels()
-	}
-	if cfg.AdaptivePlacement {
-		if len(cfg.Storage) == 0 {
-			return nil, fmt.Errorf("rpc: adaptive placement needs the router's storage view seeded (Storage)")
-		}
-		r.planner = placement.New(placement.Config{BudgetBytes: cfg.PlacementBudget, MinReads: cfg.PlacementMinReads})
-		r.heat = placement.NewHeat()
-		r.placementEvery = cfg.PlacementEvery
 	}
 	if r.pools, err = dialPools(cfg.Processors); err != nil {
 		return nil, err
@@ -323,8 +290,6 @@ func (r *RouterServer) handle(ctx context.Context, req *Request) Response {
 		return r.execute(ctx, req.Exec)
 	case OpMutate:
 		return r.mutate(ctx, req.Muts)
-	case OpMigrate:
-		return r.migrate(ctx)
 	}
 	return errorResponse(fmt.Errorf("router: unknown op %q", req.Op))
 }
@@ -529,7 +494,6 @@ func (r *RouterServer) executeMultiQuery(ctx context.Context, q query.Query) (qu
 	// One client-visible query completed (subtasks were internal work
 	// units — runWave settles them without touching these counters).
 	r.queries.Add(1)
-	r.maybeTick(1)
 	res := m.Result()
 	if pl.Kind == mquery.KindKNN {
 		// Exact re-rank at the router: the processors only generated the
@@ -682,32 +646,11 @@ func (r *RouterServer) settle(p, n int, upTo uint64, err error) {
 }
 
 // finish counts a forwarded sub-batch of n client queries, when it
-// succeeded, toward the client-visible total and the background migration
-// tick.
+// succeeded, toward the client-visible total.
 func (r *RouterServer) finish(n int, err error) {
 	if err == nil {
 		r.queries.Add(int64(n))
-		r.maybeTick(n)
 	}
-}
-
-// maybeTick runs one background migration cycle once placementEvery
-// completed queries accumulate. At most one cycle runs at a time; the
-// counter resets when a cycle is claimed, so bursts do not queue cycles.
-func (r *RouterServer) maybeTick(n int) {
-	if r.planner == nil || r.placementEvery <= 0 {
-		return
-	}
-	if r.sinceTick.Add(int64(n)) < int64(r.placementEvery) || !r.ticking.CompareAndSwap(false, true) {
-		return
-	}
-	r.sinceTick.Store(0)
-	go func() {
-		defer r.ticking.Store(false)
-		ctx, cancel := context.WithTimeout(context.Background(), migrateTimeout)
-		defer cancel()
-		r.migrate(ctx)
-	}()
 }
 
 // Snapshot assembles the system-wide observability snapshot: the routing
@@ -728,18 +671,6 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 	fresh := pollStats(ctx, pools)
 	shardFresh := pollStats(ctx, storagePools)
 
-	// Planner state is guarded by mutMu, which the mutate path takes
-	// before mu — so read it before taking mu, never while holding it.
-	var placementCounters metrics.PlacementCounters
-	var placementLog []metrics.MoveEvent
-	if r.planner != nil {
-		r.mutMu.Lock()
-		placementCounters = r.planner.Counters()
-		placementLog = r.planner.Log()
-		r.mutMu.Unlock()
-		placementCounters.Overrides = int64(len(r.storage.pins()))
-	}
-
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	snap := r.rt.Snapshot(r.policyName, r.coords)
@@ -747,7 +678,6 @@ func (r *RouterServer) Snapshot(ctx context.Context) (*metrics.Snapshot, error) 
 	snap.Queries = r.queries.Load()
 	snap.Mutations = r.mutations.Load()
 	snap.RoutingNanos = r.routing.Summary()
-	snap.Placement, snap.PlacementLog = placementCounters, placementLog
 	for i, m := range r.rt.View().Members {
 		if i < len(fresh) && fresh[i] != nil && fresh[i].Cache != nil {
 			r.lastCache[i] = *fresh[i].Cache

@@ -121,6 +121,29 @@ func TestStorageUnknownOp(t *testing.T) {
 	}
 }
 
+// TestRetiredPlacementOpsRefused holds a processor and a router to an error
+// for ops 11, 12 and 13 — the retired heat drain, migration cycle and pin
+// push — as TestStorageUnknownOp holds a shard to one for ops 2 and 4.
+func TestRetiredPlacementOpsRefused(t *testing.T) {
+	g := gen.LocalWeb(200, 4, 10, 0.01, 3)
+	d, _ := startLoopback(t, g, core.Config{StorageServers: 1, Processors: 1, Policy: core.PolicyHash})
+	for _, addr := range []string{d.procs[0].Addr(), d.Addr()} {
+		cn, err := dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []Op{11, 12, 13} {
+			if op.String() != fmt.Sprintf("op(%d)", op) {
+				t.Errorf("retired op %d still has a name, %q", op, op)
+			}
+			if _, err := cn.Call(context.Background(), &Request{Op: op}); err == nil {
+				t.Errorf("%s accepted retired %s", addr, op)
+			}
+		}
+		cn.Close()
+	}
+}
+
 // TestClusterMatchesOracle runs a mixed workload through a real localhost
 // deployment and checks every result against the in-memory oracle.
 func TestClusterMatchesOracle(t *testing.T) {
@@ -494,10 +517,10 @@ func sevenProcStatsResponse() *Response {
 
 // TestEnvelopeEncodedSize is the wire-waste regression test: ops must not
 // carry the payloads of other ops, and the binary framing must beat the
-// gob ceilings it replaced (ping 16, get 32, mutate 64, migrate 16, evict
-// 32, placement 48, execute 128, subtask 96, pattern 160, partial 96,
-// pong 16, stats request 16, 7-proc stats response 1024 — plus gob's
-// ~960-byte first-message descriptor cost, which is now zero).
+// gob ceilings it replaced (ping 16, get 32, mutate 64, evict 32, execute
+// 128, subtask 96, pattern 160, partial 96, pong 16, stats request 16,
+// 7-proc stats response 1024 — plus gob's ~960-byte first-message
+// descriptor cost, which is now zero).
 func TestEnvelopeEncodedSize(t *testing.T) {
 	ping := &Request{Op: OpPing}
 	if n := reqFrameSize(t, ping); n > 8 {
@@ -519,19 +542,10 @@ func TestEnvelopeEncodedSize(t *testing.T) {
 	if n := reqFrameSize(t, mut); n > 24 {
 		t.Errorf("1-op mutate frame encodes to %d bytes, want <= 24", n)
 	}
-	// Migration-cycle ops: the trigger is bare; an eviction carries only
-	// its keys; an override push is proportional to the pin table.
-	migrate := &Request{Op: OpMigrate}
-	if n := reqFrameSize(t, migrate); n > 8 {
-		t.Errorf("migrate frame encodes to %d bytes, want <= 8", n)
-	}
+	// An eviction carries only its keys.
 	evict := &Request{Op: OpEvict, Keys: []uint64{7, 8}}
 	if n := reqFrameSize(t, evict); n > 16 {
 		t.Errorf("2-key evict frame encodes to %d bytes, want <= 16", n)
-	}
-	place := &Request{Op: OpPlacement, Overrides: map[uint64][]int{42: {1, 0}}}
-	if n := reqFrameSize(t, place); n > 16 {
-		t.Errorf("1-pin placement push frame encodes to %d bytes, want <= 16", n)
 	}
 	// One-query execute: the query payload plus envelope, nothing else.
 	exec := execRequest([]query.Query{

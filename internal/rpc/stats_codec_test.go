@@ -69,8 +69,11 @@ func readGolden(t *testing.T, name string) []byte {
 // flag bit 4, the first file's two partials changed and its length did not
 // (272 B, +0 B): the reach partial's flags 00 → 04 and frontier node 07 → 0e,
 // the k-NN partial's flags 00 → 04 and candidates 04 09 ffffffff0f → 08 0a
-// ecffffff1f (gaps 4, 5 and 2^32−10 cost what the ids did). Every other
-// byte is the hand codec's, length prefix aside.
+// ecffffff1f (gaps 4, 5 and 2^32−10 cost what the ids did). When the heat
+// drain (op 11) retired, its Hot list and bit with it, the first file lost
+// the list's 02 2a d00f 07 01 (key 42 read 1,000 times, key 7 read −1) and
+// its bitmap went fc07 → fc03: length prefix 0x10e → 0x108, −6 B; the second
+// did not move. Every other byte is the hand codec's, length prefix aside.
 func TestGoldenFrames(t *testing.T) {
 	for _, tc := range []struct {
 		file string
@@ -98,9 +101,7 @@ func TestGoldenFrames(t *testing.T) {
 // TestGoldenRequestFrames pins the request envelope byte for byte:
 // full_request.hex is fullRequest's frame followed by multiPutRequest's, as
 // the codec wrote them before mutations became query.Mutation and before the
-// OpExecute payload stopped mirroring the header deadline. The one override
-// map is written in ascending key order, the order the encoder now always
-// uses (it once followed map iteration). The third frame, appended when
+// OpExecute payload stopped mirroring the header deadline. The third frame, appended when
 // invalidations began to carry edits, is executeEditsRequest's: the edit
 // streams ride as Values and their sequence number as Version, fields the
 // envelope already had, so the first two frames did not move. When the
@@ -114,8 +115,13 @@ func TestGoldenFrames(t *testing.T) {
 // its three queries' zero fields; every frame lost two or three prefix
 // bytes. When an OpMultiGet began to carry OutOnly, a presence bit with no
 // payload, fullRequest set it and its bitmap went fc07 → fc17, the frame's
-// length unmoved (0 B); the other two frames did not move. Each frame
-// decodes to its fixture with its queries projected.
+// length unmoved (0 B); the other two frames did not move. When the pin
+// push (op 13) retired, its override table and bit with it, the first frame
+// lost the table's 02 2a 02 02 00 63 01 04 (key 42 pinned to slots 1 and 0,
+// key 99 to slot 2; written in ascending key order, the order the encoder
+// always used once it stopped following map iteration) and its bitmap went
+// fc17 → fc13: length prefix 0x74 → 0x6c, −8 B; the other two frames did
+// not move. Each frame decodes to its fixture with its queries projected.
 func TestGoldenRequestFrames(t *testing.T) {
 	want := readGolden(t, "full_request.hex")
 	var scratch []byte

@@ -3,12 +3,10 @@ package rpc
 import (
 	"context"
 	"fmt"
-	"maps"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -139,9 +137,9 @@ func (s *StorageServer) handle(_ context.Context, req *Request) Response {
 		}
 		return Response{OK: true}
 	case OpDrop:
-		// The tombstone half of a copy-then-drop migration: the keys leave
-		// the shard, and on a durable shard each drop is WAL-logged so a
-		// restart replays it and cannot resurrect the migrated-away copy.
+		// A rolled-back write's restore of a record it created: the keys
+		// leave the shard, and on a durable shard each drop is WAL-logged so
+		// a restart replays it and cannot resurrect the dropped record.
 		if len(req.Keys) == 0 {
 			return errorResponse(fmt.Errorf("%w: drop carries no keys", query.ErrBadQuery))
 		}
@@ -188,14 +186,15 @@ type probeState struct {
 // and resolves "where does key k live" in exactly one place (placement).
 // Placement is kvstore.Place over the shard list, the function the
 // in-process store places by: murmur at R = 1, rendezvous over R shards at
-// R >= 2; a key a migration moved lives where its pin says. There is one write path, PutBatch — one
-// OpMultiPut frame per shard, every replica or fail unacked — under the
-// loader's chunks, a mutation's records and its roll-back alike; reads prefer
-// the highest-scored healthy replica with transparent failover: a shard that
+// R >= 2, so a key lives on R shards (all of them when there are fewer) and
+// nowhere else. There is one write path, PutBatch — one OpMultiPut frame per
+// shard, every replica or fail unacked — under the loader's chunks, a
+// mutation's records and its roll-back alike; reads prefer the
+// highest-scored healthy replica with transparent failover: a shard that
 // fails a call is marked down (per-replica health), its keys retry on their
 // next replica, and a background probe revives it when it answers pings
 // again. Processors read through one, the loader writes through one, and the
-// router mutates and migrates through one.
+// router mutates through one.
 type StorageClient struct {
 	pools    []*Pool
 	replicas int
@@ -203,15 +202,6 @@ type StorageClient struct {
 
 	down      []atomic.Bool
 	failovers atomic.Int64
-
-	// overrides pins keys migrated away from their rendezvous placement to
-	// their new replica set (primary first). The router's client holds the
-	// authoritative table (pin) and pushes complete copies (OpPlacement →
-	// SetOverrides) to the processors'; entries naming slots a client does
-	// not know are ignored, so an older client degrades to baseline
-	// placement instead of misreading.
-	ovMu      sync.RWMutex
-	overrides map[uint64][]int
 
 	probeWake chan struct{}      // markDown → probeLoop: a shard just went down
 	probeStop context.CancelFunc // ends probeLoop and its in-flight ping
@@ -392,61 +382,12 @@ func (sc *StorageClient) markDown(shard int) {
 	}
 }
 
-// SetOverrides replaces the client's placement-override table. The slices
-// in the map are retained, not copied — callers hand over ownership.
-func (sc *StorageClient) SetOverrides(ov map[uint64][]int) {
-	sc.ovMu.Lock()
-	sc.overrides = ov
-	sc.ovMu.Unlock()
-}
-
-// pin sets one key's placement override, taking slots over: the migrating
-// router's single-key form of SetOverrides.
-func (sc *StorageClient) pin(key uint64, slots []int) {
-	sc.ovMu.Lock()
-	if sc.overrides == nil {
-		sc.overrides = make(map[uint64][]int)
-	}
-	sc.overrides[key] = slots
-	sc.ovMu.Unlock()
-}
-
-// pins returns a copy of the override table, safe to encode or hand to
-// another client's SetOverrides (the slot slices are never mutated).
-func (sc *StorageClient) pins() map[uint64][]int {
-	sc.ovMu.RLock()
-	defer sc.ovMu.RUnlock()
-	return maps.Clone(sc.overrides)
-}
-
-// overrideFor returns key's pinned placement, or nil. A pin naming a slot
-// outside this client's shard list, or listing more than MaxReplicas slots
-// (more than getBatch's tried mask can mark), is ignored wholesale.
-func (sc *StorageClient) overrideFor(key uint64) []int {
-	sc.ovMu.RLock()
-	pl := sc.overrides[key]
-	sc.ovMu.RUnlock()
-	if len(pl) > topology.MaxReplicas {
-		return nil
-	}
-	for _, slot := range pl {
-		if slot < 0 || slot >= len(sc.pools) {
-			return nil
-		}
-	}
-	return pl
-}
-
-// placement appends key's replica shards (primary first) to dst: the pin
-// when migration moved the key, else kvstore.Place over the shard list the
-// client was built over with murmur at R = 1 — the rule the in-process store
-// places by. An empty shard list places nothing. Client-side placement only
-// works because every reader and every writer of a deployment computes
-// exactly this.
+// placement appends key's replica shards (primary first) to dst:
+// kvstore.Place over the shard list the client was built over with murmur at
+// R = 1 — the rule the in-process store places by. An empty shard list places
+// nothing. Client-side placement only works because every reader and every
+// writer of a deployment computes exactly this.
 func (sc *StorageClient) placement(key uint64, dst []int) []int {
-	if pin := sc.overrideFor(key); len(pin) > 0 {
-		return append(dst[:0], pin...)
-	}
 	return kvstore.Place(key, sc.slots, sc.replicas, kvstore.MurmurPlacer{}, dst)
 }
 
@@ -520,16 +461,9 @@ func (sc *StorageClient) PutBatch(ctx context.Context, keys []uint64, vals [][]b
 	return firstErr
 }
 
-// putAt stores value under key on one shard, whatever key's placement — a
-// migration copy — as an OpMultiPut of one.
-func (sc *StorageClient) putAt(ctx context.Context, shard int, key uint64, value []byte) error {
-	_, err := sc.call(ctx, shard, &Request{Op: OpMultiPut, Keys: []uint64{key}, Values: [][]byte{value}})
-	return err
-}
-
-// dropAt tombstones drops[slot] on each slot, one OpDrop frame per slot,
-// whatever the keys' placement — a migration's old copies, or the records a
-// rolled-back write created. Best effort: both callers ignore a failure.
+// dropAt tombstones drops[slot] on each slot, one OpDrop frame per slot: the
+// records a rolled-back write created. Best effort: the caller ignores a
+// failure.
 func (sc *StorageClient) dropAt(ctx context.Context, drops map[int][]uint64) {
 	for slot, keys := range drops {
 		_, _ = sc.call(ctx, slot, &Request{Op: OpDrop, Keys: keys})
@@ -556,10 +490,10 @@ func (sc *StorageClient) dropAt(ctx context.Context, drops map[int][]uint64) {
 func (sc *StorageClient) getBatch(ctx context.Context, keys []uint64, dir graph.Direction, got func(i int, val []byte, found bool)) error {
 	// tried[i] is a bitmask over keys[i]'s placement indices, set as a replica
 	// is asked: a key is exhausted only once every replica has actually been
-	// contacted — down flags must never skip a replica for good. The loop
-	// runs until nothing is pending, not for R rounds: a pin may list more
-	// slots than R, and every round either marks a new bit of a key's mask
-	// (at most MaxReplicas of them) or fails the key with firstErr.
+	// contacted — down flags must never skip a replica for good. A key's
+	// placement is at most R slots (R <= MaxReplicas, so a uint8 mask holds
+	// them), and every round either marks a new bit of a key's mask or fails
+	// the key with firstErr, so no key is asked more than R times.
 	tried := make([]uint8, len(keys))
 	pending := make([]int, len(keys))
 	for i := range pending {

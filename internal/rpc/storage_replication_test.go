@@ -173,55 +173,6 @@ func TestStorageClientShardRecovery(t *testing.T) {
 	}
 }
 
-// TestGetBatchFollowsPinPastReplicas pins that a read follows a pin to its
-// last slot even when the pin lists more slots than the client's R: an R = 1
-// client whose 3-slot pin names two dead shards first still finds the record
-// on the third, instead of reporting it absent with no error. A pin longer
-// than MaxReplicas is ignored, so the key's own placement answers and the
-// read ends.
-func TestGetBatchFollowsPinPastReplicas(t *testing.T) {
-	servers, addrs := startStorageShards(t, 3)
-	sc, err := DialStorageReplicated(addrs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	// Key 7 is stored only on shard 2; own is stored where it places, shard 2.
-	if err := sc.putAt(ctx, 2, 7, gstore.Encode(nil, &gstore.Record{Node: 7, NodeLabel: 3})); err != nil {
-		t.Fatal(err)
-	}
-	own := uint64(100)
-	for sc.shardFor(own) != 2 {
-		own++
-	}
-	if err := sc.PutBatch(ctx, []uint64{own}, [][]byte{gstore.Encode(nil, &gstore.Record{Node: graph.NodeID(own), NodeLabel: 5})}); err != nil {
-		t.Fatal(err)
-	}
-	sc.SetOverrides(map[uint64][]int{
-		7:   {0, 1, 2},
-		own: {0, 1, 0, 1, 0, 1, 0, 1, 0},
-	})
-	servers[0].Close()
-	servers[1].Close()
-
-	out, err := sc.MultiGet(ctx, []graph.NodeID{7})
-	if err != nil {
-		t.Fatalf("read through a 3-slot pin: %v", err)
-	}
-	if got, ok := out[7]; !ok || got.NodeLabel != 3 {
-		t.Fatalf("key 7 through its pin = %+v, %v; want the record on its third slot", got, ok)
-	}
-	out, err = sc.MultiGet(ctx, []graph.NodeID{graph.NodeID(own)})
-	if err != nil {
-		t.Fatalf("read under a %d-slot pin: %v", topology.MaxReplicas+1, err)
-	}
-	if got, ok := out[graph.NodeID(own)]; !ok || got.NodeLabel != 5 {
-		t.Fatalf("key %d under an oversized pin = %+v, %v; want its own placement's record", own, got, ok)
-	}
-}
-
 func TestDialStorageReplicatedValidation(t *testing.T) {
 	_, addrs := startStorageShards(t, 2)
 	if _, err := DialStorageReplicated(addrs, 3); err == nil {

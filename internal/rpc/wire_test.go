@@ -170,13 +170,12 @@ func fullRequest() *Request {
 				{Kind: mquery.KindKNN, Anchor: 42, Radius: 2},
 			},
 		},
-		Addr:      "10.0.0.71:7101",
-		Proc:      5,
-		Tier:      "storage",
-		Version:   12,
-		Muts:      []query.Mutation{{Op: query.MutAddEdge, Node: 1, To: 2, Label: "knows"}, {Op: query.MutRemoveEdge, Node: 9, To: 1}},
-		Overrides: map[uint64][]int{42: {1, 0}, 99: {2}},
-		OutOnly:   true,
+		Addr:    "10.0.0.71:7101",
+		Proc:    5,
+		Tier:    "storage",
+		Version: 12,
+		Muts:    []query.Mutation{{Op: query.MutAddEdge, Node: 1, To: 2, Label: "knows"}, {Op: query.MutRemoveEdge, Node: 9, To: 1}},
+		OutOnly: true,
 	}
 }
 
@@ -251,7 +250,6 @@ func fullResponse() *Response {
 			},
 		},
 		Applied: 4,
-		Hot:     []HotKey{{Key: 42, Reads: 1000}, {Key: 7, Reads: -1}},
 	}
 }
 
@@ -268,7 +266,6 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpDrop, Keys: []uint64{1, 1 << 40}},
 		{Op: OpMutate, Muts: []query.Mutation{{Op: query.MutAddEdge, Node: 42, To: 99}}},
 		{Op: OpJoin, Addr: "127.0.0.1:7001", Tier: "storage", Version: 3},
-		{Op: OpPlacement, Overrides: map[uint64][]int{7: {0, 2}}},
 		multiPutRequest(),
 		fullRequest(),
 	}
@@ -397,9 +394,11 @@ func TestFrameDecodeTruncation(t *testing.T) {
 // TestRetiredFieldBitsRefused feeds both decoders the payloads a peer still
 // speaking the single-key vocabulary sends — a put of "v7" under key 7 (op
 // 4, bits key|value), a get (op 2, bit key) and a found get's reply (bits
-// value|found) — and a frame setting a retired bit beside a live one: each
-// fails to decode with an error naming the bits, rather than being read as
-// some other field.
+// value|found) — and those of the retired TCP placement ops: a pin push of
+// key 42 to slot 1 (op 13, request bit 0x200, the override table) and a heat
+// drain's reply listing key 42 read once (response bit 0x200, the hot list),
+// each also beside a live field. Each fails to decode with an error naming
+// the bits, rather than being read as some other field.
 func TestRetiredFieldBitsRefused(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -408,6 +407,8 @@ func TestRetiredFieldBitsRefused(t *testing.T) {
 		{"single-key put", []byte{4, 0, 0x03, 7, 2, 'v', '7'}},
 		{"single-key get", []byte{2, 0, 0x01, 7}},
 		{"retired key beside keys", []byte{byte(OpMultiGet), 0, 0x05, 7, 1, 7}},
+		{"pin push", []byte{13, 0, 0x80, 0x04, 1, 42, 1, 2}},
+		{"override table beside keys", []byte{byte(OpExecute), 0, 0x84, 0x04, 1, 7, 1, 42, 1, 2}},
 	} {
 		var req Request
 		if err := decodeRequestInto(tc.payload, &req); err == nil || !strings.Contains(err.Error(), "unknown field bits") {
@@ -421,6 +422,8 @@ func TestRetiredFieldBitsRefused(t *testing.T) {
 		{"found get reply", []byte{statusOK, 0x03, 2, 'v', '7'}},
 		{"found flag alone", []byte{statusOK, 0x02}},
 		{"retired value beside values", []byte{statusOK, 0x05, 1, 'v', 1, 1, 'w'}},
+		{"heat drain reply", []byte{statusOK, 0x80, 0x04, 1, 42, 2}},
+		{"hot list beside applied", []byte{statusOK, 0x80, 0x06, 8, 1, 42, 2}},
 	} {
 		var resp Response
 		if err := decodeResponseInto(tc.payload, &resp); err == nil || !strings.Contains(err.Error(), "unknown field bits") {

@@ -103,20 +103,6 @@ func Dial(ctx context.Context, routerAddr string) (Client, error) {
 	return c, nil
 }
 
-// TriggerPlacement asks a networked deployment's router to run one
-// adaptive-placement planning cycle now and returns how many records
-// moved. Routers running without the subsystem reject it with ErrBadQuery.
-// Deployments with RouterSpec.PlacementEvery > 0 cycle automatically; an
-// explicit trigger composes with that (cycles are serialised).
-func TriggerPlacement(ctx context.Context, routerAddr string) (int, error) {
-	rc, err := rpc.DialRouter(ctx, routerAddr)
-	if err != nil {
-		return 0, err
-	}
-	defer rc.Close()
-	return rc.Migrate(ctx)
-}
-
 // netClient adapts the pooled rpc router client to the Client interface.
 type netClient struct {
 	writes

@@ -78,15 +78,17 @@ bench-test:
 # vs concurrent reads), the placement planner the virtual-time session
 # migrates records by, the traversal kernel whose scratch the
 # processors pool across concurrent batches, the processor cache whose lock
-# its concurrent executors and evictions share, and the virtual-time engine,
-# whose mutation path incorporates nodes into a live index and embedding.
+# its concurrent executors and evictions share, the virtual-time engine,
+# whose mutation path incorporates nodes into a live index and embedding,
+# and the graph, whose concurrent first readers of a bulk-loaded graph race
+# to build its in-view.
 # The second line repeats the tests of the one pipelined connection a peer
 # gets — the lost-wakeup stress, a close behind a reply while another is
 # owed, a tag's lifetime, one socket per pool — and the batched storage read
 # under concurrent fails and revives, ten times each, as a rare interleaving
 # is what they look for.
 race:
-	$(GO) test -race ./internal/cache ./internal/core ./internal/rpc ./internal/router ./internal/topology ./internal/kvstore ./internal/gstore ./internal/chaos ./internal/placement ./internal/mquery ./internal/embed ./internal/traverse .
+	$(GO) test -race ./internal/cache ./internal/core ./internal/rpc ./internal/router ./internal/topology ./internal/kvstore ./internal/gstore ./internal/chaos ./internal/placement ./internal/mquery ./internal/embed ./internal/traverse ./internal/graph .
 	$(GO) test -race -count=10 -run 'TestPipelinedCallsNeverStall|TestOwedCallSeesCloseBehindReply|TestTagFreedOnReply|TestPoolHoldsOneConn|TestReplicatedConcurrentChurn' ./internal/rpc ./internal/kvstore
 
 # Coverage ratchet for the storage stack the replication work lives in
@@ -100,7 +102,7 @@ race:
 # both engines fetch through), landmark 97% (the index the mutation path
 # updates incrementally), metrics 77% (the snapshot types every layer's stats
 # row is written in), core 88% (the virtual-time engine the figures run on),
-# graph 89% (the adjacency and bulk loader every tier builds on), gen 94%
+# graph 91% (the adjacency and bulk loader every tier builds on), gen 96%
 # (the dataset generators), partition 94% and baseline 97% (the
 # partitioned BSP/GAS baselines the figures compare against), query 92%
 # (the queries, their oracles and the pattern wire form), the root package

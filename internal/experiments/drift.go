@@ -127,13 +127,9 @@ func runDrift(sc Scale) (Result, error) {
 	}
 
 	static, adaptive, reload := results[0], results[1], results[2]
-	recovery := 1.0
-	if gap := reload.tail - static.tail; gap > 0 {
-		recovery = (adaptive.tail - static.tail) / gap
-	}
 	pc := adaptive.moved
 	res := Result{Tables: []Table{t}, Foot: []string{
-		fmt.Sprintf("recovery fraction: %.2f of the static→re-load goodput gap closed by the", recovery),
+		recoveryLine(static.tail, adaptive.tail, reload.tail),
 		fmt.Sprintf("bounded online planner (target >= 0.90); adaptive migrated %d KiB over %d", pc.MovedBytes/1024, pc.Cycles),
 		fmt.Sprintf("cycles against a %d KiB/cycle budget", int64(driftBudget)/1024),
 	}}
@@ -144,6 +140,18 @@ func runDrift(sc Scale) (Result, error) {
 		return res, fmt.Errorf("budget violated: moved %d bytes over %d cycles with a %d-byte budget", pc.MovedBytes, pc.Cycles, int64(driftBudget))
 	}
 	return res, nil
+}
+
+// recoveryLine words the share of the static→re-load tail goodput gap the
+// adaptive cell closed. With no gap to close (re-load no better than
+// static) the share is undefined, and the line says what adaptive
+// placement did to goodput instead: a loss must not read as a recovery.
+func recoveryLine(static, adaptive, reload float64) string {
+	gap, gain := reload-static, adaptive-static
+	if gap <= 0 {
+		return fmt.Sprintf("recovery fraction: undefined (re-load − static %+.0f q/s); adaptive − static %+.0f q/s under the", gap, gain)
+	}
+	return fmt.Sprintf("recovery fraction: %.2f of the static→re-load goodput gap closed by the", gain/gap)
 }
 
 // runDriftCell runs one cell: phase A to steady state, the drift, then

@@ -207,11 +207,27 @@ func TestDriftRecoversGoodput(t *testing.T) {
 	if recovery := (adaptive - static) / (reload - static); reload > static && recovery < 0.90 {
 		t.Errorf("recovery fraction %.3f < 0.90", recovery)
 	}
+	if adaptive < static {
+		t.Errorf("adaptive placement lost goodput: tail %.0f q/s against static's %.0f", adaptive, static)
+	}
 	if moved["adaptive"].(int64) == 0 {
 		t.Error("adaptive cell never migrated anything — the experiment is vacuous")
 	}
 	if n := moved["static"].(int64); n != 0 {
 		t.Errorf("static cell migrated %d records; placement must not move", n)
+	}
+}
+
+// A drift run whose re-load is no better than static has no gap to close:
+// the fraction is worded undefined and the adaptive − static difference is
+// printed, so a loss never reads as a full recovery. (Figures from a run at
+// storage affinity 1.0, where moving records only costs.)
+func TestRecoveryLineWithoutGap(t *testing.T) {
+	if got, want := recoveryLine(4889, 4485, 4487), "recovery fraction: undefined (re-load − static -402 q/s); adaptive − static -404 q/s under the"; got != want {
+		t.Errorf("got  %q\nwant %q", got, want)
+	}
+	if got, want := recoveryLine(2319, 4290, 4290), "recovery fraction: 1.00 of the static→re-load goodput gap closed by the"; got != want {
+		t.Errorf("got  %q\nwant %q", got, want)
 	}
 }
 

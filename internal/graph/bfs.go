@@ -102,7 +102,7 @@ func (g *Graph) visitNeighbors(u NodeID, dir Direction, fn func(NodeID)) {
 		}
 	}
 	if dir == In || dir == Both {
-		for _, e := range g.in[u] {
+		for _, e := range g.inView()[u] {
 			fn(e.To)
 		}
 	}

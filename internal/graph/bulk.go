@@ -12,11 +12,11 @@ const bulkChunk = 32 << 10
 // memory proportional to the graph it returns and nothing else. Edges are
 // written straight into fixed-size chunks that become the out-adjacency, so
 // no per-node slice is ever grown; the in-adjacency is carved from one arena
-// once the in-degrees are known. The result is the graph a sequential
-// AddNode/AddEdgeFast replay of the same runs yields, adjacency order
-// included: sources may arrive in any order and more than once (a repeated
-// source appends to what it has), and every id below the largest one named
-// exists.
+// once the in-degrees are known, when the graph's in-view is first read. The
+// result is the graph a sequential AddNode/AddEdgeFast replay of the same
+// runs yields, adjacency order included: sources may arrive in any order and
+// more than once (a repeated source appends to what it has), and every id
+// below the largest one named exists.
 type Bulk struct {
 	chunks [][]Edge  // in arrival order; a run never straddles two
 	runs   []bulkRun // in arrival order
@@ -89,31 +89,49 @@ func (b *Bulk) eachRun(fn func(src NodeID, es []Edge)) {
 }
 
 // Graph returns the graph of everything added. The Bulk must not be used
-// afterwards: its chunks are the graph's out-adjacency now.
+// afterwards: its chunks are the graph's out-adjacency now, and the graph
+// keeps its run list until the first read of an in-edge builds the
+// in-adjacency from it (buildIn) — a holder that never reads one, like a
+// hash router, never pays for that view.
 func (b *Bulk) Graph() *Graph {
 	g := &Graph{
 		out:       make([][]Edge, b.n),
-		in:        make([][]Edge, b.n),
 		nodeLabel: make([]Label, b.n),
 		removed:   make([]bool, b.n),
 		liveNodes: b.n,
 		labels:    newLabels(),
+		pending:   b,
 	}
-	indeg := make([]uint32, b.n)
 	b.eachRun(func(src NodeID, es []Edge) {
 		if g.out[src] == nil {
 			g.out[src] = es
 		} else {
 			g.out[src] = append(g.out[src], es...)
 		}
+		g.numEdges += len(es)
+	})
+	return g
+}
+
+// buildIn lays out the in-adjacency of a graph a Bulk returned, then lets
+// the Bulk go. Each node's list is its own full-capacity window of one
+// arena, empty until the second pass fills it in arrival order — the order
+// a replay would have appended in. It runs once, before anything reads or
+// changes the graph's in-view (Graph.inView), so the chunks the runs point
+// into, and the edge count, are still as the Bulk left them.
+func (g *Graph) buildIn() {
+	b := g.pending
+	if b == nil {
+		return
+	}
+	g.pending = nil
+	g.in = make([][]Edge, len(g.out))
+	indeg := make([]uint32, len(g.out))
+	b.eachRun(func(_ NodeID, es []Edge) {
 		for _, e := range es {
 			indeg[e.To]++
 		}
-		g.numEdges += len(es)
 	})
-	// Each node's in-adjacency is its own full-capacity window of one
-	// arena, empty until the second pass fills it in arrival order — the
-	// order a replay would have appended in.
 	arena := make([]Edge, g.numEdges)
 	off := 0
 	for v, d := range indeg {
@@ -128,5 +146,4 @@ func (b *Bulk) Graph() *Graph {
 			g.in[e.To] = append(g.in[e.To], Edge{To: src})
 		}
 	})
-	return g
 }

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -157,4 +159,112 @@ func TestBulkAdjacencyIsNotAliased(t *testing.T) {
 		}
 	}
 	sameGraph(t, got, want)
+}
+
+// A Bulk's graph keeps its runs instead of an in-view until the first read
+// of an in-edge, which builds the view once — the replay's, list for list —
+// and lets the runs go. Later reads hand out the same lists and allocate
+// nothing.
+func TestBulkBuildsInViewOnFirstRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	runs := randomRuns(rng, 300, 200, 9)
+	got, want := bulk(runs), replay(runs)
+	if got.pending == nil || got.in != nil {
+		t.Fatal("the in-view was built before anything read it")
+	}
+	var v NodeID
+	for want.InDegree(v) == 0 {
+		v++
+	}
+	first := got.InEdges(v)
+	if got.pending != nil {
+		t.Fatal("the first InEdges left the runs held")
+	}
+	if !slices.Equal(first, want.InEdges(v)) {
+		t.Fatalf("node %d: in %v, want %v", v, first, want.InEdges(v))
+	}
+	sameGraph(t, got, want)
+	if again := got.InEdges(v); &again[0] != &first[0] {
+		t.Fatal("a second read rebuilt the in-view")
+	}
+	if n := testing.AllocsPerRun(100, func() { got.InEdges(v) }); n != 0 {
+		t.Fatalf("InEdges allocates %.1f times per call", n)
+	}
+}
+
+// A Graph is safe for concurrent readers, and a Bulk's graph must stay so
+// while its first readers race to build the in-view: each reader sees the
+// replay's answer (run it under -race).
+func TestBulkConcurrentFirstReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	runs := randomRuns(rng, 400, 250, 10)
+	want := replay(runs)
+	n := want.MaxNodeID()
+	wantOrder := want.NodesByDegreeDesc()
+	neighbours := func(g *Graph, u NodeID) []NodeID {
+		var ns []NodeID
+		g.VisitNeighbors(u, Both, func(v NodeID) { ns = append(ns, v) })
+		return ns
+	}
+	readers := []func(g *Graph) error{
+		func(g *Graph) error {
+			for u := NodeID(0); u < n; u++ {
+				if !slices.Equal(g.InEdges(u), want.InEdges(u)) {
+					return fmt.Errorf("InEdges(%d) = %v, want %v", u, g.InEdges(u), want.InEdges(u))
+				}
+			}
+			return nil
+		},
+		func(g *Graph) error {
+			for u := NodeID(0); u < n; u++ {
+				if g.Degree(u) != want.Degree(u) {
+					return fmt.Errorf("Degree(%d) = %d, want %d", u, g.Degree(u), want.Degree(u))
+				}
+			}
+			return nil
+		},
+		func(g *Graph) error {
+			for u := NodeID(0); u < n; u++ {
+				if got, w := neighbours(g, u), neighbours(want, u); !slices.Equal(got, w) {
+					return fmt.Errorf("VisitNeighbors(%d, Both) = %v, want %v", u, got, w)
+				}
+			}
+			return nil
+		},
+		func(g *Graph) error {
+			for u := NodeID(0); u < n; u++ {
+				for v := NodeID(0); v < n; v += 7 {
+					if g.HasEdge(u, v) != want.HasEdge(u, v) {
+						return fmt.Errorf("HasEdge(%d, %d) = %v", u, v, g.HasEdge(u, v))
+					}
+				}
+			}
+			return nil
+		},
+		func(g *Graph) error {
+			if got := g.NodesByDegreeDesc(); !slices.Equal(got, wantOrder) {
+				return fmt.Errorf("NodesByDegreeDesc = %v, want %v", got, wantOrder)
+			}
+			return nil
+		},
+	}
+	for round := 0; round < 20; round++ {
+		g := bulk(runs)
+		errs := make(chan error, 2*len(readers))
+		var wg sync.WaitGroup
+		for i := range 2 * len(readers) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs <- readers[(i+round)%len(readers)](g)
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+	}
 }

@@ -7,9 +7,15 @@
 // "founded_by", and reachability runs a backward BFS from the target).
 // Node and edge labels are interned into a compact label table.
 //
-// A Graph is safe for concurrent readers; mutations require external
-// synchronisation. Mutation methods (AddEdge, RemoveEdge, RemoveNode) keep
-// the in/out adjacency views consistent at all times.
+// A graph a Bulk built holds only its out-view at first, with the Bulk's
+// run list beside it: the first call that reads or changes the in-view
+// builds that view from the runs and lets them go, so a holder that only
+// ever reads outgoing edges (a hash router) never lays it out.
+//
+// A Graph is safe for concurrent readers, first readers of a Bulk's graph
+// included; mutations require external synchronisation. Mutation methods
+// (AddEdge, RemoveEdge, RemoveNode) keep the in/out adjacency views
+// consistent at all times.
 package graph
 
 import (
@@ -76,6 +82,17 @@ type Graph struct {
 	numEdges  int
 	liveNodes int
 	labels    *Labels
+
+	inOnce  sync.Once
+	pending *Bulk // what buildIn lays the in-view out from, until it has
+}
+
+// inView returns the in-adjacency, built first if a Bulk left it pending.
+// Every reader of g.in calls it, and every mutator before it changes
+// anything.
+func (g *Graph) inView() [][]Edge {
+	g.inOnce.Do(g.buildIn)
+	return g.in
 }
 
 // New returns an empty graph.
@@ -113,6 +130,7 @@ func (g *Graph) Exists(id NodeID) bool {
 
 // AddNode creates a node carrying label and returns its id.
 func (g *Graph) AddNode(label string) NodeID {
+	g.inView()
 	id := NodeID(len(g.out))
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
@@ -124,6 +142,7 @@ func (g *Graph) AddNode(label string) NodeID {
 
 // AddNodes bulk-creates n unlabelled nodes and returns the first new id.
 func (g *Graph) AddNodes(n int) NodeID {
+	g.inView()
 	first := NodeID(len(g.out))
 	g.out = append(g.out, make([][]Edge, n)...)
 	g.in = append(g.in, make([][]Edge, n)...)
@@ -140,6 +159,7 @@ func (g *Graph) AddNodes(n int) NodeID {
 // idempotent like the mutation it mirrors, and reports whether a node was
 // created (or revived) as opposed to relabelled in place.
 func (g *Graph) UpsertNode(id NodeID, label Label) bool {
+	g.inView()
 	for NodeID(len(g.out)) <= id {
 		g.out = append(g.out, nil)
 		g.in = append(g.in, nil)
@@ -172,6 +192,7 @@ func (g *Graph) Labels() *Labels { return g.labels }
 // mirroring a Client's mutations onto a graph with it yields the adjacency
 // the stored records hold, never a duplicate parallel edge.
 func (g *Graph) EnsureEdge(u, v NodeID, label Label) (bool, error) {
+	g.inView()
 	if !g.Exists(u) || !g.Exists(v) {
 		return false, ErrNoSuchNode
 	}
@@ -190,6 +211,7 @@ func (g *Graph) EnsureEdge(u, v NodeID, label Label) (bool, error) {
 // permitted (the graph is a multigraph). It returns ErrNoSuchNode if either
 // endpoint is missing.
 func (g *Graph) AddEdge(u, v NodeID, label string) error {
+	g.inView()
 	if !g.Exists(u) || !g.Exists(v) {
 		return ErrNoSuchNode
 	}
@@ -204,6 +226,7 @@ func (g *Graph) AddEdge(u, v NodeID, label string) error {
 // the endpoints. It is the bulk-load path used by the synthetic generators;
 // callers must guarantee both nodes exist.
 func (g *Graph) AddEdgeFast(u, v NodeID) {
+	g.inView()
 	g.out[u] = append(g.out[u], Edge{To: v})
 	g.in[v] = append(g.in[v], Edge{To: u})
 	g.numEdges++
@@ -215,7 +238,8 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 		return false
 	}
 	// Scan the smaller endpoint list.
-	if len(g.out[u]) <= len(g.in[v]) {
+	in := g.inView()[v]
+	if len(g.out[u]) <= len(in) {
 		for _, e := range g.out[u] {
 			if e.To == v {
 				return true
@@ -223,7 +247,7 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 		}
 		return false
 	}
-	for _, e := range g.in[v] {
+	for _, e := range in {
 		if e.To == u {
 			return true
 		}
@@ -236,6 +260,7 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 // keep, so the oracle drops the edge the write path drops — and reports
 // whether an edge was removed.
 func (g *Graph) RemoveEdge(u, v NodeID) bool {
+	g.inView()
 	if !g.Exists(u) || !g.Exists(v) {
 		return false
 	}
@@ -282,6 +307,7 @@ func removeFirst(adj *[]Edge, target NodeID) bool {
 // paper's update rule ("a node deletion is handled as deletion of the
 // multiple edges incident on it"). The id is tombstoned, never reused.
 func (g *Graph) RemoveNode(u NodeID) error {
+	g.inView()
 	if !g.Exists(u) {
 		return ErrNoSuchNode
 	}
@@ -325,7 +351,7 @@ func (g *Graph) InEdges(u NodeID) []Edge {
 	if !g.Exists(u) {
 		return nil
 	}
-	return g.in[u]
+	return g.inView()[u]
 }
 
 // OutDegree returns the number of outgoing edges of u.
@@ -341,7 +367,7 @@ func (g *Graph) InDegree(u NodeID) int {
 	if !g.Exists(u) {
 		return 0
 	}
-	return len(g.in[u])
+	return len(g.inView()[u])
 }
 
 // Degree returns the total degree (in + out) of u.
@@ -384,9 +410,10 @@ func (g *Graph) NodesByDegreeDesc() []NodeID {
 	// One integer sort: a key is the complemented degree above the id, so
 	// ascending keys run by degree down, then id up.
 	keys := make([]uint64, 0, g.liveNodes)
+	in := g.inView()
 	for id := range g.out {
 		if !g.removed[id] {
-			keys = append(keys, uint64(^uint32(len(g.out[id])+len(g.in[id])))<<32|uint64(id))
+			keys = append(keys, uint64(^uint32(len(g.out[id])+len(in[id])))<<32|uint64(id))
 		}
 	}
 	slices.Sort(keys)

@@ -207,11 +207,13 @@ func reachable(wp weak.Pointer[grouting.Graph]) bool { return wp.Value() != nil 
 // are what each role keeps, without the ≈ 10 MiB a Go daemon costs empty.
 // What it asserts is the router's: a router holds routing tables — at most
 // twice Stats().RoutingTableBytes plus 4 MiB of connections and counters —
-// never a second copy of the data set — and the shards': two shards retain
-// at most twice the bytes they store. Measuring role by role, it is also
-// the deployment built through the public daemon API (ServeStorage,
-// LoadStorageReplicated, ServeProcessorWith, ServeRouter with an
-// EmbedProvider) that other tests start with rpc.Loopback.
+// never a second copy of the data set — that a hash router's set-up
+// allocates little beyond the graph's out-view, the one view it lays out,
+// and the shards': two shards retain at most twice the bytes they store.
+// Measuring role by role, it is also the deployment built through the
+// public daemon API (ServeStorage, LoadStorageReplicated,
+// ServeProcessorWith, ServeRouter with an EmbedProvider) that other tests
+// start with rpc.Loopback.
 func TestMemoryBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("memory measurements are meaningless under the race detector")
@@ -296,6 +298,10 @@ func TestMemoryBudget(t *testing.T) {
 	// A router's figure is what goes away with it: the burst also moves the
 	// processors' caches (another policy sends a query elsewhere), so live
 	// memory is compared just before and just after the router is closed.
+	// Its set-up parses the file into the graph's out-view (8 B an edge, a
+	// 24-B list header a node), and builds the in-view only for a policy
+	// whose preprocessing reads it: never under hash.
+	view := float64(8*g.NumEdges()+24*int(g.MaxNodeID())) / (1 << 20)
 	for _, policy := range []grouting.Policy{grouting.PolicyHash, grouting.PolicyLandmark, grouting.PolicyEmbed} {
 		mark = markMem()
 		rs, wp := serveRouterFromFile(t, file.Bytes(), grouting.RouterSpec{Processors: procs, Policy: policy, Seed: 3, Storage: storage})
@@ -311,19 +317,29 @@ func TestMemoryBudget(t *testing.T) {
 		rs = nil
 		retained = (float64(serving.live) - float64(markMem().live)) / (1 << 20)
 		tables := float64(snap.RoutingTableBytes) / (1 << 20)
-		var graphMiB, landmarkMiB, coordMiB float64
+		views := 2
+		if policy == grouting.PolicyHash {
+			views = 1
+		}
+		var heldMiB, landmarkMiB, coordMiB float64
 		if graphHeld {
-			graphMiB = float64(16*g.NumEdges()+48*g.NumNodes()) / (1 << 20)
+			heldMiB = float64(views) * view
 		}
 		if policy == grouting.PolicyEmbed {
 			coordMiB = tables
 		} else {
 			landmarkMiB = tables
 		}
-		t.Logf("membudget: router/%-8v retained %5.1f MiB, allocated %6.1f MiB (graph %.1f, landmark index + d(u,p) %.1f, coordinates %.1f, everything else %.1f)",
-			policy, retained, allocated, graphMiB, landmarkMiB, coordMiB, retained-graphMiB-tables)
+		t.Logf("membudget: router/%-8v retained %5.1f MiB, allocated %6.1f MiB (set-up graph %.1f in %d view(s), held %.1f; landmark index + d(u,p) %.1f, coordinates %.1f, everything else %.1f)",
+			policy, retained, allocated, float64(views)*view, views, heldMiB, landmarkMiB, coordMiB, retained-heldMiB-tables)
 		if budget := 2*tables + 4; retained > budget {
 			t.Errorf("router under %v retains %.1f MiB, budget %.1f (2 x %.1f MiB of routing tables + 4)", policy, retained, budget, tables)
+		}
+		// The slack is the run list, labels and tombstones, the scanner's
+		// buffer, chunk spills and the router itself: 1.6 MiB measured. A
+		// load that laid the in-view out too allocated 15.6 MiB here.
+		if budget := view + 3; policy == grouting.PolicyHash && allocated > budget {
+			t.Errorf("a hash router's set-up allocates %.1f MiB, budget %.1f (the %.1f MiB out-view + 3)", allocated, budget, view)
 		}
 	}
 

@@ -81,15 +81,19 @@ bench-test:
 # its concurrent executors and evictions share, the virtual-time engine,
 # whose mutation path incorporates nodes into a live index and embedding,
 # and the graph, whose concurrent first readers of a bulk-loaded graph race
-# to build its in-view.
+# to build its in-view and its id in-adjacency.
 # The second line repeats the tests of the one pipelined connection a peer
 # gets — the lost-wakeup stress, a close behind a reply while another is
-# owed, a tag's lifetime, one socket per pool — and the batched storage read
-# under concurrent fails and revives, ten times each, as a rare interleaving
-# is what they look for.
+# owed, a tag's lifetime, one socket per pool — the batched storage read
+# under concurrent fails and revives, and the readers of a graph's lazily
+# built id in-adjacency — the graph's first-readers stress test, and the
+# landmark index build, whose sweep helpers read the index the caller's
+# first level built — ten times each, as a rare interleaving is what they
+# look for. TestBuildIndexMatchesBFS is 25.8 of the landmark package's
+# 26.4 s under -race on a 2-vCPU host, so its ten runs take ≈ 4 min.
 race:
 	$(GO) test -race ./internal/cache ./internal/core ./internal/rpc ./internal/router ./internal/topology ./internal/kvstore ./internal/gstore ./internal/chaos ./internal/placement ./internal/mquery ./internal/embed ./internal/traverse ./internal/graph .
-	$(GO) test -race -count=10 -run 'TestPipelinedCallsNeverStall|TestOwedCallSeesCloseBehindReply|TestTagFreedOnReply|TestPoolHoldsOneConn|TestReplicatedConcurrentChurn' ./internal/rpc ./internal/kvstore
+	$(GO) test -race -count=10 -run 'TestPipelinedCallsNeverStall|TestOwedCallSeesCloseBehindReply|TestTagFreedOnReply|TestPoolHoldsOneConn|TestReplicatedConcurrentChurn|TestBulkConcurrentFirstReaders|TestBuildIndex' ./internal/rpc ./internal/kvstore ./internal/graph ./internal/landmark
 
 # Coverage ratchet for the storage stack the replication work lives in
 # plus the binary wire protocol, the embedding-provider subsystem and the

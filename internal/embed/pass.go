@@ -32,35 +32,44 @@ func Build(g *graph.Graph, idx *landmark.Index, opts Options) (*Embedding, error
 // id that replaces each embedded node's row by the mean of its neighbours'
 // rows as they stand, out- and in-adjacency alike. It runs in place — a node
 // sees the new rows of the lower ids and the placed rows of the higher ones —
-// so it needs no second table.
+// so it needs no second table. It reads the in-neighbours' ids (InIDs), so
+// the graph never lays its in-view out for it.
 func (e *Embedding) averageNeighbours(g *graph.Graph) {
 	sum := make([]float64, e.D)
 	for u := 0; u < e.NumNodes(); u++ {
-		if id := graph.NodeID(u); !nanRow(e.Coords(id)) {
-			e.neighbourMean(id, g.OutEdges(id), g.InEdges(id), sum)
+		id := graph.NodeID(u)
+		if nanRow(e.Coords(id)) {
+			continue
 		}
+		clear(sum)
+		n := 0
+		for _, ed := range g.OutEdges(id) {
+			n += e.addRow(sum, ed.To)
+		}
+		for _, v := range g.InIDs(id) {
+			n += e.addRow(sum, v)
+		}
+		e.setMean(id, sum, n)
 	}
 }
 
-// neighbourMean sets u's row, which the table must already have, to the mean
-// of the rows of u's embedded neighbours, one term per edge of out and in (u's
-// adjacency); sum is D floats of scratch. With no embedded neighbour the row
-// stays and the result is false.
-func (e *Embedding) neighbourMean(u graph.NodeID, out, in []graph.Edge, sum []float64) bool {
-	clear(sum)
-	n := 0
-	for _, adj := range [2][]graph.Edge{out, in} {
-		for _, ed := range adj {
-			row := e.Coords(ed.To)
-			if row == nil || nanRow(row) {
-				continue
-			}
-			for j, v := range row {
-				sum[j] += float64(v)
-			}
-			n++
-		}
+// addRow adds v's row to sum and returns 1, or returns 0 and leaves sum
+// alone when v is not embedded. Summed over a node's out-edges, then its
+// in-edges, it is the neighbour mean's numerator, one term per edge.
+func (e *Embedding) addRow(sum []float64, v graph.NodeID) int {
+	row := e.Coords(v)
+	if row == nil || nanRow(row) {
+		return 0
 	}
+	for j, x := range row {
+		sum[j] += float64(x)
+	}
+	return 1
+}
+
+// setMean sets u's row, which the table must already have, to sum / n, and
+// reports whether it did: with n = 0 (no embedded neighbour) the row stays.
+func (e *Embedding) setMean(u graph.NodeID, sum []float64, n int) bool {
 	if n == 0 {
 		return false
 	}
@@ -80,7 +89,13 @@ func (e *Embedding) neighbourMean(u graph.NodeID, out, in []graph.Edge, sum []fl
 func (e *Embedding) IncorporateNode(adj graph.Adjacency, idx *landmark.Index, u graph.NodeID, opts Options) {
 	e.grow(u)
 	x := make([]float64, e.D)
-	if e.neighbourMean(u, adj.OutEdges(u), adj.InEdges(u), x) {
+	n := 0
+	for _, es := range [2][]graph.Edge{adj.OutEdges(u), adj.InEdges(u)} {
+		for _, ed := range es {
+			n += e.addRow(x, ed.To)
+		}
+	}
+	if e.setMean(u, x, n) {
 		return
 	}
 	if reachable(idx, u) {

@@ -227,8 +227,8 @@ func FuzzReadAdjacency(f *testing.F) {
 // append-per-edge reader allocated 3.4 x), and what it keeps until an
 // in-edge is read is the out-view and the run list, not the in-view a hash
 // router never reads: 11.2 B per edge on this preset, 20.3 when the load
-// laid the in-view out too, ceiling 16. The first in-read builds the view
-// the replay builds.
+// laid the in-view out too, ceiling 16; reading the id index adds its 4 B an
+// edge and no view. The first in-read builds the view the replay builds.
 func TestReadAdjacencyByteBudget(t *testing.T) {
 	g, err := Preset(WebGraph, 1.0, 3)
 	if err != nil {
@@ -262,6 +262,18 @@ func TestReadAdjacencyByteBudget(t *testing.T) {
 	}
 	if perEdge := retained / float64(edges); perEdge > 16 {
 		t.Errorf("the load retains %.1f B per edge before any in-edge is read, ceiling 16", perEdge)
+	}
+	// What the routing preprocessing reads instead of the in-view, the id
+	// index, adds 4 B an edge (and 4 a node) to that and lays out no view.
+	for u := range got.MaxNodeID() {
+		got.InIDs(u)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&kept)
+	withIDs := (float64(kept.HeapAlloc) - float64(before.HeapAlloc)) / float64(edges)
+	t.Logf("with the id index read: %.1f B per edge", withIDs)
+	if withIDs > 16+4 {
+		t.Errorf("the load and the id index retain %.1f B per edge, ceiling 16 + 4", withIDs)
 	}
 	want, err := replayAdjacency(bytes.NewReader(file.Bytes()))
 	if err != nil {

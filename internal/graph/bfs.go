@@ -88,13 +88,9 @@ func (g *Graph) HopDistance(src, dst NodeID, maxHops int, dir Direction) int32 {
 	return Unreachable
 }
 
-// VisitNeighbors calls fn for every neighbour of u in direction dir.
+// visitNeighbors calls fn for every neighbour of u in direction dir.
 // Duplicate neighbours (parallel edges) are visited once per edge; BFS
 // callers deduplicate via their visited set.
-func (g *Graph) VisitNeighbors(u NodeID, dir Direction, fn func(NodeID)) {
-	g.visitNeighbors(u, dir, fn)
-}
-
 func (g *Graph) visitNeighbors(u NodeID, dir Direction, fn func(NodeID)) {
 	if dir == Out || dir == Both {
 		for _, e := range g.out[u] {

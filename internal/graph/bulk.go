@@ -92,7 +92,8 @@ func (b *Bulk) eachRun(fn func(src NodeID, es []Edge)) {
 // afterwards: its chunks are the graph's out-adjacency now, and the graph
 // keeps its run list until the first read of an in-edge builds the
 // in-adjacency from it (buildIn) — a holder that never reads one, like a
-// hash router, never pays for that view.
+// hash router, never pays for that view, and one that reads only the
+// in-neighbours' ids (InIDs) pays for them alone (buildInIDs).
 func (b *Bulk) Graph() *Graph {
 	g := &Graph{
 		out:       make([][]Edge, b.n),
@@ -146,4 +147,49 @@ func (g *Graph) buildIn() {
 			g.in[e.To] = append(g.in[e.To], Edge{To: src})
 		}
 	})
+}
+
+// buildInIDs lays out the id in-adjacency: one arena holding every node's
+// in-neighbours in the in-view's order, and n+1 offsets into it. While a
+// Bulk's runs are pending it reads them as buildIn does, arrival order being
+// the in-view's, and leaves them to buildIn; once they are gone it reads the
+// in-view.
+func (g *Graph) buildInIDs() {
+	n := len(g.out)
+	off := make([]uint32, n+1)
+	b := g.pending
+	if b != nil {
+		b.eachRun(func(_ NodeID, es []Edge) {
+			for _, e := range es {
+				off[e.To+1]++
+			}
+		})
+	} else {
+		for v, es := range g.in {
+			off[v+1] = uint32(len(es))
+		}
+	}
+	for v := range n {
+		off[v+1] += off[v]
+	}
+	ids := make([]NodeID, off[n])
+	if b != nil {
+		// off[v] is v's cursor while the runs are read, so it ends where v+1
+		// starts; one shift puts every start back.
+		b.eachRun(func(src NodeID, es []Edge) {
+			for _, e := range es {
+				ids[off[e.To]] = src
+				off[e.To]++
+			}
+		})
+		copy(off[1:], off[:n])
+		off[0] = 0
+	} else {
+		for v, es := range g.in {
+			for i, e := range es {
+				ids[int(off[v])+i] = e.To
+			}
+		}
+	}
+	g.inOff, g.inIDs = off, ids
 }

@@ -57,10 +57,26 @@ func sameGraph(t *testing.T, got, want *Graph) {
 		if !slices.Equal(got.OutEdges(u), want.OutEdges(u)) {
 			t.Fatalf("node %d: out %v, want %v", u, got.OutEdges(u), want.OutEdges(u))
 		}
+		// The id index first: on a Bulk's graph it is then laid out from the
+		// runs, before the in-view is.
+		for _, g := range []*Graph{got, want} {
+			if ids := g.InIDs(u); !slices.Equal(ids, edgeIDs(want.InEdges(u))) {
+				t.Fatalf("node %d: in ids %v, want those of %v", u, ids, want.InEdges(u))
+			}
+		}
 		if !slices.Equal(got.InEdges(u), want.InEdges(u)) {
 			t.Fatalf("node %d: in %v, want %v", u, got.InEdges(u), want.InEdges(u))
 		}
 	}
+}
+
+// edgeIDs is what InIDs must hold for a node whose in-edges are es.
+func edgeIDs(es []Edge) []NodeID {
+	ids := make([]NodeID, len(es))
+	for i, e := range es {
+		ids[i] = e.To
+	}
+	return ids
 }
 
 // randomRuns draws runs the way a hostile file would order them: sources
@@ -192,18 +208,29 @@ func TestBulkBuildsInViewOnFirstRead(t *testing.T) {
 	}
 }
 
+// byDegree is the live ids by total degree, highest first, ties by id: a
+// reader of every in-list at once.
+func byDegree(g *Graph) []NodeID {
+	ids := g.Nodes()
+	in := g.inView()
+	slices.SortStableFunc(ids, func(a, b NodeID) int {
+		return (len(g.out[b]) + len(in[b])) - (len(g.out[a]) + len(in[a]))
+	})
+	return ids
+}
+
 // A Graph is safe for concurrent readers, and a Bulk's graph must stay so
-// while its first readers race to build the in-view: each reader sees the
-// replay's answer (run it under -race).
+// while its first readers race to build the in-view and the id index: each
+// reader sees the replay's answer (run it under -race).
 func TestBulkConcurrentFirstReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	runs := randomRuns(rng, 400, 250, 10)
 	want := replay(runs)
 	n := want.MaxNodeID()
-	wantOrder := want.NodesByDegreeDesc()
+	wantOrder := byDegree(want)
 	neighbours := func(g *Graph, u NodeID) []NodeID {
 		var ns []NodeID
-		g.VisitNeighbors(u, Both, func(v NodeID) { ns = append(ns, v) })
+		g.visitNeighbors(u, Both, func(v NodeID) { ns = append(ns, v) })
 		return ns
 	}
 	readers := []func(g *Graph) error{
@@ -226,7 +253,7 @@ func TestBulkConcurrentFirstReaders(t *testing.T) {
 		func(g *Graph) error {
 			for u := NodeID(0); u < n; u++ {
 				if got, w := neighbours(g, u), neighbours(want, u); !slices.Equal(got, w) {
-					return fmt.Errorf("VisitNeighbors(%d, Both) = %v, want %v", u, got, w)
+					return fmt.Errorf("visitNeighbors(%d, Both) = %v, want %v", u, got, w)
 				}
 			}
 			return nil
@@ -242,8 +269,16 @@ func TestBulkConcurrentFirstReaders(t *testing.T) {
 			return nil
 		},
 		func(g *Graph) error {
-			if got := g.NodesByDegreeDesc(); !slices.Equal(got, wantOrder) {
-				return fmt.Errorf("NodesByDegreeDesc = %v, want %v", got, wantOrder)
+			if got := byDegree(g); !slices.Equal(got, wantOrder) {
+				return fmt.Errorf("degree order %v, want %v", got, wantOrder)
+			}
+			return nil
+		},
+		func(g *Graph) error {
+			for u := NodeID(0); u < n; u++ {
+				if got, w := g.InIDs(u), edgeIDs(want.InEdges(u)); !slices.Equal(got, w) {
+					return fmt.Errorf("InIDs(%d) = %v, want %v", u, got, w)
+				}
 			}
 			return nil
 		},
@@ -266,5 +301,93 @@ func TestBulkConcurrentFirstReaders(t *testing.T) {
 				t.Fatalf("round %d: %v", round, err)
 			}
 		}
+	}
+}
+
+// Reading the id index of a fresh Bulk's graph lays out the index alone,
+// from the runs: no in-view, and the runs stay for the in-view's first
+// reader, which builds the replay's. The index survives that build, and
+// later reads allocate nothing.
+func TestBulkBuildsInIDsWithoutInView(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	runs := randomRuns(rng, 300, 200, 9)
+	got, want := bulk(runs), replay(runs)
+	var v NodeID
+	for want.InDegree(v) == 0 {
+		v++
+	}
+	first := got.InIDs(v)
+	if got.in != nil || got.pending == nil {
+		t.Fatal("reading the id index laid the in-view out or let the runs go")
+	}
+	for u := NodeID(0); u < want.MaxNodeID(); u++ {
+		if ids := got.InIDs(u); !slices.Equal(ids, edgeIDs(want.InEdges(u))) {
+			t.Fatalf("node %d: in ids %v, want those of %v", u, ids, want.InEdges(u))
+		}
+	}
+	if got.in != nil {
+		t.Fatal("reading every node's id list laid the in-view out")
+	}
+	if n := testing.AllocsPerRun(100, func() { got.InIDs(v) }); n != 0 {
+		t.Fatalf("InIDs allocates %.1f times per call", n)
+	}
+	sameGraph(t, got, want)
+	if again := got.InIDs(v); &again[0] != &first[0] {
+		t.Fatal("building the in-view rebuilt the id index")
+	}
+	if got.InIDs(want.MaxNodeID()) != nil {
+		t.Fatal("InIDs of an id past the graph is not nil")
+	}
+}
+
+// Every mutator drops the id index, so the next read rebuilds it from the
+// adjacency as changed: after each one, on a Bulk's graph and on one New
+// built, every node's index equals its in-edges' sources.
+func TestInIDsFollowMutators(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	runs := randomRuns(rng, 200, 120, 8)
+	check := func(t *testing.T, g *Graph, after string) {
+		t.Helper()
+		for u := NodeID(0); u <= g.MaxNodeID(); u++ {
+			if ids, w := g.InIDs(u), edgeIDs(g.InEdges(u)); !slices.Equal(ids, w) || (len(ids) == 0) != (g.InDegree(u) == 0) {
+				t.Fatalf("after %s, node %d: in ids %v, in-edges %v", after, u, ids, g.InEdges(u))
+			}
+		}
+	}
+	for name, g := range map[string]*Graph{"bulk": bulk(runs), "new": replay(runs)} {
+		t.Run(name, func(t *testing.T) {
+			check(t, g, "nothing")
+			a := g.AddNode("a")
+			check(t, g, "AddNode")
+			b := g.AddNodes(3)
+			check(t, g, "AddNodes")
+			far := g.MaxNodeID() + 2
+			g.UpsertNode(far, NoLabel)
+			check(t, g, "UpsertNode")
+			if _, err := g.EnsureEdge(a, 5, g.InternLabel("x")); err != nil {
+				t.Fatal(err)
+			}
+			check(t, g, "EnsureEdge")
+			if err := g.AddEdge(far, a, "y"); err != nil {
+				t.Fatal(err)
+			}
+			check(t, g, "AddEdge")
+			g.AddEdgeFast(b, far)
+			check(t, g, "AddEdgeFast")
+			if !g.RemoveEdge(far, a) {
+				t.Fatal("RemoveEdge found no edge")
+			}
+			check(t, g, "RemoveEdge")
+			var hub NodeID
+			for u := range g.MaxNodeID() {
+				if g.InDegree(u) > g.InDegree(hub) {
+					hub = u
+				}
+			}
+			if err := g.RemoveNode(hub); err != nil {
+				t.Fatal(err)
+			}
+			check(t, g, "RemoveNode")
+		})
 	}
 }

@@ -10,7 +10,10 @@
 // A graph a Bulk built holds only its out-view at first, with the Bulk's
 // run list beside it: the first call that reads or changes the in-view
 // builds that view from the runs and lets them go, so a holder that only
-// ever reads outgoing edges (a hash router) never lays it out.
+// ever reads outgoing edges (a hash router) never lays it out. A reader that
+// needs only the in-neighbours' ids (the routing preprocessing) reads InIDs,
+// a compact id-only in-adjacency built on its first call — from the runs
+// while they are pending, so it never lays the in-view out either.
 //
 // A Graph is safe for concurrent readers, first readers of a Bulk's graph
 // included; mutations require external synchronisation. Mutation methods
@@ -24,6 +27,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // NodeID identifies a node. IDs are dense, starting at 0, and remain stable
@@ -83,16 +87,50 @@ type Graph struct {
 	liveNodes int
 	labels    *Labels
 
-	inOnce  sync.Once
-	pending *Bulk // what buildIn lays the in-view out from, until it has
+	// The in-adjacency's two lazy forms share one guard: the in-view, in,
+	// laid out from a Bulk's runs when it left them pending, and the id
+	// index, inOff / inIDs (InIDs), laid out from the runs while they are
+	// pending and from the in-view after.
+	inMu    sync.Mutex
+	inReady atomic.Bool // in is built
+	idReady atomic.Bool // inOff and inIDs are built
+	pending *Bulk       // what buildIn lays the in-view out from, until it has
+	inOff   []uint32    // node v's in-neighbours are inIDs[inOff[v]:inOff[v+1]]
+	inIDs   []NodeID
 }
 
 // inView returns the in-adjacency, built first if a Bulk left it pending.
-// Every reader of g.in calls it, and every mutator before it changes
-// anything.
+// Every reader of g.in calls it, and every mutator (through mutating);
+// InIDs guards the id index the same way.
 func (g *Graph) inView() [][]Edge {
-	g.inOnce.Do(g.buildIn)
+	if !g.inReady.Load() {
+		g.lazily(&g.inReady, g.buildIn)
+	}
 	return g.in
+}
+
+// lazily runs build under the in-adjacency's guard unless ready says it has
+// run, then sets ready: every first reader of either form waits for the one
+// that builds it, and the two builds never overlap.
+func (g *Graph) lazily(ready *atomic.Bool, build func()) {
+	g.inMu.Lock()
+	defer g.inMu.Unlock()
+	if !ready.Load() {
+		build()
+		ready.Store(true)
+	}
+}
+
+// mutating readies g for a change: the in-view is built, so a Bulk's runs
+// are read before anything moves, and the id index is dropped, as the
+// change may make it stale. Every mutator calls it before it changes
+// anything.
+func (g *Graph) mutating() {
+	g.inView()
+	if g.idReady.Load() {
+		g.idReady.Store(false)
+		g.inOff, g.inIDs = nil, nil
+	}
 }
 
 // New returns an empty graph.
@@ -130,7 +168,7 @@ func (g *Graph) Exists(id NodeID) bool {
 
 // AddNode creates a node carrying label and returns its id.
 func (g *Graph) AddNode(label string) NodeID {
-	g.inView()
+	g.mutating()
 	id := NodeID(len(g.out))
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
@@ -142,7 +180,7 @@ func (g *Graph) AddNode(label string) NodeID {
 
 // AddNodes bulk-creates n unlabelled nodes and returns the first new id.
 func (g *Graph) AddNodes(n int) NodeID {
-	g.inView()
+	g.mutating()
 	first := NodeID(len(g.out))
 	g.out = append(g.out, make([][]Edge, n)...)
 	g.in = append(g.in, make([][]Edge, n)...)
@@ -159,7 +197,7 @@ func (g *Graph) AddNodes(n int) NodeID {
 // idempotent like the mutation it mirrors, and reports whether a node was
 // created (or revived) as opposed to relabelled in place.
 func (g *Graph) UpsertNode(id NodeID, label Label) bool {
-	g.inView()
+	g.mutating()
 	for NodeID(len(g.out)) <= id {
 		g.out = append(g.out, nil)
 		g.in = append(g.in, nil)
@@ -192,7 +230,7 @@ func (g *Graph) Labels() *Labels { return g.labels }
 // mirroring a Client's mutations onto a graph with it yields the adjacency
 // the stored records hold, never a duplicate parallel edge.
 func (g *Graph) EnsureEdge(u, v NodeID, label Label) (bool, error) {
-	g.inView()
+	g.mutating()
 	if !g.Exists(u) || !g.Exists(v) {
 		return false, ErrNoSuchNode
 	}
@@ -211,7 +249,7 @@ func (g *Graph) EnsureEdge(u, v NodeID, label Label) (bool, error) {
 // permitted (the graph is a multigraph). It returns ErrNoSuchNode if either
 // endpoint is missing.
 func (g *Graph) AddEdge(u, v NodeID, label string) error {
-	g.inView()
+	g.mutating()
 	if !g.Exists(u) || !g.Exists(v) {
 		return ErrNoSuchNode
 	}
@@ -226,7 +264,7 @@ func (g *Graph) AddEdge(u, v NodeID, label string) error {
 // the endpoints. It is the bulk-load path used by the synthetic generators;
 // callers must guarantee both nodes exist.
 func (g *Graph) AddEdgeFast(u, v NodeID) {
-	g.inView()
+	g.mutating()
 	g.out[u] = append(g.out[u], Edge{To: v})
 	g.in[v] = append(g.in[v], Edge{To: u})
 	g.numEdges++
@@ -260,7 +298,7 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 // keep, so the oracle drops the edge the write path drops — and reports
 // whether an edge was removed.
 func (g *Graph) RemoveEdge(u, v NodeID) bool {
-	g.inView()
+	g.mutating()
 	if !g.Exists(u) || !g.Exists(v) {
 		return false
 	}
@@ -307,7 +345,7 @@ func removeFirst(adj *[]Edge, target NodeID) bool {
 // paper's update rule ("a node deletion is handled as deletion of the
 // multiple edges incident on it"). The id is tombstoned, never reused.
 func (g *Graph) RemoveNode(u NodeID) error {
-	g.inView()
+	g.mutating()
 	if !g.Exists(u) {
 		return ErrNoSuchNode
 	}
@@ -352,6 +390,23 @@ func (g *Graph) InEdges(u NodeID) []Edge {
 		return nil
 	}
 	return g.inView()[u]
+}
+
+// InIDs returns the sources of u's incoming edges, in InEdges' order: the
+// id in-adjacency, 4 B an edge and 4 B a node where the in-view spends 8 and
+// 24. On a graph a Bulk built, the first call lays it out from the Bulk's
+// runs without laying the in-view out, so a reader that needs only ids never
+// pays for that view. The returned slice is owned by the graph and must not
+// be modified; a mutation drops the index, and the next call builds it anew.
+func (g *Graph) InIDs(u NodeID) []NodeID {
+	if !g.Exists(u) {
+		return nil
+	}
+	if !g.idReady.Load() {
+		g.lazily(&g.idReady, g.buildInIDs)
+	}
+	lo, hi := g.inOff[u], g.inOff[u+1]
+	return g.inIDs[lo:hi:hi]
 }
 
 // OutDegree returns the number of outgoing edges of u.
@@ -400,26 +455,6 @@ func (g *Graph) Nodes() []NodeID {
 		if !g.removed[id] {
 			ids = append(ids, id)
 		}
-	}
-	return ids
-}
-
-// NodesByDegreeDesc returns live node ids sorted by total degree, highest
-// first (ties broken by id for determinism). Used by landmark selection.
-func (g *Graph) NodesByDegreeDesc() []NodeID {
-	// One integer sort: a key is the complemented degree above the id, so
-	// ascending keys run by degree down, then id up.
-	keys := make([]uint64, 0, g.liveNodes)
-	in := g.inView()
-	for id := range g.out {
-		if !g.removed[id] {
-			keys = append(keys, uint64(^uint32(len(g.out[id])+len(in[id])))<<32|uint64(id))
-		}
-	}
-	slices.Sort(keys)
-	ids := make([]NodeID, len(keys))
-	for i, k := range keys {
-		ids[i] = NodeID(k)
 	}
 	return ids
 }

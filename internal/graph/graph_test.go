@@ -2,7 +2,6 @@ package graph
 
 import (
 	"reflect"
-	"slices"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -267,34 +266,6 @@ func TestEdgeLabels(t *testing.T) {
 	}
 	if _, ok := g.LabelID("unknown"); ok {
 		t.Fatal("LabelID found an unknown label")
-	}
-}
-
-func TestNodesByDegreeDesc(t *testing.T) {
-	g := New()
-	g.AddNodes(4)
-	// Node 2 gets degree 3, node 0 degree 2, node 1 degree 2, node 3 degree 1.
-	g.AddEdgeFast(2, 0)
-	g.AddEdgeFast(2, 1)
-	g.AddEdgeFast(0, 2) // bumps 2 to degree 3, 0 to 2
-	g.AddEdgeFast(3, 1) // 1 to degree 2, 3 to 1
-	order := g.NodesByDegreeDesc()
-	if order[0] != 2 {
-		t.Fatalf("highest-degree node = %d, want 2 (order %v)", order[0], order)
-	}
-	if order[len(order)-1] != 3 {
-		t.Fatalf("lowest-degree node = %d, want 3 (order %v)", order[len(order)-1], order)
-	}
-	// Ties (0 and 1, both degree 2) break by id.
-	if order[1] != 0 || order[2] != 1 {
-		t.Fatalf("tie-break order = %v, want [2 0 1 3]", order)
-	}
-	// A removed node is left out, and its edges no longer count.
-	if err := g.RemoveNode(3); err != nil {
-		t.Fatal(err)
-	}
-	if order := g.NodesByDegreeDesc(); !slices.Equal(order, []NodeID{2, 0, 1}) {
-		t.Fatalf("order after removing node 3 = %v, want [2 0 1]", order)
 	}
 }
 

@@ -25,12 +25,21 @@ func bfsInto(g *graph.Graph, src graph.NodeID, dir graph.Direction, dist []int32
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		du := dist[u]
-		g.VisitNeighbors(u, dir, func(v graph.NodeID) {
-			if dist[v] == graph.Unreachable {
-				dist[v] = du + 1
-				queue = append(queue, v)
+		var lists [2][]graph.Edge // the in-view, not the id index BuildIndex reads
+		if dir != graph.In {
+			lists[0] = g.OutEdges(u)
+		}
+		if dir != graph.Out {
+			lists[1] = g.InEdges(u)
+		}
+		for _, es := range lists {
+			for _, e := range es {
+				if dist[e.To] == graph.Unreachable {
+					dist[e.To] = du + 1
+					queue = append(queue, e.To)
+				}
 			}
-		})
+		}
 	}
 	return queue
 }

@@ -41,11 +41,11 @@ func Select(g *graph.Graph, count, minSep int) []graph.NodeID {
 	}
 	chosen := make([]graph.NodeID, 0, count)
 	isChosen := make(map[graph.NodeID]bool, count)
-	for _, cand := range g.NodesByDegreeDesc() {
+	for _, cand := range nodesByDegreeDesc(g) {
 		if len(chosen) == count {
 			break
 		}
-		if g.Degree(cand) == 0 {
+		if degree(g, cand) == 0 {
 			// Isolated nodes cannot anchor distances; and since candidates
 			// come sorted by degree, everything after is isolated too.
 			break
@@ -57,6 +57,32 @@ func Select(g *graph.Graph, count, minSep int) []graph.NodeID {
 		isChosen[cand] = true
 	}
 	return chosen
+}
+
+// degree is u's total degree, in + out, read off the out-view and the id
+// in-adjacency: the preprocessing reads no in-edge's label, so it never
+// lays the in-view out.
+func degree(g *graph.Graph, u graph.NodeID) int {
+	return len(g.OutEdges(u)) + len(g.InIDs(u))
+}
+
+// nodesByDegreeDesc returns g's live node ids sorted by total degree,
+// highest first, ties broken by id.
+func nodesByDegreeDesc(g *graph.Graph) []graph.NodeID {
+	// One integer sort: a key is the complemented degree above the id, so
+	// ascending keys run by degree down, then id up.
+	keys := make([]uint64, 0, g.NumNodes())
+	for id := range g.MaxNodeID() {
+		if g.Exists(id) {
+			keys = append(keys, uint64(^uint32(degree(g, id)))<<32|uint64(id))
+		}
+	}
+	slices.Sort(keys)
+	ids := make([]graph.NodeID, len(keys))
+	for i, k := range keys {
+		ids[i] = graph.NodeID(k)
+	}
+	return ids
 }
 
 // withinHops reports whether any target node lies within maxHops of src
@@ -74,17 +100,21 @@ func withinHops(g *graph.Graph, src graph.NodeID, maxHops int, targets map[graph
 	frontier := []graph.NodeID{src}
 	for h := 0; h < maxHops && len(frontier) > 0; h++ {
 		var next []graph.NodeID
+		visit := func(v graph.NodeID) bool {
+			if _, ok := seen[v]; !ok {
+				seen[v] = struct{}{}
+				next = append(next, v)
+			}
+			return targets[v]
+		}
 		for _, u := range frontier {
 			hit := false
-			g.VisitNeighbors(u, graph.Both, func(v graph.NodeID) {
-				if targets[v] {
-					hit = true
-				}
-				if _, ok := seen[v]; !ok {
-					seen[v] = struct{}{}
-					next = append(next, v)
-				}
-			})
+			for _, e := range g.OutEdges(u) {
+				hit = visit(e.To) || hit
+			}
+			for _, v := range g.InIDs(u) {
+				hit = visit(v) || hit
+			}
 			if hit {
 				return true
 			}

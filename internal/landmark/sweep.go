@@ -175,22 +175,25 @@ func (s *sweep) push() {
 	for _, u := range s.curList {
 		f := cur[u]
 		cur[u] = 0
-		for _, es := range [2][]graph.Edge{s.g.OutEdges(u), s.g.InEdges(u)} {
-			for _, e := range es {
-				w := e.To
-				fresh := f &^ seen[w]
-				if fresh == 0 {
-					continue
-				}
-				if next[w] == 0 {
-					list = append(list, w)
-				}
-				next[w] |= fresh
-				seen[w] |= fresh
-				for b := fresh; b != 0; b &= b - 1 {
-					rows[bits.TrailingZeros64(b)][w] = dist
-				}
+		reach := func(w graph.NodeID) {
+			fresh := f &^ seen[w]
+			if fresh == 0 {
+				return
 			}
+			if next[w] == 0 {
+				list = append(list, w)
+			}
+			next[w] |= fresh
+			seen[w] |= fresh
+			for b := fresh; b != 0; b &= b - 1 {
+				rows[bits.TrailingZeros64(b)][w] = dist
+			}
+		}
+		for _, e := range s.g.OutEdges(u) {
+			reach(e.To)
+		}
+		for _, w := range s.g.InIDs(u) {
+			reach(w)
 		}
 	}
 	s.curList, s.nextList = list, s.curList
@@ -237,8 +240,8 @@ func (s *sweep) pullRange(lo, hi int) int {
 		for _, e := range s.g.OutEdges(graph.NodeID(v)) {
 			in |= cur[e.To]
 		}
-		for _, e := range s.g.InEdges(graph.NodeID(v)) {
-			in |= cur[e.To]
+		for _, w := range s.g.InIDs(graph.NodeID(v)) {
+			in |= cur[w]
 		}
 		fresh := in &^ had
 		if fresh == 0 {
@@ -299,10 +302,10 @@ func (s *sweep) finishOne(b int, queue []graph.NodeID) []graph.NodeID {
 				queue = append(queue, e.To)
 			}
 		}
-		for _, e := range s.g.InEdges(u) {
-			if row[e.To] == Inf {
-				row[e.To] = d
-				queue = append(queue, e.To)
+		for _, w := range s.g.InIDs(u) {
+			if row[w] == Inf {
+				row[w] = d
+				queue = append(queue, w)
 			}
 		}
 	}
